@@ -1,18 +1,20 @@
 // Package checkpoint provides the durable-storage primitives behind the
-// streaming service's crash safety: a versioned, CRC-guarded snapshot file
-// with atomic rename-commit, and an append-only write-ahead log of framed,
-// CRC-guarded records whose replay stops cleanly at a torn tail.
+// streaming service's crash safety: versioned, CRC-guarded snapshot
+// generations with atomic rename-commit (store.go), and an append-only
+// write-ahead log of framed, CRC-guarded records whose replay stops cleanly
+// at a torn tail.
 //
 // The package is deliberately schema-free: payloads are opaque bytes. The
 // streaming service (internal/stream) owns the snapshot schema and the
-// recovery protocol — snapshot the full service state at a day boundary,
-// log every ingested event ahead of applying it, and on restart restore the
-// snapshot and replay the log through the deterministic ingest path. The
-// split keeps the on-disk invariants (what "committed" means) auditable in
-// one place, independent of what is being persisted.
+// recovery protocol — snapshot the service state at a day boundary, log
+// every ingested event ahead of applying it, and on restart restore the
+// newest intact generation chain and replay the log through the
+// deterministic ingest path. The split keeps the on-disk invariants (what
+// "committed" means) auditable in one place, independent of what is being
+// persisted.
 //
-// Durability model: snapshot commits are fsynced before the rename and the
-// directory is fsynced after it, so a committed snapshot survives a machine
+// Durability model: generation commits are fsynced before the rename and the
+// directory is fsynced after it, so a committed generation survives a machine
 // crash. WAL appends reach the file with every write but are group-fsynced
 // only at Sync points (day boundaries); a real deployment would tune that
 // cadence. Torn or bit-flipped tails are detected by per-record CRCs and
@@ -27,25 +29,21 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 )
 
 const (
-	// snapshotName is the committed snapshot file inside a checkpoint
-	// directory; snapshotTmp is its staging name before the rename-commit.
+	// snapshotName and walName are the files of the retired single-file
+	// protocol; Store.Reset still clears them out of a reused directory.
 	snapshotName = "snapshot.ckpt"
-	snapshotTmp  = "snapshot.tmp"
-	// walName is the write-ahead log inside a checkpoint directory.
-	walName = "wal.log"
+	walName      = "wal.log"
 
-	// snapshotMagic and walMagic guard against feeding the wrong file (or
-	// garbage) to the decoder.
-	snapshotMagic = "CMSNAP01"
-	walMagic      = "CMWAL001"
+	// walMagic guards against feeding the wrong file (or garbage) to the
+	// decoder.
+	walMagic = "CMWAL001"
 
-	// FormatVersion is the on-disk format version of both files. Readers
-	// reject other versions rather than guessing.
+	// FormatVersion is the on-disk format version of generation frames and
+	// WAL segments. Readers reject other versions rather than guessing.
 	FormatVersion = 1
 
 	// maxRecordLen bounds a single WAL record, so a corrupt length field
@@ -53,7 +51,7 @@ const (
 	maxRecordLen = 1 << 30
 )
 
-// ErrCorrupt is wrapped by errors reporting a snapshot that fails its magic,
+// ErrCorrupt is wrapped by errors reporting a file that fails its magic,
 // version, length, or CRC checks. A torn WAL *tail* is not corruption — it
 // is the expected shape of a crash — and is reported via Replay's clean
 // truncation instead.
@@ -62,87 +60,6 @@ var ErrCorrupt = errors.New("checkpoint: corrupt data")
 // castagnoli is the CRC-32C table; Castagnoli has better error-detection
 // properties than IEEE and hardware support on common CPUs.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// SnapshotPath returns the committed snapshot's path inside dir.
-func SnapshotPath(dir string) string { return filepath.Join(dir, snapshotName) }
-
-// WALPath returns the write-ahead log's path inside dir.
-func WALPath(dir string) string { return filepath.Join(dir, walName) }
-
-// WriteSnapshot atomically commits payload as dir's snapshot: the framed
-// payload is written to a temporary file, fsynced, and renamed over the
-// committed name, so a crash at any instant leaves either the old snapshot
-// or the new one — never a torn mix. The frame is
-//
-//	magic[8] version[u32] length[u64] crc32c[u32] payload
-//
-// with all integers little-endian and the CRC covering the payload only.
-func WriteSnapshot(dir string, payload []byte) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("checkpoint: creating %s: %w", dir, err)
-	}
-	tmp := filepath.Join(dir, snapshotTmp)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("checkpoint: staging snapshot: %w", err)
-	}
-	header := make([]byte, 0, 8+4+8+4)
-	header = append(header, snapshotMagic...)
-	header = binary.LittleEndian.AppendUint32(header, FormatVersion)
-	header = binary.LittleEndian.AppendUint64(header, uint64(len(payload)))
-	header = binary.LittleEndian.AppendUint32(header, crc32.Checksum(payload, castagnoli))
-	err = write2(f, header, payload)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: writing snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, SnapshotPath(dir)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: committing snapshot: %w", err)
-	}
-	return syncDir(dir)
-}
-
-// ReadSnapshot loads dir's committed snapshot payload. ok is false (with a
-// nil error) when no snapshot has ever been committed; a snapshot that fails
-// its magic, version, or CRC checks is an ErrCorrupt error — recovery must
-// not guess at state.
-func ReadSnapshot(dir string) (payload []byte, ok bool, err error) {
-	raw, err := os.ReadFile(SnapshotPath(dir))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("checkpoint: reading snapshot: %w", err)
-	}
-	const headerLen = 8 + 4 + 8 + 4
-	if len(raw) < headerLen {
-		return nil, false, fmt.Errorf("%w: snapshot truncated at %d bytes", ErrCorrupt, len(raw))
-	}
-	if string(raw[:8]) != snapshotMagic {
-		return nil, false, fmt.Errorf("%w: bad snapshot magic %q", ErrCorrupt, raw[:8])
-	}
-	if v := binary.LittleEndian.Uint32(raw[8:12]); v != FormatVersion {
-		return nil, false, fmt.Errorf("%w: unsupported snapshot version %d", ErrCorrupt, v)
-	}
-	n := binary.LittleEndian.Uint64(raw[12:20])
-	if n != uint64(len(raw)-headerLen) {
-		return nil, false, fmt.Errorf("%w: snapshot length %d, frame says %d",
-			ErrCorrupt, len(raw)-headerLen, n)
-	}
-	want := binary.LittleEndian.Uint32(raw[20:24])
-	payload = raw[headerLen:]
-	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return nil, false, fmt.Errorf("%w: snapshot crc %08x, want %08x", ErrCorrupt, got, want)
-	}
-	return payload, true, nil
-}
 
 // WAL is an open write-ahead log. Appends are buffered in userspace and
 // reach the file at Sync (which also fsyncs), Close, or when the buffer
@@ -165,19 +82,10 @@ type WAL struct {
 	syncErr error
 }
 
-// OpenWAL opens (creating if needed) dir's write-ahead log for appending.
-// A new log starts with the magic+version preamble; an existing log is
-// validated against it.
-func OpenWAL(dir string) (*WAL, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("checkpoint: creating %s: %w", dir, err)
-	}
-	return OpenWALFile(OsFS{}, WALPath(dir))
-}
-
 // OpenWALFile opens (creating if needed) a write-ahead log at path through
-// fsys — the FS-parameterized core of OpenWAL, used by the generation store
-// for its numbered WAL segments.
+// fsys for appending — the generation store's numbered WAL segments. A new
+// log starts with the magic+version preamble; an existing log is validated
+// against it.
 func OpenWALFile(fsys FS, path string) (*WAL, error) {
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -336,52 +244,12 @@ func (w *WAL) Abandon() error {
 	return w.f.Close()
 }
 
-// ResetWAL truncates dir's write-ahead log to empty — called right after a
-// snapshot commit, whose state subsumes every logged record. The truncation
-// is atomic (fresh file + rename), so a crash between snapshot and reset
-// leaves snapshot + full log: replaying the subsumed records is rejected by
-// the recovery protocol's ingest cursor, never double-applied.
-func ResetWAL(dir string) error {
-	tmp := filepath.Join(dir, walName+".tmp")
-	preamble := make([]byte, 0, 12)
-	preamble = append(preamble, walMagic...)
-	preamble = binary.LittleEndian.AppendUint32(preamble, FormatVersion)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("checkpoint: staging wal reset: %w", err)
-	}
-	// Fsync before the rename, as WriteSnapshot does: committing the name
-	// without the preamble's bytes would leave a zero-length log a machine
-	// crash turns into an unreadable checkpoint directory.
-	_, err = f.Write(preamble)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: staging wal reset: %w", err)
-	}
-	if err := os.Rename(tmp, WALPath(dir)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: resetting wal: %w", err)
-	}
-	return syncDir(dir)
-}
-
-// ReplayWAL invokes fn on every intact record of dir's write-ahead log in
-// append order and returns how many records were delivered. A missing log
-// replays zero records. A truncated or CRC-failing *tail* ends the replay
-// cleanly — that is what a crash mid-append looks like — but a corrupt
-// preamble is an ErrCorrupt error, and an error from fn aborts the replay.
-func ReplayWAL(dir string, fn func(payload []byte) error) (int, error) {
-	return ReplayWALFile(OsFS{}, WALPath(dir), fn)
-}
-
-// ReplayWALFile is ReplayWAL over an arbitrary FS and explicit path — the
-// core the generation store replays its numbered WAL segments through.
+// ReplayWALFile invokes fn on every intact record of the write-ahead log at
+// path in append order and returns how many records were delivered. A
+// missing log replays zero records. A truncated or CRC-failing *tail* ends
+// the replay cleanly — that is what a crash mid-append looks like — but a
+// corrupt preamble is an ErrCorrupt error, and an error from fn aborts the
+// replay.
 func ReplayWALFile(fsys FS, path string, fn func(payload []byte) error) (int, error) {
 	raw, err := fsys.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -420,25 +288,4 @@ func ReplayWALFile(fsys FS, path string, fn func(payload []byte) error) (int, er
 		n++
 		off += 8 + length
 	}
-}
-
-// write2 writes two byte slices back to back.
-func write2(f *os.File, a, b []byte) error {
-	if _, err := f.Write(a); err != nil {
-		return err
-	}
-	_, err := f.Write(b)
-	return err
-}
-
-// syncDir fsyncs a directory so a just-committed rename survives a machine
-// crash (best-effort on filesystems that reject directory fsync).
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return nil
-	}
-	defer d.Close()
-	d.Sync() // ignore: some filesystems refuse directory fsync
-	return nil
 }

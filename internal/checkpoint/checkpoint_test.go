@@ -5,64 +5,23 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 )
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	if _, ok, err := ReadSnapshot(dir); err != nil || ok {
-		t.Fatalf("empty dir: ok=%t err=%v", ok, err)
-	}
-	payload := []byte(`{"state":"day 12"}`)
-	if err := WriteSnapshot(dir, payload); err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := ReadSnapshot(dir)
-	if err != nil || !ok || !bytes.Equal(got, payload) {
-		t.Fatalf("round trip: ok=%t err=%v payload=%q", ok, err, got)
-	}
-	// Overwrite commits atomically over the previous snapshot.
-	if err := WriteSnapshot(dir, []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	got, _, _ = ReadSnapshot(dir)
-	if string(got) != "v2" {
-		t.Fatalf("after overwrite: %q", got)
-	}
+// walPath places a lone WAL file in a fresh directory.
+func walPath(t *testing.T) string {
+	return filepath.Join(t.TempDir(), "wal-00000001.log")
 }
 
-func TestSnapshotDetectsCorruption(t *testing.T) {
-	dir := t.TempDir()
-	if err := WriteSnapshot(dir, []byte("the ledger state")); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(SnapshotPath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, mutate := range map[string]func([]byte) []byte{
-		"flipped payload bit": func(b []byte) []byte { b[len(b)-1] ^= 1; return b },
-		"flipped header bit":  func(b []byte) []byte { b[2] ^= 1; return b },
-		"truncated":           func(b []byte) []byte { return b[:len(b)-3] },
-		"truncated header":    func(b []byte) []byte { return b[:10] },
-		"bad version": func(b []byte) []byte {
-			b[8] ^= 0xff
-			return b
-		},
-	} {
-		mutated := mutate(append([]byte(nil), raw...))
-		if err := os.WriteFile(SnapshotPath(dir), mutated, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := ReadSnapshot(dir); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
-		}
-	}
+func replayCount(t *testing.T, path string) (int, error) {
+	t.Helper()
+	return ReplayWALFile(OsFS{}, path, func([]byte) error { return nil })
 }
 
 func TestWALAppendReplay(t *testing.T) {
-	dir := t.TempDir()
-	w, err := OpenWAL(dir)
+	path := walPath(t)
+	w, err := OpenWALFile(OsFS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +38,7 @@ func TestWALAppendReplay(t *testing.T) {
 	}
 
 	var got [][]byte
-	n, err := ReplayWAL(dir, func(p []byte) error {
+	n, err := ReplayWALFile(OsFS{}, path, func(p []byte) error {
 		got = append(got, append([]byte(nil), p...))
 		return nil
 	})
@@ -93,7 +52,7 @@ func TestWALAppendReplay(t *testing.T) {
 	}
 
 	// Reopening appends after the existing records.
-	w, err = OpenWAL(dir)
+	w, err = OpenWALFile(OsFS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,15 +60,15 @@ func TestWALAppendReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	n, _ = ReplayWAL(dir, func([]byte) error { return nil })
+	n, _ = replayCount(t, path)
 	if n != 11 {
 		t.Fatalf("after reopen: %d records", n)
 	}
 }
 
 func TestWALTornTailTruncatesCleanly(t *testing.T) {
-	dir := t.TempDir()
-	w, err := OpenWAL(dir)
+	path := walPath(t)
+	w, err := OpenWALFile(OsFS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +78,7 @@ func TestWALTornTailTruncatesCleanly(t *testing.T) {
 		}
 	}
 	w.Close()
-	raw, err := os.ReadFile(WALPath(dir))
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +87,10 @@ func TestWALTornTailTruncatesCleanly(t *testing.T) {
 	// every intact prefix record and stop, never erroring or delivering a
 	// torn one.
 	for cut := len(raw) - 1; cut > 12; cut-- {
-		if err := os.WriteFile(WALPath(dir), raw[:cut], 0o644); err != nil {
+		if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		n, err := ReplayWAL(dir, func([]byte) error { return nil })
+		n, err := replayCount(t, path)
 		if err != nil {
 			t.Fatalf("cut at %d: %v", cut, err)
 		}
@@ -143,18 +102,18 @@ func TestWALTornTailTruncatesCleanly(t *testing.T) {
 	// A bit flip in a middle record stops replay before the flip.
 	flipped := append([]byte(nil), raw...)
 	flipped[30] ^= 1
-	if err := os.WriteFile(WALPath(dir), flipped, 0o644); err != nil {
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := ReplayWAL(dir, func([]byte) error { return nil }); err != nil || n >= 5 {
+	if n, err := replayCount(t, path); err != nil || n >= 5 {
 		t.Fatalf("bit-flipped log: n=%d err=%v", n, err)
 	}
 
 	// A corrupt preamble is an error, not a silent empty log.
-	if err := os.WriteFile(WALPath(dir), []byte("NOTAWAL0....."), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("NOTAWAL0....."), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReplayWAL(dir, func([]byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
+	if _, err := replayCount(t, path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad preamble: %v", err)
 	}
 
@@ -162,13 +121,13 @@ func TestWALTornTailTruncatesCleanly(t *testing.T) {
 	// landed) is an empty log, not corruption: replay finds nothing and
 	// reopening reinitializes the file.
 	for _, torn := range [][]byte{{}, raw[:5]} {
-		if err := os.WriteFile(WALPath(dir), torn, 0o644); err != nil {
+		if err := os.WriteFile(path, torn, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if n, err := ReplayWAL(dir, func([]byte) error { return nil }); err != nil || n != 0 {
+		if n, err := replayCount(t, path); err != nil || n != 0 {
 			t.Fatalf("torn preamble (%d bytes): n=%d err=%v", len(torn), n, err)
 		}
-		w, err := OpenWAL(dir)
+		w, err := OpenWALFile(OsFS{}, path)
 		if err != nil {
 			t.Fatalf("reopening torn preamble: %v", err)
 		}
@@ -176,50 +135,20 @@ func TestWALTornTailTruncatesCleanly(t *testing.T) {
 			t.Fatal(err)
 		}
 		w.Close()
-		if n, err := ReplayWAL(dir, func([]byte) error { return nil }); err != nil || n != 1 {
+		if n, err := replayCount(t, path); err != nil || n != 1 {
 			t.Fatalf("after reinit: n=%d err=%v", n, err)
 		}
 	}
 }
 
-func TestResetWAL(t *testing.T) {
-	dir := t.TempDir()
-	w, err := OpenWAL(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Append([]byte("old"))
-	w.Close()
-	if err := ResetWAL(dir); err != nil {
-		t.Fatal(err)
-	}
-	n, err := ReplayWAL(dir, func([]byte) error { return nil })
-	if err != nil || n != 0 {
-		t.Fatalf("after reset: n=%d err=%v", n, err)
-	}
-	// The reset log is a valid append target.
-	w, err = OpenWAL(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append([]byte("new")); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	n, _ = ReplayWAL(dir, func([]byte) error { return nil })
-	if n != 1 {
-		t.Fatalf("after reset+append: %d records", n)
-	}
-}
-
 func TestReplayStopsOnCallbackError(t *testing.T) {
-	dir := t.TempDir()
-	w, _ := OpenWAL(dir)
+	path := walPath(t)
+	w, _ := OpenWALFile(OsFS{}, path)
 	w.Append([]byte("a"))
 	w.Append([]byte("b"))
 	w.Close()
 	boom := errors.New("boom")
-	n, err := ReplayWAL(dir, func(p []byte) error {
+	n, err := ReplayWALFile(OsFS{}, path, func(p []byte) error {
 		if string(p) == "b" {
 			return boom
 		}

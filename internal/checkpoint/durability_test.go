@@ -340,3 +340,65 @@ func TestRecoveryFallbackReported(t *testing.T) {
 		t.Fatalf("recovery skipped %d corrupt generations but reported no fallbacks", corrupted)
 	}
 }
+
+// TestDurabilityStatsSurviveCrash pins that the durability telemetry is
+// state of the run, not of the incarnation: it rides in every generation's
+// head, so a crash→resume reports the same capture, compaction and
+// group-commit counts as the run that never crashed. The crash lands on the
+// first event after the fourth cadence tick — a generation whose own commit
+// is not a compaction, so nothing the dead process knew is missing from the
+// head it resumes from — and the resumed writer continues the compaction
+// cadence from the chain length on disk.
+func TestDurabilityStatsSurviveCrash(t *testing.T) {
+	cfg, spec, ref := durabilityCfg(t)
+	h, err := scenario.DefaultHarness()
+	if err != nil {
+		t.Fatal(err)
+	}
+	durable := func(dir string) workload.Config {
+		run := cfg
+		run.CheckpointDir = dir
+		run.SnapshotEveryDays = 7
+		run.BaseEveryDeltas = 3
+		run.GroupCommitEvents = 64
+		return run
+	}
+	whole, err := workload.ExecuteSource(durable(t.TempDir()), spec.Source(h.Dataset))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := whole.Durability
+	if want.SnapshotCaptures < 6 || want.BaseCompactions < 2 || want.GroupCommits == 0 {
+		t.Fatalf("uncrashed run exercises too little: %+v", want)
+	}
+
+	dir := t.TempDir()
+	crash := durable(dir)
+	ticks := 0
+	crash.FaultHook = func(p stream.FaultPoint) error {
+		switch {
+		case p == stream.PointDeltaCaptured:
+			ticks++
+		case p == stream.PointEventIngested && ticks == 4:
+			return errInjected
+		}
+		return nil
+	}
+	if _, err := workload.ExecuteSource(crash, spec.Source(h.Dataset)); !errors.Is(err, errInjected) {
+		t.Fatalf("crash run: %v", err)
+	}
+	resume := durable(dir)
+	resume.Resume = true
+	run, err := workload.ExecuteSource(resume, spec.Source(h.Dataset))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRun(t, "stats resume", ref, run)
+	got := run.Durability
+	if got.SnapshotCaptures != want.SnapshotCaptures || got.BaseCompactions != want.BaseCompactions ||
+		got.GroupCommits != want.GroupCommits {
+		t.Fatalf("resumed run reports captures/compactions/group commits %d/%d/%d, uncrashed %d/%d/%d",
+			got.SnapshotCaptures, got.BaseCompactions, got.GroupCommits,
+			want.SnapshotCaptures, want.BaseCompactions, want.GroupCommits)
+	}
+}

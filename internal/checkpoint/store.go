@@ -257,8 +257,9 @@ func (st *Store) WriteDelta(gen uint64, parentFP uint32, payload []byte) (uint32
 	return fp, st.writeGen(GenKindDelta, deltaName(gen), gen, parentFP, fp, payload)
 }
 
-// writeGen stages, fsyncs, and rename-commits one generation frame — the
-// same atomic commit discipline as WriteSnapshot, through the store's FS.
+// writeGen stages, fsyncs, and rename-commits one generation frame through
+// the store's FS, so a crash at any instant leaves either no file under the
+// committed name or the whole frame — never a torn mix.
 func (st *Store) writeGen(kind byte, name string, gen uint64, parentFP, chainFP uint32, payload []byte) error {
 	if err := st.fs.MkdirAll(st.dir, 0o755); err != nil {
 		return fmt.Errorf("checkpoint: creating %s: %w", st.dir, err)

@@ -87,48 +87,79 @@ func DecodeBinary(buf []byte) (Event, []byte, error) {
 //	4 columns of n × u32 table indices: publisher, advertiser, campaign,
 //	product
 //	n × u64 value bits (IEEE-754 — bit-exact by construction)
-func MarshalEvents(evs []Event) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(evs)))
-	if len(evs) == 0 {
+func MarshalEvents(evs []Event) []byte { return AppendEvents(nil, evs) }
+
+// internLinearMax is the string-table size up to which AppendEvents interns
+// by linear scan; a larger table switches to a map.
+const internLinearMax = 16
+
+// AppendEvents appends the MarshalEvents encoding of evs to buf. The
+// snapshot path calls it once per device-epoch record — a record averages
+// barely more than one event — so the string table is interned by linear
+// scan over stack-resident scratch and a small record allocates nothing
+// beyond buf's own growth.
+func AppendEvents(buf []byte, evs []Event) []byte {
+	n := len(evs)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+	if n == 0 {
 		return buf
 	}
-	for _, ev := range evs {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(ev.ID))
+	for i := range evs {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(evs[i].ID))
 	}
-	for _, ev := range evs {
-		buf = append(buf, byte(ev.Kind))
+	for i := range evs {
+		buf = append(buf, byte(evs[i].Kind))
 	}
-	for _, ev := range evs {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(ev.Device))
+	for i := range evs {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(evs[i].Device))
 	}
-	for _, ev := range evs {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(ev.Day)))
+	for i := range evs {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(evs[i].Day)))
 	}
-	// String table in first-appearance order, so equal inputs yield equal
-	// bytes regardless of map iteration.
-	index := make(map[string]uint32)
-	var table []string
-	internStr := func(s string) uint32 {
-		if id, ok := index[s]; ok {
-			return id
+	// String table in first-appearance order (column-major: publishers, then
+	// advertisers, campaigns, products), so equal inputs yield equal bytes.
+	var (
+		tableArr [internLinearMax]string
+		colsArr  [4 * 8]uint32
+		table    = tableArr[:0]
+		cols     = colsArr[:0]
+		index    map[string]uint32
+	)
+	internStr := func(s string) {
+		if index == nil {
+			for id, t := range table {
+				if t == s {
+					cols = append(cols, uint32(id))
+					return
+				}
+			}
+			if len(table) == internLinearMax {
+				index = make(map[string]uint32, 2*internLinearMax)
+				for id, t := range table {
+					index[t] = uint32(id)
+				}
+			}
+		} else if id, ok := index[s]; ok {
+			cols = append(cols, id)
+			return
 		}
-		id := uint32(len(table))
-		index[s] = id
+		if index != nil {
+			index[s] = uint32(len(table))
+		}
+		cols = append(cols, uint32(len(table)))
 		table = append(table, s)
-		return id
 	}
-	cols := make([]uint32, 0, 4*len(evs))
-	for _, ev := range evs {
-		cols = append(cols, internStr(string(ev.Publisher)))
+	for i := range evs {
+		internStr(string(evs[i].Publisher))
 	}
-	for _, ev := range evs {
-		cols = append(cols, internStr(string(ev.Advertiser)))
+	for i := range evs {
+		internStr(string(evs[i].Advertiser))
 	}
-	for _, ev := range evs {
-		cols = append(cols, internStr(ev.Campaign))
+	for i := range evs {
+		internStr(evs[i].Campaign)
 	}
-	for _, ev := range evs {
-		cols = append(cols, internStr(ev.Product))
+	for i := range evs {
+		internStr(evs[i].Product)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(table)))
 	for _, s := range table {
@@ -138,8 +169,8 @@ func MarshalEvents(evs []Event) []byte {
 	for _, id := range cols {
 		buf = binary.LittleEndian.AppendUint32(buf, id)
 	}
-	for _, ev := range evs {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ev.Value))
+	for i := range evs {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(evs[i].Value))
 	}
 	return buf
 }

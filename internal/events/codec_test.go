@@ -1,6 +1,9 @@
 package events
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -119,5 +122,32 @@ func TestRowCodecRoundTrip(t *testing.T) {
 		if !eventsEqual([]Event{ev}, []Event{got}) {
 			t.Fatalf("trial %d: row round trip diverged: %v vs %v", trial, ev, got)
 		}
+	}
+}
+
+// TestAppendEventsLargeTable crosses the string table's switch from linear
+// scan to map interning (more distinct strings than internLinearMax) and
+// checks the blob still round-trips, dedupes, and appends after a prefix.
+func TestAppendEventsLargeTable(t *testing.T) {
+	var evs []Event
+	for i := 0; i < 3*internLinearMax; i++ {
+		evs = append(evs, Event{ID: EventID(i + 1), Device: 9, Day: i,
+			Publisher: "pub.example", Advertiser: Site(fmt.Sprintf("adv-%d.example", i%5)),
+			Campaign: fmt.Sprintf("campaign-%d", i%(2*internLinearMax)), Product: "p", Value: float64(i)})
+	}
+	prefix := []byte("prefix")
+	blob := AppendEvents(append([]byte(nil), prefix...), evs)
+	if !bytes.HasPrefix(blob, prefix) || !bytes.Equal(blob[len(prefix):], MarshalEvents(evs)) {
+		t.Fatal("AppendEvents after a prefix differs from MarshalEvents")
+	}
+	got, err := UnmarshalEvents(blob[len(prefix):])
+	if err != nil || !eventsEqual(got, evs) {
+		t.Fatalf("round trip: err=%v", err)
+	}
+	// 1 publisher + 5 advertisers + 2·internLinearMax campaigns + 1 product.
+	n := len(evs)
+	table := binary.LittleEndian.Uint32(blob[len(prefix)+4+25*n:])
+	if want := uint32(1 + 5 + 2*internLinearMax + 1); table != want {
+		t.Fatalf("string table holds %d entries, want %d", table, want)
 	}
 }

@@ -1,6 +1,7 @@
 package events
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 )
@@ -59,6 +60,15 @@ type DeviceEpochKey struct {
 	Epoch  Epoch
 }
 
+// Compare orders keys by (device, epoch) — the order every snapshot section
+// is written and merged in.
+func (k DeviceEpochKey) Compare(o DeviceEpochKey) int {
+	if c := cmp.Compare(k.Device, o.Device); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.Epoch, o.Epoch)
+}
+
 // TrackDirty enables record-level dirty tracking: from now on every Record
 // or RecordAll marks its (device, epoch) key until DrainDirty collects it.
 // Only meaningful during the loading phase.
@@ -81,20 +91,7 @@ func (db *Database) DrainDirty() []DeviceEpochKey {
 		keys = append(keys, k)
 	}
 	clear(db.dirty)
-	slices.SortFunc(keys, func(a, b DeviceEpochKey) int {
-		switch {
-		case a.Device != b.Device:
-			if a.Device < b.Device {
-				return -1
-			}
-			return 1
-		case a.Epoch < b.Epoch:
-			return -1
-		case a.Epoch > b.Epoch:
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(keys, DeviceEpochKey.Compare)
 	return keys
 }
 
@@ -479,6 +476,19 @@ func (db *Database) Devices() []DeviceID {
 	}
 	slices.Sort(out)
 	return out
+}
+
+// Keys returns every live device-epoch record's key in (device, epoch)
+// order — the full-snapshot counterpart of DrainDirty. Loading phase only.
+func (db *Database) Keys() []DeviceEpochKey {
+	keys := make([]DeviceEpochKey, 0, db.NumRecords())
+	for e, seg := range db.epochs {
+		for d := range seg.byDevice {
+			keys = append(keys, DeviceEpochKey{d, e})
+		}
+	}
+	slices.SortFunc(keys, DeviceEpochKey.Compare)
+	return keys
 }
 
 // DeviceEpochs returns the populated epochs of a device in ascending order.

@@ -1,8 +1,8 @@
 package stream
 
 import (
+	"cmp"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -48,8 +48,11 @@ import (
 // the row codec to the columnar events.MarshalEvents layout — a v1 snapshot
 // must be refused up front, not fed to the incompatible decoder. v3: devices
 // carry their ledger denial counters, so the budget-drain telemetry survives
-// recovery, and snapshots may be deltas folded over a base generation.
-const snapSchemaVersion = 3
+// recovery, and snapshots may be deltas folded over a base generation. v4:
+// the payload is no longer one JSON document — a small JSON head is followed
+// by three key-sorted binary sections (delta.go), so a chain folds by byte
+// copy and restores without materializing it.
+const snapSchemaVersion = 4
 
 // snapConfig is the scenario fingerprint stored in every snapshot. Resuming
 // under a different scenario would silently diverge from the original run,
@@ -96,27 +99,20 @@ func (s *Service) snapConfig() snapConfig {
 	return sc
 }
 
-// deviceState is one device's budget-ledger lanes. Slots carry the binary
-// slot encoding (encodeSlots): the fleet's slot table is the snapshot's
-// biggest section after the event store, and reflective JSON there would
-// dominate snapshot cost.
-type deviceState struct {
-	ID    uint64 `json:"id"`
-	Slots []byte `json:"slots,omitempty"`
-	// Denials is the device ledger's lifetime denial counter — pure
-	// telemetry, but telemetry the hostile-traffic scenarios assert on, so
-	// it must survive recovery like any other state.
-	Denials uint64 `json:"denials,omitempty"`
-}
+// The three bulk sections hold one self-contained blob per key (layout and
+// framing in delta.go). Hand-rolled fixed layouts here: the fleet's slot
+// table and the event store dominate a snapshot's bytes, and reflective
+// encoding there would dominate its cost.
 
-// encodeSlots packs a device's ledger rows: u32 count, then per slot a
-// length-prefixed querier string, the epoch (u32, two's complement), and
-// consumed/capacity as IEEE-754 bits.
-func encodeSlots(rows []core.LedgerRow) []byte {
-	if len(rows) == 0 {
-		return nil
-	}
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(rows)))
+// appendDevice packs one device's budget state: the ledger's lifetime denial
+// counter (u64 — pure telemetry, but telemetry the hostile-traffic scenarios
+// assert on, so it must survive recovery like any other state), then a u32
+// slot count and per slot a length-prefixed querier string, the epoch (u32,
+// two's complement), and consumed/capacity as IEEE-754 bits.
+func appendDevice(buf []byte, d *core.Device) []byte {
+	rows := d.Ledger()
+	buf = binary.LittleEndian.AppendUint64(buf, d.BudgetDenials())
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rows)))
 	for _, r := range rows {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Querier)))
 		buf = append(buf, r.Querier...)
@@ -127,48 +123,104 @@ func encodeSlots(rows []core.LedgerRow) []byte {
 	return buf
 }
 
-// decodeSlots streams an encodeSlots blob into fn.
-func decodeSlots(buf []byte, fn func(q events.Site, e events.Epoch, consumed, capacity float64) error) error {
-	if len(buf) == 0 {
-		return nil
+// decodeDevice walks an appendDevice blob: it returns the denial counter
+// and streams the ledger slots into row.
+func decodeDevice(buf []byte, sites siteIntern,
+	row func(q events.Site, e events.Epoch, consumed, capacity float64) error) (denials uint64, err error) {
+	if len(buf) < 12 {
+		return 0, fmt.Errorf("stream: truncated device state")
 	}
-	if len(buf) < 4 {
-		return fmt.Errorf("stream: truncated slot table")
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	buf = buf[4:]
-	for i := 0; i < n; i++ {
-		if len(buf) < 4 {
-			return fmt.Errorf("stream: truncated slot querier")
+	denials = binary.LittleEndian.Uint64(buf)
+	n := binary.LittleEndian.Uint32(buf[8:])
+	buf = buf[12:]
+	for ; n > 0; n-- {
+		q, rest, err := cutString(buf)
+		if err != nil || len(rest) < 20 {
+			return 0, fmt.Errorf("stream: truncated ledger slot")
 		}
-		qn := int(binary.LittleEndian.Uint32(buf))
-		buf = buf[4:]
-		if qn < 0 || qn+4+16 > len(buf) {
-			return fmt.Errorf("stream: slot querier of %d bytes exceeds buffer", qn)
-		}
-		q := events.Site(buf[:qn])
-		buf = buf[qn:]
-		e := events.Epoch(int32(binary.LittleEndian.Uint32(buf)))
-		consumed := math.Float64frombits(binary.LittleEndian.Uint64(buf[4:]))
-		capacity := math.Float64frombits(binary.LittleEndian.Uint64(buf[12:]))
-		buf = buf[20:]
-		if err := fn(q, e, consumed, capacity); err != nil {
-			return err
+		e := events.Epoch(int32(binary.LittleEndian.Uint32(rest)))
+		consumed := math.Float64frombits(binary.LittleEndian.Uint64(rest[4:]))
+		capacity := math.Float64frombits(binary.LittleEndian.Uint64(rest[12:]))
+		buf = rest[20:]
+		if err := row(sites.site(q), e, consumed, capacity); err != nil {
+			return 0, err
 		}
 	}
 	if len(buf) != 0 {
-		return fmt.Errorf("stream: %d trailing bytes in slot table", len(buf))
+		return 0, fmt.Errorf("stream: %d trailing bytes in device state", len(buf))
 	}
-	return nil
+	return denials, nil
 }
 
-// recordState is one live device-epoch record of the event store. Events
-// use the compact binary codec (events.MarshalEvents) — they dominate the
-// snapshot's bytes, and reflective JSON there would dominate its cost.
-type recordState struct {
-	Device uint64 `json:"d"`
-	Epoch  int32  `json:"e"`
-	Events []byte `json:"events"`
+// appendSites packs one requested device-epoch's querier set (the Fig. 4
+// denominators hold an entry per (device, epoch, querier) touch): u32 count,
+// then the length-prefixed site strings in sorted order. scratch is the
+// caller's reusable sort buffer.
+func appendSites(buf []byte, set map[events.Site]struct{}, scratch []events.Site) ([]byte, []events.Site) {
+	scratch = scratch[:0]
+	for site := range set {
+		scratch = append(scratch, site)
+	}
+	slices.Sort(scratch)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(scratch)))
+	for _, site := range scratch {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(site)))
+		buf = append(buf, site...)
+	}
+	return buf, scratch
+}
+
+// decodeSites rebuilds a querier set from an appendSites blob.
+func decodeSites(buf []byte, sites siteIntern) (map[events.Site]struct{}, error) {
+	if len(buf) < 4 {
+		return nil, fmt.Errorf("stream: truncated requested entry")
+	}
+	n := binary.LittleEndian.Uint32(buf)
+	buf = buf[4:]
+	// Every site costs at least its length prefix, which bounds the count
+	// before it sizes anything.
+	if uint64(n) > uint64(len(buf)/4) {
+		return nil, fmt.Errorf("stream: requested entry claims %d sites in %d bytes", n, len(buf))
+	}
+	set := make(map[events.Site]struct{}, n)
+	for ; n > 0; n-- {
+		site, rest, err := cutString(buf)
+		if err != nil {
+			return nil, fmt.Errorf("stream: truncated requested site")
+		}
+		set[sites.site(site)] = struct{}{}
+		buf = rest
+	}
+	if len(buf) != 0 {
+		return nil, fmt.Errorf("stream: %d trailing bytes in requested entry", len(buf))
+	}
+	return set, nil
+}
+
+// cutString splits a u32-length-prefixed byte string off the front of buf.
+func cutString(buf []byte) (str, rest []byte, err error) {
+	if len(buf) < 4 {
+		return nil, nil, fmt.Errorf("stream: truncated length prefix")
+	}
+	n := binary.LittleEndian.Uint32(buf)
+	if uint64(n) > uint64(len(buf)-4) {
+		return nil, nil, fmt.Errorf("stream: %d-byte field exceeds its %d-byte container", n, len(buf)-4)
+	}
+	return buf[4 : 4+n], buf[4+n:], nil
+}
+
+// siteIntern shares one string per distinct querier across a restore: the
+// bulk sections repeat a handful of site names a million times over, and the
+// map lookup by byte slice allocates nothing.
+type siteIntern map[string]events.Site
+
+func (m siteIntern) site(b []byte) events.Site {
+	if s, ok := m[string(b)]; ok {
+		return s
+	}
+	s := events.Site(b)
+	m[string(s)] = s
+	return s
 }
 
 // streamSnap is one query stream's planner cursor.
@@ -201,93 +253,6 @@ type resultState struct {
 	AvgBudgetAfter uint64 `json:"avgBudgetAfterBits"`
 }
 
-// The requested-epoch accounting (Fig. 4 denominators) serializes as one
-// binary blob for the same reason as the slot tables: it holds an entry per
-// (device, epoch, querier) touch. Layout: u32 entry count, then per entry
-// u64 device, u32 epoch (two's complement), u32 site count, and the
-// length-prefixed site strings.
-
-// encodeRequested packs the accounting in sorted order.
-func encodeRequested(requested map[DevEpoch]map[events.Site]struct{}) []byte {
-	if len(requested) == 0 {
-		return nil
-	}
-	keys := make([]DevEpoch, 0, len(requested))
-	for key := range requested {
-		keys = append(keys, key)
-	}
-	slices.SortFunc(keys, func(a, b DevEpoch) int {
-		switch {
-		case a.Device != b.Device:
-			if a.Device < b.Device {
-				return -1
-			}
-			return 1
-		case a.Epoch < b.Epoch:
-			return -1
-		case a.Epoch > b.Epoch:
-			return 1
-		}
-		return 0
-	})
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(keys)))
-	var sites []string
-	for _, key := range keys {
-		sites = sites[:0]
-		for site := range requested[key] {
-			sites = append(sites, string(site))
-		}
-		slices.Sort(sites)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(key.Device))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(key.Epoch)))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sites)))
-		for _, s := range sites {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-			buf = append(buf, s...)
-		}
-	}
-	return buf
-}
-
-// decodeRequested rebuilds the accounting map from an encodeRequested blob.
-func decodeRequested(buf []byte, into map[DevEpoch]map[events.Site]struct{}) error {
-	if len(buf) == 0 {
-		return nil
-	}
-	if len(buf) < 4 {
-		return fmt.Errorf("stream: truncated requested table")
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	buf = buf[4:]
-	for i := 0; i < n; i++ {
-		if len(buf) < 16 {
-			return fmt.Errorf("stream: truncated requested entry")
-		}
-		dev := events.DeviceID(binary.LittleEndian.Uint64(buf))
-		epoch := events.Epoch(int32(binary.LittleEndian.Uint32(buf[8:])))
-		sn := int(binary.LittleEndian.Uint32(buf[12:]))
-		buf = buf[16:]
-		m := make(map[events.Site]struct{}, sn)
-		for j := 0; j < sn; j++ {
-			if len(buf) < 4 {
-				return fmt.Errorf("stream: truncated requested site")
-			}
-			ln := int(binary.LittleEndian.Uint32(buf))
-			buf = buf[4:]
-			if ln < 0 || ln > len(buf) {
-				return fmt.Errorf("stream: requested site of %d bytes exceeds buffer", ln)
-			}
-			m[events.Site(buf[:ln])] = struct{}{}
-			buf = buf[ln:]
-		}
-		into[DevEpoch{dev, epoch}] = m
-	}
-	if len(buf) != 0 {
-		return fmt.Errorf("stream: %d trailing bytes in requested table", len(buf))
-	}
-	return nil
-}
-
 // centralState is one central (IPA-like) filter row.
 type centralState struct {
 	Querier  string `json:"q"`
@@ -305,9 +270,12 @@ type dropMarkState struct {
 	ID     uint64 `json:"id"`
 }
 
-// snapState is the full snapshot payload.
-type snapState struct {
-	Schema int        `json:"schema"`
+// snapHead is the payload's head: everything a snapshot carries that is not
+// one of the three bulk sections. It is a few KB, so it stays JSON. Scalars,
+// drop marks, replay protection, noise streams and the central budgeter are
+// captured whole by every generation; Streams and Results carry only what
+// changed in a delta (foldHeads overlays and appends them).
+type snapHead struct {
 	Config snapConfig `json:"config"`
 
 	// Day clock and ingest cursor.
@@ -330,24 +298,24 @@ type snapState struct {
 	AggNoise     [4]uint64  `json:"aggNoise"`
 	IPANoise     *[4]uint64 `json:"ipaNoise,omitempty"`
 
-	// Budget state.
+	// Budget state outside the devices section.
 	FleetFloor int32          `json:"fleetFloor"`
-	Devices    []deviceState  `json:"devices"`
 	Central    []centralState `json:"central,omitempty"`
 
-	// Event store and planner cursor.
-	Records []recordState `json:"records"`
-	Streams []streamSnap  `json:"streams"`
+	// Planner cursor and released results.
+	Streams []streamSnap  `json:"streams,omitempty"`
+	Results []resultState `json:"results,omitempty"`
 
-	// Run accumulators and telemetry.
-	Results             []resultState `json:"results"`
-	Requested           []byte        `json:"requested,omitempty"`
-	TotalConsumed       uint64        `json:"totalConsumedBits"`
-	PeakQueue           int           `json:"peakQueue"`
-	PeakResidentRecords int           `json:"peakResidentRecords"`
-	EvictedRecords      int           `json:"evictedRecords"`
-	RetiredNonces       int           `json:"retiredNonces"`
-	ReleasedFilters     int           `json:"releasedFilters"`
+	// Run accumulators and telemetry. PeakQueue and Durability depend on
+	// scheduling, not on the trace: they ride along so a resumed run reports
+	// its whole history, and stay out of every digest.
+	TotalConsumed       uint64          `json:"totalConsumedBits"`
+	PeakQueue           int             `json:"peakQueue"`
+	PeakResidentRecords int             `json:"peakResidentRecords"`
+	EvictedRecords      int             `json:"evictedRecords"`
+	RetiredNonces       int             `json:"retiredNonces"`
+	ReleasedFilters     int             `json:"releasedFilters"`
+	Durability          DurabilityStats `json:"durability"`
 }
 
 // WAL record layout: the event's global ingest sequence number (u64,
@@ -384,9 +352,9 @@ func (s *Service) Checkpoint(dir string) error {
 	if len(s.due) != 0 {
 		return fmt.Errorf("stream: checkpoint with %d unflushed queries", len(s.due))
 	}
-	payload, err := json.Marshal(s.snapshot())
+	payload, err := s.capture(false)
 	if err != nil {
-		return fmt.Errorf("stream: encoding snapshot: %w", err)
+		return err
 	}
 	st := s.store
 	if st == nil || dir != s.cfg.CheckpointDir {
@@ -410,72 +378,11 @@ func (s *Service) Checkpoint(dir string) error {
 	return nil
 }
 
-// snapshot captures the complete service state. Caller guarantees
-// quiescence.
-func (s *Service) snapshot() *snapState {
-	snap := s.scalarSnap()
-
-	// Fleet: every created device (even ones with no initialized slots —
-	// device existence is itself state) with its sorted ledger rows.
-	s.fleet.Range(func(d *core.Device) bool {
-		snap.Devices = append(snap.Devices, deviceState{
-			ID:      uint64(d.ID()),
-			Slots:   encodeSlots(d.Ledger()),
-			Denials: d.BudgetDenials(),
-		})
-		return true
-	})
-
-	// Event store: live device-epoch records in deterministic order.
-	for _, dev := range s.db.Devices() {
-		for _, e := range s.db.DeviceEpochs(dev) {
-			rec := recordState{Device: uint64(dev), Epoch: int32(e),
-				Events: events.MarshalEvents(s.db.EpochEvents(dev, e))}
-			snap.Records = append(snap.Records, rec)
-		}
-	}
-
-	// Planner cursor, sorted by stream key for deterministic bytes.
-	for key, st := range s.plan.streams {
-		snap.Streams = append(snap.Streams, streamSnap{
-			Site:    string(key.site),
-			Product: key.product,
-			Epsilon: math.Float64bits(st.epsilon),
-			Seq:     st.seq,
-			Capped:  st.capped,
-			Pending: events.MarshalEvents(st.pending),
-		})
-	}
-	slices.SortFunc(snap.Streams, func(a, b streamSnap) int {
-		if a.Site != b.Site {
-			if a.Site < b.Site {
-				return -1
-			}
-			return 1
-		}
-		if a.Product != b.Product {
-			if a.Product < b.Product {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
-
-	snap.Results = appendResultStates(nil, s.run.Results)
-	if s.run.Requested != nil {
-		snap.Requested = encodeRequested(s.run.Requested)
-	}
-	return snap
-}
-
 // scalarSnap captures everything a snapshot carries whole regardless of
 // representation: the day clock, cursors, telemetry accumulators, noise
-// streams, replay protection, and the central budgeter. Shared by full
-// snapshots and deltas, so the two can never disagree on the scalars.
-func (s *Service) scalarSnap() *snapState {
-	snap := &snapState{
-		Schema:         snapSchemaVersion,
+// streams, replay protection, and the central budgeter.
+func (s *Service) scalarSnap() *snapHead {
+	snap := &snapHead{
 		Config:         s.snapConfig(),
 		CurDay:         s.curDay,
 		Started:        s.started,
@@ -496,6 +403,7 @@ func (s *Service) scalarSnap() *snapState {
 		EvictedRecords:      s.run.EvictedRecords,
 		RetiredNonces:       s.run.RetiredNonces,
 		ReleasedFilters:     s.run.ReleasedFilters,
+		Durability:          s.run.Durability,
 	}
 
 	for dev, m := range s.dropMarks {
@@ -504,13 +412,7 @@ func (s *Service) scalarSnap() *snapState {
 		})
 	}
 	slices.SortFunc(snap.DropMarks, func(a, b dropMarkState) int {
-		switch {
-		case a.Device < b.Device:
-			return -1
-		case a.Device > b.Device:
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.Device, b.Device)
 	})
 
 	watermark, seen := s.agg.SnapshotNonces()
@@ -567,8 +469,8 @@ func appendResultStates(dst []resultState, results []Result) []resultState {
 var errReplayGap = errors.New("stream: wal sequence gap")
 
 // ResumeFrom rebuilds a service from dir's durable state: it loads the
-// newest intact base generation, folds its delta chain into a full
-// snapshot, restores it, and replays the retained WAL segments through the
+// newest intact base generation, streams the fold of its delta chain into
+// place, and replays the retained WAL segments through the
 // ordinary ingest path — re-executing any day flush the log crosses, with
 // the restored ledger and noise-stream state, so the re-execution is
 // bit-identical to what the crashed process computed. The returned
@@ -599,14 +501,14 @@ func ResumeFrom(cfg Config, dir string) (*Service, error) {
 	}
 	restored := false
 	if chain != nil {
-		folded, err := foldChain(chain.Payloads)
+		opened, err := openChain(chain.Payloads)
 		if err != nil {
 			return nil, err
 		}
-		if err := s.restore(folded); err != nil {
+		if err := s.restore(opened); err != nil {
 			return nil, err
 		}
-		s.headGen, s.headFP = chain.Gen, chain.FP
+		s.headGen, s.headFP, s.headDeltas = chain.Gen, chain.FP, chain.Deltas
 		restored = true
 	}
 	maxGen, err := st.MaxGen()
@@ -655,7 +557,7 @@ func ResumeFrom(cfg Config, dir string) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.run.Durability.RecoveryFallbacks = fallbacks
+	s.run.Durability.RecoveryFallbacks += fallbacks
 	s.skip = s.run.EventsIngested
 	if cfg.LiveSource {
 		// A live feed never re-delivers the covered prefix — its admission
@@ -671,11 +573,11 @@ func ResumeFrom(cfg Config, dir string) (*Service, error) {
 	return s, nil
 }
 
-// restore applies a decoded snapshot to a freshly built service.
-func (s *Service) restore(snap *snapState) error {
-	if snap.Schema != snapSchemaVersion {
-		return fmt.Errorf("stream: unsupported snapshot schema %d", snap.Schema)
-	}
+// restore streams a generation chain's fold into a freshly built service:
+// the folded head first, then each bulk section entry by entry as the merge
+// produces it — no folded payload and no per-section slice is ever built.
+func (s *Service) restore(c *snapChain) error {
+	snap := c.head
 	if want, got := s.snapConfig(), snap.Config; got != want {
 		return fmt.Errorf("stream: snapshot is for a different scenario (%+v, running %+v)",
 			got, want)
@@ -694,6 +596,7 @@ func (s *Service) restore(snap *snapState) error {
 	s.run.EvictedRecords = snap.EvictedRecords
 	s.run.RetiredNonces = snap.RetiredNonces
 	s.run.ReleasedFilters = snap.ReleasedFilters
+	s.run.Durability = snap.Durability
 
 	// Replay protection: never re-mint a nonce the crashed process already
 	// issued, and reinstate the aggregation service's one-use state.
@@ -718,13 +621,18 @@ func (s *Service) restore(snap *snapState) error {
 	if floor := events.Epoch(snap.FleetFloor); floor > s.fleet.EpochFloor() {
 		s.fleet.AdvanceEpochFloor(floor)
 	}
-	for _, ds := range snap.Devices {
-		d := s.fleet.GetOrCreate(events.DeviceID(ds.ID))
-		err := decodeSlots(ds.Slots, d.RestoreBudgetRow)
+	sites := make(siteIntern)
+	err := c.merge(secDevices, func(key DevEpoch, blob, _ []byte) error {
+		d := s.fleet.GetOrCreate(key.Device)
+		denials, err := decodeDevice(blob, sites, d.RestoreBudgetRow)
 		if err != nil {
-			return fmt.Errorf("stream: device %d: %w", ds.ID, err)
+			return fmt.Errorf("stream: device %d: %w", key.Device, err)
 		}
-		d.RestoreBudgetDenials(ds.Denials)
+		d.RestoreBudgetDenials(denials)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if len(snap.Central) > 0 && s.central == nil {
 		return fmt.Errorf("stream: snapshot has central filters but run is on-device")
@@ -741,15 +649,19 @@ func (s *Service) restore(snap *snapState) error {
 	// order. The admission observer sees every restored event, so an
 	// external admission layer rebuilds its dedupe cursors from the same
 	// durable state the service resumes from.
-	for _, rec := range snap.Records {
-		evs, err := events.UnmarshalEvents(rec.Events)
+	err = c.merge(secRecords, func(key DevEpoch, blob, _ []byte) error {
+		evs, err := events.UnmarshalEvents(blob)
 		if err != nil {
-			return fmt.Errorf("stream: record %d/%d: %w", rec.Device, rec.Epoch, err)
+			return fmt.Errorf("stream: record %d/%d: %w", key.Device, key.Epoch, err)
 		}
 		for _, ev := range evs {
-			s.db.Record(events.Epoch(rec.Epoch), ev)
+			s.db.Record(key.Epoch, ev)
 			s.observeAdmit(ev, false)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
 	// Late-drop admission marks: durable admission decisions with no event
@@ -810,10 +722,15 @@ func (s *Service) restore(snap *snapState) error {
 		})
 		s.observeResult(s.run.Results[len(s.run.Results)-1])
 	}
-	if s.run.Requested != nil {
-		if err := decodeRequested(snap.Requested, s.run.Requested); err != nil {
+	return c.merge(secRequested, func(key DevEpoch, blob, _ []byte) error {
+		if s.run.Requested == nil {
+			return nil // Lean runs keep no accounting, and capture none
+		}
+		set, err := decodeSites(blob, sites)
+		if err != nil {
 			return err
 		}
-	}
-	return nil
+		s.run.Requested[key] = set
+		return nil
+	})
 }

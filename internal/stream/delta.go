@@ -1,8 +1,11 @@
 package stream
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 
@@ -10,17 +13,67 @@ import (
 	"repro/internal/events"
 )
 
-// Delta snapshots (DESIGN.md §12). A cadence tick no longer serializes the
-// whole service: the service tracks which state changed since the previous
-// capture — device ledgers by mutation version, event-store records and
-// planner streams by dirty set, results by high-water mark — and captures
-// only that, chained to its parent generation by fingerprint. mergeSnap is
-// the single definition of what a delta means: folding a chain's payloads in
-// order reproduces, bit for bit, the full snapshot the service would have
-// written at the head capture.
+// Snapshot payloads and their fold (DESIGN.md §12). A cadence tick does not
+// serialize the whole service: the service tracks which state changed since
+// the previous capture — device ledgers by mutation version, event-store
+// records and planner streams by dirty set, results by high-water mark — and
+// captures only that, chained to its parent generation by fingerprint. A
+// full snapshot is the same encoder with everything dirty.
+//
+// Payload layout (schema 4, little-endian):
+//
+//	u32 schema | u32 headLen | head (JSON snapHead)
+//	3 × section: u32 byteLen | entries          devices, records, requested
+//	entry:       u64 device | u32 epoch (two's complement) | u32 blobLen | blob
+//
+// Entries are strictly ascending by (device, epoch) within a section
+// (devices entries carry epoch 0) and self-contained, so a chain folds by
+// one k-way merge per section that copies bytes and decodes nothing.
+// snapChain.merge is the single definition of what a delta means: per key
+// the newest generation's entry wins, and records below the newest head's
+// eviction floor are dropped. Base compaction writes that merge out;
+// recovery streams it into place; folding a chain reproduces, byte for byte,
+// the full snapshot the service would have written at the head capture.
+
+// The three bulk sections, in payload order.
+const (
+	secDevices = iota
+	secRecords
+	secRequested
+	numSections
+)
+
+const entryHeaderLen = 8 + 4 + 4
+
+// openLen reserves a u32 length prefix at the end of buf; closeLen patches
+// it with the number of bytes appended since.
+func openLen(buf []byte) ([]byte, int) { return append(buf, 0, 0, 0, 0), len(buf) }
+
+func closeLen(buf []byte, mark int) {
+	binary.LittleEndian.PutUint32(buf[mark:], uint32(len(buf)-mark-4))
+}
+
+// openEntry starts one section entry; the caller appends the blob and
+// closes the returned mark.
+func openEntry(buf []byte, key DevEpoch) ([]byte, int) {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(key.Device))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(key.Epoch)))
+	return openLen(buf)
+}
+
+// appendHead starts a payload: schema, then the length-prefixed JSON head.
+func appendHead(buf []byte, head *snapHead) ([]byte, error) {
+	raw, err := json.Marshal(head)
+	if err != nil {
+		return nil, fmt.Errorf("stream: encoding snapshot head: %w", err)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, snapSchemaVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(raw)))
+	return append(buf, raw...), nil
+}
 
 // resetDirtyTracking arms the dirty trackers with the current state as the
-// baseline: the next captureDelta reports exactly what changes after this
+// baseline: the next delta capture reports exactly what changes after this
 // call. On a resume it must run after restore() and before WAL replay, so
 // replay-era mutations land in the first post-recovery delta.
 func (s *Service) resetDirtyTracking() {
@@ -38,41 +91,25 @@ func (s *Service) resetDirtyTracking() {
 	s.resultsMark = len(s.run.Results)
 }
 
-// captureDelta builds the dirty-state snapshot since the previous capture
-// and advances the baselines. Scalars, the central budgeter, and the
-// replay-protection set are captured whole — they are small and change
-// every day; the sections that dominate snapshot bytes carry only what
-// changed. The returned state is self-contained (every slice freshly
-// encoded), so the background writer can serialize it while ingest runs.
-func (s *Service) captureDelta() *snapState {
-	snap := s.scalarSnap()
+// capture encodes one snapshot payload. A full capture (delta false) holds
+// the complete service state; a delta holds what changed since the previous
+// capture and advances the dirty baselines. Scalars, the central budgeter,
+// and the replay-protection set are captured whole either way — they are
+// small and change every day. Every producer already runs in key order, so
+// entries are encoded straight into the one buffer the caller hands to the
+// store or the background writer; the service keeps no reference to it.
+// Caller guarantees quiescence.
+func (s *Service) capture(delta bool) ([]byte, error) {
+	head := s.scalarSnap()
 
-	// Devices whose ledger mutated since the last capture, or are new.
-	s.fleet.Range(func(d *core.Device) bool {
-		v := d.LedgerVersion()
-		if last, ok := s.ledgerVers[d.ID()]; ok && last == v {
-			return true
-		}
-		s.ledgerVers[d.ID()] = v
-		snap.Devices = append(snap.Devices, deviceState{
-			ID:      uint64(d.ID()),
-			Slots:   encodeSlots(d.Ledger()),
-			Denials: d.BudgetDenials(),
-		})
-		return true
-	})
-
-	for _, key := range s.db.DrainDirty() {
-		snap.Records = append(snap.Records, recordState{
-			Device: uint64(key.Device),
-			Epoch:  int32(key.Epoch),
-			Events: events.MarshalEvents(s.db.EpochEvents(key.Device, key.Epoch)),
-		})
+	// Planner cursor, in (site, product) order.
+	streams := s.plan.sortedKeys
+	if delta {
+		streams = s.plan.drainDirty
 	}
-
-	for _, key := range s.plan.drainDirty() {
+	for _, key := range streams() {
 		st := s.plan.streams[key]
-		snap.Streams = append(snap.Streams, streamSnap{
+		head.Streams = append(head.Streams, streamSnap{
 			Site:    string(key.site),
 			Product: key.product,
 			Epsilon: math.Float64bits(st.epsilon),
@@ -81,188 +118,283 @@ func (s *Service) captureDelta() *snapState {
 			Pending: events.MarshalEvents(st.pending),
 		})
 	}
+	from := 0
+	if delta {
+		from, s.resultsMark = s.resultsMark, len(s.run.Results)
+	}
+	head.Results = appendResultStates(nil, s.run.Results[from:])
 
-	snap.Results = appendResultStates(nil, s.run.Results[s.resultsMark:])
-	s.resultsMark = len(s.run.Results)
+	buf, err := appendHead(make([]byte, 0, s.captureHint), head)
+	if err != nil {
+		return nil, err
+	}
 
-	if s.run.Requested != nil && len(s.dirtyReq) > 0 {
-		sub := make(map[DevEpoch]map[events.Site]struct{}, len(s.dirtyReq))
-		for key := range s.dirtyReq {
-			if m, ok := s.run.Requested[key]; ok {
-				sub[key] = m
+	// Fleet: every created device (even ones with no initialized slots —
+	// device existence is itself state); a delta keeps those whose ledger
+	// mutated since the last capture, or are new.
+	buf, sec := openLen(buf)
+	s.fleet.Range(func(d *core.Device) bool {
+		if delta {
+			v := d.LedgerVersion()
+			if last, ok := s.ledgerVers[d.ID()]; ok && last == v {
+				return true
 			}
+			s.ledgerVers[d.ID()] = v
 		}
-		snap.Requested = encodeRequested(sub)
-		clear(s.dirtyReq)
-	}
-	return snap
-}
-
-// mergeSnap folds one delta over its parent snapshot: scalars and the
-// whole-captured sections come from the delta, keyed sections overlay the
-// parent's entries, and results append. Records at epochs below the delta's
-// eviction floor are dropped from both sides — the merged state must not
-// resurrect evicted records. Recovery and the background writer's base
-// compaction share this fold, so the two representations cannot drift.
-func mergeSnap(base, delta *snapState) (*snapState, error) {
-	out := new(snapState)
-	*out = *delta
-
-	out.Devices = overlayDevices(base.Devices, delta.Devices)
-	out.Records = overlayRecords(base.Records, delta.Records, delta.EvictFloor)
-	out.Streams = overlayStreams(base.Streams, delta.Streams)
-	out.Results = append(base.Results, delta.Results...)
-
-	switch {
-	case len(base.Requested) == 0:
-		out.Requested = delta.Requested
-	case len(delta.Requested) == 0:
-		out.Requested = base.Requested
-	default:
-		m := make(map[DevEpoch]map[events.Site]struct{})
-		if err := decodeRequested(base.Requested, m); err != nil {
-			return nil, err
-		}
-		if err := decodeRequested(delta.Requested, m); err != nil {
-			return nil, err
-		}
-		out.Requested = encodeRequested(m)
-	}
-	return out, nil
-}
-
-// overlayDevices merges device rows by ID, the delta's winning.
-func overlayDevices(base, delta []deviceState) []deviceState {
-	if len(base) == 0 {
-		return delta
-	}
-	if len(delta) == 0 {
-		return base
-	}
-	byID := make(map[uint64]int, len(base))
-	merged := base
-	for i, d := range merged {
-		byID[d.ID] = i
-	}
-	for _, d := range delta {
-		if i, ok := byID[d.ID]; ok {
-			merged[i] = d
-		} else {
-			byID[d.ID] = len(merged)
-			merged = append(merged, d)
-		}
-	}
-	slices.SortFunc(merged, func(a, b deviceState) int {
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		}
-		return 0
+		var mark int
+		buf, mark = openEntry(buf, DevEpoch{Device: d.ID()})
+		buf = appendDevice(buf, d)
+		closeLen(buf, mark)
+		return true
 	})
-	return merged
+	closeLen(buf, sec)
+
+	// Event store: live device-epoch records.
+	records := s.db.Keys
+	if delta {
+		records = s.db.DrainDirty
+	}
+	buf, sec = openLen(buf)
+	for _, key := range records() {
+		var mark int
+		buf, mark = openEntry(buf, key)
+		buf = events.AppendEvents(buf, s.db.EpochEvents(key.Device, key.Epoch))
+		closeLen(buf, mark)
+	}
+	closeLen(buf, sec)
+
+	// Fig. 4 accounting: each touched device-epoch's whole querier set.
+	touched := maps.Keys(s.run.Requested)
+	if delta {
+		touched = maps.Keys(s.dirtyReq)
+	}
+	requested := slices.SortedFunc(touched, DevEpoch.Compare)
+	clear(s.dirtyReq)
+	buf, sec = openLen(buf)
+	var scratch []events.Site
+	for _, key := range requested {
+		var mark int
+		buf, mark = openEntry(buf, key)
+		buf, scratch = appendSites(buf, s.run.Requested[key], scratch)
+		closeLen(buf, mark)
+	}
+	closeLen(buf, sec)
+
+	s.captureHint = len(buf) + len(buf)/8
+	return buf, nil
 }
 
-// overlayRecords merges event-store records by (device, epoch), the delta's
-// winning, and drops epochs the delta's eviction floor has passed.
-func overlayRecords(base, delta []recordState, evictFloor int32) []recordState {
-	type key struct {
-		dev   uint64
-		epoch int32
-	}
-	byKey := make(map[key]int, len(base)+len(delta))
-	merged := make([]recordState, 0, len(base)+len(delta))
-	for _, lists := range [][]recordState{base, delta} {
-		for _, rec := range lists {
-			if rec.Epoch < evictFloor {
-				continue
-			}
-			k := key{rec.Device, rec.Epoch}
-			if i, ok := byKey[k]; ok {
-				merged[i] = rec
-			} else {
-				byKey[k] = len(merged)
-				merged = append(merged, rec)
-			}
-		}
-	}
-	slices.SortFunc(merged, func(a, b recordState) int {
-		switch {
-		case a.Device != b.Device:
-			if a.Device < b.Device {
-				return -1
-			}
-			return 1
-		case a.Epoch < b.Epoch:
-			return -1
-		case a.Epoch > b.Epoch:
-			return 1
-		}
-		return 0
-	})
-	return merged
+// snapParts is one parsed payload: its decoded head and raw sections.
+type snapParts struct {
+	head *snapHead
+	sec  [numSections][]byte
 }
 
-// overlayStreams merges planner cursors by (site, product), the delta's
-// winning.
-func overlayStreams(base, delta []streamSnap) []streamSnap {
-	if len(base) == 0 {
-		return delta
+// parsePayload splits and bounds-checks one payload. Section contents are
+// validated by the merge that walks them.
+func parsePayload(p []byte) (*snapParts, error) {
+	if len(p) > 0 && p[0] == '{' {
+		// Schemas 1–3 were one JSON document.
+		var old struct {
+			Schema int `json:"schema"`
+		}
+		_ = json.Unmarshal(p, &old) // a malformed document reports schema 0
+		return nil, fmt.Errorf("stream: unsupported snapshot schema %d (JSON payload)", old.Schema)
 	}
-	if len(delta) == 0 {
-		return base
+	if len(p) < 4 {
+		return nil, fmt.Errorf("stream: truncated snapshot payload (%d bytes)", len(p))
 	}
-	type key struct{ site, product string }
-	byKey := make(map[key]int, len(base))
-	merged := base
-	for i, ss := range merged {
-		byKey[key{ss.Site, ss.Product}] = i
+	if v := binary.LittleEndian.Uint32(p); v != snapSchemaVersion {
+		return nil, fmt.Errorf("stream: unsupported snapshot schema %d", v)
 	}
-	for _, ss := range delta {
-		k := key{ss.Site, ss.Product}
-		if i, ok := byKey[k]; ok {
-			merged[i] = ss
-		} else {
-			byKey[k] = len(merged)
-			merged = append(merged, ss)
+	raw, rest, err := cutString(p[4:])
+	if err != nil {
+		return nil, fmt.Errorf("stream: snapshot head: %w", err)
+	}
+	parts := &snapParts{head: new(snapHead)}
+	if err := json.Unmarshal(raw, parts.head); err != nil {
+		return nil, fmt.Errorf("stream: decoding snapshot head: %w", err)
+	}
+	// Only the encoder's own bytes are accepted: whatever else a lenient
+	// parse lets through (unknown, reordered or repeated fields, padding) is
+	// not a head this code wrote.
+	if again, err := json.Marshal(parts.head); err != nil || !bytes.Equal(again, raw) {
+		return nil, fmt.Errorf("stream: snapshot head is not in canonical form")
+	}
+	for i := range parts.sec {
+		if parts.sec[i], rest, err = cutString(rest); err != nil {
+			return nil, fmt.Errorf("stream: snapshot section %d: %w", i, err)
 		}
 	}
-	slices.SortFunc(merged, func(a, b streamSnap) int {
-		switch {
-		case a.Site != b.Site:
-			if a.Site < b.Site {
-				return -1
-			}
-			return 1
-		case a.Product < b.Product:
-			return -1
-		case a.Product > b.Product:
-			return 1
-		}
-		return 0
-	})
-	return merged
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("stream: %d trailing bytes after snapshot sections", len(rest))
+	}
+	return parts, nil
 }
 
-// foldChain decodes a generation chain's payloads (base first, then each
-// delta in chain order) and folds them into one full snapshot.
-func foldChain(payloads [][]byte) (*snapState, error) {
-	var folded *snapState
+// snapChain is a generation chain opened for folding: every payload parsed
+// (base first, then each delta in chain order) and the heads folded.
+type snapChain struct {
+	parts []*snapParts
+	head  *snapHead
+}
+
+// openChain parses a chain's payloads and folds their heads: scalars and the
+// whole-captured lists come from the newest head, planner streams overlay by
+// (site, product) with the newest winning, and results append.
+func openChain(payloads [][]byte) (*snapChain, error) {
+	c := &snapChain{head: new(snapHead)}
+	streams := make(map[streamKey]streamSnap)
+	var results []resultState
 	for i, payload := range payloads {
-		snap := new(snapState)
-		if err := json.Unmarshal(payload, snap); err != nil {
+		parts, err := parsePayload(payload)
+		if err != nil {
 			return nil, fmt.Errorf("stream: decoding chain generation %d: %w", i, err)
 		}
-		if folded == nil {
-			folded = snap
-			continue
+		c.parts = append(c.parts, parts)
+		for _, ss := range parts.head.Streams {
+			streams[streamKey{events.Site(ss.Site), ss.Product}] = ss
 		}
-		var err error
-		folded, err = mergeSnap(folded, snap)
+		results = append(results, parts.head.Results...)
+		*c.head = *parts.head
+	}
+	c.head.Streams = nil
+	for _, key := range slices.SortedFunc(maps.Keys(streams), streamKey.compare) {
+		c.head.Streams = append(c.head.Streams, streams[key])
+	}
+	c.head.Results = results
+	return c, nil
+}
+
+// merge folds one section across the chain, handing emit each surviving
+// entry in key order: its key, its blob, and its raw bytes (header
+// included) for verbatim copy.
+func (c *snapChain) merge(sec int, emit func(key DevEpoch, blob, raw []byte) error) error {
+	secs := make([][]byte, len(c.parts))
+	for i, p := range c.parts {
+		secs[i] = p.sec[sec]
+	}
+	floor := events.Epoch(math.MinInt32)
+	if sec == secRecords {
+		floor = events.Epoch(c.head.EvictFloor)
+	}
+	return mergeSections(secs, floor, emit)
+}
+
+// encode writes the folded chain out as one full payload — the compacted
+// base.
+func (c *snapChain) encode() ([]byte, error) {
+	size := 0
+	for _, p := range c.parts {
+		for _, sec := range p.sec {
+			size += len(sec)
+		}
+	}
+	buf, err := appendHead(make([]byte, 0, size+size/64), c.head)
+	if err != nil {
+		return nil, err
+	}
+	for sec := 0; sec < numSections; sec++ {
+		var mark int
+		buf, mark = openLen(buf)
+		err := c.merge(sec, func(_ DevEpoch, _, raw []byte) error {
+			buf = append(buf, raw...)
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
+		closeLen(buf, mark)
 	}
-	return folded, nil
+	return buf, nil
+}
+
+// foldChain folds a generation chain's payloads into one full payload.
+func foldChain(payloads [][]byte) ([]byte, error) {
+	c, err := openChain(payloads)
+	if err != nil {
+		return nil, err
+	}
+	return c.encode()
+}
+
+// secCursor walks one section's entries, validating as it goes: every
+// length is bounds-checked against the bytes that remain and keys must
+// strictly ascend — the property that makes the merge correct.
+type secCursor struct {
+	rest      []byte
+	key       DevEpoch
+	blob, raw []byte
+	live      bool // key/blob/raw hold an entry
+}
+
+func (c *secCursor) next() error {
+	if len(c.rest) == 0 {
+		c.live = false
+		return nil
+	}
+	if len(c.rest) < entryHeaderLen {
+		return fmt.Errorf("stream: truncated section entry (%d bytes)", len(c.rest))
+	}
+	key := DevEpoch{
+		Device: events.DeviceID(binary.LittleEndian.Uint64(c.rest)),
+		Epoch:  events.Epoch(int32(binary.LittleEndian.Uint32(c.rest[8:]))),
+	}
+	n := binary.LittleEndian.Uint32(c.rest[12:])
+	if uint64(n) > uint64(len(c.rest)-entryHeaderLen) {
+		return fmt.Errorf("stream: entry %d/%d claims %d bytes, %d remain",
+			key.Device, key.Epoch, n, len(c.rest)-entryHeaderLen)
+	}
+	if c.live && key.Compare(c.key) <= 0 {
+		return fmt.Errorf("stream: section keys not strictly ascending at %d/%d", key.Device, key.Epoch)
+	}
+	end := entryHeaderLen + int(n)
+	c.key, c.blob, c.raw, c.rest, c.live = key, c.rest[entryHeaderLen:end], c.rest[:end], c.rest[end:], true
+	return nil
+}
+
+// mergeSections k-way merges key-sorted sections given oldest first: per
+// key the newest section's entry wins, entries at epochs below floor are
+// dropped, and emit sees the survivors in key order. The floor is the newest
+// generation's, so an entry of that generation below it is not something a
+// capture writes and is refused — which also makes folding a single payload
+// the identity. No map, no sort, no per-entry decode; a chain is a handful
+// of generations, so the minimum is found by scanning the cursors.
+func mergeSections(secs [][]byte, floor events.Epoch, emit func(key DevEpoch, blob, raw []byte) error) error {
+	cur := make([]secCursor, len(secs))
+	for i := range cur {
+		cur[i].rest = secs[i]
+		if err := cur[i].next(); err != nil {
+			return err
+		}
+	}
+	for {
+		win := -1
+		for i := range cur {
+			if cur[i].live && (win < 0 || cur[i].key.Compare(cur[win].key) <= 0) {
+				win = i // ties go to the later, newer generation
+			}
+		}
+		if win < 0 {
+			return nil
+		}
+		w := cur[win]
+		for i := range cur[:win+1] {
+			if cur[i].live && cur[i].key == w.key {
+				if err := cur[i].next(); err != nil {
+					return err
+				}
+			}
+		}
+		if w.key.Epoch < floor {
+			if win == len(cur)-1 {
+				return fmt.Errorf("stream: entry %d/%d lies below its own generation's floor %d",
+					w.key.Device, w.key.Epoch, floor)
+			}
+			continue
+		}
+		if err := emit(w.key, w.blob, w.raw); err != nil {
+			return err
+		}
+	}
 }

@@ -226,6 +226,11 @@ func TestBackpressureInvariance(t *testing.T) {
 	if runNarrow.PeakQueue > 1 {
 		t.Fatalf("one-slot queue reported peak depth %d", runNarrow.PeakQueue)
 	}
+	// The depth reaches the workload-level Run: the producer outpaces the
+	// day clock somewhere in any real trace, so a one-slot queue peaks at 1.
+	if got := workload.RunFromStream(workload.Config{Dataset: ds}, runNarrow).PeakQueue; got != 1 {
+		t.Fatalf("workload.Run.PeakQueue = %d, stream.Run.PeakQueue = %d, want 1", got, runNarrow.PeakQueue)
+	}
 	if runWide.EventsIngested != runNarrow.EventsIngested {
 		t.Fatalf("ingest counts differ: %d vs %d", runWide.EventsIngested, runNarrow.EventsIngested)
 	}

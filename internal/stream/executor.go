@@ -127,7 +127,7 @@ func (s *Service) markRequested(dev events.DeviceID, q events.Site, first, last 
 		return
 	}
 	for e := first; e <= last; e++ {
-		key := DevEpoch{dev, e}
+		key := DevEpoch{Device: dev, Epoch: e}
 		m := s.run.Requested[key]
 		if m == nil {
 			m = make(map[events.Site]struct{}, 1)

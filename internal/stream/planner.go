@@ -1,7 +1,9 @@
 package stream
 
 import (
-	"sort"
+	"cmp"
+	"maps"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -131,21 +133,22 @@ func (p *planner) trackDirty() {
 // drainDirty returns the streams mutated since tracking was last enabled or
 // drained, sorted by (site, product), and clears the set.
 func (p *planner) drainDirty() []streamKey {
-	if len(p.dirty) == 0 {
-		return nil
-	}
-	keys := make([]streamKey, 0, len(p.dirty))
-	for key := range p.dirty {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].site != keys[j].site {
-			return keys[i].site < keys[j].site
-		}
-		return keys[i].product < keys[j].product
-	})
+	keys := slices.SortedFunc(maps.Keys(p.dirty), streamKey.compare)
 	clear(p.dirty)
 	return keys
+}
+
+// sortedKeys returns every stream's key, sorted by (site, product).
+func (p *planner) sortedKeys() []streamKey {
+	return slices.SortedFunc(maps.Keys(p.streams), streamKey.compare)
+}
+
+// compare orders stream keys by (site, product).
+func (k streamKey) compare(o streamKey) int {
+	if c := cmp.Compare(k.site, o.site); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.product, o.product)
 }
 
 // minPendingDay returns the earliest day among buffered conversions across

@@ -37,7 +37,6 @@
 package stream
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -299,10 +298,7 @@ type Result struct {
 }
 
 // DevEpoch identifies a requested device-epoch in the Run's accounting.
-type DevEpoch struct {
-	Device events.DeviceID
-	Epoch  events.Epoch
-}
+type DevEpoch = events.DeviceEpochKey
 
 // Run is a completed streaming execution: per-query results plus the final
 // budget state and the service's ingest/retention telemetry.
@@ -358,7 +354,8 @@ type Run struct {
 
 	// Durability is the run's checkpoint/WAL telemetry (zero without
 	// Config.CheckpointDir). It is observability only — never part of the
-	// durable state or the equivalence digests.
+	// equivalence digests — but it rides in every snapshot head, so a
+	// resumed run reports the whole run, not its last incarnation.
 	Durability DurabilityStats
 }
 
@@ -369,7 +366,7 @@ type DurabilityStats struct {
 	SnapshotCaptures int
 	// MaxSnapshotStall is the longest the ingest thread was paused by one
 	// cadence tick: harvesting the previous generation's commit, capturing
-	// state, and rotating the WAL. The serialized write itself happens off
+	// state, and rotating the WAL. The write of the generation happens off
 	// the ingest thread and does not stall it.
 	MaxSnapshotStall time.Duration
 	// MaxCaptureStall is the capture-and-rotate portion of the worst tick,
@@ -390,7 +387,7 @@ type DurabilityStats struct {
 	MaxGroupCommitBytes int
 	// RecoveryFallbacks counts the downgrades recovery took on the way to
 	// intact state: generation files skipped as unusable plus WAL replays
-	// stopped at a sequence gap. 0 on a clean resume.
+	// stopped at a sequence gap. 0 when every resume was clean.
 	RecoveryFallbacks int
 }
 
@@ -437,12 +434,14 @@ type Service struct {
 	walBuf      []byte // reused WAL record encoding buffer
 	lastSnapDay int
 	// store is the generation store; headGen/headFP identify the chain
-	// head new deltas link onto, and nextGen numbers the next generation
-	// or WAL segment (monotonic across kinds, never reused).
-	store   *checkpoint.Store
-	headGen uint64
-	headFP  uint32
-	nextGen uint64
+	// head new deltas link onto (headDeltas deltas above its base when
+	// recovery loaded it), and nextGen numbers the next generation or WAL
+	// segment (monotonic across kinds, never reused).
+	store      *checkpoint.Store
+	headGen    uint64
+	headFP     uint32
+	headDeltas int
+	nextGen    uint64
 	// writer commits captured snapshots off the ingest thread; snapPending
 	// marks an enqueued capture whose result has not been harvested yet.
 	writer      *snapWriter
@@ -457,6 +456,8 @@ type Service struct {
 	ledgerVers  map[events.DeviceID]uint64
 	dirtyReq    map[DevEpoch]struct{}
 	resultsMark int
+	// captureHint pre-sizes the next capture's buffer from the last one's.
+	captureHint int
 	// skip counts source events already covered by the restored durable
 	// state; Serve discards that prefix before going live (the source
 	// delivers events in a deterministic order, so skip-by-count is exact).
@@ -648,9 +649,9 @@ func (s *Service) Serve() (run *Run, err error) {
 			return nil, err
 		}
 		if !suspended || len(s.due) == 0 {
-			payload, err := json.Marshal(s.snapshot())
+			payload, err := s.capture(false)
 			if err != nil {
-				return nil, fmt.Errorf("stream: encoding snapshot: %w", err)
+				return nil, err
 			}
 			gen := s.nextGen
 			s.nextGen++
@@ -683,9 +684,9 @@ func (s *Service) openDurability() error {
 		if err := s.store.Reset(); err != nil {
 			return err
 		}
-		payload, err := json.Marshal(s.snapshot())
+		payload, err := s.capture(false)
 		if err != nil {
-			return fmt.Errorf("stream: encoding snapshot: %w", err)
+			return err
 		}
 		fp, err := s.store.WriteBase(1, payload)
 		if err != nil {
@@ -709,9 +710,9 @@ func (s *Service) openDurability() error {
 			// from WAL replay and the source alone. Re-anchor the chain
 			// with a fresh full base: deltas need an intact parent, and
 			// the next recovery must not depend on a second full replay.
-			payload, err := json.Marshal(s.snapshot())
+			payload, err := s.capture(false)
 			if err != nil {
-				return fmt.Errorf("stream: encoding snapshot: %w", err)
+				return err
 			}
 			fp, err := s.store.WriteBase(walGen, payload)
 			if err != nil {
@@ -737,7 +738,7 @@ func (s *Service) openDurability() error {
 	if s.cfg.GroupCommitEvents > 0 || s.cfg.GroupCommitBytes > 0 {
 		s.wal.StartGroupCommit()
 	}
-	s.writer = newSnapWriter(s.store, s.cfg.BaseEveryDeltas, s.cfg.KeepGenerations)
+	s.writer = newSnapWriter(s.store, s.cfg.BaseEveryDeltas, s.cfg.KeepGenerations, s.headDeltas)
 	return nil
 }
 
@@ -938,7 +939,8 @@ func (s *Service) endOfDay(nextDay int) error {
 // commit, capture this one (dirty state in delta mode, everything in full
 // mode), rotate the WAL to the capture's numbered segment, and hand the
 // capture to the background writer. Only the capture and rotation pause
-// ingest — serialization and fsync happen off the ingest thread.
+// ingest — the write, the fsync and any compaction happen off the ingest
+// thread.
 //
 // Order matters for crash safety: the old segment syncs before the capture
 // is enqueued, so by the time the new generation can exist on disk, every
@@ -954,14 +956,14 @@ func (s *Service) rotateCheckpoint() error {
 	capStart := time.Now()
 	gen := s.nextGen
 	s.nextGen++
-	job := snapJob{gen: gen, parentFP: s.headFP}
-	if s.cfg.SnapshotMode == SnapshotModeFull {
-		job.base = true
-		job.snap = s.snapshot()
-	} else {
-		job.snap = s.captureDelta()
-	}
+	// Counted before the capture, so the generation's own head includes it
+	// and a run resumed from it reports the capture that produced it.
 	s.run.Durability.SnapshotCaptures++
+	job := snapJob{gen: gen, parentFP: s.headFP, base: s.cfg.SnapshotMode == SnapshotModeFull}
+	var err error
+	if job.payload, err = s.capture(!job.base); err != nil {
+		return err
+	}
 	if err := s.wal.Sync(); err != nil {
 		return err
 	}

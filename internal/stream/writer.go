@@ -1,28 +1,27 @@
 package stream
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 
 	"repro/internal/checkpoint"
 )
 
-// The background snapshot writer takes serialization and fsync off the
-// ingest thread. The day clock captures state synchronously (cheap — a delta
-// touches only what changed) and hands the capture here; JSON encoding, the
-// staged write, the fsync, chain compaction, and generation GC all happen on
-// this goroutine while ingest continues. At most one job is ever in flight:
-// the day clock harvests the previous result before enqueueing the next
-// capture, so commits overlap ingest, never each other, and the chain's
-// parent fingerprints stay sequential.
+// The background snapshot writer takes the disk off the ingest thread. The
+// day clock captures state synchronously (cheap — a delta touches only what
+// changed) and hands the encoded payload here; the staged write, the fsync,
+// chain compaction, and generation GC all happen on this goroutine while
+// ingest continues. At most one job is ever in flight: the day clock
+// harvests the previous result before enqueueing the next capture, so
+// commits overlap ingest, never each other, and the chain's parent
+// fingerprints stay sequential.
 
 // snapJob is one captured snapshot handed to the background writer.
 type snapJob struct {
 	gen      uint64
 	parentFP uint32
 	base     bool // write a fresh full base (full mode) instead of a delta
-	snap     *snapState
+	payload  []byte
 }
 
 // snapResult reports one job's durable commit.
@@ -52,13 +51,17 @@ type snapWriter struct {
 	deltasSince int // deltas committed since the last base, writer-owned
 }
 
-func newSnapWriter(store *checkpoint.Store, baseEvery, keep int) *snapWriter {
+// newSnapWriter starts the writer. deltasSince is the length of the delta
+// chain already on disk (a resumed run's), so the compaction cadence — and
+// the chain's length — does not restart with every incarnation.
+func newSnapWriter(store *checkpoint.Store, baseEvery, keep, deltasSince int) *snapWriter {
 	w := &snapWriter{
-		store:     store,
-		baseEvery: baseEvery,
-		keep:      keep,
-		jobs:      make(chan snapJob, 1),
-		results:   make(chan snapResult, 1),
+		store:       store,
+		baseEvery:   baseEvery,
+		keep:        keep,
+		jobs:        make(chan snapJob, 1),
+		results:     make(chan snapResult, 1),
+		deltasSince: deltasSince,
 	}
 	w.wg.Add(1)
 	go func() {
@@ -82,18 +85,12 @@ func (w *snapWriter) close() {
 	w.wg.Wait()
 }
 
-// commit serializes and durably writes one generation, compacting the chain
-// into a fresh base every baseEvery deltas.
+// commit durably writes one generation, compacting the chain into a fresh
+// base every baseEvery deltas.
 func (w *snapWriter) commit(job snapJob) snapResult {
-	res := snapResult{gen: job.gen, base: job.base}
-	payload, err := json.Marshal(job.snap)
-	if err != nil {
-		res.err = fmt.Errorf("stream: encoding snapshot: %w", err)
-		return res
-	}
-	res.bytes = len(payload)
+	res := snapResult{gen: job.gen, base: job.base, bytes: len(job.payload)}
 	if job.base {
-		fp, err := w.store.WriteBase(job.gen, payload)
+		fp, err := w.store.WriteBase(job.gen, job.payload)
 		if err != nil {
 			res.err = err
 			return res
@@ -103,7 +100,7 @@ func (w *snapWriter) commit(job snapJob) snapResult {
 		res.err = w.store.GC(w.keep)
 		return res
 	}
-	fp, err := w.store.WriteDelta(job.gen, job.parentFP, payload)
+	fp, err := w.store.WriteDelta(job.gen, job.parentFP, job.payload)
 	if err != nil {
 		res.err = err
 		return res
@@ -129,13 +126,9 @@ func (w *snapWriter) compact(res *snapResult) error {
 	if chain == nil {
 		return fmt.Errorf("stream: base compaction found no intact chain")
 	}
-	folded, err := foldChain(chain.Payloads)
+	payload, err := foldChain(chain.Payloads)
 	if err != nil {
 		return err
-	}
-	payload, err := json.Marshal(folded)
-	if err != nil {
-		return fmt.Errorf("stream: encoding compacted base: %w", err)
 	}
 	if err := w.store.WriteBaseLinked(chain.Gen, chain.FP, payload); err != nil {
 		return err

@@ -122,6 +122,7 @@ func RunFromStream(cfg Config, srun *stream.Run) *Run {
 		Durability:     srun.Durability,
 		MaxQueueDelay:  srun.MaxQueueDelay,
 		AvgQueueDelay:  srun.AvgQueueDelay,
+		PeakQueue:      srun.PeakQueue,
 		fleet:          srun.Fleet,
 		totalConsumed:  srun.TotalConsumed,
 		firstSpanEpoch: srun.FirstSpanEpoch,

@@ -40,6 +40,10 @@ type Run struct {
 	// serving layer's shedding gate reads. Observability only.
 	MaxQueueDelay time.Duration
 	AvgQueueDelay time.Duration
+	// PeakQueue is the deepest the streaming run's ingest queue got (zero
+	// for batch runs). It depends on scheduling, not on the trace:
+	// observability only — never part of CanonicalDigest.
+	PeakQueue int
 
 	db        *events.Database
 	fleet     *core.Fleet
