@@ -43,10 +43,6 @@ func main() {
 			"under this directory (implies -stream)")
 	snapshotEvery := flag.Int("snapshot-every", 7,
 		"snapshot cadence in days inside -checkpoint-dir (0 = WAL only)")
-	snapshotMode := flag.String("snapshot-mode", "delta",
-		"how the cadence persists state inside -checkpoint-dir: delta writes only "+
-			"the lanes dirtied since the previous generation and compacts periodically; "+
-			"full serializes everything every tick")
 	groupCommit := flag.Int("group-commit-interval", 0,
 		"batch WAL fsyncs inside -checkpoint-dir: fsync after this many appended "+
 			"events instead of once per append (0 = every append)")
@@ -74,7 +70,7 @@ func main() {
 		Quick: *quick, Seed: *seed, Parallelism: *parallel,
 		Streaming:     *streaming || *checkpointDir != "",
 		CheckpointDir: *checkpointDir, SnapshotEveryDays: *snapshotEvery, Resume: *resume,
-		SnapshotMode: *snapshotMode, GroupCommitEvents: *groupCommit,
+		GroupCommitEvents: *groupCommit,
 	}
 
 	harnesses := map[string]func(experiments.Options) (tabler, error){

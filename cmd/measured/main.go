@@ -103,7 +103,6 @@ type scenarioFlags struct {
 	windowDays    *int
 	checkpointDir *string
 	snapshotEvery *int
-	snapshotMode  *string
 	groupCommit   *int
 	resume        *bool
 }
@@ -121,8 +120,6 @@ func registerScenarioFlags(fs *flag.FlagSet) *scenarioFlags {
 			"make the run crash-safe: persist a write-ahead log and snapshots under this directory"),
 		snapshotEvery: fs.Int("snapshot-every", 7,
 			"snapshot cadence in days inside -checkpoint-dir (0 = WAL only)"),
-		snapshotMode: fs.String("snapshot-mode", "delta",
-			"cadence snapshot representation inside -checkpoint-dir: delta or full"),
 		groupCommit: fs.Int("group-commit-interval", 0,
 			"batch WAL fsyncs inside -checkpoint-dir: fsync after this many appended events (0 = every append)"),
 		resume: fs.Bool("resume", false,
@@ -139,7 +136,6 @@ func (sf *scenarioFlags) config() (workload.Config, error) {
 		WindowDays:        *sf.windowDays,
 		CheckpointDir:     *sf.checkpointDir,
 		SnapshotEveryDays: *sf.snapshotEvery,
-		SnapshotMode:      *sf.snapshotMode,
 		GroupCommitEvents: *sf.groupCommit,
 		Resume:            *sf.resume,
 	}

@@ -33,11 +33,6 @@ import (
 )
 
 const (
-	// snapshotName and walName are the files of the retired single-file
-	// protocol; Store.Reset still clears them out of a reused directory.
-	snapshotName = "snapshot.ckpt"
-	walName      = "wal.log"
-
 	// walMagic guards against feeding the wrong file (or garbage) to the
 	// decoder.
 	walMagic = "CMWAL001"

@@ -119,9 +119,9 @@ func diffRuns(t *testing.T, ref, run *workload.Run) {
 
 // TestDurabilityPropertyRandomFaults is the property: for every seeded
 // placement of crashes and disk faults, bounded retries always land on a
-// completed run identical to the reference, in delta and full snapshot mode
-// alike. The fault budget (MaxFaults) guarantees termination: once spent,
-// the filesystem behaves and a crash-free attempt completes.
+// completed run identical to the reference. The fault budget (MaxFaults)
+// guarantees termination: once spent, the filesystem behaves and a
+// crash-free attempt completes.
 func TestDurabilityPropertyRandomFaults(t *testing.T) {
 	cfg, spec, ref := durabilityCfg(t)
 	h, err := scenario.DefaultHarness()
@@ -132,72 +132,70 @@ func TestDurabilityPropertyRandomFaults(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
-	for _, mode := range []string{stream.SnapshotModeDelta, stream.SnapshotModeFull} {
-		for _, seed := range seeds {
-			seed := seed
-			t.Run(fmt.Sprintf("%s-seed-%d", mode, seed), func(t *testing.T) {
-				t.Parallel()
-				rng := rand.New(rand.NewSource(int64(seed)))
-				dir := t.TempDir()
-				ffs := checkpoint.NewFaultFS(nil, checkpoint.FaultSpec{
-					Seed:       seed,
-					MaxFaults:  4,
-					ShortWrite: 0.10,
-					FsyncFail:  0.10,
-					TornRename: 0.25,
-					BitFlip:    0.10,
-				})
-
-				attempt := func(n int, resume bool) (*workload.Run, error) {
-					run := cfg
-					run.CheckpointDir = dir
-					run.SnapshotEveryDays = 7
-					run.SnapshotMode = mode
-					run.BaseEveryDeltas = 2
-					run.KeepGenerations = 2
-					run.GroupCommitEvents = 64
-					run.DurableFS = ffs
-					run.Resume = resume
-					// The first few attempts also crash at a random firing
-					// of a random fault point; later attempts rely only on
-					// whatever disk faults remain in the budget.
-					if n < 5 {
-						point := stream.Points[rng.Intn(len(stream.Points))]
-						target := 1 + rng.Intn(120)
-						fired := 0
-						run.FaultHook = func(p stream.FaultPoint) error {
-							if p == point {
-								fired++
-								if fired == target {
-									return errInjected
-								}
-							}
-							return nil
-						}
-					}
-					return workload.ExecuteSource(run, spec.Source(h.Dataset))
-				}
-
-				const maxAttempts = 12
-				var run *workload.Run
-				var lastErr error
-				for n := 0; n < maxAttempts; n++ {
-					run, lastErr = attempt(n, n > 0)
-					if lastErr == nil {
-						break
-					}
-					// Every failure — injected crash or surfaced disk
-					// fault — is a legal interleaving; recovery must absorb
-					// it on a later attempt.
-					t.Logf("attempt %d: %v", n, lastErr)
-				}
-				if lastErr != nil {
-					t.Fatalf("no convergence after %d attempts: %v (faults injected: %d)",
-						maxAttempts, lastErr, ffs.Injected())
-				}
-				checkRun(t, fmt.Sprintf("mode %s seed %d", mode, seed), ref, run)
+	for _, seed := range seeds {
+		seed := seed
+		// Named for what every cadence tick writes.
+		t.Run(fmt.Sprintf("delta-seed-%d", seed), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(int64(seed)))
+			dir := t.TempDir()
+			ffs := checkpoint.NewFaultFS(nil, checkpoint.FaultSpec{
+				Seed:       seed,
+				MaxFaults:  4,
+				ShortWrite: 0.10,
+				FsyncFail:  0.10,
+				TornRename: 0.25,
+				BitFlip:    0.10,
 			})
-		}
+
+			attempt := func(n int, resume bool) (*workload.Run, error) {
+				run := cfg
+				run.CheckpointDir = dir
+				run.SnapshotEveryDays = 7
+				run.BaseEveryDeltas = 2
+				run.KeepGenerations = 2
+				run.GroupCommitEvents = 64
+				run.DurableFS = ffs
+				run.Resume = resume
+				// The first few attempts also crash at a random firing
+				// of a random fault point; later attempts rely only on
+				// whatever disk faults remain in the budget.
+				if n < 5 {
+					point := stream.Points[rng.Intn(len(stream.Points))]
+					target := 1 + rng.Intn(120)
+					fired := 0
+					run.FaultHook = func(p stream.FaultPoint) error {
+						if p == point {
+							fired++
+							if fired == target {
+								return errInjected
+							}
+						}
+						return nil
+					}
+				}
+				return workload.ExecuteSource(run, spec.Source(h.Dataset))
+			}
+
+			const maxAttempts = 12
+			var run *workload.Run
+			var lastErr error
+			for n := 0; n < maxAttempts; n++ {
+				run, lastErr = attempt(n, n > 0)
+				if lastErr == nil {
+					break
+				}
+				// Every failure — injected crash or surfaced disk
+				// fault — is a legal interleaving; recovery must absorb
+				// it on a later attempt.
+				t.Logf("attempt %d: %v", n, lastErr)
+			}
+			if lastErr != nil {
+				t.Fatalf("no convergence after %d attempts: %v (faults injected: %d)",
+					maxAttempts, lastErr, ffs.Injected())
+			}
+			checkRun(t, fmt.Sprintf("seed %d", seed), ref, run)
+		})
 	}
 }
 

@@ -192,9 +192,8 @@ func (st *Store) OpenWALSegment(gen uint64) (*WAL, error) {
 	return OpenWALFile(st.fs, st.WALSegmentPath(gen))
 }
 
-// Reset removes every generation file, WAL segment, staging file, and
-// legacy single-file checkpoint under the store — a fresh run owns its
-// directory outright, exactly as the single-snapshot protocol did.
+// Reset removes every generation file, WAL segment and staging file under
+// the store — a fresh run owns its directory outright.
 func (st *Store) Reset() error {
 	if err := st.fs.MkdirAll(st.dir, 0o755); err != nil {
 		return fmt.Errorf("checkpoint: creating %s: %w", st.dir, err)
@@ -206,8 +205,7 @@ func (st *Store) Reset() error {
 	for _, e := range entries {
 		name := e.Name()
 		_, _, isGen := parseGenName(name)
-		if isGen || name == snapshotName || name == walName ||
-			strings.HasSuffix(name, ".tmp") {
+		if isGen || strings.HasSuffix(name, ".tmp") {
 			if err := st.fs.Remove(filepath.Join(st.dir, name)); err != nil {
 				return fmt.Errorf("checkpoint: resetting store: %w", err)
 			}

@@ -17,7 +17,7 @@ import (
 // nothing reachable from it survives the call that filled it — callers may
 // retain the returned *Report (and the *Diagnostics of GenerateReport, which
 // is built from fresh allocations) but must not hold any slice observed
-// during a previous call. The fan-out engine (stream.GenerateReports) keeps
+// during a previous call. The fan-out engine (stream.Generator) keeps
 // one Scratch per worker for exactly this reason.
 type Scratch struct {
 	// win holds the raw per-epoch database slices of the current window

@@ -43,11 +43,6 @@ type Options struct {
 	// SnapshotEveryDays is the snapshot cadence inside CheckpointDir
 	// (0 = WAL only during the run).
 	SnapshotEveryDays int
-	// SnapshotMode picks how the cadence persists state: "delta" (the
-	// default) writes only the lanes dirtied since the previous generation
-	// and compacts periodically; "full" serializes everything every tick
-	// (DESIGN.md §12).
-	SnapshotMode string
 	// GroupCommitEvents batches WAL fsyncs: the log is fsynced after this
 	// many appended events instead of once per append (0 = every append).
 	GroupCommitEvents int
@@ -74,7 +69,6 @@ func (o Options) run(cfg workload.Config) (*workload.Run, error) {
 		cfg.CheckpointDir = filepath.Join(o.CheckpointDir,
 			fmt.Sprintf("run-%d", runCounter.Add(1)-1))
 		cfg.SnapshotEveryDays = o.SnapshotEveryDays
-		cfg.SnapshotMode = o.SnapshotMode
 		cfg.GroupCommitEvents = o.GroupCommitEvents
 		cfg.Resume = o.Resume
 		return workload.ExecuteStream(cfg)

@@ -13,15 +13,13 @@ import (
 	"repro/internal/events"
 )
 
-// Crash-safe checkpoint/restore for the streaming service (DESIGN.md §8,
-// §12).
+// Crash-safe checkpoint/restore for the streaming service (DESIGN.md §8).
 //
-// The durable state is a chain of snapshot generations (a full base plus
+// The durable state is a chain of snapshot generations (a base plus
 // incremental deltas, see delta.go) and numbered write-ahead-log segments,
 // all owned by internal/checkpoint's CRC-guarded formats:
 //
-//   - A full snapshot captures the service's complete state at a day
-//     boundary:
+//   - A base captures the service's complete state at a day boundary:
 //     every device's budget-ledger lanes, the fleet's retention floor, the
 //     live device-epoch records of the event store, the incremental
 //     planner's cursor (per-stream pending conversions, sequence numbers,
@@ -343,41 +341,6 @@ func decodeWALRecord(rec []byte) (seq int, ev events.Event, err error) {
 	return seq, ev, err
 }
 
-// Checkpoint commits a full snapshot of the service's current state as a
-// fresh base generation in dir. The service must be at a quiescent point —
-// no day flush in progress (Serve takes snapshots itself at day boundaries
-// via Config.SnapshotEveryDays; call Checkpoint directly only before Serve
-// starts or after it returns).
-func (s *Service) Checkpoint(dir string) error {
-	if len(s.due) != 0 {
-		return fmt.Errorf("stream: checkpoint with %d unflushed queries", len(s.due))
-	}
-	payload, err := s.capture(false)
-	if err != nil {
-		return err
-	}
-	st := s.store
-	if st == nil || dir != s.cfg.CheckpointDir {
-		st = checkpoint.NewStore(dir, s.cfg.DurableFS)
-	}
-	gen, err := st.MaxGen()
-	if err != nil {
-		return err
-	}
-	gen++
-	fp, err := st.WriteBase(gen, payload)
-	if err != nil {
-		return err
-	}
-	if st == s.store {
-		s.headGen, s.headFP = gen, fp
-		if s.nextGen <= gen {
-			s.nextGen = gen + 1
-		}
-	}
-	return nil
-}
-
 // scalarSnap captures everything a snapshot carries whole regardless of
 // representation: the day clock, cursors, telemetry accumulators, noise
 // streams, replay protection, and the central budgeter.
@@ -519,7 +482,7 @@ func ResumeFrom(cfg Config, dir string) (*Service, error) {
 
 	// Dirty tracking goes live before replay: the mutations replay makes
 	// are exactly what the first post-recovery delta must capture.
-	if s.cfg.CheckpointDir != "" && s.cfg.SnapshotMode == SnapshotModeDelta {
+	if s.cfg.CheckpointDir != "" {
 		s.resetDirtyTracking()
 	}
 
@@ -622,16 +585,7 @@ func (s *Service) restore(c *snapChain) error {
 		s.fleet.AdvanceEpochFloor(floor)
 	}
 	sites := make(siteIntern)
-	err := c.merge(secDevices, func(key DevEpoch, blob, _ []byte) error {
-		d := s.fleet.GetOrCreate(key.Device)
-		denials, err := decodeDevice(blob, sites, d.RestoreBudgetRow)
-		if err != nil {
-			return fmt.Errorf("stream: device %d: %w", key.Device, err)
-		}
-		d.RestoreBudgetDenials(denials)
-		return nil
-	})
-	if err != nil {
+	if err := s.restoreDevices(c, sites); err != nil {
 		return err
 	}
 	if len(snap.Central) > 0 && s.central == nil {
@@ -649,7 +603,7 @@ func (s *Service) restore(c *snapChain) error {
 	// order. The admission observer sees every restored event, so an
 	// external admission layer rebuilds its dedupe cursors from the same
 	// durable state the service resumes from.
-	err = c.merge(secRecords, func(key DevEpoch, blob, _ []byte) error {
+	err := c.merge(secRecords, func(key DevEpoch, blob, _ []byte) error {
 		evs, err := events.UnmarshalEvents(blob)
 		if err != nil {
 			return fmt.Errorf("stream: record %d/%d: %w", key.Device, key.Epoch, err)
@@ -731,6 +685,28 @@ func (s *Service) restore(c *snapChain) error {
 			return err
 		}
 		s.run.Requested[key] = set
+		return nil
+	})
+}
+
+// restoreDevices streams the folded devices section into the fleet. Ledger
+// lanes are dense in the epoch, so a slot epoch no query window of this
+// scenario can touch is refused here, before it can size one.
+func (s *Service) restoreDevices(c *snapChain, sites siteIntern) error {
+	lo, hi := max(s.fleet.EpochFloor(), s.run.FirstSpanEpoch), s.run.LastSpanEpoch
+	return c.merge(secDevices, func(key DevEpoch, blob, _ []byte) error {
+		d := s.fleet.GetOrCreate(key.Device)
+		denials, err := decodeDevice(blob, sites, func(q events.Site, e events.Epoch, consumed, capacity float64) error {
+			if e < lo || e > hi {
+				return fmt.Errorf("slot epoch %d outside [%d, %d]: snapshot is corrupt or for a different scenario",
+					e, lo, hi)
+			}
+			return d.RestoreBudgetRow(q, e, consumed, capacity)
+		})
+		if err != nil {
+			return fmt.Errorf("stream: device %d: %w", key.Device, err)
+		}
+		d.RestoreBudgetDenials(denials)
 		return nil
 	})
 }

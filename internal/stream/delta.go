@@ -13,7 +13,7 @@ import (
 	"repro/internal/events"
 )
 
-// Snapshot payloads and their fold (DESIGN.md §12). A cadence tick does not
+// Snapshot payloads and their fold (DESIGN.md §8). A cadence tick does not
 // serialize the whole service: the service tracks which state changed since
 // the previous capture — device ledgers by mutation version, event-store
 // records and planner streams by dirty set, results by high-water mark — and

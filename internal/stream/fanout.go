@@ -63,11 +63,6 @@ func FanOutWorkers(n, workers int, fn func(worker, job int)) {
 	}
 }
 
-// FanOut is FanOutWorkers for callers with no per-worker state.
-func FanOut(n, workers int, fn func(job int)) {
-	FanOutWorkers(n, workers, func(_, job int) { fn(job) })
-}
-
 // scratchPerWorker sizes a per-worker scratch pool for n jobs on up to
 // workers goroutines (matching FanOutWorkers' clamping).
 func scratchPerWorker(n, workers int) []core.Scratch {
@@ -80,11 +75,11 @@ func scratchPerWorker(n, workers int) []core.Scratch {
 	return make([]core.Scratch, workers)
 }
 
-// Grouper is the reusable grouping scratch behind GroupByDevice: the
-// device-order map and the group slices persist across batches, so the
-// steady-state per-day cost of grouping in the streaming executor is zero
-// allocations (the map is cleared, the inner slices truncated in place).
-// One Grouper serves one goroutine at a time; the zero value is ready.
+// Grouper is reusable grouping scratch: the device-order map and the group
+// slices persist across batches, so the steady-state per-day cost of
+// grouping in the streaming executor is zero allocations (the map is
+// cleared, the inner slices truncated in place). One Grouper serves one
+// goroutine at a time; the zero value is ready.
 type Grouper struct {
 	order  map[events.DeviceID]int
 	groups [][]int
@@ -120,13 +115,6 @@ func (g *Grouper) Group(batch []events.Event) [][]int {
 		g.groups[gi] = append(g.groups[gi], i)
 	}
 	return g.groups[:used]
-}
-
-// GroupByDevice is Group over a one-shot Grouper, for callers without a
-// batch loop worth amortizing.
-func GroupByDevice(batch []events.Event) [][]int {
-	var g Grouper
-	return g.Group(batch)
 }
 
 // Generator runs the on-device generate stage with state that persists
@@ -233,14 +221,6 @@ func (g *Generator) Generate(fleet *core.Fleet, reqs []*core.Request, batch []ev
 		return nil, nil, fmt.Errorf("stream: request for conversion %d invalid: %w", firstConv, firstErr)
 	}
 	return g.reports, g.stats, nil
-}
-
-// GenerateReports is Generate over a one-shot Generator: same outputs, no
-// state reuse. Kept for callers outside the two engines' batch loops.
-func GenerateReports(fleet *core.Fleet, reqs []*core.Request, batch []events.Event,
-	workers int) ([]*core.Report, []core.ReportStats, error) {
-	var g Generator
-	return g.Generate(fleet, reqs, batch, workers)
 }
 
 // TrueValues runs the centralized generate stage: every conversion's true

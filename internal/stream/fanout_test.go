@@ -142,7 +142,7 @@ func TestGeneratorErrorDeterministic(t *testing.T) {
 	var msgs []string
 	for _, workers := range []int{1, 2, 8} {
 		fleet := fanoutFleet(db, 1)
-		_, _, err := GenerateReports(fleet, reqs, convs, workers)
+		_, _, err := new(Generator).Generate(fleet, reqs, convs, workers)
 		if err == nil {
 			t.Fatalf("workers=%d: expected error", workers)
 		}
@@ -158,8 +158,8 @@ func TestGeneratorErrorDeterministic(t *testing.T) {
 	}
 }
 
-// TestGrouperReuse checks the reusable grouping scratch against the one-shot
-// GroupByDevice across a sequence of batches of varying shape (growing,
+// TestGrouperReuse checks the reusable grouping scratch against a fresh
+// zero-value Grouper across a sequence of batches of varying shape (growing,
 // shrinking, empty), where the returned groups alias scratch reused from
 // prior calls.
 func TestGrouperReuse(t *testing.T) {
@@ -172,7 +172,7 @@ func TestGrouperReuse(t *testing.T) {
 			convs[i] = events.Event{Device: events.DeviceID(rng.Intn(5))}
 		}
 		got := g.Group(convs)
-		want := GroupByDevice(convs)
+		want := new(Grouper).Group(convs)
 		if len(got) != len(want) {
 			t.Fatalf("batch %d: %d groups, want %d", batch, len(got), len(want))
 		}

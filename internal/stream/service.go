@@ -138,18 +138,10 @@ type Config struct {
 	// SnapshotEveryDays commits a snapshot generation (and rotates the WAL
 	// to a fresh segment) at every N-th completed day while serving. 0
 	// keeps only the WAL during the run — recovery then replays from the
-	// stream's beginning (or the last explicit Checkpoint). Ignored
-	// without CheckpointDir.
+	// stream's beginning. Ignored without CheckpointDir.
 	SnapshotEveryDays int
-	// SnapshotMode selects the cadence snapshot representation:
-	// SnapshotModeDelta (the default) captures only the state dirtied
-	// since the previous generation, chained to it by fingerprint, with
-	// periodic base compaction; SnapshotModeFull captures the complete
-	// state every time. Restores are bit-identical either way. Ignored
-	// without CheckpointDir.
-	SnapshotMode string
 	// BaseEveryDeltas folds the delta chain into a fresh base after this
-	// many deltas (default 8). Ignored in full mode.
+	// many deltas (default 8).
 	BaseEveryDeltas int
 	// KeepGenerations retains the newest K intact base generations (with
 	// the deltas and WAL segments above them) at GC time (default 2).
@@ -160,10 +152,6 @@ type Config struct {
 	// ingest thread never waits on the disk. 0 syncs only at day
 	// boundaries and snapshot rotations, as before.
 	GroupCommitEvents int
-	// GroupCommitBytes, when positive, additionally requests a group
-	// commit once this many WAL bytes accumulate — whichever threshold
-	// trips first.
-	GroupCommitBytes int
 	// DurableFS overrides the filesystem the checkpoint store and WAL
 	// segments go through — the disk-fault injection seam
 	// (checkpoint.NewFaultFS). nil selects the real filesystem. Like
@@ -202,12 +190,6 @@ type Config struct {
 	LiveSource bool
 }
 
-// Snapshot representations for Config.SnapshotMode.
-const (
-	SnapshotModeDelta = "delta"
-	SnapshotModeFull  = "full"
-)
-
 // withDefaults fills zero values.
 func (c Config) withDefaults() Config {
 	if c.EpochDays == 0 {
@@ -230,9 +212,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Policy == nil && !c.Central {
 		c.Policy = core.CookieMonsterPolicy{}
-	}
-	if c.SnapshotMode == "" {
-		c.SnapshotMode = SnapshotModeDelta
 	}
 	if c.BaseEveryDeltas == 0 {
 		c.BaseEveryDeltas = 8
@@ -261,13 +240,11 @@ func (c Config) validate() error {
 		return fmt.Errorf("stream: negative snapshot cadence")
 	case c.SnapshotEveryDays > 0 && c.CheckpointDir == "":
 		return fmt.Errorf("stream: snapshot cadence without checkpoint directory")
-	case c.SnapshotMode != SnapshotModeDelta && c.SnapshotMode != SnapshotModeFull:
-		return fmt.Errorf("stream: unknown snapshot mode %q", c.SnapshotMode)
 	case c.BaseEveryDeltas < 0:
 		return fmt.Errorf("stream: negative base compaction cadence")
 	case c.KeepGenerations < 0:
 		return fmt.Errorf("stream: negative generation retention")
-	case c.GroupCommitEvents < 0 || c.GroupCommitBytes < 0:
+	case c.GroupCommitEvents < 0:
 		return fmt.Errorf("stream: negative group-commit threshold")
 	}
 	return nil
@@ -362,7 +339,7 @@ type Run struct {
 // DurabilityStats measures the durability machinery's cost and behaviour
 // over one run.
 type DurabilityStats struct {
-	// SnapshotCaptures counts cadence snapshot captures (delta or full).
+	// SnapshotCaptures counts cadence snapshot captures.
 	SnapshotCaptures int
 	// MaxSnapshotStall is the longest the ingest thread was paused by one
 	// cadence tick: harvesting the previous generation's commit, capturing
@@ -649,18 +626,11 @@ func (s *Service) Serve() (run *Run, err error) {
 			return nil, err
 		}
 		if !suspended || len(s.due) == 0 {
-			payload, err := s.capture(false)
-			if err != nil {
-				return nil, err
-			}
 			gen := s.nextGen
 			s.nextGen++
-			fp, err := s.store.WriteBase(gen, payload)
-			if err != nil {
+			if err := s.writeBase(gen); err != nil {
 				return nil, err
 			}
-			s.headGen, s.headFP = gen, fp
-			s.run.Durability.BaseBytes += int64(len(payload))
 			if err := s.store.GC(s.cfg.KeepGenerations); err != nil {
 				return nil, err
 			}
@@ -675,70 +645,61 @@ func (s *Service) openDurability() error {
 	if s.store == nil {
 		s.store = checkpoint.NewStore(s.cfg.CheckpointDir, s.cfg.DurableFS)
 	}
+	// A resumed run appends to a segment number no crashed process ever
+	// wrote — an old segment's tail may be torn, and recovery already
+	// accounted for exactly what is durable in it.
 	walGen := s.nextGen
 	if !s.resumed {
-		// A fresh run owns the directory: clear leftovers from any
-		// previous run and commit an initial base whose scenario
-		// fingerprint every later ResumeFrom must match, even before the
-		// first cadence snapshot.
+		// A fresh run owns the directory: clear leftovers from any previous
+		// run. Its initial base and first WAL segment share generation 1:
+		// the segment holds exactly the events ingested after that capture.
 		if err := s.store.Reset(); err != nil {
 			return err
 		}
-		payload, err := s.capture(false)
-		if err != nil {
+		walGen = 1
+	}
+	s.nextGen = walGen + 1
+	if s.headGen == 0 {
+		// No chain head: a fresh run commits the initial base whose scenario
+		// fingerprint every later ResumeFrom must match, even before the
+		// first cadence snapshot; a resumed run whose recovery refused every
+		// generation on disk (state rebuilt from WAL replay and the source
+		// alone) re-anchors the chain, because deltas need an intact parent
+		// and the next recovery must not depend on a second full replay.
+		if err := s.writeBase(walGen); err != nil {
 			return err
 		}
-		fp, err := s.store.WriteBase(1, payload)
-		if err != nil {
-			return err
-		}
-		s.headGen, s.headFP = 1, fp
-		s.run.Durability.BaseBytes += int64(len(payload))
-		// The initial base and its WAL segment share generation 1: the
-		// segment holds exactly the events ingested after that capture.
-		walGen, s.nextGen = 1, 2
-		if s.cfg.SnapshotMode == SnapshotModeDelta {
-			s.resetDirtyTracking()
-		}
-	} else {
-		// A resumed run appends to a segment number no crashed process
-		// ever wrote — an old segment's tail may be torn, and recovery
-		// already accounted for exactly what is durable in it.
-		s.nextGen++
-		if s.headGen == 0 {
-			// Recovery refused every generation on disk and rebuilt state
-			// from WAL replay and the source alone. Re-anchor the chain
-			// with a fresh full base: deltas need an intact parent, and
-			// the next recovery must not depend on a second full replay.
-			payload, err := s.capture(false)
-			if err != nil {
-				return err
-			}
-			fp, err := s.store.WriteBase(walGen, payload)
-			if err != nil {
-				return err
-			}
-			s.headGen, s.headFP = walGen, fp
-			s.run.Durability.BaseBytes += int64(len(payload))
-			// The re-anchor base subsumes everything recovery replayed, so
-			// the dirty marks taken before replay are stale: without a
-			// reset the first delta would re-carry state the base already
-			// holds, and append-only sections (Results) would duplicate on
-			// fold.
-			if s.cfg.SnapshotMode == SnapshotModeDelta {
-				s.resetDirtyTracking()
-			}
-		}
+		// The base subsumes everything recovery replayed, so dirty marks
+		// taken before replay are stale: without a reset the first delta
+		// would re-carry state the base already holds, and append-only
+		// sections (Results) would duplicate on fold.
+		s.resetDirtyTracking()
 	}
 	wal, err := s.store.OpenWALSegment(walGen)
 	if err != nil {
 		return err
 	}
 	s.wal = wal
-	if s.cfg.GroupCommitEvents > 0 || s.cfg.GroupCommitBytes > 0 {
+	if s.cfg.GroupCommitEvents > 0 {
 		s.wal.StartGroupCommit()
 	}
 	s.writer = newSnapWriter(s.store, s.cfg.BaseEveryDeltas, s.cfg.KeepGenerations, s.headDeltas)
+	return nil
+}
+
+// writeBase commits the service's complete state as base generation gen and
+// makes it the chain head. Caller guarantees quiescence.
+func (s *Service) writeBase(gen uint64) error {
+	payload, err := s.capture(false)
+	if err != nil {
+		return err
+	}
+	fp, err := s.store.WriteBase(gen, payload)
+	if err != nil {
+		return err
+	}
+	s.headGen, s.headFP = gen, fp
+	s.run.Durability.BaseBytes += int64(len(payload))
 	return nil
 }
 
@@ -754,11 +715,7 @@ func (s *Service) harvestSnap() error {
 		return res.err
 	}
 	s.headGen, s.headFP = res.gen, res.fp
-	if res.base {
-		s.run.Durability.BaseBytes += int64(res.bytes)
-	} else {
-		s.run.Durability.DeltaBytes += int64(res.bytes)
-	}
+	s.run.Durability.DeltaBytes += int64(res.bytes)
 	if res.compacted {
 		s.run.Durability.BaseCompactions++
 		s.run.Durability.BaseBytes += int64(res.compactBytes)
@@ -863,7 +820,7 @@ func (s *Service) observeResult(res Result) {
 
 // logWAL appends one drained event to the write-ahead log on the live path
 // (no-op without durability or during replay), tagged with its drain
-// sequence number. With group commit configured, crossing either threshold
+// sequence number. With group commit configured, crossing the threshold
 // flushes the batch and signals the background syncer instead of fsyncing
 // inline.
 func (s *Service) logWAL(ev events.Event) error {
@@ -874,13 +831,12 @@ func (s *Service) logWAL(ev events.Event) error {
 	if err := s.wal.Append(s.walBuf); err != nil {
 		return err
 	}
-	if s.cfg.GroupCommitEvents <= 0 && s.cfg.GroupCommitBytes <= 0 {
+	if s.cfg.GroupCommitEvents <= 0 {
 		return nil
 	}
 	s.gcEvents++
 	s.gcBytes += len(s.walBuf) + 8
-	if (s.cfg.GroupCommitEvents > 0 && s.gcEvents >= s.cfg.GroupCommitEvents) ||
-		(s.cfg.GroupCommitBytes > 0 && s.gcBytes >= s.cfg.GroupCommitBytes) {
+	if s.gcEvents >= s.cfg.GroupCommitEvents {
 		if err := s.wal.RequestSync(); err != nil {
 			return err
 		}
@@ -936,11 +892,10 @@ func (s *Service) endOfDay(nextDay int) error {
 }
 
 // rotateCheckpoint is the cadence tick: harvest the previous generation's
-// commit, capture this one (dirty state in delta mode, everything in full
-// mode), rotate the WAL to the capture's numbered segment, and hand the
-// capture to the background writer. Only the capture and rotation pause
-// ingest — the write, the fsync and any compaction happen off the ingest
-// thread.
+// commit, capture the state dirtied since, rotate the WAL to the capture's
+// numbered segment, and hand the delta to the background writer. Only the
+// capture and rotation pause ingest — the write, the fsync and any
+// compaction happen off the ingest thread.
 //
 // Order matters for crash safety: the old segment syncs before the capture
 // is enqueued, so by the time the new generation can exist on disk, every
@@ -959,9 +914,9 @@ func (s *Service) rotateCheckpoint() error {
 	// Counted before the capture, so the generation's own head includes it
 	// and a run resumed from it reports the capture that produced it.
 	s.run.Durability.SnapshotCaptures++
-	job := snapJob{gen: gen, parentFP: s.headFP, base: s.cfg.SnapshotMode == SnapshotModeFull}
+	job := snapJob{gen: gen, parentFP: s.headFP}
 	var err error
-	if job.payload, err = s.capture(!job.base); err != nil {
+	if job.payload, err = s.capture(true); err != nil {
 		return err
 	}
 	if err := s.wal.Sync(); err != nil {
@@ -976,7 +931,7 @@ func (s *Service) rotateCheckpoint() error {
 		return err
 	}
 	s.wal = wal
-	if s.cfg.GroupCommitEvents > 0 || s.cfg.GroupCommitBytes > 0 {
+	if s.cfg.GroupCommitEvents > 0 {
 		s.wal.StartGroupCommit()
 	}
 	s.gcEvents, s.gcBytes = 0, 0

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/events"
 )
@@ -234,20 +235,37 @@ func TestFoldMatchesSnapshotAtEveryTick(t *testing.T) {
 	}
 }
 
+// sampleService builds a service for the scenario samplePayloads runs, over
+// evs and durable in dir ("" = in memory).
+func sampleService(t testing.TB, evs []events.Event, dir string) *Service {
+	t.Helper()
+	cfg := Config{Source: &fakeSource{meta: testMeta(), evs: evs}, FixedEpsilon: 1, EpsilonG: 100}
+	if dir != "" {
+		cfg.CheckpointDir, cfg.SnapshotEveryDays, cfg.BaseEveryDeltas, cfg.KeepGenerations = dir, 2, 100, 100
+	}
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc
+}
+
 // samplePayloads runs a small durable service and returns one full base
 // payload and one delta payload it committed.
 func samplePayloads(t testing.TB) (base, delta []byte) {
 	t.Helper()
 	dir := t.TempDir()
+	// An impression per device, so the conversions' reports find relevant
+	// events and charge ledger slots.
 	var evs []events.Event
+	for dev := 1; dev <= 3; dev++ {
+		evs = append(evs, events.Event{ID: events.EventID(100 + dev), Kind: events.KindImpression,
+			Device: events.DeviceID(dev), Advertiser: "nike.example", Campaign: "product-0"})
+	}
 	for i := 1; i <= 8; i++ {
 		evs = append(evs, conv(events.EventID(i), events.DeviceID(1+i%3), i/2))
 	}
-	svc, err := New(Config{Source: &fakeSource{meta: testMeta(), evs: evs}, FixedEpsilon: 1, EpsilonG: 100,
-		CheckpointDir: dir, SnapshotEveryDays: 2, BaseEveryDeltas: 100, KeepGenerations: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc := sampleService(t, evs, dir)
 	if _, err := svc.Serve(); err != nil {
 		t.Fatal(err)
 	}
@@ -293,6 +311,19 @@ func corruptions(t testing.TB, base []byte) map[string][]byte {
 		fn(p)
 		return p
 	}
+	// Offset of the epoch of the first ledger slot any device carries: past
+	// the entry header, the denial counter, the slot count and the querier.
+	slotEpoch := -1
+	for at := first; at < first+len(parts.sec[0]) && slotEpoch < 0; {
+		blob := at + entryHeaderLen
+		if binary.LittleEndian.Uint32(base[blob+8:]) > 0 {
+			slotEpoch = blob + 16 + int(binary.LittleEndian.Uint32(base[blob+12:]))
+		}
+		at = blob + int(binary.LittleEndian.Uint32(base[at+12:]))
+	}
+	if slotEpoch < 0 {
+		t.Fatal("base payload carries no ledger slot")
+	}
 	return map[string][]byte{
 		"truncated-section": base[:len(base)-5],
 		"swapped-keys": mutate(func(p []byte) {
@@ -307,7 +338,10 @@ func corruptions(t testing.TB, base []byte) map[string][]byte {
 		"record-below-floor": mutate(func(p []byte) {
 			binary.LittleEndian.PutUint32(p[off+4+len(parts.sec[0])+4+8:], 1<<31)
 		}),
-		"schema-3-json": []byte(`{"schema":3,"config":{"epochDays":7},"devices":[],"records":[],"results":[]}`),
+		// Well-formed throughout: only restore, which knows the scenario's
+		// epoch span, can refuse it.
+		"wild-slot-epoch": mutate(func(p []byte) { binary.LittleEndian.PutUint32(p[slotEpoch:], 1<<30) }),
+		"schema-3-json":   []byte(`{"schema":3,"config":{"epochDays":7},"devices":[],"records":[],"results":[]}`),
 	}
 }
 
@@ -316,9 +350,10 @@ var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz/Fuzz
 const snapCorpusDir = "testdata/fuzz/FuzzSnapPayload"
 
 // TestSnapCorpus keeps the checked-in fuzz seeds honest: the valid ones must
-// still be accepted by this decoder (a head field added without
-// regenerating them would quietly turn them into rejects), the broken ones
-// still refused for the reason their name gives.
+// still be accepted by this decoder and restore into a fresh fleet (a head
+// field added without regenerating them would quietly turn them into
+// rejects), the broken ones still refused for the reason their name gives —
+// and a refusal at restore comes before any ledger lane exists.
 func TestSnapCorpus(t *testing.T) {
 	if *updateCorpus {
 		base, delta := samplePayloads(t)
@@ -339,6 +374,7 @@ func TestSnapCorpus(t *testing.T) {
 		"duplicate-key":      "not strictly ascending",
 		"oversized-count":    "claims 2147483648 bytes",
 		"record-below-floor": "below its own generation's floor",
+		"wild-slot-epoch":    "slot epoch 1073741824 outside [-5, 4]",
 		"schema-3-json":      "unsupported snapshot schema 3",
 	} {
 		raw, err := os.ReadFile(filepath.Join(snapCorpusDir, name))
@@ -349,10 +385,25 @@ func TestSnapCorpus(t *testing.T) {
 		if _, err := fmt.Sscanf(string(raw), "go test fuzz v1\n[]byte(%q)", &p); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		out, err := foldChain([][]byte{p})
+		var out []byte
+		c, err := openChain([][]byte{p})
+		if err == nil {
+			out, err = c.encode()
+		}
+		if err == nil {
+			svc := sampleService(t, nil, "")
+			if err = svc.restoreDevices(c, make(siteIntern)); err != nil {
+				svc.fleet.Range(func(d *core.Device) bool {
+					if len(d.Ledger()) != 0 {
+						t.Errorf("%s: device %d had ledger rows restored before the refusal", name, d.ID())
+					}
+					return true
+				})
+			}
+		}
 		switch {
 		case wantErr == "" && (err != nil || !bytes.Equal(out, p)):
-			t.Errorf("%s: valid seed no longer folds to itself: %v", name, err)
+			t.Errorf("%s: valid seed no longer folds to itself and restores: %v", name, err)
 		case wantErr != "" && (err == nil || !strings.Contains(err.Error(), wantErr)):
 			t.Errorf("%s: err = %v, want %q", name, err, wantErr)
 		}
@@ -361,9 +412,10 @@ func TestSnapCorpus(t *testing.T) {
 
 // FuzzSnapPayload holds the payload decoder to its contract: arbitrary bytes
 // never panic — alone, folded over a valid base, or handed entry by entry to
-// the blob decoders restore uses — and whatever the fold accepts it
-// re-encodes byte for byte, so the decoder cannot quietly normalize a
-// payload this code did not write.
+// the blob decoders restore uses, device rows through restore's epoch bound
+// into a real ledger — and whatever the fold accepts it re-encodes byte for
+// byte, so the decoder cannot quietly normalize a payload this code did not
+// write.
 func FuzzSnapPayload(f *testing.F) {
 	base, delta := samplePayloads(f)
 	f.Add(base)
@@ -384,13 +436,10 @@ func FuzzSnapPayload(f *testing.F) {
 		if !bytes.Equal(out, p) {
 			t.Fatalf("accepted payload re-encodes to %d different bytes (from %d)", len(out), len(p))
 		}
-		// The ledger itself is out of reach here on purpose: its lanes are
-		// dense in the epoch, so a fuzzed slot epoch would size an array.
+		// Ledger lanes are dense in the epoch: a fuzzed slot epoch that got
+		// past restoreDevices' bound would size an array and stall the fuzzer.
 		sites := make(siteIntern)
-		_ = c.merge(secDevices, func(_ DevEpoch, blob, _ []byte) error {
-			_, _ = decodeDevice(blob, sites, func(events.Site, events.Epoch, float64, float64) error { return nil })
-			return nil
-		})
+		_ = sampleService(t, nil, "").restoreDevices(c, sites)
 		_ = c.merge(secRecords, func(_ DevEpoch, blob, _ []byte) error {
 			_, _ = events.UnmarshalEvents(blob)
 			return nil

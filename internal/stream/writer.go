@@ -16,11 +16,10 @@ import (
 // commits overlap ingest, never each other, and the chain's parent
 // fingerprints stay sequential.
 
-// snapJob is one captured snapshot handed to the background writer.
+// snapJob is one captured delta handed to the background writer.
 type snapJob struct {
 	gen      uint64
 	parentFP uint32
-	base     bool // write a fresh full base (full mode) instead of a delta
 	payload  []byte
 }
 
@@ -29,7 +28,6 @@ type snapResult struct {
 	gen   uint64
 	fp    uint32
 	bytes int
-	base  bool
 	// compacted marks that the delta tripped a base compaction: the chain
 	// was folded into a fresh base of compactBytes and superseded
 	// generations collected.
@@ -85,21 +83,10 @@ func (w *snapWriter) close() {
 	w.wg.Wait()
 }
 
-// commit durably writes one generation, compacting the chain into a fresh
-// base every baseEvery deltas.
+// commit durably writes one delta, compacting the chain into a fresh base
+// every baseEvery deltas.
 func (w *snapWriter) commit(job snapJob) snapResult {
-	res := snapResult{gen: job.gen, base: job.base, bytes: len(job.payload)}
-	if job.base {
-		fp, err := w.store.WriteBase(job.gen, job.payload)
-		if err != nil {
-			res.err = err
-			return res
-		}
-		res.fp = fp
-		w.deltasSince = 0
-		res.err = w.store.GC(w.keep)
-		return res
-	}
+	res := snapResult{gen: job.gen, bytes: len(job.payload)}
 	fp, err := w.store.WriteDelta(job.gen, job.parentFP, job.payload)
 	if err != nil {
 		res.err = err

@@ -66,11 +66,9 @@ func ExecuteSource(cfg Config, src dataset.Source) (*Run, error) {
 		MaxQueriesPerProduct: cfg.MaxQueriesPerProduct,
 		CheckpointDir:        cfg.CheckpointDir,
 		SnapshotEveryDays:    cfg.SnapshotEveryDays,
-		SnapshotMode:         cfg.SnapshotMode,
 		BaseEveryDeltas:      cfg.BaseEveryDeltas,
 		KeepGenerations:      cfg.KeepGenerations,
 		GroupCommitEvents:    cfg.GroupCommitEvents,
-		GroupCommitBytes:     cfg.GroupCommitBytes,
 		DurableFS:            cfg.DurableFS,
 		FaultHook:            cfg.FaultHook,
 		AdmitObserver:        cfg.AdmitObserver,

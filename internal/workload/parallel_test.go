@@ -118,7 +118,7 @@ func TestGroupByDevicePartition(t *testing.T) {
 	for _, i := range convs {
 		evs = append(evs, ds.Events[i])
 	}
-	groups := stream.GroupByDevice(evs)
+	groups := new(stream.Grouper).Group(evs)
 	seen := make(map[int]bool)
 	total := 0
 	for _, g := range groups {

@@ -8,7 +8,7 @@ import (
 
 // This file is the generate stage of the plan→generate→aggregate pipeline:
 // per-conversion report generation fanned out across a bounded worker pool.
-// The fan-out primitives (stream.FanOut, stream.GroupByDevice) live in the
+// The fan-out primitives (stream.FanOutWorkers, stream.Grouper) live in the
 // streaming service, which multiplexes whole days of queries through them;
 // the batch engine applies them one query batch at a time.
 //

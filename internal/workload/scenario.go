@@ -112,22 +112,15 @@ type Config struct {
 	// SnapshotEveryDays sets the snapshot cadence inside CheckpointDir
 	// (0 = WAL only, with snapshots at run start/end).
 	SnapshotEveryDays int
-	// SnapshotMode selects the cadence snapshot representation —
-	// stream.SnapshotModeDelta (dirty state chained by fingerprint, the
-	// default) or stream.SnapshotModeFull. Restores are bit-identical
-	// either way.
-	SnapshotMode string
 	// BaseEveryDeltas folds the delta chain into a fresh base after this
-	// many deltas (0 = the stream default). Ignored in full mode.
+	// many deltas (0 = the stream default).
 	BaseEveryDeltas int
 	// KeepGenerations retains the newest K intact snapshot generations at
 	// GC time (0 = the stream default).
 	KeepGenerations int
-	// GroupCommitEvents and GroupCommitBytes batch WAL fsyncs into group
-	// commits once either threshold trips (0 = sync only at day boundaries
-	// and snapshot rotations).
+	// GroupCommitEvents batches WAL fsyncs into group commits of this many
+	// events (0 = sync only at day boundaries and snapshot rotations).
 	GroupCommitEvents int
-	GroupCommitBytes  int
 	// DurableFS overrides the filesystem under the checkpoint store — the
 	// disk-fault injection seam (checkpoint.NewFaultFS). nil selects the
 	// real filesystem.
