@@ -1,29 +1,21 @@
 // Package repro's root benchmark harness: one benchmark per table/figure of
 // the paper's evaluation (see DESIGN.md's per-experiment index), plus the
-// Appendix B report-generation latency series and micro-benchmarks of the
-// hot paths (filter consumption, report generation, aggregation).
+// Appendix B report-generation latency series and the §4.3 ablation ladder.
 //
 // Figure benchmarks run the quick-scale harness once per iteration and
 // report the paper-relevant scalar (budget ratio, executed fraction) as
 // custom metrics, so `go test -bench=.` both exercises and summarizes every
-// experiment.
+// experiment. Speed and memory numbers are not produced here: they come
+// from `bash bench/run.sh [-trace 1]` (BENCHMARK.json, bench/README.md).
 package repro
 
 import (
-	"runtime"
-	"runtime/metrics"
 	"testing"
-	"time"
 
-	"repro/internal/aggregation"
 	"repro/internal/attribution"
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/events"
 	"repro/internal/experiments"
-	"repro/internal/privacy"
-	"repro/internal/stats"
-	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
@@ -134,112 +126,6 @@ func BenchmarkAppendixBReportGen25(b *testing.B)  { benchReportGeneration(b, 25)
 func BenchmarkAppendixBReportGen50(b *testing.B)  { benchReportGeneration(b, 50) }
 func BenchmarkAppendixBReportGen100(b *testing.B) { benchReportGeneration(b, 100) }
 
-// BenchmarkFilterConsume measures the pure-DP filter's atomic
-// check-and-consume, the hot path of every report generation.
-func BenchmarkFilterConsume(b *testing.B) {
-	f := privacy.NewFilter(float64(b.N) + 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := f.Consume(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAggregation1000 measures one summation query over a 1000-report
-// batch at the trusted aggregation service.
-func BenchmarkAggregation1000(b *testing.B) {
-	rng := stats.NewRNG(1)
-	var nonce core.Nonce
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		svc := aggregation.NewService(rng)
-		reports := make([]*core.Report, 1000)
-		for j := range reports {
-			nonce++
-			reports[j] = &core.Report{
-				Nonce: nonce, Querier: "nike.example",
-				Histogram: attribution.Histogram{float64(j % 10)},
-				Epsilon:   1, QuerySensitivity: 10,
-			}
-		}
-		b.StartTimer()
-		if _, err := svc.Execute(reports); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWorkloadCookieMonster measures the end-to-end workload engine on
-// a small microbenchmark dataset (device fleet, batching, aggregation).
-func BenchmarkWorkloadCookieMonster(b *testing.B) {
-	cfg := dataset.DefaultMicroConfig()
-	cfg.BatchSize = 100
-	ds, err := dataset.Micro(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := workload.Execute(workload.Config{
-			Dataset: ds, System: workload.CookieMonster, EpsilonG: 5,
-			FixedEpsilon: 1, Seed: uint64(i),
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchWorkloadParallelism measures the end-to-end engine on an
-// impression-dense microbenchmark at a fixed report-generation worker count.
-// Dense impressions (knob2) and a long window make per-conversion report
-// generation the dominant cost, which is the fan-out's target; sequential
-// vs parallel results are bit-identical, only wall-clock differs.
-func benchWorkloadParallelism(b *testing.B, workers int) {
-	b.Helper()
-	cfg := dataset.DefaultMicroConfig()
-	cfg.BatchSize = 200
-	cfg.Knob2 = 2.0
-	ds, err := dataset.Micro(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := workload.Execute(workload.Config{
-			Dataset: ds, System: workload.CookieMonster, EpsilonG: 5,
-			FixedEpsilon: 1, Seed: 1, Parallelism: workers,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWorkloadSequentialReports pins the batch fan-out to one worker —
-// the pre-sharding execution model, kept as the parallel baseline.
-func BenchmarkWorkloadSequentialReports(b *testing.B) { benchWorkloadParallelism(b, 1) }
-
-// BenchmarkWorkloadParallelReports fans batch report generation across all
-// cores via the sharded fleet; compare ns/op against the sequential twin.
-func BenchmarkWorkloadParallelReports(b *testing.B) {
-	benchWorkloadParallelism(b, runtime.GOMAXPROCS(0))
-}
-
-// BenchmarkMicroDatasetGen measures synthetic dataset generation.
-func BenchmarkMicroDatasetGen(b *testing.B) {
-	cfg := dataset.DefaultMicroConfig()
-	cfg.BatchSize = 100
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i + 1)
-		if _, err := dataset.Micro(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationLadder runs the §4.3 optimization-ladder ablation and
 // reports each partial policy's average budget relative to the full Cookie
 // Monster policy.
@@ -253,176 +139,5 @@ func BenchmarkAblationLadder(b *testing.B) {
 		if full > 0 {
 			b.ReportMetric(r.AvgBudget[0]/full, "none/full-budget-ratio")
 		}
-	}
-}
-
-// streamBenchConfig is the sustained-ingest scenario: the synthetic source
-// at 10× the default microbenchmark population (DefaultMicroConfig's
-// B/knob1 = 5,000 devices), full 120-day trace. The generator emits one day
-// at a time, so only the service's retention window bounds resident events.
-func streamBenchConfig() dataset.SyntheticConfig {
-	cfg := dataset.DefaultSyntheticConfig()
-	cfg.Population = 50000
-	cfg.ImpressionsPerDay = 0.1
-	return cfg
-}
-
-func streamBenchSource(b *testing.B) *dataset.SyntheticSource {
-	b.Helper()
-	src, err := dataset.NewSynthetic(streamBenchConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	return src
-}
-
-// BenchmarkStreamSustainedIngest measures the online measurement service
-// end-to-end on the 10× scenario in lean (long-running) retention mode and
-// reports sustained ingest throughput plus how far resident state stayed
-// below the trace.
-func BenchmarkStreamSustainedIngest(b *testing.B) {
-	events := 0
-	queries := 0
-	var peakResident, evicted int
-	for i := 0; i < b.N; i++ {
-		svc, err := stream.New(stream.Config{
-			Source:       streamBenchSource(b),
-			EpsilonG:     5,
-			FixedEpsilon: 1,
-			Seed:         uint64(i + 1),
-			Lean:         true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		run, err := svc.Serve()
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += run.EventsIngested
-		queries += len(run.Results)
-		if run.PeakResidentRecords > peakResident {
-			peakResident = run.PeakResidentRecords
-		}
-		evicted += run.EvictedRecords
-	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-	b.ReportMetric(float64(queries)/float64(b.N), "queries/run")
-	b.ReportMetric(float64(peakResident), "peak-resident-records")
-	b.ReportMetric(float64(evicted)/float64(b.N), "evicted-records/run")
-}
-
-// peakHeapDuring runs fn with a background sampler watching live heap bytes
-// (runtime/metrics) and returns the peak growth over the post-GC baseline —
-// the number that distinguishes "memory bounded by the ingest window" from
-// "memory proportional to the trace".
-func peakHeapDuring(fn func()) uint64 {
-	runtime.GC()
-	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
-	metrics.Read(sample)
-	baseline := sample[0].Value.Uint64()
-	peak := baseline
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				metrics.Read(s)
-				if v := s[0].Value.Uint64(); v > peak {
-					peak = v
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-		}
-	}()
-	fn()
-	close(stop)
-	<-done
-	if peak < baseline {
-		return 0
-	}
-	return peak - baseline
-}
-
-// BenchmarkStreamPeakMemory runs the 10× scenario through the streaming
-// service and reports peak heap growth; compare against
-// BenchmarkBatchPeakMemory, which materializes the same trace for the batch
-// engine. The streaming peak tracks the ingest queue plus the attribution
-// window; the batch peak carries the whole dataset.
-func BenchmarkStreamPeakMemory(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		peak := peakHeapDuring(func() {
-			svc, err := stream.New(stream.Config{
-				Source:       streamBenchSource(b),
-				EpsilonG:     5,
-				FixedEpsilon: 1,
-				Seed:         1,
-				Lean:         true,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := svc.Serve(); err != nil {
-				b.Fatal(err)
-			}
-		})
-		b.ReportMetric(float64(peak)/(1<<20), "peak-MB")
-	}
-}
-
-// BenchmarkBatchPeakMemory is BenchmarkStreamPeakMemory's twin on the batch
-// engine: materialize the identical 10× trace, then Execute. Same queries,
-// same results (the equivalence contract) — but the peak includes the full
-// event log.
-func BenchmarkBatchPeakMemory(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		peak := peakHeapDuring(func() {
-			ds := dataset.Materialize(streamBenchSource(b))
-			if _, err := workload.Execute(workload.Config{
-				Dataset: ds, System: workload.CookieMonster,
-				EpsilonG: 5, FixedEpsilon: 1, Seed: 1,
-			}); err != nil {
-				b.Fatal(err)
-			}
-		})
-		b.ReportMetric(float64(peak)/(1<<20), "peak-MB")
-	}
-}
-
-// BenchmarkStreamPeakMemoryLongTrace doubles the trace length (240 days,
-// twice the queries) at the same population. The streaming peak should stay
-// roughly where BenchmarkStreamPeakMemory's was — resident state is the
-// ingest queue, the attribution window, and live device filters — while a
-// batch run's peak grows with the trace.
-func BenchmarkStreamPeakMemoryLongTrace(b *testing.B) {
-	cfg := streamBenchConfig()
-	cfg.DurationDays = 240
-	cfg.QueriesPerProduct = 4
-	for i := 0; i < b.N; i++ {
-		src, err := dataset.NewSynthetic(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		peak := peakHeapDuring(func() {
-			svc, err := stream.New(stream.Config{
-				Source:       src,
-				EpsilonG:     5,
-				FixedEpsilon: 1,
-				Seed:         1,
-				Lean:         true,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := svc.Serve(); err != nil {
-				b.Fatal(err)
-			}
-		})
-		b.ReportMetric(float64(peak)/(1<<20), "peak-MB")
 	}
 }

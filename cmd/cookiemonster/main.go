@@ -13,7 +13,7 @@
 //
 // The scenarios target runs the hostile-traffic catalog (internal/scenario)
 // through the robustness harness; -scenario selects one catalog entry and
-// -scenario-out writes the BENCH_scenarios.json artifact.
+// -scenario-out writes the REPORT_scenarios.json artifact.
 package main
 
 import (
@@ -45,7 +45,7 @@ func main() {
 		"snapshot cadence in days inside -checkpoint-dir (0 = WAL only)")
 	groupCommit := flag.Int("group-commit-interval", 0,
 		"batch WAL fsyncs inside -checkpoint-dir: fsync after this many appended "+
-			"events instead of once per append (0 = every append)")
+			"events (0 = only at snapshot rotations and at suspend or completion)")
 	resume := flag.Bool("resume", false,
 		"recover interrupted runs from -checkpoint-dir's durable state and continue; "+
 			"results are identical to an uninterrupted run")
@@ -54,7 +54,7 @@ func main() {
 			"from the catalog instead of all of them (see README for the list)")
 	scenarioOut := flag.String("scenario-out", "",
 		"with the scenarios target: also write the robustness report as a "+
-			"BENCH_scenarios.json artifact at this path")
+			"REPORT_scenarios.json artifact at this path")
 	flag.Parse()
 
 	if *resume && *checkpointDir == "" {

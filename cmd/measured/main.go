@@ -1,11 +1,12 @@
-// Command measured runs the measurement service as a network server and
-// benchmarks it (DESIGN.md §13).
+// Command measured runs the measurement service as a network server
+// (DESIGN.md §13). Its speed and memory are measured from outside, by
+// `bash bench/run.sh` (the serve-bulk and serve-paced-queries workloads of
+// BENCHMARK.json), not by a subcommand here.
 //
 // Usage:
 //
 //	measured serve  -addr HOST:PORT (-trace FILE | -workload NAME | -population N -duration D) [scenario/durability flags]
-//	measured bench  [-target URL] (-trace FILE | -workload NAME) [-senders N -rps R -batch B -warmup F -out BENCH_serve.json]
-//	measured chaos  (-trace FILE | -workload NAME) [-senders N -batch B -apply-delay D -shed-delay D -out BENCH_chaos.json]
+//	measured chaos  (-trace FILE | -workload NAME) [-senders N -batch B -apply-delay D -shed-delay D -out REPORT_chaos.json]
 //	measured export -workload NAME [-out FILE]
 //
 // serve boots an HTTP/JSON front door over the streaming service: devices
@@ -16,22 +17,17 @@
 // final snapshot generation commits so -resume continues the run exactly
 // where it stopped.
 //
-// bench drives a server with the load generator (internal/loadgen):
-// N concurrent senders at a configurable aggregate request rate, with
-// warm-up, reporting p50/p95/p99 ingest and query-poll latency plus
-// sustained throughput into a BENCH_serve.json rows file. Without
-// -target it boots an in-process server on a loopback port first.
-//
-// chaos measures the serving path under manufactured network trouble
+// chaos checks the serving path under manufactured network trouble
 // (DESIGN.md §14): it boots an in-process server per profile — clean,
 // lossy, hostile, and a throttled server driven at 2x capacity with and
-// without overload shedding — runs the retrying load generator through a
-// fault-injecting transport (internal/netfault), and writes the measured
-// rows (sustained RPS, accepted-request p99, shed rate, retry
-// amplification) to a BENCH_chaos.json file.
+// without overload shedding — runs the retrying load generator
+// (internal/loadgen) through a fault-injecting transport
+// (internal/netfault), and writes the observed rows (sustained RPS,
+// accepted-request p99, shed rate, retry amplification) to a
+// REPORT_chaos.json file.
 //
 // export writes a cataloged figure workload (internal/figures) as a
-// trace file — the workload interchange format serve and bench consume.
+// trace file — the workload interchange format serve and chaos consume.
 package main
 
 import (
@@ -64,8 +60,6 @@ func main() {
 	switch os.Args[1] {
 	case "serve":
 		err = cmdServe(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "chaos":
 		err = cmdChaos(os.Args[2:])
 	case "export":
@@ -87,7 +81,6 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   measured serve  -addr HOST:PORT (-trace FILE | -workload NAME | -population N -duration D) [flags]
-  measured bench  [-target URL] (-trace FILE | -workload NAME) [flags]
   measured chaos  (-trace FILE | -workload NAME) [flags]
   measured export -workload NAME [-out FILE]`)
 }
@@ -121,7 +114,8 @@ func registerScenarioFlags(fs *flag.FlagSet) *scenarioFlags {
 		snapshotEvery: fs.Int("snapshot-every", 7,
 			"snapshot cadence in days inside -checkpoint-dir (0 = WAL only)"),
 		groupCommit: fs.Int("group-commit-interval", 0,
-			"batch WAL fsyncs inside -checkpoint-dir: fsync after this many appended events (0 = every append)"),
+			"batch WAL fsyncs inside -checkpoint-dir: fsync after this many appended events "+
+				"(0 = only at snapshot rotations and at suspend or completion)"),
 		resume: fs.Bool("resume", false,
 			"recover the run from -checkpoint-dir's durable state and continue serving"),
 	}
@@ -163,7 +157,7 @@ func (sf *scenarioFlags) config() (workload.Config, error) {
 // explicit population+duration flags. A trace or cataloged workload also
 // pre-registers its queriers; the bare form leaves registration to the
 // API. The dataset return is non-nil only when events are available
-// locally (bench needs them; serve only needs the metadata).
+// locally (chaos needs them; serve only needs the metadata).
 func loadMeta(tracePath, workloadName, name string, population, duration int) (dataset.Meta, *dataset.Dataset, error) {
 	switch {
 	case tracePath != "" && workloadName != "":
@@ -293,104 +287,6 @@ func printSummary(run *workload.Run, st serve.Stats) {
 		st.DuplicatesRejected, st.Backpressured)
 }
 
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("measured bench", flag.ExitOnError)
-	target := fs.String("target", "", "base URL of a running server (empty = boot one in-process)")
-	tracePath := fs.String("trace", "", "trace file to send")
-	workloadName := fs.String("workload", "", "cataloged figure workload to send")
-	senders := fs.Int("senders", 4, "concurrent sender goroutines")
-	rps := fs.Float64("rps", 0, "aggregate ingest request rate cap (0 = unpaced)")
-	batch := fs.Int("batch", 256, "events per ingest request")
-	warmup := fs.Float64("warmup", 0.1, "fraction of leading latency samples discarded as warm-up")
-	pollMs := fs.Int("poll-interval-ms", 50, "result poller cadence in milliseconds")
-	out := fs.String("out", "BENCH_serve.json", "benchmark report path (empty = don't write)")
-	finalize := fs.Bool("finalize", true, "POST /v1/shutdown (final) after the load completes")
-	ingestBuffer := fs.Int("ingest-buffer", 0, "in-process server's admission queue size (0 = 4096)")
-	shedDelay := fs.Duration("shed-delay", 0,
-		"in-process server's overload shedding threshold (0 = disabled)")
-	sf := registerScenarioFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	_, ds, err := loadMeta(*tracePath, *workloadName, "", 0, 0)
-	if err != nil {
-		return err
-	}
-	if ds == nil || len(ds.Events) == 0 {
-		return fmt.Errorf("bench needs a trace with events (-trace or -workload)")
-	}
-
-	baseURL := *target
-	if baseURL == "" {
-		scenario, err := sf.config()
-		if err != nil {
-			return err
-		}
-		meta := ds.Meta()
-		meta.Advertisers = nil // register over the API, like a real client
-		srv, err := serve.NewServer(serve.Config{
-			Scenario: scenario, Meta: meta, IngestBuffer: *ingestBuffer, ShedDelay: *shedDelay,
-		})
-		if err != nil {
-			return err
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		hs := &http.Server{
-			Handler:           srv.Handler(),
-			ReadHeaderTimeout: 5 * time.Second,
-			IdleTimeout:       2 * time.Minute,
-		}
-		go func() { _ = hs.Serve(ln) }()
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			_ = hs.Shutdown(ctx)
-		}()
-		baseURL = "http://" + ln.Addr().String()
-		fmt.Printf("measured bench: in-process server on %s\n", baseURL)
-	}
-
-	ctx := context.Background()
-	report, err := loadgen.Run(ctx, loadgen.Config{
-		Target:         baseURL,
-		Dataset:        ds,
-		Senders:        *senders,
-		RPS:            *rps,
-		BatchSize:      *batch,
-		WarmupFraction: *warmup,
-		PollInterval:   time.Duration(*pollMs) * time.Millisecond,
-		Seed:           *sf.seed,
-	})
-	if err != nil {
-		return err
-	}
-	if *finalize {
-		if err := postShutdown(ctx, baseURL); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("measured bench: %s: %d requests (%d events) in %.2fs — %.1f req/s, %.0f events/s\n",
-		report.Workload, report.Requests, report.EventsAccepted,
-		report.DurationSeconds, report.SustainedRPS, report.SustainedEventsPerSec)
-	fmt.Printf("  ingest latency ms: p50 %.3f  p95 %.3f  p99 %.3f   (retries: %d backpressure, %d unavailable, %d transport; amplification %.3fx, %d give-ups)\n",
-		report.IngestP50Millis, report.IngestP95Millis, report.IngestP99Millis,
-		report.Retries429, report.Retries503, report.RetriesNet,
-		report.RetryAmplification, report.GiveUps)
-	fmt.Printf("  query poll ms:     p50 %.3f  p95 %.3f  p99 %.3f   (%d polls, %d results)\n",
-		report.QueryP50Millis, report.QueryP95Millis, report.QueryP99Millis,
-		report.QueryPolls, report.ResultsFetched)
-	if *out != "" {
-		if err := loadgen.WriteBenchFile(*out, report); err != nil {
-			return err
-		}
-		fmt.Printf("measured bench: wrote %s\n", *out)
-	}
-	return nil
-}
-
 // chaosProfile is one measured network regime: a client-side fault spec,
 // an optional server-side listener spec, an optional per-event apply
 // throttle fixing the service's capacity, a shedding threshold, and the
@@ -404,7 +300,7 @@ type chaosProfile struct {
 	overload  float64
 }
 
-// chaosRow is one BENCH_chaos.json row: the load generator's report plus
+// chaosRow is one REPORT_chaos.json row: the load generator's report plus
 // the server's admission telemetry and the fault layer's own books.
 type chaosRow struct {
 	Profile string `json:"profile"`
@@ -423,7 +319,7 @@ func cmdChaos(args []string) error {
 		"per-event apply throttle for the overload profiles; fixes the server's capacity")
 	shedDelay := fs.Duration("shed-delay", 25*time.Millisecond,
 		"shedding threshold for the overload-shed profile")
-	out := fs.String("out", "BENCH_chaos.json", "chaos report path (empty = don't write)")
+	out := fs.String("out", "REPORT_chaos.json", "chaos report path (empty = don't write)")
 	sf := registerScenarioFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -569,22 +465,6 @@ func runChaosProfile(ds *dataset.Dataset, scenario workload.Config, p chaosProfi
 		row.Transport = tr.Stats()
 	}
 	return row, nil
-}
-
-func postShutdown(ctx context.Context, baseURL string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/shutdown", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := (&http.Client{Timeout: 2 * time.Minute}).Do(req)
-	if err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("shutdown: status %d", resp.StatusCode)
-	}
-	return nil
 }
 
 func cmdExport(args []string) error {

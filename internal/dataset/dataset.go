@@ -68,16 +68,6 @@ func (d *Dataset) Build(epochDays int) *events.Database {
 	return events.NewFrozen(epochDays, d.Events)
 }
 
-// BuildInto is Build compiling the frozen columns into sc's reusable arenas
-// (events.NewFrozenInto): a caller that builds many databases — epoch-length
-// sweeps, repeated runs over regenerated datasets — pays the arena
-// allocations once instead of per build. The returned database aliases the
-// scratch and is valid only until the next build with the same scratch; a
-// nil scratch is plain Build.
-func (d *Dataset) BuildInto(sc *events.FreezeScratch, epochDays int) *events.Database {
-	return events.NewFrozenInto(sc, epochDays, d.Events)
-}
-
 // Epochs returns the number of epochs the trace spans at the given epoch
 // length.
 func (d *Dataset) Epochs(epochDays int) int {

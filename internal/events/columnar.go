@@ -36,7 +36,7 @@ type evKey struct {
 // campaign strings mapped to dense IDs at Record/Freeze time. Lookups during
 // selector compilation are read-only on the maps, so any number of
 // concurrent readers may compile; the maps and the one-entry caches are
-// written only inside Record/RecordAll, under the store's existing
+// written only inside Record and NewFrozen, under the store's existing
 // single-writer phase discipline (readers never touch the caches).
 type intern struct {
 	adv  map[Site]uint32
@@ -101,27 +101,6 @@ func clampDay(d int) int32 {
 	return int32(d)
 }
 
-// FreezeScratch holds the reusable arenas of NewFrozenInto: the permutation
-// index and every frozen-store column (events, keys, spans, device list,
-// device index). A caller that freezes many event batches — rebuild-per-day
-// executors, sweep harnesses, benchmarks — reuses one scratch so each freeze
-// costs zero steady-state arena allocations instead of re-growing megabytes
-// of column storage per build.
-//
-// Lifecycle: the Database returned by NewFrozenInto aliases the scratch's
-// arenas. It is valid only until the next NewFrozenInto call with the same
-// scratch, which recycles the arenas underneath it; the caller must drop (or
-// finish with) the previous database first. A scratch serves one goroutine
-// at a time. The zero value is ready for use.
-type FreezeScratch struct {
-	idx   []int32
-	evs   []Event
-	keys  []evKey
-	spans []span
-	devs  []DeviceID
-	dev   map[DeviceID]devIndex
-}
-
 // NewFrozen builds a frozen database straight from a batch of day-stamped
 // events, skipping the mutable epoch segments entirely: one permutation
 // sort into (device, day, ID, arrival) order — epochs are monotone in days,
@@ -132,33 +111,14 @@ type FreezeScratch struct {
 // that Freeze would immediately copy out and discard. The result is
 // indistinguishable from Record-per-event followed by Freeze.
 func NewFrozen(epochDays int, evs []Event) *Database {
-	return NewFrozenInto(nil, epochDays, evs)
-}
-
-// NewFrozenInto is NewFrozen building into sc's reusable arenas (see
-// FreezeScratch for the aliasing lifecycle); a nil scratch allocates fresh
-// arenas, which is exactly NewFrozen. The produced database is identical to
-// NewFrozen's either way — only the backing storage provenance differs.
-func NewFrozenInto(sc *FreezeScratch, epochDays int, evs []Event) *Database {
-	if sc == nil {
-		sc = &FreezeScratch{}
-	}
 	db := NewDatabase()
 	col := &colStore{
-		evs:   growCap(sc.evs, len(evs)),
-		keys:  growCap(sc.keys, len(evs)),
-		spans: sc.spans[:0],
-		devs:  sc.devs[:0],
+		evs:  make([]Event, 0, len(evs)),
+		keys: make([]evKey, 0, len(evs)),
 	}
 	if len(evs) > 0 {
-		idx := sortByDeviceDayIDInto(sc.idx, evs)
-		sc.idx = idx
-		if sc.dev == nil {
-			sc.dev = make(map[DeviceID]devIndex)
-		} else {
-			clear(sc.dev)
-		}
-		col.dev = sc.dev
+		idx := sortByDeviceDayID(evs)
+		col.dev = make(map[DeviceID]devIndex)
 		for i := 0; i < len(idx); {
 			dev := evs[idx[i]].Device
 			di := devIndex{base: uint32(len(col.spans)), first: EpochOfDay(evs[idx[i]].Day, epochDays)}
@@ -190,35 +150,16 @@ func NewFrozenInto(sc *FreezeScratch, epochDays int, evs []Event) *Database {
 	db.col = col
 	db.epochs = nil
 	db.frozen = true
-	// The grown columns return to the scratch for the next freeze.
-	sc.evs, sc.keys, sc.spans, sc.devs = col.evs, col.keys, col.spans, col.devs
 	return db
 }
 
-// growCap returns s emptied, reallocated only when its capacity is below n.
-func growCap[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, 0, n)
-	}
-	return s[:0]
-}
-
 // sortByDeviceDayID returns the permutation of evs in (device, day, ID,
-// arrival) order — the bulk loaders' layout order. Epochs are monotone in
-// days, so each device's records come out as contiguous epoch-ordered runs,
-// and the arrival-index tiebreak makes the permutation equal to a stable
-// (Day, ID) sort.
+// arrival) order — NewFrozen's layout order. Epochs are monotone in days, so
+// each device's records come out as contiguous epoch-ordered runs, and the
+// arrival-index tiebreak makes the permutation equal to a stable (Day, ID)
+// sort.
 func sortByDeviceDayID(evs []Event) []int32 {
-	return sortByDeviceDayIDInto(nil, evs)
-}
-
-// sortByDeviceDayIDInto is sortByDeviceDayID filling a reusable index buffer.
-func sortByDeviceDayIDInto(idx []int32, evs []Event) []int32 {
-	if cap(idx) < len(evs) {
-		idx = make([]int32, len(evs))
-	} else {
-		idx = idx[:len(evs)]
-	}
+	idx := make([]int32, len(evs))
 	for i := range idx {
 		idx[i] = int32(i)
 	}
@@ -402,11 +343,6 @@ func (m *Matcher) Match(v EventView, i int) bool {
 // with zero allocations (only a CampaignSelector naming ≥ 2 campaigns
 // allocates its small ID set).
 func (db *Database) Compile(sel Selector) (Matcher, bool) {
-	if db.col == nil && db.deferredKeys {
-		// A bulk load deferred the mutable key columns to Freeze; until
-		// then the store cannot serve keyed views.
-		return Matcher{}, false
-	}
 	m := Matcher{firstDay: math.MinInt32, lastDay: math.MaxInt32}
 	if !db.compileInto(&m, sel) {
 		return Matcher{}, false

@@ -43,10 +43,6 @@ type Database struct {
 	intern intern
 	nextID EventID
 	frozen bool
-	// deferredKeys marks that RecordAll skipped building the mutable
-	// per-record key columns (the bulk-load path defers them to Freeze);
-	// selector compilation falls back to interface dispatch until then.
-	deferredKeys bool
 	// dirty, when tracking is enabled, holds every (device, epoch) record
 	// touched since the last DrainDirty — the incremental checkpointer's
 	// record-level dirty set. nil when tracking is off, so the streaming
@@ -70,7 +66,7 @@ func (k DeviceEpochKey) Compare(o DeviceEpochKey) int {
 }
 
 // TrackDirty enables record-level dirty tracking: from now on every Record
-// or RecordAll marks its (device, epoch) key until DrainDirty collects it.
+// marks its (device, epoch) key until DrainDirty collects it.
 // Only meaningful during the loading phase.
 func (db *Database) TrackDirty() {
 	if db.dirty == nil {
@@ -104,8 +100,7 @@ type epochSegment struct {
 }
 
 // record is one mutable device-epoch record: events in (Day, ID) order with
-// their parallel scan keys. keys is either parallel to evs or nil (deferred
-// to Freeze — see RecordAll).
+// their parallel scan keys.
 type record struct {
 	evs  []Event
 	keys []evKey
@@ -153,87 +148,18 @@ func (db *Database) segment(epoch Epoch) *epochSegment {
 }
 
 // insert places ev at its (Day, ID) position, maintaining the parallel key
-// column unless this record's keys are deferred. Equal keys keep arrival
-// order, matching the old bubble's stability exactly.
+// column. Equal keys keep arrival order, matching the old bubble's stability
+// exactly.
 func (r *record) insert(ev Event, in *intern) {
 	n := len(r.evs)
-	keyed := r.keys != nil || n == 0
 	if n == 0 || !ev.Before(r.evs[n-1]) {
 		r.evs = append(r.evs, ev)
-		if keyed {
-			r.keys = append(r.keys, in.keyOf(ev))
-		}
+		r.keys = append(r.keys, in.keyOf(ev))
 		return
 	}
 	i := sort.Search(n, func(i int) bool { return ev.Before(r.evs[i]) })
 	r.evs = slices.Insert(r.evs, i, ev)
-	if keyed {
-		r.keys = slices.Insert(r.keys, i, in.keyOf(ev))
-	}
-}
-
-// RecordAll bulk-records a batch of day-stamped events under the given epoch
-// length, into a database that stays loadable afterwards — the general bulk
-// path for callers that keep mutating or evicting after the load. (A
-// load-once-then-freeze caller wants NewFrozen instead, which skips the
-// mutable store entirely and is what Dataset.Build uses.) The batch is
-// permuted (via an index sort; the caller's slice is never reordered) into
-// (device, day, ID, arrival) order, which makes every device-epoch record a
-// contiguous run: each record is then located once and grown once to its
-// exact size, instead of paying a map lookup and an insertion search per
-// event. The resulting records are identical to a Record loop over the same
-// batch.
-//
-// RecordAll defers the per-record scan-key columns to Freeze (they would be
-// a second allocation per record); until then selector compilation falls
-// back to interface dispatch. The streaming service's per-event Record path
-// keeps its keys inline and is unaffected.
-func (db *Database) RecordAll(epochDays int, evs []Event) {
-	if db.frozen {
-		panic("events: RecordAll on frozen database")
-	}
-	if len(evs) == 0 {
-		return
-	}
-	db.deferredKeys = true
-	idx := sortByDeviceDayID(evs)
-	var lastEpoch Epoch
-	var lastSeg *epochSegment
-	for i := 0; i < len(idx); {
-		first := &evs[idx[i]]
-		epoch := EpochOfDay(first.Day, epochDays)
-		j := i + 1
-		for j < len(idx) {
-			ev := &evs[idx[j]]
-			if ev.Device != first.Device || EpochOfDay(ev.Day, epochDays) != epoch {
-				break
-			}
-			j++
-		}
-		if lastSeg == nil || epoch != lastEpoch {
-			lastSeg = db.segment(epoch)
-			lastEpoch = epoch
-		}
-		rec := lastSeg.byDevice[first.Device]
-		rec.keys = nil // deferred; Freeze rebuilds the column
-		if n := len(rec.evs); n > 0 && first.Before(rec.evs[n-1]) {
-			// The record predates this batch and the run doesn't append
-			// cleanly after it: per-event insertion (keys stay deferred).
-			for _, k := range idx[i:j] {
-				rec.insert(evs[k], &db.intern)
-			}
-		} else {
-			rec.evs = slices.Grow(rec.evs, j-i)
-			for _, k := range idx[i:j] {
-				rec.evs = append(rec.evs, evs[k])
-			}
-		}
-		lastSeg.byDevice[first.Device] = rec
-		if db.dirty != nil {
-			db.dirty[DeviceEpochKey{first.Device, epoch}] = struct{}{}
-		}
-		i = j
-	}
+	r.keys = slices.Insert(r.keys, i, in.keyOf(ev))
 }
 
 // compareEvents orders by (Day, ID) — Event.Before as a three-way compare.
@@ -265,10 +191,10 @@ func (db *Database) Freeze() {
 func (db *Database) Frozen() bool { return db.frozen }
 
 // compileColumns lays the mutable store out as the frozen arena: records
-// sorted by (device, epoch), events and keys concatenated (key columns a
-// bulk loader deferred are computed here), each record a span, each device
-// a dense span run. The mutable store is released as it is copied, so a
-// collection triggered mid-compile can already reclaim the moved records.
+// sorted by (device, epoch), events and keys concatenated, each record a
+// span, each device a dense span run. The mutable store is released as it
+// is copied, so a collection triggered mid-compile can already reclaim the
+// moved records.
 func (db *Database) compileColumns() *colStore {
 	type recRef struct {
 		dev DeviceID
@@ -335,13 +261,7 @@ func (db *Database) compileColumns() *colStore {
 				rec := &refs[next].rec
 				sp = span{off: uint32(len(col.evs)), n: uint32(len(rec.evs))}
 				col.evs = append(col.evs, rec.evs...)
-				if rec.keys != nil {
-					col.keys = append(col.keys, rec.keys...)
-				} else {
-					for _, ev := range rec.evs {
-						col.keys = append(col.keys, db.intern.keyOf(ev))
-					}
-				}
+				col.keys = append(col.keys, rec.keys...)
 				rec.evs, rec.keys = nil, nil // progressive release
 				next++
 			}

@@ -302,10 +302,10 @@ func refConversions(ref *refStore) []Event {
 	return out
 }
 
-// TestBulkLoadersMatchRecordLoop holds RecordAll and NewFrozen to the
-// per-event Record loop: same batch (including duplicated (Day, ID) keys,
-// which the loaders' stability tiebreak must keep in arrival order), same
-// frozen store observables, same compiled scans.
+// TestBulkLoadersMatchRecordLoop holds NewFrozen to the per-event Record
+// loop: same batch (including duplicated (Day, ID) keys, which the loader's
+// stability tiebreak must keep in arrival order), same frozen store
+// observables, same compiled scans.
 func TestBulkLoadersMatchRecordLoop(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -321,20 +321,13 @@ func TestBulkLoadersMatchRecordLoop(t *testing.T) {
 			}
 		}
 		const epochDays = 7
-		loop, bulk := NewDatabase(), NewDatabase()
+		loop := NewDatabase()
 		for _, ev := range batch {
 			loop.Record(EpochOfDay(ev.Day, epochDays), ev)
 		}
-		bulk.RecordAll(epochDays, batch)
-		// Pre-freeze, the bulk store must serve the same reads (with keys
-		// deferred, compilation falls back — Compile must say so).
-		if _, ok := bulk.Compile(ProductSelector{Advertiser: "nike.com", Product: "p0"}); ok {
-			t.Fatal("Compile succeeded on a store with deferred keys")
-		}
 		loop.Freeze()
-		bulk.Freeze()
 		frozen := NewFrozen(epochDays, batch)
-		for name, db := range map[string]*Database{"RecordAll": bulk, "NewFrozen": frozen} {
+		for name, db := range map[string]*Database{"NewFrozen": frozen} {
 			if !reflect.DeepEqual(loop.Devices(), db.Devices()) {
 				t.Fatalf("seed %d: %s device sets diverge", seed, name)
 			}

@@ -2,7 +2,6 @@ package events
 
 import (
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 )
@@ -149,46 +148,5 @@ func TestScanWindowMultiAliasesFullMatches(t *testing.T) {
 	epoch1 := db.EpochEvents(1, 1)
 	if got := lanes[0].Out[1]; len(got) != 1 || &got[0] == &epoch1[0] {
 		t.Fatalf("partial epoch should be an arena copy: %v", got)
-	}
-}
-
-// TestNewFrozenIntoMatchesNewFrozen builds successive frozen databases into
-// one shared FreezeScratch and checks each against the freshly allocated
-// NewFrozen of the same batch: devices, records, and every device-epoch's
-// events must be identical, with the scratch arenas recycled in between.
-func TestNewFrozenIntoMatchesNewFrozen(t *testing.T) {
-	var sc FreezeScratch
-	for seed := int64(1); seed <= 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var evs []Event
-		for i, n := 0, rng.Intn(200); i < n; i++ {
-			evs = append(evs, Event{
-				ID: EventID(i + 1), Kind: KindImpression,
-				Device:     DeviceID(rng.Intn(6)),
-				Day:        rng.Intn(40),
-				Advertiser: scanSites[rng.Intn(3)],
-				Campaign:   scanCamps[rng.Intn(3)],
-			})
-		}
-		rng.Shuffle(len(evs), func(i, j int) { evs[i], evs[j] = evs[j], evs[i] })
-		want := NewFrozen(7, evs)
-		got := NewFrozenInto(&sc, 7, evs)
-		if got.NumEvents() != want.NumEvents() || got.NumRecords() != want.NumRecords() ||
-			got.NumDevices() != want.NumDevices() {
-			t.Fatalf("seed %d: shape mismatch", seed)
-		}
-		if !reflect.DeepEqual(got.Devices(), want.Devices()) {
-			t.Fatalf("seed %d: device lists differ", seed)
-		}
-		for _, d := range want.Devices() {
-			if !reflect.DeepEqual(got.DeviceEpochs(d), want.DeviceEpochs(d)) {
-				t.Fatalf("seed %d: device %d epochs differ", seed, d)
-			}
-			for _, e := range want.DeviceEpochs(d) {
-				if !slices.Equal(got.EpochEvents(d, e), want.EpochEvents(d, e)) {
-					t.Fatalf("seed %d: device %d epoch %d events differ", seed, d, e)
-				}
-			}
-		}
 	}
 }

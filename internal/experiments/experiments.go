@@ -44,7 +44,8 @@ type Options struct {
 	// (0 = WAL only during the run).
 	SnapshotEveryDays int
 	// GroupCommitEvents batches WAL fsyncs: the log is fsynced after this
-	// many appended events instead of once per append (0 = every append).
+	// many appended events (0 = only at snapshot rotations and at suspend
+	// or completion).
 	GroupCommitEvents int
 	// Resume restarts crashed runs from CheckpointDir's durable state:
 	// each run-i that already completed is replayed from its final

@@ -22,7 +22,7 @@ type ScenariosResult struct {
 // and its own checkpointed crash matrix, so the Streaming/CheckpointDir
 // knobs do not apply. Quick trims the crash matrix to three representative
 // fault points and two parallelism levels. out, when non-empty, also writes
-// the reports as the BENCH_scenarios.json artifact.
+// the reports as the REPORT_scenarios.json artifact.
 func Scenarios(o Options, name, out string) (*ScenariosResult, error) {
 	h, err := scenario.DefaultHarness()
 	if err != nil {

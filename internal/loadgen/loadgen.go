@@ -3,7 +3,7 @@
 // population and POST event batches at a configurable aggregate request
 // rate, while a poller measures querier-side result latency. It reports
 // ingest and query latency quantiles (p50/p95/p99) and sustained
-// throughput — the numbers behind BENCH_serve.json.
+// throughput — the rows of `measured chaos`'s REPORT_chaos.json.
 //
 // Senders advance through the trace day by day with a barrier between
 // days: within a day, batches from different senders interleave freely
@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -136,7 +135,7 @@ func (c Config) validate() error {
 }
 
 // Report is one load run's measurements. All latencies are milliseconds;
-// the flat shape drops straight into BENCH_serve.json rows.
+// the flat shape embeds straight into REPORT_chaos.json rows.
 type Report struct {
 	Workload  string  `json:"workload"`
 	Senders   int     `json:"senders"`
@@ -669,16 +668,4 @@ func quantiles(samples []float64) (p50, p95, p99 float64) {
 	copy(sorted, samples)
 	sort.Float64s(sorted)
 	return stats.Quantile(sorted, 0.50), stats.Quantile(sorted, 0.95), stats.Quantile(sorted, 0.99)
-}
-
-// WriteBenchFile writes reports as a BENCH_*.json rows file.
-func WriteBenchFile(path string, reports ...*Report) error {
-	rows := struct {
-		Rows []*Report `json:"rows"`
-	}{Rows: reports}
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -60,7 +60,7 @@ func DefaultHarness() (Harness, error) {
 	return Harness{Dataset: cfg.Dataset, Config: cfg}, nil
 }
 
-// Report is one scenario's robustness outcome — the BENCH_scenarios.json
+// Report is one scenario's robustness outcome — the REPORT_scenarios.json
 // row. Counters come from the streaming run, accuracy from its executed
 // queries, and the two verdict booleans from the equivalence and crash
 // checks.
@@ -402,9 +402,8 @@ func (h Harness) RunCatalog(specs []Spec) ([]*Report, error) {
 	return reports, nil
 }
 
-// benchFile is the BENCH_scenarios.json shape, mirroring the other bench
-// artifacts' envelope.
-type benchFile struct {
+// reportFile is the REPORT_scenarios.json shape.
+type reportFile struct {
 	GOOS      string    `json:"goos"`
 	GOARCH    string    `json:"goarch"`
 	GoVersion string    `json:"go"`
@@ -412,10 +411,10 @@ type benchFile struct {
 }
 
 // WriteBench writes the scenario reports as the machine-readable
-// BENCH_scenarios.json artifact CI uploads next to the hotpath and event
-// benches.
+// REPORT_scenarios.json artifact CI uploads: a correctness and degradation
+// report, not a benchmark (speed and memory come from bench/run.sh).
 func WriteBench(path string, reports []*Report) error {
-	out, err := json.MarshalIndent(benchFile{
+	out, err := json.MarshalIndent(reportFile{
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		GoVersion: runtime.Version(),

@@ -62,7 +62,7 @@ func goldenDigest(t *testing.T, name string) string {
 // each perturbation must actually bite (drops where late traffic exists,
 // budget drain where the adversary runs).
 //
-// Set SCENARIO_REPORT=1 to also write BENCH_scenarios.json at the module
+// Set SCENARIO_REPORT=1 to also write REPORT_scenarios.json at the module
 // root — the artifact CI uploads.
 func TestScenarioCatalog(t *testing.T) {
 	h := newHarness(t)
@@ -146,7 +146,7 @@ func TestScenarioCatalog(t *testing.T) {
 	}
 
 	if report {
-		path := filepath.Join(moduleRoot(t), "BENCH_scenarios.json")
+		path := filepath.Join(moduleRoot(t), "REPORT_scenarios.json")
 		if err := WriteBench(path, reports); err != nil {
 			t.Fatal(err)
 		}

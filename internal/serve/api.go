@@ -42,23 +42,22 @@ const (
 
 // Stable machine-readable error codes carried by RequestError.
 const (
-	CodeMalformedJSON     = "malformed-json"
-	CodeBadQuery          = "bad-query"
-	CodeBodyTooLarge      = "body-too-large"
-	CodeTooManyEvents     = "too-many-events"
-	CodeBadID             = "bad-id"
-	CodeBadKind           = "bad-kind"
-	CodeBadDay            = "bad-day"
-	CodeBadValue          = "bad-value"
-	CodeBadSite           = "bad-site"
-	CodeBadProduct        = "bad-product"
-	CodeUnknownAdvertiser = "unknown-advertiser"
-	CodeBadRegistration   = "bad-registration"
-	CodeSealed            = "registration-sealed"
-	CodeConflict          = "registration-conflict"
-	CodeBackpressure      = "backpressure"
-	CodeOverload          = "overload-shed"
-	CodeUnavailable       = "unavailable"
+	CodeMalformedJSON   = "malformed-json"
+	CodeBadQuery        = "bad-query"
+	CodeBodyTooLarge    = "body-too-large"
+	CodeTooManyEvents   = "too-many-events"
+	CodeBadID           = "bad-id"
+	CodeBadKind         = "bad-kind"
+	CodeBadDay          = "bad-day"
+	CodeBadValue        = "bad-value"
+	CodeBadSite         = "bad-site"
+	CodeBadProduct      = "bad-product"
+	CodeBadRegistration = "bad-registration"
+	CodeSealed          = "registration-sealed"
+	CodeConflict        = "registration-conflict"
+	CodeBackpressure    = "backpressure"
+	CodeOverload        = "overload-shed"
+	CodeUnavailable     = "unavailable"
 )
 
 // RequestError is a typed boundary-validation failure: malformed or

@@ -80,8 +80,6 @@ func TestIngestValidation(t *testing.T) {
 		{"oversized-site", `{"events":[{"id":1,"kind":"conversion","device":1,"day":0,"advertiser":"` +
 			strings.Repeat("a", 300) + `","product":"p0","value":1}]}`,
 			http.StatusBadRequest, serve.CodeBadSite},
-		{"unknown-advertiser", `{"events":[{"id":1,"kind":"conversion","device":1,"day":0,"advertiser":"rogue.example","product":"p0","value":1}]}`,
-			http.StatusBadRequest, serve.CodeUnknownAdvertiser},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -98,6 +96,44 @@ func TestIngestValidation(t *testing.T) {
 			}
 		})
 	}
+
+	// An event whose advertiser is not a registered querier is admitted:
+	// the planner ignores it, exactly as the batch engine's plan does, so a
+	// trace carrying non-querier advertisers (Criteo's shape) is servable.
+	t.Run("unknown-advertiser", func(t *testing.T) {
+		status, resp := c.do(http.MethodPost, "/v1/events", []byte(
+			`{"events":[{"id":1,"kind":"conversion","device":1,"day":0,"advertiser":"rogue.example","product":"p0","value":1}]}`))
+		if status != http.StatusOK {
+			t.Fatalf("status %d, want 200 (%s)", status, resp)
+		}
+		var ir serve.IngestResponse
+		if err := json.Unmarshal(resp, &ir); err != nil || ir.Accepted != 1 {
+			t.Fatalf("accepted %d (err %v), want 1 (%s)", ir.Accepted, err, resp)
+		}
+	})
+
+	// With no querier registered the first event would seal a run that can
+	// measure nothing: refused, and registration stays open.
+	t.Run("no-querier-registered", func(t *testing.T) {
+		bare := newClient(t, newTestServer(t, serve.Config{
+			Scenario: workload.Config{EpsilonG: 1, Seed: 1, Parallelism: 1},
+			Meta:     tinyMeta(),
+		}))
+		body := []byte(`{"events":[` + validEvent(1) + `]}`)
+		status, resp := bare.do(http.MethodPost, "/v1/events", body)
+		var er serve.ErrorResponse
+		_ = json.Unmarshal(resp, &er)
+		if status != http.StatusBadRequest || er.Code != serve.CodeBadRegistration {
+			t.Fatalf("status %d code %q, want 400 %q (%s)", status, er.Code, serve.CodeBadRegistration, resp)
+		}
+		reg, _ := json.Marshal(serve.RegistrationFromAdvertiser(tinyAdvertiser()))
+		if status, resp := bare.do(http.MethodPost, "/v1/queries", reg); status != http.StatusOK {
+			t.Fatalf("registration after the refusal: status %d (%s)", status, resp)
+		}
+		if status, resp := bare.do(http.MethodPost, "/v1/events", body); status != http.StatusOK {
+			t.Fatalf("event after registration: status %d (%s)", status, resp)
+		}
+	})
 
 	t.Run("too-many-events", func(t *testing.T) {
 		var sb strings.Builder

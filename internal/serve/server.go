@@ -599,20 +599,18 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.mu.Lock()
-	// Advertisers must be known before anything is admitted (or the run
-	// sealed): the planner only schedules registered query streams, so an
-	// unknown site is a client error, not a silent no-op.
-	for i, ev := range decoded {
-		if _, ok := s.advBySite[ev.Advertiser]; !ok {
-			s.mu.Unlock()
-			rerr := reqErr(CodeUnknownAdvertiser, "advertiser %q is not registered", ev.Advertiser)
-			rerr.Index = i
-			s.writeError(w, http.StatusBadRequest, rerr)
-			return
-		}
-	}
 	switch s.state {
 	case stateRegistering:
+		// The first event seals registration, so with no querier registered
+		// nothing could ever be measured: refuse instead of sealing. Events
+		// naming an advertiser that is not a querier are admitted — the
+		// planner ignores them, as the batch engine's plan does.
+		if len(s.advertisers) == 0 {
+			s.mu.Unlock()
+			s.writeError(w, http.StatusBadRequest,
+				reqErr(CodeBadRegistration, "no querier is registered; register on /v1/queries before sending events"))
+			return
+		}
 		s.seal()
 	case stateServing:
 	default:

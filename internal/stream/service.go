@@ -149,8 +149,9 @@ type Config struct {
 	// GroupCommitEvents, when positive, batches WAL fsyncs into group
 	// commits: after this many appended events the service flushes the log
 	// and signals a background syncer instead of fsyncing inline, so the
-	// ingest thread never waits on the disk. 0 syncs only at day
-	// boundaries and snapshot rotations, as before.
+	// ingest thread never waits on the disk. 0 syncs only at snapshot
+	// rotations (cadence ticks, which fall on day boundaries) and at
+	// suspend or completion.
 	GroupCommitEvents int
 	// DurableFS overrides the filesystem the checkpoint store and WAL
 	// segments go through — the disk-fault injection seam

@@ -119,7 +119,8 @@ type Config struct {
 	// GC time (0 = the stream default).
 	KeepGenerations int
 	// GroupCommitEvents batches WAL fsyncs into group commits of this many
-	// events (0 = sync only at day boundaries and snapshot rotations).
+	// events (0 = sync only at snapshot rotations and at suspend or
+	// completion).
 	GroupCommitEvents int
 	// DurableFS overrides the filesystem under the checkpoint store — the
 	// disk-fault injection seam (checkpoint.NewFaultFS). nil selects the
