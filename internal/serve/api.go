@@ -117,58 +117,6 @@ func WireFromEvent(ev events.Event) EventWire {
 	}
 }
 
-// decode validates one wire event against the served trace's bounds and
-// converts it. durationDays bounds the day index: the service's epoch
-// arithmetic is int32 and its day clock never runs past the trace, so an
-// out-of-range day is hostile by construction.
-func (w EventWire) decode(durationDays int) (events.Event, *RequestError) {
-	ev := events.Event{
-		ID:         events.EventID(w.ID),
-		Device:     events.DeviceID(w.Device),
-		Day:        w.Day,
-		Publisher:  events.Site(w.Publisher),
-		Advertiser: events.Site(w.Advertiser),
-		Campaign:   w.Campaign,
-		Product:    w.Product,
-		Value:      w.Value,
-	}
-	switch w.Kind {
-	case events.KindImpression.String():
-		ev.Kind = events.KindImpression
-	case events.KindConversion.String():
-		ev.Kind = events.KindConversion
-	default:
-		return ev, reqErr(CodeBadKind, "kind %q is not %q or %q",
-			w.Kind, events.KindImpression, events.KindConversion)
-	}
-	if w.ID == 0 {
-		return ev, reqErr(CodeBadID, "event id must be positive")
-	}
-	if w.Day < 0 || w.Day >= durationDays {
-		return ev, reqErr(CodeBadDay, "day %d outside trace [0, %d)", w.Day, durationDays)
-	}
-	if w.Advertiser == "" || len(w.Advertiser) > maxSiteLen {
-		return ev, reqErr(CodeBadSite, "advertiser must be 1..%d bytes", maxSiteLen)
-	}
-	if len(w.Publisher) > maxSiteLen || len(w.Campaign) > maxSiteLen {
-		return ev, reqErr(CodeBadSite, "publisher/campaign keys must be at most %d bytes", maxSiteLen)
-	}
-	if len(w.Product) > maxSiteLen {
-		return ev, reqErr(CodeBadProduct, "product key must be at most %d bytes", maxSiteLen)
-	}
-	if ev.IsConversion() {
-		if w.Product == "" {
-			return ev, reqErr(CodeBadProduct, "conversion without a product key")
-		}
-		if math.IsNaN(w.Value) || math.IsInf(w.Value, 0) || w.Value < 0 || w.Value > maxEventValue {
-			return ev, reqErr(CodeBadValue, "conversion value must be finite in [0, %g]", maxEventValue)
-		}
-	} else if w.Value != 0 {
-		return ev, reqErr(CodeBadValue, "impression with a conversion value")
-	}
-	return ev, nil
-}
-
 // QueryRegistration is one querier's registration: the advertiser site,
 // its product query streams, and the calibration inputs (Δ, c̃, B) its
 // summation queries will use.
@@ -266,8 +214,9 @@ type IngestResponse struct {
 type ErrorResponse struct {
 	Error string `json:"error"`
 	Code  string `json:"code,omitempty"`
-	// Index is the offending event's batch position (validation errors).
-	Index int `json:"index,omitempty"`
+	// Index is the offending event's batch position, present exactly when
+	// the error is about one event (position 0 included).
+	Index *int `json:"index,omitempty"`
 	// Accepted and Duplicates report the processed prefix of a
 	// backpressured (429) request — events admitted and dedupe hits before
 	// the queue pushed back; the whole batch can be retried, the prefix

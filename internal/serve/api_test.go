@@ -51,35 +51,38 @@ func TestIngestValidation(t *testing.T) {
 	})
 	c := newClient(t, ts)
 
+	// index is the offending event's position; -1 means the error is not
+	// about one event and the envelope must carry no "index" at all.
 	cases := []struct {
 		name   string
 		body   string
 		status int
 		code   string
+		index  int
 	}{
-		{"malformed-json", `{"events": [`, http.StatusBadRequest, serve.CodeMalformedJSON},
-		{"not-an-object", `[]`, http.StatusBadRequest, serve.CodeMalformedJSON},
+		{"malformed-json", `{"events": [`, http.StatusBadRequest, serve.CodeMalformedJSON, -1},
+		{"not-an-object", `[]`, http.StatusBadRequest, serve.CodeMalformedJSON, -1},
 		{"zero-id", `{"events":[{"id":0,"kind":"conversion","device":1,"day":0,"advertiser":"shop.example","product":"p0","value":1}]}`,
-			http.StatusBadRequest, serve.CodeBadID},
+			http.StatusBadRequest, serve.CodeBadID, 0},
 		{"unknown-kind", `{"events":[{"id":1,"kind":"click","device":1,"day":0,"advertiser":"shop.example"}]}`,
-			http.StatusBadRequest, serve.CodeBadKind},
+			http.StatusBadRequest, serve.CodeBadKind, 0},
 		{"negative-day", `{"events":[{"id":1,"kind":"conversion","device":1,"day":-1,"advertiser":"shop.example","product":"p0","value":1}]}`,
-			http.StatusBadRequest, serve.CodeBadDay},
+			http.StatusBadRequest, serve.CodeBadDay, 0},
 		{"day-past-duration", `{"events":[{"id":1,"kind":"conversion","device":1,"day":4,"advertiser":"shop.example","product":"p0","value":1}]}`,
-			http.StatusBadRequest, serve.CodeBadDay},
+			http.StatusBadRequest, serve.CodeBadDay, 0},
 		{"negative-value", `{"events":[{"id":1,"kind":"conversion","device":1,"day":0,"advertiser":"shop.example","product":"p0","value":-3}]}`,
-			http.StatusBadRequest, serve.CodeBadValue},
+			http.StatusBadRequest, serve.CodeBadValue, 0},
 		{"huge-value", `{"events":[{"id":1,"kind":"conversion","device":1,"day":0,"advertiser":"shop.example","product":"p0","value":1e13}]}`,
-			http.StatusBadRequest, serve.CodeBadValue},
+			http.StatusBadRequest, serve.CodeBadValue, 0},
 		{"conversion-without-product", `{"events":[{"id":1,"kind":"conversion","device":1,"day":0,"advertiser":"shop.example","value":1}]}`,
-			http.StatusBadRequest, serve.CodeBadProduct},
+			http.StatusBadRequest, serve.CodeBadProduct, 0},
 		{"impression-with-value", `{"events":[{"id":1,"kind":"impression","device":1,"day":0,"advertiser":"shop.example","publisher":"news.example","value":2}]}`,
-			http.StatusBadRequest, serve.CodeBadValue},
+			http.StatusBadRequest, serve.CodeBadValue, 0},
 		{"empty-advertiser", `{"events":[{"id":1,"kind":"conversion","device":1,"day":0,"advertiser":"","product":"p0","value":1}]}`,
-			http.StatusBadRequest, serve.CodeBadSite},
+			http.StatusBadRequest, serve.CodeBadSite, 0},
 		{"oversized-site", `{"events":[{"id":1,"kind":"conversion","device":1,"day":0,"advertiser":"` +
 			strings.Repeat("a", 300) + `","product":"p0","value":1}]}`,
-			http.StatusBadRequest, serve.CodeBadSite},
+			http.StatusBadRequest, serve.CodeBadSite, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -93,6 +96,9 @@ func TestIngestValidation(t *testing.T) {
 			}
 			if er.Code != tc.code {
 				t.Fatalf("code %q, want %q (%s)", er.Code, tc.code, er.Error)
+			}
+			if got := errorIndex(t, resp); got != tc.index {
+				t.Fatalf("index %d, want %d (%s)", got, tc.index, resp)
 			}
 		})
 	}
@@ -154,6 +160,9 @@ func TestIngestValidation(t *testing.T) {
 		if er.Code != serve.CodeTooManyEvents {
 			t.Fatalf("code %q, want %q", er.Code, serve.CodeTooManyEvents)
 		}
+		if got := errorIndex(t, resp); got != -1 {
+			t.Fatalf("a batch-level error carries index %d (%s)", got, resp)
+		}
 	})
 
 	t.Run("oversized-body", func(t *testing.T) {
@@ -184,8 +193,8 @@ func TestIngestValidation(t *testing.T) {
 		}
 		var er serve.ErrorResponse
 		_ = json.Unmarshal(resp, &er)
-		if er.Index != 1 {
-			t.Fatalf("error index %d, want 1", er.Index)
+		if got := errorIndex(t, resp); got != 1 {
+			t.Fatalf("error index %d, want 1 (%s)", got, resp)
 		}
 		st, _, _ := c.sendBatch([]events.Event{{
 			ID: 1000, Kind: events.KindConversion, Device: 1000 % 64, Day: 0,
@@ -195,6 +204,25 @@ func TestIngestValidation(t *testing.T) {
 			t.Fatalf("re-send of valid event: status %d", st)
 		}
 	})
+}
+
+// errorIndex reads the "index" of an error envelope off the wire: the
+// event's position, or -1 when the envelope has no such member.
+func errorIndex(t *testing.T, resp []byte) int {
+	t.Helper()
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(resp, &raw); err != nil {
+		t.Fatalf("error body not JSON: %s", resp)
+	}
+	member, ok := raw["index"]
+	if !ok {
+		return -1
+	}
+	var index int
+	if err := json.Unmarshal(member, &index); err != nil || index < 0 {
+		t.Fatalf("error index %s is not an event position (%s)", member, resp)
+	}
+	return index
 }
 
 // TestRegistrationLifecycle covers the querier registration semantics:

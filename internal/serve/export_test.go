@@ -1,0 +1,13 @@
+package serve
+
+// EventsSeeds are the POST /v1/events bodies both fuzz targets start
+// from: FuzzIngestHTTP in the external test package and FuzzIngestDecode
+// here.
+var EventsSeeds = []string{
+	`{"events":[{"id":1,"kind":"conversion","device":3,"day":0,"advertiser":"shop.example","product":"p0","value":5}]}`,
+	`{"events":[{"id":2,"kind":"impression","device":3,"day":1,"advertiser":"shop.example","publisher":"news.example"}]}`,
+	`{"events":[{"id":0,"kind":"conversion","device":0,"day":-1,"advertiser":"","value":-1e308}]}`,
+	`{"events":[{"id":18446744073709551615,"kind":"conversion","device":18446744073709551615,"day":2147483647,"advertiser":"shop.example","product":"p0","value":1e308}]}`,
+	`{"events": [`,
+	`[]`,
+}

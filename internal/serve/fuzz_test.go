@@ -44,12 +44,9 @@ func FuzzIngestHTTP(f *testing.F) {
 	}
 	handler := srv.Handler()
 
-	f.Add(uint8(0), []byte(`{"events":[{"id":1,"kind":"conversion","device":3,"day":0,"advertiser":"shop.example","product":"p0","value":5}]}`))
-	f.Add(uint8(0), []byte(`{"events":[{"id":2,"kind":"impression","device":3,"day":1,"advertiser":"shop.example","publisher":"news.example"}]}`))
-	f.Add(uint8(0), []byte(`{"events":[{"id":0,"kind":"conversion","device":0,"day":-1,"advertiser":"","value":-1e308}]}`))
-	f.Add(uint8(0), []byte(`{"events":[{"id":18446744073709551615,"kind":"conversion","device":18446744073709551615,"day":2147483647,"advertiser":"shop.example","product":"p0","value":1e308}]}`))
-	f.Add(uint8(0), []byte(`{"events": [`))
-	f.Add(uint8(0), []byte(`[]`))
+	for _, seed := range serve.EventsSeeds {
+		f.Add(uint8(0), []byte(seed))
+	}
 	f.Add(uint8(1), []byte(`{"site":"shop.example","products":["p0","p1"],"maxValue":50,"avgReportValue":10,"batchSize":8}`))
 	f.Add(uint8(1), []byte(`{"site":"x","products":[""],"maxValue":-0,"avgReportValue":1e999,"batchSize":-5}`))
 	f.Add(uint8(2), []byte(`querier=shop.example&after=-1`))

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -175,6 +178,45 @@ func (c *client) results(query string) serve.ResultsResponse {
 		c.t.Fatalf("parsing results: %v", err)
 	}
 	return rr
+}
+
+// checkResultsCursor holds GET /v1/results to its cursor contract over the
+// n results the server has released so far: a result's Index is its
+// position, and after=K returns exactly what follows position K — all of
+// them from -1, none from the last index or past the end — whether the
+// results were released live or restored by a resume.
+func (c *client) checkResultsCursor(n int) {
+	c.t.Helper()
+	all := c.results("").Results
+	if len(all) != n {
+		c.t.Fatalf("results: %d released, want %d", len(all), n)
+	}
+	for i, r := range all {
+		if r.Index != i {
+			c.t.Fatalf("result at position %d has index %d", i, r.Index)
+		}
+	}
+	for _, after := range []int{-1, -7, 0, n / 2, n - 1, n, n + 100, math.MaxInt} {
+		got := c.results(fmt.Sprintf("?after=%d", after)).Results
+		want := all[min(max(after, -1), n-1)+1:]
+		if !slices.Equal(got, want) {
+			c.t.Fatalf("results after=%d: %d results, want the %d after that position", after, len(got), len(want))
+		}
+	}
+	if n == 0 {
+		return
+	}
+	querier := all[n-1].Querier
+	var want []serve.ResultWire
+	for _, r := range all[n/2:] {
+		if r.Querier == querier {
+			want = append(want, r)
+		}
+	}
+	got := c.results(fmt.Sprintf("?querier=%s&after=%d", querier, n/2-1)).Results
+	if !slices.Equal(got, want) {
+		c.t.Fatalf("results querier=%s after=%d: %d results, want %d", querier, n/2-1, len(got), len(want))
+	}
 }
 
 // orderedEvents returns the dataset's events sorted into admission

@@ -64,6 +64,11 @@ func TestGracefulShutdownResume(t *testing.T) {
 	if runA == nil || runA.EventsIngested != cut {
 		t.Fatalf("suspended run ingested %v events, want %d", runA, cut)
 	}
+	releasedA := len(runA.Results)
+	if releasedA == 0 {
+		t.Fatalf("no result released before the suspend: the results cursor goes unchecked")
+	}
+	cA.checkResultsCursor(releasedA)
 
 	// Phase 2: resume from the checkpoint directory. Resume requires the
 	// querier set up front; registration order must match phase 1.
@@ -84,6 +89,9 @@ func TestGracefulShutdownResume(t *testing.T) {
 	if dup != overlap {
 		t.Fatalf("overlap re-send: %d duplicates, want %d", dup, overlap)
 	}
+	// The restored results sit at the positions they were released at, so
+	// a poller's cursor from before the suspend is still good.
+	cB.checkResultsCursor(releasedA)
 
 	accepted, duplicates, failedAt = cB.sendOrdered(evs[cut:], 128)
 	if failedAt >= 0 || accepted != len(evs)-cut || duplicates != 0 {
@@ -95,6 +103,7 @@ func TestGracefulShutdownResume(t *testing.T) {
 	}
 	runB, runErr := waitDone(t, tsB.srv)
 	got := mustDigest(t, runB, runErr, "resumed run")
+	cB.checkResultsCursor(len(runB.Results))
 	if want := ref.CanonicalDigest(); got != want {
 		t.Fatalf("resumed digest %s != batch reference %s", got, want)
 	}

@@ -1,0 +1,794 @@
+package serve
+
+import (
+	"bytes"
+	"errors"
+	"math"
+	"net/http"
+	"strconv"
+	"sync"
+	"unicode"
+	"unicode/utf16"
+	"unicode/utf8"
+
+	"repro/internal/events"
+)
+
+// The POST /v1/events decoder (DESIGN.md §13 "Decoding"): one pass from
+// request bytes to validated events.Events, with no reflection and no
+// per-event allocation. It gives every body the status, code, index and
+// events that decoding it into an IngestRequest with encoding/json and
+// validating each element gave — that reference survives in scan_test.go,
+// where FuzzIngestDecode holds the two together — except for two
+// documented tightenings: a repeated top-level "events" key, and a body
+// longer than MaxBodyBytes whose first value ends before the cap.
+
+const (
+	// maxInterned bounds a scanner's string table. Site, campaign and
+	// product keys of legitimate traffic are a few hundred distinct
+	// strings; hostile distinct strings past the bound are allocated per
+	// event, as every string used to be, and cannot grow the table.
+	maxInterned = 4096
+	// maxNestingDepth is encoding/json's limit on open containers. Only
+	// the values of unknown keys can nest at all.
+	maxNestingDepth = 10000
+	// maxPooledBody is the largest body buffer a scanner keeps between
+	// requests, so one 4 MiB body does not pin 4 MiB per pooled scanner.
+	maxPooledBody = 1 << 20
+	// kindUnset marks an event whose kind is missing or not one of the two
+	// kinds; validateEvent refuses it.
+	kindUnset = events.Kind(0xff)
+)
+
+// eventScanner holds what decoding one ingest request reuses from the
+// last: the body buffer, the decoded events, the string table and scratch
+// space. A scanner serves one request at a time and lives in scannerPool
+// between requests.
+type eventScanner struct {
+	body   bytes.Buffer
+	events []events.Event
+	strs   map[string]string
+	unq    []byte                  // the last string that needed unquoting
+	fold   [len("advertiser")]byte // the last key that needed folding
+	stack  []byte                  // open containers of the unknown value being skipped
+
+	data         []byte
+	pos          int
+	durationDays int
+	count        int           // elements of "events" seen, stored or not
+	invalid      *RequestError // the first validation error: the lowest index
+	malformed    *RequestError
+
+	mutant mutation
+}
+
+// mutation plants one decoder bug in a scanner, for the test showing that
+// the differential oracle catches such bugs. A served scanner's is zero.
+type mutation uint8
+
+const (
+	mutantNone           mutation = iota
+	mutantExactKeys               // keys match in exact case only
+	mutantRawEscapes              // an escaped string is passed through undecoded
+	mutantFirstErrorWins          // an invalid event outranks malformed JSON after it
+	mutantNullZeroes              // a null field zeroes what earlier keys set
+)
+
+var scannerPool = sync.Pool{New: func() any {
+	return &eventScanner{strs: make(map[string]string)}
+}}
+
+// release returns the scanner to the pool. The events it decoded must not
+// be read afterwards; strings copied out of them stay valid, because they
+// are never views of the body buffer.
+func (sc *eventScanner) release() {
+	if sc.body.Cap() > maxPooledBody {
+		sc.body = bytes.Buffer{}
+	}
+	clear(sc.events[:cap(sc.events)]) // an invalid event's strings sit past len
+	sc.data = nil
+	scannerPool.Put(sc)
+}
+
+// readEvents reads the capped body of a POST /v1/events and decodes it.
+// The events are valid until release.
+func (sc *eventScanner) readEvents(w http.ResponseWriter, r *http.Request, durationDays int) ([]events.Event, int, *RequestError) {
+	sc.body.Reset()
+	if n := r.ContentLength; n > 0 && n <= MaxBodyBytes {
+		sc.body.Grow(int(n) + bytes.MinRead)
+	}
+	// Tightening: the whole body is read before any of it is decoded, so a
+	// body over the cap is a 413 even where its first value ends early.
+	if _, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes)); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return nil, http.StatusRequestEntityTooLarge,
+				reqErr(CodeBodyTooLarge, "body exceeds %d bytes", MaxBodyBytes)
+		}
+		return nil, http.StatusBadRequest, reqErr(CodeMalformedJSON, "reading body: %v", err)
+	}
+	evs, rerr := sc.scan(sc.body.Bytes(), durationDays)
+	if rerr != nil {
+		return nil, http.StatusBadRequest, rerr
+	}
+	return evs, 0, nil
+}
+
+// scan decodes the first JSON value of data as an ingest request: an
+// object whose "events" member is an array of event objects. Bytes after
+// the value are ignored, and null is accepted for the body, for "events",
+// for an element (an event with nothing set, which fails validation) and
+// for a field (which keeps its value).
+//
+// Errors keep the reflective path's precedence: malformed JSON — a syntax
+// error, or a value of the wrong JSON type for its field — anywhere in the
+// value, then too many events, then the lowest-indexed invalid event. So
+// the scan does not stop at the first invalid event: it goes on checking
+// syntax and types to the end of the value.
+func (sc *eventScanner) scan(data []byte, durationDays int) ([]events.Event, *RequestError) {
+	sc.data, sc.pos, sc.durationDays = data, 0, durationDays
+	sc.events = sc.events[:0]
+	sc.count, sc.invalid, sc.malformed = 0, nil, nil
+	var ok bool
+	switch sc.peek() {
+	case 'n':
+		ok = sc.literal("null")
+	case '{':
+		ok = sc.request()
+	case 0:
+		ok = sc.fail("no JSON value")
+	default:
+		ok = sc.fail("body is not a JSON object")
+	}
+	switch {
+	case !ok && !(sc.mutant == mutantFirstErrorWins && sc.invalid != nil):
+		return nil, sc.malformed
+	case sc.count > MaxBatchEvents:
+		return nil, reqErr(CodeTooManyEvents, "%d events exceed the %d per-request cap",
+			sc.count, MaxBatchEvents)
+	case sc.invalid != nil:
+		return nil, sc.invalid
+	}
+	return sc.events, nil
+}
+
+// fail records the malformed-JSON error at the current offset and returns
+// false, as every parsing method does from then on.
+func (sc *eventScanner) fail(what string) bool {
+	sc.malformed = reqErr(CodeMalformedJSON, "decoding body: %s at byte %d", what, sc.pos)
+	return false
+}
+
+// peek skips whitespace and returns the next byte without consuming it, or
+// 0 at the end of data — a byte that is valid nowhere outside a string, so
+// callers need no separate end check.
+func (sc *eventScanner) peek() byte {
+	for sc.pos < len(sc.data) {
+		c := sc.data[sc.pos]
+		if c != ' ' && c != '\n' && c != '\t' && c != '\r' {
+			return c
+		}
+		sc.pos++
+	}
+	return 0
+}
+
+// key parses `"key" :` up to the colon. The key is unquoted and valid
+// until the next string is parsed.
+func (sc *eventScanner) key() ([]byte, bool) {
+	if sc.peek() != '"' {
+		return nil, sc.fail("expected an object key")
+	}
+	key, ok := sc.str()
+	if !ok {
+		return nil, false
+	}
+	if sc.peek() != ':' {
+		return nil, sc.fail("expected ':' after an object key")
+	}
+	sc.pos++
+	return key, true
+}
+
+// next consumes what follows a member or element: a comma (more follow) or
+// the container's closing byte.
+func (sc *eventScanner) next(closing byte) (more, ok bool) {
+	switch c := sc.peek(); c {
+	case ',':
+		sc.pos++
+		return true, true
+	case closing:
+		sc.pos++
+		return false, true
+	}
+	return false, sc.fail("expected ',' or '" + string(closing) + "'")
+}
+
+// request parses the top-level object at pos: "events" once at most, and
+// unknown keys.
+func (sc *eventScanner) request() bool {
+	sc.pos++ // {
+	if sc.peek() == '}' {
+		sc.pos++
+		return true
+	}
+	sawEvents := false
+	for more := true; more; {
+		key, ok := sc.key()
+		if !ok {
+			return false
+		}
+		isEvents := sc.named(key, "events") // before the value reuses key's storage
+		switch c := sc.peek(); {
+		case !isEvents:
+			ok = sc.skipValue(1)
+		case sawEvents:
+			// Tightening: encoding/json decoded a second "events" array
+			// over the elements of the first, field by field.
+			ok = sc.fail(`repeated "events" key`)
+		case c == 'n':
+			ok = sc.literal("null")
+		case c == '[':
+			ok = sc.eventsArray()
+		default:
+			ok = sc.fail(`"events" is not an array`)
+		}
+		if !ok {
+			return false
+		}
+		sawEvents = sawEvents || isEvents
+		if more, ok = sc.next('}'); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// eventsArray parses the array at pos, validating each element as it is
+// decoded. Elements stop being stored in sc.events once one is invalid or
+// MaxBatchEvents are held, but are still counted and checked for syntax
+// and types.
+func (sc *eventScanner) eventsArray() bool {
+	sc.pos++ // [
+	if sc.peek() == ']' {
+		sc.pos++
+		return true
+	}
+	for more := true; more; sc.count++ {
+		storing := sc.invalid == nil && sc.count < MaxBatchEvents
+		var discard events.Event
+		ev := &discard
+		if storing {
+			sc.events = append(sc.events, events.Event{})
+			ev = &sc.events[len(sc.events)-1]
+		}
+		if !sc.event(ev) {
+			return false
+		}
+		if storing {
+			if sc.invalid = validateEvent(ev, sc.durationDays); sc.invalid != nil {
+				sc.invalid.Index = sc.count
+				sc.events = sc.events[:len(sc.events)-1]
+			}
+		}
+		var ok bool
+		if more, ok = sc.next(']'); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// Event fields on the wire, in EventWire's order.
+type eventField uint8
+
+const (
+	fieldUnknown eventField = iota
+	fieldID
+	fieldKind
+	fieldDevice
+	fieldDay
+	fieldPublisher
+	fieldAdvertiser
+	fieldCampaign
+	fieldProduct
+	fieldValue
+)
+
+// eventFieldNamed maps an exact wire name to its field.
+func eventFieldNamed(name []byte) eventField {
+	switch string(name) {
+	case "id":
+		return fieldID
+	case "kind":
+		return fieldKind
+	case "device":
+		return fieldDevice
+	case "day":
+		return fieldDay
+	case "publisher":
+		return fieldPublisher
+	case "advertiser":
+		return fieldAdvertiser
+	case "campaign":
+		return fieldCampaign
+	case "product":
+		return fieldProduct
+	case "value":
+		return fieldValue
+	}
+	return fieldUnknown
+}
+
+// event decodes the element at pos into *ev, which is zero: an object or
+// null. A repeated key overwrites, a null field changes nothing, unknown
+// keys are skipped, and a value of the wrong JSON type for its field — a
+// string for a number, a fraction for an integer — is malformed.
+func (sc *eventScanner) event(ev *events.Event) bool {
+	ev.Kind = kindUnset
+	switch sc.peek() {
+	case 'n':
+		return sc.literal("null")
+	case '{':
+	default:
+		return sc.fail("an event is not an object")
+	}
+	sc.pos++ // {
+	if sc.peek() == '}' {
+		sc.pos++
+		return true
+	}
+	for more := true; more; {
+		key, ok := sc.key()
+		if !ok {
+			return false
+		}
+		f := eventFieldNamed(key)
+		if f == fieldUnknown {
+			f = eventFieldNamed(sc.folded(key))
+		}
+		switch c := sc.peek(); {
+		case f == fieldUnknown:
+			ok = sc.skipValue(3)
+		case c == 'n':
+			if ok = sc.literal("null"); sc.mutant == mutantNullZeroes {
+				*ev = events.Event{Kind: kindUnset}
+			}
+		case f == fieldID || f == fieldDevice:
+			var n uint64
+			var negative bool
+			if n, negative, ok = sc.integer(); ok && negative {
+				ok = sc.fail("negative number in an unsigned field")
+			}
+			if f == fieldID {
+				ev.ID = events.EventID(n)
+			} else {
+				ev.Device = events.DeviceID(n)
+			}
+		case f == fieldDay:
+			var n uint64
+			var negative bool
+			n, negative, ok = sc.integer()
+			switch {
+			case !ok:
+			case negative && n <= -math.MinInt:
+				ev.Day = -int(n)
+			case !negative && n <= math.MaxInt:
+				ev.Day = int(n)
+			default:
+				ok = sc.fail("number overflows an integer field")
+			}
+		case f == fieldValue:
+			ev.Value, ok = sc.float()
+		case c != '"':
+			ok = sc.fail("expected a string")
+		default:
+			var s []byte
+			if s, ok = sc.str(); !ok {
+				break
+			}
+			switch f {
+			case fieldKind:
+				switch string(s) {
+				case "impression":
+					ev.Kind = events.KindImpression
+				case "conversion":
+					ev.Kind = events.KindConversion
+				default:
+					ev.Kind = kindUnset
+				}
+			case fieldPublisher:
+				ev.Publisher = events.Site(sc.intern(s))
+			case fieldAdvertiser:
+				ev.Advertiser = events.Site(sc.intern(s))
+			case fieldCampaign:
+				ev.Campaign = sc.intern(s)
+			case fieldProduct:
+				ev.Product = sc.intern(s)
+			}
+		}
+		if !ok {
+			return false
+		}
+		if more, ok = sc.next('}'); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// intern returns b as a string, shared with every earlier equal string
+// while the table has room. Keys over maxSiteLen fail validation, so they
+// never enter the table.
+func (sc *eventScanner) intern(b []byte) string {
+	if s, ok := sc.strs[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(s) <= maxSiteLen && len(sc.strs) < maxInterned {
+		sc.strs[s] = s
+	}
+	return s
+}
+
+// named reports whether an object key selects the field with the given
+// lower-case ASCII name: exactly, or under encoding/json's case folding.
+func (sc *eventScanner) named(key []byte, name string) bool {
+	return string(key) == name || string(sc.folded(key)) == name
+}
+
+// folded returns the lower-case ASCII name key folds to, or nil when it
+// folds to nothing that could be a field's name. It is valid until the
+// next call.
+func (sc *eventScanner) folded(key []byte) []byte {
+	if sc.mutant == mutantExactKeys {
+		return nil
+	}
+	name, _ := foldName(sc.fold[:0], key)
+	return name
+}
+
+// foldName appends to dst the lower-case ASCII name that key equals under
+// encoding/json's key folding (Unicode simple folding, so "\u212aind" is
+// "kind"), up to cap(dst) bytes. ok is false when key folds to no ASCII
+// name that short, and so matches no field.
+func foldName(dst, key []byte) (name []byte, ok bool) {
+	for i := 0; i < len(key); {
+		r, size := rune(key[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRune(key[i:])
+			r = foldRune(r)
+		}
+		if r >= utf8.RuneSelf || len(dst) == cap(dst) {
+			return nil, false
+		}
+		if 'A' <= r && r <= 'Z' {
+			r += 'a' - 'A'
+		}
+		dst = append(dst, byte(r))
+		i += size
+	}
+	return dst, true
+}
+
+// foldRune returns the smallest rune of r's simple-fold orbit, which is
+// what encoding/json compares keys by: SimpleFold steps upwards through
+// the orbit and wraps around to it.
+func foldRune(r rune) rune {
+	for {
+		r2 := unicode.SimpleFold(r)
+		if r2 <= r {
+			return r2
+		}
+		r = r2
+	}
+}
+
+// literal consumes the given literal at pos.
+func (sc *eventScanner) literal(lit string) bool {
+	end := sc.pos + len(lit)
+	if end > len(sc.data) || string(sc.data[sc.pos:end]) != lit {
+		return sc.fail("invalid literal")
+	}
+	sc.pos = end
+	return true
+}
+
+// digits consumes a run of decimal digits and reports whether there was
+// at least one.
+func (sc *eventScanner) digits() bool {
+	start := sc.pos
+	for sc.pos < len(sc.data) && '0' <= sc.data[sc.pos] && sc.data[sc.pos] <= '9' {
+		sc.pos++
+	}
+	return sc.pos > start
+}
+
+// number consumes the JSON number at pos and reports whether it is an
+// integer literal: no fraction and no exponent.
+func (sc *eventScanner) number() (integer, ok bool) {
+	if sc.pos < len(sc.data) && sc.data[sc.pos] == '-' {
+		sc.pos++
+	}
+	if sc.pos < len(sc.data) && sc.data[sc.pos] == '0' {
+		sc.pos++
+	} else if !sc.digits() {
+		return false, sc.fail("invalid number")
+	}
+	integer = true
+	if sc.pos < len(sc.data) && sc.data[sc.pos] == '.' {
+		sc.pos++
+		if integer = false; !sc.digits() {
+			return false, sc.fail("invalid number")
+		}
+	}
+	if sc.pos < len(sc.data) && (sc.data[sc.pos] == 'e' || sc.data[sc.pos] == 'E') {
+		sc.pos++
+		if sc.pos < len(sc.data) && (sc.data[sc.pos] == '+' || sc.data[sc.pos] == '-') {
+			sc.pos++
+		}
+		if integer = false; !sc.digits() {
+			return false, sc.fail("invalid number")
+		}
+	}
+	return integer, true
+}
+
+// integer parses the number at pos for an integer field and returns its
+// magnitude and sign. As with encoding/json, anything but an integer
+// literal is malformed: 1.0, 1e2 and "7" all are.
+func (sc *eventScanner) integer() (magnitude uint64, negative, ok bool) {
+	start := sc.pos
+	integer, ok := sc.number()
+	if !ok {
+		return 0, false, false
+	}
+	lit := sc.data[start:sc.pos]
+	if negative = lit[0] == '-'; negative {
+		lit = lit[1:]
+	}
+	if !integer {
+		return 0, false, sc.fail("fraction or exponent in an integer field")
+	}
+	for _, c := range lit {
+		d := uint64(c - '0')
+		if magnitude > (math.MaxUint64-d)/10 {
+			return 0, false, sc.fail("number overflows an integer field")
+		}
+		magnitude = magnitude*10 + d
+	}
+	return magnitude, negative, true
+}
+
+// float parses the number at pos as encoding/json does, through
+// strconv.ParseFloat; a number out of float64's range is malformed.
+func (sc *eventScanner) float() (float64, bool) {
+	start := sc.pos
+	if _, ok := sc.number(); !ok {
+		return 0, false
+	}
+	v, err := strconv.ParseFloat(string(sc.data[start:sc.pos]), 64)
+	if err != nil {
+		return 0, sc.fail("number is out of range")
+	}
+	return v, true
+}
+
+// plainStringByte marks the bytes a JSON string holds as themselves:
+// printable ASCII other than the quote and the backslash.
+var plainStringByte = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// str parses the string whose opening quote is at pos and returns its
+// value: a view of the body when the string holds only plain bytes,
+// otherwise sc.unq with escapes decoded and invalid UTF-8 replaced by
+// U+FFFD. Either is valid until the next call.
+func (sc *eventScanner) str() ([]byte, bool) {
+	sc.pos++ // "
+	start := sc.pos
+	for sc.pos < len(sc.data) && plainStringByte[sc.data[sc.pos]] {
+		sc.pos++
+	}
+	if sc.pos < len(sc.data) && sc.data[sc.pos] == '"' {
+		sc.pos++
+		return sc.data[start : sc.pos-1], true
+	}
+	out := append(sc.unq[:0], sc.data[start:sc.pos]...)
+	for sc.pos < len(sc.data) {
+		c := sc.data[sc.pos]
+		switch {
+		case c == '"':
+			sc.pos++
+			if sc.unq = out; sc.mutant == mutantRawEscapes {
+				return sc.data[start : sc.pos-1], true
+			}
+			return out, true
+		case c == '\\':
+			r, ok := sc.escape()
+			if !ok {
+				return nil, false
+			}
+			out = utf8.AppendRune(out, r)
+		case c < ' ':
+			return nil, sc.fail("control character in a string")
+		case c < utf8.RuneSelf:
+			out = append(out, c)
+			sc.pos++
+		default:
+			r, size := utf8.DecodeRune(sc.data[sc.pos:])
+			out = utf8.AppendRune(out, r)
+			sc.pos += size
+		}
+	}
+	return nil, sc.fail("unterminated string")
+}
+
+// escape decodes the escape sequence whose backslash is at pos. Half a
+// surrogate pair takes its other half with it when that follows, and is
+// U+FFFD when it does not.
+func (sc *eventScanner) escape() (rune, bool) {
+	rest := sc.data[sc.pos:]
+	if len(rest) < 2 {
+		return 0, sc.fail("unterminated string")
+	}
+	sc.pos += 2
+	switch rest[1] {
+	case '"', '\\', '/':
+		return rune(rest[1]), true
+	case 'b':
+		return '\b', true
+	case 'f':
+		return '\f', true
+	case 'n':
+		return '\n', true
+	case 'r':
+		return '\r', true
+	case 't':
+		return '\t', true
+	case 'u':
+		r := getu4(rest)
+		if r < 0 {
+			break
+		}
+		sc.pos += 4
+		if utf16.IsSurrogate(r) {
+			pair := utf16.DecodeRune(r, getu4(sc.data[sc.pos:]))
+			if pair == unicode.ReplacementChar {
+				return pair, true
+			}
+			r = pair
+			sc.pos += 6
+		}
+		return r, true
+	}
+	sc.pos -= 2
+	return 0, sc.fail("invalid escape in a string")
+}
+
+// getu4 decodes the \uXXXX at the start of b, or returns -1.
+func getu4(b []byte) rune {
+	if len(b) < 6 || b[0] != '\\' || b[1] != 'u' {
+		return -1
+	}
+	var r rune
+	for _, c := range b[2:6] {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return -1
+		}
+		r = r<<4 | rune(c)
+	}
+	return r
+}
+
+// skipValue checks the syntax of the value at pos, of any type, and
+// consumes it: the value of an unknown key. depth is the number of
+// containers already open around it.
+func (sc *eventScanner) skipValue(depth int) bool {
+	sc.stack = sc.stack[:0] // the closing byte of each container open inside
+	for {
+		// A value starts here.
+		ok := true
+		switch c := sc.peek(); {
+		case c == '{' || c == '[':
+			if depth+len(sc.stack) >= maxNestingDepth {
+				return sc.fail("exceeded max depth")
+			}
+			sc.pos++
+			closing := c + 2 // } or ]
+			if sc.peek() == closing {
+				sc.pos++
+				break
+			}
+			sc.stack = append(sc.stack, closing)
+			if c == '{' {
+				if _, ok = sc.key(); !ok {
+					return false
+				}
+			}
+			continue
+		case c == '"':
+			_, ok = sc.str()
+		case c == '-' || ('0' <= c && c <= '9'):
+			_, ok = sc.number()
+		case c == 't':
+			ok = sc.literal("true")
+		case c == 'f':
+			ok = sc.literal("false")
+		case c == 'n':
+			ok = sc.literal("null")
+		default:
+			ok = sc.fail("expected a value")
+		}
+		if !ok {
+			return false
+		}
+		// A value ended here: close every container it was last in.
+		for more := false; !more; {
+			if len(sc.stack) == 0 {
+				return true
+			}
+			closing := sc.stack[len(sc.stack)-1]
+			if more, ok = sc.next(closing); !ok {
+				return false
+			}
+			if !more {
+				sc.stack = sc.stack[:len(sc.stack)-1]
+			} else if closing == '}' {
+				if _, ok = sc.key(); !ok {
+					return false
+				}
+			}
+		}
+	}
+}
+
+// validateEvent checks one decoded event against the served trace's
+// bounds: the one validator of the ingest path. durationDays bounds the
+// day index: the service's epoch arithmetic is int32 and its day clock
+// never runs past the trace, so an out-of-range day is hostile by
+// construction. The returned error's Index is for the caller to set.
+func validateEvent(ev *events.Event, durationDays int) *RequestError {
+	if ev.Kind != events.KindImpression && ev.Kind != events.KindConversion {
+		return reqErr(CodeBadKind, "kind must be %q or %q",
+			events.KindImpression, events.KindConversion)
+	}
+	if ev.ID == 0 {
+		return reqErr(CodeBadID, "event id must be positive")
+	}
+	if ev.Day < 0 || ev.Day >= durationDays {
+		return reqErr(CodeBadDay, "day %d outside trace [0, %d)", ev.Day, durationDays)
+	}
+	if ev.Advertiser == "" || len(ev.Advertiser) > maxSiteLen {
+		return reqErr(CodeBadSite, "advertiser must be 1..%d bytes", maxSiteLen)
+	}
+	if len(ev.Publisher) > maxSiteLen || len(ev.Campaign) > maxSiteLen {
+		return reqErr(CodeBadSite, "publisher/campaign keys must be at most %d bytes", maxSiteLen)
+	}
+	if len(ev.Product) > maxSiteLen {
+		return reqErr(CodeBadProduct, "product key must be at most %d bytes", maxSiteLen)
+	}
+	if ev.IsConversion() {
+		if ev.Product == "" {
+			return reqErr(CodeBadProduct, "conversion without a product key")
+		}
+		// A JSON number is never NaN and float() refuses what overflows, so
+		// the range check is the whole check.
+		if ev.Value < 0 || ev.Value > maxEventValue {
+			return reqErr(CodeBadValue, "conversion value must be in [0, %g]", maxEventValue)
+		}
+	} else if ev.Value != 0 {
+		return reqErr(CodeBadValue, "impression with a conversion value")
+	}
+	return nil
+}

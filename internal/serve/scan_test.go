@@ -1,0 +1,458 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/events"
+)
+
+// The decoder's fence. referenceDecode is the ingest path as it was before
+// the scanner — encoding/json into an IngestRequest, then per-event
+// validation — kept here, and only here, as the oracle: checkDecode holds
+// the scanner to its status, code, index and events on any body, apart
+// from the two documented tightenings, where it holds the scanner to the
+// tightened answer instead.
+
+const testDays = 8
+
+// outcome is what a client can tell apart about one decoded body.
+type outcome struct {
+	status int
+	code   string
+	index  int
+	events []events.Event
+}
+
+func (o outcome) String() string {
+	if o.status == http.StatusOK {
+		return fmt.Sprintf("200 with %d events %+v", len(o.events), o.events[:min(len(o.events), 4)])
+	}
+	return fmt.Sprintf("%d %s (index %d)", o.status, o.code, o.index)
+}
+
+func (o outcome) equal(p outcome) bool {
+	return o.status == p.status && o.code == p.code && o.index == p.index &&
+		slices.Equal(o.events, p.events)
+}
+
+func refused(rerr *RequestError) outcome {
+	return outcome{status: http.StatusBadRequest, code: rerr.Code, index: rerr.Index}
+}
+
+// referenceEvent is the retired EventWire.decode: validate one wire event
+// and convert it.
+func referenceEvent(w EventWire, durationDays int) (events.Event, *RequestError) {
+	ev := events.Event{
+		ID:         events.EventID(w.ID),
+		Device:     events.DeviceID(w.Device),
+		Day:        w.Day,
+		Publisher:  events.Site(w.Publisher),
+		Advertiser: events.Site(w.Advertiser),
+		Campaign:   w.Campaign,
+		Product:    w.Product,
+		Value:      w.Value,
+	}
+	switch w.Kind {
+	case events.KindImpression.String():
+		ev.Kind = events.KindImpression
+	case events.KindConversion.String():
+		ev.Kind = events.KindConversion
+	default:
+		return ev, reqErr(CodeBadKind, "kind %q", w.Kind)
+	}
+	if w.ID == 0 {
+		return ev, reqErr(CodeBadID, "event id must be positive")
+	}
+	if w.Day < 0 || w.Day >= durationDays {
+		return ev, reqErr(CodeBadDay, "day %d outside trace [0, %d)", w.Day, durationDays)
+	}
+	if w.Advertiser == "" || len(w.Advertiser) > maxSiteLen {
+		return ev, reqErr(CodeBadSite, "advertiser")
+	}
+	if len(w.Publisher) > maxSiteLen || len(w.Campaign) > maxSiteLen {
+		return ev, reqErr(CodeBadSite, "publisher/campaign")
+	}
+	if len(w.Product) > maxSiteLen {
+		return ev, reqErr(CodeBadProduct, "product")
+	}
+	if ev.IsConversion() {
+		if w.Product == "" {
+			return ev, reqErr(CodeBadProduct, "conversion without a product key")
+		}
+		if math.IsNaN(w.Value) || math.IsInf(w.Value, 0) || w.Value < 0 || w.Value > maxEventValue {
+			return ev, reqErr(CodeBadValue, "conversion value")
+		}
+	} else if w.Value != 0 {
+		return ev, reqErr(CodeBadValue, "impression with a conversion value")
+	}
+	return ev, nil
+}
+
+// referenceDecode is the retired decode → validate → convert triple of
+// handleEvents, over a body within the size cap.
+func referenceDecode(body []byte, durationDays int) outcome {
+	var req IngestRequest
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		return refused(reqErr(CodeMalformedJSON, "decoding body: %v", err))
+	}
+	if len(req.Events) > MaxBatchEvents {
+		return refused(reqErr(CodeTooManyEvents, "%d events", len(req.Events)))
+	}
+	decoded := make([]events.Event, len(req.Events))
+	for i, ew := range req.Events {
+		ev, rerr := referenceEvent(ew, durationDays)
+		if rerr != nil {
+			rerr.Index = i
+			return refused(rerr)
+		}
+		decoded[i] = ev
+	}
+	return outcome{status: http.StatusOK, index: -1, events: decoded}
+}
+
+// repeatsEvents reports whether the body's first value is an object with
+// more than one key that selects the "events" field — the first
+// tightening. It walks encoding/json's tokens, not the scanner's.
+func repeatsEvents(body []byte) bool {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return false
+	}
+	seen := 0
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return false
+		}
+		if name, ok := key.(string); ok && strings.EqualFold(name, "events") {
+			seen++
+		}
+		var skipped json.RawMessage
+		if dec.Decode(&skipped) != nil {
+			return false
+		}
+	}
+	return seen > 1
+}
+
+// wantDecode is the specified outcome for a body: the reference's, but 413
+// for any body over the cap and malformed-json for a repeated "events".
+func wantDecode(body []byte) outcome {
+	switch {
+	case len(body) > MaxBodyBytes:
+		return outcome{status: http.StatusRequestEntityTooLarge, code: CodeBodyTooLarge, index: -1}
+	case repeatsEvents(body):
+		return outcome{status: http.StatusBadRequest, code: CodeMalformedJSON, index: -1}
+	}
+	return referenceDecode(body, testDays)
+}
+
+// gotDecode runs the body through the scanner's entry point, as
+// handleEvents does.
+func gotDecode(sc *eventScanner, body []byte) outcome {
+	r := httptest.NewRequest(http.MethodPost, "/v1/events", bytes.NewReader(body))
+	evs, status, rerr := sc.readEvents(httptest.NewRecorder(), r, testDays)
+	if rerr != nil {
+		return outcome{status: status, code: rerr.Code, index: rerr.Index}
+	}
+	return outcome{status: http.StatusOK, index: -1, events: slices.Clone(evs)}
+}
+
+// checkDecode is the differential check.
+func checkDecode(sc *eventScanner, body []byte) error {
+	if got, want := gotDecode(sc, body), wantDecode(body); !got.equal(want) {
+		return fmt.Errorf("scanner: %v\nreference: %v\nbody: %.300q", got, want, body)
+	}
+	return nil
+}
+
+// canonicalBody is a 512-event body as a client encodes it: serve-bulk's
+// request shape.
+func canonicalBody() []byte {
+	req := IngestRequest{Events: make([]EventWire, 512)}
+	for i := range req.Events {
+		ev := events.Event{
+			ID: events.EventID(i + 1), Device: events.DeviceID(i % 97), Day: i % testDays,
+			Advertiser: events.Site(fmt.Sprintf("shop%d.example", i%5)),
+		}
+		if i%3 == 0 {
+			ev.Kind, ev.Product, ev.Value = events.KindConversion, fmt.Sprintf("p%d", i%7), float64(i%40)+0.25
+		} else {
+			ev.Kind, ev.Publisher, ev.Campaign = events.KindImpression, "news.example", fmt.Sprintf("c%d", i%11)
+		}
+		req.Events[i] = WireFromEvent(ev)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		panic(err)
+	}
+	return body
+}
+
+// eventsBody wraps event objects in a request.
+func eventsBody(evs ...string) string {
+	return `{"events":[` + strings.Join(evs, ",") + `]}`
+}
+
+const (
+	goodEvent = `{"id":7,"kind":"conversion","device":3,"day":1,"advertiser":"shop.example","product":"p0","value":5}`
+	badEvent  = `{"id":0,"kind":"conversion","device":3,"day":1,"advertiser":"shop.example","product":"p0","value":5}`
+)
+
+var goodDecoded = events.Event{
+	ID: 7, Kind: events.KindConversion, Device: 3, Day: 1,
+	Advertiser: "shop.example", Product: "p0", Value: 5,
+}
+
+func repeatEvents(n int, first string) string {
+	evs := make([]string, n)
+	evs[0] = first
+	for i := 1; i < n; i++ {
+		evs[i] = goodEvent
+	}
+	return eventsBody(evs...)
+}
+
+// quirk is one clause of the decoding contract (DESIGN.md §13 "Decoding").
+type quirk struct {
+	name string
+	body string
+	want outcome
+}
+
+// quirks returns one row per clause. Built on demand: some bodies are
+// megabytes.
+func quirks() []quirk {
+	return []quirk{
+		{"canonical", eventsBody(goodEvent),
+			outcome{200, "", -1, []events.Event{goodDecoded}}},
+		{"case-folded-keys", `{"EVENTS":[{"ID":7,"Kind":"conversion","DEVICE":3,"dAy":1,"Advertiser":"shop.example","PRODUCT":"p0","Value":5}]}`,
+			outcome{200, "", -1, []events.Event{goodDecoded}}},
+		{"unicode-folded-keys", "{\"event\u017f\":[{\"id\":7,\"\u212aind\":\"conversion\",\"device\":3,\"day\":1,\"adverti\u017fer\":\"shop.example\",\"product\":\"p0\",\"value\":5}]}",
+			outcome{200, "", -1, []events.Event{goodDecoded}}},
+		{"escaped-key", `{"\u0065vents":[{"\u0069d":7,"k\u0049nd":"conversion","device":3,"day":1,"advertiser":"shop.example","product":"p0","value":5}]}`,
+			outcome{200, "", -1, []events.Event{goodDecoded}}},
+		{"duplicate-field-last-wins", `{"events":[{"id":9,"id":7,"kind":"click","kind":"conversion","device":3,"day":1,"advertiser":"x","advertiser":"shop.example","product":"p0","value":1,"value":5}]}`,
+			outcome{200, "", -1, []events.Event{goodDecoded}}},
+		{"duplicate-field-last-wins-invalid", `{"events":[{"id":7,"id":0,"kind":"conversion","device":3,"day":1,"advertiser":"shop.example","product":"p0","value":5}]}`,
+			outcome{400, CodeBadID, 0, nil}},
+		{"unknown-keys-skipped", `{"v":2,"meta":{"a":[1,{"b":null}],"c":"é"},"events":[{"x":[[]],"id":7,"kind":"conversion","device":3,"day":1,"advertiser":"shop.example","product":"p0","value":5,"y":{"events":[1]}}],"z":-0.5e+3}`,
+			outcome{200, "", -1, []events.Event{goodDecoded}}},
+		{"unknown-key-syntax-checked", `{"meta":{"a":[1,]},"events":[]}`,
+			outcome{400, CodeMalformedJSON, -1, nil}},
+		{"unknown-key-bad-escape", `{"meta":"\x","events":[]}`,
+			outcome{400, CodeMalformedJSON, -1, nil}},
+		{"depth-at-limit", `{"deep":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `,"events":[]}`,
+			outcome{200, "", -1, []events.Event{}}},
+		{"depth-bomb", `{"deep":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `,"events":[]}`,
+			outcome{400, CodeMalformedJSON, -1, nil}},
+		{"depth-bomb-in-event", `{"events":[{"deep":` + strings.Repeat(`{"a":`, 9998) + `1` + strings.Repeat("}", 9998) + `}]}`,
+			outcome{400, CodeMalformedJSON, -1, nil}},
+		{"null-field-is-no-op", `{"events":[{"id":7,"id":null,"kind":"conversion","kind":null,"device":3,"day":1,"day":null,"advertiser":"shop.example","advertiser":null,"product":"p0","value":5,"value":null,"publisher":null}]}`,
+			outcome{200, "", -1, []events.Event{goodDecoded}}},
+		{"null-element-is-zero-event", eventsBody(goodEvent, `null`),
+			outcome{400, CodeBadKind, 1, nil}},
+		{"null-events", `{"events":null}`,
+			outcome{200, "", -1, []events.Event{}}},
+		{"null-body", `null`,
+			outcome{200, "", -1, []events.Event{}}},
+		{"empty-object", `{}`,
+			outcome{200, "", -1, []events.Event{}}},
+		{"empty-body", ``,
+			outcome{400, CodeMalformedJSON, -1, nil}},
+		{"events-not-an-array", `{"events":{}}`,
+			outcome{400, CodeMalformedJSON, -1, nil}},
+		{"element-not-an-object", `{"events":[7]}`,
+			outcome{400, CodeMalformedJSON, -1, nil}},
+		{"unicode-escapes", `{"events":[{"id":7,"kind":"conversion","device":3,"day":1,"advertiser":"sh\u00f6p\ud83d\ude00.example","product":"p\n\/\"\u0030","value":5}]}`,
+			outcome{200, "", -1, []events.Event{{ID: 7, Kind: events.KindConversion, Device: 3, Day: 1,
+				Advertiser: "shöp😀.example", Product: "p\n/\"0", Value: 5}}}},
+		{"lone-surrogates", `{"events":[{"id":7,"kind":"conversion","device":3,"day":1,"advertiser":"a\ud83db\ude00\ud83dA","product":"p0","value":5}]}`,
+			outcome{200, "", -1, []events.Event{{ID: 7, Kind: events.KindConversion, Device: 3, Day: 1,
+				Advertiser: "a\ufffdb\ufffd\ufffdA", Product: "p0", Value: 5}}}},
+		{"invalid-utf8-replaced", "{\"events\":[{\"id\":7,\"kind\":\"conversion\",\"device\":3,\"day\":1,\"advertiser\":\"a\xffb\xc3\",\"product\":\"p0\",\"value\":5}]}",
+			outcome{200, "", -1, []events.Event{{ID: 7, Kind: events.KindConversion, Device: 3, Day: 1,
+				Advertiser: "a\ufffdb\ufffd", Product: "p0", Value: 5}}}},
+		{"length-is-of-the-decoded-string", `{"events":[{"id":7,"kind":"conversion","device":3,"day":1,"advertiser":"` + strings.Repeat(`a`, 257) + `","product":"p0","value":5}]}`,
+			outcome{400, CodeBadSite, 0, nil}},
+		{"fraction-into-integer", eventsBody(`{"id":1.0,"kind":"conversion","device":3,"day":1,"advertiser":"shop.example","product":"p0","value":5}`),
+			outcome{400, CodeMalformedJSON, -1, nil}},
+		{"negative-into-unsigned", eventsBody(`{"id":-1,"kind":"conversion","device":3,"day":1,"advertiser":"shop.example","product":"p0","value":5}`),
+			outcome{400, CodeMalformedJSON, -1, nil}},
+		{"string-into-integer", eventsBody(`{"id":"7","kind":"conversion","device":3,"day":1,"advertiser":"shop.example","product":"p0","value":5}`),
+			outcome{400, CodeMalformedJSON, -1, nil}},
+		{"exponent-into-integer", eventsBody(`{"id":7,"kind":"conversion","device":3,"day":1e2,"advertiser":"shop.example","product":"p0","value":5}`),
+			outcome{400, CodeMalformedJSON, -1, nil}},
+		{"integer-overflow", eventsBody(`{"id":18446744073709551616,"kind":"conversion","device":3,"day":1,"advertiser":"shop.example","product":"p0","value":5}`),
+			outcome{400, CodeMalformedJSON, -1, nil}},
+		{"day-overflow", eventsBody(`{"id":7,"kind":"conversion","device":3,"day":9223372036854775808,"advertiser":"shop.example","product":"p0","value":5}`),
+			outcome{400, CodeMalformedJSON, -1, nil}},
+		{"most-negative-day", eventsBody(`{"id":7,"kind":"conversion","device":3,"day":-9223372036854775808,"advertiser":"shop.example","product":"p0","value":5}`),
+			outcome{400, CodeBadDay, 0, nil}},
+		{"float-overflow", eventsBody(`{"id":7,"kind":"conversion","device":3,"day":1,"advertiser":"shop.example","product":"p0","value":1e999}`),
+			outcome{400, CodeMalformedJSON, -1, nil}},
+		{"number-into-string", eventsBody(`{"id":7,"kind":1,"device":3,"day":1,"advertiser":"shop.example","product":"p0","value":5}`),
+			outcome{400, CodeMalformedJSON, -1, nil}},
+		{"leading-zero", eventsBody(`{"id":07,"kind":"conversion","device":3,"day":1,"advertiser":"shop.example","product":"p0","value":5}`),
+			outcome{400, CodeMalformedJSON, -1, nil}},
+		{"trailing-bytes-ignored", " \n" + eventsBody(goodEvent) + `}]garbage`,
+			outcome{200, "", -1, []events.Event{goodDecoded}}},
+		{"trailing-bytes-after-null", `null,`,
+			outcome{200, "", -1, []events.Event{}}},
+		{"lowest-invalid-index", eventsBody(goodEvent, badEvent, `{"kind":"click"}`),
+			outcome{400, CodeBadID, 1, nil}},
+		{"invalid-event-zero", eventsBody(badEvent, goodEvent),
+			outcome{400, CodeBadID, 0, nil}},
+		{"too-many-events-outranks-invalid-event-zero", repeatEvents(MaxBatchEvents+1, badEvent),
+			outcome{400, CodeTooManyEvents, -1, nil}},
+		{"exactly-the-cap", repeatEvents(MaxBatchEvents, goodEvent),
+			outcome{200, "", -1, slices.Repeat([]events.Event{goodDecoded}, MaxBatchEvents)}},
+		{"syntax-error-outranks-invalid-event-zero", `{"events":[` + badEvent + strings.Repeat(","+goodEvent, 4) + `,{"id":}]}`,
+			outcome{400, CodeMalformedJSON, -1, nil}},
+		{"type-error-outranks-too-many-events", `{"events":[` + strings.Repeat(goodEvent+",", MaxBatchEvents+1) + `{"id":"x"}]}`,
+			outcome{400, CodeMalformedJSON, -1, nil}},
+		{"truncated", `{"events":[` + goodEvent,
+			outcome{400, CodeMalformedJSON, -1, nil}},
+		// The two tightenings.
+		{"repeated-events-key", `{"events":[` + goodEvent + `],"Events":[]}`,
+			outcome{400, CodeMalformedJSON, -1, nil}},
+		{"oversized-body-whose-value-ends-early", eventsBody(goodEvent) + strings.Repeat(" ", MaxBodyBytes),
+			outcome{413, CodeBodyTooLarge, -1, nil}},
+	}
+}
+
+// TestDecodeQuirks pins the decoding contract row by row, and holds every
+// row to the reference as well.
+func TestDecodeQuirks(t *testing.T) {
+	sc := &eventScanner{strs: make(map[string]string)}
+	for _, tc := range quirks() {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := gotDecode(sc, []byte(tc.body)); !got.equal(tc.want) {
+				t.Errorf("got %v, want %v", got, tc.want)
+			}
+			if err := checkDecode(sc, []byte(tc.body)); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestDecodeTighteningsAreTightenings shows the reference answering the two
+// tightened rows differently, so the rows pin a decision and not an accident.
+func TestDecodeTighteningsAreTightenings(t *testing.T) {
+	merged := referenceDecode([]byte(`{"events":[`+goodEvent+`],"Events":[]}`), testDays)
+	if merged.status != http.StatusOK {
+		t.Errorf("reference on a repeated events key: %v, want a 200", merged)
+	}
+	early := referenceDecode([]byte(eventsBody(goodEvent)+strings.Repeat(" ", MaxBodyBytes)), testDays)
+	if early.status != http.StatusOK {
+		t.Errorf("reference on an oversized body whose value ends early: %v, want a 200", early)
+	}
+}
+
+// TestDecodeOracleCatchesMutants plants decoder bugs one at a time and
+// requires the differential check to fail on each over the quirk and seed
+// bodies: an oracle that passes a mutant is broken (and so is the corpus).
+func TestDecodeOracleCatchesMutants(t *testing.T) {
+	corpus := append([]string{string(canonicalBody())}, EventsSeeds...)
+	for _, tc := range quirks() {
+		corpus = append(corpus, tc.body)
+	}
+	caught := func(m mutation) (n int) {
+		sc := &eventScanner{strs: make(map[string]string), mutant: m}
+		for _, body := range corpus {
+			if checkDecode(sc, []byte(body)) != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if n := caught(mutantNone); n != 0 {
+		t.Fatalf("the unmutated scanner fails the check on %d bodies", n)
+	}
+	for name, m := range map[string]mutation{
+		"exact-case-keys-only": mutantExactKeys,
+		"escapes-passed-raw":   mutantRawEscapes,
+		"first-error-wins":     mutantFirstErrorWins,
+		"null-zeroes-a-field":  mutantNullZeroes,
+	} {
+		if n := caught(m); n == 0 {
+			t.Errorf("mutant %s passes the differential check", name)
+		} else {
+			t.Logf("mutant %s: caught on %d of %d bodies", name, n, len(corpus))
+		}
+	}
+}
+
+// TestDecodeInterningIsBounded floods one scanner with distinct keys: the
+// table stops at its bound and the events still decode.
+func TestDecodeInterningIsBounded(t *testing.T) {
+	sc := &eventScanner{strs: make(map[string]string)}
+	for batch := 0; batch < 4; batch++ {
+		evs := make([]string, 2048)
+		for i := range evs {
+			evs[i] = fmt.Sprintf(`{"id":%d,"kind":"conversion","device":3,"day":1,"advertiser":"a%d.example","product":"p%d","value":5}`,
+				i+1, batch*len(evs)+i, batch*len(evs)+i)
+		}
+		if err := checkDecode(sc, []byte(eventsBody(evs...))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(sc.strs) != maxInterned {
+		t.Fatalf("string table holds %d entries after 16384 distinct keys, want %d", len(sc.strs), maxInterned)
+	}
+	long := strings.Repeat("k", maxSiteLen+1)
+	if sc.intern([]byte(long)); sc.strs[long] != "" {
+		t.Fatalf("a key over maxSiteLen entered the table")
+	}
+}
+
+// TestDecodeAllocs holds decoding to a constant number of allocations per
+// request, however many events the body carries.
+func TestDecodeAllocs(t *testing.T) {
+	body := canonicalBody()
+	sc := &eventScanner{strs: make(map[string]string)}
+	rd := bytes.NewReader(body)
+	r := httptest.NewRequest(http.MethodPost, "/v1/events", nil)
+	r.ContentLength = int64(len(body))
+	w := httptest.NewRecorder()
+	decode := func() {
+		rd.Reset(body)
+		r.Body = readerBody{rd}
+		evs, _, rerr := sc.readEvents(w, r, testDays)
+		if rerr != nil || len(evs) != 512 {
+			t.Fatalf("canonical body: %d events, error %v", len(evs), rerr)
+		}
+	}
+	decode() // warm-up: buffers grown, strings interned
+	if allocs := testing.AllocsPerRun(20, decode); allocs > 8 {
+		t.Fatalf("%.0f allocations per 512-event request, want at most 8", allocs)
+	}
+}
+
+type readerBody struct{ *bytes.Reader }
+
+func (readerBody) Close() error { return nil }
+
+// FuzzIngestDecode is the differential fuzz target: any body, scanner
+// against reference.
+func FuzzIngestDecode(f *testing.F) {
+	for _, seed := range EventsSeeds {
+		f.Add([]byte(seed))
+	}
+	f.Add(canonicalBody())
+	sc := &eventScanner{strs: make(map[string]string)}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if err := checkDecode(sc, body); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

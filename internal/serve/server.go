@@ -431,8 +431,14 @@ func (s *Server) resolveStopped(waits []*appliedWaiter) (pending bool) {
 
 // onResult runs on the service goroutine for every released (or restored)
 // query result, in canonical order; /v1/results serves from this buffer.
+// A result's Index is its position in release order, live and restored
+// alike, which is what lets a poll start at its cursor instead of scanning.
 func (s *Server) onResult(res stream.Result) {
 	s.mu.Lock()
+	if res.Index != len(s.results) {
+		s.mu.Unlock()
+		panic(fmt.Sprintf("serve: result %d released at position %d", res.Index, len(s.results)))
+	}
 	s.results = append(s.results, res)
 	s.stats.Results = len(s.results)
 	s.mu.Unlock()
@@ -546,22 +552,35 @@ func (s *Server) writeError(w http.ResponseWriter, status int, rerr *RequestErro
 	s.mu.Lock()
 	s.stats.BadRequests++
 	s.mu.Unlock()
-	writeJSON(w, status, ErrorResponse{Error: rerr.Msg, Code: rerr.Code, Index: rerr.Index})
+	resp := ErrorResponse{Error: rerr.Msg, Code: rerr.Code}
+	if rerr.Index >= 0 {
+		resp.Index = &rerr.Index
+	}
+	writeJSON(w, status, resp)
 }
 
-// decodeBody decodes a JSON body under the size cap, distinguishing the
-// oversized case (413) from malformed JSON (400).
+// errEmptyBody is decodeBody's malformed-JSON error for a body with no
+// value in it, which /v1/shutdown accepts as "the default".
+var errEmptyBody = reqErr(CodeMalformedJSON, "decoding body: empty body")
+
+// decodeBody decodes the small JSON body of a registration or a shutdown
+// under the size cap, distinguishing the oversized case (413) from
+// malformed JSON (400) and, among the malformed, the empty body
+// (errEmptyBody).
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, *RequestError) {
 	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return http.StatusRequestEntityTooLarge,
-				reqErr(CodeBodyTooLarge, "body exceeds %d bytes", MaxBodyBytes)
-		}
-		return http.StatusBadRequest, reqErr(CodeMalformedJSON, "decoding body: %v", err)
+	err := json.NewDecoder(r.Body).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return 0, nil
+	case errors.Is(err, io.EOF):
+		return http.StatusBadRequest, errEmptyBody
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge,
+			reqErr(CodeBodyTooLarge, "body exceeds %d bytes", MaxBodyBytes)
 	}
-	return 0, nil
+	return http.StatusBadRequest, reqErr(CodeMalformedJSON, "decoding body: %v", err)
 }
 
 // handleEvents is POST /v1/events: validate the whole batch, admit it in
@@ -576,26 +595,20 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	var req IngestRequest
-	if status, rerr := decodeBody(w, r, &req); rerr != nil {
+	// The scanner and the events it decoded go back to the pool once the
+	// batch is enqueued (or refused), before the handler parks for its ack.
+	sc := scannerPool.Get().(*eventScanner)
+	release := func() {
+		if sc != nil {
+			sc.release()
+			sc = nil
+		}
+	}
+	defer release()
+	decoded, status, rerr := sc.readEvents(w, r, s.cfg.Meta.DurationDays)
+	if rerr != nil {
 		s.writeError(w, status, rerr)
 		return
-	}
-	if len(req.Events) > MaxBatchEvents {
-		s.writeError(w, http.StatusBadRequest,
-			reqErr(CodeTooManyEvents, "%d events exceed the %d per-request cap",
-				len(req.Events), MaxBatchEvents))
-		return
-	}
-	decoded := make([]events.Event, len(req.Events))
-	for i, ew := range req.Events {
-		ev, rerr := ew.decode(s.cfg.Meta.DurationDays)
-		if rerr != nil {
-			rerr.Index = i
-			s.writeError(w, http.StatusBadRequest, rerr)
-			return
-		}
-		decoded[i] = ev
 	}
 
 	s.mu.Lock()
@@ -722,6 +735,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.Unlock()
+	release()
 
 	if backpressured {
 		// The admitted prefix stays admitted (its cursors advanced); the
@@ -842,11 +856,12 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := ResultsResponse{Results: []ResultWire{}}
 	s.mu.Lock()
-	for _, res := range s.results {
-		if res.Index <= after || (querier != "" && string(res.Querier) != querier) {
-			continue
+	// s.results[i].Index == i (onResult), so a poll costs what is new.
+	start := min(max(after, -1), len(s.results)-1) + 1
+	for _, res := range s.results[start:] {
+		if querier == "" || string(res.Querier) == querier {
+			resp.Results = append(resp.Results, wireFromResult(res))
 		}
-		resp.Results = append(resp.Results, wireFromResult(res))
 	}
 	// A suspended run also ends with a nil error, but it is resumable and
 	// more results will be released after resume — only a finished run may
@@ -901,26 +916,17 @@ func (s *Server) handleShutdown(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
+	// An empty body selects the default (final). Anything else that fails
+	// to decode is refused before the irreversible drain: a corrupted
+	// suspend request ({"final": false}) must not silently close out a run
+	// that was meant to stay resumable.
 	final := true
 	var req ShutdownRequest
-	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		// An empty body selects the default (final). Anything else that
-		// fails to decode is refused before the irreversible drain: a
-		// corrupted suspend request ({"final": false}) must not silently
-		// close out a run that was meant to stay resumable.
-		if !errors.Is(err, io.EOF) {
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				s.writeError(w, http.StatusRequestEntityTooLarge,
-					reqErr(CodeBodyTooLarge, "body exceeds %d bytes", MaxBodyBytes))
-				return
-			}
-			s.writeError(w, http.StatusBadRequest,
-				reqErr(CodeMalformedJSON, "decoding body: %v", err))
-			return
-		}
-	} else if req.Final != nil {
+	if status, rerr := decodeBody(w, r, &req); rerr != nil && rerr != errEmptyBody {
+		s.writeError(w, status, rerr)
+		return
+	}
+	if req.Final != nil {
 		final = *req.Final
 	}
 	run, err := s.Shutdown(r.Context(), final)
