@@ -25,6 +25,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/events"
 	"repro/internal/figures"
 	"repro/internal/stream"
 	"repro/internal/workload"
@@ -464,8 +466,20 @@ func TestLeanCheckpointResume(t *testing.T) {
 				i, uninterrupted.Results[i], resumed.Results[i])
 		}
 	}
-	if resumed.Requested != nil {
-		t.Fatal("lean resumed run kept requested-epoch accounting")
+	// Retention reclaims the requested marks with the slots they sit beside,
+	// across the crash as well: nothing survives below the fleet floor.
+	floor, marks := resumed.Fleet.EpochFloor(), 0
+	resumed.Fleet.Range(func(d *core.Device) bool {
+		d.RangeRequested(func(e events.Epoch, _ []string, _ []float64) {
+			marks++
+			if e < floor {
+				t.Errorf("device %d holds a requested mark at epoch %d, below the fleet floor %d", d.ID(), e, floor)
+			}
+		})
+		return true
+	})
+	if marks == 0 || resumed.ReleasedFilters == 0 {
+		t.Fatalf("lean resumed run: %d marks above the floor, %d filters released", marks, resumed.ReleasedFilters)
 	}
 	if resumed.EvictedRecords != uninterrupted.EvictedRecords ||
 		resumed.ReleasedFilters != uninterrupted.ReleasedFilters ||

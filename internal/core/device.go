@@ -72,6 +72,24 @@ func (d *Device) ConsumedByQuerier() map[events.Site]float64 {
 	return out
 }
 
+// MarkRequested records that a report window of querier q covers epochs
+// first through last on this device, whatever the window goes on to charge
+// (see privacy.Ledger.MarkRequested). The engines call it once per request,
+// from the coordinator, before the generate stage.
+func (d *Device) MarkRequested(q events.Site, first, last events.Epoch) {
+	d.ledger.MarkRequested(string(q), int64(first), int64(last))
+}
+
+// RangeRequested visits the device's requested epochs in ascending order,
+// each with its sorted queriers and what they consumed from it — the walk
+// behind the Fig. 4 metrics and the snapshot's device blob. fn runs under
+// the ledger's lock and must not call back into the device.
+func (d *Device) RangeRequested(fn func(e events.Epoch, queriers []string, consumed []float64)) {
+	d.ledger.RangeRequested(func(e int64, queriers []string, consumed []float64) {
+		fn(events.Epoch(e), queriers, consumed)
+	})
+}
+
 // BudgetDenials returns the number of budget charges this device's ledger
 // has denied — how often queriers ran into the device's filter capacity.
 // The count never influences charge outcomes, but it is checkpointed (and
@@ -85,7 +103,7 @@ func (d *Device) RestoreBudgetDenials(n uint64) { d.ledger.RestoreDenials(n) }
 // LedgerVersion returns the device ledger's mutation counter — the dirty
 // bit the incremental checkpointer compares against the version it last
 // captured. Equal versions guarantee the device's persisted budget state
-// (rows and denial count) is unchanged.
+// (rows, denial count and requested marks) is unchanged.
 func (d *Device) LedgerVersion() uint64 { return d.ledger.Version() }
 
 // RestoreBudgetRow sets one (querier, epoch) budget slot from persisted

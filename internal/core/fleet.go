@@ -179,14 +179,3 @@ func (f *Fleet) AdvanceEpochFloor(floor events.Epoch) int {
 // EpochFloor returns the fleet-wide retention floor last set by
 // AdvanceEpochFloor (devices created from now on start at this floor).
 func (f *Fleet) EpochFloor() events.Epoch { return events.Epoch(f.floor.Load()) }
-
-// ConsumedAt returns the budget querier q has consumed from epoch e on
-// device dev, or 0 when the device was never created — the fleet-level
-// accounting read behind the Fig. 4 budget metrics.
-func (f *Fleet) ConsumedAt(dev events.DeviceID, q events.Site, e events.Epoch) float64 {
-	d := f.Get(dev)
-	if d == nil {
-		return 0
-	}
-	return d.Consumed(q, e)
-}

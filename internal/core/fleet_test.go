@@ -105,7 +105,7 @@ func TestFleetConcurrentGetOrCreate(t *testing.T) {
 }
 
 // TestFleetConcurrentReportsAndReads generates reports on many devices while
-// other goroutines read Consumed and ConsumedAt — the -race coverage for the
+// other goroutines read Consumed through Get — the -race coverage for the
 // Device.Consumed locking fix and the fleet read path.
 func TestFleetConcurrentReportsAndReads(t *testing.T) {
 	db := events.NewDatabase()
@@ -143,11 +143,9 @@ func TestFleetConcurrentReportsAndReads(t *testing.T) {
 						t.Error(err)
 						return
 					}
-				} else {
-					f.ConsumedAt(dev, site, 0)
-					if d := f.Get(dev); d != nil {
-						d.ConsumedByQuerier()
-					}
+				} else if d := f.Get(dev); d != nil {
+					d.Consumed(site, 0)
+					d.ConsumedByQuerier()
 				}
 			}
 		}(w)
@@ -184,10 +182,10 @@ func TestFleetAdvanceEpochFloor(t *testing.T) {
 		t.Fatalf("fleet floor = %d, want 2", f.EpochFloor())
 	}
 	for dev := events.DeviceID(1); dev <= 3; dev++ {
-		if got := f.ConsumedAt(dev, q, 1); got != 0 {
+		if got := f.Get(dev).Consumed(q, 1); got != 0 {
 			t.Fatalf("device %d epoch 1 consumed = %v after eviction", dev, got)
 		}
-		if got := f.ConsumedAt(dev, q, 3); got != 0.1 {
+		if got := f.Get(dev).Consumed(q, 3); got != 0.1 {
 			t.Fatalf("device %d epoch 3 consumed = %v, want 0.1", dev, got)
 		}
 	}

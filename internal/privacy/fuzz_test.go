@@ -38,14 +38,16 @@ func (r *filterMapRef) restore(q string, e int64, consumed, capacity float64) bo
 }
 
 // FuzzLedgerChargeWindow decodes arbitrary bytes into an operation sequence
-// — single charges, whole-window charges, retention-floor advances, and
-// snapshot restores (the checkpoint/recovery path, with per-slot capacity
-// overrides) — and drives the flat Ledger and the map-of-filters reference
-// model through it in lockstep. Every outcome, every read, and the full
-// final slot table must match bitwise. This is the property test from
-// ledger_test.go with fuzzer-chosen interleavings instead of a fixed random
-// schedule: the charge/evict/restore orderings a crash-recovery cycle
-// produces are exactly the ones hand-picked schedules miss.
+// — single charges, whole-window charges, retention-floor advances, requested
+// marks, and snapshot restores (the checkpoint/recovery path, with per-slot
+// capacity overrides) — and drives the flat Ledger and the map-of-filters
+// reference model through it in lockstep. Every outcome, every read, and the
+// full final slot table and RangeRequested yield must match bitwise; a mark
+// must change no budget state and move the version exactly when it is new.
+// This is the property test from ledger_test.go with fuzzer-chosen
+// interleavings instead of a fixed random schedule: the charge/evict/restore
+// orderings a crash-recovery cycle produces are exactly the ones hand-picked
+// schedules miss.
 func FuzzLedgerChargeWindow(f *testing.F) {
 	// Seeds: a plain charge run; charges straddling a floor advance;
 	// restore-then-charge (recovery); restore below floor and refund
@@ -55,6 +57,9 @@ func FuzzLedgerChargeWindow(f *testing.F) {
 	f.Add([]byte{3, 2, 10, 120, 200, 2, 10, 60, 100, 100, 10, 255})
 	f.Add([]byte{1, 0, 40, 2, 5, 200, 100, 150, 2, 5, 90, 255})
 	f.Add([]byte{0, 1, 20, 3, 0, 128, 0, 255, 64})
+	// Marks around charges and a floor advance: a window marked, charged in
+	// part, cut by the floor, then marked again below and across it.
+	f.Add([]byte{2, 4, 0, 12, 5, 1, 0, 12, 3, 200, 0, 100, 0, 0, 14, 4, 0, 11, 3, 4, 0, 13, 6})
 
 	queriers := []string{"nike.com", "adidas.com", "criteo.com"}
 
@@ -130,6 +135,11 @@ func FuzzLedgerChargeWindow(f *testing.F) {
 					t.Fatalf("Restore(%s, %d, %v, %v) error=%t, ref error=%t",
 						q, e, consumed, slotCap, gotErr, wantErr)
 				}
+			case 4: // requested mark over a window (changes no budget state)
+				kb, _ := next()
+				if err := checkMark(l, ref, q, e, e+int64(kb)%7); err != nil {
+					t.Fatal(err)
+				}
 			default: // single charge
 				lb, _ := next()
 				loss := 0.0
@@ -146,9 +156,12 @@ func FuzzLedgerChargeWindow(f *testing.F) {
 			}
 		}
 
-		// Full final state: floor, totals, and every slot bitwise.
+		// Full final state: floor, requested marks, and every slot bitwise.
 		if l.Floor() != ref.floor {
 			t.Fatalf("floor %d, ref %d", l.Floor(), ref.floor)
+		}
+		if err := checkRequested(l, ref); err != nil {
+			t.Fatal(err)
 		}
 		want := ref.rows()
 		for _, row := range l.Rows() {

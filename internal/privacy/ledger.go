@@ -2,6 +2,7 @@ package privacy
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 )
@@ -55,10 +56,11 @@ type Ledger struct {
 	// survives crash recovery.
 	denials uint64
 	// version counts observable mutations — slot initializations, charges,
-	// denials, floor advances, restores. The incremental checkpointer
-	// compares it against the version it last captured to decide whether a
-	// device's ledger is dirty, so every path that can change Rows() or
-	// Denials() output must bump it.
+	// denials, new requested marks, floor advances, restores. The
+	// incremental checkpointer compares it against the version it last
+	// captured to decide whether a device's ledger is dirty, so every path
+	// that can change Rows(), Denials() or RangeRequested() output must bump
+	// it.
 	version uint64
 	// capOv holds per-slot capacity overrides, populated only when Restore
 	// loads a snapshot row whose capacity differs from the ledger's. nil in
@@ -66,12 +68,26 @@ type Ledger struct {
 	capOv map[string]map[int64]float64
 }
 
-// ledgerLane is one querier's dense slot array: consumed[i] is the budget
-// consumed from epoch base+i, with untouchedSlot marking slots whose epoch
-// was never charged (the analogue of "no Filter was ever created").
+// ledgerLane is one querier's dense slot array: slots[i] belongs to epoch
+// base+i.
 type ledgerLane struct {
-	base     int64
-	consumed []float64
+	base  int64
+	slots []ledgerSlot
+	// charged is set once a charge or a restore resolved the lane. A lane
+	// holding only requested marks (every window zero-loss, or the budget
+	// kept centrally) stays out of NumQueriers and RangeTotals.
+	charged bool
+}
+
+// ledgerSlot is one (querier, epoch) cell. consumed is the budget consumed
+// from the epoch, with untouchedSlot marking an epoch that was never charged
+// (the analogue of "no Filter was ever created"). requested sits beside it
+// and is not folded into it: a report window covers epochs it requests no
+// loss from (ChargeZero), and those must stay untouched — absent from Rows(),
+// never initialized — while still counting as requested.
+type ledgerSlot struct {
+	consumed  float64
+	requested bool
 }
 
 // untouchedSlot marks a slot whose (querier, epoch) filter was never
@@ -116,26 +132,26 @@ func (l *Ledger) Floor() int64 {
 // array in either direction as needed. Growth toward older epochs copies
 // (attribution windows reach back a bounded number of epochs); growth toward
 // newer epochs is an amortized-O(1) append.
-func (ln *ledgerLane) slot(e int64) *float64 {
-	if len(ln.consumed) == 0 {
+func (ln *ledgerLane) slot(e int64) *ledgerSlot {
+	if len(ln.slots) == 0 {
 		ln.base = e
-		ln.consumed = append(ln.consumed[:0], untouchedSlot)
-		return &ln.consumed[0]
+		ln.slots = append(ln.slots[:0], ledgerSlot{consumed: untouchedSlot})
+		return &ln.slots[0]
 	}
 	if e < ln.base {
 		grow := int(ln.base - e)
-		widened := make([]float64, grow+len(ln.consumed))
+		widened := make([]ledgerSlot, grow+len(ln.slots))
 		for i := 0; i < grow; i++ {
-			widened[i] = untouchedSlot
+			widened[i].consumed = untouchedSlot
 		}
-		copy(widened[grow:], ln.consumed)
-		ln.consumed = widened
+		copy(widened[grow:], ln.slots)
+		ln.slots = widened
 		ln.base = e
 	}
-	for int(e-ln.base) >= len(ln.consumed) {
-		ln.consumed = append(ln.consumed, untouchedSlot)
+	for int(e-ln.base) >= len(ln.slots) {
+		ln.slots = append(ln.slots, ledgerSlot{consumed: untouchedSlot})
 	}
-	return &ln.consumed[e-ln.base]
+	return &ln.slots[e-ln.base]
 }
 
 // lane returns (lazily creating) querier q's slot array.
@@ -167,7 +183,8 @@ func (l *Ledger) chargeSlotLocked(ln *ledgerLane, q string, e int64, eps float64
 	// Every path below mutates persisted state: a denial initializes the
 	// slot and counts, a success deducts.
 	l.version++
-	c := ln.slot(e)
+	ln.charged = true
+	c := &ln.slot(e).consumed
 	if *c == untouchedSlot {
 		*c = 0
 	}
@@ -273,6 +290,64 @@ func (l *Ledger) ChargeWindowBatch(charges []WindowCharge) {
 	}
 }
 
+// MarkRequested records that a report window of querier q covered epochs
+// first through last — the Fig. 4 denominator — whether or not the window
+// goes on to charge them (see ledgerSlot). No consumed value changes. Epochs
+// below the retention floor are out of scope and ignored; the version moves
+// once per epoch newly marked.
+func (l *Ledger) MarkRequested(q string, first, last int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	first = max(first, l.floor)
+	if first > last {
+		return
+	}
+	ln := l.lane(q)
+	if len(ln.slots) == 0 {
+		ln.slots = slices.Grow(ln.slots, int(last-first)+1)
+	}
+	for e := first; e <= last; e++ {
+		if s := ln.slot(e); !s.requested {
+			s.requested = true
+			l.version++
+		}
+	}
+}
+
+// RangeRequested calls fn once per epoch some window was marked over, in
+// ascending epoch order, with the queriers that requested it sorted by name
+// and, beside each, what that querier has consumed from the epoch (0 for an
+// untouched slot). fn runs under the ledger's lock: it must not call back
+// into the ledger, and the slices are reused between calls.
+func (l *Ledger) RangeRequested(fn func(e int64, queriers []string, consumed []float64)) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	names := make([]string, 0, len(l.lanes))
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for q, ln := range l.lanes {
+		if len(ln.slots) > 0 {
+			names = append(names, q)
+			lo, hi = min(lo, ln.base), max(hi, ln.base+int64(len(ln.slots)))
+		}
+	}
+	slices.Sort(names)
+	queriers := make([]string, 0, len(names))
+	consumed := make([]float64, 0, len(names))
+	for e := lo; e < hi; e++ {
+		queriers, consumed = queriers[:0], consumed[:0]
+		for _, q := range names {
+			ln := l.lanes[q]
+			if i := e - ln.base; i >= 0 && i < int64(len(ln.slots)) && ln.slots[i].requested {
+				queriers = append(queriers, q)
+				consumed = append(consumed, max(ln.slots[i].consumed, 0)) // untouchedSlot reads as 0
+			}
+		}
+		if len(queriers) > 0 {
+			fn(e, queriers, consumed)
+		}
+	}
+}
+
 // Denials returns the number of charges this ledger has denied for lack of
 // budget, across all queriers and epochs. Every denial path (Charge,
 // ChargeWindow, ChargeWindowBatch) counts here; evicted-epoch and zero-loss
@@ -298,9 +373,9 @@ func (l *Ledger) RestoreDenials(n uint64) {
 
 // Version returns the mutation counter: it advances on every observable
 // change to the ledger's persisted state (slot initializations, charges,
-// denials, floor advances, restores). The incremental checkpointer uses it
-// as the dirty bit — equal versions guarantee identical Rows() and
-// Denials() output.
+// denials, new requested marks, floor advances, restores). The incremental
+// checkpointer uses it as the dirty bit — equal versions guarantee identical
+// Rows(), Denials() and RangeRequested() output.
 func (l *Ledger) Version() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -317,33 +392,42 @@ func (l *Ledger) Consumed(q string, e int64) float64 {
 		return 0
 	}
 	i := e - ln.base
-	if i < 0 || int(i) >= len(ln.consumed) || ln.consumed[i] == untouchedSlot {
+	if i < 0 || int(i) >= len(ln.slots) || ln.slots[i].consumed == untouchedSlot {
 		return 0
 	}
-	return ln.consumed[i]
+	return ln.slots[i].consumed
 }
 
-// NumQueriers returns the number of queriers with a lane (touched at least
-// once, even if every slot has since been recycled) — the pre-sizing hint
-// for per-querier aggregation maps.
+// NumQueriers returns the number of queriers with a charged lane (charged or
+// restored at least once, even if every slot has since been recycled) — the
+// pre-sizing hint for per-querier aggregation maps.
 func (l *Ledger) NumQueriers() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.lanes)
+	n := 0
+	for _, ln := range l.lanes {
+		if ln.charged {
+			n++
+		}
+	}
+	return n
 }
 
-// RangeTotals calls fn once per querier with the querier's total consumed
-// budget across all live epochs. Each total accumulates in ascending epoch
-// order — the dense array's natural order — so the float sums are
+// RangeTotals calls fn once per charged querier with the querier's total
+// consumed budget across all live epochs. Each total accumulates in ascending
+// epoch order — the dense array's natural order — so the float sums are
 // deterministic run-to-run; querier visit order is unspecified.
 func (l *Ledger) RangeTotals(fn func(q string, total float64)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for q, ln := range l.lanes {
+		if !ln.charged {
+			continue
+		}
 		sum := 0.0
-		for _, c := range ln.consumed {
-			if c != untouchedSlot {
-				sum += c
+		for _, s := range ln.slots {
+			if s.consumed != untouchedSlot {
+				sum += s.consumed
 			}
 		}
 		fn(q, sum)
@@ -357,15 +441,15 @@ func (l *Ledger) Rows() []LedgerEntry {
 	defer l.mu.Unlock()
 	var rows []LedgerEntry
 	for q, ln := range l.lanes {
-		for i, c := range ln.consumed {
-			if c == untouchedSlot {
+		for i, s := range ln.slots {
+			if s.consumed == untouchedSlot {
 				continue
 			}
 			e := ln.base + int64(i)
 			rows = append(rows, LedgerEntry{
 				Querier:  q,
 				Epoch:    e,
-				Consumed: c,
+				Consumed: s.consumed,
 				Capacity: l.capAt(q, e),
 			})
 		}
@@ -389,10 +473,11 @@ func (l *Ledger) Rows() []LedgerEntry {
 }
 
 // AdvanceFloor raises the retention floor and recycles the slots of evicted
-// epochs. The floor never moves backwards; calls with a lower value are
-// no-ops. It returns the number of initialized slots released. Dropping a
-// lane's dead prefix is a re-slice — O(1) per querier — with only the
-// released-slot count costing a scan of what was dropped.
+// epochs, their requested marks with them. The floor never moves backwards;
+// calls with a lower value are no-ops. It returns the number of initialized
+// slots released. Dropping a lane's dead prefix is a re-slice — O(1) per
+// querier — with only the released-slot count costing a scan of what was
+// dropped.
 func (l *Ledger) AdvanceFloor(floor int64) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -403,19 +488,19 @@ func (l *Ledger) AdvanceFloor(floor int64) int {
 	l.version++
 	released := 0
 	for _, ln := range l.lanes {
-		if floor <= ln.base || len(ln.consumed) == 0 {
+		if floor <= ln.base || len(ln.slots) == 0 {
 			continue
 		}
 		drop := int(floor - ln.base)
-		if drop > len(ln.consumed) {
-			drop = len(ln.consumed)
+		if drop > len(ln.slots) {
+			drop = len(ln.slots)
 		}
-		for _, c := range ln.consumed[:drop] {
-			if c != untouchedSlot {
+		for _, s := range ln.slots[:drop] {
+			if s.consumed != untouchedSlot {
 				released++
 			}
 		}
-		ln.consumed = ln.consumed[drop:]
+		ln.slots = ln.slots[drop:]
 		ln.base += int64(drop)
 	}
 	for q, byEpoch := range l.capOv {
@@ -446,7 +531,9 @@ func (l *Ledger) Restore(q string, e int64, consumed, capacity float64) error {
 		return fmt.Errorf("privacy: restoring evicted epoch %d below floor %d", e, l.floor)
 	}
 	l.version++
-	c := l.lane(q).slot(e)
+	ln := l.lane(q)
+	ln.charged = true
+	c := &ln.slot(e).consumed
 	if *c != untouchedSlot && *c > consumed {
 		return fmt.Errorf("privacy: restore would refund budget for %s epoch %d", q, e)
 	}

@@ -3,6 +3,7 @@ package privacy
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -11,18 +12,21 @@ import (
 // the flat ledger replaced — kept here as the reference model for the
 // property test: over any sequence of charges, denials, floor advances, and
 // reads, the ledger must hold exactly the state the per-(querier, epoch)
-// Filter table would.
+// Filter table would. requested is the engines' old accounting map beside it
+// (requested_test.go): which queriers' report windows covered which epoch.
 type filterMapRef struct {
-	capacity float64
-	floor    int64
-	budgets  map[string]map[int64]*Filter
+	capacity  float64
+	floor     int64
+	budgets   map[string]map[int64]*Filter
+	requested map[int64]map[string]struct{}
 }
 
 func newFilterMapRef(capacity float64) *filterMapRef {
 	return &filterMapRef{
-		capacity: capacity,
-		floor:    -1 << 31,
-		budgets:  make(map[string]map[int64]*Filter),
+		capacity:  capacity,
+		floor:     -1 << 31,
+		budgets:   make(map[string]map[int64]*Filter),
+		requested: make(map[int64]map[string]struct{}),
 	}
 }
 
@@ -61,12 +65,18 @@ func (r *filterMapRef) consumed(q string, e int64) float64 {
 }
 
 // advanceFloor replicates Device.SetEpochFloor: evict filters below the
-// floor, count the released ones, never move backwards.
+// floor, count the released ones, never move backwards. The requested marks
+// below the floor go with them.
 func (r *filterMapRef) advanceFloor(floor int64) int {
 	if floor <= r.floor {
 		return 0
 	}
 	r.floor = floor
+	for e := range r.requested {
+		if e < floor {
+			delete(r.requested, e)
+		}
+	}
 	released := 0
 	for _, byEpoch := range r.budgets {
 		for e := range byEpoch {
@@ -93,7 +103,7 @@ func (r *filterMapRef) rows() map[string]map[int64]float64 {
 }
 
 // TestLedgerMatchesFilterMapReference drives the flat ledger and the old
-// map-of-filters table through identical randomized charge/deny/evict
+// map-of-filters table through identical randomized charge/deny/evict/mark
 // sequences and asserts bit-identical state after every operation.
 func TestLedgerMatchesFilterMapReference(t *testing.T) {
 	queriers := []string{"nike.com", "adidas.com", "criteo.com"}
@@ -105,6 +115,12 @@ func TestLedgerMatchesFilterMapReference(t *testing.T) {
 
 		for op := 0; op < 400; op++ {
 			switch rng.Intn(10) {
+			case 2, 3: // requested mark over a window, sometimes below the floor
+				q := queriers[rng.Intn(len(queriers))]
+				first := int64(rng.Intn(60) - 10)
+				if err := checkMark(l, ref, q, first, first+int64(rng.Intn(6))); err != nil {
+					t.Fatalf("seed %d op %d: %v", seed, op, err)
+				}
 			case 0: // floor advance (sometimes backwards, must be a no-op)
 				floor := int64(rng.Intn(60) - 10)
 				got, want := l.AdvanceFloor(floor), ref.advanceFloor(floor)
@@ -180,6 +196,9 @@ func TestLedgerMatchesFilterMapReference(t *testing.T) {
 		if l.Floor() != ref.floor {
 			t.Fatalf("seed %d: floor %d, ref %d", seed, l.Floor(), ref.floor)
 		}
+		if err := checkRequested(l, ref); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 	}
 }
 
@@ -191,6 +210,16 @@ func TestLedgerTotalsMatchRowSums(t *testing.T) {
 	l.Charge("a", 1, 2)
 	l.Charge("a", 7, 0.5)
 	l.Charge("b", 2, 4)
+	// A lane that holds only requested marks — every window zero-loss, or
+	// the budget kept centrally — is no querier the ledger was charged by:
+	// NumQueriers, RangeTotals and Rows report what they did without it.
+	rows := l.Rows()
+	l.MarkRequested("c", 0, 4)
+	l.MarkRequested("a", 0, 9)
+	l.Charge("c", 2, 0)
+	if !slices.Equal(l.Rows(), rows) {
+		t.Fatalf("marks changed Rows(): %v, was %v", l.Rows(), rows)
+	}
 	if l.NumQueriers() != 2 {
 		t.Fatalf("NumQueriers = %d", l.NumQueriers())
 	}
@@ -325,6 +354,8 @@ func TestLedgerConcurrentRace(t *testing.T) {
 				case 2:
 					l.Consumed(q, int64(i%20))
 					l.RangeTotals(func(string, float64) {})
+					l.MarkRequested(q, int64(i%20), int64(i%20)+3)
+					l.RangeRequested(func(int64, []string, []float64) {})
 				case 3:
 					if w == 0 && i > 100 {
 						l.AdvanceFloor(int64(i / 50))

@@ -1,0 +1,261 @@
+package privacy
+
+import (
+	"fmt"
+	"maps"
+	"slices"
+	"testing"
+)
+
+// Requested marks against their old representation. The model is the map the
+// engines kept outside the ledger — epoch → set of queriers — hung on
+// filterMapRef so the property test, the fuzz target and the exhaustive walk
+// below drive budgets and marks through one reference.
+
+// mark replicates the engines' markRequested over the ledger's floor clamp,
+// and reports whether any (epoch, querier) pair is new.
+func (r *filterMapRef) mark(q string, first, last int64) (fresh bool) {
+	for e := max(first, r.floor); e <= last; e++ {
+		if r.requested[e] == nil {
+			r.requested[e] = make(map[string]struct{})
+		}
+		if _, ok := r.requested[e][q]; !ok {
+			r.requested[e][q] = struct{}{}
+			fresh = true
+		}
+	}
+	return fresh
+}
+
+// markedLedger is what the checks below need of a ledger: *Ledger, or a
+// planted bug wrapped around one.
+type markedLedger interface {
+	MarkRequested(q string, first, last int64)
+	Charge(q string, e int64, eps float64) ChargeOutcome
+	AdvanceFloor(floor int64) int
+	Rows() []LedgerEntry
+	Denials() uint64
+	Version() uint64
+	RangeRequested(fn func(e int64, queriers []string, consumed []float64))
+}
+
+// checkMark marks on both sides and holds the ledger to what a mark may
+// change: no row, no denial, and the version exactly when the model saw
+// something new.
+func checkMark(l markedLedger, ref *filterMapRef, q string, first, last int64) error {
+	rows, denials, version := l.Rows(), l.Denials(), l.Version()
+	l.MarkRequested(q, first, last)
+	fresh := ref.mark(q, first, last)
+	switch {
+	case !slices.Equal(l.Rows(), rows):
+		return fmt.Errorf("MarkRequested(%s, %d, %d) changed Rows(): %v, was %v", q, first, last, l.Rows(), rows)
+	case l.Denials() != denials:
+		return fmt.Errorf("MarkRequested(%s, %d, %d) changed Denials()", q, first, last)
+	case (l.Version() != version) != fresh:
+		return fmt.Errorf("MarkRequested(%s, %d, %d): version moved=%t, a mark was new=%t",
+			q, first, last, l.Version() != version, fresh)
+	}
+	return nil
+}
+
+// checkRequested holds the whole RangeRequested yield to the model, in order
+// and content: ascending epochs, each with its queriers in name order and
+// what the reference filter table says each consumed there.
+func checkRequested(l markedLedger, ref *filterMapRef) error {
+	var got, want []string
+	l.RangeRequested(func(e int64, queriers []string, consumed []float64) {
+		got = append(got, fmt.Sprint(e, queriers, consumed))
+	})
+	for _, e := range slices.Sorted(maps.Keys(ref.requested)) {
+		queriers := slices.Sorted(maps.Keys(ref.requested[e]))
+		consumed := make([]float64, len(queriers))
+		for i, q := range queriers {
+			consumed[i] = ref.consumed(q, e)
+		}
+		want = append(want, fmt.Sprint(e, queriers, consumed))
+	}
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("RangeRequested yields %v, model %v", got, want)
+	}
+	return nil
+}
+
+// checkRows holds Rows() to the reference filter table, bitwise.
+func checkRows(l markedLedger, ref *filterMapRef) error {
+	want := ref.rows()
+	n := 0
+	for _, byEpoch := range want {
+		n += len(byEpoch)
+	}
+	rows := l.Rows()
+	for _, row := range rows {
+		if c, ok := want[row.Querier][row.Epoch]; !ok || c != row.Consumed {
+			return fmt.Errorf("Rows() has slot %s/%d = %v, reference %v (present=%t)", row.Querier, row.Epoch, row.Consumed, c, ok)
+		}
+	}
+	if len(rows) != n {
+		return fmt.Errorf("Rows() has %d slots, reference %d", len(rows), n)
+	}
+	return nil
+}
+
+// walkOp is one step of the exhaustive walk.
+type walkOp struct {
+	kind string // "mark", "zero", "charge", "floor"
+	q    string
+	e    int64
+}
+
+func (op walkOp) String() string { return fmt.Sprintf("%s(%s,%d)", op.kind, op.q, op.e) }
+
+// walkMarks runs every sequence of at most depth ops over {mark, zero-loss
+// charge, positive charge, floor advance} × 2 queriers × 3 epochs against the
+// model and returns the first sequence on which the ledger newLedger builds
+// departs from it (nil if none does), with the number of sequences run. A
+// mark covers the two-epoch window ending at its epoch, so windows reach
+// below epoch 0 and straddle floors; a positive charge is 0.6 of a capacity
+// of 1, so a repeat is a denial. Every prefix of a sequence is itself a
+// sequence of the walk, so outcomes are compared at every op and the full
+// state — rows, denials, the RangeRequested yield — after the last.
+func walkMarks(newLedger func() markedLedger, depth int) (failure error, sequences int) {
+	var ops []walkOp
+	for e := int64(0); e < 3; e++ {
+		for _, q := range []string{"a", "b"} {
+			ops = append(ops, walkOp{"mark", q, e}, walkOp{"zero", q, e}, walkOp{"charge", q, e})
+		}
+		ops = append(ops, walkOp{"floor", "", e})
+	}
+	run := func(seq []walkOp) error {
+		l, ref := newLedger(), newFilterMapRef(1)
+		denials := uint64(0)
+		for _, op := range seq {
+			switch op.kind {
+			case "mark":
+				if err := checkMark(l, ref, op.q, op.e-1, op.e); err != nil {
+					return err
+				}
+			case "zero", "charge":
+				eps := 0.0
+				if op.kind == "charge" {
+					eps = 0.6
+				}
+				got, want := l.Charge(op.q, op.e, eps), ref.charge(op.q, op.e, eps)
+				if got != want {
+					return fmt.Errorf("%v = %v, reference %v", op, got, want)
+				}
+				if want == ChargeDenied {
+					denials++
+				}
+			case "floor":
+				if got, want := l.AdvanceFloor(op.e), ref.advanceFloor(op.e); got != want {
+					return fmt.Errorf("%v released %d, reference %d", op, got, want)
+				}
+			}
+		}
+		if l.Denials() != denials {
+			return fmt.Errorf("Denials() = %d, reference %d", l.Denials(), denials)
+		}
+		if err := checkRows(l, ref); err != nil {
+			return err
+		}
+		return checkRequested(l, ref)
+	}
+	var seq []walkOp
+	var walk func()
+	walk = func() {
+		if len(seq) > 0 {
+			sequences++
+			if err := run(seq); err != nil && failure == nil {
+				failure = fmt.Errorf("%v: %w", seq, err)
+			}
+		}
+		if len(seq) == depth || failure != nil {
+			return
+		}
+		for _, op := range ops {
+			seq = append(seq, op)
+			walk()
+			seq = seq[:len(seq)-1]
+		}
+	}
+	walk()
+	return failure, sequences
+}
+
+// TestLedgerMarksExhaustive is the small-world check of the requested marks:
+// every interleaving of mark, charge and eviction at small bounds against the
+// map the marks replaced (the seeded property test and the fuzz target are
+// its large-bound complement).
+func TestLedgerMarksExhaustive(t *testing.T) {
+	depth := 4
+	if testing.Short() {
+		depth = 3
+	}
+	failure, n := walkMarks(func() markedLedger { return NewLedger(1) }, depth)
+	if failure != nil {
+		t.Fatal(failure)
+	}
+	t.Logf("%d sequences", n)
+}
+
+// The planted bugs: a ledger with one wrong behaviour wrapped around the real
+// one. They live here, not behind a switch in ledger.go — the walk is what
+// they test, and it sees them through the same interface.
+
+// markInitialisesSlot marks by way of the slot value: a requested epoch comes
+// out initialized at 0, as if a Filter had been created for it.
+type markInitialisesSlot struct{ *Ledger }
+
+func (m markInitialisesSlot) MarkRequested(q string, first, last int64) {
+	m.Ledger.MarkRequested(q, first, last)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for e := max(first, m.floor); e <= last; e++ {
+		if s := m.lanes[q].slot(e); s.consumed == untouchedSlot {
+			s.consumed = 0
+		}
+	}
+}
+
+// floorKeepsMarks recycles the slots below a new floor but leaves their
+// requested marks standing.
+type floorKeepsMarks struct{ *Ledger }
+
+func (m floorKeepsMarks) AdvanceFloor(floor int64) int {
+	type mark struct {
+		q string
+		e int64
+	}
+	var kept []mark
+	m.Ledger.RangeRequested(func(e int64, queriers []string, _ []float64) {
+		for _, q := range queriers {
+			if e < floor {
+				kept = append(kept, mark{q, e})
+			}
+		}
+	})
+	released := m.Ledger.AdvanceFloor(floor)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, k := range kept {
+		m.lanes[k.q].slot(k.e).requested = true
+	}
+	return released
+}
+
+// TestLedgerMarksWalkCatchesPlantedBugs fails if the exhaustive walk passes
+// either planted bug: a walk that cannot tell them from the ledger checks
+// nothing.
+func TestLedgerMarksWalkCatchesPlantedBugs(t *testing.T) {
+	for name, wrap := range map[string]func(*Ledger) markedLedger{
+		"mark-initialises-the-slot": func(l *Ledger) markedLedger { return markInitialisesSlot{l} },
+		"floor-advance-keeps-marks": func(l *Ledger) markedLedger { return floorKeepsMarks{l} },
+	} {
+		failure, _ := walkMarks(func() markedLedger { return wrap(NewLedger(1)) }, 3)
+		if failure == nil {
+			t.Errorf("planted bug %s passes the exhaustive walk", name)
+		} else {
+			t.Logf("planted bug %s: %v", name, failure)
+		}
+	}
+}

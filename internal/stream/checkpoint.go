@@ -20,10 +20,11 @@ import (
 // all owned by internal/checkpoint's CRC-guarded formats:
 //
 //   - A base captures the service's complete state at a day boundary:
-//     every device's budget-ledger lanes, the fleet's retention floor, the
-//     live device-epoch records of the event store, the incremental
-//     planner's cursor (per-stream pending conversions, sequence numbers,
-//     caps), the aggregation service's nonce watermark and consumed set,
+//     every device's budget-ledger lanes (slots and the requested marks
+//     beside them), the fleet's retention floor, the live device-epoch
+//     records of the event store, the incremental planner's cursor
+//     (per-stream pending conversions, sequence numbers, caps), the
+//     aggregation service's nonce watermark and consumed set,
 //     both noise-stream RNG states, the central budgeter (IPA-like runs),
 //     and the run's results and accumulators. Scalar floats are serialized
 //     as IEEE-754 bit patterns, so restore is bit-exact by construction
@@ -48,9 +49,11 @@ import (
 // carry their ledger denial counters, so the budget-drain telemetry survives
 // recovery, and snapshots may be deltas folded over a base generation. v4:
 // the payload is no longer one JSON document — a small JSON head is followed
-// by three key-sorted binary sections (delta.go), so a chain folds by byte
-// copy and restores without materializing it.
-const snapSchemaVersion = 4
+// by key-sorted binary sections (delta.go), so a chain folds by byte copy
+// and restores without materializing it. v5: the requested marks ride in
+// each device's blob, beside the ledger slots they describe, and the third
+// section that held them is gone.
+const snapSchemaVersion = 5
 
 // snapConfig is the scenario fingerprint stored in every snapshot. Resuming
 // under a different scenario would silently diverge from the original run,
@@ -97,7 +100,7 @@ func (s *Service) snapConfig() snapConfig {
 	return sc
 }
 
-// The three bulk sections hold one self-contained blob per key (layout and
+// The two bulk sections hold one self-contained blob per key (layout and
 // framing in delta.go). Hand-rolled fixed layouts here: the fleet's slot
 // table and the event store dominate a snapshot's bytes, and reflective
 // encoding there would dominate its cost.
@@ -106,7 +109,10 @@ func (s *Service) snapConfig() snapConfig {
 // counter (u64 — pure telemetry, but telemetry the hostile-traffic scenarios
 // assert on, so it must survive recovery like any other state), then a u32
 // slot count and per slot a length-prefixed querier string, the epoch (u32,
-// two's complement), and consumed/capacity as IEEE-754 bits.
+// two's complement), and consumed/capacity as IEEE-754 bits. The rest of the
+// blob is the requested marks, exactly as RangeRequested yields them: per
+// marked epoch the epoch (u32), a u32 querier count and the length-prefixed
+// queriers in name order.
 func appendDevice(buf []byte, d *core.Device) []byte {
 	rows := d.Ledger()
 	buf = binary.LittleEndian.AppendUint64(buf, d.BudgetDenials())
@@ -118,13 +124,22 @@ func appendDevice(buf []byte, d *core.Device) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Consumed))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Capacity))
 	}
+	d.RangeRequested(func(e events.Epoch, queriers []string, _ []float64) {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(e)))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(queriers)))
+		for _, q := range queriers {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(q)))
+			buf = append(buf, q...)
+		}
+	})
 	return buf
 }
 
-// decodeDevice walks an appendDevice blob: it returns the denial counter
-// and streams the ledger slots into row.
+// decodeDevice walks an appendDevice blob: it returns the denial counter,
+// streams the ledger slots into row and then the requested marks into mark.
 func decodeDevice(buf []byte, sites siteIntern,
-	row func(q events.Site, e events.Epoch, consumed, capacity float64) error) (denials uint64, err error) {
+	row func(q events.Site, e events.Epoch, consumed, capacity float64) error,
+	mark func(q events.Site, e events.Epoch) error) (denials uint64, err error) {
 	if len(buf) < 12 {
 		return 0, fmt.Errorf("stream: truncated device state")
 	}
@@ -144,55 +159,24 @@ func decodeDevice(buf []byte, sites siteIntern,
 			return 0, err
 		}
 	}
-	if len(buf) != 0 {
-		return 0, fmt.Errorf("stream: %d trailing bytes in device state", len(buf))
+	for len(buf) > 0 {
+		if len(buf) < 8 {
+			return 0, fmt.Errorf("stream: truncated requested epoch")
+		}
+		e := events.Epoch(int32(binary.LittleEndian.Uint32(buf)))
+		n, buf = binary.LittleEndian.Uint32(buf[4:]), buf[8:]
+		for ; n > 0; n-- {
+			q, rest, err := cutString(buf)
+			if err != nil {
+				return 0, fmt.Errorf("stream: truncated requested querier")
+			}
+			buf = rest
+			if err := mark(sites.site(q), e); err != nil {
+				return 0, err
+			}
+		}
 	}
 	return denials, nil
-}
-
-// appendSites packs one requested device-epoch's querier set (the Fig. 4
-// denominators hold an entry per (device, epoch, querier) touch): u32 count,
-// then the length-prefixed site strings in sorted order. scratch is the
-// caller's reusable sort buffer.
-func appendSites(buf []byte, set map[events.Site]struct{}, scratch []events.Site) ([]byte, []events.Site) {
-	scratch = scratch[:0]
-	for site := range set {
-		scratch = append(scratch, site)
-	}
-	slices.Sort(scratch)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(scratch)))
-	for _, site := range scratch {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(site)))
-		buf = append(buf, site...)
-	}
-	return buf, scratch
-}
-
-// decodeSites rebuilds a querier set from an appendSites blob.
-func decodeSites(buf []byte, sites siteIntern) (map[events.Site]struct{}, error) {
-	if len(buf) < 4 {
-		return nil, fmt.Errorf("stream: truncated requested entry")
-	}
-	n := binary.LittleEndian.Uint32(buf)
-	buf = buf[4:]
-	// Every site costs at least its length prefix, which bounds the count
-	// before it sizes anything.
-	if uint64(n) > uint64(len(buf)/4) {
-		return nil, fmt.Errorf("stream: requested entry claims %d sites in %d bytes", n, len(buf))
-	}
-	set := make(map[events.Site]struct{}, n)
-	for ; n > 0; n-- {
-		site, rest, err := cutString(buf)
-		if err != nil {
-			return nil, fmt.Errorf("stream: truncated requested site")
-		}
-		set[sites.site(site)] = struct{}{}
-		buf = rest
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("stream: %d trailing bytes in requested entry", len(buf))
-	}
-	return set, nil
 }
 
 // cutString splits a u32-length-prefixed byte string off the front of buf.
@@ -269,7 +253,7 @@ type dropMarkState struct {
 }
 
 // snapHead is the payload's head: everything a snapshot carries that is not
-// one of the three bulk sections. It is a few KB, so it stays JSON. Scalars,
+// one of the two bulk sections. It is a few KB, so it stays JSON. Scalars,
 // drop marks, replay protection, noise streams and the central budgeter are
 // captured whole by every generation; Streams and Results carry only what
 // changed in a delta (foldHeads overlays and appends them).
@@ -652,9 +636,8 @@ func (s *Service) restore(c *snapChain) error {
 		}
 	}
 
-	// Released results and the Fig. 4 accounting. Restored results replay
-	// through the result observer so the serving layer's poll buffer
-	// survives recovery.
+	// Released results. Restored results replay through the result
+	// observer so the serving layer's poll buffer survives recovery.
 	for _, rs := range snap.Results {
 		s.run.Results = append(s.run.Results, Result{
 			Querier:        events.Site(rs.Querier),
@@ -676,33 +659,32 @@ func (s *Service) restore(c *snapChain) error {
 		})
 		s.observeResult(s.run.Results[len(s.run.Results)-1])
 	}
-	return c.merge(secRequested, func(key DevEpoch, blob, _ []byte) error {
-		if s.run.Requested == nil {
-			return nil // Lean runs keep no accounting, and capture none
-		}
-		set, err := decodeSites(blob, sites)
-		if err != nil {
-			return err
-		}
-		s.run.Requested[key] = set
-		return nil
-	})
+	return nil
 }
 
 // restoreDevices streams the folded devices section into the fleet. Ledger
-// lanes are dense in the epoch, so a slot epoch no query window of this
-// scenario can touch is refused here, before it can size one.
+// lanes are dense in the epoch, so a slot or a requested mark at an epoch no
+// query window of this scenario can touch is refused here, before it can size
+// one: each blob is walked twice, and the first walk only checks.
 func (s *Service) restoreDevices(c *snapChain, sites siteIntern) error {
 	lo, hi := max(s.fleet.EpochFloor(), s.run.FirstSpanEpoch), s.run.LastSpanEpoch
+	inSpan := func(what string, e events.Epoch) error {
+		if e < lo || e > hi {
+			return fmt.Errorf("%s epoch %d outside [%d, %d]: snapshot is corrupt or for a different scenario",
+				what, e, lo, hi)
+		}
+		return nil
+	}
 	return c.merge(secDevices, func(key DevEpoch, blob, _ []byte) error {
+		_, err := decodeDevice(blob, sites,
+			func(_ events.Site, e events.Epoch, _, _ float64) error { return inSpan("slot", e) },
+			func(_ events.Site, e events.Epoch) error { return inSpan("requested", e) })
+		if err != nil {
+			return fmt.Errorf("stream: device %d: %w", key.Device, err)
+		}
 		d := s.fleet.GetOrCreate(key.Device)
-		denials, err := decodeDevice(blob, sites, func(q events.Site, e events.Epoch, consumed, capacity float64) error {
-			if e < lo || e > hi {
-				return fmt.Errorf("slot epoch %d outside [%d, %d]: snapshot is corrupt or for a different scenario",
-					e, lo, hi)
-			}
-			return d.RestoreBudgetRow(q, e, consumed, capacity)
-		})
+		denials, err := decodeDevice(blob, sites, d.RestoreBudgetRow,
+			func(q events.Site, e events.Epoch) error { d.MarkRequested(q, e, e); return nil })
 		if err != nil {
 			return fmt.Errorf("stream: device %d: %w", key.Device, err)
 		}

@@ -20,10 +20,10 @@ import (
 // captures only that, chained to its parent generation by fingerprint. A
 // full snapshot is the same encoder with everything dirty.
 //
-// Payload layout (schema 4, little-endian):
+// Payload layout (schema 5, little-endian):
 //
 //	u32 schema | u32 headLen | head (JSON snapHead)
-//	3 × section: u32 byteLen | entries          devices, records, requested
+//	2 × section: u32 byteLen | entries          devices, records
 //	entry:       u64 device | u32 epoch (two's complement) | u32 blobLen | blob
 //
 // Entries are strictly ascending by (device, epoch) within a section
@@ -35,11 +35,10 @@ import (
 // recovery streams it into place; folding a chain reproduces, byte for byte,
 // the full snapshot the service would have written at the head capture.
 
-// The three bulk sections, in payload order.
+// The two bulk sections, in payload order.
 const (
 	secDevices = iota
 	secRecords
-	secRequested
 	numSections
 )
 
@@ -80,9 +79,6 @@ func (s *Service) resetDirtyTracking() {
 	s.db.TrackDirty()
 	s.db.DrainDirty()
 	s.plan.trackDirty()
-	if s.run.Requested != nil {
-		s.dirtyReq = make(map[DevEpoch]struct{})
-	}
 	s.ledgerVers = make(map[events.DeviceID]uint64)
 	s.fleet.Range(func(d *core.Device) bool {
 		s.ledgerVers[d.ID()] = d.LedgerVersion()
@@ -130,8 +126,9 @@ func (s *Service) capture(delta bool) ([]byte, error) {
 	}
 
 	// Fleet: every created device (even ones with no initialized slots —
-	// device existence is itself state); a delta keeps those whose ledger
-	// mutated since the last capture, or are new.
+	// device existence is itself state) with its ledger rows and requested
+	// marks; a delta keeps those whose ledger mutated since the last
+	// capture, or are new.
 	buf, sec := openLen(buf)
 	s.fleet.Range(func(d *core.Device) bool {
 		if delta {
@@ -159,23 +156,6 @@ func (s *Service) capture(delta bool) ([]byte, error) {
 		var mark int
 		buf, mark = openEntry(buf, key)
 		buf = events.AppendEvents(buf, s.db.EpochEvents(key.Device, key.Epoch))
-		closeLen(buf, mark)
-	}
-	closeLen(buf, sec)
-
-	// Fig. 4 accounting: each touched device-epoch's whole querier set.
-	touched := maps.Keys(s.run.Requested)
-	if delta {
-		touched = maps.Keys(s.dirtyReq)
-	}
-	requested := slices.SortedFunc(touched, DevEpoch.Compare)
-	clear(s.dirtyReq)
-	buf, sec = openLen(buf)
-	var scratch []events.Site
-	for _, key := range requested {
-		var mark int
-		buf, mark = openEntry(buf, key)
-		buf, scratch = appendSites(buf, s.run.Requested[key], scratch)
 		closeLen(buf, mark)
 	}
 	closeLen(buf, sec)

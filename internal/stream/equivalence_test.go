@@ -11,7 +11,9 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/events"
 	"repro/internal/figures"
 	"repro/internal/stream"
 	"repro/internal/workload"
@@ -237,9 +239,8 @@ func TestBackpressureInvariance(t *testing.T) {
 }
 
 // TestLeanRetentionInvariance checks the long-running-service mode: device
-// filters and event records below the horizon are reclaimed, the
-// requested-epoch accounting is off — and the query results are still
-// bit-identical.
+// filters and event records below the horizon are reclaimed, the requested
+// marks go with the filters — and the query results are still bit-identical.
 func TestLeanRetentionInvariance(t *testing.T) {
 	ds := smallMicro(t, 0.5, 0.5)
 	full := stream.Config{Source: ds.Stream(), EpsilonG: 2, Seed: 7}
@@ -249,8 +250,18 @@ func TestLeanRetentionInvariance(t *testing.T) {
 	runFull := serveRaw(t, full)
 	runLean := serveRaw(t, lean)
 	streamResultsIdentical(t, "lean vs full", runFull.Results, runLean.Results)
-	if runLean.Requested != nil {
-		t.Fatal("lean run kept requested-epoch accounting")
+	floor, marks := runLean.Fleet.EpochFloor(), 0
+	runLean.Fleet.Range(func(d *core.Device) bool {
+		d.RangeRequested(func(e events.Epoch, _ []string, _ []float64) {
+			marks++
+			if e < floor {
+				t.Errorf("device %d holds a requested mark at epoch %d, below the fleet floor %d", d.ID(), e, floor)
+			}
+		})
+		return true
+	})
+	if marks == 0 {
+		t.Fatal("lean run holds no requested mark above the floor")
 	}
 	if runLean.EvictedRecords == 0 {
 		t.Fatal("lean run evicted no event records")

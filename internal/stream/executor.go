@@ -45,8 +45,8 @@ func (s *Service) flushDue() error {
 		return due[i].seq < due[j].seq
 	})
 
-	// Stage 1: prepare. Requests are pure values; the requested-epoch
-	// bookkeeping stays on the coordinator, in canonical order.
+	// Stage 1: prepare. Requests are pure values; the requested marks are
+	// set from the coordinator, in canonical order.
 	for _, q := range due {
 		s.prepare(q)
 	}
@@ -95,7 +95,9 @@ func (s *Service) flushDue() error {
 }
 
 // prepare builds every conversion's attribution request for one query and
-// records the device-epochs its windows touch.
+// marks its window requested in the conversion's device ledger — here and
+// nowhere else, for every system: a central run never charges a device
+// ledger, so the mark cannot ride on the charge.
 func (s *Service) prepare(q *pendingQuery) {
 	first, last := events.EpochWindow(q.batch[0].Day, s.cfg.WindowDays, s.cfg.EpochDays)
 	q.first, q.last = first, last
@@ -103,7 +105,7 @@ func (s *Service) prepare(q *pendingQuery) {
 	for i, conv := range q.batch {
 		req := s.request(q.adv, q.product, conv, q.epsilon)
 		q.reqs[i] = req
-		s.markRequested(conv.Device, q.adv.Site, req.FirstEpoch, req.LastEpoch)
+		s.fleet.GetOrCreate(conv.Device).MarkRequested(q.adv.Site, req.FirstEpoch, req.LastEpoch)
 		if req.FirstEpoch < q.first {
 			q.first = req.FirstEpoch
 		}
@@ -118,26 +120,6 @@ func (s *Service) prepare(q *pendingQuery) {
 // by construction.
 func (s *Service) request(adv dataset.Advertiser, product string, conv events.Event, eps float64) *core.Request {
 	return BuildRequest(adv, product, conv, eps, s.cfg.WindowDays, s.cfg.EpochDays, s.cfg.Bias)
-}
-
-// markRequested records the device-epochs a report's window touches (skipped
-// in Lean mode, which trades the Fig. 4 denominators for bounded state).
-func (s *Service) markRequested(dev events.DeviceID, q events.Site, first, last events.Epoch) {
-	if s.run.Requested == nil {
-		return
-	}
-	for e := first; e <= last; e++ {
-		key := DevEpoch{Device: dev, Epoch: e}
-		m := s.run.Requested[key]
-		if m == nil {
-			m = make(map[events.Site]struct{}, 1)
-			s.run.Requested[key] = m
-		}
-		m[q] = struct{}{}
-		if s.dirtyReq != nil {
-			s.dirtyReq[key] = struct{}{}
-		}
-	}
 }
 
 // generateDay runs the generate stage for every due query at once. The

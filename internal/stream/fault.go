@@ -30,7 +30,8 @@ const (
 	// consumed nonces retired.
 	PointDayFlushed FaultPoint = "day-flushed"
 	// PointRetentionAdvanced fires after the retention horizon moved:
-	// event records evicted, and (Lean mode) device filters released.
+	// event records evicted, and (Lean mode) device filters released, the
+	// requested marks beside them included.
 	PointRetentionAdvanced FaultPoint = "retention-advanced"
 	// PointSnapshotCommitted fires when a snapshot generation's durable
 	// commit is observed by the day clock (the background writer's result

@@ -123,10 +123,11 @@ type Config struct {
 	// the source and the day clock). 0 selects a default of 1024 events.
 	QueueSize int
 	// Lean selects long-running-service retention: device filters below
-	// the horizon are released (core.Fleet.AdvanceEpochFloor) and the
-	// per-device-epoch requested-budget accounting behind the Fig. 4
-	// metrics is skipped. Query results are bit-identical either way;
-	// Lean trades post-run budget metrics for bounded resident state.
+	// the horizon are released (core.Fleet.AdvanceEpochFloor), and the
+	// requested marks beside them go with the slots. Query results are
+	// bit-identical either way; Lean trades post-run budget metrics (they
+	// then cover only the epochs still above the floor) for bounded
+	// resident state.
 	Lean bool
 
 	// CheckpointDir enables crash safety: every ingested event is logged
@@ -275,7 +276,7 @@ type Result struct {
 	AvgBudgetAfter float64
 }
 
-// DevEpoch identifies a requested device-epoch in the Run's accounting.
+// DevEpoch keys the snapshot sections: a device, or one of its epoch records.
 type DevEpoch = events.DeviceEpochKey
 
 // Run is a completed streaming execution: per-query results plus the final
@@ -285,14 +286,12 @@ type Run struct {
 	Results     []Result
 	TotalEpochs int
 
-	// Fleet is the device registry with its final filter state (for
-	// on-device runs).
+	// Fleet is the device registry: each device's final filter state (for
+	// on-device runs) and, for every run, the requested marks its queries'
+	// windows left (core.Device.RangeRequested).
 	Fleet *core.Fleet
 	// Central is the population-wide budgeter (for Central runs).
 	Central *budget.IPALike
-	// Requested maps each device-epoch touched by a query window to the
-	// queriers that touched it (nil in Lean mode).
-	Requested map[DevEpoch]map[events.Site]struct{}
 	// TotalConsumed is the summed consumed privacy loss across all
 	// device-epochs.
 	TotalConsumed float64
@@ -429,10 +428,9 @@ type Service struct {
 	gcEvents int
 	gcBytes  int
 	// Dirty-state baselines for delta capture (delta.go): per-device
-	// ledger versions, requested-accounting keys touched, and the results
+	// ledger versions (requested marks move them too) and the results
 	// high-water mark since the previous capture.
 	ledgerVers  map[events.DeviceID]uint64
-	dirtyReq    map[DevEpoch]struct{}
 	resultsMark int
 	// captureHint pre-sizes the next capture's buffer from the last one's.
 	captureHint int
@@ -472,8 +470,8 @@ func New(cfg Config) (*Service, error) {
 	}
 	policy := cfg.Policy
 	if policy == nil {
-		// Central runs never charge per-device policies; give the fleet
-		// a harmless default in case a device is ever instantiated.
+		// Central runs never charge per-device policies; their devices
+		// hold requested marks only, so any policy will do.
 		policy = core.CookieMonsterPolicy{}
 	}
 	db, epsG := s.db, cfg.EpsilonG
@@ -485,9 +483,6 @@ func New(cfg Config) (*Service, error) {
 		s.central = budget.NewIPALike(cfg.EpsilonG)
 		s.ipaNoise = stats.Stream(cfg.Seed, "ipa-noise")
 		s.run.Central = s.central
-	}
-	if !cfg.Lean {
-		s.run.Requested = make(map[DevEpoch]map[events.Site]struct{})
 	}
 	s.run.FirstSpanEpoch = events.EpochOfDay(1-cfg.WindowDays, cfg.EpochDays)
 	s.run.LastSpanEpoch = events.EpochOfDay(meta.DurationDays-1, cfg.EpochDays)

@@ -302,7 +302,7 @@ func corruptions(t testing.TB, base []byte) map[string][]byte {
 		t.Fatal(err)
 	}
 	// Offsets of the devices section's length prefix and first two entries.
-	off := len(base) - len(parts.sec[2]) - 4 - len(parts.sec[1]) - 4 - len(parts.sec[0]) - 4
+	off := len(base) - len(parts.sec[secRecords]) - 4 - len(parts.sec[secDevices]) - 4
 	first := off + 4
 	n := int(binary.LittleEndian.Uint32(base[first+12:]))
 	second := first + entryHeaderLen + n
@@ -311,18 +311,28 @@ func corruptions(t testing.TB, base []byte) map[string][]byte {
 		fn(p)
 		return p
 	}
-	// Offset of the epoch of the first ledger slot any device carries: past
-	// the entry header, the denial counter, the slot count and the querier.
-	slotEpoch := -1
-	for at := first; at < first+len(parts.sec[0]) && slotEpoch < 0; {
+	// Offsets of the epoch of the first ledger slot any device carries (past
+	// the entry header, the denial counter, the slot count and the querier)
+	// and of the first requested mark's epoch (past the device's last slot).
+	slotEpoch, markEpoch := -1, -1
+	for at := first; at < first+len(parts.sec[secDevices]); {
 		blob := at + entryHeaderLen
-		if binary.LittleEndian.Uint32(base[blob+8:]) > 0 {
+		end := blob + int(binary.LittleEndian.Uint32(base[at+12:]))
+		slots := int(binary.LittleEndian.Uint32(base[blob+8:]))
+		if slots > 0 && slotEpoch < 0 {
 			slotEpoch = blob + 16 + int(binary.LittleEndian.Uint32(base[blob+12:]))
 		}
-		at = blob + int(binary.LittleEndian.Uint32(base[at+12:]))
+		tail := blob + 12
+		for ; slots > 0; slots-- {
+			tail += 4 + int(binary.LittleEndian.Uint32(base[tail:])) + 20
+		}
+		if tail < end && markEpoch < 0 {
+			markEpoch = tail
+		}
+		at = end
 	}
-	if slotEpoch < 0 {
-		t.Fatal("base payload carries no ledger slot")
+	if slotEpoch < 0 || markEpoch < 0 {
+		t.Fatal("base payload carries no ledger slot or no requested mark")
 	}
 	return map[string][]byte{
 		"truncated-section": base[:len(base)-5],
@@ -336,12 +346,13 @@ func corruptions(t testing.TB, base []byte) map[string][]byte {
 		"oversized-count": mutate(func(p []byte) { binary.LittleEndian.PutUint32(p[first+12:], 1<<31) }),
 		// The first record's epoch pushed below the head's eviction floor.
 		"record-below-floor": mutate(func(p []byte) {
-			binary.LittleEndian.PutUint32(p[off+4+len(parts.sec[0])+4+8:], 1<<31)
+			binary.LittleEndian.PutUint32(p[off+4+len(parts.sec[secDevices])+4+8:], 1<<31)
 		}),
 		// Well-formed throughout: only restore, which knows the scenario's
 		// epoch span, can refuse it.
-		"wild-slot-epoch": mutate(func(p []byte) { binary.LittleEndian.PutUint32(p[slotEpoch:], 1<<30) }),
-		"schema-3-json":   []byte(`{"schema":3,"config":{"epochDays":7},"devices":[],"records":[],"results":[]}`),
+		"wild-slot-epoch":      mutate(func(p []byte) { binary.LittleEndian.PutUint32(p[slotEpoch:], 1<<30) }),
+		"wild-requested-epoch": mutate(func(p []byte) { binary.LittleEndian.PutUint32(p[markEpoch:], 1<<30) }),
+		"schema-3-json":        []byte(`{"schema":3,"config":{"epochDays":7},"devices":[],"records":[],"results":[]}`),
 	}
 }
 
@@ -353,7 +364,8 @@ const snapCorpusDir = "testdata/fuzz/FuzzSnapPayload"
 // still be accepted by this decoder and restore into a fresh fleet (a head
 // field added without regenerating them would quietly turn them into
 // rejects), the broken ones still refused for the reason their name gives —
-// and a refusal at restore comes before any ledger lane exists.
+// and a refusal at restore comes before any ledger lane or requested mark
+// exists.
 func TestSnapCorpus(t *testing.T) {
 	if *updateCorpus {
 		base, delta := samplePayloads(t)
@@ -367,15 +379,16 @@ func TestSnapCorpus(t *testing.T) {
 		}
 	}
 	for name, wantErr := range map[string]string{
-		"valid-base":         "",
-		"valid-delta":        "",
-		"truncated-section":  "exceeds its",
-		"swapped-keys":       "not strictly ascending",
-		"duplicate-key":      "not strictly ascending",
-		"oversized-count":    "claims 2147483648 bytes",
-		"record-below-floor": "below its own generation's floor",
-		"wild-slot-epoch":    "slot epoch 1073741824 outside [-5, 4]",
-		"schema-3-json":      "unsupported snapshot schema 3",
+		"valid-base":           "",
+		"valid-delta":          "",
+		"truncated-section":    "exceeds its",
+		"swapped-keys":         "not strictly ascending",
+		"duplicate-key":        "not strictly ascending",
+		"oversized-count":      "claims 2147483648 bytes",
+		"record-below-floor":   "below its own generation's floor",
+		"wild-slot-epoch":      "slot epoch 1073741824 outside [-5, 4]",
+		"wild-requested-epoch": "requested epoch 1073741824 outside [-5, 4]",
+		"schema-3-json":        "unsupported snapshot schema 3",
 	} {
 		raw, err := os.ReadFile(filepath.Join(snapCorpusDir, name))
 		if err != nil {
@@ -394,8 +407,11 @@ func TestSnapCorpus(t *testing.T) {
 			svc := sampleService(t, nil, "")
 			if err = svc.restoreDevices(c, make(siteIntern)); err != nil {
 				svc.fleet.Range(func(d *core.Device) bool {
-					if len(d.Ledger()) != 0 {
-						t.Errorf("%s: device %d had ledger rows restored before the refusal", name, d.ID())
+					marks := 0
+					d.RangeRequested(func(events.Epoch, []string, []float64) { marks++ })
+					if len(d.Ledger()) != 0 || marks != 0 {
+						t.Errorf("%s: device %d had %d ledger rows and %d requested epochs restored before the refusal",
+							name, d.ID(), len(d.Ledger()), marks)
 					}
 					return true
 				})
@@ -412,8 +428,8 @@ func TestSnapCorpus(t *testing.T) {
 
 // FuzzSnapPayload holds the payload decoder to its contract: arbitrary bytes
 // never panic — alone, folded over a valid base, or handed entry by entry to
-// the blob decoders restore uses, device rows through restore's epoch bound
-// into a real ledger — and whatever the fold accepts it re-encodes byte for
+// the blob decoders restore uses, device rows and requested marks through
+// restore's epoch bound into a real ledger — and whatever the fold accepts it re-encodes byte for
 // byte, so the decoder cannot quietly normalize a payload this code did not
 // write.
 func FuzzSnapPayload(f *testing.F) {
@@ -436,34 +452,36 @@ func FuzzSnapPayload(f *testing.F) {
 		if !bytes.Equal(out, p) {
 			t.Fatalf("accepted payload re-encodes to %d different bytes (from %d)", len(out), len(p))
 		}
-		// Ledger lanes are dense in the epoch: a fuzzed slot epoch that got
-		// past restoreDevices' bound would size an array and stall the fuzzer.
-		sites := make(siteIntern)
-		_ = sampleService(t, nil, "").restoreDevices(c, sites)
+		// Ledger lanes are dense in the epoch: a fuzzed slot or mark epoch that
+		// got past restoreDevices' bound would size an array and stall the fuzzer.
+		_ = sampleService(t, nil, "").restoreDevices(c, make(siteIntern))
 		_ = c.merge(secRecords, func(_ DevEpoch, blob, _ []byte) error {
 			_, _ = events.UnmarshalEvents(blob)
-			return nil
-		})
-		_ = c.merge(secRequested, func(_ DevEpoch, blob, _ []byte) error {
-			_, _ = decodeSites(blob, sites)
 			return nil
 		})
 	})
 }
 
-// TestResumeRefusesSchema3 pins that a pre-binary payload in an otherwise
-// intact directory — frame, CRC and name all valid — fails the resume with
-// the schema error instead of being skipped like corruption, which would
-// silently restart the run from its source.
+// TestResumeRefusesSchema3 pins that a payload of a retired schema — the
+// pre-binary JSON document, or the binary layout with a requested section —
+// in an otherwise intact directory (frame, CRC and name all valid) fails the
+// resume with the schema error instead of being skipped like corruption,
+// which would silently restart the run from its source.
 func TestResumeRefusesSchema3(t *testing.T) {
-	dir := t.TempDir()
-	old := []byte(`{"schema":3,"config":{"epochDays":7},"devices":[],"records":[],"results":[]}`)
-	if _, err := checkpoint.NewStore(dir, nil).WriteBase(1, old); err != nil {
-		t.Fatal(err)
-	}
-	_, err := ResumeFrom(Config{Source: &fakeSource{meta: testMeta()}, FixedEpsilon: 1, EpsilonG: 100,
-		CheckpointDir: dir}, dir)
-	if err == nil || !strings.Contains(err.Error(), "unsupported snapshot schema 3") {
-		t.Fatalf("resume over a schema-3 directory: err = %v", err)
+	for name, old := range map[string][]byte{
+		"schema 3": []byte(`{"schema":3,"config":{"epochDays":7},"devices":[],"records":[],"results":[]}`),
+		"schema 4": binary.LittleEndian.AppendUint32(nil, 4),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, err := checkpoint.NewStore(dir, nil).WriteBase(1, old); err != nil {
+				t.Fatal(err)
+			}
+			_, err := ResumeFrom(Config{Source: &fakeSource{meta: testMeta()}, FixedEpsilon: 1, EpsilonG: 100,
+				CheckpointDir: dir}, dir)
+			if err == nil || !strings.Contains(err.Error(), "unsupported snapshot "+name) {
+				t.Fatalf("resume over a %s directory: err = %v", name, err)
+			}
+		})
 	}
 }

@@ -3,7 +3,6 @@ package workload
 import (
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/events"
 	"repro/internal/stream"
 )
 
@@ -14,7 +13,9 @@ import (
 // configuration into a service configuration, drives the service over the
 // dataset's event stream, and folds the service's run back into the same
 // Run type the batch engine produces — so every experiment harness and
-// metric works identically in either mode.
+// metric works identically in either mode. The fleet comes across as it is:
+// each device's ledger holds its budget slots and, beside them, the
+// requested marks the Fig. 4 metrics read, so there is no accounting to copy.
 //
 // Execute (run.go) remains the batch *specification*: an independent
 // implementation that materializes the trace, plans globally, and executes
@@ -125,11 +126,7 @@ func RunFromStream(cfg Config, srun *stream.Run) *Run {
 		totalConsumed:  srun.TotalConsumed,
 		firstSpanEpoch: srun.FirstSpanEpoch,
 		lastSpanEpoch:  srun.LastSpanEpoch,
-		requested:      make(map[devEpoch]map[events.Site]struct{}, len(srun.Requested)),
 		central:        srun.Central,
-	}
-	for key, queriers := range srun.Requested {
-		r.requested[devEpoch{key.Device, key.Epoch}] = queriers
 	}
 	r.Results = make([]QueryResult, len(srun.Results))
 	for i, sr := range srun.Results {

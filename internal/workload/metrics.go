@@ -2,24 +2,33 @@ package workload
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/events"
 )
 
-// consumedAt returns the privacy loss the system attributes to a
-// (device, epoch) pair for one querier. For on-device systems this reads the
-// device's own filter; for IPA-like every device is charged the central
-// filter's consumption (the coarseness of population-level accounting,
-// Thm. 3).
-func (r *Run) consumedAt(dev events.DeviceID, q events.Site, e events.Epoch) float64 {
-	switch r.Config.System {
-	case IPALike:
-		return r.central.Consumed(q, e)
-	default:
-		return r.fleet.ConsumedAt(dev, q, e)
-	}
+// eachRequested calls fn once per device-epoch some report window covered, in
+// (device, epoch) order, with the privacy loss the system attributes to it:
+// the sum, over the queriers that requested it in name order, of the
+// device's own filter (on-device systems) or of the central filter's
+// consumption, which every device is charged alike (IPA-like — the
+// coarseness of population-level accounting, Thm. 3). The order is fixed so
+// callers' float accumulation is deterministic run-to-run.
+func (r *Run) eachRequested(fn func(loss float64)) {
+	r.fleet.Range(func(d *core.Device) bool {
+		d.RangeRequested(func(e events.Epoch, queriers []string, consumed []float64) {
+			loss := 0.0
+			for i, q := range queriers {
+				if r.Config.System == IPALike {
+					loss += r.central.Consumed(events.Site(q), e)
+				} else {
+					loss += consumed[i]
+				}
+			}
+			fn(loss)
+		})
+		return true
+	})
 }
 
 // BudgetStats returns the average and maximum budget consumption across all
@@ -28,48 +37,22 @@ func (r *Run) consumedAt(dev events.DeviceID, q events.Site, e events.Epoch) flo
 // per-querier losses, and the values are normalized by ε^G so they read as
 // "fraction of the epoch's budget spent".
 func (r *Run) BudgetStats() (avg, max float64) {
-	if len(r.requested) == 0 || r.Config.EpsilonG == 0 {
+	if r.Config.EpsilonG == 0 {
 		return 0, 0
 	}
-	// Iterate in sorted order so float accumulation is deterministic
-	// run-to-run (map order would perturb the low bits).
-	keys := make([]devEpoch, 0, len(r.requested))
-	for key := range r.requested {
-		keys = append(keys, key)
-	}
-	slices.SortFunc(keys, func(a, b devEpoch) int {
-		switch {
-		case a.d != b.d:
-			if a.d < b.d {
-				return -1
-			}
-			return 1
-		case a.e < b.e:
-			return -1
-		case a.e > b.e:
-			return 1
+	n, sum := 0, 0.0
+	r.eachRequested(func(loss float64) {
+		loss /= r.Config.EpsilonG
+		sum += loss
+		if loss > max {
+			max = loss
 		}
-		return 0
+		n++
 	})
-	sum := 0.0
-	for _, key := range keys {
-		queriers := r.requested[key]
-		sites := make([]events.Site, 0, len(queriers))
-		for q := range queriers {
-			sites = append(sites, q)
-		}
-		slices.Sort(sites)
-		total := 0.0
-		for _, q := range sites {
-			total += r.consumedAt(key.d, q, key.e)
-		}
-		total /= r.Config.EpsilonG
-		sum += total
-		if total > max {
-			max = total
-		}
+	if n == 0 {
+		return 0, 0
 	}
-	return sum / float64(len(r.requested)), max
+	return sum / float64(n), max
 }
 
 // EpochSpan returns the number of epochs any query window can touch
@@ -220,10 +203,16 @@ func (r *Run) BudgetDenials() uint64 {
 // callers needing determinism sort what they collect.
 func (r *Run) RangeDevices(fn func(d *core.Device) bool) { r.fleet.Range(fn) }
 
-// ActiveDevices returns the number of devices that generated at least one
-// report.
+// ActiveDevices returns the number of devices some query's report window
+// touched. For on-device systems those are the devices that generated at
+// least one report; an IPA-like run generates none, and counts the devices
+// its queries' conversions came from.
 func (r *Run) ActiveDevices() int { return r.fleet.Len() }
 
 // RequestedDeviceEpochs returns the number of distinct device-epochs touched
 // by at least one query.
-func (r *Run) RequestedDeviceEpochs() int { return len(r.requested) }
+func (r *Run) RequestedDeviceEpochs() int {
+	n := 0
+	r.eachRequested(func(float64) { n++ })
+	return n
+}

@@ -45,11 +45,10 @@ type Run struct {
 	// observability only — never part of CanonicalDigest.
 	PeakQueue int
 
-	db        *events.Database
-	fleet     *core.Fleet
-	central   *budget.IPALike
-	requested map[devEpoch]map[events.Site]struct{}
-	ipaNoise  *stats.RNG
+	db       *events.Database
+	fleet    *core.Fleet
+	central  *budget.IPALike
+	ipaNoise *stats.RNG
 	// gen is the generate stage's reusable state (grouping scratch,
 	// per-worker workspaces), shared by every batch of the run.
 	gen stream.Generator
@@ -78,7 +77,6 @@ func Execute(cfg Config) (*Run, error) {
 		TotalEpochs:    cfg.Dataset.Epochs(cfg.EpochDays),
 		EventsIngested: len(cfg.Dataset.Events),
 		db:             cfg.Dataset.Build(cfg.EpochDays),
-		requested:      make(map[devEpoch]map[events.Site]struct{}),
 	}
 	policy := cfg.PolicyOverride
 	if policy == nil {
@@ -193,23 +191,9 @@ func (r *Run) request(adv dataset.Advertiser, product string, conv events.Event,
 		r.Config.WindowDays, r.Config.EpochDays, r.Config.Bias)
 }
 
-// markRequested records the device-epochs a report's window touches, for the
-// Fig. 4 budget denominators.
-func (r *Run) markRequested(dev events.DeviceID, q events.Site, first, last events.Epoch) {
-	for e := first; e <= last; e++ {
-		key := devEpoch{dev, e}
-		m := r.requested[key]
-		if m == nil {
-			m = make(map[events.Site]struct{}, 1)
-			r.requested[key] = m
-		}
-		m[q] = struct{}{}
-	}
-}
-
 // executeQuery runs one batch through the three pipeline stages: prepare
-// (build every conversion's request, sequentially — it mutates the
-// requested-epoch accounting), generate (fan report generation out across
+// (build every conversion's request and mark its window requested on its
+// device, sequentially and for every system), generate (fan report generation out across
 // the worker pool; see pipeline.go), aggregate (fold per-conversion outputs
 // in conversion order and release the noisy result). A malformed request in
 // the generate stage aborts the run with an error.
@@ -223,13 +207,13 @@ func (r *Run) executeQuery(service *aggregation.Service, p queryPlan) (QueryResu
 	first, last := events.EpochWindow(p.batch[0].Day, r.Config.WindowDays, r.Config.EpochDays)
 	res.FirstEpoch, res.LastEpoch = first, last
 
-	// Stage 1: prepare. Requests are pure values; the requested-epoch
-	// bookkeeping and window widening stay on the coordinator.
+	// Stage 1: prepare. Requests are pure values; the requested marks and
+	// window widening stay on the coordinator.
 	reqs := make([]*core.Request, len(p.batch))
 	for i, conv := range p.batch {
 		req := r.request(p.advertiser, p.product, conv, p.epsilon)
 		reqs[i] = req
-		r.markRequested(conv.Device, p.advertiser.Site, req.FirstEpoch, req.LastEpoch)
+		r.fleet.GetOrCreate(conv.Device).MarkRequested(p.advertiser.Site, req.FirstEpoch, req.LastEpoch)
 		if req.FirstEpoch < res.FirstEpoch {
 			res.FirstEpoch = req.FirstEpoch
 		}

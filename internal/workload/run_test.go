@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/events"
 )
 
 // smallMicro builds a fast microbenchmark dataset for tests.
@@ -308,13 +309,63 @@ func TestPolicyOverride(t *testing.T) {
 	}
 }
 
+// TestRequestedDeviceEpochsAndActiveDevices pins what the requested marks may
+// and may not show. The denominator is a property of the trace and the
+// windows, so every system counts the same device-epochs; and a lane that
+// holds only marks — a querier whose windows on a device were all zero-loss,
+// every lane of an IPA-like run — is invisible to the budget reads: a device
+// reports exactly the queriers it has ledger rows for.
 func TestRequestedDeviceEpochsAndActiveDevices(t *testing.T) {
 	ds := smallMicro(t, 0.1, 0.1)
-	r := execute(t, Config{Dataset: ds, System: CookieMonster, EpsilonG: 5, Seed: 1})
-	if r.ActiveDevices() == 0 {
-		t.Fatal("no active devices")
-	}
-	if r.RequestedDeviceEpochs() < r.ActiveDevices() {
-		t.Fatal("fewer requested device-epochs than active devices")
+	requested := -1
+	for _, tc := range []struct {
+		system                 System
+		wantRows, wantMarkOnly bool
+	}{
+		{CookieMonster, true, true}, // devices without a relevant impression charge nothing
+		{ARALike, true, false},      // every requested epoch is charged
+		{IPALike, false, true},      // budget is central: marks only, on every device
+	} {
+		r := execute(t, Config{Dataset: ds, System: tc.system, EpsilonG: 5, Seed: 1})
+		if r.ActiveDevices() == 0 {
+			t.Fatalf("%v: no active devices", tc.system)
+		}
+		if r.RequestedDeviceEpochs() < r.ActiveDevices() {
+			t.Fatalf("%v: fewer requested device-epochs than active devices", tc.system)
+		}
+		if requested < 0 {
+			requested = r.RequestedDeviceEpochs()
+		} else if got := r.RequestedDeviceEpochs(); got != requested {
+			t.Fatalf("%v: %d requested device-epochs, other systems %d", tc.system, got, requested)
+		}
+		rows, markOnly := 0, 0
+		r.RangeDevices(func(d *core.Device) bool {
+			charged := map[string]bool{}
+			for _, row := range d.Ledger() {
+				charged[string(row.Querier)] = true
+				rows++
+			}
+			byQuerier := d.ConsumedByQuerier()
+			for q := range byQuerier {
+				if !charged[string(q)] {
+					t.Fatalf("%v: device %d reports querier %s it has no ledger row for", tc.system, d.ID(), q)
+				}
+			}
+			if len(byQuerier) != len(charged) {
+				t.Fatalf("%v: device %d reports %d queriers, has rows for %d", tc.system, d.ID(), len(byQuerier), len(charged))
+			}
+			d.RangeRequested(func(_ events.Epoch, queriers []string, _ []float64) {
+				for _, q := range queriers {
+					if !charged[q] {
+						markOnly++
+					}
+				}
+			})
+			return true
+		})
+		if (rows > 0) != tc.wantRows || (markOnly > 0) != tc.wantMarkOnly {
+			t.Fatalf("%v: %d ledger rows (want any: %t), %d marks on lanes without a row (want any: %t)",
+				tc.system, rows, tc.wantRows, markOnly, tc.wantMarkOnly)
+		}
 	}
 }

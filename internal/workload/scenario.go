@@ -226,12 +226,6 @@ type QueryResult struct {
 	avgBudgetAfter float64
 }
 
-// devEpoch identifies a requested device-epoch.
-type devEpoch struct {
-	d events.DeviceID
-	e events.Epoch
-}
-
 // queryPlan is one batch awaiting execution.
 type queryPlan struct {
 	advertiser dataset.Advertiser
