@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/aggregation"
@@ -138,7 +137,7 @@ func TestUnlinkabilityAcrossDevices(t *testing.T) {
 	}
 }
 
-// TestBudgetSurvivesRestartEndToEnd: persistence round-trips through the
+// TestBudgetSurvivesRestartEndToEnd: ledger rows restore through the
 // workload-facing device API, and the aggregation service still refuses the
 // pre-restart report nonces.
 func TestBudgetSurvivesRestartEndToEnd(t *testing.T) {
@@ -165,13 +164,11 @@ func TestBudgetSurvivesRestartEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var snap bytes.Buffer
-	if err := dev.SaveBudgets(&snap); err != nil {
-		t.Fatal(err)
-	}
 	restarted := core.NewDevice(1, db, 0.2, core.CookieMonsterPolicy{})
-	if err := restarted.LoadBudgets(&snap); err != nil {
-		t.Fatal(err)
+	for _, row := range dev.Ledger() {
+		if err := restarted.RestoreBudgetRow(row.Querier, row.Epoch, row.Consumed, row.Capacity); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// The epoch had 0.15 of 0.2 consumed; a second report must be denied.
 	_, diag, err := restarted.GenerateReport(req)

@@ -153,7 +153,6 @@ func TestDurabilityPropertyRandomFaults(t *testing.T) {
 				run.CheckpointDir = dir
 				run.SnapshotEveryDays = 7
 				run.BaseEveryDeltas = 2
-				run.KeepGenerations = 2
 				run.GroupCommitEvents = 64
 				run.DurableFS = ffs
 				run.Resume = resume

@@ -203,7 +203,7 @@ type IngestRequest struct {
 // admitted (and is WAL-logged and applied by the time the response is
 // sent) or recognized as a duplicate of an admission that is itself
 // durable by the time the response is sent — a duplicate of an event
-// still in the ingest queue is acknowledged only after that event
+// still in the admission queue is acknowledged only after that event
 // applies.
 type IngestResponse struct {
 	Accepted   int `json:"accepted"`

@@ -1,5 +1,15 @@
 package serve
 
+import "time"
+
+// ClockHeadAge is the queue clock's shed signal right now: how long the
+// oldest admitted-but-unapplied batch has waited (0 when none is queued).
+func (s *Server) ClockHeadAge() time.Duration {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.clock.headAge(time.Now().UnixNano())
+}
+
 // EventsSeeds are the POST /v1/events bodies both fuzz targets start
 // from: FuzzIngestHTTP in the external test package and FuzzIngestDecode
 // here.

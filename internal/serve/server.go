@@ -8,7 +8,7 @@
 // write-ahead log (when durability is on) and applied to the service
 // state — or recognized as a duplicate of an admission that is itself
 // durable by the time the response is sent (a duplicate of an event still
-// sitting in the ingest queue waits for that event to apply, so a retry
+// sitting in the admission queue waits for that event to apply, so a retry
 // racing its original can never be acknowledged ahead of it); a 429 means
 // the bounded admission queue pushed back and the whole batch can be
 // retried verbatim (the admitted prefix deduplicates); a 400 carries a
@@ -52,11 +52,11 @@ type Config struct {
 	// here — registration is closed at boot.
 	Meta dataset.Meta
 	// IngestBuffer bounds the admission queue between the HTTP handlers
-	// and the service's ingest queue — the backpressure window surfaced
-	// as 429s. 0 selects 4096.
+	// and the service's day clock — the only queue in front of it, and the
+	// backpressure window surfaced as 429s. 0 selects 4096.
 	IngestBuffer int
 	// ShedDelay enables queue-delay overload shedding (DESIGN.md §14):
-	// when the oldest enqueued-but-unapplied event has been waiting longer
+	// when the oldest admitted-but-unapplied batch has been waiting longer
 	// than ShedDelay, ingest requests are shed with a fast 429
 	// (CodeOverload) carrying Retry-After, instead of joining a queue
 	// whose latency has already collapsed. Queue *delay* rather than queue
@@ -95,7 +95,7 @@ func stateString(st int32) string {
 // enqueue time and is what admission checks against; the applied cursor
 // advances only when the service commits the admission (onAdmit, after
 // the WAL append), and is what a 200 response waits on. The gap between
-// them is exactly the ingest queue.
+// them is exactly the admission queue.
 type cursor struct {
 	day int
 	id  events.EventID
@@ -122,7 +122,7 @@ type appliedWaiter struct {
 }
 
 // netSource adapts the admission queue to dataset.Source: the service's
-// producer goroutine drains it like any trace. Closing ch ends the run;
+// day clock pulls from it like from any trace. Closing ch ends the run;
 // suspended distinguishes a graceful suspend (drain and keep resumable
 // state) from reaching the end of the trace.
 type netSource struct {
@@ -131,9 +131,6 @@ type netSource struct {
 	ready     chan struct{}
 	readyOnce sync.Once
 	suspended atomic.Bool
-	// clock tracks enqueue instants for the shedding gate (nil when
-	// shedding is disabled, keeping the hot path untouched).
-	clock *queueClock
 }
 
 // Meta implements dataset.Source.
@@ -149,53 +146,62 @@ func (s *netSource) Next() (events.Event, bool) {
 	return ev, ok
 }
 
-// queueClock is the shedding gate's FIFO of enqueue instants, running in
-// lockstep with the admission pipeline: handlers push as they enqueue,
-// onAdmit pops when the admission commits, and headAge is how long the
-// oldest enqueued-but-unapplied event has been waiting — the end-to-end
-// queue-delay overload signal (it spans the admission queue AND the
-// service's internal ingest queue, so backlog hiding in either shows
-// up). debt absorbs pops with no matching push (defensive; live pushes
-// and pops are serialized under the server mutex).
+// queueClock times the admission queue, the one queue between a client and
+// the day clock. It is a FIFO with one entry per admitted batch: the
+// handler pushes (admission instant, events admitted) as it enqueues, and
+// onAdmit pops one event per live admission. The entry's last pop is the
+// batch's admission→apply sojourn — what its client waited for the ack —
+// folded into longest/total/batches for /v1/stats and the finished Run;
+// the head entry's age is the signal the shed gate acts on. Server.mu
+// guards it: every push, pop and read already runs under that lock.
 type queueClock struct {
-	mu    sync.Mutex
-	times []int64
-	head  int
-	debt  int
+	entries []clockEntry
+	head    int
+	// Sojourn of the batches whose last event applied, in nanoseconds.
+	longest, total, batches int64
 }
 
-func (q *queueClock) push(t int64) {
-	q.mu.Lock()
-	if q.debt > 0 {
-		q.debt--
-		q.mu.Unlock()
-		return
-	}
-	if q.head > 1024 && q.head*2 >= len(q.times) {
-		q.times = append(q.times[:0], q.times[q.head:]...)
+type clockEntry struct {
+	at int64 // admission instant, UnixNano
+	n  int   // admitted events not yet applied
+}
+
+func (q *queueClock) push(at int64, n int) {
+	if q.head > 64 && q.head*2 >= len(q.entries) {
+		q.entries = append(q.entries[:0], q.entries[q.head:]...)
 		q.head = 0
 	}
-	q.times = append(q.times, t)
-	q.mu.Unlock()
+	q.entries = append(q.entries, clockEntry{at, n})
 }
 
+// pop accounts one applied event to the head entry. Only live admissions
+// pop, and each was pushed under the lock its pop takes, so the head exists.
 func (q *queueClock) pop() {
-	q.mu.Lock()
-	if q.head < len(q.times) {
-		q.head++
-	} else {
-		q.debt++
+	e := &q.entries[q.head]
+	if e.n--; e.n > 0 {
+		return
 	}
-	q.mu.Unlock()
+	d := time.Now().UnixNano() - e.at
+	q.longest = max(q.longest, d)
+	q.total += d
+	q.batches++
+	q.head++
 }
 
+// headAge is how long the oldest admitted-but-unapplied batch has waited.
 func (q *queueClock) headAge(now int64) time.Duration {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.head >= len(q.times) {
+	if q.head == len(q.entries) {
 		return 0
 	}
-	return time.Duration(now - q.times[q.head])
+	return time.Duration(now - q.entries[q.head].at)
+}
+
+// delays returns the longest and the mean batch sojourn so far.
+func (q *queueClock) delays() (longest, mean time.Duration) {
+	if q.batches == 0 {
+		return 0, 0
+	}
+	return time.Duration(q.longest), time.Duration(q.total / q.batches)
 }
 
 // Suspended implements dataset.Suspender.
@@ -221,14 +227,15 @@ type Stats struct {
 	Results       int   `json:"results"`
 	QueueDepth    int   `json:"queueDepth"`
 	QueueCapacity int   `json:"queueCapacity"`
+	// MaxQueueDelayMicros/AvgQueueDelayMicros are the longest and the mean
+	// admission→apply sojourn over the batches applied so far — live while
+	// the run serves, and the measured side of the signal ShedDelay acts on
+	// (queueClock). QueueDepth counts events; these time whole batches.
+	MaxQueueDelayMicros int64 `json:"maxQueueDelayMicros,omitempty"`
+	AvgQueueDelayMicros int64 `json:"avgQueueDelayMicros,omitempty"`
 	// Final-run telemetry, populated once State is "done" without error.
 	EventsIngested int `json:"eventsIngested,omitempty"`
 	EventsDropped  int `json:"eventsDropped,omitempty"`
-	// MaxQueueDelayMicros/AvgQueueDelayMicros are the service's ingest-
-	// queue sojourn telemetry from the finished run — the measured side of
-	// the signal ShedDelay acts on.
-	MaxQueueDelayMicros int64 `json:"maxQueueDelayMicros,omitempty"`
-	AvgQueueDelayMicros int64 `json:"avgQueueDelayMicros,omitempty"`
 }
 
 // Server is one served measurement run. Create with NewServer, expose
@@ -247,6 +254,7 @@ type Server struct {
 	cursors map[events.DeviceID]cursor
 	applied map[events.DeviceID]cursor
 	waiters map[events.DeviceID][]*appliedWaiter
+	clock   queueClock
 	results []stream.Result
 	stats   Stats
 	run     *workload.Run
@@ -321,9 +329,6 @@ func (s *Server) seal() {
 		ch:    make(chan events.Event, s.cfg.IngestBuffer),
 		ready: s.ready,
 	}
-	if s.cfg.ShedDelay > 0 {
-		src.clock = &queueClock{}
-	}
 	s.src = src
 	s.state = stateServing
 
@@ -350,8 +355,7 @@ func (s *Server) runService(wcfg workload.Config, src *netSource) {
 	if run != nil {
 		s.stats.EventsIngested = run.EventsIngested
 		s.stats.EventsDropped = run.EventsDropped
-		s.stats.MaxQueueDelayMicros = run.MaxQueueDelay.Microseconds()
-		s.stats.AvgQueueDelayMicros = run.AvgQueueDelay.Microseconds()
+		run.MaxQueueDelay, run.AvgQueueDelay = s.clock.delays()
 	}
 	close(s.done)
 	s.mu.Unlock()
@@ -371,15 +375,13 @@ func (s *Server) onAdmit(ev events.Event, dropped bool) {
 	if dropped {
 		s.stats.LateDropped++
 	}
-	if s.src != nil && s.src.clock != nil {
-		// Pop the shed clock only for live admissions: replayed admissions
-		// (resume recovery, which runs before the source turns ready) were
-		// never pushed by a handler this incarnation.
-		select {
-		case <-s.src.ready:
-			s.src.clock.pop()
-		default:
-		}
+	// Pop the queue clock only for live admissions: restored and replayed
+	// ones (resume recovery, which runs before the source turns ready) were
+	// never pushed by a handler this incarnation.
+	select {
+	case <-s.ready:
+		s.clock.pop()
+	default:
 	}
 	c := cursor{ev.Day, ev.ID}
 	if prev, ok := s.applied[ev.Device]; !ok || prev.before(ev) {
@@ -478,6 +480,8 @@ func (s *Server) statsLocked() Stats {
 	if s.src != nil {
 		st.QueueDepth = len(s.src.ch)
 	}
+	longest, mean := s.clock.delays()
+	st.MaxQueueDelayMicros, st.AvgQueueDelayMicros = longest.Microseconds(), mean.Microseconds()
 	return st
 }
 
@@ -646,25 +650,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Overload gate: shed before queueing when the admission queue's head
-	// has waited past ShedDelay. A fast 429 + Retry-After converts
-	// sustained saturation into client backoff instead of unbounded
-	// latency; the gate self-clears as the service drains the backlog.
-	if shed := s.cfg.ShedDelay; shed > 0 && src.clock != nil {
-		if age := src.clock.headAge(time.Now().UnixNano()); age > shed {
-			s.mu.Lock()
-			s.stats.Shed++
-			s.mu.Unlock()
-			ms := retryAfter(w, age)
-			writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
-				Error:        "overloaded: admission queue delay exceeds the shed threshold",
-				Code:         CodeOverload,
-				RetryAfterMs: ms,
-			})
-			return
-		}
-	}
-
 	s.mu.Lock()
 	if s.state != stateServing {
 		s.mu.Unlock()
@@ -672,14 +657,26 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			ErrorResponse{Error: "service is not accepting events", Code: CodeUnavailable})
 		return
 	}
+	// Overload gate: shed before queueing when the admission queue's head
+	// has waited past ShedDelay. A fast 429 + Retry-After converts
+	// sustained saturation into client backoff instead of unbounded
+	// latency; the gate self-clears as the service drains the backlog.
+	now := time.Now().UnixNano()
+	if age := s.clock.headAge(now); s.cfg.ShedDelay > 0 && age > s.cfg.ShedDelay {
+		s.stats.Shed++
+		s.mu.Unlock()
+		ms := retryAfter(w, age)
+		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
+			Error:        "overloaded: admission queue delay exceeds the shed threshold",
+			Code:         CodeOverload,
+			RetryAfterMs: ms,
+		})
+		return
+	}
 	accepted, duplicates := 0, 0
 	backpressured := false
 	var lastDev events.DeviceID
 	var lastNeed cursor
-	var enqNow int64
-	if src.clock != nil {
-		enqNow = time.Now().UnixNano()
-	}
 	for _, ev := range decoded {
 		if c, ok := s.cursors[ev.Device]; ok && !c.before(ev) {
 			duplicates++
@@ -690,15 +687,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			s.cursors[ev.Device] = cursor{ev.Day, ev.ID}
 			lastDev, lastNeed = ev.Device, cursor{ev.Day, ev.ID}
 			accepted++
-			if src.clock != nil {
-				src.clock.push(enqNow)
-			}
 		default:
 			backpressured = true
 		}
 		if backpressured {
 			break
 		}
+	}
+	if accepted > 0 {
+		s.clock.push(now, accepted)
 	}
 	s.stats.EventsAccepted += int64(accepted)
 	s.stats.DuplicatesRejected += int64(duplicates)
@@ -716,7 +713,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		waits = append(waits, wt)
 	case duplicates > 0:
 		// All-duplicate batch: the 200 still promises durability, and the
-		// originals may still be sitting in the ingest queue (a client
+		// originals may still be sitting in the admission queue (a client
 		// retrying a timed-out batch races its own first delivery). Wait
 		// until the applied cursor covers each device's newest duplicate.
 		need := make(map[events.DeviceID]cursor)

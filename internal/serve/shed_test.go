@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -46,6 +47,86 @@ func throttledScenario(applyDelay time.Duration) workload.Config {
 			}
 			return nil
 		},
+	}
+}
+
+// TestQueueDelayLive holds the queue clock to what /v1/stats promises: the
+// admission→apply sojourn of every batch applied so far, visible while the
+// run is still serving (shedding off — the clock does not depend on the
+// gate), copied into the finished Run, and untouched by the admissions a
+// resumed server replays, which no handler of that incarnation pushed.
+func TestQueueDelayLive(t *testing.T) {
+	const applyDelay, batch = time.Millisecond, 16
+	meta := tinyMeta()
+	meta.Advertisers = []dataset.Advertiser{tinyAdvertiser()}
+	scenario := throttledScenario(applyDelay)
+	scenario.CheckpointDir = t.TempDir()
+	liveStats := func(c *client) serve.Stats {
+		t.Helper()
+		status, raw := c.do(http.MethodGet, "/v1/stats", nil)
+		var st serve.Stats
+		if err := json.Unmarshal(raw, &st); status != http.StatusOK || err != nil {
+			t.Fatalf("stats: status %d, %v: %s", status, err, raw)
+		}
+		if st.State != "serving" {
+			t.Fatalf("state %q, want serving", st.State)
+		}
+		return st
+	}
+	evs := make([]events.Event, 2*batch)
+	for i := range evs {
+		evs[i] = shedEvent(i)
+	}
+
+	tsA := newTestServer(t, serve.Config{Scenario: scenario, Meta: meta})
+	cA := newClient(t, tsA)
+	if st, acc, _ := cA.sendBatch(evs[:batch]); st != http.StatusOK || acc != batch {
+		t.Fatalf("first batch: status %d, accepted %d", st, acc)
+	}
+	// One batch so far, so max = avg: its ack came after its last event
+	// applied, a batch's worth of throttled applies after its admission.
+	st := liveStats(cA)
+	if st.AvgQueueDelayMicros < (batch*applyDelay).Microseconds() || st.MaxQueueDelayMicros != st.AvgQueueDelayMicros {
+		t.Fatalf("after one %d-event batch at %v per apply: max %dµs, avg %dµs",
+			batch, applyDelay, st.MaxQueueDelayMicros, st.AvgQueueDelayMicros)
+	}
+	if age := tsA.srv.ClockHeadAge(); age != 0 {
+		t.Fatalf("queue drained, head age %v", age)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	runA, err := tsA.srv.Shutdown(ctx, false /* suspend */)
+	if err != nil {
+		t.Fatalf("suspend: %v", err)
+	}
+	final := tsA.srv.StatsSnapshot()
+	if runA.MaxQueueDelay.Microseconds() != final.MaxQueueDelayMicros ||
+		runA.AvgQueueDelay.Microseconds() != final.AvgQueueDelayMicros || runA.AvgQueueDelay <= 0 {
+		t.Fatalf("finished run carries max %v avg %v, stats %dµs/%dµs",
+			runA.MaxQueueDelay, runA.AvgQueueDelay, final.MaxQueueDelayMicros, final.AvgQueueDelayMicros)
+	}
+
+	// Resume: recovery replays the first batch's admissions through the
+	// same observer. A re-send is all duplicates, so the cursors were
+	// rebuilt — and the clock saw none of it.
+	scenario.Resume = true
+	tsB := newTestServer(t, serve.Config{Scenario: scenario, Meta: meta})
+	cB := newClient(t, tsB)
+	if st, acc, dup := cB.sendBatch(evs[:batch]); st != http.StatusOK || acc != 0 || dup != batch {
+		t.Fatalf("re-send after resume: status %d, accepted %d, duplicates %d", st, acc, dup)
+	}
+	if st := liveStats(cB); st.MaxQueueDelayMicros != 0 || st.AvgQueueDelayMicros != 0 || tsB.srv.ClockHeadAge() != 0 {
+		t.Fatalf("replayed admissions moved the clock: max %dµs avg %dµs head age %v",
+			st.MaxQueueDelayMicros, st.AvgQueueDelayMicros, tsB.srv.ClockHeadAge())
+	}
+	if st, acc, _ := cB.sendBatch(evs[batch:]); st != http.StatusOK || acc != batch {
+		t.Fatalf("live batch after resume: status %d, accepted %d", st, acc)
+	}
+	if st := liveStats(cB); st.AvgQueueDelayMicros < (batch * applyDelay).Microseconds() {
+		t.Fatalf("live batch after resume timed at %dµs", st.AvgQueueDelayMicros)
+	}
+	if _, err := tsShutdown(tsB); err != nil {
+		t.Fatalf("shutdown: %v", err)
 	}
 }
 

@@ -57,8 +57,8 @@ const snapSchemaVersion = 5
 
 // snapConfig is the scenario fingerprint stored in every snapshot. Resuming
 // under a different scenario would silently diverge from the original run,
-// so ResumeFrom refuses mismatches. Execution-only knobs (Parallelism,
-// QueueSize) are excluded: results are invariant to them.
+// so ResumeFrom refuses mismatches. Parallelism is execution-only and
+// excluded: results are invariant to it.
 type snapConfig struct {
 	EpochDays            int     `json:"epochDays"`
 	WindowDays           int     `json:"windowDays"`
@@ -288,11 +288,16 @@ type snapHead struct {
 	Streams []streamSnap  `json:"streams,omitempty"`
 	Results []resultState `json:"results,omitempty"`
 
-	// Run accumulators and telemetry. PeakQueue and Durability depend on
-	// scheduling, not on the trace: they ride along so a resumed run reports
-	// its whole history, and stay out of every digest.
-	TotalConsumed       uint64          `json:"totalConsumedBits"`
-	PeakQueue           int             `json:"peakQueue"`
+	// Run accumulators and telemetry. Durability depends on scheduling, not
+	// on the trace: it rides along so a resumed run reports its whole
+	// history, and stays out of every digest.
+	TotalConsumed uint64 `json:"totalConsumedBits"`
+	// RetiredQueueDepth holds schema 5's "peakQueue" key, the depth of an
+	// ingest queue the service no longer has. parsePayload accepts a head
+	// only in the encoder's own bytes, so the key stays — read and carried
+	// through a fold as written, 0 in a new capture — for as long as schema
+	// 5 directories must load; the next schema bump drops it.
+	RetiredQueueDepth   int             `json:"peakQueue"`
 	PeakResidentRecords int             `json:"peakResidentRecords"`
 	EvictedRecords      int             `json:"evictedRecords"`
 	RetiredNonces       int             `json:"retiredNonces"`
@@ -345,7 +350,6 @@ func (s *Service) scalarSnap() *snapHead {
 		FleetFloor: int32(s.fleet.EpochFloor()),
 
 		TotalConsumed:       math.Float64bits(s.run.TotalConsumed),
-		PeakQueue:           s.run.PeakQueue,
 		PeakResidentRecords: s.run.PeakResidentRecords,
 		EvictedRecords:      s.run.EvictedRecords,
 		RetiredNonces:       s.run.RetiredNonces,
@@ -434,7 +438,7 @@ var errReplayGap = errors.New("stream: wal sequence gap")
 //
 // cfg must describe the same scenario as the original run (ResumeFrom
 // verifies the snapshot's config fingerprint) with the source positioned at
-// the start of the stream; Parallelism and QueueSize may differ.
+// the start of the stream; Parallelism may differ.
 func ResumeFrom(cfg Config, dir string) (*Service, error) {
 	s, err := New(cfg)
 	if err != nil {
@@ -538,7 +542,6 @@ func (s *Service) restore(c *snapChain) error {
 	s.run.EventsIngested = snap.EventsIngested
 	s.run.EventsDropped = snap.EventsDropped
 	s.run.TotalConsumed = math.Float64frombits(snap.TotalConsumed)
-	s.run.PeakQueue = snap.PeakQueue
 	s.run.PeakResidentRecords = snap.PeakResidentRecords
 	s.run.EvictedRecords = snap.EvictedRecords
 	s.run.RetiredNonces = snap.RetiredNonces

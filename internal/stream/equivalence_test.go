@@ -4,7 +4,7 @@ package stream_test
 // (workload.Execute) is the specification, the streaming service is the
 // online implementation, and the contract is bit-identical QueryResults —
 // same estimates, same denial counts, same budget trajectories — for the
-// same seed and scenario, at any parallelism and any queue size.
+// same seed and scenario, at any parallelism.
 
 import (
 	"math"
@@ -61,7 +61,7 @@ func resultsIdentical(t *testing.T, label string, a, b []workload.QueryResult) {
 			x.RMSRE, y.RMSRE = 0, 0
 		}
 		if x != y {
-			t.Fatalf("%s: query %d differs:\n  batch:  %+v\n  stream: %+v", label, i, a[i], b[i])
+			t.Fatalf("%s: query %d differs:\n  %+v\n  %+v", label, i, a[i], b[i])
 		}
 	}
 }
@@ -181,7 +181,7 @@ func TestStreamingEquivalenceSyntheticSource(t *testing.T) {
 }
 
 // serveRaw drives a stream.Service directly for service-level knobs the
-// workload client does not expose (queue size, lean retention).
+// workload client does not expose (lean retention).
 func serveRaw(t *testing.T, cfg stream.Config) *stream.Run {
 	t.Helper()
 	svc, err := stream.New(cfg)
@@ -195,49 +195,6 @@ func serveRaw(t *testing.T, cfg stream.Config) *stream.Run {
 	return run
 }
 
-func streamResultsIdentical(t *testing.T, label string, a, b []stream.Result) {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("%s: %d vs %d results", label, len(a), len(b))
-	}
-	for i := range a {
-		x, y := a[i], b[i]
-		if math.IsNaN(x.RMSRE) && math.IsNaN(y.RMSRE) {
-			x.RMSRE, y.RMSRE = 0, 0
-		}
-		if x != y {
-			t.Fatalf("%s: query %d differs:\n  %+v\n  %+v", label, i, a[i], b[i])
-		}
-	}
-}
-
-// TestBackpressureInvariance pins the other half of the bounded-memory
-// claim: a one-slot ingest queue throttles the producer to lockstep with
-// the day clock yet changes nothing about the results.
-func TestBackpressureInvariance(t *testing.T) {
-	ds := smallMicro(t, 1.0, 0.5)
-	base := stream.Config{Source: ds.Stream(), EpsilonG: 2, Seed: 7}
-	wide := base
-	wide.QueueSize = 4096
-	narrow := base
-	narrow.Source = ds.Stream()
-	narrow.QueueSize = 1
-	runWide := serveRaw(t, wide)
-	runNarrow := serveRaw(t, narrow)
-	streamResultsIdentical(t, "queue=1 vs queue=4096", runWide.Results, runNarrow.Results)
-	if runNarrow.PeakQueue > 1 {
-		t.Fatalf("one-slot queue reported peak depth %d", runNarrow.PeakQueue)
-	}
-	// The depth reaches the workload-level Run: the producer outpaces the
-	// day clock somewhere in any real trace, so a one-slot queue peaks at 1.
-	if got := workload.RunFromStream(workload.Config{Dataset: ds}, runNarrow).PeakQueue; got != 1 {
-		t.Fatalf("workload.Run.PeakQueue = %d, stream.Run.PeakQueue = %d, want 1", got, runNarrow.PeakQueue)
-	}
-	if runWide.EventsIngested != runNarrow.EventsIngested {
-		t.Fatalf("ingest counts differ: %d vs %d", runWide.EventsIngested, runNarrow.EventsIngested)
-	}
-}
-
 // TestLeanRetentionInvariance checks the long-running-service mode: device
 // filters and event records below the horizon are reclaimed, the requested
 // marks go with the filters — and the query results are still bit-identical.
@@ -249,7 +206,7 @@ func TestLeanRetentionInvariance(t *testing.T) {
 	lean.Lean = true
 	runFull := serveRaw(t, full)
 	runLean := serveRaw(t, lean)
-	streamResultsIdentical(t, "lean vs full", runFull.Results, runLean.Results)
+	resultsIdentical(t, "lean vs full", runFull.Results, runLean.Results)
 	floor, marks := runLean.Fleet.EpochFloor(), 0
 	runLean.Fleet.Range(func(d *core.Device) bool {
 		d.RangeRequested(func(e events.Epoch, _ []string, _ []float64) {

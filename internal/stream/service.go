@@ -5,11 +5,12 @@
 //
 // Architecture (DESIGN.md §6):
 //
-//   - A dataset.Source delivers events in (Day, ID) order through a bounded
-//     ingest queue. The queue is the service's backpressure valve: when
-//     query execution falls behind, the producer blocks, so peak memory is
-//     set by the queue capacity and the attribution-window retention
-//     horizon — never by trace length.
+//   - A dataset.Source delivers events in (Day, ID) order, and the day clock
+//     pulls them one at a time: nothing is buffered between the source and
+//     Service.step, so a slow query stage simply delays the next pull and
+//     peak memory is set by the attribution-window retention horizon —
+//     never by trace length. A source that is itself a queue (the serving
+//     layer's admission channel) owns its buffering and its backpressure.
 //   - Ingestion is day-clocked. All of day d's events land in the event
 //     store before any day-d query fires; queries only read windows ending
 //     at or before d, so the generate stage's concurrent readers never
@@ -31,7 +32,7 @@
 // operations serialize identically inside the super-batch, and noise streams
 // are consumed in the same sequence — so a streaming run over a source is
 // bit-identical to a batch run over the materialized dataset, at any
-// parallelism and any queue size. internal/stream's equivalence tests hold
+// parallelism. internal/stream's equivalence tests hold
 // the two implementations to that contract, in the spirit of showing an
 // optimistic online system equivalent to its batch specification.
 package stream
@@ -78,8 +79,8 @@ const (
 
 // Config parameterizes one streaming service instance. The scenario knobs
 // (epoch length, window, budgets, calibration, bias) have the same meaning
-// as the batch engine's workload.Config; the service-only knobs tune the
-// ingest queue and retention behaviour.
+// as the batch engine's workload.Config; the service-only knobs tune
+// retention and durability.
 type Config struct {
 	// Source supplies the event stream and the dataset metadata.
 	Source dataset.Source
@@ -119,9 +120,6 @@ type Config struct {
 	// checkpoint scenario fingerprint.
 	LatePolicy LatePolicy
 
-	// QueueSize bounds the ingest queue (the backpressure window between
-	// the source and the day clock). 0 selects a default of 1024 events.
-	QueueSize int
 	// Lean selects long-running-service retention: device filters below
 	// the horizon are released (core.Fleet.AdvanceEpochFloor), and the
 	// requested marks beside them go with the slots. Query results are
@@ -144,9 +142,6 @@ type Config struct {
 	// BaseEveryDeltas folds the delta chain into a fresh base after this
 	// many deltas (default 8).
 	BaseEveryDeltas int
-	// KeepGenerations retains the newest K intact base generations (with
-	// the deltas and WAL segments above them) at GC time (default 2).
-	KeepGenerations int
 	// GroupCommitEvents, when positive, batches WAL fsyncs into group
 	// commits: after this many appended events the service flushes the log
 	// and signals a background syncer instead of fsyncing inline, so the
@@ -209,17 +204,11 @@ func (c Config) withDefaults() Config {
 	if c.Parallelism == 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if c.QueueSize == 0 {
-		c.QueueSize = 1024
-	}
 	if c.Policy == nil && !c.Central {
 		c.Policy = core.CookieMonsterPolicy{}
 	}
 	if c.BaseEveryDeltas == 0 {
 		c.BaseEveryDeltas = 8
-	}
-	if c.KeepGenerations == 0 {
-		c.KeepGenerations = 2
 	}
 	return c
 }
@@ -236,43 +225,55 @@ func (c Config) validate() error {
 		return fmt.Errorf("stream: negative fixed epsilon")
 	case c.Parallelism < 0:
 		return fmt.Errorf("stream: negative parallelism")
-	case c.QueueSize < 0:
-		return fmt.Errorf("stream: negative queue size")
 	case c.SnapshotEveryDays < 0:
 		return fmt.Errorf("stream: negative snapshot cadence")
 	case c.SnapshotEveryDays > 0 && c.CheckpointDir == "":
 		return fmt.Errorf("stream: snapshot cadence without checkpoint directory")
 	case c.BaseEveryDeltas < 0:
 		return fmt.Errorf("stream: negative base compaction cadence")
-	case c.KeepGenerations < 0:
-		return fmt.Errorf("stream: negative generation retention")
 	case c.GroupCommitEvents < 0:
 		return fmt.Errorf("stream: negative group-commit threshold")
 	}
 	return nil
 }
 
-// Result records one summation query's outcome. Fields mirror the batch
-// engine's QueryResult one-for-one; the equivalence tests compare them
-// bit-for-bit.
+// Result records one summation query's outcome. Both engines produce it
+// (workload.QueryResult is this type); the equivalence tests compare the
+// structs bit-for-bit.
 type Result struct {
-	Querier  events.Site
-	Product  string
-	Index    int
-	Batch    int
-	Epsilon  float64
+	// Querier and Product identify the query stream.
+	Querier events.Site
+	Product string
+	// Index is the query's global position in submission order (0-based).
+	Index int
+	// Batch is the number of reports aggregated (B).
+	Batch int
+	// Epsilon is the requested privacy parameter.
+	Epsilon float64
+	// Executed is false when IPA-like rejected the query for lack of
+	// budget (on-device systems always execute).
 	Executed bool
-	Truth    float64
+	// Truth is the unbiased, noise-free query value Q(D).
+	Truth float64
+	// Estimate is the released noisy value M(D) (undefined when not
+	// executed).
 	Estimate float64
-	RMSRE    float64
-	// FireDay is the day the batch filled and the query ran — streaming
-	// observability the batch engine derives from its plan.
-	FireDay        int
-	DeniedReports  int
-	BiasedReports  int
-	BiasEstimate   float64
-	FirstEpoch     events.Epoch
-	LastEpoch      events.Epoch
+	// RMSRE is the realized relative error |M−Q|/|Q| of this query.
+	RMSRE float64
+	// FireDay is the day the batch filled and the query ran.
+	FireDay int
+	// DeniedReports counts reports with at least one budget-denied epoch.
+	DeniedReports int
+	// BiasedReports counts reports whose value actually changed due to
+	// denials.
+	BiasedReports int
+	// BiasEstimate is the querier-side RMSRE upper bound from the side
+	// query (0 when bias measurement is off).
+	BiasEstimate float64
+	// FirstEpoch and LastEpoch delimit the union of the batch's windows.
+	FirstEpoch, LastEpoch events.Epoch
+	// AvgBudgetAfter snapshots the population-average budget right after
+	// this query (the Fig. 5a series).
 	AvgBudgetAfter float64
 }
 
@@ -307,16 +308,6 @@ type Run struct {
 	// Config.LatePolicy == LateDrop (always 0 under LateReject, which
 	// aborts instead).
 	EventsDropped int
-	// PeakQueue is the deepest the ingest queue got — how close the
-	// service came to exerting backpressure.
-	PeakQueue int
-	// MaxQueueDelay and AvgQueueDelay measure ingest-queue sojourn time:
-	// how long events sat buffered between the producer's enqueue and the
-	// day clock draining them. Sustained growth here is the overload
-	// signal the serving layer's shedding gate acts on (DESIGN.md §14).
-	// Observability only — never part of the equivalence digests.
-	MaxQueueDelay time.Duration
-	AvgQueueDelay time.Duration
 	// PeakResidentRecords is the maximum number of device-epoch records
 	// resident in the event store at any day boundary; with retention on,
 	// it tracks the attribution window rather than the trace length.
@@ -492,10 +483,10 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// Serve drains the source to completion: a producer goroutine feeds the
-// bounded ingest queue while the service's day clock ingests events, fires
-// due queries at each day boundary, and advances retention. It returns the
-// completed run. Serve is single-shot; the service cannot be reused.
+// Serve drains the source to completion on the calling goroutine: the day
+// clock pulls each event from the source, ingests it, fires due queries at
+// each day boundary, and advances retention. It returns the completed run.
+// Serve is single-shot; the service cannot be reused.
 //
 // With Config.CheckpointDir set, every event is logged ahead of being
 // applied, snapshots commit on the SnapshotEveryDays cadence, and a final
@@ -537,60 +528,18 @@ func (s *Service) Serve() (run *Run, err error) {
 		}()
 	}
 
-	queue := make(chan events.Event, s.cfg.QueueSize)
-	// times runs in lockstep with queue, carrying each event's enqueue
-	// instant so the drain loop can measure sojourn time — the queue-delay
-	// signal the serving layer's overload shedding keys on.
-	times := make(chan int64, s.cfg.QueueSize)
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		defer close(queue)
-		for {
-			ev, ok := s.cfg.Source.Next()
-			if !ok {
-				return
-			}
-			t := time.Now().UnixNano()
-			select {
-			case queue <- ev:
-			case <-done:
-				return
-			}
-			select {
-			case times <- t:
-			case <-done:
-				return
-			}
-		}
-	}()
-
-	skip := s.skip
-	var delaySum, delayCount int64
-	for ev := range queue {
-		enq := <-times
-		if d := time.Now().UnixNano() - enq; d > 0 {
-			if time.Duration(d) > s.run.MaxQueueDelay {
-				s.run.MaxQueueDelay = time.Duration(d)
-			}
-			delaySum += d
-			delayCount++
+	for skip := s.skip; ; {
+		ev, ok := s.cfg.Source.Next()
+		if !ok {
+			break
 		}
 		if skip > 0 {
 			skip--
 			continue
 		}
-		// Occupancy after the receive: how much buffered backlog the
-		// producer built up while the day clock was busy.
-		if depth := len(queue); depth > s.run.PeakQueue {
-			s.run.PeakQueue = depth
-		}
 		if err := s.step(ev); err != nil {
 			return nil, err
 		}
-	}
-	if delayCount > 0 {
-		s.run.AvgQueueDelay = time.Duration(delaySum / delayCount)
 	}
 	// A suspended source ended mid-trace (graceful shutdown of a live
 	// feed): the in-progress day must NOT flush — its remaining events
@@ -627,7 +576,7 @@ func (s *Service) Serve() (run *Run, err error) {
 			if err := s.writeBase(gen); err != nil {
 				return nil, err
 			}
-			if err := s.store.GC(s.cfg.KeepGenerations); err != nil {
+			if err := s.store.GC(keepGenerations); err != nil {
 				return nil, err
 			}
 		}
@@ -679,7 +628,7 @@ func (s *Service) openDurability() error {
 	if s.cfg.GroupCommitEvents > 0 {
 		s.wal.StartGroupCommit()
 	}
-	s.writer = newSnapWriter(s.store, s.cfg.BaseEveryDeltas, s.cfg.KeepGenerations, s.headDeltas)
+	s.writer = newSnapWriter(s.store, s.cfg.BaseEveryDeltas, s.headDeltas)
 	return nil
 }
 

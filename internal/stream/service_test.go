@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -58,6 +60,74 @@ func TestServeEmptySource(t *testing.T) {
 	}
 	if len(run.Results) != 0 || run.EventsIngested != 0 {
 		t.Fatalf("empty source produced %+v", run)
+	}
+}
+
+// goroutineID reads the calling goroutine's number off its stack header.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	fields := bytes.Fields(buf[:runtime.Stack(buf, false)])
+	return string(fields[1]) // "goroutine N [running]:"
+}
+
+// pulledSource is a source that checks, every time the service pulls from
+// it, how it is being pulled: on the goroutine that called Serve, with no
+// goroutine started since, and only once every event handed out before has
+// reached its admission decision.
+type pulledSource struct {
+	fakeSource
+	t          *testing.T
+	caller     string
+	goroutines int
+	decided    int // admissions and drops the AdmitObserver has seen
+}
+
+func (p *pulledSource) Next() (events.Event, bool) {
+	// Errorf, once: a failing service calls this off the test's goroutine.
+	switch id, n := goroutineID(), runtime.NumGoroutine(); {
+	case p.t.Failed():
+	case id != p.caller:
+		p.t.Errorf("Next called on goroutine %s, Serve on %s", id, p.caller)
+	case n != p.goroutines:
+		p.t.Errorf("%d goroutines while serving, %d before Serve", n, p.goroutines)
+	case p.next != p.decided:
+		p.t.Errorf("pull %d with only %d events decided: %d buffered between the source and the day clock",
+			p.next, p.decided, p.next-p.decided)
+	}
+	return p.fakeSource.Next()
+}
+
+// TestServePullsItsSource is the bounded-memory claim in the form it has
+// without an ingest queue: nothing sits between the source and the day
+// clock. The service pulls an event only after the previous one was admitted
+// or dropped, on the goroutine that called Serve, and a non-durable Serve
+// starts no goroutine (Parallelism 1 keeps the generate stage's fan-out,
+// the only other goroutines a service has, inline).
+func TestServePullsItsSource(t *testing.T) {
+	meta, evs := hostileTrace(t, 11)
+	src := &pulledSource{fakeSource: fakeSource{meta: meta, evs: evs}, t: t}
+	dropped := 0
+	svc, err := New(Config{Source: src, EpsilonG: 2, Seed: 5, LatePolicy: LateDrop, Parallelism: 1,
+		AdmitObserver: func(_ events.Event, drop bool) {
+			src.decided++
+			if drop {
+				dropped++
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.caller, src.goroutines = goroutineID(), runtime.NumGoroutine()
+	run, err := svc.Serve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n != src.goroutines {
+		t.Fatalf("%d goroutines after Serve, %d before", n, src.goroutines)
+	}
+	if src.decided != len(evs) || run.EventsIngested != len(evs) || dropped == 0 || dropped != run.EventsDropped || len(run.Results) == 0 {
+		t.Fatalf("run exercises too little: %d of %d events decided, %d ingested, %d/%d dropped, %d results",
+			src.decided, len(evs), run.EventsIngested, dropped, run.EventsDropped, len(run.Results))
 	}
 }
 
@@ -137,9 +207,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Source: &fakeSource{meta: testMeta()}, Parallelism: -1}); err == nil {
 		t.Fatal("negative parallelism accepted")
-	}
-	if _, err := New(Config{Source: &fakeSource{meta: testMeta()}, QueueSize: -1}); err == nil {
-		t.Fatal("negative queue size accepted")
 	}
 	if _, err := New(Config{Source: &fakeSource{meta: testMeta()}, FixedEpsilon: -1}); err == nil {
 		t.Fatal("negative epsilon accepted")

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -241,7 +242,7 @@ func sampleService(t testing.TB, evs []events.Event, dir string) *Service {
 	t.Helper()
 	cfg := Config{Source: &fakeSource{meta: testMeta(), evs: evs}, FixedEpsilon: 1, EpsilonG: 100}
 	if dir != "" {
-		cfg.CheckpointDir, cfg.SnapshotEveryDays, cfg.BaseEveryDeltas, cfg.KeepGenerations = dir, 2, 100, 100
+		cfg.CheckpointDir, cfg.SnapshotEveryDays, cfg.BaseEveryDeltas = dir, 2, 100
 	}
 	svc, err := New(cfg)
 	if err != nil {
@@ -460,6 +461,57 @@ func FuzzSnapPayload(f *testing.F) {
 			return nil
 		})
 	})
+}
+
+// TestResumesDirectoryWrittenBeforeQueueRemoval resumes testdata/ckpt-53ceb69:
+// a schema-5 directory written by commit 53ceb69, the last one whose service
+// had an ingest queue, by the run below crashed at its 20th ingested event
+// (fixed ε 1, ε^G 100, a snapshot every 2 days, group commits of 2). Its
+// heads say "peakQueue":26. This code must load every generation of it —
+// no fallback, state restored, not rebuilt from the source — and finish on
+// the results of a run that was never interrupted.
+func TestResumesDirectoryWrittenBeforeQueueRemoval(t *testing.T) {
+	var evs []events.Event
+	for dev := 1; dev <= 3; dev++ {
+		evs = append(evs, events.Event{ID: events.EventID(100 + dev), Kind: events.KindImpression,
+			Device: events.DeviceID(dev), Advertiser: "nike.example", Campaign: "product-0"})
+	}
+	for i := 1; i <= 24; i++ {
+		evs = append(evs, conv(events.EventID(i), events.DeviceID(1+i%3), i/2))
+	}
+	cfg := Config{Source: &fakeSource{meta: testMeta(), evs: evs}, FixedEpsilon: 1, EpsilonG: 100}
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Serve()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS("testdata/ckpt-53ceb69")); err != nil {
+		t.Fatal(err)
+	}
+	restored := 0
+	cfg.Source = &fakeSource{meta: testMeta(), evs: evs}
+	cfg.CheckpointDir, cfg.SnapshotEveryDays, cfg.GroupCommitEvents = dir, 2, 2
+	cfg.AdmitObserver = func(events.Event, bool) { restored++ }
+	svc, err := ResumeFrom(cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if svc.headDeltas != 3 || svc.run.Durability.RecoveryFallbacks != 0 || restored < 16 || restored != svc.skip {
+		t.Fatalf("recovery loaded %d deltas with %d fallbacks and restored %d events (skip %d), want 3 deltas, 0, ≥ 16",
+			svc.headDeltas, svc.run.Durability.RecoveryFallbacks, restored, svc.skip)
+	}
+	got, err := svc.Serve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Results) != 12 || !slices.Equal(got.Results, want.Results) || got.TotalConsumed != want.TotalConsumed {
+		t.Fatalf("resumed run released\n  %+v\nuninterrupted run\n  %+v", got.Results, want.Results)
+	}
 }
 
 // TestResumeRefusesSchema3 pins that a payload of a retired schema — the

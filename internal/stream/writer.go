@@ -36,11 +36,15 @@ type snapResult struct {
 	err          error
 }
 
+// keepGenerations is how many of the newest intact base generations (with
+// the deltas and WAL segments above them) every GC retains: the head, and
+// one to fall back to when the head turns out unreadable.
+const keepGenerations = 2
+
 // snapWriter owns the writer goroutine and its single-slot channels.
 type snapWriter struct {
 	store     *checkpoint.Store
 	baseEvery int
-	keep      int
 
 	jobs    chan snapJob
 	results chan snapResult
@@ -52,11 +56,10 @@ type snapWriter struct {
 // newSnapWriter starts the writer. deltasSince is the length of the delta
 // chain already on disk (a resumed run's), so the compaction cadence — and
 // the chain's length — does not restart with every incarnation.
-func newSnapWriter(store *checkpoint.Store, baseEvery, keep, deltasSince int) *snapWriter {
+func newSnapWriter(store *checkpoint.Store, baseEvery, deltasSince int) *snapWriter {
 	w := &snapWriter{
 		store:       store,
 		baseEvery:   baseEvery,
-		keep:        keep,
 		jobs:        make(chan snapJob, 1),
 		results:     make(chan snapResult, 1),
 		deltasSince: deltasSince,
@@ -123,5 +126,5 @@ func (w *snapWriter) compact(res *snapResult) error {
 	w.deltasSince = 0
 	res.compacted = true
 	res.compactBytes = len(payload)
-	return w.store.GC(w.keep)
+	return w.store.GC(keepGenerations)
 }

@@ -68,7 +68,6 @@ func ExecuteSource(cfg Config, src dataset.Source) (*Run, error) {
 		CheckpointDir:        cfg.CheckpointDir,
 		SnapshotEveryDays:    cfg.SnapshotEveryDays,
 		BaseEveryDeltas:      cfg.BaseEveryDeltas,
-		KeepGenerations:      cfg.KeepGenerations,
 		GroupCommitEvents:    cfg.GroupCommitEvents,
 		DurableFS:            cfg.DurableFS,
 		FaultHook:            cfg.FaultHook,
@@ -109,44 +108,21 @@ func ExecuteSource(cfg Config, src dataset.Source) (*Run, error) {
 }
 
 // RunFromStream folds a completed streaming run into the workload's Run
-// shape, field by field, preserving bit-identity with the batch engine.
-// The serving layer uses it to fold a network-fed service's run into the
-// same digestable shape every in-process run produces.
+// shape, preserving bit-identity with the batch engine. The serving layer
+// uses it to fold a network-fed service's run into the same digestable shape
+// every in-process run produces.
 func RunFromStream(cfg Config, srun *stream.Run) *Run {
-	r := &Run{
+	return &Run{
 		Config:         cfg,
+		Results:        srun.Results,
 		TotalEpochs:    srun.TotalEpochs,
 		EventsIngested: srun.EventsIngested,
 		EventsDropped:  srun.EventsDropped,
 		Durability:     srun.Durability,
-		MaxQueueDelay:  srun.MaxQueueDelay,
-		AvgQueueDelay:  srun.AvgQueueDelay,
-		PeakQueue:      srun.PeakQueue,
 		fleet:          srun.Fleet,
 		totalConsumed:  srun.TotalConsumed,
 		firstSpanEpoch: srun.FirstSpanEpoch,
 		lastSpanEpoch:  srun.LastSpanEpoch,
 		central:        srun.Central,
 	}
-	r.Results = make([]QueryResult, len(srun.Results))
-	for i, sr := range srun.Results {
-		r.Results[i] = QueryResult{
-			Querier:        sr.Querier,
-			Product:        sr.Product,
-			Index:          sr.Index,
-			Batch:          sr.Batch,
-			Epsilon:        sr.Epsilon,
-			Executed:       sr.Executed,
-			Truth:          sr.Truth,
-			Estimate:       sr.Estimate,
-			RMSRE:          sr.RMSRE,
-			DeniedReports:  sr.DeniedReports,
-			BiasedReports:  sr.BiasedReports,
-			BiasEstimate:   sr.BiasEstimate,
-			FirstEpoch:     sr.FirstEpoch,
-			LastEpoch:      sr.LastEpoch,
-			avgBudgetAfter: sr.AvgBudgetAfter,
-		}
-	}
-	return r
 }

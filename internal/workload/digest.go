@@ -27,7 +27,7 @@ func (r *Run) CanonicalDigest() string {
 		writeFloat(h, res.RMSRE)
 		writeFloat(h, res.BiasEstimate)
 		fmt.Fprintf(h, "%d|%d|", res.FirstEpoch, res.LastEpoch)
-		writeFloat(h, res.avgBudgetAfter)
+		writeFloat(h, res.AvgBudgetAfter)
 		io.WriteString(h, "\n")
 	}
 	avg, max := r.BudgetStats()

@@ -76,7 +76,7 @@ func (r *Run) PopulationAvgBudget() float64 {
 func (r *Run) CumulativeAvgBudget() []float64 {
 	out := make([]float64, len(r.Results))
 	for i := range r.Results {
-		out[i] = r.Results[i].avgBudgetAfter
+		out[i] = r.Results[i].AvgBudgetAfter
 	}
 	return out
 }

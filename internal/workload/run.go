@@ -35,15 +35,12 @@ type Run struct {
 	// for batch runs and for streaming runs without a checkpoint
 	// directory). Observability only — never part of CanonicalDigest.
 	Durability stream.DurabilityStats
-	// MaxQueueDelay and AvgQueueDelay are the streaming run's ingest-queue
-	// sojourn telemetry (zero for batch runs) — the overload signal the
-	// serving layer's shedding gate reads. Observability only.
+	// MaxQueueDelay and AvgQueueDelay are the admission→apply sojourn of
+	// the batches the run admitted: zero unless the run was fed through
+	// internal/serve's admission queue, the only queue in front of the day
+	// clock. Observability only — never part of CanonicalDigest.
 	MaxQueueDelay time.Duration
 	AvgQueueDelay time.Duration
-	// PeakQueue is the deepest the streaming run's ingest queue got (zero
-	// for batch runs). It depends on scheduling, not on the trace:
-	// observability only — never part of CanonicalDigest.
-	PeakQueue int
 
 	db       *events.Database
 	fleet    *core.Fleet
@@ -108,7 +105,7 @@ func Execute(cfg Config) (*Run, error) {
 			return nil, err
 		}
 		res.Index = i
-		res.avgBudgetAfter = r.PopulationAvgBudget()
+		res.AvgBudgetAfter = r.PopulationAvgBudget()
 		r.Results = append(r.Results, res)
 	}
 	return r, nil
@@ -203,6 +200,7 @@ func (r *Run) executeQuery(service *aggregation.Service, p queryPlan) (QueryResu
 		Product: p.product,
 		Batch:   len(p.batch),
 		Epsilon: p.epsilon,
+		FireDay: p.fireDay,
 	}
 	first, last := events.EpochWindow(p.batch[0].Day, r.Config.WindowDays, r.Config.EpochDays)
 	res.FirstEpoch, res.LastEpoch = first, last

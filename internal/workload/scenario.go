@@ -115,9 +115,6 @@ type Config struct {
 	// BaseEveryDeltas folds the delta chain into a fresh base after this
 	// many deltas (0 = the stream default).
 	BaseEveryDeltas int
-	// KeepGenerations retains the newest K intact snapshot generations at
-	// GC time (0 = the stream default).
-	KeepGenerations int
 	// GroupCommitEvents batches WAL fsyncs into group commits of this many
 	// events (0 = sync only at snapshot rotations and at suspend or
 	// completion).
@@ -189,42 +186,9 @@ func (c Config) validate() error {
 	return nil
 }
 
-// QueryResult records one summation query's outcome.
-type QueryResult struct {
-	// Querier and Product identify the query stream.
-	Querier events.Site
-	Product string
-	// Index is the query's global position in submission order (0-based).
-	Index int
-	// Batch is the number of reports aggregated (B).
-	Batch int
-	// Epsilon is the requested privacy parameter.
-	Epsilon float64
-	// Executed is false when IPA-like rejected the query for lack of
-	// budget (on-device systems always execute).
-	Executed bool
-	// Truth is the unbiased, noise-free query value Q(D).
-	Truth float64
-	// Estimate is the released noisy value M(D) (undefined when not
-	// executed).
-	Estimate float64
-	// RMSRE is the realized relative error |M−Q|/|Q| of this query.
-	RMSRE float64
-	// DeniedReports counts reports with at least one budget-denied epoch.
-	DeniedReports int
-	// BiasedReports counts reports whose value actually changed due to
-	// denials.
-	BiasedReports int
-	// BiasEstimate is the querier-side RMSRE upper bound from the side
-	// query (0 when bias measurement is off).
-	BiasEstimate float64
-	// FirstEpoch and LastEpoch delimit the union of the batch's windows.
-	FirstEpoch, LastEpoch events.Epoch
-
-	// avgBudgetAfter snapshots the population-average budget right after
-	// this query (the Fig. 5a series).
-	avgBudgetAfter float64
-}
+// QueryResult records one summation query's outcome — the one result type
+// both engines fill.
+type QueryResult = stream.Result
 
 // queryPlan is one batch awaiting execution.
 type queryPlan struct {
