@@ -112,10 +112,11 @@ func benchReportGeneration(b *testing.B, n int) {
 		PNorm:             1,
 	}
 	b.ReportAllocs()
-	var scratch core.Scratch
+	var scratch core.MultiScratch
+	reqs, reps, stats := []*core.Request{req}, make([]*core.Report, 1), make([]core.ReportStats, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := dev.GenerateReportScratch(req, &scratch); err != nil {
+		if _, err := dev.GenerateReportBatch(reqs, &scratch, reps, stats); err != nil {
 			b.Fatal(err)
 		}
 	}

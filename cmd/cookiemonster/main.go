@@ -4,12 +4,7 @@
 //
 // Usage:
 //
-//	cookiemonster [-quick] [-seed N] [-parallel N] [-stream] [fig4|fig5|fig6|fig7|appb|scenarios|all]
-//
-// With -stream, every workload runs through the online measurement service
-// (internal/stream): events are ingested as a day-ordered stream through a
-// bounded queue and queries fire as their batches fill. Results are
-// bit-identical to batch mode, so the figures reproduce exactly.
+//	cookiemonster [-quick] [-seed N] [-parallel N] [fig4|fig5|fig6|fig7|appb|ablation|headline|scenarios|all]
 //
 // The scenarios target runs the hostile-traffic catalog (internal/scenario)
 // through the robustness harness; -scenario selects one catalog entry and
@@ -35,20 +30,6 @@ func main() {
 	seed := flag.Uint64("seed", 0, "seed offset for datasets and noise")
 	parallel := flag.Int("parallel", 0,
 		"report-generation workers per batch (0 = GOMAXPROCS, 1 = sequential; results are identical)")
-	streaming := flag.Bool("stream", false,
-		"run workloads through the online measurement service (day-ordered ingestion, "+
-			"day-clocked queries; results are identical to batch mode)")
-	checkpointDir := flag.String("checkpoint-dir", "",
-		"make streaming runs crash-safe: persist a write-ahead log and snapshots "+
-			"under this directory (implies -stream)")
-	snapshotEvery := flag.Int("snapshot-every", 7,
-		"snapshot cadence in days inside -checkpoint-dir (0 = WAL only)")
-	groupCommit := flag.Int("group-commit-interval", 0,
-		"batch WAL fsyncs inside -checkpoint-dir: fsync after this many appended "+
-			"events (0 = only at snapshot rotations and at suspend or completion)")
-	resume := flag.Bool("resume", false,
-		"recover interrupted runs from -checkpoint-dir's durable state and continue; "+
-			"results are identical to an uninterrupted run")
 	scenarioName := flag.String("scenario", "",
 		"with the scenarios target: run a single named hostile-traffic scenario "+
 			"from the catalog instead of all of them (see README for the list)")
@@ -57,21 +38,11 @@ func main() {
 			"REPORT_scenarios.json artifact at this path")
 	flag.Parse()
 
-	if *resume && *checkpointDir == "" {
-		fmt.Fprintln(os.Stderr, "-resume requires -checkpoint-dir")
-		os.Exit(2)
-	}
-
 	target := "all"
 	if flag.NArg() > 0 {
 		target = flag.Arg(0)
 	}
-	opts := experiments.Options{
-		Quick: *quick, Seed: *seed, Parallelism: *parallel,
-		Streaming:     *streaming || *checkpointDir != "",
-		CheckpointDir: *checkpointDir, SnapshotEveryDays: *snapshotEvery, Resume: *resume,
-		GroupCommitEvents: *groupCommit,
-	}
+	opts := experiments.Options{Quick: *quick, Seed: *seed, Parallelism: *parallel}
 
 	harnesses := map[string]func(experiments.Options) (tabler, error){
 		"fig4":     func(o experiments.Options) (tabler, error) { return experiments.Fig4(o) },

@@ -108,9 +108,8 @@ func (d *Device) LedgerVersion() uint64 { return d.ledger.Version() }
 
 // RestoreBudgetRow sets one (querier, epoch) budget slot from persisted
 // state — the checkpoint/restore path into the device's flat ledger. It
-// refuses refunds and epochs below the retention floor, and honors a
-// capacity differing from the device's ε^G per slot (see
-// privacy.Ledger.Restore).
+// refuses refunds, epochs below the retention floor, and a capacity other
+// than the device's ε^G (see privacy.Ledger.Restore).
 func (d *Device) RestoreBudgetRow(q events.Site, e events.Epoch, consumed, capacity float64) error {
 	return d.ledger.Restore(string(q), int64(e), consumed, capacity)
 }
@@ -121,9 +120,9 @@ func (d *Device) RestoreBudgetRow(q events.Site, e events.Epoch, consumed, capac
 // an error is returned only for malformed requests.
 //
 // This variant allocates a fresh workspace and full Diagnostics per call —
-// convenient for tests, examples, and one-off callers. The fleet pipelines
-// use GenerateReportScratch, which reuses a per-worker workspace and skips
-// the diagnostics entirely.
+// convenient for tests, examples, and one-off callers. The query executor
+// uses GenerateReportBatch, which reuses a per-worker workspace and skips the
+// diagnostics entirely.
 func (d *Device) GenerateReport(req *Request) (*Report, *Diagnostics, error) {
 	var s Scratch
 	diag := &Diagnostics{}
@@ -134,16 +133,10 @@ func (d *Device) GenerateReport(req *Request) (*Report, *Diagnostics, error) {
 	return rep, diag, nil
 }
 
-// GenerateReportScratch is the zero-diagnostics hot path: it runs the same
-// algorithm as GenerateReport while reusing s's buffers, and returns the
-// fold-ready ReportStats instead of a Diagnostics. Only the *Report (and its
-// histogram) are freshly allocated; see Scratch for the reuse contract.
-func (d *Device) GenerateReportScratch(req *Request, s *Scratch) (*Report, ReportStats, error) {
-	return d.generate(req, s, nil)
-}
-
-// generate is the shared implementation of Listing 1. When diag is non-nil
-// it is additionally populated with freshly allocated (retainable)
+// generate is the shared implementation of Listing 1, reusing s's buffers:
+// only the *Report (and its histogram) are freshly allocated; see Scratch for
+// the reuse contract. It returns the fold-ready ReportStats; when diag is
+// non-nil it is additionally populated with freshly allocated (retainable)
 // diagnostics.
 //
 // The batched path (GenerateReportBatch) runs the same three phases through

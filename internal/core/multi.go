@@ -10,7 +10,7 @@ import (
 // in a single visit — one columnar window scan feeding a bank of compiled
 // matcher lanes, one ledger lock for every querier's check-and-consume, one
 // nonce-counter operation for the whole batch. The one-at-a-time path
-// (GenerateReportScratch) remains the executable reference: both paths run
+// (generate) remains the executable reference: both paths run
 // the identical lossPass/finish helpers around the identical selection and
 // charge arithmetic, and the property suite in multi_test.go holds them to
 // bit-equal reports, stats, and ledger state.
@@ -48,7 +48,7 @@ func (ms *MultiScratch) grow(n int) {
 // GenerateReportBatch runs Listing 1 for every request of one device in a
 // single device visit. reports[j] and stats[j] receive request j's outputs
 // (both must be pre-sized to len(reqs)); the slots are written exactly as
-// len(reqs) GenerateReportScratch calls in slice order would fill them —
+// len(reqs) one-at-a-time generate calls in slice order would fill them —
 // same histograms, flags, and stats, same ledger outcomes — with the
 // per-request fixed costs amortized across the batch:
 //

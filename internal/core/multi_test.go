@@ -81,7 +81,7 @@ func sameReportModuloNonce(a, b *Report) bool {
 // TestBatchMatchesSequentialScratch is the batched path's equivalence
 // property: random request batches against random frozen stores must produce,
 // via one GenerateReportBatch visit, exactly what the one-at-a-time
-// GenerateReportScratch reference produces request by request — reports
+// one-at-a-time generate reference produces request by request — reports
 // (modulo nonce), fold stats, and the device's full ledger state after every
 // batch. Low epsilon-G values force denials so the charge order is load-
 // bearing, and SelectorFunc lanes exercise the non-compiled fallback.
@@ -120,7 +120,7 @@ func TestBatchMatchesSequentialScratch(t *testing.T) {
 			}
 
 			for j, req := range reqs {
-				repRef, stRef, err := dRef.GenerateReportScratch(req, &scratch)
+				repRef, stRef, err := dRef.generate(req, &scratch, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -178,7 +178,7 @@ func TestBatchMutableStoreFallback(t *testing.T) {
 				t.Fatalf("seed %d: lane %d: %v", seed, lane, err)
 			}
 			for j, req := range reqs {
-				repRef, stRef, err := dRef.GenerateReportScratch(req, &scratch)
+				repRef, stRef, err := dRef.generate(req, &scratch, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -131,7 +131,7 @@ func (d *Diagnostics) TotalLoss() float64 {
 	return sum
 }
 
-// ReportStats is the fold-ready scalar summary GenerateReportScratch emits
+// ReportStats is the fold-ready scalar summary GenerateReportBatch emits
 // in place of a full Diagnostics: exactly the per-conversion values the
 // batch and streaming aggregate stages fold, with no retained allocations.
 // Every field is derived from the same intermediate state as the

@@ -41,6 +41,7 @@ func TestLoadRejectsCorruptStates(t *testing.T) {
 		"negative consumed":   {6, -1, 1},
 		"over capacity":       {6, 2, 1},
 		"below its own floor": {0, 0.5, 1},
+		"another capacity":    {6, 0.5, 2},
 	} {
 		if err := d.RestoreBudgetRow("x", events.Epoch(row.epoch), row.consumed, row.capacity); err == nil {
 			t.Fatalf("%s: corrupt row accepted", name)

@@ -9,7 +9,7 @@ import (
 // per-conversion cost of GenerateReport is dominated by constant factors —
 // window/selection slices, per-epoch loss and outcome buffers, diagnostics
 // maps — that a worker would otherwise reallocate for every conversion in
-// the fleet. A Scratch owns all of them; GenerateReportScratch reuses the
+// the fleet. A Scratch owns all of them; generate reuses the
 // buffers across calls and allocates only what the caller actually retains
 // (the Report and its histogram).
 //

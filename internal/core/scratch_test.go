@@ -55,7 +55,7 @@ func TestScratchPathMatchesDiagnosticsPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			repScr, st, err := dScr.GenerateReportScratch(req, &scratch)
+			repScr, st, err := dScr.generate(req, &scratch, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,7 +160,7 @@ func TestDeviceLedgerConcurrentRace(t *testing.T) {
 					dev := fleet.GetOrCreate(events.DeviceID((w + i) % 4))
 					switch w % 4 {
 					case 0:
-						if _, _, err := dev.GenerateReportScratch(req(floor, floor+3), &scratch); err != nil {
+						if _, _, err := dev.generate(req(floor, floor+3), &scratch, nil); err != nil {
 							t.Error(err)
 							return
 						}

@@ -46,7 +46,7 @@ func TrueReportValue(db *events.Database, dev events.DeviceID, req *Request) flo
 // TrueReportValueScratch is TrueReportValue on a reusable workspace: the
 // window and selection buffers come from s, so the central (IPA-like)
 // generate stage allocates only the transient attribution histogram per
-// conversion. Same reuse contract as GenerateReportScratch.
+// conversion. Same reuse contract as GenerateReportBatch.
 func TrueReportValueScratch(db *events.Database, dev events.DeviceID, req *Request, s *Scratch) float64 {
 	k := req.WindowSize()
 	if k <= 0 {

@@ -37,7 +37,7 @@ func Ablation(o Options) (*AblationResult, error) {
 	res := &AblationResult{Epsilon: eps, EpsilonG: eps / fig4EpsilonRatio}
 
 	for _, policy := range core.AblationPolicies {
-		run, err := o.run(workload.Config{
+		run, err := workload.Execute(workload.Config{
 			Dataset:        ds,
 			System:         workload.CookieMonster,
 			PolicyOverride: policy,

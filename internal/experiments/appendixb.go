@@ -67,12 +67,13 @@ func AppendixB(o Options) (*AppendixBResult, error) {
 	}
 	for _, n := range res.Impressions {
 		dev, req := appendixBDevice(n)
-		// Measure the production hot path: the scratch-reusing variant the
-		// fleet pipelines run, not the allocate-per-call convenience API.
-		var scratch core.Scratch
+		// Measure the production hot path: the scratch-reusing device visit
+		// the query executor runs, not the allocate-per-call convenience API.
+		var scratch core.MultiScratch
+		reqs, reps, stats := []*core.Request{req}, make([]*core.Report, 1), make([]core.ReportStats, 1)
 		start := time.Now()
 		for i := 0; i < iters; i++ {
-			if _, _, err := dev.GenerateReportScratch(req, &scratch); err != nil {
+			if _, err := dev.GenerateReportBatch(reqs, &scratch, reps, stats); err != nil {
 				return nil, err
 			}
 		}

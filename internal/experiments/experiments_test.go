@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -264,38 +263,6 @@ func TestHeadlineRatioAboveOne(t *testing.T) {
 	}
 	if len(r.Tables()) != 1 {
 		t.Fatal("headline must have 1 table")
-	}
-}
-
-// TestStreamingModeReproducesFigures pins the harness-level consequence of
-// the streaming-vs-batch equivalence contract: with Options.Streaming every
-// figure's numbers come out bit-identical, so -stream runs are directly
-// comparable to published batch runs.
-func TestStreamingModeReproducesFigures(t *testing.T) {
-	streaming := Options{Quick: true, Streaming: true}
-
-	batch4, err := Fig4(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream4, err := Fig4(streaming)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(batch4, stream4) {
-		t.Fatalf("Fig4 diverges in streaming mode:\n  batch:  %+v\n  stream: %+v", batch4, stream4)
-	}
-
-	batch7, err := Fig7(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream7, err := Fig7(streaming)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(batch7, stream7) {
-		t.Fatalf("Fig7 diverges in streaming mode:\n  batch:  %+v\n  stream: %+v", batch7, stream7)
 	}
 }
 

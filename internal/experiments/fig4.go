@@ -81,7 +81,7 @@ func Fig4(o Options) (*Fig4Result, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		run, err := o.run(workload.Config{
+		run, err := workload.Execute(workload.Config{
 			Dataset:      ds,
 			System:       sys,
 			EpsilonG:     res.EpsilonG,

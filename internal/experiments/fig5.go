@@ -78,7 +78,7 @@ func Fig5(o Options) (*Fig5Result, error) {
 
 	for _, sys := range workload.Systems {
 		// Panels a & b: default 7-day epoch, with cumulative tracking.
-		run, err := o.run(workload.Config{
+		run, err := workload.Execute(workload.Config{
 			Dataset:     ds,
 			System:      sys,
 			EpochDays:   7,
@@ -96,7 +96,7 @@ func Fig5(o Options) (*Fig5Result, error) {
 
 		// Panel c: epoch-length sweep.
 		for _, days := range lengths {
-			sweep, err := o.run(workload.Config{
+			sweep, err := workload.Execute(workload.Config{
 				Dataset:     ds,
 				System:      sys,
 				EpochDays:   days,

@@ -96,7 +96,7 @@ func Fig6(o Options) (*Fig6Result, error) {
 	res.EpsilonG = res.Epsilon / fig6EpsilonRatio
 
 	for _, sys := range workload.Systems {
-		run, err := o.run(workload.Config{
+		run, err := workload.Execute(workload.Config{
 			Dataset:     ds,
 			System:      sys,
 			EpochDays:   7,
@@ -113,7 +113,7 @@ func Fig6(o Options) (*Fig6Result, error) {
 		res.Queries = len(run.Results)
 
 		for _, days := range res.EpochLengths {
-			sweep, err := o.run(workload.Config{
+			sweep, err := workload.Execute(workload.Config{
 				Dataset:     ds,
 				System:      sys,
 				EpochDays:   days,
@@ -141,7 +141,7 @@ func Fig6(o Options) (*Fig6Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		run, err := o.run(workload.Config{
+		run, err := workload.Execute(workload.Config{
 			Dataset:     aug,
 			System:      workload.CookieMonster,
 			EpochDays:   7,

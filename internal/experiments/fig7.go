@@ -128,7 +128,7 @@ func Fig7(o Options) (*Fig7Result, error) {
 			// Kappa ≤ 0 selects the default 10%-of-Δquery scaling.
 			cfg.Bias = &core.BiasSpec{LastTouch: true}
 		}
-		return o.run(cfg)
+		return workload.Execute(cfg)
 	}
 
 	var biasRun *workload.Run

@@ -49,7 +49,7 @@ func Headline(o Options) (*HeadlineResult, error) {
 		means := make(map[workload.System]float64)
 		var ipaExec float64
 		for _, sys := range workload.Systems {
-			run, err := o.run(workload.Config{
+			run, err := workload.Execute(workload.Config{
 				Dataset:     ds,
 				System:      sys,
 				EpsilonG:    epsG,

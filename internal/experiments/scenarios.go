@@ -17,10 +17,8 @@ type ScenariosResult struct {
 
 // Scenarios runs the hostile-traffic catalog — or a single named scenario —
 // through the robustness harness (DESIGN.md §11). Unlike the figure
-// harnesses, Scenarios does not route through Options.run: every scenario
-// inherently runs both engines (the batch oracle and the streaming service)
-// and its own checkpointed crash matrix, so the Streaming/CheckpointDir
-// knobs do not apply. Quick trims the crash matrix to three representative
+// harnesses, every scenario runs both front ends (the batch oracle and the
+// streaming service) and its own checkpointed crash matrix. Quick trims the crash matrix to three representative
 // fault points and two parallelism levels. out, when non-empty, also writes
 // the reports as the REPORT_scenarios.json artifact.
 func Scenarios(o Options, name, out string) (*ScenariosResult, error) {

@@ -6,11 +6,13 @@ import (
 )
 
 // refRestore extends the ledger_test reference model with Ledger.Restore's
-// semantics: refuse corrupt rows, refund attempts, and epochs below the
-// floor; clamp consumed to capacity; honor a per-slot capacity by giving the
-// slot its own Filter with that capacity.
+// semantics: refuse corrupt rows, a capacity other than the table's own,
+// refund attempts, and epochs below the floor; clamp consumed to capacity.
 func (r *filterMapRef) restore(q string, e int64, consumed, capacity float64) bool {
 	if consumed < 0 || capacity < 0 || consumed > capacity*(1+1e-9) {
+		return false
+	}
+	if capacity != r.capacity {
 		return false
 	}
 	if e < r.floor {
@@ -39,8 +41,9 @@ func (r *filterMapRef) restore(q string, e int64, consumed, capacity float64) bo
 
 // FuzzLedgerChargeWindow decodes arbitrary bytes into an operation sequence
 // — single charges, whole-window charges, retention-floor advances, requested
-// marks, and snapshot restores (the checkpoint/recovery path, with per-slot
-// capacity overrides) — and drives the flat Ledger and the map-of-filters
+// marks, and snapshot restores (the checkpoint/recovery path, with rows whose
+// capacity differs from the ledger's, which both sides must refuse) — and
+// drives the flat Ledger and the map-of-filters
 // reference model through it in lockstep. Every outcome, every read, and the
 // full final slot table and RangeRequested yield must match bitwise; a mark
 // must change no budget state and move the version exactly when it is new.
@@ -121,7 +124,7 @@ func FuzzLedgerChargeWindow(f *testing.F) {
 							i, e+int64(i), outcomes[i], want)
 					}
 				}
-			case 2: // snapshot restore, possibly with a capacity override
+			case 2: // snapshot restore, possibly with a differing (refused) capacity
 				cb, _ := next()
 				vb, _ := next()
 				slotCap := capacity

@@ -62,10 +62,6 @@ type Ledger struct {
 	// that can change Rows(), Denials() or RangeRequested() output must bump
 	// it.
 	version uint64
-	// capOv holds per-slot capacity overrides, populated only when Restore
-	// loads a snapshot row whose capacity differs from the ledger's. nil in
-	// every live-traffic ledger, so the hot path never consults it.
-	capOv map[string]map[int64]float64
 }
 
 // ledgerLane is one querier's dense slot array: slots[i] belongs to epoch
@@ -164,22 +160,9 @@ func (l *Ledger) lane(q string) *ledgerLane {
 	return ln
 }
 
-// capAt returns the capacity in force for one slot: the uniform ε^G unless a
-// restored snapshot recorded an override.
-func (l *Ledger) capAt(q string, e int64) float64 {
-	if l.capOv != nil {
-		if byEpoch := l.capOv[q]; byEpoch != nil {
-			if c, ok := byEpoch[e]; ok {
-				return c
-			}
-		}
-	}
-	return l.capacity
-}
-
 // chargeSlotLocked is the slot-level check-and-consume on an already-resolved
 // lane. Caller holds l.mu.
-func (l *Ledger) chargeSlotLocked(ln *ledgerLane, q string, e int64, eps float64) ChargeOutcome {
+func (l *Ledger) chargeSlotLocked(ln *ledgerLane, e int64, eps float64) ChargeOutcome {
 	// Every path below mutates persisted state: a denial initializes the
 	// slot and counts, a success deducts.
 	l.version++
@@ -188,7 +171,7 @@ func (l *Ledger) chargeSlotLocked(ln *ledgerLane, q string, e int64, eps float64
 	if *c == untouchedSlot {
 		*c = 0
 	}
-	limit := l.capAt(q, e)
+	limit := l.capacity
 	// Tolerate float rounding at the boundary, exactly as Filter.Consume.
 	if *c+eps > limit*(1+1e-9) {
 		l.denials++
@@ -213,7 +196,7 @@ func (l *Ledger) chargeLocked(q string, e int64, eps float64) ChargeOutcome {
 	if e < l.floor {
 		return ChargeEvicted
 	}
-	return l.chargeSlotLocked(l.lane(q), q, e, eps)
+	return l.chargeSlotLocked(l.lane(q), e, eps)
 }
 
 // chargeWindowLocked is one window's charge sequence with the lane lookup
@@ -234,7 +217,7 @@ func (l *Ledger) chargeWindowLocked(q string, first int64, losses []float64, out
 			if ln == nil {
 				ln = l.lane(q)
 			}
-			outcomes[i] = l.chargeSlotLocked(ln, q, first+int64(i), eps)
+			outcomes[i] = l.chargeSlotLocked(ln, first+int64(i), eps)
 		}
 	}
 }
@@ -450,7 +433,7 @@ func (l *Ledger) Rows() []LedgerEntry {
 				Querier:  q,
 				Epoch:    e,
 				Consumed: s.consumed,
-				Capacity: l.capAt(q, e),
+				Capacity: l.capacity,
 			})
 		}
 	}
@@ -503,27 +486,21 @@ func (l *Ledger) AdvanceFloor(floor int64) int {
 		ln.slots = ln.slots[drop:]
 		ln.base += int64(drop)
 	}
-	for q, byEpoch := range l.capOv {
-		for e := range byEpoch {
-			if e < floor {
-				delete(byEpoch, e)
-			}
-		}
-		if len(byEpoch) == 0 {
-			delete(l.capOv, q)
-		}
-	}
 	return released
 }
 
 // Restore sets one slot's state from a persisted snapshot row. It refuses to
 // lower a slot's consumed budget (replaying an old snapshot must never
 // refund privacy loss) and to resurrect an epoch below the retention floor.
-// A capacity differing from the ledger's ε^G is honored per slot, as the old
-// per-filter table did.
+// A capacity differing from the ledger's ε^G is corruption: every row this
+// code persists carries the ledger's own capacity, and a run under another
+// ε^G is refused by its scenario fingerprint before any row is read.
 func (l *Ledger) Restore(q string, e int64, consumed, capacity float64) error {
 	if consumed < 0 || capacity < 0 || consumed > capacity*(1+1e-9) {
 		return fmt.Errorf("privacy: corrupt ledger slot %s/%d: %v of %v", q, e, consumed, capacity)
+	}
+	if capacity != l.capacity {
+		return fmt.Errorf("privacy: ledger slot %s/%d has capacity %v, ledger %v", q, e, capacity, l.capacity)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -541,16 +518,5 @@ func (l *Ledger) Restore(q string, e int64, consumed, capacity float64) error {
 		consumed = capacity
 	}
 	*c = consumed
-	if capacity != l.capacity {
-		if l.capOv == nil {
-			l.capOv = make(map[string]map[int64]float64)
-		}
-		if l.capOv[q] == nil {
-			l.capOv[q] = make(map[int64]float64)
-		}
-		l.capOv[q][e] = capacity
-	} else if l.capOv != nil && l.capOv[q] != nil {
-		delete(l.capOv[q], e)
-	}
 	return nil
 }

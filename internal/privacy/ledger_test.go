@@ -276,8 +276,8 @@ func TestLedgerFloorRecyclesSlots(t *testing.T) {
 	})
 }
 
-// TestLedgerRestore covers the persistence path: refund refusal, capacity
-// overrides, floor interaction.
+// TestLedgerRestore covers the persistence path: refund refusal, refusal of a
+// capacity other than the ledger's, floor interaction.
 func TestLedgerRestore(t *testing.T) {
 	l := NewLedger(1)
 	if err := l.Restore("q", 2, 0.4, 1); err != nil {
@@ -300,30 +300,17 @@ func TestLedgerRestore(t *testing.T) {
 	if err := l.Restore("q", 3, 2, 1); err == nil {
 		t.Fatal("over-capacity accepted")
 	}
-	// A differing capacity is honored per slot and survives in Rows.
-	if err := l.Restore("q", 4, 1.5, 2); err != nil {
-		t.Fatal(err)
+	// A differing capacity is refused and leaves no slot behind.
+	if err := l.Restore("q", 4, 1.5, 2); err == nil {
+		t.Fatal("differing capacity accepted")
 	}
-	var saw bool
 	for _, row := range l.Rows() {
-		if row.Epoch == 4 {
-			saw = true
-			if row.Capacity != 2 || row.Consumed != 1.5 {
-				t.Fatalf("override row = %+v", row)
-			}
-		} else if row.Capacity != 1 {
-			t.Fatalf("uniform row has capacity %v", row.Capacity)
+		if row.Epoch == 4 || row.Capacity != 1 {
+			t.Fatalf("refused restore left row %+v", row)
 		}
 	}
-	if !saw {
-		t.Fatal("override slot missing from rows")
-	}
-	// The override slot enforces its own capacity.
-	if out := l.Charge("q", 4, 0.6); out != ChargeDenied {
-		t.Fatalf("override capacity not enforced: %v", out)
-	}
-	if out := l.Charge("q", 4, 0.5); out != ChargeOK {
-		t.Fatalf("override capacity too strict: %v", out)
+	if out := l.Charge("q", 4, 0.6); out != ChargeOK {
+		t.Fatalf("slot refused by restore does not charge at ε^G: %v", out)
 	}
 	// Below the floor, restore refuses to resurrect evicted epochs.
 	l.AdvanceFloor(10)

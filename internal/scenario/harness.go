@@ -164,8 +164,8 @@ func (h Harness) Run(spec Spec) (*Report, error) {
 	}
 
 	// The batch oracle: materialize the admission rule's verdicts, then
-	// run the batch engine — an independent implementation with no day
-	// clock — over the admitted events.
+	// run the batch front end — global planning over a frozen store, one
+	// query per executor call, no day clock — over the admitted events.
 	admitted, dropped := Admitted(spec.Source(h.Dataset))
 	batchCfg := h.Config
 	batchCfg.Dataset = admitted

@@ -5,6 +5,8 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/aggregation"
+	"repro/internal/budget"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/events"
@@ -12,10 +14,108 @@ import (
 	"repro/internal/stats"
 )
 
-// This file is the streaming execution engine: everything that happens when
-// the day clock fires. The batch engine (internal/workload) is the
-// specification this code must match bit for bit — see the package comment
-// for the three order-preserving properties the equivalence rests on.
+// This file is the query executor: everything that happens once a batch of B
+// conversions has filled. Both front ends run it — the batch engine
+// (internal/workload.Execute) hands it one globally planned query at a time
+// over a frozen store, the streaming service a day's due list over its
+// mutable one — so request construction, the generate loop, the fold and the
+// release exist exactly once. What the two front ends keep apart, and what
+// the equivalence suites therefore compare, is planning, the store,
+// scheduling granularity, retention and durability.
+
+// Engine executes filled batches: prepare → generate → aggregate over one
+// event store, one device fleet and the run's seeded noise streams. It
+// accumulates the Run both front ends report.
+type Engine struct {
+	cfg  Config
+	meta dataset.Meta
+
+	db       *events.Database
+	fleet    *core.Fleet
+	central  *budget.IPALike
+	agg      *aggregation.Service
+	aggNoise *stats.RNG
+	ipaNoise *stats.RNG
+	run      *Run
+
+	nextIndex int
+
+	// gen and the day buffers are the generate stage's reusable state:
+	// grouping scratch, per-worker multi-request workspaces, and the
+	// super-batch concatenation/output slices (see generateDay).
+	gen      Generator
+	dayConvs []events.Event
+	dayReqs  []*core.Request
+	dayOut   []convOutput
+}
+
+// NewEngine builds an executor for cfg's scenario over db, the store its
+// devices read. It needs no Config.Source — the batch engine has none — so
+// validation stays with the callers; zero scenario values take the
+// service's defaults.
+func NewEngine(cfg Config, meta dataset.Meta, db *events.Database) *Engine {
+	cfg = cfg.withDefaults()
+	aggNoise := stats.Stream(cfg.Seed, "aggregation-noise")
+	e := &Engine{
+		cfg:      cfg,
+		meta:     meta,
+		db:       db,
+		agg:      aggregation.NewService(aggNoise),
+		aggNoise: aggNoise,
+		run: &Run{
+			Meta:        meta,
+			TotalEpochs: meta.Epochs(cfg.EpochDays),
+		},
+	}
+	policy := cfg.Policy
+	if policy == nil {
+		// Central runs never charge per-device policies; their devices
+		// hold requested marks only, so any policy will do.
+		policy = core.CookieMonsterPolicy{}
+	}
+	epsG := cfg.EpsilonG
+	e.fleet = core.NewFleet(0, func(id events.DeviceID) *core.Device {
+		return core.NewDevice(id, db, epsG, policy)
+	})
+	e.run.Fleet = e.fleet
+	if cfg.Central {
+		e.central = budget.NewIPALike(cfg.EpsilonG)
+		e.ipaNoise = stats.Stream(cfg.Seed, "ipa-noise")
+		e.run.Central = e.central
+	}
+	// Attribution windows of early conversions reach back before the trace,
+	// so the span is wider than the trace's own epochs.
+	e.run.FirstSpanEpoch = events.EpochOfDay(1-cfg.WindowDays, cfg.EpochDays)
+	e.run.LastSpanEpoch = events.EpochOfDay(meta.DurationDays-1, cfg.EpochDays)
+	if e.run.LastSpanEpoch < e.run.FirstSpanEpoch {
+		e.run.LastSpanEpoch = e.run.FirstSpanEpoch
+	}
+	return e
+}
+
+// Run returns the run the engine has accumulated so far.
+func (e *Engine) Run() *Run { return e.run }
+
+// Query is one filled batch awaiting execution.
+type Query struct {
+	adv     dataset.Advertiser
+	product string
+	batch   []events.Event // the B conversions, time-ordered
+	fireDay int            // day the batch filled
+	seq     int            // batch index within the stream (sort tie-break)
+	epsilon float64
+
+	// Execution scratch, populated by Flush.
+	reqs        []*core.Request
+	first, last events.Epoch
+}
+
+// NewQuery describes one filled batch: adv's seq-th batch of product
+// conversions, filled on fireDay, requesting eps.
+func NewQuery(adv dataset.Advertiser, product string, batch []events.Event,
+	fireDay, seq int, eps float64) *Query {
+	return &Query{adv: adv, product: product, batch: batch, fireDay: fireDay, seq: seq, epsilon: eps}
+}
 
 // convOutput is one conversion's generate-stage result. On-device runs carry
 // the fold-ready core.ReportStats instead of a full Diagnostics; the
@@ -26,15 +126,15 @@ type convOutput struct {
 	truth  float64 // Central path: the true report value
 }
 
-// flushDue executes every query whose batch filled during the current day,
-// in the canonical (site, product, seq) order that matches the batch plan's
-// (fireDay, site, product, seq) total order.
-func (s *Service) flushDue() error {
-	if len(s.due) == 0 {
+// Flush executes queries that filled on the same day, in the canonical
+// (site, product, seq) order — within one fire day, the batch plan's
+// (fireDay, site, product, seq) total order. Each result joins Run.Results
+// and is then handed to released (when non-nil), whose error aborts the
+// flush.
+func (e *Engine) Flush(due []*Query, released func(Result) error) error {
+	if len(due) == 0 {
 		return nil
 	}
-	due := s.due
-	s.due = nil
 	sort.Slice(due, func(i, j int) bool {
 		if due[i].adv.Site != due[j].adv.Site {
 			return due[i].adv.Site < due[j].adv.Site
@@ -48,12 +148,12 @@ func (s *Service) flushDue() error {
 	// Stage 1: prepare. Requests are pure values; the requested marks are
 	// set from the coordinator, in canonical order.
 	for _, q := range due {
-		s.prepare(q)
+		e.prepare(q)
 	}
 
-	// Stage 2: generate — the day's queries multiplexed as one
-	// device-partitioned super-batch (see generateDay).
-	outputs, err := s.generateDay(due)
+	// Stage 2: generate — the queries multiplexed as one device-partitioned
+	// super-batch (see generateDay).
+	outputs, err := e.generateDay(due)
 	if err != nil {
 		return err
 	}
@@ -66,7 +166,7 @@ func (s *Service) flushDue() error {
 	for _, q := range due {
 		out := outputs[off : off+len(q.batch)]
 		off += len(q.batch)
-		res, err := s.aggregate(q, out)
+		res, err := e.aggregate(q, out)
 		if err != nil {
 			return err
 		}
@@ -75,21 +175,24 @@ func (s *Service) flushDue() error {
 				maxNonce = o.report.Nonce
 			}
 		}
-		res.Index = s.nextIndex
-		s.nextIndex++
-		res.AvgBudgetAfter = s.populationAvgBudget()
-		s.run.Results = append(s.run.Results, res)
-		if err := s.fault(PointQueryExecuted); err != nil {
-			return err
+		res.Index = e.nextIndex
+		e.nextIndex++
+		res.AvgBudgetAfter = e.populationAvgBudget()
+		e.run.Results = append(e.run.Results, res)
+		if released != nil {
+			if err := released(res); err != nil {
+				return err
+			}
 		}
-		s.observeResult(res)
 	}
 
-	// Batch completion: every nonce minted for today's queries has been
-	// consumed (or the run already failed), so the replay-protection
-	// entries at or below the day's high-water mark retire.
+	// Batch completion: every nonce minted for these queries has been
+	// consumed and — nonces being minted monotonically, with the next
+	// flush's reports not yet generated — nothing at or below the high-water
+	// mark can legitimately arrive again, so the replay-protection entries
+	// retire instead of accumulating across the run.
 	if maxNonce > 0 {
-		s.run.RetiredNonces += s.agg.Compact(maxNonce)
+		e.run.RetiredNonces += e.agg.Compact(maxNonce)
 	}
 	return nil
 }
@@ -98,14 +201,14 @@ func (s *Service) flushDue() error {
 // marks its window requested in the conversion's device ledger — here and
 // nowhere else, for every system: a central run never charges a device
 // ledger, so the mark cannot ride on the charge.
-func (s *Service) prepare(q *pendingQuery) {
-	first, last := events.EpochWindow(q.batch[0].Day, s.cfg.WindowDays, s.cfg.EpochDays)
+func (e *Engine) prepare(q *Query) {
+	first, last := events.EpochWindow(q.batch[0].Day, e.cfg.WindowDays, e.cfg.EpochDays)
 	q.first, q.last = first, last
 	q.reqs = make([]*core.Request, len(q.batch))
 	for i, conv := range q.batch {
-		req := s.request(q.adv, q.product, conv, q.epsilon)
+		req := BuildRequest(q.adv, q.product, conv, q.epsilon, e.cfg.WindowDays, e.cfg.EpochDays, e.cfg.Bias)
 		q.reqs[i] = req
-		s.fleet.GetOrCreate(conv.Device).MarkRequested(q.adv.Site, req.FirstEpoch, req.LastEpoch)
+		e.fleet.GetOrCreate(conv.Device).MarkRequested(q.adv.Site, req.FirstEpoch, req.LastEpoch)
 		if req.FirstEpoch < q.first {
 			q.first = req.FirstEpoch
 		}
@@ -115,53 +218,46 @@ func (s *Service) prepare(q *pendingQuery) {
 	}
 }
 
-// request builds the attribution request for one conversion via the shared
-// constructor (scenario.go), so reports are indistinguishable between modes
-// by construction.
-func (s *Service) request(adv dataset.Advertiser, product string, conv events.Event, eps float64) *core.Request {
-	return BuildRequest(adv, product, conv, eps, s.cfg.WindowDays, s.cfg.EpochDays, s.cfg.Bias)
-}
-
 // generateDay runs the generate stage for every due query at once. The
 // queries' conversions concatenate in canonical order; on-device generation
 // partitions the concatenation by device so a device shared across queries
 // (or across conversions of one query) executes its filter operations
-// sequentially in exactly the batch engine's order, while distinct devices
-// from any number of queriers run concurrently. Central runs compute true
-// report values instead — side-effect-free reads needing no grouping.
-// Outputs land slotted by concatenated conversion index, in day buffers the
-// service reuses across days (consumed synchronously by flushDue's
-// aggregation loop, so reuse is safe); together with the Generator's own
-// reuse, a steady-state day flush allocates only the reports it returns.
-func (s *Service) generateDay(due []*pendingQuery) ([]convOutput, error) {
+// sequentially in exactly the order one query per flush would, while
+// distinct devices from any number of queriers run concurrently. Central
+// runs compute true report values instead — side-effect-free reads needing
+// no grouping. Outputs land slotted by concatenated conversion index, in
+// buffers the engine reuses across flushes (consumed synchronously by
+// Flush's aggregation loop, so reuse is safe); together with the Generator's
+// own reuse, a steady-state flush allocates only the reports it returns.
+func (e *Engine) generateDay(due []*Query) ([]convOutput, error) {
 	total := 0
 	for _, q := range due {
 		total += len(q.batch)
 	}
-	convs := s.dayConvs[:0]
-	reqs := s.dayReqs[:0]
+	convs := e.dayConvs[:0]
+	reqs := e.dayReqs[:0]
 	for _, q := range due {
 		convs = append(convs, q.batch...)
 		reqs = append(reqs, q.reqs...)
 	}
-	s.dayConvs, s.dayReqs = convs, reqs
-	if cap(s.dayOut) < total {
-		s.dayOut = make([]convOutput, total)
+	e.dayConvs, e.dayReqs = convs, reqs
+	if cap(e.dayOut) < total {
+		e.dayOut = make([]convOutput, total)
 	} else {
-		s.dayOut = s.dayOut[:total]
-		clear(s.dayOut)
+		e.dayOut = e.dayOut[:total]
+		clear(e.dayOut)
 	}
-	out := s.dayOut
+	out := e.dayOut
 
-	if s.cfg.Central {
-		truths := TrueValues(s.db, reqs, convs, s.cfg.Parallelism)
+	if e.cfg.Central {
+		truths := trueValues(e.db, reqs, convs, e.cfg.Parallelism)
 		for i := range out {
 			out[i].truth = truths[i]
 		}
 		return out, nil
 	}
 
-	reports, stats, err := s.gen.Generate(s.fleet, reqs, convs, s.cfg.Parallelism)
+	reports, stats, err := e.gen.Generate(e.fleet, reqs, convs, e.cfg.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +270,7 @@ func (s *Service) generateDay(due []*pendingQuery) ([]convOutput, error) {
 // aggregate folds one query's per-conversion outputs in conversion order and
 // releases the noisy result through the trusted aggregation service (or the
 // central authorize-and-noise path).
-func (s *Service) aggregate(q *pendingQuery, outputs []convOutput) (Result, error) {
+func (e *Engine) aggregate(q *Query, outputs []convOutput) (Result, error) {
 	res := Result{
 		Querier:    q.adv.Site,
 		Product:    q.product,
@@ -185,17 +281,23 @@ func (s *Service) aggregate(q *pendingQuery, outputs []convOutput) (Result, erro
 		LastEpoch:  q.last,
 	}
 
-	if s.cfg.Central {
-		err := s.central.Authorize(q.adv.Site, res.FirstEpoch, res.LastEpoch, q.epsilon)
+	if e.cfg.Central {
+		// Centralized budgeting: the MPC charges ε to every epoch the
+		// query's report windows touch, for the whole population, and
+		// rejects the query when any filter is short. Truth is well-defined
+		// either way (for reporting).
+		err := e.central.Authorize(q.adv.Site, res.FirstEpoch, res.LastEpoch, q.epsilon)
 		for i := range outputs {
 			res.Truth += outputs[i].truth
 		}
 		if err == nil {
 			res.Executed = true
 			res.Estimate = res.Truth +
-				s.ipaNoise.Laplace(privacy.Scale(q.adv.MaxValue, q.epsilon))
+				e.ipaNoise.Laplace(privacy.Scale(q.adv.MaxValue, q.epsilon))
+			// Central consumption applies to every device in the
+			// population, for each epoch the query touched.
 			span := float64(res.LastEpoch-res.FirstEpoch) + 1
-			s.run.TotalConsumed += q.epsilon * span * float64(s.meta.PopulationDevices)
+			e.run.TotalConsumed += q.epsilon * span * float64(e.meta.PopulationDevices)
 		}
 		res.RMSRE = rmsre(res)
 		return res, nil
@@ -205,7 +307,7 @@ func (s *Service) aggregate(q *pendingQuery, outputs []convOutput) (Result, erro
 	for i := range outputs {
 		st := outputs[i].stats
 		res.Truth += st.TruthTotal
-		s.run.TotalConsumed += st.TotalLoss
+		e.run.TotalConsumed += st.TotalLoss
 		if st.Denied {
 			res.DeniedReports++
 		}
@@ -214,16 +316,16 @@ func (s *Service) aggregate(q *pendingQuery, outputs []convOutput) (Result, erro
 		}
 		reports[i] = outputs[i].report
 	}
-	out, err := s.agg.Execute(reports)
+	out, err := e.agg.Execute(reports)
 	if err != nil {
 		return res, fmt.Errorf("stream: aggregation failed for %s/%s#%d: %w",
 			q.adv.Site, q.product, q.seq, err)
 	}
 	res.Executed = true
 	res.Estimate = out.Aggregate.Total()
-	if s.cfg.Bias != nil {
-		res.BiasEstimate = BiasBound(out.BiasCount, res.Estimate, q.adv,
-			q.epsilon, len(q.batch), s.cfg.Bias, s.cfg.Calibration.Beta)
+	if e.cfg.Bias != nil {
+		res.BiasEstimate = biasBound(out.BiasCount, res.Estimate, q.adv,
+			q.epsilon, len(q.batch), e.cfg.Bias, e.cfg.Calibration.Beta)
 	}
 	res.RMSRE = rmsre(res)
 	return res, nil
@@ -239,17 +341,17 @@ func rmsre(res Result) float64 {
 }
 
 // populationAvgBudget returns the average normalized budget consumption over
-// all device-epochs in the population — the batch engine's
-// PopulationAvgBudget, computed from the same folded diagnostics.
-func (s *Service) populationAvgBudget() float64 {
-	denom := float64(s.meta.PopulationDevices) * float64(s.epochSpan()) * s.cfg.EpsilonG
+// all device-epochs in the population (devices × reachable epochs) — the
+// fixed-denominator metric of Fig. 5a, from the folded diagnostics.
+func (e *Engine) populationAvgBudget() float64 {
+	denom := float64(e.meta.PopulationDevices) * float64(e.epochSpan()) * e.cfg.EpsilonG
 	if denom == 0 {
 		return 0
 	}
-	return s.run.TotalConsumed / denom
+	return e.run.TotalConsumed / denom
 }
 
 // epochSpan returns the number of epochs any query window can touch.
-func (s *Service) epochSpan() int {
-	return int(s.run.LastSpanEpoch-s.run.FirstSpanEpoch) + 1
+func (e *Engine) epochSpan() int {
+	return int(e.run.LastSpanEpoch-e.run.FirstSpanEpoch) + 1
 }

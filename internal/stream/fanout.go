@@ -9,12 +9,22 @@ import (
 	"repro/internal/events"
 )
 
-// This file holds the deterministic fan-out primitives shared by the batch
-// engine (internal/workload's generate stage) and the streaming service's
-// per-day multiplexed generation. Both rely on the same two properties:
-// work partitioned by device keeps same-device budget operations sequential
-// in submission order, and index-addressed output slots make the fold order
-// independent of the goroutine schedule.
+// This file holds the generate stage's deterministic fan-out: per-conversion
+// report generation across a bounded worker pool, for one query (the batch
+// front end) or a whole day's due list (the streaming service) per call.
+//
+// Determinism contract: results are bit-identical for every Parallelism
+// value. Two properties make that hold. First, work is partitioned by
+// device — a device's conversions within a flush execute sequentially in
+// submission order, because they contend for the same privacy filters and
+// the order decides which epoch a denial lands on — while distinct devices
+// share no mutable state (nothing writes the event store during a flush,
+// filters are per-device), so their schedules commute. Second, every
+// per-conversion output lands in an index-addressed slot and the aggregate
+// stage folds the slots in conversion order, so float accumulation order
+// never depends on the schedule. Report generation itself draws no
+// randomness; the run's noise streams (stats.Stream) are consumed only by
+// the sequential aggregate stage, in query order.
 
 // FanOutWorkers runs fn(worker, job) for jobs [0, n) on up to workers
 // goroutines, pulling jobs from an atomic queue. The worker index is dense
@@ -91,7 +101,7 @@ type Grouper struct {
 // concatenates several queries' conversions in canonical query order, the
 // groups serialize a device's operations across all of them, which is what
 // lets the streaming service multiplex queriers concurrently and still match
-// the batch engine bit for bit. The returned groups alias the Grouper's
+// one query per flush bit for bit. The returned groups alias the Grouper's
 // scratch and are valid until the next Group call.
 func (g *Grouper) Group(batch []events.Event) [][]int {
 	if g.order == nil {
@@ -119,9 +129,8 @@ func (g *Grouper) Group(batch []events.Event) [][]int {
 
 // Generator runs the on-device generate stage with state that persists
 // across batches: the grouping scratch, one core.MultiScratch per worker,
-// and the output slices. The streaming service holds one per run (a day
-// super-batch per call), the batch engine one per workload. A Generator
-// serves one batch at a time; the zero value is ready.
+// and the output slices. The Engine holds one per run. A Generator serves
+// one batch at a time; the zero value is ready.
 type Generator struct {
 	grouper Grouper
 	workers []genWorker
@@ -149,9 +158,7 @@ type genWorker struct {
 // for every querier's charge, one nonce draw per device). Reports and
 // fold-ready stats land slotted by conversion index; the returned slices are
 // reused by the next Generate call, so callers must copy out (the *Report
-// pointers themselves are the caller's to retain). This is the single copy
-// of the determinism-critical loop both engines execute — the batch engine
-// per query batch, the streaming service per day super-batch.
+// pointers themselves are the caller's to retain).
 //
 // A malformed request surfaces as an error after the fan-out barrier — the
 // offending device visit charges nothing and every other device's work
@@ -223,11 +230,11 @@ func (g *Generator) Generate(fleet *core.Fleet, reqs []*core.Request, batch []ev
 	return g.reports, g.stats, nil
 }
 
-// TrueValues runs the centralized generate stage: every conversion's true
+// trueValues runs the centralized generate stage: every conversion's true
 // report value computed from the full data. The reads are side-effect free,
 // so the fan-out needs no device grouping; the selection buffers are still
 // reused per worker.
-func TrueValues(db *events.Database, reqs []*core.Request, batch []events.Event,
+func trueValues(db *events.Database, reqs []*core.Request, batch []events.Event,
 	workers int) []float64 {
 	out := make([]float64, len(batch))
 	scratch := scratchPerWorker(len(batch), workers)

@@ -54,13 +54,14 @@ func fanoutFleet(db *events.Database, epsG float64) *core.Fleet {
 // generate stage to the sequential one-at-a-time reference: for random
 // super-batches (several queriers' conversions concatenated, devices shared
 // across them) the Generator at parallelism 4 must produce the reports, stats,
-// and per-device ledger states of a plain batch-order GenerateReportScratch
-// loop over a second fleet. One Generator carries its scratch across every
+// and per-device ledger states of a plain batch-order loop of one-request
+// device visits over a second fleet. One Generator carries its scratch across every
 // batch and seed; under `go test -race` this doubles as the concurrent
 // device-group race check.
 func TestGeneratorMatchesSequential(t *testing.T) {
 	var gen Generator
-	var scratch core.Scratch
+	var scratch core.MultiScratch
+	repOne, stOne := make([]*core.Report, 1), make([]core.ReportStats, 1)
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		const devices = 6
@@ -89,10 +90,10 @@ func TestGeneratorMatchesSequential(t *testing.T) {
 
 			for i := range convs {
 				dev := fleetSeq.GetOrCreate(convs[i].Device)
-				repRef, stRef, err := dev.GenerateReportScratch(reqs[i], &scratch)
-				if err != nil {
+				if _, err := dev.GenerateReportBatch(reqs[i:i+1], &scratch, repOne, stOne); err != nil {
 					t.Fatal(err)
 				}
+				repRef, stRef := repOne[0], stOne[0]
 				rep := reports[i]
 				if rep.Querier != repRef.Querier || rep.Device != repRef.Device ||
 					!slices.Equal(rep.Histogram, repRef.Histogram) ||
@@ -181,5 +182,43 @@ func TestGrouperReuse(t *testing.T) {
 				t.Fatalf("batch %d group %d: %v want %v", batch, gi, got[gi], want[gi])
 			}
 		}
+	}
+}
+
+// TestGroupByDevicePartition checks the Grouper's contract on its own: the
+// groups partition the batch, each holds one device's conversions, and each
+// preserves batch order.
+func TestGroupByDevicePartition(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	evs := make([]events.Event, 50)
+	for i := range evs {
+		evs[i] = events.Event{
+			ID: events.EventID(i + 1), Kind: events.KindConversion,
+			Device: events.DeviceID(1 + rng.Intn(12)), Day: 30,
+		}
+	}
+	groups := new(Grouper).Group(evs)
+	seen := make(map[int]bool)
+	total := 0
+	for _, g := range groups {
+		dev := evs[g[0]].Device
+		last := -1
+		for _, i := range g {
+			if evs[i].Device != dev {
+				t.Fatalf("group mixes devices %d and %d", dev, evs[i].Device)
+			}
+			if i <= last {
+				t.Fatal("group indices out of batch order")
+			}
+			if seen[i] {
+				t.Fatalf("index %d in two groups", i)
+			}
+			seen[i] = true
+			last = i
+			total++
+		}
+	}
+	if total != len(evs) {
+		t.Fatalf("groups cover %d of %d conversions", total, len(evs))
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"maps"
 	"slices"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/events"
 	"repro/internal/privacy"
@@ -20,20 +19,6 @@ import (
 // (Day, ID) order the batch planner sorts them into, the two produce
 // identical batch boundaries, fire days, and requested ε — the first half of
 // the streaming-vs-batch equivalence argument.
-
-// pendingQuery is one filled batch awaiting execution.
-type pendingQuery struct {
-	adv     dataset.Advertiser
-	product string
-	batch   []events.Event // the B conversions, in arrival order
-	fireDay int            // day the batch filled
-	seq     int            // batch index within the stream (sort tie-break)
-	epsilon float64
-
-	// Execution scratch, populated by the day flush (executor.go).
-	reqs        []*core.Request
-	first, last events.Epoch
-}
 
 // streamKey identifies one advertiser×product query stream.
 type streamKey struct {
@@ -83,7 +68,7 @@ func newPlanner(meta dataset.Meta, cal privacy.Calibration, fixedEps float64, ma
 // completed, or nil. Conversions from non-queryable advertisers are
 // ignored; capped streams drop conversions immediately so they cannot pin
 // the retention horizon.
-func (p *planner) add(conv events.Event) *pendingQuery {
+func (p *planner) add(conv events.Event) *Query {
 	adv, ok := p.advBySite[conv.Advertiser]
 	if !ok {
 		return nil
@@ -108,14 +93,7 @@ func (p *planner) add(conv events.Event) *pendingQuery {
 	if len(st.pending) < adv.BatchSize {
 		return nil
 	}
-	q := &pendingQuery{
-		adv:     adv,
-		product: st.product,
-		batch:   st.pending,
-		fireDay: conv.Day,
-		seq:     st.seq,
-		epsilon: st.epsilon,
-	}
+	q := NewQuery(adv, st.product, st.pending, conv.Day, st.seq, st.epsilon)
 	st.pending = nil
 	st.seq++
 	if p.maxQueries > 0 && st.seq >= p.maxQueries {

@@ -9,10 +9,10 @@ import (
 	"repro/internal/privacy"
 )
 
-// This file holds the scenario constructions shared verbatim by the batch
-// engine (internal/workload) and the streaming executor. They define the
-// content of reports and released results, so the streaming-vs-batch
-// bit-equivalence contract depends on there being exactly one copy of each.
+// This file holds the scenario constructions that define the content of
+// reports and released results. The Engine is their one product caller;
+// BuildRequest is exported for the benchmark's probes, which must build the
+// requests the engine builds.
 
 // BuildRequest constructs the §6.1 attribution request for one conversion:
 // last-touch scalar-value attribution over the windowDays window ending on
@@ -48,10 +48,10 @@ func BuildRequest(adv dataset.Advertiser, product string, conv events.Event,
 	return req
 }
 
-// BiasBound computes the querier-side RMSRE upper bound from one query's
+// biasBound computes the querier-side RMSRE upper bound from one query's
 // noisy side-query count (Appendix F), with the same Kappa defaulting as
 // BuildRequest.
-func BiasBound(biasCount, estimate float64, adv dataset.Advertiser,
+func biasBound(biasCount, estimate float64, adv dataset.Advertiser,
 	eps float64, batch int, spec *core.BiasSpec, beta float64) float64 {
 	kappa := spec.Kappa
 	if kappa <= 0 {

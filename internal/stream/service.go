@@ -1,7 +1,9 @@
-// Package stream is the online measurement service: it turns the repository's
-// plan→generate→aggregate batch pipeline (internal/workload) into a
-// long-running system that ingests day-stamped events as they arrive and
-// fires each advertiser's summation query the moment its batch fills.
+// Package stream is the online measurement service and the query executor it
+// shares with the batch front end. The service ingests day-stamped events as
+// they arrive and fires each advertiser's summation query the moment its
+// batch fills; the executor (Engine, executor.go) is what either front end —
+// the service's day clock, or internal/workload.Execute's global plan — hands
+// a filled batch to: prepare → generate → aggregate, one copy.
 //
 // Architecture (DESIGN.md §6):
 //
@@ -28,13 +30,17 @@
 //     advances every device's retention floor.
 //
 // Equivalence contract: the canonical execution order (fireDay, site,
-// product, seq) is exactly the batch engine's plan order, per-device
+// product, seq) is exactly the batch front end's plan order, per-device
 // operations serialize identically inside the super-batch, and noise streams
 // are consumed in the same sequence — so a streaming run over a source is
 // bit-identical to a batch run over the materialized dataset, at any
-// parallelism. internal/stream's equivalence tests hold
-// the two implementations to that contract, in the spirit of showing an
-// optimistic online system equivalent to its batch specification.
+// parallelism. What the two runs do independently, and what internal/stream's
+// equivalence tests therefore compare, is planning (incremental planner vs
+// global sort), the store (mutable segments vs frozen arena), scheduling
+// granularity (a day's super-batch vs one query per Flush), retention and
+// durability — in the spirit of showing an optimistic online system
+// equivalent to its batch specification. Request construction, the generate
+// loop, the fold and the release are the Engine for both.
 package stream
 
 import (
@@ -43,14 +49,12 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/aggregation"
 	"repro/internal/budget"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/events"
 	"repro/internal/privacy"
-	"repro/internal/stats"
 )
 
 // LatePolicy selects how the service treats a late event: one whose stamped
@@ -362,22 +366,15 @@ type DurabilityStats struct {
 // Service is the online measurement service. Create one with New, then
 // drive it to completion with Serve.
 type Service struct {
-	cfg  Config
-	meta dataset.Meta
-
-	db       *events.Database
-	fleet    *core.Fleet
-	central  *budget.IPALike
-	agg      *aggregation.Service
-	aggNoise *stats.RNG
-	ipaNoise *stats.RNG
-	plan     *planner
-	run      *Run
+	// Engine is the query executor and the state it accumulates: the event
+	// store, the fleet, the aggregation service, the noise streams and the
+	// run (executor.go).
+	*Engine
+	plan *planner
 
 	curDay     int
 	started    bool
-	due        []*pendingQuery
-	nextIndex  int
+	due        []*Query
 	evictFloor events.Epoch
 
 	// dropMarks is the per-device late-drop admission high-water mark:
@@ -388,14 +385,6 @@ type Service struct {
 	// the decision and an external admission layer (internal/serve) would
 	// regress its dedupe cursor across suspend/resume. Snapshot state.
 	dropMarks map[events.DeviceID]dropMark
-
-	// gen and the day buffers are the generate stage's cross-day reusable
-	// state: grouping scratch, per-worker multi-request workspaces, and the
-	// super-batch concatenation/output slices (see generateDay).
-	gen      Generator
-	dayConvs []events.Event
-	dayReqs  []*core.Request
-	dayOut   []convOutput
 
 	// Durability state (nil/zero without Config.CheckpointDir).
 	wal         *checkpoint.WAL
@@ -444,43 +433,12 @@ func New(cfg Config) (*Service, error) {
 		return nil, err
 	}
 	meta := cfg.Source.Meta()
-	aggNoise := stats.Stream(cfg.Seed, "aggregation-noise")
-	s := &Service{
-		cfg:      cfg,
-		meta:     meta,
-		db:       events.NewDatabase(),
-		agg:      aggregation.NewService(aggNoise),
-		aggNoise: aggNoise,
-		plan:     newPlanner(meta, cfg.Calibration, cfg.FixedEpsilon, cfg.MaxQueriesPerProduct),
-		run: &Run{
-			Meta:        meta,
-			TotalEpochs: meta.Epochs(cfg.EpochDays),
-		},
+	return &Service{
+		Engine:     NewEngine(cfg, meta, events.NewDatabase()),
+		plan:       newPlanner(meta, cfg.Calibration, cfg.FixedEpsilon, cfg.MaxQueriesPerProduct),
 		evictFloor: events.Epoch(-1 << 31),
 		dropMarks:  make(map[events.DeviceID]dropMark),
-	}
-	policy := cfg.Policy
-	if policy == nil {
-		// Central runs never charge per-device policies; their devices
-		// hold requested marks only, so any policy will do.
-		policy = core.CookieMonsterPolicy{}
-	}
-	db, epsG := s.db, cfg.EpsilonG
-	s.fleet = core.NewFleet(0, func(id events.DeviceID) *core.Device {
-		return core.NewDevice(id, db, epsG, policy)
-	})
-	s.run.Fleet = s.fleet
-	if cfg.Central {
-		s.central = budget.NewIPALike(cfg.EpsilonG)
-		s.ipaNoise = stats.Stream(cfg.Seed, "ipa-noise")
-		s.run.Central = s.central
-	}
-	s.run.FirstSpanEpoch = events.EpochOfDay(1-cfg.WindowDays, cfg.EpochDays)
-	s.run.LastSpanEpoch = events.EpochOfDay(meta.DurationDays-1, cfg.EpochDays)
-	if s.run.LastSpanEpoch < s.run.FirstSpanEpoch {
-		s.run.LastSpanEpoch = s.run.FirstSpanEpoch
-	}
-	return s, nil
+	}, nil
 }
 
 // Serve drains the source to completion on the calling goroutine: the day
@@ -756,6 +714,16 @@ func (s *Service) observeAdmit(ev events.Event, dropped bool) {
 	}
 }
 
+// released is Flush's per-result callback: the fault point, then the
+// observer — both after the result joined Run.Results.
+func (s *Service) released(res Result) error {
+	if err := s.fault(PointQueryExecuted); err != nil {
+		return err
+	}
+	s.observeResult(res)
+	return nil
+}
+
 // observeResult notifies the configured result observer.
 func (s *Service) observeResult(res Result) {
 	if s.cfg.ResultObserver != nil {
@@ -816,7 +784,9 @@ func (s *Service) endOfDay(nextDay int) error {
 	if err := s.fault(PointDayEnd); err != nil {
 		return err
 	}
-	if err := s.flushDue(); err != nil {
+	due := s.due
+	s.due = nil
+	if err := s.Flush(due, s.released); err != nil {
 		return err
 	}
 	if err := s.fault(PointDayFlushed); err != nil {

@@ -17,10 +17,14 @@ import (
 // each device's ledger holds its budget slots and, beside them, the
 // requested marks the Fig. 4 metrics read, so there is no accounting to copy.
 //
-// Execute (run.go) remains the batch *specification*: an independent
-// implementation that materializes the trace, plans globally, and executes
-// query by query. The streaming service is held equivalent to it bit for
-// bit by the tests in internal/stream.
+// Execute (run.go) remains the batch *specification* of everything the two
+// front ends do differently: it materializes the trace into a frozen store,
+// plans globally by sorting, and issues one query per executor call, with no
+// retention and no durability. What happens to a filled batch — request
+// construction, the generate loop, the fold, the release — is stream.Engine
+// for both, one copy: a second copy edited in lock-step would be no
+// independent oracle. The streaming service is held equivalent to Execute
+// bit for bit by the tests in internal/stream.
 
 // ExecuteStream runs the full workload under cfg through the streaming
 // service, ingesting the dataset as a day-ordered event stream instead of
@@ -54,40 +58,8 @@ func ExecuteSource(cfg Config, src dataset.Source) (*Run, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	scfg := stream.Config{
-		Source:               src,
-		EpochDays:            cfg.EpochDays,
-		WindowDays:           cfg.WindowDays,
-		EpsilonG:             cfg.EpsilonG,
-		Calibration:          cfg.Calibration,
-		FixedEpsilon:         cfg.FixedEpsilon,
-		Bias:                 cfg.Bias,
-		Seed:                 cfg.Seed,
-		Parallelism:          cfg.Parallelism,
-		MaxQueriesPerProduct: cfg.MaxQueriesPerProduct,
-		CheckpointDir:        cfg.CheckpointDir,
-		SnapshotEveryDays:    cfg.SnapshotEveryDays,
-		BaseEveryDeltas:      cfg.BaseEveryDeltas,
-		GroupCommitEvents:    cfg.GroupCommitEvents,
-		DurableFS:            cfg.DurableFS,
-		FaultHook:            cfg.FaultHook,
-		AdmitObserver:        cfg.AdmitObserver,
-		ResultObserver:       cfg.ResultObserver,
-		LiveSource:           cfg.LiveSource,
-	}
-	if cfg.DropLate {
-		scfg.LatePolicy = stream.LateDrop
-	}
-	switch cfg.System {
-	case IPALike:
-		scfg.Central = true
-	default:
-		scfg.Policy = cfg.PolicyOverride
-		if scfg.Policy == nil && cfg.System == ARALike {
-			scfg.Policy = core.ARALikePolicy{}
-		}
-		// CookieMonster is the service's default policy.
-	}
+	scfg := cfg.streamConfig()
+	scfg.Source = src
 	var svc *stream.Service
 	var err error
 	if cfg.Resume {
@@ -105,6 +77,46 @@ func ExecuteSource(cfg Config, src dataset.Source) (*Run, error) {
 		return nil, err
 	}
 	return RunFromStream(cfg, srun), nil
+}
+
+// streamConfig translates the workload's scenario and durability knobs into
+// the stream package's configuration, for both front ends; the event source
+// is the caller's to set.
+func (c Config) streamConfig() stream.Config {
+	scfg := stream.Config{
+		EpochDays:            c.EpochDays,
+		WindowDays:           c.WindowDays,
+		EpsilonG:             c.EpsilonG,
+		Calibration:          c.Calibration,
+		FixedEpsilon:         c.FixedEpsilon,
+		Bias:                 c.Bias,
+		Seed:                 c.Seed,
+		Parallelism:          c.Parallelism,
+		MaxQueriesPerProduct: c.MaxQueriesPerProduct,
+		CheckpointDir:        c.CheckpointDir,
+		SnapshotEveryDays:    c.SnapshotEveryDays,
+		BaseEveryDeltas:      c.BaseEveryDeltas,
+		GroupCommitEvents:    c.GroupCommitEvents,
+		DurableFS:            c.DurableFS,
+		FaultHook:            c.FaultHook,
+		AdmitObserver:        c.AdmitObserver,
+		ResultObserver:       c.ResultObserver,
+		LiveSource:           c.LiveSource,
+	}
+	if c.DropLate {
+		scfg.LatePolicy = stream.LateDrop
+	}
+	switch c.System {
+	case IPALike:
+		scfg.Central = true
+	default:
+		scfg.Policy = c.PolicyOverride
+		if scfg.Policy == nil && c.System == ARALike {
+			scfg.Policy = core.ARALikePolicy{}
+		}
+		// CookieMonster is the engine's default policy.
+	}
+	return scfg
 }
 
 // RunFromStream folds a completed streaming run into the workload's Run

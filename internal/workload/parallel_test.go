@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/stream"
 )
 
 // resultsEqual compares two QueryResult slices field-for-field, treating the
@@ -100,46 +99,5 @@ func TestParallelismValidation(t *testing.T) {
 	ds := smallMicro(t, 0.1, 0.1)
 	if _, err := Execute(Config{Dataset: ds, Parallelism: -1}); err == nil {
 		t.Fatal("negative parallelism accepted")
-	}
-}
-
-func TestGroupByDevicePartition(t *testing.T) {
-	ds := smallMicro(t, 1.0, 0.1)
-	var convs []int
-	for i, ev := range ds.Events {
-		if ev.IsConversion() {
-			convs = append(convs, i)
-			if len(convs) == 50 {
-				break
-			}
-		}
-	}
-	evs := ds.Events[:0:0]
-	for _, i := range convs {
-		evs = append(evs, ds.Events[i])
-	}
-	groups := new(stream.Grouper).Group(evs)
-	seen := make(map[int]bool)
-	total := 0
-	for _, g := range groups {
-		dev := evs[g[0]].Device
-		last := -1
-		for _, i := range g {
-			if evs[i].Device != dev {
-				t.Fatalf("group mixes devices %d and %d", dev, evs[i].Device)
-			}
-			if i <= last {
-				t.Fatal("group indices out of batch order")
-			}
-			if seen[i] {
-				t.Fatalf("index %d in two groups", i)
-			}
-			seen[i] = true
-			last = i
-			total++
-		}
-	}
-	if total != len(evs) {
-		t.Fatalf("groups cover %d of %d conversions", total, len(evs))
 	}
 }

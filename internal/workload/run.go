@@ -1,17 +1,13 @@
 package workload
 
 import (
-	"math"
 	"sort"
 	"time"
 
-	"repro/internal/aggregation"
 	"repro/internal/budget"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/events"
-	"repro/internal/privacy"
-	"repro/internal/stats"
 	"repro/internal/stream"
 )
 
@@ -42,13 +38,8 @@ type Run struct {
 	MaxQueueDelay time.Duration
 	AvgQueueDelay time.Duration
 
-	db       *events.Database
-	fleet    *core.Fleet
-	central  *budget.IPALike
-	ipaNoise *stats.RNG
-	// gen is the generate stage's reusable state (grouping scratch,
-	// per-worker workspaces), shared by every batch of the run.
-	gen stream.Generator
+	fleet   *core.Fleet
+	central *budget.IPALike
 	// totalConsumed is the running sum of consumed privacy loss across
 	// all device-epochs (for IPA-like, central consumption is charged to
 	// every device in the population).
@@ -59,55 +50,26 @@ type Run struct {
 	firstSpanEpoch, lastSpanEpoch events.Epoch
 }
 
-// Execute runs the full workload under cfg and returns the collected run.
-// Queries execute sequentially in schedule order (their noise draws come
-// from the run's seeded streams), but within each batch the per-conversion
-// report generation fans out across cfg.Parallelism workers over the
-// sharded device fleet; results are bit-identical for any worker count.
+// Execute runs the full workload under cfg and returns the collected run:
+// the batch front end. It materializes the trace into a frozen store, plans
+// every query globally, and hands the plans one at a time, in schedule
+// order, to the query executor it shares with the streaming service
+// (stream.Engine) — one query per executor call, so a device visit serves
+// one request. Results are bit-identical for any worker count.
 func Execute(cfg Config) (*Run, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	r := &Run{
-		Config:         cfg,
-		TotalEpochs:    cfg.Dataset.Epochs(cfg.EpochDays),
-		EventsIngested: len(cfg.Dataset.Events),
-		db:             cfg.Dataset.Build(cfg.EpochDays),
-	}
-	policy := cfg.PolicyOverride
-	if policy == nil {
-		if cfg.System == ARALike {
-			policy = core.ARALikePolicy{}
-		} else {
-			policy = core.CookieMonsterPolicy{}
-		}
-	}
-	db, epsG := r.db, cfg.EpsilonG
-	r.fleet = core.NewFleet(0, func(id events.DeviceID) *core.Device {
-		return core.NewDevice(id, db, epsG, policy)
-	})
-	r.firstSpanEpoch = events.EpochOfDay(1-cfg.WindowDays, cfg.EpochDays)
-	r.lastSpanEpoch = events.EpochOfDay(cfg.Dataset.DurationDays-1, cfg.EpochDays)
-	if r.lastSpanEpoch < r.firstSpanEpoch {
-		r.lastSpanEpoch = r.firstSpanEpoch
-	}
-	if cfg.System == IPALike {
-		r.central = budget.NewIPALike(cfg.EpsilonG)
-		r.ipaNoise = stats.Stream(cfg.Seed, "ipa-noise")
-	}
-
-	service := aggregation.NewService(stats.Stream(cfg.Seed, "aggregation-noise"))
-	plans := r.plan()
-	for i, p := range plans {
-		res, err := r.executeQuery(service, p)
-		if err != nil {
+	eng := stream.NewEngine(cfg.streamConfig(), cfg.Dataset.Meta(), cfg.Dataset.Build(cfg.EpochDays))
+	for _, p := range (&Run{Config: cfg}).plan() {
+		q := stream.NewQuery(p.advertiser, p.product, p.batch, p.fireDay, p.seq, p.epsilon)
+		if err := eng.Flush([]*stream.Query{q}, nil); err != nil {
 			return nil, err
 		}
-		res.Index = i
-		res.AvgBudgetAfter = r.PopulationAvgBudget()
-		r.Results = append(r.Results, res)
 	}
+	r := RunFromStream(cfg, eng.Run())
+	r.EventsIngested = len(cfg.Dataset.Events)
 	return r, nil
 }
 
@@ -177,124 +139,4 @@ func (r *Run) plan() []queryPlan {
 		return plans[i].seq < plans[j].seq
 	})
 	return plans
-}
-
-// request builds the attribution request for one conversion. The
-// construction is shared with the streaming executor (stream.BuildRequest):
-// it defines report content, so bit-equivalence between modes requires a
-// single copy.
-func (r *Run) request(adv dataset.Advertiser, product string, conv events.Event, eps float64) *core.Request {
-	return stream.BuildRequest(adv, product, conv, eps,
-		r.Config.WindowDays, r.Config.EpochDays, r.Config.Bias)
-}
-
-// executeQuery runs one batch through the three pipeline stages: prepare
-// (build every conversion's request and mark its window requested on its
-// device, sequentially and for every system), generate (fan report generation out across
-// the worker pool; see pipeline.go), aggregate (fold per-conversion outputs
-// in conversion order and release the noisy result). A malformed request in
-// the generate stage aborts the run with an error.
-func (r *Run) executeQuery(service *aggregation.Service, p queryPlan) (QueryResult, error) {
-	res := QueryResult{
-		Querier: p.advertiser.Site,
-		Product: p.product,
-		Batch:   len(p.batch),
-		Epsilon: p.epsilon,
-		FireDay: p.fireDay,
-	}
-	first, last := events.EpochWindow(p.batch[0].Day, r.Config.WindowDays, r.Config.EpochDays)
-	res.FirstEpoch, res.LastEpoch = first, last
-
-	// Stage 1: prepare. Requests are pure values; the requested marks and
-	// window widening stay on the coordinator.
-	reqs := make([]*core.Request, len(p.batch))
-	for i, conv := range p.batch {
-		req := r.request(p.advertiser, p.product, conv, p.epsilon)
-		reqs[i] = req
-		r.fleet.GetOrCreate(conv.Device).MarkRequested(p.advertiser.Site, req.FirstEpoch, req.LastEpoch)
-		if req.FirstEpoch < res.FirstEpoch {
-			res.FirstEpoch = req.FirstEpoch
-		}
-		if req.LastEpoch > res.LastEpoch {
-			res.LastEpoch = req.LastEpoch
-		}
-	}
-
-	switch r.Config.System {
-	case CookieMonster, ARALike:
-		// Stage 2: generate reports on-device, in parallel.
-		outputs, err := r.generateReports(reqs, p.batch)
-		if err != nil {
-			return res, err
-		}
-
-		// Stage 3: aggregate. Per-conversion outputs fold in
-		// conversion order, so sums are schedule-independent.
-		reports := make([]*core.Report, len(outputs))
-		for i := range outputs {
-			st := outputs[i].stats
-			res.Truth += st.TruthTotal
-			r.totalConsumed += st.TotalLoss
-			if st.Denied {
-				res.DeniedReports++
-			}
-			if st.Biased {
-				res.BiasedReports++
-			}
-			reports[i] = outputs[i].report
-		}
-		out, err := service.Execute(reports)
-		if err != nil {
-			panic("workload: aggregation failed: " + err.Error())
-		}
-		// Batch completion: these nonces are consumed and — nonces being
-		// minted monotonically, with the next query's reports not yet
-		// generated — nothing at or below the batch's high-water mark can
-		// legitimately arrive again, so the replay-protection entries
-		// retire instead of accumulating across the run.
-		var maxNonce core.Nonce
-		for _, rep := range reports {
-			if rep.Nonce > maxNonce {
-				maxNonce = rep.Nonce
-			}
-		}
-		service.Compact(maxNonce)
-		res.Executed = true
-		res.Estimate = out.Aggregate.Total()
-		if r.Config.Bias != nil {
-			res.BiasEstimate = stream.BiasBound(out.BiasCount, res.Estimate,
-				p.advertiser, p.epsilon, len(p.batch), r.Config.Bias,
-				r.Config.Calibration.Beta)
-		}
-
-	case IPALike:
-		// Centralized budgeting: the MPC charges ε to every epoch the
-		// query's report windows touch, for the whole population, and
-		// rejects the query when any filter is short.
-		err := r.central.Authorize(p.advertiser.Site, res.FirstEpoch, res.LastEpoch, p.epsilon)
-		// Stage 2: truth is well-defined either way (for reporting);
-		// IPA computes attribution centrally on the full data, so
-		// executed queries aggregate true report values.
-		outputs := r.trueValues(reqs, p.batch)
-		// Stage 3: fold in conversion order.
-		for i := range outputs {
-			res.Truth += outputs[i].truth
-		}
-		if err == nil {
-			res.Executed = true
-			res.Estimate = res.Truth +
-				r.ipaNoise.Laplace(privacy.Scale(p.advertiser.MaxValue, p.epsilon))
-			// Central consumption applies to every device in the
-			// population, for each epoch the query touched.
-			span := float64(res.LastEpoch-res.FirstEpoch) + 1
-			r.totalConsumed += p.epsilon * span * float64(r.Config.Dataset.PopulationDevices)
-		}
-	}
-
-	if res.Executed {
-		res.RMSRE = stats.RelativeError(res.Estimate, res.Truth)
-	} else {
-		res.RMSRE = math.NaN()
-	}
-	return res, nil
 }

@@ -83,8 +83,8 @@ type Config struct {
 	// Parallelism bounds the worker pool that fans each batch's
 	// per-conversion report generation out across devices. 0 (the
 	// default) selects GOMAXPROCS; 1 runs fully sequentially. Results
-	// are bit-identical for every value — see pipeline.go for the
-	// determinism contract.
+	// are bit-identical for every value — see stream/fanout.go for
+	// the determinism contract.
 	Parallelism int
 	// MaxQueriesPerProduct truncates each product's query schedule
 	// (0 = run every full batch).
