@@ -42,8 +42,7 @@ func main() {
 	}
 
 	// Ann's device comes out of the same fleet registry the workload
-	// engine uses; the events database is frozen before any report reads.
-	db.Freeze()
+	// engine uses. The store is read single-threaded, after the last Record.
 	fleet := core.NewFleet(1, func(id events.DeviceID) *core.Device {
 		return core.NewDevice(id, db, *epsG, core.CookieMonsterPolicy{})
 	})

@@ -166,7 +166,7 @@ func TestBudgetSurvivesRestartEndToEnd(t *testing.T) {
 
 	restarted := core.NewDevice(1, db, 0.2, core.CookieMonsterPolicy{})
 	for _, row := range dev.Ledger() {
-		if err := restarted.RestoreBudgetRow(row.Querier, row.Epoch, row.Consumed, row.Capacity); err != nil {
+		if err := restarted.RestoreBudgetRow(row.Querier, row.Epoch, row.Consumed); err != nil {
 			t.Fatal(err)
 		}
 	}

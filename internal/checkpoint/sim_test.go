@@ -25,8 +25,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/events"
 	"repro/internal/figures"
 	"repro/internal/stream"
 	"repro/internal/workload"
@@ -384,11 +382,13 @@ func TestResumeRejectsScenarioMismatch(t *testing.T) {
 	})
 }
 
-// TestLeanCheckpointResume covers the Lean retention mode through the raw
-// stream API (the workload client does not expose Lean): crash mid-run with
-// filters already released below the horizon, resume, and require the
-// stream-level results to match an uninterrupted Lean run exactly.
-func TestLeanCheckpointResume(t *testing.T) {
+// TestRetentionCheckpointResume covers the service's event-store retention
+// through the raw stream API, whose Run carries the retention telemetry the
+// workload client drops: an uninterrupted run must reclaim records and
+// nonces and keep its resident records well below the trace's, and a run
+// crashed right after a retention advance and resumed must release the same
+// results and report the same retention history.
+func TestRetentionCheckpointResume(t *testing.T) {
 	w, err := figures.ByName("cookie-monster")
 	if err != nil {
 		t.Fatal(err)
@@ -397,20 +397,18 @@ func TestLeanCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leanCfg := func(dir string) stream.Config {
+	streamCfg := func(dir string) stream.Config {
 		return stream.Config{
 			Source:            cfg.Dataset.Stream(),
 			EpsilonG:          cfg.EpsilonG,
 			Seed:              cfg.Seed,
 			Parallelism:       4,
-			Lean:              true,
 			CheckpointDir:     dir,
 			SnapshotEveryDays: snapshotCadenceDays,
 		}
 	}
 
-	base := leanCfg(t.TempDir())
-	svc, err := stream.New(base)
+	svc, err := stream.New(streamCfg(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,17 +416,21 @@ func TestLeanCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if uninterrupted.ReleasedFilters == 0 || uninterrupted.EvictedRecords == 0 {
-		t.Fatal("lean run reclaimed nothing; retention path not exercised")
+	if uninterrupted.EvictedRecords == 0 || uninterrupted.RetiredNonces == 0 {
+		t.Fatalf("run reclaimed nothing (%d records, %d nonces); retention path not exercised",
+			uninterrupted.EvictedRecords, uninterrupted.RetiredNonces)
+	}
+	if total := cfg.Dataset.Build(7).NumRecords(); uninterrupted.PeakResidentRecords >= total {
+		t.Fatalf("peak resident records %d not below trace total %d", uninterrupted.PeakResidentRecords, total)
 	}
 
 	dir := t.TempDir()
-	crash := leanCfg(dir)
+	crash := streamCfg(dir)
 	fired := 0
 	crash.FaultHook = func(p stream.FaultPoint) error {
 		// Crash right after a retention advance past the second snapshot,
-		// when released filters and evicted records are part of the
-		// durable state being recovered.
+		// when evicted records are part of the durable state being
+		// recovered.
 		if p == stream.PointRetentionAdvanced {
 			fired++
 			if fired == 5*snapshotCadenceDays {
@@ -442,10 +444,10 @@ func TestLeanCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := svc.Serve(); !errors.Is(err, errInjected) {
-		t.Fatalf("lean crash run: %v", err)
+		t.Fatalf("crash run: %v", err)
 	}
 
-	svc, err = stream.ResumeFrom(leanCfg(dir), dir)
+	svc, err = stream.ResumeFrom(streamCfg(dir), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,31 +464,16 @@ func TestLeanCheckpointResume(t *testing.T) {
 			want.RMSRE, got.RMSRE = 0, 0
 		}
 		if want != got {
-			t.Fatalf("lean query %d differs:\n  uninterrupted: %+v\n  resumed:       %+v",
+			t.Fatalf("query %d differs:\n  uninterrupted: %+v\n  resumed:       %+v",
 				i, uninterrupted.Results[i], resumed.Results[i])
 		}
 	}
-	// Retention reclaims the requested marks with the slots they sit beside,
-	// across the crash as well: nothing survives below the fleet floor.
-	floor, marks := resumed.Fleet.EpochFloor(), 0
-	resumed.Fleet.Range(func(d *core.Device) bool {
-		d.RangeRequested(func(e events.Epoch, _ []string, _ []float64) {
-			marks++
-			if e < floor {
-				t.Errorf("device %d holds a requested mark at epoch %d, below the fleet floor %d", d.ID(), e, floor)
-			}
-		})
-		return true
-	})
-	if marks == 0 || resumed.ReleasedFilters == 0 {
-		t.Fatalf("lean resumed run: %d marks above the floor, %d filters released", marks, resumed.ReleasedFilters)
-	}
 	if resumed.EvictedRecords != uninterrupted.EvictedRecords ||
-		resumed.ReleasedFilters != uninterrupted.ReleasedFilters ||
-		resumed.RetiredNonces != uninterrupted.RetiredNonces {
-		t.Fatalf("retention telemetry diverged: evicted %d/%d, released %d/%d, retired %d/%d",
+		resumed.RetiredNonces != uninterrupted.RetiredNonces ||
+		resumed.PeakResidentRecords != uninterrupted.PeakResidentRecords {
+		t.Fatalf("retention telemetry diverged: evicted %d/%d, retired %d/%d, peak resident %d/%d",
 			resumed.EvictedRecords, uninterrupted.EvictedRecords,
-			resumed.ReleasedFilters, uninterrupted.ReleasedFilters,
-			resumed.RetiredNonces, uninterrupted.RetiredNonces)
+			resumed.RetiredNonces, uninterrupted.RetiredNonces,
+			resumed.PeakResidentRecords, uninterrupted.PeakResidentRecords)
 	}
 }

@@ -108,10 +108,10 @@ func (d *Device) LedgerVersion() uint64 { return d.ledger.Version() }
 
 // RestoreBudgetRow sets one (querier, epoch) budget slot from persisted
 // state — the checkpoint/restore path into the device's flat ledger. It
-// refuses refunds, epochs below the retention floor, and a capacity other
-// than the device's ε^G (see privacy.Ledger.Restore).
-func (d *Device) RestoreBudgetRow(q events.Site, e events.Epoch, consumed, capacity float64) error {
-	return d.ledger.Restore(string(q), int64(e), consumed, capacity)
+// refuses refunds and a consumed budget beyond the device's ε^G (see
+// privacy.Ledger.Restore).
+func (d *Device) RestoreBudgetRow(q events.Site, e events.Epoch, consumed float64) error {
+	return d.ledger.Restore(string(q), int64(e), consumed)
 }
 
 // GenerateReport runs Listing 1's compute_attribution_report for one
@@ -156,7 +156,7 @@ func (d *Device) generate(req *Request, s *Scratch, diag *Diagnostics) (*Report,
 	selectWindow(d.db, d.id, req, s)
 
 	// Step 2: per-epoch individual privacy loss.
-	d.lossPass(req, s, d.EpochFloor())
+	d.lossPass(req, s)
 
 	// Step 3: atomic check-and-consume for the whole window under one
 	// ledger lock; on Halt an epoch's events are dropped (replaced by ∅)
@@ -169,22 +169,10 @@ func (d *Device) generate(req *Request, s *Scratch, diag *Diagnostics) (*Report,
 
 // lossPass computes step 2 of Listing 1 over a filled selection: the
 // individual privacy loss per window epoch (Thm. 4), plus the side query's κ
-// surcharge when bias measurement is on. Epochs below the retention floor
-// are permanently out of scope: they contribute ∅ and request no loss (their
-// slots are gone; recharging one would refund budget). The floor is a
-// parameter so the batched path can snapshot it once per device — it cannot
-// move during a generate phase (retention advances only between phases), so
-// one read is equivalent to one per report.
-func (d *Device) lossPass(req *Request, s *Scratch, floor events.Epoch) {
-	first := req.FirstEpoch
+// surcharge when bias measurement is on.
+func (d *Device) lossPass(req *Request, s *Scratch) {
 	surcharge := biasSurcharge(req)
 	for i, k := 0, req.WindowSize(); i < k; i++ {
-		if first+events.Epoch(i) < floor {
-			s.truthful[i] = nil
-			s.relevant[i] = 0
-			s.losses[i] = 0
-			continue
-		}
 		rel := s.truthful[i]
 		s.relevant[i] = len(rel)
 		s.losses[i] = d.policy.EpochLoss(rel, req) + surcharge
@@ -214,13 +202,6 @@ func (d *Device) finish(req *Request, s *Scratch, nonce Nonce, diag *Diagnostics
 			if len(s.truthful[i]) > 0 {
 				diverged = true
 			}
-		case privacy.ChargeEvicted:
-			// The epoch was evicted between the floor snapshot and the
-			// charge: fall back to the evicted-epoch behavior — ∅
-			// contribution, nothing charged.
-			s.truthful[i] = nil
-			s.surviving[i] = nil
-			s.relevant[i] = 0
 		}
 	}
 

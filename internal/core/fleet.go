@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/events"
 )
@@ -19,9 +18,6 @@ type Fleet struct {
 	shards []fleetShard
 	mask   uint64
 	spawn  func(events.DeviceID) *Device
-	// floor is the fleet-wide retention floor (see AdvanceEpochFloor),
-	// applied to devices created after the last advance.
-	floor atomic.Int32
 }
 
 type fleetShard struct {
@@ -52,7 +48,6 @@ func NewFleet(shards int, spawn func(events.DeviceID) *Device) *Fleet {
 	for i := range f.shards {
 		f.shards[i].devices = make(map[events.DeviceID]*Device)
 	}
-	f.floor.Store(-1 << 31)
 	return f
 }
 
@@ -82,10 +77,6 @@ func (f *Fleet) GetOrCreate(id events.DeviceID) *Device {
 	defer s.mu.Unlock()
 	if d = s.devices[id]; d == nil {
 		d = f.spawn(id)
-		// A device first seen after a fleet-wide floor advance inherits
-		// the floor: its evicted epochs are just as permanently out of
-		// scope as for devices that lived through the advance.
-		d.SetEpochFloor(events.Epoch(f.floor.Load()))
 		s.devices[id] = d
 	}
 	return d
@@ -139,43 +130,3 @@ func (f *Fleet) Range(fn func(*Device) bool) {
 		}
 	}
 }
-
-// AdvanceEpochFloor raises the retention floor of every created device to
-// floor (see Device.SetEpochFloor), releasing the filters of evicted epochs,
-// and records the floor so devices created later inherit it. Long-running
-// services call it once per epoch boundary, after no in-flight query window
-// can reach below the floor any more. The floor never moves backwards.
-// It returns the total number of filters released.
-//
-// Concurrent GetOrCreate during the advance is safe — SetEpochFloor is
-// per-device sound in either interleaving — but a device created mid-advance
-// may only pick the floor up on the next call, so callers that need a strict
-// bound should advance from the same goroutine that drives ingestion.
-func (f *Fleet) AdvanceEpochFloor(floor events.Epoch) int {
-	// CAS loop so concurrent advances can only ratchet the floor upward —
-	// a plain load-check-store could let a lower floor land last and
-	// resurrect evicted epochs for devices created afterwards.
-	for {
-		cur := f.floor.Load()
-		if events.Epoch(cur) >= floor {
-			return 0
-		}
-		if f.floor.CompareAndSwap(cur, int32(floor)) {
-			break
-		}
-	}
-	released := 0
-	for i := range f.shards {
-		s := &f.shards[i]
-		s.mu.RLock()
-		for _, d := range s.devices {
-			released += d.SetEpochFloor(floor)
-		}
-		s.mu.RUnlock()
-	}
-	return released
-}
-
-// EpochFloor returns the fleet-wide retention floor last set by
-// AdvanceEpochFloor (devices created from now on start at this floor).
-func (f *Fleet) EpochFloor() events.Epoch { return events.Epoch(f.floor.Load()) }

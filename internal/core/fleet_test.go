@@ -6,12 +6,10 @@ import (
 
 	"repro/internal/attribution"
 	"repro/internal/events"
-	"repro/internal/privacy"
 )
 
 func testFleet(shards int) *Fleet {
-	db := events.NewDatabase()
-	db.Freeze()
+	db := events.NewFrozen(7, nil)
 	return NewFleet(shards, func(id events.DeviceID) *Device {
 		return NewDevice(id, db, 1, CookieMonsterPolicy{})
 	})
@@ -108,16 +106,16 @@ func TestFleetConcurrentGetOrCreate(t *testing.T) {
 // other goroutines read Consumed through Get — the -race coverage for the
 // Device.Consumed locking fix and the fleet read path.
 func TestFleetConcurrentReportsAndReads(t *testing.T) {
-	db := events.NewDatabase()
 	const site = events.Site("nike.example")
-	for i := 0; i < 64; i++ {
-		db.Record(0, events.Event{
+	evs := make([]events.Event, 64)
+	for i := range evs {
+		evs[i] = events.Event{
 			ID: events.EventID(i + 1), Kind: events.KindImpression,
 			Device: events.DeviceID(i % 8), Day: 1,
 			Advertiser: site, Campaign: "product-0",
-		})
+		}
 	}
-	db.Freeze()
+	db := events.NewFrozen(7, evs)
 	f := NewFleet(4, func(id events.DeviceID) *Device {
 		return NewDevice(id, db, 100, CookieMonsterPolicy{})
 	})
@@ -158,69 +156,5 @@ func TestFleetConcurrentReportsAndReads(t *testing.T) {
 	})
 	if total <= 0 {
 		t.Fatal("no budget consumed across the fleet")
-	}
-}
-
-func TestFleetAdvanceEpochFloor(t *testing.T) {
-	f := testFleet(4)
-	const q = events.Site("nike.example")
-	// Touch budget slots on epochs 0..4 of three devices.
-	for dev := events.DeviceID(1); dev <= 3; dev++ {
-		d := f.GetOrCreate(dev)
-		for e := events.Epoch(0); e < 5; e++ {
-			if out := d.testCharge(q, e, 0.1); out != privacy.ChargeOK {
-				t.Fatalf("pre-charge rejected: %v", out)
-			}
-		}
-	}
-
-	// Advancing to epoch 2 releases epochs 0 and 1 on every device.
-	if released := f.AdvanceEpochFloor(2); released != 6 {
-		t.Fatalf("released %d filters, want 6", released)
-	}
-	if f.EpochFloor() != 2 {
-		t.Fatalf("fleet floor = %d, want 2", f.EpochFloor())
-	}
-	for dev := events.DeviceID(1); dev <= 3; dev++ {
-		if got := f.Get(dev).Consumed(q, 1); got != 0 {
-			t.Fatalf("device %d epoch 1 consumed = %v after eviction", dev, got)
-		}
-		if got := f.Get(dev).Consumed(q, 3); got != 0.1 {
-			t.Fatalf("device %d epoch 3 consumed = %v, want 0.1", dev, got)
-		}
-	}
-
-	// The floor never moves backwards.
-	if released := f.AdvanceEpochFloor(1); released != 0 {
-		t.Fatalf("backwards advance released %d filters", released)
-	}
-	if f.EpochFloor() != 2 {
-		t.Fatalf("fleet floor moved backwards to %d", f.EpochFloor())
-	}
-
-	// Devices created after the advance inherit the floor: evicted epochs
-	// are permanently out of scope for them too.
-	late := f.GetOrCreate(9)
-	if late.EpochFloor() != 2 {
-		t.Fatalf("late device floor = %d, want 2", late.EpochFloor())
-	}
-}
-
-func TestFleetAdvanceEpochFloorConcurrentRatchet(t *testing.T) {
-	f := testFleet(4)
-	f.GetOrCreate(1)
-	var wg sync.WaitGroup
-	// Racing advances with different floors: the floor must end at the
-	// maximum, never regress to a later-arriving lower value.
-	for _, floor := range []events.Epoch{3, 9, 5, 7, 1} {
-		wg.Add(1)
-		go func(e events.Epoch) {
-			defer wg.Done()
-			f.AdvanceEpochFloor(e)
-		}(floor)
-	}
-	wg.Wait()
-	if got := f.EpochFloor(); got != 9 {
-		t.Fatalf("fleet floor = %d after concurrent advances, want 9", got)
 	}
 }

@@ -113,12 +113,10 @@ func (d *Device) GenerateReportBatch(reqs []*Request, ms *MultiScratch,
 		}
 	}
 
-	// Step 2: per-epoch losses for every lane, under one floor snapshot
-	// (the floor cannot move during a generate phase; see lossPass).
-	floor := d.EpochFloor()
+	// Step 2: per-epoch losses for every lane.
 	for j, req := range reqs {
 		s := &ms.ss[j]
-		d.lossPass(req, s, floor)
+		d.lossPass(req, s)
 		ms.charges[j] = privacy.WindowCharge{
 			Querier:  string(req.Querier),
 			First:    int64(req.FirstEpoch),

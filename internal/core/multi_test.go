@@ -102,11 +102,6 @@ func TestBatchMatchesSequentialScratch(t *testing.T) {
 		dBat := NewDevice(dev, db, epsG, policy)
 
 		for batch := 0; batch < 6; batch++ {
-			if rng.Intn(3) == 0 {
-				floor := events.Epoch(rng.Intn(4))
-				dRef.SetEpochFloor(floor)
-				dBat.SetEpochFloor(floor)
-			}
 			n := 1 + rng.Intn(6)
 			reqs := make([]*Request, n)
 			for j := range reqs {

@@ -88,7 +88,7 @@ type Diagnostics struct {
 	// against.
 	TrueHistogram attribution.Histogram
 	// PerEpochLoss[i] is the privacy loss actually consumed from epoch
-	// FirstEpoch+i (0 for zero-loss, denied, and evicted epochs).
+	// FirstEpoch+i (0 for zero-loss and denied epochs).
 	PerEpochLoss []float64
 	// DeniedEpochs lists epochs whose budget slot rejected the loss; their
 	// events were dropped from attribution.

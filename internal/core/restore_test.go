@@ -1,10 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"repro/internal/events"
-)
+import "testing"
 
 // The device's budget state survives a restart as ledger rows put back one
 // by one through RestoreBudgetRow (the snapshot's device blob does exactly
@@ -20,7 +16,7 @@ func TestLoadRejectsBudgetRefund(t *testing.T) {
 	refused := 0
 	for _, r := range early {
 		if r.Consumed < d.Consumed(r.Querier, r.Epoch) {
-			if err := d.RestoreBudgetRow(r.Querier, r.Epoch, r.Consumed, r.Capacity); err == nil {
+			if err := d.RestoreBudgetRow(r.Querier, r.Epoch, r.Consumed); err == nil {
 				t.Fatalf("rollback of %s epoch %d accepted", r.Querier, r.Epoch)
 			}
 			refused++
@@ -33,17 +29,11 @@ func TestLoadRejectsBudgetRefund(t *testing.T) {
 
 func TestLoadRejectsCorruptStates(t *testing.T) {
 	d, _ := paperDevice(t, CookieMonsterPolicy{}, 1.0)
-	d.SetEpochFloor(5)
-	for name, row := range map[string]struct {
-		epoch              int
-		consumed, capacity float64
-	}{
-		"negative consumed":   {6, -1, 1},
-		"over capacity":       {6, 2, 1},
-		"below its own floor": {0, 0.5, 1},
-		"another capacity":    {6, 0.5, 2},
+	for name, consumed := range map[string]float64{
+		"negative consumed": -1,
+		"over capacity":     2,
 	} {
-		if err := d.RestoreBudgetRow("x", events.Epoch(row.epoch), row.consumed, row.capacity); err == nil {
+		if err := d.RestoreBudgetRow("x", 6, consumed); err == nil {
 			t.Fatalf("%s: corrupt row accepted", name)
 		}
 	}
@@ -59,7 +49,7 @@ func TestLoadPreservesExhaustion(t *testing.T) {
 	d.GenerateReport(paperRequest(nil)) // exhausts e1 and e2 exactly
 	restored := NewDevice(7, db, 0.007, CookieMonsterPolicy{})
 	for _, r := range d.Ledger() {
-		if err := restored.RestoreBudgetRow(r.Querier, r.Epoch, r.Consumed, r.Capacity); err != nil {
+		if err := restored.RestoreBudgetRow(r.Querier, r.Epoch, r.Consumed); err != nil {
 			t.Fatal(err)
 		}
 	}

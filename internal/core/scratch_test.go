@@ -45,11 +45,6 @@ func TestScratchPathMatchesDiagnosticsPath(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				req.Bias = &BiasSpec{Kappa: 10, LastTouch: rng.Intn(2) == 0}
 			}
-			if rng.Intn(4) == 0 {
-				floor := events.Epoch(rng.Intn(4))
-				dRef.SetEpochFloor(floor)
-				dScr.SetEpochFloor(floor)
-			}
 
 			repRef, diag, err := dRef.GenerateReport(req)
 			if err != nil {
@@ -111,8 +106,8 @@ func TestDiagnosticsEpochIndexing(t *testing.T) {
 }
 
 // TestDeviceLedgerConcurrentRace drives concurrent GenerateReport (scratch
-// and diagnostics variants), Consumed, ConsumedByQuerier, and fleet-wide
-// AdvanceEpochFloor against the flat ledger, interleaved with the streaming
+// and diagnostics variants), Consumed, ConsumedByQuerier and Ledger against
+// the flat ledger, interleaved with the streaming
 // service's phase discipline for events.Database.EvictBefore (a mutation
 // phase with no concurrent readers). Run under -race.
 func TestDeviceLedgerConcurrentRace(t *testing.T) {
@@ -147,7 +142,7 @@ func TestDeviceLedgerConcurrentRace(t *testing.T) {
 	}
 
 	// Day-clock phases: a concurrent read/report phase, then a sequential
-	// retention phase (EvictBefore + AdvanceEpochFloor), repeated.
+	// retention phase (EvictBefore), repeated.
 	for phase := 0; phase < 3; phase++ {
 		floor := events.Epoch(phase * 2)
 		var wg sync.WaitGroup
@@ -173,9 +168,6 @@ func TestDeviceLedgerConcurrentRace(t *testing.T) {
 						dev.Consumed(site, floor+events.Epoch(i%4))
 						dev.ConsumedByQuerier()
 					case 3:
-						// Raced floor advances ratchet monotonically and
-						// may interleave with any charge.
-						fleet.AdvanceEpochFloor(floor + events.Epoch(i%2))
 						dev.Ledger()
 					}
 				}
@@ -188,18 +180,14 @@ func TestDeviceLedgerConcurrentRace(t *testing.T) {
 		next := events.Epoch((phase + 1) * 2)
 		db.EvictBefore(next)
 		record(next+4, 8) // keep future epochs populated
-		fleet.AdvanceEpochFloor(next)
 	}
 
-	// Post-run invariants: no slot above capacity, floors consistent.
+	// Post-run invariant: no slot above capacity.
 	fleet.Range(func(d *Device) bool {
 		for _, row := range d.Ledger() {
 			if row.Consumed > row.Capacity*(1+1e-9) {
 				t.Errorf("device %d slot %s/%d over capacity: %v",
 					d.ID(), row.Querier, row.Epoch, row.Consumed)
-			}
-			if row.Epoch < d.EpochFloor() {
-				t.Errorf("device %d retains evicted slot at epoch %d", d.ID(), row.Epoch)
 			}
 		}
 		return true

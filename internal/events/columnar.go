@@ -17,9 +17,9 @@ import (
 // IDs, day, kind) so the built-in selectors lower to straight integer
 // compares instead of an interface call per event.
 //
-// The same key column exists on the mutable (loading-phase) store: Record
-// interns as it appends, so the streaming service's day-flush reads get the
-// compiled scan without ever freezing.
+// The same key column exists on the mutable store: Record interns as it
+// appends, so the streaming service's day-flush reads get the compiled scan
+// without a frozen arena.
 
 // evKey is the scan-hot projection of one event: every field the built-in
 // selectors can test, reduced to integers. Day saturates at the int32
@@ -33,7 +33,7 @@ type evKey struct {
 }
 
 // intern is the database's append-only symbol table: advertiser sites and
-// campaign strings mapped to dense IDs at Record/Freeze time. Lookups during
+// campaign strings mapped to dense IDs at Record/NewFrozen time. Lookups during
 // selector compilation are read-only on the maps, so any number of
 // concurrent readers may compile; the maps and the one-entry caches are
 // written only inside Record and NewFrozen, under the store's existing
@@ -107,9 +107,9 @@ func clampDay(d int) int32 {
 // so each device's records come out as contiguous, epoch-ordered runs — then
 // a single gather pass lays the arena, key column, and span table. This is
 // the batch engine's load path (Dataset.Build): it allocates the columnar
-// arenas and one index, instead of a map entry and two slices per record
-// that Freeze would immediately copy out and discard. The result is
-// indistinguishable from Record-per-event followed by Freeze.
+// arenas and one index, and no map entry or slice per record. Its reads are
+// indistinguishable from those of a mutable store fed the same events by
+// Record.
 func NewFrozen(epochDays int, evs []Event) *Database {
 	db := NewDatabase()
 	col := &colStore{
@@ -149,7 +149,6 @@ func NewFrozen(epochDays int, evs []Event) *Database {
 	}
 	db.col = col
 	db.epochs = nil
-	db.frozen = true
 	return db
 }
 
@@ -252,7 +251,7 @@ func (v EventView) Events() []Event { return v.evs }
 // only when capacity is short) with zero-copy views of device d's records
 // over the epoch window [first, last], empty views for empty epochs. It is
 // the scan-path sibling of WindowEventsInto and works in both phases: on a
-// frozen store each view is a span lookup into the arena, on a loading-phase
+// frozen store each view is a span lookup into the arena, on a mutable
 // store it reads the epoch segments directly (same single-writer discipline
 // as every other read).
 func (db *Database) WindowViewsInto(buf []EventView, d DeviceID, first, last Epoch) []EventView {

@@ -1,22 +1,24 @@
 package events
 
-import (
-	"testing"
-)
+import "testing"
 
-func colTestDB(t *testing.T) *Database {
-	t.Helper()
+// colTestDB holds a two-device trace over 7-day epochs 0 and 1: recorded
+// event by event into a mutable store, or laid out by NewFrozen.
+func colTestDB(frozen bool) *Database {
+	evs := []Event{
+		{ID: 1, Kind: KindImpression, Device: 1, Day: 1, Publisher: "pub", Advertiser: "nike.com", Campaign: "p0"},
+		{ID: 2, Kind: KindImpression, Device: 1, Day: 2, Publisher: "pub", Advertiser: "nike.com", Campaign: "p1"},
+		{ID: 3, Kind: KindImpression, Device: 1, Day: 3, Publisher: "pub", Advertiser: "adidas.com", Campaign: "p0"},
+		{ID: 4, Kind: KindConversion, Device: 1, Day: 8, Advertiser: "nike.com", Product: "p0", Value: 7},
+		{ID: 5, Kind: KindImpression, Device: 2, Day: 9, Publisher: "pub", Advertiser: "nike.com", Campaign: "p0"},
+	}
+	if frozen {
+		return NewFrozen(7, evs)
+	}
 	db := NewDatabase()
-	db.Record(0, Event{ID: 1, Kind: KindImpression, Device: 1, Day: 1,
-		Publisher: "pub", Advertiser: "nike.com", Campaign: "p0"})
-	db.Record(0, Event{ID: 2, Kind: KindImpression, Device: 1, Day: 2,
-		Publisher: "pub", Advertiser: "nike.com", Campaign: "p1"})
-	db.Record(0, Event{ID: 3, Kind: KindImpression, Device: 1, Day: 3,
-		Publisher: "pub", Advertiser: "adidas.com", Campaign: "p0"})
-	db.Record(1, Event{ID: 4, Kind: KindConversion, Device: 1, Day: 8,
-		Advertiser: "nike.com", Product: "p0", Value: 7})
-	db.Record(1, Event{ID: 5, Kind: KindImpression, Device: 2, Day: 9,
-		Publisher: "pub", Advertiser: "nike.com", Campaign: "p0"})
+	for _, ev := range evs {
+		db.Record(EpochOfDay(ev.Day, 7), ev)
+	}
 	return db
 }
 
@@ -40,10 +42,7 @@ func matchAll(db *Database, sel Selector, d DeviceID, first, last Epoch) []Event
 
 func TestCompileMatchesSelectorForms(t *testing.T) {
 	for _, frozen := range []bool{false, true} {
-		db := colTestDB(t)
-		if frozen {
-			db.Freeze()
-		}
+		db := colTestDB(frozen)
 		sels := []Selector{
 			CampaignSelector{Advertiser: "nike.com"},
 			NewCampaignSelector("nike.com", "p0"),
@@ -81,7 +80,7 @@ func TestCompileMatchesSelectorForms(t *testing.T) {
 }
 
 func TestCompileRejectsOpaqueSelectors(t *testing.T) {
-	db := colTestDB(t)
+	db := colTestDB(false)
 	if _, ok := db.Compile(SelectorFunc(func(Event) bool { return true })); ok {
 		t.Fatal("SelectorFunc unexpectedly compiled")
 	}
@@ -91,7 +90,7 @@ func TestCompileRejectsOpaqueSelectors(t *testing.T) {
 }
 
 func TestCompileMissingSymbolsMatchesNone(t *testing.T) {
-	db := colTestDB(t)
+	db := colTestDB(false)
 	m, ok := db.Compile(ProductSelector{Advertiser: "absent.example", Product: "p0"})
 	if !ok || !m.MatchesNone() {
 		t.Fatalf("absent advertiser: ok=%v none=%v, want compiled match-none", ok, m.MatchesNone())
@@ -107,8 +106,7 @@ func TestCompileMissingSymbolsMatchesNone(t *testing.T) {
 }
 
 func TestEventViewZeroCopy(t *testing.T) {
-	db := colTestDB(t)
-	db.Freeze()
+	db := colTestDB(true)
 	views := db.WindowViewsInto(nil, 1, 0, 1)
 	evs := db.EpochEvents(1, 0)
 	if len(views) != 2 || views[0].Len() != len(evs) {
@@ -121,8 +119,7 @@ func TestEventViewZeroCopy(t *testing.T) {
 }
 
 func TestWindowViewsIntoReusesBuffer(t *testing.T) {
-	db := colTestDB(t)
-	db.Freeze()
+	db := colTestDB(true)
 	buf := make([]EventView, 0, 8)
 	got := db.WindowViewsInto(buf, 1, 0, 1)
 	if cap(got) != cap(buf) {
@@ -141,10 +138,9 @@ func TestWindowViewsIntoReusesBuffer(t *testing.T) {
 }
 
 func TestFreezeReleasesMutableSegments(t *testing.T) {
-	db := colTestDB(t)
-	db.Freeze()
+	db := colTestDB(true)
 	if db.epochs != nil {
-		t.Fatal("Freeze left the mutable epoch segments alive")
+		t.Fatal("NewFrozen left mutable epoch segments alive")
 	}
 	if db.col == nil || db.col.records != 3 {
 		t.Fatalf("columnar store records = %v", db.col)
@@ -155,8 +151,7 @@ func TestFreezeReleasesMutableSegments(t *testing.T) {
 }
 
 func TestCompileZeroAlloc(t *testing.T) {
-	db := colTestDB(t)
-	db.Freeze()
+	db := colTestDB(true)
 	sel := WindowSelector{Inner: ProductSelector{Advertiser: "nike.com", Product: "p0"}, FirstDay: 0, LastDay: 30}
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, ok := db.Compile(sel); !ok {

@@ -21,28 +21,26 @@ type DeviceEpoch struct {
 // on-device engine only ever reads its own device's rows, preserving the
 // paper's trust model.
 //
-// A Database has two phases. While loading, the store is segmented by epoch:
-// Record appends into the owning segment's per-device record (interning the
-// scan-key column as it goes — see columnar.go) and EvictBefore reclaims by
-// dropping whole epoch segments, O(1) per evicted epoch. No reader or writer
-// may run concurrently with either, but concurrent *read-only* phases are
-// fine as long as they never overlap a mutation — the streaming service
-// relies on exactly this, alternating a single-writer ingest phase with a
-// fan-out read phase on its day clock.
+// A Database comes in one of two forms. NewDatabase returns a mutable store
+// segmented by epoch: Record appends into the owning segment's per-device
+// record (interning the scan-key column as it goes — see columnar.go) and
+// EvictBefore reclaims by dropping whole epoch segments, O(1) per evicted
+// epoch. No reader or writer may run concurrently with either, but
+// concurrent *read-only* phases are fine as long as they never overlap a
+// mutation — the streaming service relies on exactly this, alternating a
+// single-writer ingest phase with a fan-out read phase on its day clock.
 //
-// Freeze ends the loading phase: it compiles every record into one
-// contiguous columnar arena — events, scan keys, and per-(device, epoch)
-// {off, len} spans in a handful of flat allocations — and from then on the
-// database is immutable and safe for any number of concurrent readers with
-// no phase discipline at all (the batch fleet engine reads it from every
-// worker). EpochEvents on the report hot path becomes one map lookup plus a
-// bounds-checked span index.
+// NewFrozen builds the other form from a batch of events: one contiguous
+// columnar arena — events, scan keys, and per-(device, epoch) {off, len}
+// spans in a handful of flat allocations — immutable and safe for any number
+// of concurrent readers with no phase discipline at all (the batch fleet
+// engine reads it from every worker). EpochEvents on the report hot path
+// becomes one map lookup plus a bounds-checked span index.
 type Database struct {
-	epochs map[Epoch]*epochSegment // loading phase; nil once frozen
-	col    *colStore               // frozen phase; nil while loading
+	epochs map[Epoch]*epochSegment // mutable form; nil when frozen
+	col    *colStore               // frozen form; nil when mutable
 	intern intern
 	nextID EventID
-	frozen bool
 	// dirty, when tracking is enabled, holds every (device, epoch) record
 	// touched since the last DrainDirty — the incremental checkpointer's
 	// record-level dirty set. nil when tracking is off, so the streaming
@@ -67,7 +65,7 @@ func (k DeviceEpochKey) Compare(o DeviceEpochKey) int {
 
 // TrackDirty enables record-level dirty tracking: from now on every Record
 // marks its (device, epoch) key until DrainDirty collects it.
-// Only meaningful during the loading phase.
+// Only meaningful on the mutable store.
 func (db *Database) TrackDirty() {
 	if db.dirty == nil {
 		db.dirty = make(map[DeviceEpochKey]struct{})
@@ -124,7 +122,7 @@ func (db *Database) NextEventID() EventID {
 // compares plus one memmove, so a fully shuffled batch costs O(n log n)
 // compares rather than O(n²).
 func (db *Database) Record(epoch Epoch, ev Event) {
-	if db.frozen {
+	if db.col != nil {
 		panic("events: Record on frozen database")
 	}
 	seg := db.segment(epoch)
@@ -173,118 +171,17 @@ func compareEvents(a, b Event) int {
 	return 0
 }
 
-// Freeze ends the loading phase: it compiles every epoch segment into the
-// columnar arena layout behind EpochEvents, WindowEvents, and the compiled
-// selector scans, releases the segment maps, and marks the database
-// immutable. After Freeze the read path is safe for concurrent use; Record
-// panics. Freezing an already-frozen database is a no-op.
-func (db *Database) Freeze() {
-	if db.frozen {
-		return
-	}
-	db.col = db.compileColumns()
-	db.epochs = nil
-	db.frozen = true
-}
-
-// Frozen reports whether the database has been frozen.
-func (db *Database) Frozen() bool { return db.frozen }
-
-// compileColumns lays the mutable store out as the frozen arena: records
-// sorted by (device, epoch), events and keys concatenated, each record a
-// span, each device a dense span run. The mutable store is released as it
-// is copied, so a collection triggered mid-compile can already reclaim the
-// moved records.
-func (db *Database) compileColumns() *colStore {
-	type recRef struct {
-		dev DeviceID
-		e   Epoch
-		rec record
-	}
-	var refs []recRef
-	total := 0
-	for e, seg := range db.epochs {
-		for d, rec := range seg.byDevice {
-			refs = append(refs, recRef{d, e, rec})
-			total += len(rec.evs)
-		}
-	}
-	db.epochs = nil // refs own the record headers now
-	slices.SortFunc(refs, func(a, b recRef) int {
-		switch {
-		case a.dev != b.dev:
-			if a.dev < b.dev {
-				return -1
-			}
-			return 1
-		case a.e < b.e:
-			return -1
-		case a.e > b.e:
-			return 1
-		}
-		return 0
-	})
-
-	col := &colStore{
-		evs:     make([]Event, 0, total),
-		keys:    make([]evKey, 0, total),
-		records: len(refs),
-	}
-	if len(refs) > 0 {
-		// Size the device map from the device count, not the record count
-		// (maps never shrink, and a long-lived fleet has many records per
-		// device). refs is device-grouped after the sort above.
-		devices := 1
-		for k := 1; k < len(refs); k++ {
-			if refs[k].dev != refs[k-1].dev {
-				devices++
-			}
-		}
-		col.dev = make(map[DeviceID]devIndex, devices)
-	}
-	i := 0
-	for i < len(refs) {
-		j := i
-		for j < len(refs) && refs[j].dev == refs[i].dev {
-			j++
-		}
-		first, last := refs[i].e, refs[j-1].e
-		di := devIndex{
-			base:  uint32(len(col.spans)),
-			count: uint32(int64(last-first) + 1),
-			first: first,
-		}
-		next := i
-		for e := first; e <= last; e++ {
-			var sp span
-			if next < j && refs[next].e == e {
-				rec := &refs[next].rec
-				sp = span{off: uint32(len(col.evs)), n: uint32(len(rec.evs))}
-				col.evs = append(col.evs, rec.evs...)
-				col.keys = append(col.keys, rec.keys...)
-				rec.evs, rec.keys = nil, nil // progressive release
-				next++
-			}
-			col.spans = append(col.spans, sp)
-		}
-		col.devs = append(col.devs, refs[i].dev)
-		col.dev[refs[i].dev] = di
-		i = j
-	}
-	return col
-}
-
 // EvictBefore removes every device-epoch record with epoch < first,
 // releasing the events' memory. It is the streaming ingestion's retention
 // primitive: a day-ordered event stream never revisits old epochs, and once
 // no in-flight query window can reach below first, those records are dead
 // weight. The epoch-segmented layout makes this a map sweep that drops each
 // evicted epoch's whole segment at once — O(resident epochs) per call, not
-// O(devices × epochs). Only valid during the loading phase — a frozen
-// database is immutable — and, like Record, not safe for concurrent use.
+// O(devices × epochs). Only valid on the mutable store — a frozen database
+// is immutable — and, like Record, not safe for concurrent use.
 // It returns the number of device-epoch records removed.
 func (db *Database) EvictBefore(first Epoch) int {
-	if db.frozen {
+	if db.col != nil {
 		panic("events: EvictBefore on frozen database")
 	}
 	removed := 0
@@ -399,7 +296,7 @@ func (db *Database) Devices() []DeviceID {
 }
 
 // Keys returns every live device-epoch record's key in (device, epoch)
-// order — the full-snapshot counterpart of DrainDirty. Loading phase only.
+// order — the full-snapshot counterpart of DrainDirty. Mutable store only.
 func (db *Database) Keys() []DeviceEpochKey {
 	keys := make([]DeviceEpochKey, 0, db.NumRecords())
 	for e, seg := range db.epochs {

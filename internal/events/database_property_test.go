@@ -14,7 +14,6 @@ import (
 // executable specification the columnar layout is property-tested against.
 type refStore struct {
 	devices map[DeviceID]*refDeviceStore
-	frozen  bool
 }
 
 type refDeviceStore struct {
@@ -81,7 +80,6 @@ func (db *refStore) freeze() {
 			ds.byEpoch[e-first] = evs
 		}
 	}
-	db.frozen = true
 }
 
 func (db *refStore) epochEvents(d DeviceID, e Epoch) []Event {
@@ -192,9 +190,10 @@ func selectCompiled(db *Database, sel Selector, dev DeviceID, first, last Epoch)
 }
 
 // TestStorePropertyVsReference drives random interleavings of Record,
-// EvictBefore, reads, Freeze, and compiled-selector scans against the
-// reference map-of-slices store. Both sides must agree on every observable
-// at every step.
+// EvictBefore, reads, and compiled-selector scans against the reference
+// map-of-slices store, then lays the surviving events out with NewFrozen.
+// Both stores must agree with the reference on every observable at every
+// step.
 func TestStorePropertyVsReference(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		seed := seed
@@ -204,7 +203,7 @@ func TestStorePropertyVsReference(t *testing.T) {
 			ref := newRefStore()
 			var nextID EventID
 
-			checkReads := func(stage string) {
+			checkReads := func(db *Database, stage string) {
 				t.Helper()
 				if db.NumRecords() != ref.numRecords() || db.NumEvents() != ref.numEvents() ||
 					db.NumDevices() != len(ref.devices) {
@@ -228,7 +227,7 @@ func TestStorePropertyVsReference(t *testing.T) {
 				}
 			}
 
-			checkScan := func(stage string) {
+			checkScan := func(db *Database, stage string) {
 				t.Helper()
 				for trial := 0; trial < 8; trial++ {
 					sel := randomSelector(rng)
@@ -251,7 +250,7 @@ func TestStorePropertyVsReference(t *testing.T) {
 				case r < 70:
 					nextID++
 					ev := randomEvent(rng, nextID)
-					epoch := Epoch(rng.Intn(10) - 3)
+					epoch := EpochOfDay(ev.Day, 7)
 					db.Record(epoch, ev)
 					ref.record(epoch, ev)
 				case r < 75:
@@ -260,22 +259,30 @@ func TestStorePropertyVsReference(t *testing.T) {
 						t.Fatalf("op %d: EvictBefore(%d) removed %d, ref %d", op, floor, got, want)
 					}
 				case r < 90:
-					checkReads(fmt.Sprintf("op %d", op))
+					checkReads(db, fmt.Sprintf("op %d", op))
 				default:
-					checkScan(fmt.Sprintf("op %d", op))
+					checkScan(db, fmt.Sprintf("op %d", op))
 				}
 			}
 
-			checkReads("pre-freeze")
-			checkScan("pre-freeze")
-			db.Freeze()
+			checkReads(db, "final")
+			checkScan(db, "final")
+			var live []Event
+			for _, d := range db.Devices() {
+				for _, e := range db.DeviceEpochs(d) {
+					live = append(live, db.EpochEvents(d, e)...)
+				}
+			}
+			frozen := NewFrozen(7, live)
 			ref.freeze()
-			checkReads("post-freeze")
-			checkScan("post-freeze")
+			checkReads(frozen, "frozen")
+			checkScan(frozen, "frozen")
 
 			// Deterministic iteration surfaces must agree too.
-			if !reflect.DeepEqual(db.Conversions(), refConversions(ref)) {
-				t.Fatal("Conversions diverges from reference")
+			for name, db := range map[string]*Database{"recorded": db, "frozen": frozen} {
+				if !reflect.DeepEqual(db.Conversions(), refConversions(ref)) {
+					t.Fatalf("%s Conversions diverges from reference", name)
+				}
 			}
 		})
 	}
@@ -304,8 +311,8 @@ func refConversions(ref *refStore) []Event {
 
 // TestBulkLoadersMatchRecordLoop holds NewFrozen to the per-event Record
 // loop: same batch (including duplicated (Day, ID) keys, which the loader's
-// stability tiebreak must keep in arrival order), same frozen store
-// observables, same compiled scans.
+// stability tiebreak must keep in arrival order), same store observables,
+// same compiled scans.
 func TestBulkLoadersMatchRecordLoop(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -325,7 +332,6 @@ func TestBulkLoadersMatchRecordLoop(t *testing.T) {
 		for _, ev := range batch {
 			loop.Record(EpochOfDay(ev.Day, epochDays), ev)
 		}
-		loop.Freeze()
 		frozen := NewFrozen(epochDays, batch)
 		for name, db := range map[string]*Database{"NewFrozen": frozen} {
 			if !reflect.DeepEqual(loop.Devices(), db.Devices()) {
@@ -364,11 +370,11 @@ func TestBulkLoadersMatchRecordLoop(t *testing.T) {
 // -race proof that the columnar read path needs no synchronization.
 func TestFrozenConcurrentCompiledScans(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	db := NewDatabase()
-	for i := 0; i < 500; i++ {
-		db.Record(Epoch(rng.Intn(6)), randomEvent(rng, EventID(i+1)))
+	evs := make([]Event, 500)
+	for i := range evs {
+		evs[i] = randomEvent(rng, EventID(i+1))
 	}
-	db.Freeze()
+	db := NewFrozen(7, evs)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

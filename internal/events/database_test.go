@@ -167,45 +167,34 @@ func TestRecordOrderInvariantQuick(t *testing.T) {
 	}
 }
 
+// TestFreezeIndexMatchesMapReads holds NewFrozen's span index to the
+// mutable store's map reads over the same events.
 func TestFreezeIndexMatchesMapReads(t *testing.T) {
+	evs := []Event{imp(1, 1, -14, "a"), imp(2, 1, 3, "a"), imp(3, 1, 25, "a"), conv(4, 2, 9, "a", 5)}
 	db := NewDatabase()
-	db.Record(-2, imp(1, 1, -14, "a"))
-	db.Record(0, imp(2, 1, 3, "a"))
-	db.Record(3, imp(3, 1, 25, "a"))
-	db.Record(1, conv(4, 2, 9, "a", 5))
+	for _, ev := range evs {
+		db.Record(EpochOfDay(ev.Day, 7), ev)
+	}
+	frozen := NewFrozen(7, evs)
 
 	type probe struct {
 		d DeviceID
 		e Epoch
 	}
 	probes := []probe{{1, -3}, {1, -2}, {1, -1}, {1, 0}, {1, 2}, {1, 3}, {1, 4}, {2, 1}, {2, 0}, {3, 0}}
-	before := make(map[probe]int)
 	for _, p := range probes {
-		before[p] = len(db.EpochEvents(p.d, p.e))
-	}
-	if db.Frozen() {
-		t.Fatal("database frozen before Freeze")
-	}
-	db.Freeze()
-	if !db.Frozen() {
-		t.Fatal("Freeze did not mark the database frozen")
-	}
-	for _, p := range probes {
-		if got := len(db.EpochEvents(p.d, p.e)); got != before[p] {
-			t.Fatalf("device %d epoch %d: %d events after Freeze, %d before", p.d, p.e, got, before[p])
+		if got, want := len(frozen.EpochEvents(p.d, p.e)), len(db.EpochEvents(p.d, p.e)); got != want {
+			t.Fatalf("device %d epoch %d: %d events frozen, %d recorded", p.d, p.e, got, want)
 		}
 	}
-	w := db.WindowEvents(1, -3, 4)
+	w := frozen.WindowEvents(1, -3, 4)
 	if len(w) != 8 || len(w[1]) != 1 || len(w[3]) != 1 || len(w[6]) != 1 || w[0] != nil {
 		t.Fatalf("frozen WindowEvents = %v", w)
 	}
-	db.Freeze() // idempotent
 }
 
 func TestFreezeRejectsRecord(t *testing.T) {
-	db := NewDatabase()
-	db.Record(0, imp(1, 1, 1, "a"))
-	db.Freeze()
+	db := NewFrozen(7, []Event{imp(1, 1, 1, "a")})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Record on a frozen database did not panic")
@@ -250,9 +239,7 @@ func TestEvictBefore(t *testing.T) {
 }
 
 func TestEvictBeforePanicsWhenFrozen(t *testing.T) {
-	db := NewDatabase()
-	db.Record(0, imp(1, 1, 0, "a"))
-	db.Freeze()
+	db := NewFrozen(7, []Event{imp(1, 1, 0, "a")})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("EvictBefore on a frozen database did not panic")
@@ -262,11 +249,11 @@ func TestEvictBeforePanicsWhenFrozen(t *testing.T) {
 }
 
 func TestFrozenConcurrentReaders(t *testing.T) {
-	db := NewDatabase()
+	var evs []Event
 	for i := 0; i < 200; i++ {
-		db.Record(Epoch(i%5), imp(EventID(i+1), DeviceID(i%7), i, "a"))
+		evs = append(evs, imp(EventID(i+1), DeviceID(i%7), i, "a"))
 	}
-	db.Freeze()
+	db := NewFrozen(7, evs)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

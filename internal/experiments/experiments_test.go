@@ -178,11 +178,22 @@ func TestAppendixBLatencyGrows(t *testing.T) {
 			t.Fatalf("non-positive latency %v", ns)
 		}
 	}
-	// More impressions should not be dramatically *cheaper* (the scan is
-	// linear; allow generous noise margins).
-	first, last := r.NsPerReport[0], r.NsPerReport[len(r.NsPerReport)-1]
-	if last < first/2 {
-		t.Fatalf("latency shrank with impressions: %v -> %v", first, last)
+	// What grows with the impression count is the work a report scans: the
+	// device's relevant events over the window, one per impression. Wall-clock
+	// order between two sweep points is left to the table, not asserted.
+	for _, n := range r.Impressions {
+		dev, req := appendixBDevice(n)
+		_, diag, err := dev.GenerateReport(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		relevant := 0
+		for _, k := range diag.RelevantPerEpoch {
+			relevant += k
+		}
+		if relevant != n {
+			t.Fatalf("%d-impression device: report scanned %d relevant events", n, relevant)
+		}
 	}
 	if len(r.Tables()) != 1 {
 		t.Fatal("appendix B must have 1 table")

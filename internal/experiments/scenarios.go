@@ -26,7 +26,6 @@ func Scenarios(o Options, name, out string) (*ScenariosResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	h.MeasureHeap = out != ""
 	if o.Quick {
 		h.Parallelisms = []int{1, 4}
 		h.FaultPoints = []stream.FaultPoint{

@@ -6,16 +6,10 @@ import (
 )
 
 // refRestore extends the ledger_test reference model with Ledger.Restore's
-// semantics: refuse corrupt rows, a capacity other than the table's own,
-// refund attempts, and epochs below the floor; clamp consumed to capacity.
-func (r *filterMapRef) restore(q string, e int64, consumed, capacity float64) bool {
-	if consumed < 0 || capacity < 0 || consumed > capacity*(1+1e-9) {
-		return false
-	}
-	if capacity != r.capacity {
-		return false
-	}
-	if e < r.floor {
+// semantics: refuse a consumed budget outside [0, ε^G] and refund attempts;
+// clamp consumed to capacity.
+func (r *filterMapRef) restore(q string, e int64, consumed float64) bool {
+	if consumed < 0 || consumed > r.capacity*(1+1e-9) {
 		return false
 	}
 	byEpoch := r.budgets[q]
@@ -26,10 +20,8 @@ func (r *filterMapRef) restore(q string, e int64, consumed, capacity float64) bo
 	if f := byEpoch[e]; f != nil && f.Consumed() > consumed {
 		return false // refund
 	}
-	if consumed > capacity {
-		consumed = capacity
-	}
-	f := NewFilter(capacity)
+	f := NewFilter(r.capacity)
+	consumed = min(consumed, r.capacity)
 	if consumed > 0 {
 		if err := f.Consume(consumed); err != nil {
 			return false
@@ -40,29 +32,28 @@ func (r *filterMapRef) restore(q string, e int64, consumed, capacity float64) bo
 }
 
 // FuzzLedgerChargeWindow decodes arbitrary bytes into an operation sequence
-// — single charges, whole-window charges, retention-floor advances, requested
-// marks, and snapshot restores (the checkpoint/recovery path, with rows whose
-// capacity differs from the ledger's, which both sides must refuse) — and
-// drives the flat Ledger and the map-of-filters
+// — single charges, whole-window charges, requested marks, and snapshot
+// restores (the checkpoint/recovery path, with rows above ε^G, which both
+// sides must refuse) — and drives the flat Ledger and the map-of-filters
 // reference model through it in lockstep. Every outcome, every read, and the
 // full final slot table and RangeRequested yield must match bitwise; a mark
 // must change no budget state and move the version exactly when it is new.
 // This is the property test from ledger_test.go with fuzzer-chosen
-// interleavings instead of a fixed random schedule: the charge/evict/restore
+// interleavings instead of a fixed random schedule: the charge/mark/restore
 // orderings a crash-recovery cycle produces are exactly the ones hand-picked
 // schedules miss.
 func FuzzLedgerChargeWindow(f *testing.F) {
-	// Seeds: a plain charge run; charges straddling a floor advance;
-	// restore-then-charge (recovery); restore below floor and refund
+	// Seeds: a plain charge run; charges around a window charge;
+	// restore-then-charge (recovery); over-capacity restore and refund
 	// attempts; window charges with zero-loss epochs.
-	f.Add([]byte{2, 100, 200, 50, 255, 30})
-	f.Add([]byte{2, 100, 0, 28, 100, 140, 120, 180})
-	f.Add([]byte{3, 2, 10, 120, 200, 2, 10, 60, 100, 100, 10, 255})
-	f.Add([]byte{1, 0, 40, 2, 5, 200, 100, 150, 2, 5, 90, 255})
+	f.Add([]byte{2, 0, 200, 50, 255, 30})
+	f.Add([]byte{2, 0, 0, 28, 100, 1, 120, 180, 2, 200})
+	f.Add([]byte{3, 2, 10, 120, 200, 0, 10, 60, 100, 10, 255})
+	f.Add([]byte{1, 2, 40, 5, 255, 2, 40, 5, 100, 2, 40, 5, 20})
 	f.Add([]byte{0, 1, 20, 3, 0, 128, 0, 255, 64})
-	// Marks around charges and a floor advance: a window marked, charged in
-	// part, cut by the floor, then marked again below and across it.
-	f.Add([]byte{2, 4, 0, 12, 5, 1, 0, 12, 3, 200, 0, 100, 0, 0, 14, 4, 0, 11, 3, 4, 0, 13, 6})
+	// Marks around charges: a window marked, charged in part, then marked
+	// again below and across it.
+	f.Add([]byte{2, 3, 0, 12, 5, 1, 0, 12, 3, 200, 0, 100, 3, 0, 11, 3, 3, 0, 13, 6})
 
 	queriers := []string{"nike.com", "adidas.com", "criteo.com"}
 
@@ -101,11 +92,7 @@ func FuzzLedgerChargeWindow(f *testing.F) {
 			eb, _ := next()
 			q := queriers[int(qb)%len(queriers)]
 			e := int64(int(eb)%60 - 10)
-			switch op % 5 {
-			case 0: // floor advance (sometimes backwards: must be a no-op)
-				if got, want := l.AdvanceFloor(e), ref.advanceFloor(e); got != want {
-					t.Fatalf("AdvanceFloor(%d) released %d, ref %d", e, got, want)
-				}
+			switch op % 4 {
 			case 1: // whole-window charge with a fuzzer-chosen loss vector
 				kb, _ := next()
 				k := int(kb)%7 + 1
@@ -124,21 +111,16 @@ func FuzzLedgerChargeWindow(f *testing.F) {
 							i, e+int64(i), outcomes[i], want)
 					}
 				}
-			case 2: // snapshot restore, possibly with a differing (refused) capacity
-				cb, _ := next()
+			case 2: // snapshot restore
 				vb, _ := next()
-				slotCap := capacity
-				if cb%2 == 0 {
-					slotCap = float64(cb) / 255 * 4
-				}
-				consumed := float64(vb) / 255 * slotCap * 1.05 // sometimes above capacity
-				gotErr := l.Restore(q, e, consumed, slotCap) != nil
-				wantErr := !ref.restore(q, e, consumed, slotCap)
+				consumed := float64(vb) / 255 * capacity * 1.05 // sometimes above capacity
+				gotErr := l.Restore(q, e, consumed) != nil
+				wantErr := !ref.restore(q, e, consumed)
 				if gotErr != wantErr {
-					t.Fatalf("Restore(%s, %d, %v, %v) error=%t, ref error=%t",
-						q, e, consumed, slotCap, gotErr, wantErr)
+					t.Fatalf("Restore(%s, %d, %v) error=%t, ref error=%t",
+						q, e, consumed, gotErr, wantErr)
 				}
-			case 4: // requested mark over a window (changes no budget state)
+			case 3: // requested mark over a window (changes no budget state)
 				kb, _ := next()
 				if err := checkMark(l, ref, q, e, e+int64(kb)%7); err != nil {
 					t.Fatal(err)
@@ -159,10 +141,7 @@ func FuzzLedgerChargeWindow(f *testing.F) {
 			}
 		}
 
-		// Full final state: floor, requested marks, and every slot bitwise.
-		if l.Floor() != ref.floor {
-			t.Fatalf("floor %d, ref %d", l.Floor(), ref.floor)
-		}
+		// Full final state: requested marks, and every slot bitwise.
 		if err := checkRequested(l, ref); err != nil {
 			t.Fatal(err)
 		}

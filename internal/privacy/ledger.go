@@ -21,9 +21,6 @@ const (
 	// (the Halt outcome of Eq. 3); nothing was deducted. The slot is still
 	// initialized, exactly as a rejected Filter was still created.
 	ChargeDenied
-	// ChargeEvicted: the epoch sits below the retention floor; it is
-	// permanently out of scope and nothing was deducted.
-	ChargeEvicted
 )
 
 // Ledger is the flat on-device budget table: for each querier, a dense array
@@ -35,19 +32,15 @@ const (
 // 1e-9 boundary tolerance, the same "a rejected charge still initializes the
 // slot" behavior.
 //
-// The ledger is floor-aware: epochs strictly below the retention floor are
-// permanently out of scope, and AdvanceFloor recycles their slots in O(1)
-// per querier by re-slicing the lane head forward instead of deleting map
-// entries (only counting the released slots is linear in what was dropped).
-// Lanes grow lazily to span exactly the epochs a querier has touched, so
-// memory stays proportional to the live window.
+// Listing 1 never retires a filter, and neither does the ledger. Lanes grow
+// lazily to span exactly the epochs a querier has touched, so memory stays
+// proportional to the epochs a device was queried over.
 //
 // All methods are safe for concurrent use; ChargeWindow performs a whole
 // report's check-and-consume sequence under a single lock acquisition.
 type Ledger struct {
 	mu       sync.Mutex
 	capacity float64
-	floor    int64
 	lanes    map[string]*ledgerLane
 	// denials counts ChargeDenied outcomes over the ledger's lifetime —
 	// the budget-drain telemetry behind the hostile-traffic scenarios.
@@ -56,7 +49,7 @@ type Ledger struct {
 	// survives crash recovery.
 	denials uint64
 	// version counts observable mutations — slot initializations, charges,
-	// denials, new requested marks, floor advances, restores. The
+	// denials, new requested marks, restores. The
 	// incremental checkpointer compares it against the version it last
 	// captured to decide whether a device's ledger is dirty, so every path
 	// that can change Rows(), Denials() or RangeRequested() output must bump
@@ -108,21 +101,12 @@ func NewLedger(capacity float64) *Ledger {
 	}
 	return &Ledger{
 		capacity: capacity,
-		floor:    -1 << 31,
 		lanes:    make(map[string]*ledgerLane),
 	}
 }
 
 // Capacity returns the uniform per-slot budget capacity ε^G.
 func (l *Ledger) Capacity() float64 { return l.capacity }
-
-// Floor returns the current retention floor: epochs strictly below it are
-// permanently out of scope.
-func (l *Ledger) Floor() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.floor
-}
 
 // slot returns a pointer to the lane's slot for epoch e, growing the dense
 // array in either direction as needed. Growth toward older epochs copies
@@ -193,16 +177,13 @@ func (l *Ledger) chargeLocked(q string, e int64, eps float64) ChargeOutcome {
 	if eps == 0 {
 		return ChargeZero
 	}
-	if e < l.floor {
-		return ChargeEvicted
-	}
 	return l.chargeSlotLocked(l.lane(q), e, eps)
 }
 
 // chargeWindowLocked is one window's charge sequence with the lane lookup
 // hoisted out of the per-epoch loop. The lane resolves on the first epoch
-// that actually charges (eps > 0, at or above the floor), so lazy lane
-// creation is exactly as observable as per-epoch chargeLocked calls.
+// that actually charges (eps > 0), so lazy lane creation is exactly as
+// observable as per-epoch chargeLocked calls.
 func (l *Ledger) chargeWindowLocked(q string, first int64, losses []float64, outcomes []ChargeOutcome) {
 	var ln *ledgerLane
 	for i, eps := range losses {
@@ -211,8 +192,6 @@ func (l *Ledger) chargeWindowLocked(q string, first int64, losses []float64, out
 			panic("privacy: negative privacy loss")
 		case eps == 0:
 			outcomes[i] = ChargeZero
-		case first+int64(i) < l.floor:
-			outcomes[i] = ChargeEvicted
 		default:
 			if ln == nil {
 				ln = l.lane(q)
@@ -275,13 +254,11 @@ func (l *Ledger) ChargeWindowBatch(charges []WindowCharge) {
 
 // MarkRequested records that a report window of querier q covered epochs
 // first through last — the Fig. 4 denominator — whether or not the window
-// goes on to charge them (see ledgerSlot). No consumed value changes. Epochs
-// below the retention floor are out of scope and ignored; the version moves
-// once per epoch newly marked.
+// goes on to charge them (see ledgerSlot). No consumed value changes; the
+// version moves once per epoch newly marked.
 func (l *Ledger) MarkRequested(q string, first, last int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	first = max(first, l.floor)
 	if first > last {
 		return
 	}
@@ -333,8 +310,7 @@ func (l *Ledger) RangeRequested(fn func(e int64, queriers []string, consumed []f
 
 // Denials returns the number of charges this ledger has denied for lack of
 // budget, across all queriers and epochs. Every denial path (Charge,
-// ChargeWindow, ChargeWindowBatch) counts here; evicted-epoch and zero-loss
-// outcomes do not.
+// ChargeWindow, ChargeWindowBatch) counts here; zero-loss outcomes do not.
 func (l *Ledger) Denials() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -356,7 +332,7 @@ func (l *Ledger) RestoreDenials(n uint64) {
 
 // Version returns the mutation counter: it advances on every observable
 // change to the ledger's persisted state (slot initializations, charges,
-// denials, new requested marks, floor advances, restores). The incremental
+// denials, new requested marks, restores). The incremental
 // checkpointer uses it as the dirty bit — equal versions guarantee identical
 // Rows(), Denials() and RangeRequested() output.
 func (l *Ledger) Version() uint64 {
@@ -366,7 +342,7 @@ func (l *Ledger) Version() uint64 {
 }
 
 // Consumed returns the privacy loss consumed so far by querier q from epoch
-// e (0 if the slot was never touched or was recycled by a floor advance).
+// e (0 if the slot was never touched).
 func (l *Ledger) Consumed(q string, e int64) float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -382,7 +358,7 @@ func (l *Ledger) Consumed(q string, e int64) float64 {
 }
 
 // NumQueriers returns the number of queriers with a charged lane (charged or
-// restored at least once, even if every slot has since been recycled) — the
+// restored at least once) — the
 // pre-sizing hint for per-querier aggregation maps.
 func (l *Ledger) NumQueriers() int {
 	l.mu.Lock()
@@ -397,7 +373,7 @@ func (l *Ledger) NumQueriers() int {
 }
 
 // RangeTotals calls fn once per charged querier with the querier's total
-// consumed budget across all live epochs. Each total accumulates in ascending
+// consumed budget across all epochs. Each total accumulates in ascending
 // epoch order — the dense array's natural order — so the float sums are
 // deterministic run-to-run; querier visit order is unspecified.
 func (l *Ledger) RangeTotals(fn func(q string, total float64)) {
@@ -455,58 +431,17 @@ func (l *Ledger) Rows() []LedgerEntry {
 	return rows
 }
 
-// AdvanceFloor raises the retention floor and recycles the slots of evicted
-// epochs, their requested marks with them. The floor never moves backwards;
-// calls with a lower value are no-ops. It returns the number of initialized
-// slots released. Dropping a lane's dead prefix is a re-slice — O(1) per
-// querier — with only the released-slot count costing a scan of what was
-// dropped.
-func (l *Ledger) AdvanceFloor(floor int64) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if floor <= l.floor {
-		return 0
-	}
-	l.floor = floor
-	l.version++
-	released := 0
-	for _, ln := range l.lanes {
-		if floor <= ln.base || len(ln.slots) == 0 {
-			continue
-		}
-		drop := int(floor - ln.base)
-		if drop > len(ln.slots) {
-			drop = len(ln.slots)
-		}
-		for _, s := range ln.slots[:drop] {
-			if s.consumed != untouchedSlot {
-				released++
-			}
-		}
-		ln.slots = ln.slots[drop:]
-		ln.base += int64(drop)
-	}
-	return released
-}
-
-// Restore sets one slot's state from a persisted snapshot row. It refuses to
-// lower a slot's consumed budget (replaying an old snapshot must never
-// refund privacy loss) and to resurrect an epoch below the retention floor.
-// A capacity differing from the ledger's ε^G is corruption: every row this
-// code persists carries the ledger's own capacity, and a run under another
-// ε^G is refused by its scenario fingerprint before any row is read.
-func (l *Ledger) Restore(q string, e int64, consumed, capacity float64) error {
-	if consumed < 0 || capacity < 0 || consumed > capacity*(1+1e-9) {
-		return fmt.Errorf("privacy: corrupt ledger slot %s/%d: %v of %v", q, e, consumed, capacity)
-	}
-	if capacity != l.capacity {
-		return fmt.Errorf("privacy: ledger slot %s/%d has capacity %v, ledger %v", q, e, capacity, l.capacity)
+// Restore sets one slot's state from a persisted snapshot row. consumed is
+// checked against the ledger's own ε^G — a snapshot carries no capacity, as
+// a run under another ε^G is refused by its scenario fingerprint before any
+// row is read — and a restore never lowers a slot's consumed budget
+// (replaying an old snapshot must never refund privacy loss).
+func (l *Ledger) Restore(q string, e int64, consumed float64) error {
+	if consumed < 0 || consumed > l.capacity*(1+1e-9) {
+		return fmt.Errorf("privacy: corrupt ledger slot %s/%d: %v of %v", q, e, consumed, l.capacity)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if e < l.floor {
-		return fmt.Errorf("privacy: restoring evicted epoch %d below floor %d", e, l.floor)
-	}
 	l.version++
 	ln := l.lane(q)
 	ln.charged = true
@@ -514,9 +449,6 @@ func (l *Ledger) Restore(q string, e int64, consumed, capacity float64) error {
 	if *c != untouchedSlot && *c > consumed {
 		return fmt.Errorf("privacy: restore would refund budget for %s epoch %d", q, e)
 	}
-	if consumed > capacity {
-		consumed = capacity
-	}
-	*c = consumed
+	*c = min(consumed, l.capacity)
 	return nil
 }

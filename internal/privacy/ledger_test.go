@@ -10,13 +10,11 @@ import (
 
 // filterMapRef is the old map-of-filters budget table — the implementation
 // the flat ledger replaced — kept here as the reference model for the
-// property test: over any sequence of charges, denials, floor advances, and
-// reads, the ledger must hold exactly the state the per-(querier, epoch)
+// property test: over any sequence of charges, denials, marks and reads, the ledger must hold exactly the state the per-(querier, epoch)
 // Filter table would. requested is the engines' old accounting map beside it
 // (requested_test.go): which queriers' report windows covered which epoch.
 type filterMapRef struct {
 	capacity  float64
-	floor     int64
 	budgets   map[string]map[int64]*Filter
 	requested map[int64]map[string]struct{}
 }
@@ -24,20 +22,16 @@ type filterMapRef struct {
 func newFilterMapRef(capacity float64) *filterMapRef {
 	return &filterMapRef{
 		capacity:  capacity,
-		floor:     -1 << 31,
 		budgets:   make(map[string]map[int64]*Filter),
 		requested: make(map[int64]map[string]struct{}),
 	}
 }
 
-// charge replicates Device.filter + Filter.Consume: floor check, lazy filter
-// creation (also on the denial path), atomic check-and-consume.
+// charge replicates Device.filter + Filter.Consume: lazy filter creation
+// (also on the denial path), atomic check-and-consume.
 func (r *filterMapRef) charge(q string, e int64, eps float64) ChargeOutcome {
 	if eps == 0 {
 		return ChargeZero
-	}
-	if e < r.floor {
-		return ChargeEvicted
 	}
 	byEpoch := r.budgets[q]
 	if byEpoch == nil {
@@ -64,31 +58,6 @@ func (r *filterMapRef) consumed(q string, e int64) float64 {
 	return 0
 }
 
-// advanceFloor replicates Device.SetEpochFloor: evict filters below the
-// floor, count the released ones, never move backwards. The requested marks
-// below the floor go with them.
-func (r *filterMapRef) advanceFloor(floor int64) int {
-	if floor <= r.floor {
-		return 0
-	}
-	r.floor = floor
-	for e := range r.requested {
-		if e < floor {
-			delete(r.requested, e)
-		}
-	}
-	released := 0
-	for _, byEpoch := range r.budgets {
-		for e := range byEpoch {
-			if e < floor {
-				delete(byEpoch, e)
-				released++
-			}
-		}
-	}
-	return released
-}
-
 func (r *filterMapRef) rows() map[string]map[int64]float64 {
 	out := make(map[string]map[int64]float64)
 	for q, byEpoch := range r.budgets {
@@ -103,7 +72,7 @@ func (r *filterMapRef) rows() map[string]map[int64]float64 {
 }
 
 // TestLedgerMatchesFilterMapReference drives the flat ledger and the old
-// map-of-filters table through identical randomized charge/deny/evict/mark
+// map-of-filters table through identical randomized charge/deny/mark
 // sequences and asserts bit-identical state after every operation.
 func TestLedgerMatchesFilterMapReference(t *testing.T) {
 	queriers := []string{"nike.com", "adidas.com", "criteo.com"}
@@ -114,19 +83,12 @@ func TestLedgerMatchesFilterMapReference(t *testing.T) {
 		ref := newFilterMapRef(capacity)
 
 		for op := 0; op < 400; op++ {
-			switch rng.Intn(10) {
-			case 2, 3: // requested mark over a window, sometimes below the floor
+			switch rng.Intn(9) {
+			case 2, 3: // requested mark over a window
 				q := queriers[rng.Intn(len(queriers))]
 				first := int64(rng.Intn(60) - 10)
 				if err := checkMark(l, ref, q, first, first+int64(rng.Intn(6))); err != nil {
 					t.Fatalf("seed %d op %d: %v", seed, op, err)
-				}
-			case 0: // floor advance (sometimes backwards, must be a no-op)
-				floor := int64(rng.Intn(60) - 10)
-				got, want := l.AdvanceFloor(floor), ref.advanceFloor(floor)
-				if got != want {
-					t.Fatalf("seed %d op %d: AdvanceFloor(%d) released %d, ref %d",
-						seed, op, floor, got, want)
 				}
 			case 1: // whole-window charge
 				q := queriers[rng.Intn(len(queriers))]
@@ -193,9 +155,6 @@ func TestLedgerMatchesFilterMapReference(t *testing.T) {
 					seed, len(byEpoch), q)
 			}
 		}
-		if l.Floor() != ref.floor {
-			t.Fatalf("seed %d: floor %d, ref %d", seed, l.Floor(), ref.floor)
-		}
 		if err := checkRequested(l, ref); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -239,88 +198,42 @@ func TestLedgerTotalsMatchRowSums(t *testing.T) {
 	}
 }
 
-// TestLedgerFloorRecyclesSlots exercises the O(1) lane re-slice: slots below
-// the floor disappear from every read path, epochs at or above survive, and
-// charging below the floor reports eviction.
-func TestLedgerFloorRecyclesSlots(t *testing.T) {
-	l := NewLedger(5)
-	for e := int64(0); e < 8; e++ {
-		if out := l.Charge("q", e, 1); out != ChargeOK {
-			t.Fatalf("charge(%d) = %v", e, out)
-		}
-	}
-	if released := l.AdvanceFloor(5); released != 5 {
-		t.Fatalf("released %d, want 5", released)
-	}
-	if got := l.Consumed("q", 4); got != 0 {
-		t.Fatalf("evicted epoch consumed = %v", got)
-	}
-	if got := l.Consumed("q", 5); got != 1 {
-		t.Fatalf("surviving epoch consumed = %v", got)
-	}
-	if out := l.Charge("q", 4, 1); out != ChargeEvicted {
-		t.Fatalf("charge below floor = %v, want ChargeEvicted", out)
-	}
-	if rows := l.Rows(); len(rows) != 3 {
-		t.Fatalf("rows after eviction = %d, want 3", len(rows))
-	}
-	// A full eviction leaves an empty lane, matching the old empty inner
-	// map: the querier is still known, totals are zero.
-	if released := l.AdvanceFloor(100); released != 3 {
-		t.Fatalf("full eviction released %d, want 3", released)
-	}
-	l.RangeTotals(func(q string, total float64) {
-		if q != "q" || total != 0 {
-			t.Fatalf("post-eviction totals: %s=%v", q, total)
-		}
-	})
-}
-
-// TestLedgerRestore covers the persistence path: refund refusal, refusal of a
-// capacity other than the ledger's, floor interaction.
+// TestLedgerRestore covers the persistence path: refund refusal, and refusal
+// of a consumed budget outside [0, ε^G].
 func TestLedgerRestore(t *testing.T) {
 	l := NewLedger(1)
-	if err := l.Restore("q", 2, 0.4, 1); err != nil {
+	if err := l.Restore("q", 2, 0.4); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.Consumed("q", 2); got != 0.4 {
 		t.Fatalf("restored consumed = %v", got)
 	}
 	// Raising is fine; lowering is a refund and must fail.
-	if err := l.Restore("q", 2, 0.6, 1); err != nil {
+	if err := l.Restore("q", 2, 0.6); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Restore("q", 2, 0.5, 1); err == nil {
+	if err := l.Restore("q", 2, 0.5); err == nil {
 		t.Fatal("refund accepted")
 	}
-	// Corrupt rows are refused.
-	if err := l.Restore("q", 3, -1, 1); err == nil {
+	// Corrupt rows are refused and leave no slot behind.
+	if err := l.Restore("q", 3, -1); err == nil {
 		t.Fatal("negative consumed accepted")
 	}
-	if err := l.Restore("q", 3, 2, 1); err == nil {
+	if err := l.Restore("q", 4, 1.5); err == nil {
 		t.Fatal("over-capacity accepted")
 	}
-	// A differing capacity is refused and leaves no slot behind.
-	if err := l.Restore("q", 4, 1.5, 2); err == nil {
-		t.Fatal("differing capacity accepted")
-	}
 	for _, row := range l.Rows() {
-		if row.Epoch == 4 || row.Capacity != 1 {
+		if row.Epoch != 2 {
 			t.Fatalf("refused restore left row %+v", row)
 		}
 	}
 	if out := l.Charge("q", 4, 0.6); out != ChargeOK {
 		t.Fatalf("slot refused by restore does not charge at ε^G: %v", out)
 	}
-	// Below the floor, restore refuses to resurrect evicted epochs.
-	l.AdvanceFloor(10)
-	if err := l.Restore("q", 2, 0.9, 1); err == nil {
-		t.Fatal("restore below floor accepted")
-	}
 }
 
 // TestLedgerConcurrentRace hammers one ledger with concurrent charges,
-// window charges, reads, and floor advances — the -race coverage for the
+// window charges, marks and reads — the -race coverage for the
 // single-mutex design. Consistency invariant: no slot ever exceeds capacity.
 func TestLedgerConcurrentRace(t *testing.T) {
 	l := NewLedger(1)
@@ -344,9 +257,6 @@ func TestLedgerConcurrentRace(t *testing.T) {
 					l.MarkRequested(q, int64(i%20), int64(i%20)+3)
 					l.RangeRequested(func(int64, []string, []float64) {})
 				case 3:
-					if w == 0 && i > 100 {
-						l.AdvanceFloor(int64(i / 50))
-					}
 					l.Rows()
 				}
 			}
@@ -362,8 +272,7 @@ func TestLedgerConcurrentRace(t *testing.T) {
 
 // TestChargeWindowBatchMatchesSequential holds the single-lock batched charge
 // to the sequential reference: for random charge tables (several queriers,
-// overlapping windows, zero and over-budget losses, interleaved floor
-// advances) one ChargeWindowBatch call must produce the outcomes and final
+// overlapping windows, zero and over-budget losses) one ChargeWindowBatch call must produce the outcomes and final
 // ledger rows of ChargeWindow applied charge by charge in slice order.
 func TestChargeWindowBatchMatchesSequential(t *testing.T) {
 	queriers := []string{"nike.com", "adidas.com", "puma.com"}
@@ -373,11 +282,6 @@ func TestChargeWindowBatchMatchesSequential(t *testing.T) {
 		batched, seq := NewLedger(cap), NewLedger(cap)
 
 		for round := 0; round < 5; round++ {
-			if rng.Intn(3) == 0 {
-				floor := int64(rng.Intn(6))
-				batched.AdvanceFloor(floor)
-				seq.AdvanceFloor(floor)
-			}
 			n := 1 + rng.Intn(6)
 			charges := make([]WindowCharge, n)
 			wantOut := make([][]ChargeOutcome, n)
@@ -423,8 +327,8 @@ func TestChargeWindowBatchMatchesSequential(t *testing.T) {
 }
 
 // TestLedgerDenialsCounter pins the denial-telemetry semantics: the counter
-// increments once per denied charge — and only then. Zero charges, evicted
-// epochs, and granted charges leave it alone.
+// increments once per denied charge — and only then. Zero charges and
+// granted charges leave it alone.
 func TestLedgerDenialsCounter(t *testing.T) {
 	l := NewLedger(1)
 	if l.Denials() != 0 {
@@ -441,10 +345,6 @@ func TestLedgerDenialsCounter(t *testing.T) {
 	}
 	if l.Charge("q", 1, 0) != ChargeZero {
 		t.Fatal("zero charge not ChargeZero")
-	}
-	l.AdvanceFloor(5)
-	if l.Charge("q", 2, 0.5) != ChargeEvicted {
-		t.Fatal("evicted charge not ChargeEvicted")
 	}
 	if l.Denials() != 2 {
 		t.Fatalf("denials = %d, want 2", l.Denials())

@@ -12,10 +12,10 @@ import (
 // filterMapRef so the property test, the fuzz target and the exhaustive walk
 // below drive budgets and marks through one reference.
 
-// mark replicates the engines' markRequested over the ledger's floor clamp,
-// and reports whether any (epoch, querier) pair is new.
+// mark replicates the engines' markRequested, and reports whether any
+// (epoch, querier) pair is new.
 func (r *filterMapRef) mark(q string, first, last int64) (fresh bool) {
-	for e := max(first, r.floor); e <= last; e++ {
+	for e := first; e <= last; e++ {
 		if r.requested[e] == nil {
 			r.requested[e] = make(map[string]struct{})
 		}
@@ -32,7 +32,6 @@ func (r *filterMapRef) mark(q string, first, last int64) (fresh bool) {
 type markedLedger interface {
 	MarkRequested(q string, first, last int64)
 	Charge(q string, e int64, eps float64) ChargeOutcome
-	AdvanceFloor(floor int64) int
 	Rows() []LedgerEntry
 	Denials() uint64
 	Version() uint64
@@ -101,7 +100,7 @@ func checkRows(l markedLedger, ref *filterMapRef) error {
 
 // walkOp is one step of the exhaustive walk.
 type walkOp struct {
-	kind string // "mark", "zero", "charge", "floor"
+	kind string // "mark", "zero", "charge"
 	q    string
 	e    int64
 }
@@ -109,11 +108,11 @@ type walkOp struct {
 func (op walkOp) String() string { return fmt.Sprintf("%s(%s,%d)", op.kind, op.q, op.e) }
 
 // walkMarks runs every sequence of at most depth ops over {mark, zero-loss
-// charge, positive charge, floor advance} × 2 queriers × 3 epochs against the
-// model and returns the first sequence on which the ledger newLedger builds
-// departs from it (nil if none does), with the number of sequences run. A
-// mark covers the two-epoch window ending at its epoch, so windows reach
-// below epoch 0 and straddle floors; a positive charge is 0.6 of a capacity
+// charge, positive charge} × 2 queriers × 3 epochs against the model and
+// returns the first sequence on which the ledger newLedger builds departs
+// from it (nil if none does), with the number of sequences run. A mark
+// covers the two-epoch window ending at its epoch, so windows reach below
+// epoch 0 and grow lanes toward older epochs; a positive charge is 0.6 of a capacity
 // of 1, so a repeat is a denial. Every prefix of a sequence is itself a
 // sequence of the walk, so outcomes are compared at every op and the full
 // state — rows, denials, the RangeRequested yield — after the last.
@@ -123,7 +122,6 @@ func walkMarks(newLedger func() markedLedger, depth int) (failure error, sequenc
 		for _, q := range []string{"a", "b"} {
 			ops = append(ops, walkOp{"mark", q, e}, walkOp{"zero", q, e}, walkOp{"charge", q, e})
 		}
-		ops = append(ops, walkOp{"floor", "", e})
 	}
 	run := func(seq []walkOp) error {
 		l, ref := newLedger(), newFilterMapRef(1)
@@ -145,10 +143,6 @@ func walkMarks(newLedger func() markedLedger, depth int) (failure error, sequenc
 				}
 				if want == ChargeDenied {
 					denials++
-				}
-			case "floor":
-				if got, want := l.AdvanceFloor(op.e), ref.advanceFloor(op.e); got != want {
-					return fmt.Errorf("%v released %d, reference %d", op, got, want)
 				}
 			}
 		}
@@ -183,7 +177,7 @@ func walkMarks(newLedger func() markedLedger, depth int) (failure error, sequenc
 }
 
 // TestLedgerMarksExhaustive is the small-world check of the requested marks:
-// every interleaving of mark, charge and eviction at small bounds against the
+// every interleaving of mark and charge at small bounds against the
 // map the marks replaced (the seeded property test and the fuzz target are
 // its large-bound complement).
 func TestLedgerMarksExhaustive(t *testing.T) {
@@ -210,46 +204,18 @@ func (m markInitialisesSlot) MarkRequested(q string, first, last int64) {
 	m.Ledger.MarkRequested(q, first, last)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for e := max(first, m.floor); e <= last; e++ {
+	for e := first; e <= last; e++ {
 		if s := m.lanes[q].slot(e); s.consumed == untouchedSlot {
 			s.consumed = 0
 		}
 	}
 }
 
-// floorKeepsMarks recycles the slots below a new floor but leaves their
-// requested marks standing.
-type floorKeepsMarks struct{ *Ledger }
-
-func (m floorKeepsMarks) AdvanceFloor(floor int64) int {
-	type mark struct {
-		q string
-		e int64
-	}
-	var kept []mark
-	m.Ledger.RangeRequested(func(e int64, queriers []string, _ []float64) {
-		for _, q := range queriers {
-			if e < floor {
-				kept = append(kept, mark{q, e})
-			}
-		}
-	})
-	released := m.Ledger.AdvanceFloor(floor)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, k := range kept {
-		m.lanes[k.q].slot(k.e).requested = true
-	}
-	return released
-}
-
 // TestLedgerMarksWalkCatchesPlantedBugs fails if the exhaustive walk passes
-// either planted bug: a walk that cannot tell them from the ledger checks
-// nothing.
+// a planted bug: a walk that cannot tell it from the ledger checks nothing.
 func TestLedgerMarksWalkCatchesPlantedBugs(t *testing.T) {
 	for name, wrap := range map[string]func(*Ledger) markedLedger{
 		"mark-initialises-the-slot": func(l *Ledger) markedLedger { return markInitialisesSlot{l} },
-		"floor-advance-keeps-marks": func(l *Ledger) markedLedger { return floorKeepsMarks{l} },
 	} {
 		failure, _ := walkMarks(func() markedLedger { return wrap(NewLedger(1)) }, 3)
 		if failure == nil {

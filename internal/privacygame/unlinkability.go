@@ -49,7 +49,6 @@ func NewUnlinkability(d0, d1 events.DeviceID, epoch events.Epoch, f0 []events.Ev
 	}
 	for w := range g.fleet {
 		db := g.dbs[w]
-		db.Freeze()
 		g.fleet[w] = core.NewFleet(2, func(dev events.DeviceID) *core.Device {
 			return core.NewDevice(dev, db, g.capacities[dev], core.CookieMonsterPolicy{})
 		})

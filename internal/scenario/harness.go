@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/metrics"
 	"slices"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/events"
@@ -38,10 +36,6 @@ type Harness struct {
 	// SnapshotEveryDays is the checkpoint cadence for the crash runs
 	// (0 selects 14, the crash-recovery suite's cadence).
 	SnapshotEveryDays int
-	// MeasureHeap samples live heap bytes around one streaming run and
-	// reports the peak growth. Off by default: the sampler perturbs
-	// timing-sensitive callers.
-	MeasureHeap bool
 }
 
 // DefaultHarness returns the harness the catalog tests, the CLI and the CI
@@ -87,10 +81,6 @@ type Report struct {
 	// it in).
 	MeanRMSRE       float64 `json:"meanRMSRE"`
 	AccuracyVsClean float64 `json:"accuracyVsClean"`
-
-	// PeakHeapBytes is the peak live-heap growth over the post-GC
-	// baseline during one streaming run (0 unless Harness.MeasureHeap).
-	PeakHeapBytes uint64 `json:"peakHeapBytes"`
 
 	// Verdicts.
 	Parallelisms         []int  `json:"parallelisms"`
@@ -192,11 +182,10 @@ func (h Harness) Run(spec Spec) (*Report, error) {
 	// match the oracle bit for bit at every parallelism, and its admission
 	// counters must match the pure rule's.
 	var run *workload.Run
-	for i, p := range rep.Parallelisms {
-		measure := h.MeasureHeap && i == len(rep.Parallelisms)-1
-		r, peak, err := h.oneStreamRun(spec, p, measure)
+	for _, p := range rep.Parallelisms {
+		r, err := workload.ExecuteSource(h.streamCfg(p), spec.Source(h.Dataset))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("scenario %s: stream(parallelism=%d): %w", spec.Name, p, err)
 		}
 		if got := r.CanonicalDigest(); got != want {
 			return nil, fmt.Errorf(
@@ -207,9 +196,6 @@ func (h Harness) Run(spec Spec) (*Report, error) {
 			return nil, fmt.Errorf(
 				"scenario %s: admission counters diverged: service drained %d dropped %d, rule says %d/%d",
 				spec.Name, r.EventsIngested, r.EventsDropped, rep.EventsDelivered, dropped)
-		}
-		if measure {
-			rep.PeakHeapBytes = peak
 		}
 		run = r
 	}
@@ -276,26 +262,6 @@ func meanHonestRMSRE(run *workload.Run, attacker events.Site) float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-// oneStreamRun executes the scenario's streaming run at one parallelism,
-// optionally sampling peak heap growth around it.
-func (h Harness) oneStreamRun(spec Spec, parallelism int, measure bool) (*workload.Run, uint64, error) {
-	var run *workload.Run
-	var err error
-	body := func() {
-		run, err = workload.ExecuteSource(h.streamCfg(parallelism), spec.Source(h.Dataset))
-	}
-	var peak uint64
-	if measure {
-		peak = peakHeapDuring(body)
-	} else {
-		body()
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("scenario %s: stream(parallelism=%d): %w", spec.Name, parallelism, err)
-	}
-	return run, peak, nil
 }
 
 // countFaultPoints runs the scenario once, checkpointed and uninterrupted,
@@ -424,40 +390,4 @@ func WriteBench(path string, reports []*Report) error {
 		return err
 	}
 	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// peakHeapDuring runs fn with a background sampler watching live heap bytes
-// (runtime/metrics) and returns the peak growth over the post-GC baseline —
-// the same measurement as the repository's streaming memory guard.
-func peakHeapDuring(fn func()) uint64 {
-	runtime.GC()
-	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
-	metrics.Read(sample)
-	baseline := sample[0].Value.Uint64()
-	peak := baseline
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				metrics.Read(s)
-				if v := s[0].Value.Uint64(); v > peak {
-					peak = v
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-		}
-	}()
-	fn()
-	close(stop)
-	<-done
-	if peak < baseline {
-		return 0
-	}
-	return peak - baseline
 }

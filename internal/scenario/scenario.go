@@ -11,8 +11,8 @@
 // through the properties the repository already enforces on clean traffic —
 // batch-vs-stream bit-equivalence at several parallelism levels and the
 // crash matrix's crash→resume bit-identity — and reports the degradation
-// numbers (events dropped, budget drained, accuracy vs the clean baseline,
-// peak heap) that make robustness measurable. DESIGN.md §11 documents the
+// numbers (events dropped, budget drained, accuracy vs the clean baseline)
+// that make robustness measurable. DESIGN.md §11 documents the
 // spec format and the invariants, and how to add a scenario.
 package scenario
 

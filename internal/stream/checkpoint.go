@@ -21,7 +21,7 @@ import (
 //
 //   - A base captures the service's complete state at a day boundary:
 //     every device's budget-ledger lanes (slots and the requested marks
-//     beside them), the fleet's retention floor, the live device-epoch
+//     beside them), the live device-epoch
 //     records of the event store, the incremental planner's cursor
 //     (per-stream pending conversions, sequence numbers, caps), the
 //     aggregation service's nonce watermark and consumed set,
@@ -52,8 +52,10 @@ import (
 // by key-sorted binary sections (delta.go), so a chain folds by byte copy
 // and restores without materializing it. v5: the requested marks ride in
 // each device's blob, beside the ledger slots they describe, and the third
-// section that held them is gone.
-const snapSchemaVersion = 5
+// section that held them is gone. v6: ledger slots no longer carry a
+// capacity (the fingerprint pins ε^G), and the head lost the keys only the
+// retired filter-release mode or the retired ingest queue wrote.
+const snapSchemaVersion = 6
 
 // snapConfig is the scenario fingerprint stored in every snapshot. Resuming
 // under a different scenario would silently diverge from the original run,
@@ -72,7 +74,6 @@ type snapConfig struct {
 	Seed                 uint64  `json:"seed"`
 	MaxQueriesPerProduct int     `json:"maxQueries"`
 	Central              bool    `json:"central"`
-	Lean                 bool    `json:"lean"`
 	LatePolicy           int     `json:"latePolicy"`
 	Dataset              string  `json:"dataset"`
 }
@@ -88,7 +89,6 @@ func (s *Service) snapConfig() snapConfig {
 		Seed:                 s.cfg.Seed,
 		MaxQueriesPerProduct: s.cfg.MaxQueriesPerProduct,
 		Central:              s.cfg.Central,
-		Lean:                 s.cfg.Lean,
 		LatePolicy:           int(s.cfg.LatePolicy),
 		Dataset:              s.meta.Name,
 	}
@@ -109,7 +109,7 @@ func (s *Service) snapConfig() snapConfig {
 // counter (u64 — pure telemetry, but telemetry the hostile-traffic scenarios
 // assert on, so it must survive recovery like any other state), then a u32
 // slot count and per slot a length-prefixed querier string, the epoch (u32,
-// two's complement), and consumed/capacity as IEEE-754 bits. The rest of the
+// two's complement), and the consumed budget as IEEE-754 bits. The rest of the
 // blob is the requested marks, exactly as RangeRequested yields them: per
 // marked epoch the epoch (u32), a u32 querier count and the length-prefixed
 // queriers in name order.
@@ -122,7 +122,6 @@ func appendDevice(buf []byte, d *core.Device) []byte {
 		buf = append(buf, r.Querier...)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(r.Epoch)))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Consumed))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Capacity))
 	}
 	d.RangeRequested(func(e events.Epoch, queriers []string, _ []float64) {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(e)))
@@ -138,7 +137,7 @@ func appendDevice(buf []byte, d *core.Device) []byte {
 // decodeDevice walks an appendDevice blob: it returns the denial counter,
 // streams the ledger slots into row and then the requested marks into mark.
 func decodeDevice(buf []byte, sites siteIntern,
-	row func(q events.Site, e events.Epoch, consumed, capacity float64) error,
+	row func(q events.Site, e events.Epoch, consumed float64) error,
 	mark func(q events.Site, e events.Epoch) error) (denials uint64, err error) {
 	if len(buf) < 12 {
 		return 0, fmt.Errorf("stream: truncated device state")
@@ -148,14 +147,13 @@ func decodeDevice(buf []byte, sites siteIntern,
 	buf = buf[12:]
 	for ; n > 0; n-- {
 		q, rest, err := cutString(buf)
-		if err != nil || len(rest) < 20 {
+		if err != nil || len(rest) < 12 {
 			return 0, fmt.Errorf("stream: truncated ledger slot")
 		}
 		e := events.Epoch(int32(binary.LittleEndian.Uint32(rest)))
 		consumed := math.Float64frombits(binary.LittleEndian.Uint64(rest[4:]))
-		capacity := math.Float64frombits(binary.LittleEndian.Uint64(rest[12:]))
-		buf = rest[20:]
-		if err := row(sites.site(q), e, consumed, capacity); err != nil {
+		buf = rest[12:]
+		if err := row(sites.site(q), e, consumed); err != nil {
 			return 0, err
 		}
 	}
@@ -281,8 +279,7 @@ type snapHead struct {
 	IPANoise     *[4]uint64 `json:"ipaNoise,omitempty"`
 
 	// Budget state outside the devices section.
-	FleetFloor int32          `json:"fleetFloor"`
-	Central    []centralState `json:"central,omitempty"`
+	Central []centralState `json:"central,omitempty"`
 
 	// Planner cursor and released results.
 	Streams []streamSnap  `json:"streams,omitempty"`
@@ -291,17 +288,10 @@ type snapHead struct {
 	// Run accumulators and telemetry. Durability depends on scheduling, not
 	// on the trace: it rides along so a resumed run reports its whole
 	// history, and stays out of every digest.
-	TotalConsumed uint64 `json:"totalConsumedBits"`
-	// RetiredQueueDepth holds schema 5's "peakQueue" key, the depth of an
-	// ingest queue the service no longer has. parsePayload accepts a head
-	// only in the encoder's own bytes, so the key stays — read and carried
-	// through a fold as written, 0 in a new capture — for as long as schema
-	// 5 directories must load; the next schema bump drops it.
-	RetiredQueueDepth   int             `json:"peakQueue"`
+	TotalConsumed       uint64          `json:"totalConsumedBits"`
 	PeakResidentRecords int             `json:"peakResidentRecords"`
 	EvictedRecords      int             `json:"evictedRecords"`
 	RetiredNonces       int             `json:"retiredNonces"`
-	ReleasedFilters     int             `json:"releasedFilters"`
 	Durability          DurabilityStats `json:"durability"`
 }
 
@@ -347,13 +337,10 @@ func (s *Service) scalarSnap() *snapHead {
 		NonceFloor: uint64(core.NonceFloor()),
 		AggNoise:   s.aggNoise.State(),
 
-		FleetFloor: int32(s.fleet.EpochFloor()),
-
 		TotalConsumed:       math.Float64bits(s.run.TotalConsumed),
 		PeakResidentRecords: s.run.PeakResidentRecords,
 		EvictedRecords:      s.run.EvictedRecords,
 		RetiredNonces:       s.run.RetiredNonces,
-		ReleasedFilters:     s.run.ReleasedFilters,
 		Durability:          s.run.Durability,
 	}
 
@@ -545,7 +532,6 @@ func (s *Service) restore(c *snapChain) error {
 	s.run.PeakResidentRecords = snap.PeakResidentRecords
 	s.run.EvictedRecords = snap.EvictedRecords
 	s.run.RetiredNonces = snap.RetiredNonces
-	s.run.ReleasedFilters = snap.ReleasedFilters
 	s.run.Durability = snap.Durability
 
 	// Replay protection: never re-mint a nonce the crashed process already
@@ -566,11 +552,7 @@ func (s *Service) restore(c *snapChain) error {
 		return fmt.Errorf("stream: snapshot central-noise state mismatch")
 	}
 
-	// Budget state: retention floor first (devices created below inherit
-	// it; every restored row is at or above it by construction).
-	if floor := events.Epoch(snap.FleetFloor); floor > s.fleet.EpochFloor() {
-		s.fleet.AdvanceEpochFloor(floor)
-	}
+	// Budget state.
 	sites := make(siteIntern)
 	if err := s.restoreDevices(c, sites); err != nil {
 		return err
@@ -670,7 +652,7 @@ func (s *Service) restore(c *snapChain) error {
 // query window of this scenario can touch is refused here, before it can size
 // one: each blob is walked twice, and the first walk only checks.
 func (s *Service) restoreDevices(c *snapChain, sites siteIntern) error {
-	lo, hi := max(s.fleet.EpochFloor(), s.run.FirstSpanEpoch), s.run.LastSpanEpoch
+	lo, hi := s.run.FirstSpanEpoch, s.run.LastSpanEpoch
 	inSpan := func(what string, e events.Epoch) error {
 		if e < lo || e > hi {
 			return fmt.Errorf("%s epoch %d outside [%d, %d]: snapshot is corrupt or for a different scenario",
@@ -680,7 +662,7 @@ func (s *Service) restoreDevices(c *snapChain, sites siteIntern) error {
 	}
 	return c.merge(secDevices, func(key DevEpoch, blob, _ []byte) error {
 		_, err := decodeDevice(blob, sites,
-			func(_ events.Site, e events.Epoch, _, _ float64) error { return inSpan("slot", e) },
+			func(_ events.Site, e events.Epoch, _ float64) error { return inSpan("slot", e) },
 			func(_ events.Site, e events.Epoch) error { return inSpan("requested", e) })
 		if err != nil {
 			return fmt.Errorf("stream: device %d: %w", key.Device, err)

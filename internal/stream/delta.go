@@ -20,7 +20,7 @@ import (
 // captures only that, chained to its parent generation by fingerprint. A
 // full snapshot is the same encoder with everything dirty.
 //
-// Payload layout (schema 5, little-endian):
+// Payload layout (schema 6, little-endian):
 //
 //	u32 schema | u32 headLen | head (JSON snapHead)
 //	2 × section: u32 byteLen | entries          devices, records

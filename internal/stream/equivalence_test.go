@@ -11,11 +11,8 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/events"
 	"repro/internal/figures"
-	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
@@ -178,62 +175,4 @@ func TestStreamingEquivalenceSyntheticSource(t *testing.T) {
 	}
 	resultsIdentical(t, "synthetic", batch.Results, streamed.Results)
 	metricsIdentical(t, "synthetic", batch, streamed)
-}
-
-// serveRaw drives a stream.Service directly for service-level knobs the
-// workload client does not expose (lean retention).
-func serveRaw(t *testing.T, cfg stream.Config) *stream.Run {
-	t.Helper()
-	svc, err := stream.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := svc.Serve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return run
-}
-
-// TestLeanRetentionInvariance checks the long-running-service mode: device
-// filters and event records below the horizon are reclaimed, the requested
-// marks go with the filters — and the query results are still bit-identical.
-func TestLeanRetentionInvariance(t *testing.T) {
-	ds := smallMicro(t, 0.5, 0.5)
-	full := stream.Config{Source: ds.Stream(), EpsilonG: 2, Seed: 7}
-	lean := full
-	lean.Source = ds.Stream()
-	lean.Lean = true
-	runFull := serveRaw(t, full)
-	runLean := serveRaw(t, lean)
-	resultsIdentical(t, "lean vs full", runFull.Results, runLean.Results)
-	floor, marks := runLean.Fleet.EpochFloor(), 0
-	runLean.Fleet.Range(func(d *core.Device) bool {
-		d.RangeRequested(func(e events.Epoch, _ []string, _ []float64) {
-			marks++
-			if e < floor {
-				t.Errorf("device %d holds a requested mark at epoch %d, below the fleet floor %d", d.ID(), e, floor)
-			}
-		})
-		return true
-	})
-	if marks == 0 {
-		t.Fatal("lean run holds no requested mark above the floor")
-	}
-	if runLean.EvictedRecords == 0 {
-		t.Fatal("lean run evicted no event records")
-	}
-	if runLean.ReleasedFilters == 0 {
-		t.Fatal("lean run released no device filters")
-	}
-	if runLean.RetiredNonces == 0 {
-		t.Fatal("lean run retired no nonces")
-	}
-	// Retention keeps resident state to the attribution window, so the
-	// peak must sit well below the total record count ingested.
-	totalRecords := ds.Build(7).NumRecords()
-	if runLean.PeakResidentRecords >= totalRecords {
-		t.Fatalf("peak resident records %d not below trace total %d",
-			runLean.PeakResidentRecords, totalRecords)
-	}
 }

@@ -29,9 +29,8 @@ const (
 	// PointDayFlushed fires after the whole day flushed and the day's
 	// consumed nonces retired.
 	PointDayFlushed FaultPoint = "day-flushed"
-	// PointRetentionAdvanced fires after the retention horizon moved:
-	// event records evicted, and (Lean mode) device filters released, the
-	// requested marks beside them included.
+	// PointRetentionAdvanced fires after the retention horizon moved and
+	// the event records below it were evicted.
 	PointRetentionAdvanced FaultPoint = "retention-advanced"
 	// PointSnapshotCommitted fires when a snapshot generation's durable
 	// commit is observed by the day clock (the background writer's result

@@ -24,10 +24,10 @@
 //     core.Fleet. Aggregation then releases each query sequentially in the
 //     same canonical order, drawing noise from the run's seeded stream.
 //   - Retention: once no open batch's attribution window can reach below an
-//     epoch, the event store evicts it (events.Database.EvictBefore), the
-//     aggregation service retires the day's consumed nonces
-//     (aggregation.Service.Compact), and — in Lean mode — the fleet
-//     advances every device's retention floor.
+//     epoch, the event store evicts it (events.Database.EvictBefore) and
+//     the aggregation service retires the day's consumed nonces
+//     (aggregation.Service.Compact). Device budget ledgers are never
+//     retired: Listing 1 keeps one filter per (querier, epoch) for good.
 //
 // Equivalence contract: the canonical execution order (fireDay, site,
 // product, seq) is exactly the batch front end's plan order, per-device
@@ -123,14 +123,6 @@ type Config struct {
 	// The policy shapes which events the run admits, so it is part of the
 	// checkpoint scenario fingerprint.
 	LatePolicy LatePolicy
-
-	// Lean selects long-running-service retention: device filters below
-	// the horizon are released (core.Fleet.AdvanceEpochFloor), and the
-	// requested marks beside them go with the slots. Query results are
-	// bit-identical either way; Lean trades post-run budget metrics (they
-	// then cover only the epochs still above the floor) for bounded
-	// resident state.
-	Lean bool
 
 	// CheckpointDir enables crash safety: every ingested event is logged
 	// to a write-ahead log in this directory before it is applied, day
@@ -321,8 +313,6 @@ type Run struct {
 	// RetiredNonces counts replay-protection entries reclaimed by
 	// aggregation compaction.
 	RetiredNonces int
-	// ReleasedFilters counts device filters reclaimed in Lean mode.
-	ReleasedFilters int
 
 	// Durability is the run's checkpoint/WAL telemetry (zero without
 	// Config.CheckpointDir). It is observability only — never part of the
@@ -867,8 +857,7 @@ func (s *Service) rotateCheckpoint() error {
 
 // advanceRetention computes the oldest epoch any future query window can
 // reach — bounded by the earliest still-pending conversion and the next
-// ingest day — and evicts everything below it from the event store, the
-// replay-protection set, and (in Lean mode) the device filters.
+// ingest day — and evicts everything below it from the event store.
 func (s *Service) advanceRetention(nextDay int) {
 	if n := s.db.NumRecords(); n > s.run.PeakResidentRecords {
 		s.run.PeakResidentRecords = n
@@ -883,7 +872,4 @@ func (s *Service) advanceRetention(nextDay int) {
 	}
 	s.evictFloor = floor
 	s.run.EvictedRecords += s.db.EvictBefore(floor)
-	if s.cfg.Lean {
-		s.run.ReleasedFilters += s.fleet.AdvanceEpochFloor(floor)
-	}
 }

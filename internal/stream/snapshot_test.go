@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -325,7 +324,7 @@ func corruptions(t testing.TB, base []byte) map[string][]byte {
 		}
 		tail := blob + 12
 		for ; slots > 0; slots-- {
-			tail += 4 + int(binary.LittleEndian.Uint32(base[tail:])) + 20
+			tail += 4 + int(binary.LittleEndian.Uint32(base[tail:])) + 12
 		}
 		if tail < end && markEpoch < 0 {
 			markEpoch = tail
@@ -463,76 +462,49 @@ func FuzzSnapPayload(f *testing.F) {
 	})
 }
 
-// TestResumesDirectoryWrittenBeforeQueueRemoval resumes testdata/ckpt-53ceb69:
-// a schema-5 directory written by commit 53ceb69, the last one whose service
-// had an ingest queue, by the run below crashed at its 20th ingested event
-// (fixed ε 1, ε^G 100, a snapshot every 2 days, group commits of 2). Its
-// heads say "peakQueue":26. This code must load every generation of it —
-// no fallback, state restored, not rebuilt from the source — and finish on
-// the results of a run that was never interrupted.
-func TestResumesDirectoryWrittenBeforeQueueRemoval(t *testing.T) {
-	var evs []events.Event
-	for dev := 1; dev <= 3; dev++ {
-		evs = append(evs, events.Event{ID: events.EventID(100 + dev), Kind: events.KindImpression,
-			Device: events.DeviceID(dev), Advertiser: "nike.example", Campaign: "product-0"})
-	}
-	for i := 1; i <= 24; i++ {
-		evs = append(evs, conv(events.EventID(i), events.DeviceID(1+i%3), i/2))
-	}
-	cfg := Config{Source: &fakeSource{meta: testMeta(), evs: evs}, FixedEpsilon: 1, EpsilonG: 100}
-	ref, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.Serve()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	if err := os.CopyFS(dir, os.DirFS("testdata/ckpt-53ceb69")); err != nil {
-		t.Fatal(err)
-	}
-	restored := 0
-	cfg.Source = &fakeSource{meta: testMeta(), evs: evs}
-	cfg.CheckpointDir, cfg.SnapshotEveryDays, cfg.GroupCommitEvents = dir, 2, 2
-	cfg.AdmitObserver = func(events.Event, bool) { restored++ }
-	svc, err := ResumeFrom(cfg, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if svc.headDeltas != 3 || svc.run.Durability.RecoveryFallbacks != 0 || restored < 16 || restored != svc.skip {
-		t.Fatalf("recovery loaded %d deltas with %d fallbacks and restored %d events (skip %d), want 3 deltas, 0, ≥ 16",
-			svc.headDeltas, svc.run.Durability.RecoveryFallbacks, restored, svc.skip)
-	}
-	got, err := svc.Serve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Results) != 12 || !slices.Equal(got.Results, want.Results) || got.TotalConsumed != want.TotalConsumed {
-		t.Fatalf("resumed run released\n  %+v\nuninterrupted run\n  %+v", got.Results, want.Results)
-	}
-}
-
 // TestResumeRefusesSchema3 pins that a payload of a retired schema — the
-// pre-binary JSON document, or the binary layout with a requested section —
-// in an otherwise intact directory (frame, CRC and name all valid) fails the
-// resume with the schema error instead of being skipped like corruption,
-// which would silently restart the run from its source.
+// pre-binary JSON document, the binary layout with a requested section, or
+// the layout with per-slot capacities — in an otherwise intact directory
+// (frame, CRC and name all valid) fails the resume with the schema error
+// instead of being skipped like corruption, which would silently restart the
+// run from its source. The refusal comes from the chain's parse, before
+// restore could create a device row or a requested mark.
+//
+// The schema-5 directory, testdata/ckpt-53ceb69, is a real one: written by
+// commit 53ceb69 with a run (fixed ε 1, ε^G 100, a snapshot every 2 days,
+// group commits of 2) crashed at its 20th ingested event, one base and
+// three deltas.
 func TestResumeRefusesSchema3(t *testing.T) {
-	for name, old := range map[string][]byte{
-		"schema 3": []byte(`{"schema":3,"config":{"epochDays":7},"devices":[],"records":[],"results":[]}`),
-		"schema 4": binary.LittleEndian.AppendUint32(nil, 4),
+	writeBase := func(payload []byte) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
+			if _, err := checkpoint.NewStore(dir, nil).WriteBase(1, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for name, fill := range map[string]func(t *testing.T, dir string){
+		"schema 3": writeBase([]byte(`{"schema":3,"config":{"epochDays":7},"devices":[],"records":[],"results":[]}`)),
+		"schema 4": writeBase(binary.LittleEndian.AppendUint32(nil, 4)),
+		"schema 5": func(t *testing.T, dir string) {
+			if err := os.CopyFS(dir, os.DirFS("testdata/ckpt-53ceb69")); err != nil {
+				t.Fatal(err)
+			}
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			if _, err := checkpoint.NewStore(dir, nil).WriteBase(1, old); err != nil {
-				t.Fatal(err)
-			}
+			fill(t, dir)
 			_, err := ResumeFrom(Config{Source: &fakeSource{meta: testMeta()}, FixedEpsilon: 1, EpsilonG: 100,
 				CheckpointDir: dir}, dir)
 			if err == nil || !strings.Contains(err.Error(), "unsupported snapshot "+name) {
 				t.Fatalf("resume over a %s directory: err = %v", name, err)
+			}
+			chain, _, err := checkpoint.NewStore(dir, nil).LoadChain()
+			if err != nil || chain == nil {
+				t.Fatalf("%s directory does not load as an intact chain: %v", name, err)
+			}
+			if _, err := openChain(chain.Payloads); err == nil {
+				t.Fatalf("%s chain parses: its refusal came after restore began", name)
 			}
 		})
 	}
