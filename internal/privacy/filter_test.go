@@ -1,62 +1,78 @@
 package privacy
 
 import (
-	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
 )
 
+// A ledger slot is the paper's per-epoch pure-DP privacy filter (Eq. 3).
+// These are the filter's own properties, checked on one slot.
+
 func TestFilterConsumeWithinCapacity(t *testing.T) {
-	f := NewFilter(1.0)
+	l := NewLedger(1.0)
 	for i := 0; i < 10; i++ {
-		if err := f.Consume(0.1); err != nil {
-			t.Fatalf("consume %d failed: %v", i, err)
+		if out := l.Charge("q", 0, 0.1); out != ChargeOK {
+			t.Fatalf("charge %d = %v", i, out)
 		}
 	}
-	if got := f.Consumed(); math.Abs(got-1.0) > 1e-9 {
+	if got := l.Consumed("q", 0); math.Abs(got-1.0) > 1e-9 {
 		t.Fatalf("consumed = %v", got)
 	}
-	if err := f.Consume(0.01); !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("overflow consume err = %v", err)
+	if out := l.Charge("q", 0, 0.01); out != ChargeDenied {
+		t.Fatalf("overflow charge = %v", out)
 	}
 }
 
 func TestFilterRejectDoesNotConsume(t *testing.T) {
-	f := NewFilter(1.0)
-	if err := f.Consume(0.9); err != nil {
-		t.Fatal(err)
+	l := NewLedger(1.0)
+	if out := l.Charge("q", 0, 0.9); out != ChargeOK {
+		t.Fatal(out)
 	}
 	// A too-large request is rejected...
-	if err := f.Consume(0.5); err == nil {
-		t.Fatal("expected rejection")
+	if out := l.Charge("q", 0, 0.5); out != ChargeDenied {
+		t.Fatalf("over-capacity charge = %v", out)
 	}
 	// ...but a smaller one still fits: rejections must not consume.
-	if err := f.Consume(0.1); err != nil {
-		t.Fatalf("post-rejection consume failed: %v", err)
+	if out := l.Charge("q", 0, 0.1); out != ChargeOK {
+		t.Fatalf("post-rejection charge = %v", out)
 	}
 }
 
 func TestFilterZeroLossAlwaysAdmitted(t *testing.T) {
-	f := NewFilter(0)
+	l := NewLedger(0)
 	for i := 0; i < 5; i++ {
-		if err := f.Consume(0); err != nil {
-			t.Fatalf("zero loss rejected: %v", err)
+		if out := l.Charge("q", 0, 0); out != ChargeZero {
+			t.Fatalf("zero loss = %v", out)
+		}
+		if !l.ChargeAll("q", 0, 2, 0) {
+			t.Fatal("zero loss refused over a window")
 		}
 	}
-	if err := f.Consume(1e-9); err == nil {
-		t.Fatal("zero-capacity filter admitted positive loss")
+	if out := l.Charge("q", 0, 1e-9); out != ChargeDenied {
+		t.Fatalf("zero-capacity slot admitted positive loss: %v", out)
+	}
+	if l.ChargeAll("q", 0, 0, 1e-9) {
+		t.Fatal("zero-capacity window admitted positive loss")
 	}
 }
 
 func TestFilterNegativeLossPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative loss did not panic")
-		}
-	}()
-	NewFilter(1).Consume(-0.1)
+	for name, charge := range map[string]func(l *Ledger){
+		"Charge":       func(l *Ledger) { l.Charge("q", 0, -0.1) },
+		"ChargeWindow": func(l *Ledger) { l.ChargeWindow("q", 0, []float64{0.1, -0.1}, make([]ChargeOutcome, 2)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: negative loss did not panic", name)
+				}
+			}()
+			charge(NewLedger(1))
+		}()
+	}
 }
 
 func TestFilterNegativeCapacityPanics(t *testing.T) {
@@ -65,59 +81,53 @@ func TestFilterNegativeCapacityPanics(t *testing.T) {
 			t.Fatal("negative capacity did not panic")
 		}
 	}()
-	NewFilter(-1)
+	NewLedger(-1)
 }
 
 func TestFilterAccessors(t *testing.T) {
-	f := NewFilter(2)
-	if f.Capacity() != 2 || f.Remaining() != 2 || f.Consumed() != 0 || f.Exhausted() {
-		t.Fatal("fresh filter accessors wrong")
+	l := NewLedger(2)
+	if l.Capacity() != 2 || l.Consumed("q", 0) != 0 || len(l.Rows()) != 0 {
+		t.Fatal("fresh ledger accessors wrong")
 	}
-	f.Consume(0.5)
-	if f.Remaining() != 1.5 || f.Consumed() != 0.5 {
-		t.Fatal("accessors after consume wrong")
+	l.Charge("q", 0, 0.5)
+	if got, want := l.Rows(), []LedgerEntry{{"q", 0, 0.5, 2}}; l.Consumed("q", 0) != 0.5 || !slices.Equal(got, want) {
+		t.Fatalf("after a charge: consumed %v, rows %v", l.Consumed("q", 0), got)
 	}
-	if !f.CanConsume(1.5) || f.CanConsume(1.6) {
-		t.Fatal("CanConsume wrong")
+	// 1.6 does not fit the 1.5 left; 1.5 does, and exhausts the slot.
+	if l.Charge("q", 0, 1.6) != ChargeDenied || l.Charge("q", 0, 1.5) != ChargeOK {
+		t.Fatal("remaining budget wrong")
 	}
-	if f.CanConsume(-1) {
-		t.Fatal("CanConsume(-1) should be false")
-	}
-	f.Consume(1.5)
-	if !f.Exhausted() {
-		t.Fatal("full filter not exhausted")
-	}
-}
-
-func TestFilterString(t *testing.T) {
-	f := NewFilter(1)
-	f.Consume(0.25)
-	if got := f.String(); got != "filter(0.25/1)" {
-		t.Fatalf("String = %q", got)
+	if l.Consumed("q", 0) != 2 || l.Charge("q", 0, 1e-6) != ChargeDenied {
+		t.Fatal("full slot not exhausted")
 	}
 }
 
 func TestFilterFloatBoundary(t *testing.T) {
-	// Ten consumptions of 0.1 must exactly fill a capacity-1 filter even
-	// though 0.1 is not exactly representable.
-	f := NewFilter(1)
+	// Ten charges of 0.1 must exactly fill a capacity-1 slot even though 0.1
+	// is not exactly representable, one epoch at a time or a window at once.
+	l := NewLedger(1)
 	for i := 0; i < 10; i++ {
-		if err := f.Consume(0.1); err != nil {
-			t.Fatalf("boundary consume %d rejected: %v", i, err)
+		if out := l.Charge("q", 0, 0.1); out != ChargeOK {
+			t.Fatalf("boundary charge %d = %v", i, out)
+		}
+		if !l.ChargeAll("q", 1, 3, 0.1) {
+			t.Fatalf("boundary window %d refused", i)
 		}
 	}
-	if f.Remaining() < 0 {
-		t.Fatalf("remaining went negative: %v", f.Remaining())
+	for _, row := range l.Rows() {
+		if row.Consumed > row.Capacity {
+			t.Fatalf("slot %d over capacity: %v", row.Epoch, row.Consumed)
+		}
 	}
 }
 
-// The filter invariant: no interleaving of accepted consumptions exceeds
+// The filter invariant: no interleaving of accepted charges exceeds
 // capacity.
 func TestFilterConcurrentNeverOverConsumes(t *testing.T) {
 	const capacity = 1.0
 	const workers = 32
 	const perWorker = 200
-	f := NewFilter(capacity)
+	l := NewLedger(capacity)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	accepted := 0.0
@@ -127,7 +137,7 @@ func TestFilterConcurrentNeverOverConsumes(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				eps := 0.001 * float64(seed%5+1)
-				if f.Consume(eps) == nil {
+				if l.Charge("q", 0, eps) == ChargeOK {
 					mu.Lock()
 					accepted += eps
 					mu.Unlock()
@@ -139,12 +149,12 @@ func TestFilterConcurrentNeverOverConsumes(t *testing.T) {
 	if accepted > capacity*(1+1e-6) {
 		t.Fatalf("accepted %v > capacity %v", accepted, capacity)
 	}
-	if math.Abs(accepted-f.Consumed()) > 1e-6 {
-		t.Fatalf("ledger mismatch: accepted %v, filter says %v", accepted, f.Consumed())
+	if math.Abs(accepted-l.Consumed("q", 0)) > 1e-6 {
+		t.Fatalf("accepted %v, slot says %v", accepted, l.Consumed("q", 0))
 	}
 }
 
-// Property: for any sequence of non-negative losses, the filter admits a
+// Property: for any sequence of non-negative losses, the slot admits a
 // prefix-closed subset whose sum never exceeds capacity, and admits any loss
 // that fits.
 func TestFilterSequentialCompositionQuick(t *testing.T) {
@@ -153,7 +163,7 @@ func TestFilterSequentialCompositionQuick(t *testing.T) {
 		if math.IsNaN(capacity) {
 			return true
 		}
-		fil := NewFilter(capacity)
+		l := NewLedger(capacity)
 		var admitted []float64
 		for _, rl := range rawLosses {
 			loss := math.Mod(math.Abs(rl), 1)
@@ -161,11 +171,11 @@ func TestFilterSequentialCompositionQuick(t *testing.T) {
 				continue
 			}
 			fits := SequentialComposition(admitted)+loss <= capacity*(1+1e-9)
-			err := fil.Consume(loss)
-			if fits && err != nil {
+			out := l.Charge("q", 0, loss)
+			if fits && out == ChargeDenied {
 				return false // fitting loss was rejected
 			}
-			if err == nil {
+			if out != ChargeDenied {
 				admitted = append(admitted, loss)
 			}
 		}

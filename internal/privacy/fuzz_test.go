@@ -12,36 +12,26 @@ func (r *filterMapRef) restore(q string, e int64, consumed float64) bool {
 	if consumed < 0 || consumed > r.capacity*(1+1e-9) {
 		return false
 	}
-	byEpoch := r.budgets[q]
-	if byEpoch == nil {
-		byEpoch = make(map[int64]*Filter)
-		r.budgets[q] = byEpoch
-	}
-	if f := byEpoch[e]; f != nil && f.Consumed() > consumed {
+	f := r.filter(q, e)
+	if f.consumed > consumed {
 		return false // refund
 	}
-	f := NewFilter(r.capacity)
-	consumed = min(consumed, r.capacity)
-	if consumed > 0 {
-		if err := f.Consume(consumed); err != nil {
-			return false
-		}
-	}
-	byEpoch[e] = f
+	f.consumed = min(consumed, r.capacity)
 	return true
 }
 
 // FuzzLedgerChargeWindow decodes arbitrary bytes into an operation sequence
-// — single charges, whole-window charges, requested marks, and snapshot
-// restores (the checkpoint/recovery path, with rows above ε^G, which both
-// sides must refuse) — and drives the flat Ledger and the map-of-filters
-// reference model through it in lockstep. Every outcome, every read, and the
-// full final slot table and RangeRequested yield must match bitwise; a mark
-// must change no budget state and move the version exactly when it is new.
-// This is the property test from ledger_test.go with fuzzer-chosen
-// interleavings instead of a fixed random schedule: the charge/mark/restore
-// orderings a crash-recovery cycle produces are exactly the ones hand-picked
-// schedules miss.
+// — single charges, whole-window charges, all-or-nothing window charges (the
+// IPA-like admission rule), requested marks, and snapshot restores (the
+// checkpoint/recovery path, with rows above ε^G, which both sides must
+// refuse) — and drives the flat Ledger and the map-of-filters reference model
+// through it in lockstep. Every outcome, every read, and the full final slot
+// table and RangeRequested yield must match bitwise; a mark must change no
+// budget state and move the version exactly when it is new, and an
+// all-or-nothing refusal counts no denial. This is the property test from
+// ledger_test.go with fuzzer-chosen interleavings instead of a fixed random
+// schedule: the charge/mark/restore orderings a crash-recovery cycle produces
+// are exactly the ones hand-picked schedules miss.
 func FuzzLedgerChargeWindow(f *testing.F) {
 	// Seeds: a plain charge run; charges around a window charge;
 	// restore-then-charge (recovery); over-capacity restore and refund
@@ -54,6 +44,9 @@ func FuzzLedgerChargeWindow(f *testing.F) {
 	// Marks around charges: a window marked, charged in part, then marked
 	// again below and across it.
 	f.Add([]byte{2, 3, 0, 12, 5, 1, 0, 12, 3, 200, 0, 100, 3, 0, 11, 3, 3, 0, 13, 6})
+	// All-or-nothing windows: one admitted, one refused at its last epoch
+	// after initializing the two before it, one empty.
+	f.Add([]byte{2, 0x81, 0, 10, 3, 117, 0x81, 0, 8, 3, 117, 0x85, 1, 12, 0, 0})
 
 	queriers := []string{"nike.com", "adidas.com", "criteo.com"}
 
@@ -92,8 +85,19 @@ func FuzzLedgerChargeWindow(f *testing.F) {
 			eb, _ := next()
 			q := queriers[int(qb)%len(queriers)]
 			e := int64(int(eb)%60 - 10)
-			switch op % 4 {
-			case 1: // whole-window charge with a fuzzer-chosen loss vector
+			switch {
+			case op%4 == 1 && op >= 0x80: // all-or-nothing window charge, possibly empty
+				kb, _ := next()
+				lb, _ := next()
+				last := e + int64(kb)%8 - 1
+				denials := l.Denials()
+				if got, want := l.ChargeAll(q, e, last, eps(lb)), ref.all(q, e, last, eps(lb)); got != want {
+					t.Fatalf("ChargeAll(%s, %d, %d, %v) = %t, ref %t", q, e, last, eps(lb), got, want)
+				}
+				if l.Denials() != denials {
+					t.Fatalf("ChargeAll(%s, %d, %d, %v) counted a denial", q, e, last, eps(lb))
+				}
+			case op%4 == 1: // whole-window charge with a fuzzer-chosen loss vector
 				kb, _ := next()
 				k := int(kb)%7 + 1
 				losses := make([]float64, k)
@@ -111,7 +115,7 @@ func FuzzLedgerChargeWindow(f *testing.F) {
 							i, e+int64(i), outcomes[i], want)
 					}
 				}
-			case 2: // snapshot restore
+			case op%4 == 2: // snapshot restore
 				vb, _ := next()
 				consumed := float64(vb) / 255 * capacity * 1.05 // sometimes above capacity
 				gotErr := l.Restore(q, e, consumed) != nil
@@ -120,7 +124,7 @@ func FuzzLedgerChargeWindow(f *testing.F) {
 					t.Fatalf("Restore(%s, %d, %v) error=%t, ref error=%t",
 						q, e, consumed, gotErr, wantErr)
 				}
-			case 3: // requested mark over a window (changes no budget state)
+			case op%4 == 3: // requested mark over a window (changes no budget state)
 				kb, _ := next()
 				if err := checkMark(l, ref, q, e, e+int64(kb)%7); err != nil {
 					t.Fatal(err)
@@ -154,7 +158,7 @@ func FuzzLedgerChargeWindow(f *testing.F) {
 			if row.Consumed != wantC {
 				t.Fatalf("slot %s/%d consumed %v, ref %v", row.Querier, row.Epoch, row.Consumed, wantC)
 			}
-			if refCap := ref.budgets[row.Querier][row.Epoch].Capacity(); row.Capacity != refCap {
+			if refCap := ref.budgets[row.Querier][row.Epoch].capacity; row.Capacity != refCap {
 				t.Fatalf("slot %s/%d capacity %v, ref %v", row.Querier, row.Epoch, row.Capacity, refCap)
 			}
 			delete(want[row.Querier], row.Epoch)

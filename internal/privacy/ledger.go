@@ -1,3 +1,9 @@
+// Package privacy implements the differential-privacy primitives of the
+// paper: the budget ledger, which keeps one pure-DP privacy filter (Rogers et
+// al., "Privacy Odometers and Filters") per (querier, epoch), the Laplace
+// mechanism, the ε-calibration rule used by the evaluation's queriers (§6.1),
+// and the composition bounds of the formal analysis (unlinkability, Thm. 2;
+// colluding queriers, Thm. 10).
 package privacy
 
 import (
@@ -19,18 +25,21 @@ const (
 	ChargeOK
 	// ChargeDenied: admitting the loss would overflow the slot's capacity
 	// (the Halt outcome of Eq. 3); nothing was deducted. The slot is still
-	// initialized, exactly as a rejected Filter was still created.
+	// initialized: its filter exists once any charge has reached it.
 	ChargeDenied
 )
 
-// Ledger is the flat on-device budget table: for each querier, a dense array
-// of consumed-ε slots covering the live attribution window, all sharing one
-// capacity ε^G and one mutex. It replaces a map[querier]map[epoch]*Filter —
-// and with it the per-epoch pointer chase, the per-Filter mutex, and the
-// per-Filter allocation — on the report hot path, while keeping Filter
-// semantics slot for slot: the same check-and-consume arithmetic, the same
-// 1e-9 boundary tolerance, the same "a rejected charge still initializes the
-// slot" behavior.
+// Ledger is a flat budget table: for each querier, a dense array of
+// consumed-ε slots, all sharing one capacity ε^G and one mutex. Each slot is
+// the paper's per-epoch privacy filter: it admits losses while their running
+// sum stays within ε^G (a relative 1e-9 overshoot counts as exact), a denied
+// charge deducts nothing and leaves the slot usable for a smaller loss, and
+// the first charge to reach a slot initializes it, denied or not.
+//
+// One table serves both budgeting systems. A device's ledger charges each
+// epoch of a report's window on its own (Charge, ChargeWindow): Listing 1.
+// The IPA-like baseline keeps one ledger for the whole population and admits
+// a query only if every epoch of its window has budget (ChargeAll).
 //
 // Listing 1 never retires a filter, and neither does the ledger. Lanes grow
 // lazily to span exactly the epochs a querier has touched, so memory stays
@@ -70,7 +79,7 @@ type ledgerLane struct {
 
 // ledgerSlot is one (querier, epoch) cell. consumed is the budget consumed
 // from the epoch, with untouchedSlot marking an epoch that was never charged
-// (the analogue of "no Filter was ever created"). requested sits beside it
+// (no filter was ever created for it). requested sits beside it
 // and is not folded into it: a report window covers epochs it requests no
 // loss from (ChargeZero), and those must stay untouched — absent from Rows(),
 // never initialized — while still counting as requested.
@@ -156,7 +165,8 @@ func (l *Ledger) chargeSlotLocked(ln *ledgerLane, e int64, eps float64) ChargeOu
 		*c = 0
 	}
 	limit := l.capacity
-	// Tolerate float rounding at the boundary, exactly as Filter.Consume.
+	// Tolerate float rounding at the boundary: a loss that overshoots the
+	// capacity by a relative 1e-9 is treated as exact.
 	if *c+eps > limit*(1+1e-9) {
 		l.denials++
 		return ChargeDenied
@@ -252,6 +262,42 @@ func (l *Ledger) ChargeWindowBatch(charges []WindowCharge) {
 	}
 }
 
+// ChargeAll is the IPA-like baseline's all-or-nothing admission (§6.1,
+// Thm. 3): it deducts eps from querier q's slot for every epoch first through
+// last, or from none. The window is walked in ascending order, initializing
+// each untouched slot; at the first epoch that cannot take eps the walk stops
+// and ChargeAll returns false with nothing deducted, the slots up to and
+// including that epoch left initialized. An empty window (last < first) is
+// admitted and touches nothing. A refusal rejects a whole query, which the
+// caller reports, so it counts no denial. It panics on negative eps.
+func (l *Ledger) ChargeAll(q string, first, last int64, eps float64) bool {
+	if eps < 0 {
+		panic("privacy: negative privacy loss")
+	}
+	if last < first {
+		return true
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.version++
+	ln := l.lane(q)
+	ln.charged = true
+	for e := first; e <= last; e++ {
+		s := ln.slot(e)
+		if s.consumed == untouchedSlot {
+			s.consumed = 0
+		}
+		if s.consumed+eps > l.capacity*(1+1e-9) {
+			return false
+		}
+	}
+	for e := first; e <= last; e++ {
+		c := &ln.slots[e-ln.base].consumed
+		*c = min(*c+eps, l.capacity)
+	}
+	return true
+}
+
 // MarkRequested records that a report window of querier q covered epochs
 // first through last — the Fig. 4 denominator — whether or not the window
 // goes on to charge them (see ledgerSlot). No consumed value changes; the
@@ -310,7 +356,8 @@ func (l *Ledger) RangeRequested(fn func(e int64, queriers []string, consumed []f
 
 // Denials returns the number of charges this ledger has denied for lack of
 // budget, across all queriers and epochs. Every denial path (Charge,
-// ChargeWindow, ChargeWindowBatch) counts here; zero-loss outcomes do not.
+// ChargeWindow, ChargeWindowBatch) counts here; zero-loss outcomes and
+// ChargeAll refusals do not.
 func (l *Ledger) Denials() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()

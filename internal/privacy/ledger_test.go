@@ -8,51 +8,96 @@ import (
 	"testing"
 )
 
-// filterMapRef is the old map-of-filters budget table — the implementation
-// the flat ledger replaced — kept here as the reference model for the
-// property test: over any sequence of charges, denials, marks and reads, the ledger must hold exactly the state the per-(querier, epoch)
-// Filter table would. requested is the engines' old accounting map beside it
-// (requested_test.go): which queriers' report windows covered which epoch.
+// refFilter is one pure-DP privacy filter of the reference model, the
+// standalone type a ledger slot folds in: it admits losses while their
+// running sum stays within capacity, with a relative 1e-9 tolerance at the
+// boundary, and deducts nothing for a loss it refuses.
+type refFilter struct{ capacity, consumed float64 }
+
+// fits reports whether eps would be admitted now.
+func (f *refFilter) fits(eps float64) bool {
+	return eps >= 0 && f.consumed+eps <= f.capacity*(1+1e-9)
+}
+
+// consume deducts eps if it fits, clamping the sum to capacity, and reports
+// whether it did.
+func (f *refFilter) consume(eps float64) bool {
+	if !f.fits(eps) {
+		return false
+	}
+	f.consumed = min(f.consumed+eps, f.capacity)
+	return true
+}
+
+// filterMapRef is the map-of-filters budget table the flat ledger replaced,
+// kept as the reference model: over any sequence of charges, denials, marks,
+// all-or-nothing window charges and reads, the ledger must hold exactly the
+// state the per-(querier, epoch) filter table would. requested is the
+// engines' old accounting map beside it (requested_test.go): which queriers'
+// report windows covered which epoch.
 type filterMapRef struct {
 	capacity  float64
-	budgets   map[string]map[int64]*Filter
+	budgets   map[string]map[int64]*refFilter
 	requested map[int64]map[string]struct{}
 }
 
 func newFilterMapRef(capacity float64) *filterMapRef {
 	return &filterMapRef{
 		capacity:  capacity,
-		budgets:   make(map[string]map[int64]*Filter),
+		budgets:   make(map[string]map[int64]*refFilter),
 		requested: make(map[int64]map[string]struct{}),
 	}
 }
 
-// charge replicates Device.filter + Filter.Consume: lazy filter creation
-// (also on the denial path), atomic check-and-consume.
-func (r *filterMapRef) charge(q string, e int64, eps float64) ChargeOutcome {
-	if eps == 0 {
-		return ChargeZero
-	}
+// filter returns (lazily creating) the filter for (q, e).
+func (r *filterMapRef) filter(q string, e int64) *refFilter {
 	byEpoch := r.budgets[q]
 	if byEpoch == nil {
-		byEpoch = make(map[int64]*Filter)
+		byEpoch = make(map[int64]*refFilter)
 		r.budgets[q] = byEpoch
 	}
 	f := byEpoch[e]
 	if f == nil {
-		f = NewFilter(r.capacity)
+		f = &refFilter{capacity: r.capacity}
 		byEpoch[e] = f
 	}
-	if err := f.Consume(eps); err != nil {
+	return f
+}
+
+// charge replicates a device's charge over the filter table: lazy filter
+// creation (also on the denial path), atomic check-and-consume.
+func (r *filterMapRef) charge(q string, e int64, eps float64) ChargeOutcome {
+	if eps == 0 {
+		return ChargeZero
+	}
+	if !r.filter(q, e).consume(eps) {
 		return ChargeDenied
 	}
 	return ChargeOK
 }
 
+// all transcribes the retired central budgeter's Authorize: walk the window
+// creating each epoch's filter, stop at the first that cannot take eps, and
+// only when every one can, consume eps from all of them.
+func (r *filterMapRef) all(q string, first, last int64, eps float64) bool {
+	if last < first {
+		return true
+	}
+	for e := first; e <= last; e++ {
+		if !r.filter(q, e).fits(eps) {
+			return false
+		}
+	}
+	for e := first; e <= last; e++ {
+		r.filter(q, e).consume(eps)
+	}
+	return true
+}
+
 func (r *filterMapRef) consumed(q string, e int64) float64 {
 	if byEpoch := r.budgets[q]; byEpoch != nil {
 		if f := byEpoch[e]; f != nil {
-			return f.Consumed()
+			return f.consumed
 		}
 	}
 	return 0
@@ -65,15 +110,16 @@ func (r *filterMapRef) rows() map[string]map[int64]float64 {
 			if out[q] == nil {
 				out[q] = make(map[int64]float64)
 			}
-			out[q][e] = f.Consumed()
+			out[q][e] = f.consumed
 		}
 	}
 	return out
 }
 
 // TestLedgerMatchesFilterMapReference drives the flat ledger and the old
-// map-of-filters table through identical randomized charge/deny/mark
-// sequences and asserts bit-identical state after every operation.
+// map-of-filters table through identical randomized charge/deny/mark/
+// all-or-nothing sequences and asserts bit-identical state after every
+// operation.
 func TestLedgerMatchesFilterMapReference(t *testing.T) {
 	queriers := []string{"nike.com", "adidas.com", "criteo.com"}
 	for seed := int64(1); seed <= 20; seed++ {
@@ -83,7 +129,20 @@ func TestLedgerMatchesFilterMapReference(t *testing.T) {
 		ref := newFilterMapRef(capacity)
 
 		for op := 0; op < 400; op++ {
-			switch rng.Intn(9) {
+			switch rng.Intn(10) {
+			case 4: // all-or-nothing window charge (IPA-like)
+				q := queriers[rng.Intn(len(queriers))]
+				first := int64(rng.Intn(50))
+				last := first + int64(rng.Intn(7)) - 1 // sometimes empty
+				eps := rng.Float64() * capacity * 0.7
+				denials := l.Denials()
+				if got, want := l.ChargeAll(q, first, last, eps), ref.all(q, first, last, eps); got != want {
+					t.Fatalf("seed %d op %d: ChargeAll(%s,%d,%d,%v) = %t, ref %t",
+						seed, op, q, first, last, eps, got, want)
+				}
+				if l.Denials() != denials {
+					t.Fatalf("seed %d op %d: ChargeAll counted a denial", seed, op)
+				}
 			case 2, 3: // requested mark over a window
 				q := queriers[rng.Intn(len(queriers))]
 				first := int64(rng.Intn(60) - 10)

@@ -10,7 +10,8 @@ import (
 // Requested marks against their old representation. The model is the map the
 // engines kept outside the ledger — epoch → set of queriers — hung on
 // filterMapRef so the property test, the fuzz target and the exhaustive walk
-// below drive budgets and marks through one reference.
+// below drive budgets, marks and all-or-nothing charges through one
+// reference.
 
 // mark replicates the engines' markRequested, and reports whether any
 // (epoch, querier) pair is new.
@@ -32,6 +33,7 @@ func (r *filterMapRef) mark(q string, first, last int64) (fresh bool) {
 type markedLedger interface {
 	MarkRequested(q string, first, last int64)
 	Charge(q string, e int64, eps float64) ChargeOutcome
+	ChargeAll(q string, first, last int64, eps float64) bool
 	Rows() []LedgerEntry
 	Denials() uint64
 	Version() uint64
@@ -100,7 +102,7 @@ func checkRows(l markedLedger, ref *filterMapRef) error {
 
 // walkOp is one step of the exhaustive walk.
 type walkOp struct {
-	kind string // "mark", "zero", "charge"
+	kind string // "mark", "zero", "charge", "all"
 	q    string
 	e    int64
 }
@@ -108,19 +110,24 @@ type walkOp struct {
 func (op walkOp) String() string { return fmt.Sprintf("%s(%s,%d)", op.kind, op.q, op.e) }
 
 // walkMarks runs every sequence of at most depth ops over {mark, zero-loss
-// charge, positive charge} × 2 queriers × 3 epochs against the model and
-// returns the first sequence on which the ledger newLedger builds departs
-// from it (nil if none does), with the number of sequences run. A mark
-// covers the two-epoch window ending at its epoch, so windows reach below
-// epoch 0 and grow lanes toward older epochs; a positive charge is 0.6 of a capacity
-// of 1, so a repeat is a denial. Every prefix of a sequence is itself a
+// charge, positive charge, all-or-nothing charge} × 2 queriers × 3 epochs
+// against the model and returns the first sequence on which the ledger
+// newLedger builds departs from it (nil if none does), with the number of
+// sequences run. A mark and an all-or-nothing charge cover the two-epoch
+// window ending at their epoch, so windows reach below epoch 0 and grow lanes
+// toward older epochs; a positive charge is 0.6 of a capacity of 1, so a
+// repeat is a denial, and so is an all-or-nothing charge over a window one of
+// whose epochs already holds 0.6. Both budgeting systems' admission rules are
+// thus walked over one alphabet. Every prefix of a sequence is itself a
 // sequence of the walk, so outcomes are compared at every op and the full
 // state — rows, denials, the RangeRequested yield — after the last.
 func walkMarks(newLedger func() markedLedger, depth int) (failure error, sequences int) {
 	var ops []walkOp
 	for e := int64(0); e < 3; e++ {
 		for _, q := range []string{"a", "b"} {
-			ops = append(ops, walkOp{"mark", q, e}, walkOp{"zero", q, e}, walkOp{"charge", q, e})
+			for _, kind := range []string{"mark", "zero", "charge", "all"} {
+				ops = append(ops, walkOp{kind, q, e})
+			}
 		}
 	}
 	run := func(seq []walkOp) error {
@@ -131,6 +138,11 @@ func walkMarks(newLedger func() markedLedger, depth int) (failure error, sequenc
 			case "mark":
 				if err := checkMark(l, ref, op.q, op.e-1, op.e); err != nil {
 					return err
+				}
+			case "all":
+				got, want := l.ChargeAll(op.q, op.e-1, op.e, 0.6), ref.all(op.q, op.e-1, op.e, 0.6)
+				if got != want {
+					return fmt.Errorf("%v = %t, reference %t", op, got, want)
 				}
 			case "zero", "charge":
 				eps := 0.0
@@ -176,10 +188,11 @@ func walkMarks(newLedger func() markedLedger, depth int) (failure error, sequenc
 	return failure, sequences
 }
 
-// TestLedgerMarksExhaustive is the small-world check of the requested marks:
-// every interleaving of mark and charge at small bounds against the
-// map the marks replaced (the seeded property test and the fuzz target are
-// its large-bound complement).
+// TestLedgerMarksExhaustive is the small-world check of the requested marks
+// and of both admission rules: every interleaving of mark, per-epoch charge
+// and all-or-nothing charge at small bounds against the maps the ledger
+// replaced (the seeded property test and the fuzz target are its large-bound
+// complement).
 func TestLedgerMarksExhaustive(t *testing.T) {
 	depth := 4
 	if testing.Short() {
@@ -197,7 +210,7 @@ func TestLedgerMarksExhaustive(t *testing.T) {
 // they test, and it sees them through the same interface.
 
 // markInitialisesSlot marks by way of the slot value: a requested epoch comes
-// out initialized at 0, as if a Filter had been created for it.
+// out initialized at 0, as if a filter had been created for it.
 type markInitialisesSlot struct{ *Ledger }
 
 func (m markInitialisesSlot) MarkRequested(q string, first, last int64) {
@@ -211,11 +224,52 @@ func (m markInitialisesSlot) MarkRequested(q string, first, last int64) {
 	}
 }
 
+// denyChargesPrefix refuses an all-or-nothing window only after deducting
+// the loss from the epochs before the short one.
+type denyChargesPrefix struct{ *Ledger }
+
+func (d denyChargesPrefix) ChargeAll(q string, first, last int64, eps float64) bool {
+	if d.Ledger.ChargeAll(q, first, last, eps) {
+		return true
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for e := first; e <= last; e++ {
+		s := d.lanes[q].slot(e)
+		if s.consumed+eps > d.capacity*(1+1e-9) {
+			break
+		}
+		s.consumed += eps
+	}
+	return false
+}
+
+// rejectLeavesUntouched refuses an all-or-nothing window without
+// initializing the slots its walk reached.
+type rejectLeavesUntouched struct{ *Ledger }
+
+func (r rejectLeavesUntouched) ChargeAll(q string, first, last int64, eps float64) bool {
+	before := r.Rows()
+	if r.Ledger.ChargeAll(q, first, last, eps) {
+		return true
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for e := first; e <= last; e++ {
+		if !slices.ContainsFunc(before, func(row LedgerEntry) bool { return row.Querier == q && row.Epoch == e }) {
+			r.lanes[q].slot(e).consumed = untouchedSlot
+		}
+	}
+	return false
+}
+
 // TestLedgerMarksWalkCatchesPlantedBugs fails if the exhaustive walk passes
 // a planted bug: a walk that cannot tell it from the ledger checks nothing.
 func TestLedgerMarksWalkCatchesPlantedBugs(t *testing.T) {
 	for name, wrap := range map[string]func(*Ledger) markedLedger{
-		"mark-initialises-the-slot": func(l *Ledger) markedLedger { return markInitialisesSlot{l} },
+		"mark-initialises-the-slot":                  func(l *Ledger) markedLedger { return markInitialisesSlot{l} },
+		"deny-charges-the-prefix":                    func(l *Ledger) markedLedger { return denyChargesPrefix{l} },
+		"rejected-window-leaves-its-slots-untouched": func(l *Ledger) markedLedger { return rejectLeavesUntouched{l} },
 	} {
 		failure, _ := walkMarks(func() markedLedger { return wrap(NewLedger(1)) }, 3)
 		if failure == nil {

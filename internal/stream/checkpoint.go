@@ -25,7 +25,7 @@ import (
 //     records of the event store, the incremental planner's cursor
 //     (per-stream pending conversions, sequence numbers, caps), the
 //     aggregation service's nonce watermark and consumed set,
-//     both noise-stream RNG states, the central budgeter (IPA-like runs),
+//     both noise-stream RNG states, the central ledger (IPA-like runs),
 //     and the run's results and accumulators. Scalar floats are serialized
 //     as IEEE-754 bit patterns, so restore is bit-exact by construction
 //     (including the NaN RMSRE of rejected queries).
@@ -233,7 +233,7 @@ type resultState struct {
 	AvgBudgetAfter uint64 `json:"avgBudgetAfterBits"`
 }
 
-// centralState is one central (IPA-like) filter row.
+// centralState is one initialized slot of the central (IPA-like) ledger.
 type centralState struct {
 	Querier  string `json:"q"`
 	Epoch    int32  `json:"e"`
@@ -252,7 +252,7 @@ type dropMarkState struct {
 
 // snapHead is the payload's head: everything a snapshot carries that is not
 // one of the two bulk sections. It is a few KB, so it stays JSON. Scalars,
-// drop marks, replay protection, noise streams and the central budgeter are
+// drop marks, replay protection, noise streams and the central ledger are
 // captured whole by every generation; Streams and Results carry only what
 // changed in a delta (foldHeads overlays and appends them).
 type snapHead struct {
@@ -322,7 +322,7 @@ func decodeWALRecord(rec []byte) (seq int, ev events.Event, err error) {
 
 // scalarSnap captures everything a snapshot carries whole regardless of
 // representation: the day clock, cursors, telemetry accumulators, noise
-// streams, replay protection, and the central budgeter.
+// streams, replay protection, and the central ledger.
 func (s *Service) scalarSnap() *snapHead {
 	snap := &snapHead{
 		Config:         s.snapConfig(),
@@ -366,7 +366,7 @@ func (s *Service) scalarSnap() *snapHead {
 	if s.central != nil {
 		for _, row := range s.central.Rows() {
 			snap.Central = append(snap.Central, centralState{
-				Querier:  string(row.Querier),
+				Querier:  row.Querier,
 				Epoch:    int32(row.Epoch),
 				Consumed: math.Float64bits(row.Consumed),
 			})
@@ -557,15 +557,8 @@ func (s *Service) restore(c *snapChain) error {
 	if err := s.restoreDevices(c, sites); err != nil {
 		return err
 	}
-	if len(snap.Central) > 0 && s.central == nil {
-		return fmt.Errorf("stream: snapshot has central filters but run is on-device")
-	}
-	for _, cs := range snap.Central {
-		err := s.central.Restore(events.Site(cs.Querier), events.Epoch(cs.Epoch),
-			math.Float64frombits(cs.Consumed))
-		if err != nil {
-			return err
-		}
+	if err := s.restoreCentral(snap.Central); err != nil {
+		return err
 	}
 
 	// Event store: live records re-recorded in their stored (Day, ID)
@@ -647,23 +640,44 @@ func (s *Service) restore(c *snapChain) error {
 	return nil
 }
 
-// restoreDevices streams the folded devices section into the fleet. Ledger
-// lanes are dense in the epoch, so a slot or a requested mark at an epoch no
-// query window of this scenario can touch is refused here, before it can size
-// one: each blob is walked twice, and the first walk only checks.
-func (s *Service) restoreDevices(c *snapChain, sites siteIntern) error {
-	lo, hi := s.run.FirstSpanEpoch, s.run.LastSpanEpoch
-	inSpan := func(what string, e events.Epoch) error {
-		if e < lo || e > hi {
-			return fmt.Errorf("%s epoch %d outside [%d, %d]: snapshot is corrupt or for a different scenario",
-				what, e, lo, hi)
-		}
-		return nil
+// inSpan refuses a restored epoch no query window of this scenario can
+// touch. Ledger lanes are dense in the epoch, so such an epoch must be
+// refused before it reaches a ledger and sizes a lane.
+func (s *Service) inSpan(what string, e events.Epoch) error {
+	if lo, hi := s.run.FirstSpanEpoch, s.run.LastSpanEpoch; e < lo || e > hi {
+		return fmt.Errorf("%s epoch %d outside [%d, %d]: snapshot is corrupt or for a different scenario",
+			what, e, lo, hi)
 	}
+	return nil
+}
+
+// restoreCentral restores the head's central ledger rows, checking every
+// row's epoch before restoring any.
+func (s *Service) restoreCentral(rows []centralState) error {
+	if len(rows) > 0 && s.central == nil {
+		return fmt.Errorf("stream: snapshot has central ledger rows but run is on-device")
+	}
+	for _, cs := range rows {
+		if err := s.inSpan("central", events.Epoch(cs.Epoch)); err != nil {
+			return fmt.Errorf("stream: %w", err)
+		}
+	}
+	for _, cs := range rows {
+		if err := s.central.Restore(cs.Querier, int64(cs.Epoch), math.Float64frombits(cs.Consumed)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// restoreDevices streams the folded devices section into the fleet. A slot
+// or a requested mark outside the span is refused before it can size a lane:
+// each blob is walked twice, and the first walk only checks.
+func (s *Service) restoreDevices(c *snapChain, sites siteIntern) error {
 	return c.merge(secDevices, func(key DevEpoch, blob, _ []byte) error {
 		_, err := decodeDevice(blob, sites,
-			func(_ events.Site, e events.Epoch, _ float64) error { return inSpan("slot", e) },
-			func(_ events.Site, e events.Epoch) error { return inSpan("requested", e) })
+			func(_ events.Site, e events.Epoch, _ float64) error { return s.inSpan("slot", e) },
+			func(_ events.Site, e events.Epoch) error { return s.inSpan("requested", e) })
 		if err != nil {
 			return fmt.Errorf("stream: device %d: %w", key.Device, err)
 		}

@@ -1,0 +1,114 @@
+package stream
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"os"
+	"slices"
+	"testing"
+
+	"repro/internal/checkpoint"
+	"repro/internal/events"
+)
+
+// ipaFixtureEvents is the trace behind testdata/ckpt-2222b11-ipa. Two
+// product-0 batches (days 14–17) spend ε^G on epochs -2 to 2; the product-1
+// batch (days 1 and 18) walks fresh epoch -4 and is rejected at -2, leaving a
+// zero row behind; every later batch is rejected too.
+func ipaFixtureEvents() []events.Event {
+	var evs []events.Event
+	for dev := 1; dev <= 3; dev++ {
+		evs = append(evs, events.Event{ID: events.EventID(100 + dev), Kind: events.KindImpression,
+			Device: events.DeviceID(dev), Advertiser: "nike.example", Campaign: "product-0"})
+	}
+	days := []int{1, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26}
+	for i, day := range days {
+		ev := conv(events.EventID(i+1), events.DeviceID(1+i%3), day)
+		if day == 1 || day == 18 {
+			ev.Product = "product-1"
+		}
+		evs = append(evs, ev)
+	}
+	return evs
+}
+
+// ipaFixtureConfig is the scenario of testdata/ckpt-2222b11-ipa: IPA-like,
+// fixed ε 1, ε^G 2, a snapshot every 2 days, group commits of 2.
+func ipaFixtureConfig(dir string) Config {
+	return Config{Source: &fakeSource{meta: testMeta(), evs: ipaFixtureEvents()},
+		Central: true, FixedEpsilon: 1, EpsilonG: 2,
+		CheckpointDir: dir, SnapshotEveryDays: 2, GroupCommitEvents: 2}
+}
+
+// TestResumesIPALikeDirectoryFrom2222b11 pins the central ledger's snapshot
+// form across the change that made it a privacy.Ledger: the head's central
+// rows and schema 6 stay as they were. testdata/ckpt-2222b11-ipa was written
+// by commit 2222b11, whose central budget was a map of filters, with
+// ipaFixtureConfig's run crashed three ingested events after the first
+// snapshot commit that followed a rejected query. This code restores its
+// central rows into a ledger whose Rows() re-encode to the newest head's
+// central list byte for byte, and resumes it to the uninterrupted run's
+// results with no recovery fallback.
+func TestResumesIPALikeDirectoryFrom2222b11(t *testing.T) {
+	svc, err := New(ipaFixtureConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := svc.Serve()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS("testdata/ckpt-2222b11-ipa")); err != nil {
+		t.Fatal(err)
+	}
+	chain, fallbacks, err := checkpoint.NewStore(dir, nil).LoadChain()
+	if err != nil || chain == nil || fallbacks != 0 {
+		t.Fatalf("fixture does not load as an intact chain: %v (%d fallbacks)", err, fallbacks)
+	}
+	c, err := openChain(chain.Payloads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(c.head.Results, func(r resultState) bool { return !r.Executed }) ||
+		!slices.ContainsFunc(c.head.Central, func(r centralState) bool { return r.Consumed == 0 }) {
+		t.Fatal("fixture head holds no rejected query or no zero central row")
+	}
+	if svc, err = New(ipaFixtureConfig(dir)); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.restore(c); err != nil {
+		t.Fatal(err)
+	}
+	var rows []centralState
+	for _, row := range svc.central.Rows() {
+		rows = append(rows, centralState{Querier: row.Querier, Epoch: int32(row.Epoch), Consumed: math.Float64bits(row.Consumed)})
+	}
+	got, _ := json.Marshal(rows)
+	head, _ := json.Marshal(c.head.Central)
+	if !bytes.Equal(got, head) {
+		t.Fatalf("restored central ledger encodes as\n%s\nnewest head holds\n%s", got, head)
+	}
+
+	resumed, err := ResumeFrom(ipaFixtureConfig(dir), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := resumed.Serve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Durability.RecoveryFallbacks != 0 {
+		t.Errorf("resume took %d recovery fallbacks", run.Durability.RecoveryFallbacks)
+	}
+	gotRes, _ := json.Marshal(appendResultStates(nil, run.Results))
+	wantRes, _ := json.Marshal(appendResultStates(nil, want.Results))
+	if !bytes.Equal(gotRes, wantRes) {
+		t.Errorf("resumed results\n%s\nuninterrupted\n%s", gotRes, wantRes)
+	}
+	if !slices.Equal(run.Central.Rows(), want.Central.Rows()) {
+		t.Errorf("resumed central ledger %v, uninterrupted %v", run.Central.Rows(), want.Central.Rows())
+	}
+}

@@ -89,7 +89,7 @@ func (s *Service) resetDirtyTracking() {
 
 // capture encodes one snapshot payload. A full capture (delta false) holds
 // the complete service state; a delta holds what changed since the previous
-// capture and advances the dirty baselines. Scalars, the central budgeter,
+// capture and advances the dirty baselines. Scalars, the central ledger,
 // and the replay-protection set are captured whole either way — they are
 // small and change every day. Every producer already runs in key order, so
 // entries are encoded straight into the one buffer the caller hands to the

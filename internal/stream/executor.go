@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/aggregation"
-	"repro/internal/budget"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/events"
@@ -32,7 +31,7 @@ type Engine struct {
 
 	db       *events.Database
 	fleet    *core.Fleet
-	central  *budget.IPALike
+	central  *privacy.Ledger
 	agg      *aggregation.Service
 	aggNoise *stats.RNG
 	ipaNoise *stats.RNG
@@ -79,7 +78,7 @@ func NewEngine(cfg Config, meta dataset.Meta, db *events.Database) *Engine {
 	})
 	e.run.Fleet = e.fleet
 	if cfg.Central {
-		e.central = budget.NewIPALike(cfg.EpsilonG)
+		e.central = privacy.NewLedger(cfg.EpsilonG)
 		e.ipaNoise = stats.Stream(cfg.Seed, "ipa-noise")
 		e.run.Central = e.central
 	}
@@ -284,13 +283,13 @@ func (e *Engine) aggregate(q *Query, outputs []convOutput) (Result, error) {
 	if e.cfg.Central {
 		// Centralized budgeting: the MPC charges ε to every epoch the
 		// query's report windows touch, for the whole population, and
-		// rejects the query when any filter is short. Truth is well-defined
+		// rejects the query when any epoch is short. Truth is well-defined
 		// either way (for reporting).
-		err := e.central.Authorize(q.adv.Site, res.FirstEpoch, res.LastEpoch, q.epsilon)
+		admitted := e.central.ChargeAll(string(q.adv.Site), int64(res.FirstEpoch), int64(res.LastEpoch), q.epsilon)
 		for i := range outputs {
 			res.Truth += outputs[i].truth
 		}
-		if err == nil {
+		if admitted {
 			res.Executed = true
 			res.Estimate = res.Truth +
 				e.ipaNoise.Laplace(privacy.Scale(q.adv.MaxValue, q.epsilon))

@@ -49,7 +49,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/budget"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -114,8 +113,9 @@ type Config struct {
 	// Policy is the on-device loss policy; nil selects
 	// core.CookieMonsterPolicy. Ignored when Central is set.
 	Policy core.LossPolicy
-	// Central, when true, runs the IPA-like centralized baseline: budget
-	// is authorized per query at a population-wide filter and attribution
+	// Central, when true, runs the IPA-like centralized baseline: one
+	// population-wide budget ledger admits each query only if every epoch
+	// of its window has budget (privacy.Ledger.ChargeAll), and attribution
 	// is computed on the full data.
 	Central bool
 	// LatePolicy selects the admission rule for events whose day has
@@ -287,8 +287,9 @@ type Run struct {
 	// on-device runs) and, for every run, the requested marks its queries'
 	// windows left (core.Device.RangeRequested).
 	Fleet *core.Fleet
-	// Central is the population-wide budgeter (for Central runs).
-	Central *budget.IPALike
+	// Central is the population-wide budget ledger (for Central runs): one
+	// lane per querier, charged all-or-nothing per query.
+	Central *privacy.Ledger
 	// TotalConsumed is the summed consumed privacy loss across all
 	// device-epochs.
 	TotalConsumed float64

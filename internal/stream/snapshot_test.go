@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -235,24 +236,34 @@ func TestFoldMatchesSnapshotAtEveryTick(t *testing.T) {
 	}
 }
 
-// sampleService builds a service for the scenario samplePayloads runs, over
-// evs and durable in dir ("" = in memory).
-func sampleService(t testing.TB, evs []events.Event, dir string) *Service {
-	t.Helper()
+// sampleConfig is the scenario samplePayloads runs, over evs and durable in
+// dir ("" = in memory). The IPA-like variant's ε^G of 2 admits the first two
+// of the scenario's four queries, whose windows all cover epochs -4 to 0, and
+// rejects the other two.
+func sampleConfig(evs []events.Event, dir string, central bool) Config {
 	cfg := Config{Source: &fakeSource{meta: testMeta(), evs: evs}, FixedEpsilon: 1, EpsilonG: 100}
+	if central {
+		cfg.Central, cfg.EpsilonG = true, 2
+	}
 	if dir != "" {
 		cfg.CheckpointDir, cfg.SnapshotEveryDays, cfg.BaseEveryDeltas = dir, 2, 100
 	}
-	svc, err := New(cfg)
+	return cfg
+}
+
+// sampleService builds a service for sampleConfig's scenario.
+func sampleService(t testing.TB, evs []events.Event, dir string, central bool) *Service {
+	t.Helper()
+	svc, err := New(sampleConfig(evs, dir, central))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return svc
 }
 
-// samplePayloads runs a small durable service and returns one full base
-// payload and one delta payload it committed.
-func samplePayloads(t testing.TB) (base, delta []byte) {
+// samplePayloads runs a small durable service, on-device or IPA-like, and
+// returns one full base payload and one delta payload it committed.
+func samplePayloads(t testing.TB, central bool) (base, delta []byte) {
 	t.Helper()
 	dir := t.TempDir()
 	// An impression per device, so the conversions' reports find relevant
@@ -265,9 +276,12 @@ func samplePayloads(t testing.TB) (base, delta []byte) {
 	for i := 1; i <= 8; i++ {
 		evs = append(evs, conv(events.EventID(i), events.DeviceID(1+i%3), i/2))
 	}
-	svc := sampleService(t, evs, dir)
-	if _, err := svc.Serve(); err != nil {
+	run, err := sampleService(t, evs, dir, central).Serve()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if central && !slices.ContainsFunc(run.Results, func(r Result) bool { return !r.Executed }) {
+		t.Fatal("IPA-like sample run rejected no query")
 	}
 	names, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
 	if err != nil {
@@ -356,21 +370,43 @@ func corruptions(t testing.TB, base []byte) map[string][]byte {
 	}
 }
 
+// wildCentralEpoch moves an IPA-like base's first central ledger row to an
+// epoch no query window reaches. The head stays canonical JSON and the frame
+// would stay CRC-valid: only restore, which knows the span, can refuse it.
+func wildCentralEpoch(t testing.TB, centralBase []byte) []byte {
+	t.Helper()
+	c, err := openChain([][]byte{centralBase})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.head.Central) == 0 {
+		t.Fatal("IPA-like base payload carries no central row")
+	}
+	c.head.Central[0].Epoch = 1 << 30
+	p, err := c.encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz/FuzzSnapPayload from a fresh run")
 
 const snapCorpusDir = "testdata/fuzz/FuzzSnapPayload"
 
 // TestSnapCorpus keeps the checked-in fuzz seeds honest: the valid ones must
-// still be accepted by this decoder and restore into a fresh fleet (a head
-// field added without regenerating them would quietly turn them into
-// rejects), the broken ones still refused for the reason their name gives —
-// and a refusal at restore comes before any ledger lane or requested mark
-// exists.
+// still be accepted by this decoder and restore into a fresh fleet, and an
+// IPA-like one's central rows into a fresh central ledger (a head field added
+// without regenerating them would quietly turn them into rejects), the broken
+// ones still refused for the reason their name gives — and a refusal at
+// restore comes before any ledger lane, requested mark or central row exists.
 func TestSnapCorpus(t *testing.T) {
 	if *updateCorpus {
-		base, delta := samplePayloads(t)
+		base, delta := samplePayloads(t, false)
 		seeds := corruptions(t, base)
 		seeds["valid-base"], seeds["valid-delta"] = base, delta
+		centralBase, _ := samplePayloads(t, true)
+		seeds["valid-central-base"], seeds["wild-central-epoch"] = centralBase, wildCentralEpoch(t, centralBase)
 		for name, p := range seeds {
 			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", p)
 			if err := os.WriteFile(filepath.Join(snapCorpusDir, name), []byte(body), 0o644); err != nil {
@@ -381,6 +417,7 @@ func TestSnapCorpus(t *testing.T) {
 	for name, wantErr := range map[string]string{
 		"valid-base":           "",
 		"valid-delta":          "",
+		"valid-central-base":   "",
 		"truncated-section":    "exceeds its",
 		"swapped-keys":         "not strictly ascending",
 		"duplicate-key":        "not strictly ascending",
@@ -388,23 +425,17 @@ func TestSnapCorpus(t *testing.T) {
 		"record-below-floor":   "below its own generation's floor",
 		"wild-slot-epoch":      "slot epoch 1073741824 outside [-5, 4]",
 		"wild-requested-epoch": "requested epoch 1073741824 outside [-5, 4]",
+		"wild-central-epoch":   "central epoch 1073741824 outside [-5, 4]",
 		"schema-3-json":        "unsupported snapshot schema 3",
 	} {
-		raw, err := os.ReadFile(filepath.Join(snapCorpusDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var p []byte
-		if _, err := fmt.Sscanf(string(raw), "go test fuzz v1\n[]byte(%q)", &p); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		p := readSeed(t, name)
 		var out []byte
 		c, err := openChain([][]byte{p})
 		if err == nil {
 			out, err = c.encode()
 		}
 		if err == nil {
-			svc := sampleService(t, nil, "")
+			svc := sampleService(t, nil, "", strings.Contains(name, "central"))
 			if err = svc.restoreDevices(c, make(siteIntern)); err != nil {
 				svc.fleet.Range(func(d *core.Device) bool {
 					marks := 0
@@ -415,6 +446,8 @@ func TestSnapCorpus(t *testing.T) {
 					}
 					return true
 				})
+			} else if err = svc.restoreCentral(c.head.Central); err != nil && svc.central != nil && len(svc.central.Rows()) != 0 {
+				t.Errorf("%s: %d central rows restored before the refusal", name, len(svc.central.Rows()))
 			}
 		}
 		switch {
@@ -426,16 +459,34 @@ func TestSnapCorpus(t *testing.T) {
 	}
 }
 
+// readSeed reads one checked-in FuzzSnapPayload seed.
+func readSeed(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(snapCorpusDir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p []byte
+	if _, err := fmt.Sscanf(string(raw), "go test fuzz v1\n[]byte(%q)", &p); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return p
+}
+
 // FuzzSnapPayload holds the payload decoder to its contract: arbitrary bytes
 // never panic — alone, folded over a valid base, or handed entry by entry to
 // the blob decoders restore uses, device rows and requested marks through
-// restore's epoch bound into a real ledger — and whatever the fold accepts it re-encodes byte for
+// restore's epoch bound into a real ledger, central rows through it into an
+// IPA-like service's — and whatever the fold accepts it re-encodes byte for
 // byte, so the decoder cannot quietly normalize a payload this code did not
 // write.
 func FuzzSnapPayload(f *testing.F) {
-	base, delta := samplePayloads(f)
+	base, delta := samplePayloads(f, false)
+	centralBase, _ := samplePayloads(f, true)
 	f.Add(base)
 	f.Add(delta)
+	f.Add(centralBase)
+	f.Add(wildCentralEpoch(f, centralBase))
 	for _, p := range corruptions(f, base) {
 		f.Add(p)
 	}
@@ -452,14 +503,31 @@ func FuzzSnapPayload(f *testing.F) {
 		if !bytes.Equal(out, p) {
 			t.Fatalf("accepted payload re-encodes to %d different bytes (from %d)", len(out), len(p))
 		}
-		// Ledger lanes are dense in the epoch: a fuzzed slot or mark epoch that
-		// got past restoreDevices' bound would size an array and stall the fuzzer.
-		_ = sampleService(t, nil, "").restoreDevices(c, make(siteIntern))
+		// Ledger lanes are dense in the epoch: a fuzzed slot, mark or central
+		// epoch that got past restore's bound would size an array and stall the
+		// fuzzer.
+		_ = sampleService(t, nil, "", false).restoreDevices(c, make(siteIntern))
+		_ = sampleService(t, nil, "", true).restoreCentral(c.head.Central)
 		_ = c.merge(secRecords, func(_ DevEpoch, blob, _ []byte) error {
 			_, _ = events.UnmarshalEvents(blob)
 			return nil
 		})
 	})
+}
+
+// TestResumeRefusesWildCentralEpoch pins restore's epoch bound on the
+// central ledger: a CRC-valid base whose head carries a central row at an
+// epoch no query window reaches must fail the resume, not size the ledger's
+// dense lane out to it.
+func TestResumeRefusesWildCentralEpoch(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := checkpoint.NewStore(dir, nil).WriteBase(1, readSeed(t, "wild-central-epoch")); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ResumeFrom(sampleConfig(nil, dir, true), dir)
+	if err == nil || !strings.Contains(err.Error(), "central epoch 1073741824 outside [-5, 4]") {
+		t.Fatalf("resume over a wild central epoch: err = %v", err)
+	}
 }
 
 // TestResumeRefusesSchema3 pins that a payload of a retired schema — the

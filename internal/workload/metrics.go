@@ -10,17 +10,17 @@ import (
 // eachRequested calls fn once per device-epoch some report window covered, in
 // (device, epoch) order, with the privacy loss the system attributes to it:
 // the sum, over the queriers that requested it in name order, of the
-// device's own filter (on-device systems) or of the central filter's
-// consumption, which every device is charged alike (IPA-like — the
-// coarseness of population-level accounting, Thm. 3). The order is fixed so
-// callers' float accumulation is deterministic run-to-run.
+// device's own filter (on-device systems) or of the central ledger's slot,
+// which every device is charged alike (IPA-like — the coarseness of
+// population-level accounting, Thm. 3). The order is fixed so callers' float
+// accumulation is deterministic run-to-run.
 func (r *Run) eachRequested(fn func(loss float64)) {
 	r.fleet.Range(func(d *core.Device) bool {
 		d.RangeRequested(func(e events.Epoch, queriers []string, consumed []float64) {
 			loss := 0.0
 			for i, q := range queriers {
 				if r.Config.System == IPALike {
-					loss += r.central.Consumed(events.Site(q), e)
+					loss += r.central.Consumed(q, int64(e))
 				} else {
 					loss += consumed[i]
 				}
@@ -123,12 +123,9 @@ func (r *Run) PerPairAverages() []float64 {
 	out := make([]float64, 0, population*len(advs))
 
 	if r.Config.System == IPALike {
+		totals := r.centralTotals()
 		for _, adv := range advs {
-			sum := 0.0
-			for e := r.firstSpanEpoch; e <= r.lastSpanEpoch; e++ {
-				sum += r.central.Consumed(adv.Site, e)
-			}
-			avg := sum / float64(epochs) / r.Config.EpsilonG
+			avg := totals[adv.Site] / float64(epochs) / r.Config.EpsilonG
 			for d := 0; d < population; d++ {
 				out = append(out, avg)
 			}
@@ -156,18 +153,15 @@ func (r *Run) PerPairAverages() []float64 {
 // summed across the device fleet — the per-querier budget footprint the
 // hostile-traffic reports break out. Devices accumulate in ascending ID
 // order and each device's epochs in ascending epoch order, so the float
-// sums are deterministic run-to-run. For IPA-like runs the central filter's
-// per-epoch consumption is charged to every device in the population,
-// mirroring PerPairAverages.
+// sums are deterministic run-to-run. For IPA-like runs the central ledger's
+// consumption is charged to every device in the population, mirroring
+// PerPairAverages.
 func (r *Run) ConsumedByQuerier() map[events.Site]float64 {
 	out := make(map[events.Site]float64, len(r.Config.Dataset.Advertisers))
 	if r.Config.System == IPALike {
+		totals := r.centralTotals()
 		for _, adv := range r.Config.Dataset.Advertisers {
-			sum := 0.0
-			for e := r.firstSpanEpoch; e <= r.lastSpanEpoch; e++ {
-				sum += r.central.Consumed(adv.Site, e)
-			}
-			out[adv.Site] = sum * float64(r.Config.Dataset.PopulationDevices)
+			out[adv.Site] = totals[adv.Site] * float64(r.Config.Dataset.PopulationDevices)
 		}
 		return out
 	}
@@ -180,10 +174,20 @@ func (r *Run) ConsumedByQuerier() map[events.Site]float64 {
 	return out
 }
 
+// centralTotals returns each querier's consumption from the central ledger,
+// summed over its epochs in ascending order: what an IPA-like run charged
+// every device in the population. Query windows lie in the run's epoch span
+// (restore refuses a slot outside it), so this is the sum over the span.
+func (r *Run) centralTotals() map[events.Site]float64 {
+	totals := make(map[events.Site]float64, r.central.NumQueriers())
+	r.central.RangeTotals(func(q string, total float64) { totals[events.Site(q)] = total })
+	return totals
+}
+
 // BudgetDenials returns the total number of budget charges denied across the
 // device fleet — how often traffic (honest or hostile) ran into filter
 // capacities. Always 0 for IPA-like runs, which reject whole queries at the
-// central filter instead of denying per-device charges.
+// central ledger instead of denying per-device charges.
 func (r *Run) BudgetDenials() uint64 {
 	if r.Config.System == IPALike {
 		return 0

@@ -4,10 +4,10 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/budget"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/events"
+	"repro/internal/privacy"
 	"repro/internal/stream"
 )
 
@@ -39,7 +39,7 @@ type Run struct {
 	AvgQueueDelay time.Duration
 
 	fleet   *core.Fleet
-	central *budget.IPALike
+	central *privacy.Ledger
 	// totalConsumed is the running sum of consumed privacy loss across
 	// all device-epochs (for IPA-like, central consumption is charged to
 	// every device in the population).

@@ -30,9 +30,9 @@ const (
 	// ARALike is on-device budgeting with only the inherent optimization
 	// (participating devices pay full ε per window epoch).
 	ARALike
-	// IPALike is off-device (centralized) budgeting: one filter per
-	// (querier, epoch) for the whole population; queries are rejected
-	// when budget runs out.
+	// IPALike is off-device (centralized) budgeting: one privacy.Ledger for
+	// the whole population, a slot per (querier, epoch); a query is
+	// rejected unless every epoch of its window has budget.
 	IPALike
 )
 
