@@ -122,6 +122,34 @@ func TestChargeAllNegativeEpsilonPanics(t *testing.T) {
 	NewLedger(1).ChargeAll(nike, 0, 0, -0.1)
 }
 
+func TestChargeAllCapacityAccessor(t *testing.T) {
+	l := NewLedger(2.5)
+	if l.Capacity() != 2.5 {
+		t.Fatal("capacity accessor wrong")
+	}
+	// Every slot a window charge initializes carries the ledger's capacity.
+	if !l.ChargeAll(nike, 0, 1, 1.0) {
+		t.Fatal("window refused")
+	}
+	want := []LedgerEntry{{nike, 0, 1, 2.5}, {nike, 1, 1, 2.5}}
+	if got := l.Rows(); !slices.Equal(got, want) || l.Capacity() != 2.5 {
+		t.Fatalf("rows %v, capacity %v after a window charge", got, l.Capacity())
+	}
+}
+
+func TestChargeAllNegativeCapacityPanics(t *testing.T) {
+	for _, capacity := range []float64{-1, -1e-12, math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("capacity %v did not panic", capacity)
+				}
+			}()
+			NewLedger(capacity)
+		}()
+	}
+}
+
 func TestChargeAllConcurrentNeverOverConsumes(t *testing.T) {
 	l := NewLedger(1.0)
 	const eps = 0.1
