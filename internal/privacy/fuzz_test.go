@@ -145,8 +145,12 @@ func FuzzLedgerChargeWindow(f *testing.F) {
 			}
 		}
 
-		// Full final state: requested marks, and every slot bitwise.
+		// Full final state: requested marks, every walk in name order, and
+		// every slot bitwise.
 		if err := checkRequested(l, ref); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkNameOrder(l); err != nil {
 			t.Fatal(err)
 		}
 		want := ref.rows()

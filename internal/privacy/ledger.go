@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 )
 
@@ -29,12 +30,13 @@ const (
 	ChargeDenied
 )
 
-// Ledger is a flat budget table: for each querier, a dense array of
-// consumed-ε slots, all sharing one capacity ε^G and one mutex. Each slot is
-// the paper's per-epoch privacy filter: it admits losses while their running
-// sum stays within ε^G (a relative 1e-9 overshoot counts as exact), a denied
-// charge deducts nothing and leaves the slot usable for a smaller loss, and
-// the first charge to reach a slot initializes it, denied or not.
+// Ledger is a flat budget table: for each querier, in name order, a dense
+// array of consumed-ε slots, all sharing one capacity ε^G and one mutex.
+// Each slot is the paper's per-epoch privacy filter: it admits losses while
+// their running sum stays within ε^G (a relative 1e-9 overshoot counts as
+// exact), a denied charge deducts nothing and leaves the slot usable for a
+// smaller loss, and the first charge to reach a slot initializes it, denied
+// or not.
 //
 // One table serves both budgeting systems. A device's ledger charges each
 // epoch of a report's window on its own (Charge, ChargeWindow): Listing 1.
@@ -50,7 +52,10 @@ const (
 type Ledger struct {
 	mu       sync.Mutex
 	capacity float64
-	lanes    map[string]*ledgerLane
+	// lanes holds one lane per querier, inline, sorted by querier name and
+	// found by binary search: smaller than a map for a device's one or two
+	// queriers, and already in the name order every walk yields.
+	lanes []ledgerLane
 	// denials counts ChargeDenied outcomes over the ledger's lifetime —
 	// the budget-drain telemetry behind the hostile-traffic scenarios.
 	// It never influences charge outcomes, but it is persisted in
@@ -66,9 +71,11 @@ type Ledger struct {
 	version uint64
 }
 
-// ledgerLane is one querier's dense slot array: slots[i] belongs to epoch
-// base+i.
+// ledgerLane is querier q's dense slot array: slots[i] belongs to epoch
+// base+i. Lanes live inline in Ledger.lanes, so a *ledgerLane is valid only
+// until the ledger's next lane is created.
 type ledgerLane struct {
+	q     string
 	base  int64
 	slots []ledgerSlot
 	// charged is set once a charge or a restore resolved the lane. A lane
@@ -108,10 +115,7 @@ func NewLedger(capacity float64) *Ledger {
 	if capacity < 0 {
 		panic("privacy: negative ledger capacity")
 	}
-	return &Ledger{
-		capacity: capacity,
-		lanes:    make(map[string]*ledgerLane),
-	}
+	return &Ledger{capacity: capacity}
 }
 
 // Capacity returns the uniform per-slot budget capacity ε^G.
@@ -143,14 +147,24 @@ func (ln *ledgerLane) slot(e int64) *ledgerSlot {
 	return &ln.slots[e-ln.base]
 }
 
-// lane returns (lazily creating) querier q's slot array.
+// find returns the index of querier q's lane and true, or the index a lane
+// for q would be inserted at and false. It never creates a lane.
+func (l *Ledger) find(q string) (int, bool) {
+	return slices.BinarySearchFunc(l.lanes, q, func(ln ledgerLane, q string) int {
+		return strings.Compare(ln.q, q)
+	})
+}
+
+// lane returns (lazily creating, at its place in name order) querier q's
+// slot array. The pointer is valid only until the next lane is created,
+// which may move every lane; each caller resolves its lane and is done with
+// it within one window, before another lane can be created.
 func (l *Ledger) lane(q string) *ledgerLane {
-	ln := l.lanes[q]
-	if ln == nil {
-		ln = &ledgerLane{}
-		l.lanes[q] = ln
+	i, ok := l.find(q)
+	if !ok {
+		l.lanes = slices.Insert(l.lanes, i, ledgerLane{q: q})
 	}
-	return ln
+	return &l.lanes[i]
 }
 
 // chargeSlotLocked is the slot-level check-and-consume on an already-resolved
@@ -328,23 +342,20 @@ func (l *Ledger) MarkRequested(q string, first, last int64) {
 func (l *Ledger) RangeRequested(fn func(e int64, queriers []string, consumed []float64)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	names := make([]string, 0, len(l.lanes))
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	for q, ln := range l.lanes {
+	for _, ln := range l.lanes {
 		if len(ln.slots) > 0 {
-			names = append(names, q)
 			lo, hi = min(lo, ln.base), max(hi, ln.base+int64(len(ln.slots)))
 		}
 	}
-	slices.Sort(names)
-	queriers := make([]string, 0, len(names))
-	consumed := make([]float64, 0, len(names))
+	queriers := make([]string, 0, len(l.lanes))
+	consumed := make([]float64, 0, len(l.lanes))
 	for e := lo; e < hi; e++ {
 		queriers, consumed = queriers[:0], consumed[:0]
-		for _, q := range names {
-			ln := l.lanes[q]
+		for j := range l.lanes {
+			ln := &l.lanes[j]
 			if i := e - ln.base; i >= 0 && i < int64(len(ln.slots)) && ln.slots[i].requested {
-				queriers = append(queriers, q)
+				queriers = append(queriers, ln.q)
 				consumed = append(consumed, max(ln.slots[i].consumed, 0)) // untouchedSlot reads as 0
 			}
 		}
@@ -393,10 +404,11 @@ func (l *Ledger) Version() uint64 {
 func (l *Ledger) Consumed(q string, e int64) float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	ln := l.lanes[q]
-	if ln == nil {
+	j, ok := l.find(q)
+	if !ok {
 		return 0
 	}
+	ln := &l.lanes[j]
 	i := e - ln.base
 	if i < 0 || int(i) >= len(ln.slots) || ln.slots[i].consumed == untouchedSlot {
 		return 0
@@ -411,8 +423,8 @@ func (l *Ledger) NumQueriers() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := 0
-	for _, ln := range l.lanes {
-		if ln.charged {
+	for j := range l.lanes {
+		if l.lanes[j].charged {
 			n++
 		}
 	}
@@ -422,11 +434,12 @@ func (l *Ledger) NumQueriers() int {
 // RangeTotals calls fn once per charged querier with the querier's total
 // consumed budget across all epochs. Each total accumulates in ascending
 // epoch order — the dense array's natural order — so the float sums are
-// deterministic run-to-run; querier visit order is unspecified.
+// deterministic run-to-run; queriers are visited in name order.
 func (l *Ledger) RangeTotals(fn func(q string, total float64)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for q, ln := range l.lanes {
+	for j := range l.lanes {
+		ln := &l.lanes[j]
 		if !ln.charged {
 			continue
 		}
@@ -436,45 +449,31 @@ func (l *Ledger) RangeTotals(fn func(q string, total float64)) {
 				sum += s.consumed
 			}
 		}
-		fn(q, sum)
+		fn(ln.q, sum)
 	}
 }
 
 // Rows returns a snapshot of every initialized slot, sorted by querier then
-// epoch — the Fig. 1 dashboard view and the persistence snapshot source.
+// epoch — the Fig. 1 dashboard view and the persistence snapshot source. The
+// order is the layout's: lanes are in name order, slots in epoch order.
 func (l *Ledger) Rows() []LedgerEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var rows []LedgerEntry
-	for q, ln := range l.lanes {
+	for j := range l.lanes {
+		ln := &l.lanes[j]
 		for i, s := range ln.slots {
 			if s.consumed == untouchedSlot {
 				continue
 			}
-			e := ln.base + int64(i)
 			rows = append(rows, LedgerEntry{
-				Querier:  q,
-				Epoch:    e,
+				Querier:  ln.q,
+				Epoch:    ln.base + int64(i),
 				Consumed: s.consumed,
 				Capacity: l.capacity,
 			})
 		}
 	}
-	slices.SortFunc(rows, func(a, b LedgerEntry) int {
-		if a.Querier != b.Querier {
-			if a.Querier < b.Querier {
-				return -1
-			}
-			return 1
-		}
-		switch {
-		case a.Epoch < b.Epoch:
-			return -1
-		case a.Epoch > b.Epoch:
-			return 1
-		}
-		return 0
-	})
 	return rows
 }
 

@@ -1,6 +1,7 @@
 package privacy
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -216,6 +217,121 @@ func TestLedgerMatchesFilterMapReference(t *testing.T) {
 		}
 		if err := checkRequested(l, ref); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if err := checkNameOrder(l); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// strictlyAscending reports whether names is sorted with no repeats.
+func strictlyAscending(names []string) bool {
+	for i := 1; i < len(names); i++ {
+		if names[i-1] >= names[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// checkNameOrder holds every walk to the order the lane layout promises, no
+// sort in between: Rows() strictly ascending by (querier, epoch), RangeTotals
+// visiting queriers in strictly ascending name order, and each RangeRequested
+// call handing its queriers strictly ascending.
+func checkNameOrder(l *Ledger) error {
+	rows := l.Rows()
+	for i := 1; i < len(rows); i++ {
+		a, b := rows[i-1], rows[i]
+		if a.Querier > b.Querier || a.Querier == b.Querier && a.Epoch >= b.Epoch {
+			return fmt.Errorf("Rows() has %s/%d before %s/%d", a.Querier, a.Epoch, b.Querier, b.Epoch)
+		}
+	}
+	var totals []string
+	l.RangeTotals(func(q string, _ float64) { totals = append(totals, q) })
+	if !strictlyAscending(totals) {
+		return fmt.Errorf("RangeTotals visits %v", totals)
+	}
+	var err error
+	l.RangeRequested(func(e int64, queriers []string, _ []float64) {
+		if err == nil && !strictlyAscending(queriers) {
+			err = fmt.Errorf("RangeRequested hands epoch %d queriers %v", e, queriers)
+		}
+	})
+	return err
+}
+
+// TestLedgerLaneOrder creates lanes out of name order, each by another path
+// — c by a charge, a by a mark alone, b by a restore — and checks that every
+// walk comes out in name order and that a read creates no lane.
+func TestLedgerLaneOrder(t *testing.T) {
+	l := NewLedger(1)
+	l.Charge("c", 2, 0.5)
+	l.MarkRequested("a", 1, 2)
+	if err := l.Restore("b", 2, 0.25); err != nil {
+		t.Fatal(err)
+	}
+	l.MarkRequested("b", 2, 2)
+	l.MarkRequested("c", 2, 2)
+
+	want := []LedgerEntry{{"b", 2, 0.25, 1}, {"c", 2, 0.5, 1}}
+	if rows := l.Rows(); !slices.Equal(rows, want) {
+		t.Errorf("Rows() = %v, want %v", rows, want)
+	}
+	var requested []string
+	l.RangeRequested(func(e int64, queriers []string, consumed []float64) {
+		requested = append(requested, fmt.Sprint(e, queriers, consumed))
+	})
+	if want := []string{"1 [a] [0]", "2 [a b c] [0 0.25 0.5]"}; !slices.Equal(requested, want) {
+		t.Errorf("RangeRequested yields %q, want %q", requested, want)
+	}
+	var totals []string
+	l.RangeTotals(func(q string, total float64) { totals = append(totals, fmt.Sprintf("%s %v", q, total)) })
+	if want := []string{"b 0.25", "c 0.5"}; !slices.Equal(totals, want) {
+		t.Errorf("RangeTotals visits %q, want %q", totals, want)
+	}
+	if n := l.NumQueriers(); n != 2 {
+		t.Errorf("NumQueriers = %d, want 2 (a holds marks only)", n)
+	}
+	version := l.Version()
+	if c := l.Consumed("zzz", 2); c != 0 {
+		t.Errorf("Consumed(zzz, 2) = %v", c)
+	}
+	if len(l.lanes) != 3 || l.Version() != version {
+		t.Errorf("Consumed(zzz, 2) created a lane: %d lanes, version %d → %d", len(l.lanes), version, l.Version())
+	}
+}
+
+// TestLedgerWalksAllocate pins what the inline lane slice saves: a
+// RangeRequested walk allocates only the two per-epoch buffers it hands fn —
+// no list of querier names to sort — and a charge or mark on an existing lane
+// allocates nothing.
+func TestLedgerWalksAllocate(t *testing.T) {
+	l := NewLedger(10)
+	for _, q := range []string{"c", "a", "b"} {
+		l.Charge(q, 3, 0.1)
+		l.MarkRequested(q, 0, 5)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		l.RangeRequested(func(int64, []string, []float64) {})
+	}); n > 2 {
+		t.Errorf("RangeRequested on 3 queriers: %v allocations per call, want ≤ 2", n)
+	}
+	losses := []float64{0.001, 0, 0.001}
+	outcomes := make([]ChargeOutcome, len(losses))
+	batch := []WindowCharge{
+		{Querier: "b", First: 1, Losses: losses, Outcomes: outcomes},
+		{Querier: "c", First: 2, Losses: losses, Outcomes: outcomes},
+	}
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"ChargeWindow", func() { l.ChargeWindow("a", 2, losses, outcomes) }},
+		{"ChargeWindowBatch", func() { l.ChargeWindowBatch(batch) }},
+		{"MarkRequested", func() { l.MarkRequested("c", 1, 4) }},
+	} {
+		if n := testing.AllocsPerRun(100, tc.fn); n != 0 {
+			t.Errorf("%s on an existing lane: %v allocations per call, want 0", tc.name, n)
 		}
 	}
 }

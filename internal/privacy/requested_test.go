@@ -218,7 +218,7 @@ func (m markInitialisesSlot) MarkRequested(q string, first, last int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for e := first; e <= last; e++ {
-		if s := m.lanes[q].slot(e); s.consumed == untouchedSlot {
+		if s := m.lane(q).slot(e); s.consumed == untouchedSlot {
 			s.consumed = 0
 		}
 	}
@@ -235,7 +235,7 @@ func (d denyChargesPrefix) ChargeAll(q string, first, last int64, eps float64) b
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for e := first; e <= last; e++ {
-		s := d.lanes[q].slot(e)
+		s := d.lane(q).slot(e)
 		if s.consumed+eps > d.capacity*(1+1e-9) {
 			break
 		}
@@ -257,7 +257,7 @@ func (r rejectLeavesUntouched) ChargeAll(q string, first, last int64, eps float6
 	defer r.mu.Unlock()
 	for e := first; e <= last; e++ {
 		if !slices.ContainsFunc(before, func(row LedgerEntry) bool { return row.Querier == q && row.Epoch == e }) {
-			r.lanes[q].slot(e).consumed = untouchedSlot
+			r.lane(q).slot(e).consumed = untouchedSlot
 		}
 	}
 	return false

@@ -46,13 +46,14 @@ func (r *Run) CanonicalDigest() string {
 			flush()
 		}
 	}
-	avg, max := r.BudgetStats()
+	// BudgetStats and RequestedDeviceEpochs from one pass over the fleet.
+	avg, max, n := r.requestedStats()
 	buf = append(buf, "metrics|"...)
 	buf = appendFloat(buf, avg)
 	buf = appendFloat(buf, max)
 	buf = appendFloat(buf, r.PopulationAvgBudget())
 	buf = appendFloat(buf, r.ExecutedFraction())
-	buf = fmt.Appendf(buf, "%d|", r.RequestedDeviceEpochs())
+	buf = fmt.Appendf(buf, "%d|", n)
 	buf = append(buf, "\npairs|"...)
 	for _, v := range r.PerPairAverages() {
 		buf = appendFloat(buf, v)

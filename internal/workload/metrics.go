@@ -37,22 +37,31 @@ func (r *Run) eachRequested(fn func(loss float64)) {
 // per-querier losses, and the values are normalized by ε^G so they read as
 // "fraction of the epoch's budget spent".
 func (r *Run) BudgetStats() (avg, max float64) {
-	if r.Config.EpsilonG == 0 {
-		return 0, 0
-	}
-	n, sum := 0, 0.0
+	avg, max, _ = r.requestedStats()
+	return avg, max
+}
+
+// requestedStats is one eachRequested pass over the fleet: BudgetStats'
+// average and maximum (both 0 when ε^G is 0 or nothing was requested) and
+// RequestedDeviceEpochs' count. CanonicalDigest, which needs all three,
+// walks the fleet once.
+func (r *Run) requestedStats() (avg, max float64, n int) {
+	epsG, sum := r.Config.EpsilonG, 0.0
 	r.eachRequested(func(loss float64) {
-		loss /= r.Config.EpsilonG
+		n++
+		if epsG == 0 {
+			return
+		}
+		loss /= epsG
 		sum += loss
 		if loss > max {
 			max = loss
 		}
-		n++
 	})
-	if n == 0 {
-		return 0, 0
+	if n > 0 {
+		avg = sum / float64(n)
 	}
-	return sum / float64(n), max
+	return avg, max, n
 }
 
 // EpochSpan returns the number of epochs any query window can touch
@@ -203,8 +212,7 @@ func (r *Run) BudgetDenials() uint64 {
 // RangeDevices visits every device the run instantiated, stopping early if
 // fn returns false — the inspection hook the robustness property tests use
 // to audit per-device ledgers (filter never over capacity, honest lanes
-// untouched by hostile queriers). Visit order is the fleet's shard order;
-// callers needing determinism sort what they collect.
+// untouched by hostile queriers). Devices are visited in ascending ID order.
 func (r *Run) RangeDevices(fn func(d *core.Device) bool) { r.fleet.Range(fn) }
 
 // ActiveDevices returns the number of devices some query's report window
@@ -216,7 +224,6 @@ func (r *Run) ActiveDevices() int { return r.fleet.Len() }
 // RequestedDeviceEpochs returns the number of distinct device-epochs touched
 // by at least one query.
 func (r *Run) RequestedDeviceEpochs() int {
-	n := 0
-	r.eachRequested(func(float64) { n++ })
+	_, _, n := r.requestedStats()
 	return n
 }
