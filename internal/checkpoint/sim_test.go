@@ -146,7 +146,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 					counts := map[stream.FaultPoint]int{}
 					cfg := checkpointedCfg(t, w, parallelism, t.TempDir())
 					cfg.FaultHook = func(p stream.FaultPoint) error { counts[p]++; return nil }
-					full, err := workload.ExecuteStream(cfg)
+					full, err := workload.ExecuteSource(cfg, cfg.Dataset.Stream())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -191,7 +191,7 @@ func crashAndResume(t *testing.T, w figures.Workload, parallelism int,
 		}
 		return nil
 	}
-	_, err := workload.ExecuteStream(crash)
+	_, err := workload.ExecuteSource(crash, crash.Dataset.Stream())
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("crash run: got %v, want injected crash (point fired %d times)", err, fired)
 	}
@@ -202,7 +202,7 @@ func crashAndResume(t *testing.T, w figures.Workload, parallelism int,
 
 	resume := checkpointedCfg(t, w, parallelism, dir)
 	resume.Resume = true
-	run, err := workload.ExecuteStream(resume)
+	run, err := workload.ExecuteSource(resume, resume.Dataset.Stream())
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -282,7 +282,7 @@ func TestCrashDuringRecoveryResume(t *testing.T) {
 			}
 			return nil
 		}
-		_, err := workload.ExecuteStream(cfg)
+		_, err := workload.ExecuteSource(cfg, cfg.Dataset.Stream())
 		return err
 	}
 
@@ -296,7 +296,7 @@ func TestCrashDuringRecoveryResume(t *testing.T) {
 	}
 	final := checkpointedCfg(t, w, 4, dir)
 	final.Resume = true
-	run, err := workload.ExecuteStream(final)
+	run, err := workload.ExecuteSource(final, final.Dataset.Stream())
 	if err != nil {
 		t.Fatalf("final resume: %v", err)
 	}
@@ -316,12 +316,12 @@ func TestResumeCompletedRun(t *testing.T) {
 	batch := batchRef(t, w)
 	dir := t.TempDir()
 	cfg := checkpointedCfg(t, w, 4, dir)
-	if _, err := workload.ExecuteStream(cfg); err != nil {
+	if _, err := workload.ExecuteSource(cfg, cfg.Dataset.Stream()); err != nil {
 		t.Fatal(err)
 	}
 	cfg = checkpointedCfg(t, w, 4, dir)
 	cfg.Resume = true
-	run, err := workload.ExecuteStream(cfg)
+	run, err := workload.ExecuteSource(cfg, cfg.Dataset.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestResumeRejectsScenarioMismatch(t *testing.T) {
 		mismatched := checkpointedCfg(t, w, 1, dir)
 		mismatched.Resume = true
 		mismatched.EpsilonG = 3 // different capacity ⇒ different scenario
-		if _, err := workload.ExecuteStream(mismatched); err == nil ||
+		if _, err := workload.ExecuteSource(mismatched, mismatched.Dataset.Stream()); err == nil ||
 			!strings.Contains(err.Error(), "different scenario") {
 			t.Fatalf("scenario mismatch accepted: %v", err)
 		}
@@ -353,7 +353,8 @@ func TestResumeRejectsScenarioMismatch(t *testing.T) {
 
 	t.Run("after-completed-run", func(t *testing.T) {
 		dir := t.TempDir()
-		if _, err := workload.ExecuteStream(checkpointedCfg(t, w, 1, dir)); err != nil {
+		cfg := checkpointedCfg(t, w, 1, dir)
+		if _, err := workload.ExecuteSource(cfg, cfg.Dataset.Stream()); err != nil {
 			t.Fatal(err)
 		}
 		resumeMismatched(t, dir)
@@ -375,7 +376,7 @@ func TestResumeRejectsScenarioMismatch(t *testing.T) {
 			}
 			return nil
 		}
-		if _, err := workload.ExecuteStream(cfg); !errors.Is(err, errInjected) {
+		if _, err := workload.ExecuteSource(cfg, cfg.Dataset.Stream()); !errors.Is(err, errInjected) {
 			t.Fatalf("crash run: %v", err)
 		}
 		resumeMismatched(t, dir)

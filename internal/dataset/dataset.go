@@ -18,6 +18,7 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/events"
 )
@@ -41,6 +42,25 @@ type Advertiser struct {
 	// before running a summation query.
 	BatchSize int
 }
+
+// Validate checks the advertiser against the calibration domain every query
+// it runs depends on: B ≥ 1, since the planner cuts batches of B and the
+// ε formula divides by it, and Δ and c̃ finite and positive, since the ε
+// formula divides by c̃ and the Laplace scale Δ/ε must be a positive real.
+func (a Advertiser) Validate() error {
+	switch {
+	case a.BatchSize < 1:
+		return fmt.Errorf("dataset: advertiser %q: batch size %d below 1", a.Site, a.BatchSize)
+	case !positiveFinite(a.MaxValue):
+		return fmt.Errorf("dataset: advertiser %q: max value %v not finite and positive", a.Site, a.MaxValue)
+	case !positiveFinite(a.AvgReportValue):
+		return fmt.Errorf("dataset: advertiser %q: average report value %v not finite and positive", a.Site, a.AvgReportValue)
+	}
+	return nil
+}
+
+// positiveFinite reports whether v is a finite real above zero (NaN fails).
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // Dataset is a generated workload: raw events plus the metadata the workload
 // driver needs to enact the §2.1 scenario.

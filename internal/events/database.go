@@ -160,17 +160,6 @@ func (r *record) insert(ev Event, in *intern) {
 	r.keys = slices.Insert(r.keys, i, in.keyOf(ev))
 }
 
-// compareEvents orders by (Day, ID) — Event.Before as a three-way compare.
-func compareEvents(a, b Event) int {
-	switch {
-	case a.Before(b):
-		return -1
-	case b.Before(a):
-		return 1
-	}
-	return 0
-}
-
 // EvictBefore removes every device-epoch record with epoch < first,
 // releasing the events' memory. It is the streaming ingestion's retention
 // primitive: a day-ordered event stream never revisits old epochs, and once
@@ -368,46 +357,4 @@ func (db *Database) NumEvents() int {
 		}
 	}
 	return n
-}
-
-// ForEachConversion visits every conversion event in deterministic order
-// (by device, then epoch, then event order). Workload drivers use it to
-// replay conversions as attribution triggers. On a frozen database this is
-// a single sweep of the arena.
-func (db *Database) ForEachConversion(visit func(epoch Epoch, conv Event)) {
-	if db.col != nil {
-		for _, d := range db.col.devs {
-			di := db.col.dev[d]
-			for i := uint32(0); i < di.count; i++ {
-				sp := db.col.spans[di.base+i]
-				for _, ev := range db.col.evs[sp.off : sp.off+sp.n] {
-					if ev.IsConversion() {
-						visit(di.first+Epoch(i), ev)
-					}
-				}
-			}
-		}
-		return
-	}
-	for _, d := range db.Devices() {
-		for _, e := range db.DeviceEpochs(d) {
-			for _, ev := range db.EpochEvents(d, e) {
-				if ev.IsConversion() {
-					visit(e, ev)
-				}
-			}
-		}
-	}
-}
-
-// Conversions returns all conversion events in deterministic global time
-// order (by Day, then ID). This is the order in which advertisers observe
-// them and request attribution reports.
-func (db *Database) Conversions() []Event {
-	var out []Event
-	db.ForEachConversion(func(_ Epoch, conv Event) {
-		out = append(out, conv)
-	})
-	slices.SortFunc(out, compareEvents)
-	return out
 }

@@ -120,34 +120,6 @@ func TestNextEventIDUnique(t *testing.T) {
 	}
 }
 
-func TestForEachConversionVisitsOnlyConversions(t *testing.T) {
-	db := NewDatabase()
-	db.Record(0, imp(1, 1, 0, "a"))
-	db.Record(0, conv(2, 1, 1, "a", 10))
-	db.Record(1, conv(3, 2, 8, "b", 20))
-	var got []EventID
-	db.ForEachConversion(func(_ Epoch, c Event) {
-		if !c.IsConversion() {
-			t.Fatalf("visited non-conversion %v", c)
-		}
-		got = append(got, c.ID)
-	})
-	if len(got) != 2 {
-		t.Fatalf("visited %v", got)
-	}
-}
-
-func TestConversionsGlobalTimeOrder(t *testing.T) {
-	db := NewDatabase()
-	db.Record(1, conv(10, 5, 9, "a", 1))
-	db.Record(0, conv(11, 9, 2, "a", 1))
-	db.Record(0, conv(12, 1, 5, "a", 1))
-	cs := db.Conversions()
-	if len(cs) != 3 || cs[0].ID != 11 || cs[1].ID != 12 || cs[2].ID != 10 {
-		t.Fatalf("conversions order = %v", cs)
-	}
-}
-
 func TestRecordOrderInvariantQuick(t *testing.T) {
 	f := func(days []uint8) bool {
 		db := NewDatabase()

@@ -126,6 +126,20 @@ type AdversarySpec struct {
 	AvgReportValue float64
 }
 
+// adversaryProduct is the attacker's one query stream.
+const adversaryProduct = "drain-0"
+
+// advertiser is the querier the attacker registers in the metadata.
+func (a AdversarySpec) advertiser() dataset.Advertiser {
+	return dataset.Advertiser{
+		Site:           a.Site,
+		Products:       []string{adversaryProduct},
+		MaxValue:       a.MaxValue,
+		AvgReportValue: a.AvgReportValue,
+		BatchSize:      a.BatchSize,
+	}
+}
+
 // Source returns the scenario's event stream over the base dataset: the
 // base's day-ordered stream with the spec's perturbation layers applied, and
 // event IDs renumbered sequentially in delivery order. The renumbering makes
@@ -180,9 +194,11 @@ func (sp Spec) Validate(base *dataset.Dataset) error {
 		return fmt.Errorf("scenario %s: invalid skew spec %+v", sp.Name, *k)
 	}
 	if a := sp.Adversary; a != nil {
-		if a.Site == "" || a.TargetDevices <= 0 || a.ConversionsPerDay <= 0 ||
-			a.BatchSize <= 0 || a.MaxValue <= 0 || a.AvgReportValue <= 0 {
+		if a.Site == "" || a.TargetDevices <= 0 || a.ConversionsPerDay <= 0 {
 			return fmt.Errorf("scenario %s: invalid adversary spec %+v", sp.Name, *a)
+		}
+		if err := a.advertiser().Validate(); err != nil {
+			return fmt.Errorf("scenario %s: adversary: %w", sp.Name, err)
 		}
 	}
 	return nil

@@ -194,16 +194,9 @@ func newBurstSource(base dataset.Source, spec BurstSpec, seed uint64) dataset.So
 // stream of max-value conversions that fill the attacker's batches.
 func newAdversarySource(base dataset.Source, spec AdversarySpec, seed uint64) dataset.Source {
 	meta := base.Meta()
-	const product = "drain-0"
 	advs := make([]dataset.Advertiser, len(meta.Advertisers), len(meta.Advertisers)+1)
 	copy(advs, meta.Advertisers)
-	meta.Advertisers = append(advs, dataset.Advertiser{
-		Site:           spec.Site,
-		Products:       []string{product},
-		MaxValue:       spec.MaxValue,
-		AvgReportValue: spec.AvgReportValue,
-		BatchSize:      spec.BatchSize,
-	})
+	meta.Advertisers = append(advs, spec.advertiser())
 	targets := spec.TargetDevices
 	if targets > meta.PopulationDevices {
 		targets = meta.PopulationDevices
@@ -218,7 +211,7 @@ func newAdversarySource(base dataset.Source, spec AdversarySpec, seed uint64) da
 				Day:        day,
 				Publisher:  "attacker-pub.example",
 				Advertiser: spec.Site,
-				Campaign:   product,
+				Campaign:   adversaryProduct,
 			})
 		}
 		for k := 0; k < spec.ConversionsPerDay; k++ {
@@ -227,7 +220,7 @@ func newAdversarySource(base dataset.Source, spec AdversarySpec, seed uint64) da
 				Device:     events.DeviceID(1 + conv%targets),
 				Day:        day,
 				Advertiser: spec.Site,
-				Product:    product,
+				Product:    adversaryProduct,
 				Value:      spec.MaxValue,
 			})
 			conv++

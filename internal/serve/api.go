@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/dataset"
 	"repro/internal/events"
@@ -139,10 +138,9 @@ func RegistrationFromAdvertiser(a dataset.Advertiser) QueryRegistration {
 	}
 }
 
-// decode validates a registration. The positivity checks are exactly what
-// keeps the ε-calibration (privacy.Calibration.Epsilon panics on
-// non-positive Δ, B, or c̃) and the Laplace noise scale Δ/ε out of their
-// panicking domains for every query this querier will ever run.
+// decode validates a registration: the wire bounds here, and the
+// calibration domain every query this querier will ever run depends on
+// through dataset.Advertiser.Validate, the rule the engine enforces too.
 func (q QueryRegistration) decode() (dataset.Advertiser, *RequestError) {
 	adv := dataset.Advertiser{
 		Site:           events.Site(q.Site),
@@ -165,15 +163,14 @@ func (q QueryRegistration) decode() (dataset.Advertiser, *RequestError) {
 			return adv, reqErr(CodeBadRegistration, "product keys must be 1..%d bytes", maxSiteLen)
 		}
 	}
-	if q.BatchSize < 1 || q.BatchSize > maxBatchSize {
-		return adv, reqErr(CodeBadRegistration, "batch size must be in [1, %d]", maxBatchSize)
+	if err := adv.Validate(); err != nil {
+		return adv, reqErr(CodeBadRegistration, "%v", err)
 	}
-	if math.IsNaN(q.MaxValue) || math.IsInf(q.MaxValue, 0) || q.MaxValue <= 0 || q.MaxValue > maxEventValue {
-		return adv, reqErr(CodeBadRegistration, "maxValue must be finite in (0, %g]", maxEventValue)
+	if q.BatchSize > maxBatchSize {
+		return adv, reqErr(CodeBadRegistration, "batch size must be at most %d", maxBatchSize)
 	}
-	if math.IsNaN(q.AvgReportValue) || math.IsInf(q.AvgReportValue, 0) ||
-		q.AvgReportValue <= 0 || q.AvgReportValue > maxEventValue {
-		return adv, reqErr(CodeBadRegistration, "avgReportValue must be finite in (0, %g]", maxEventValue)
+	if q.MaxValue > maxEventValue || q.AvgReportValue > maxEventValue {
+		return adv, reqErr(CodeBadRegistration, "maxValue and avgReportValue must be at most %g", maxEventValue)
 	}
 	return adv, nil
 }

@@ -102,7 +102,8 @@ func TestAllBasesDirectoryResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := workload.RunFromStream(wcfg, srun).CanonicalDigest(), ref.CanonicalDigest(); got != want {
+	resumedRun := &workload.Run{Config: wcfg, Run: srun}
+	if got, want := resumedRun.CanonicalDigest(), ref.CanonicalDigest(); got != want {
 		t.Errorf("resumed digest %s, batch reference %s", got, want)
 	}
 	if d := srun.Durability; d.RecoveryFallbacks != 0 || d.DeltaBytes == 0 {

@@ -1,10 +1,13 @@
 package stream_test
 
-// The streaming-vs-batch equivalence suite: the batch engine
-// (workload.Execute) is the specification, the streaming service is the
-// online implementation, and the contract is bit-identical QueryResults —
-// same estimates, same denial counts, same budget trajectories — for the
-// same seed and scenario, at any parallelism.
+// The streaming-vs-batch equivalence suite: the batch front end
+// (workload.Execute: a frozen store, no retention, no durability) is the
+// specification, the streaming service is the online implementation, and
+// the contract is bit-identical QueryResults — same estimates, same denial
+// counts, same budget trajectories — for the same seed and scenario, at any
+// parallelism. Both plan with the Engine's one planner, which
+// internal/workload's TestPlannerMatchesReferencePlan holds to an
+// independent statement of the schedule.
 
 import (
 	"math"
@@ -111,7 +114,7 @@ func TestStreamingBatchEquivalence(t *testing.T) {
 			for _, par := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 				cfg := figureConfig(t, name)
 				cfg.Parallelism = par
-				streamed, err := workload.ExecuteStream(cfg)
+				streamed, err := workload.ExecuteSource(cfg, cfg.Dataset.Stream())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -134,7 +137,7 @@ func TestStreamingEquivalenceCriteo(t *testing.T) {
 		}
 		cfg := figureConfig(t, name)
 		cfg.Parallelism = runtime.GOMAXPROCS(0)
-		streamed, err := workload.ExecuteStream(cfg)
+		streamed, err := workload.ExecuteSource(cfg, cfg.Dataset.Stream())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,11 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/aggregation"
@@ -13,18 +16,19 @@ import (
 	"repro/internal/stats"
 )
 
-// This file is the query executor: everything that happens once a batch of B
-// conversions has filled. Both front ends run it — the batch engine
-// (internal/workload.Execute) hands it one globally planned query at a time
-// over a frozen store, the streaming service a day's due list over its
-// mutable one — so request construction, the generate loop, the fold and the
+// This file is the query executor: the planner that fills batches of B
+// conversions and everything that happens once one has filled. Both front
+// ends run it a day at a time — the batch engine (internal/workload.Execute)
+// replays a materialized trace over a frozen store (Replay), the streaming
+// service feeds its day clock's arrivals over its mutable store — so
+// planning, request construction, the generate loop, the fold and the
 // release exist exactly once. What the two front ends keep apart, and what
-// the equivalence suites therefore compare, is planning, the store,
-// scheduling granularity, retention and durability.
+// the equivalence suites therefore compare, is the store, retention and
+// durability.
 
-// Engine executes filled batches: prepare → generate → aggregate over one
-// event store, one device fleet and the run's seeded noise streams. It
-// accumulates the Run both front ends report.
+// Engine plans and executes filled batches: planner → due list → prepare →
+// generate → aggregate over one event store, one device fleet and the run's
+// seeded noise streams. It accumulates the Run both front ends report.
 type Engine struct {
 	cfg  Config
 	meta dataset.Meta
@@ -36,6 +40,11 @@ type Engine struct {
 	aggNoise *stats.RNG
 	ipaNoise *stats.RNG
 	run      *Run
+
+	// plan cuts each query stream's conversions into batches; due holds the
+	// queries whose batch filled on the current day, awaiting flushDue.
+	plan *planner
+	due  []*Query
 
 	nextIndex int
 
@@ -61,6 +70,7 @@ func NewEngine(cfg Config, meta dataset.Meta, db *events.Database) *Engine {
 		db:       db,
 		agg:      aggregation.NewService(aggNoise),
 		aggNoise: aggNoise,
+		plan:     newPlanner(meta, cfg.Calibration, cfg.FixedEpsilon, cfg.MaxQueriesPerProduct),
 		run: &Run{
 			Meta:        meta,
 			TotalEpochs: meta.Epochs(cfg.EpochDays),
@@ -95,6 +105,50 @@ func NewEngine(cfg Config, meta dataset.Meta, db *events.Database) *Engine {
 // Run returns the run the engine has accumulated so far.
 func (e *Engine) Run() *Run { return e.run }
 
+// Replay plans and executes a materialized trace whose events are already in
+// the engine's store: the batch front end. Conversions reach the planner a
+// day at a time — days ascending, each day's in ID order, the (Day, ID)
+// order a source delivers — and each day's due list runs as one Flush, the
+// granularity of the service's day clock. Bucketing by day costs a sort of
+// each day's indices, never one of the whole trace.
+func (e *Engine) Replay(evs []events.Event) error {
+	byDay := make(map[int][]int32)
+	for i := range evs {
+		if evs[i].IsConversion() {
+			byDay[evs[i].Day] = append(byDay[evs[i].Day], int32(i))
+		}
+	}
+	for _, day := range slices.Sorted(maps.Keys(byDay)) {
+		idx := byDay[day]
+		slices.SortFunc(idx, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(evs[a].ID, evs[b].ID), cmp.Compare(a, b))
+		})
+		for _, i := range idx {
+			e.admit(evs[i])
+		}
+		if err := e.flushDue(nil); err != nil {
+			return err
+		}
+	}
+	e.run.EventsIngested += len(evs)
+	return nil
+}
+
+// admit routes one conversion to the planner and queues the query it
+// completed, if any, on the due list.
+func (e *Engine) admit(conv events.Event) {
+	if q := e.plan.add(conv); q != nil {
+		e.due = append(e.due, q)
+	}
+}
+
+// flushDue executes the due list as one Flush and clears it.
+func (e *Engine) flushDue(released func(Result) error) error {
+	due := e.due
+	e.due = nil
+	return e.Flush(due, released)
+}
+
 // Query is one filled batch awaiting execution.
 type Query struct {
 	adv     dataset.Advertiser
@@ -109,13 +163,6 @@ type Query struct {
 	first, last events.Epoch
 }
 
-// NewQuery describes one filled batch: adv's seq-th batch of product
-// conversions, filled on fireDay, requesting eps.
-func NewQuery(adv dataset.Advertiser, product string, batch []events.Event,
-	fireDay, seq int, eps float64) *Query {
-	return &Query{adv: adv, product: product, batch: batch, fireDay: fireDay, seq: seq, epsilon: eps}
-}
-
 // convOutput is one conversion's generate-stage result. On-device runs carry
 // the fold-ready core.ReportStats instead of a full Diagnostics; the
 // generate stage reuses per-worker scratch and never materializes one.
@@ -126,10 +173,9 @@ type convOutput struct {
 }
 
 // Flush executes queries that filled on the same day, in the canonical
-// (site, product, seq) order — within one fire day, the batch plan's
-// (fireDay, site, product, seq) total order. Each result joins Run.Results
-// and is then handed to released (when non-nil), whose error aborts the
-// flush.
+// (site, product, seq) order — so across days, the schedule's (fireDay,
+// site, product, seq) total order. Each result joins Run.Results and is then
+// handed to released (when non-nil), whose error aborts the flush.
 func (e *Engine) Flush(due []*Query, released func(Result) error) error {
 	if len(due) == 0 {
 		return nil

@@ -8,15 +8,15 @@ import (
 	"repro/internal/workload"
 )
 
-// TestFlushGranularity isolates the one thing the two front ends do
-// differently with the shared executor: how many queries one Flush carries.
-// Over one frozen store, one Flush per query in plan order (what
-// workload.Execute does) must release exactly what one Flush per fire day
-// with that day's whole due list, in the order the batches filled (what the
-// service does), releases — results and consumed budget bit for bit, at any
-// parallelism. The equivalence suites only ever vary granularity together
-// with the store, the planner and retention; a change to Flush's canonical
-// sort or to the day multiplex fails here first.
+// TestFlushGranularity fences Flush's canonical sort and the day multiplex.
+// Both front ends flush a fire day's whole due list at once, in the order
+// the batches filled; over one frozen store, that must release exactly what
+// one Flush per query in the schedule's (site, product, seq) order —
+// stated independently by PlanOrder — releases: results and consumed budget
+// bit for bit, at any parallelism. No front end flushes per query any more,
+// so the per-query arm is a reference, not a mirror of workload.Execute; a
+// change to Flush's sort or to how the super-batch serializes a device's
+// operations fails here first.
 func TestFlushGranularity(t *testing.T) {
 	for _, name := range []string{"criteo-cm", "criteo-ipa"} {
 		t.Run(name, func(t *testing.T) {

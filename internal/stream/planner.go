@@ -10,15 +10,16 @@ import (
 	"repro/internal/privacy"
 )
 
-// The incremental planner is the streaming counterpart of the batch engine's
-// plan(): each queryable advertiser's conversions accumulate per product
-// into time-ordered batches of B, and a query becomes due the moment its
-// B-th conversion arrives (the paper's "once B reports are gathered, Nike
-// runs its query" loop, now clocked by arrival instead of replayed from a
-// materialized trace). Because the source delivers conversions in the same
-// (Day, ID) order the batch planner sorts them into, the two produce
-// identical batch boundaries, fire days, and requested ε — the first half of
-// the streaming-vs-batch equivalence argument.
+// The planner is the paper's query schedule, and the only copy of it: each
+// queryable advertiser's conversions accumulate per product into
+// time-ordered batches of B, and a query becomes due the moment its B-th
+// conversion arrives (the paper's "once B reports are gathered, Nike runs
+// its query" loop). Both front ends feed it conversions in (Day, ID) order —
+// the service as its day clock admits them, Engine.Replay a materialized
+// trace's conversions a day at a time — so both cut the same batch
+// boundaries, fire days, and requested ε. The independent statement of the
+// schedule, a global sort over the trace, survives as the test-side
+// reference internal/workload's planner test holds this one to.
 
 // streamKey identifies one advertiser×product query stream.
 type streamKey struct {
@@ -93,7 +94,7 @@ func (p *planner) add(conv events.Event) *Query {
 	if len(st.pending) < adv.BatchSize {
 		return nil
 	}
-	q := NewQuery(adv, st.product, st.pending, conv.Day, st.seq, st.epsilon)
+	q := &Query{adv: adv, product: st.product, batch: st.pending, fireDay: conv.Day, seq: st.seq, epsilon: st.epsilon}
 	st.pending = nil
 	st.seq++
 	if p.maxQueries > 0 && st.seq >= p.maxQueries {

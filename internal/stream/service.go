@@ -1,9 +1,10 @@
-// Package stream is the online measurement service and the query executor it
-// shares with the batch front end. The service ingests day-stamped events as
-// they arrive and fires each advertiser's summation query the moment its
-// batch fills; the executor (Engine, executor.go) is what either front end —
-// the service's day clock, or internal/workload.Execute's global plan — hands
-// a filled batch to: prepare → generate → aggregate, one copy.
+// Package stream is the online measurement service and the planner and query
+// executor it shares with the batch front end. The service ingests
+// day-stamped events as they arrive and fires each advertiser's summation
+// query the moment its batch fills; the Engine (executor.go) is what either
+// front end — the service's day clock, or internal/workload.Execute's
+// day-by-day Replay of a materialized trace — feeds conversions to: planner
+// → due list → prepare → generate → aggregate, one copy.
 //
 // Architecture (DESIGN.md §6):
 //
@@ -29,18 +30,18 @@
 //     (aggregation.Service.Compact). Device budget ledgers are never
 //     retired: Listing 1 keeps one filter per (querier, epoch) for good.
 //
-// Equivalence contract: the canonical execution order (fireDay, site,
-// product, seq) is exactly the batch front end's plan order, per-device
-// operations serialize identically inside the super-batch, and noise streams
-// are consumed in the same sequence — so a streaming run over a source is
-// bit-identical to a batch run over the materialized dataset, at any
-// parallelism. What the two runs do independently, and what internal/stream's
-// equivalence tests therefore compare, is planning (incremental planner vs
-// global sort), the store (mutable segments vs frozen arena), scheduling
-// granularity (a day's super-batch vs one query per Flush), retention and
-// durability — in the spirit of showing an optimistic online system
-// equivalent to its batch specification. Request construction, the generate
-// loop, the fold and the release are the Engine for both.
+// Equivalence contract: both front ends plan with the Engine's planner and
+// flush one super-batch per fire day in the canonical (fireDay, site,
+// product, seq) order, per-device operations serialize identically inside
+// the super-batch, and noise streams are consumed in the same sequence — so
+// a streaming run over a source is bit-identical to a batch run over the
+// materialized dataset, at any parallelism. What the two runs do
+// independently, and what internal/stream's equivalence tests therefore
+// compare, is the store (mutable segments vs frozen arena), retention and
+// durability. Planning, request construction, the generate loop, the fold
+// and the release are the Engine for both; the planner is held to an
+// independent global-sort statement of the schedule by internal/workload's
+// TestPlannerMatchesReferencePlan.
 package stream
 
 import (
@@ -230,6 +231,11 @@ func (c Config) validate() error {
 	case c.GroupCommitEvents < 0:
 		return fmt.Errorf("stream: negative group-commit threshold")
 	}
+	for _, adv := range c.Source.Meta().Advertisers {
+		if err := adv.Validate(); err != nil {
+			return fmt.Errorf("stream: %w", err)
+		}
+	}
 	return nil
 }
 
@@ -357,15 +363,14 @@ type DurabilityStats struct {
 // Service is the online measurement service. Create one with New, then
 // drive it to completion with Serve.
 type Service struct {
-	// Engine is the query executor and the state it accumulates: the event
-	// store, the fleet, the aggregation service, the noise streams and the
-	// run (executor.go).
+	// Engine is the planner, the query executor and the state they
+	// accumulate: the open batches and the due list, the event store, the
+	// fleet, the aggregation service, the noise streams and the run
+	// (executor.go).
 	*Engine
-	plan *planner
 
 	curDay     int
 	started    bool
-	due        []*Query
 	evictFloor events.Epoch
 
 	// dropMarks is the per-device late-drop admission high-water mark:
@@ -426,7 +431,6 @@ func New(cfg Config) (*Service, error) {
 	meta := cfg.Source.Meta()
 	return &Service{
 		Engine:     NewEngine(cfg, meta, events.NewDatabase()),
-		plan:       newPlanner(meta, cfg.Calibration, cfg.FixedEpsilon, cfg.MaxQueriesPerProduct),
 		evictFloor: events.Epoch(-1 << 31),
 		dropMarks:  make(map[events.DeviceID]dropMark),
 	}, nil
@@ -761,9 +765,7 @@ func (s *Service) ingest(ev events.Event) {
 	s.db.Record(events.EpochOfDay(ev.Day, s.cfg.EpochDays), ev)
 	s.run.EventsIngested++
 	if ev.IsConversion() {
-		if q := s.plan.add(ev); q != nil {
-			s.due = append(s.due, q)
-		}
+		s.admit(ev)
 	}
 }
 
@@ -775,9 +777,7 @@ func (s *Service) endOfDay(nextDay int) error {
 	if err := s.fault(PointDayEnd); err != nil {
 		return err
 	}
-	due := s.due
-	s.due = nil
-	if err := s.Flush(due, s.released); err != nil {
+	if err := s.flushDue(s.released); err != nil {
 		return err
 	}
 	if err := s.fault(PointDayFlushed); err != nil {

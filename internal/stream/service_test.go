@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -210,5 +211,22 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Source: &fakeSource{meta: testMeta()}, FixedEpsilon: -1}); err == nil {
 		t.Fatal("negative epsilon accepted")
+	}
+	// An advertiser outside the calibration domain is refused up front, not
+	// left to panic in calibration or, under FixedEpsilon, to run queries of
+	// one report.
+	for name, mutate := range map[string]func(*dataset.Advertiser){
+		"zero batch":        func(a *dataset.Advertiser) { a.BatchSize = 0 },
+		"NaN max value":     func(a *dataset.Advertiser) { a.MaxValue = math.NaN() },
+		"zero report value": func(a *dataset.Advertiser) { a.AvgReportValue = 0 },
+	} {
+		meta := testMeta()
+		mutate(&meta.Advertisers[0])
+		for _, fixed := range []float64{0, 1} {
+			src := &fakeSource{meta: meta, evs: []events.Event{conv(1, 1, 1), conv(2, 2, 1)}}
+			if _, err := New(Config{Source: src, FixedEpsilon: fixed}); err == nil {
+				t.Errorf("%s, fixed ε %v: advertiser accepted", name, fixed)
+			}
+		}
 	}
 }

@@ -8,42 +8,31 @@ import (
 
 // This file is the thin-client face of the online measurement service: the
 // scenario vocabulary (Config, System, QueryResult, Run and its metrics)
-// stays here, while internal/stream owns ingestion, day-clocked scheduling
-// and multiplexed execution. ExecuteStream translates a workload
-// configuration into a service configuration, drives the service over the
-// dataset's event stream, and folds the service's run back into the same
-// Run type the batch engine produces — so every experiment harness and
-// metric works identically in either mode. The fleet comes across as it is:
-// each device's ledger holds its budget slots and, beside them, the
-// requested marks the Fig. 4 metrics read, so there is no accounting to copy.
+// stays here, while internal/stream owns planning, ingestion, day-clocked
+// scheduling and multiplexed execution. ExecuteSource translates a workload
+// configuration into a service configuration, drives the service over an
+// event source, and wraps the service's run in the same Run type Execute
+// produces — so every experiment harness and metric works identically on
+// either front end. The fleet comes across as it is: each device's ledger
+// holds its budget slots and, beside them, the requested marks the Fig. 4
+// metrics read, so there is no accounting to copy.
 //
-// Execute (run.go) remains the batch *specification* of everything the two
-// front ends do differently: it materializes the trace into a frozen store,
-// plans globally by sorting, and issues one query per executor call, with no
-// retention and no durability. What happens to a filled batch — request
-// construction, the generate loop, the fold, the release — is stream.Engine
-// for both, one copy: a second copy edited in lock-step would be no
-// independent oracle. The streaming service is held equivalent to Execute
-// bit for bit by the tests in internal/stream.
+// Both front ends plan with stream.Engine's planner and flush one
+// super-batch per fire day. What Execute (run.go) does differently is only
+// the store, retention and durability: it materializes the trace into a
+// frozen store and replays it, with no retention and no durability. The
+// streaming service is held equivalent to Execute bit for bit by the tests
+// in internal/stream, and the shared planner to an independent global-sort
+// statement of the schedule by TestPlannerMatchesReferencePlan.
 
-// ExecuteStream runs the full workload under cfg through the streaming
-// service, ingesting the dataset as a day-ordered event stream instead of
-// materializing it. Results are bit-identical to Execute for the same
-// configuration, at any Parallelism.
-func ExecuteStream(cfg Config) (*Run, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	return ExecuteSource(cfg, cfg.Dataset.Stream())
-}
-
-// ExecuteSource runs the workload's scenario over an arbitrary event
-// source — a materialized dataset's stream, or a generator-backed source
-// whose trace is never held in memory. The scenario's population, duration
-// and advertisers come from the source's metadata; a nil cfg.Dataset is
-// replaced by a metadata-only view of them so the returned Run's metrics
-// (population averages, per-pair CDFs) work without an event log.
+// ExecuteSource runs the workload's scenario over an event source — a
+// materialized dataset's Stream, or a generator-backed source whose trace is
+// never held in memory — through the streaming service. Results are
+// bit-identical to Execute over the same trace, at any Parallelism. The
+// scenario's population, duration and advertisers come from the source's
+// metadata; a nil cfg.Dataset is replaced by a metadata-only view of them so
+// the returned Run's metrics (population averages, per-pair CDFs) work
+// without an event log.
 func ExecuteSource(cfg Config, src dataset.Source) (*Run, error) {
 	if cfg.Dataset == nil {
 		m := src.Meta()
@@ -76,7 +65,7 @@ func ExecuteSource(cfg Config, src dataset.Source) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	return RunFromStream(cfg, srun), nil
+	return &Run{Config: cfg, Run: srun}, nil
 }
 
 // streamConfig translates the workload's scenario and durability knobs into
@@ -117,24 +106,4 @@ func (c Config) streamConfig() stream.Config {
 		// CookieMonster is the engine's default policy.
 	}
 	return scfg
-}
-
-// RunFromStream folds a completed streaming run into the workload's Run
-// shape, preserving bit-identity with the batch engine. The serving layer
-// uses it to fold a network-fed service's run into the same digestable shape
-// every in-process run produces.
-func RunFromStream(cfg Config, srun *stream.Run) *Run {
-	return &Run{
-		Config:         cfg,
-		Results:        srun.Results,
-		TotalEpochs:    srun.TotalEpochs,
-		EventsIngested: srun.EventsIngested,
-		EventsDropped:  srun.EventsDropped,
-		Durability:     srun.Durability,
-		fleet:          srun.Fleet,
-		totalConsumed:  srun.TotalConsumed,
-		firstSpanEpoch: srun.FirstSpanEpoch,
-		lastSpanEpoch:  srun.LastSpanEpoch,
-		central:        srun.Central,
-	}
 }

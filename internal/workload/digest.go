@@ -46,16 +46,17 @@ func (r *Run) CanonicalDigest() string {
 			flush()
 		}
 	}
-	// BudgetStats and RequestedDeviceEpochs from one pass over the fleet.
-	avg, max, n := r.requestedStats()
+	// BudgetStats, RequestedDeviceEpochs and PerPairAverages from one pass
+	// over the fleet.
+	st := r.walkRequested(true)
 	buf = append(buf, "metrics|"...)
-	buf = appendFloat(buf, avg)
-	buf = appendFloat(buf, max)
+	buf = appendFloat(buf, st.avg)
+	buf = appendFloat(buf, st.max)
 	buf = appendFloat(buf, r.PopulationAvgBudget())
 	buf = appendFloat(buf, r.ExecutedFraction())
-	buf = fmt.Appendf(buf, "%d|", n)
+	buf = fmt.Appendf(buf, "%d|", st.n)
 	buf = append(buf, "\npairs|"...)
-	for _, v := range r.PerPairAverages() {
+	for _, v := range st.pairs {
 		buf = appendFloat(buf, v)
 		if len(buf) >= digestBlock {
 			flush()

@@ -40,10 +40,38 @@ func refDigest(r *Run) string {
 	refWriteFloat(h, r.ExecutedFraction())
 	fmt.Fprintf(h, "%d|", r.RequestedDeviceEpochs())
 	io.WriteString(h, "\npairs|")
-	for _, v := range r.PerPairAverages() {
+	for _, v := range refPerPairAverages(r) {
 		refWriteFloat(h, v)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// refPerPairAverages is PerPairAverages as it was first written, with a walk
+// of its own: each device's per-querier totals read once from its ledger
+// (core.Device.ConsumedByQuerier), then zeros for silent devices. The digest
+// folds the per-pair sums into its one walk over requested epochs; this keeps
+// the ledger's own per-lane sums as their reference.
+func refPerPairAverages(r *Run) []float64 {
+	if r.Config.System == IPALike {
+		return r.centralPairs()
+	}
+	epochs := r.EpochSpan()
+	if epochs == 0 || r.Config.EpsilonG == 0 {
+		return nil
+	}
+	advs := r.Config.Dataset.Advertisers
+	var out []float64
+	r.Fleet.Range(func(d *core.Device) bool {
+		perQuerier := d.ConsumedByQuerier()
+		for _, adv := range advs {
+			out = append(out, perQuerier[adv.Site]/float64(epochs)/r.Config.EpsilonG)
+		}
+		return true
+	})
+	for i := 0; i < (r.Config.Dataset.PopulationDevices-r.Fleet.Len())*len(advs); i++ {
+		out = append(out, 0)
+	}
+	return out
 }
 
 func refWriteFloat(w io.Writer, v float64) {

@@ -7,28 +7,90 @@ import (
 	"repro/internal/events"
 )
 
-// eachRequested calls fn once per device-epoch some report window covered, in
-// (device, epoch) order, with the privacy loss the system attributes to it:
-// the sum, over the queriers that requested it in name order, of the
-// device's own filter (on-device systems) or of the central ledger's slot,
-// which every device is charged alike (IPA-like — the coarseness of
-// population-level accounting, Thm. 3). The order is fixed so callers' float
-// accumulation is deterministic run-to-run.
-func (r *Run) eachRequested(fn func(loss float64)) {
-	r.fleet.Range(func(d *core.Device) bool {
+// fleetStats is what one walk over the fleet's requested device-epochs
+// yields: BudgetStats' average and maximum (both 0 when ε^G is 0 or nothing
+// was requested), RequestedDeviceEpochs' count and, when asked for,
+// PerPairAverages.
+type fleetStats struct {
+	avg, max float64
+	n        int
+	pairs    []float64
+}
+
+// walkRequested visits every device-epoch some report window covered, in
+// (device, epoch) order, once. A device-epoch's loss is the sum, over the
+// queriers that requested it in name order, of the device's own filter
+// (on-device systems) or of the central ledger's slot, which every device is
+// charged alike (IPA-like — the coarseness of population-level accounting,
+// Thm. 3). With pairs set, an on-device walk also sums each advertiser's
+// consumption on each device epoch by ascending epoch — the order
+// privacy.Ledger.RangeTotals adds a lane in — while an IPA-like run reads
+// its per-pair values off the central ledger. Every float accumulates in a
+// fixed order, so the results are deterministic run-to-run; CanonicalDigest,
+// which needs all of them, walks the fleet once.
+func (r *Run) walkRequested(pairs bool) fleetStats {
+	var st fleetStats
+	epsG, sum := r.Config.EpsilonG, 0.0
+	central := r.Config.System == IPALike
+	advs := r.Config.Dataset.Advertisers
+	epochs := float64(r.EpochSpan())
+	if pairs && central {
+		st.pairs = r.centralPairs()
+	}
+	// slot indexes each advertiser's site in totals, the walked device's
+	// per-advertiser consumption; nil unless an on-device walk wants pairs.
+	var slot map[events.Site]int
+	var totals []float64
+	if pairs && !central && epochs > 0 && epsG != 0 {
+		slot = make(map[events.Site]int, len(advs))
+		for i, adv := range advs {
+			slot[adv.Site] = i
+		}
+		totals = make([]float64, len(advs))
+		st.pairs = make([]float64, 0, r.Config.Dataset.PopulationDevices*len(advs))
+	}
+	r.Fleet.Range(func(d *core.Device) bool {
+		clear(totals)
 		d.RangeRequested(func(e events.Epoch, queriers []string, consumed []float64) {
 			loss := 0.0
 			for i, q := range queriers {
-				if r.Config.System == IPALike {
-					loss += r.central.Consumed(q, int64(e))
-				} else {
-					loss += consumed[i]
+				if central {
+					loss += r.Central.Consumed(q, int64(e))
+					continue
+				}
+				loss += consumed[i]
+				if j, ok := slot[events.Site(q)]; ok {
+					totals[j] += consumed[i]
 				}
 			}
-			fn(loss)
+			st.n++
+			if epsG == 0 {
+				return
+			}
+			loss /= epsG
+			sum += loss
+			if loss > st.max {
+				st.max = loss
+			}
 		})
+		if slot != nil {
+			for _, adv := range advs {
+				st.pairs = append(st.pairs, totals[slot[adv.Site]]/epochs/epsG)
+			}
+		}
 		return true
 	})
+	if slot != nil {
+		// Silent devices, which no window reached, consumed nothing.
+		silent := r.Config.Dataset.PopulationDevices - r.Fleet.Len()
+		for i := 0; i < silent*len(advs); i++ {
+			st.pairs = append(st.pairs, 0)
+		}
+	}
+	if st.n > 0 {
+		st.avg = sum / float64(st.n)
+	}
+	return st
 }
 
 // BudgetStats returns the average and maximum budget consumption across all
@@ -37,36 +99,13 @@ func (r *Run) eachRequested(fn func(loss float64)) {
 // per-querier losses, and the values are normalized by ε^G so they read as
 // "fraction of the epoch's budget spent".
 func (r *Run) BudgetStats() (avg, max float64) {
-	avg, max, _ = r.requestedStats()
-	return avg, max
-}
-
-// requestedStats is one eachRequested pass over the fleet: BudgetStats'
-// average and maximum (both 0 when ε^G is 0 or nothing was requested) and
-// RequestedDeviceEpochs' count. CanonicalDigest, which needs all three,
-// walks the fleet once.
-func (r *Run) requestedStats() (avg, max float64, n int) {
-	epsG, sum := r.Config.EpsilonG, 0.0
-	r.eachRequested(func(loss float64) {
-		n++
-		if epsG == 0 {
-			return
-		}
-		loss /= epsG
-		sum += loss
-		if loss > max {
-			max = loss
-		}
-	})
-	if n > 0 {
-		avg = sum / float64(n)
-	}
-	return avg, max, n
+	st := r.walkRequested(false)
+	return st.avg, st.max
 }
 
 // EpochSpan returns the number of epochs any query window can touch
 // (including the pre-trace epochs early attribution windows reach into).
-func (r *Run) EpochSpan() int { return int(r.lastSpanEpoch-r.firstSpanEpoch) + 1 }
+func (r *Run) EpochSpan() int { return int(r.LastSpanEpoch-r.FirstSpanEpoch) + 1 }
 
 // PopulationAvgBudget returns the average normalized budget consumption
 // over *all* device-epochs in the population (devices × reachable epochs) —
@@ -77,7 +116,7 @@ func (r *Run) PopulationAvgBudget() float64 {
 	if denom == 0 {
 		return 0
 	}
-	return r.totalConsumed / denom
+	return r.TotalConsumed / denom
 }
 
 // CumulativeAvgBudget returns, after each query in submission order, the
@@ -123,6 +162,16 @@ func (r *Run) ExecutedFraction() float64 {
 // central per-epoch average (for IPA-like), exactly as the population-wide
 // CDF requires.
 func (r *Run) PerPairAverages() []float64 {
+	if r.Config.System == IPALike {
+		return r.centralPairs()
+	}
+	return r.walkRequested(true).pairs
+}
+
+// centralPairs is PerPairAverages for an IPA-like run, read off the central
+// ledger without a fleet walk: every device carries each advertiser's
+// central per-epoch average.
+func (r *Run) centralPairs() []float64 {
 	epochs := r.EpochSpan()
 	if epochs == 0 || r.Config.EpsilonG == 0 {
 		return nil
@@ -130,30 +179,12 @@ func (r *Run) PerPairAverages() []float64 {
 	advs := r.Config.Dataset.Advertisers
 	population := r.Config.Dataset.PopulationDevices
 	out := make([]float64, 0, population*len(advs))
-
-	if r.Config.System == IPALike {
-		totals := r.centralTotals()
-		for _, adv := range advs {
-			avg := totals[adv.Site] / float64(epochs) / r.Config.EpsilonG
-			for d := 0; d < population; d++ {
-				out = append(out, avg)
-			}
+	totals := r.centralTotals()
+	for _, adv := range advs {
+		avg := totals[adv.Site] / float64(epochs) / r.Config.EpsilonG
+		for d := 0; d < population; d++ {
+			out = append(out, avg)
 		}
-		return out
-	}
-
-	// On-device: read each active device's per-querier totals once, then
-	// pad with zeros for silent devices.
-	r.fleet.Range(func(d *core.Device) bool {
-		perQuerier := d.ConsumedByQuerier()
-		for _, adv := range advs {
-			out = append(out, perQuerier[adv.Site]/float64(epochs)/r.Config.EpsilonG)
-		}
-		return true
-	})
-	silent := population - r.fleet.Len()
-	for i := 0; i < silent*len(advs); i++ {
-		out = append(out, 0)
 	}
 	return out
 }
@@ -174,7 +205,7 @@ func (r *Run) ConsumedByQuerier() map[events.Site]float64 {
 		}
 		return out
 	}
-	r.fleet.Range(func(d *core.Device) bool {
+	r.Fleet.Range(func(d *core.Device) bool {
 		for q, total := range d.ConsumedByQuerier() {
 			out[q] += total
 		}
@@ -188,8 +219,8 @@ func (r *Run) ConsumedByQuerier() map[events.Site]float64 {
 // every device in the population. Query windows lie in the run's epoch span
 // (restore refuses a slot outside it), so this is the sum over the span.
 func (r *Run) centralTotals() map[events.Site]float64 {
-	totals := make(map[events.Site]float64, r.central.NumQueriers())
-	r.central.RangeTotals(func(q string, total float64) { totals[events.Site(q)] = total })
+	totals := make(map[events.Site]float64, r.Central.NumQueriers())
+	r.Central.RangeTotals(func(q string, total float64) { totals[events.Site(q)] = total })
 	return totals
 }
 
@@ -202,7 +233,7 @@ func (r *Run) BudgetDenials() uint64 {
 		return 0
 	}
 	var n uint64
-	r.fleet.Range(func(d *core.Device) bool {
+	r.Fleet.Range(func(d *core.Device) bool {
 		n += d.BudgetDenials()
 		return true
 	})
@@ -213,17 +244,14 @@ func (r *Run) BudgetDenials() uint64 {
 // fn returns false — the inspection hook the robustness property tests use
 // to audit per-device ledgers (filter never over capacity, honest lanes
 // untouched by hostile queriers). Devices are visited in ascending ID order.
-func (r *Run) RangeDevices(fn func(d *core.Device) bool) { r.fleet.Range(fn) }
+func (r *Run) RangeDevices(fn func(d *core.Device) bool) { r.Fleet.Range(fn) }
 
 // ActiveDevices returns the number of devices some query's report window
 // touched. For on-device systems those are the devices that generated at
 // least one report; an IPA-like run generates none, and counts the devices
 // its queries' conversions came from.
-func (r *Run) ActiveDevices() int { return r.fleet.Len() }
+func (r *Run) ActiveDevices() int { return r.Fleet.Len() }
 
 // RequestedDeviceEpochs returns the number of distinct device-epochs touched
 // by at least one query.
-func (r *Run) RequestedDeviceEpochs() int {
-	_, _, n := r.requestedStats()
-	return n
-}
+func (r *Run) RequestedDeviceEpochs() int { return r.walkRequested(false).n }

@@ -59,9 +59,9 @@ func TestParallelismDeterminism(t *testing.T) {
 				cfg.Parallelism = par
 				r := execute(t, cfg)
 				resultsEqual(t, tc.name, base.Results, r.Results)
-				if r.totalConsumed != base.totalConsumed {
-					t.Fatalf("parallelism %d: totalConsumed %v != %v",
-						par, r.totalConsumed, base.totalConsumed)
+				if r.TotalConsumed != base.TotalConsumed {
+					t.Fatalf("parallelism %d: TotalConsumed %v != %v",
+						par, r.TotalConsumed, base.TotalConsumed)
 				}
 				if avg, max := r.BudgetStats(); avg != baseAvg || max != baseMax {
 					t.Fatalf("parallelism %d: budget stats (%v, %v) != (%v, %v)",

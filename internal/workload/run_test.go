@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -234,6 +235,29 @@ func TestValidation(t *testing.T) {
 	ds := smallMicro(t, 0.1, 0.1)
 	if _, err := Execute(Config{Dataset: ds, FixedEpsilon: -1}); err == nil {
 		t.Fatal("negative fixed epsilon accepted")
+	}
+	// An advertiser outside the calibration domain is an error on both front
+	// ends, whether or not FixedEpsilon bypasses the calibration formula.
+	for name, mutate := range map[string]func(*dataset.Advertiser){
+		"zero batch":            func(a *dataset.Advertiser) { a.BatchSize = 0 },
+		"negative batch":        func(a *dataset.Advertiser) { a.BatchSize = -2 },
+		"NaN max value":         func(a *dataset.Advertiser) { a.MaxValue = math.NaN() },
+		"infinite max value":    func(a *dataset.Advertiser) { a.MaxValue = math.Inf(1) },
+		"zero report value":     func(a *dataset.Advertiser) { a.AvgReportValue = 0 },
+		"infinite report value": func(a *dataset.Advertiser) { a.AvgReportValue = math.Inf(1) },
+	} {
+		bad := *ds
+		bad.Advertisers = slices.Clone(ds.Advertisers)
+		mutate(&bad.Advertisers[0])
+		for _, fixed := range []float64{0, 0.5} {
+			cfg := Config{Dataset: &bad, EpsilonG: 5, FixedEpsilon: fixed}
+			if _, err := Execute(cfg); err == nil {
+				t.Errorf("%s, fixed ε %v: Execute accepted the advertiser", name, fixed)
+			}
+			if _, err := ExecuteSource(cfg, bad.Stream()); err == nil {
+				t.Errorf("%s, fixed ε %v: ExecuteSource accepted the advertiser", name, fixed)
+			}
+		}
 	}
 }
 

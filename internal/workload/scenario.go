@@ -183,19 +183,14 @@ func (c Config) validate() error {
 	case (c.Resume || c.SnapshotEveryDays > 0) && c.CheckpointDir == "":
 		return fmt.Errorf("workload: resume/snapshot cadence without a checkpoint directory")
 	}
+	for _, adv := range c.Dataset.Advertisers {
+		if err := adv.Validate(); err != nil {
+			return fmt.Errorf("workload: %w", err)
+		}
+	}
 	return nil
 }
 
 // QueryResult records one summation query's outcome — the one result type
-// both engines fill.
+// both front ends fill.
 type QueryResult = stream.Result
-
-// queryPlan is one batch awaiting execution.
-type queryPlan struct {
-	advertiser dataset.Advertiser
-	product    string
-	batch      []events.Event // the B conversions, time-ordered
-	fireDay    int            // day the batch filled
-	seq        int            // chunk index within the stream (sort tie-break)
-	epsilon    float64
-}
