@@ -15,10 +15,11 @@
 //
 // Durability model: generation commits are fsynced before the rename and the
 // directory is fsynced after it, so a committed generation survives a machine
-// crash. WAL appends reach the file with every write but are group-fsynced
-// only at Sync points (day boundaries); a real deployment would tune that
-// cadence. Torn or bit-flipped tails are detected by per-record CRCs and
-// truncated at replay, never silently parsed.
+// crash. WAL appends are buffered and fsynced at group commits (RequestSync,
+// every so many events when the caller configures them), at snapshot
+// rotations, and at suspend or completion (Sync, Close). Torn or bit-flipped
+// tails are detected by per-record CRCs and truncated at replay, never
+// silently parsed.
 package checkpoint
 
 import (
@@ -57,8 +58,9 @@ var ErrCorrupt = errors.New("checkpoint: corrupt data")
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // WAL is an open write-ahead log. Appends are buffered in userspace and
-// reach the file at Sync (which also fsyncs), Close, or when the buffer
-// fills. Losing a buffered tail in a crash is safe by protocol: recovery
+// reach the file at Sync (which also fsyncs), RequestSync (which asks for
+// an fsync), Close, or when the buffer fills. Losing a buffered tail in a
+// crash is safe by protocol: recovery
 // re-reads exactly the events the log is missing from the source, because
 // the resume cursor counts only replayed records.
 //

@@ -67,9 +67,9 @@ func ChainFP(parentFP uint32, payload []byte) uint32 {
 	return crc32.Checksum(link[:], castagnoli)
 }
 
-// EncodeGenFrame frames one snapshot generation.
-func EncodeGenFrame(kind byte, gen uint64, parentFP, chainFP uint32, payload []byte) []byte {
-	buf := make([]byte, 0, genHeaderLen+len(payload))
+// appendGenHeader appends the genHeaderLen-byte frame header of one
+// snapshot generation; the payload follows it unchanged.
+func appendGenHeader(buf []byte, kind byte, gen uint64, parentFP, chainFP uint32, payload []byte) []byte {
 	buf = append(buf, genMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, FormatVersion)
 	buf = append(buf, kind)
@@ -77,8 +77,7 @@ func EncodeGenFrame(kind byte, gen uint64, parentFP, chainFP uint32, payload []b
 	buf = binary.LittleEndian.AppendUint32(buf, parentFP)
 	buf = binary.LittleEndian.AppendUint32(buf, chainFP)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
-	return append(buf, payload...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
 }
 
 // DecodeGenFrame validates and decodes one generation frame. Every failure
@@ -257,12 +256,14 @@ func (st *Store) WriteDelta(gen uint64, parentFP uint32, payload []byte) (uint32
 
 // writeGen stages, fsyncs, and rename-commits one generation frame through
 // the store's FS, so a crash at any instant leaves either no file under the
-// committed name or the whole frame — never a torn mix.
+// committed name or the whole frame — never a torn mix. The header and the
+// payload are written one after the other; the payload is never copied.
 func (st *Store) writeGen(kind byte, name string, gen uint64, parentFP, chainFP uint32, payload []byte) error {
 	if err := st.fs.MkdirAll(st.dir, 0o755); err != nil {
 		return fmt.Errorf("checkpoint: creating %s: %w", st.dir, err)
 	}
-	frame := EncodeGenFrame(kind, gen, parentFP, chainFP, payload)
+	var header [genHeaderLen]byte
+	appendGenHeader(header[:0], kind, gen, parentFP, chainFP, payload)
 	tmp := filepath.Join(st.dir, name+".tmp")
 	// O_RDWR, not O_WRONLY: the fault injector's bit-flip reads the byte it
 	// flips, and staged generations must be corruptible like any real file.
@@ -270,7 +271,10 @@ func (st *Store) writeGen(kind byte, name string, gen uint64, parentFP, chainFP 
 	if err != nil {
 		return fmt.Errorf("checkpoint: staging generation: %w", err)
 	}
-	_, err = f.Write(frame)
+	_, err = f.Write(header[:])
+	if err == nil {
+		_, err = f.Write(payload)
+	}
 	if err == nil {
 		err = f.Sync()
 	}

@@ -6,8 +6,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
+
+// EncodeGenFrame frames one snapshot generation in memory: the header
+// writeGen writes, then the payload. The store never builds this buffer; it
+// is the reference its files are held to.
+func EncodeGenFrame(kind byte, gen uint64, parentFP, chainFP uint32, payload []byte) []byte {
+	return append(appendGenHeader(nil, kind, gen, parentFP, chainFP, payload), payload...)
+}
 
 // chainPayloads extracts the payloads of a loaded chain as strings.
 func chainPayloads(c *Chain) []string {
@@ -39,6 +47,84 @@ func TestGenFrameRoundtrip(t *testing.T) {
 	}
 	if g.Kind != GenKindDelta || g.Gen != 8 || g.ParentFP != baseFP || g.ChainFP != deltaFP {
 		t.Fatalf("delta frame roundtrip: %+v", g)
+	}
+}
+
+// TestStoreWritesEncodedFrames holds the files the store writes — header and
+// payload written one after the other — to the in-memory frame, byte for
+// byte, for every kind of generation.
+func TestStoreWritesEncodedFrames(t *testing.T) {
+	dir := t.TempDir()
+	st := NewStore(dir, nil)
+	base, delta, compacted := []byte("base payload"), []byte("delta payload"), []byte{}
+	baseFP, err := st.WriteBase(1, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltaFP, err := st.WriteDelta(2, baseFP, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteBaseLinked(2, deltaFP, compacted); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string][]byte{
+		"base-00000001.ckpt":  EncodeGenFrame(GenKindBase, 1, 0, baseFP, base),
+		"delta-00000002.ckpt": EncodeGenFrame(GenKindDelta, 2, baseFP, deltaFP, delta),
+		"base-00000002.ckpt":  EncodeGenFrame(GenKindBase, 2, 0, deltaFP, compacted),
+	} {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s:\n got %x\nwant %x", name, got, want)
+		}
+	}
+}
+
+// TestShortPayloadWriteCommitsNothing lands an injected short write on the
+// payload write, the second of a generation's two: no generation is
+// committed, nothing staged is left behind, and LoadChain falls back to the
+// intact base below it.
+func TestShortPayloadWriteCommitsNothing(t *testing.T) {
+	// The fault rolls once per Write: pick the seed whose first roll (the
+	// header) misses and whose second (the payload) hits.
+	seed := uint64(0)
+	for probe := NewFaultFS(nil, FaultSpec{ShortWrite: 0.5}); ; seed++ {
+		probe.rng = seed
+		if !probe.hit(0.5) && probe.hit(0.5) {
+			break
+		}
+	}
+	dir := t.TempDir()
+	fp, err := NewStore(dir, nil).WriteBase(1, []byte("intact base"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ffs := NewFaultFS(nil, FaultSpec{Seed: seed, ShortWrite: 0.5, MaxFaults: 1})
+	payload := []byte("a payload that is not 41 bytes long")
+	_, err = NewStore(dir, ffs).WriteDelta(2, fp, payload)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("of %d bytes", len(payload))) {
+		t.Fatalf("WriteDelta: err = %v, want a short write of the %d-byte payload", err, len(payload))
+	}
+	if ffs.Injected() != 1 {
+		t.Fatalf("injected %d faults, want 1", ffs.Injected())
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "base-00000001.ckpt" {
+		t.Fatalf("directory after the failed write: %v", entries)
+	}
+	chain, fallbacks, err := NewStore(dir, nil).LoadChain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chain == nil || fallbacks != 0 || chain.Gen != 1 || chain.Deltas != 0 ||
+		string(chain.Payloads[0]) != "intact base" {
+		t.Fatalf("chain %+v, %d fallbacks; want the intact base alone", chain, fallbacks)
 	}
 }
 

@@ -41,11 +41,11 @@ type Database struct {
 	col    *colStore               // frozen form; nil when mutable
 	intern intern
 	nextID EventID
-	// dirty, when tracking is enabled, holds every (device, epoch) record
-	// touched since the last DrainDirty — the incremental checkpointer's
-	// record-level dirty set. nil when tracking is off, so the streaming
-	// ingest path pays nothing by default.
-	dirty map[DeviceEpochKey]struct{}
+	// trackDirty makes Record list each touched record's device on its
+	// epoch segment until DrainDirty collects it — the incremental
+	// checkpointer's record-level dirty set. Off by default, so the
+	// streaming ingest path pays nothing unless a delta can be captured.
+	trackDirty bool
 }
 
 // DeviceEpochKey identifies one device-epoch record in the dirty set.
@@ -63,30 +63,50 @@ func (k DeviceEpochKey) Compare(o DeviceEpochKey) int {
 	return cmp.Compare(k.Epoch, o.Epoch)
 }
 
-// TrackDirty enables record-level dirty tracking: from now on every Record
-// marks its (device, epoch) key until DrainDirty collects it.
-// Only meaningful on the mutable store.
-func (db *Database) TrackDirty() {
-	if db.dirty == nil {
-		db.dirty = make(map[DeviceEpochKey]struct{})
+// TrackDirty arms (on) or disarms record-level dirty tracking and empties
+// the set either way: while armed, every Record marks its (device, epoch)
+// key until DrainDirty collects it. Only meaningful on the mutable store.
+func (db *Database) TrackDirty(on bool) {
+	db.trackDirty = on
+	for _, seg := range db.epochs {
+		seg.dirty = nil
 	}
 }
 
 // DrainDirty returns the keys dirtied since the last drain, sorted by
-// (device, epoch) for deterministic serialization, and resets the set.
-// Records evicted since they were dirtied are already pruned (EvictBefore
-// maintains the set), so every returned key is live.
+// (device, epoch) for deterministic serialization, and resets the set: each
+// dirty segment's devices are sorted and deduplicated, then the segments —
+// in epoch order, rarely more than the two a snapshot cadence spans — are
+// merged by device. An evicted segment took its list with it, so every
+// returned key is live.
 func (db *Database) DrainDirty() []DeviceEpochKey {
-	if len(db.dirty) == 0 {
-		return nil
+	var epochs []Epoch
+	for e, seg := range db.epochs {
+		if len(seg.dirty) > 0 {
+			epochs = append(epochs, e)
+		}
 	}
-	keys := make([]DeviceEpochKey, 0, len(db.dirty))
-	for k := range db.dirty {
-		keys = append(keys, k)
+	slices.Sort(epochs)
+	lists := make([][]DeviceID, len(epochs))
+	for i, e := range epochs {
+		seg := db.epochs[e]
+		slices.Sort(seg.dirty)
+		lists[i], seg.dirty = slices.Compact(seg.dirty), nil
 	}
-	clear(db.dirty)
-	slices.SortFunc(keys, DeviceEpochKey.Compare)
-	return keys
+	var keys []DeviceEpochKey
+	for {
+		win := -1
+		for i, l := range lists {
+			if len(l) > 0 && (win < 0 || l[0] < lists[win][0]) {
+				win = i // ties go to the earlier epoch
+			}
+		}
+		if win < 0 {
+			return keys
+		}
+		keys = append(keys, DeviceEpochKey{lists[win][0], epochs[win]})
+		lists[win] = lists[win][1:]
+	}
 }
 
 // epochSegment holds one epoch's device records — the retention unit: the
@@ -95,6 +115,9 @@ func (db *Database) DrainDirty() []DeviceEpochKey {
 // its own.
 type epochSegment struct {
 	byDevice map[DeviceID]record
+	// dirty lists, while tracking is armed, the device of every Record into
+	// this segment since the last DrainDirty, repeats included.
+	dirty []DeviceID
 }
 
 // record is one mutable device-epoch record: events in (Day, ID) order with
@@ -129,8 +152,8 @@ func (db *Database) Record(epoch Epoch, ev Event) {
 	rec := seg.byDevice[ev.Device]
 	rec.insert(ev, &db.intern)
 	seg.byDevice[ev.Device] = rec
-	if db.dirty != nil {
-		db.dirty[DeviceEpochKey{ev.Device, epoch}] = struct{}{}
+	if db.trackDirty {
+		seg.dirty = append(seg.dirty, ev.Device)
 	}
 }
 
@@ -178,11 +201,6 @@ func (db *Database) EvictBefore(first Epoch) int {
 		if e < first {
 			removed += len(seg.byDevice)
 			delete(db.epochs, e)
-		}
-	}
-	for k := range db.dirty {
-		if k.Epoch < first {
-			delete(db.dirty, k)
 		}
 	}
 	return removed

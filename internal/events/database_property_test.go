@@ -288,6 +288,112 @@ func TestStorePropertyVsReference(t *testing.T) {
 	}
 }
 
+// dirtyModel is the record-level dirty set as one map of keys — swept by
+// eviction and dumped through a comparator sort on drain — kept as the
+// executable specification of the per-epoch dirty lists.
+type dirtyModel struct {
+	on  bool
+	set map[DeviceEpochKey]struct{}
+}
+
+func (m *dirtyModel) track(on bool) { m.on, m.set = on, make(map[DeviceEpochKey]struct{}) }
+
+func (m *dirtyModel) record(d DeviceID, e Epoch) {
+	if m.on {
+		m.set[DeviceEpochKey{d, e}] = struct{}{}
+	}
+}
+
+func (m *dirtyModel) evictBefore(first Epoch) {
+	for k := range m.set {
+		if k.Epoch < first {
+			delete(m.set, k)
+		}
+	}
+}
+
+func (m *dirtyModel) drain() []DeviceEpochKey {
+	if len(m.set) == 0 {
+		return nil
+	}
+	keys := make([]DeviceEpochKey, 0, len(m.set))
+	for k := range m.set {
+		keys = append(keys, k)
+	}
+	clear(m.set)
+	slices.SortFunc(keys, DeviceEpochKey.Compare)
+	return keys
+}
+
+// TestDrainDirtyMatchesMapModel drives random interleavings of in-order and
+// out-of-order Records over five epochs, re-records of keys already written,
+// EvictBefore, arming and disarming, and DrainDirty against the map model.
+// Every drain must equal the model's exactly, strictly ascending by
+// (device, epoch) and naming only live records.
+func TestDrainDirtyMatchesMapModel(t *testing.T) {
+	const epochDays, days = 7, 35
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		db := NewDatabase()
+		model := &dirtyModel{}
+		db.TrackDirty(true)
+		model.track(true)
+		var written []Event
+		var nextID EventID
+		clock, drains := 0, 0
+		record := func(ev Event) {
+			nextID++
+			ev.ID = nextID
+			e := EpochOfDay(ev.Day, epochDays)
+			db.Record(e, ev)
+			model.record(ev.Device, e)
+			written = append(written, ev)
+		}
+		for op := 0; op < 600; op++ {
+			switch r := rng.Intn(100); {
+			case r < 45: // in order: today, or the clock moves on first
+				if rng.Intn(8) == 0 && clock < days-1 {
+					clock++
+				}
+				record(Event{Device: DeviceID(rng.Intn(6)), Day: clock})
+			case r < 65: // out of order: an earlier day, any device
+				record(Event{Device: DeviceID(rng.Intn(6)), Day: rng.Intn(clock + 1)})
+			case r < 80: // re-record a key already written
+				if len(written) > 0 {
+					record(written[rng.Intn(len(written))])
+				}
+			case r < 85:
+				floor := Epoch(rng.Intn(days/epochDays + 1))
+				db.EvictBefore(floor)
+				model.evictBefore(floor)
+			case r < 87:
+				on := rng.Intn(3) != 0
+				db.TrackDirty(on)
+				model.track(on)
+			default:
+				got, want := db.DrainDirty(), model.drain()
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d op %d: DrainDirty = %v, model %v", seed, op, got, want)
+				}
+				for i, k := range got {
+					if i > 0 && got[i-1].Compare(k) >= 0 {
+						t.Fatalf("seed %d op %d: keys not strictly ascending at %v", seed, op, k)
+					}
+					if db.EpochEvents(k.Device, k.Epoch) == nil {
+						t.Fatalf("seed %d op %d: drained key %v is not live", seed, op, k)
+					}
+				}
+				if len(got) > 0 {
+					drains++
+				}
+			}
+		}
+		if drains == 0 {
+			t.Fatalf("seed %d: no non-empty drain", seed)
+		}
+	}
+}
+
 // conversionsOf lists db's conversions by device, then epoch, then event
 // order, read through the store's public per-device surfaces.
 func conversionsOf(db *Database) []Event {

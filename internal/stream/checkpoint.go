@@ -457,9 +457,7 @@ func ResumeFrom(cfg Config, dir string) (*Service, error) {
 
 	// Dirty tracking goes live before replay: the mutations replay makes
 	// are exactly what the first post-recovery delta must capture.
-	if s.cfg.CheckpointDir != "" {
-		s.resetDirtyTracking()
-	}
+	s.resetDirtyTracking()
 
 	// Replay the retained WAL segments through the normal ingest path.
 	// Records at sequence numbers the snapshot already covers (segments

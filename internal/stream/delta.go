@@ -15,8 +15,9 @@ import (
 
 // Snapshot payloads and their fold (DESIGN.md §8). A cadence tick does not
 // serialize the whole service: the service tracks which state changed since
-// the previous capture — device ledgers by mutation version, event-store
-// records and planner streams by dirty set, results by high-water mark — and
+// the previous capture — device ledgers by mutation version over the devices
+// flushed batches touched, event-store records by per-epoch dirty list,
+// planner streams by dirty set, results by high-water mark — and
 // captures only that, chained to its parent generation by fingerprint. A
 // full snapshot is the same encoder with everything dirty.
 //
@@ -74,12 +75,15 @@ func appendHead(buf []byte, head *snapHead) ([]byte, error) {
 // resetDirtyTracking arms the dirty trackers with the current state as the
 // baseline: the next delta capture reports exactly what changes after this
 // call. On a resume it must run after restore() and before WAL replay, so
-// replay-era mutations land in the first post-recovery delta.
+// replay-era mutations land in the first post-recovery delta. Without a
+// snapshot cadence no delta is ever captured, so nothing is armed.
 func (s *Service) resetDirtyTracking() {
-	s.db.TrackDirty()
-	s.db.DrainDirty()
+	if s.cfg.SnapshotEveryDays == 0 {
+		return
+	}
+	s.db.TrackDirty(true)
 	s.plan.trackDirty()
-	s.ledgerVers = make(map[events.DeviceID]uint64)
+	s.touched, s.ledgerVers = nil, make(map[events.DeviceID]uint64)
 	s.fleet.Range(func(d *core.Device) bool {
 		s.ledgerVers[d.ID()] = d.LedgerVersion()
 		return true
@@ -87,14 +91,40 @@ func (s *Service) resetDirtyTracking() {
 	s.resultsMark = len(s.run.Results)
 }
 
+// dropDirtyTracking disarms the trackers once no delta can follow (after
+// the final base), so a finished service holds no dirty state.
+func (s *Service) dropDirtyTracking() {
+	s.db.TrackDirty(false)
+	s.plan.dirty = nil
+	s.touched, s.ledgerVers = nil, nil
+}
+
+// rangeTouched calls fn, in ID order, for every device a batch flushed
+// since the last capture touched — only a flushed request creates, marks or
+// charges a device — whose ledger version moved since then or that is new,
+// and empties the list. Unlike Fleet.Range it never stops early.
+func (s *Service) rangeTouched(fn func(*core.Device) bool) {
+	slices.Sort(s.touched)
+	for _, id := range slices.Compact(s.touched) {
+		d := s.fleet.Get(id)
+		v := d.LedgerVersion()
+		if last, ok := s.ledgerVers[id]; !ok || last != v {
+			s.ledgerVers[id] = v
+			fn(d)
+		}
+	}
+	s.touched = s.touched[:0]
+}
+
 // capture encodes one snapshot payload. A full capture (delta false) holds
 // the complete service state; a delta holds what changed since the previous
 // capture and advances the dirty baselines. Scalars, the central ledger,
 // and the replay-protection set are captured whole either way — they are
-// small and change every day. Every producer already runs in key order, so
-// entries are encoded straight into the one buffer the caller hands to the
-// store or the background writer; the service keeps no reference to it.
-// Caller guarantees quiescence.
+// small and change every day. Every producer (Fleet.Range or rangeTouched,
+// Keys or DrainDirty) yields keys in order, so entries are encoded straight
+// into the one buffer the caller hands to the store or the background
+// writer, and a delta costs what changed, not the population. The service
+// keeps no reference to the buffer. Caller guarantees quiescence.
 func (s *Service) capture(delta bool) ([]byte, error) {
 	head := s.scalarSnap()
 
@@ -127,17 +157,14 @@ func (s *Service) capture(delta bool) ([]byte, error) {
 
 	// Fleet: every created device (even ones with no initialized slots —
 	// device existence is itself state) with its ledger rows and requested
-	// marks; a delta keeps those whose ledger mutated since the last
-	// capture, or are new.
+	// marks; a delta keeps the touched devices whose ledger mutated since the
+	// last capture, or are new.
+	devices := s.fleet.Range
+	if delta {
+		devices = s.rangeTouched
+	}
 	buf, sec := openLen(buf)
-	s.fleet.Range(func(d *core.Device) bool {
-		if delta {
-			v := d.LedgerVersion()
-			if last, ok := s.ledgerVers[d.ID()]; ok && last == v {
-				return true
-			}
-			s.ledgerVers[d.ID()] = v
-		}
+	devices(func(d *core.Device) bool {
 		var mark int
 		buf, mark = openEntry(buf, DevEpoch{Device: d.ID()})
 		buf = appendDevice(buf, d)

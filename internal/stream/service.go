@@ -404,9 +404,11 @@ type Service struct {
 	gcEvents int
 	gcBytes  int
 	// Dirty-state baselines for delta capture (delta.go): per-device
-	// ledger versions (requested marks move them too) and the results
-	// high-water mark since the previous capture.
+	// ledger versions (requested marks move them too), the devices of every
+	// batch flushed since the previous capture (repeats included), and the
+	// results high-water mark. nil ledgerVers means tracking is disarmed.
 	ledgerVers  map[events.DeviceID]uint64
+	touched     []events.DeviceID
 	resultsMark int
 	// captureHint pre-sizes the next capture's buffer from the last one's.
 	captureHint int
@@ -534,6 +536,7 @@ func (s *Service) Serve() (run *Run, err error) {
 			}
 		}
 	}
+	s.dropDirtyTracking()
 	return s.run, nil
 }
 
@@ -776,6 +779,13 @@ func (s *Service) ingest(ev events.Event) {
 func (s *Service) endOfDay(nextDay int) error {
 	if err := s.fault(PointDayEnd); err != nil {
 		return err
+	}
+	if s.ledgerVers != nil { // the flush's devices are the next delta's candidates
+		for _, q := range s.due {
+			for _, conv := range q.batch {
+				s.touched = append(s.touched, conv.Device)
+			}
+		}
 	}
 	if err := s.flushDue(s.released); err != nil {
 		return err

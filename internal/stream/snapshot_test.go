@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -233,6 +234,64 @@ func TestFoldMatchesSnapshotAtEveryTick(t *testing.T) {
 	if compared < 10 || run.EvictedRecords == 0 || run.EventsDropped == 0 || run.Durability.BaseCompactions < 3 {
 		t.Fatalf("run exercises too little: %d ticks compared, %d evicted, %d dropped, %d compactions",
 			compared, run.EvictedRecords, run.EventsDropped, run.Durability.BaseCompactions)
+	}
+}
+
+// TestDirtyTrackingArmedOnlyForDeltas pins when the delta trackers hold
+// state: never on a WAL-only service (no snapshot cadence, so nothing would
+// drain them) — fresh, crashed mid-run, or resumed from that crash — and on a
+// service with a cadence only until its final base, after which no delta can
+// follow.
+func TestDirtyTrackingArmedOnlyForDeltas(t *testing.T) {
+	meta, evs := hostileTrace(t, 11)
+	errCrash := errors.New("crash")
+	config := func(dir string, every, crashAt int) Config {
+		ingested := 0
+		return Config{
+			Source: &fakeSource{meta: meta, evs: evs}, EpsilonG: 2, Seed: 5, LatePolicy: LateDrop,
+			CheckpointDir: dir, SnapshotEveryDays: every, GroupCommitEvents: 64,
+			FaultHook: func(p FaultPoint) error {
+				if p == PointEventIngested {
+					if ingested++; ingested == crashAt {
+						return errCrash
+					}
+				}
+				return nil
+			},
+		}
+	}
+	tracking := func(s *Service) bool {
+		return s.ledgerVers != nil || s.touched != nil || s.plan.dirty != nil || s.db.DrainDirty() != nil
+	}
+	for _, every := range []int{0, 5} {
+		dir := t.TempDir()
+		svc, err := New(config(dir, every, len(evs)/2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.Serve(); !errors.Is(err, errCrash) {
+			t.Fatalf("cadence %d: crash run: %v", every, err)
+		}
+		if got, want := tracking(svc), every > 0; got != want {
+			t.Errorf("cadence %d: tracking at the crash = %v, want %v", every, got, want)
+		}
+		resumed, err := ResumeFrom(config(dir, every, 0), dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := tracking(resumed), every > 0; got != want {
+			t.Errorf("cadence %d: tracking after recovery = %v, want %v", every, got, want)
+		}
+		run, err := resumed.Serve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tracking(resumed) {
+			t.Errorf("cadence %d: finished service still holds dirty state", every)
+		}
+		if every > 0 && run.Durability.SnapshotCaptures == 0 {
+			t.Errorf("cadence %d: run captured no delta", every)
+		}
 	}
 }
 
