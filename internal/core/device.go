@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/events"
@@ -8,11 +9,15 @@ import (
 )
 
 // Device is the on-device Cookie Monster engine for a single device d: it
-// owns the device's view of the events database, the flat privacy-budget
-// ledger — one consumed-ε slot per (querier, epoch), each with capacity
-// ε^G_d — and the report generation algorithm of Listing 1. All methods are
-// safe for concurrent use; a report's whole budget check-and-consume
-// sequence runs under a single ledger lock acquisition.
+// owns the flat privacy-budget ledger — one consumed-ε slot per (querier,
+// epoch), each with capacity ε^G_d — and runs the report generation
+// algorithm of Listing 1 over the events database it was bound to at
+// construction. The binding is a read-only view the device does not own: a
+// fleet's ReleaseStore drops it once generation is over, leaving the ledger
+// as the device's whole state; a released device still answers every ledger
+// read, and its generate methods panic. All methods are safe for concurrent
+// use; a report's whole budget check-and-consume sequence runs under a
+// single ledger lock acquisition.
 type Device struct {
 	id       events.DeviceID
 	db       *events.Database
@@ -21,9 +26,11 @@ type Device struct {
 	ledger   *privacy.Ledger
 }
 
-// NewDevice returns a device engine with per-epoch, per-querier budget
-// capacity epsG, charging losses according to policy (CookieMonsterPolicy
-// for the real system, ARALikePolicy for the baseline).
+// NewDevice returns a device engine bound to db, with per-epoch, per-querier
+// budget capacity epsG, charging losses according to policy
+// (CookieMonsterPolicy for the real system, ARALikePolicy for the baseline).
+// The device reads db for every report it generates and stays bound to it
+// until the fleet holding it calls ReleaseStore.
 func NewDevice(id events.DeviceID, db *events.Database, epsG float64, policy LossPolicy) *Device {
 	if db == nil {
 		panic("core: nil database")
@@ -133,6 +140,15 @@ func (d *Device) GenerateReport(req *Request) (*Report, *Diagnostics, error) {
 	return rep, diag, nil
 }
 
+// store returns the events database the device reads, panicking with the
+// release named once the device's fleet let go of it.
+func (d *Device) store() *events.Database {
+	if d.db == nil {
+		panic(fmt.Sprintf("core: report generation on device %d after its event store was released (Fleet.ReleaseStore)", d.id))
+	}
+	return d.db
+}
+
 // generate is the shared implementation of Listing 1, reusing s's buffers:
 // only the *Report (and its histogram) are freshly allocated; see Scratch for
 // the reuse contract. It returns the fold-ready ReportStats; when diag is
@@ -145,6 +161,7 @@ func (d *Device) GenerateReport(req *Request) (*Report, *Diagnostics, error) {
 // draw differing, so the two paths produce bit-identical reports and stats
 // by construction.
 func (d *Device) generate(req *Request, s *Scratch, diag *Diagnostics) (*Report, ReportStats, error) {
+	db := d.store()
 	if err := req.Validate(); err != nil {
 		return nil, ReportStats{}, err
 	}
@@ -153,7 +170,7 @@ func (d *Device) generate(req *Request, s *Scratch, diag *Diagnostics) (*Report,
 
 	// Step 1: select relevant events from every window epoch (the shared
 	// truth computation — see window.go), into the reused workspace.
-	selectWindow(d.db, d.id, req, s)
+	selectWindow(db, d.id, req, s)
 
 	// Step 2: per-epoch individual privacy loss.
 	d.lossPass(req, s)

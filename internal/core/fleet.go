@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -14,6 +15,10 @@ import (
 // registry is built for concurrent access — devices hash onto a power-of-two
 // number of lock-striped shards, and GetOrCreate takes only the owning
 // shard's lock (read-locked on the fast path).
+//
+// A fleet has two phases. While it generates reports its devices read the
+// event store the factory bound them to; ReleaseStore ends that phase, and
+// the fleet that remains is budget state only.
 type Fleet struct {
 	shards []fleetShard
 	mask   uint64
@@ -64,7 +69,9 @@ func (f *Fleet) shard(id events.DeviceID) *fleetShard {
 }
 
 // GetOrCreate returns the device engine for id, creating it on first use.
-// Safe for concurrent use; exactly one device is ever created per ID.
+// Safe for concurrent use; exactly one device is ever created per ID. After
+// ReleaseStore it still returns existing devices, and panics for an ID it
+// would have to create.
 func (f *Fleet) GetOrCreate(id events.DeviceID) *Device {
 	s := f.shard(id)
 	s.mu.RLock()
@@ -76,6 +83,9 @@ func (f *Fleet) GetOrCreate(id events.DeviceID) *Device {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if d = s.devices[id]; d == nil {
+		if f.spawn == nil {
+			panic(fmt.Sprintf("core: GetOrCreate(%d) on a fleet whose event store was released (Fleet.ReleaseStore)", id))
+		}
 		d = f.spawn(id)
 		s.devices[id] = d
 	}
@@ -129,4 +139,25 @@ func (f *Fleet) Range(fn func(*Device) bool) {
 			}
 		}
 	}
+}
+
+// ReleaseStore ends the fleet's generation phase: every device lets go of
+// the event store it was bound to, and the factory — whose closure binds the
+// same store — is dropped. What remains is what Listing 1 keeps once the
+// measurement is done, the per-(querier, epoch) filters, so a finished run
+// holding the fleet no longer pins the events its reports were computed
+// from. Get, Range, Len, Devices and every ledger read work as before;
+// GetOrCreate of an unseen ID and either generate method of a released
+// device panic. ReleaseStore must not run concurrently with report
+// generation or device creation. Releasing twice is a no-op.
+func (f *Fleet) ReleaseStore() {
+	for i := range f.shards {
+		s := &f.shards[i]
+		s.mu.Lock()
+		for _, d := range s.devices {
+			d.db = nil
+		}
+		s.mu.Unlock()
+	}
+	f.spawn = nil
 }

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -156,5 +160,137 @@ func TestFleetConcurrentReportsAndReads(t *testing.T) {
 	})
 	if total <= 0 {
 		t.Fatal("no budget consumed across the fleet")
+	}
+}
+
+// deviceReads is everything a finished run reads off one device.
+type deviceReads struct {
+	requested []string
+	totals    map[events.Site]float64
+	denials   uint64
+	version   uint64
+}
+
+// fleetReads collects every device's ledger reads, in Range order, checking
+// that Get returns the device Range visited.
+func fleetReads(t *testing.T, f *Fleet) map[events.DeviceID]deviceReads {
+	t.Helper()
+	out := make(map[events.DeviceID]deviceReads)
+	f.Range(func(d *Device) bool {
+		if f.Get(d.ID()) != d {
+			t.Fatalf("Get(%d) is not the device Range visited", d.ID())
+		}
+		var r deviceReads
+		d.RangeRequested(func(e events.Epoch, queriers []string, consumed []float64) {
+			r.requested = append(r.requested, fmt.Sprint(e, queriers, consumed))
+		})
+		r.totals = d.ConsumedByQuerier()
+		r.denials = d.BudgetDenials()
+		r.version = d.LedgerVersion()
+		out[d.ID()] = r
+		return true
+	})
+	return out
+}
+
+// mustPanicWithRelease runs fn and requires a panic whose message names the
+// release, not a nil dereference inside the events package.
+func mustPanicWithRelease(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Errorf("%s on a released fleet did not panic", what)
+			return
+		}
+		if _, ok := r.(runtime.Error); ok {
+			t.Errorf("%s panicked with a runtime error: %v", what, r)
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "ReleaseStore") {
+			t.Errorf("%s panicked with %q, which does not name the release", what, msg)
+		}
+	}()
+	fn()
+}
+
+// TestReleasedFleet pins ReleaseStore's contract: every read a finished run
+// makes — Get, Range, Len, Devices and the ledger reads — answers exactly
+// what it answered before the release, while creating a device or
+// generating a report panics with a message that names the release.
+func TestReleasedFleet(t *testing.T) {
+	const site = events.Site("nike.example")
+	evs := make([]events.Event, 64)
+	for i := range evs {
+		evs[i] = events.Event{
+			ID: events.EventID(i + 1), Kind: events.KindImpression,
+			Device: events.DeviceID(i % 8), Day: 1 + i%20,
+			Advertiser: site, Campaign: "product-0",
+		}
+	}
+	db := events.NewFrozen(7, evs)
+	// A capacity small enough that repeated reports on a device run into it.
+	f := NewFleet(4, func(id events.DeviceID) *Device {
+		return NewDevice(id, db, 0.025, CookieMonsterPolicy{})
+	})
+	req := func(first, last events.Epoch) *Request {
+		return &Request{
+			Querier:    site,
+			FirstEpoch: first, LastEpoch: last,
+			Selector:          events.ProductSelector{Advertiser: site, Product: "product-0"},
+			Function:          attribution.ScalarValue{Value: 1},
+			Epsilon:           0.01,
+			ReportSensitivity: 1,
+			QuerySensitivity:  1,
+			PNorm:             1,
+		}
+	}
+	var ms MultiScratch
+	for dev := events.DeviceID(0); dev < 8; dev++ {
+		d := f.GetOrCreate(dev)
+		d.MarkRequested(site, 0, 3)
+		for i := 0; i < 3; i++ {
+			if _, _, err := d.GenerateReport(req(0, 3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reqs := []*Request{req(1, 2), req(0, 1)}
+		if _, err := d.GenerateReportBatch(reqs, &ms, make([]*Report, 2), make([]ReportStats, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := fleetReads(t, f)
+	ids, n := f.Devices(), f.Len()
+	denials := uint64(0)
+	for _, r := range before {
+		denials += r.denials
+	}
+	if denials == 0 {
+		t.Fatal("no charge was denied: the denial read is not exercised")
+	}
+
+	f.ReleaseStore()
+	f.ReleaseStore() // idempotent
+
+	if got := fleetReads(t, f); !reflect.DeepEqual(got, before) {
+		t.Fatalf("reads changed across the release:\nbefore %v\nafter  %v", before, got)
+	}
+	if got := f.Devices(); !reflect.DeepEqual(got, ids) || f.Len() != n {
+		t.Fatalf("released fleet lists %v (Len %d), want %v (Len %d)", got, f.Len(), ids, n)
+	}
+	d := f.GetOrCreate(3)
+	if d != f.Get(3) {
+		t.Fatal("GetOrCreate of a known ID did not return its device")
+	}
+
+	mustPanicWithRelease(t, "GetOrCreate of an unseen ID", func() { f.GetOrCreate(99) })
+	if f.Get(99) != nil || f.Len() != n {
+		t.Fatal("the refused GetOrCreate left a device behind")
+	}
+	mustPanicWithRelease(t, "GenerateReport", func() { d.GenerateReport(req(0, 3)) })
+	mustPanicWithRelease(t, "GenerateReportBatch", func() {
+		d.GenerateReportBatch([]*Request{req(0, 3), req(1, 2)}, &ms, make([]*Report, 2), make([]ReportStats, 2))
+	})
+	if got := fleetReads(t, f); !reflect.DeepEqual(got, before) {
+		t.Fatal("a refused generate call changed the ledger")
 	}
 }

@@ -65,6 +65,7 @@ func (ms *MultiScratch) grow(n int) {
 // selected, charged, or written. On success it returns (-1, nil).
 func (d *Device) GenerateReportBatch(reqs []*Request, ms *MultiScratch,
 	reports []*Report, stats []ReportStats) (int, error) {
+	db := d.store()
 	for j, req := range reqs {
 		if err := req.Validate(); err != nil {
 			return j, err
@@ -91,7 +92,7 @@ func (d *Device) GenerateReportBatch(reqs []*Request, ms *MultiScratch,
 	// uses the compiled single-matcher scan where it can).
 	compiled := true
 	for j, req := range reqs {
-		m, ok := d.db.Compile(req.Selector)
+		m, ok := db.Compile(req.Selector)
 		if !ok {
 			compiled = false
 			break
@@ -104,12 +105,12 @@ func (d *Device) GenerateReportBatch(reqs []*Request, ms *MultiScratch,
 		ln.Out = s.truthful
 	}
 	if compiled {
-		ms.scan.ScanWindow(d.db, d.id, ms.lanes)
+		ms.scan.ScanWindow(db, d.id, ms.lanes)
 	} else {
 		for j, req := range reqs {
 			s := &ms.ss[j]
 			s.grow(req.WindowSize())
-			selectWindow(d.db, d.id, req, s)
+			selectWindow(db, d.id, req, s)
 		}
 	}
 

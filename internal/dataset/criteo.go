@@ -112,12 +112,17 @@ func Criteo(cfg CriteoConfig) (*Dataset, error) {
 	var nextID events.EventID
 	newID := func() events.EventID { nextID++; return nextID }
 
-	advSite := func(a int) events.Site {
-		return events.Site(fmt.Sprintf("advertiser-%03d.example", a))
+	// Names are made once, before any event: every event of an advertiser
+	// (or product) shares one string, so a trace of millions of events
+	// holds a few hundred names, not one allocation per event.
+	sites := make([]events.Site, cfg.Advertisers+1)
+	for a := 1; a <= cfg.Advertisers; a++ {
+		sites[a] = events.Site(fmt.Sprintf("advertiser-%03d.example", a))
 	}
 	// Each advertiser sells a handful of products keyed like the paper's
 	// "product-category-3" attribute.
 	const productsPerAdvertiser = 3
+	products := productKeys(productsPerAdvertiser)
 
 	// Per-advertiser impression density: log-normal spread around the
 	// configured median.
@@ -133,13 +138,13 @@ func Criteo(cfg CriteoConfig) (*Dataset, error) {
 		perAdvertiser[a]++
 		dev := events.DeviceID(rng.Intn(cfg.Users) + 1)
 		day := rng.Intn(cfg.DurationDays)
-		product := productKey(rng.Intn(productsPerAdvertiser))
+		product := products[rng.Intn(productsPerAdvertiser)]
 		ds.Events = append(ds.Events, events.Event{
 			ID:         newID(),
 			Kind:       events.KindConversion,
 			Device:     dev,
 			Day:        day,
-			Advertiser: advSite(a),
+			Advertiser: sites[a],
 			Product:    product,
 			Value:      float64(1 + rng.Intn(cfg.MaxValue)),
 		})
@@ -162,17 +167,13 @@ func Criteo(cfg CriteoConfig) (*Dataset, error) {
 				Device:     dev,
 				Day:        impDay,
 				Publisher:  "criteo-publisher.example",
-				Advertiser: advSite(a),
+				Advertiser: sites[a],
 				Campaign:   product,
 			})
 		}
 	}
 
 	avgValue := float64(1+cfg.MaxValue) / 2
-	products := make([]string, productsPerAdvertiser)
-	for p := range products {
-		products[p] = productKey(p)
-	}
 	for a := 1; a <= cfg.Advertisers; a++ {
 		if perAdvertiser[a] < cfg.MinBatch {
 			continue // not queryable: below the 350-report minimum
@@ -185,7 +186,7 @@ func Criteo(cfg CriteoConfig) (*Dataset, error) {
 			cTilde = avgValue / float64(cfg.MinBatch)
 		}
 		ds.Advertisers = append(ds.Advertisers, Advertiser{
-			Site:           advSite(a),
+			Site:           sites[a],
 			Products:       products,
 			MaxValue:       float64(cfg.MaxValue),
 			AvgReportValue: cTilde,

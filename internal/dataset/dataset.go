@@ -125,9 +125,17 @@ func (d *Dataset) String() string {
 		d.Name, d.PopulationDevices, d.DurationDays, d.Impressions(), d.Conversions(), len(d.Advertisers))
 }
 
-// productKey names product p of an advertiser; campaigns reuse the key so
-// the per-product selectors match.
-func productKey(p int) string { return fmt.Sprintf("product-%d", p) }
+// productKeys names an advertiser's products 0..n-1; campaigns reuse the
+// keys so the per-product selectors match. Generators build the table once
+// and index it per event, so every event of a product shares one string; the
+// same table is the advertiser's Products list.
+func productKeys(n int) []string {
+	keys := make([]string, n)
+	for p := range keys {
+		keys[p] = fmt.Sprintf("product-%d", p)
+	}
+	return keys
+}
 
 // attributionRate measures the fraction of conversions that have at least
 // one relevant impression (same device, same product key) within windowDays

@@ -113,8 +113,9 @@ func Micro(cfg MicroConfig) (*Dataset, error) {
 	converted := make(map[events.DeviceID]bool)
 
 	const site = events.Site("nike.example")
+	products := productKeys(cfg.Products)
 	for batch := 0; batch < totalBatches; batch++ {
-		product := productKey(batch % cfg.Products)
+		product := products[batch%cfg.Products]
 		dayLo := batch * batchSpan
 		for i := 0; i < cfg.BatchSize; i++ {
 			j := i + rng.Intn(population-i)
@@ -155,16 +156,12 @@ func Micro(cfg MicroConfig) (*Dataset, error) {
 					Day:        day,
 					Publisher:  "news.example",
 					Advertiser: site,
-					Campaign:   productKey(rng.Intn(cfg.Products)),
+					Campaign:   products[rng.Intn(cfg.Products)],
 				})
 			}
 		}
 	}
 
-	products := make([]string, cfg.Products)
-	for p := range products {
-		products[p] = productKey(p)
-	}
 	rate := attributionRate(ds.Events, cfg.WindowDays)
 	avgValue := float64(1+cfg.MaxValue) / 2
 	cTilde := rate * avgValue

@@ -89,6 +89,7 @@ func PATCG(cfg PATCGConfig) (*Dataset, error) {
 	newID := func() events.EventID { nextID++; return nextID }
 
 	const site = events.Site("advertiser.example")
+	products := productKeys(cfg.Products)
 	perProduct := make([]int, cfg.Products)
 	for u := 0; u < cfg.Users; u++ {
 		dev := events.DeviceID(u + 1)
@@ -102,7 +103,7 @@ func PATCG(cfg PATCGConfig) (*Dataset, error) {
 				Device:     dev,
 				Day:        rng.Intn(cfg.DurationDays),
 				Advertiser: site,
-				Product:    productKey(p),
+				Product:    products[p],
 				Value:      float64(1 + rng.Intn(cfg.MaxValue)),
 			})
 		}
@@ -114,7 +115,7 @@ func PATCG(cfg PATCGConfig) (*Dataset, error) {
 				Day:        rng.Intn(cfg.DurationDays),
 				Publisher:  "publisher.example",
 				Advertiser: site,
-				Campaign:   productKey(rng.Intn(cfg.Products)),
+				Campaign:   products[rng.Intn(cfg.Products)],
 			})
 		}
 	}
@@ -132,10 +133,6 @@ func PATCG(cfg PATCGConfig) (*Dataset, error) {
 		batch = 1
 	}
 
-	products := make([]string, cfg.Products)
-	for p := range products {
-		products[p] = productKey(p)
-	}
 	rate := attributionRate(ds.Events, cfg.WindowDays)
 	avgValue := float64(1+cfg.MaxValue) / 2
 	cTilde := rate * avgValue

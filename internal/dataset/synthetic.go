@@ -85,7 +85,9 @@ type SyntheticSource struct {
 	meta Meta
 	rng  *stats.RNG
 
-	site      events.Site
+	site events.Site
+	// products names each product once; every event indexes it.
+	products  []string
 	batchSpan int
 	day       int
 	nextID    events.EventID
@@ -104,10 +106,7 @@ func NewSynthetic(cfg SyntheticConfig) (*SyntheticSource, error) {
 		return nil, err
 	}
 	const site = events.Site("synthetic.example")
-	products := make([]string, cfg.Products)
-	for p := range products {
-		products[p] = productKey(p)
-	}
+	products := productKeys(cfg.Products)
 	// The advertiser's c̃ estimate is analytic: a conversion is
 	// attributable when the device saw at least one impression for the
 	// product within the window, which under Poisson traffic happens with
@@ -140,6 +139,7 @@ func NewSynthetic(cfg SyntheticConfig) (*SyntheticSource, error) {
 		},
 		rng:       stats.Stream(cfg.Seed, "synthetic"),
 		site:      site,
+		products:  products,
 		batchSpan: span,
 		lastBatch: -1,
 		batchUsed: make(map[int]struct{}, cfg.BatchSize),
@@ -197,7 +197,7 @@ func (s *SyntheticSource) generateDay(d int) {
 		if k < b%span {
 			count++
 		}
-		product := productKey(bi % s.cfg.Products)
+		product := s.products[bi%s.cfg.Products]
 		for i := 0; i < count; i++ {
 			s.nextID++
 			s.buf = append(s.buf, events.Event{
@@ -224,7 +224,7 @@ func (s *SyntheticSource) generateDay(d int) {
 			Day:        d,
 			Publisher:  "pub.example",
 			Advertiser: s.site,
-			Campaign:   productKey(s.rng.Intn(s.cfg.Products)),
+			Campaign:   s.products[s.rng.Intn(s.cfg.Products)],
 		})
 	}
 }

@@ -111,6 +111,10 @@ func (e *Engine) Run() *Run { return e.run }
 // order a source delivers — and each day's due list runs as one Flush, the
 // granularity of the service's day clock. Bucketing by day costs a sort of
 // each day's indices, never one of the whole trace.
+//
+// Replay is the batch front end's whole run: after the last flush it
+// releases the fleet's hold on the store (core.Fleet.ReleaseStore), so the
+// finished Run keeps budget state and results, not the trace's arena.
 func (e *Engine) Replay(evs []events.Event) error {
 	byDay := make(map[int][]int32)
 	for i := range evs {
@@ -131,6 +135,7 @@ func (e *Engine) Replay(evs []events.Event) error {
 		}
 	}
 	e.run.EventsIngested += len(evs)
+	e.fleet.ReleaseStore()
 	return nil
 }
 

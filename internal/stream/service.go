@@ -291,7 +291,9 @@ type Run struct {
 
 	// Fleet is the device registry: each device's final filter state (for
 	// on-device runs) and, for every run, the requested marks its queries'
-	// windows left (core.Device.RangeRequested).
+	// windows left (core.Device.RangeRequested). A finished run's fleet is
+	// released from the event store (core.Fleet.ReleaseStore): it answers
+	// every read, and creates no devices and generates no reports.
 	Fleet *core.Fleet
 	// Central is the population-wide budget ledger (for Central runs): one
 	// lane per querier, charged all-or-nothing per query.
@@ -448,6 +450,11 @@ func New(cfg Config) (*Service, error) {
 // snapshot commits on completion. On a resumed service (ResumeFrom), the
 // source prefix the durable state already covers is skipped before the day
 // clock goes live.
+//
+// Every path that returns a Run — completion and suspend alike — releases
+// the fleet's hold on the event store once the final base is written
+// (core.Fleet.ReleaseStore): the Run carries budget state and results, not
+// the store.
 func (s *Service) Serve() (run *Run, err error) {
 	if s.cfg.CheckpointDir != "" {
 		if err := s.openDurability(); err != nil {
@@ -537,6 +544,9 @@ func (s *Service) Serve() (run *Run, err error) {
 		}
 	}
 	s.dropDirtyTracking()
+	// The run is final and durable: its devices let go of the event store,
+	// which the returned Run would otherwise pin for as long as it lives.
+	s.fleet.ReleaseStore()
 	return s.run, nil
 }
 
