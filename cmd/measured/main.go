@@ -147,10 +147,11 @@ func (sf *scenarioFlags) config() (workload.Config, error) {
 	default:
 		return cfg, fmt.Errorf("unknown -system %q (want cookie-monster, ara-like or ipa-like)", *sf.system)
 	}
-	if cfg.Resume && cfg.CheckpointDir == "" {
-		return cfg, fmt.Errorf("-resume requires -checkpoint-dir")
-	}
-	return cfg, nil
+	// The scenario's own refusals (a non-finite budget, -resume without
+	// -checkpoint-dir) before any trace is loaded; the trace's advertisers
+	// are checked when the run starts.
+	_, err := cfg.Resolve(dataset.Meta{})
+	return cfg, err
 }
 
 // loadMeta resolves the served trace identity from -trace / -workload /

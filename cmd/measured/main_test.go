@@ -63,7 +63,12 @@ func TestScenarioFlags(t *testing.T) {
 		{
 			name:   "resume without a directory",
 			args:   []string{"-resume"},
-			cfgErr: "-resume requires -checkpoint-dir",
+			cfgErr: "resume or snapshot cadence without a checkpoint directory",
+		},
+		{
+			name:   "non-finite budget",
+			args:   []string{"-epsilon-g", "NaN"},
+			cfgErr: "non-finite capacity",
 		},
 		{
 			name:   "unknown system",

@@ -55,8 +55,7 @@ func durabilityCfg(t *testing.T) (workload.Config, scenario.Spec, *workload.Run)
 	spec := durabilitySpec()
 	base := h.Dataset
 	cfg := h.Config
-	cfg.Dataset = nil
-	cfg.DropLate = true
+	cfg.LatePolicy = stream.LateDrop
 	cfg.Parallelism = 4
 
 	ref, err := workload.ExecuteSource(cfg, spec.Source(base))

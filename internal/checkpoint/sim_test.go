@@ -25,6 +25,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/figures"
 	"repro/internal/stream"
 	"repro/internal/workload"
@@ -333,7 +334,9 @@ func TestResumeCompletedRun(t *testing.T) {
 // TestResumeRejectsScenarioMismatch pins the config fingerprint: durable
 // state from one scenario must not silently seed a different one — neither
 // from a completed run's final snapshot, nor from the initial snapshot that
-// guards the WAL-only window before the first cadence snapshot.
+// guards the WAL-only window before the first cadence snapshot. A different
+// capacity is a different scenario, and so is a different on-device loss
+// policy, whether the system or an explicit policy picks it.
 func TestResumeRejectsScenarioMismatch(t *testing.T) {
 	w, err := figures.ByName("cookie-monster")
 	if err != nil {
@@ -342,12 +345,21 @@ func TestResumeRejectsScenarioMismatch(t *testing.T) {
 
 	resumeMismatched := func(t *testing.T, dir string) {
 		t.Helper()
-		mismatched := checkpointedCfg(t, w, 1, dir)
-		mismatched.Resume = true
-		mismatched.EpsilonG = 3 // different capacity ⇒ different scenario
-		if _, err := workload.ExecuteSource(mismatched, mismatched.Dataset.Stream()); err == nil ||
-			!strings.Contains(err.Error(), "different scenario") {
-			t.Fatalf("scenario mismatch accepted: %v", err)
+		for _, m := range []struct {
+			name   string
+			mutate func(*workload.Config)
+		}{
+			{"capacity", func(c *workload.Config) { c.EpsilonG = 3 }},
+			{"ara-like", func(c *workload.Config) { c.System = workload.ARALike }},
+			{"ablation-policy", func(c *workload.Config) { c.Policy = core.ZeroLossOnlyPolicy{} }},
+		} {
+			mismatched := checkpointedCfg(t, w, 1, dir)
+			mismatched.Resume = true
+			m.mutate(&mismatched)
+			if _, err := workload.ExecuteSource(mismatched, mismatched.Dataset.Stream()); err == nil ||
+				!strings.Contains(err.Error(), "different scenario") {
+				t.Errorf("%s: scenario mismatch accepted: %v", m.name, err)
+			}
 		}
 	}
 

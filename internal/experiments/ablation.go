@@ -38,13 +38,13 @@ func Ablation(o Options) (*AblationResult, error) {
 
 	for _, policy := range core.AblationPolicies {
 		run, err := workload.Execute(workload.Config{
-			Dataset:        ds,
-			System:         workload.CookieMonster,
-			PolicyOverride: policy,
-			EpsilonG:       res.EpsilonG,
-			FixedEpsilon:   eps,
-			Seed:           o.Seed + 80,
-			Parallelism:    o.Parallelism,
+			Dataset:      ds,
+			System:       workload.CookieMonster,
+			Policy:       policy,
+			EpsilonG:     res.EpsilonG,
+			FixedEpsilon: eps,
+			Seed:         o.Seed + 80,
+			Parallelism:  o.Parallelism,
 		})
 		if err != nil {
 			return nil, err

@@ -62,9 +62,7 @@ func All() []Workload {
 		{"ara-like", microCfg(func(c *workload.Config) { c.System = workload.ARALike })},
 		{"ipa-like", microCfg(func(c *workload.Config) { c.System = workload.IPALike })},
 		{"cm-bias", microCfg(func(c *workload.Config) { c.Bias = biasSpec })},
-		{"ablation-policy", microCfg(func(c *workload.Config) {
-			c.PolicyOverride = core.ZeroLossOnlyPolicy{}
-		})},
+		{"ablation-policy", microCfg(func(c *workload.Config) { c.Policy = core.ZeroLossOnlyPolicy{} })},
 		{"capped-queries", microCfg(func(c *workload.Config) { c.MaxQueriesPerProduct = 1 })},
 		{"criteo-cm", criteoCfg(workload.CookieMonster)},
 		{"criteo-ara", criteoCfg(workload.ARALike)},

@@ -24,7 +24,7 @@ type Harness struct {
 	// Dataset is the clean base trace every scenario perturbs.
 	Dataset *dataset.Dataset
 	// Config carries the scenario-independent workload knobs (system,
-	// budgets, seed). Its Dataset, Parallelism, DropLate and checkpoint
+	// budgets, seed). Its Dataset, Parallelism, LatePolicy and checkpoint
 	// fields are managed per run by the harness.
 	Config workload.Config
 	// Parallelisms are the worker counts the equivalence check runs at.
@@ -103,13 +103,12 @@ const (
 	durableBaseEveryDeltas   = 2
 )
 
-// streamCfg is the per-run streaming configuration: fresh Dataset-free
-// config (metadata comes from the scenario source), drop-late admission, the
-// requested parallelism.
+// streamCfg is the per-run streaming configuration: drop-late admission, the
+// requested parallelism, no durability (metadata comes from the scenario
+// source).
 func (h Harness) streamCfg(p int) workload.Config {
 	cfg := h.Config
-	cfg.Dataset = nil
-	cfg.DropLate = true
+	cfg.LatePolicy = stream.LateDrop
 	cfg.Parallelism = p
 	cfg.CheckpointDir = ""
 	cfg.SnapshotEveryDays = 0
@@ -160,7 +159,6 @@ func (h Harness) Run(spec Spec) (*Report, error) {
 	batchCfg := h.Config
 	batchCfg.Dataset = admitted
 	batchCfg.Parallelism = 1
-	batchCfg.DropLate = false
 	ref, err := workload.Execute(batchCfg)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: batch oracle: %w", spec.Name, err)

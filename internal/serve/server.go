@@ -333,8 +333,7 @@ func (s *Server) seal() {
 	s.state = stateServing
 
 	wcfg := s.cfg.Scenario
-	wcfg.Dataset = nil
-	wcfg.DropLate = true
+	wcfg.LatePolicy = stream.LateDrop
 	wcfg.LiveSource = true
 	wcfg.AdmitObserver = s.onAdmit
 	wcfg.ResultObserver = s.onResult

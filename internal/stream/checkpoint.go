@@ -60,7 +60,9 @@ const snapSchemaVersion = 6
 // snapConfig is the scenario fingerprint stored in every snapshot. Resuming
 // under a different scenario would silently diverge from the original run,
 // so ResumeFrom refuses mismatches. Parallelism is execution-only and
-// excluded: results are invariant to it.
+// excluded: results are invariant to it. Policy names the on-device loss
+// policy when it is not Cookie Monster's, so the heads of Cookie Monster and
+// IPA-like runs read as they did before the key existed.
 type snapConfig struct {
 	EpochDays            int     `json:"epochDays"`
 	WindowDays           int     `json:"windowDays"`
@@ -74,6 +76,7 @@ type snapConfig struct {
 	Seed                 uint64  `json:"seed"`
 	MaxQueriesPerProduct int     `json:"maxQueries"`
 	Central              bool    `json:"central"`
+	Policy               string  `json:"policy,omitempty"`
 	LatePolicy           int     `json:"latePolicy"`
 	Dataset              string  `json:"dataset"`
 }
@@ -88,9 +91,12 @@ func (s *Service) snapConfig() snapConfig {
 		FixedEpsilon:         math.Float64bits(s.cfg.FixedEpsilon),
 		Seed:                 s.cfg.Seed,
 		MaxQueriesPerProduct: s.cfg.MaxQueriesPerProduct,
-		Central:              s.cfg.Central,
+		Central:              s.cfg.System == IPALike,
 		LatePolicy:           int(s.cfg.LatePolicy),
 		Dataset:              s.meta.Name,
+	}
+	if name := s.cfg.Policy.Name(); !sc.Central && name != (core.CookieMonsterPolicy{}).Name() {
+		sc.Policy = name
 	}
 	if s.cfg.Bias != nil {
 		sc.Bias = true

@@ -37,7 +37,7 @@ func ipaFixtureEvents() []events.Event {
 // fixed ε 1, ε^G 2, a snapshot every 2 days, group commits of 2.
 func ipaFixtureConfig(dir string) Config {
 	return Config{Source: &fakeSource{meta: testMeta(), evs: ipaFixtureEvents()},
-		Central: true, FixedEpsilon: 1, EpsilonG: 2,
+		System: IPALike, FixedEpsilon: 1, EpsilonG: 2,
 		CheckpointDir: dir, SnapshotEveryDays: 2, GroupCommitEvents: 2}
 }
 

@@ -58,9 +58,9 @@ type Engine struct {
 }
 
 // NewEngine builds an executor for cfg's scenario over db, the store its
-// devices read. It needs no Config.Source — the batch engine has none — so
-// validation stays with the callers; zero scenario values take the
-// service's defaults.
+// devices read, and meta, the trace's identity. It reads neither Dataset nor
+// Source, and validation (Config.Resolve) stays with the callers; zero
+// scenario values take the defaults.
 func NewEngine(cfg Config, meta dataset.Meta, db *events.Database) *Engine {
 	cfg = cfg.withDefaults()
 	aggNoise := stats.Stream(cfg.Seed, "aggregation-noise")
@@ -76,18 +76,12 @@ func NewEngine(cfg Config, meta dataset.Meta, db *events.Database) *Engine {
 			TotalEpochs: meta.Epochs(cfg.EpochDays),
 		},
 	}
-	policy := cfg.Policy
-	if policy == nil {
-		// Central runs never charge per-device policies; their devices
-		// hold requested marks only, so any policy will do.
-		policy = core.CookieMonsterPolicy{}
-	}
-	epsG := cfg.EpsilonG
+	epsG, policy := cfg.EpsilonG, cfg.Policy
 	e.fleet = core.NewFleet(0, func(id events.DeviceID) *core.Device {
 		return core.NewDevice(id, db, epsG, policy)
 	})
 	e.run.Fleet = e.fleet
-	if cfg.Central {
+	if cfg.System == IPALike {
 		e.central = privacy.NewLedger(cfg.EpsilonG)
 		e.ipaNoise = stats.Stream(cfg.Seed, "ipa-noise")
 		e.run.Central = e.central
@@ -299,7 +293,7 @@ func (e *Engine) generateDay(due []*Query) ([]convOutput, error) {
 	}
 	out := e.dayOut
 
-	if e.cfg.Central {
+	if e.central != nil {
 		truths := trueValues(e.db, reqs, convs, e.cfg.Parallelism)
 		for i := range out {
 			out[i].truth = truths[i]
@@ -331,7 +325,7 @@ func (e *Engine) aggregate(q *Query, outputs []convOutput) (Result, error) {
 		LastEpoch:  q.last,
 	}
 
-	if e.cfg.Central {
+	if e.central != nil {
 		// Centralized budgeting: the MPC charges ε to every epoch the
 		// query's report windows touch, for the whole population, and
 		// rejects the query when any epoch is short. Truth is well-defined

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/stream"
-	"repro/internal/workload"
 )
 
 // TestFlushGranularity fences Flush's canonical sort and the day multiplex.
@@ -26,7 +25,7 @@ func TestFlushGranularity(t *testing.T) {
 				scfg := stream.Config{
 					EpsilonG:    wc.EpsilonG,
 					Seed:        wc.Seed,
-					Central:     wc.System == workload.IPALike,
+					System:      wc.System,
 					Parallelism: par,
 				}
 				days := stream.PlanDays(scfg, wc.Dataset.Stream())

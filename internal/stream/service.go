@@ -4,7 +4,10 @@
 // query the moment its batch fills; the Engine (executor.go) is what either
 // front end — the service's day clock, or internal/workload.Execute's
 // day-by-day Replay of a materialized trace — feeds conversions to: planner
-// → due list → prepare → generate → aggregate, one copy.
+// → due list → prepare → generate → aggregate, one copy. Config (config.go)
+// states the scenario once for both: internal/workload's Config and System
+// are aliases of it, and Config.Resolve is the one place defaults and
+// validity are decided.
 //
 // Architecture (DESIGN.md §6):
 //
@@ -47,7 +50,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -80,164 +82,6 @@ const (
 	// exact.
 	LateDrop
 )
-
-// Config parameterizes one streaming service instance. The scenario knobs
-// (epoch length, window, budgets, calibration, bias) have the same meaning
-// as the batch engine's workload.Config; the service-only knobs tune
-// retention and durability.
-type Config struct {
-	// Source supplies the event stream and the dataset metadata.
-	Source dataset.Source
-	// EpochDays is the on-device epoch length (7 by default).
-	EpochDays int
-	// WindowDays is the attribution window (30 by default).
-	WindowDays int
-	// EpsilonG is the per-epoch budget capacity ε^G.
-	EpsilonG float64
-	// Calibration derives each advertiser's requested ε. Ignored when
-	// FixedEpsilon > 0.
-	Calibration privacy.Calibration
-	// FixedEpsilon, when positive, uses the same requested ε everywhere.
-	FixedEpsilon float64
-	// Bias, when non-nil, runs the Appendix F side query with every
-	// report.
-	Bias *core.BiasSpec
-	// Seed drives the aggregation (and IPA-like) noise streams.
-	Seed uint64
-	// Parallelism bounds the worker pool for the multiplexed generate
-	// stage. 0 selects GOMAXPROCS; results are bit-identical for every
-	// value.
-	Parallelism int
-	// MaxQueriesPerProduct truncates each product's query schedule
-	// (0 = run every full batch).
-	MaxQueriesPerProduct int
-	// Policy is the on-device loss policy; nil selects
-	// core.CookieMonsterPolicy. Ignored when Central is set.
-	Policy core.LossPolicy
-	// Central, when true, runs the IPA-like centralized baseline: one
-	// population-wide budget ledger admits each query only if every epoch
-	// of its window has budget (privacy.Ledger.ChargeAll), and attribution
-	// is computed on the full data.
-	Central bool
-	// LatePolicy selects the admission rule for events whose day has
-	// already closed (LateReject aborts, LateDrop drops with a counter).
-	// The policy shapes which events the run admits, so it is part of the
-	// checkpoint scenario fingerprint.
-	LatePolicy LatePolicy
-
-	// CheckpointDir enables crash safety: every ingested event is logged
-	// to a write-ahead log in this directory before it is applied, day
-	// boundaries commit snapshots per SnapshotEveryDays, and Serve writes
-	// a final snapshot on completion. ResumeFrom rebuilds a service from
-	// the directory after a crash. Empty disables durability.
-	CheckpointDir string
-	// SnapshotEveryDays commits a snapshot generation (and rotates the WAL
-	// to a fresh segment) at every N-th completed day while serving. 0
-	// keeps only the WAL during the run — recovery then replays from the
-	// stream's beginning. Ignored without CheckpointDir.
-	SnapshotEveryDays int
-	// BaseEveryDeltas folds the delta chain into a fresh base after this
-	// many deltas (default 8).
-	BaseEveryDeltas int
-	// GroupCommitEvents, when positive, batches WAL fsyncs into group
-	// commits: after this many appended events the service flushes the log
-	// and signals a background syncer instead of fsyncing inline, so the
-	// ingest thread never waits on the disk. 0 syncs only at snapshot
-	// rotations (cadence ticks, which fall on day boundaries) and at
-	// suspend or completion.
-	GroupCommitEvents int
-	// DurableFS overrides the filesystem the checkpoint store and WAL
-	// segments go through — the disk-fault injection seam
-	// (checkpoint.NewFaultFS). nil selects the real filesystem. Like
-	// Parallelism, it cannot change what a run computes, only whether its
-	// durable writes fail.
-	DurableFS checkpoint.FS
-	// FaultHook, when non-nil, observes every state transition (see
-	// FaultPoint) and can return an error to simulate a crash there. Test
-	// instrumentation; nil in production.
-	FaultHook FaultHook
-
-	// AdmitObserver, when non-nil, observes every admission decision the
-	// service commits: it fires once per drained event, after the event's
-	// WAL record was appended (live path) and the decision applied, with
-	// dropped reporting a LateDrop rejection. It also fires for every event
-	// carried by a restored snapshot, for every WAL record replayed during
-	// ResumeFrom, and (with dropped=true) for every restored late-drop
-	// mark — the latter carry only the admission identity (Device, Day,
-	// ID), since a dropped event's payload never reaches durable state —
-	// so an external admission layer (internal/serve) can rebuild its
-	// per-device dedupe cursors from the durable state.
-	// Execution-only: never part of the checkpoint fingerprint or the
-	// equivalence digests. The observer runs on the service goroutine and
-	// must not block.
-	AdmitObserver func(ev events.Event, dropped bool)
-	// ResultObserver, when non-nil, observes every released query result in
-	// canonical order, including results restored from a snapshot and
-	// results re-executed during WAL replay. Same execution-only contract
-	// as AdmitObserver.
-	ResultObserver func(res Result)
-	// LiveSource marks the source as an admission-filtered live feed (a
-	// network ingest tier) rather than a replayable trace: a resumed
-	// service must not skip a source prefix by count, because the feed
-	// delivers only events the durable state does not already cover — the
-	// serving layer's (device, seq) dedupe guarantees it. Execution-only.
-	LiveSource bool
-}
-
-// withDefaults fills zero values.
-func (c Config) withDefaults() Config {
-	if c.EpochDays == 0 {
-		c.EpochDays = 7
-	}
-	if c.WindowDays == 0 {
-		c.WindowDays = 30
-	}
-	if c.EpsilonG == 0 {
-		c.EpsilonG = 1
-	}
-	if c.Calibration == (privacy.Calibration{}) {
-		c.Calibration = privacy.DefaultCalibration
-	}
-	if c.Parallelism == 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if c.Policy == nil && !c.Central {
-		c.Policy = core.CookieMonsterPolicy{}
-	}
-	if c.BaseEveryDeltas == 0 {
-		c.BaseEveryDeltas = 8
-	}
-	return c
-}
-
-func (c Config) validate() error {
-	switch {
-	case c.Source == nil:
-		return fmt.Errorf("stream: nil source")
-	case c.EpochDays <= 0 || c.WindowDays <= 0:
-		return fmt.Errorf("stream: non-positive epoch or window length")
-	case c.EpsilonG < 0:
-		return fmt.Errorf("stream: negative capacity")
-	case c.FixedEpsilon < 0:
-		return fmt.Errorf("stream: negative fixed epsilon")
-	case c.Parallelism < 0:
-		return fmt.Errorf("stream: negative parallelism")
-	case c.SnapshotEveryDays < 0:
-		return fmt.Errorf("stream: negative snapshot cadence")
-	case c.SnapshotEveryDays > 0 && c.CheckpointDir == "":
-		return fmt.Errorf("stream: snapshot cadence without checkpoint directory")
-	case c.BaseEveryDeltas < 0:
-		return fmt.Errorf("stream: negative base compaction cadence")
-	case c.GroupCommitEvents < 0:
-		return fmt.Errorf("stream: negative group-commit threshold")
-	}
-	for _, adv := range c.Source.Meta().Advertisers {
-		if err := adv.Validate(); err != nil {
-			return fmt.Errorf("stream: %w", err)
-		}
-	}
-	return nil
-}
 
 // Result records one summation query's outcome. Both engines produce it
 // (workload.QueryResult is this type); the equivalence tests compare the
@@ -295,7 +139,7 @@ type Run struct {
 	// released from the event store (core.Fleet.ReleaseStore): it answers
 	// every read, and creates no devices and generates no reports.
 	Fleet *core.Fleet
-	// Central is the population-wide budget ledger (for Central runs): one
+	// Central is the population-wide budget ledger (for IPA-like runs): one
 	// lane per querier, charged all-or-nothing per query.
 	Central *privacy.Ledger
 	// TotalConsumed is the summed consumed privacy loss across all
@@ -428,11 +272,14 @@ type Service struct {
 
 // New builds a service for cfg without consuming the source.
 func New(cfg Config) (*Service, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
+	if cfg.Source == nil {
+		return nil, fmt.Errorf("stream: nil source")
 	}
 	meta := cfg.Source.Meta()
+	cfg, err := cfg.Resolve(meta)
+	if err != nil {
+		return nil, err
+	}
 	return &Service{
 		Engine:     NewEngine(cfg, meta, events.NewDatabase()),
 		evictFloor: events.Epoch(-1 << 31),

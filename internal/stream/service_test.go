@@ -202,31 +202,22 @@ func TestPlannerCapDropsPendingAndHorizonAdvances(t *testing.T) {
 	}
 }
 
+// TestConfigValidation covers what New checks beyond the shared config
+// table (internal/workload's TestValidation runs every invalid row through
+// New too): a source is required, and a non-finite budget is refused rather
+// than admitting every charge.
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Fatal("nil source accepted")
+	if _, err := New(Config{}); err == nil || err.Error() != "stream: nil source" {
+		t.Fatalf("nil source: %v", err)
 	}
-	if _, err := New(Config{Source: &fakeSource{meta: testMeta()}, Parallelism: -1}); err == nil {
-		t.Fatal("negative parallelism accepted")
-	}
-	if _, err := New(Config{Source: &fakeSource{meta: testMeta()}, FixedEpsilon: -1}); err == nil {
-		t.Fatal("negative epsilon accepted")
-	}
-	// An advertiser outside the calibration domain is refused up front, not
-	// left to panic in calibration or, under FixedEpsilon, to run queries of
-	// one report.
-	for name, mutate := range map[string]func(*dataset.Advertiser){
-		"zero batch":        func(a *dataset.Advertiser) { a.BatchSize = 0 },
-		"NaN max value":     func(a *dataset.Advertiser) { a.MaxValue = math.NaN() },
-		"zero report value": func(a *dataset.Advertiser) { a.AvgReportValue = 0 },
+	for _, cfg := range []Config{
+		{EpsilonG: math.NaN()},
+		{EpsilonG: math.Inf(1)},
+		{FixedEpsilon: math.NaN()},
 	} {
-		meta := testMeta()
-		mutate(&meta.Advertisers[0])
-		for _, fixed := range []float64{0, 1} {
-			src := &fakeSource{meta: meta, evs: []events.Event{conv(1, 1, 1), conv(2, 2, 1)}}
-			if _, err := New(Config{Source: src, FixedEpsilon: fixed}); err == nil {
-				t.Errorf("%s, fixed ε %v: advertiser accepted", name, fixed)
-			}
+		cfg.Source = &fakeSource{meta: testMeta()}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("ε^G %v, fixed ε %v accepted", cfg.EpsilonG, cfg.FixedEpsilon)
 		}
 	}
 }

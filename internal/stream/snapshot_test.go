@@ -302,7 +302,7 @@ func TestDirtyTrackingArmedOnlyForDeltas(t *testing.T) {
 func sampleConfig(evs []events.Event, dir string, central bool) Config {
 	cfg := Config{Source: &fakeSource{meta: testMeta(), evs: evs}, FixedEpsilon: 1, EpsilonG: 100}
 	if central {
-		cfg.Central, cfg.EpsilonG = true, 2
+		cfg.System, cfg.EpsilonG = IPALike, 2
 	}
 	if dir != "" {
 		cfg.CheckpointDir, cfg.SnapshotEveryDays, cfg.BaseEveryDeltas = dir, 2, 100

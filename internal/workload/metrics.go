@@ -32,7 +32,7 @@ func (r *Run) walkRequested(pairs bool) fleetStats {
 	var st fleetStats
 	epsG, sum := r.Config.EpsilonG, 0.0
 	central := r.Config.System == IPALike
-	advs := r.Config.Dataset.Advertisers
+	advs := r.Meta.Advertisers
 	epochs := float64(r.EpochSpan())
 	if pairs && central {
 		st.pairs = r.centralPairs()
@@ -47,7 +47,7 @@ func (r *Run) walkRequested(pairs bool) fleetStats {
 			slot[adv.Site] = i
 		}
 		totals = make([]float64, len(advs))
-		st.pairs = make([]float64, 0, r.Config.Dataset.PopulationDevices*len(advs))
+		st.pairs = make([]float64, 0, r.Meta.PopulationDevices*len(advs))
 	}
 	r.Fleet.Range(func(d *core.Device) bool {
 		clear(totals)
@@ -82,7 +82,7 @@ func (r *Run) walkRequested(pairs bool) fleetStats {
 	})
 	if slot != nil {
 		// Silent devices, which no window reached, consumed nothing.
-		silent := r.Config.Dataset.PopulationDevices - r.Fleet.Len()
+		silent := r.Meta.PopulationDevices - r.Fleet.Len()
 		for i := 0; i < silent*len(advs); i++ {
 			st.pairs = append(st.pairs, 0)
 		}
@@ -112,7 +112,7 @@ func (r *Run) EpochSpan() int { return int(r.LastSpanEpoch-r.FirstSpanEpoch) + 1
 // the fixed-denominator metric of Fig. 5a. It is monotone over the run
 // because filters only fill.
 func (r *Run) PopulationAvgBudget() float64 {
-	denom := float64(r.Config.Dataset.PopulationDevices) * float64(r.EpochSpan()) * r.Config.EpsilonG
+	denom := float64(r.Meta.PopulationDevices) * float64(r.EpochSpan()) * r.Config.EpsilonG
 	if denom == 0 {
 		return 0
 	}
@@ -176,8 +176,8 @@ func (r *Run) centralPairs() []float64 {
 	if epochs == 0 || r.Config.EpsilonG == 0 {
 		return nil
 	}
-	advs := r.Config.Dataset.Advertisers
-	population := r.Config.Dataset.PopulationDevices
+	advs := r.Meta.Advertisers
+	population := r.Meta.PopulationDevices
 	out := make([]float64, 0, population*len(advs))
 	totals := r.centralTotals()
 	for _, adv := range advs {
@@ -197,11 +197,11 @@ func (r *Run) centralPairs() []float64 {
 // consumption is charged to every device in the population, mirroring
 // PerPairAverages.
 func (r *Run) ConsumedByQuerier() map[events.Site]float64 {
-	out := make(map[events.Site]float64, len(r.Config.Dataset.Advertisers))
+	out := make(map[events.Site]float64, len(r.Meta.Advertisers))
 	if r.Config.System == IPALike {
 		totals := r.centralTotals()
-		for _, adv := range r.Config.Dataset.Advertisers {
-			out[adv.Site] = totals[adv.Site] * float64(r.Config.Dataset.PopulationDevices)
+		for _, adv := range r.Meta.Advertisers {
+			out[adv.Site] = totals[adv.Site] * float64(r.Meta.PopulationDevices)
 		}
 		return out
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/stream"
@@ -32,11 +33,15 @@ type Run struct {
 // (stream.Engine.Replay): the same planner, one super-batch per fire day.
 // Results are bit-identical for any worker count.
 func Execute(cfg Config) (*Run, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	if cfg.Dataset == nil {
+		return nil, fmt.Errorf("workload: nil dataset")
+	}
+	meta := cfg.Dataset.Meta()
+	cfg, err := cfg.Resolve(meta)
+	if err != nil {
 		return nil, err
 	}
-	eng := stream.NewEngine(cfg.streamConfig(), cfg.Dataset.Meta(), cfg.Dataset.Build(cfg.EpochDays))
+	eng := stream.NewEngine(cfg, meta, cfg.Dataset.Build(cfg.EpochDays))
 	if err := eng.Replay(cfg.Dataset.Events); err != nil {
 		return nil, err
 	}

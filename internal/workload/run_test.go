@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/events"
+	"repro/internal/stream"
 )
 
 // smallMicro builds a fast microbenchmark dataset for tests.
@@ -228,16 +230,43 @@ func TestPerPairAveragesShape(t *testing.T) {
 	}
 }
 
+// TestValidation runs one table of invalid configurations through every
+// entry point that takes one — Execute, ExecuteSource and stream.New — and
+// holds each to refusing every row with the same message: there is one
+// validate, so no entry point can drift from another.
 func TestValidation(t *testing.T) {
-	if _, err := Execute(Config{}); err == nil {
-		t.Fatal("nil dataset accepted")
+	if _, err := Execute(Config{}); err == nil || err.Error() != "workload: nil dataset" {
+		t.Fatalf("nil dataset: %v", err)
 	}
 	ds := smallMicro(t, 0.1, 0.1)
-	if _, err := Execute(Config{Dataset: ds, FixedEpsilon: -1}); err == nil {
-		t.Fatal("negative fixed epsilon accepted")
+	type row struct {
+		name   string
+		mutate func(*Config)
+		want   string
 	}
-	// An advertiser outside the calibration domain is an error on both front
-	// ends, whether or not FixedEpsilon bypasses the calibration formula.
+	rows := []row{
+		{"negative epoch", func(c *Config) { c.EpochDays = -1 }, "stream: non-positive epoch or window length"},
+		{"negative window", func(c *Config) { c.WindowDays = -7 }, "stream: non-positive epoch or window length"},
+		{"negative capacity", func(c *Config) { c.EpsilonG = -1 }, "stream: negative capacity"},
+		{"NaN capacity", func(c *Config) { c.EpsilonG = math.NaN() }, "stream: non-finite capacity"},
+		{"infinite capacity", func(c *Config) { c.EpsilonG = math.Inf(1) }, "stream: non-finite capacity"},
+		{"negative fixed epsilon", func(c *Config) { c.FixedEpsilon = -1 }, "stream: negative fixed epsilon"},
+		{"NaN fixed epsilon", func(c *Config) { c.FixedEpsilon = math.NaN() }, "stream: non-finite fixed epsilon"},
+		{"infinite fixed epsilon", func(c *Config) { c.FixedEpsilon = math.Inf(1) }, "stream: non-finite fixed epsilon"},
+		{"negative parallelism", func(c *Config) { c.Parallelism = -1 }, "stream: negative parallelism"},
+		{"negative snapshot cadence", func(c *Config) { c.SnapshotEveryDays = -1 },
+			"stream: negative snapshot cadence"},
+		{"snapshot cadence without a directory", func(c *Config) { c.SnapshotEveryDays = 2 },
+			"stream: resume or snapshot cadence without a checkpoint directory"},
+		{"resume without a directory", func(c *Config) { c.Resume = true },
+			"stream: resume or snapshot cadence without a checkpoint directory"},
+		{"negative base compaction cadence", func(c *Config) { c.BaseEveryDeltas = -1 },
+			"stream: negative base compaction cadence"},
+		{"negative group commit", func(c *Config) { c.GroupCommitEvents = -1 },
+			"stream: negative group-commit threshold"},
+	}
+	// An advertiser outside the calibration domain is refused whether or not
+	// FixedEpsilon bypasses the calibration formula.
 	for name, mutate := range map[string]func(*dataset.Advertiser){
 		"zero batch":            func(a *dataset.Advertiser) { a.BatchSize = 0 },
 		"negative batch":        func(a *dataset.Advertiser) { a.BatchSize = -2 },
@@ -250,12 +279,23 @@ func TestValidation(t *testing.T) {
 		bad.Advertisers = slices.Clone(ds.Advertisers)
 		mutate(&bad.Advertisers[0])
 		for _, fixed := range []float64{0, 0.5} {
-			cfg := Config{Dataset: &bad, EpsilonG: 5, FixedEpsilon: fixed}
-			if _, err := Execute(cfg); err == nil {
-				t.Errorf("%s, fixed ε %v: Execute accepted the advertiser", name, fixed)
-			}
-			if _, err := ExecuteSource(cfg, bad.Stream()); err == nil {
-				t.Errorf("%s, fixed ε %v: ExecuteSource accepted the advertiser", name, fixed)
+			rows = append(rows, row{fmt.Sprintf("%s, fixed ε %v", name, fixed),
+				func(c *Config) { c.Dataset, c.FixedEpsilon = &bad, fixed },
+				"stream: " + bad.Advertisers[0].Validate().Error()})
+		}
+	}
+	for _, r := range rows {
+		cfg := Config{Dataset: ds, EpsilonG: 5}
+		r.mutate(&cfg)
+		src := cfg.Dataset.Stream()
+		scfg := cfg
+		scfg.Source = src
+		_, errBatch := Execute(cfg)
+		_, errSource := ExecuteSource(cfg, src)
+		_, errNew := stream.New(scfg)
+		for entry, err := range map[string]error{"Execute": errBatch, "ExecuteSource": errSource, "stream.New": errNew} {
+			if err == nil || err.Error() != r.want {
+				t.Errorf("%s: %s returned %v, want %q", r.name, entry, err, r.want)
 			}
 		}
 	}
@@ -318,8 +358,8 @@ func TestPolicyOverride(t *testing.T) {
 	ds := smallMicro(t, 0.1, 0.1)
 	r := execute(t, Config{
 		Dataset: ds, System: CookieMonster, EpsilonG: 5, Seed: 1,
-		FixedEpsilon:   1,
-		PolicyOverride: core.ZeroLossOnlyPolicy{},
+		FixedEpsilon: 1,
+		Policy:       core.ZeroLossOnlyPolicy{},
 	})
 	full := execute(t, Config{
 		Dataset: ds, System: CookieMonster, EpsilonG: 5, Seed: 1,
