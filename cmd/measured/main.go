@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	measured serve  -addr HOST:PORT (-trace FILE | -workload NAME | -population N -duration D) [scenario/durability flags]
+//	measured serve  -addr HOST:PORT (-trace FILE | -workload NAME | -population N -duration D) [-pprof-addr HOST:PORT] [scenario/durability flags]
 //	measured chaos  (-trace FILE | -workload NAME) [-senders N -batch B -apply-delay D -shed-delay D -out REPORT_chaos.json]
 //	measured export -workload NAME [-out FILE]
 //
@@ -15,7 +15,8 @@
 // graceful drain: the bounded ingest queue empties through the service,
 // the group-commit syncer flushes, and — when -checkpoint-dir is set — a
 // final snapshot generation commits so -resume continues the run exactly
-// where it stopped.
+// where it stopped. -pprof-addr (off by default) serves net/http/pprof's
+// profiles on a listener of its own, never on the API's.
 //
 // chaos checks the serving path under manufactured network trouble
 // (DESIGN.md §14): it boots an in-process server per profile — clean,
@@ -37,6 +38,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -204,6 +206,8 @@ func cmdServe(args []string) error {
 		"HTTP read-header timeout, the slow-loris guard (0 = none)")
 	idleTimeout := fs.Duration("idle-timeout", 2*time.Minute,
 		"HTTP keep-alive idle timeout (0 = none)")
+	pprofAddr := fs.String("pprof-addr", "",
+		"serve net/http/pprof under /debug/pprof/ on this address, a listener apart from the API's (empty = off)")
 	signalFinal := fs.Bool("signal-final", false,
 		"on SIGTERM/SIGINT, close out the trace (flush the in-progress day and finish the run) "+
 			"instead of suspending into a resumable checkpoint")
@@ -226,6 +230,13 @@ func cmdServe(args []string) error {
 		return err
 	}
 
+	if *pprofAddr != "" {
+		pl, err := servePprof(*pprofAddr)
+		if err != nil {
+			return err
+		}
+		defer pl.Close()
+	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -238,13 +249,14 @@ func cmdServe(args []string) error {
 		ReadHeaderTimeout: *readTimeout,
 		IdleTimeout:       *idleTimeout,
 	}
+	// Signals are caught before the startup line is printed, so a SIGTERM
+	// sent as soon as it appears drains instead of killing the process.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
 	httpDone := make(chan error, 1)
 	go func() { httpDone <- hs.Serve(ln) }()
 	fmt.Printf("measured: serving %s (%d devices, %d days, %d queriers) on http://%s\n",
 		meta.Name, meta.PopulationDevices, meta.DurationDays, len(meta.Advertisers), ln.Addr())
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case sig := <-sigCh:
 		mode := "suspending (resumable)"
@@ -275,6 +287,25 @@ func cmdServe(args []string) error {
 	case err := <-httpDone:
 		return fmt.Errorf("http server: %w", err)
 	}
+}
+
+// servePprof serves net/http/pprof's handlers on a listener of their own at
+// addr, on a mux of their own (the API handler never routes /debug/pprof/),
+// until the returned listener is closed.
+func servePprof(addr string) (net.Listener, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("pprof listener: %w", err)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	go func() { _ = http.Serve(ln, mux) }()
+	fmt.Printf("measured: pprof at http://%s/debug/pprof/\n", ln.Addr())
+	return ln, nil
 }
 
 func printSummary(run *workload.Run, st serve.Stats) {

@@ -126,10 +126,11 @@ func measuredCmd(ctx context.Context, t *testing.T, args ...string) *exec.Cmd {
 
 // serving is one live `measured serve` process.
 type serving struct {
-	cmd  *exec.Cmd
-	base string        // http://host:port, parsed from the startup line
-	out  *bytes.Buffer // everything it printed; read only after wait
-	eof  chan struct{}
+	cmd   *exec.Cmd
+	base  string        // http://host:port, parsed from the startup line
+	pprof string        // the -pprof-addr index URL, printed before the startup line; empty when off
+	out   *bytes.Buffer // everything it printed; read only after wait
+	eof   chan struct{}
 }
 
 // startServe boots `measured serve -addr 127.0.0.1:0 args...` and returns
@@ -153,6 +154,9 @@ func startServe(ctx context.Context, t *testing.T, args ...string) *serving {
 		for sc.Scan() {
 			line := sc.Text()
 			fmt.Fprintln(p.out, line)
+			if _, url, ok := strings.Cut(line, "pprof at "); ok {
+				p.pprof = url // read by the test only after the startup line's send below
+			}
 			if _, hostport, ok := strings.Cut(line, " on http://"); ok {
 				select {
 				case addr <- "http://" + hostport:
@@ -217,6 +221,9 @@ func TestMeasuredProcessSmoke(t *testing.T) {
 	ckpt := filepath.Join(dir, "ckpt")
 
 	srv := startServe(ctx, t, "-trace", trace, "-checkpoint-dir", ckpt)
+	if srv.pprof != "" {
+		t.Fatalf("pprof served without -pprof-addr: %s", srv.pprof)
+	}
 	rep, err := loadgen.Run(ctx, loadgen.Config{Target: srv.base, Dataset: &firstHalf, Senders: 2, BatchSize: 64})
 	if err != nil {
 		t.Fatalf("first half: %v", err)
@@ -258,4 +265,35 @@ func TestMeasuredProcessSmoke(t *testing.T) {
 	if want := fmt.Sprintf("run complete: %d events ingested", len(ds.Events)); !strings.Contains(log, want) {
 		t.Fatalf("final summary lacks %q:\n%s", want, log)
 	}
+
+	// -pprof-addr: the profiles answer on their own listener, and the API
+	// address does not route them.
+	srv = startServe(ctx, t, "-trace", trace, "-pprof-addr", "127.0.0.1:0")
+	get := func(url string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("GET %s: %v", url, err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	if !strings.HasSuffix(srv.pprof, "/debug/pprof/") {
+		t.Fatalf("pprof index URL = %q", srv.pprof)
+	}
+	if code, body := get(srv.pprof); code != http.StatusOK || !strings.Contains(body, "goroutine") {
+		t.Fatalf("GET %s: status %d, body:\n%s", srv.pprof, code, body)
+	}
+	if code, _ := get(srv.base + "/debug/pprof/"); code != http.StatusNotFound {
+		t.Fatalf("API address answered /debug/pprof/ with %d, want 404", code)
+	}
+	if err := srv.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	srv.wait(t)
 }

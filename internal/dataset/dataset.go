@@ -83,7 +83,9 @@ type Dataset struct {
 // given epoch length in days. The database is compiled frozen in one shot
 // (events.NewFrozen): events land directly in the columnar arena with no
 // intermediate mutable store, and the read path is safe for the workload
-// engine's concurrent report generation.
+// engine's concurrent report generation. The events may be in any order —
+// the generators emit them in ID order with random days — and the load is
+// linear in their number.
 func (d *Dataset) Build(epochDays int) *events.Database {
 	return events.NewFrozen(epochDays, d.Events)
 }

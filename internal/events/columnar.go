@@ -1,7 +1,9 @@
 package events
 
 import (
+	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -102,14 +104,15 @@ func clampDay(d int) int32 {
 }
 
 // NewFrozen builds a frozen database straight from a batch of day-stamped
-// events, skipping the mutable epoch segments entirely: one permutation
-// sort into (device, day, ID, arrival) order — epochs are monotone in days,
-// so each device's records come out as contiguous, epoch-ordered runs — then
-// a single gather pass lays the arena, key column, and span table. This is
-// the batch engine's load path (Dataset.Build): it allocates the columnar
-// arenas and one index, and no map entry or slice per record. Its reads are
-// indistinguishable from those of a mutable store fed the same events by
-// Record.
+// events, skipping the mutable epoch segments entirely: one permutation into
+// (device, day, ID, arrival) order (sortByDeviceDayID) — epochs are monotone
+// in days, so each device's records come out as contiguous, epoch-ordered
+// runs — then a single gather pass lays the arena, key column, and span
+// table. The permutation's device count sizes the device map and list up
+// front. This is the batch engine's load path (Dataset.Build): it allocates
+// the columnar arenas and the sort's index buffers, and no map entry or slice
+// per record. Its reads are indistinguishable from those of a mutable store
+// fed the same events by Record, for events in any order.
 func NewFrozen(epochDays int, evs []Event) *Database {
 	db := NewDatabase()
 	col := &colStore{
@@ -117,8 +120,9 @@ func NewFrozen(epochDays int, evs []Event) *Database {
 		keys: make([]evKey, 0, len(evs)),
 	}
 	if len(evs) > 0 {
-		idx := sortByDeviceDayID(evs)
-		col.dev = make(map[DeviceID]devIndex)
+		idx, devices := sortByDeviceDayID(evs)
+		col.dev = make(map[DeviceID]devIndex, devices)
+		col.devs = make([]DeviceID, 0, devices)
 		for i := 0; i < len(idx); {
 			dev := evs[idx[i]].Device
 			di := devIndex{base: uint32(len(col.spans)), first: EpochOfDay(evs[idx[i]].Day, epochDays)}
@@ -152,38 +156,75 @@ func NewFrozen(epochDays int, evs []Event) *Database {
 	return db
 }
 
+// radixBits is the digit width of sortByDeviceDayID's device passes: a
+// 2 048-entry count table, two passes for any device ID below 2^22.
+const (
+	radixBits = 11
+	radixMask = 1<<radixBits - 1
+)
+
 // sortByDeviceDayID returns the permutation of evs in (device, day, ID,
-// arrival) order — NewFrozen's layout order. Epochs are monotone in days, so
-// each device's records come out as contiguous epoch-ordered runs, and the
-// arrival-index tiebreak makes the permutation equal to a stable (Day, ID)
-// sort.
-func sortByDeviceDayID(evs []Event) []int32 {
-	idx := make([]int32, len(evs))
-	for i := range idx {
+// arrival) order — NewFrozen's layout order — and the number of distinct
+// devices. Epochs are monotone in days, so each device's records come out as
+// contiguous epoch-ordered runs, and the arrival-index tiebreak makes the
+// permutation equal to a stable (Day, ID) sort.
+//
+// It assumes nothing about the input order. A stable LSD radix sort on the
+// device ID, with only as many radixBits-wide passes as the largest ID
+// needs, groups the events by device in linear time, keeping each device's
+// events in arrival order; each device's run is then sorted by (Day, ID,
+// arrival). Runs are a few events long on the paper's traces, so the
+// comparison sorts cost little even though generators emit events in ID
+// order with random days.
+func sortByDeviceDayID(evs []Event) (idx []int32, devices int) {
+	n := len(evs)
+	idx = make([]int32, n)
+	keys := make([]DeviceID, n)
+	var top DeviceID
+	for i := range evs {
 		idx[i] = int32(i)
+		keys[i] = evs[i].Device
+		top = max(top, keys[i])
 	}
-	slices.SortFunc(idx, func(a, b int32) int {
-		ea, eb := &evs[a], &evs[b]
-		switch {
-		case ea.Device != eb.Device:
-			if ea.Device < eb.Device {
-				return -1
+	if passes := (bits.Len64(uint64(top)) + radixBits - 1) / radixBits; passes > 0 {
+		idx2, keys2 := make([]int32, n), make([]DeviceID, n)
+		var next [1 << radixBits]int
+		for p := 0; p < passes; p++ {
+			shift := uint(p * radixBits)
+			clear(next[:])
+			for _, k := range keys {
+				next[(k>>shift)&radixMask]++
 			}
-			return 1
-		case ea.Day != eb.Day:
-			if ea.Day < eb.Day {
-				return -1
+			sum := 0
+			for d, c := range next {
+				next[d] = sum
+				sum += c
 			}
-			return 1
-		case ea.ID != eb.ID:
-			if ea.ID < eb.ID {
-				return -1
+			for i, k := range keys {
+				d := (k >> shift) & radixMask
+				j := next[d]
+				next[d]++
+				keys2[j], idx2[j] = k, idx[i]
 			}
-			return 1
+			keys, keys2 = keys2, keys
+			idx, idx2 = idx2, idx
 		}
-		return int(a - b) // arrival order for ties: a stable sort
-	})
-	return idx
+	}
+	byDayID := func(a, b int32) int {
+		ea, eb := &evs[a], &evs[b]
+		return cmp.Or(cmp.Compare(ea.Day, eb.Day), cmp.Compare(ea.ID, eb.ID), cmp.Compare(a, b))
+	}
+	for i := 0; i < n; devices++ {
+		j := i + 1
+		for j < n && keys[j] == keys[i] {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(idx[i:j], byDayID)
+		}
+		i = j
+	}
+	return idx, devices
 }
 
 // span is one (device, epoch) record's range in the frozen arena.

@@ -54,6 +54,7 @@ type Engine struct {
 	gen      Generator
 	dayConvs []events.Event
 	dayReqs  []*core.Request
+	dayDevs  []*core.Device
 	dayOut   []convOutput
 }
 
@@ -157,8 +158,10 @@ type Query struct {
 	seq     int            // batch index within the stream (sort tie-break)
 	epsilon float64
 
-	// Execution scratch, populated by Flush.
+	// Execution scratch, populated by Flush: each conversion's request and
+	// the device prepare resolved for it.
 	reqs        []*core.Request
+	devs        []*core.Device
 	first, last events.Epoch
 }
 
@@ -244,15 +247,18 @@ func (e *Engine) Flush(due []*Query, released func(Result) error) error {
 // prepare builds every conversion's attribution request for one query and
 // marks its window requested in the conversion's device ledger — here and
 // nowhere else, for every system: a central run never charges a device
-// ledger, so the mark cannot ride on the charge.
+// ledger, so the mark cannot ride on the charge. The device it resolves is
+// kept beside the request, so the generate stage does not look it up again.
 func (e *Engine) prepare(q *Query) {
 	first, last := events.EpochWindow(q.batch[0].Day, e.cfg.WindowDays, e.cfg.EpochDays)
 	q.first, q.last = first, last
 	q.reqs = make([]*core.Request, len(q.batch))
+	q.devs = make([]*core.Device, len(q.batch))
 	for i, conv := range q.batch {
 		req := BuildRequest(q.adv, q.product, conv, q.epsilon, e.cfg.WindowDays, e.cfg.EpochDays, e.cfg.Bias)
-		q.reqs[i] = req
-		e.fleet.GetOrCreate(conv.Device).MarkRequested(q.adv.Site, req.FirstEpoch, req.LastEpoch)
+		dev := e.fleet.GetOrCreate(conv.Device)
+		dev.MarkRequested(q.adv.Site, req.FirstEpoch, req.LastEpoch)
+		q.reqs[i], q.devs[i] = req, dev
 		if req.FirstEpoch < q.first {
 			q.first = req.FirstEpoch
 		}
@@ -263,14 +269,14 @@ func (e *Engine) prepare(q *Query) {
 }
 
 // generateDay runs the generate stage for every due query at once. The
-// queries' conversions concatenate in canonical order; on-device generation
-// partitions the concatenation by device so a device shared across queries
-// (or across conversions of one query) executes its filter operations
-// sequentially in exactly the order one query per flush would, while
-// distinct devices from any number of queriers run concurrently. Central
-// runs compute true report values instead — side-effect-free reads needing
-// no grouping. Outputs land slotted by concatenated conversion index, in
-// buffers the engine reuses across flushes (consumed synchronously by
+// queries' conversions, requests and devices concatenate in canonical order;
+// on-device generation partitions the concatenation by device so a device
+// shared across queries (or across conversions of one query) executes its
+// filter operations sequentially in exactly the order one query per flush
+// would, while distinct devices from any number of queriers run concurrently.
+// Central runs compute true report values instead — side-effect-free reads
+// needing no grouping. Outputs land slotted by concatenated conversion index,
+// in buffers the engine reuses across flushes (consumed synchronously by
 // Flush's aggregation loop, so reuse is safe); together with the Generator's
 // own reuse, a steady-state flush allocates only the reports it returns.
 func (e *Engine) generateDay(due []*Query) ([]convOutput, error) {
@@ -280,11 +286,13 @@ func (e *Engine) generateDay(due []*Query) ([]convOutput, error) {
 	}
 	convs := e.dayConvs[:0]
 	reqs := e.dayReqs[:0]
+	devs := e.dayDevs[:0]
 	for _, q := range due {
 		convs = append(convs, q.batch...)
 		reqs = append(reqs, q.reqs...)
+		devs = append(devs, q.devs...)
 	}
-	e.dayConvs, e.dayReqs = convs, reqs
+	e.dayConvs, e.dayReqs, e.dayDevs = convs, reqs, devs
 	if cap(e.dayOut) < total {
 		e.dayOut = make([]convOutput, total)
 	} else {
@@ -301,7 +309,7 @@ func (e *Engine) generateDay(due []*Query) ([]convOutput, error) {
 		return out, nil
 	}
 
-	reports, stats, err := e.gen.Generate(e.fleet, reqs, convs, e.cfg.Parallelism)
+	reports, stats, err := e.gen.Generate(devs, reqs, convs, e.cfg.Parallelism)
 	if err != nil {
 		return nil, err
 	}

@@ -151,22 +151,31 @@ type genWorker struct {
 	err     error
 }
 
-// Generate runs the on-device generate stage for one batch of conversions:
-// requests grouped by device, each device visited once per batch with all of
-// its requests evaluated in a single pass (core.Device.GenerateReportBatch —
-// one window traversal feeding every compiled matcher lane, one ledger lock
-// for every querier's charge, one nonce draw per device). Reports and
-// fold-ready stats land slotted by conversion index; the returned slices are
-// reused by the next Generate call, so callers must copy out (the *Report
-// pointers themselves are the caller's to retain).
+// Generate runs the on-device generate stage for one batch of conversions,
+// given each conversion's request and the device the executor's prepare stage
+// resolved for it (devs[i] is batch[i]'s device; Generate never looks one up
+// in the fleet): requests grouped by device, each device visited once per
+// batch with all of its requests evaluated in a single pass
+// (core.Device.GenerateReportBatch — one window traversal feeding every
+// compiled matcher lane, one ledger lock for every querier's charge, one
+// nonce draw per device). Reports and fold-ready stats land slotted by
+// conversion index; the returned slices are reused by the next Generate call,
+// so callers must copy out (the *Report pointers themselves are the caller's
+// to retain).
 //
 // A malformed request surfaces as an error after the fan-out barrier — the
 // offending device visit charges nothing and every other device's work
 // completes normally — and the reported error is deterministically the one
-// with the smallest conversion index, regardless of worker schedule.
-func (g *Generator) Generate(fleet *core.Fleet, reqs []*core.Request, batch []events.Event,
+// with the smallest conversion index, regardless of worker schedule. Device
+// and request lists that do not line up with the batch are refused before
+// any device is visited.
+func (g *Generator) Generate(devs []*core.Device, reqs []*core.Request, batch []events.Event,
 	workers int) ([]*core.Report, []core.ReportStats, error) {
 	n := len(batch)
+	if len(devs) != n || len(reqs) != n {
+		return nil, nil, fmt.Errorf("stream: generate got %d devices and %d requests for %d conversions",
+			len(devs), len(reqs), n)
+	}
 	if cap(g.reports) < n {
 		g.reports = make([]*core.Report, n)
 		g.stats = make([]core.ReportStats, n)
@@ -206,8 +215,7 @@ func (g *Generator) Generate(fleet *core.Fleet, reqs []*core.Request, batch []ev
 			ws.reps = ws.reps[:len(group)]
 			ws.stats = ws.stats[:len(group)]
 		}
-		dev := fleet.GetOrCreate(batch[group[0]].Device)
-		lane, err := dev.GenerateReportBatch(ws.reqs, &ws.ms, ws.reps, ws.stats)
+		lane, err := devs[group[0]].GenerateReportBatch(ws.reqs, &ws.ms, ws.reps, ws.stats)
 		if err != nil {
 			if conv := group[lane]; ws.errConv < 0 || conv < ws.errConv {
 				ws.errConv, ws.err = conv, err

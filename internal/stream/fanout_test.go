@@ -50,6 +50,16 @@ func fanoutFleet(db *events.Database, epsG float64) *core.Fleet {
 	})
 }
 
+// fanoutDevices resolves each conversion's device in fleet, as the
+// executor's prepare stage does before Generate.
+func fanoutDevices(fleet *core.Fleet, convs []events.Event) []*core.Device {
+	devs := make([]*core.Device, len(convs))
+	for i, conv := range convs {
+		devs[i] = fleet.GetOrCreate(conv.Device)
+	}
+	return devs
+}
+
 // TestGeneratorMatchesSequential holds the parallel, batched-per-device
 // generate stage to the sequential one-at-a-time reference: for random
 // super-batches (several queriers' conversions concatenated, devices shared
@@ -83,7 +93,7 @@ func TestGeneratorMatchesSequential(t *testing.T) {
 				reqs[i] = fanoutRequest(rng)
 			}
 
-			reports, stats, err := gen.Generate(fleetPar, reqs, convs, 4)
+			reports, stats, err := gen.Generate(fanoutDevices(fleetPar, convs), reqs, convs, 4)
 			if err != nil {
 				t.Fatalf("seed %d batch %d: %v", seed, batch, err)
 			}
@@ -143,7 +153,7 @@ func TestGeneratorErrorDeterministic(t *testing.T) {
 	var msgs []string
 	for _, workers := range []int{1, 2, 8} {
 		fleet := fanoutFleet(db, 1)
-		_, _, err := new(Generator).Generate(fleet, reqs, convs, workers)
+		_, _, err := new(Generator).Generate(fanoutDevices(fleet, convs), reqs, convs, workers)
 		if err == nil {
 			t.Fatalf("workers=%d: expected error", workers)
 		}
@@ -155,6 +165,45 @@ func TestGeneratorErrorDeterministic(t *testing.T) {
 	for _, m := range msgs[1:] {
 		if m != msgs[0] {
 			t.Fatalf("error differs across worker counts: %q vs %q", msgs[0], m)
+		}
+	}
+}
+
+// TestGeneratorLengthMismatch: a device or request list that does not line
+// up with the batch is refused with an error before any device is visited,
+// never an index panic in a worker.
+func TestGeneratorLengthMismatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	db := fanoutDB(rng, 4)
+	convs := make([]events.Event, 6)
+	reqs := make([]*core.Request, len(convs))
+	for i := range convs {
+		convs[i] = events.Event{ID: events.EventID(1000 + i), Kind: events.KindConversion,
+			Device: events.DeviceID(1 + i%4), Day: 30}
+		reqs[i] = fanoutRequest(rng)
+	}
+	fleet := fanoutFleet(db, 1)
+	devs := fanoutDevices(fleet, convs)
+	for _, tc := range []struct {
+		name string
+		devs []*core.Device
+		reqs []*core.Request
+	}{
+		{"one device short", devs[:5], reqs},
+		{"one device over", append(slices.Clone(devs), devs[0]), reqs},
+		{"no devices", nil, reqs},
+		{"one request short", devs, reqs[:5]},
+	} {
+		for _, workers := range []int{1, 4} {
+			_, _, err := new(Generator).Generate(tc.devs, tc.reqs, convs, workers)
+			if err == nil || !strings.Contains(err.Error(), "for 6 conversions") {
+				t.Fatalf("%s, workers=%d: err = %v, want a length mismatch error", tc.name, workers, err)
+			}
+		}
+	}
+	for d := events.DeviceID(1); d <= 4; d++ {
+		if st := fleet.GetOrCreate(d).Ledger(); len(st) != 0 {
+			t.Fatalf("device %d charged by a refused batch: %v", d, st)
 		}
 	}
 }

@@ -90,6 +90,9 @@ func (p *planner) add(conv events.Event) *Query {
 	if p.dirty != nil {
 		p.dirty[key] = struct{}{}
 	}
+	if st.pending == nil { // one allocation per batch: it becomes the Query's
+		st.pending = make([]events.Event, 0, adv.BatchSize)
+	}
 	st.pending = append(st.pending, conv)
 	if len(st.pending) < adv.BatchSize {
 		return nil
