@@ -71,6 +71,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type WAL struct {
 	f File
 	w *bufio.Writer
+	// frame is Append's record header. It lives here, not on Append's
+	// stack, because bufio.Writer.Write may hand it to the file and so
+	// would move a local to the heap on every record.
+	frame [8]byte
 
 	// Group-commit syncer state: nil syncReq means synchronous mode.
 	syncReq chan struct{}
@@ -134,10 +138,9 @@ func (w *WAL) Append(payload []byte) error {
 	if len(payload) > maxRecordLen {
 		return fmt.Errorf("checkpoint: wal record of %d bytes exceeds limit", len(payload))
 	}
-	var frame [8]byte
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
-	if _, err := w.w.Write(frame[:]); err != nil {
+	binary.LittleEndian.PutUint32(w.frame[:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(w.frame[4:], crc32.Checksum(payload, castagnoli))
+	if _, err := w.w.Write(w.frame[:]); err != nil {
 		return fmt.Errorf("checkpoint: appending wal record: %w", err)
 	}
 	if _, err := w.w.Write(payload); err != nil {

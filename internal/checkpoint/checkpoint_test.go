@@ -66,6 +66,25 @@ func TestWALAppendReplay(t *testing.T) {
 	}
 }
 
+// TestWALAppendAllocatesNothing pins Append's steady state at zero heap
+// allocations per record: the frame header must not escape per call, and
+// the buffered writer's flushes into the file allocate nothing either.
+func TestWALAppendAllocatesNothing(t *testing.T) {
+	w, err := OpenWALFile(OsFS{}, walPath(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	payload := bytes.Repeat([]byte{0xa5}, 100)
+	if n := testing.AllocsPerRun(2000, func() {
+		if err := w.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Append allocates %.2f times per record, want 0", n)
+	}
+}
+
 func TestWALTornTailTruncatesCleanly(t *testing.T) {
 	path := walPath(t)
 	w, err := OpenWALFile(OsFS{}, path)

@@ -329,8 +329,8 @@ func (db *Database) WindowViewsInto(buf []EventView, d DeviceID, first, last Epo
 	}
 	for e := first; e <= last; e++ {
 		if seg := db.epochs[e]; seg != nil {
-			if rec, ok := seg.byDevice[d]; ok {
-				buf[e-first] = EventView{evs: rec.evs, keys: rec.keys}
+			if r, ok := seg.byDevice[d]; ok {
+				buf[e-first].evs, buf[e-first].keys = seg.view(r)
 			}
 		}
 	}

@@ -22,8 +22,9 @@ type DeviceEpoch struct {
 // paper's trust model.
 //
 // A Database comes in one of two forms. NewDatabase returns a mutable store
-// segmented by epoch: Record appends into the owning segment's per-device
-// record (interning the scan-key column as it goes — see columnar.go) and
+// segmented by epoch: each segment is an arena of event and scan-key chunks,
+// a device's record is a pointer-free region of it, Record appends into that
+// region (interning the scan-key column as it goes — see columnar.go), and
 // EvictBefore reclaims by dropping whole epoch segments, O(1) per evicted
 // epoch. No reader or writer may run concurrently with either, but
 // concurrent *read-only* phases are fine as long as they never overlap a
@@ -109,22 +110,73 @@ func (db *Database) DrainDirty() []DeviceEpochKey {
 	}
 }
 
+// Chunk sizes of an epoch segment's arena. A segment's chunks double from
+// firstChunk up to maxChunk slots, so an epoch with a handful of events costs
+// one small chunk; a region larger than maxChunk gets a chunk of its own.
+const (
+	firstChunk = 16
+	maxChunk   = 2048
+)
+
 // epochSegment holds one epoch's device records — the retention unit: the
-// streaming service's horizon advance drops segments whole. Records are map
-// values (slice headers, not pointers), so a record costs no allocation of
-// its own.
+// streaming service's horizon advance drops segments whole. The segment is
+// an arena: parallel chunks of events and scan keys, carved front to back
+// into regions. A device's record is one region, which moves to a fresh
+// region of twice the capacity when it fills; the region it left stays
+// carved until the segment is dropped, so a record wastes at most the slots
+// it holds. The map values are pointer-free, so the collector never scans
+// the map, and a new record allocates nothing of its own.
 type epochSegment struct {
-	byDevice map[DeviceID]record
+	byDevice map[DeviceID]region
+	evs      [][]Event // chunks, each fully sized
+	keys     [][]evKey // parallel to evs
+	tail     uint32    // slots carved from the last chunk
 	// dirty lists, while tracking is armed, the device of every Record into
 	// this segment since the last DrainDirty, repeats included.
 	dirty []DeviceID
 }
 
-// record is one mutable device-epoch record: events in (Day, ID) order with
-// their parallel scan keys.
-type record struct {
-	evs  []Event
-	keys []evKey
+// region is one device-epoch record in its segment's arena: n events in
+// (Day, ID) order at evs[chunk][off:off+n], with their parallel scan keys,
+// and room for cap.
+type region struct {
+	chunk, off, n, cap uint32
+}
+
+// view returns r's events and keys, capped at their length so that a
+// caller's append reallocates instead of writing into a neighbour.
+func (s *epochSegment) view(r region) ([]Event, []evKey) {
+	end := r.off + r.n
+	return s.evs[r.chunk][r.off:end:end], s.keys[r.chunk][r.off:end:end]
+}
+
+// carve takes c free slots from the arena, starting a new chunk when the
+// last one has too little room left.
+func (s *epochSegment) carve(c uint32) region {
+	last := len(s.evs) - 1
+	if last < 0 || uint32(len(s.evs[last]))-s.tail < c {
+		size := uint32(firstChunk)
+		if last >= 0 {
+			size = min(2*uint32(len(s.evs[last])), maxChunk)
+		}
+		size = max(size, c)
+		s.evs = append(s.evs, make([]Event, size))
+		s.keys = append(s.keys, make([]evKey, size))
+		s.tail = 0
+		last++
+	}
+	r := region{chunk: uint32(last), off: s.tail, cap: c}
+	s.tail += c
+	return r
+}
+
+// grow moves r's events and keys into a fresh region of twice its capacity.
+func (s *epochSegment) grow(r region) region {
+	nr := s.carve(max(2*r.cap, 1))
+	nr.n = r.n
+	copy(s.evs[nr.chunk][nr.off:nr.off+r.n], s.evs[r.chunk][r.off:r.off+r.n])
+	copy(s.keys[nr.chunk][nr.off:nr.off+r.n], s.keys[r.chunk][r.off:r.off+r.n])
+	return nr
 }
 
 // NewDatabase returns an empty database.
@@ -141,17 +193,29 @@ func (db *Database) NextEventID() EventID {
 // Record appends an event to the device-epoch record for (ev.Device, epoch).
 // Events within an epoch are kept in (Day, ID) order; the append-at-end case
 // (datasets are generated in time order) is O(1), and an out-of-order event
-// finds its slot by binary search instead of the old linear bubble — O(log n)
-// compares plus one memmove, so a fully shuffled batch costs O(n log n)
-// compares rather than O(n²).
+// finds its slot by binary search and shifts the record's tail within its
+// region — O(log n) compares plus one memmove. Equal keys keep arrival
+// order. A full region first moves to one of twice the capacity.
 func (db *Database) Record(epoch Epoch, ev Event) {
 	if db.col != nil {
 		panic("events: Record on frozen database")
 	}
 	seg := db.segment(epoch)
-	rec := seg.byDevice[ev.Device]
-	rec.insert(ev, &db.intern)
-	seg.byDevice[ev.Device] = rec
+	r := seg.byDevice[ev.Device]
+	if r.n == r.cap {
+		r = seg.grow(r)
+	}
+	evs := seg.evs[r.chunk][r.off : r.off+r.n+1]
+	keys := seg.keys[r.chunk][r.off : r.off+r.n+1]
+	i := int(r.n)
+	if i > 0 && ev.Before(evs[i-1]) {
+		i = sort.Search(i, func(j int) bool { return ev.Before(evs[j]) })
+		copy(evs[i+1:], evs[i:r.n])
+		copy(keys[i+1:], keys[i:r.n])
+	}
+	evs[i], keys[i] = ev, db.intern.keyOf(ev)
+	r.n++
+	seg.byDevice[ev.Device] = r
 	if db.trackDirty {
 		seg.dirty = append(seg.dirty, ev.Device)
 	}
@@ -162,25 +226,10 @@ func (db *Database) Record(epoch Epoch, ev Event) {
 func (db *Database) segment(epoch Epoch) *epochSegment {
 	seg := db.epochs[epoch]
 	if seg == nil {
-		seg = &epochSegment{byDevice: make(map[DeviceID]record)}
+		seg = &epochSegment{byDevice: make(map[DeviceID]region)}
 		db.epochs[epoch] = seg
 	}
 	return seg
-}
-
-// insert places ev at its (Day, ID) position, maintaining the parallel key
-// column. Equal keys keep arrival order, matching the old bubble's stability
-// exactly.
-func (r *record) insert(ev Event, in *intern) {
-	n := len(r.evs)
-	if n == 0 || !ev.Before(r.evs[n-1]) {
-		r.evs = append(r.evs, ev)
-		r.keys = append(r.keys, in.keyOf(ev))
-		return
-	}
-	i := sort.Search(n, func(i int) bool { return ev.Before(r.evs[i]) })
-	r.evs = slices.Insert(r.evs, i, ev)
-	r.keys = slices.Insert(r.keys, i, in.keyOf(ev))
 }
 
 // EvictBefore removes every device-epoch record with epoch < first,
@@ -218,11 +267,12 @@ func (db *Database) EpochEvents(d DeviceID, e Epoch) []Event {
 	if seg == nil {
 		return nil
 	}
-	rec, ok := seg.byDevice[d]
+	r, ok := seg.byDevice[d]
 	if !ok {
 		return nil
 	}
-	return rec.evs
+	evs, _ := seg.view(r)
+	return evs
 }
 
 // WindowEvents returns the per-epoch event sets of device d over the epoch
@@ -273,8 +323,8 @@ func (db *Database) WindowEventsInto(buf [][]Event, d DeviceID, first, last Epoc
 	}
 	for e := first; e <= last; e++ {
 		if seg := db.epochs[e]; seg != nil {
-			if rec, ok := seg.byDevice[d]; ok {
-				out[e-first] = rec.evs
+			if r, ok := seg.byDevice[d]; ok {
+				out[e-first], _ = seg.view(r)
 			}
 		}
 	}
@@ -370,8 +420,8 @@ func (db *Database) NumEvents() int {
 	}
 	n := 0
 	for _, seg := range db.epochs {
-		for _, rec := range seg.byDevice {
-			n += len(rec.evs)
+		for _, r := range seg.byDevice {
+			n += int(r.n)
 		}
 	}
 	return n

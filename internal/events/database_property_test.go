@@ -288,6 +288,319 @@ func TestStorePropertyVsReference(t *testing.T) {
 	}
 }
 
+// sortedDevices returns the reference's devices in ascending order.
+func (db *refStore) sortedDevices() []DeviceID {
+	out := make([]DeviceID, 0, len(db.devices))
+	for d := range db.devices {
+		out = append(out, d)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// sortedEpochs returns device d's populated epochs in ascending order, nil
+// when it has none.
+func (db *refStore) sortedEpochs(d DeviceID) []Epoch {
+	ds := db.devices[d]
+	if ds == nil || len(ds.epochs) == 0 {
+		return nil
+	}
+	out := make([]Epoch, 0, len(ds.epochs))
+	for e := range ds.epochs {
+		out = append(out, e)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// keys lists every reference record's key in (device, epoch) order.
+func (db *refStore) keys() []DeviceEpochKey {
+	keys := []DeviceEpochKey{}
+	for _, d := range db.sortedDevices() {
+		for _, e := range db.sortedEpochs(d) {
+			keys = append(keys, DeviceEpochKey{d, e})
+		}
+	}
+	return keys
+}
+
+// arenaSelectors covers every compiled selector form over the advertisers
+// and campaigns arenaEvent draws, so a scan-key column that disagrees with
+// its events changes some scan's result.
+var arenaSelectors = []Selector{
+	CampaignSelector{Advertiser: "nike.com"},
+	CampaignSelector{Advertiser: "adidas.com", Campaigns: map[string]bool{"p0": true, "p2": true}},
+	ProductSelector{Advertiser: "puma.com", Product: "p1"},
+	ProductSelector{Advertiser: "nike.com", Product: "p3"},
+	WindowSelector{Inner: CampaignSelector{Advertiser: "adidas.com"}, FirstDay: 2, LastDay: 40},
+	SelectorFunc(func(ev Event) bool { return ev.IsImpression() && ev.Advertiser == "puma.com" }),
+}
+
+// arenaEvent draws an event whose advertiser, campaign and kind follow from
+// its arrival number seq, so two events with equal (Day, ID) still differ.
+func arenaEvent(seq int, d DeviceID, day int, id EventID) Event {
+	sites := []Site{"nike.com", "adidas.com", "puma.com"}
+	ev := Event{
+		ID:         id,
+		Device:     d,
+		Day:        day,
+		Advertiser: sites[seq%len(sites)],
+		Publisher:  "pub.example",
+		Campaign:   fmt.Sprintf("p%d", seq%5),
+		Value:      float64(seq),
+	}
+	if seq%4 == 3 {
+		ev.Kind = KindConversion
+		ev.Product = ev.Campaign
+	}
+	return ev
+}
+
+// checkStoreVsRef holds a mutable store to the reference on every read:
+// counts, device and epoch lists, Keys, EpochEvents, WindowEventsInto,
+// WindowViewsInto (each view's scan keys against its events), compiled
+// scans, and DrainDirty against the map model (which resets both). It then
+// appends to every returned slice and checks that no record's reads moved.
+func checkStoreVsRef(t *testing.T, db *Database, ref *refStore, model *dirtyModel, stage string) {
+	t.Helper()
+	if db.NumRecords() != ref.numRecords() || db.NumEvents() != ref.numEvents() ||
+		db.NumDevices() != len(ref.devices) {
+		t.Fatalf("%s: counts diverge: records %d/%d events %d/%d devices %d/%d", stage,
+			db.NumRecords(), ref.numRecords(), db.NumEvents(), ref.numEvents(), db.NumDevices(), len(ref.devices))
+	}
+	devs := ref.sortedDevices()
+	if got := db.Devices(); !slices.Equal(got, devs) {
+		t.Fatalf("%s: Devices = %v, ref %v", stage, got, devs)
+	}
+	if got, want := db.Keys(), ref.keys(); !slices.Equal(got, want) {
+		t.Fatalf("%s: Keys = %v, ref %v", stage, got, want)
+	}
+	lo, hi := Epoch(0), Epoch(-1)
+	for i, k := range ref.keys() {
+		if i == 0 || k.Epoch < lo {
+			lo = k.Epoch
+		}
+		if i == 0 || k.Epoch > hi {
+			hi = k.Epoch
+		}
+	}
+	lo, hi = lo-1, hi+1
+	var (
+		window [][]Event
+		views  []EventView
+	)
+	for _, d := range devs {
+		if got, want := db.DeviceEpochs(d), ref.sortedEpochs(d); !slices.Equal(got, want) {
+			t.Fatalf("%s: DeviceEpochs(%d) = %v, ref %v", stage, d, got, want)
+		}
+		window = db.WindowEventsInto(window, d, lo, hi)
+		views = db.WindowViewsInto(views, d, lo, hi)
+		for e := lo; e <= hi; e++ {
+			want := ref.epochEvents(d, e)
+			if got := db.EpochEvents(d, e); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: EpochEvents(%d, %d) = %v, ref %v", stage, d, e, got, want)
+			}
+			if got := window[e-lo]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: WindowEventsInto(%d)[epoch %d] = %v, ref %v", stage, d, e, got, want)
+			}
+			v := views[e-lo]
+			if got := v.Events(); v.Len() != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("%s: WindowViewsInto(%d)[epoch %d] = %v, ref %v", stage, d, e, got, want)
+			}
+			for i, ev := range want {
+				key := evKey{day: clampDay(ev.Day), adv: db.intern.adv[ev.Advertiser],
+					camp: db.intern.camp[ev.Campaign], kind: uint8(ev.Kind)}
+				if v.keys[i] != key {
+					t.Fatalf("%s: view (%d, %d) key %d = %+v, want %+v", stage, d, e, i, v.keys[i], key)
+				}
+			}
+		}
+		for _, sel := range arenaSelectors {
+			got := selectCompiled(db, sel, d, lo, hi)
+			for i := range got {
+				if want := Select(ref.epochEvents(d, lo+Epoch(i)), sel); !reflect.DeepEqual(got[i], want) {
+					t.Fatalf("%s: compiled scan (%T, dev %d, epoch %d) = %v, ref %v",
+						stage, sel, d, lo+Epoch(i), got[i], want)
+				}
+			}
+		}
+	}
+	if got, want := db.DrainDirty(), model.drain(); !slices.Equal(got, want) {
+		t.Fatalf("%s: DrainDirty = %v, model %v", stage, got, want)
+	}
+	// A caller's append to a returned slice must reallocate, never write
+	// into the next region of the arena.
+	for _, k := range ref.keys() {
+		_ = append(db.EpochEvents(k.Device, k.Epoch), Event{ID: 1 << 62})
+		views = db.WindowViewsInto(views, k.Device, k.Epoch, k.Epoch)
+		_ = append(views[0].Events(), Event{ID: 1 << 62})
+	}
+	for _, k := range ref.keys() {
+		if got, want := db.EpochEvents(k.Device, k.Epoch), ref.epochEvents(k.Device, k.Epoch); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: after appends, EpochEvents(%d, %d) = %v, ref %v", stage, k.Device, k.Epoch, got, want)
+		}
+	}
+}
+
+// arenaOp is one step of an arena scenario: a Record, or an EvictBefore.
+type arenaOp struct {
+	evict bool
+	floor Epoch
+	ev    Event
+}
+
+// TestArenaVsReferenceAtVolume drives the mutable store's arena through the
+// cases the random property test is too small to reach — chunk boundaries,
+// a record larger than the chunk cap, out-of-order inserts at every
+// position of a region including the insert that moves it, duplicate
+// (Day, ID) keys, and eviction between them — and holds every read,
+// compiled scan and dirty drain to the reference after each eviction and at
+// the end of each row. The touched record is checked after every op.
+func TestArenaVsReferenceAtVolume(t *testing.T) {
+	const epochDays = 7
+	rows := []struct {
+		name string
+		ops  func(rng *rand.Rand) []arenaOp
+		// minChunks is the least number of chunks epoch 0's segment must
+		// end with, so the row is known to cross that many boundaries.
+		minChunks int
+		// oversize asks that epoch 0 end with a chunk past maxChunk.
+		oversize bool
+	}{
+		{
+			name: "chunk boundaries",
+			ops: func(rng *rand.Rand) []arenaOp {
+				var ops []arenaOp
+				for round := 1; round <= 4; round++ {
+					for d := 0; d < 600; d += round {
+						ops = append(ops, arenaOp{ev: arenaEvent(len(ops), DeviceID(d), rng.Intn(epochDays), EventID(len(ops)))})
+					}
+				}
+				return ops
+			},
+			minChunks: 4,
+		},
+		{
+			name: "hot device past the chunk cap",
+			ops: func(rng *rand.Rand) []arenaOp {
+				var ops []arenaOp
+				for i := 0; i < 3*maxChunk; i++ {
+					d := DeviceID(1)
+					if i%5 == 0 {
+						d = DeviceID(2 + rng.Intn(40))
+					}
+					ops = append(ops, arenaOp{ev: arenaEvent(i, d, rng.Intn(epochDays), EventID(rng.Intn(1<<20)))})
+				}
+				return ops
+			},
+			oversize: true,
+		},
+		{
+			name: "out of order at start, middle and end, and as the region moves",
+			ops: func(rng *rand.Rand) []arenaOp {
+				var ops []arenaOp
+				n, moves := 0, 0
+				for i := 0; i < 300; i++ {
+					// A neighbour record after every insert, so a region
+					// that spills or moves badly lands on live events.
+					ops = append(ops, arenaOp{ev: arenaEvent(len(ops), DeviceID(100+i), 3, EventID(i))})
+					pos := rng.Intn(3)
+					if n > 0 && n&(n-1) == 0 { // a power of two: this insert moves the region
+						pos = moves % 3
+						moves++
+					}
+					var day int
+					var id EventID
+					switch pos {
+					case 0: // start
+						day, id = 0, EventID(1000-i)
+					case 1: // middle
+						day, id = 3, EventID(rng.Intn(1000))
+					default: // end
+						day, id = 6, EventID(1000+i)
+					}
+					ops = append(ops, arenaOp{ev: arenaEvent(len(ops), 5, day, id)})
+					n++
+				}
+				return ops
+			},
+		},
+		{
+			name: "duplicate (Day, ID) pairs",
+			ops: func(rng *rand.Rand) []arenaOp {
+				var ops []arenaOp
+				for i := 0; i < 800; i++ {
+					d := DeviceID(rng.Intn(4))
+					ops = append(ops, arenaOp{ev: arenaEvent(i, d, rng.Intn(2*epochDays), EventID(1+rng.Intn(5)))})
+				}
+				return ops
+			},
+		},
+		{
+			name: "interleaved EvictBefore",
+			ops: func(rng *rand.Rand) []arenaOp {
+				var ops []arenaOp
+				floor := Epoch(0)
+				for i := 0; i < 3000; i++ {
+					if i%150 == 149 {
+						if rng.Intn(4) == 0 {
+							floor -= 2 // a floor below the last one evicts nothing
+						} else {
+							floor++
+						}
+						ops = append(ops, arenaOp{evict: true, floor: floor})
+						continue
+					}
+					// Mostly at or past the floor, sometimes into an evicted
+					// epoch, which starts a fresh segment.
+					day := int(floor)*epochDays + rng.Intn(4*epochDays) - 2
+					ops = append(ops, arenaOp{ev: arenaEvent(i, DeviceID(rng.Intn(300)), day, EventID(i))})
+				}
+				return ops
+			},
+		},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			db, ref, model := NewDatabase(), newRefStore(), &dirtyModel{}
+			db.TrackDirty(true)
+			model.track(true)
+			for i, op := range row.ops(rand.New(rand.NewSource(7))) {
+				stage := fmt.Sprintf("op %d", i)
+				if op.evict {
+					if got, want := db.EvictBefore(op.floor), ref.evictBefore(op.floor); got != want {
+						t.Fatalf("%s: EvictBefore(%d) removed %d, ref %d", stage, op.floor, got, want)
+					}
+					model.evictBefore(op.floor)
+					checkStoreVsRef(t, db, ref, model, stage)
+					continue
+				}
+				e := EpochOfDay(op.ev.Day, epochDays)
+				db.Record(e, op.ev)
+				ref.record(e, op.ev)
+				model.record(op.ev.Device, e)
+				// Whole-record compares are quadratic in the hot row; past
+				// a few dozen events the row-end check covers the contents.
+				got, want := db.EpochEvents(op.ev.Device, e), ref.epochEvents(op.ev.Device, e)
+				if len(got) != len(want) || (len(want) <= 64 && !reflect.DeepEqual(got, want)) {
+					t.Fatalf("%s: EpochEvents(%d, %d) = %v, ref %v", stage, op.ev.Device, e, got, want)
+				}
+			}
+			checkStoreVsRef(t, db, ref, model, "end")
+			var chunks [][]Event
+			if seg := db.epochs[0]; seg != nil {
+				chunks = seg.evs
+			}
+			if len(chunks) < row.minChunks {
+				t.Fatalf("epoch 0 has %d chunks, want ≥ %d", len(chunks), row.minChunks)
+			}
+			if row.oversize && !slices.ContainsFunc(chunks, func(c []Event) bool { return len(c) > maxChunk }) {
+				t.Fatal("no record outgrew the chunk cap")
+			}
+		})
+	}
+}
+
 // dirtyModel is the record-level dirty set as one map of keys — swept by
 // eviction and dumped through a comparator sort on drain — kept as the
 // executable specification of the per-epoch dirty lists.
@@ -516,4 +829,46 @@ func TestFrozenConcurrentCompiledScans(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// FuzzStoreVsReference reads its input as four-byte ops — Record of a
+// fuzzed device, day and ID; EvictBefore; or a full check — and holds the
+// mutable store to the reference (and its dirty set to the map model) after
+// every check op and at the end.
+func FuzzStoreVsReference(f *testing.F) {
+	f.Add([]byte{})
+	var inOrder, shuffled []byte
+	for i := byte(0); i < 40; i++ {
+		inOrder = append(inOrder, 0, i%3, 32+i/4, i)
+		shuffled = append(shuffled, i%6, i%5, 32+(i*37)%29, i%4)
+	}
+	f.Add(inOrder)
+	f.Add(append(shuffled, 6, 7, 0, 0, 7, 0, 0, 0, 0, 1, 20, 9))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const epochDays = 7
+		db, ref, model := NewDatabase(), newRefStore(), &dirtyModel{}
+		db.TrackDirty(true)
+		model.track(true)
+		for i := 0; i+4 <= len(data); i += 4 {
+			op, dev, day, id := data[i], data[i+1], data[i+2], data[i+3]
+			stage := fmt.Sprintf("op %d", i/4)
+			switch op % 8 {
+			case 6:
+				floor := Epoch(int(dev%48) - 6)
+				if got, want := db.EvictBefore(floor), ref.evictBefore(floor); got != want {
+					t.Fatalf("%s: EvictBefore(%d) removed %d, ref %d", stage, floor, got, want)
+				}
+				model.evictBefore(floor)
+			case 7:
+				checkStoreVsRef(t, db, ref, model, stage)
+			default:
+				ev := arenaEvent(i/4+int(op/8), DeviceID(dev%16), int(day)-32, EventID(id))
+				e := EpochOfDay(ev.Day, epochDays)
+				db.Record(e, ev)
+				ref.record(e, ev)
+				model.record(ev.Device, e)
+			}
+		}
+		checkStoreVsRef(t, db, ref, model, "end")
+	})
 }

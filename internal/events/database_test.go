@@ -1,6 +1,7 @@
 package events
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -240,4 +241,74 @@ func TestFrozenConcurrentReaders(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestReadSlicesCannotReachNeighbours appends to every slice the mutable
+// store hands out — EpochEvents, WindowEventsInto entries, and
+// EventView.Events — and checks that no record's reads moved: each slice is
+// capped at its record's length, so the append reallocates rather than
+// writing into the next region of the arena.
+func TestReadSlicesCannotReachNeighbours(t *testing.T) {
+	db := NewDatabase()
+	var id EventID
+	for d := DeviceID(0); d < 64; d++ {
+		for k := 0; k <= int(d%3); k++ {
+			id++
+			db.Record(0, imp(id, d, k, "nike.com"))
+		}
+	}
+	want := make(map[DeviceID][]Event)
+	for d := DeviceID(0); d < 64; d++ {
+		want[d] = slices.Clone(db.EpochEvents(d, 0))
+	}
+	sentinel := imp(1<<40, 999, 0, "evil.example")
+	for d := DeviceID(0); d < 64; d++ {
+		evs := db.EpochEvents(d, 0)
+		if cap(evs) != len(evs) {
+			t.Fatalf("EpochEvents(%d, 0) has cap %d beyond its %d events", d, cap(evs), len(evs))
+		}
+		_ = append(evs, sentinel)
+		_ = append(db.WindowEventsInto(nil, d, 0, 0)[0], sentinel)
+		_ = append(db.WindowViewsInto(nil, d, 0, 0)[0].Events(), sentinel)
+	}
+	for d := DeviceID(0); d < 64; d++ {
+		if got := db.EpochEvents(d, 0); !slices.Equal(got, want[d]) {
+			t.Fatalf("device %d after appends = %v, want %v", d, got, want[d])
+		}
+	}
+}
+
+// TestSparseEpochsCostOneSmallChunk records one event in each of 1 000
+// epochs: every segment must hold a single first-size chunk, not a
+// full-size one.
+func TestSparseEpochsCostOneSmallChunk(t *testing.T) {
+	db := NewDatabase()
+	for e := 0; e < 1000; e++ {
+		db.Record(Epoch(e), imp(EventID(e+1), 3, 7*e, "nike.com"))
+	}
+	for e, seg := range db.epochs {
+		slots := 0
+		for _, c := range seg.evs {
+			slots += len(c)
+		}
+		if slots > firstChunk || len(seg.keys) != len(seg.evs) {
+			t.Fatalf("epoch %d holds %d slots in %d chunks, want ≤ %d", e, slots, len(seg.evs), firstChunk)
+		}
+	}
+}
+
+// TestRecordAllocatesPerChunk records 10 000 single-event devices into one
+// epoch. A record is a region of the segment's arena, so the allocations
+// are the chunks and the map's growth — far fewer than one per record.
+func TestRecordAllocatesPerChunk(t *testing.T) {
+	const n = 10000
+	allocs := testing.AllocsPerRun(1, func() {
+		db := NewDatabase()
+		for d := 0; d < n; d++ {
+			db.Record(0, imp(EventID(d+1), DeviceID(d), 0, "nike.com"))
+		}
+	})
+	if allocs > n/16 {
+		t.Fatalf("recording %d single-event devices allocated %.0f times, want ≤ %d", n, allocs, n/16)
+	}
 }
