@@ -72,6 +72,20 @@ func randomMultiRequest(rng *rand.Rand) *Request {
 	return req
 }
 
+// checkSelection holds a filled selection — a Scratch's truthful slices —
+// to RelevantWindow, the allocating Select-per-epoch statement of it, which
+// shares no code with selectWindow or the multi-matcher scan. Reports alone
+// can miss a wrong selection: an aliased record that carries irrelevant
+// events, or a selector tested the wrong way, may still attribute the same.
+func checkSelection(t *testing.T, db *events.Database, dev events.DeviceID, req *Request, got [][]events.Event, path string) {
+	t.Helper()
+	for i, want := range RelevantWindow(db, dev, req) {
+		if !slices.Equal(got[i], want) {
+			t.Fatalf("%s selection of epoch %d = %v, want %v", path, req.FirstEpoch+events.Epoch(i), got[i], want)
+		}
+	}
+}
+
 func sameReportModuloNonce(a, b *Report) bool {
 	return a.Querier == b.Querier && a.Device == b.Device &&
 		slices.Equal(a.Histogram, b.Histogram) && a.BiasFlag == b.BiasFlag &&
@@ -127,6 +141,8 @@ func TestBatchMatchesSequentialScratch(t *testing.T) {
 					t.Fatalf("seed %d batch %d req %d: stats %+v vs %+v",
 						seed, batch, j, stRef, stats[j])
 				}
+				checkSelection(t, db, dev, req, ms.ss[j].truthful, "batched")
+				checkSelection(t, db, dev, req, scratch.truthful, "sequential")
 			}
 			for j := 1; j < n; j++ {
 				if reports[j].Nonce != reports[j-1].Nonce+1 {
@@ -142,9 +158,12 @@ func TestBatchMatchesSequentialScratch(t *testing.T) {
 	}
 }
 
-// TestBatchMutableStoreFallback runs the same equivalence against the mutable
-// store (selectors never compile there), pinning that the batched charge and
-// nonce paths are correct independent of the columnar scan.
+// TestBatchMutableStoreFallback runs the same equivalence against a store
+// filled by Record rather than bulk-loaded. The built-in selectors compile
+// there too (Record interns the scan-key column as it appends), while the
+// SelectorFunc requests take Selector.Relevant in the shared selection loop,
+// so the batched charge and nonce paths are held to the sequential path
+// whichever test selects.
 func TestBatchMutableStoreFallback(t *testing.T) {
 	var scratch Scratch
 	var ms MultiScratch
@@ -180,6 +199,8 @@ func TestBatchMutableStoreFallback(t *testing.T) {
 				if !sameReportModuloNonce(repRef, reports[j]) || stRef != stats[j] {
 					t.Fatalf("seed %d batch %d req %d: mismatch", seed, batch, j)
 				}
+				checkSelection(t, db, 7, req, ms.ss[j].truthful, "batched")
+				checkSelection(t, db, 7, req, scratch.truthful, "sequential")
 			}
 			if !reflect.DeepEqual(dRef.Ledger(), dBat.Ledger()) {
 				t.Fatalf("seed %d batch %d: ledger diverged", seed, batch)

@@ -20,11 +20,8 @@ import (
 // during a previous call. The fan-out engine (stream.Generator) keeps
 // one Scratch per worker for exactly this reason.
 type Scratch struct {
-	// win holds the raw per-epoch database slices of the current window
-	// (generic-selector fallback path).
-	win [][]events.Event
 	// views holds the zero-copy per-epoch record views of the current
-	// window (compiled-selector path).
+	// window.
 	views []events.EventView
 	// truthful holds the relevant (pre-filter) events per window epoch;
 	// entries alias either the database (epochs where every event is
@@ -66,67 +63,22 @@ func (s *Scratch) grow(k int) {
 }
 
 // selectWindow fills s.truthful with the relevant events of every window
-// epoch — RelevantWindow's job, without the per-epoch allocations. Partial
-// selections are copied into the shared arena; sub-slices are only taken
-// once the arena has stopped growing, so no span is invalidated by a later
-// reallocation.
-//
-// When the request's selector compiles against the database's interned
-// columns (every built-in selector form does), the scan runs over zero-copy
-// EventViews with integer compares per event — no interface dispatch, no
-// string compares, and full-match epochs alias the store's arena directly.
-// Both paths produce identical slices by construction; the events property
-// suite holds the compiled matcher to Selector.Relevant event for event.
+// epoch — RelevantWindow's job, without the per-epoch allocations. The
+// window's records are fetched as zero-copy EventViews, and each event is
+// tested with the selector compiled against the database's interned columns
+// when it compiles (every built-in form does: integer compares, no interface
+// dispatch) and with Selector.Relevant otherwise (SelectorFunc and other
+// opaque selectors); the events property suite holds the two tests equal
+// event for event. Partial selections are copied into the shared arena, and
+// sub-slices are only taken once the arena has stopped growing, so no span
+// is invalidated by a later reallocation; an epoch whose events are all
+// relevant aliases the store's record instead.
 func selectWindow(db *events.Database, dev events.DeviceID, req *Request, s *Scratch) {
-	if m, ok := db.Compile(req.Selector); ok {
-		selectWindowCompiled(db, dev, req, s, &m)
-		return
-	}
-	s.win = db.WindowEventsInto(s.win, dev, req.FirstEpoch, req.LastEpoch)
-	s.arena = s.arena[:0]
-	s.spans = s.spans[:0]
-	for _, evs := range s.win {
-		start := len(s.arena)
-		all := true
-		for _, ev := range evs {
-			if req.Selector.Relevant(ev) {
-				s.arena = append(s.arena, ev)
-			} else {
-				all = false
-			}
-		}
-		if all && len(evs) > 0 {
-			// Every event relevant: alias the (read-only) database slice
-			// and return the arena space.
-			s.arena = s.arena[:start]
-			s.spans = append(s.spans, [2]int{spanAlias, 0})
-			continue
-		}
-		s.spans = append(s.spans, [2]int{start, len(s.arena)})
-	}
-	for i, sp := range s.spans {
-		switch {
-		case sp[0] == spanAlias:
-			s.truthful[i] = s.win[i]
-		case sp[0] == sp[1]:
-			s.truthful[i] = nil // nothing relevant: the zero-loss signal
-		default:
-			s.truthful[i] = s.arena[sp[0]:sp[1]:sp[1]]
-		}
-	}
-}
-
-// selectWindowCompiled is selectWindow over the columnar scan path: window
-// record views fetched zero-copy, relevance decided by the compiled matcher.
-// The arena/span discipline is identical to the generic path.
-func selectWindowCompiled(db *events.Database, dev events.DeviceID, req *Request, s *Scratch, m *events.Matcher) {
-	k := req.WindowSize()
-	if m.MatchesNone() {
+	m, compiled := db.Compile(req.Selector)
+	if compiled && m.MatchesNone() {
 		// The selector cannot match any stored event: every epoch selects
 		// ∅ — the zero-loss case, decided without touching the store.
-		for i := 0; i < k; i++ {
-			s.truthful[i] = nil
-		}
+		clear(s.truthful)
 		return
 	}
 	s.views = db.WindowViewsInto(s.views, dev, req.FirstEpoch, req.LastEpoch)
@@ -134,16 +86,13 @@ func selectWindowCompiled(db *events.Database, dev events.DeviceID, req *Request
 	s.spans = s.spans[:0]
 	for _, v := range s.views {
 		start := len(s.arena)
-		all := true
 		evs := v.Events()
-		for i, n := 0, v.Len(); i < n; i++ {
-			if m.Match(v, i) {
+		for i := range evs {
+			if compiled && m.Match(v, i) || !compiled && req.Selector.Relevant(evs[i]) {
 				s.arena = append(s.arena, evs[i])
-			} else {
-				all = false
 			}
 		}
-		if all && v.Len() > 0 {
+		if len(evs) > 0 && len(s.arena)-start == len(evs) {
 			// Every event relevant: alias the (read-only) store memory
 			// and return the arena space.
 			s.arena = s.arena[:start]

@@ -15,13 +15,13 @@ import (
 // RelevantWindow returns, for each epoch of req's window oldest-first, the
 // events of device dev relevant to req — the paper's D^E_d filtered by the
 // selector F_A. It only reads the database, so concurrent workers may call
-// it on a frozen database, or on a loading-phase database during a phase
-// with no concurrent Record/EvictBefore (the streaming service's day-clock
-// discipline).
+// it during any phase with no concurrent Record/EvictBefore (the streaming
+// service's day-clock discipline).
 func RelevantWindow(db *events.Database, dev events.DeviceID, req *Request) [][]events.Event {
-	out := db.WindowEvents(dev, req.FirstEpoch, req.LastEpoch)
-	for i, evs := range out {
-		out[i] = events.Select(evs, req.Selector)
+	views := db.WindowViewsInto(nil, dev, req.FirstEpoch, req.LastEpoch)
+	out := make([][]events.Event, len(views))
+	for i, v := range views {
+		out[i] = events.Select(v.Events(), req.Selector)
 	}
 	return out
 }

@@ -80,10 +80,11 @@ type Dataset struct {
 }
 
 // Build partitions the dataset's events into a device-epoch database for the
-// given epoch length in days. The database is compiled frozen in one shot
-// (events.NewFrozen): events land directly in the columnar arena with no
-// intermediate mutable store, and the read path is safe for the workload
-// engine's concurrent report generation. The events may be in any order —
+// given epoch length in days. The database is bulk-loaded in one shot
+// (events.NewFrozen): each record is written once into an exact-sized
+// region of its epoch's arena, with no per-event insert, and the store is
+// only read afterwards, so the workload engine's concurrent report
+// generation needs no locking. The events may be in any order —
 // the generators emit them in ID order with random days — and the load is
 // linear in their number.
 func (d *Dataset) Build(epochDays int) *events.Database {

@@ -73,7 +73,7 @@ func DecodeBinary(buf []byte) (Event, []byte, error) {
 }
 
 // MarshalEvents encodes a slice of events with a count prefix. The layout is
-// columnar, mirroring the frozen store: each field serialized as one
+// columnar: each field serialized as one
 // contiguous column (IDs, kinds, devices, days, string indices, value bits),
 // with the four string fields deduplicated through a per-blob string table.
 // Snapshot blobs hold one device-epoch record whose publishers, advertisers,

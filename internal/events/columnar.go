@@ -1,27 +1,16 @@
 package events
 
-import (
-	"cmp"
-	"math"
-	"math/bits"
-	"slices"
-)
+import "math"
 
-// Columnar frozen layout and compiled selectors (DESIGN.md §9).
+// Scan keys and compiled selectors (DESIGN.md §9).
 //
 // The report hot path spends its time in two places: charging the budget
-// ledger and scanning device-epoch records for relevant events. The ledger
-// side is a flat table since PR 3; this file gives the storage side the same
-// treatment. A frozen database holds every event in one contiguous arena,
-// grouped by (device, epoch), with each record reduced to an {off, len}
-// span — no per-record heap slices, no map lookup per epoch — and carries a
-// parallel column of integer scan keys (site and campaign interned to dense
-// IDs, day, kind) so the built-in selectors lower to straight integer
-// compares instead of an interface call per event.
-//
-// The same key column exists on the mutable store: Record interns as it
-// appends, so the streaming service's day-flush reads get the compiled scan
-// without a frozen arena.
+// ledger and scanning device-epoch records for relevant events. Beside every
+// event, the store's arena keeps a column of integer scan keys (site and
+// campaign interned to dense IDs, day, kind) — Record and NewFrozen intern
+// as they write — so the built-in selectors lower to straight integer
+// compares over zero-copy record views instead of an interface call and
+// string compares per event.
 
 // evKey is the scan-hot projection of one event: every field the built-in
 // selectors can test, reduced to integers. Day saturates at the int32
@@ -77,7 +66,7 @@ func (in *intern) campaignID(c string) uint32 {
 }
 
 // keyOf projects ev onto its scan key, interning the string fields.
-func (in *intern) keyOf(ev Event) evKey {
+func (in *intern) keyOf(ev *Event) evKey {
 	if !in.cached || ev.Advertiser != in.lastAdv {
 		in.lastAdv, in.lastAdvID = ev.Advertiser, in.siteID(ev.Advertiser)
 	}
@@ -103,176 +92,6 @@ func clampDay(d int) int32 {
 	return int32(d)
 }
 
-// NewFrozen builds a frozen database straight from a batch of day-stamped
-// events, skipping the mutable epoch segments entirely: one permutation into
-// (device, day, ID, arrival) order (sortByDeviceDayID) — epochs are monotone
-// in days, so each device's records come out as contiguous, epoch-ordered
-// runs — then a single gather pass lays the arena, key column, and span
-// table. The permutation's device count sizes the device map and list up
-// front. This is the batch engine's load path (Dataset.Build): it allocates
-// the columnar arenas and the sort's index buffers, and no map entry or slice
-// per record. Its reads are indistinguishable from those of a mutable store
-// fed the same events by Record, for events in any order.
-func NewFrozen(epochDays int, evs []Event) *Database {
-	db := NewDatabase()
-	col := &colStore{
-		evs:  make([]Event, 0, len(evs)),
-		keys: make([]evKey, 0, len(evs)),
-	}
-	if len(evs) > 0 {
-		idx, devices := sortByDeviceDayID(evs)
-		col.dev = make(map[DeviceID]devIndex, devices)
-		col.devs = make([]DeviceID, 0, devices)
-		for i := 0; i < len(idx); {
-			dev := evs[idx[i]].Device
-			di := devIndex{base: uint32(len(col.spans)), first: EpochOfDay(evs[idx[i]].Day, epochDays)}
-			prev := di.first - 1
-			for i < len(idx) && evs[idx[i]].Device == dev {
-				e := EpochOfDay(evs[idx[i]].Day, epochDays)
-				for prev+1 < e { // empty slots between populated epochs
-					col.spans = append(col.spans, span{})
-					prev++
-				}
-				sp := span{off: uint32(len(col.evs))}
-				for i < len(idx) && evs[idx[i]].Device == dev &&
-					EpochOfDay(evs[idx[i]].Day, epochDays) == e {
-					ev := evs[idx[i]]
-					col.evs = append(col.evs, ev)
-					col.keys = append(col.keys, db.intern.keyOf(ev))
-					i++
-				}
-				sp.n = uint32(len(col.evs)) - sp.off
-				col.spans = append(col.spans, sp)
-				col.records++
-				prev = e
-			}
-			di.count = uint32(len(col.spans)) - di.base
-			col.devs = append(col.devs, dev)
-			col.dev[dev] = di
-		}
-	}
-	db.col = col
-	db.epochs = nil
-	return db
-}
-
-// radixBits is the digit width of sortByDeviceDayID's device passes: a
-// 2 048-entry count table, two passes for any device ID below 2^22.
-const (
-	radixBits = 11
-	radixMask = 1<<radixBits - 1
-)
-
-// sortByDeviceDayID returns the permutation of evs in (device, day, ID,
-// arrival) order — NewFrozen's layout order — and the number of distinct
-// devices. Epochs are monotone in days, so each device's records come out as
-// contiguous epoch-ordered runs, and the arrival-index tiebreak makes the
-// permutation equal to a stable (Day, ID) sort.
-//
-// It assumes nothing about the input order. A stable LSD radix sort on the
-// device ID, with only as many radixBits-wide passes as the largest ID
-// needs, groups the events by device in linear time, keeping each device's
-// events in arrival order; each device's run is then sorted by (Day, ID,
-// arrival). Runs are a few events long on the paper's traces, so the
-// comparison sorts cost little even though generators emit events in ID
-// order with random days.
-func sortByDeviceDayID(evs []Event) (idx []int32, devices int) {
-	n := len(evs)
-	idx = make([]int32, n)
-	keys := make([]DeviceID, n)
-	var top DeviceID
-	for i := range evs {
-		idx[i] = int32(i)
-		keys[i] = evs[i].Device
-		top = max(top, keys[i])
-	}
-	if passes := (bits.Len64(uint64(top)) + radixBits - 1) / radixBits; passes > 0 {
-		idx2, keys2 := make([]int32, n), make([]DeviceID, n)
-		var next [1 << radixBits]int
-		for p := 0; p < passes; p++ {
-			shift := uint(p * radixBits)
-			clear(next[:])
-			for _, k := range keys {
-				next[(k>>shift)&radixMask]++
-			}
-			sum := 0
-			for d, c := range next {
-				next[d] = sum
-				sum += c
-			}
-			for i, k := range keys {
-				d := (k >> shift) & radixMask
-				j := next[d]
-				next[d]++
-				keys2[j], idx2[j] = k, idx[i]
-			}
-			keys, keys2 = keys2, keys
-			idx, idx2 = idx2, idx
-		}
-	}
-	byDayID := func(a, b int32) int {
-		ea, eb := &evs[a], &evs[b]
-		return cmp.Or(cmp.Compare(ea.Day, eb.Day), cmp.Compare(ea.ID, eb.ID), cmp.Compare(a, b))
-	}
-	for i := 0; i < n; devices++ {
-		j := i + 1
-		for j < n && keys[j] == keys[i] {
-			j++
-		}
-		if j-i > 1 {
-			slices.SortFunc(idx[i:j], byDayID)
-		}
-		i = j
-	}
-	return idx, devices
-}
-
-// span is one (device, epoch) record's range in the frozen arena.
-type span struct{ off, n uint32 }
-
-// devIndex locates one device's dense epoch-span run inside the shared span
-// table: slot i covers epoch first+i.
-type devIndex struct {
-	base  uint32
-	count uint32
-	first Epoch
-}
-
-// colStore is the frozen database: four flat arenas (events, keys, spans,
-// device list) plus one map from device to its span run. Offsets are u32 —
-// a single in-process store past 4.29 G events is out of scope by orders of
-// magnitude.
-type colStore struct {
-	evs     []Event // payload arena, grouped by device then epoch, (Day, ID)-sorted within a record
-	keys    []evKey // scan column, parallel to evs
-	spans   []span  // dense per-(device, epoch) ranges
-	devs    []DeviceID
-	dev     map[DeviceID]devIndex
-	records int // non-empty spans
-}
-
-// spanAt returns device d's span at epoch e (zero span when empty or out of
-// the device's populated range).
-func (c *colStore) spanAt(d DeviceID, e Epoch) span {
-	di, ok := c.dev[d]
-	if !ok {
-		return span{}
-	}
-	i := int64(e) - int64(di.first)
-	if i < 0 || i >= int64(di.count) {
-		return span{}
-	}
-	return c.spans[int64(di.base)+i]
-}
-
-func (c *colStore) epochEvents(d DeviceID, e Epoch) []Event {
-	sp := c.spanAt(d, e)
-	if sp.n == 0 {
-		return nil
-	}
-	return c.evs[sp.off : sp.off+sp.n : sp.off+sp.n]
-}
-
 // EventView is a zero-copy view of one device-epoch record: the record's
 // slice of the event arena plus its parallel scan keys. The view shares the
 // database's memory; callers must not modify the events it exposes.
@@ -290,11 +109,12 @@ func (v EventView) Events() []Event { return v.evs }
 
 // WindowViewsInto fills buf (resized to last-first+1 entries, reallocating
 // only when capacity is short) with zero-copy views of device d's records
-// over the epoch window [first, last], empty views for empty epochs. It is
-// the scan-path sibling of WindowEventsInto and works in both phases: on a
-// frozen store each view is a span lookup into the arena, on a mutable
-// store it reads the epoch segments directly (same single-writer discipline
-// as every other read).
+// over the epoch window [first, last], empty views for empty epochs: one
+// search for the window's first segment, then one index probe per resident
+// epoch. Each view's events are
+// capped at the record's length, so a caller's append reallocates instead of
+// writing into a neighbouring record. It is every window read of the report
+// path, compiled or not, under the store's usual read discipline.
 func (db *Database) WindowViewsInto(buf []EventView, d DeviceID, first, last Epoch) []EventView {
 	if last < first {
 		return buf[:0]
@@ -304,34 +124,15 @@ func (db *Database) WindowViewsInto(buf []EventView, d DeviceID, first, last Epo
 		buf = make([]EventView, k)
 	} else {
 		buf = buf[:k]
-		for i := range buf {
-			buf[i] = EventView{}
-		}
+		clear(buf)
 	}
-	if db.col != nil {
-		di, ok := db.col.dev[d]
-		if !ok {
-			return buf
+	i, _ := db.find(first)
+	for _, seg := range db.segs[i:] {
+		if seg.epoch > last {
+			break
 		}
-		for e := first; e <= last; e++ {
-			i := int64(e) - int64(di.first)
-			if i < 0 || i >= int64(di.count) {
-				continue
-			}
-			if sp := db.col.spans[int64(di.base)+i]; sp.n > 0 {
-				buf[e-first] = EventView{
-					evs:  db.col.evs[sp.off : sp.off+sp.n : sp.off+sp.n],
-					keys: db.col.keys[sp.off : sp.off+sp.n],
-				}
-			}
-		}
-		return buf
-	}
-	for e := first; e <= last; e++ {
-		if seg := db.epochs[e]; seg != nil {
-			if r, ok := seg.byDevice[d]; ok {
-				buf[e-first].evs, buf[e-first].keys = seg.view(r)
-			}
+		if r, ok := seg.byDevice.get(d); ok {
+			buf[seg.epoch-first].evs, buf[seg.epoch-first].keys = seg.view(r)
 		}
 	}
 	return buf

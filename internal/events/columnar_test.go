@@ -1,6 +1,9 @@
 package events
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // colTestDB holds a two-device trace over 7-day epochs 0 and 1: recorded
 // event by event into a mutable store, or laid out by NewFrozen.
@@ -15,11 +18,7 @@ func colTestDB(frozen bool) *Database {
 	if frozen {
 		return NewFrozen(7, evs)
 	}
-	db := NewDatabase()
-	for _, ev := range evs {
-		db.Record(EpochOfDay(ev.Day, 7), ev)
-	}
-	return db
+	return recordAll(7, evs)
 }
 
 // matchAll collects the relevant events of a window via the compiled
@@ -137,16 +136,42 @@ func TestWindowViewsIntoReusesBuffer(t *testing.T) {
 	}
 }
 
+// TestFreezeReleasesMutableSegments pins NewFrozen's exact sizing: every
+// epoch segment it loads holds one chunk, every record is one region with no
+// spare capacity, and the chunks' slots add up to the event count.
 func TestFreezeReleasesMutableSegments(t *testing.T) {
-	db := colTestDB(true)
-	if db.epochs != nil {
-		t.Fatal("NewFrozen left mutable epoch segments alive")
+	rng := rand.New(rand.NewSource(3))
+	trace := make([]Event, 2000)
+	for i := range trace {
+		trace[i] = randomEvent(rng, EventID(i+1))
 	}
-	if db.col == nil || db.col.records != 3 {
-		t.Fatalf("columnar store records = %v", db.col)
-	}
-	if len(db.col.evs) != 5 || len(db.col.keys) != 5 {
-		t.Fatalf("arena sizes = %d events, %d keys", len(db.col.evs), len(db.col.keys))
+	for _, tc := range []struct {
+		name   string
+		db     *Database
+		events int
+	}{{"two devices", colTestDB(true), 5}, {"random trace", NewFrozen(7, trace), len(trace)}} {
+		slots := 0
+		for _, seg := range tc.db.segs {
+			e := seg.epoch
+			if len(seg.evs) != 1 || len(seg.keys) != 1 {
+				t.Fatalf("%s: epoch %d has %d event and %d key chunks, want 1", tc.name, e, len(seg.evs), len(seg.keys))
+			}
+			n := len(seg.evs[0])
+			used := 0
+			for d, r := range seg.byDevice.all {
+				if r.chunk != 0 || r.cap != r.n || r.n == 0 {
+					t.Fatalf("%s: record (%d, %d) is region %+v, want one exact region", tc.name, d, e, r)
+				}
+				used += int(r.n)
+			}
+			if used != n || int(seg.tail) != n || len(seg.keys[0]) != n {
+				t.Fatalf("%s: epoch %d uses %d of %d slots (tail %d, %d keys)", tc.name, e, used, n, seg.tail, len(seg.keys[0]))
+			}
+			slots += n
+		}
+		if slots != tc.events || tc.db.NumEvents() != tc.events {
+			t.Fatalf("%s: %d slots for %d events, want %d", tc.name, slots, tc.db.NumEvents(), tc.events)
+		}
 	}
 }
 

@@ -2,6 +2,9 @@ package events
 
 import (
 	"cmp"
+	"hash/maphash"
+	"maps"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -21,25 +24,18 @@ type DeviceEpoch struct {
 // on-device engine only ever reads its own device's rows, preserving the
 // paper's trust model.
 //
-// A Database comes in one of two forms. NewDatabase returns a mutable store
-// segmented by epoch: each segment is an arena of event and scan-key chunks,
-// a device's record is a pointer-free region of it, Record appends into that
-// region (interning the scan-key column as it goes — see columnar.go), and
+// A Database is segmented by epoch — the paper's unit of budget and
+// retention. Each segment is an arena of event and scan-key chunks, and a
+// device's record is a pointer-free region of it. Record appends into that
+// region (interning the scan-key column as it goes — see columnar.go),
+// NewFrozen bulk-loads a whole batch into exact-sized regions, and
 // EvictBefore reclaims by dropping whole epoch segments, O(1) per evicted
-// epoch. No reader or writer may run concurrently with either, but
-// concurrent *read-only* phases are fine as long as they never overlap a
-// mutation — the streaming service relies on exactly this, alternating a
-// single-writer ingest phase with a fan-out read phase on its day clock.
-//
-// NewFrozen builds the other form from a batch of events: one contiguous
-// columnar arena — events, scan keys, and per-(device, epoch) {off, len}
-// spans in a handful of flat allocations — immutable and safe for any number
-// of concurrent readers with no phase discipline at all (the batch fleet
-// engine reads it from every worker). EpochEvents on the report hot path
-// becomes one map lookup plus a bounds-checked span index.
+// epoch. Reads never write, so any number of readers may run at once, but
+// none may overlap Record or EvictBefore — the streaming service relies on
+// exactly this, alternating a single-writer ingest phase with a fan-out read
+// phase on its day clock, and the batch engine loads once and then only reads.
 type Database struct {
-	epochs map[Epoch]*epochSegment // mutable form; nil when frozen
-	col    *colStore               // frozen form; nil when mutable
+	segs   []*epochSegment // ascending by epoch
 	intern intern
 	nextID EventID
 	// trackDirty makes Record list each touched record's device on its
@@ -66,10 +62,10 @@ func (k DeviceEpochKey) Compare(o DeviceEpochKey) int {
 
 // TrackDirty arms (on) or disarms record-level dirty tracking and empties
 // the set either way: while armed, every Record marks its (device, epoch)
-// key until DrainDirty collects it. Only meaningful on the mutable store.
+// key until DrainDirty collects it.
 func (db *Database) TrackDirty(on bool) {
 	db.trackDirty = on
-	for _, seg := range db.epochs {
+	for _, seg := range db.segs {
 		seg.dirty = nil
 	}
 }
@@ -81,18 +77,16 @@ func (db *Database) TrackDirty(on bool) {
 // merged by device. An evicted segment took its list with it, so every
 // returned key is live.
 func (db *Database) DrainDirty() []DeviceEpochKey {
-	var epochs []Epoch
-	for e, seg := range db.epochs {
+	var (
+		epochs []Epoch
+		lists  [][]DeviceID
+	)
+	for _, seg := range db.segs {
 		if len(seg.dirty) > 0 {
-			epochs = append(epochs, e)
+			slices.Sort(seg.dirty)
+			epochs, lists = append(epochs, seg.epoch), append(lists, slices.Compact(seg.dirty))
+			seg.dirty = nil
 		}
-	}
-	slices.Sort(epochs)
-	lists := make([][]DeviceID, len(epochs))
-	for i, e := range epochs {
-		seg := db.epochs[e]
-		slices.Sort(seg.dirty)
-		lists[i], seg.dirty = slices.Compact(seg.dirty), nil
 	}
 	var keys []DeviceEpochKey
 	for {
@@ -124,10 +118,12 @@ const (
 // into regions. A device's record is one region, which moves to a fresh
 // region of twice the capacity when it fills; the region it left stays
 // carved until the segment is dropped, so a record wastes at most the slots
-// it holds. The map values are pointer-free, so the collector never scans
-// the map, and a new record allocates nothing of its own.
+// it holds. Regions are pointer-free and so is the device index (regionIndex),
+// so the collector never scans either, and a new record allocates nothing
+// of its own.
 type epochSegment struct {
-	byDevice map[DeviceID]region
+	epoch    Epoch
+	byDevice regionIndex
 	evs      [][]Event // chunks, each fully sized
 	keys     [][]evKey // parallel to evs
 	tail     uint32    // slots carved from the last chunk
@@ -181,13 +177,149 @@ func (s *epochSegment) grow(r region) region {
 
 // NewDatabase returns an empty database.
 func NewDatabase() *Database {
-	return &Database{epochs: make(map[Epoch]*epochSegment), intern: newIntern()}
+	return &Database{intern: newIntern()}
 }
 
 // NextEventID mints a fresh unique event identifier.
 func (db *Database) NextEventID() EventID {
 	db.nextID++
 	return db.nextID
+}
+
+// NewFrozen bulk-loads a batch of day-stamped events into a new database —
+// the batch engine's load path (Dataset.Build). One permutation into
+// (device, day, ID, arrival) order (sortByDeviceDayID) makes every record a
+// contiguous run, since epochs are monotone in days. A walk over the runs
+// lists each epoch's records in device order and counts its events; each
+// epoch then gets one chunk of exactly its event count and a device index
+// sized to its record count, and is filled on its own, every record one
+// exact region (cap == n). The result is an ordinary Database —
+// Record, EvictBefore and dirty tracking work on it — whose reads are
+// indistinguishable from those of a store fed the same events by Record,
+// for events in any order.
+func NewFrozen(epochDays int, evs []Event) *Database {
+	db := NewDatabase()
+	idx, devs := sortByDeviceDayID(evs)
+	// Epochs and scan keys by input position; interning in input order keeps
+	// the intern table's one-entry caches hot (consecutive events mostly
+	// share an advertiser), which the device-major walks below would not.
+	epochs, ekeys := make([]Epoch, len(evs)), make([]evKey, len(evs))
+	for i := range evs {
+		epochs[i], ekeys[i] = EpochOfDay(evs[i].Day, epochDays), db.intern.keyOf(&evs[i])
+	}
+	type load struct {
+		runs   [][2]int32 // each record's start in idx and length
+		events int
+	}
+	loads := make(map[Epoch]*load)
+	for i := 0; i < len(idx); {
+		e := epochs[idx[i]]
+		j := i + 1
+		for j < len(idx) && devs[j] == devs[i] && epochs[idx[j]] == e {
+			j++
+		}
+		l := loads[e]
+		if l == nil {
+			l = new(load)
+			loads[e] = l
+		}
+		l.runs = append(l.runs, [2]int32{int32(i), int32(j - i)})
+		l.events += j - i
+		i = j
+	}
+	// One epoch at a time, so the chunk fills front to back and the index
+	// being filled is the only one in cache.
+	for _, e := range slices.Sorted(maps.Keys(loads)) {
+		l := loads[e]
+		seg := &epochSegment{
+			epoch:    e,
+			byDevice: newRegionIndex(len(l.runs)),
+			evs:      [][]Event{make([]Event, l.events)},
+			keys:     [][]evKey{make([]evKey, l.events)},
+		}
+		out, keys := seg.evs[0], seg.keys[0]
+		for _, run := range l.runs {
+			r := region{off: seg.tail, n: uint32(run[1]), cap: uint32(run[1])}
+			for k, x := range idx[run[0] : run[0]+run[1]] {
+				out[r.off+uint32(k)], keys[r.off+uint32(k)] = evs[x], ekeys[x]
+			}
+			seg.byDevice.claim(out[r.off].Device).r = r
+			seg.tail += r.n
+		}
+		db.segs = append(db.segs, seg)
+	}
+	return db
+}
+
+// radixBits is the digit width of sortByDeviceDayID's device passes: a
+// 2 048-entry count table, two passes for any device ID below 2^22.
+const (
+	radixBits = 11
+	radixMask = 1<<radixBits - 1
+)
+
+// sortByDeviceDayID returns the permutation of evs in (device, day, ID,
+// arrival) order — NewFrozen's layout order — and the events' devices in
+// that order. Epochs are monotone in days, so each device's records come
+// out as contiguous epoch-ordered runs, and the arrival-index tiebreak makes
+// the permutation equal to a stable (Day, ID) sort.
+//
+// It assumes nothing about the input order. A stable LSD radix sort on the
+// device ID, with only as many radixBits-wide passes as the largest ID
+// needs, groups the events by device in linear time, keeping each device's
+// events in arrival order; each device's run is then sorted by (Day, ID,
+// arrival). Runs are a few events long on the paper's traces, so the
+// comparison sorts cost little even though generators emit events in ID
+// order with random days.
+func sortByDeviceDayID(evs []Event) (idx []int32, devs []DeviceID) {
+	n := len(evs)
+	idx = make([]int32, n)
+	devs = make([]DeviceID, n)
+	var top DeviceID
+	for i := range evs {
+		idx[i] = int32(i)
+		devs[i] = evs[i].Device
+		top = max(top, devs[i])
+	}
+	if passes := (bits.Len64(uint64(top)) + radixBits - 1) / radixBits; passes > 0 {
+		idx2, devs2 := make([]int32, n), make([]DeviceID, n)
+		var next [1 << radixBits]int
+		for p := 0; p < passes; p++ {
+			shift := uint(p * radixBits)
+			clear(next[:])
+			for _, k := range devs {
+				next[(k>>shift)&radixMask]++
+			}
+			sum := 0
+			for d, c := range next {
+				next[d] = sum
+				sum += c
+			}
+			for i, k := range devs {
+				d := (k >> shift) & radixMask
+				j := next[d]
+				next[d]++
+				devs2[j], idx2[j] = k, idx[i]
+			}
+			devs, devs2 = devs2, devs
+			idx, idx2 = idx2, idx
+		}
+	}
+	byDayID := func(a, b int32) int {
+		ea, eb := &evs[a], &evs[b]
+		return cmp.Or(cmp.Compare(ea.Day, eb.Day), cmp.Compare(ea.ID, eb.ID), cmp.Compare(a, b))
+	}
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && devs[j] == devs[i] {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(idx[i:j], byDayID)
+		}
+		i = j
+	}
+	return idx, devs
 }
 
 // Record appends an event to the device-epoch record for (ev.Device, epoch).
@@ -197,11 +329,9 @@ func (db *Database) NextEventID() EventID {
 // region — O(log n) compares plus one memmove. Equal keys keep arrival
 // order. A full region first moves to one of twice the capacity.
 func (db *Database) Record(epoch Epoch, ev Event) {
-	if db.col != nil {
-		panic("events: Record on frozen database")
-	}
 	seg := db.segment(epoch)
-	r := seg.byDevice[ev.Device]
+	slot := seg.byDevice.claim(ev.Device)
+	r := slot.r
 	if r.n == r.cap {
 		r = seg.grow(r)
 	}
@@ -213,152 +343,76 @@ func (db *Database) Record(epoch Epoch, ev Event) {
 		copy(evs[i+1:], evs[i:r.n])
 		copy(keys[i+1:], keys[i:r.n])
 	}
-	evs[i], keys[i] = ev, db.intern.keyOf(ev)
+	evs[i], keys[i] = ev, db.intern.keyOf(&ev)
 	r.n++
-	seg.byDevice[ev.Device] = r
+	slot.r = r
 	if db.trackDirty {
 		seg.dirty = append(seg.dirty, ev.Device)
 	}
 }
 
-// segment returns (creating if needed) the epoch's segment. Caller has
-// checked the phase.
+// find returns the position of epoch e's segment in db.segs, or where it
+// would go, and whether it is there: a binary search over the resident
+// epochs, a handful on the streaming path.
+func (db *Database) find(e Epoch) (int, bool) {
+	return slices.BinarySearchFunc(db.segs, e, func(s *epochSegment, e Epoch) int { return cmp.Compare(s.epoch, e) })
+}
+
+// segment returns (creating if needed) the epoch's segment.
 func (db *Database) segment(epoch Epoch) *epochSegment {
-	seg := db.epochs[epoch]
-	if seg == nil {
-		seg = &epochSegment{byDevice: make(map[DeviceID]region)}
-		db.epochs[epoch] = seg
+	i, ok := db.find(epoch)
+	if !ok {
+		db.segs = slices.Insert(db.segs, i, &epochSegment{epoch: epoch, byDevice: newRegionIndex(0)})
 	}
-	return seg
+	return db.segs[i]
 }
 
 // EvictBefore removes every device-epoch record with epoch < first,
 // releasing the events' memory. It is the streaming ingestion's retention
 // primitive: a day-ordered event stream never revisits old epochs, and once
 // no in-flight query window can reach below first, those records are dead
-// weight. The epoch-segmented layout makes this a map sweep that drops each
-// evicted epoch's whole segment at once — O(resident epochs) per call, not
-// O(devices × epochs). Only valid on the mutable store — a frozen database
-// is immutable — and, like Record, not safe for concurrent use.
-// It returns the number of device-epoch records removed.
+// weight. The epoch-segmented layout makes this drop each evicted epoch's
+// whole segment at once — O(resident epochs) per call, not O(devices ×
+// epochs). Like Record, it is not safe for concurrent use. It returns the
+// number of device-epoch records removed.
 func (db *Database) EvictBefore(first Epoch) int {
-	if db.col != nil {
-		panic("events: EvictBefore on frozen database")
-	}
+	i, _ := db.find(first)
 	removed := 0
-	for e, seg := range db.epochs {
-		if e < first {
-			removed += len(seg.byDevice)
-			delete(db.epochs, e)
-		}
+	for _, seg := range db.segs[:i] {
+		removed += seg.byDevice.n
 	}
+	db.segs = slices.Delete(db.segs, 0, i)
 	return removed
 }
 
 // EpochEvents returns the events of device d at epoch e (the paper's D^e_d),
 // or nil when the device-epoch is empty. The returned slice is shared;
-// callers must not modify it. On a frozen database this is one map lookup
-// plus a span index into the arena — the hottest read in report generation.
+// callers must not modify it.
 func (db *Database) EpochEvents(d DeviceID, e Epoch) []Event {
-	if db.col != nil {
-		return db.col.epochEvents(d, e)
-	}
-	seg := db.epochs[e]
-	if seg == nil {
-		return nil
-	}
-	r, ok := seg.byDevice[d]
-	if !ok {
-		return nil
-	}
-	evs, _ := seg.view(r)
-	return evs
-}
-
-// WindowEvents returns the per-epoch event sets of device d over the epoch
-// window [first, last] (the paper's D^E_d), indexed by position in the
-// window. Empty epochs yield nil entries; the result always has
-// last-first+1 entries so callers can align it with EpochsIn(first, last).
-func (db *Database) WindowEvents(d DeviceID, first, last Epoch) [][]Event {
-	if last < first {
-		return nil
-	}
-	return db.WindowEventsInto(nil, d, first, last)
-}
-
-// WindowEventsInto is WindowEvents writing into a reusable buffer: buf is
-// resized (reallocating only when capacity is short) to last-first+1 entries
-// and returned. The report hot path calls this once per conversion, so
-// reusing one buffer per worker removes a per-report allocation. The entry
-// slices are shared with the database; callers must not modify them.
-func (db *Database) WindowEventsInto(buf [][]Event, d DeviceID, first, last Epoch) [][]Event {
-	if last < first {
-		return buf[:0]
-	}
-	k := int(last-first) + 1
-	var out [][]Event
-	if cap(buf) < k {
-		out = make([][]Event, k)
-	} else {
-		out = buf[:k]
-		for i := range out {
-			out[i] = nil
-		}
-	}
-	if db.col != nil {
-		di, ok := db.col.dev[d]
-		if !ok {
-			return out
-		}
-		for e := first; e <= last; e++ {
-			i := int64(e) - int64(di.first)
-			if i < 0 || i >= int64(di.count) {
-				continue
-			}
-			if sp := db.col.spans[int64(di.base)+i]; sp.n > 0 {
-				out[e-first] = db.col.evs[sp.off : sp.off+sp.n : sp.off+sp.n]
-			}
-		}
-		return out
-	}
-	for e := first; e <= last; e++ {
-		if seg := db.epochs[e]; seg != nil {
-			if r, ok := seg.byDevice[d]; ok {
-				out[e-first], _ = seg.view(r)
-			}
-		}
-	}
-	return out
+	var buf [1]EventView
+	return db.WindowViewsInto(buf[:0], d, e, e)[0].evs
 }
 
 // Devices returns all device IDs present in the database, in ascending
-// order (deterministic iteration for experiments). On a frozen database
-// this is a copy of the precompiled device list.
+// order (deterministic iteration for experiments).
 func (db *Database) Devices() []DeviceID {
-	if db.col != nil {
-		return slices.Clone(db.col.devs)
-	}
-	seen := make(map[DeviceID]struct{})
-	for _, seg := range db.epochs {
-		for d := range seg.byDevice {
-			seen[d] = struct{}{}
+	var out []DeviceID
+	for _, seg := range db.segs {
+		for d := range seg.byDevice.all {
+			out = append(out, d)
 		}
 	}
-	out := make([]DeviceID, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
 	slices.Sort(out)
-	return out
+	return slices.Compact(out)
 }
 
 // Keys returns every live device-epoch record's key in (device, epoch)
-// order — the full-snapshot counterpart of DrainDirty. Mutable store only.
+// order — the full-snapshot counterpart of DrainDirty.
 func (db *Database) Keys() []DeviceEpochKey {
 	keys := make([]DeviceEpochKey, 0, db.NumRecords())
-	for e, seg := range db.epochs {
-		for d := range seg.byDevice {
-			keys = append(keys, DeviceEpochKey{d, e})
+	for _, seg := range db.segs {
+		for d := range seg.byDevice.all {
+			keys = append(keys, DeviceEpochKey{d, seg.epoch})
 		}
 	}
 	slices.SortFunc(keys, DeviceEpochKey.Compare)
@@ -367,62 +421,119 @@ func (db *Database) Keys() []DeviceEpochKey {
 
 // DeviceEpochs returns the populated epochs of a device in ascending order.
 func (db *Database) DeviceEpochs(d DeviceID) []Epoch {
-	if db.col != nil {
-		di, ok := db.col.dev[d]
-		if !ok {
-			return nil
-		}
-		var out []Epoch
-		for i := uint32(0); i < di.count; i++ {
-			if db.col.spans[di.base+i].n > 0 {
-				out = append(out, di.first+Epoch(i))
-			}
-		}
-		return out
-	}
 	var out []Epoch
-	for e, seg := range db.epochs {
-		if _, ok := seg.byDevice[d]; ok {
-			out = append(out, e)
+	for _, seg := range db.segs {
+		if _, ok := seg.byDevice.get(d); ok {
+			out = append(out, seg.epoch)
 		}
 	}
-	if out == nil {
-		return nil
-	}
-	slices.Sort(out)
 	return out
 }
 
 // NumDevices returns the number of devices with at least one event.
 func (db *Database) NumDevices() int {
-	if db.col != nil {
-		return len(db.col.devs)
-	}
 	return len(db.Devices())
 }
 
 // NumRecords returns the number of non-empty device-epoch records |D|.
 func (db *Database) NumRecords() int {
-	if db.col != nil {
-		return db.col.records
-	}
 	n := 0
-	for _, seg := range db.epochs {
-		n += len(seg.byDevice)
+	for _, seg := range db.segs {
+		n += seg.byDevice.n
 	}
 	return n
 }
 
 // NumEvents returns the total number of events stored.
 func (db *Database) NumEvents() int {
-	if db.col != nil {
-		return len(db.col.evs)
-	}
 	n := 0
-	for _, seg := range db.epochs {
-		for _, r := range seg.byDevice {
+	for _, seg := range db.segs {
+		for _, r := range seg.byDevice.all {
 			n += int(r.n)
 		}
 	}
 	return n
+}
+
+// regionIndex is an epoch segment's device → region index: open addressing
+// with linear probing over a power-of-two array of slots, kept at most
+// three-quarters full. Beside the slots, a byte per slot holds a tag from
+// the device's hash (0 marks an empty slot), so a probe walks the small tag
+// array and reads a slot only when its tag matches: an absent device — most
+// epochs of a query window — usually costs no slot read at all. Nothing in
+// the index is a pointer, so the collector never scans it. The hash is
+// seeded per process, as Go's maps are, so a client cannot pick device IDs
+// that collide without knowing the seed.
+type regionIndex struct {
+	tags  []uint8
+	slots []regionSlot
+	shift uint8 // 64 - log2(len(slots))
+	n     int   // occupied slots
+}
+
+type regionSlot struct {
+	dev DeviceID
+	r   region
+}
+
+// indexSeed keys the index's hash, drawn once per process.
+var indexSeed = maphash.Comparable(maphash.MakeSeed(), 0)
+
+// newRegionIndex returns an index with room for n records before it grows.
+func newRegionIndex(n int) regionIndex {
+	bits := 3
+	for 3<<bits < 4*n {
+		bits++
+	}
+	return regionIndex{tags: make([]uint8, 1<<bits), slots: make([]regionSlot, 1<<bits), shift: uint8(64 - bits)}
+}
+
+// find returns the index of d's slot, or of the empty slot where d would
+// go, and d's tag.
+func (x *regionIndex) find(d DeviceID) (int, uint8) {
+	hi, lo := bits.Mul64(uint64(d)^indexSeed, 0x9e3779b97f4a7c15)
+	h := hi ^ lo
+	tag := uint8(h) | 1 // the hash's low bits; never 0
+	mask := len(x.tags) - 1
+	for i := int(h >> x.shift); ; i = (i + 1) & mask {
+		if t := x.tags[i]; t == 0 || t == tag && x.slots[i].dev == d {
+			return i, tag
+		}
+	}
+}
+
+// get returns d's region; ok is false when d has no record.
+func (x *regionIndex) get(d DeviceID) (r region, ok bool) {
+	if i, _ := x.find(d); x.tags[i] != 0 {
+		return x.slots[i].r, true
+	}
+	return region{}, false
+}
+
+// claim returns d's slot, taking an empty one for it when d has no record
+// yet (doubling the index first if it would pass three-quarters full); the
+// caller then stores d's region, which has room for an event, in it.
+func (x *regionIndex) claim(d DeviceID) *regionSlot {
+	if 4*(x.n+1) > 3*len(x.slots) {
+		old := *x
+		*x = newRegionIndex(2 * old.n)
+		for dev, r := range old.all {
+			x.claim(dev).r = r
+		}
+	}
+	i, tag := x.find(d)
+	if x.tags[i] == 0 {
+		x.tags[i], x.slots[i].dev = tag, d
+		x.n++
+	}
+	return &x.slots[i]
+}
+
+// all yields every record's device and region, in slot order.
+func (x *regionIndex) all(yield func(DeviceID, region) bool) {
+	for i, t := range x.tags {
+		if t != 0 && !yield(x.slots[i].dev, x.slots[i].r) {
+			return
+		}
+	}
 }

@@ -9,9 +9,9 @@ import (
 	"testing"
 )
 
-// refStore is the pre-columnar map-of-slices store (device → epoch → []Event
+// refStore is the original map-of-slices store (device → epoch → []Event
 // with a dense per-device index compiled at freeze), kept verbatim as the
-// executable specification the columnar layout is property-tested against.
+// executable specification the arena store is property-tested against.
 type refStore struct {
 	devices map[DeviceID]*refDeviceStore
 }
@@ -218,10 +218,9 @@ func TestStorePropertyVsReference(t *testing.T) {
 							t.Fatalf("%s: EpochEvents(%d,%d) = %v, ref %v", stage, d, e, got, want)
 						}
 					}
-					w := db.WindowEvents(d, -2, 9)
-					for i, evs := range w {
-						if want := ref.epochEvents(d, Epoch(i)-2); !reflect.DeepEqual(evs, want) {
-							t.Fatalf("%s: WindowEvents(%d)[%d] = %v, ref %v", stage, d, i, evs, want)
+					for i, v := range db.WindowViewsInto(nil, d, -2, 9) {
+						if want := ref.epochEvents(d, Epoch(i)-2); !reflect.DeepEqual(v.Events(), want) {
+							t.Fatalf("%s: WindowViewsInto(%d)[%d] = %v, ref %v", stage, d, i, v.Events(), want)
 						}
 					}
 				}
@@ -356,11 +355,13 @@ func arenaEvent(seq int, d DeviceID, day int, id EventID) Event {
 	return ev
 }
 
-// checkStoreVsRef holds a mutable store to the reference on every read:
-// counts, device and epoch lists, Keys, EpochEvents, WindowEventsInto,
-// WindowViewsInto (each view's scan keys against its events), compiled
-// scans, and DrainDirty against the map model (which resets both). It then
-// appends to every returned slice and checks that no record's reads moved.
+// checkStoreVsRef holds a store — recorded, bulk-loaded, or bulk-loaded and
+// then recorded into — to the reference on every read: counts, device and
+// epoch lists, Keys, EpochEvents, WindowViewsInto (each view's scan keys
+// against its events), compiled scans, and DrainDirty against the map model
+// (which resets both). It checks that every live region lies inside its
+// chunk's carved slots and overlaps no other, then appends to every returned
+// slice and checks that no record's reads moved.
 func checkStoreVsRef(t *testing.T, db *Database, ref *refStore, model *dirtyModel, stage string) {
 	t.Helper()
 	if db.NumRecords() != ref.numRecords() || db.NumEvents() != ref.numEvents() ||
@@ -385,23 +386,16 @@ func checkStoreVsRef(t *testing.T, db *Database, ref *refStore, model *dirtyMode
 		}
 	}
 	lo, hi = lo-1, hi+1
-	var (
-		window [][]Event
-		views  []EventView
-	)
+	var views []EventView
 	for _, d := range devs {
 		if got, want := db.DeviceEpochs(d), ref.sortedEpochs(d); !slices.Equal(got, want) {
 			t.Fatalf("%s: DeviceEpochs(%d) = %v, ref %v", stage, d, got, want)
 		}
-		window = db.WindowEventsInto(window, d, lo, hi)
 		views = db.WindowViewsInto(views, d, lo, hi)
 		for e := lo; e <= hi; e++ {
 			want := ref.epochEvents(d, e)
 			if got := db.EpochEvents(d, e); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: EpochEvents(%d, %d) = %v, ref %v", stage, d, e, got, want)
-			}
-			if got := window[e-lo]; !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: WindowEventsInto(%d)[epoch %d] = %v, ref %v", stage, d, e, got, want)
 			}
 			v := views[e-lo]
 			if got := v.Events(); v.Len() != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
@@ -427,6 +421,26 @@ func checkStoreVsRef(t *testing.T, db *Database, ref *refStore, model *dirtyMode
 	}
 	if got, want := db.DrainDirty(), model.drain(); !slices.Equal(got, want) {
 		t.Fatalf("%s: DrainDirty = %v, model %v", stage, got, want)
+	}
+	type slot struct{ chunk, off uint32 }
+	for _, seg := range db.segs {
+		e := seg.epoch
+		owner := make(map[slot]DeviceID)
+		for d, r := range seg.byDevice.all {
+			carved := uint32(len(seg.evs[r.chunk]))
+			if int(r.chunk) == len(seg.evs)-1 {
+				carved = seg.tail
+			}
+			if r.n > r.cap || r.off+r.cap > carved {
+				t.Fatalf("%s: record (%d, %d) region %+v outside its chunk's %d carved slots", stage, d, e, r, carved)
+			}
+			for i := r.off; i < r.off+r.cap; i++ {
+				if o, ok := owner[slot{r.chunk, i}]; ok {
+					t.Fatalf("%s: records (%d, %d) and (%d, %d) share chunk %d slot %d", stage, o, e, d, e, r.chunk, i)
+				}
+				owner[slot{r.chunk, i}] = d
+			}
+		}
 	}
 	// A caller's append to a returned slice must reallocate, never write
 	// into the next region of the arena.
@@ -588,8 +602,8 @@ func TestArenaVsReferenceAtVolume(t *testing.T) {
 			}
 			checkStoreVsRef(t, db, ref, model, "end")
 			var chunks [][]Event
-			if seg := db.epochs[0]; seg != nil {
-				chunks = seg.evs
+			if i, ok := db.find(0); ok {
+				chunks = db.segs[i].evs
 			}
 			if len(chunks) < row.minChunks {
 				t.Fatalf("epoch 0 has %d chunks, want ≥ %d", len(chunks), row.minChunks)
@@ -824,17 +838,18 @@ func TestFrozenConcurrentCompiledScans(t *testing.T) {
 					}
 				}
 				db.EpochEvents(d, Epoch(rng.Intn(6)))
-				db.WindowEvents(d, 0, 5)
 			}
 		}(w)
 	}
 	wg.Wait()
 }
 
-// FuzzStoreVsReference reads its input as four-byte ops — Record of a
-// fuzzed device, day and ID; EvictBefore; or a full check — and holds the
-// mutable store to the reference (and its dirty set to the map model) after
-// every check op and at the end.
+// FuzzStoreVsReference reads its input as a split byte and then four-byte
+// ops — Record of a fuzzed device, day and ID; EvictBefore; or a full
+// check. The first split ops are all read as events and bulk-loaded with
+// NewFrozen; the rest run against that store. After every check op and at
+// the end, the store is held to the reference (and its dirty set to the map
+// model, armed after the bulk load).
 func FuzzStoreVsReference(f *testing.F) {
 	f.Add([]byte{})
 	var inOrder, shuffled []byte
@@ -842,14 +857,29 @@ func FuzzStoreVsReference(f *testing.F) {
 		inOrder = append(inOrder, 0, i%3, 32+i/4, i)
 		shuffled = append(shuffled, i%6, i%5, 32+(i*37)%29, i%4)
 	}
-	f.Add(inOrder)
-	f.Add(append(shuffled, 6, 7, 0, 0, 7, 0, 0, 0, 0, 1, 20, 9))
+	f.Add(append([]byte{0}, inOrder...))
+	evictAndCheck := []byte{6, 7, 0, 0, 7, 0, 0, 0, 0, 1, 20, 9}
+	f.Add(append(append([]byte{0}, shuffled...), evictAndCheck...))
+	f.Add(append(append([]byte{25}, shuffled...), evictAndCheck...))
+	f.Add(append(append([]byte{40}, inOrder...), shuffled...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const epochDays = 7
-		db, ref, model := NewDatabase(), newRefStore(), &dirtyModel{}
+		ref, model := newRefStore(), &dirtyModel{}
+		split := 0
+		if len(data) > 0 {
+			split, data = int(data[0]), data[1:]
+		}
+		var prefix []Event
+		i := 0
+		for ; i+4 <= len(data) && i/4 < split; i += 4 {
+			ev := arenaEvent(i/4+int(data[i]/8), DeviceID(data[i+1]%16), int(data[i+2])-32, EventID(data[i+3]))
+			prefix = append(prefix, ev)
+			ref.record(EpochOfDay(ev.Day, epochDays), ev)
+		}
+		db := NewFrozen(epochDays, prefix)
 		db.TrackDirty(true)
 		model.track(true)
-		for i := 0; i+4 <= len(data); i += 4 {
+		for ; i+4 <= len(data); i += 4 {
 			op, dev, day, id := data[i], data[i+1], data[i+2], data[i+3]
 			stage := fmt.Sprintf("op %d", i/4)
 			switch op % 8 {

@@ -62,26 +62,26 @@ func TestWindowEvents(t *testing.T) {
 	db := NewDatabase()
 	db.Record(1, imp(1, 4, 8, "a"))
 	db.Record(3, imp(2, 4, 22, "a"))
-	w := db.WindowEvents(4, 0, 3)
+	w := db.WindowViewsInto(nil, 4, 0, 3)
 	if len(w) != 4 {
 		t.Fatalf("window length %d", len(w))
 	}
-	if w[0] != nil || w[2] != nil {
+	if w[0].Events() != nil || w[2].Events() != nil {
 		t.Fatal("empty epochs should be nil")
 	}
-	if len(w[1]) != 1 || w[1][0].ID != 1 {
-		t.Fatalf("epoch 1 = %v", w[1])
+	if w[1].Len() != 1 || w[1].Events()[0].ID != 1 {
+		t.Fatalf("epoch 1 = %v", w[1].Events())
 	}
-	if len(w[3]) != 1 || w[3][0].ID != 2 {
-		t.Fatalf("epoch 3 = %v", w[3])
+	if w[3].Len() != 1 || w[3].Events()[0].ID != 2 {
+		t.Fatalf("epoch 3 = %v", w[3].Events())
 	}
-	// Unknown device: all nil but correct length.
-	w = db.WindowEvents(99, 0, 2)
-	if len(w) != 3 || w[0] != nil || w[1] != nil || w[2] != nil {
+	// Unknown device: all empty but correct length.
+	w = db.WindowViewsInto(w, 99, 0, 2)
+	if len(w) != 3 || w[0].Len() != 0 || w[1].Len() != 0 || w[2].Len() != 0 {
 		t.Fatalf("unknown device window = %v", w)
 	}
-	if db.WindowEvents(4, 3, 1) != nil {
-		t.Fatal("inverted window should be nil")
+	if len(db.WindowViewsInto(w, 4, 3, 1)) != 0 {
+		t.Fatal("inverted window should be empty")
 	}
 }
 
@@ -140,8 +140,8 @@ func TestRecordOrderInvariantQuick(t *testing.T) {
 	}
 }
 
-// TestFreezeIndexMatchesMapReads holds NewFrozen's span index to the
-// mutable store's map reads over the same events.
+// TestFreezeIndexMatchesMapReads holds NewFrozen's bulk load to Record's
+// over the same events, empty epochs between records included.
 func TestFreezeIndexMatchesMapReads(t *testing.T) {
 	evs := []Event{imp(1, 1, -14, "a"), imp(2, 1, 3, "a"), imp(3, 1, 25, "a"), conv(4, 2, 9, "a", 5)}
 	db := NewDatabase()
@@ -160,20 +160,10 @@ func TestFreezeIndexMatchesMapReads(t *testing.T) {
 			t.Fatalf("device %d epoch %d: %d events frozen, %d recorded", p.d, p.e, got, want)
 		}
 	}
-	w := frozen.WindowEvents(1, -3, 4)
-	if len(w) != 8 || len(w[1]) != 1 || len(w[3]) != 1 || len(w[6]) != 1 || w[0] != nil {
-		t.Fatalf("frozen WindowEvents = %v", w)
+	w := frozen.WindowViewsInto(nil, 1, -3, 4)
+	if len(w) != 8 || w[1].Len() != 1 || w[3].Len() != 1 || w[6].Len() != 1 || w[0].Len() != 0 {
+		t.Fatalf("frozen WindowViewsInto = %v", w)
 	}
-}
-
-func TestFreezeRejectsRecord(t *testing.T) {
-	db := NewFrozen(7, []Event{imp(1, 1, 1, "a")})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Record on a frozen database did not panic")
-		}
-	}()
-	db.Record(0, imp(2, 1, 2, "a"))
 }
 
 func TestEvictBefore(t *testing.T) {
@@ -211,16 +201,6 @@ func TestEvictBefore(t *testing.T) {
 	}
 }
 
-func TestEvictBeforePanicsWhenFrozen(t *testing.T) {
-	db := NewFrozen(7, []Event{imp(1, 1, 0, "a")})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("EvictBefore on a frozen database did not panic")
-		}
-	}()
-	db.EvictBefore(1)
-}
-
 func TestFrozenConcurrentReaders(t *testing.T) {
 	var evs []Event
 	for i := 0; i < 200; i++ {
@@ -236,18 +216,17 @@ func TestFrozenConcurrentReaders(t *testing.T) {
 				for e := Epoch(-1); e < 6; e++ {
 					db.EpochEvents(d, e)
 				}
-				db.WindowEvents(d, 0, 4)
+				db.WindowViewsInto(nil, d, 0, 4)
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// TestReadSlicesCannotReachNeighbours appends to every slice the mutable
-// store hands out — EpochEvents, WindowEventsInto entries, and
-// EventView.Events — and checks that no record's reads moved: each slice is
-// capped at its record's length, so the append reallocates rather than
-// writing into the next region of the arena.
+// TestReadSlicesCannotReachNeighbours appends to every slice the store hands
+// out — EpochEvents and EventView.Events — and checks that no record's reads
+// moved: each slice is capped at its record's length, so the append
+// reallocates rather than writing into the next region of the arena.
 func TestReadSlicesCannotReachNeighbours(t *testing.T) {
 	db := NewDatabase()
 	var id EventID
@@ -268,7 +247,6 @@ func TestReadSlicesCannotReachNeighbours(t *testing.T) {
 			t.Fatalf("EpochEvents(%d, 0) has cap %d beyond its %d events", d, cap(evs), len(evs))
 		}
 		_ = append(evs, sentinel)
-		_ = append(db.WindowEventsInto(nil, d, 0, 0)[0], sentinel)
 		_ = append(db.WindowViewsInto(nil, d, 0, 0)[0].Events(), sentinel)
 	}
 	for d := DeviceID(0); d < 64; d++ {
@@ -286,7 +264,8 @@ func TestSparseEpochsCostOneSmallChunk(t *testing.T) {
 	for e := 0; e < 1000; e++ {
 		db.Record(Epoch(e), imp(EventID(e+1), 3, 7*e, "nike.com"))
 	}
-	for e, seg := range db.epochs {
+	for _, seg := range db.segs {
+		e := seg.epoch
 		slots := 0
 		for _, c := range seg.evs {
 			slots += len(c)

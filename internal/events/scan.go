@@ -16,7 +16,7 @@ package events
 // Each lane owns its selection output: a private arena so a lane's selected
 // events stay contiguous per epoch even though the traversal interleaves
 // lanes, plus the same span/alias discipline as the single-matcher path
-// (core's selectWindowCompiled) — full-match epochs alias the store's arena,
+// (core's selectWindow) — full-match epochs alias the store's arena,
 // sub-slices are taken only after the lane's arena stops growing. Per lane,
 // the produced slices are identical, element for element and aliasing
 // decision for aliasing decision, to a Matcher.Match loop over the lane's own
@@ -121,8 +121,8 @@ func growI32(s []int32, n int) []int32 {
 // are filled with nil without touching the store (the zero-loss shortcut of
 // the single-matcher path).
 //
-// Works in both database phases under the store's usual read discipline; the
-// matchers must have been compiled by db.
+// Runs under the store's usual read discipline; the matchers must have been
+// compiled by db.
 func (ms *MultiScan) ScanWindow(db *Database, d DeviceID, lanes []ScanLane) {
 	// Pass 1: reset lanes, shortcut degenerate matchers, build the dispatch
 	// table, and accumulate the union window over the lanes that scan.

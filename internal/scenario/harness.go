@@ -153,7 +153,7 @@ func (h Harness) Run(spec Spec) (*Report, error) {
 	}
 
 	// The batch oracle: materialize the admission rule's verdicts, then
-	// run the batch front end — global planning over a frozen store, one
+	// run the batch front end — global planning over a bulk-loaded store, one
 	// query per executor call, no day clock — over the admitted events.
 	admitted, dropped := Admitted(spec.Source(h.Dataset))
 	batchCfg := h.Config

@@ -20,10 +20,10 @@ import (
 // panic reaching the handler boundary.
 //
 // The server is live: a real stream.Service consumes whatever the fuzzer
-// gets admitted, so a panic lurking past validation (frozen-store Record,
-// negative-ε calibration, non-positive Laplace scale, day/epoch
-// arithmetic) fires on the service goroutine and crashes the fuzz process
-// outright — goroutine panics are unrecoverable, so nothing masks them.
+// gets admitted, so a panic lurking past validation (negative-ε
+// calibration, non-positive Laplace scale, day/epoch arithmetic) fires on
+// the service goroutine and crashes the fuzz process outright — goroutine
+// panics are unrecoverable, so nothing masks them.
 func FuzzIngestHTTP(f *testing.F) {
 	meta := dataset.Meta{
 		Name: "fuzz", PopulationDevices: 1 << 16, DurationDays: 8,

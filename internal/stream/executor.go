@@ -19,8 +19,8 @@ import (
 // This file is the query executor: the planner that fills batches of B
 // conversions and everything that happens once one has filled. Both front
 // ends run it a day at a time — the batch engine (internal/workload.Execute)
-// replays a materialized trace over a frozen store (Replay), the streaming
-// service feeds its day clock's arrivals over its mutable store — so
+// replays a materialized trace over a bulk-loaded store (Replay), the
+// streaming service records its day clock's arrivals into its store — so
 // planning, request construction, the generate loop, the fold and the
 // release exist exactly once. What the two front ends keep apart, and what
 // the equivalence suites therefore compare, is the store, retention and

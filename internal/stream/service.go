@@ -40,11 +40,11 @@
 // a streaming run over a source is bit-identical to a batch run over the
 // materialized dataset, at any parallelism. What the two runs do
 // independently, and what internal/stream's equivalence tests therefore
-// compare, is the store (mutable segments vs frozen arena), retention and
-// durability. Planning, request construction, the generate loop, the fold
-// and the release are the Engine for both; the planner is held to an
-// independent global-sort statement of the schedule by internal/workload's
-// TestPlannerMatchesReferencePlan.
+// compare, is how the store is filled (Record per event vs one bulk load),
+// retention and durability. Planning, request construction, the generate
+// loop, the fold and the release are the Engine for both; the planner is
+// held to an independent global-sort statement of the schedule by
+// internal/workload's TestPlannerMatchesReferencePlan.
 package stream
 
 import (

@@ -19,8 +19,8 @@ import (
 //
 // Both front ends plan with stream.Engine's planner and flush one
 // super-batch per fire day. What Execute (run.go) does differently is only
-// the store, retention and durability: it materializes the trace into a
-// frozen store and replays it, with no retention and no durability. The
+// the store, retention and durability: it bulk-loads the trace into an
+// event store and replays it, with no retention and no durability. The
 // streaming service is held equivalent to Execute bit for bit by the tests
 // in internal/stream, and the shared planner to an independent global-sort
 // statement of the schedule by TestPlannerMatchesReferencePlan.

@@ -28,7 +28,7 @@ type Run struct {
 }
 
 // Execute runs the full workload under cfg and returns the collected run:
-// the batch front end. It materializes the trace into a frozen store and
+// the batch front end. It bulk-loads the trace into an event store and
 // replays it through the engine it shares with the streaming service
 // (stream.Engine.Replay): the same planner, one super-batch per fire day.
 // Results are bit-identical for any worker count.
