@@ -90,21 +90,21 @@ func BenchmarkFig7BiasMeasurement(b *testing.B) {
 // relevant impressions, linear in n).
 func benchReportGeneration(b *testing.B, n int) {
 	db := events.NewDatabase()
-	const site = events.Site("nike.example")
+	var site = events.Intern("nike.example")
 	const epochDays = 7
 	for i := 0; i < n; i++ {
 		day := (i * 20 * epochDays) / n
 		db.Record(events.EpochOfDay(day, epochDays), events.Event{
 			ID: events.EventID(i + 1), Kind: events.KindImpression,
-			Device: 1, Day: day, Publisher: "pub.example",
-			Advertiser: site, Campaign: "product-0",
+			Device: 1, Day: day, Publisher: events.Intern("pub.example"),
+			Advertiser: site, Campaign: events.Intern("product-0"),
 		})
 	}
 	dev := core.NewDevice(1, db, 1e15, core.CookieMonsterPolicy{})
 	req := &core.Request{
-		Querier:    site,
+		Querier:    site.String(),
 		FirstEpoch: 0, LastEpoch: 19,
-		Selector:          events.ProductSelector{Advertiser: site, Product: "product-0"},
+		Selector:          events.ProductSelector{Advertiser: site, Product: events.Intern("product-0")},
 		Function:          attribution.ScalarValue{Value: 1},
 		Epsilon:           1e-9,
 		ReportSensitivity: 1,

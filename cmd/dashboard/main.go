@@ -23,9 +23,8 @@ func main() {
 	// A month of Ann's browsing: Nike ads on nytimes.com and bbc.com,
 	// sportswear ads from a second advertiser, then purchases.
 	type imp struct {
-		day      int
-		pub, adv events.Site
-		campaign string
+		day                int
+		pub, adv, campaign string
 	}
 	for i, im := range []imp{
 		{2, "nytimes.com", "nike.com", "shoes"},
@@ -36,8 +35,8 @@ func main() {
 	} {
 		db.Record(events.EpochOfDay(im.day, 7), events.Event{
 			ID: events.EventID(i + 1), Kind: events.KindImpression,
-			Device: 1, Day: im.day, Publisher: im.pub,
-			Advertiser: im.adv, Campaign: im.campaign,
+			Device: 1, Day: im.day, Publisher: events.Intern(im.pub),
+			Advertiser: events.Intern(im.adv), Campaign: events.Intern(im.campaign),
 		})
 	}
 
@@ -49,12 +48,12 @@ func main() {
 	dev := fleet.GetOrCreate(1)
 
 	// Conversions trigger attribution reports, consuming budget.
-	report := func(day int, adv events.Site, campaign string, value, cap float64) {
+	report := func(day int, adv, campaign string, value, cap float64) {
 		first, last := events.EpochWindow(day, 30, 7)
 		_, _, err := dev.GenerateReport(&core.Request{
 			Querier:    adv,
 			FirstEpoch: first, LastEpoch: last,
-			Selector:          events.NewCampaignSelector(adv, campaign),
+			Selector:          events.NewCampaignSelector(events.Intern(adv), events.Intern(campaign)),
 			Function:          attribution.Slots{Logic: attribution.LastTouch{}, MaxImpressions: 2, Value: value},
 			Epsilon:           0.2,
 			ReportSensitivity: value,

@@ -19,8 +19,8 @@ import (
 )
 
 func main() {
-	const platform = events.Site("platform.example")
-	const advertiser = events.Site("shoes.example")
+	platform := events.Intern("platform.example")
+	advertiser := events.Intern("shoes.example")
 
 	// Synthetic population: users with two public interest features;
 	// users interested in running (feature 0 high) tend to convert.

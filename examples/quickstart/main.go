@@ -17,16 +17,17 @@ import (
 
 func main() {
 	db := events.NewDatabase()
-	const nike = events.Site("nike.com")
+	nike := events.Intern("nike.com")
+	shoes := events.Intern("shoes")
 
 	// @e1: impression I₁ (nytimes.com), @e2: impression I₂ (bbc.com).
 	db.Record(1, events.Event{ID: 1, Kind: events.KindImpression, Device: 1,
-		Day: 7, Publisher: "nytimes.com", Advertiser: nike, Campaign: "shoes"})
+		Day: 7, Publisher: events.Intern("nytimes.com"), Advertiser: nike, Campaign: shoes})
 	db.Record(2, events.Event{ID: 2, Kind: events.KindImpression, Device: 1,
-		Day: 15, Publisher: "bbc.com", Advertiser: nike, Campaign: "shoes"})
+		Day: 15, Publisher: events.Intern("bbc.com"), Advertiser: nike, Campaign: shoes})
 	// @e4: conversion C₁ — Ann buys the $70 shoes.
 	db.Record(4, events.Event{ID: 3, Kind: events.KindConversion, Device: 1,
-		Day: 29, Advertiser: nike, Product: "shoes", Value: 70})
+		Day: 29, Advertiser: nike, Product: shoes, Value: 70})
 
 	// Ann's device enforces ε^G = 1 per (querier, epoch).
 	device := core.NewDevice(1, db, 1.0, core.CookieMonsterPolicy{})
@@ -35,9 +36,9 @@ func main() {
 	// conversion to at most 2 impressions (last-touch), declare the $100
 	// price cap as query sensitivity.
 	report, diag, err := device.GenerateReport(&core.Request{
-		Querier:    nike,
+		Querier:    nike.String(),
 		FirstEpoch: 1, LastEpoch: 4,
-		Selector:          events.NewCampaignSelector(nike, "shoes"),
+		Selector:          events.NewCampaignSelector(nike, shoes),
 		Function:          attribution.Slots{Logic: attribution.LastTouch{}, MaxImpressions: 2, Value: 70},
 		Epsilon:           0.01,
 		ReportSensitivity: 70,  // Ann's conversion value

@@ -56,17 +56,18 @@ func TestEndToEndPipeline(t *testing.T) {
 func TestColludingQueriersAccounting(t *testing.T) {
 	db := events.NewDatabase()
 	db.Record(1, events.Event{ID: 1, Kind: events.KindImpression, Device: 1,
-		Day: 8, Advertiser: "nike.com", Campaign: "shoes"})
+		Day: 8, Advertiser: events.Intern("nike.com"), Campaign: events.Intern("shoes")})
 	db.Record(1, events.Event{ID: 2, Kind: events.KindImpression, Device: 1,
-		Day: 9, Advertiser: "adidas.com", Campaign: "track"})
+		Day: 9, Advertiser: events.Intern("adidas.com"), Campaign: events.Intern("track")})
 	dev := core.NewDevice(1, db, 1.0, core.CookieMonsterPolicy{})
 
-	query := func(q events.Site, campaign string) {
+	query := func(site, campaign string) {
+		q := events.Intern(site)
 		t.Helper()
 		_, _, err := dev.GenerateReport(&core.Request{
-			Querier:    q,
+			Querier:    q.String(),
 			FirstEpoch: 0, LastEpoch: 2,
-			Selector:          events.NewCampaignSelector(q, campaign),
+			Selector:          events.NewCampaignSelector(q, events.Intern(campaign)),
 			Function:          attribution.ScalarValue{Value: 10},
 			Epsilon:           0.4,
 			ReportSensitivity: 10,
@@ -82,8 +83,8 @@ func TestColludingQueriersAccounting(t *testing.T) {
 		query("adidas.com", "track")
 	}
 
-	nikeSpent := dev.Consumed("nike.com", 1)
-	adidasSpent := dev.Consumed("adidas.com", 1)
+	nikeSpent := dev.Consumed(events.Intern("nike.com"), 1)
+	adidasSpent := dev.Consumed(events.Intern("adidas.com"), 1)
 	// Each querier is individually capped at ε^G.
 	if nikeSpent > 1.0+1e-9 || adidasSpent > 1.0+1e-9 {
 		t.Fatalf("per-querier cap violated: %v / %v", nikeSpent, adidasSpent)
@@ -105,16 +106,16 @@ func TestColludingQueriersAccounting(t *testing.T) {
 func TestUnlinkabilityAcrossDevices(t *testing.T) {
 	db := events.NewDatabase()
 	db.Record(0, events.Event{ID: 1, Kind: events.KindImpression, Device: 1,
-		Day: 1, Advertiser: "nike.com", Campaign: "shoes"})
+		Day: 1, Advertiser: events.Intern("nike.com"), Campaign: events.Intern("shoes")})
 	db.Record(0, events.Event{ID: 2, Kind: events.KindImpression, Device: 2,
-		Day: 2, Advertiser: "nike.com", Campaign: "shoes"})
+		Day: 2, Advertiser: events.Intern("nike.com"), Campaign: events.Intern("shoes")})
 	d1 := core.NewDevice(1, db, 0.5, core.CookieMonsterPolicy{})
 	d2 := core.NewDevice(2, db, 0.8, core.CookieMonsterPolicy{})
 
 	req := &core.Request{
 		Querier:    "nike.com",
 		FirstEpoch: 0, LastEpoch: 0,
-		Selector:          events.NewCampaignSelector("nike.com", "shoes"),
+		Selector:          events.NewCampaignSelector(events.Intern("nike.com"), events.Intern("shoes")),
 		Function:          attribution.ScalarValue{Value: 5},
 		Epsilon:           0.2,
 		ReportSensitivity: 5,
@@ -128,7 +129,7 @@ func TestUnlinkabilityAcrossDevices(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Budgets are per device: d2's spend is invisible on d1.
-	if d1.Consumed("nike.com", 0) == 0 || d2.Consumed("nike.com", 0) == 0 {
+	if d1.Consumed(events.Intern("nike.com"), 0) == 0 || d2.Consumed(events.Intern("nike.com"), 0) == 0 {
 		t.Fatal("devices did not consume independently")
 	}
 	bound := privacy.UnlinkabilityBound(d1.Capacity(), d2.Capacity())
@@ -143,12 +144,12 @@ func TestUnlinkabilityAcrossDevices(t *testing.T) {
 func TestBudgetSurvivesRestartEndToEnd(t *testing.T) {
 	db := events.NewDatabase()
 	db.Record(0, events.Event{ID: 1, Kind: events.KindImpression, Device: 1,
-		Day: 1, Advertiser: "nike.com", Campaign: "shoes"})
+		Day: 1, Advertiser: events.Intern("nike.com"), Campaign: events.Intern("shoes")})
 	dev := core.NewDevice(1, db, 0.2, core.CookieMonsterPolicy{})
 	req := &core.Request{
 		Querier:    "nike.com",
 		FirstEpoch: 0, LastEpoch: 0,
-		Selector:          events.NewCampaignSelector("nike.com", "shoes"),
+		Selector:          events.NewCampaignSelector(events.Intern("nike.com"), events.Intern("shoes")),
 		Function:          attribution.ScalarValue{Value: 10},
 		Epsilon:           0.15,
 		ReportSensitivity: 10,

@@ -100,13 +100,13 @@ func (s *Service) Execute(reports []*core.Report) (*Result, error) {
 	s.mu.Lock()
 	claimed := make([]core.Nonce, 0, len(reports))
 	for _, r := range reports {
-		if r.Nonce <= s.watermark {
+		if watermark := s.watermark; r.Nonce <= watermark {
 			for _, n := range claimed {
 				delete(s.seen, n)
 			}
 			s.mu.Unlock()
 			return nil, fmt.Errorf("%w: nonce %d at or below retirement watermark %d",
-				ErrReplayedNonce, r.Nonce, s.watermark)
+				ErrReplayedNonce, r.Nonce, watermark)
 		}
 		if _, dup := s.seen[r.Nonce]; dup {
 			for _, n := range claimed {

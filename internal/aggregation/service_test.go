@@ -8,13 +8,14 @@ import (
 
 	"repro/internal/attribution"
 	"repro/internal/core"
+	"repro/internal/events"
 	"repro/internal/stats"
 )
 
 func mkReport(nonce core.Nonce, value, eps, qsens float64) *core.Report {
 	return &core.Report{
 		Nonce:            nonce,
-		Querier:          "nike.com",
+		Querier:          events.Intern("nike.com"),
 		Histogram:        attribution.Histogram{value},
 		Epsilon:          eps,
 		QuerySensitivity: qsens,
@@ -88,8 +89,8 @@ func TestExecuteRejectsMixedBatches(t *testing.T) {
 	cases := []*core.Report{
 		mkReport(2, 1, 2.0, 10), // different ε
 		mkReport(3, 1, 1.0, 20), // different sensitivity
-		{Nonce: 4, Querier: "adidas.com", Histogram: attribution.Histogram{1}, Epsilon: 1, QuerySensitivity: 10},
-		{Nonce: 5, Querier: "nike.com", Histogram: attribution.Histogram{1, 2}, Epsilon: 1, QuerySensitivity: 10},
+		{Nonce: 4, Querier: events.Intern("adidas.com"), Histogram: attribution.Histogram{1}, Epsilon: 1, QuerySensitivity: 10},
+		{Nonce: 5, Querier: events.Intern("nike.com"), Histogram: attribution.Histogram{1, 2}, Epsilon: 1, QuerySensitivity: 10},
 	}
 	for i, bad := range cases {
 		if _, err := s.Execute([]*core.Report{a, bad}); !errors.Is(err, ErrMixedBatch) {

@@ -89,7 +89,7 @@ type Binned struct {
 	// Logic distributes Value over all relevant impressions.
 	Logic Logic
 	// Bins maps campaign identifiers to bin indices in [0, Dim).
-	Bins map[string]int
+	Bins map[events.Sym]int
 	// Dim is the histogram dimension m.
 	Dim int
 	// Value is the conversion value to distribute.

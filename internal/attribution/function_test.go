@@ -19,7 +19,7 @@ func epochsOf(dayLists ...[]int) [][]events.Event {
 				ID:         id,
 				Kind:       events.KindImpression,
 				Day:        d,
-				Advertiser: "nike.com",
+				Advertiser: events.Intern("nike.com"),
 			})
 			id++
 		}
@@ -79,12 +79,12 @@ func TestSlotsMostRecentFirst(t *testing.T) {
 
 func TestBinnedByCampaign(t *testing.T) {
 	epochs := epochsOf([]int{1, 2}, []int{8})
-	epochs[0][0].Campaign = "a1"
-	epochs[0][1].Campaign = "a2"
-	epochs[1][0].Campaign = "a1"
+	epochs[0][0].Campaign = events.Intern("a1")
+	epochs[0][1].Campaign = events.Intern("a2")
+	epochs[1][0].Campaign = events.Intern("a1")
 	fn := Binned{
 		Logic: EqualCredit{},
-		Bins:  map[string]int{"a1": 0, "a2": 1},
+		Bins:  map[events.Sym]int{events.Intern("a1"): 0, events.Intern("a2"): 1},
 		Dim:   2,
 		Value: 90,
 	}
@@ -96,9 +96,9 @@ func TestBinnedByCampaign(t *testing.T) {
 
 func TestBinnedIgnoresUnmappedCampaigns(t *testing.T) {
 	epochs := epochsOf([]int{1, 2})
-	epochs[0][0].Campaign = "a1"
-	epochs[0][1].Campaign = "unknown"
-	fn := Binned{Logic: LastTouch{}, Bins: map[string]int{"a1": 0}, Dim: 1, Value: 50}
+	epochs[0][0].Campaign = events.Intern("a1")
+	epochs[0][1].Campaign = events.Intern("unknown")
+	fn := Binned{Logic: LastTouch{}, Bins: map[events.Sym]int{events.Intern("a1"): 0}, Dim: 1, Value: 50}
 	h := fn.Attribute(epochs)
 	// Last-touch over the *mapped* subset: a1 gets everything.
 	if h[0] != 50 {
@@ -121,7 +121,7 @@ func TestScalarValue(t *testing.T) {
 
 func TestScalarValueIgnoresConversions(t *testing.T) {
 	fn := ScalarValue{Value: 42}
-	conv := events.Event{Kind: events.KindConversion, Advertiser: "nike.com", Value: 10}
+	conv := events.Event{Kind: events.KindConversion, Advertiser: events.Intern("nike.com"), Value: 10}
 	h := fn.Attribute([][]events.Event{{conv}})
 	if !h.IsZero() {
 		t.Fatal("conversion-only epoch must yield a null report")

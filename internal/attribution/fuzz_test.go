@@ -71,9 +71,9 @@ func FuzzAttributionLogics(f *testing.F) {
 				Kind:       events.KindImpression,
 				Device:     7,
 				Day:        day,
-				Publisher:  "pub.example",
-				Advertiser: "adv.example",
-				Campaign:   "c",
+				Publisher:  events.Intern("pub.example"),
+				Advertiser: events.Intern("adv.example"),
+				Campaign:   events.Intern("c"),
 			}
 		}
 		before := make([]events.Event, len(imps))

@@ -15,7 +15,7 @@ func imps(days ...int) []events.Event {
 			ID:         events.EventID(i + 1),
 			Kind:       events.KindImpression,
 			Day:        d,
-			Advertiser: "nike.com",
+			Advertiser: events.Intern("nike.com"),
 		}
 	}
 	return out

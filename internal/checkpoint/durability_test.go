@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/events"
 	"repro/internal/scenario"
 	"repro/internal/stream"
 	"repro/internal/workload"
@@ -34,7 +35,7 @@ func durabilitySpec() scenario.Spec {
 		Seed: 7,
 		Late: &scenario.LateSpec{Fraction: 0.08, DelayDays: 3},
 		Adversary: &scenario.AdversarySpec{
-			Site:              "attacker.example",
+			Site:              events.Intern("attacker.example"),
 			TargetDevices:     6,
 			ConversionsPerDay: 4,
 			BatchSize:         50,

@@ -144,7 +144,7 @@ func TestLedgerAndDashboard(t *testing.T) {
 		t.Fatal("ledger empty after report")
 	}
 	for i := 1; i < len(rows); i++ {
-		if rows[i-1].Querier > rows[i].Querier {
+		if rows[i-1].Querier.Compare(rows[i].Querier) > 0 {
 			t.Fatal("ledger not sorted by querier")
 		}
 		if rows[i-1].Querier == rows[i].Querier && rows[i-1].Epoch >= rows[i].Epoch {
@@ -188,16 +188,16 @@ func TestLedgerRowFractionEdgeCases(t *testing.T) {
 func TestBinnedAttributionThroughDevice(t *testing.T) {
 	// Campaign-comparison query (§4.1.3): a1 vs a2 histogram.
 	db := events.NewDatabase()
-	db.Record(0, events.Event{ID: 1, Kind: events.KindImpression, Device: 1, Day: 0, Advertiser: nike, Campaign: "a1"})
-	db.Record(1, events.Event{ID: 2, Kind: events.KindImpression, Device: 1, Day: 8, Advertiser: nike, Campaign: "a2"})
+	db.Record(0, events.Event{ID: 1, Kind: events.KindImpression, Device: 1, Day: 0, Advertiser: nike, Campaign: events.Intern("a1")})
+	db.Record(1, events.Event{ID: 2, Kind: events.KindImpression, Device: 1, Day: 8, Advertiser: nike, Campaign: events.Intern("a2")})
 	d := NewDevice(1, db, 10, CookieMonsterPolicy{})
 	req := &Request{
-		Querier:    nike,
+		Querier:    nike.String(),
 		FirstEpoch: 0, LastEpoch: 1,
-		Selector: events.NewCampaignSelector(nike, "a1", "a2"),
+		Selector: events.NewCampaignSelector(nike, events.Intern("a1"), events.Intern("a2")),
 		Function: attribution.Binned{
 			Logic: attribution.EqualCredit{},
-			Bins:  map[string]int{"a1": 0, "a2": 1},
+			Bins:  map[events.Sym]int{events.Intern("a1"): 0, events.Intern("a2"): 1},
 			Dim:   2,
 			Value: 10,
 		},

@@ -64,7 +64,7 @@ func (d *Device) Policy() LossPolicy { return d.policy }
 // it; queriers never can — remaining budgets are data-dependent and must
 // stay hidden (§3.4).
 func (d *Device) Consumed(q events.Site, e events.Epoch) float64 {
-	return d.ledger.Consumed(string(q), int64(e))
+	return d.ledger.Consumed(q.String(), int64(e))
 }
 
 // ConsumedByQuerier returns each querier's total consumed budget across all
@@ -74,7 +74,7 @@ func (d *Device) Consumed(q events.Site, e events.Epoch) float64 {
 func (d *Device) ConsumedByQuerier() map[events.Site]float64 {
 	out := make(map[events.Site]float64, d.ledger.NumQueriers())
 	d.ledger.RangeTotals(func(q string, total float64) {
-		out[events.Site(q)] = total
+		out[events.Intern(q)] = total
 	})
 	return out
 }
@@ -84,7 +84,7 @@ func (d *Device) ConsumedByQuerier() map[events.Site]float64 {
 // (see privacy.Ledger.MarkRequested). The engines call it once per request,
 // from the coordinator, before the generate stage.
 func (d *Device) MarkRequested(q events.Site, first, last events.Epoch) {
-	d.ledger.MarkRequested(string(q), int64(first), int64(last))
+	d.ledger.MarkRequested(q.String(), int64(first), int64(last))
 }
 
 // RangeRequested visits the device's requested epochs in ascending order,
@@ -118,7 +118,7 @@ func (d *Device) LedgerVersion() uint64 { return d.ledger.Version() }
 // refuses refunds and a consumed budget beyond the device's ε^G (see
 // privacy.Ledger.Restore).
 func (d *Device) RestoreBudgetRow(q events.Site, e events.Epoch, consumed float64) error {
-	return d.ledger.Restore(string(q), int64(e), consumed)
+	return d.ledger.Restore(q.String(), int64(e), consumed)
 }
 
 // GenerateReport runs Listing 1's compute_attribution_report for one
@@ -178,7 +178,7 @@ func (d *Device) generate(req *Request, s *Scratch, diag *Diagnostics) (*Report,
 	// Step 3: atomic check-and-consume for the whole window under one
 	// ledger lock; on Halt an epoch's events are dropped (replaced by ∅)
 	// and nothing is charged.
-	d.ledger.ChargeWindow(string(req.Querier), int64(req.FirstEpoch), s.losses, s.outcomes)
+	d.ledger.ChargeWindow(req.Querier, int64(req.FirstEpoch), s.losses, s.outcomes)
 
 	rep, stats := d.finish(req, s, newNonce(), diag)
 	return rep, stats, nil
@@ -247,7 +247,7 @@ func (d *Device) finish(req *Request, s *Scratch, nonce Nonce, diag *Diagnostics
 
 	rep := &Report{
 		Nonce:            nonce,
-		Querier:          req.Querier,
+		Querier:          events.Intern(req.Querier),
 		Device:           d.id,
 		Histogram:        h,
 		Epsilon:          req.Epsilon,

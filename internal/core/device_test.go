@@ -11,7 +11,7 @@ import (
 	"repro/internal/privacy"
 )
 
-const nike = events.Site("nike.com")
+var nike = events.Intern("nike.com")
 
 // paperDevice builds the §3.2 scenario: impressions I₁ in epoch e1 and I₂ in
 // epoch e2, nothing in e3, and the conversion C₁ in epoch e4 (7-day epochs).
@@ -20,25 +20,25 @@ func paperDevice(t *testing.T, policy LossPolicy, epsG float64) (*Device, *event
 	db := events.NewDatabase()
 	db.Record(1, events.Event{
 		ID: 1, Kind: events.KindImpression, Device: 7, Day: 7,
-		Publisher: "nytimes.com", Advertiser: nike, Campaign: "shoes",
+		Publisher: events.Intern("nytimes.com"), Advertiser: nike, Campaign: events.Intern("shoes"),
 	})
 	db.Record(2, events.Event{
 		ID: 2, Kind: events.KindImpression, Device: 7, Day: 15,
-		Publisher: "bbc.com", Advertiser: nike, Campaign: "shoes",
+		Publisher: events.Intern("bbc.com"), Advertiser: nike, Campaign: events.Intern("shoes"),
 	})
 	db.Record(4, events.Event{
 		ID: 3, Kind: events.KindConversion, Device: 7, Day: 29,
-		Advertiser: nike, Product: "shoes", Value: 70,
+		Advertiser: nike, Product: events.Intern("shoes"), Value: 70,
 	})
 	return NewDevice(7, db, epsG, policy), db
 }
 
 func paperRequest(bias *BiasSpec) *Request {
 	return &Request{
-		Querier:           nike,
+		Querier:           nike.String(),
 		FirstEpoch:        1,
 		LastEpoch:         4,
-		Selector:          events.NewCampaignSelector(nike, "shoes"),
+		Selector:          events.NewCampaignSelector(nike, events.Intern("shoes")),
 		Function:          attribution.Slots{Logic: attribution.LastTouch{}, MaxImpressions: 2, Value: 70},
 		Epsilon:           0.01,
 		ReportSensitivity: 70,
@@ -95,17 +95,17 @@ func TestDenialOfLaterEpochBiasesBinnedReport(t *testing.T) {
 	// With a per-campaign histogram, denying the most recent impression's
 	// epoch visibly shifts credit between bins.
 	db := events.NewDatabase()
-	db.Record(1, events.Event{ID: 1, Kind: events.KindImpression, Device: 7, Day: 7, Advertiser: nike, Campaign: "a1"})
-	db.Record(2, events.Event{ID: 2, Kind: events.KindImpression, Device: 7, Day: 15, Advertiser: nike, Campaign: "a2"})
+	db.Record(1, events.Event{ID: 1, Kind: events.KindImpression, Device: 7, Day: 7, Advertiser: nike, Campaign: events.Intern("a1")})
+	db.Record(2, events.Event{ID: 2, Kind: events.KindImpression, Device: 7, Day: 15, Advertiser: nike, Campaign: events.Intern("a2")})
 	d := NewDevice(7, db, 1, CookieMonsterPolicy{})
 	d.testCharge(nike, 2, 1) // deny the a2 epoch
 	req := &Request{
-		Querier:    nike,
+		Querier:    nike.String(),
 		FirstEpoch: 1, LastEpoch: 4,
-		Selector: events.NewCampaignSelector(nike, "a1", "a2"),
+		Selector: events.NewCampaignSelector(nike, events.Intern("a1"), events.Intern("a2")),
 		Function: attribution.Binned{
 			Logic: attribution.LastTouch{},
-			Bins:  map[string]int{"a1": 0, "a2": 1},
+			Bins:  map[events.Sym]int{events.Intern("a1"): 0, events.Intern("a2"): 1},
 			Dim:   2,
 			Value: 70,
 		},
@@ -190,7 +190,7 @@ func TestCookieMonsterNeverExceedsARA(t *testing.T) {
 		val := math.Mod(math.Abs(rawVal), 100) + 1
 		k := int(windowLen%5) + 1
 		req := &Request{
-			Querier:           nike,
+			Querier:           nike.String(),
 			FirstEpoch:        0,
 			LastEpoch:         events.Epoch(k - 1),
 			Selector:          events.NewCampaignSelector(nike),
@@ -219,13 +219,13 @@ func TestSingleEpochUsesOutputNorm(t *testing.T) {
 	db := events.NewDatabase()
 	db.Record(0, events.Event{
 		ID: 1, Kind: events.KindImpression, Device: 1, Day: 6,
-		Advertiser: nike, Campaign: "shoes",
+		Advertiser: nike, Campaign: events.Intern("shoes"),
 	})
 	d := NewDevice(1, db, 10, CookieMonsterPolicy{})
 	req := &Request{
-		Querier:    nike,
+		Querier:    nike.String(),
 		FirstEpoch: 0, LastEpoch: 0,
-		Selector: events.NewCampaignSelector(nike, "shoes"),
+		Selector: events.NewCampaignSelector(nike, events.Intern("shoes")),
 		// Attribution output = 1 day of delay out of a 7-day cap.
 		Function:          attribution.ScalarValue{Value: 1},
 		Epsilon:           0.7,
@@ -293,7 +293,7 @@ func TestBudgetIsolationAcrossQueriers(t *testing.T) {
 	// A different querier still has a full budget.
 	req := paperRequest(nil)
 	req.Querier = "criteo.com"
-	req.Selector = events.NewCampaignSelector(nike, "shoes")
+	req.Selector = events.NewCampaignSelector(nike, events.Intern("shoes"))
 	_, diag, err := d.GenerateReport(req)
 	if err != nil {
 		t.Fatal(err)
@@ -384,7 +384,7 @@ func TestAblationPolicyLadder(t *testing.T) {
 	req := paperRequest(nil)
 	relevantSets := [][]events.Event{
 		nil,
-		{{Kind: events.KindImpression, Advertiser: nike, Campaign: "shoes"}},
+		{{Kind: events.KindImpression, Advertiser: nike, Campaign: events.Intern("shoes")}},
 	}
 	for _, relevant := range relevantSets {
 		cm := CookieMonsterPolicy{}.EpochLoss(relevant, req)
@@ -408,7 +408,7 @@ func TestSingleEpochAwarePolicy(t *testing.T) {
 	p := SingleEpochAwarePolicy{}
 	req := paperRequest(nil)
 	// Multi-epoch window with relevant events: full ε.
-	relevant := []events.Event{{Kind: events.KindImpression, Advertiser: nike, Campaign: "shoes"}}
+	relevant := []events.Event{{Kind: events.KindImpression, Advertiser: nike, Campaign: events.Intern("shoes")}}
 	if got := p.EpochLoss(relevant, req); got != req.Epsilon {
 		t.Fatalf("multi-epoch loss = %v", got)
 	}

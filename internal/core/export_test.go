@@ -9,5 +9,5 @@ import (
 // analogue of the old d.filter(q, e).Consume(eps), used to pre-exhaust
 // budgets before exercising report generation.
 func (d *Device) testCharge(q events.Site, e events.Epoch, eps float64) privacy.ChargeOutcome {
-	return d.ledger.Charge(string(q), int64(e), eps)
+	return d.ledger.Charge(q.String(), int64(e), eps)
 }

@@ -110,13 +110,13 @@ func TestFleetConcurrentGetOrCreate(t *testing.T) {
 // other goroutines read Consumed through Get — the -race coverage for the
 // Device.Consumed locking fix and the fleet read path.
 func TestFleetConcurrentReportsAndReads(t *testing.T) {
-	const site = events.Site("nike.example")
+	var site = events.Intern("nike.example")
 	evs := make([]events.Event, 64)
 	for i := range evs {
 		evs[i] = events.Event{
 			ID: events.EventID(i + 1), Kind: events.KindImpression,
 			Device: events.DeviceID(i % 8), Day: 1,
-			Advertiser: site, Campaign: "product-0",
+			Advertiser: site, Campaign: events.Intern("product-0"),
 		}
 	}
 	db := events.NewFrozen(7, evs)
@@ -124,9 +124,9 @@ func TestFleetConcurrentReportsAndReads(t *testing.T) {
 		return NewDevice(id, db, 100, CookieMonsterPolicy{})
 	})
 	req := &Request{
-		Querier:    site,
+		Querier:    site.String(),
 		FirstEpoch: 0, LastEpoch: 3,
-		Selector:          events.ProductSelector{Advertiser: site, Product: "product-0"},
+		Selector:          events.ProductSelector{Advertiser: site, Product: events.Intern("product-0")},
 		Function:          attribution.ScalarValue{Value: 1},
 		Epsilon:           0.01,
 		ReportSensitivity: 1,
@@ -218,13 +218,13 @@ func mustPanicWithRelease(t *testing.T, what string, fn func()) {
 // what it answered before the release, while creating a device or
 // generating a report panics with a message that names the release.
 func TestReleasedFleet(t *testing.T) {
-	const site = events.Site("nike.example")
+	var site = events.Intern("nike.example")
 	evs := make([]events.Event, 64)
 	for i := range evs {
 		evs[i] = events.Event{
 			ID: events.EventID(i + 1), Kind: events.KindImpression,
 			Device: events.DeviceID(i % 8), Day: 1 + i%20,
-			Advertiser: site, Campaign: "product-0",
+			Advertiser: site, Campaign: events.Intern("product-0"),
 		}
 	}
 	db := events.NewFrozen(7, evs)
@@ -234,9 +234,9 @@ func TestReleasedFleet(t *testing.T) {
 	})
 	req := func(first, last events.Epoch) *Request {
 		return &Request{
-			Querier:    site,
+			Querier:    site.String(),
 			FirstEpoch: first, LastEpoch: last,
-			Selector:          events.ProductSelector{Advertiser: site, Product: "product-0"},
+			Selector:          events.ProductSelector{Advertiser: site, Product: events.Intern("product-0")},
 			Function:          attribution.ScalarValue{Value: 1},
 			Epsilon:           0.01,
 			ReportSensitivity: 1,

@@ -119,7 +119,7 @@ func (d *Device) GenerateReportBatch(reqs []*Request, ms *MultiScratch,
 		s := &ms.ss[j]
 		d.lossPass(req, s)
 		ms.charges[j] = privacy.WindowCharge{
-			Querier:  string(req.Querier),
+			Querier:  req.Querier,
 			First:    int64(req.FirstEpoch),
 			Losses:   s.losses,
 			Outcomes: s.outcomes,

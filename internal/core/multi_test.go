@@ -10,7 +10,7 @@ import (
 	"repro/internal/events"
 )
 
-var multiSites = []events.Site{"nike.com", "adidas.com", "puma.com"}
+var multiSites = []events.Site{events.Intern("nike.com"), events.Intern("adidas.com"), events.Intern("puma.com")}
 
 func randomMultiDB(rng *rand.Rand, dev events.DeviceID) *events.Database {
 	var evs []events.Event
@@ -25,8 +25,8 @@ func randomMultiDB(rng *rand.Rand, dev events.DeviceID) *events.Database {
 			Device:     dev,
 			Day:        rng.Intn(42),
 			Advertiser: multiSites[rng.Intn(3)],
-			Campaign:   []string{"shoes", "hats"}[rng.Intn(2)],
-			Product:    []string{"shoes", "hats"}[rng.Intn(2)],
+			Campaign:   []events.Sym{events.Intern("shoes"), events.Intern("hats")}[rng.Intn(2)],
+			Product:    []events.Sym{events.Intern("shoes"), events.Intern("hats")}[rng.Intn(2)],
 		})
 	}
 	return events.NewFrozen(7, evs)
@@ -40,9 +40,9 @@ func randomMultiRequest(rng *rand.Rand) *Request {
 	var sel events.Selector
 	switch rng.Intn(4) {
 	case 0:
-		sel = events.NewCampaignSelector(site, "shoes")
+		sel = events.NewCampaignSelector(site, events.Intern("shoes"))
 	case 1:
-		sel = events.ProductSelector{Advertiser: site, Product: "hats"}
+		sel = events.ProductSelector{Advertiser: site, Product: events.Intern("hats")}
 	case 2:
 		sel = events.WindowSelector{
 			Inner:    events.NewCampaignSelector(site),
@@ -56,7 +56,7 @@ func randomMultiRequest(rng *rand.Rand) *Request {
 		})
 	}
 	req := &Request{
-		Querier:           site,
+		Querier:           site.String(),
 		FirstEpoch:        events.Epoch(rng.Intn(3)),
 		Selector:          sel,
 		Function:          attribution.Slots{Logic: attribution.LastTouch{}, MaxImpressions: 2, Value: 70},
@@ -175,7 +175,7 @@ func TestBatchMutableStoreFallback(t *testing.T) {
 			db.Record(events.EpochOfDay(day, 7), events.Event{
 				ID: events.EventID(i + 1), Kind: events.KindImpression,
 				Device: 7, Day: day, Advertiser: multiSites[rng.Intn(3)],
-				Campaign: []string{"shoes", "hats"}[rng.Intn(2)],
+				Campaign: []events.Sym{events.Intern("shoes"), events.Intern("hats")}[rng.Intn(2)],
 			})
 		}
 		dRef := NewDevice(7, db, 0.02, CookieMonsterPolicy{})

@@ -17,9 +17,9 @@ import (
 // querier provides when it asks a device for an attribution report upon a
 // conversion.
 type Request struct {
-	// Querier is the site requesting the report; filters are maintained
-	// per querier.
-	Querier events.Site
+	// Querier names the site requesting the report; filters are
+	// maintained per querier, keyed by this name.
+	Querier string
 	// FirstEpoch and LastEpoch delimit the inclusive attribution window
 	// (the `epochs` parameter).
 	FirstEpoch, LastEpoch events.Epoch

@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/events"
+)
 
 // The device's budget state survives a restart as ledger rows put back one
 // by one through RestoreBudgetRow (the snapshot's device blob does exactly
@@ -33,7 +37,7 @@ func TestLoadRejectsCorruptStates(t *testing.T) {
 		"negative consumed": -1,
 		"over capacity":     2,
 	} {
-		if err := d.RestoreBudgetRow("x", 6, consumed); err == nil {
+		if err := d.RestoreBudgetRow(events.Intern("x"), 6, consumed); err == nil {
 			t.Fatalf("%s: corrupt row accepted", name)
 		}
 	}

@@ -25,7 +25,7 @@ func TestScratchPathMatchesDiagnosticsPath(t *testing.T) {
 			db.Record(events.EpochOfDay(day, 7), events.Event{
 				ID: events.EventID(i + 1), Kind: events.KindImpression,
 				Device: 1, Day: day, Advertiser: nike,
-				Campaign: []string{"shoes", "hats"}[rng.Intn(2)],
+				Campaign: []events.Sym{events.Intern("shoes"), events.Intern("hats")}[rng.Intn(2)],
 			})
 		}
 		epsG := []float64{0, 0.005, 0.02, 1}[rng.Intn(4)]
@@ -111,14 +111,14 @@ func TestDiagnosticsEpochIndexing(t *testing.T) {
 // service's phase discipline for events.Database.EvictBefore (a mutation
 // phase with no concurrent readers). Run under -race.
 func TestDeviceLedgerConcurrentRace(t *testing.T) {
-	const site = events.Site("nike.example")
+	var site = events.Intern("nike.example")
 	db := events.NewDatabase()
 	record := func(epoch events.Epoch, n int) {
 		for i := 0; i < n; i++ {
 			db.Record(epoch, events.Event{
 				ID: db.NextEventID(), Kind: events.KindImpression,
 				Device: events.DeviceID(i % 4), Day: int(epoch) * 7,
-				Advertiser: site, Campaign: "product-0",
+				Advertiser: site, Campaign: events.Intern("product-0"),
 			})
 		}
 	}
@@ -130,9 +130,9 @@ func TestDeviceLedgerConcurrentRace(t *testing.T) {
 	})
 	req := func(first, last events.Epoch) *Request {
 		return &Request{
-			Querier:    site,
+			Querier:    site.String(),
 			FirstEpoch: first, LastEpoch: last,
-			Selector:          events.ProductSelector{Advertiser: site, Product: "product-0"},
+			Selector:          events.ProductSelector{Advertiser: site, Product: events.Intern("product-0")},
 			Function:          attribution.ScalarValue{Value: 1},
 			Epsilon:           0.01,
 			ReportSensitivity: 1,

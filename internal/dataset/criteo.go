@@ -112,12 +112,11 @@ func Criteo(cfg CriteoConfig) (*Dataset, error) {
 	var nextID events.EventID
 	newID := func() events.EventID { nextID++; return nextID }
 
-	// Names are made once, before any event: every event of an advertiser
-	// (or product) shares one string, so a trace of millions of events
-	// holds a few hundred names, not one allocation per event.
+	// Names are interned once, before any event, and indexed per event.
+	publisher := events.Intern("criteo-publisher.example")
 	sites := make([]events.Site, cfg.Advertisers+1)
 	for a := 1; a <= cfg.Advertisers; a++ {
-		sites[a] = events.Site(fmt.Sprintf("advertiser-%03d.example", a))
+		sites[a] = events.Intern(fmt.Sprintf("advertiser-%03d.example", a))
 	}
 	// Each advertiser sells a handful of products keyed like the paper's
 	// "product-category-3" attribute.
@@ -166,7 +165,7 @@ func Criteo(cfg CriteoConfig) (*Dataset, error) {
 				Kind:       events.KindImpression,
 				Device:     dev,
 				Day:        impDay,
-				Publisher:  "criteo-publisher.example",
+				Publisher:  publisher,
 				Advertiser: sites[a],
 				Campaign:   product,
 			})

@@ -30,7 +30,7 @@ type Advertiser struct {
 	Site events.Site
 	// Products are the product keys the advertiser queries, one query
 	// stream per product. Impression campaigns use the same keys.
-	Products []string
+	Products []events.Sym
 	// MaxValue is the largest possible conversion value — the query
 	// global sensitivity Δ.
 	MaxValue float64
@@ -47,14 +47,16 @@ type Advertiser struct {
 // it runs depends on: B ≥ 1, since the planner cuts batches of B and the
 // ε formula divides by it, and Δ and c̃ finite and positive, since the ε
 // formula divides by c̃ and the Laplace scale Δ/ε must be a positive real.
+// Only the calibration inputs are read, so a caller may check them before
+// it interns the advertiser's names; errors do not name the site.
 func (a Advertiser) Validate() error {
 	switch {
 	case a.BatchSize < 1:
-		return fmt.Errorf("dataset: advertiser %q: batch size %d below 1", a.Site, a.BatchSize)
+		return fmt.Errorf("dataset: batch size %d below 1", a.BatchSize)
 	case !positiveFinite(a.MaxValue):
-		return fmt.Errorf("dataset: advertiser %q: max value %v not finite and positive", a.Site, a.MaxValue)
+		return fmt.Errorf("dataset: max value %v not finite and positive", a.MaxValue)
 	case !positiveFinite(a.AvgReportValue):
-		return fmt.Errorf("dataset: advertiser %q: average report value %v not finite and positive", a.Site, a.AvgReportValue)
+		return fmt.Errorf("dataset: average report value %v not finite and positive", a.AvgReportValue)
 	}
 	return nil
 }
@@ -130,12 +132,11 @@ func (d *Dataset) String() string {
 
 // productKeys names an advertiser's products 0..n-1; campaigns reuse the
 // keys so the per-product selectors match. Generators build the table once
-// and index it per event, so every event of a product shares one string; the
-// same table is the advertiser's Products list.
-func productKeys(n int) []string {
-	keys := make([]string, n)
+// and index it per event; the same table is the advertiser's Products list.
+func productKeys(n int) []events.Sym {
+	keys := make([]events.Sym, n)
 	for p := range keys {
-		keys[p] = fmt.Sprintf("product-%d", p)
+		keys[p] = events.Intern(fmt.Sprintf("product-%d", p))
 	}
 	return keys
 }
@@ -147,7 +148,7 @@ func productKeys(n int) []string {
 func attributionRate(evs []events.Event, windowDays int) float64 {
 	type devProduct struct {
 		d events.DeviceID
-		p string
+		p events.Sym
 	}
 	impDays := make(map[devProduct][]int)
 	for _, ev := range evs {

@@ -135,7 +135,7 @@ func TestPATCGShape(t *testing.T) {
 	}
 	adv := ds.Advertisers[0]
 	// Batch size supports the full query schedule for every product.
-	perProduct := make(map[string]int)
+	perProduct := make(map[events.Sym]int)
 	for _, ev := range ds.Events {
 		if ev.IsConversion() {
 			perProduct[ev.Product]++
@@ -186,7 +186,7 @@ func TestCriteoShape(t *testing.T) {
 			counts[ev.Advertiser]++
 		}
 	}
-	if counts["advertiser-001.example"] < counts["advertiser-050.example"] {
+	if counts[events.Intern("advertiser-001.example")] < counts[events.Intern("advertiser-050.example")] {
 		t.Fatal("Zipf skew inverted")
 	}
 }
@@ -270,11 +270,11 @@ func TestEpochsCount(t *testing.T) {
 
 func TestAttributionRate(t *testing.T) {
 	evs := []events.Event{
-		{ID: 1, Kind: events.KindImpression, Device: 1, Day: 5, Campaign: "p"},
-		{ID: 2, Kind: events.KindConversion, Device: 1, Day: 10, Product: "p"}, // attributed
-		{ID: 3, Kind: events.KindConversion, Device: 2, Day: 10, Product: "p"}, // no impression
-		{ID: 4, Kind: events.KindConversion, Device: 1, Day: 50, Product: "p"}, // outside window
-		{ID: 5, Kind: events.KindConversion, Device: 1, Day: 10, Product: "q"}, // wrong product
+		{ID: 1, Kind: events.KindImpression, Device: 1, Day: 5, Campaign: events.Intern("p")},
+		{ID: 2, Kind: events.KindConversion, Device: 1, Day: 10, Product: events.Intern("p")}, // attributed
+		{ID: 3, Kind: events.KindConversion, Device: 2, Day: 10, Product: events.Intern("p")}, // no impression
+		{ID: 4, Kind: events.KindConversion, Device: 1, Day: 50, Product: events.Intern("p")}, // outside window
+		{ID: 5, Kind: events.KindConversion, Device: 1, Day: 10, Product: events.Intern("q")}, // wrong product
 	}
 	if got := attributionRate(evs, 30); got != 0.25 {
 		t.Fatalf("rate = %v, want 0.25", got)

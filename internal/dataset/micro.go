@@ -112,7 +112,7 @@ func Micro(cfg MicroConfig) (*Dataset, error) {
 	}
 	converted := make(map[events.DeviceID]bool)
 
-	const site = events.Site("nike.example")
+	site, publisher := events.Intern("nike.example"), events.Intern("news.example")
 	products := productKeys(cfg.Products)
 	for batch := 0; batch < totalBatches; batch++ {
 		product := products[batch%cfg.Products]
@@ -154,7 +154,7 @@ func Micro(cfg MicroConfig) (*Dataset, error) {
 					Kind:       events.KindImpression,
 					Device:     dev,
 					Day:        day,
-					Publisher:  "news.example",
+					Publisher:  publisher,
 					Advertiser: site,
 					Campaign:   products[rng.Intn(cfg.Products)],
 				})

@@ -28,15 +28,15 @@ func sharedNames(t *testing.T, ds *Dataset) {
 		}
 	}
 	for _, adv := range ds.Advertisers {
-		check("advertiser site", string(adv.Site))
+		check("advertiser site", adv.Site.String())
 		for _, p := range adv.Products {
-			check("advertiser product", p)
+			check("advertiser product", p.String())
 		}
 	}
 	for i, ev := range ds.Events {
-		check(fmt.Sprintf("event %d advertiser", i), string(ev.Advertiser))
-		check(fmt.Sprintf("event %d product", i), ev.Product)
-		check(fmt.Sprintf("event %d campaign", i), ev.Campaign)
+		check(fmt.Sprintf("event %d advertiser", i), ev.Advertiser.String())
+		check(fmt.Sprintf("event %d product", i), ev.Product.String())
+		check(fmt.Sprintf("event %d campaign", i), ev.Campaign.String())
 	}
 	if len(backing) < 2 {
 		t.Fatalf("trace holds %d distinct names: nothing to share", len(backing))
@@ -50,7 +50,7 @@ func criteoPerEventNames(cfg CriteoConfig) []events.Event {
 	rng := stats.Stream(cfg.Seed, "criteo")
 	zipf := stats.NewZipf(cfg.Advertisers, cfg.ZipfExponent)
 	advSite := func(a int) events.Site {
-		return events.Site(fmt.Sprintf("advertiser-%03d.example", a))
+		return events.Intern(fmt.Sprintf("advertiser-%03d.example", a))
 	}
 	density := make([]float64, cfg.Advertisers+1)
 	for a := 1; a <= cfg.Advertisers; a++ {
@@ -62,7 +62,7 @@ func criteoPerEventNames(cfg CriteoConfig) []events.Event {
 		a := zipf.Sample(rng)
 		dev := events.DeviceID(rng.Intn(cfg.Users) + 1)
 		day := rng.Intn(cfg.DurationDays)
-		product := fmt.Sprintf("product-%d", rng.Intn(3))
+		product := events.Intern(fmt.Sprintf("product-%d", rng.Intn(3)))
 		id++
 		evs = append(evs, events.Event{
 			ID: id, Kind: events.KindConversion, Device: dev, Day: day,
@@ -75,7 +75,7 @@ func criteoPerEventNames(cfg CriteoConfig) []events.Event {
 			id++
 			evs = append(evs, events.Event{
 				ID: id, Kind: events.KindImpression, Device: dev, Day: impDay,
-				Publisher: "criteo-publisher.example", Advertiser: advSite(a), Campaign: product,
+				Publisher: events.Intern("criteo-publisher.example"), Advertiser: advSite(a), Campaign: product,
 			})
 		}
 	}
@@ -140,7 +140,7 @@ func TestGeneratorsShareNames(t *testing.T) {
 			}
 		}
 		for _, adv := range ds.Advertisers {
-			if !reflect.DeepEqual(adv.Products, []string{"product-0", "product-1", "product-2"}) {
+			if !reflect.DeepEqual(adv.Products, []events.Sym{events.Intern("product-0"), events.Intern("product-1"), events.Intern("product-2")}) {
 				t.Fatalf("advertiser %s lists products %v", adv.Site, adv.Products)
 			}
 		}

@@ -88,7 +88,7 @@ func PATCG(cfg PATCGConfig) (*Dataset, error) {
 	var nextID events.EventID
 	newID := func() events.EventID { nextID++; return nextID }
 
-	const site = events.Site("advertiser.example")
+	site, publisher := events.Intern("advertiser.example"), events.Intern("publisher.example")
 	products := productKeys(cfg.Products)
 	perProduct := make([]int, cfg.Products)
 	for u := 0; u < cfg.Users; u++ {
@@ -113,7 +113,7 @@ func PATCG(cfg PATCGConfig) (*Dataset, error) {
 				Kind:       events.KindImpression,
 				Device:     dev,
 				Day:        rng.Intn(cfg.DurationDays),
-				Publisher:  "publisher.example",
+				Publisher:  publisher,
 				Advertiser: site,
 				Campaign:   products[rng.Intn(cfg.Products)],
 			})

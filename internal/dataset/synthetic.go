@@ -85,9 +85,9 @@ type SyntheticSource struct {
 	meta Meta
 	rng  *stats.RNG
 
-	site events.Site
+	site, publisher events.Site
 	// products names each product once; every event indexes it.
-	products  []string
+	products  []events.Sym
 	batchSpan int
 	day       int
 	nextID    events.EventID
@@ -105,7 +105,7 @@ func NewSynthetic(cfg SyntheticConfig) (*SyntheticSource, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	const site = events.Site("synthetic.example")
+	site := events.Intern("synthetic.example")
 	products := productKeys(cfg.Products)
 	// The advertiser's c̃ estimate is analytic: a conversion is
 	// attributable when the device saw at least one impression for the
@@ -139,6 +139,7 @@ func NewSynthetic(cfg SyntheticConfig) (*SyntheticSource, error) {
 		},
 		rng:       stats.Stream(cfg.Seed, "synthetic"),
 		site:      site,
+		publisher: events.Intern("pub.example"),
 		products:  products,
 		batchSpan: span,
 		lastBatch: -1,
@@ -222,7 +223,7 @@ func (s *SyntheticSource) generateDay(d int) {
 			Kind:       events.KindImpression,
 			Device:     events.DeviceID(s.rng.Intn(s.cfg.Population) + 1),
 			Day:        d,
-			Publisher:  "pub.example",
+			Publisher:  s.publisher,
 			Advertiser: s.site,
 			Campaign:   s.products[s.rng.Intn(s.cfg.Products)],
 		})

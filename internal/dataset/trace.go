@@ -64,8 +64,8 @@ func WriteTrace(w io.Writer, src Source) error {
 	}
 	for i, a := range m.Advertisers {
 		hdr.Advertisers[i] = traceQuery{
-			Site:           string(a.Site),
-			Products:       a.Products,
+			Site:           a.Site.String(),
+			Products:       names(a.Products),
 			MaxValue:       a.MaxValue,
 			AvgReportValue: a.AvgReportValue,
 			BatchSize:      a.BatchSize,
@@ -81,8 +81,12 @@ func WriteTrace(w io.Writer, src Source) error {
 		if !ok {
 			break
 		}
-		if n > 0 && ev.Before(prev) {
-			return fmt.Errorf("dataset: source %q out of order at event %d", m.Name, n)
+		if n > 0 && !prev.Before(ev) {
+			if ev.Before(prev) {
+				return fmt.Errorf("dataset: source %q out of order at event %d", m.Name, n)
+			}
+			return fmt.Errorf("dataset: source %q repeats (day %d, id %d) at event %d, trace line %d",
+				m.Name, ev.Day, ev.ID, n, n+2)
 		}
 		prev = ev
 		n++
@@ -91,10 +95,10 @@ func WriteTrace(w io.Writer, src Source) error {
 			Kind:       ev.Kind.String(),
 			Device:     uint64(ev.Device),
 			Day:        ev.Day,
-			Publisher:  string(ev.Publisher),
-			Advertiser: string(ev.Advertiser),
-			Campaign:   ev.Campaign,
-			Product:    ev.Product,
+			Publisher:  ev.Publisher.String(),
+			Advertiser: ev.Advertiser.String(),
+			Campaign:   ev.Campaign.String(),
+			Product:    ev.Product.String(),
 			Value:      ev.Value,
 		}
 		if err := enc.Encode(te); err != nil {
@@ -147,11 +151,14 @@ func ReadTrace(r io.Reader) (*Dataset, error) {
 	}
 	for i, q := range hdr.Advertisers {
 		ds.Advertisers[i] = Advertiser{
-			Site:           events.Site(q.Site),
-			Products:       q.Products,
+			Site:           events.Intern(q.Site),
+			Products:       make([]events.Sym, len(q.Products)),
 			MaxValue:       q.MaxValue,
 			AvgReportValue: q.AvgReportValue,
 			BatchSize:      q.BatchSize,
+		}
+		for j, p := range q.Products {
+			ds.Advertisers[i].Products[j] = events.Intern(p)
 		}
 	}
 	line := 1
@@ -165,14 +172,10 @@ func ReadTrace(r io.Reader) (*Dataset, error) {
 			return nil, fmt.Errorf("dataset: trace line %d: %w", line, err)
 		}
 		ev := events.Event{
-			ID:         events.EventID(te.ID),
-			Device:     events.DeviceID(te.Device),
-			Day:        te.Day,
-			Publisher:  events.Site(te.Publisher),
-			Advertiser: events.Site(te.Advertiser),
-			Campaign:   te.Campaign,
-			Product:    te.Product,
-			Value:      te.Value,
+			ID:     events.EventID(te.ID),
+			Device: events.DeviceID(te.Device),
+			Day:    te.Day,
+			Value:  te.Value,
 		}
 		switch te.Kind {
 		case "impression":
@@ -186,15 +189,30 @@ func ReadTrace(r io.Reader) (*Dataset, error) {
 			return nil, fmt.Errorf("dataset: trace line %d: day %d outside [0,%d)",
 				line, ev.Day, hdr.DurationDays)
 		}
-		if n := len(ds.Events); n > 0 && ev.Before(ds.Events[n-1]) {
-			return nil, fmt.Errorf("dataset: trace line %d: event out of (day, id) order", line)
+		if n := len(ds.Events); n > 0 && !ds.Events[n-1].Before(ev) {
+			if ev.Before(ds.Events[n-1]) {
+				return nil, fmt.Errorf("dataset: trace line %d: event out of (day, id) order", line)
+			}
+			return nil, fmt.Errorf("dataset: trace line %d: repeats (day %d, id %d)", line, ev.Day, ev.ID)
 		}
+		// The line is valid: only now are its names interned.
+		ev.Publisher, ev.Advertiser = events.Intern(te.Publisher), events.Intern(te.Advertiser)
+		ev.Campaign, ev.Product = events.Intern(te.Campaign), events.Intern(te.Product)
 		ds.Events = append(ds.Events, ev)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("dataset: reading trace: %w", err)
 	}
 	return ds, nil
+}
+
+// names returns the symbols' names, for the trace header.
+func names(syms []events.Sym) []string {
+	out := make([]string, len(syms))
+	for i, s := range syms {
+		out[i] = s.String()
+	}
+	return out
 }
 
 // OpenTrace reads a trace file from path.

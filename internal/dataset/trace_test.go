@@ -79,10 +79,19 @@ func TestReadTraceRejectsMalformed(t *testing.T) {
 		"events-out-of-order": header + "\n" +
 			`{"id":2,"kind":"impression","device":1,"day":1,"advertiser":"a"}` + "\n" +
 			`{"id":1,"kind":"impression","device":1,"day":0,"advertiser":"a"}`,
+		// A batch run counts both events; a served run's per-device (day,
+		// id) dedupe cursor drops the second, so the two would disagree.
+		"repeated-day-and-id": header + "\n" +
+			`{"id":1,"kind":"impression","device":1,"day":1,"advertiser":"a"}` + "\n" +
+			`{"id":1,"kind":"conversion","device":1,"day":1,"advertiser":"a","product":"p","value":3}`,
 	} {
 		t.Run(name, func(t *testing.T) {
-			if _, err := dataset.ReadTrace(strings.NewReader(text)); err == nil {
+			_, err := dataset.ReadTrace(strings.NewReader(text))
+			if err == nil {
 				t.Fatalf("malformed trace accepted")
+			}
+			if name == "repeated-day-and-id" && !strings.Contains(err.Error(), "line 3") {
+				t.Fatalf("error %q does not name line 3", err)
 			}
 		})
 	}
@@ -90,10 +99,17 @@ func TestReadTraceRejectsMalformed(t *testing.T) {
 
 // TestWriteTraceRejectsDisorder: a source violating its ordering contract
 // must fail the export, not produce a trace that silently breaks replay.
+// That includes repeating a (day, id): ReadTrace would refuse the file.
 func TestWriteTraceRejectsDisorder(t *testing.T) {
 	var buf bytes.Buffer
 	if err := dataset.WriteTrace(&buf, &disorderedSource{}); err == nil {
 		t.Fatalf("disordered source exported without error")
+	}
+	repeated := &dataset.Dataset{Name: "repeat", PopulationDevices: 1, DurationDays: 5,
+		Events: []events.Event{{ID: 4, Day: 1, Device: 1}, {ID: 4, Day: 1, Device: 1}}}
+	err := dataset.WriteTrace(&buf, repeated.Stream())
+	if err == nil || !strings.Contains(err.Error(), "trace line 3") {
+		t.Fatalf("repeated (day, id) exported with error %v, want one naming trace line 3", err)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 )
 
 func codecEvent(rng *rand.Rand, id EventID) Event {
-	sites := []Site{"", "nike.com", "adidas.com"}
-	strs := []string{"", "p0", "p1", "a-much-longer-campaign-name"}
+	sites := []Site{Intern(""), Intern("nike.com"), Intern("adidas.com")}
+	strs := []Sym{Intern(""), Intern("p0"), Intern("p1"), Intern("a-much-longer-campaign-name")}
 	ev := Event{
 		ID:         id,
 		Kind:       Kind(rng.Intn(3)), // including an out-of-range kind
@@ -132,8 +132,8 @@ func TestAppendEventsLargeTable(t *testing.T) {
 	var evs []Event
 	for i := 0; i < 3*internLinearMax; i++ {
 		evs = append(evs, Event{ID: EventID(i + 1), Device: 9, Day: i,
-			Publisher: "pub.example", Advertiser: Site(fmt.Sprintf("adv-%d.example", i%5)),
-			Campaign: fmt.Sprintf("campaign-%d", i%(2*internLinearMax)), Product: "p", Value: float64(i)})
+			Publisher: Intern("pub.example"), Advertiser: Intern(fmt.Sprintf("adv-%d.example", i%5)),
+			Campaign: Intern(fmt.Sprintf("campaign-%d", i%(2*internLinearMax))), Product: Intern("p"), Value: float64(i)})
 	}
 	prefix := []byte("prefix")
 	blob := AppendEvents(append([]byte(nil), prefix...), evs)
@@ -150,4 +150,53 @@ func TestAppendEventsLargeTable(t *testing.T) {
 	if want := uint32(1 + 5 + 2*internLinearMax + 1); table != want {
 		t.Fatalf("string table holds %d entries, want %d", table, want)
 	}
+}
+
+// FuzzEventCodec feeds arbitrary bytes to both decoders. Neither may panic.
+// A record DecodeBinary accepts re-encodes to exactly the bytes it consumed;
+// a blob UnmarshalEvents accepts re-encodes to the canonical blob of the
+// same events, which round-trips byte for byte. And since the symbol table
+// is never freed, an input either decoder refuses must intern nothing.
+func FuzzEventCodec(f *testing.F) {
+	rng := rand.New(rand.NewSource(13))
+	evs := make([]Event, 6)
+	for i := range evs {
+		evs[i] = codecEvent(rng, EventID(i+1))
+	}
+	// Every name set, so a mutated name byte makes a name nothing interned.
+	evs[0].Publisher, evs[0].Advertiser = Intern("fuzz-pub.example"), Intern("fuzz-adv.example")
+	evs[0].Campaign, evs[0].Product = Intern("fuzz-campaign"), Intern("fuzz-product")
+	blob := MarshalEvents(evs)
+	row := AppendBinary(nil, evs[0])
+	f.Add(blob)
+	f.Add(row)
+	f.Add(blob[:len(blob)-3])
+	f.Add(row[:len(row)-1])
+	f.Add(MarshalEvents(nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		before := SymCount()
+		ev, rest, err := DecodeBinary(data)
+		switch {
+		case err != nil && SymCount() != before:
+			t.Fatalf("refused record interned %d names: %v", SymCount()-before, err)
+		case err == nil:
+			if enc := AppendBinary(nil, ev); !bytes.Equal(enc, data[:len(data)-len(rest)]) {
+				t.Fatalf("record re-encodes to %x, decoded from %x", enc, data[:len(data)-len(rest)])
+			}
+		}
+
+		before = SymCount()
+		got, err := UnmarshalEvents(data)
+		if err != nil {
+			if SymCount() != before {
+				t.Fatalf("refused blob interned %d names: %v", SymCount()-before, err)
+			}
+			return
+		}
+		enc := MarshalEvents(got)
+		again, err := UnmarshalEvents(enc)
+		if err != nil || !eventsEqual(again, got) || !bytes.Equal(MarshalEvents(again), enc) {
+			t.Fatalf("blob of %d events does not round-trip through its re-encoding (err %v)", len(got), err)
+		}
+	})
 }

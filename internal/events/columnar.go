@@ -6,11 +6,11 @@ import "math"
 //
 // The report hot path spends its time in two places: charging the budget
 // ledger and scanning device-epoch records for relevant events. Beside every
-// event, the store's arena keeps a column of integer scan keys (site and
-// campaign interned to dense IDs, day, kind) — Record and NewFrozen intern
-// as they write — so the built-in selectors lower to straight integer
-// compares over zero-copy record views instead of an interface call and
-// string compares per event.
+// event, the store's arena keeps a column of integer scan keys (the
+// advertiser as a dense per-store ID, the campaign symbol, day, kind) —
+// Record and NewFrozen compute them as they write — so the built-in
+// selectors lower to straight integer compares over zero-copy record views
+// instead of an interface call per event.
 
 // evKey is the scan-hot projection of one event: every field the built-in
 // selectors can test, reduced to integers. Day saturates at the int32
@@ -23,28 +23,25 @@ type evKey struct {
 	kind uint8
 }
 
-// intern is the database's append-only symbol table: advertiser sites and
-// campaign strings mapped to dense IDs at Record/NewFrozen time. Lookups during
-// selector compilation are read-only on the maps, so any number of
-// concurrent readers may compile; the maps and the one-entry caches are
-// written only inside Record and NewFrozen, under the store's existing
-// single-writer phase discipline (readers never touch the caches).
+// intern is the database's scan-key state, written only inside Record and
+// NewFrozen under the store's single-writer phase discipline. Advertisers
+// map to dense per-store IDs, because MultiScan sizes and clears its
+// dispatch table by the largest one on every device visit; campaigns are
+// keyed by symbol, with a set of the symbols the store has seen so that a
+// selector naming none of them compiles to match-none. Selector compilation
+// only reads, so any number of concurrent readers may compile.
 type intern struct {
-	adv  map[Site]uint32
-	camp map[string]uint32
-	// One-entry caches for the ingest path: consecutive events overwhelmingly
-	// repeat the advertiser (and often the campaign), and the repeated
-	// strings usually share backing storage, so the equality check is a
-	// pointer compare — much cheaper than re-hashing the string per event.
-	lastAdv    Site
-	lastAdvID  uint32
-	lastCamp   string
-	lastCampID uint32
-	cached     bool
+	adv   map[Site]uint32
+	camps []uint64 // bit set over campaign symbol numbers
+	// One-entry cache for the ingest path: consecutive events
+	// overwhelmingly repeat the advertiser.
+	lastAdv   Site
+	lastAdvID uint32
+	cached    bool
 }
 
 func newIntern() intern {
-	return intern{adv: make(map[Site]uint32), camp: make(map[string]uint32)}
+	return intern{adv: make(map[Site]uint32)}
 }
 
 func (in *intern) siteID(s Site) uint32 {
@@ -56,28 +53,27 @@ func (in *intern) siteID(s Site) uint32 {
 	return id
 }
 
-func (in *intern) campaignID(c string) uint32 {
-	id, ok := in.camp[c]
-	if !ok {
-		id = uint32(len(in.camp) + 1)
-		in.camp[c] = id
-	}
-	return id
+// sawCampaign reports whether the store holds an event of campaign c.
+func (in *intern) sawCampaign(c Sym) bool {
+	w := int(c.n >> 6)
+	return w < len(in.camps) && in.camps[w]&(1<<(c.n&63)) != 0
 }
 
-// keyOf projects ev onto its scan key, interning the string fields.
+// keyOf projects ev onto its scan key, noting its advertiser and campaign.
 func (in *intern) keyOf(ev *Event) evKey {
 	if !in.cached || ev.Advertiser != in.lastAdv {
 		in.lastAdv, in.lastAdvID = ev.Advertiser, in.siteID(ev.Advertiser)
-	}
-	if !in.cached || ev.Campaign != in.lastCamp {
-		in.lastCamp, in.lastCampID = ev.Campaign, in.campaignID(ev.Campaign)
 		in.cached = true
 	}
+	c := ev.Campaign.n
+	if w := int(c >> 6); w >= len(in.camps) {
+		in.camps = append(in.camps, make([]uint64, w+1-len(in.camps))...)
+	}
+	in.camps[c>>6] |= 1 << (c & 63)
 	return evKey{
 		day:  clampDay(ev.Day),
 		adv:  in.lastAdvID,
-		camp: in.lastCampID,
+		camp: c,
 		kind: uint8(ev.Kind),
 	}
 }
@@ -138,10 +134,10 @@ func (db *Database) WindowViewsInto(buf []EventView, d DeviceID, first, last Epo
 	return buf
 }
 
-// Matcher is a Selector compiled against this database's interned columns:
-// the relevance predicate of the built-in selector forms lowered to integer
+// Matcher is a Selector compiled against this database's scan keys: the
+// relevance predicate of the built-in selector forms lowered to integer
 // compares over evKey. A Matcher is only meaningful against views of the
-// database that compiled it (the intern IDs are per-database).
+// database that compiled it (the advertiser IDs are per-database).
 type Matcher struct {
 	none     bool
 	anyCamp  bool
@@ -158,7 +154,7 @@ type Matcher struct {
 func (m *Matcher) MatchesNone() bool { return m.none }
 
 // Match reports whether event i of v is relevant — the compiled equivalent
-// of Selector.Relevant, with no interface dispatch and no string compares.
+// of Selector.Relevant, with no interface dispatch.
 func (m *Matcher) Match(v EventView, i int) bool {
 	k := v.keys[i]
 	if m.none || k.kind != uint8(KindImpression) || k.adv != m.adv ||
@@ -227,38 +223,33 @@ func (db *Database) compileCampaign(m *Matcher, s CampaignSelector) bool {
 		m.anyCamp = true
 		return true
 	}
-	// Campaigns the database never interned cannot match any event and
-	// drop out of the compiled set, as do entries explicitly mapped to
-	// false (Relevant tests the map value, not mere presence); an empty
-	// surviving set matches nothing.
+	// Campaigns the database never saw cannot match any event and drop
+	// out of the compiled set, as do entries explicitly mapped to false
+	// (Relevant tests the map value, not mere presence); an empty surviving
+	// set matches nothing.
 	first := true
 	for c, on := range s.Campaigns {
-		if !on {
-			continue
-		}
-		id, ok := db.intern.camp[c]
-		if !ok {
+		if !on || !db.intern.sawCampaign(c) {
 			continue
 		}
 		if first {
-			m.camp = id
+			m.camp = c.n
 			first = false
 			continue
 		}
-		m.camps = append(m.camps, id)
+		m.camps = append(m.camps, c.n)
 	}
 	m.none = first
 	return true
 }
 
 func (db *Database) compileProduct(m *Matcher, s ProductSelector) bool {
-	adv, okA := db.intern.adv[s.Advertiser]
-	camp, okC := db.intern.camp[s.Product]
-	if !okA || !okC {
+	adv, ok := db.intern.adv[s.Advertiser]
+	if !ok || !db.intern.sawCampaign(s.Product) {
 		m.none = true
 		return true
 	}
 	m.adv = adv
-	m.camp = camp
+	m.camp = s.Product.n
 	return true
 }

@@ -9,11 +9,11 @@ import (
 // event by event into a mutable store, or laid out by NewFrozen.
 func colTestDB(frozen bool) *Database {
 	evs := []Event{
-		{ID: 1, Kind: KindImpression, Device: 1, Day: 1, Publisher: "pub", Advertiser: "nike.com", Campaign: "p0"},
-		{ID: 2, Kind: KindImpression, Device: 1, Day: 2, Publisher: "pub", Advertiser: "nike.com", Campaign: "p1"},
-		{ID: 3, Kind: KindImpression, Device: 1, Day: 3, Publisher: "pub", Advertiser: "adidas.com", Campaign: "p0"},
-		{ID: 4, Kind: KindConversion, Device: 1, Day: 8, Advertiser: "nike.com", Product: "p0", Value: 7},
-		{ID: 5, Kind: KindImpression, Device: 2, Day: 9, Publisher: "pub", Advertiser: "nike.com", Campaign: "p0"},
+		{ID: 1, Kind: KindImpression, Device: 1, Day: 1, Publisher: Intern("pub"), Advertiser: Intern("nike.com"), Campaign: Intern("p0")},
+		{ID: 2, Kind: KindImpression, Device: 1, Day: 2, Publisher: Intern("pub"), Advertiser: Intern("nike.com"), Campaign: Intern("p1")},
+		{ID: 3, Kind: KindImpression, Device: 1, Day: 3, Publisher: Intern("pub"), Advertiser: Intern("adidas.com"), Campaign: Intern("p0")},
+		{ID: 4, Kind: KindConversion, Device: 1, Day: 8, Advertiser: Intern("nike.com"), Product: Intern("p0"), Value: 7},
+		{ID: 5, Kind: KindImpression, Device: 2, Day: 9, Publisher: Intern("pub"), Advertiser: Intern("nike.com"), Campaign: Intern("p0")},
 	}
 	if frozen {
 		return NewFrozen(7, evs)
@@ -43,18 +43,18 @@ func TestCompileMatchesSelectorForms(t *testing.T) {
 	for _, frozen := range []bool{false, true} {
 		db := colTestDB(frozen)
 		sels := []Selector{
-			CampaignSelector{Advertiser: "nike.com"},
-			NewCampaignSelector("nike.com", "p0"),
-			NewCampaignSelector("nike.com", "p0", "p1", "p9"),
-			NewCampaignSelector("absent.example", "p0"),
-			CampaignSelector{Advertiser: "nike.com", Campaigns: map[string]bool{"p0": false}},
-			ProductSelector{Advertiser: "nike.com", Product: "p0"},
-			ProductSelector{Advertiser: "nike.com", Product: "unseen"},
-			WindowSelector{Inner: ProductSelector{Advertiser: "nike.com", Product: "p0"}, FirstDay: 2, LastDay: 9},
+			CampaignSelector{Advertiser: Intern("nike.com")},
+			NewCampaignSelector(Intern("nike.com"), Intern("p0")),
+			NewCampaignSelector(Intern("nike.com"), Intern("p0"), Intern("p1"), Intern("p9")),
+			NewCampaignSelector(Intern("absent.example"), Intern("p0")),
+			CampaignSelector{Advertiser: Intern("nike.com"), Campaigns: map[Sym]bool{Intern("p0"): false}},
+			ProductSelector{Advertiser: Intern("nike.com"), Product: Intern("p0")},
+			ProductSelector{Advertiser: Intern("nike.com"), Product: Intern("unseen")},
+			WindowSelector{Inner: ProductSelector{Advertiser: Intern("nike.com"), Product: Intern("p0")}, FirstDay: 2, LastDay: 9},
 			WindowSelector{Inner: WindowSelector{
-				Inner: CampaignSelector{Advertiser: "nike.com"}, FirstDay: 0, LastDay: 5},
+				Inner: CampaignSelector{Advertiser: Intern("nike.com")}, FirstDay: 0, LastDay: 5},
 				FirstDay: 2, LastDay: 9},
-			&ProductSelector{Advertiser: "nike.com", Product: "p0"},
+			&ProductSelector{Advertiser: Intern("nike.com"), Product: Intern("p0")},
 		}
 		for _, sel := range sels {
 			for d := DeviceID(1); d <= 3; d++ {
@@ -90,15 +90,15 @@ func TestCompileRejectsOpaqueSelectors(t *testing.T) {
 
 func TestCompileMissingSymbolsMatchesNone(t *testing.T) {
 	db := colTestDB(false)
-	m, ok := db.Compile(ProductSelector{Advertiser: "absent.example", Product: "p0"})
+	m, ok := db.Compile(ProductSelector{Advertiser: Intern("absent.example"), Product: Intern("p0")})
 	if !ok || !m.MatchesNone() {
 		t.Fatalf("absent advertiser: ok=%v none=%v, want compiled match-none", ok, m.MatchesNone())
 	}
-	m, ok = db.Compile(NewCampaignSelector("nike.com", "never-seen"))
+	m, ok = db.Compile(NewCampaignSelector(Intern("nike.com"), Intern("never-seen")))
 	if !ok || !m.MatchesNone() {
 		t.Fatalf("absent campaign: ok=%v none=%v, want compiled match-none", ok, m.MatchesNone())
 	}
-	m, ok = db.Compile(CampaignSelector{Advertiser: "nike.com"})
+	m, ok = db.Compile(CampaignSelector{Advertiser: Intern("nike.com")})
 	if !ok || m.MatchesNone() {
 		t.Fatalf("open campaign set: ok=%v none=%v, want compiled matchable", ok, m.MatchesNone())
 	}
@@ -177,7 +177,7 @@ func TestFreezeReleasesMutableSegments(t *testing.T) {
 
 func TestCompileZeroAlloc(t *testing.T) {
 	db := colTestDB(true)
-	sel := WindowSelector{Inner: ProductSelector{Advertiser: "nike.com", Product: "p0"}, FirstDay: 0, LastDay: 30}
+	sel := WindowSelector{Inner: ProductSelector{Advertiser: Intern("nike.com"), Product: Intern("p0")}, FirstDay: 0, LastDay: 30}
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, ok := db.Compile(sel); !ok {
 			t.Fatal("did not compile")

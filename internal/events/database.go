@@ -72,9 +72,9 @@ func (db *Database) TrackDirty(on bool) {
 
 // DrainDirty returns the keys dirtied since the last drain, sorted by
 // (device, epoch) for deterministic serialization, and resets the set: each
-// dirty segment's devices are sorted and deduplicated, then the segments —
-// in epoch order, rarely more than the two a snapshot cadence spans — are
-// merged by device. An evicted segment took its list with it, so every
+// dirty segment's devices are radix-sorted and deduplicated, then the
+// segments — in epoch order, rarely more than the two a snapshot cadence
+// spans — are merged by device. An evicted segment took its list with it, so every
 // returned key is live.
 func (db *Database) DrainDirty() []DeviceEpochKey {
 	var (
@@ -82,9 +82,9 @@ func (db *Database) DrainDirty() []DeviceEpochKey {
 		lists  [][]DeviceID
 	)
 	for _, seg := range db.segs {
-		if len(seg.dirty) > 0 {
-			slices.Sort(seg.dirty)
-			epochs, lists = append(epochs, seg.epoch), append(lists, slices.Compact(seg.dirty))
+		if dirty := seg.dirty; len(dirty) > 0 {
+			dirty, _ = radixSortDevices(dirty, make([]struct{}, len(dirty)))
+			epochs, lists = append(epochs, seg.epoch), append(lists, slices.Compact(dirty))
 			seg.dirty = nil
 		}
 	}
@@ -251,12 +251,51 @@ func NewFrozen(epochDays int, evs []Event) *Database {
 	return db
 }
 
-// radixBits is the digit width of sortByDeviceDayID's device passes: a
-// 2 048-entry count table, two passes for any device ID below 2^22.
+// radixBits is the digit width of radixSortDevices' passes: a 2 048-entry
+// count table, two passes for any device ID below 2^22.
 const (
 	radixBits = 11
 	radixMask = 1<<radixBits - 1
 )
+
+// radixSortDevices stably sorts keys ascending with LSD radix passes of
+// radixBits, only as many as the largest key needs, permuting vals (of
+// len(keys); a zero-size element type carries nothing) alongside. It
+// returns the sorted slices, which may be scratch buffers of its own
+// rather than the ones passed in.
+func radixSortDevices[V any](keys []DeviceID, vals []V) ([]DeviceID, []V) {
+	var top DeviceID
+	for _, k := range keys {
+		top = max(top, k)
+	}
+	passes := (bits.Len64(uint64(top)) + radixBits - 1) / radixBits
+	if passes == 0 {
+		return keys, vals
+	}
+	keys2, vals2 := make([]DeviceID, len(keys)), make([]V, len(vals))
+	var next [1 << radixBits]int
+	for p := 0; p < passes; p++ {
+		shift := uint(p * radixBits)
+		clear(next[:])
+		for _, k := range keys {
+			next[(k>>shift)&radixMask]++
+		}
+		sum := 0
+		for d, c := range next {
+			next[d] = sum
+			sum += c
+		}
+		for i, k := range keys {
+			d := (k >> shift) & radixMask
+			j := next[d]
+			next[d]++
+			keys2[j], vals2[j] = k, vals[i]
+		}
+		keys, keys2 = keys2, keys
+		vals, vals2 = vals2, vals
+	}
+	return keys, vals
+}
 
 // sortByDeviceDayID returns the permutation of evs in (device, day, ID,
 // arrival) order — NewFrozen's layout order — and the events' devices in
@@ -265,46 +304,20 @@ const (
 // the permutation equal to a stable (Day, ID) sort.
 //
 // It assumes nothing about the input order. A stable LSD radix sort on the
-// device ID, with only as many radixBits-wide passes as the largest ID
-// needs, groups the events by device in linear time, keeping each device's
-// events in arrival order; each device's run is then sorted by (Day, ID,
-// arrival). Runs are a few events long on the paper's traces, so the
-// comparison sorts cost little even though generators emit events in ID
-// order with random days.
+// device ID (radixSortDevices) groups the events by device in linear time,
+// keeping each device's events in arrival order; each device's run is then
+// sorted by (Day, ID, arrival). Runs are a few events long on the paper's
+// traces, so the comparison sorts cost little even though generators emit
+// events in ID order with random days.
 func sortByDeviceDayID(evs []Event) (idx []int32, devs []DeviceID) {
 	n := len(evs)
 	idx = make([]int32, n)
 	devs = make([]DeviceID, n)
-	var top DeviceID
 	for i := range evs {
 		idx[i] = int32(i)
 		devs[i] = evs[i].Device
-		top = max(top, devs[i])
 	}
-	if passes := (bits.Len64(uint64(top)) + radixBits - 1) / radixBits; passes > 0 {
-		idx2, devs2 := make([]int32, n), make([]DeviceID, n)
-		var next [1 << radixBits]int
-		for p := 0; p < passes; p++ {
-			shift := uint(p * radixBits)
-			clear(next[:])
-			for _, k := range devs {
-				next[(k>>shift)&radixMask]++
-			}
-			sum := 0
-			for d, c := range next {
-				next[d] = sum
-				sum += c
-			}
-			for i, k := range devs {
-				d := (k >> shift) & radixMask
-				j := next[d]
-				next[d]++
-				devs2[j], idx2[j] = k, idx[i]
-			}
-			devs, devs2 = devs2, devs
-			idx, idx2 = idx2, idx
-		}
-	}
+	devs, idx = radixSortDevices(devs, idx)
 	byDayID := func(a, b int32) int {
 		ea, eb := &evs[a], &evs[b]
 		return cmp.Or(cmp.Compare(ea.Day, eb.Day), cmp.Compare(ea.ID, eb.ID), cmp.Compare(a, b))

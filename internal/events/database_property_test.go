@@ -118,14 +118,14 @@ func (db *refStore) numEvents() int {
 // randomEvent draws an event whose field values collide often, so ordering,
 // interning, and selector corner cases all get exercised.
 func randomEvent(rng *rand.Rand, id EventID) Event {
-	sites := []Site{"nike.com", "adidas.com", "puma.com"}
-	camps := []string{"", "p0", "p1", "p2", "p3"}
+	sites := []Site{Intern("nike.com"), Intern("adidas.com"), Intern("puma.com")}
+	camps := []Sym{Intern(""), Intern("p0"), Intern("p1"), Intern("p2"), Intern("p3")}
 	ev := Event{
 		ID:         id,
 		Device:     DeviceID(rng.Intn(7)),
 		Day:        rng.Intn(70) - 10,
 		Advertiser: sites[rng.Intn(len(sites))],
-		Publisher:  Site([]string{"pub.example", "news.example"}[rng.Intn(2)]),
+		Publisher:  Intern([]string{"pub.example", "news.example"}[rng.Intn(2)]),
 		Campaign:   camps[rng.Intn(len(camps))],
 	}
 	if rng.Intn(4) == 0 {
@@ -139,13 +139,13 @@ func randomEvent(rng *rand.Rand, id EventID) Event {
 // randomSelector draws one of the compilable selector forms, or (sometimes)
 // a SelectorFunc that forces the generic fallback.
 func randomSelector(rng *rand.Rand) Selector {
-	sites := []Site{"nike.com", "adidas.com", "absent.example"}
-	camps := []string{"", "p0", "p1", "p2", "p9"}
+	sites := []Site{Intern("nike.com"), Intern("adidas.com"), Intern("absent.example")}
+	camps := []Sym{Intern(""), Intern("p0"), Intern("p1"), Intern("p2"), Intern("p9")}
 	var sel Selector
 	switch rng.Intn(4) {
 	case 0:
 		n := rng.Intn(4)
-		set := make(map[string]bool, n)
+		set := make(map[Sym]bool, n)
 		for i := 0; i < n; i++ {
 			set[camps[rng.Intn(len(camps))]] = rng.Intn(5) != 0 // some false entries
 		}
@@ -327,25 +327,25 @@ func (db *refStore) keys() []DeviceEpochKey {
 // and campaigns arenaEvent draws, so a scan-key column that disagrees with
 // its events changes some scan's result.
 var arenaSelectors = []Selector{
-	CampaignSelector{Advertiser: "nike.com"},
-	CampaignSelector{Advertiser: "adidas.com", Campaigns: map[string]bool{"p0": true, "p2": true}},
-	ProductSelector{Advertiser: "puma.com", Product: "p1"},
-	ProductSelector{Advertiser: "nike.com", Product: "p3"},
-	WindowSelector{Inner: CampaignSelector{Advertiser: "adidas.com"}, FirstDay: 2, LastDay: 40},
-	SelectorFunc(func(ev Event) bool { return ev.IsImpression() && ev.Advertiser == "puma.com" }),
+	CampaignSelector{Advertiser: Intern("nike.com")},
+	CampaignSelector{Advertiser: Intern("adidas.com"), Campaigns: map[Sym]bool{Intern("p0"): true, Intern("p2"): true}},
+	ProductSelector{Advertiser: Intern("puma.com"), Product: Intern("p1")},
+	ProductSelector{Advertiser: Intern("nike.com"), Product: Intern("p3")},
+	WindowSelector{Inner: CampaignSelector{Advertiser: Intern("adidas.com")}, FirstDay: 2, LastDay: 40},
+	SelectorFunc(func(ev Event) bool { return ev.IsImpression() && ev.Advertiser == Intern("puma.com") }),
 }
 
 // arenaEvent draws an event whose advertiser, campaign and kind follow from
 // its arrival number seq, so two events with equal (Day, ID) still differ.
 func arenaEvent(seq int, d DeviceID, day int, id EventID) Event {
-	sites := []Site{"nike.com", "adidas.com", "puma.com"}
+	sites := []Site{Intern("nike.com"), Intern("adidas.com"), Intern("puma.com")}
 	ev := Event{
 		ID:         id,
 		Device:     d,
 		Day:        day,
 		Advertiser: sites[seq%len(sites)],
-		Publisher:  "pub.example",
-		Campaign:   fmt.Sprintf("p%d", seq%5),
+		Publisher:  Intern("pub.example"),
+		Campaign:   Intern(fmt.Sprintf("p%d", seq%5)),
 		Value:      float64(seq),
 	}
 	if seq%4 == 3 {
@@ -403,7 +403,7 @@ func checkStoreVsRef(t *testing.T, db *Database, ref *refStore, model *dirtyMode
 			}
 			for i, ev := range want {
 				key := evKey{day: clampDay(ev.Day), adv: db.intern.adv[ev.Advertiser],
-					camp: db.intern.camp[ev.Campaign], kind: uint8(ev.Kind)}
+					camp: ev.Campaign.n, kind: uint8(ev.Kind)}
 				if v.keys[i] != key {
 					t.Fatalf("%s: view (%d, %d) key %d = %+v, want %+v", stage, d, e, i, v.keys[i], key)
 				}
@@ -656,11 +656,17 @@ func (m *dirtyModel) drain() []DeviceEpochKey {
 // out-of-order Records over five epochs, re-records of keys already written,
 // EvictBefore, arming and disarming, and DrainDirty against the map model.
 // Every drain must equal the model's exactly, strictly ascending by
-// (device, epoch) and naming only live records.
+// (device, epoch) and naming only live records. The last seeds draw device
+// IDs over three radix digits and drain rarely, so segments collect
+// thousands of entries, as on the durable benchmark workloads.
 func TestDrainDirtyMatchesMapModel(t *testing.T) {
 	const epochDays, days = 7, 35
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		ops, devices, rareOdds := 600, 6, 1
+		if seed > 34 {
+			ops, devices, rareOdds = 8000, 1<<30, 100
+		}
 		db := NewDatabase()
 		model := &dirtyModel{}
 		db.TrackDirty(true)
@@ -676,19 +682,20 @@ func TestDrainDirtyMatchesMapModel(t *testing.T) {
 			model.record(ev.Device, e)
 			written = append(written, ev)
 		}
-		for op := 0; op < 600; op++ {
+		for op := 0; op < ops; op++ {
 			switch r := rng.Intn(100); {
 			case r < 45: // in order: today, or the clock moves on first
 				if rng.Intn(8) == 0 && clock < days-1 {
 					clock++
 				}
-				record(Event{Device: DeviceID(rng.Intn(6)), Day: clock})
+				record(Event{Device: DeviceID(rng.Intn(devices)), Day: clock})
 			case r < 65: // out of order: an earlier day, any device
-				record(Event{Device: DeviceID(rng.Intn(6)), Day: rng.Intn(clock + 1)})
+				record(Event{Device: DeviceID(rng.Intn(devices)), Day: rng.Intn(clock + 1)})
 			case r < 80: // re-record a key already written
 				if len(written) > 0 {
 					record(written[rng.Intn(len(written))])
 				}
+			case rareOdds > 1 && rng.Intn(rareOdds) != 0: // evict, re-arm and drain rarely
 			case r < 85:
 				floor := Epoch(rng.Intn(days/epochDays + 1))
 				db.EvictBefore(floor)

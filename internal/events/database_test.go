@@ -7,12 +7,12 @@ import (
 	"testing/quick"
 )
 
-func imp(id EventID, d DeviceID, day int, adv Site) Event {
-	return Event{ID: id, Kind: KindImpression, Device: d, Day: day, Advertiser: adv, Publisher: "pub.example"}
+func imp(id EventID, d DeviceID, day int, adv string) Event {
+	return Event{ID: id, Kind: KindImpression, Device: d, Day: day, Advertiser: Intern(adv), Publisher: Intern("pub.example")}
 }
 
-func conv(id EventID, d DeviceID, day int, adv Site, value float64) Event {
-	return Event{ID: id, Kind: KindConversion, Device: d, Day: day, Advertiser: adv, Value: value}
+func conv(id EventID, d DeviceID, day int, adv string, value float64) Event {
+	return Event{ID: id, Kind: KindConversion, Device: d, Day: day, Advertiser: Intern(adv), Value: value}
 }
 
 func TestDatabaseEmpty(t *testing.T) {

@@ -17,10 +17,6 @@ type DeviceID uint64
 // partitioned by epoch and privacy filters are maintained per epoch.
 type Epoch int32
 
-// Site is a web origin: a publisher (nytimes.com), an advertiser (nike.com)
-// or an ad-tech acting as the querier.
-type Site string
-
 // EventID uniquely identifies an event within the simulation.
 type EventID uint64
 
@@ -50,7 +46,8 @@ func (k Kind) String() string {
 
 // Event is a single element of I ∪ C. One struct covers both domains; Kind
 // selects which fields are meaningful. Keeping a single type lets a
-// device-epoch record F ⊂ I ∪ C be an ordinary slice.
+// device-epoch record F ⊂ I ∪ C be an ordinary slice. Names are symbols
+// (sym.go), so an Event is 56 bytes and holds no pointers.
 type Event struct {
 	ID     EventID
 	Kind   Kind
@@ -67,9 +64,9 @@ type Event struct {
 	// happened (conversions).
 	Advertiser Site
 	// Campaign identifies the ad campaign (impressions only).
-	Campaign string
+	Campaign Sym
 	// Product identifies the product bought (conversions only).
-	Product string
+	Product Sym
 	// Value is the conversion value in currency units (conversions only).
 	Value float64
 }

@@ -1,8 +1,10 @@
 package events
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -118,5 +120,30 @@ func TestEpochsIn(t *testing.T) {
 	}
 	if len(EpochsIn(3, 3)) != 1 {
 		t.Fatal("singleton range wrong")
+	}
+}
+
+// TestEventIsPointerFree pins the event's layout: no field the collector
+// must follow, and 56 bytes, so a held trace or store arena is one flat
+// allocation the collector never scans.
+func TestEventIsPointerFree(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.String, reflect.Slice, reflect.Map, reflect.Pointer, reflect.UnsafePointer,
+			reflect.Interface, reflect.Func, reflect.Chan:
+			t.Errorf("%s is a %s: the event would hold a pointer", path, typ.Kind())
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		}
+	}
+	walk("Event", reflect.TypeOf(Event{}))
+	if size := unsafe.Sizeof(Event{}); size != 56 {
+		t.Errorf("Event is %d bytes, want 56", size)
 	}
 }

@@ -85,7 +85,7 @@ func checkFrozenLayout(t *testing.T, epochDays int, evs []Event) {
 // arrival-order mistake shows in EpochEvents.
 func layoutEvent(arrival int, dev DeviceID, day int, id EventID) Event {
 	return Event{ID: id, Kind: KindImpression, Device: dev, Day: day,
-		Advertiser: "a.example", Campaign: "c", Value: float64(arrival)}
+		Advertiser: Intern("a.example"), Campaign: Intern("c"), Value: float64(arrival)}
 }
 
 // TestFrozenLayoutMatchesReference pins NewFrozen's linear-time grouping to

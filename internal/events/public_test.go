@@ -3,10 +3,10 @@ package events
 import "testing"
 
 func TestAdvertiserView(t *testing.T) {
-	p := AdvertiserView("nike.com")
+	p := AdvertiserView(Intern("nike.com"))
 	ownConv := conv(1, 1, 0, "nike.com", 70)
 	otherConv := conv(2, 1, 0, "adidas.com", 30)
-	ownImp := Event{Kind: KindImpression, Publisher: "nike.com", Advertiser: "nike.com"}
+	ownImp := Event{Kind: KindImpression, Publisher: Intern("nike.com"), Advertiser: Intern("nike.com")}
 	if !p.Contains(ownConv) {
 		t.Fatal("advertiser must see own conversions")
 	}
@@ -19,9 +19,9 @@ func TestAdvertiserView(t *testing.T) {
 }
 
 func TestPublisherView(t *testing.T) {
-	p := PublisherView("facebook.com")
-	servedImp := Event{Kind: KindImpression, Publisher: "facebook.com", Advertiser: "nike.com"}
-	otherImp := Event{Kind: KindImpression, Publisher: "nytimes.com", Advertiser: "nike.com"}
+	p := PublisherView(Intern("facebook.com"))
+	servedImp := Event{Kind: KindImpression, Publisher: Intern("facebook.com"), Advertiser: Intern("nike.com")}
+	otherImp := Event{Kind: KindImpression, Publisher: Intern("nytimes.com"), Advertiser: Intern("nike.com")}
 	ownConv := conv(1, 1, 0, "facebook.com", 5)
 	if !p.Contains(servedImp) {
 		t.Fatal("publisher must see impressions it served")
@@ -35,7 +35,7 @@ func TestPublisherView(t *testing.T) {
 }
 
 func TestRestrict(t *testing.T) {
-	p := AdvertiserView("nike.com")
+	p := AdvertiserView(Intern("nike.com"))
 	evs := []Event{
 		imp(1, 1, 0, "nike.com"),
 		conv(2, 1, 1, "nike.com", 70),
@@ -51,10 +51,10 @@ func TestRestrict(t *testing.T) {
 }
 
 func TestUnionContains(t *testing.T) {
-	u := Union{AdvertiserView("nike.com"), PublisherView("nytimes.com")}
+	u := Union{AdvertiserView(Intern("nike.com")), PublisherView(Intern("nytimes.com"))}
 	nikeConv := conv(1, 1, 0, "nike.com", 70)
-	nytImp := Event{Kind: KindImpression, Publisher: "nytimes.com", Advertiser: "nike.com"}
-	strangerImp := Event{Kind: KindImpression, Publisher: "bbc.com", Advertiser: "nike.com"}
+	nytImp := Event{Kind: KindImpression, Publisher: Intern("nytimes.com"), Advertiser: Intern("nike.com")}
+	strangerImp := Event{Kind: KindImpression, Publisher: Intern("bbc.com"), Advertiser: Intern("nike.com")}
 	if !u.Contains(nikeConv) || !u.Contains(nytImp) {
 		t.Fatal("union missing constituent events")
 	}
@@ -67,8 +67,8 @@ func TestUnionContains(t *testing.T) {
 }
 
 func TestContainsUnknownKind(t *testing.T) {
-	p := PublicView{Querier: "x", AsAdvertiser: true, AsPublisher: true}
-	if p.Contains(Event{Kind: Kind(7), Advertiser: "x", Publisher: "x"}) {
+	p := PublicView{Querier: Intern("x"), AsAdvertiser: true, AsPublisher: true}
+	if p.Contains(Event{Kind: Kind(7), Advertiser: Intern("x"), Publisher: Intern("x")}) {
 		t.Fatal("unknown kind should never be public")
 	}
 }

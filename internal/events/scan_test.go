@@ -30,8 +30,8 @@ func refLaneSelect(db *Database, d DeviceID, m *Matcher, first, last Epoch) [][]
 
 // scanSites: the fourth site is never recorded, so selectors over it compile
 // to MatchesNone lanes.
-var scanSites = []Site{"nike.example", "adidas.example", "puma.example", "ghost.example"}
-var scanCamps = []string{"shoes", "hats", "socks"}
+var scanSites = []Site{Intern("nike.example"), Intern("adidas.example"), Intern("puma.example"), Intern("ghost.example")}
+var scanCamps = []Sym{Intern("shoes"), Intern("hats"), Intern("socks")}
 
 // randomScanDB draws a random trace and returns it bulk-loaded by NewFrozen
 // and recorded event by event in arrival (ID) order. The days are random, so
@@ -160,15 +160,15 @@ func TestScanWindowMultiMatchesSingleMatcher(t *testing.T) {
 // bulk-loaded and a recorded store: an epoch whose events all match must
 // alias the store's arena (no copy), and a partial selection must not.
 func TestScanWindowMultiAliasesFullMatches(t *testing.T) {
-	site := Site("nike.example")
+	site := Intern("nike.example")
 	evs := []Event{
-		{ID: 1, Kind: KindImpression, Device: 1, Day: 0, Advertiser: site, Campaign: "shoes"},
-		{ID: 2, Kind: KindImpression, Device: 1, Day: 1, Advertiser: site, Campaign: "shoes"},
-		{ID: 3, Kind: KindImpression, Device: 1, Day: 7, Advertiser: site, Campaign: "shoes"},
-		{ID: 4, Kind: KindImpression, Device: 1, Day: 8, Advertiser: site, Campaign: "hats"},
+		{ID: 1, Kind: KindImpression, Device: 1, Day: 0, Advertiser: site, Campaign: Intern("shoes")},
+		{ID: 2, Kind: KindImpression, Device: 1, Day: 1, Advertiser: site, Campaign: Intern("shoes")},
+		{ID: 3, Kind: KindImpression, Device: 1, Day: 7, Advertiser: site, Campaign: Intern("shoes")},
+		{ID: 4, Kind: KindImpression, Device: 1, Day: 8, Advertiser: site, Campaign: Intern("hats")},
 	}
 	for _, db := range []*Database{NewFrozen(7, evs), recordAll(7, evs)} {
-		m, ok := db.Compile(ProductSelector{Advertiser: site, Product: "shoes"})
+		m, ok := db.Compile(ProductSelector{Advertiser: site, Product: Intern("shoes")})
 		if !ok {
 			t.Fatal("compile failed")
 		}

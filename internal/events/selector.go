@@ -34,12 +34,12 @@ func Select(evs []Event, sel Selector) []Event {
 // queries of §2.1 ("any impressions of campaigns a1 and a2").
 type CampaignSelector struct {
 	Advertiser Site
-	Campaigns  map[string]bool
+	Campaigns  map[Sym]bool
 }
 
 // NewCampaignSelector builds a CampaignSelector over the listed campaigns.
-func NewCampaignSelector(advertiser Site, campaigns ...string) CampaignSelector {
-	set := make(map[string]bool, len(campaigns))
+func NewCampaignSelector(advertiser Site, campaigns ...Sym) CampaignSelector {
+	set := make(map[Sym]bool, len(campaigns))
 	for _, c := range campaigns {
 		set[c] = true
 	}
@@ -63,7 +63,7 @@ func (s CampaignSelector) Relevant(ev Event) bool {
 // per-product queries can reuse this selector.
 type ProductSelector struct {
 	Advertiser Site
-	Product    string
+	Product    Sym
 }
 
 // Relevant implements Selector.

@@ -6,7 +6,7 @@ import (
 )
 
 func TestSelectPreservesOrderAndFilters(t *testing.T) {
-	sel := NewCampaignSelector("nike.com")
+	sel := NewCampaignSelector(Intern("nike.com"))
 	evs := []Event{
 		imp(1, 1, 0, "nike.com"),
 		imp(2, 1, 1, "adidas.com"),
@@ -20,7 +20,7 @@ func TestSelectPreservesOrderAndFilters(t *testing.T) {
 }
 
 func TestSelectEmptyIsNil(t *testing.T) {
-	sel := NewCampaignSelector("nike.com")
+	sel := NewCampaignSelector(Intern("nike.com"))
 	if Select(nil, sel) != nil {
 		t.Fatal("Select(nil) should be nil")
 	}
@@ -30,10 +30,10 @@ func TestSelectEmptyIsNil(t *testing.T) {
 }
 
 func TestCampaignSelectorCampaignFilter(t *testing.T) {
-	sel := NewCampaignSelector("nike.com", "spring", "summer")
+	sel := NewCampaignSelector(Intern("nike.com"), Intern("spring"), Intern("summer"))
 	mk := func(c string) Event {
 		e := imp(1, 1, 0, "nike.com")
-		e.Campaign = c
+		e.Campaign = Intern(c)
 		return e
 	}
 	if !sel.Relevant(mk("spring")) || !sel.Relevant(mk("summer")) {
@@ -48,32 +48,32 @@ func TestCampaignSelectorNeverMatchesConversions(t *testing.T) {
 	// Conversions are public to the advertiser; F_A ∩ P = ∅ is the
 	// sufficient condition for the stronger Thm. 1 guarantee, so the
 	// selector must reject conversions even from the right site.
-	sel := NewCampaignSelector("nike.com")
+	sel := NewCampaignSelector(Intern("nike.com"))
 	if sel.Relevant(conv(1, 1, 0, "nike.com", 70)) {
 		t.Fatal("selector matched a conversion")
 	}
 }
 
 func TestProductSelector(t *testing.T) {
-	sel := ProductSelector{Advertiser: "nike.com", Product: "shoe-3"}
+	sel := ProductSelector{Advertiser: Intern("nike.com"), Product: Intern("shoe-3")}
 	e := imp(1, 1, 0, "nike.com")
-	e.Campaign = "shoe-3"
+	e.Campaign = Intern("shoe-3")
 	if !sel.Relevant(e) {
 		t.Fatal("matching product impression rejected")
 	}
-	e.Campaign = "shoe-4"
+	e.Campaign = Intern("shoe-4")
 	if sel.Relevant(e) {
 		t.Fatal("other product accepted")
 	}
 	c := conv(2, 1, 0, "nike.com", 1)
-	c.Product = "shoe-3"
+	c.Product = Intern("shoe-3")
 	if sel.Relevant(c) {
 		t.Fatal("conversion accepted")
 	}
 }
 
 func TestWindowSelector(t *testing.T) {
-	inner := NewCampaignSelector("nike.com")
+	inner := NewCampaignSelector(Intern("nike.com"))
 	sel := WindowSelector{Inner: inner, FirstDay: 10, LastDay: 20}
 	in := imp(1, 1, 15, "nike.com")
 	early := imp(2, 1, 9, "nike.com")
@@ -98,11 +98,11 @@ func TestSelectorFunc(t *testing.T) {
 // The defining property of attribution functions is A(F) = A(F ∩ F_A);
 // Select must therefore be idempotent.
 func TestSelectIdempotentQuick(t *testing.T) {
-	sel := NewCampaignSelector("nike.com")
+	sel := NewCampaignSelector(Intern("nike.com"))
 	f := func(ids []uint8) bool {
 		evs := make([]Event, len(ids))
 		for i, id := range ids {
-			adv := Site("nike.com")
+			adv := "nike.com"
 			if id%3 == 0 {
 				adv = "adidas.com"
 			}

@@ -32,20 +32,20 @@ func appendixBDevice(n int) (*core.Device, *core.Request) {
 	const epochs = 20
 	const epochDays = 7
 	db := events.NewDatabase()
-	const site = events.Site("nike.example")
+	site, product := events.Intern("nike.example"), events.Intern("product-0")
 	for i := 0; i < n; i++ {
 		day := (i * epochs * epochDays) / n
 		db.Record(events.EpochOfDay(day, epochDays), events.Event{
 			ID: events.EventID(i + 1), Kind: events.KindImpression,
-			Device: 1, Day: day, Publisher: "pub.example",
-			Advertiser: site, Campaign: "product-0",
+			Device: 1, Day: day, Publisher: events.Intern("pub.example"),
+			Advertiser: site, Campaign: product,
 		})
 	}
 	dev := core.NewDevice(1, db, 1e12, core.CookieMonsterPolicy{})
 	req := &core.Request{
-		Querier:    site,
+		Querier:    site.String(),
 		FirstEpoch: 0, LastEpoch: epochs - 1,
-		Selector:          events.ProductSelector{Advertiser: site, Product: "product-0"},
+		Selector:          events.ProductSelector{Advertiser: site, Product: product},
 		Function:          attribution.ScalarValue{Value: 1},
 		Epsilon:           0.01,
 		ReportSensitivity: 1,

@@ -26,7 +26,7 @@ func stubDataset(n int) *dataset.Dataset {
 		PopulationDevices: 4,
 		DurationDays:      1,
 		Advertisers: []dataset.Advertiser{{
-			Site: "stub.example", Products: []string{"p0"},
+			Site: events.Intern("stub.example"), Products: []events.Sym{events.Intern("p0")},
 			MaxValue: 10, AvgReportValue: 5, BatchSize: 10,
 		}},
 	}
@@ -34,7 +34,7 @@ func stubDataset(n int) *dataset.Dataset {
 		ds.Events = append(ds.Events, events.Event{
 			ID: events.EventID(i + 1), Kind: events.KindConversion,
 			Device: events.DeviceID(i % 4), Day: 0,
-			Advertiser: "stub.example", Product: "p0", Value: 1,
+			Advertiser: events.Intern("stub.example"), Product: events.Intern("p0"), Value: 1,
 		})
 	}
 	return ds

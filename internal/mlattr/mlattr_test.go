@@ -11,8 +11,8 @@ import (
 	"repro/internal/stats"
 )
 
-const meta = events.Site("platform.example")
-const shop = events.Site("shop.example")
+var meta = events.Intern("platform.example")
+var shop = events.Intern("shop.example")
 
 func TestSigmoidDot(t *testing.T) {
 	if sigmoid(0) != 0.5 {
@@ -96,7 +96,7 @@ func TestConversionLabelSelector(t *testing.T) {
 	if !sel.Relevant(events.Event{Kind: events.KindConversion, Advertiser: shop}) {
 		t.Fatal("relevant conversion rejected")
 	}
-	if sel.Relevant(events.Event{Kind: events.KindConversion, Advertiser: "other.example"}) {
+	if sel.Relevant(events.Event{Kind: events.KindConversion, Advertiser: events.Intern("other.example")}) {
 		t.Fatal("other advertiser accepted")
 	}
 	// Impressions are never labels — this is what keeps F_A ∩ P = ∅ for
@@ -115,7 +115,7 @@ func TestTrainerValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []func(*TrainerConfig){
-		func(c *TrainerConfig) { c.Querier = "" },
+		func(c *TrainerConfig) { c.Querier = events.Site{} },
 		func(c *TrainerConfig) { c.Dim = 0 },
 		func(c *TrainerConfig) { c.FeatureCap = 0 },
 		func(c *TrainerConfig) { c.Epsilon = 0 },

@@ -40,7 +40,7 @@ type TrainerConfig struct {
 
 func (c TrainerConfig) validate() error {
 	switch {
-	case c.Querier == "":
+	case c.Querier == events.Site{}:
 		return errors.New("mlattr: missing querier")
 	case c.Dim <= 0:
 		return fmt.Errorf("mlattr: non-positive dimension %d", c.Dim)
@@ -103,7 +103,7 @@ func (t *Trainer) Step(service *aggregation.Service, examples []Example) (denied
 		clipped := append([]float64(nil), ex.Features...)
 		attribution.ClipL1(clipped, t.cfg.FeatureCap)
 		req := &core.Request{
-			Querier:    t.cfg.Querier,
+			Querier:    t.cfg.Querier.String(),
 			FirstEpoch: ex.FirstEpoch,
 			LastEpoch:  ex.LastEpoch,
 			Selector:   t.selector,

@@ -10,12 +10,12 @@ import (
 	"repro/internal/stats"
 )
 
-const nike = events.Site("nike.com")
+var nike = events.Intern("nike.com")
 
 func impression(id events.EventID, day int, campaign string) events.Event {
 	return events.Event{
 		ID: id, Kind: events.KindImpression, Day: day,
-		Publisher: "pub.example", Advertiser: nike, Campaign: campaign,
+		Publisher: events.Intern("pub.example"), Advertiser: nike, Campaign: events.Intern(campaign),
 	}
 }
 
@@ -30,10 +30,10 @@ func request(rng *stats.RNG, firstEpoch, lastEpoch events.Epoch) *core.Request {
 	reportSens := attribution.ReportGlobalSensitivity(logic, value, m, k)
 	querySens := reportSens * float64(1+rng.Intn(3))
 	return &core.Request{
-		Querier:    nike,
+		Querier:    nike.String(),
 		FirstEpoch: firstEpoch,
 		LastEpoch:  lastEpoch,
-		Selector:   events.NewCampaignSelector(nike, "c0", "c1"),
+		Selector:   events.NewCampaignSelector(nike, events.Intern("c0"), events.Intern("c1")),
 		Function: attribution.Slots{
 			Logic:          logic,
 			MaxImpressions: m,
@@ -123,12 +123,12 @@ func TestGameDetectsUnderDeclaredSensitivity(t *testing.T) {
 
 	value := 10.0
 	req := &core.Request{
-		Querier:    nike,
+		Querier:    nike.String(),
 		FirstEpoch: 0, LastEpoch: 1,
-		Selector: events.NewCampaignSelector(nike, "c0", "c1"),
+		Selector: events.NewCampaignSelector(nike, events.Intern("c0"), events.Intern("c1")),
 		Function: attribution.Binned{
 			Logic: attribution.LastTouch{},
-			Bins:  map[string]int{"c0": 0, "c1": 1},
+			Bins:  map[events.Sym]int{events.Intern("c0"): 0, events.Intern("c1"): 1},
 			Dim:   2,
 			Value: value,
 		},
@@ -171,9 +171,9 @@ func TestExhaustionClosesTheChannel(t *testing.T) {
 
 	req := func() *core.Request {
 		return &core.Request{
-			Querier:    nike,
+			Querier:    nike.String(),
 			FirstEpoch: 0, LastEpoch: 2,
-			Selector:          events.NewCampaignSelector(nike, "c0"),
+			Selector:          events.NewCampaignSelector(nike, events.Intern("c0")),
 			Function:          attribution.ScalarValue{Value: 5},
 			Epsilon:           0.2,
 			ReportSensitivity: 5,

@@ -81,9 +81,9 @@ func TestUnlinkabilityScalarQueriesAreBudgetLimited(t *testing.T) {
 	g := NewUnlinkability(1, 2, 1, f0,
 		func(ev events.Event) bool { return ev.ID == 2 }, 1, 1)
 	req := &core.Request{
-		Querier:    nike,
+		Querier:    nike.String(),
 		FirstEpoch: 0, LastEpoch: 2,
-		Selector:          events.NewCampaignSelector(nike, "c0"),
+		Selector:          events.NewCampaignSelector(nike, events.Intern("c0")),
 		Function:          attribution.ScalarValue{Value: 1},
 		Epsilon:           0.2,
 		ReportSensitivity: 1,

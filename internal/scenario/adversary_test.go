@@ -25,16 +25,16 @@ import (
 func attackVariants() []AdversarySpec {
 	return []AdversarySpec{
 		// ε ≈ 0.23: flood of cheap queries.
-		{Site: "attacker.example", TargetDevices: 6, ConversionsPerDay: 8,
+		{Site: events.Intern("attacker.example"), TargetDevices: 6, ConversionsPerDay: 8,
 			BatchSize: 200, MaxValue: 1, AvgReportValue: 2},
 		// ε ≈ 0.92: the catalog's near-capacity drain.
-		{Site: "attacker.example", TargetDevices: 6, ConversionsPerDay: 4,
+		{Site: events.Intern("attacker.example"), TargetDevices: 6, ConversionsPerDay: 4,
 			BatchSize: 50, MaxValue: 1, AvgReportValue: 2},
 		// ε ≈ 1.84: one grant per epoch lane, then denial.
-		{Site: "attacker.example", TargetDevices: 6, ConversionsPerDay: 12,
+		{Site: events.Intern("attacker.example"), TargetDevices: 6, ConversionsPerDay: 12,
 			BatchSize: 25, MaxValue: 1, AvgReportValue: 2},
 		// ε ≈ 9.21 > EpsilonG: every single charge denied.
-		{Site: "attacker.example", TargetDevices: 6, ConversionsPerDay: 4,
+		{Site: events.Intern("attacker.example"), TargetDevices: 6, ConversionsPerDay: 4,
 			BatchSize: 10, MaxValue: 1, AvgReportValue: 1},
 	}
 }
@@ -94,7 +94,7 @@ func TestAdversaryNeverExceedsCapacity(t *testing.T) {
 func TestAdversaryLedgerIsolation(t *testing.T) {
 	h := newHarness(t)
 	cleanRun := execSpec(t, h, Spec{Name: "isolation-clean", Seed: 1})
-	wantRows := honestRows(cleanRun, "")
+	wantRows := honestRows(cleanRun, events.Site{})
 
 	for i, adv := range attackVariants() {
 		adv := adv

@@ -230,8 +230,8 @@ func (h Harness) Run(spec Spec) (*Report, error) {
 	rep.ConsumedEpsilon = make(map[string]float64)
 	queriers := make([]string, 0, len(rep.ConsumedEpsilon))
 	for q, eps := range run.ConsumedByQuerier() {
-		rep.ConsumedEpsilon[string(q)] = eps
-		queriers = append(queriers, string(q))
+		rep.ConsumedEpsilon[q.String()] = eps
+		queriers = append(queriers, q.String())
 	}
 	slices.Sort(queriers) // deterministic float summation order
 	for _, q := range queriers {
@@ -250,7 +250,7 @@ func (h Harness) Run(spec Spec) (*Report, error) {
 func meanHonestRMSRE(run *workload.Run, attacker events.Site) float64 {
 	sum, n := 0.0, 0
 	for _, res := range run.Results {
-		if !res.Executed || (attacker != "" && res.Querier == attacker) {
+		if !res.Executed || (attacker != (events.Site{}) && res.Querier == attacker) {
 			continue
 		}
 		sum += res.RMSRE

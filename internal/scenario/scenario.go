@@ -127,13 +127,13 @@ type AdversarySpec struct {
 }
 
 // adversaryProduct is the attacker's one query stream.
-const adversaryProduct = "drain-0"
+var adversaryProduct = events.Intern("drain-0")
 
 // advertiser is the querier the attacker registers in the metadata.
 func (a AdversarySpec) advertiser() dataset.Advertiser {
 	return dataset.Advertiser{
 		Site:           a.Site,
-		Products:       []string{adversaryProduct},
+		Products:       []events.Sym{adversaryProduct},
 		MaxValue:       a.MaxValue,
 		AvgReportValue: a.AvgReportValue,
 		BatchSize:      a.BatchSize,
@@ -194,7 +194,7 @@ func (sp Spec) Validate(base *dataset.Dataset) error {
 		return fmt.Errorf("scenario %s: invalid skew spec %+v", sp.Name, *k)
 	}
 	if a := sp.Adversary; a != nil {
-		if a.Site == "" || a.TargetDevices <= 0 || a.ConversionsPerDay <= 0 {
+		if a.Site == (events.Site{}) || a.TargetDevices <= 0 || a.ConversionsPerDay <= 0 {
 			return fmt.Errorf("scenario %s: invalid adversary spec %+v", sp.Name, *a)
 		}
 		if err := a.advertiser().Validate(); err != nil {
@@ -250,7 +250,7 @@ func Catalog() []Spec {
 			Description: "hostile querier floods six devices with near-capacity-epsilon queries",
 			Seed:        7,
 			Adversary: &AdversarySpec{
-				Site:              "attacker.example",
+				Site:              events.Intern("attacker.example"),
 				TargetDevices:     6,
 				ConversionsPerDay: 4,
 				BatchSize:         50,

@@ -169,7 +169,7 @@ func newBurstSource(base dataset.Source, spec BurstSpec, seed uint64) dataset.So
 	meta := base.Meta()
 	rng := stats.Stream(seed, "scenario-burst")
 	adv := meta.Advertisers[spec.Advertiser]
-	campaign := ""
+	var campaign events.Sym
 	if len(adv.Products) > 0 {
 		campaign = adv.Products[0]
 	}
@@ -179,7 +179,7 @@ func newBurstSource(base dataset.Source, spec BurstSpec, seed uint64) dataset.So
 			Kind:       events.KindImpression,
 			Device:     events.DeviceID(1 + rng.Intn(meta.PopulationDevices)),
 			Day:        spec.Day,
-			Publisher:  "flashcrowd.example",
+			Publisher:  events.Intern("flashcrowd.example"),
 			Advertiser: adv.Site,
 			Campaign:   campaign,
 		})
@@ -209,7 +209,7 @@ func newAdversarySource(base dataset.Source, spec AdversarySpec, seed uint64) da
 				Kind:       events.KindImpression,
 				Device:     events.DeviceID(1 + t),
 				Day:        day,
-				Publisher:  "attacker-pub.example",
+				Publisher:  events.Intern("attacker-pub.example"),
 				Advertiser: spec.Site,
 				Campaign:   adversaryProduct,
 			})

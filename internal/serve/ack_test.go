@@ -26,7 +26,7 @@ func tinyConv(dev uint64, day int, id uint64) events.Event {
 	return events.Event{
 		ID: events.EventID(id), Kind: events.KindConversion,
 		Device: events.DeviceID(dev), Day: day,
-		Advertiser: "shop.example", Product: "p0", Value: 2,
+		Advertiser: events.Intern("shop.example"), Product: events.Intern("p0"), Value: 2,
 	}
 }
 

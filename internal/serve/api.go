@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/events"
@@ -108,10 +109,10 @@ func WireFromEvent(ev events.Event) EventWire {
 		Kind:       ev.Kind.String(),
 		Device:     uint64(ev.Device),
 		Day:        ev.Day,
-		Publisher:  string(ev.Publisher),
-		Advertiser: string(ev.Advertiser),
-		Campaign:   ev.Campaign,
-		Product:    ev.Product,
+		Publisher:  ev.Publisher.String(),
+		Advertiser: ev.Advertiser.String(),
+		Campaign:   ev.Campaign.String(),
+		Product:    ev.Product.String(),
 		Value:      ev.Value,
 	}
 }
@@ -129,66 +130,71 @@ type QueryRegistration struct {
 
 // RegistrationFromAdvertiser converts dataset metadata to its wire shape.
 func RegistrationFromAdvertiser(a dataset.Advertiser) QueryRegistration {
+	products := make([]string, len(a.Products))
+	for i, p := range a.Products {
+		products[i] = p.String()
+	}
 	return QueryRegistration{
-		Site:           string(a.Site),
-		Products:       a.Products,
+		Site:           a.Site.String(),
+		Products:       products,
 		MaxValue:       a.MaxValue,
 		AvgReportValue: a.AvgReportValue,
 		BatchSize:      a.BatchSize,
 	}
 }
 
-// decode validates a registration: the wire bounds here, and the
+// validate checks a registration: the wire bounds here, and the
 // calibration domain every query this querier will ever run depends on
 // through dataset.Advertiser.Validate, the rule the engine enforces too.
-func (q QueryRegistration) decode() (dataset.Advertiser, *RequestError) {
+// It interns nothing, so a refused registration leaves no names behind.
+func (q QueryRegistration) validate() *RequestError {
+	if q.Site == "" || len(q.Site) > maxSiteLen {
+		return reqErr(CodeBadRegistration, "site must be 1..%d bytes", maxSiteLen)
+	}
+	if len(q.Products) == 0 {
+		return reqErr(CodeBadRegistration, "a querier needs at least one product stream")
+	}
+	if len(q.Products) > maxProducts {
+		return reqErr(CodeBadRegistration, "at most %d products per querier", maxProducts)
+	}
+	for _, p := range q.Products {
+		if p == "" || len(p) > maxSiteLen {
+			return reqErr(CodeBadRegistration, "product keys must be 1..%d bytes", maxSiteLen)
+		}
+	}
+	calibration := dataset.Advertiser{MaxValue: q.MaxValue, AvgReportValue: q.AvgReportValue, BatchSize: q.BatchSize}
+	if err := calibration.Validate(); err != nil {
+		return reqErr(CodeBadRegistration, "querier %q: %v", q.Site, err)
+	}
+	if q.BatchSize > maxBatchSize {
+		return reqErr(CodeBadRegistration, "batch size must be at most %d", maxBatchSize)
+	}
+	if q.MaxValue > maxEventValue || q.AvgReportValue > maxEventValue {
+		return reqErr(CodeBadRegistration, "maxValue and avgReportValue must be at most %g", maxEventValue)
+	}
+	return nil
+}
+
+// advertiser interns a validated registration's names.
+func (q QueryRegistration) advertiser() dataset.Advertiser {
 	adv := dataset.Advertiser{
-		Site:           events.Site(q.Site),
-		Products:       q.Products,
+		Site:           events.Intern(q.Site),
+		Products:       make([]events.Sym, len(q.Products)),
 		MaxValue:       q.MaxValue,
 		AvgReportValue: q.AvgReportValue,
 		BatchSize:      q.BatchSize,
 	}
-	if q.Site == "" || len(q.Site) > maxSiteLen {
-		return adv, reqErr(CodeBadRegistration, "site must be 1..%d bytes", maxSiteLen)
+	for i, p := range q.Products {
+		adv.Products[i] = events.Intern(p)
 	}
-	if len(q.Products) == 0 {
-		return adv, reqErr(CodeBadRegistration, "a querier needs at least one product stream")
-	}
-	if len(q.Products) > maxProducts {
-		return adv, reqErr(CodeBadRegistration, "at most %d products per querier", maxProducts)
-	}
-	for _, p := range q.Products {
-		if p == "" || len(p) > maxSiteLen {
-			return adv, reqErr(CodeBadRegistration, "product keys must be 1..%d bytes", maxSiteLen)
-		}
-	}
-	if err := adv.Validate(); err != nil {
-		return adv, reqErr(CodeBadRegistration, "%v", err)
-	}
-	if q.BatchSize > maxBatchSize {
-		return adv, reqErr(CodeBadRegistration, "batch size must be at most %d", maxBatchSize)
-	}
-	if q.MaxValue > maxEventValue || q.AvgReportValue > maxEventValue {
-		return adv, reqErr(CodeBadRegistration, "maxValue and avgReportValue must be at most %g", maxEventValue)
-	}
-	return adv, nil
+	return adv
 }
 
-// advertisersEqual reports whether two registrations are identical — the
+// equal reports whether two registrations are identical — the
 // idempotent-retry test for a re-registration after the run sealed.
-func advertisersEqual(a, b dataset.Advertiser) bool {
-	if a.Site != b.Site || a.MaxValue != b.MaxValue ||
-		a.AvgReportValue != b.AvgReportValue || a.BatchSize != b.BatchSize ||
-		len(a.Products) != len(b.Products) {
-		return false
-	}
-	for i := range a.Products {
-		if a.Products[i] != b.Products[i] {
-			return false
-		}
-	}
-	return true
+func (q QueryRegistration) equal(o QueryRegistration) bool {
+	return q.Site == o.Site && q.MaxValue == o.MaxValue && q.AvgReportValue == o.AvgReportValue &&
+		q.BatchSize == o.BatchSize && slices.Equal(q.Products, o.Products)
 }
 
 // IngestRequest is the body of POST /v1/events.
@@ -248,8 +254,8 @@ type ResultWire struct {
 
 func wireFromResult(res stream.Result) ResultWire {
 	return ResultWire{
-		Querier:       string(res.Querier),
-		Product:       res.Product,
+		Querier:       res.Querier.String(),
+		Product:       res.Product.String(),
 		Index:         res.Index,
 		Batch:         res.Batch,
 		Epsilon:       res.Epsilon,

@@ -23,8 +23,8 @@ func tinyMeta() dataset.Meta {
 
 func tinyAdvertiser() dataset.Advertiser {
 	return dataset.Advertiser{
-		Site:           "shop.example",
-		Products:       []string{"p0"},
+		Site:           events.Intern("shop.example"),
+		Products:       []events.Sym{events.Intern("p0")},
 		MaxValue:       100,
 		AvgReportValue: 20,
 		BatchSize:      10,
@@ -198,7 +198,7 @@ func TestIngestValidation(t *testing.T) {
 		}
 		st, _, _ := c.sendBatch([]events.Event{{
 			ID: 1000, Kind: events.KindConversion, Device: 1000 % 64, Day: 0,
-			Advertiser: "shop.example", Product: "p0", Value: 5,
+			Advertiser: events.Intern("shop.example"), Product: events.Intern("p0"), Value: 5,
 		}})
 		if st != http.StatusOK {
 			t.Fatalf("re-send of valid event: status %d", st)
@@ -276,7 +276,7 @@ func TestRegistrationLifecycle(t *testing.T) {
 	// First event seals the run; new registrations are refused after.
 	st, acc, _ := c.sendBatch([]events.Event{{
 		ID: 1, Kind: events.KindConversion, Device: 3, Day: 0,
-		Advertiser: adv.Site, Product: "p0", Value: 5,
+		Advertiser: adv.Site, Product: events.Intern("p0"), Value: 5,
 	}})
 	if st != http.StatusOK || acc != 1 {
 		t.Fatalf("sealing event: status %d accepted %d", st, acc)
@@ -330,7 +330,7 @@ func TestBackpressure(t *testing.T) {
 		evs[i] = events.Event{
 			ID: events.EventID(i + 1), Kind: events.KindConversion,
 			Device: events.DeviceID(i), Day: 0,
-			Advertiser: "shop.example", Product: "p0", Value: 1,
+			Advertiser: events.Intern("shop.example"), Product: events.Intern("p0"), Value: 1,
 		}
 	}
 	req := serve.IngestRequest{Events: make([]serve.EventWire, len(evs))}

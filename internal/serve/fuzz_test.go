@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/events"
 	"repro/internal/serve"
 	"repro/internal/workload"
 )
@@ -28,8 +29,8 @@ func FuzzIngestHTTP(f *testing.F) {
 	meta := dataset.Meta{
 		Name: "fuzz", PopulationDevices: 1 << 16, DurationDays: 8,
 		Advertisers: []dataset.Advertiser{{
-			Site:           "shop.example",
-			Products:       []string{"p0", "p1"},
+			Site:           events.Intern("shop.example"),
+			Products:       []events.Sym{events.Intern("p0"), events.Intern("p1")},
 			MaxValue:       50,
 			AvgReportValue: 10,
 			BatchSize:      8,

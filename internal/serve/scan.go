@@ -24,10 +24,10 @@ import (
 // longer than MaxBodyBytes whose first value ends before the cap.
 
 const (
-	// maxInterned bounds a scanner's string table. Site, campaign and
+	// maxInterned bounds a scanner's name cache. Site, campaign and
 	// product keys of legitimate traffic are a few hundred distinct
-	// strings; hostile distinct strings past the bound are allocated per
-	// event, as every string used to be, and cannot grow the table.
+	// names; hostile distinct names past the bound are allocated per
+	// event and cannot grow the cache.
 	maxInterned = 4096
 	// maxNestingDepth is encoding/json's limit on open containers. Only
 	// the values of unknown keys can nest at all.
@@ -41,13 +41,23 @@ const (
 )
 
 // eventScanner holds what decoding one ingest request reuses from the
-// last: the body buffer, the decoded events, the string table and scratch
+// last: the body buffer, the decoded events, the name cache and scratch
 // space. A scanner serves one request at a time and lives in scannerPool
 // between requests.
+//
+// Names become symbols only as the handler admits their events, because
+// the process's symbol table is never freed. The scan leaves every event's
+// names zero and records them in refs; a name the scanner has not seen
+// waits in names[fresh:] until withNames interns it for an admitted event.
+// settle keeps the names that were interned and forgets the rest: those of
+// a refused body, of duplicates and of a backpressured suffix.
 type eventScanner struct {
 	body   bytes.Buffer
 	events []events.Event
-	strs   map[string]string
+	refs   []eventNames            // parallel to events
+	cache  map[string]int32        // name → index in names
+	names  []scanName              // the empty name, the cached names, this body's new ones
+	fresh  int                     // names[:fresh] are interned
 	unq    []byte                  // the last string that needed unquoting
 	fold   [len("advertiser")]byte // the last key that needed folding
 	stack  []byte                  // open containers of the unknown value being skipped
@@ -74,24 +84,37 @@ const (
 	mutantNullZeroes              // a null field zeroes what earlier keys set
 )
 
-var scannerPool = sync.Pool{New: func() any {
-	return &eventScanner{strs: make(map[string]string)}
-}}
+// scanName is one name the scanner has seen, and its symbol once interned.
+type scanName struct {
+	name string
+	sym  events.Sym
+}
 
-// release returns the scanner to the pool. The events it decoded must not
-// be read afterwards; strings copied out of them stay valid, because they
-// are never views of the body buffer.
+// eventNames is one event's publisher, advertiser, campaign and product as
+// indices into eventScanner.names; 0 is the empty name.
+type eventNames [4]int32
+
+func newScanner() *eventScanner {
+	return &eventScanner{cache: make(map[string]int32), names: make([]scanName, 1), fresh: 1}
+}
+
+var scannerPool = sync.Pool{New: func() any { return newScanner() }}
+
+// release returns the scanner to the pool, forgetting the body's names
+// that no admitted event interned. The events it decoded must not be read
+// afterwards.
 func (sc *eventScanner) release() {
+	sc.settle()
 	if sc.body.Cap() > maxPooledBody {
 		sc.body = bytes.Buffer{}
 	}
-	clear(sc.events[:cap(sc.events)]) // an invalid event's strings sit past len
 	sc.data = nil
 	scannerPool.Put(sc)
 }
 
 // readEvents reads the capped body of a POST /v1/events and decodes it.
-// The events are valid until release.
+// The events are valid until release and carry no names: withNames(i)
+// returns event i with its names.
 func (sc *eventScanner) readEvents(w http.ResponseWriter, r *http.Request, durationDays int) ([]events.Event, int, *RequestError) {
 	sc.body.Reset()
 	if n := r.ContentLength; n > 0 && n <= MaxBodyBytes {
@@ -124,11 +147,21 @@ func (sc *eventScanner) readEvents(w http.ResponseWriter, r *http.Request, durat
 // error, or a value of the wrong JSON type for its field — anywhere in the
 // value, then too many events, then the lowest-indexed invalid event. So
 // the scan does not stop at the first invalid event: it goes on checking
-// syntax and types to the end of the value.
+// syntax and types to the end of the value. A refused body's names are
+// forgotten at once.
 func (sc *eventScanner) scan(data []byte, durationDays int) ([]events.Event, *RequestError) {
 	sc.data, sc.pos, sc.durationDays = data, 0, durationDays
-	sc.events = sc.events[:0]
+	sc.events, sc.refs = sc.events[:0], sc.refs[:0]
 	sc.count, sc.invalid, sc.malformed = 0, nil, nil
+	if rerr := sc.scanBody(); rerr != nil {
+		sc.settle()
+		return nil, rerr
+	}
+	return sc.events, nil
+}
+
+// scanBody scans data, returning the error that refuses it, if any.
+func (sc *eventScanner) scanBody() *RequestError {
 	var ok bool
 	switch sc.peek() {
 	case 'n':
@@ -142,14 +175,72 @@ func (sc *eventScanner) scan(data []byte, durationDays int) ([]events.Event, *Re
 	}
 	switch {
 	case !ok && !(sc.mutant == mutantFirstErrorWins && sc.invalid != nil):
-		return nil, sc.malformed
+		return sc.malformed
 	case sc.count > MaxBatchEvents:
-		return nil, reqErr(CodeTooManyEvents, "%d events exceed the %d per-request cap",
+		return reqErr(CodeTooManyEvents, "%d events exceed the %d per-request cap",
 			sc.count, MaxBatchEvents)
-	case sc.invalid != nil:
-		return nil, sc.invalid
 	}
-	return sc.events, nil
+	return sc.invalid
+}
+
+// withNames returns decoded event i with its names, interning those of
+// them the table does not hold yet. The handler calls it only for an event
+// it admits.
+func (sc *eventScanner) withNames(i int) events.Event {
+	ev := sc.events[i]
+	var syms [4]events.Sym
+	for j, k := range sc.refs[i] {
+		if n := &sc.names[k]; n.sym == (events.Sym{}) && n.name != "" {
+			n.sym = events.Intern(n.name)
+		}
+		syms[j] = sc.names[k].sym
+	}
+	ev.Publisher, ev.Advertiser, ev.Campaign, ev.Product = syms[0], syms[1], syms[2], syms[3]
+	return ev
+}
+
+// settle ends a body: of its new names, it keeps the cached ones that an
+// admitted event interned, renumbered after the interned names, and
+// forgets the rest, so the cache only ever holds interned names.
+func (sc *eventScanner) settle() {
+	kept := sc.fresh
+	for _, n := range sc.names[sc.fresh:] {
+		if _, cached := sc.cache[n.name]; !cached {
+			continue // past maxInterned, or a second copy of an uncached name
+		}
+		if n.sym == (events.Sym{}) {
+			delete(sc.cache, n.name)
+			continue
+		}
+		sc.cache[n.name] = int32(kept)
+		sc.names[kept] = n
+		kept++
+	}
+	sc.truncateNames(kept)
+}
+
+// truncateNames keeps names[:n] as the interned names, clearing the rest so
+// the pooled scanner does not keep their strings alive.
+func (sc *eventScanner) truncateNames(n int) {
+	clear(sc.names[n:])
+	sc.names, sc.fresh = sc.names[:n], n
+}
+
+// name returns s's index in names, adding s (and, below the bound, caching
+// it) when the scanner has not seen it.
+func (sc *eventScanner) name(s []byte) int32 {
+	if len(s) == 0 {
+		return 0
+	}
+	if i, ok := sc.cache[string(s)]; ok {
+		return i
+	}
+	i, n := int32(len(sc.names)), string(s)
+	sc.names = append(sc.names, scanName{name: n})
+	if len(sc.cache) < maxInterned {
+		sc.cache[n] = i
+	}
+	return i
 }
 
 // fail records the malformed-JSON error at the current offset and returns
@@ -257,18 +348,23 @@ func (sc *eventScanner) eventsArray() bool {
 	for more := true; more; sc.count++ {
 		storing := sc.invalid == nil && sc.count < MaxBatchEvents
 		var discard events.Event
+		var refs eventNames
 		ev := &discard
 		if storing {
 			sc.events = append(sc.events, events.Event{})
 			ev = &sc.events[len(sc.events)-1]
 		}
-		if !sc.event(ev) {
+		if !sc.event(ev, &refs) {
 			return false
 		}
 		if storing {
-			if sc.invalid = validateEvent(ev, sc.durationDays); sc.invalid != nil {
+			names := [4]string{sc.names[refs[0]].name, sc.names[refs[1]].name,
+				sc.names[refs[2]].name, sc.names[refs[3]].name}
+			if sc.invalid = validateEvent(ev, &names, sc.durationDays); sc.invalid != nil {
 				sc.invalid.Index = sc.count
 				sc.events = sc.events[:len(sc.events)-1]
+			} else {
+				sc.refs = append(sc.refs, refs)
 			}
 		}
 		var ok bool
@@ -320,11 +416,11 @@ func eventFieldNamed(name []byte) eventField {
 	return fieldUnknown
 }
 
-// event decodes the element at pos into *ev, which is zero: an object or
-// null. A repeated key overwrites, a null field changes nothing, unknown
-// keys are skipped, and a value of the wrong JSON type for its field — a
-// string for a number, a fraction for an integer — is malformed.
-func (sc *eventScanner) event(ev *events.Event) bool {
+// event decodes the element at pos into *ev and *refs, which are zero: an
+// object or null. A repeated key overwrites, a null field changes nothing,
+// unknown keys are skipped, and a value of the wrong JSON type for its
+// field — a string for a number, a fraction for an integer — is malformed.
+func (sc *eventScanner) event(ev *events.Event, refs *eventNames) bool {
 	ev.Kind = kindUnset
 	switch sc.peek() {
 	case 'n':
@@ -352,7 +448,7 @@ func (sc *eventScanner) event(ev *events.Event) bool {
 			ok = sc.skipValue(3)
 		case c == 'n':
 			if ok = sc.literal("null"); sc.mutant == mutantNullZeroes {
-				*ev = events.Event{Kind: kindUnset}
+				*ev, *refs = events.Event{Kind: kindUnset}, eventNames{}
 			}
 		case f == fieldID || f == fieldDevice:
 			var n uint64
@@ -397,14 +493,8 @@ func (sc *eventScanner) event(ev *events.Event) bool {
 				default:
 					ev.Kind = kindUnset
 				}
-			case fieldPublisher:
-				ev.Publisher = events.Site(sc.intern(s))
-			case fieldAdvertiser:
-				ev.Advertiser = events.Site(sc.intern(s))
-			case fieldCampaign:
-				ev.Campaign = sc.intern(s)
-			case fieldProduct:
-				ev.Product = sc.intern(s)
+			case fieldPublisher, fieldAdvertiser, fieldCampaign, fieldProduct:
+				refs[f-fieldPublisher] = sc.name(s)
 			}
 		}
 		if !ok {
@@ -415,20 +505,6 @@ func (sc *eventScanner) event(ev *events.Event) bool {
 		}
 	}
 	return true
-}
-
-// intern returns b as a string, shared with every earlier equal string
-// while the table has room. Keys over maxSiteLen fail validation, so they
-// never enter the table.
-func (sc *eventScanner) intern(b []byte) string {
-	if s, ok := sc.strs[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	if len(s) <= maxSiteLen && len(sc.strs) < maxInterned {
-		sc.strs[s] = s
-	}
-	return s
 }
 
 // named reports whether an object key selects the field with the given
@@ -757,8 +833,11 @@ func (sc *eventScanner) skipValue(depth int) bool {
 // bounds: the one validator of the ingest path. durationDays bounds the
 // day index: the service's epoch arithmetic is int32 and its day clock
 // never runs past the trace, so an out-of-range day is hostile by
-// construction. The returned error's Index is for the caller to set.
-func validateEvent(ev *events.Event, durationDays int) *RequestError {
+// construction. names holds the event's publisher, advertiser, campaign and
+// product, which ev does not carry yet. The returned error's Index is for
+// the caller to set.
+func validateEvent(ev *events.Event, names *[4]string, durationDays int) *RequestError {
+	pub, adv, camp, prod := names[0], names[1], names[2], names[3]
 	if ev.Kind != events.KindImpression && ev.Kind != events.KindConversion {
 		return reqErr(CodeBadKind, "kind must be %q or %q",
 			events.KindImpression, events.KindConversion)
@@ -769,17 +848,17 @@ func validateEvent(ev *events.Event, durationDays int) *RequestError {
 	if ev.Day < 0 || ev.Day >= durationDays {
 		return reqErr(CodeBadDay, "day %d outside trace [0, %d)", ev.Day, durationDays)
 	}
-	if ev.Advertiser == "" || len(ev.Advertiser) > maxSiteLen {
+	if adv == "" || len(adv) > maxSiteLen {
 		return reqErr(CodeBadSite, "advertiser must be 1..%d bytes", maxSiteLen)
 	}
-	if len(ev.Publisher) > maxSiteLen || len(ev.Campaign) > maxSiteLen {
+	if len(pub) > maxSiteLen || len(camp) > maxSiteLen {
 		return reqErr(CodeBadSite, "publisher/campaign keys must be at most %d bytes", maxSiteLen)
 	}
-	if len(ev.Product) > maxSiteLen {
+	if len(prod) > maxSiteLen {
 		return reqErr(CodeBadProduct, "product key must be at most %d bytes", maxSiteLen)
 	}
 	if ev.IsConversion() {
-		if ev.Product == "" {
+		if prod == "" {
 			return reqErr(CodeBadProduct, "conversion without a product key")
 		}
 		// A JSON number is never NaN and float() refuses what overflows, so

@@ -48,17 +48,13 @@ func refused(rerr *RequestError) outcome {
 }
 
 // referenceEvent is the retired EventWire.decode: validate one wire event
-// and convert it.
+// and convert it, interning its names only once it is valid.
 func referenceEvent(w EventWire, durationDays int) (events.Event, *RequestError) {
 	ev := events.Event{
-		ID:         events.EventID(w.ID),
-		Device:     events.DeviceID(w.Device),
-		Day:        w.Day,
-		Publisher:  events.Site(w.Publisher),
-		Advertiser: events.Site(w.Advertiser),
-		Campaign:   w.Campaign,
-		Product:    w.Product,
-		Value:      w.Value,
+		ID:     events.EventID(w.ID),
+		Device: events.DeviceID(w.Device),
+		Day:    w.Day,
+		Value:  w.Value,
 	}
 	switch w.Kind {
 	case events.KindImpression.String():
@@ -93,6 +89,8 @@ func referenceEvent(w EventWire, durationDays int) (events.Event, *RequestError)
 	} else if w.Value != 0 {
 		return ev, reqErr(CodeBadValue, "impression with a conversion value")
 	}
+	ev.Publisher, ev.Advertiser = events.Intern(w.Publisher), events.Intern(w.Advertiser)
+	ev.Campaign, ev.Product = events.Intern(w.Campaign), events.Intern(w.Product)
 	return ev, nil
 }
 
@@ -156,14 +154,19 @@ func wantDecode(body []byte) outcome {
 }
 
 // gotDecode runs the body through the scanner's entry point, as
-// handleEvents does.
+// handleEvents does, admitting every event.
 func gotDecode(sc *eventScanner, body []byte) outcome {
 	r := httptest.NewRequest(http.MethodPost, "/v1/events", bytes.NewReader(body))
-	evs, status, rerr := sc.readEvents(httptest.NewRecorder(), r, testDays)
+	decoded, status, rerr := sc.readEvents(httptest.NewRecorder(), r, testDays)
 	if rerr != nil {
 		return outcome{status: status, code: rerr.Code, index: rerr.Index}
 	}
-	return outcome{status: http.StatusOK, index: -1, events: slices.Clone(evs)}
+	evs := make([]events.Event, len(decoded))
+	for i := range decoded {
+		evs[i] = sc.withNames(i)
+	}
+	sc.settle()
+	return outcome{status: http.StatusOK, index: -1, events: evs}
 }
 
 // checkDecode is the differential check.
@@ -181,12 +184,12 @@ func canonicalBody() []byte {
 	for i := range req.Events {
 		ev := events.Event{
 			ID: events.EventID(i + 1), Device: events.DeviceID(i % 97), Day: i % testDays,
-			Advertiser: events.Site(fmt.Sprintf("shop%d.example", i%5)),
+			Advertiser: events.Intern(fmt.Sprintf("shop%d.example", i%5)),
 		}
 		if i%3 == 0 {
-			ev.Kind, ev.Product, ev.Value = events.KindConversion, fmt.Sprintf("p%d", i%7), float64(i%40)+0.25
+			ev.Kind, ev.Product, ev.Value = events.KindConversion, events.Intern(fmt.Sprintf("p%d", i%7)), float64(i%40)+0.25
 		} else {
-			ev.Kind, ev.Publisher, ev.Campaign = events.KindImpression, "news.example", fmt.Sprintf("c%d", i%11)
+			ev.Kind, ev.Publisher, ev.Campaign = events.KindImpression, events.Intern("news.example"), events.Intern(fmt.Sprintf("c%d", i%11))
 		}
 		req.Events[i] = WireFromEvent(ev)
 	}
@@ -209,7 +212,7 @@ const (
 
 var goodDecoded = events.Event{
 	ID: 7, Kind: events.KindConversion, Device: 3, Day: 1,
-	Advertiser: "shop.example", Product: "p0", Value: 5,
+	Advertiser: events.Intern("shop.example"), Product: events.Intern("p0"), Value: 5,
 }
 
 func repeatEvents(n int, first string) string {
@@ -274,13 +277,13 @@ func quirks() []quirk {
 			outcome{400, CodeMalformedJSON, -1, nil}},
 		{"unicode-escapes", `{"events":[{"id":7,"kind":"conversion","device":3,"day":1,"advertiser":"sh\u00f6p\ud83d\ude00.example","product":"p\n\/\"\u0030","value":5}]}`,
 			outcome{200, "", -1, []events.Event{{ID: 7, Kind: events.KindConversion, Device: 3, Day: 1,
-				Advertiser: "shöp😀.example", Product: "p\n/\"0", Value: 5}}}},
+				Advertiser: events.Intern("shöp😀.example"), Product: events.Intern("p\n/\"0"), Value: 5}}}},
 		{"lone-surrogates", `{"events":[{"id":7,"kind":"conversion","device":3,"day":1,"advertiser":"a\ud83db\ude00\ud83dA","product":"p0","value":5}]}`,
 			outcome{200, "", -1, []events.Event{{ID: 7, Kind: events.KindConversion, Device: 3, Day: 1,
-				Advertiser: "a\ufffdb\ufffd\ufffdA", Product: "p0", Value: 5}}}},
+				Advertiser: events.Intern("a\ufffdb\ufffd\ufffdA"), Product: events.Intern("p0"), Value: 5}}}},
 		{"invalid-utf8-replaced", "{\"events\":[{\"id\":7,\"kind\":\"conversion\",\"device\":3,\"day\":1,\"advertiser\":\"a\xffb\xc3\",\"product\":\"p0\",\"value\":5}]}",
 			outcome{200, "", -1, []events.Event{{ID: 7, Kind: events.KindConversion, Device: 3, Day: 1,
-				Advertiser: "a\ufffdb\ufffd", Product: "p0", Value: 5}}}},
+				Advertiser: events.Intern("a\ufffdb\ufffd"), Product: events.Intern("p0"), Value: 5}}}},
 		{"length-is-of-the-decoded-string", `{"events":[{"id":7,"kind":"conversion","device":3,"day":1,"advertiser":"` + strings.Repeat(`a`, 257) + `","product":"p0","value":5}]}`,
 			outcome{400, CodeBadSite, 0, nil}},
 		{"fraction-into-integer", eventsBody(`{"id":1.0,"kind":"conversion","device":3,"day":1,"advertiser":"shop.example","product":"p0","value":5}`),
@@ -332,7 +335,7 @@ func quirks() []quirk {
 // TestDecodeQuirks pins the decoding contract row by row, and holds every
 // row to the reference as well.
 func TestDecodeQuirks(t *testing.T) {
-	sc := &eventScanner{strs: make(map[string]string)}
+	sc := newScanner()
 	for _, tc := range quirks() {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := gotDecode(sc, []byte(tc.body)); !got.equal(tc.want) {
@@ -367,7 +370,8 @@ func TestDecodeOracleCatchesMutants(t *testing.T) {
 		corpus = append(corpus, tc.body)
 	}
 	caught := func(m mutation) (n int) {
-		sc := &eventScanner{strs: make(map[string]string), mutant: m}
+		sc := newScanner()
+		sc.mutant = m
 		for _, body := range corpus {
 			if checkDecode(sc, []byte(body)) != nil {
 				n++
@@ -393,9 +397,9 @@ func TestDecodeOracleCatchesMutants(t *testing.T) {
 }
 
 // TestDecodeInterningIsBounded floods one scanner with distinct keys: the
-// table stops at its bound and the events still decode.
+// name cache stops at its bound and the events still decode.
 func TestDecodeInterningIsBounded(t *testing.T) {
-	sc := &eventScanner{strs: make(map[string]string)}
+	sc := newScanner()
 	for batch := 0; batch < 4; batch++ {
 		evs := make([]string, 2048)
 		for i := range evs {
@@ -406,12 +410,106 @@ func TestDecodeInterningIsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(sc.strs) != maxInterned {
-		t.Fatalf("string table holds %d entries after 16384 distinct keys, want %d", len(sc.strs), maxInterned)
+	if len(sc.cache) != maxInterned || len(sc.names) != maxInterned+1 {
+		t.Fatalf("name cache holds %d entries (%d names) after 16384 distinct keys, want %d",
+			len(sc.cache), len(sc.names), maxInterned)
 	}
-	long := strings.Repeat("k", maxSiteLen+1)
-	if sc.intern([]byte(long)); sc.strs[long] != "" {
-		t.Fatalf("a key over maxSiteLen entered the table")
+}
+
+// TestDecodeRefusedBodyInternsNothing holds a refused body to leaving no
+// names behind: the process's symbol table is never freed, so a 400 must
+// not grow it, and the scanner's cache — which holds only names withNames
+// interned — must come out as it went in.
+func TestDecodeRefusedBodyInternsNothing(t *testing.T) {
+	fresh := func(tag string) string {
+		return fmt.Sprintf(`{"id":1,"kind":"conversion","device":3,"day":1,"advertiser":"%s.example","product":"%s-p","value":5}`, tag, tag)
+	}
+	rows := []struct{ name, body string }{
+		{"invalid-event", eventsBody(fresh("invalid-event"), badEvent)},
+		{"malformed-json", `{"events":[` + fresh("malformed-json") + `,{"id":}]}`},
+		{"too-many-events", repeatEvents(MaxBatchEvents+1, fresh("too-many-events"))},
+		{"over-long-name", eventsBody(fresh("over-long-name"), strings.Replace(goodEvent, "shop.example", strings.Repeat("k", maxSiteLen+1), 1))},
+	}
+	sc := newScanner()
+	if err := checkDecode(sc, canonicalBody()); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			cached, names := len(sc.cache), len(sc.names)
+			if evs, rerr := sc.scan([]byte(row.body), testDays); rerr == nil {
+				t.Fatalf("accepted %d events", len(evs))
+			}
+			if len(sc.cache) != cached || len(sc.names) != names || sc.fresh != names {
+				t.Fatalf("refused body left the cache at %d entries (%d names, %d fresh), was %d",
+					len(sc.cache), len(sc.names), sc.fresh, cached)
+			}
+			for name := range sc.cache {
+				if strings.Contains(name, row.name) {
+					t.Fatalf("refused body's name %q is cached", name)
+				}
+			}
+		})
+	}
+	if err := checkDecode(sc, []byte(eventsBody(fresh("invalid-event")))); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDecodeUnadmittedEventsInternNothing holds a decoded body to interning
+// only the names of the events the handler admits, as handleEvents does:
+// withNames for each queued event, then settle. A body refused after
+// decoding (no querier, shedding, a stopped service) or made only of
+// duplicates admits none; a backpressured one admits a prefix.
+func TestDecodeUnadmittedEventsInternNothing(t *testing.T) {
+	rows := []struct {
+		name   string
+		admit  int
+		events int
+	}{
+		{"none-admitted", 0, 3},
+		{"backpressured", 2, 5},
+		{"all-admitted", 3, 3},
+	}
+	sc := newScanner()
+	if err := checkDecode(sc, canonicalBody()); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			tag := func(i int) string { return fmt.Sprintf("%s-%d", row.name, i) }
+			evs := make([]string, row.events)
+			for i := range evs {
+				evs[i] = fmt.Sprintf(`{"id":%d,"kind":"conversion","device":3,"day":1,"advertiser":"%s.example","product":"%s-p","value":5}`,
+					i+1, tag(i), tag(i))
+			}
+			cached := len(sc.cache)
+			if _, rerr := sc.scan([]byte(eventsBody(evs...)), testDays); rerr != nil {
+				t.Fatal(rerr)
+			}
+			for i := range row.admit {
+				ev := sc.withNames(i)
+				if ev.Advertiser.String() != tag(i)+".example" || ev.Product.String() != tag(i)+"-p" {
+					t.Fatalf("event %d named %s/%s", i, ev.Advertiser, ev.Product)
+				}
+			}
+			sc.settle()
+			if want := cached + 2*row.admit; len(sc.cache) != want || len(sc.names) != want+1 || sc.fresh != want+1 {
+				t.Fatalf("cache holds %d entries (%d names, %d fresh), want %d", len(sc.cache), len(sc.names), sc.fresh, want)
+			}
+			for name, i := range sc.cache {
+				if n := sc.names[i]; n.name != name || n.sym.String() != name {
+					t.Fatalf("cache maps %q to names[%d] = %q (symbol %q)", name, i, n.name, n.sym)
+				}
+			}
+			for i := row.admit; i < row.events; i++ {
+				for _, name := range []string{tag(i) + ".example", tag(i) + "-p"} {
+					if _, ok := sc.cache[name]; ok {
+						t.Fatalf("unadmitted event %d's name %q is cached", i, name)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -419,7 +517,7 @@ func TestDecodeInterningIsBounded(t *testing.T) {
 // request, however many events the body carries.
 func TestDecodeAllocs(t *testing.T) {
 	body := canonicalBody()
-	sc := &eventScanner{strs: make(map[string]string)}
+	sc := newScanner()
 	rd := bytes.NewReader(body)
 	r := httptest.NewRequest(http.MethodPost, "/v1/events", nil)
 	r.ContentLength = int64(len(body))
@@ -431,6 +529,10 @@ func TestDecodeAllocs(t *testing.T) {
 		if rerr != nil || len(evs) != 512 {
 			t.Fatalf("canonical body: %d events, error %v", len(evs), rerr)
 		}
+		for i := range evs {
+			evs[i] = sc.withNames(i)
+		}
+		sc.settle()
 	}
 	decode() // warm-up: buffers grown, strings interned
 	if allocs := testing.AllocsPerRun(20, decode); allocs > 8 {
@@ -449,7 +551,7 @@ func FuzzIngestDecode(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Add(canonicalBody())
-	sc := &eventScanner{strs: make(map[string]string)}
+	sc := newScanner()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if err := checkDecode(sc, body); err != nil {
 			t.Fatal(err)

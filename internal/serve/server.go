@@ -247,7 +247,7 @@ type Server struct {
 	mu          sync.Mutex
 	state       int32
 	advertisers []dataset.Advertiser
-	advBySite   map[events.Site]dataset.Advertiser
+	advIndex    map[string]int // site name → index in advertisers
 	src         *netSource
 	// cursors is the dedupe cursor (advanced at enqueue); applied is the
 	// durable high-water mark (advanced in onAdmit). See type cursor.
@@ -287,25 +287,24 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: negative shed delay")
 	}
 	s := &Server{
-		cfg:       cfg,
-		advBySite: make(map[events.Site]dataset.Advertiser),
-		cursors:   make(map[events.DeviceID]cursor),
-		applied:   make(map[events.DeviceID]cursor),
-		waiters:   make(map[events.DeviceID][]*appliedWaiter),
-		done:      make(chan struct{}),
-		ready:     make(chan struct{}),
+		cfg:      cfg,
+		advIndex: make(map[string]int),
+		cursors:  make(map[events.DeviceID]cursor),
+		applied:  make(map[events.DeviceID]cursor),
+		waiters:  make(map[events.DeviceID][]*appliedWaiter),
+		done:     make(chan struct{}),
+		ready:    make(chan struct{}),
 	}
 	s.stats.QueueCapacity = cfg.IngestBuffer
 	for i, a := range cfg.Meta.Advertisers {
-		adv, rerr := RegistrationFromAdvertiser(a).decode()
-		if rerr != nil {
+		if rerr := RegistrationFromAdvertiser(a).validate(); rerr != nil {
 			return nil, fmt.Errorf("serve: preset querier %d: %w", i, rerr)
 		}
-		if _, dup := s.advBySite[adv.Site]; dup {
-			return nil, fmt.Errorf("serve: duplicate preset querier %s", adv.Site)
+		if _, dup := s.advIndex[a.Site.String()]; dup {
+			return nil, fmt.Errorf("serve: duplicate preset querier %s", a.Site)
 		}
-		s.advertisers = append(s.advertisers, adv)
-		s.advBySite[adv.Site] = adv
+		s.advIndex[a.Site.String()] = len(s.advertisers)
+		s.advertisers = append(s.advertisers, a)
 	}
 	s.buildMux()
 	if cfg.Scenario.Resume {
@@ -676,13 +675,16 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	backpressured := false
 	var lastDev events.DeviceID
 	var lastNeed cursor
-	for _, ev := range decoded {
+	for i, ev := range decoded {
 		if c, ok := s.cursors[ev.Device]; ok && !c.before(ev) {
 			duplicates++
 			continue
 		}
+		// Only an event about to be queued interns its names: a duplicate
+		// or the suffix behind a full queue leaves the symbol table as it
+		// was (the event that finds the queue full aside).
 		select {
-		case src.ch <- ev:
+		case src.ch <- sc.withNames(i):
 			s.cursors[ev.Device] = cursor{ev.Day, ev.ID}
 			lastDev, lastNeed = ev.Device, cursor{ev.Day, ev.ID}
 			accepted++
@@ -792,26 +794,23 @@ func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, rerr)
 		return
 	}
-	adv, rerr := reg.decode()
-	if rerr != nil {
+	if rerr := reg.validate(); rerr != nil {
 		s.writeError(w, http.StatusBadRequest, rerr)
 		return
 	}
 	s.mu.Lock()
-	if existing, ok := s.advBySite[adv.Site]; ok {
+	if idx, ok := s.advIndex[reg.Site]; ok {
 		// Idempotent re-registration is fine at any time; changing an
 		// existing registration never is.
-		idx := slices.IndexFunc(s.advertisers, func(a dataset.Advertiser) bool {
-			return a.Site == adv.Site
-		})
+		existing := RegistrationFromAdvertiser(s.advertisers[idx])
 		n := len(s.advertisers)
 		s.mu.Unlock()
-		if advertisersEqual(existing, adv) {
+		if existing.equal(reg) {
 			writeJSON(w, http.StatusOK, RegistrationResponse{Index: idx, Queriers: n})
 			return
 		}
 		writeJSON(w, http.StatusConflict, ErrorResponse{
-			Error: fmt.Sprintf("querier %s is already registered with different parameters", adv.Site),
+			Error: fmt.Sprintf("querier %s is already registered with different parameters", reg.Site),
 			Code:  CodeConflict,
 		})
 		return
@@ -823,8 +822,8 @@ func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	s.advertisers = append(s.advertisers, adv)
-	s.advBySite[adv.Site] = adv
+	s.advIndex[reg.Site] = len(s.advertisers)
+	s.advertisers = append(s.advertisers, reg.advertiser())
 	resp := RegistrationResponse{Index: len(s.advertisers) - 1, Queriers: len(s.advertisers)}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
@@ -855,7 +854,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	// s.results[i].Index == i (onResult), so a poll costs what is new.
 	start := min(max(after, -1), len(s.results)-1) + 1
 	for _, res := range s.results[start:] {
-		if querier == "" || string(res.Querier) == querier {
+		if querier == "" || res.Querier.String() == querier {
 			resp.Results = append(resp.Results, wireFromResult(res))
 		}
 	}

@@ -29,8 +29,8 @@ func shedEvent(i int) events.Event {
 		Kind:       events.KindConversion,
 		Device:     events.DeviceID(i % 64),
 		Day:        0,
-		Advertiser: "shop.example",
-		Product:    "p0",
+		Advertiser: events.Intern("shop.example"),
+		Product:    events.Intern("p0"),
 		Value:      5,
 	}
 }
@@ -181,8 +181,8 @@ func TestOverloadShedding(t *testing.T) {
 						Kind:       events.KindConversion,
 						Device:     events.DeviceID(g + workers*(seq%8)),
 						Day:        0,
-						Advertiser: "shop.example",
-						Product:    "p0",
+						Advertiser: events.Intern("shop.example"),
+						Product:    events.Intern("p0"),
 						Value:      5,
 					})
 				}
@@ -246,7 +246,7 @@ func TestOverloadShedding(t *testing.T) {
 	for i := 0; ; i++ {
 		ev := events.Event{
 			ID: events.EventID(1<<20 + i), Kind: events.KindConversion,
-			Device: 0, Day: 0, Advertiser: "shop.example", Product: "p0", Value: 5,
+			Device: 0, Day: 0, Advertiser: events.Intern("shop.example"), Product: events.Intern("p0"), Value: 5,
 		}
 		body, _ := json.Marshal(serve.IngestRequest{Events: []serve.EventWire{serve.WireFromEvent(ev)}})
 		status, resp := c.do(http.MethodPost, "/v1/events", body)

@@ -124,8 +124,9 @@ func appendDevice(buf []byte, d *core.Device) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, d.BudgetDenials())
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rows)))
 	for _, r := range rows {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Querier)))
-		buf = append(buf, r.Querier...)
+		q := r.Querier.String()
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(q)))
+		buf = append(buf, q...)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(r.Epoch)))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Consumed))
 	}
@@ -195,17 +196,17 @@ func cutString(buf []byte) (str, rest []byte, err error) {
 	return buf[4 : 4+n], buf[4+n:], nil
 }
 
-// siteIntern shares one string per distinct querier across a restore: the
-// bulk sections repeat a handful of site names a million times over, and the
-// map lookup by byte slice allocates nothing.
+// siteIntern caches querier symbols across a restore: the bulk sections
+// repeat a handful of site names a million times over, and the map lookup
+// by byte slice allocates nothing and takes no lock.
 type siteIntern map[string]events.Site
 
 func (m siteIntern) site(b []byte) events.Site {
 	if s, ok := m[string(b)]; ok {
 		return s
 	}
-	s := events.Site(b)
-	m[string(s)] = s
+	s := events.Intern(string(b))
+	m[s.String()] = s
 	return s
 }
 
@@ -385,8 +386,8 @@ func (s *Service) scalarSnap() *snapHead {
 func appendResultStates(dst []resultState, results []Result) []resultState {
 	for _, res := range results {
 		dst = append(dst, resultState{
-			Querier:        string(res.Querier),
-			Product:        res.Product,
+			Querier:        res.Querier.String(),
+			Product:        res.Product.String(),
 			Index:          res.Index,
 			Batch:          res.Batch,
 			Epsilon:        math.Float64bits(res.Epsilon),
@@ -599,7 +600,8 @@ func (s *Service) restore(c *snapChain) error {
 
 	// Planner cursor.
 	for _, ss := range snap.Streams {
-		adv, ok := s.plan.advBySite[events.Site(ss.Site)]
+		site, product := events.Intern(ss.Site), events.Intern(ss.Product)
+		adv, ok := s.plan.advBySite[site]
 		if !ok {
 			return fmt.Errorf("stream: snapshot stream for unknown advertiser %s", ss.Site)
 		}
@@ -607,10 +609,10 @@ func (s *Service) restore(c *snapChain) error {
 		if err != nil {
 			return fmt.Errorf("stream: stream %s/%s: %w", ss.Site, ss.Product, err)
 		}
-		key := streamKey{events.Site(ss.Site), ss.Product}
+		key := streamKey{site, product}
 		s.plan.streams[key] = &streamState{
 			adv:     adv,
-			product: ss.Product,
+			product: product,
 			epsilon: math.Float64frombits(ss.Epsilon),
 			pending: pending,
 			seq:     ss.Seq,
@@ -622,8 +624,8 @@ func (s *Service) restore(c *snapChain) error {
 	// observer so the serving layer's poll buffer survives recovery.
 	for _, rs := range snap.Results {
 		s.run.Results = append(s.run.Results, Result{
-			Querier:        events.Site(rs.Querier),
-			Product:        rs.Product,
+			Querier:        events.Intern(rs.Querier),
+			Product:        events.Intern(rs.Product),
 			Index:          rs.Index,
 			Batch:          rs.Batch,
 			Epsilon:        math.Float64frombits(rs.Epsilon),

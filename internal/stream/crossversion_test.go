@@ -20,13 +20,13 @@ func ipaFixtureEvents() []events.Event {
 	var evs []events.Event
 	for dev := 1; dev <= 3; dev++ {
 		evs = append(evs, events.Event{ID: events.EventID(100 + dev), Kind: events.KindImpression,
-			Device: events.DeviceID(dev), Advertiser: "nike.example", Campaign: "product-0"})
+			Device: events.DeviceID(dev), Advertiser: events.Intern("nike.example"), Campaign: events.Intern("product-0")})
 	}
 	days := []int{1, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26}
 	for i, day := range days {
 		ev := conv(events.EventID(i+1), events.DeviceID(1+i%3), day)
 		if day == 1 || day == 18 {
-			ev.Product = "product-1"
+			ev.Product = events.Intern("product-1")
 		}
 		evs = append(evs, ev)
 	}

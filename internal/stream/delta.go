@@ -136,8 +136,8 @@ func (s *Service) capture(delta bool) ([]byte, error) {
 	for _, key := range streams() {
 		st := s.plan.streams[key]
 		head.Streams = append(head.Streams, streamSnap{
-			Site:    string(key.site),
-			Product: key.product,
+			Site:    key.site.String(),
+			Product: key.product.String(),
 			Epsilon: math.Float64bits(st.epsilon),
 			Seq:     st.seq,
 			Capped:  st.capped,
@@ -251,7 +251,7 @@ type snapChain struct {
 // (site, product) with the newest winning, and results append.
 func openChain(payloads [][]byte) (*snapChain, error) {
 	c := &snapChain{head: new(snapHead)}
-	streams := make(map[streamKey]streamSnap)
+	streams := make(map[[2]string]streamSnap) // by (site, product) name
 	var results []resultState
 	for i, payload := range payloads {
 		parts, err := parsePayload(payload)
@@ -260,13 +260,13 @@ func openChain(payloads [][]byte) (*snapChain, error) {
 		}
 		c.parts = append(c.parts, parts)
 		for _, ss := range parts.head.Streams {
-			streams[streamKey{events.Site(ss.Site), ss.Product}] = ss
+			streams[[2]string{ss.Site, ss.Product}] = ss
 		}
 		results = append(results, parts.head.Results...)
 		*c.head = *parts.head
 	}
 	c.head.Streams = nil
-	for _, key := range slices.SortedFunc(maps.Keys(streams), streamKey.compare) {
+	for _, key := range slices.SortedFunc(maps.Keys(streams), func(a, b [2]string) int { return slices.Compare(a[:], b[:]) }) {
 		c.head.Streams = append(c.head.Streams, streams[key])
 	}
 	c.head.Results = results

@@ -6,7 +6,6 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/aggregation"
 	"repro/internal/core"
@@ -152,7 +151,7 @@ func (e *Engine) flushDue(released func(Result) error) error {
 // Query is one filled batch awaiting execution.
 type Query struct {
 	adv     dataset.Advertiser
-	product string
+	product events.Sym
 	batch   []events.Event // the B conversions, time-ordered
 	fireDay int            // day the batch filled
 	seq     int            // batch index within the stream (sort tie-break)
@@ -182,14 +181,8 @@ func (e *Engine) Flush(due []*Query, released func(Result) error) error {
 	if len(due) == 0 {
 		return nil
 	}
-	sort.Slice(due, func(i, j int) bool {
-		if due[i].adv.Site != due[j].adv.Site {
-			return due[i].adv.Site < due[j].adv.Site
-		}
-		if due[i].product != due[j].product {
-			return due[i].product < due[j].product
-		}
-		return due[i].seq < due[j].seq
+	slices.SortFunc(due, func(a, b *Query) int {
+		return cmp.Or(a.adv.Site.Compare(b.adv.Site), a.product.Compare(b.product), cmp.Compare(a.seq, b.seq))
 	})
 
 	// Stage 1: prepare. Requests are pure values; the requested marks are
@@ -338,7 +331,7 @@ func (e *Engine) aggregate(q *Query, outputs []convOutput) (Result, error) {
 		// query's report windows touch, for the whole population, and
 		// rejects the query when any epoch is short. Truth is well-defined
 		// either way (for reporting).
-		admitted := e.central.ChargeAll(string(q.adv.Site), int64(res.FirstEpoch), int64(res.LastEpoch), q.epsilon)
+		admitted := e.central.ChargeAll(q.adv.Site.String(), int64(res.FirstEpoch), int64(res.LastEpoch), q.epsilon)
 		for i := range outputs {
 			res.Truth += outputs[i].truth
 		}

@@ -44,8 +44,8 @@ func PlanDays(cfg Config, src dataset.Source) [][]*Query {
 func PlanOrder(day []*Query) {
 	slices.SortFunc(day, func(a, b *Query) int {
 		return cmp.Or(
-			cmp.Compare(a.adv.Site, b.adv.Site),
-			cmp.Compare(a.product, b.product),
+			cmp.Compare(a.adv.Site.String(), b.adv.Site.String()),
+			cmp.Compare(a.product.String(), b.product.String()),
 			cmp.Compare(a.seq, b.seq))
 	})
 }

@@ -12,7 +12,7 @@ import (
 	"repro/internal/events"
 )
 
-var fanSites = []events.Site{"nike.com", "adidas.com", "puma.com"}
+var fanSites = []events.Site{events.Intern("nike.com"), events.Intern("adidas.com"), events.Intern("puma.com")}
 
 func fanoutDB(rng *rand.Rand, devices int) *events.Database {
 	var evs []events.Event
@@ -22,7 +22,7 @@ func fanoutDB(rng *rand.Rand, devices int) *events.Database {
 			Device:     events.DeviceID(1 + rng.Intn(devices)),
 			Day:        rng.Intn(42),
 			Advertiser: fanSites[rng.Intn(3)],
-			Campaign:   []string{"shoes", "hats"}[rng.Intn(2)],
+			Campaign:   []events.Sym{events.Intern("shoes"), events.Intern("hats")}[rng.Intn(2)],
 		})
 	}
 	return events.NewFrozen(7, evs)
@@ -31,9 +31,9 @@ func fanoutDB(rng *rand.Rand, devices int) *events.Database {
 func fanoutRequest(rng *rand.Rand) *core.Request {
 	site := fanSites[rng.Intn(3)]
 	req := &core.Request{
-		Querier:           site,
+		Querier:           site.String(),
 		FirstEpoch:        events.Epoch(rng.Intn(3)),
-		Selector:          events.NewCampaignSelector(site, "shoes"),
+		Selector:          events.NewCampaignSelector(site, events.Intern("shoes")),
 		Function:          attribution.Slots{Logic: attribution.LastTouch{}, MaxImpressions: 2, Value: 70},
 		Epsilon:           []float64{0.004, 0.01, 0.4}[rng.Intn(3)],
 		ReportSensitivity: 70,

@@ -86,15 +86,15 @@ func decodeFuzzEvents(data []byte) []events.Event {
 			ID:         events.EventID(len(evs) + 1),
 			Device:     dev,
 			Day:        day,
-			Advertiser: "nike.example",
+			Advertiser: events.Intern("nike.example"),
 		}
 		if kv&1 == 0 {
 			ev.Kind = events.KindImpression
-			ev.Publisher = "pub.example"
-			ev.Campaign = "product-0"
+			ev.Publisher = events.Intern("pub.example")
+			ev.Campaign = events.Intern("product-0")
 		} else {
 			ev.Kind = events.KindConversion
-			ev.Product = "product-0"
+			ev.Product = events.Intern("product-0")
 			ev.Value = float64((kv >> 1) & 7)
 		}
 		evs = append(evs, ev)

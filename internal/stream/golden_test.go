@@ -15,10 +15,16 @@ package stream_test
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
+	"maps"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/events"
 	"repro/internal/figures"
 	"repro/internal/workload"
 )
@@ -60,6 +66,12 @@ func TestGolden(t *testing.T) {
 		return
 	}
 
+	checkGolden(t, digests)
+}
+
+// checkGolden holds digests, one per figure workload, to the committed file.
+func checkGolden(t *testing.T, digests map[string]string) {
+	t.Helper()
 	goldenPath, err := figures.GoldenDigestsPath()
 	if err != nil {
 		t.Fatalf("locating golden digests (regenerate with -update): %v", err)
@@ -87,5 +99,78 @@ func TestGolden(t *testing.T) {
 		if _, ok := digests[name]; !ok {
 			t.Errorf("%s: committed digest for unknown workload (regenerate with -update)", name)
 		}
+	}
+}
+
+// symbolOrderEnv names the file of workload names that a child run of
+// TestDigestIndependentOfSymbolOrder interns before any workload runs.
+const symbolOrderEnv = "STREAM_TEST_SYMBOL_ORDER_NAMES"
+
+// TestDigestIndependentOfSymbolOrder holds every golden digest to not
+// depending on symbol numbering: it re-runs this test binary as a child
+// that, before any workload runs, interns every golden workload's names in
+// reverse name order, interleaved with a few hundred unrelated names, and
+// the child must still reproduce testdata/golden.
+func TestDigestIndependentOfSymbolOrder(t *testing.T) {
+	if path := os.Getenv(symbolOrderEnv); path != "" {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := strings.Split(string(raw), "\n")
+		const unrelated = 300
+		for i := range max(unrelated, len(names)) {
+			if i < unrelated {
+				events.Intern(fmt.Sprintf("unrelated-%03d.example", i))
+			}
+			if i < len(names) {
+				events.Intern(names[len(names)-1-i])
+			}
+		}
+		digests := make(map[string]string)
+		for _, w := range figures.All() {
+			cfg, err := w.Config()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Parallelism = 1
+			run, err := workload.Execute(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			digests[w.Name] = run.CanonicalDigest()
+		}
+		checkGolden(t, digests)
+		return
+	}
+
+	seen := make(map[string]bool)
+	for _, w := range figures.All() {
+		cfg, err := w.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range cfg.Dataset.Advertisers {
+			seen[a.Site.String()] = true
+			for _, p := range a.Products {
+				seen[p.String()] = true
+			}
+		}
+		for _, ev := range cfg.Dataset.Events {
+			for _, s := range [...]events.Sym{ev.Publisher, ev.Advertiser, ev.Campaign, ev.Product} {
+				seen[s.String()] = true
+			}
+		}
+	}
+	delete(seen, "")
+	names := slices.Sorted(maps.Keys(seen))
+	path := filepath.Join(t.TempDir(), "names")
+	if err := os.WriteFile(path, []byte(strings.Join(names, "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestDigestIndependentOfSymbolOrder$", "-test.count=1")
+	cmd.Env = append(os.Environ(), symbolOrderEnv+"="+path)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("child interning %d workload names in reverse order: %v\n%s", len(names), err, out)
 	}
 }

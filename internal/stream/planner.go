@@ -24,13 +24,13 @@ import (
 // streamKey identifies one advertiser×product query stream.
 type streamKey struct {
 	site    events.Site
-	product string
+	product events.Sym
 }
 
 // streamState accumulates one query stream.
 type streamState struct {
 	adv     dataset.Advertiser
-	product string
+	product events.Sym
 	epsilon float64
 	pending []events.Event
 	seq     int
@@ -125,12 +125,9 @@ func (p *planner) sortedKeys() []streamKey {
 	return slices.SortedFunc(maps.Keys(p.streams), streamKey.compare)
 }
 
-// compare orders stream keys by (site, product).
+// compare orders stream keys by (site, product) names.
 func (k streamKey) compare(o streamKey) int {
-	if c := cmp.Compare(k.site, o.site); c != 0 {
-		return c
-	}
-	return cmp.Compare(k.product, o.product)
+	return cmp.Or(k.site.Compare(o.site), k.product.Compare(o.product))
 }
 
 // minPendingDay returns the earliest day among buffered conversions across

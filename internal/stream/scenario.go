@@ -19,12 +19,12 @@ import (
 // the conversion day, with the advertiser's query sensitivity and, when
 // biasSpec is non-nil, the Appendix F side query (Kappa ≤ 0 selects the
 // paper's default of 10% of the query sensitivity).
-func BuildRequest(adv dataset.Advertiser, product string, conv events.Event,
+func BuildRequest(adv dataset.Advertiser, product events.Sym, conv events.Event,
 	eps float64, windowDays, epochDays int, biasSpec *core.BiasSpec) *core.Request {
 	firstDay := conv.Day - windowDays + 1
 	first, last := events.EpochWindow(conv.Day, windowDays, epochDays)
 	req := &core.Request{
-		Querier:    adv.Site,
+		Querier:    adv.Site.String(),
 		FirstEpoch: first,
 		LastEpoch:  last,
 		Selector: events.WindowSelector{

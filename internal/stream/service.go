@@ -89,7 +89,7 @@ const (
 type Result struct {
 	// Querier and Product identify the query stream.
 	Querier events.Site
-	Product string
+	Product events.Sym
 	// Index is the query's global position in submission order (0-based).
 	Index int
 	// Batch is the number of reports aggregated (B).

@@ -34,8 +34,8 @@ func testMeta() dataset.Meta {
 		PopulationDevices: 10,
 		DurationDays:      30,
 		Advertisers: []dataset.Advertiser{{
-			Site:           "nike.example",
-			Products:       []string{"product-0"},
+			Site:           events.Intern("nike.example"),
+			Products:       []events.Sym{events.Intern("product-0")},
 			MaxValue:       10,
 			AvgReportValue: 1,
 			BatchSize:      2,
@@ -46,7 +46,7 @@ func testMeta() dataset.Meta {
 func conv(id events.EventID, dev events.DeviceID, day int) events.Event {
 	return events.Event{
 		ID: id, Kind: events.KindConversion, Device: dev, Day: day,
-		Advertiser: "nike.example", Product: "product-0", Value: 1,
+		Advertiser: events.Intern("nike.example"), Product: events.Intern("product-0"), Value: 1,
 	}
 }
 
@@ -181,7 +181,7 @@ func TestPlannerCapDropsPendingAndHorizonAdvances(t *testing.T) {
 	src := &fakeSource{meta: testMeta(), evs: []events.Event{
 		conv(1, 1, 0), conv(2, 2, 0), conv(3, 3, 1), conv(4, 4, 25),
 		{ID: 5, Kind: events.KindImpression, Device: 1, Day: 29,
-			Publisher: "pub.example", Advertiser: "nike.example", Campaign: "product-0"},
+			Publisher: events.Intern("pub.example"), Advertiser: events.Intern("nike.example"), Campaign: events.Intern("product-0")},
 	}}
 	svc, err := New(Config{Source: src, FixedEpsilon: 1, EpsilonG: 100,
 		MaxQueriesPerProduct: 1, WindowDays: 7, EpochDays: 7})

@@ -330,7 +330,7 @@ func samplePayloads(t testing.TB, central bool) (base, delta []byte) {
 	var evs []events.Event
 	for dev := 1; dev <= 3; dev++ {
 		evs = append(evs, events.Event{ID: events.EventID(100 + dev), Kind: events.KindImpression,
-			Device: events.DeviceID(dev), Advertiser: "nike.example", Campaign: "product-0"})
+			Device: events.DeviceID(dev), Advertiser: events.Intern("nike.example"), Campaign: events.Intern("product-0")})
 	}
 	for i := 1; i <= 8; i++ {
 		evs = append(evs, conv(events.EventID(i), events.DeviceID(1+i%3), i/2))

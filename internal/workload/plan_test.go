@@ -17,7 +17,7 @@ import (
 // queryPlan is one batch awaiting execution.
 type queryPlan struct {
 	advertiser dataset.Advertiser
-	product    string
+	product    events.Sym
 	batch      []events.Event // the B conversions, time-ordered
 	fireDay    int            // day the batch filled
 	seq        int            // chunk index within the stream (sort tie-break)
@@ -33,7 +33,7 @@ type queryPlan struct {
 func referencePlan(cfg workload.Config) []queryPlan {
 	type stream struct {
 		site    events.Site
-		product string
+		product events.Sym
 	}
 	byStream := make(map[stream][]events.Event)
 	advBySite := make(map[events.Site]dataset.Advertiser, len(cfg.Dataset.Advertisers))
@@ -84,10 +84,10 @@ func referencePlan(cfg workload.Config) []queryPlan {
 			return plans[i].fireDay < plans[j].fireDay
 		}
 		if plans[i].advertiser.Site != plans[j].advertiser.Site {
-			return plans[i].advertiser.Site < plans[j].advertiser.Site
+			return plans[i].advertiser.Site.String() < plans[j].advertiser.Site.String()
 		}
 		if plans[i].product != plans[j].product {
-			return plans[i].product < plans[j].product
+			return plans[i].product.String() < plans[j].product.String()
 		}
 		return plans[i].seq < plans[j].seq
 	})
@@ -145,8 +145,8 @@ func handBuiltDataset(t *testing.T) *dataset.Dataset {
 		PopulationDevices: 12,
 		DurationDays:      40,
 		Advertisers: []dataset.Advertiser{
-			{Site: "b.example", Products: []string{"p0", "p1"}, MaxValue: 1000, AvgReportValue: 50, BatchSize: 3},
-			{Site: "a.example", Products: []string{"p0"}, MaxValue: 1000, AvgReportValue: 50, BatchSize: 2},
+			{Site: events.Intern("b.example"), Products: []events.Sym{events.Intern("p0"), events.Intern("p1")}, MaxValue: 1000, AvgReportValue: 50, BatchSize: 3},
+			{Site: events.Intern("a.example"), Products: []events.Sym{events.Intern("p0")}, MaxValue: 1000, AvgReportValue: 50, BatchSize: 2},
 		},
 	}
 	id, value := events.EventID(1<<20), 0.0
@@ -155,10 +155,11 @@ func handBuiltDataset(t *testing.T) *dataset.Dataset {
 		ev.ID = id
 		ds.Events = append(ds.Events, ev)
 	}
-	convert := func(dev, day int, site events.Site, product string) {
+	convert := func(dev, day int, siteName, productName string) {
+		site, product := events.Intern(siteName), events.Intern(productName)
 		device := events.DeviceID(dev % ds.PopulationDevices)
 		add(events.Event{Kind: events.KindImpression, Device: device, Day: day - 1,
-			Publisher: "pub.example", Advertiser: site, Campaign: product})
+			Publisher: events.Intern("pub.example"), Advertiser: site, Campaign: product})
 		value++
 		add(events.Event{Kind: events.KindConversion, Device: device, Day: day,
 			Advertiser: site, Product: product, Value: value})
@@ -176,7 +177,7 @@ func handBuiltDataset(t *testing.T) *dataset.Dataset {
 			convert(day+6, day, "a.example", "p0")
 		}
 		add(events.Event{Kind: events.KindConversion, Device: events.DeviceID(day % ds.PopulationDevices), Day: day,
-			Advertiser: "c.example", Product: "p0", Value: 9}) // not queryable
+			Advertiser: events.Intern("c.example"), Product: events.Intern("p0"), Value: 9}) // not queryable
 	}
 	rand.New(rand.NewSource(3)).Shuffle(len(ds.Events), func(i, j int) {
 		ds.Events[i], ds.Events[j] = ds.Events[j], ds.Events[i]

@@ -406,12 +406,12 @@ func TestRequestedDeviceEpochsAndActiveDevices(t *testing.T) {
 		r.RangeDevices(func(d *core.Device) bool {
 			charged := map[string]bool{}
 			for _, row := range d.Ledger() {
-				charged[string(row.Querier)] = true
+				charged[row.Querier.String()] = true
 				rows++
 			}
 			byQuerier := d.ConsumedByQuerier()
 			for q := range byQuerier {
-				if !charged[string(q)] {
+				if !charged[q.String()] {
 					t.Fatalf("%v: device %d reports querier %s it has no ledger row for", tc.system, d.ID(), q)
 				}
 			}
