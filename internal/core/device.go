@@ -18,20 +18,35 @@ import (
 // read, and its generate methods panic. All methods are safe for concurrent
 // use; a report's whole budget check-and-consume sequence runs under a
 // single ledger lock acquisition.
+//
+// A fleet's device is two heap objects: the Device, which holds its ledger
+// by value, and the ledger's one pointer-free block.
 type Device struct {
-	id       events.DeviceID
-	db       *events.Database
-	capacity float64
-	policy   LossPolicy
-	ledger   *privacy.Ledger
+	id     events.DeviceID
+	env    *deviceEnv
+	ledger privacy.Ledger
+}
+
+// deviceEnv is what a device reads besides its ledger: the event store it
+// is bound to (nil once released) and its loss policy, with the capacity
+// its ledger was created with. Every device of a fleet shares the fleet's,
+// so releasing the store is one write.
+type deviceEnv struct {
+	db     *events.Database
+	policy LossPolicy
+	epsG   float64
 }
 
 // NewDevice returns a device engine bound to db, with per-epoch, per-querier
 // budget capacity epsG, charging losses according to policy
 // (CookieMonsterPolicy for the real system, ARALikePolicy for the baseline).
-// The device reads db for every report it generates and stays bound to it
-// until the fleet holding it calls ReleaseStore.
+// The device reads db for every report it generates.
 func NewDevice(id events.DeviceID, db *events.Database, epsG float64, policy LossPolicy) *Device {
+	return newEnv(db, epsG, policy).device(id)
+}
+
+// newEnv checks a device configuration and returns its environment.
+func newEnv(db *events.Database, epsG float64, policy LossPolicy) *deviceEnv {
 	if db == nil {
 		panic("core: nil database")
 	}
@@ -41,30 +56,31 @@ func NewDevice(id events.DeviceID, db *events.Database, epsG float64, policy Los
 	if policy == nil {
 		panic("core: nil loss policy")
 	}
-	return &Device{
-		id:       id,
-		db:       db,
-		capacity: epsG,
-		policy:   policy,
-		ledger:   privacy.NewLedger(epsG),
-	}
+	return &deviceEnv{db: db, policy: policy, epsG: epsG}
+}
+
+// device returns a new device in env.
+func (env *deviceEnv) device(id events.DeviceID) *Device {
+	d := &Device{id: id, env: env}
+	d.ledger.Init(env.epsG)
+	return d
 }
 
 // ID returns the device identifier.
 func (d *Device) ID() events.DeviceID { return d.id }
 
 // Capacity returns the per-epoch budget capacity ε^G_d.
-func (d *Device) Capacity() float64 { return d.capacity }
+func (d *Device) Capacity() float64 { return d.ledger.Capacity() }
 
 // Policy returns the loss policy in effect.
-func (d *Device) Policy() LossPolicy { return d.policy }
+func (d *Device) Policy() LossPolicy { return d.env.policy }
 
 // Consumed returns the privacy loss consumed so far by querier q from epoch
 // e on this device (0 if the slot was never touched). Experiments read
 // it; queriers never can — remaining budgets are data-dependent and must
 // stay hidden (§3.4).
 func (d *Device) Consumed(q events.Site, e events.Epoch) float64 {
-	return d.ledger.Consumed(q.String(), int64(e))
+	return d.ledger.Consumed(q, int64(e))
 }
 
 // ConsumedByQuerier returns each querier's total consumed budget across all
@@ -73,9 +89,7 @@ func (d *Device) Consumed(q events.Site, e events.Epoch) float64 {
 // lane's natural order), so float results are deterministic run-to-run.
 func (d *Device) ConsumedByQuerier() map[events.Site]float64 {
 	out := make(map[events.Site]float64, d.ledger.NumQueriers())
-	d.ledger.RangeTotals(func(q string, total float64) {
-		out[events.Intern(q)] = total
-	})
+	d.ledger.RangeTotals(func(q events.Site, total float64) { out[q] = total })
 	return out
 }
 
@@ -84,15 +98,15 @@ func (d *Device) ConsumedByQuerier() map[events.Site]float64 {
 // (see privacy.Ledger.MarkRequested). The engines call it once per request,
 // from the coordinator, before the generate stage.
 func (d *Device) MarkRequested(q events.Site, first, last events.Epoch) {
-	d.ledger.MarkRequested(q.String(), int64(first), int64(last))
+	d.ledger.MarkRequested(q, int64(first), int64(last))
 }
 
 // RangeRequested visits the device's requested epochs in ascending order,
-// each with its sorted queriers and what they consumed from it — the walk
-// behind the Fig. 4 metrics and the snapshot's device blob. fn runs under
-// the ledger's lock and must not call back into the device.
-func (d *Device) RangeRequested(fn func(e events.Epoch, queriers []string, consumed []float64)) {
-	d.ledger.RangeRequested(func(e int64, queriers []string, consumed []float64) {
+// each with its queriers in name order and what they consumed from it — the
+// walk behind the Fig. 4 metrics and the snapshot's device blob. fn runs
+// under the ledger's lock and must not call back into the device.
+func (d *Device) RangeRequested(fn func(e events.Epoch, queriers []events.Site, consumed []float64)) {
+	d.ledger.RangeRequested(func(e int64, queriers []events.Site, consumed []float64) {
 		fn(events.Epoch(e), queriers, consumed)
 	})
 }
@@ -118,7 +132,7 @@ func (d *Device) LedgerVersion() uint64 { return d.ledger.Version() }
 // refuses refunds and a consumed budget beyond the device's ε^G (see
 // privacy.Ledger.Restore).
 func (d *Device) RestoreBudgetRow(q events.Site, e events.Epoch, consumed float64) error {
-	return d.ledger.Restore(q.String(), int64(e), consumed)
+	return d.ledger.Restore(q, int64(e), consumed)
 }
 
 // GenerateReport runs Listing 1's compute_attribution_report for one
@@ -143,10 +157,10 @@ func (d *Device) GenerateReport(req *Request) (*Report, *Diagnostics, error) {
 // store returns the events database the device reads, panicking with the
 // release named once the device's fleet let go of it.
 func (d *Device) store() *events.Database {
-	if d.db == nil {
+	if d.env.db == nil {
 		panic(fmt.Sprintf("core: report generation on device %d after its event store was released (Fleet.ReleaseStore)", d.id))
 	}
-	return d.db
+	return d.env.db
 }
 
 // generate is the shared implementation of Listing 1, reusing s's buffers:
@@ -177,10 +191,14 @@ func (d *Device) generate(req *Request, s *Scratch, diag *Diagnostics) (*Report,
 
 	// Step 3: atomic check-and-consume for the whole window under one
 	// ledger lock; on Halt an epoch's events are dropped (replaced by ∅)
-	// and nothing is charged.
-	d.ledger.ChargeWindow(req.Querier, int64(req.FirstEpoch), s.losses, s.outcomes)
+	// and nothing is charged. The querier's symbol serves the charge and
+	// the report.
+	q := events.Intern(req.Querier)
+	d.ledger.ChargeWindowBatch([]privacy.WindowCharge{{
+		Querier: q, First: int64(req.FirstEpoch), Losses: s.losses, Outcomes: s.outcomes,
+	}})
 
-	rep, stats := d.finish(req, s, newNonce(), diag)
+	rep, stats := d.finish(req, q, s, newNonce(), diag)
 	return rep, stats, nil
 }
 
@@ -192,14 +210,14 @@ func (d *Device) lossPass(req *Request, s *Scratch) {
 	for i, k := 0, req.WindowSize(); i < k; i++ {
 		rel := s.truthful[i]
 		s.relevant[i] = len(rel)
-		s.losses[i] = d.policy.EpochLoss(rel, req) + surcharge
+		s.losses[i] = d.env.policy.EpochLoss(rel, req) + surcharge
 	}
 }
 
 // finish folds the charge outcomes and runs step 4: attribution over
 // surviving epochs, the lazy truth pass, and report assembly around the
-// caller-minted nonce.
-func (d *Device) finish(req *Request, s *Scratch, nonce Nonce, diag *Diagnostics) (*Report, ReportStats) {
+// caller-minted nonce; q is req.Querier's symbol.
+func (d *Device) finish(req *Request, q events.Site, s *Scratch, nonce Nonce, diag *Diagnostics) (*Report, ReportStats) {
 	first := req.FirstEpoch
 	k := req.WindowSize()
 	stats := ReportStats{}
@@ -247,7 +265,7 @@ func (d *Device) finish(req *Request, s *Scratch, nonce Nonce, diag *Diagnostics
 
 	rep := &Report{
 		Nonce:            nonce,
-		Querier:          events.Intern(req.Querier),
+		Querier:          q,
 		Device:           d.id,
 		Histogram:        h,
 		Epsilon:          req.Epsilon,

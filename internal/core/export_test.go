@@ -9,5 +9,7 @@ import (
 // analogue of the old d.filter(q, e).Consume(eps), used to pre-exhaust
 // budgets before exercising report generation.
 func (d *Device) testCharge(q events.Site, e events.Epoch, eps float64) privacy.ChargeOutcome {
-	return d.ledger.Charge(q.String(), int64(e), eps)
+	out := []privacy.ChargeOutcome{0}
+	d.ledger.ChargeWindowBatch([]privacy.WindowCharge{{Querier: q, First: int64(e), Losses: []float64{eps}, Outcomes: out}})
+	return out[0]
 }

@@ -17,12 +17,12 @@ import (
 // shard's lock (read-locked on the fast path).
 //
 // A fleet has two phases. While it generates reports its devices read the
-// event store the factory bound them to; ReleaseStore ends that phase, and
+// event store the fleet was built over; ReleaseStore ends that phase, and
 // the fleet that remains is budget state only.
 type Fleet struct {
 	shards []fleetShard
 	mask   uint64
-	spawn  func(events.DeviceID) *Device
+	env    *deviceEnv // every device's
 }
 
 type fleetShard struct {
@@ -30,13 +30,12 @@ type fleetShard struct {
 	devices map[events.DeviceID]*Device
 }
 
-// NewFleet returns a fleet that creates missing devices with spawn. shards
-// is rounded up to a power of two; 0 selects a default sized to the
-// machine's parallelism.
-func NewFleet(shards int, spawn func(events.DeviceID) *Device) *Fleet {
-	if spawn == nil {
-		panic("core: nil device factory")
-	}
+// NewFleet returns a fleet whose devices are created on first use as
+// NewDevice(id, db, epsG, policy) would create them, but share one
+// environment. shards is rounded up to a power of two; 0 selects a default
+// sized to the machine's parallelism.
+func NewFleet(shards int, db *events.Database, epsG float64, policy LossPolicy) *Fleet {
+	env := newEnv(db, epsG, policy)
 	if shards <= 0 {
 		// Enough stripes that GOMAXPROCS workers rarely collide.
 		shards = 8 * runtime.GOMAXPROCS(0)
@@ -48,7 +47,7 @@ func NewFleet(shards int, spawn func(events.DeviceID) *Device) *Fleet {
 	f := &Fleet{
 		shards: make([]fleetShard, n),
 		mask:   uint64(n - 1),
-		spawn:  spawn,
+		env:    env,
 	}
 	for i := range f.shards {
 		f.shards[i].devices = make(map[events.DeviceID]*Device)
@@ -83,10 +82,10 @@ func (f *Fleet) GetOrCreate(id events.DeviceID) *Device {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if d = s.devices[id]; d == nil {
-		if f.spawn == nil {
+		if f.env.db == nil {
 			panic(fmt.Sprintf("core: GetOrCreate(%d) on a fleet whose event store was released (Fleet.ReleaseStore)", id))
 		}
-		d = f.spawn(id)
+		d = f.env.device(id)
 		s.devices[id] = d
 	}
 	return d
@@ -141,23 +140,12 @@ func (f *Fleet) Range(fn func(*Device) bool) {
 	}
 }
 
-// ReleaseStore ends the fleet's generation phase: every device lets go of
-// the event store it was bound to, and the factory — whose closure binds the
-// same store — is dropped. What remains is what Listing 1 keeps once the
-// measurement is done, the per-(querier, epoch) filters, so a finished run
-// holding the fleet no longer pins the events its reports were computed
-// from. Get, Range, Len, Devices and every ledger read work as before;
-// GetOrCreate of an unseen ID and either generate method of a released
-// device panic. ReleaseStore must not run concurrently with report
+// ReleaseStore ends the fleet's generation phase: the environment every
+// device shares lets go of the event store. What remains is what Listing 1
+// keeps once the measurement is done, the per-(querier, epoch) filters, so
+// a finished run holding the fleet no longer pins the events its reports
+// were computed from. Get, Range, Len, Devices and every ledger read work
+// as before; GetOrCreate of an unseen ID and either generate method of a
+// released device panic. ReleaseStore must not run concurrently with report
 // generation or device creation. Releasing twice is a no-op.
-func (f *Fleet) ReleaseStore() {
-	for i := range f.shards {
-		s := &f.shards[i]
-		s.mu.Lock()
-		for _, d := range s.devices {
-			d.db = nil
-		}
-		s.mu.Unlock()
-	}
-	f.spawn = nil
-}
+func (f *Fleet) ReleaseStore() { f.env.db = nil }

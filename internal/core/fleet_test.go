@@ -14,9 +14,7 @@ import (
 
 func testFleet(shards int) *Fleet {
 	db := events.NewFrozen(7, nil)
-	return NewFleet(shards, func(id events.DeviceID) *Device {
-		return NewDevice(id, db, 1, CookieMonsterPolicy{})
-	})
+	return NewFleet(shards, db, 1, CookieMonsterPolicy{})
 }
 
 func TestFleetShardCountRoundsToPowerOfTwo(t *testing.T) {
@@ -120,9 +118,7 @@ func TestFleetConcurrentReportsAndReads(t *testing.T) {
 		}
 	}
 	db := events.NewFrozen(7, evs)
-	f := NewFleet(4, func(id events.DeviceID) *Device {
-		return NewDevice(id, db, 100, CookieMonsterPolicy{})
-	})
+	f := NewFleet(4, db, 100, CookieMonsterPolicy{})
 	req := &Request{
 		Querier:    site.String(),
 		FirstEpoch: 0, LastEpoch: 3,
@@ -181,7 +177,7 @@ func fleetReads(t *testing.T, f *Fleet) map[events.DeviceID]deviceReads {
 			t.Fatalf("Get(%d) is not the device Range visited", d.ID())
 		}
 		var r deviceReads
-		d.RangeRequested(func(e events.Epoch, queriers []string, consumed []float64) {
+		d.RangeRequested(func(e events.Epoch, queriers []events.Site, consumed []float64) {
 			r.requested = append(r.requested, fmt.Sprint(e, queriers, consumed))
 		})
 		r.totals = d.ConsumedByQuerier()
@@ -229,9 +225,7 @@ func TestReleasedFleet(t *testing.T) {
 	}
 	db := events.NewFrozen(7, evs)
 	// A capacity small enough that repeated reports on a device run into it.
-	f := NewFleet(4, func(id events.DeviceID) *Device {
-		return NewDevice(id, db, 0.025, CookieMonsterPolicy{})
-	})
+	f := NewFleet(4, db, 0.025, CookieMonsterPolicy{})
 	req := func(first, last events.Epoch) *Request {
 		return &Request{
 			Querier:    site.String(),

@@ -44,7 +44,7 @@ func (d *Device) Ledger() []LedgerRow {
 	rows := make([]LedgerRow, len(entries))
 	for i, en := range entries {
 		rows[i] = LedgerRow{
-			Querier:  events.Intern(en.Querier),
+			Querier:  en.Querier,
 			Epoch:    events.Epoch(en.Epoch),
 			Consumed: en.Consumed,
 			Capacity: en.Capacity,

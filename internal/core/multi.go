@@ -119,7 +119,7 @@ func (d *Device) GenerateReportBatch(reqs []*Request, ms *MultiScratch,
 		s := &ms.ss[j]
 		d.lossPass(req, s)
 		ms.charges[j] = privacy.WindowCharge{
-			Querier:  req.Querier,
+			Querier:  events.Intern(req.Querier),
 			First:    int64(req.FirstEpoch),
 			Losses:   s.losses,
 			Outcomes: s.outcomes,
@@ -134,7 +134,7 @@ func (d *Device) GenerateReportBatch(reqs []*Request, ms *MultiScratch,
 	// block.
 	base := newNonceBlock(n)
 	for j, req := range reqs {
-		reports[j], stats[j] = d.finish(req, &ms.ss[j], base+Nonce(j), nil)
+		reports[j], stats[j] = d.finish(req, ms.charges[j].Querier, &ms.ss[j], base+Nonce(j), nil)
 	}
 	return -1, nil
 }

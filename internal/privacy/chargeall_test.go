@@ -5,12 +5,14 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/events"
 )
 
 // ChargeAll is the IPA-like baseline's admission rule: one population-wide
 // ledger, a query admitted only if every epoch of its window has budget.
 
-const nike = "nike.com"
+var nike = events.Intern("nike.com")
 
 func TestChargeAllConsumesEveryWindowEpoch(t *testing.T) {
 	l := NewLedger(1.0)
@@ -81,7 +83,7 @@ func TestChargeAllPerQuerierIsolation(t *testing.T) {
 	if !l.ChargeAll(nike, 0, 0, 1.0) {
 		t.Fatal("window refused")
 	}
-	if !l.ChargeAll("adidas.com", 0, 0, 1.0) {
+	if !l.ChargeAll(events.Intern("adidas.com"), 0, 0, 1.0) {
 		t.Fatal("other querier blocked")
 	}
 }

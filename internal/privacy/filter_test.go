@@ -6,7 +6,12 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/events"
 )
+
+// qq is the querier whose one slot the filter tests charge.
+var qq = events.Intern("q")
 
 // A ledger slot is the paper's per-epoch pure-DP privacy filter (Eq. 3).
 // These are the filter's own properties, checked on one slot.
@@ -14,29 +19,29 @@ import (
 func TestFilterConsumeWithinCapacity(t *testing.T) {
 	l := NewLedger(1.0)
 	for i := 0; i < 10; i++ {
-		if out := l.Charge("q", 0, 0.1); out != ChargeOK {
+		if out := l.Charge(qq, 0, 0.1); out != ChargeOK {
 			t.Fatalf("charge %d = %v", i, out)
 		}
 	}
-	if got := l.Consumed("q", 0); math.Abs(got-1.0) > 1e-9 {
+	if got := l.Consumed(qq, 0); math.Abs(got-1.0) > 1e-9 {
 		t.Fatalf("consumed = %v", got)
 	}
-	if out := l.Charge("q", 0, 0.01); out != ChargeDenied {
+	if out := l.Charge(qq, 0, 0.01); out != ChargeDenied {
 		t.Fatalf("overflow charge = %v", out)
 	}
 }
 
 func TestFilterRejectDoesNotConsume(t *testing.T) {
 	l := NewLedger(1.0)
-	if out := l.Charge("q", 0, 0.9); out != ChargeOK {
+	if out := l.Charge(qq, 0, 0.9); out != ChargeOK {
 		t.Fatal(out)
 	}
 	// A too-large request is rejected...
-	if out := l.Charge("q", 0, 0.5); out != ChargeDenied {
+	if out := l.Charge(qq, 0, 0.5); out != ChargeDenied {
 		t.Fatalf("over-capacity charge = %v", out)
 	}
 	// ...but a smaller one still fits: rejections must not consume.
-	if out := l.Charge("q", 0, 0.1); out != ChargeOK {
+	if out := l.Charge(qq, 0, 0.1); out != ChargeOK {
 		t.Fatalf("post-rejection charge = %v", out)
 	}
 }
@@ -44,24 +49,24 @@ func TestFilterRejectDoesNotConsume(t *testing.T) {
 func TestFilterZeroLossAlwaysAdmitted(t *testing.T) {
 	l := NewLedger(0)
 	for i := 0; i < 5; i++ {
-		if out := l.Charge("q", 0, 0); out != ChargeZero {
+		if out := l.Charge(qq, 0, 0); out != ChargeZero {
 			t.Fatalf("zero loss = %v", out)
 		}
-		if !l.ChargeAll("q", 0, 2, 0) {
+		if !l.ChargeAll(qq, 0, 2, 0) {
 			t.Fatal("zero loss refused over a window")
 		}
 	}
-	if out := l.Charge("q", 0, 1e-9); out != ChargeDenied {
+	if out := l.Charge(qq, 0, 1e-9); out != ChargeDenied {
 		t.Fatalf("zero-capacity slot admitted positive loss: %v", out)
 	}
-	if l.ChargeAll("q", 0, 0, 1e-9) {
+	if l.ChargeAll(qq, 0, 0, 1e-9) {
 		t.Fatal("zero-capacity window admitted positive loss")
 	}
 }
 
 func TestFilterNegativeLossPanics(t *testing.T) {
 	for name, charge := range map[string]func(l *Ledger){
-		"Charge":       func(l *Ledger) { l.Charge("q", 0, -0.1) },
+		"Charge":       func(l *Ledger) { l.Charge(qq, 0, -0.1) },
 		"ChargeWindow": func(l *Ledger) { l.ChargeWindow("q", 0, []float64{0.1, -0.1}, make([]ChargeOutcome, 2)) },
 	} {
 		func() {
@@ -86,18 +91,18 @@ func TestFilterNegativeCapacityPanics(t *testing.T) {
 
 func TestFilterAccessors(t *testing.T) {
 	l := NewLedger(2)
-	if l.Capacity() != 2 || l.Consumed("q", 0) != 0 || len(l.Rows()) != 0 {
+	if l.Capacity() != 2 || l.Consumed(qq, 0) != 0 || len(l.Rows()) != 0 {
 		t.Fatal("fresh ledger accessors wrong")
 	}
-	l.Charge("q", 0, 0.5)
-	if got, want := l.Rows(), []LedgerEntry{{"q", 0, 0.5, 2}}; l.Consumed("q", 0) != 0.5 || !slices.Equal(got, want) {
-		t.Fatalf("after a charge: consumed %v, rows %v", l.Consumed("q", 0), got)
+	l.Charge(qq, 0, 0.5)
+	if got, want := l.Rows(), []LedgerEntry{{qq, 0, 0.5, 2}}; l.Consumed(qq, 0) != 0.5 || !slices.Equal(got, want) {
+		t.Fatalf("after a charge: consumed %v, rows %v", l.Consumed(qq, 0), got)
 	}
 	// 1.6 does not fit the 1.5 left; 1.5 does, and exhausts the slot.
-	if l.Charge("q", 0, 1.6) != ChargeDenied || l.Charge("q", 0, 1.5) != ChargeOK {
+	if l.Charge(qq, 0, 1.6) != ChargeDenied || l.Charge(qq, 0, 1.5) != ChargeOK {
 		t.Fatal("remaining budget wrong")
 	}
-	if l.Consumed("q", 0) != 2 || l.Charge("q", 0, 1e-6) != ChargeDenied {
+	if l.Consumed(qq, 0) != 2 || l.Charge(qq, 0, 1e-6) != ChargeDenied {
 		t.Fatal("full slot not exhausted")
 	}
 }
@@ -107,10 +112,10 @@ func TestFilterFloatBoundary(t *testing.T) {
 	// is not exactly representable, one epoch at a time or a window at once.
 	l := NewLedger(1)
 	for i := 0; i < 10; i++ {
-		if out := l.Charge("q", 0, 0.1); out != ChargeOK {
+		if out := l.Charge(qq, 0, 0.1); out != ChargeOK {
 			t.Fatalf("boundary charge %d = %v", i, out)
 		}
-		if !l.ChargeAll("q", 1, 3, 0.1) {
+		if !l.ChargeAll(qq, 1, 3, 0.1) {
 			t.Fatalf("boundary window %d refused", i)
 		}
 	}
@@ -137,7 +142,7 @@ func TestFilterConcurrentNeverOverConsumes(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				eps := 0.001 * float64(seed%5+1)
-				if l.Charge("q", 0, eps) == ChargeOK {
+				if l.Charge(qq, 0, eps) == ChargeOK {
 					mu.Lock()
 					accepted += eps
 					mu.Unlock()
@@ -149,8 +154,8 @@ func TestFilterConcurrentNeverOverConsumes(t *testing.T) {
 	if accepted > capacity*(1+1e-6) {
 		t.Fatalf("accepted %v > capacity %v", accepted, capacity)
 	}
-	if math.Abs(accepted-l.Consumed("q", 0)) > 1e-6 {
-		t.Fatalf("accepted %v, slot says %v", accepted, l.Consumed("q", 0))
+	if math.Abs(accepted-l.Consumed(qq, 0)) > 1e-6 {
+		t.Fatalf("accepted %v, slot says %v", accepted, l.Consumed(qq, 0))
 	}
 }
 
@@ -171,7 +176,7 @@ func TestFilterSequentialCompositionQuick(t *testing.T) {
 				continue
 			}
 			fits := SequentialComposition(admitted)+loss <= capacity*(1+1e-9)
-			out := l.Charge("q", 0, loss)
+			out := l.Charge(qq, 0, loss)
 			if fits && out == ChargeDenied {
 				return false // fitting loss was rejected
 			}

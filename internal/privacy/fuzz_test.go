@@ -3,12 +3,14 @@ package privacy
 import (
 	"math"
 	"testing"
+
+	"repro/internal/events"
 )
 
 // refRestore extends the ledger_test reference model with Ledger.Restore's
 // semantics: refuse a consumed budget outside [0, ε^G] and refund attempts;
 // clamp consumed to capacity.
-func (r *filterMapRef) restore(q string, e int64, consumed float64) bool {
+func (r *filterMapRef) restore(q events.Sym, e int64, consumed float64) bool {
 	if consumed < 0 || consumed > r.capacity*(1+1e-9) {
 		return false
 	}
@@ -47,8 +49,15 @@ func FuzzLedgerChargeWindow(f *testing.F) {
 	// All-or-nothing windows: one admitted, one refused at its last epoch
 	// after initializing the two before it, one empty.
 	f.Add([]byte{2, 0x81, 0, 10, 3, 117, 0x81, 0, 8, 3, 117, 0x85, 1, 12, 0, 0})
+	// A lane created between two that already hold cells and marks, by a
+	// mark reaching below both and by a charge: the block shifts the
+	// outer lane's cells and marks together.
+	f.Add([]byte{2, 3, 0, 30, 3, 0, 0, 31, 200, 3, 2, 30, 3, 0, 2, 32, 100, 3, 1, 28, 6, 0, 1, 30, 50})
+	f.Add([]byte{2, 0, 0, 30, 200, 3, 2, 29, 2, 0, 1, 31, 60, 0x81, 1, 27, 5, 40, 3, 1, 26, 6})
 
-	queriers := []string{"nike.com", "adidas.com", "criteo.com"}
+	// Symbols follow interning order, which these names take in reverse:
+	// a lane placed by symbol number walks backwards.
+	queriers := reverseInterned("adidas.fuzz", "criteo.fuzz", "nike.fuzz")
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -108,7 +117,7 @@ func FuzzLedgerChargeWindow(f *testing.F) {
 					}
 				}
 				outcomes := make([]ChargeOutcome, k)
-				l.ChargeWindow(q, e, losses, outcomes)
+				l.ChargeWindow(q.String(), e, losses, outcomes)
 				for i, lossI := range losses {
 					if want := ref.charge(q, e+int64(i), lossI); outcomes[i] != want {
 						t.Fatalf("window outcome[%d] at epoch %d = %v, ref %v",

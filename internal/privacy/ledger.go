@@ -9,9 +9,10 @@ package privacy
 import (
 	"fmt"
 	"math"
-	"slices"
-	"strings"
 	"sync"
+	"unsafe"
+
+	"repro/internal/events"
 )
 
 // ChargeOutcome is the per-epoch result of a ledger charge — the three-way
@@ -31,31 +32,37 @@ const (
 )
 
 // Ledger is a flat budget table: for each querier, in name order, a dense
-// array of consumed-ε slots, all sharing one capacity ε^G and one mutex.
-// Each slot is the paper's per-epoch privacy filter: it admits losses while
-// their running sum stays within ε^G (a relative 1e-9 overshoot counts as
-// exact), a denied charge deducts nothing and leaves the slot usable for a
-// smaller loss, and the first charge to reach a slot initializes it, denied
-// or not.
+// run of consumed-ε cells, one per epoch, all sharing one capacity ε^G and
+// one mutex. Each cell is the paper's per-epoch privacy filter: it admits
+// losses while their running sum stays within ε^G (a relative 1e-9
+// overshoot counts as exact), a denied charge deducts nothing and leaves the
+// cell usable for a smaller loss, and the first charge to reach a cell
+// initializes it, denied or not.
 //
 // One table serves both budgeting systems. A device's ledger charges each
-// epoch of a report's window on its own (Charge, ChargeWindow): Listing 1.
-// The IPA-like baseline keeps one ledger for the whole population and admits
-// a query only if every epoch of its window has budget (ChargeAll).
+// epoch of a report's window on its own (ChargeWindow, ChargeWindowBatch):
+// Listing 1. The IPA-like baseline keeps one ledger for the whole population
+// and admits a query only if every epoch of its window has budget
+// (ChargeAll).
 //
 // Listing 1 never retires a filter, and neither does the ledger. Lanes grow
-// lazily to span exactly the epochs a querier has touched, so memory stays
+// lazily to span the epochs a querier's windows touched, so memory stays
 // proportional to the epochs a device was queried over.
 //
-// All methods are safe for concurrent use; ChargeWindow performs a whole
-// report's check-and-consume sequence under a single lock acquisition.
+// The zero Ledger has capacity 0; Init sets another before first use, which
+// is how core.Device holds its ledger by value. All methods are safe for
+// concurrent use; ChargeWindowBatch performs several reports'
+// check-and-consume sequences under a single lock acquisition.
 type Ledger struct {
 	mu       sync.Mutex
 	capacity float64
-	// lanes holds one lane per querier, inline, sorted by querier name and
-	// found by binary search: smaller than a map for a device's one or two
-	// queriers, and already in the name order every walk yields.
-	lanes []ledgerLane
+	// block is the whole table in one pointer-free array, so a ledger is a
+	// single object the collector never scans: the lane headers in name
+	// order, then every lane's cells, lane after lane in header order,
+	// then one requested mark byte per cell, in the cells' order (see
+	// carve). It grows with headroom (open), so an extension within its
+	// capacity allocates nothing.
+	block []uint64
 	// denials counts ChargeDenied outcomes over the ledger's lifetime —
 	// the budget-drain telemetry behind the hostile-traffic scenarios.
 	// It never influences charge outcomes, but it is persisted in
@@ -69,41 +76,198 @@ type Ledger struct {
 	// that can change Rows(), Denials() or RangeRequested() output must bump
 	// it.
 	version uint64
+	// lanes is the number of lane headers at the front of block.
+	lanes uint32
 }
 
-// ledgerLane is querier q's dense slot array: slots[i] belongs to epoch
-// base+i. Lanes live inline in Ledger.lanes, so a *ledgerLane is valid only
-// until the ledger's next lane is created.
-type ledgerLane struct {
-	q     string
-	base  int64
-	slots []ledgerSlot
-	// charged is set once a charge or a restore resolved the lane. A lane
-	// holding only requested marks (every window zero-loss, or the budget
-	// kept centrally) stays out of NumQueriers and RangeTotals.
-	charged bool
+// laneHeader is querier q's lane: its cells are cells[off : off+len()], and
+// cell i belongs to epoch base+i. A lane is never empty. Lanes are found by
+// symbol but kept in name order (Sym.Compare), never in symbol order:
+// symbol numbers follow interning order, and every walk must yield names in
+// order.
+type laneHeader struct {
+	q    events.Sym
+	base int32
+	off  uint32
+	// n is the cell count in its low 31 bits and laneCharged on top.
+	n uint32
 }
 
-// ledgerSlot is one (querier, epoch) cell. consumed is the budget consumed
-// from the epoch, with untouchedSlot marking an epoch that was never charged
-// (no filter was ever created for it). requested sits beside it
-// and is not folded into it: a report window covers epochs it requests no
-// loss from (ChargeZero), and those must stay untouched — absent from Rows(),
-// never initialized — while still counting as requested.
-type ledgerSlot struct {
-	consumed  float64
-	requested bool
-}
+// laneCharged is set in laneHeader.n once a charge or a restore resolved
+// the lane. A lane holding only requested marks (every window zero-loss, or
+// the budget kept centrally) stays out of NumQueriers and RangeTotals.
+const laneCharged = 1 << 31
 
-// untouchedSlot marks a slot whose (querier, epoch) filter was never
+func (h *laneHeader) len() int         { return int(h.n &^ laneCharged) }
+func (h *laneHeader) charged() bool    { return h.n&laneCharged != 0 }
+func (h *laneHeader) end() int64       { return int64(h.base) + int64(h.len()) }
+func (h *laneHeader) cell(e int64) int { return int(h.off) + int(e-int64(h.base)) }
+
+// headerWords is a lane header's size in block words.
+const headerWords = int(unsafe.Sizeof(laneHeader{}) / 8)
+
+// untouchedSlot marks a cell whose (querier, epoch) filter was never
 // initialized. Consumed loss is never negative, so the sentinel is
-// unambiguous.
+// unambiguous. A requested mark sits beside the cell, not in it: a report
+// window covers epochs it requests no loss from (ChargeZero), and those must
+// stay untouched — absent from Rows(), never initialized — while still
+// counting as requested.
 const untouchedSlot = -1
+
+// blockWords is the block length a table of lanes headers and cells cells
+// takes: the mark bytes round up to whole words.
+func blockWords(lanes, cells int) int { return lanes*headerWords + cells + (cells+7)/8 }
+
+// carve views block as a table of lanes headers and cells cells: the
+// headers, the consumed cells and the mark bytes, each region following the
+// last. The views alias block and are valid until it next moves.
+func carve(block []uint64, lanes, cells int) ([]laneHeader, []float64, []byte) {
+	h := lanes * headerWords
+	return wordsAs[laneHeader](block[:h], lanes),
+		wordsAs[float64](block[h:h+cells], cells),
+		wordsAs[byte](block[h+cells:], cells)
+}
+
+// wordsAs views the first n values of type T held in w. Every T the ledger
+// stores is pointer-free, so the block stays a noscan object.
+func wordsAs[T any](w []uint64, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(&w[0])), n)
+}
+
+// headers views the lane headers at the block's front.
+func (l *Ledger) headers() []laneHeader { return wordsAs[laneHeader](l.block, int(l.lanes)) }
+
+// cells returns the number of cells in the block: the last lane's end.
+func (l *Ledger) cells() int {
+	hs := l.headers()
+	if len(hs) == 0 {
+		return 0
+	}
+	return int(hs[len(hs)-1].off) + hs[len(hs)-1].len()
+}
+
+// table views the ledger's block (see carve).
+func (l *Ledger) table() ([]laneHeader, []float64, []byte) {
+	return carve(l.block, int(l.lanes), l.cells())
+}
+
+// open makes room for k untouched, unmarked cells at cell index at, and,
+// when insert is set, for a zero lane header at index i; lanes after i move
+// their offsets by k. The caller fills in lane i. A ledger's first block is
+// allocated to fit (most devices never grow theirs); a block too small for
+// the result is replaced by one with a quarter of its capacity more room
+// than the result needs, so a lane growing an epoch at a time reallocates
+// O(log) times.
+func (l *Ledger) open(i int, insert bool, at, k int) {
+	lanes, cells := int(l.lanes), l.cells()
+	lanes2, cells2 := lanes, cells+k
+	if insert {
+		lanes2++
+	}
+	need := blockWords(lanes2, cells2)
+	dst := l.block
+	if need > cap(dst) {
+		// Whole 16-byte units: the room a small allocation takes anyway.
+		dst = make([]uint64, 0, (need+cap(dst)/4+1)&^1)
+	}
+	dst = dst[:need]
+	sh, sc, sm := carve(l.block, lanes, cells)
+	dh, dc, dm := carve(dst, lanes2, cells2)
+	// Every region moves toward the block's end or stays put, so moving
+	// the marks, then the cells, then the headers — each one's tail before
+	// its head — never overwrites a word still to be read when dst is the
+	// block itself.
+	copy(dm[at+k:], sm[at:])
+	copy(dm[:at], sm[:at])
+	clear(dm[at : at+k])
+	copy(dc[at+k:], sc[at:])
+	copy(dc[:at], sc[:at])
+	for x := at; x < at+k; x++ {
+		dc[x] = untouchedSlot
+	}
+	if insert {
+		copy(dh[i+1:], sh[i:])
+		copy(dh[:i], sh[:i])
+		dh[i] = laneHeader{}
+	} else {
+		copy(dh, sh)
+	}
+	for j := i + 1; j < lanes2; j++ {
+		dh[j].off += uint32(k)
+	}
+	l.block, l.lanes = dst, uint32(lanes2)
+}
+
+// find returns the index of querier q's lane and true, or false. It never
+// creates a lane.
+func (l *Ledger) find(q events.Sym) (int, bool) {
+	hs := l.headers()
+	for i := range hs {
+		if hs[i].q == q {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// lane returns the index of querier q's lane, grown to cover epochs first
+// through last, creating it at its place in name order if q has none. A
+// lane index stays valid until the next lane is created.
+func (l *Ledger) lane(q events.Sym, first, last int64) int {
+	if i, ok := l.find(q); ok {
+		l.cover(i, first, last)
+		return i
+	}
+	hs := l.headers()
+	i := 0
+	for i < len(hs) && hs[i].q.Compare(q) < 0 {
+		i++
+	}
+	at := l.cells()
+	if i < len(hs) {
+		at = int(hs[i].off)
+	}
+	h := laneHeader{q: q, base: epoch32(first), off: uint32(at), n: uint32(last + 1 - first)}
+	l.open(i, true, at, h.len())
+	l.headers()[i] = h
+	return i
+}
+
+// cover grows lane i, toward older epochs, newer ones or both, until it
+// spans first through last.
+func (l *Ledger) cover(i int, first, last int64) {
+	h := &l.headers()[i]
+	base, end := int64(h.base), h.end()
+	if first < base {
+		first32, k := epoch32(first), int(base-first)
+		l.open(i, false, int(h.off), k)
+		h = &l.headers()[i]
+		h.base, h.n = first32, h.n+uint32(k)
+	}
+	if last >= end {
+		k := int(last + 1 - end)
+		l.open(i, false, int(h.off)+h.len(), k)
+		h = &l.headers()[i]
+		h.n += uint32(k)
+	}
+}
+
+// epoch32 is e as a lane base. An epoch is a week or so of days since the
+// trace began, and decoders read epochs as int32: one beyond is a bug.
+func epoch32(e int64) int32 {
+	if e != int64(int32(e)) {
+		panic(fmt.Sprintf("privacy: epoch %d outside the ledger's int32 range", e))
+	}
+	return int32(e)
+}
 
 // LedgerEntry is one initialized (querier, epoch) slot, the unit of the
 // dashboard and persistence snapshots.
 type LedgerEntry struct {
-	Querier  string
+	Querier  events.Sym
 	Epoch    int64
 	Consumed float64
 	Capacity float64
@@ -112,138 +276,84 @@ type LedgerEntry struct {
 // NewLedger returns a ledger whose slots all have budget capacity ε^G.
 // It panics if capacity is negative.
 func NewLedger(capacity float64) *Ledger {
+	l := new(Ledger)
+	l.Init(capacity)
+	return l
+}
+
+// Init sets a zero ledger's slot capacity ε^G, for a ledger held by value.
+// It panics if capacity is negative.
+func (l *Ledger) Init(capacity float64) {
 	if capacity < 0 {
 		panic("privacy: negative ledger capacity")
 	}
-	return &Ledger{capacity: capacity}
+	l.capacity = capacity
 }
 
 // Capacity returns the uniform per-slot budget capacity ε^G.
 func (l *Ledger) Capacity() float64 { return l.capacity }
 
-// slot returns a pointer to the lane's slot for epoch e, growing the dense
-// array in either direction as needed. Growth toward older epochs copies
-// (attribution windows reach back a bounded number of epochs); growth toward
-// newer epochs is an amortized-O(1) append.
-func (ln *ledgerLane) slot(e int64) *ledgerSlot {
-	if len(ln.slots) == 0 {
-		ln.base = e
-		ln.slots = append(ln.slots[:0], ledgerSlot{consumed: untouchedSlot})
-		return &ln.slots[0]
-	}
-	if e < ln.base {
-		grow := int(ln.base - e)
-		widened := make([]ledgerSlot, grow+len(ln.slots))
-		for i := 0; i < grow; i++ {
-			widened[i].consumed = untouchedSlot
-		}
-		copy(widened[grow:], ln.slots)
-		ln.slots = widened
-		ln.base = e
-	}
-	for int(e-ln.base) >= len(ln.slots) {
-		ln.slots = append(ln.slots, ledgerSlot{consumed: untouchedSlot})
-	}
-	return &ln.slots[e-ln.base]
-}
-
-// find returns the index of querier q's lane and true, or the index a lane
-// for q would be inserted at and false. It never creates a lane.
-func (l *Ledger) find(q string) (int, bool) {
-	return slices.BinarySearchFunc(l.lanes, q, func(ln ledgerLane, q string) int {
-		return strings.Compare(ln.q, q)
-	})
-}
-
-// lane returns (lazily creating, at its place in name order) querier q's
-// slot array. The pointer is valid only until the next lane is created,
-// which may move every lane; each caller resolves its lane and is done with
-// it within one window, before another lane can be created.
-func (l *Ledger) lane(q string) *ledgerLane {
-	i, ok := l.find(q)
-	if !ok {
-		l.lanes = slices.Insert(l.lanes, i, ledgerLane{q: q})
-	}
-	return &l.lanes[i]
-}
-
-// chargeSlotLocked is the slot-level check-and-consume on an already-resolved
-// lane. Caller holds l.mu.
-func (l *Ledger) chargeSlotLocked(ln *ledgerLane, e int64, eps float64) ChargeOutcome {
-	// Every path below mutates persisted state: a denial initializes the
-	// slot and counts, a success deducts.
-	l.version++
-	ln.charged = true
-	c := &ln.slot(e).consumed
-	if *c == untouchedSlot {
-		*c = 0
-	}
-	limit := l.capacity
-	// Tolerate float rounding at the boundary: a loss that overshoots the
-	// capacity by a relative 1e-9 is treated as exact.
-	if *c+eps > limit*(1+1e-9) {
-		l.denials++
-		return ChargeDenied
-	}
-	*c += eps
-	if *c > limit {
-		*c = limit
-	}
-	return ChargeOK
-}
-
-// chargeLocked is the single check-and-consume path. Caller holds l.mu.
-func (l *Ledger) chargeLocked(q string, e int64, eps float64) ChargeOutcome {
-	if eps < 0 {
-		// Privacy loss is never negative; accepting one would refund budget.
-		panic("privacy: negative privacy loss")
-	}
-	if eps == 0 {
-		return ChargeZero
-	}
-	return l.chargeSlotLocked(l.lane(q), e, eps)
-}
-
-// chargeWindowLocked is one window's charge sequence with the lane lookup
-// hoisted out of the per-epoch loop. The lane resolves on the first epoch
-// that actually charges (eps > 0), so lazy lane creation is exactly as
-// observable as per-epoch chargeLocked calls.
-func (l *Ledger) chargeWindowLocked(q string, first int64, losses []float64, outcomes []ChargeOutcome) {
-	var ln *ledgerLane
-	for i, eps := range losses {
+// chargeWindowLocked is one window's charge sequence. The lane resolves
+// once, covering the epochs from the first that charges (eps > 0) to the
+// last, so a window of zero losses creates no lane and a zero-loss epoch
+// between two charged ones gets an untouched cell. Caller holds l.mu.
+func (l *Ledger) chargeWindowLocked(q events.Sym, first int64, losses []float64, outcomes []ChargeOutcome) {
+	lo, hi := -1, -1
+	for x, eps := range losses {
 		switch {
 		case eps < 0:
 			panic("privacy: negative privacy loss")
 		case eps == 0:
-			outcomes[i] = ChargeZero
+			outcomes[x] = ChargeZero
+		case lo < 0:
+			lo, hi = x, x
 		default:
-			if ln == nil {
-				ln = l.lane(q)
-			}
-			outcomes[i] = l.chargeSlotLocked(ln, first+int64(i), eps)
+			hi = x
 		}
+	}
+	if lo < 0 {
+		return
+	}
+	i := l.lane(q, first+int64(lo), first+int64(hi))
+	hs, cells, _ := l.table()
+	hs[i].n |= laneCharged
+	limit := l.capacity
+	for x, c := lo, cells[hs[i].cell(first+int64(lo)):]; x <= hi; x, c = x+1, c[1:] {
+		eps := losses[x]
+		if eps == 0 {
+			continue
+		}
+		// Every path below mutates persisted state: a denial initializes
+		// the cell and counts, a success deducts.
+		l.version++
+		if c[0] == untouchedSlot {
+			c[0] = 0
+		}
+		// Tolerate float rounding at the boundary: a loss that overshoots
+		// the capacity by a relative 1e-9 is treated as exact.
+		if c[0]+eps > limit*(1+1e-9) {
+			l.denials++
+			outcomes[x] = ChargeDenied
+			continue
+		}
+		c[0] = min(c[0]+eps, limit)
+		outcomes[x] = ChargeOK
 	}
 }
 
-// Charge atomically checks whether eps more privacy loss fits into querier
-// q's slot for epoch e and, if so, deducts it.
-func (l *Ledger) Charge(q string, e int64, eps float64) ChargeOutcome {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.chargeLocked(q, e, eps)
-}
-
 // ChargeWindow runs the check-and-consume sequence for a whole attribution
-// window under one lock acquisition: losses[i] is the loss requested from
-// epoch first+i, and outcomes[i] receives the per-epoch result. Epochs are
-// charged independently in ascending order, so the outcomes are identical to
-// len(losses) individual Charge calls — the batching only amortizes the lock.
+// window of querier q, named, under one lock acquisition: losses[i] is the
+// loss requested from epoch first+i, and outcomes[i] receives the per-epoch
+// result. Epochs are charged independently in ascending order. It is
+// ChargeWindowBatch for one window, interning q first (without a lock once
+// the name is known).
 // It panics if outcomes is shorter than losses.
 func (l *Ledger) ChargeWindow(q string, first int64, losses []float64, outcomes []ChargeOutcome) {
 	_ = outcomes[:len(losses)]
+	s := events.Intern(q)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.chargeWindowLocked(q, first, losses, outcomes)
+	l.chargeWindowLocked(s, first, losses, outcomes)
 }
 
 // WindowCharge is one report's whole-window check-and-consume in a batched
@@ -251,7 +361,7 @@ func (l *Ledger) ChargeWindow(q string, first int64, losses []float64, outcomes 
 // Outcomes[i] receives the per-epoch result. Losses and Outcomes are caller
 // buffers; ChargeWindowBatch only reads Losses and writes Outcomes.
 type WindowCharge struct {
-	Querier  string
+	Querier  events.Sym
 	First    int64
 	Losses   []float64
 	Outcomes []ChargeOutcome
@@ -284,7 +394,7 @@ func (l *Ledger) ChargeWindowBatch(charges []WindowCharge) {
 // including that epoch left initialized. An empty window (last < first) is
 // admitted and touches nothing. A refusal rejects a whole query, which the
 // caller reports, so it counts no denial. It panics on negative eps.
-func (l *Ledger) ChargeAll(q string, first, last int64, eps float64) bool {
+func (l *Ledger) ChargeAll(q events.Sym, first, last int64, eps float64) bool {
 	if eps < 0 {
 		panic("privacy: negative privacy loss")
 	}
@@ -294,41 +404,40 @@ func (l *Ledger) ChargeAll(q string, first, last int64, eps float64) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.version++
-	ln := l.lane(q)
-	ln.charged = true
-	for e := first; e <= last; e++ {
-		s := ln.slot(e)
-		if s.consumed == untouchedSlot {
-			s.consumed = 0
+	i := l.lane(q, first, last)
+	hs, cells, _ := l.table()
+	hs[i].n |= laneCharged
+	window := cells[hs[i].cell(first) : hs[i].cell(last)+1]
+	for x := range window {
+		if window[x] == untouchedSlot {
+			window[x] = 0
 		}
-		if s.consumed+eps > l.capacity*(1+1e-9) {
+		if window[x]+eps > l.capacity*(1+1e-9) {
 			return false
 		}
 	}
-	for e := first; e <= last; e++ {
-		c := &ln.slots[e-ln.base].consumed
-		*c = min(*c+eps, l.capacity)
+	for x := range window {
+		window[x] = min(window[x]+eps, l.capacity)
 	}
 	return true
 }
 
 // MarkRequested records that a report window of querier q covered epochs
 // first through last — the Fig. 4 denominator — whether or not the window
-// goes on to charge them (see ledgerSlot). No consumed value changes; the
+// goes on to charge them (see untouchedSlot). No consumed value changes; the
 // version moves once per epoch newly marked.
-func (l *Ledger) MarkRequested(q string, first, last int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+func (l *Ledger) MarkRequested(q events.Sym, first, last int64) {
 	if first > last {
 		return
 	}
-	ln := l.lane(q)
-	if len(ln.slots) == 0 {
-		ln.slots = slices.Grow(ln.slots, int(last-first)+1)
-	}
-	for e := first; e <= last; e++ {
-		if s := ln.slot(e); !s.requested {
-			s.requested = true
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	i := l.lane(q, first, last)
+	hs, _, marks := l.table()
+	window := marks[hs[i].cell(first) : hs[i].cell(last)+1]
+	for x := range window {
+		if window[x] == 0 {
+			window[x] = 1
 			l.version++
 		}
 	}
@@ -339,24 +448,26 @@ func (l *Ledger) MarkRequested(q string, first, last int64) {
 // and, beside each, what that querier has consumed from the epoch (0 for an
 // untouched slot). fn runs under the ledger's lock: it must not call back
 // into the ledger, and the slices are reused between calls.
-func (l *Ledger) RangeRequested(fn func(e int64, queriers []string, consumed []float64)) {
+func (l *Ledger) RangeRequested(fn func(e int64, queriers []events.Sym, consumed []float64)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	hs, cells, marks := l.table()
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	for _, ln := range l.lanes {
-		if len(ln.slots) > 0 {
-			lo, hi = min(lo, ln.base), max(hi, ln.base+int64(len(ln.slots)))
-		}
+	for j := range hs {
+		lo, hi = min(lo, int64(hs[j].base)), max(hi, hs[j].end())
 	}
-	queriers := make([]string, 0, len(l.lanes))
-	consumed := make([]float64, 0, len(l.lanes))
+	queriers := make([]events.Sym, 0, len(hs))
+	consumed := make([]float64, 0, len(hs))
 	for e := lo; e < hi; e++ {
 		queriers, consumed = queriers[:0], consumed[:0]
-		for j := range l.lanes {
-			ln := &l.lanes[j]
-			if i := e - ln.base; i >= 0 && i < int64(len(ln.slots)) && ln.slots[i].requested {
-				queriers = append(queriers, ln.q)
-				consumed = append(consumed, max(ln.slots[i].consumed, 0)) // untouchedSlot reads as 0
+		for j := range hs {
+			h := &hs[j]
+			if e < int64(h.base) || e >= h.end() {
+				continue
+			}
+			if x := h.cell(e); marks[x] != 0 {
+				queriers = append(queriers, h.q)
+				consumed = append(consumed, max(cells[x], 0)) // untouchedSlot reads as 0
 			}
 		}
 		if len(queriers) > 0 {
@@ -366,9 +477,9 @@ func (l *Ledger) RangeRequested(fn func(e int64, queriers []string, consumed []f
 }
 
 // Denials returns the number of charges this ledger has denied for lack of
-// budget, across all queriers and epochs. Every denial path (Charge,
-// ChargeWindow, ChargeWindowBatch) counts here; zero-loss outcomes and
-// ChargeAll refusals do not.
+// budget, across all queriers and epochs. Every denial path (ChargeWindow,
+// ChargeWindowBatch) counts here; zero-loss outcomes and ChargeAll refusals
+// do not.
 func (l *Ledger) Denials() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -401,19 +512,18 @@ func (l *Ledger) Version() uint64 {
 
 // Consumed returns the privacy loss consumed so far by querier q from epoch
 // e (0 if the slot was never touched).
-func (l *Ledger) Consumed(q string, e int64) float64 {
+func (l *Ledger) Consumed(q events.Sym, e int64) float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	j, ok := l.find(q)
+	i, ok := l.find(q)
 	if !ok {
 		return 0
 	}
-	ln := &l.lanes[j]
-	i := e - ln.base
-	if i < 0 || int(i) >= len(ln.slots) || ln.slots[i].consumed == untouchedSlot {
-		return 0
+	hs, cells, _ := l.table()
+	if h := &hs[i]; e >= int64(h.base) && e < h.end() {
+		return max(cells[h.cell(e)], 0) // untouchedSlot reads as 0
 	}
-	return ln.slots[i].consumed
+	return 0
 }
 
 // NumQueriers returns the number of queriers with a charged lane (charged or
@@ -423,8 +533,8 @@ func (l *Ledger) NumQueriers() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := 0
-	for j := range l.lanes {
-		if l.lanes[j].charged {
+	for _, h := range l.headers() {
+		if h.charged() {
 			n++
 		}
 	}
@@ -433,43 +543,45 @@ func (l *Ledger) NumQueriers() int {
 
 // RangeTotals calls fn once per charged querier with the querier's total
 // consumed budget across all epochs. Each total accumulates in ascending
-// epoch order — the dense array's natural order — so the float sums are
+// epoch order — the lane's natural order — so the float sums are
 // deterministic run-to-run; queriers are visited in name order.
-func (l *Ledger) RangeTotals(fn func(q string, total float64)) {
+func (l *Ledger) RangeTotals(fn func(q events.Sym, total float64)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for j := range l.lanes {
-		ln := &l.lanes[j]
-		if !ln.charged {
+	hs, cells, _ := l.table()
+	for j := range hs {
+		h := &hs[j]
+		if !h.charged() {
 			continue
 		}
 		sum := 0.0
-		for _, s := range ln.slots {
-			if s.consumed != untouchedSlot {
-				sum += s.consumed
+		for _, c := range cells[h.off : int(h.off)+h.len()] {
+			if c != untouchedSlot {
+				sum += c
 			}
 		}
-		fn(ln.q, sum)
+		fn(h.q, sum)
 	}
 }
 
 // Rows returns a snapshot of every initialized slot, sorted by querier then
 // epoch — the Fig. 1 dashboard view and the persistence snapshot source. The
-// order is the layout's: lanes are in name order, slots in epoch order.
+// order is the layout's: lanes are in name order, cells in epoch order.
 func (l *Ledger) Rows() []LedgerEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	hs, cells, _ := l.table()
 	var rows []LedgerEntry
-	for j := range l.lanes {
-		ln := &l.lanes[j]
-		for i, s := range ln.slots {
-			if s.consumed == untouchedSlot {
+	for j := range hs {
+		h := &hs[j]
+		for x, c := range cells[h.off : int(h.off)+h.len()] {
+			if c == untouchedSlot {
 				continue
 			}
 			rows = append(rows, LedgerEntry{
-				Querier:  ln.q,
-				Epoch:    ln.base + int64(i),
-				Consumed: s.consumed,
+				Querier:  h.q,
+				Epoch:    int64(h.base) + int64(x),
+				Consumed: c,
 				Capacity: l.capacity,
 			})
 		}
@@ -482,16 +594,17 @@ func (l *Ledger) Rows() []LedgerEntry {
 // a run under another ε^G is refused by its scenario fingerprint before any
 // row is read — and a restore never lowers a slot's consumed budget
 // (replaying an old snapshot must never refund privacy loss).
-func (l *Ledger) Restore(q string, e int64, consumed float64) error {
+func (l *Ledger) Restore(q events.Sym, e int64, consumed float64) error {
 	if consumed < 0 || consumed > l.capacity*(1+1e-9) {
 		return fmt.Errorf("privacy: corrupt ledger slot %s/%d: %v of %v", q, e, consumed, l.capacity)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.version++
-	ln := l.lane(q)
-	ln.charged = true
-	c := &ln.slot(e).consumed
+	i := l.lane(q, e, e)
+	hs, cells, _ := l.table()
+	hs[i].n |= laneCharged
+	c := &cells[hs[i].cell(e)]
 	if *c != untouchedSlot && *c > consumed {
 		return fmt.Errorf("privacy: restore would refund budget for %s epoch %d", q, e)
 	}

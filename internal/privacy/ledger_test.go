@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/events"
 )
 
 // refFilter is one pure-DP privacy filter of the reference model, the
@@ -38,20 +40,20 @@ func (f *refFilter) consume(eps float64) bool {
 // report windows covered which epoch.
 type filterMapRef struct {
 	capacity  float64
-	budgets   map[string]map[int64]*refFilter
-	requested map[int64]map[string]struct{}
+	budgets   map[events.Sym]map[int64]*refFilter
+	requested map[int64]map[events.Sym]struct{}
 }
 
 func newFilterMapRef(capacity float64) *filterMapRef {
 	return &filterMapRef{
 		capacity:  capacity,
-		budgets:   make(map[string]map[int64]*refFilter),
-		requested: make(map[int64]map[string]struct{}),
+		budgets:   make(map[events.Sym]map[int64]*refFilter),
+		requested: make(map[int64]map[events.Sym]struct{}),
 	}
 }
 
 // filter returns (lazily creating) the filter for (q, e).
-func (r *filterMapRef) filter(q string, e int64) *refFilter {
+func (r *filterMapRef) filter(q events.Sym, e int64) *refFilter {
 	byEpoch := r.budgets[q]
 	if byEpoch == nil {
 		byEpoch = make(map[int64]*refFilter)
@@ -67,7 +69,7 @@ func (r *filterMapRef) filter(q string, e int64) *refFilter {
 
 // charge replicates a device's charge over the filter table: lazy filter
 // creation (also on the denial path), atomic check-and-consume.
-func (r *filterMapRef) charge(q string, e int64, eps float64) ChargeOutcome {
+func (r *filterMapRef) charge(q events.Sym, e int64, eps float64) ChargeOutcome {
 	if eps == 0 {
 		return ChargeZero
 	}
@@ -80,7 +82,7 @@ func (r *filterMapRef) charge(q string, e int64, eps float64) ChargeOutcome {
 // all transcribes the retired central budgeter's Authorize: walk the window
 // creating each epoch's filter, stop at the first that cannot take eps, and
 // only when every one can, consume eps from all of them.
-func (r *filterMapRef) all(q string, first, last int64, eps float64) bool {
+func (r *filterMapRef) all(q events.Sym, first, last int64, eps float64) bool {
 	if last < first {
 		return true
 	}
@@ -95,7 +97,7 @@ func (r *filterMapRef) all(q string, first, last int64, eps float64) bool {
 	return true
 }
 
-func (r *filterMapRef) consumed(q string, e int64) float64 {
+func (r *filterMapRef) consumed(q events.Sym, e int64) float64 {
 	if byEpoch := r.budgets[q]; byEpoch != nil {
 		if f := byEpoch[e]; f != nil {
 			return f.consumed
@@ -104,8 +106,8 @@ func (r *filterMapRef) consumed(q string, e int64) float64 {
 	return 0
 }
 
-func (r *filterMapRef) rows() map[string]map[int64]float64 {
-	out := make(map[string]map[int64]float64)
+func (r *filterMapRef) rows() map[events.Sym]map[int64]float64 {
+	out := make(map[events.Sym]map[int64]float64)
 	for q, byEpoch := range r.budgets {
 		for e, f := range byEpoch {
 			if out[q] == nil {
@@ -117,22 +119,42 @@ func (r *filterMapRef) rows() map[string]map[int64]float64 {
 	return out
 }
 
+// reverseInterned interns names, which must be sorted and new to the
+// process's symbol table, last name first, and returns their symbols in name
+// order. Symbol numbers then run against name order, so a ledger that placed
+// lanes by symbol number instead of by name would walk backwards.
+func reverseInterned(names ...string) []events.Sym {
+	syms := make([]events.Sym, len(names))
+	for i := len(names) - 1; i >= 0; i-- {
+		syms[i] = events.Intern(names[i])
+	}
+	return syms
+}
+
 // TestLedgerMatchesFilterMapReference drives the flat ledger and the old
 // map-of-filters table through identical randomized charge/deny/mark/
 // all-or-nothing sequences and asserts bit-identical state after every
-// operation.
+// operation. Each seed opens by giving the outer two queriers (in name
+// order) cells and marks and then creating the middle one's lane between
+// them, so the block shifts a neighbour's cells and marks on every seed.
 func TestLedgerMatchesFilterMapReference(t *testing.T) {
-	queriers := []string{"nike.com", "adidas.com", "criteo.com"}
+	queriers := reverseInterned("adidas.ref", "criteo.ref", "nike.ref")
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		capacity := []float64{0, 0.01, 1, 5}[rng.Intn(4)]
 		l := NewLedger(capacity)
 		ref := newFilterMapRef(capacity)
+		// The opening: mark and charge the outer lanes, then reach the
+		// middle one by a random op.
+		opening := []struct{ kind, q int }{{2, 0}, {0, 0}, {3, 2}, {1, 2}, {rng.Intn(10), 1}}
 
 		for op := 0; op < 400; op++ {
-			switch rng.Intn(10) {
+			kind, q := rng.Intn(10), queriers[rng.Intn(len(queriers))]
+			if op < len(opening) {
+				kind, q = opening[op].kind, queriers[opening[op].q]
+			}
+			switch kind {
 			case 4: // all-or-nothing window charge (IPA-like)
-				q := queriers[rng.Intn(len(queriers))]
 				first := int64(rng.Intn(50))
 				last := first + int64(rng.Intn(7)) - 1 // sometimes empty
 				eps := rng.Float64() * capacity * 0.7
@@ -145,13 +167,11 @@ func TestLedgerMatchesFilterMapReference(t *testing.T) {
 					t.Fatalf("seed %d op %d: ChargeAll counted a denial", seed, op)
 				}
 			case 2, 3: // requested mark over a window
-				q := queriers[rng.Intn(len(queriers))]
 				first := int64(rng.Intn(60) - 10)
 				if err := checkMark(l, ref, q, first, first+int64(rng.Intn(6))); err != nil {
 					t.Fatalf("seed %d op %d: %v", seed, op, err)
 				}
 			case 1: // whole-window charge
-				q := queriers[rng.Intn(len(queriers))]
 				first := int64(rng.Intn(50))
 				k := rng.Intn(6) + 1
 				losses := make([]float64, k)
@@ -161,7 +181,7 @@ func TestLedgerMatchesFilterMapReference(t *testing.T) {
 					}
 				}
 				outcomes := make([]ChargeOutcome, k)
-				l.ChargeWindow(q, first, losses, outcomes)
+				l.ChargeWindowBatch([]WindowCharge{{Querier: q, First: first, Losses: losses, Outcomes: outcomes}})
 				for i, eps := range losses {
 					if want := ref.charge(q, first+int64(i), eps); outcomes[i] != want {
 						t.Fatalf("seed %d op %d: window outcome[%d] = %v, ref %v",
@@ -169,7 +189,6 @@ func TestLedgerMatchesFilterMapReference(t *testing.T) {
 					}
 				}
 			default: // single charge
-				q := queriers[rng.Intn(len(queriers))]
 				e := int64(rng.Intn(50))
 				eps := 0.0
 				if rng.Intn(4) > 0 {
@@ -181,9 +200,19 @@ func TestLedgerMatchesFilterMapReference(t *testing.T) {
 						seed, op, q, e, eps, got, want)
 				}
 			}
+			if op < len(opening) {
+				// Hold the whole state through the opening, where every
+				// lane creation lands.
+				if err := checkRows(l, ref); err != nil {
+					t.Fatalf("seed %d op %d: %v", seed, op, err)
+				}
+				if err := checkRequested(l, ref); err != nil {
+					t.Fatalf("seed %d op %d: %v", seed, op, err)
+				}
+			}
 
 			// Spot-check reads every few ops; full-state compare at the end.
-			q := queriers[rng.Intn(len(queriers))]
+			q = queriers[rng.Intn(len(queriers))]
 			e := int64(rng.Intn(50))
 			if got, want := l.Consumed(q, e), ref.consumed(q, e); got != want {
 				t.Fatalf("seed %d op %d: Consumed(%s,%d) = %v, ref %v",
@@ -193,27 +222,13 @@ func TestLedgerMatchesFilterMapReference(t *testing.T) {
 
 		// Final state: every initialized slot matches the reference table
 		// exactly (bitwise — both sides run the same float arithmetic).
-		want := ref.rows()
 		for _, row := range l.Rows() {
 			if row.Capacity != capacity {
 				t.Fatalf("seed %d: row capacity %v, want uniform %v", seed, row.Capacity, capacity)
 			}
-			wantC, ok := want[row.Querier][row.Epoch]
-			if !ok {
-				t.Fatalf("seed %d: ledger has slot %s/%d the reference lacks",
-					seed, row.Querier, row.Epoch)
-			}
-			if row.Consumed != wantC {
-				t.Fatalf("seed %d: slot %s/%d consumed %v, ref %v",
-					seed, row.Querier, row.Epoch, row.Consumed, wantC)
-			}
-			delete(want[row.Querier], row.Epoch)
 		}
-		for q, byEpoch := range want {
-			if len(byEpoch) != 0 {
-				t.Fatalf("seed %d: reference has %d slots for %s the ledger lacks",
-					seed, len(byEpoch), q)
-			}
+		if err := checkRows(l, ref); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if err := checkRequested(l, ref); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -224,10 +239,10 @@ func TestLedgerMatchesFilterMapReference(t *testing.T) {
 	}
 }
 
-// strictlyAscending reports whether names is sorted with no repeats.
-func strictlyAscending(names []string) bool {
+// strictlyAscending reports whether names is sorted by name with no repeats.
+func strictlyAscending(names []events.Sym) bool {
 	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
+		if names[i-1].Compare(names[i]) >= 0 {
 			return false
 		}
 	}
@@ -235,24 +250,24 @@ func strictlyAscending(names []string) bool {
 }
 
 // checkNameOrder holds every walk to the order the lane layout promises, no
-// sort in between: Rows() strictly ascending by (querier, epoch), RangeTotals
-// visiting queriers in strictly ascending name order, and each RangeRequested
-// call handing its queriers strictly ascending.
+// sort in between: Rows() strictly ascending by (querier name, epoch),
+// RangeTotals visiting queriers in strictly ascending name order, and each
+// RangeRequested call handing its queriers strictly ascending.
 func checkNameOrder(l *Ledger) error {
 	rows := l.Rows()
 	for i := 1; i < len(rows); i++ {
 		a, b := rows[i-1], rows[i]
-		if a.Querier > b.Querier || a.Querier == b.Querier && a.Epoch >= b.Epoch {
+		if c := a.Querier.Compare(b.Querier); c > 0 || c == 0 && a.Epoch >= b.Epoch {
 			return fmt.Errorf("Rows() has %s/%d before %s/%d", a.Querier, a.Epoch, b.Querier, b.Epoch)
 		}
 	}
-	var totals []string
-	l.RangeTotals(func(q string, _ float64) { totals = append(totals, q) })
+	var totals []events.Sym
+	l.RangeTotals(func(q events.Sym, _ float64) { totals = append(totals, q) })
 	if !strictlyAscending(totals) {
 		return fmt.Errorf("RangeTotals visits %v", totals)
 	}
 	var err error
-	l.RangeRequested(func(e int64, queriers []string, _ []float64) {
+	l.RangeRequested(func(e int64, queriers []events.Sym, _ []float64) {
 		if err == nil && !strictlyAscending(queriers) {
 			err = fmt.Errorf("RangeRequested hands epoch %d queriers %v", e, queriers)
 		}
@@ -264,75 +279,112 @@ func checkNameOrder(l *Ledger) error {
 // — c by a charge, a by a mark alone, b by a restore — and checks that every
 // walk comes out in name order and that a read creates no lane.
 func TestLedgerLaneOrder(t *testing.T) {
+	syms := reverseInterned("a.lane", "b.lane", "c.lane")
+	a, b, c := syms[0], syms[1], syms[2]
 	l := NewLedger(1)
-	l.Charge("c", 2, 0.5)
-	l.MarkRequested("a", 1, 2)
-	if err := l.Restore("b", 2, 0.25); err != nil {
+	l.Charge(c, 2, 0.5)
+	l.MarkRequested(a, 1, 2)
+	if err := l.Restore(b, 2, 0.25); err != nil {
 		t.Fatal(err)
 	}
-	l.MarkRequested("b", 2, 2)
-	l.MarkRequested("c", 2, 2)
+	l.MarkRequested(b, 2, 2)
+	l.MarkRequested(c, 2, 2)
 
-	want := []LedgerEntry{{"b", 2, 0.25, 1}, {"c", 2, 0.5, 1}}
+	want := []LedgerEntry{{b, 2, 0.25, 1}, {c, 2, 0.5, 1}}
 	if rows := l.Rows(); !slices.Equal(rows, want) {
 		t.Errorf("Rows() = %v, want %v", rows, want)
 	}
 	var requested []string
-	l.RangeRequested(func(e int64, queriers []string, consumed []float64) {
+	l.RangeRequested(func(e int64, queriers []events.Sym, consumed []float64) {
 		requested = append(requested, fmt.Sprint(e, queriers, consumed))
 	})
-	if want := []string{"1 [a] [0]", "2 [a b c] [0 0.25 0.5]"}; !slices.Equal(requested, want) {
+	if want := []string{"1 [a.lane] [0]", "2 [a.lane b.lane c.lane] [0 0.25 0.5]"}; !slices.Equal(requested, want) {
 		t.Errorf("RangeRequested yields %q, want %q", requested, want)
 	}
 	var totals []string
-	l.RangeTotals(func(q string, total float64) { totals = append(totals, fmt.Sprintf("%s %v", q, total)) })
-	if want := []string{"b 0.25", "c 0.5"}; !slices.Equal(totals, want) {
+	l.RangeTotals(func(q events.Sym, total float64) { totals = append(totals, fmt.Sprintf("%s %v", q, total)) })
+	if want := []string{"b.lane 0.25", "c.lane 0.5"}; !slices.Equal(totals, want) {
 		t.Errorf("RangeTotals visits %q, want %q", totals, want)
 	}
 	if n := l.NumQueriers(); n != 2 {
 		t.Errorf("NumQueriers = %d, want 2 (a holds marks only)", n)
 	}
 	version := l.Version()
-	if c := l.Consumed("zzz", 2); c != 0 {
+	if c := l.Consumed(events.Intern("zzz"), 2); c != 0 {
 		t.Errorf("Consumed(zzz, 2) = %v", c)
 	}
-	if len(l.lanes) != 3 || l.Version() != version {
-		t.Errorf("Consumed(zzz, 2) created a lane: %d lanes, version %d → %d", len(l.lanes), version, l.Version())
+	if l.lanes != 3 || l.Version() != version {
+		t.Errorf("Consumed(zzz, 2) created a lane: %d lanes, version %d → %d", l.lanes, version, l.Version())
 	}
 }
 
-// TestLedgerWalksAllocate pins what the inline lane slice saves: a
+// TestLedgerWalksAllocate pins what the one-block layout saves: a
 // RangeRequested walk allocates only the two per-epoch buffers it hands fn —
-// no list of querier names to sort — and a charge or mark on an existing lane
-// allocates nothing.
+// no list of querier names to sort — a charge or mark on an existing lane
+// allocates nothing, and neither does one that grows a lane or creates one
+// while the block has room.
 func TestLedgerWalksAllocate(t *testing.T) {
+	syms := reverseInterned("a.alloc", "b.alloc", "c.alloc")
+	a, b, c := syms[0], syms[1], syms[2]
 	l := NewLedger(10)
-	for _, q := range []string{"c", "a", "b"} {
+	for _, q := range []events.Sym{c, a, b} {
 		l.Charge(q, 3, 0.1)
 		l.MarkRequested(q, 0, 5)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		l.RangeRequested(func(int64, []string, []float64) {})
+		l.RangeRequested(func(int64, []events.Sym, []float64) {})
 	}); n > 2 {
 		t.Errorf("RangeRequested on 3 queriers: %v allocations per call, want ≤ 2", n)
 	}
 	losses := []float64{0.001, 0, 0.001}
 	outcomes := make([]ChargeOutcome, len(losses))
 	batch := []WindowCharge{
-		{Querier: "b", First: 1, Losses: losses, Outcomes: outcomes},
-		{Querier: "c", First: 2, Losses: losses, Outcomes: outcomes},
+		{Querier: b, First: 1, Losses: losses, Outcomes: outcomes},
+		{Querier: c, First: 2, Losses: losses, Outcomes: outcomes},
 	}
 	for _, tc := range []struct {
 		name string
 		fn   func()
 	}{
-		{"ChargeWindow", func() { l.ChargeWindow("a", 2, losses, outcomes) }},
+		{"ChargeWindow", func() { l.ChargeWindow("a.alloc", 2, losses, outcomes) }},
 		{"ChargeWindowBatch", func() { l.ChargeWindowBatch(batch) }},
-		{"MarkRequested", func() { l.MarkRequested("c", 1, 4) }},
+		{"MarkRequested", func() { l.MarkRequested(c, 1, 4) }},
 	} {
 		if n := testing.AllocsPerRun(100, tc.fn); n != 0 {
 			t.Errorf("%s on an existing lane: %v allocations per call, want 0", tc.name, n)
 		}
+	}
+
+	// Within the block's capacity, growing a lane and inserting one between
+	// two others move words but allocate nothing. Each call grows the
+	// ledger anew: a lane an epoch further each way, or one more lane.
+	between := make([]string, 11)
+	for i := range between {
+		between[i] = fmt.Sprintf("b%02d.alloc", i)
+	}
+	fresh := reverseInterned(between...)
+	g := NewLedger(10)
+	g.MarkRequested(a, 0, 1)
+	g.MarkRequested(c, 0, 1)
+	g.block = slices.Grow(g.block, 256)
+	older, newer := int64(0), int64(1)
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"MarkRequested growing a lane", func() { older--; g.MarkRequested(a, older, older) }},
+		{"charge growing a lane", func() { newer++; g.Charge(c, newer, 0.1) }},
+		{"MarkRequested inserting a lane", func() { g.MarkRequested(fresh[0], 0, 1); fresh = fresh[1:] }},
+	} {
+		if n := testing.AllocsPerRun(10, tc.fn); n != 0 {
+			t.Errorf("%s within the block's capacity: %v allocations per call, want 0", tc.name, n)
+		}
+	}
+	if err := checkNameOrder(g); err != nil {
+		t.Error(err)
+	}
+	if got, want := int(g.lanes), 2+len(between); got != want || g.Consumed(c, newer) != 0.1 {
+		t.Errorf("after the growth: %d lanes, want %d; Consumed(c, %d) = %v", got, want, newer, g.Consumed(c, newer))
 	}
 }
 
@@ -340,29 +392,29 @@ func TestLedgerWalksAllocate(t *testing.T) {
 // and the NumQueriers pre-sizing hint.
 func TestLedgerTotalsMatchRowSums(t *testing.T) {
 	l := NewLedger(10)
-	l.Charge("a", 3, 1)
-	l.Charge("a", 1, 2)
-	l.Charge("a", 7, 0.5)
-	l.Charge("b", 2, 4)
+	l.Charge(events.Intern("a"), 3, 1)
+	l.Charge(events.Intern("a"), 1, 2)
+	l.Charge(events.Intern("a"), 7, 0.5)
+	l.Charge(events.Intern("b"), 2, 4)
 	// A lane that holds only requested marks — every window zero-loss, or
 	// the budget kept centrally — is no querier the ledger was charged by:
 	// NumQueriers, RangeTotals and Rows report what they did without it.
 	rows := l.Rows()
-	l.MarkRequested("c", 0, 4)
-	l.MarkRequested("a", 0, 9)
-	l.Charge("c", 2, 0)
+	l.MarkRequested(events.Intern("c"), 0, 4)
+	l.MarkRequested(events.Intern("a"), 0, 9)
+	l.Charge(events.Intern("c"), 2, 0)
 	if !slices.Equal(l.Rows(), rows) {
 		t.Fatalf("marks changed Rows(): %v, was %v", l.Rows(), rows)
 	}
 	if l.NumQueriers() != 2 {
 		t.Fatalf("NumQueriers = %d", l.NumQueriers())
 	}
-	sums := map[string]float64{}
+	sums := map[events.Sym]float64{}
 	for _, row := range l.Rows() {
 		sums[row.Querier] += row.Consumed
 	}
 	n := 0
-	l.RangeTotals(func(q string, total float64) {
+	l.RangeTotals(func(q events.Sym, total float64) {
 		n++
 		if math.Abs(total-sums[q]) > 1e-15 {
 			t.Fatalf("total(%s) = %v, rows sum %v", q, total, sums[q])
@@ -377,24 +429,24 @@ func TestLedgerTotalsMatchRowSums(t *testing.T) {
 // of a consumed budget outside [0, ε^G].
 func TestLedgerRestore(t *testing.T) {
 	l := NewLedger(1)
-	if err := l.Restore("q", 2, 0.4); err != nil {
+	if err := l.Restore(events.Intern("q"), 2, 0.4); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.Consumed("q", 2); got != 0.4 {
+	if got := l.Consumed(events.Intern("q"), 2); got != 0.4 {
 		t.Fatalf("restored consumed = %v", got)
 	}
 	// Raising is fine; lowering is a refund and must fail.
-	if err := l.Restore("q", 2, 0.6); err != nil {
+	if err := l.Restore(events.Intern("q"), 2, 0.6); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Restore("q", 2, 0.5); err == nil {
+	if err := l.Restore(events.Intern("q"), 2, 0.5); err == nil {
 		t.Fatal("refund accepted")
 	}
 	// Corrupt rows are refused and leave no slot behind.
-	if err := l.Restore("q", 3, -1); err == nil {
+	if err := l.Restore(events.Intern("q"), 3, -1); err == nil {
 		t.Fatal("negative consumed accepted")
 	}
-	if err := l.Restore("q", 4, 1.5); err == nil {
+	if err := l.Restore(events.Intern("q"), 4, 1.5); err == nil {
 		t.Fatal("over-capacity accepted")
 	}
 	for _, row := range l.Rows() {
@@ -402,7 +454,7 @@ func TestLedgerRestore(t *testing.T) {
 			t.Fatalf("refused restore left row %+v", row)
 		}
 	}
-	if out := l.Charge("q", 4, 0.6); out != ChargeOK {
+	if out := l.Charge(events.Intern("q"), 4, 0.6); out != ChargeOK {
 		t.Fatalf("slot refused by restore does not charge at ε^G: %v", out)
 	}
 }
@@ -417,7 +469,7 @@ func TestLedgerConcurrentRace(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			q := []string{"a", "b"}[w%2]
+			q := events.Intern([]string{"a", "b"}[w%2])
 			losses := []float64{0.01, 0, 0.02}
 			outcomes := make([]ChargeOutcome, len(losses))
 			for i := 0; i < 200; i++ {
@@ -425,12 +477,12 @@ func TestLedgerConcurrentRace(t *testing.T) {
 				case 0:
 					l.Charge(q, int64(i%20), 0.015)
 				case 1:
-					l.ChargeWindow(q, int64(i%20), losses, outcomes)
+					l.ChargeWindow(q.String(), int64(i%20), losses, outcomes)
 				case 2:
 					l.Consumed(q, int64(i%20))
-					l.RangeTotals(func(string, float64) {})
+					l.RangeTotals(func(events.Sym, float64) {})
 					l.MarkRequested(q, int64(i%20), int64(i%20)+3)
-					l.RangeRequested(func(int64, []string, []float64) {})
+					l.RangeRequested(func(int64, []events.Sym, []float64) {})
 				case 3:
 					l.Rows()
 				}
@@ -450,7 +502,7 @@ func TestLedgerConcurrentRace(t *testing.T) {
 // overlapping windows, zero and over-budget losses) one ChargeWindowBatch call must produce the outcomes and final
 // ledger rows of ChargeWindow applied charge by charge in slice order.
 func TestChargeWindowBatchMatchesSequential(t *testing.T) {
-	queriers := []string{"nike.com", "adidas.com", "puma.com"}
+	queriers := []events.Sym{events.Intern("nike.com"), events.Intern("adidas.com"), events.Intern("puma.com")}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cap := []float64{0, 0.01, 0.05, 1}[rng.Intn(4)]
@@ -477,7 +529,7 @@ func TestChargeWindowBatchMatchesSequential(t *testing.T) {
 
 			batched.ChargeWindowBatch(charges)
 			for j, ch := range charges {
-				seq.ChargeWindow(ch.Querier, ch.First, ch.Losses, wantOut[j])
+				seq.ChargeWindow(ch.Querier.String(), ch.First, ch.Losses, wantOut[j])
 			}
 
 			for j := range charges {
@@ -509,16 +561,16 @@ func TestLedgerDenialsCounter(t *testing.T) {
 	if l.Denials() != 0 {
 		t.Fatalf("fresh ledger has %d denials", l.Denials())
 	}
-	if got := l.Charge("q", 0, 0.8); got != ChargeOK {
+	if got := l.Charge(events.Intern("q"), 0, 0.8); got != ChargeOK {
 		t.Fatalf("first charge = %v", got)
 	}
-	if got := l.Charge("q", 0, 0.8); got != ChargeDenied {
+	if got := l.Charge(events.Intern("q"), 0, 0.8); got != ChargeDenied {
 		t.Fatalf("over-capacity charge = %v", got)
 	}
-	if got := l.Charge("q", 0, 0.8); got != ChargeDenied {
+	if got := l.Charge(events.Intern("q"), 0, 0.8); got != ChargeDenied {
 		t.Fatalf("repeat over-capacity charge = %v", got)
 	}
-	if l.Charge("q", 1, 0) != ChargeZero {
+	if l.Charge(events.Intern("q"), 1, 0) != ChargeZero {
 		t.Fatal("zero charge not ChargeZero")
 	}
 	if l.Denials() != 2 {

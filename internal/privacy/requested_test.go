@@ -5,6 +5,8 @@ import (
 	"maps"
 	"slices"
 	"testing"
+
+	"repro/internal/events"
 )
 
 // Requested marks against their old representation. The model is the map the
@@ -15,10 +17,10 @@ import (
 
 // mark replicates the engines' markRequested, and reports whether any
 // (epoch, querier) pair is new.
-func (r *filterMapRef) mark(q string, first, last int64) (fresh bool) {
+func (r *filterMapRef) mark(q events.Sym, first, last int64) (fresh bool) {
 	for e := first; e <= last; e++ {
 		if r.requested[e] == nil {
-			r.requested[e] = make(map[string]struct{})
+			r.requested[e] = make(map[events.Sym]struct{})
 		}
 		if _, ok := r.requested[e][q]; !ok {
 			r.requested[e][q] = struct{}{}
@@ -31,19 +33,19 @@ func (r *filterMapRef) mark(q string, first, last int64) (fresh bool) {
 // markedLedger is what the checks below need of a ledger: *Ledger, or a
 // planted bug wrapped around one.
 type markedLedger interface {
-	MarkRequested(q string, first, last int64)
-	Charge(q string, e int64, eps float64) ChargeOutcome
-	ChargeAll(q string, first, last int64, eps float64) bool
+	MarkRequested(q events.Sym, first, last int64)
+	Charge(q events.Sym, e int64, eps float64) ChargeOutcome
+	ChargeAll(q events.Sym, first, last int64, eps float64) bool
 	Rows() []LedgerEntry
 	Denials() uint64
 	Version() uint64
-	RangeRequested(fn func(e int64, queriers []string, consumed []float64))
+	RangeRequested(fn func(e int64, queriers []events.Sym, consumed []float64))
 }
 
 // checkMark marks on both sides and holds the ledger to what a mark may
 // change: no row, no denial, and the version exactly when the model saw
 // something new.
-func checkMark(l markedLedger, ref *filterMapRef, q string, first, last int64) error {
+func checkMark(l markedLedger, ref *filterMapRef, q events.Sym, first, last int64) error {
 	rows, denials, version := l.Rows(), l.Denials(), l.Version()
 	l.MarkRequested(q, first, last)
 	fresh := ref.mark(q, first, last)
@@ -64,11 +66,11 @@ func checkMark(l markedLedger, ref *filterMapRef, q string, first, last int64) e
 // what the reference filter table says each consumed there.
 func checkRequested(l markedLedger, ref *filterMapRef) error {
 	var got, want []string
-	l.RangeRequested(func(e int64, queriers []string, consumed []float64) {
+	l.RangeRequested(func(e int64, queriers []events.Sym, consumed []float64) {
 		got = append(got, fmt.Sprint(e, queriers, consumed))
 	})
 	for _, e := range slices.Sorted(maps.Keys(ref.requested)) {
-		queriers := slices.Sorted(maps.Keys(ref.requested[e]))
+		queriers := slices.SortedFunc(maps.Keys(ref.requested[e]), events.Sym.Compare)
 		consumed := make([]float64, len(queriers))
 		for i, q := range queriers {
 			consumed[i] = ref.consumed(q, e)
@@ -103,11 +105,14 @@ func checkRows(l markedLedger, ref *filterMapRef) error {
 // walkOp is one step of the exhaustive walk.
 type walkOp struct {
 	kind string // "mark", "zero", "charge", "all"
-	q    string
+	q    events.Sym
 	e    int64
 }
 
 func (op walkOp) String() string { return fmt.Sprintf("%s(%s,%d)", op.kind, op.q, op.e) }
+
+// walkQueriers are the walk's two queriers, interned against name order.
+var walkQueriers = reverseInterned("a.walk", "b.walk")
 
 // walkMarks runs every sequence of at most depth ops over {mark, zero-loss
 // charge, positive charge, all-or-nothing charge} × 2 queriers × 3 epochs
@@ -124,7 +129,7 @@ func (op walkOp) String() string { return fmt.Sprintf("%s(%s,%d)", op.kind, op.q
 func walkMarks(newLedger func() markedLedger, depth int) (failure error, sequences int) {
 	var ops []walkOp
 	for e := int64(0); e < 3; e++ {
-		for _, q := range []string{"a", "b"} {
+		for _, q := range walkQueriers {
 			for _, kind := range []string{"mark", "zero", "charge", "all"} {
 				ops = append(ops, walkOp{kind, q, e})
 			}
@@ -209,17 +214,25 @@ func TestLedgerMarksExhaustive(t *testing.T) {
 // one. They live here, not behind a switch in ledger.go — the walk is what
 // they test, and it sees them through the same interface.
 
+// cell returns querier q's cell for epoch e, which its lane must cover.
+// Caller holds l.mu.
+func (l *Ledger) cell(q events.Sym, e int64) *float64 {
+	i, _ := l.find(q)
+	hs, cells, _ := l.table()
+	return &cells[hs[i].cell(e)]
+}
+
 // markInitialisesSlot marks by way of the slot value: a requested epoch comes
 // out initialized at 0, as if a filter had been created for it.
 type markInitialisesSlot struct{ *Ledger }
 
-func (m markInitialisesSlot) MarkRequested(q string, first, last int64) {
+func (m markInitialisesSlot) MarkRequested(q events.Sym, first, last int64) {
 	m.Ledger.MarkRequested(q, first, last)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for e := first; e <= last; e++ {
-		if s := m.lane(q).slot(e); s.consumed == untouchedSlot {
-			s.consumed = 0
+		if c := m.cell(q, e); *c == untouchedSlot {
+			*c = 0
 		}
 	}
 }
@@ -228,18 +241,18 @@ func (m markInitialisesSlot) MarkRequested(q string, first, last int64) {
 // the loss from the epochs before the short one.
 type denyChargesPrefix struct{ *Ledger }
 
-func (d denyChargesPrefix) ChargeAll(q string, first, last int64, eps float64) bool {
+func (d denyChargesPrefix) ChargeAll(q events.Sym, first, last int64, eps float64) bool {
 	if d.Ledger.ChargeAll(q, first, last, eps) {
 		return true
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for e := first; e <= last; e++ {
-		s := d.lane(q).slot(e)
-		if s.consumed+eps > d.capacity*(1+1e-9) {
+		c := d.cell(q, e)
+		if *c+eps > d.capacity*(1+1e-9) {
 			break
 		}
-		s.consumed += eps
+		*c += eps
 	}
 	return false
 }
@@ -248,7 +261,7 @@ func (d denyChargesPrefix) ChargeAll(q string, first, last int64, eps float64) b
 // initializing the slots its walk reached.
 type rejectLeavesUntouched struct{ *Ledger }
 
-func (r rejectLeavesUntouched) ChargeAll(q string, first, last int64, eps float64) bool {
+func (r rejectLeavesUntouched) ChargeAll(q events.Sym, first, last int64, eps float64) bool {
 	before := r.Rows()
 	if r.Ledger.ChargeAll(q, first, last, eps) {
 		return true
@@ -257,10 +270,56 @@ func (r rejectLeavesUntouched) ChargeAll(q string, first, last int64, eps float6
 	defer r.mu.Unlock()
 	for e := first; e <= last; e++ {
 		if !slices.ContainsFunc(before, func(row LedgerEntry) bool { return row.Querier == q && row.Epoch == e }) {
-			r.lane(q).slot(e).consumed = untouchedSlot
+			*r.cell(q, e) = untouchedSlot
 		}
 	}
 	return false
+}
+
+// shiftMarksOnly opens room in the block as if open moved the marks past
+// the insertion point but not the cells: after an op that grew or created a
+// lane ahead of another, every cell from the insertion point on holds what
+// that position held before, and the cells past the old end are untouched.
+type shiftMarksOnly struct{ *Ledger }
+
+func (s shiftMarksOnly) around(op func()) {
+	s.mu.Lock()
+	before := slices.Clone(s.headers())
+	_, cells, _ := s.table()
+	old := slices.Clone(cells)
+	s.mu.Unlock()
+	op()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	hs, cells, _ := s.table()
+	at := len(old)
+	for _, h := range before {
+		i, _ := s.find(h.q)
+		if int64(hs[i].off)-int64(hs[i].base) != int64(h.off)-int64(h.base) {
+			at = min(at, int(h.off))
+		}
+	}
+	if at == len(old) {
+		return // nothing moved: the lane grew or was added at the end
+	}
+	copy(cells[at:], old[at:])
+	for x := len(old); x < len(cells); x++ {
+		cells[x] = untouchedSlot
+	}
+}
+
+func (s shiftMarksOnly) MarkRequested(q events.Sym, first, last int64) {
+	s.around(func() { s.Ledger.MarkRequested(q, first, last) })
+}
+
+func (s shiftMarksOnly) Charge(q events.Sym, e int64, eps float64) (out ChargeOutcome) {
+	s.around(func() { out = s.Ledger.Charge(q, e, eps) })
+	return out
+}
+
+func (s shiftMarksOnly) ChargeAll(q events.Sym, first, last int64, eps float64) (ok bool) {
+	s.around(func() { ok = s.Ledger.ChargeAll(q, first, last, eps) })
+	return ok
 }
 
 // TestLedgerMarksWalkCatchesPlantedBugs fails if the exhaustive walk passes
@@ -270,6 +329,7 @@ func TestLedgerMarksWalkCatchesPlantedBugs(t *testing.T) {
 		"mark-initialises-the-slot":                  func(l *Ledger) markedLedger { return markInitialisesSlot{l} },
 		"deny-charges-the-prefix":                    func(l *Ledger) markedLedger { return denyChargesPrefix{l} },
 		"rejected-window-leaves-its-slots-untouched": func(l *Ledger) markedLedger { return rejectLeavesUntouched{l} },
+		"growth-shifts-the-marks-without-the-cells":  func(l *Ledger) markedLedger { return shiftMarksOnly{l} },
 	} {
 		failure, _ := walkMarks(func() markedLedger { return wrap(NewLedger(1)) }, 3)
 		if failure == nil {

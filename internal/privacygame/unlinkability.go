@@ -1,6 +1,8 @@
 package privacygame
 
 import (
+	"slices"
+
 	"repro/internal/attribution"
 	"repro/internal/core"
 	"repro/internal/events"
@@ -16,8 +18,8 @@ import (
 type UnlinkabilityGame struct {
 	epoch events.Epoch
 
-	dbs   [2]*events.Database // A = single device, B = split
-	fleet [2]*core.Fleet
+	dbs     [2]*events.Database // A = single device, B = split
+	devices [2][]*core.Device   // each world's d₀ and d₁, in ascending ID order
 
 	capacities map[events.DeviceID]float64
 	realized   float64
@@ -47,13 +49,10 @@ func NewUnlinkability(d0, d1 events.DeviceID, epoch events.Epoch, f0 []events.Ev
 		}
 		g.dbs[1].Record(epoch, b)
 	}
-	for w := range g.fleet {
-		db := g.dbs[w]
-		g.fleet[w] = core.NewFleet(2, func(dev events.DeviceID) *core.Device {
-			return core.NewDevice(dev, db, g.capacities[dev], core.CookieMonsterPolicy{})
-		})
-		g.fleet[w].GetOrCreate(d0)
-		g.fleet[w].GetOrCreate(d1)
+	for w := range g.devices {
+		for _, dev := range slices.Compact([]events.DeviceID{min(d0, d1), max(d0, d1)}) {
+			g.devices[w] = append(g.devices[w], core.NewDevice(dev, g.dbs[w], g.capacities[dev], core.CookieMonsterPolicy{}))
+		}
 	}
 	return g
 }
@@ -66,20 +65,14 @@ func (g *UnlinkabilityGame) Query(req *core.Request) (float64, error) {
 		return 0, err
 	}
 	var sums [2]attribution.Histogram
-	for w := range g.fleet {
+	for w, devs := range g.devices {
 		sum := attribution.NewHistogram(req.Function.OutputDim())
-		var rangeErr error
-		g.fleet[w].Range(func(dev *core.Device) bool {
+		for _, dev := range devs {
 			rep, _, err := dev.GenerateReport(req)
 			if err != nil {
-				rangeErr = err
-				return false
+				return 0, err
 			}
 			sum.Add(rep.Histogram)
-			return true
-		})
-		if rangeErr != nil {
-			return 0, rangeErr
 		}
 		sums[w] = sum
 	}

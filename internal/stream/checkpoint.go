@@ -123,17 +123,21 @@ func appendDevice(buf []byte, d *core.Device) []byte {
 	rows := d.Ledger()
 	buf = binary.LittleEndian.AppendUint64(buf, d.BudgetDenials())
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rows)))
-	for _, r := range rows {
-		q := r.Querier.String()
+	var q string
+	for i, r := range rows {
+		if i == 0 || r.Querier != rows[i-1].Querier {
+			q = r.Querier.String() // rows come grouped by querier
+		}
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(q)))
 		buf = append(buf, q...)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(r.Epoch)))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Consumed))
 	}
-	d.RangeRequested(func(e events.Epoch, queriers []string, _ []float64) {
+	d.RangeRequested(func(e events.Epoch, queriers []events.Site, _ []float64) {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(e)))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(queriers)))
-		for _, q := range queriers {
+		for _, s := range queriers {
+			q := s.String()
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(q)))
 			buf = append(buf, q...)
 		}
@@ -373,7 +377,7 @@ func (s *Service) scalarSnap() *snapHead {
 	if s.central != nil {
 		for _, row := range s.central.Rows() {
 			snap.Central = append(snap.Central, centralState{
-				Querier:  row.Querier,
+				Querier:  row.Querier.String(),
 				Epoch:    int32(row.Epoch),
 				Consumed: math.Float64bits(row.Consumed),
 			})
@@ -669,7 +673,7 @@ func (s *Service) restoreCentral(rows []centralState) error {
 		}
 	}
 	for _, cs := range rows {
-		if err := s.central.Restore(cs.Querier, int64(cs.Epoch), math.Float64frombits(cs.Consumed)); err != nil {
+		if err := s.central.Restore(events.Intern(cs.Querier), int64(cs.Epoch), math.Float64frombits(cs.Consumed)); err != nil {
 			return err
 		}
 	}

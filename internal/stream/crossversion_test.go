@@ -84,7 +84,7 @@ func TestResumesIPALikeDirectoryFrom2222b11(t *testing.T) {
 	}
 	var rows []centralState
 	for _, row := range svc.central.Rows() {
-		rows = append(rows, centralState{Querier: row.Querier, Epoch: int32(row.Epoch), Consumed: math.Float64bits(row.Consumed)})
+		rows = append(rows, centralState{Querier: row.Querier.String(), Epoch: int32(row.Epoch), Consumed: math.Float64bits(row.Consumed)})
 	}
 	got, _ := json.Marshal(rows)
 	head, _ := json.Marshal(c.head.Central)

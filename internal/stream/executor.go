@@ -76,10 +76,7 @@ func NewEngine(cfg Config, meta dataset.Meta, db *events.Database) *Engine {
 			TotalEpochs: meta.Epochs(cfg.EpochDays),
 		},
 	}
-	epsG, policy := cfg.EpsilonG, cfg.Policy
-	e.fleet = core.NewFleet(0, func(id events.DeviceID) *core.Device {
-		return core.NewDevice(id, db, epsG, policy)
-	})
+	e.fleet = core.NewFleet(0, db, cfg.EpsilonG, cfg.Policy)
 	e.run.Fleet = e.fleet
 	if cfg.System == IPALike {
 		e.central = privacy.NewLedger(cfg.EpsilonG)
@@ -331,7 +328,7 @@ func (e *Engine) aggregate(q *Query, outputs []convOutput) (Result, error) {
 		// query's report windows touch, for the whole population, and
 		// rejects the query when any epoch is short. Truth is well-defined
 		// either way (for reporting).
-		admitted := e.central.ChargeAll(q.adv.Site.String(), int64(res.FirstEpoch), int64(res.LastEpoch), q.epsilon)
+		admitted := e.central.ChargeAll(q.adv.Site, int64(res.FirstEpoch), int64(res.LastEpoch), q.epsilon)
 		for i := range outputs {
 			res.Truth += outputs[i].truth
 		}

@@ -45,9 +45,7 @@ func fanoutRequest(rng *rand.Rand) *core.Request {
 }
 
 func fanoutFleet(db *events.Database, epsG float64) *core.Fleet {
-	return core.NewFleet(0, func(id events.DeviceID) *core.Device {
-		return core.NewDevice(id, db, epsG, core.CookieMonsterPolicy{})
-	})
+	return core.NewFleet(0, db, epsG, core.CookieMonsterPolicy{})
 }
 
 // fanoutDevices resolves each conversion's device in fleet, as the

@@ -21,7 +21,7 @@ func runReads(run *Run) []string {
 	run.Fleet.Range(func(d *core.Device) bool {
 		s := fmt.Sprintf("device %d: totals %v denials %d version %d",
 			d.ID(), d.ConsumedByQuerier(), d.BudgetDenials(), d.LedgerVersion())
-		d.RangeRequested(func(e events.Epoch, queriers []string, consumed []float64) {
+		d.RangeRequested(func(e events.Epoch, queriers []events.Site, consumed []float64) {
 			s += fmt.Sprint(" ", e, queriers, consumed)
 		})
 		out = append(out, s)

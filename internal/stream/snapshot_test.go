@@ -498,7 +498,7 @@ func TestSnapCorpus(t *testing.T) {
 			if err = svc.restoreDevices(c, make(siteIntern)); err != nil {
 				svc.fleet.Range(func(d *core.Device) bool {
 					marks := 0
-					d.RangeRequested(func(events.Epoch, []string, []float64) { marks++ })
+					d.RangeRequested(func(events.Epoch, []events.Site, []float64) { marks++ })
 					if len(d.Ledger()) != 0 || marks != 0 {
 						t.Errorf("%s: device %d had %d ledger rows and %d requested epochs restored before the refusal",
 							name, d.ID(), len(d.Ledger()), marks)

@@ -37,22 +37,22 @@ func (r *Run) walkRequested(pairs bool) fleetStats {
 	if pairs && central {
 		st.pairs = r.centralPairs()
 	}
-	// slot indexes each advertiser's site name (the ledger's querier key)
-	// in totals, the walked device's per-advertiser consumption; nil unless
-	// an on-device walk wants pairs.
-	var slot map[string]int
+	// slot indexes each advertiser's site (the ledger's querier key) in
+	// totals, the walked device's per-advertiser consumption; nil unless an
+	// on-device walk wants pairs.
+	var slot map[events.Site]int
 	var totals []float64
 	if pairs && !central && epochs > 0 && epsG != 0 {
-		slot = make(map[string]int, len(advs))
+		slot = make(map[events.Site]int, len(advs))
 		for i, adv := range advs {
-			slot[adv.Site.String()] = i
+			slot[adv.Site] = i
 		}
 		totals = make([]float64, len(advs))
 		st.pairs = make([]float64, 0, r.Meta.PopulationDevices*len(advs))
 	}
 	r.Fleet.Range(func(d *core.Device) bool {
 		clear(totals)
-		d.RangeRequested(func(e events.Epoch, queriers []string, consumed []float64) {
+		d.RangeRequested(func(e events.Epoch, queriers []events.Site, consumed []float64) {
 			loss := 0.0
 			for i, q := range queriers {
 				if central {
@@ -76,7 +76,7 @@ func (r *Run) walkRequested(pairs bool) fleetStats {
 		})
 		if slot != nil {
 			for _, adv := range advs {
-				st.pairs = append(st.pairs, totals[slot[adv.Site.String()]]/epochs/epsG)
+				st.pairs = append(st.pairs, totals[slot[adv.Site]]/epochs/epsG)
 			}
 		}
 		return true
@@ -182,7 +182,7 @@ func (r *Run) centralPairs() []float64 {
 	out := make([]float64, 0, population*len(advs))
 	totals := r.centralTotals()
 	for _, adv := range advs {
-		avg := totals[adv.Site.String()] / float64(epochs) / r.Config.EpsilonG
+		avg := totals[adv.Site] / float64(epochs) / r.Config.EpsilonG
 		for d := 0; d < population; d++ {
 			out = append(out, avg)
 		}
@@ -202,7 +202,7 @@ func (r *Run) ConsumedByQuerier() map[events.Site]float64 {
 	if r.Config.System == IPALike {
 		totals := r.centralTotals()
 		for _, adv := range r.Meta.Advertisers {
-			out[adv.Site] = totals[adv.Site.String()] * float64(r.Meta.PopulationDevices)
+			out[adv.Site] = totals[adv.Site] * float64(r.Meta.PopulationDevices)
 		}
 		return out
 	}
@@ -219,9 +219,9 @@ func (r *Run) ConsumedByQuerier() map[events.Site]float64 {
 // summed over its epochs in ascending order: what an IPA-like run charged
 // every device in the population. Query windows lie in the run's epoch span
 // (restore refuses a slot outside it), so this is the sum over the span.
-func (r *Run) centralTotals() map[string]float64 {
-	totals := make(map[string]float64, r.Central.NumQueriers())
-	r.Central.RangeTotals(func(q string, total float64) { totals[q] = total })
+func (r *Run) centralTotals() map[events.Site]float64 {
+	totals := make(map[events.Site]float64, r.Central.NumQueriers())
+	r.Central.RangeTotals(func(q events.Site, total float64) { totals[q] = total })
 	return totals
 }
 

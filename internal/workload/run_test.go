@@ -404,21 +404,21 @@ func TestRequestedDeviceEpochsAndActiveDevices(t *testing.T) {
 		}
 		rows, markOnly := 0, 0
 		r.RangeDevices(func(d *core.Device) bool {
-			charged := map[string]bool{}
+			charged := map[events.Site]bool{}
 			for _, row := range d.Ledger() {
-				charged[row.Querier.String()] = true
+				charged[row.Querier] = true
 				rows++
 			}
 			byQuerier := d.ConsumedByQuerier()
 			for q := range byQuerier {
-				if !charged[q.String()] {
+				if !charged[q] {
 					t.Fatalf("%v: device %d reports querier %s it has no ledger row for", tc.system, d.ID(), q)
 				}
 			}
 			if len(byQuerier) != len(charged) {
 				t.Fatalf("%v: device %d reports %d queriers, has rows for %d", tc.system, d.ID(), len(byQuerier), len(charged))
 			}
-			d.RangeRequested(func(_ events.Epoch, queriers []string, _ []float64) {
+			d.RangeRequested(func(_ events.Epoch, queriers []events.Site, _ []float64) {
 				for _, q := range queriers {
 					if !charged[q] {
 						markOnly++
