@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -36,7 +38,92 @@ func tinyConv(dev uint64, day int, id uint64) events.Event {
 type postOutcome struct {
 	status int
 	resp   serve.IngestResponse
+	code   string // a refusal's ErrorResponse.Code
 	err    error
+}
+
+// postAsync posts one batch once, without retrying, on its own goroutine.
+func postAsync(ts *testServer, evs []events.Event) <-chan postOutcome {
+	wire := make([]serve.EventWire, len(evs))
+	for i, ev := range evs {
+		wire[i] = serve.WireFromEvent(ev)
+	}
+	body, _ := json.Marshal(serve.IngestRequest{Events: wire})
+	ch := make(chan postOutcome, 1)
+	go func() {
+		var out postOutcome
+		resp, err := ts.http.Client().Post(
+			ts.http.URL+"/v1/events", "application/json", bytes.NewReader(body))
+		if err != nil {
+			out.err = err
+			ch <- out
+			return
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		out.status = resp.StatusCode
+		switch {
+		case err != nil:
+			out.err = err
+		case out.status == http.StatusOK:
+			out.err = json.Unmarshal(raw, &out.resp)
+		default:
+			var er serve.ErrorResponse
+			out.err = json.Unmarshal(raw, &er)
+			out.code = er.Code
+		}
+		ch <- out
+	}()
+	return ch
+}
+
+// wedgeIngest returns a FaultHook that parks the service at its nth
+// PointEventIngested — after that event's WAL append, before its
+// admission observer — until release is closed, and then returns err.
+func wedgeIngest(n int, err error) (hook stream.FaultHook, reached, release chan struct{}) {
+	reached, release = make(chan struct{}), make(chan struct{})
+	seen := 0 // the hook runs on the service goroutine only
+	hook = func(p stream.FaultPoint) error {
+		if p != stream.PointEventIngested {
+			return nil
+		}
+		if seen++; seen != n {
+			return nil
+		}
+		close(reached)
+		<-release
+		return err
+	}
+	return hook, reached, release
+}
+
+// wedgedServer boots a tiny server whose service runs hook and returns
+// it with unwedge, which closes release once. unwedge also runs on any exit
+// path (before the httptest server's Close), so a failing assertion never
+// leaves a handler parked.
+func wedgedServer(t *testing.T, hook stream.FaultHook, release chan struct{}) (ts *testServer, unwedge func()) {
+	meta := tinyMeta()
+	meta.Advertisers = []dataset.Advertiser{tinyAdvertiser()}
+	ts = newTestServer(t, serve.Config{
+		Scenario: workload.Config{EpsilonG: 1, Seed: 1, Parallelism: 1, FaultHook: hook},
+		Meta:     meta,
+	})
+	var once sync.Once
+	unwedge = func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unwedge)
+	return ts, unwedge
+}
+
+// awaitOutcome waits for a POST's outcome, failing the test after 30s.
+func awaitOutcome(t *testing.T, name string, ch <-chan postOutcome) postOutcome {
+	t.Helper()
+	select {
+	case out := <-ch:
+		return out
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%s batch never answered", name)
+		return postOutcome{}
+	}
 }
 
 // TestDuplicateRetryWaitsForApply is the concurrent-retry window the
@@ -46,7 +133,7 @@ type postOutcome struct {
 // sent until the original is WAL-appended and applied — otherwise a crash
 // loses events the retry just acknowledged. The consumer is wedged at
 // PointEventIngested (after the WAL append, before the admission
-// observer), which holds the applied cursor back while the dedupe cursor
+// observer), which holds the applied ordinal back while the dedupe cursor
 // already covers the event.
 func TestDuplicateRetryWaitsForApply(t *testing.T) {
 	release := make(chan struct{})
@@ -104,7 +191,7 @@ func TestDuplicateRetryWaitsForApply(t *testing.T) {
 
 	// The original is now applied-but-unacknowledged and the wedge holds
 	// the admission observer back. A verbatim retry is a duplicate-only
-	// batch; before the applied-cursor wait it returned 200 immediately.
+	// batch; before duplicates waited for apply it returned 200 immediately.
 	retry := post()
 	select {
 	case out := <-retry:
@@ -132,6 +219,110 @@ func TestDuplicateRetryWaitsForApply(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatalf("%s batch never completed after the wedge released", name)
 		}
+	}
+	if _, err := tsShutdown(ts); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// TestAckWaitsForLastAdmission pins a batch's 200 to its last admission
+// applying, not its first or any other. The batch spans three devices and
+// the service is wedged at its last event: WAL-appended, not yet observed.
+// No 200 may arrive until the wedge releases.
+func TestAckWaitsForLastAdmission(t *testing.T) {
+	batch := []events.Event{tinyConv(1, 0, 1), tinyConv(2, 0, 2), tinyConv(1, 0, 3), tinyConv(3, 0, 4)}
+	hook, reached, release := wedgeIngest(len(batch), nil)
+	ts, unwedge := wedgedServer(t, hook, release)
+
+	ack := postAsync(ts, batch)
+	select {
+	case <-reached:
+	case out := <-ack:
+		t.Fatalf("batch answered (%+v) before the service reached its last event", out)
+	case <-time.After(30 * time.Second):
+		t.Fatalf("service never reached the batch's last event")
+	}
+	select {
+	case out := <-ack:
+		t.Fatalf("batch answered (%+v) while its last admission was wedged before the observer", out)
+	case <-time.After(150 * time.Millisecond):
+	}
+
+	unwedge()
+	out := awaitOutcome(t, "wedged", ack)
+	if out.err != nil || out.status != http.StatusOK || out.resp.Accepted != len(batch) || out.resp.Duplicates != 0 {
+		t.Fatalf("after release: status %d %+v err %v, want 200 with %d accepted", out.status, out.resp, out.err, len(batch))
+	}
+	if _, err := tsShutdown(ts); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// TestParkedAckIs503WhenServiceStops: a handler parked on its ack when
+// the service stops answers 503 unless its own batch applied first. The
+// hook fails the service at the in-flight batch's last event, after its
+// WAL append and before its admission observer, so the front door never
+// saw that batch apply and a 200 would be a false promise. The batch
+// applied ahead of it keeps its 200.
+func TestParkedAckIs503WhenServiceStops(t *testing.T) {
+	applied := []events.Event{tinyConv(1, 0, 1), tinyConv(2, 0, 2)}
+	inFlight := []events.Event{tinyConv(1, 0, 3), tinyConv(2, 0, 4), tinyConv(3, 0, 5)}
+	stop := errors.New("injected stop")
+	hook, reached, release := wedgeIngest(len(applied)+len(inFlight), stop)
+	ts, unwedge := wedgedServer(t, hook, release)
+
+	if out := awaitOutcome(t, "first", postAsync(ts, applied)); out.err != nil || out.status != http.StatusOK {
+		t.Fatalf("batch applied before the stop: status %d err %v, want 200", out.status, out.err)
+	}
+	ack := postAsync(ts, inFlight)
+	select {
+	case <-reached:
+	case out := <-ack:
+		t.Fatalf("in-flight batch answered (%+v) before the service reached its last event", out)
+	case <-time.After(30 * time.Second):
+		t.Fatalf("service never reached the in-flight batch's last event")
+	}
+	unwedge()
+	out := awaitOutcome(t, "in-flight", ack)
+	if out.err != nil || out.status != http.StatusServiceUnavailable || out.code != serve.CodeUnavailable {
+		t.Fatalf("in-flight batch when the service stopped: status %d code %q err %v, want 503 %q",
+			out.status, out.code, out.err, serve.CodeUnavailable)
+	}
+	if _, err := waitDone(t, ts.srv); !errors.Is(err, stop) {
+		t.Fatalf("run ended with %v, want the injected stop", err)
+	}
+}
+
+// TestLiveAdmissionAllocatesNothing fences the ack path's per-event cost:
+// a live admission touches no per-device state and allocates nothing. A
+// batch's one allocation is the done channel its push makes.
+func TestLiveAdmissionAllocatesNothing(t *testing.T) {
+	meta := tinyMeta()
+	meta.Advertisers = []dataset.Advertiser{tinyAdvertiser()}
+	ts := newTestServer(t, serve.Config{
+		Scenario: workload.Config{EpsilonG: 1, Seed: 1, Parallelism: 1},
+		Meta:     meta,
+	})
+	// The first event seals the run and opens the ready latch, so every
+	// admission after it is live.
+	if st, acc, _ := newClient(t, ts).sendBatch([]events.Event{tinyConv(1, 0, 1)}); st != http.StatusOK || acc != 1 {
+		t.Fatalf("seeding event: status %d accepted %d", st, acc)
+	}
+	const n = 512
+	ev := tinyConv(2, 0, 1)
+	unacked := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		select {
+		case <-ts.srv.AdmitLive(ev, n):
+		default:
+			unacked++
+		}
+	})
+	if unacked != 0 {
+		t.Fatalf("%d batches left unacknowledged after all their admissions applied", unacked)
+	}
+	if allocs-1 != 0 {
+		t.Fatalf("a %d-event batch allocates %v times beyond its done channel, want 0", n, allocs-1)
 	}
 	if _, err := tsShutdown(ts); err != nil {
 		t.Fatalf("shutdown: %v", err)

@@ -1,6 +1,10 @@
 package serve
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/events"
+)
 
 // ClockHeadAge is the queue clock's shed signal right now: how long the
 // oldest admitted-but-unapplied batch has waited (0 when none is queued).
@@ -8,6 +12,20 @@ func (s *Server) ClockHeadAge() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.clock.headAge(time.Now().UnixNano())
+}
+
+// AdmitLive stands in for one handler admitting a batch of n live events
+// and the service applying them: it pushes the batch onto the queue clock,
+// then runs n live onAdmit calls for ev, and returns the batch's done
+// channel. The server must be past its ready latch, with nothing in flight.
+func (s *Server) AdmitLive(ev events.Event, n int) <-chan struct{} {
+	s.mu.Lock()
+	done := s.clock.push(time.Now().UnixNano(), n)
+	s.mu.Unlock()
+	for range n {
+		s.onAdmit(ev, false)
+	}
+	return done
 }
 
 // EventsSeeds are the POST /v1/events bodies both fuzz targets start

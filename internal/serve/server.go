@@ -87,15 +87,11 @@ func stateString(st int32) string {
 	}
 }
 
-// cursor is one device's admission high-water mark: the (day, id) of its
-// newest admitted event. Admission requires strict (day, id) progress per
-// device, so the event ID doubles as the retry-dedupe sequence number.
-//
-// The server keeps two cursors per device. The dedupe cursor advances at
-// enqueue time and is what admission checks against; the applied cursor
-// advances only when the service commits the admission (onAdmit, after
-// the WAL append), and is what a 200 response waits on. The gap between
-// them is exactly the admission queue.
+// cursor is one device's dedupe cursor: the (day, id) of its newest
+// admitted event. Admission requires strict (day, id) progress per device,
+// so the event ID doubles as the retry-dedupe sequence number. A live
+// admission advances it at enqueue; onAdmit advances it only for restored
+// and replayed admissions, which is how recovery rebuilds it.
 type cursor struct {
 	day int
 	id  events.EventID
@@ -103,22 +99,7 @@ type cursor struct {
 
 // before reports whether the cursor admits an event at (day, id).
 func (c cursor) before(ev events.Event) bool {
-	return !c.covers(cursor{ev.Day, ev.ID})
-}
-
-// covers reports whether the cursor has reached (o.day, o.id): an
-// admission at that position is durable once the applied cursor covers it.
-func (c cursor) covers(o cursor) bool {
-	return c.day > o.day || (c.day == o.day && c.id >= o.id)
-}
-
-// appliedWaiter parks one handler until a device's applied cursor covers
-// a threshold — the batch's newest admission on that device. onAdmit
-// closes ch when the threshold is reached.
-type appliedWaiter struct {
-	device events.DeviceID
-	need   cursor
-	ch     chan struct{}
+	return c.day < ev.Day || (c.day == ev.Day && c.id < ev.ID)
 }
 
 // netSource adapts the admission queue to dataset.Source: the service's
@@ -146,46 +127,74 @@ func (s *netSource) Next() (events.Event, bool) {
 	return ev, ok
 }
 
-// queueClock times the admission queue, the one queue between a client and
-// the day clock. It is a FIFO with one entry per admitted batch: the
-// handler pushes (admission instant, events admitted) as it enqueues, and
-// onAdmit pops one event per live admission. The entry's last pop is the
-// batch's admission→apply sojourn — what its client waited for the ack —
-// folded into longest/total/batches for /v1/stats and the finished Run;
-// the head entry's age is the signal the shed gate acts on. Server.mu
-// guards it: every push, pop and read already runs under that lock.
+// queueClock is the admission queue's FIFO: its clock and its ack wait
+// list in one. Live admissions are numbered in enqueue order — a handler
+// that admits n events adds n to admitted, and onAdmit adds 1 to applied
+// per live admission — and the ingest channel is FIFO, so a batch is
+// WAL-logged and applied exactly when applied reaches the ordinal of its
+// last event. Each admitted batch pushes one entry (admission instant,
+// that end ordinal, a done channel). When applied reaches an entry's end,
+// pop folds the batch's admission→apply sojourn — what its client waited
+// for the ack — into longest/total/batches for /v1/stats and the finished
+// Run, then closes done, the channel the handler parks on. The head
+// entry's age is the signal the shed gate acts on. Server.mu guards it:
+// every push, pop and read already runs under that lock.
 type queueClock struct {
-	entries []clockEntry
-	head    int
+	entries           []clockEntry
+	head              int
+	admitted, applied int64 // live admission ordinals
 	// Sojourn of the batches whose last event applied, in nanoseconds.
 	longest, total, batches int64
 }
 
 type clockEntry struct {
-	at int64 // admission instant, UnixNano
-	n  int   // admitted events not yet applied
+	at   int64         // admission instant, UnixNano
+	end  int64         // ordinal of the batch's last admission
+	done chan struct{} // closed once applied reaches end
 }
 
-func (q *queueClock) push(at int64, n int) {
-	if q.head > 64 && q.head*2 >= len(q.entries) {
-		q.entries = append(q.entries[:0], q.entries[q.head:]...)
-		q.head = 0
+// push enqueues a batch of n ≥ 1 live admissions and returns the channel
+// closed once its last one applies.
+func (q *queueClock) push(at int64, n int) chan struct{} {
+	switch {
+	case q.head == len(q.entries):
+		q.entries, q.head = q.entries[:0], 0
+	case q.head > 64 && q.head*2 >= len(q.entries):
+		k := copy(q.entries, q.entries[q.head:])
+		clear(q.entries[k:])
+		q.entries, q.head = q.entries[:k], 0
 	}
-	q.entries = append(q.entries, clockEntry{at, n})
+	q.admitted += int64(n)
+	done := make(chan struct{})
+	q.entries = append(q.entries, clockEntry{at, q.admitted, done})
+	return done
 }
 
-// pop accounts one applied event to the head entry. Only live admissions
-// pop, and each was pushed under the lock its pop takes, so the head exists.
+// pop accounts one live admission applied. Each was pushed under the lock
+// its pop takes, so the head exists; ends strictly increase, so at most
+// the head completes.
 func (q *queueClock) pop() {
+	q.applied++
 	e := &q.entries[q.head]
-	if e.n--; e.n > 0 {
+	if e.end > q.applied {
 		return
 	}
 	d := time.Now().UnixNano() - e.at
 	q.longest = max(q.longest, d)
 	q.total += d
 	q.batches++
+	close(e.done)
+	*e = clockEntry{}
 	q.head++
+}
+
+// newest returns the done channel of the newest unapplied batch, or nil
+// when every live admission has applied.
+func (q *queueClock) newest() chan struct{} {
+	if q.head == len(q.entries) {
+		return nil
+	}
+	return q.entries[len(q.entries)-1].done
 }
 
 // headAge is how long the oldest admitted-but-unapplied batch has waited.
@@ -249,11 +258,9 @@ type Server struct {
 	advertisers []dataset.Advertiser
 	advIndex    map[string]int // site name → index in advertisers
 	src         *netSource
-	// cursors is the dedupe cursor (advanced at enqueue); applied is the
-	// durable high-water mark (advanced in onAdmit). See type cursor.
+	// cursors are the per-device dedupe cursors (see type cursor); clock
+	// orders and times the live admissions (see type queueClock).
 	cursors map[events.DeviceID]cursor
-	applied map[events.DeviceID]cursor
-	waiters map[events.DeviceID][]*appliedWaiter
 	clock   queueClock
 	results []stream.Result
 	stats   Stats
@@ -290,8 +297,6 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		advIndex: make(map[string]int),
 		cursors:  make(map[events.DeviceID]cursor),
-		applied:  make(map[events.DeviceID]cursor),
-		waiters:  make(map[events.DeviceID][]*appliedWaiter),
 		done:     make(chan struct{}),
 		ready:    make(chan struct{}),
 	}
@@ -360,73 +365,30 @@ func (s *Server) runService(wcfg workload.Config, src *netSource) {
 }
 
 // onAdmit runs on the service goroutine for every committed admission
-// decision — live, restored, or replayed. It advances both cursors (so
-// recovery rebuilds them from durable state) and releases every handler
-// whose batch the applied cursor now covers, which is what makes a 200
-// mean "WAL-logged and applied", not "enqueued". A late drop advances the
-// cursors too: the admission decision is durable (WAL-logged, and carried
-// by snapshots as a drop mark) even though the event never reaches the
-// store, so a resumed server must keep rejecting its retries as
-// duplicates rather than re-admitting and re-dropping them.
+// decision — live, restored, or replayed. A live one advances the applied
+// ordinal, which releases the handler whose batch it completes: that is
+// what makes a 200 mean "WAL-logged and applied", not "enqueued". Restored
+// and replayed ones (resume recovery, which runs before the source turns
+// ready) were never pushed by a handler this incarnation; they rebuild the
+// dedupe cursors instead. A late drop advances the cursor too: the
+// admission decision is durable (WAL-logged, and carried by snapshots as a
+// drop mark) even though the event never reaches the store, so a resumed
+// server must keep rejecting its retries as duplicates rather than
+// re-admitting and re-dropping them.
 func (s *Server) onAdmit(ev events.Event, dropped bool) {
 	s.mu.Lock()
 	if dropped {
 		s.stats.LateDropped++
 	}
-	// Pop the queue clock only for live admissions: restored and replayed
-	// ones (resume recovery, which runs before the source turns ready) were
-	// never pushed by a handler this incarnation.
 	select {
 	case <-s.ready:
 		s.clock.pop()
 	default:
-	}
-	c := cursor{ev.Day, ev.ID}
-	if prev, ok := s.applied[ev.Device]; !ok || prev.before(ev) {
-		s.applied[ev.Device] = c
-	}
-	if prev, ok := s.cursors[ev.Device]; !ok || prev.before(ev) {
-		s.cursors[ev.Device] = c
-	}
-	if ws, ok := s.waiters[ev.Device]; ok {
-		applied := s.applied[ev.Device]
-		kept := ws[:0]
-		for _, w := range ws {
-			if applied.covers(w.need) {
-				close(w.ch)
-			} else {
-				kept = append(kept, w)
-			}
-		}
-		if len(kept) == 0 {
-			delete(s.waiters, ev.Device)
-		} else {
-			s.waiters[ev.Device] = kept
+		if c, ok := s.cursors[ev.Device]; !ok || c.before(ev) {
+			s.cursors[ev.Device] = cursor{ev.Day, ev.ID}
 		}
 	}
 	s.mu.Unlock()
-}
-
-// resolveStopped runs when the service stopped while a handler was parked
-// on its waiters: any waiter still registered was not applied before the
-// stop, so the batch is not durable and the client must retry. Waiters
-// are deregistered either way.
-func (s *Server) resolveStopped(waits []*appliedWaiter) (pending bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, w := range waits {
-		ws := s.waiters[w.device]
-		if i := slices.Index(ws, w); i >= 0 {
-			ws = slices.Delete(ws, i, i+1)
-			if len(ws) == 0 {
-				delete(s.waiters, w.device)
-			} else {
-				s.waiters[w.device] = ws
-			}
-			pending = true
-		}
-	}
-	return pending
 }
 
 // onResult runs on the service goroutine for every released (or restored)
@@ -588,9 +550,9 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, *RequestErr
 // handleEvents is POST /v1/events: validate the whole batch, admit it in
 // order under the dedupe cursors, and acknowledge only after the service
 // has WAL-logged and applied the batch's last admitted event — or, for a
-// batch of pure duplicates, once the applied cursor covers every
-// duplicated admission, so a 200 means durable even when the originals
-// were still queued when the retry arrived.
+// batch of pure duplicates, once the newest unapplied batch has applied,
+// so a 200 means durable even when the originals were still queued when
+// the retry arrived.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -673,8 +635,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	accepted, duplicates := 0, 0
 	backpressured := false
-	var lastDev events.DeviceID
-	var lastNeed cursor
 	for i, ev := range decoded {
 		if c, ok := s.cursors[ev.Device]; ok && !c.before(ev) {
 			duplicates++
@@ -686,7 +646,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case src.ch <- sc.withNames(i):
 			s.cursors[ev.Device] = cursor{ev.Day, ev.ID}
-			lastDev, lastNeed = ev.Device, cursor{ev.Day, ev.ID}
 			accepted++
 		default:
 			backpressured = true
@@ -695,42 +654,23 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
+	// The batch waits on its own entry: applied reaching its last ordinal
+	// implies every earlier admission applied too — including the original
+	// behind each duplicate in it, which was necessarily enqueued first. A
+	// batch of pure duplicates waits on the newest unapplied entry, since
+	// its originals were admitted no later than that (a client retrying a
+	// timed-out batch races its own first delivery); with none, they have
+	// all applied.
+	var done chan struct{}
 	if accepted > 0 {
-		s.clock.push(now, accepted)
+		done = s.clock.push(now, accepted)
+	} else if duplicates > 0 {
+		done = s.clock.newest()
 	}
 	s.stats.EventsAccepted += int64(accepted)
 	s.stats.DuplicatesRejected += int64(duplicates)
-	var waits []*appliedWaiter
-	switch {
-	case backpressured:
+	if backpressured {
 		s.stats.Backpressured++
-	case accepted > 0:
-		// The ingest channel is FIFO and onAdmit fires in drain order, so
-		// the batch's last enqueued event applying implies every earlier
-		// admission applied too — including the original behind each
-		// duplicate in this batch, which was necessarily enqueued first.
-		wt := &appliedWaiter{device: lastDev, need: lastNeed, ch: make(chan struct{})}
-		s.waiters[lastDev] = append(s.waiters[lastDev], wt)
-		waits = append(waits, wt)
-	case duplicates > 0:
-		// All-duplicate batch: the 200 still promises durability, and the
-		// originals may still be sitting in the admission queue (a client
-		// retrying a timed-out batch races its own first delivery). Wait
-		// until the applied cursor covers each device's newest duplicate.
-		need := make(map[events.DeviceID]cursor)
-		for _, ev := range decoded {
-			if c, ok := need[ev.Device]; !ok || c.before(ev) {
-				need[ev.Device] = cursor{ev.Day, ev.ID}
-			}
-		}
-		for dev, c := range need {
-			if s.applied[dev].covers(c) {
-				continue
-			}
-			wt := &appliedWaiter{device: dev, need: c, ch: make(chan struct{})}
-			s.waiters[dev] = append(s.waiters[dev], wt)
-			waits = append(waits, wt)
-		}
 	}
 	s.mu.Unlock()
 	release()
@@ -748,16 +688,18 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	for i, wt := range waits {
+	if done != nil {
 		select {
-		case <-wt.ch:
-			continue
+		case <-done:
 		case <-s.done:
-			// The service stopped while the batch was in flight. Waiters
-			// the observer released before the stop are durable; any still
-			// registered are not, and the client must retry against a
+			// The service stopped while the batch was in flight. onAdmit
+			// runs on the service goroutine, which closes s.done only after
+			// its last admission, so done is closed now or never: if never,
+			// the batch is not durable and the client must retry against a
 			// recovered server.
-			if s.resolveStopped(waits[i:]) {
+			select {
+			case <-done:
+			default:
 				writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{
 					Error: "service stopped before the batch was applied; retry after recovery",
 					Code:  CodeUnavailable,
@@ -765,7 +707,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		break
 	}
 	writeJSON(w, http.StatusOK, IngestResponse{Accepted: accepted, Duplicates: duplicates})
 }
