@@ -15,7 +15,7 @@ import (
 // construction. The binding is a read-only view the device does not own: a
 // fleet's ReleaseStore drops it once generation is over, leaving the ledger
 // as the device's whole state; a released device still answers every ledger
-// read, and its generate methods panic. All methods are safe for concurrent
+// read, and its report methods panic. All methods are safe for concurrent
 // use; a report's whole budget check-and-consume sequence runs under a
 // single ledger lock acquisition.
 //
@@ -140,18 +140,19 @@ func (d *Device) RestoreBudgetRow(q events.Site, e events.Epoch, consumed float6
 // budget or data is missing) so that report presence and shape leak nothing;
 // an error is returned only for malformed requests.
 //
-// This variant allocates a fresh workspace and full Diagnostics per call —
-// convenient for tests, examples, and one-off callers. The query executor
-// uses GenerateReportBatch, which reuses a per-worker workspace and skips the
-// diagnostics entirely.
+// It is a GenerateReportBatch visit of one request on a fresh workspace,
+// with full Diagnostics built from that workspace — convenient for tests,
+// examples, and one-off callers. The query executor calls
+// GenerateReportBatch directly, reusing a per-worker workspace and skipping
+// the diagnostics.
 func (d *Device) GenerateReport(req *Request) (*Report, *Diagnostics, error) {
-	var s Scratch
-	diag := &Diagnostics{}
-	rep, _, err := d.generate(req, &s, diag)
-	if err != nil {
+	var ms MultiScratch
+	var rep [1]*Report
+	var st [1]ReportStats
+	if _, err := d.GenerateReportBatch([]*Request{req}, &ms, rep[:], st[:]); err != nil {
 		return nil, nil, err
 	}
-	return rep, diag, nil
+	return rep[0], diagnostics(req, &ms.ss[0], st[0]), nil
 }
 
 // store returns the events database the device reads, panicking with the
@@ -161,45 +162,6 @@ func (d *Device) store() *events.Database {
 		panic(fmt.Sprintf("core: report generation on device %d after its event store was released (Fleet.ReleaseStore)", d.id))
 	}
 	return d.env.db
-}
-
-// generate is the shared implementation of Listing 1, reusing s's buffers:
-// only the *Report (and its histogram) are freshly allocated; see Scratch for
-// the reuse contract. It returns the fold-ready ReportStats; when diag is
-// non-nil it is additionally populated with freshly allocated (retainable)
-// diagnostics.
-//
-// The batched path (GenerateReportBatch) runs the same three phases through
-// the same helpers — lossPass between selection and charge, finish after —
-// with only the selection fan-in, the charge's lock batching, and the nonce
-// draw differing, so the two paths produce bit-identical reports and stats
-// by construction.
-func (d *Device) generate(req *Request, s *Scratch, diag *Diagnostics) (*Report, ReportStats, error) {
-	db := d.store()
-	if err := req.Validate(); err != nil {
-		return nil, ReportStats{}, err
-	}
-
-	s.grow(req.WindowSize())
-
-	// Step 1: select relevant events from every window epoch (the shared
-	// truth computation — see window.go), into the reused workspace.
-	selectWindow(db, d.id, req, s)
-
-	// Step 2: per-epoch individual privacy loss.
-	d.lossPass(req, s)
-
-	// Step 3: atomic check-and-consume for the whole window under one
-	// ledger lock; on Halt an epoch's events are dropped (replaced by ∅)
-	// and nothing is charged. The querier's symbol serves the charge and
-	// the report.
-	q := events.Intern(req.Querier)
-	d.ledger.ChargeWindowBatch([]privacy.WindowCharge{{
-		Querier: q, First: int64(req.FirstEpoch), Losses: s.losses, Outcomes: s.outcomes,
-	}})
-
-	rep, stats := d.finish(req, q, s, newNonce(), diag)
-	return rep, stats, nil
 }
 
 // lossPass computes step 2 of Listing 1 over a filled selection: the
@@ -217,12 +179,10 @@ func (d *Device) lossPass(req *Request, s *Scratch) {
 // finish folds the charge outcomes and runs step 4: attribution over
 // surviving epochs, the lazy truth pass, and report assembly around the
 // caller-minted nonce; q is req.Querier's symbol.
-func (d *Device) finish(req *Request, q events.Site, s *Scratch, nonce Nonce, diag *Diagnostics) (*Report, ReportStats) {
-	first := req.FirstEpoch
-	k := req.WindowSize()
+func (d *Device) finish(req *Request, q events.Site, s *Scratch, nonce Nonce) (*Report, ReportStats) {
 	stats := ReportStats{}
 	diverged := false
-	for i := 0; i < k; i++ {
+	for i, k := 0, req.WindowSize(); i < k; i++ {
 		switch s.outcomes[i] {
 		case privacy.ChargeZero:
 			s.surviving[i] = s.truthful[i]
@@ -247,20 +207,14 @@ func (d *Device) finish(req *Request, q events.Site, s *Scratch, nonce Nonce, di
 
 	// The truth pass is lazy: surviving and truthful only differ when a
 	// denial dropped relevant events, so in the common (no-denial) case the
-	// report histogram *is* the truth and the second attribution pass —
-	// previously unconditional — is skipped entirely, bit for bit.
+	// report histogram *is* the truth and the second attribution pass is
+	// skipped entirely, bit for bit.
 	if diverged {
 		tr := AttributeWindow(req, s.truthful)
 		stats.TruthTotal = tr.Total()
 		stats.Biased = !slices.Equal(h, tr)
-		if diag != nil {
-			diag.TrueHistogram = tr
-		}
 	} else {
 		stats.TruthTotal = h.Total()
-		if diag != nil {
-			diag.TrueHistogram = h.Clone()
-		}
 	}
 
 	rep := &Report{
@@ -274,23 +228,29 @@ func (d *Device) finish(req *Request, q events.Site, s *Scratch, nonce Nonce, di
 	if req.Bias != nil {
 		rep.BiasFlag = biasFlag(req, s.outcomes, s.surviving)
 	}
+	return rep, stats
+}
 
-	if diag != nil {
-		diag.FirstEpoch = first
-		diag.Biased = stats.Biased
-		diag.PerEpochLoss = make([]float64, k)
-		diag.RelevantPerEpoch = make([]int, k)
-		copy(diag.RelevantPerEpoch, s.relevant)
-		for i := 0; i < k; i++ {
-			if s.outcomes[i] == privacy.ChargeOK {
-				diag.PerEpochLoss[i] = s.losses[i]
-			}
-			if s.outcomes[i] == privacy.ChargeDenied {
-				diag.DeniedEpochs = append(diag.DeniedEpochs, first+events.Epoch(i))
-			}
+// diagnostics builds a finished report's Diagnostics, freshly allocated,
+// from the workspace that generated it: s still holds the visit's
+// selection, losses and charge outcomes.
+func diagnostics(req *Request, s *Scratch, st ReportStats) *Diagnostics {
+	diag := &Diagnostics{
+		FirstEpoch:       req.FirstEpoch,
+		TrueHistogram:    AttributeWindow(req, s.truthful),
+		PerEpochLoss:     make([]float64, len(s.losses)),
+		RelevantPerEpoch: slices.Clone(s.relevant),
+		Biased:           st.Biased,
+	}
+	for i, o := range s.outcomes {
+		switch o {
+		case privacy.ChargeOK:
+			diag.PerEpochLoss[i] = s.losses[i]
+		case privacy.ChargeDenied:
+			diag.DeniedEpochs = append(diag.DeniedEpochs, req.FirstEpoch+events.Epoch(i))
 		}
 	}
-	return rep, stats
+	return diag
 }
 
 // biasFlag computes the κ-scaled side-query coordinate of Appendix F. Under

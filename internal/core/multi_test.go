@@ -33,8 +33,8 @@ func randomMultiDB(rng *rand.Rand, dev events.DeviceID) *events.Database {
 }
 
 // randomMultiRequest builds a valid request with a random querier, window,
-// selector (occasionally a SelectorFunc, which cannot compile and forces the
-// batched path onto its generic-selection fallback), epsilon, and bias spec.
+// selector (occasionally a SelectorFunc, which cannot compile and is tested
+// with Selector.Relevant in the window selection), epsilon, and bias spec.
 func randomMultiRequest(rng *rand.Rand) *Request {
 	site := multiSites[rng.Intn(3)]
 	var sel events.Selector
@@ -74,7 +74,7 @@ func randomMultiRequest(rng *rand.Rand) *Request {
 
 // checkSelection holds a filled selection — a Scratch's truthful slices —
 // to RelevantWindow, the allocating Select-per-epoch statement of it, which
-// shares no code with selectWindow or the multi-matcher scan. Reports alone
+// shares no code with selectWindow or the window scan. Reports alone
 // can miss a wrong selection: an aliased record that carries irrelevant
 // events, or a selector tested the wrong way, may still attribute the same.
 func checkSelection(t *testing.T, db *events.Database, dev events.DeviceID, req *Request, got [][]events.Event, path string) {
@@ -92,16 +92,17 @@ func sameReportModuloNonce(a, b *Report) bool {
 		a.Epsilon == b.Epsilon && a.QuerySensitivity == b.QuerySensitivity
 }
 
-// TestBatchMatchesSequentialScratch is the batched path's equivalence
+// TestBatchMatchesSequentialScratch is the batched visit's equivalence
 // property: random request batches against random frozen stores must produce,
-// via one GenerateReportBatch visit, exactly what the one-at-a-time
-// one-at-a-time generate reference produces request by request — reports
-// (modulo nonce), fold stats, and the device's full ledger state after every
-// batch. Low epsilon-G values force denials so the charge order is load-
-// bearing, and SelectorFunc lanes exercise the non-compiled fallback.
+// via one GenerateReportBatch visit, exactly what one-request visits produce
+// request by request on a second device — reports (modulo nonce), fold
+// stats, and the device's full ledger state after every batch. Low epsilon-G
+// values force denials so the charge order is load-bearing, and SelectorFunc
+// requests exercise the opaque selection.
 func TestBatchMatchesSequentialScratch(t *testing.T) {
-	var scratch Scratch
-	var ms MultiScratch
+	var msRef, ms MultiScratch
+	repRef := make([]*Report, 1)
+	stRef := make([]ReportStats, 1)
 	for seed := int64(1); seed <= 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		const dev = events.DeviceID(7)
@@ -129,20 +130,19 @@ func TestBatchMatchesSequentialScratch(t *testing.T) {
 			}
 
 			for j, req := range reqs {
-				repRef, stRef, err := dRef.generate(req, &scratch, nil)
-				if err != nil {
+				if _, err := dRef.GenerateReportBatch(reqs[j:j+1], &msRef, repRef, stRef); err != nil {
 					t.Fatal(err)
 				}
-				if !sameReportModuloNonce(repRef, reports[j]) {
+				if !sameReportModuloNonce(repRef[0], reports[j]) {
 					t.Fatalf("seed %d batch %d req %d: report %+v vs %+v",
-						seed, batch, j, repRef, reports[j])
+						seed, batch, j, repRef[0], reports[j])
 				}
-				if stRef != stats[j] {
+				if stRef[0] != stats[j] {
 					t.Fatalf("seed %d batch %d req %d: stats %+v vs %+v",
-						seed, batch, j, stRef, stats[j])
+						seed, batch, j, stRef[0], stats[j])
 				}
 				checkSelection(t, db, dev, req, ms.ss[j].truthful, "batched")
-				checkSelection(t, db, dev, req, scratch.truthful, "sequential")
+				checkSelection(t, db, dev, req, msRef.ss[0].truthful, "sequential")
 			}
 			for j := 1; j < n; j++ {
 				if reports[j].Nonce != reports[j-1].Nonce+1 {
@@ -160,13 +160,14 @@ func TestBatchMatchesSequentialScratch(t *testing.T) {
 
 // TestBatchMutableStoreFallback runs the same equivalence against a store
 // filled by Record rather than bulk-loaded. The built-in selectors compile
-// there too (Record interns the scan-key column as it appends), while the
+// there too (Record fills the scan-key column as it appends), while the
 // SelectorFunc requests take Selector.Relevant in the shared selection loop,
-// so the batched charge and nonce paths are held to the sequential path
+// so the batched charge and nonce paths are held to one-request visits
 // whichever test selects.
 func TestBatchMutableStoreFallback(t *testing.T) {
-	var scratch Scratch
-	var ms MultiScratch
+	var msRef, ms MultiScratch
+	repRef := make([]*Report, 1)
+	stRef := make([]ReportStats, 1)
 	for seed := int64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		db := events.NewDatabase()
@@ -192,15 +193,14 @@ func TestBatchMutableStoreFallback(t *testing.T) {
 				t.Fatalf("seed %d: lane %d: %v", seed, lane, err)
 			}
 			for j, req := range reqs {
-				repRef, stRef, err := dRef.generate(req, &scratch, nil)
-				if err != nil {
+				if _, err := dRef.GenerateReportBatch(reqs[j:j+1], &msRef, repRef, stRef); err != nil {
 					t.Fatal(err)
 				}
-				if !sameReportModuloNonce(repRef, reports[j]) || stRef != stats[j] {
+				if !sameReportModuloNonce(repRef[0], reports[j]) || stRef[0] != stats[j] {
 					t.Fatalf("seed %d batch %d req %d: mismatch", seed, batch, j)
 				}
 				checkSelection(t, db, 7, req, ms.ss[j].truthful, "batched")
-				checkSelection(t, db, 7, req, scratch.truthful, "sequential")
+				checkSelection(t, db, 7, req, msRef.ss[0].truthful, "sequential")
 			}
 			if !reflect.DeepEqual(dRef.Ledger(), dBat.Ledger()) {
 				t.Fatalf("seed %d batch %d: ledger diverged", seed, batch)
@@ -242,5 +242,52 @@ func TestBatchValidatesUpFront(t *testing.T) {
 	// An empty batch is a no-op success.
 	if lane, err := d.GenerateReportBatch(nil, &ms, nil, nil); lane != -1 || err != nil {
 		t.Fatalf("empty batch: lane %d err %v", lane, err)
+	}
+}
+
+// TestBatchVisitAllocatesOnlyReports pins the visit's allocation budget:
+// after warm-up, with a reused MultiScratch, a device visit of one request
+// and one of four compiled requests (no denial) allocate only what they
+// return — each *Report and its histogram.
+func TestBatchVisitAllocatesOnlyReports(t *testing.T) {
+	camps := []events.Sym{events.Intern("shoes"), events.Intern("hats")}
+	var evs []events.Event
+	for i := 0; i < 48; i++ {
+		evs = append(evs, events.Event{
+			ID: events.EventID(i + 1), Kind: events.KindImpression, Device: 7, Day: i % 35,
+			Advertiser: multiSites[i%3], Campaign: camps[i%2], Product: camps[i%2],
+		})
+	}
+	d := NewDevice(7, events.NewFrozen(7, evs), 1e9, CookieMonsterPolicy{})
+	req := func(q events.Site, sel events.Selector) *Request {
+		return &Request{
+			Querier: q.String(), FirstEpoch: 0, LastEpoch: 4, Selector: sel,
+			Function: attribution.ScalarValue{Value: 70}, Epsilon: 0.01,
+			ReportSensitivity: 70, QuerySensitivity: 100, PNorm: 1,
+		}
+	}
+	four := []*Request{
+		req(multiSites[0], events.NewCampaignSelector(multiSites[0], camps[0])),
+		req(multiSites[1], events.ProductSelector{Advertiser: multiSites[1], Product: camps[1]}),
+		req(multiSites[2], events.WindowSelector{Inner: events.NewCampaignSelector(multiSites[2]), FirstDay: 3, LastDay: 30}),
+		req(multiSites[0], events.NewCampaignSelector(multiSites[0])),
+	}
+	var ms MultiScratch
+	reports := make([]*Report, len(four))
+	stats := make([]ReportStats, len(four))
+	for _, n := range []int{1, len(four)} {
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := d.GenerateReportBatch(four[:n], &ms, reports[:n], stats[:n]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		for j, st := range stats[:n] {
+			if st.Denied || st.TruthTotal != 70 {
+				t.Fatalf("request %d: %+v; the fence measures a no-denial visit that selects", j, st)
+			}
+		}
+		if want := float64(2 * n); allocs != want {
+			t.Errorf("visit of %d requests: %v allocations, want %v (a *Report and its histogram each)", n, allocs, want)
+		}
 	}
 }

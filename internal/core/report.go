@@ -14,15 +14,11 @@ type Nonce uint64
 
 var nonceCounter atomic.Uint64
 
-// newNonce mints a process-unique nonce. A deployment would use a random
-// 128-bit value; uniqueness is the only property the protocol needs.
-func newNonce() Nonce { return Nonce(nonceCounter.Add(1)) }
-
-// newNonceBlock reserves n consecutive nonces with a single atomic add and
-// returns the first — the batched generate stage's per-device draw, one
-// counter operation for a whole device's reports instead of one per report.
-// Uniqueness and monotonicity (the NonceFloor contract) hold exactly as for
-// newNonce; nothing downstream depends on nonce values beyond that.
+// newNonceBlock reserves n consecutive process-unique nonces with a single
+// atomic add and returns the first — a device visit's draw, one counter
+// operation for all of the visit's reports. A deployment would use random
+// 128-bit values; uniqueness and monotonicity (the NonceFloor contract) are
+// the only properties the protocol needs.
 func newNonceBlock(n int) Nonce {
 	return Nonce(nonceCounter.Add(uint64(n))-uint64(n)) + 1
 }

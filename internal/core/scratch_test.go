@@ -12,10 +12,13 @@ import (
 
 // TestScratchPathMatchesDiagnosticsPath runs the allocate-per-call API and
 // the scratch-reusing hot path over identical randomized devices and asserts
-// reports and fold stats are bit-identical, with one shared Scratch carried
-// across every call (the reuse contract under maximal buffer staleness).
+// reports and fold stats are bit-identical, with one shared MultiScratch
+// carried across every call (the reuse contract under maximal buffer
+// staleness).
 func TestScratchPathMatchesDiagnosticsPath(t *testing.T) {
-	var scratch Scratch
+	var ms MultiScratch
+	reps := make([]*Report, 1)
+	sts := make([]ReportStats, 1)
 	for seed := int64(1); seed <= 15; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		db := events.NewDatabase()
@@ -50,10 +53,10 @@ func TestScratchPathMatchesDiagnosticsPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			repScr, st, err := dScr.generate(req, &scratch, nil)
-			if err != nil {
+			if _, err := dScr.GenerateReportBatch([]*Request{req}, &ms, reps, sts); err != nil {
 				t.Fatal(err)
 			}
+			repScr, st := reps[0], sts[0]
 
 			if !slices.Equal(repRef.Histogram, repScr.Histogram) {
 				t.Fatalf("seed %d call %d: histogram %v vs %v",
@@ -105,8 +108,8 @@ func TestDiagnosticsEpochIndexing(t *testing.T) {
 	}
 }
 
-// TestDeviceLedgerConcurrentRace drives concurrent GenerateReport (scratch
-// and diagnostics variants), Consumed, ConsumedByQuerier and Ledger against
+// TestDeviceLedgerConcurrentRace drives concurrent report generation
+// (GenerateReportBatch and GenerateReport), Consumed, ConsumedByQuerier and Ledger against
 // the flat ledger, interleaved with the streaming
 // service's phase discipline for events.Database.EvictBefore (a mutation
 // phase with no concurrent readers). Run under -race.
@@ -148,12 +151,14 @@ func TestDeviceLedgerConcurrentRace(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				var scratch Scratch
+				var ms MultiScratch
+				reps := make([]*Report, 1)
+				sts := make([]ReportStats, 1)
 				for i := 0; i < 40; i++ {
 					dev := fleet.GetOrCreate(events.DeviceID((w + i) % 4))
 					switch w % 4 {
 					case 0:
-						if _, _, err := dev.generate(req(floor, floor+3), &scratch, nil); err != nil {
+						if _, err := dev.GenerateReportBatch([]*Request{req(floor, floor+3)}, &ms, reps, sts); err != nil {
 							t.Error(err)
 							return
 						}

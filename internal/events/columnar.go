@@ -7,15 +7,15 @@ import "math"
 // The report hot path spends its time in two places: charging the budget
 // ledger and scanning device-epoch records for relevant events. Beside every
 // event, the store's arena keeps a column of integer scan keys (the
-// advertiser as a dense per-store ID, the campaign symbol, day, kind) —
-// Record and NewFrozen compute them as they write — so the built-in
-// selectors lower to straight integer compares over zero-copy record views
-// instead of an interface call per event.
+// advertiser and campaign symbol numbers, day, kind) — Record and NewFrozen
+// compute them as they write — so the built-in selectors lower to straight
+// integer compares over zero-copy record views instead of an interface call
+// per event.
 
 // evKey is the scan-hot projection of one event: every field the built-in
-// selectors can test, reduced to integers. Day saturates at the int32
-// bounds; the Epoch math in event.go already confines realistic simulations
-// well inside them.
+// selectors can test, reduced to integers (names to their symbol numbers).
+// Day saturates at the int32 bounds; the Epoch math in event.go already
+// confines realistic simulations well inside them.
 type evKey struct {
 	day  int32
 	adv  uint32
@@ -23,57 +23,34 @@ type evKey struct {
 	kind uint8
 }
 
-// intern is the database's scan-key state, written only inside Record and
-// NewFrozen under the store's single-writer phase discipline. Advertisers
-// map to dense per-store IDs, because MultiScan sizes and clears its
-// dispatch table by the largest one on every device visit; campaigns are
-// keyed by symbol, with a set of the symbols the store has seen so that a
-// selector naming none of them compiles to match-none. Selector compilation
-// only reads, so any number of concurrent readers may compile.
-type intern struct {
-	adv   map[Site]uint32
-	camps []uint64 // bit set over campaign symbol numbers
-	// One-entry cache for the ingest path: consecutive events
-	// overwhelmingly repeat the advertiser.
-	lastAdv   Site
-	lastAdvID uint32
-	cached    bool
-}
+// symSet is a bit set over symbol numbers.
+type symSet []uint64
 
-func newIntern() intern {
-	return intern{adv: make(map[Site]uint32)}
-}
-
-func (in *intern) siteID(s Site) uint32 {
-	id, ok := in.adv[s]
-	if !ok {
-		id = uint32(len(in.adv) + 1)
-		in.adv[s] = id
-	}
-	return id
-}
-
-// sawCampaign reports whether the store holds an event of campaign c.
-func (in *intern) sawCampaign(c Sym) bool {
+func (s *symSet) add(c Sym) {
 	w := int(c.n >> 6)
-	return w < len(in.camps) && in.camps[w]&(1<<(c.n&63)) != 0
+	if w >= len(*s) {
+		*s = append(*s, make([]uint64, w+1-len(*s))...)
+	}
+	(*s)[w] |= 1 << (c.n & 63)
 }
 
-// keyOf projects ev onto its scan key, noting its advertiser and campaign.
-func (in *intern) keyOf(ev *Event) evKey {
-	if !in.cached || ev.Advertiser != in.lastAdv {
-		in.lastAdv, in.lastAdvID = ev.Advertiser, in.siteID(ev.Advertiser)
-		in.cached = true
-	}
-	c := ev.Campaign.n
-	if w := int(c >> 6); w >= len(in.camps) {
-		in.camps = append(in.camps, make([]uint64, w+1-len(in.camps))...)
-	}
-	in.camps[c>>6] |= 1 << (c & 63)
+func (s symSet) has(c Sym) bool {
+	w := int(c.n >> 6)
+	return w < len(s) && s[w]&(1<<(c.n&63)) != 0
+}
+
+// keyOf projects ev onto its scan key, noting its advertiser and campaign
+// in the database's seen sets, so that a selector naming none the store
+// holds compiles to match-none. Only Record and NewFrozen call it, under the
+// store's single-writer phase discipline; compilation only reads the sets,
+// so any number of concurrent readers may compile.
+func (db *Database) keyOf(ev *Event) evKey {
+	db.advs.add(ev.Advertiser)
+	db.camps.add(ev.Campaign)
 	return evKey{
 		day:  clampDay(ev.Day),
-		adv:  in.lastAdvID,
-		camp: c,
+		adv:  ev.Advertiser.n,
+		camp: ev.Campaign.n,
 		kind: uint8(ev.Kind),
 	}
 }
@@ -137,7 +114,8 @@ func (db *Database) WindowViewsInto(buf []EventView, d DeviceID, first, last Epo
 // Matcher is a Selector compiled against this database's scan keys: the
 // relevance predicate of the built-in selector forms lowered to integer
 // compares over evKey. A Matcher is only meaningful against views of the
-// database that compiled it (the advertiser IDs are per-database).
+// database that compiled it: its match-none verdict rests on the names that
+// database has seen.
 type Matcher struct {
 	none     bool
 	anyCamp  bool
@@ -175,7 +153,7 @@ func (m *Matcher) Match(v EventView, i int) bool {
 // Compile lowers sel to a column Matcher. ok is false when sel is not one of
 // the built-in selector forms (CampaignSelector, ProductSelector,
 // WindowSelector over either, by value or pointer) — the caller then falls
-// back to interface dispatch. Compilation is read-only on the intern tables,
+// back to interface dispatch. Compilation is read-only on the seen sets,
 // so concurrent readers may compile freely; the common selectors compile
 // with zero allocations (only a CampaignSelector naming ≥ 2 campaigns
 // allocates its small ID set).
@@ -213,12 +191,11 @@ func (db *Database) compileInto(m *Matcher, sel Selector) bool {
 }
 
 func (db *Database) compileCampaign(m *Matcher, s CampaignSelector) bool {
-	adv, ok := db.intern.adv[s.Advertiser]
-	if !ok {
+	if !db.advs.has(s.Advertiser) {
 		m.none = true
 		return true
 	}
-	m.adv = adv
+	m.adv = s.Advertiser.n
 	if len(s.Campaigns) == 0 {
 		m.anyCamp = true
 		return true
@@ -229,7 +206,7 @@ func (db *Database) compileCampaign(m *Matcher, s CampaignSelector) bool {
 	// set matches nothing.
 	first := true
 	for c, on := range s.Campaigns {
-		if !on || !db.intern.sawCampaign(c) {
+		if !on || !db.camps.has(c) {
 			continue
 		}
 		if first {
@@ -244,12 +221,11 @@ func (db *Database) compileCampaign(m *Matcher, s CampaignSelector) bool {
 }
 
 func (db *Database) compileProduct(m *Matcher, s ProductSelector) bool {
-	adv, ok := db.intern.adv[s.Advertiser]
-	if !ok || !db.intern.sawCampaign(s.Product) {
+	if !db.advs.has(s.Advertiser) || !db.camps.has(s.Product) {
 		m.none = true
 		return true
 	}
-	m.adv = adv
+	m.adv = s.Advertiser.n
 	m.camp = s.Product.n
 	return true
 }

@@ -94,6 +94,10 @@ func TestCompileMissingSymbolsMatchesNone(t *testing.T) {
 	if !ok || !m.MatchesNone() {
 		t.Fatalf("absent advertiser: ok=%v none=%v, want compiled match-none", ok, m.MatchesNone())
 	}
+	m, ok = db.Compile(CampaignSelector{Advertiser: Intern("absent.example")})
+	if !ok || !m.MatchesNone() {
+		t.Fatalf("absent advertiser, open campaign set: ok=%v none=%v, want compiled match-none", ok, m.MatchesNone())
+	}
 	m, ok = db.Compile(NewCampaignSelector(Intern("nike.com"), Intern("never-seen")))
 	if !ok || !m.MatchesNone() {
 		t.Fatalf("absent campaign: ok=%v none=%v, want compiled match-none", ok, m.MatchesNone())

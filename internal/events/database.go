@@ -27,7 +27,7 @@ type DeviceEpoch struct {
 // A Database is segmented by epoch — the paper's unit of budget and
 // retention. Each segment is an arena of event and scan-key chunks, and a
 // device's record is a pointer-free region of it. Record appends into that
-// region (interning the scan-key column as it goes — see columnar.go),
+// region (filling the scan-key column as it goes — see columnar.go),
 // NewFrozen bulk-loads a whole batch into exact-sized regions, and
 // EvictBefore reclaims by dropping whole epoch segments, O(1) per evicted
 // epoch. Reads never write, so any number of readers may run at once, but
@@ -35,9 +35,11 @@ type DeviceEpoch struct {
 // exactly this, alternating a single-writer ingest phase with a fan-out read
 // phase on its day clock, and the batch engine loads once and then only reads.
 type Database struct {
-	segs   []*epochSegment // ascending by epoch
-	intern intern
-	nextID EventID
+	segs []*epochSegment // ascending by epoch
+	// advs and camps are the advertiser and campaign symbols the store
+	// has held (keyOf).
+	advs, camps symSet
+	nextID      EventID
 	// trackDirty makes Record list each touched record's device on its
 	// epoch segment until DrainDirty collects it — the incremental
 	// checkpointer's record-level dirty set. Off by default, so the
@@ -177,7 +179,7 @@ func (s *epochSegment) grow(r region) region {
 
 // NewDatabase returns an empty database.
 func NewDatabase() *Database {
-	return &Database{intern: newIntern()}
+	return &Database{}
 }
 
 // NextEventID mints a fresh unique event identifier.
@@ -200,12 +202,9 @@ func (db *Database) NextEventID() EventID {
 func NewFrozen(epochDays int, evs []Event) *Database {
 	db := NewDatabase()
 	idx, devs := sortByDeviceDayID(evs)
-	// Epochs and scan keys by input position; interning in input order keeps
-	// the intern table's one-entry caches hot (consecutive events mostly
-	// share an advertiser), which the device-major walks below would not.
-	epochs, ekeys := make([]Epoch, len(evs)), make([]evKey, len(evs))
+	epochs := make([]Epoch, len(evs)) // by input position
 	for i := range evs {
-		epochs[i], ekeys[i] = EpochOfDay(evs[i].Day, epochDays), db.intern.keyOf(&evs[i])
+		epochs[i] = EpochOfDay(evs[i].Day, epochDays)
 	}
 	type load struct {
 		runs   [][2]int32 // each record's start in idx and length
@@ -241,7 +240,7 @@ func NewFrozen(epochDays int, evs []Event) *Database {
 		for _, run := range l.runs {
 			r := region{off: seg.tail, n: uint32(run[1]), cap: uint32(run[1])}
 			for k, x := range idx[run[0] : run[0]+run[1]] {
-				out[r.off+uint32(k)], keys[r.off+uint32(k)] = evs[x], ekeys[x]
+				out[r.off+uint32(k)], keys[r.off+uint32(k)] = evs[x], db.keyOf(&evs[x])
 			}
 			seg.byDevice.claim(out[r.off].Device).r = r
 			seg.tail += r.n
@@ -356,7 +355,7 @@ func (db *Database) Record(epoch Epoch, ev Event) {
 		copy(evs[i+1:], evs[i:r.n])
 		copy(keys[i+1:], keys[i:r.n])
 	}
-	evs[i], keys[i] = ev, db.intern.keyOf(&ev)
+	evs[i], keys[i] = ev, db.keyOf(&ev)
 	r.n++
 	slot.r = r
 	if db.trackDirty {

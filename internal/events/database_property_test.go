@@ -402,7 +402,7 @@ func checkStoreVsRef(t *testing.T, db *Database, ref *refStore, model *dirtyMode
 				t.Fatalf("%s: WindowViewsInto(%d)[epoch %d] = %v, ref %v", stage, d, e, got, want)
 			}
 			for i, ev := range want {
-				key := evKey{day: clampDay(ev.Day), adv: db.intern.adv[ev.Advertiser],
+				key := evKey{day: clampDay(ev.Day), adv: ev.Advertiser.n,
 					camp: ev.Campaign.n, kind: uint8(ev.Kind)}
 				if v.keys[i] != key {
 					t.Fatalf("%s: view (%d, %d) key %d = %+v, want %+v", stage, d, e, i, v.keys[i], key)

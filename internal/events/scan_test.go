@@ -6,24 +6,15 @@ import (
 	"testing"
 )
 
-// refLaneSelect is the executable reference for one lane of ScanWindow: the
-// single-matcher scan (a Matcher.Match loop per epoch, as core's compiled
-// selection runs it), producing freshly copied slices.
-func refLaneSelect(db *Database, d DeviceID, m *Matcher, first, last Epoch) [][]Event {
-	k := int(last-first) + 1
-	out := make([][]Event, k)
-	if m.MatchesNone() {
-		return out
-	}
+// refLaneSelect is the executable reference for one lane of a window scan:
+// Select over each epoch's view, so every event goes through the selector's
+// own Relevant rather than a compiled matcher, producing freshly copied
+// slices.
+func refLaneSelect(db *Database, d DeviceID, sel Selector, first, last Epoch) [][]Event {
 	views := db.WindowViewsInto(nil, d, first, last)
+	out := make([][]Event, len(views))
 	for i, v := range views {
-		var sel []Event
-		for j := 0; j < v.Len(); j++ {
-			if m.Match(v, j) {
-				sel = append(sel, v.Events()[j])
-			}
-		}
-		out[i] = sel
+		out[i] = Select(v.Events(), sel)
 	}
 	return out
 }
@@ -96,18 +87,29 @@ func randomCompiledSelector(rng *rand.Rand) Selector {
 	}
 }
 
-// TestScanWindowMultiMatchesSingleMatcher property-tests the multi-matcher
-// traversal against the single-matcher reference: for random lane banks
-// (random selectors, windows, devices — including absent devices and
-// MatchesNone lanes), every lane's output slices must equal its own
-// single-matcher scan element for element. Each seed runs on the trace
+// TestScanWindowMultiMatchesSingleMatcher property-tests the window scan
+// against the Relevant reference: for random lane banks (random selectors,
+// windows, devices — including absent devices and MatchesNone lanes), every
+// lane's output slices must equal Select over its own window element for
+// element, and so must Select's opaque path (the same selector behind a
+// SelectorFunc) on the same workspace. Each seed runs on the trace
 // bulk-loaded and recorded, and scans each store twice with the same (dirty)
 // lane bank on different devices, so arena and span reuse is exercised under
 // maximal staleness.
 func TestScanWindowMultiMatchesSingleMatcher(t *testing.T) {
 	var ms MultiScan
 	var lanes []ScanLane
+	var sels []Selector
 	var slack, chunks bool
+	check := func(seed int64, recorded bool, scan, j int, got, want [][]Event) {
+		t.Helper()
+		for i := range want {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("seed %d recorded=%v scan %d lane %d epoch slot %d: got %v want %v",
+					seed, recorded, scan, j, i, got[i], want[i])
+			}
+		}
+	}
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		frozen, recorded := randomScanDB(rng)
@@ -118,12 +120,14 @@ func TestScanWindowMultiMatchesSingleMatcher(t *testing.T) {
 			if cap(lanes) < nl {
 				lanes = slices.Grow(lanes, nl-len(lanes))
 			}
-			lanes = lanes[:nl]
+			lanes, sels = lanes[:nl], sels[:0]
 			for j := 0; j < nl; j++ {
-				m, ok := db.Compile(randomCompiledSelector(rng))
+				sel := randomCompiledSelector(rng)
+				m, ok := db.Compile(sel)
 				if !ok {
 					t.Fatalf("seed %d: built-in selector failed to compile", seed)
 				}
+				sels = append(sels, sel)
 				first := Epoch(rng.Intn(5))
 				last := first + Epoch(rng.Intn(8))
 				ln := &lanes[j]
@@ -140,14 +144,15 @@ func TestScanWindowMultiMatchesSingleMatcher(t *testing.T) {
 				ms.ScanWindow(db, dev, lanes)
 				for j := range lanes {
 					ln := &lanes[j]
-					want := refLaneSelect(db, dev, &ln.Matcher, ln.First, ln.Last)
-					for i := range want {
-						if !slices.Equal(ln.Out[i], want[i]) {
-							t.Fatalf("seed %d recorded=%v scan %d lane %d epoch slot %d: got %v want %v",
-								seed, db == recorded, scan, j, i, ln.Out[i], want[i])
-						}
-					}
+					check(seed, db == recorded, scan, j, ln.Out, refLaneSelect(db, dev, sels[j], ln.First, ln.Last))
 				}
+				j := rng.Intn(nl)
+				ln := &lanes[j]
+				m := ln.Matcher
+				ln.Matcher = Matcher{none: true} // an opaque selection must not read it
+				ms.Select(db, dev, ln, SelectorFunc(sels[j].Relevant))
+				check(seed, db == recorded, scan, j, ln.Out, refLaneSelect(db, dev, sels[j], ln.First, ln.Last))
+				ln.Matcher = m
 			}
 		}
 	}

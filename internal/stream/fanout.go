@@ -155,10 +155,9 @@ type genWorker struct {
 // given each conversion's request and the device the executor's prepare stage
 // resolved for it (devs[i] is batch[i]'s device; Generate never looks one up
 // in the fleet): requests grouped by device, each device visited once per
-// batch with all of its requests evaluated in a single pass
-// (core.Device.GenerateReportBatch — one window traversal feeding every
-// compiled matcher lane, one ledger lock for every querier's charge, one
-// nonce draw per device). Reports and fold-ready stats land slotted by
+// batch with all of its requests evaluated in one visit
+// (core.Device.GenerateReportBatch — a window selection per request, one
+// ledger lock for every querier's charge, one nonce draw per device). Reports and fold-ready stats land slotted by
 // conversion index; the returned slices are reused by the next Generate call,
 // so callers must copy out (the *Report pointers themselves are the caller's
 // to retain).
