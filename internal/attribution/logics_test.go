@@ -104,15 +104,3 @@ func TestShiftsCredit(t *testing.T) {
 		}
 	}
 }
-
-func TestLogicByName(t *testing.T) {
-	for _, name := range []string{"last-touch", "first-touch", "equal-credit", "linear-decay"} {
-		l, err := LogicByName(name)
-		if err != nil || l.Name() != name {
-			t.Fatalf("LogicByName(%q) = %v, %v", name, l, err)
-		}
-	}
-	if _, err := LogicByName("mystery"); err == nil {
-		t.Fatal("unknown logic should error")
-	}
-}

@@ -7,12 +7,13 @@ import (
 )
 
 // FS is the narrow filesystem surface the durability layer writes through.
-// Production uses OsFS; tests substitute FaultFS to inject disk faults
-// (short writes, fsync failures, torn renames, bit-flips) underneath the
-// exact code paths that run in production. The interface is deliberately
-// small: every durable artifact — snapshot generations and WAL segments —
-// is created, synced, renamed, and read back through these calls, so a
-// fault injected here is a fault the recovery protocol must survive.
+// Production uses OsFS; this package's tests substitute errfs (FaultFS in
+// errfs_test.go) to inject disk faults (short writes, fsync failures, torn
+// renames, bit-flips) underneath the exact code paths that run in
+// production. The interface is deliberately small: every durable artifact
+// — snapshot generations and WAL segments — is created, synced, renamed,
+// and read back through these calls, so a fault injected here is a fault
+// the recovery protocol must survive.
 type FS interface {
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
 	Rename(oldpath, newpath string) error

@@ -116,10 +116,12 @@ func TestDiagnosticsEpochIndexing(t *testing.T) {
 func TestDeviceLedgerConcurrentRace(t *testing.T) {
 	var site = events.Intern("nike.example")
 	db := events.NewDatabase()
+	var lastID events.EventID
 	record := func(epoch events.Epoch, n int) {
 		for i := 0; i < n; i++ {
+			lastID++
 			db.Record(epoch, events.Event{
-				ID: db.NextEventID(), Kind: events.KindImpression,
+				ID: lastID, Kind: events.KindImpression,
 				Device: events.DeviceID(i % 4), Day: int(epoch) * 7,
 				Advertiser: site, Campaign: events.Intern("product-0"),
 			})

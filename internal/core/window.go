@@ -36,17 +36,12 @@ func AttributeWindow(req *Request, perEpoch [][]events.Event) attribution.Histog
 	return h
 }
 
-// TrueReportValue computes the unbudgeted report value of one conversion
-// request on dev — its contribution to Q(D) that estimates are judged
-// against.
-func TrueReportValue(db *events.Database, dev events.DeviceID, req *Request) float64 {
-	return AttributeWindow(req, RelevantWindow(db, dev, req)).Total()
-}
-
-// TrueReportValueScratch is TrueReportValue on a reusable workspace: the
-// window and selection buffers come from s, so the central (IPA-like)
-// generate stage allocates only the transient attribution histogram per
-// conversion. Same reuse contract as GenerateReportBatch.
+// TrueReportValueScratch computes the unbudgeted report value of one
+// conversion request on dev — its contribution to Q(D) that estimates are
+// judged against — on a reusable workspace: the window and selection
+// buffers come from s, so the central (IPA-like) generate stage allocates
+// only the transient attribution histogram per conversion. Same reuse
+// contract as GenerateReportBatch.
 func TrueReportValueScratch(db *events.Database, dev events.DeviceID, req *Request, s *Scratch) float64 {
 	k := req.WindowSize()
 	if k <= 0 {

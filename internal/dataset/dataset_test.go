@@ -240,18 +240,18 @@ func TestBuildPartitionsByEpoch(t *testing.T) {
 	cfg.BatchSize = 50
 	ds, _ := Micro(cfg)
 	db := ds.Build(7)
-	if db.NumEvents() != len(ds.Events) {
-		t.Fatalf("db has %d events, dataset has %d", db.NumEvents(), len(ds.Events))
-	}
 	// Every event must land in the epoch matching its day.
-	for _, d := range db.Devices() {
-		for _, e := range db.DeviceEpochs(d) {
-			for _, ev := range db.EpochEvents(d, e) {
-				if events.EpochOfDay(ev.Day, 7) != e {
-					t.Fatalf("event day %d in epoch %d", ev.Day, e)
-				}
+	n := 0
+	for _, k := range db.Keys() {
+		for _, ev := range db.EpochEvents(k.Device, k.Epoch) {
+			if events.EpochOfDay(ev.Day, 7) != k.Epoch {
+				t.Fatalf("event day %d in epoch %d", ev.Day, k.Epoch)
 			}
+			n++
 		}
+	}
+	if n != len(ds.Events) {
+		t.Fatalf("db has %d events, dataset has %d", n, len(ds.Events))
 	}
 }
 

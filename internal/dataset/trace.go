@@ -124,9 +124,9 @@ func WriteTraceFile(path string, src Source) (err error) {
 
 // ReadTrace parses a trace file into a materialized Dataset, validating
 // the event ordering and every event's structural invariants (known kind,
-// day within the trace duration). The returned dataset's Stream() feeds
-// the in-process engines; its events convert one-to-one to the serving
-// layer's wire shape.
+// day within the trace duration, and the ingest API's rules on IDs, names
+// and values). The returned dataset's Stream() feeds the in-process
+// engines; its events convert one-to-one to the serving layer's wire shape.
 func ReadTrace(r io.Reader) (*Dataset, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
@@ -189,6 +189,11 @@ func ReadTrace(r io.Reader) (*Dataset, error) {
 			return nil, fmt.Errorf("dataset: trace line %d: day %d outside [0,%d)",
 				line, ev.Day, hdr.DurationDays)
 		}
+		// The ingest API's structural rules (serve's validateEvent), so a
+		// replayed trace cannot carry a line the server would refuse.
+		if bad := badEvent(ev, te); bad != "" {
+			return nil, fmt.Errorf("dataset: trace line %d: %s", line, bad)
+		}
 		if n := len(ds.Events); n > 0 && !ds.Events[n-1].Before(ev) {
 			if ev.Before(ds.Events[n-1]) {
 				return nil, fmt.Errorf("dataset: trace line %d: event out of (day, id) order", line)
@@ -204,6 +209,24 @@ func ReadTrace(r io.Reader) (*Dataset, error) {
 		return nil, fmt.Errorf("dataset: reading trace: %w", err)
 	}
 	return ds, nil
+}
+
+// badEvent names what makes a parsed trace event one the ingest API
+// refuses, or returns "".
+func badEvent(ev events.Event, te traceEvent) string {
+	switch {
+	case ev.ID == 0:
+		return "event id must be positive"
+	case te.Advertiser == "":
+		return "empty advertiser"
+	case ev.Kind == events.KindImpression && ev.Value != 0:
+		return "impression with a conversion value"
+	case ev.Kind == events.KindConversion && te.Product == "":
+		return "conversion without a product"
+	case ev.Value < 0:
+		return "negative conversion value"
+	}
+	return ""
 }
 
 // names returns the symbols' names, for the trace header.

@@ -2,6 +2,7 @@ package dataset_test
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -84,14 +85,23 @@ func TestReadTraceRejectsMalformed(t *testing.T) {
 		"repeated-day-and-id": header + "\n" +
 			`{"id":1,"kind":"impression","device":1,"day":1,"advertiser":"a"}` + "\n" +
 			`{"id":1,"kind":"conversion","device":1,"day":1,"advertiser":"a","product":"p","value":3}`,
+		// Lines the ingest API refuses (serve's validateEvent) must not
+		// load either, or a replay fails mid-run.
+		"zero-id":          header + "\n" + `{"id":0,"kind":"impression","device":1,"day":0,"advertiser":"a"}`,
+		"empty-advertiser": header + "\n" + `{"id":1,"kind":"impression","device":1,"day":0}`,
+		"impression-value": header + "\n" + `{"id":1,"kind":"impression","device":1,"day":0,"advertiser":"a","value":3}`,
+		"negative-value":   header + "\n" + `{"id":1,"kind":"conversion","device":1,"day":0,"advertiser":"a","product":"p","value":-5}`,
+		"no-product":       header + "\n" + `{"id":1,"kind":"conversion","device":1,"day":0,"advertiser":"a","value":5}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			_, err := dataset.ReadTrace(strings.NewReader(text))
 			if err == nil {
 				t.Fatalf("malformed trace accepted")
 			}
-			if name == "repeated-day-and-id" && !strings.Contains(err.Error(), "line 3") {
-				t.Fatalf("error %q does not name line 3", err)
+			// A refused event is the last line, and the error names it.
+			last := strings.Count(text, "\n") + 1
+			if want := fmt.Sprintf("line %d", last); last > 1 && !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name %s", err, want)
 			}
 		})
 	}

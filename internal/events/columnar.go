@@ -126,11 +126,6 @@ type Matcher struct {
 	lastDay  int32
 }
 
-// MatchesNone reports that the compiled selector can match no event in this
-// database (e.g. its advertiser or campaigns never occur) — the caller may
-// skip the scan entirely, which is exactly the zero-loss case.
-func (m *Matcher) MatchesNone() bool { return m.none }
-
 // Match reports whether event i of v is relevant — the compiled equivalent
 // of Selector.Relevant, with no interface dispatch.
 func (m *Matcher) Match(v EventView, i int) bool {

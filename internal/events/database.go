@@ -39,7 +39,6 @@ type Database struct {
 	// advs and camps are the advertiser and campaign symbols the store
 	// has held (keyOf).
 	advs, camps symSet
-	nextID      EventID
 	// trackDirty makes Record list each touched record's device on its
 	// epoch segment until DrainDirty collects it — the incremental
 	// checkpointer's record-level dirty set. Off by default, so the
@@ -180,12 +179,6 @@ func (s *epochSegment) grow(r region) region {
 // NewDatabase returns an empty database.
 func NewDatabase() *Database {
 	return &Database{}
-}
-
-// NextEventID mints a fresh unique event identifier.
-func (db *Database) NextEventID() EventID {
-	db.nextID++
-	return db.nextID
 }
 
 // NewFrozen bulk-loads a batch of day-stamped events into a new database —
@@ -431,38 +424,11 @@ func (db *Database) Keys() []DeviceEpochKey {
 	return keys
 }
 
-// DeviceEpochs returns the populated epochs of a device in ascending order.
-func (db *Database) DeviceEpochs(d DeviceID) []Epoch {
-	var out []Epoch
-	for _, seg := range db.segs {
-		if _, ok := seg.byDevice.get(d); ok {
-			out = append(out, seg.epoch)
-		}
-	}
-	return out
-}
-
-// NumDevices returns the number of devices with at least one event.
-func (db *Database) NumDevices() int {
-	return len(db.Devices())
-}
-
 // NumRecords returns the number of non-empty device-epoch records |D|.
 func (db *Database) NumRecords() int {
 	n := 0
 	for _, seg := range db.segs {
 		n += seg.byDevice.n
-	}
-	return n
-}
-
-// NumEvents returns the total number of events stored.
-func (db *Database) NumEvents() int {
-	n := 0
-	for _, seg := range db.segs {
-		for _, r := range seg.byDevice.all {
-			n += int(r.n)
-		}
 	}
 	return n
 }

@@ -1,5 +1,45 @@
 package events
 
+import "sync/atomic"
+
 // SymCount returns the number of names in the process's symbol table, the
 // empty name included.
 func SymCount() int { return len(*symtab.names.Load()) }
+
+// lastEventID is the last identifier NextEventID minted, in any database.
+var lastEventID atomic.Uint64
+
+// NextEventID mints a fresh event identifier, unique in the process.
+func (db *Database) NextEventID() EventID { return EventID(lastEventID.Add(1)) }
+
+// DeviceEpochs returns the populated epochs of a device in ascending order.
+func (db *Database) DeviceEpochs(d DeviceID) []Epoch {
+	var out []Epoch
+	for _, seg := range db.segs {
+		if _, ok := seg.byDevice.get(d); ok {
+			out = append(out, seg.epoch)
+		}
+	}
+	return out
+}
+
+// NumDevices returns the number of devices with at least one event.
+func (db *Database) NumDevices() int {
+	return len(db.Devices())
+}
+
+// NumEvents returns the total number of events stored.
+func (db *Database) NumEvents() int {
+	n := 0
+	for _, seg := range db.segs {
+		for _, r := range seg.byDevice.all {
+			n += int(r.n)
+		}
+	}
+	return n
+}
+
+// MatchesNone reports that the compiled selector can match no event in this
+// database (e.g. its advertiser or campaigns never occur) — the caller may
+// skip the scan entirely, which is exactly the zero-loss case.
+func (m *Matcher) MatchesNone() bool { return m.none }

@@ -2,6 +2,73 @@ package events
 
 import "testing"
 
+// PublicView models the querier's public-event domain P ⊆ I ∪ C (§4.1.1):
+// the events the querier can reliably observe first-party. For an advertiser
+// this is the conversions on its own site; for a publisher/ad-tech it is the
+// impressions it served. Modelling P explicitly is what lets Cookie Monster
+// (1) spend zero budget in the conversion's own epoch when queries only use
+// public events through their report identifier (Thm. 1 case 1), and
+// (2) state the within-site unlinkability guarantee (Thm. 2).
+type PublicView struct {
+	// Querier is the site whose viewpoint this is.
+	Querier Site
+	// AsAdvertiser marks conversions on Querier's site public.
+	AsAdvertiser bool
+	// AsPublisher marks impressions served on Querier's site public.
+	AsPublisher bool
+}
+
+// AdvertiserView returns the public view of an advertiser querier: P = C_q,
+// all conversions on its own site (the Nike perspective of §4.1.3).
+func AdvertiserView(q Site) PublicView {
+	return PublicView{Querier: q, AsAdvertiser: true}
+}
+
+// PublisherView returns the public view of a publisher/ad-tech querier:
+// P = I_q, all impressions served on its site (the Meta perspective of
+// Appendix A).
+func PublisherView(q Site) PublicView {
+	return PublicView{Querier: q, AsPublisher: true}
+}
+
+// Contains reports whether the event is in the querier's public domain P.
+func (p PublicView) Contains(ev Event) bool {
+	switch ev.Kind {
+	case KindConversion:
+		return p.AsAdvertiser && ev.Advertiser == p.Querier
+	case KindImpression:
+		return p.AsPublisher && ev.Publisher == p.Querier
+	default:
+		return false
+	}
+}
+
+// Restrict returns F ∩ P, the public part of a device-epoch record.
+func (p PublicView) Restrict(evs []Event) []Event {
+	var out []Event
+	for _, ev := range evs {
+		if p.Contains(ev) {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// Union merges two public views, modelling colluding queriers whose joint
+// side information is P = P₁ ∪ ... ∪ Pₙ (Thm. 10). The merged view contains
+// an event if either constituent does.
+type Union []PublicView
+
+// Contains reports whether any constituent view contains ev.
+func (u Union) Contains(ev Event) bool {
+	for _, p := range u {
+		if p.Contains(ev) {
+			return true
+		}
+	}
+	return false
+}
+
 func TestAdvertiserView(t *testing.T) {
 	p := AdvertiserView(Intern("nike.com"))
 	ownConv := conv(1, 1, 0, "nike.com", 70)

@@ -1,6 +1,7 @@
 package events
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -63,4 +64,21 @@ func BenchmarkInternKnown(b *testing.B) {
 			Intern(name)
 		}
 	})
+}
+
+// TestSymMarshalsAsName holds symbol numbers inside the process: JSON
+// writes a symbol field and a symbol-keyed map with the names, never as {}
+// or the number.
+func TestSymMarshalsAsName(t *testing.T) {
+	v := struct {
+		Site   Sym
+		Counts map[Sym]int
+	}{Intern("marshal.example"), map[Sym]int{Intern("key.example"): 3}}
+	got, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"Site":"marshal.example","Counts":{"key.example":3}}`; string(got) != want {
+		t.Fatalf("json.Marshal = %s, want %s", got, want)
+	}
 }

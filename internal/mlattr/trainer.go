@@ -80,11 +80,6 @@ func (t *Trainer) Weights() []float64 {
 	return append([]float64(nil), t.weights...)
 }
 
-// Predict returns the model's conversion probability for features x.
-func (t *Trainer) Predict(x []float64) float64 {
-	return sigmoid(dot(t.weights, x))
-}
-
 // Step runs one training iteration: every example's device generates a
 // gradient report under its own budget filters, the service aggregates them
 // with Laplace noise scaled to the feature cap, and the model takes a

@@ -68,13 +68,6 @@ type Conn struct {
 	slow bool
 }
 
-// WrapConn arms a single connection from its own injector, for tests and
-// the fuzz target; Listener shares one injector across conns instead.
-func WrapConn(c net.Conn, spec Spec) *Conn {
-	spec = spec.withDefaults()
-	return newFaultConn(c, spec, newInjector(spec))
-}
-
 func newFaultConn(c net.Conn, spec Spec, inj *injector) *Conn {
 	fc := &Conn{Conn: c, spec: spec, inj: inj, resetAfter: -1}
 	if inj.hit(spec.ConnReset) {

@@ -133,10 +133,9 @@ type Stats struct {
 // injector is the seeded fault die, shared by a layer's operations. It
 // mirrors errfs: a SplitMix64 stream plus a total budget.
 type injector struct {
-	mu       sync.Mutex
-	rng      uint64
-	budget   int // remaining faults; -1 = unlimited
-	injected int
+	mu     sync.Mutex
+	rng    uint64
+	budget int // remaining faults; -1 = unlimited
 }
 
 func newInjector(spec Spec) *injector {
@@ -172,7 +171,6 @@ func (i *injector) hit(p float64) bool {
 	if i.budget > 0 {
 		i.budget--
 	}
-	i.injected++
 	return true
 }
 
@@ -184,11 +182,4 @@ func (i *injector) draw(n int64) int64 {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	return int64(i.next() % uint64(n))
-}
-
-// Injected reports how many faults the injector has placed.
-func (i *injector) Injected() int {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.injected
 }

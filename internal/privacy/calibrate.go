@@ -30,15 +30,3 @@ func (c Calibration) Epsilon(delta float64, batch int, avgValue float64) float64
 	}
 	return delta * math.Log(1/c.Beta) / (c.Alpha * float64(batch) * avgValue)
 }
-
-// ExpectedRMSRE returns the RMSRE contributed by Laplace noise alone for a
-// query of true value total and sensitivity delta at privacy parameter eps:
-// RMSRE = σ/|total| = √2·Δ/(ε·|total|). With the calibrated ε and
-// total = B·c̃ this evaluates to √2·α/ln(1/β) ≈ 0.0154 ≈ the paper's
-// "roughly 0.02 RMSRE".
-func ExpectedRMSRE(delta, eps, total float64) float64 {
-	if total == 0 {
-		return math.Inf(1)
-	}
-	return NoiseStdDev(delta, eps) / math.Abs(total)
-}

@@ -1,10 +1,6 @@
 package privacy
 
-import (
-	"math"
-
-	"repro/internal/stats"
-)
+import "repro/internal/stats"
 
 // LaplaceMechanism is the noising step run by the trusted aggregation
 // service (MPC/TEE): it perturbs each coordinate of an aggregate with
@@ -43,19 +39,6 @@ func NoiseStdDev(delta, eps float64) float64 {
 	return stats.LaplaceStdDev(Scale(delta, eps))
 }
 
-// EpsilonForStdDev inverts NoiseStdDev: the privacy loss charged for a
-// report of individual sensitivity delta under noise of standard deviation
-// sigma, i.e. Eq. 4's ε_x = Δ·√2/σ.
-func EpsilonForStdDev(delta, sigma float64) float64 {
-	if sigma <= 0 {
-		panic("privacy: non-positive noise stddev")
-	}
-	if delta < 0 {
-		panic("privacy: negative sensitivity")
-	}
-	return delta * math.Sqrt2 / sigma
-}
-
 // Perturb adds independent Laplace(Δ/ε) noise to every coordinate of sum,
 // in place, and returns sum for convenience.
 func (m *LaplaceMechanism) Perturb(sum []float64, delta, eps float64) []float64 {
@@ -64,14 +47,4 @@ func (m *LaplaceMechanism) Perturb(sum []float64, delta, eps float64) []float64 
 		sum[i] += m.rng.Laplace(b)
 	}
 	return sum
-}
-
-// TailBound returns the magnitude t such that a single Laplace(Δ/ε) noise
-// coordinate exceeds |t| with probability at most beta:
-// t = (Δ/ε)·ln(1/β). Queriers use it to size error bounds.
-func TailBound(delta, eps, beta float64) float64 {
-	if beta <= 0 || beta >= 1 {
-		panic("privacy: beta outside (0,1)")
-	}
-	return Scale(delta, eps) * math.Log(1/beta)
 }

@@ -49,7 +49,7 @@ type rowKey struct {
 
 func honestRows(run *workload.Run, attacker events.Site) map[rowKey]float64 {
 	rows := make(map[rowKey]float64)
-	run.RangeDevices(func(d *core.Device) bool {
+	run.Fleet.Range(func(d *core.Device) bool {
 		for _, r := range d.Ledger() {
 			if r.Querier == attacker {
 				continue
@@ -78,7 +78,7 @@ func TestAdversaryNeverExceedsCapacity(t *testing.T) {
 		t.Run(fmt.Sprintf("variant-%d", i), func(t *testing.T) {
 			sp := Spec{Name: fmt.Sprintf("attack-%d", i), Seed: 100 + uint64(i), Adversary: &adv}
 			run := execSpec(t, h, sp)
-			run.RangeDevices(func(d *core.Device) bool {
+			run.Fleet.Range(func(d *core.Device) bool {
 				for _, r := range d.Ledger() {
 					if r.Consumed > r.Capacity*(1+1e-9) {
 						t.Errorf("device %d: %s epoch %d consumed %g > capacity %g",

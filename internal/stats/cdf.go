@@ -19,57 +19,7 @@ func NewCDF(xs []float64) *CDF {
 // Len returns the sample size.
 func (c *CDF) Len() int { return len(c.sorted) }
 
-// At returns P(X ≤ x), the fraction of the sample at or below x.
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	// First index with value > x.
-	i := sort.SearchFloat64s(c.sorted, x)
-	for i < len(c.sorted) && c.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(c.sorted))
-}
-
 // Quantile returns the q-quantile of the sample (0 ≤ q ≤ 1).
 func (c *CDF) Quantile(q float64) float64 {
 	return Quantile(c.sorted, q)
 }
-
-// Point is one (x, cumulative-fraction) pair of a rendered CDF curve.
-type Point struct {
-	X float64 // sample value
-	F float64 // P(X ≤ x)
-}
-
-// Curve renders the CDF as up to maxPoints (x, F(x)) pairs, evenly spaced in
-// cumulative probability. maxPoints ≤ 0 renders every distinct sample point.
-// This is the series printed by the experiment CLIs.
-func (c *CDF) Curve(maxPoints int) []Point {
-	n := len(c.sorted)
-	if n == 0 {
-		return nil
-	}
-	if maxPoints <= 0 || maxPoints > n {
-		maxPoints = n
-	}
-	pts := make([]Point, 0, maxPoints)
-	for i := 0; i < maxPoints; i++ {
-		// Pick the order statistic at evenly spaced ranks, always
-		// including the first and last.
-		rank := n - 1
-		if maxPoints > 1 {
-			rank = i * (n - 1) / (maxPoints - 1)
-		}
-		pts = append(pts, Point{
-			X: c.sorted[rank],
-			F: float64(rank+1) / float64(n),
-		})
-	}
-	return pts
-}
-
-// FractionWithin returns the fraction of the sample with value ≤ limit.
-// Convenience used in reporting statements like "errors within the 5% mark".
-func (c *CDF) FractionWithin(limit float64) float64 { return c.At(limit) }

@@ -11,9 +11,6 @@ func TestCDFEmpty(t *testing.T) {
 	if c.Len() != 0 || c.At(5) != 0 {
 		t.Fatal("empty CDF misbehaves")
 	}
-	if c.Curve(10) != nil {
-		t.Fatal("empty CDF curve should be nil")
-	}
 }
 
 func TestCDFAt(t *testing.T) {
@@ -36,37 +33,6 @@ func TestCDFQuantileAgrees(t *testing.T) {
 	c := NewCDF(xs)
 	if got := c.Quantile(0.5); got != 5 {
 		t.Fatalf("median = %v", got)
-	}
-}
-
-func TestCDFCurveEndpoints(t *testing.T) {
-	c := NewCDF([]float64{4, 1, 3, 2})
-	pts := c.Curve(3)
-	if len(pts) != 3 {
-		t.Fatalf("curve has %d points", len(pts))
-	}
-	if pts[0].X != 1 {
-		t.Fatalf("first point %v, want min", pts[0])
-	}
-	last := pts[len(pts)-1]
-	if last.X != 4 || last.F != 1 {
-		t.Fatalf("last point %+v, want (4, 1)", last)
-	}
-}
-
-func TestCDFCurveFull(t *testing.T) {
-	c := NewCDF([]float64{2, 1})
-	pts := c.Curve(0)
-	if len(pts) != 2 || pts[0].X != 1 || pts[1].X != 2 {
-		t.Fatalf("full curve = %v", pts)
-	}
-}
-
-func TestCDFCurveSinglePoint(t *testing.T) {
-	c := NewCDF([]float64{3, 1, 2})
-	pts := c.Curve(1)
-	if len(pts) != 1 || pts[0].F != 1 {
-		t.Fatalf("single-point curve = %v", pts)
 	}
 }
 
@@ -94,27 +60,6 @@ func TestCDFMonotoneQuick(t *testing.T) {
 			a, b = b, a
 		}
 		return c.At(a) <= c.At(b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCDFCurveMonotoneQuick(t *testing.T) {
-	f := func(raw []float64, m uint8) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, x)
-			}
-		}
-		pts := NewCDF(xs).Curve(int(m))
-		for i := 1; i < len(pts); i++ {
-			if pts[i].X < pts[i-1].X || pts[i].F < pts[i-1].F {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

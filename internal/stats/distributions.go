@@ -22,18 +22,6 @@ func (r *RNG) Laplace(b float64) float64 {
 // LaplaceStdDev converts a Laplace scale b to a standard deviation (σ = b√2).
 func LaplaceStdDev(b float64) float64 { return b * math.Sqrt2 }
 
-// LaplaceScale converts a standard deviation σ to a Laplace scale (b = σ/√2).
-func LaplaceScale(sigma float64) float64 { return sigma / math.Sqrt2 }
-
-// Exponential returns a variate from the exponential distribution with the
-// given mean. Used by dataset generators for inter-arrival times.
-func (r *RNG) Exponential(mean float64) float64 {
-	if mean <= 0 {
-		panic("stats: Exponential with non-positive mean")
-	}
-	return -mean * math.Log(1-r.Float64())
-}
-
 // Poisson returns a variate from the Poisson distribution with the given
 // mean, via Knuth's method for small means and a normal approximation
 // (rounded, clamped at 0) for large ones. Dataset generators use it to draw

@@ -63,12 +63,13 @@ func TestLaplaceTailBound(t *testing.T) {
 	}
 }
 
-func TestLaplaceScaleRoundTrip(t *testing.T) {
-	for _, b := range []float64{0.1, 1, 7.5} {
-		if got := LaplaceScale(LaplaceStdDev(b)); math.Abs(got-b) > 1e-12 {
-			t.Fatalf("round trip %v -> %v", b, got)
-		}
+// Exponential returns a variate from the exponential distribution with the
+// given mean.
+func (r *RNG) Exponential(mean float64) float64 {
+	if mean <= 0 {
+		panic("stats: Exponential with non-positive mean")
 	}
+	return -mean * math.Log(1-r.Float64())
 }
 
 func TestExponentialMean(t *testing.T) {

@@ -104,40 +104,6 @@ func TestIntnUniformity(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(8)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestShuffleKeepsElements(t *testing.T) {
-	r := NewRNG(9)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed multiset: sum %d != %d", got, sum)
-	}
-}
-
 func TestBoolEdgeCases(t *testing.T) {
 	r := NewRNG(10)
 	for i := 0; i < 100; i++ {
@@ -162,15 +128,6 @@ func TestBoolFrequency(t *testing.T) {
 	frac := float64(hits) / n
 	if math.Abs(frac-0.3) > 0.01 {
 		t.Fatalf("Bool(0.3) frequency %v", frac)
-	}
-}
-
-func TestSplitIndependent(t *testing.T) {
-	parent := NewRNG(12)
-	a := parent.Split()
-	b := parent.Split()
-	if a.Uint64() == b.Uint64() && a.Uint64() == b.Uint64() {
-		t.Fatal("successive splits produced identical streams")
 	}
 }
 

@@ -121,10 +121,10 @@ type Config struct {
 	// suspend or completion.
 	GroupCommitEvents int
 	// DurableFS overrides the filesystem the checkpoint store and WAL
-	// segments go through — the disk-fault injection seam
-	// (checkpoint.NewFaultFS). nil selects the real filesystem. Like
-	// Parallelism, it cannot change what a run computes, only whether its
-	// durable writes fail.
+	// segments go through — the seam for internal/checkpoint's test-side
+	// errfs and the benchmark's tracing filesystem. nil selects the real
+	// filesystem. Like Parallelism, it cannot change what a run computes,
+	// only whether its durable writes fail.
 	DurableFS checkpoint.FS
 	// Resume makes internal/workload.ExecuteSource restart a crashed run
 	// from CheckpointDir's durable state (ResumeFrom) instead of starting

@@ -241,12 +241,6 @@ func (r *Run) BudgetDenials() uint64 {
 	return n
 }
 
-// RangeDevices visits every device the run instantiated, stopping early if
-// fn returns false — the inspection hook the robustness property tests use
-// to audit per-device ledgers (filter never over capacity, honest lanes
-// untouched by hostile queriers). Devices are visited in ascending ID order.
-func (r *Run) RangeDevices(fn func(d *core.Device) bool) { r.Fleet.Range(fn) }
-
 // ActiveDevices returns the number of devices some query's report window
 // touched. For on-device systems those are the devices that generated at
 // least one report; an IPA-like run generates none, and counts the devices

@@ -403,7 +403,7 @@ func TestRequestedDeviceEpochsAndActiveDevices(t *testing.T) {
 			t.Fatalf("%v: %d requested device-epochs, other systems %d", tc.system, got, requested)
 		}
 		rows, markOnly := 0, 0
-		r.RangeDevices(func(d *core.Device) bool {
+		r.Fleet.Range(func(d *core.Device) bool {
 			charged := map[events.Site]bool{}
 			for _, row := range d.Ledger() {
 				charged[row.Querier] = true
