@@ -36,18 +36,18 @@ func AttributeWindow(req *Request, perEpoch [][]events.Event) attribution.Histog
 	return h
 }
 
-// TrueReportValueScratch computes the unbudgeted report value of one
-// conversion request on dev — its contribution to Q(D) that estimates are
-// judged against — on a reusable workspace: the window and selection
-// buffers come from s, so the central (IPA-like) generate stage allocates
-// only the transient attribution histogram per conversion. Same reuse
-// contract as GenerateReportBatch.
-func TrueReportValueScratch(db *events.Database, dev events.DeviceID, req *Request, s *Scratch) float64 {
+// TrueReportValue computes the unbudgeted report value of one conversion
+// request on d — its contribution to Q(D) that estimates are judged against
+// — from the device's store, charging nothing, on a reusable workspace: the
+// window and selection buffers come from s, so the central (IPA-like)
+// generate stage allocates only the transient attribution histogram per
+// conversion. Same reuse contract as GenerateReportBatch.
+func (d *Device) TrueReportValue(req *Request, s *Scratch) float64 {
 	k := req.WindowSize()
 	if k <= 0 {
 		return AttributeWindow(req, nil).Total()
 	}
 	s.grow(k)
-	selectWindow(db, dev, req, s)
+	selectWindow(d.store(), d.id, req, s)
 	return AttributeWindow(req, s.truthful).Total()
 }

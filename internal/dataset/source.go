@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/events"
@@ -59,9 +60,10 @@ type Suspender interface {
 
 // SliceSource streams a materialized dataset's events in (Day, ID) order —
 // the adapter that turns the batch micro/PATCG/Criteo generators into
-// streaming inputs. It copies the slice header and sorts the copy, so the
-// dataset's own event order is left untouched; memory stays O(dataset),
-// which is what the generator-backed sources avoid.
+// streaming inputs. It never writes the dataset's events: a trace already
+// in strictly increasing (Day, ID) order is read in place, and any other
+// is copied and the copy sorted. Memory stays O(dataset), which is what the
+// generator-backed sources avoid.
 type SliceSource struct {
 	meta   Meta
 	events []events.Event
@@ -70,9 +72,14 @@ type SliceSource struct {
 
 // Stream returns a source over the dataset's events in day order.
 func (d *Dataset) Stream() *SliceSource {
-	evs := make([]events.Event, len(d.Events))
-	copy(evs, d.Events)
-	sort.Slice(evs, func(i, j int) bool { return evs[i].Before(evs[j]) })
+	evs := d.Events
+	for i := 1; i < len(evs); i++ {
+		if !evs[i-1].Before(evs[i]) {
+			evs = slices.Clone(d.Events)
+			sort.Slice(evs, func(i, j int) bool { return evs[i].Before(evs[j]) })
+			break
+		}
+	}
 	return &SliceSource{meta: d.Meta(), events: evs}
 }
 
@@ -101,7 +108,10 @@ func (d *Dataset) Meta() Meta {
 
 // Materialize drains a source into an ordinary in-memory Dataset — the
 // bridge from any streaming source to the batch engine, which the
-// streaming-vs-batch equivalence contract runs both modes against.
+// streaming-vs-batch equivalence contract runs both modes against. The
+// events end up in a slice of exactly their length: the trace comes out in
+// order, so Stream reads it in place, and append's growth slack would stay
+// live with every source over it.
 //
 // It enforces the Source contract as it drains: events must arrive in
 // nondecreasing (Day, ID) order, and a violation panics immediately with
@@ -122,6 +132,7 @@ func Materialize(s Source) *Dataset {
 	for {
 		ev, ok := s.Next()
 		if !ok {
+			ds.Events = slices.Clone(ds.Events)
 			return ds
 		}
 		if n := len(ds.Events); n > 0 && ev.Before(ds.Events[n-1]) {

@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"repro/internal/events"
@@ -129,5 +131,46 @@ func TestSyntheticSourceValidates(t *testing.T) {
 	bad.DurationDays = bad.Products*bad.QueriesPerProduct - 1
 	if _, err := NewSynthetic(bad); err == nil {
 		t.Fatal("more batches than days accepted")
+	}
+}
+
+// TestStreamAliasesOrderedTrace: Stream reads a trace already in strictly
+// increasing (Day, ID) order in place and copies and sorts any other, the
+// two yielding the same event sequence, and neither ever writes the
+// dataset's events.
+func TestStreamAliasesOrderedTrace(t *testing.T) {
+	ds, err := Micro(DefaultMicroConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := slices.Clone(ds.Events)
+	ordered := *ds
+	ordered.Events = slices.Clone(ds.Events)
+	slices.SortStableFunc(ordered.Events, func(a, b events.Event) int {
+		return cmp.Or(cmp.Compare(a.Day, b.Day), cmp.Compare(a.ID, b.ID))
+	})
+	orderedOrig := slices.Clone(ordered.Events)
+
+	copied, aliased := ds.Stream(), ordered.Stream()
+	if &copied.events[0] == &ds.Events[0] {
+		t.Fatal("an unordered trace was streamed in place")
+	}
+	if &aliased.events[0] != &ordered.Events[0] {
+		t.Fatal("an ordered trace was copied")
+	}
+	if got, want := drain(t, aliased), drain(t, copied); !slices.Equal(got, want) {
+		t.Fatal("the aliased and the sorted trace stream different events")
+	}
+	if !slices.Equal(ds.Events, orig) || !slices.Equal(ordered.Events, orderedOrig) {
+		t.Fatal("Stream wrote the dataset's events")
+	}
+
+	// Equal (Day, ID) keys are not strictly increasing: such a trace is
+	// copied, so the sort alone decides their order, as it always has.
+	dup := ordered
+	dup.Events = append(slices.Clone(ordered.Events[:2]), ordered.Events[1])
+	dup.Events[2].Value++
+	if src := dup.Stream(); &src.events[0] == &dup.Events[0] {
+		t.Fatal("a trace with equal keys was streamed in place")
 	}
 }

@@ -39,14 +39,19 @@ func (s symSet) has(c Sym) bool {
 	return w < len(s) && s[w]&(1<<(c.n&63)) != 0
 }
 
-// keyOf projects ev onto its scan key, noting its advertiser and campaign
-// in the database's seen sets, so that a selector naming none the store
-// holds compiles to match-none. Only Record and NewFrozen call it, under the
-// store's single-writer phase discipline; compilation only reads the sets,
-// so any number of concurrent readers may compile.
-func (db *Database) keyOf(ev *Event) evKey {
+// see notes ev's advertiser and campaign in the database's seen sets, so
+// that a selector naming none the store holds compiles to match-none. Only
+// Record and NewFrozen call it, under the store's single-writer phase
+// discipline; compilation only reads the sets, so any number of concurrent
+// readers may compile.
+func (db *Database) see(ev *Event) {
 	db.advs.add(ev.Advertiser)
 	db.camps.add(ev.Campaign)
+}
+
+// scanKey projects ev onto its scan key. It touches no shared state, so
+// NewFrozen's per-epoch fill calls it from its workers.
+func scanKey(ev *Event) evKey {
 	return evKey{
 		day:  clampDay(ev.Day),
 		adv:  ev.Advertiser.n,

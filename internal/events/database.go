@@ -5,8 +5,11 @@ import (
 	"hash/maphash"
 	"maps"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sort"
+
+	"repro/internal/fanout"
 )
 
 // DeviceEpoch is a device-epoch record x = (d, e, F): the events F logged on
@@ -37,7 +40,7 @@ type DeviceEpoch struct {
 type Database struct {
 	segs []*epochSegment // ascending by epoch
 	// advs and camps are the advertiser and campaign symbols the store
-	// has held (keyOf).
+	// has held (see).
 	advs, camps symSet
 	// trackDirty makes Record list each touched record's device on its
 	// epoch segment until DrainDirty collects it — the incremental
@@ -182,18 +185,24 @@ func NewDatabase() *Database {
 }
 
 // NewFrozen bulk-loads a batch of day-stamped events into a new database —
-// the batch engine's load path (Dataset.Build). One permutation into
-// (device, day, ID, arrival) order (sortByDeviceDayID) makes every record a
-// contiguous run, since epochs are monotone in days. A walk over the runs
-// lists each epoch's records in device order and counts its events; each
-// epoch then gets one chunk of exactly its event count and a device index
-// sized to its record count, and is filled on its own, every record one
-// exact region (cap == n). The result is an ordinary Database —
-// Record, EvictBefore and dirty tracking work on it — whose reads are
-// indistinguishable from those of a store fed the same events by Record,
+// the batch engine's load path (Dataset.Build). One pass notes every
+// event's advertiser and campaign in the store's seen sets. One permutation
+// into (device, day, ID, arrival) order (sortByDeviceDayID) makes every
+// record a contiguous run, since epochs are monotone in days. A walk over
+// the runs lists each epoch's records in device order and counts its
+// events. Each epoch is then one task of a fan-out over GOMAXPROCS workers:
+// it gets one chunk of exactly its event count and a device index sized to
+// its record count, every record one exact region (cap == n), and writes
+// only that segment, into the slot of db.segs its epoch order fixes — so the
+// layout does not depend on the schedule. The result is an ordinary
+// Database — Record, EvictBefore and dirty tracking work on it — whose reads
+// are indistinguishable from those of a store fed the same events by Record,
 // for events in any order.
 func NewFrozen(epochDays int, evs []Event) *Database {
 	db := NewDatabase()
+	for i := range evs {
+		db.see(&evs[i])
+	}
 	idx, devs := sortByDeviceDayID(evs)
 	epochs := make([]Epoch, len(evs)) // by input position
 	for i := range evs {
@@ -219,12 +228,12 @@ func NewFrozen(epochDays int, evs []Event) *Database {
 		l.events += j - i
 		i = j
 	}
-	// One epoch at a time, so the chunk fills front to back and the index
-	// being filled is the only one in cache.
-	for _, e := range slices.Sorted(maps.Keys(loads)) {
-		l := loads[e]
+	order := slices.Sorted(maps.Keys(loads))
+	db.segs = make([]*epochSegment, len(order))
+	fanout.Run(len(order), runtime.GOMAXPROCS(0), func(_, k int) {
+		l := loads[order[k]]
 		seg := &epochSegment{
-			epoch:    e,
+			epoch:    order[k],
 			byDevice: newRegionIndex(len(l.runs)),
 			evs:      [][]Event{make([]Event, l.events)},
 			keys:     [][]evKey{make([]evKey, l.events)},
@@ -233,13 +242,13 @@ func NewFrozen(epochDays int, evs []Event) *Database {
 		for _, run := range l.runs {
 			r := region{off: seg.tail, n: uint32(run[1]), cap: uint32(run[1])}
 			for k, x := range idx[run[0] : run[0]+run[1]] {
-				out[r.off+uint32(k)], keys[r.off+uint32(k)] = evs[x], db.keyOf(&evs[x])
+				out[r.off+uint32(k)], keys[r.off+uint32(k)] = evs[x], scanKey(&evs[x])
 			}
 			seg.byDevice.claim(out[r.off].Device).r = r
 			seg.tail += r.n
 		}
-		db.segs = append(db.segs, seg)
-	}
+		db.segs[k] = seg
+	})
 	return db
 }
 
@@ -348,7 +357,8 @@ func (db *Database) Record(epoch Epoch, ev Event) {
 		copy(evs[i+1:], evs[i:r.n])
 		copy(keys[i+1:], keys[i:r.n])
 	}
-	evs[i], keys[i] = ev, db.keyOf(&ev)
+	db.see(&ev)
+	evs[i], keys[i] = ev, scanKey(&ev)
 	r.n++
 	slot.r = r
 	if db.trackDirty {

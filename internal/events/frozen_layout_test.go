@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -88,12 +89,18 @@ func layoutEvent(arrival int, dev DeviceID, day int, id EventID) Event {
 		Advertiser: Intern("a.example"), Campaign: Intern("c"), Value: float64(arrival)}
 }
 
-// TestFrozenLayoutMatchesReference pins NewFrozen's linear-time grouping to
-// the comparison-sort reference on inputs the generator-shaped property
-// tests do not reach: device IDs spanning every radix digit up to
-// math.MaxUint64, duplicate (Day, ID) pairs, negative days, one hot device,
-// and input in ID order with random days as well as in (Day, ID) order.
-func TestFrozenLayoutMatchesReference(t *testing.T) {
+// frozenLayoutCase is one trace of the bulk-load layout tests.
+type frozenLayoutCase struct {
+	name      string
+	epochDays int
+	evs       []Event
+}
+
+// frozenLayoutCases are the inputs the generator-shaped property tests do
+// not reach: device IDs spanning every radix digit up to math.MaxUint64,
+// duplicate (Day, ID) pairs, negative days, one hot device, and input in ID
+// order with random days as well as in (Day, ID) order.
+func frozenLayoutCases() []frozenLayoutCase {
 	edgeDevs := []DeviceID{0, 1<<11 - 1, 1 << 11, 1<<11 + 1, 1<<22 + 1, 1 << 63, math.MaxUint64}
 	// trace draws n events in ID order (IDs 1..n) from the device and day
 	// distributions; with dup > 0, about one event in dup repeats the
@@ -133,11 +140,7 @@ func TestFrozenLayoutMatchesReference(t *testing.T) {
 		return evs
 	}
 
-	cases := []struct {
-		name      string
-		epochDays int
-		evs       []Event
-	}{
+	return []frozenLayoutCase{
 		{"empty", 7, nil},
 		{"one event", 7, []Event{layoutEvent(0, math.MaxUint64, 3, 1)}},
 		{"one device", 7, trace(1, 50, 4, func(*rand.Rand) DeviceID { return 0 }, days)},
@@ -151,8 +154,41 @@ func TestFrozenLayoutMatchesReference(t *testing.T) {
 		{"(Day, ID) order", 7, dayIDOrder(trace(9, 20_000, 0, criteoDevs, days))},
 		{"(Day, ID) order, hot device, duplicates", 7, dayIDOrder(trace(10, 7000, 6, hot, negDays))},
 	}
-	for _, tc := range cases {
+}
+
+// TestFrozenLayoutMatchesReference pins NewFrozen's linear-time grouping to
+// the comparison-sort reference on frozenLayoutCases.
+func TestFrozenLayoutMatchesReference(t *testing.T) {
+	for _, tc := range frozenLayoutCases() {
 		t.Run(tc.name, func(t *testing.T) { checkFrozenLayout(t, tc.epochDays, tc.evs) })
+	}
+}
+
+// TestFrozenParallelFillMatchesSerial: NewFrozen's per-epoch fill lays out
+// the same store on one worker as on eight — every segment with its chunks,
+// scan keys and region index, in the same order, and the same seen-sets —
+// on frozenLayoutCases. Under -race it also shows that the fill's workers
+// share no writes.
+func TestFrozenParallelFillMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range frozenLayoutCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			runtime.GOMAXPROCS(1)
+			serial := NewFrozen(tc.epochDays, tc.evs)
+			runtime.GOMAXPROCS(8)
+			parallel := NewFrozen(tc.epochDays, tc.evs)
+			if len(parallel.segs) != len(serial.segs) {
+				t.Fatalf("%d segments on eight workers, %d on one", len(parallel.segs), len(serial.segs))
+			}
+			for i, seg := range serial.segs {
+				if !reflect.DeepEqual(parallel.segs[i], seg) {
+					t.Fatalf("segment %d (epoch %d) differs between one and eight workers", i, seg.epoch)
+				}
+			}
+			if !slices.Equal(parallel.advs, serial.advs) || !slices.Equal(parallel.camps, serial.camps) {
+				t.Fatal("seen-sets differ between one and eight workers")
+			}
+		})
 	}
 }
 

@@ -48,13 +48,11 @@ type Engine struct {
 	nextIndex int
 
 	// gen and the day buffers are the generate stage's reusable state:
-	// grouping scratch, per-worker multi-request workspaces, and the
-	// super-batch concatenation/output slices (see generateDay).
+	// grouping scratch, per-worker workspaces, the output slice, and the
+	// super-batch concatenation (see generateDay).
 	gen      Generator
 	dayConvs []events.Event
 	dayReqs  []*core.Request
-	dayDevs  []*core.Device
-	dayOut   []convOutput
 }
 
 // NewEngine builds an executor for cfg's scenario over db, the store its
@@ -79,6 +77,7 @@ func NewEngine(cfg Config, meta dataset.Meta, db *events.Database) *Engine {
 	e.fleet = core.NewFleet(0, db, cfg.EpsilonG, cfg.Policy)
 	e.run.Fleet = e.fleet
 	if cfg.System == IPALike {
+		e.gen.central = true
 		e.central = privacy.NewLedger(cfg.EpsilonG)
 		e.ipaNoise = stats.Stream(cfg.Seed, "ipa-noise")
 		e.run.Central = e.central
@@ -154,10 +153,9 @@ type Query struct {
 	seq     int            // batch index within the stream (sort tie-break)
 	epsilon float64
 
-	// Execution scratch, populated by Flush: each conversion's request and
-	// the device prepare resolved for it.
-	reqs        []*core.Request
-	devs        []*core.Device
+	// Execution scratch, populated by Flush: each conversion's request, in
+	// one block per query.
+	reqs        []core.Request
 	first, last events.Epoch
 }
 
@@ -182,8 +180,10 @@ func (e *Engine) Flush(due []*Query, released func(Result) error) error {
 		return cmp.Or(a.adv.Site.Compare(b.adv.Site), a.product.Compare(b.product), cmp.Compare(a.seq, b.seq))
 	})
 
-	// Stage 1: prepare. Requests are pure values; the requested marks are
-	// set from the coordinator, in canonical order.
+	// Stage 1: prepare. Requests are pure values, built on the coordinator
+	// in canonical order; no device is touched until the generate stage,
+	// whose worker owning a device marks its windows requested before it
+	// visits.
 	for _, q := range due {
 		e.prepare(q)
 	}
@@ -234,79 +234,43 @@ func (e *Engine) Flush(due []*Query, released func(Result) error) error {
 	return nil
 }
 
-// prepare builds every conversion's attribution request for one query and
-// marks its window requested in the conversion's device ledger — here and
-// nowhere else, for every system: a central run never charges a device
-// ledger, so the mark cannot ride on the charge. The device it resolves is
-// kept beside the request, so the generate stage does not look it up again.
+// prepare builds every conversion's attribution request for one query, in
+// one block of values, and the query's epoch span. It resolves no device:
+// the generate stage marks each request's window requested in its device's
+// ledger — there and nowhere else, for every system, since a central run
+// never charges a device ledger and the mark cannot ride on the charge.
 func (e *Engine) prepare(q *Query) {
 	first, last := events.EpochWindow(q.batch[0].Day, e.cfg.WindowDays, e.cfg.EpochDays)
 	q.first, q.last = first, last
-	q.reqs = make([]*core.Request, len(q.batch))
-	q.devs = make([]*core.Device, len(q.batch))
+	q.reqs = make([]core.Request, len(q.batch))
 	for i, conv := range q.batch {
-		req := BuildRequest(q.adv, q.product, conv, q.epsilon, e.cfg.WindowDays, e.cfg.EpochDays, e.cfg.Bias)
-		dev := e.fleet.GetOrCreate(conv.Device)
-		dev.MarkRequested(q.adv.Site, req.FirstEpoch, req.LastEpoch)
-		q.reqs[i], q.devs[i] = req, dev
-		if req.FirstEpoch < q.first {
-			q.first = req.FirstEpoch
-		}
-		if req.LastEpoch > q.last {
-			q.last = req.LastEpoch
-		}
+		req := &q.reqs[i]
+		fillRequest(req, q.adv, q.product, conv, q.epsilon, e.cfg.WindowDays, e.cfg.EpochDays, e.cfg.Bias)
+		q.first, q.last = min(q.first, req.FirstEpoch), max(q.last, req.LastEpoch)
 	}
 }
 
 // generateDay runs the generate stage for every due query at once. The
-// queries' conversions, requests and devices concatenate in canonical order;
-// on-device generation partitions the concatenation by device so a device
-// shared across queries (or across conversions of one query) executes its
-// filter operations sequentially in exactly the order one query per flush
-// would, while distinct devices from any number of queriers run concurrently.
-// Central runs compute true report values instead — side-effect-free reads
-// needing no grouping. Outputs land slotted by concatenated conversion index,
-// in buffers the engine reuses across flushes (consumed synchronously by
-// Flush's aggregation loop, so reuse is safe); together with the Generator's
-// own reuse, a steady-state flush allocates only the reports it returns.
+// queries' conversions and requests concatenate in canonical order, and the
+// Generator partitions the concatenation by device, so a device shared
+// across queries (or across conversions of one query) is marked and then
+// visited sequentially in exactly the order one query per flush would use,
+// while distinct devices from any number of queriers run concurrently. The
+// concatenation buffers are reused across flushes (consumed synchronously
+// by Flush's aggregation loop, so reuse is safe); together with the
+// Generator's own reuse, a steady-state flush allocates only the reports it
+// returns.
 func (e *Engine) generateDay(due []*Query) ([]convOutput, error) {
-	total := 0
-	for _, q := range due {
-		total += len(q.batch)
-	}
 	convs := e.dayConvs[:0]
 	reqs := e.dayReqs[:0]
-	devs := e.dayDevs[:0]
 	for _, q := range due {
 		convs = append(convs, q.batch...)
-		reqs = append(reqs, q.reqs...)
-		devs = append(devs, q.devs...)
-	}
-	e.dayConvs, e.dayReqs, e.dayDevs = convs, reqs, devs
-	if cap(e.dayOut) < total {
-		e.dayOut = make([]convOutput, total)
-	} else {
-		e.dayOut = e.dayOut[:total]
-		clear(e.dayOut)
-	}
-	out := e.dayOut
-
-	if e.central != nil {
-		truths := trueValues(e.db, reqs, convs, e.cfg.Parallelism)
-		for i := range out {
-			out[i].truth = truths[i]
+		for i := range q.reqs {
+			reqs = append(reqs, &q.reqs[i])
 		}
-		return out, nil
 	}
-
-	reports, stats, err := e.gen.Generate(devs, reqs, convs, e.cfg.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	for i := range out {
-		out[i] = convOutput{report: reports[i], stats: stats[i]}
-	}
-	return out, nil
+	e.dayConvs, e.dayReqs = convs, reqs
+	return e.gen.Generate(e.fleet, reqs, convs, e.cfg.Parallelism)
 }
 
 // aggregate folds one query's per-conversion outputs in conversion order and

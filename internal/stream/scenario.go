@@ -14,16 +14,25 @@ import (
 // BuildRequest is exported for the benchmark's probes, which must build the
 // requests the engine builds.
 
-// BuildRequest constructs the §6.1 attribution request for one conversion:
-// last-touch scalar-value attribution over the windowDays window ending on
-// the conversion day, with the advertiser's query sensitivity and, when
-// biasSpec is non-nil, the Appendix F side query (Kappa ≤ 0 selects the
-// paper's default of 10% of the query sensitivity).
+// BuildRequest constructs the §6.1 attribution request for one conversion
+// (see fillRequest).
 func BuildRequest(adv dataset.Advertiser, product events.Sym, conv events.Event,
 	eps float64, windowDays, epochDays int, biasSpec *core.BiasSpec) *core.Request {
+	req := new(core.Request)
+	fillRequest(req, adv, product, conv, eps, windowDays, epochDays, biasSpec)
+	return req
+}
+
+// fillRequest writes into req the §6.1 attribution request for one
+// conversion: last-touch scalar-value attribution over the windowDays window
+// ending on the conversion day, with the advertiser's query sensitivity and,
+// when biasSpec is non-nil, the Appendix F side query (Kappa ≤ 0 selects the
+// paper's default of 10% of the query sensitivity).
+func fillRequest(req *core.Request, adv dataset.Advertiser, product events.Sym, conv events.Event,
+	eps float64, windowDays, epochDays int, biasSpec *core.BiasSpec) {
 	firstDay := conv.Day - windowDays + 1
 	first, last := events.EpochWindow(conv.Day, windowDays, epochDays)
-	req := &core.Request{
+	*req = core.Request{
 		Querier:    adv.Site.String(),
 		FirstEpoch: first,
 		LastEpoch:  last,
@@ -45,7 +54,6 @@ func BuildRequest(adv dataset.Advertiser, product events.Sym, conv events.Event,
 		}
 		req.Bias = &spec
 	}
-	return req
 }
 
 // biasBound computes the querier-side RMSRE upper bound from one query's
