@@ -26,6 +26,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/events"
 	"repro/internal/figures"
 	"repro/internal/stream"
 	"repro/internal/workload"
@@ -433,7 +434,7 @@ func TestRetentionCheckpointResume(t *testing.T) {
 		t.Fatalf("run reclaimed nothing (%d records, %d nonces); retention path not exercised",
 			uninterrupted.EvictedRecords, uninterrupted.RetiredNonces)
 	}
-	if total := cfg.Dataset.Build(7).NumRecords(); uninterrupted.PeakResidentRecords >= total {
+	if total := events.NewFrozen(7, cfg.Dataset.Events).NumRecords(); uninterrupted.PeakResidentRecords >= total {
 		t.Fatalf("peak resident records %d not below trace total %d", uninterrupted.PeakResidentRecords, total)
 	}
 

@@ -81,18 +81,6 @@ type Dataset struct {
 	Advertisers []Advertiser
 }
 
-// Build partitions the dataset's events into a device-epoch database for the
-// given epoch length in days. The database is bulk-loaded in one shot
-// (events.NewFrozen): each record is written once into an exact-sized
-// region of its epoch's arena, with no per-event insert, and the store is
-// only read afterwards, so the workload engine's concurrent report
-// generation needs no locking. The events may be in any order —
-// the generators emit them in ID order with random days — and the load is
-// linear in their number.
-func (d *Dataset) Build(epochDays int) *events.Database {
-	return events.NewFrozen(epochDays, d.Events)
-}
-
 // Epochs returns the number of epochs the trace spans at the given epoch
 // length.
 func (d *Dataset) Epochs(epochDays int) int {

@@ -239,7 +239,7 @@ func TestBuildPartitionsByEpoch(t *testing.T) {
 	cfg := DefaultMicroConfig()
 	cfg.BatchSize = 50
 	ds, _ := Micro(cfg)
-	db := ds.Build(7)
+	db := events.NewFrozen(7, ds.Events)
 	// Every event must land in the epoch matching its day.
 	n := 0
 	for _, k := range db.Keys() {

@@ -185,7 +185,7 @@ func NewDatabase() *Database {
 }
 
 // NewFrozen bulk-loads a batch of day-stamped events into a new database —
-// the batch engine's load path (Dataset.Build). One pass notes every
+// the batch engine's load path (stream.Engine.Replay). One pass notes every
 // event's advertiser and campaign in the store's seen sets. One permutation
 // into (device, day, ID, arrival) order (sortByDeviceDayID) makes every
 // record a contiguous run, since epochs are monotone in days. A walk over

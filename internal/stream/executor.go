@@ -47,25 +47,31 @@ type Engine struct {
 
 	nextIndex int
 
-	// gen and the day buffers are the generate stage's reusable state:
-	// grouping scratch, per-worker workspaces, the output slice, and the
-	// super-batch concatenation (see generateDay).
-	gen      Generator
-	dayConvs []events.Event
-	dayReqs  []*core.Request
+	// gen and buf are the generate stage's reusable state (see generateDay);
+	// Replay brings two buffers of its own, so a served engine holds one.
+	gen Generator
+	buf dayBuf
+}
+
+// dayBuf is one generate call's buffers: the super-batch concatenation the
+// Generator reads and the output slots it fills.
+type dayBuf struct {
+	convs []events.Event
+	reqs  []*core.Request
+	out   []convOutput
 }
 
 // NewEngine builds an executor for cfg's scenario over db, the store its
-// devices read, and meta, the trace's identity. It reads neither Dataset nor
-// Source, and validation (Config.Resolve) stays with the callers; zero
-// scenario values take the defaults.
+// devices read (nil for Replay, which loads its own), and meta, the trace's
+// identity. It reads neither Dataset nor Source, and validation
+// (Config.Resolve) stays with the callers; zero scenario values take the
+// defaults.
 func NewEngine(cfg Config, meta dataset.Meta, db *events.Database) *Engine {
 	cfg = cfg.withDefaults()
 	aggNoise := stats.Stream(cfg.Seed, "aggregation-noise")
 	e := &Engine{
 		cfg:      cfg,
 		meta:     meta,
-		db:       db,
 		agg:      aggregation.NewService(aggNoise),
 		aggNoise: aggNoise,
 		plan:     newPlanner(meta, cfg.Calibration, cfg.FixedEpsilon, cfg.MaxQueriesPerProduct),
@@ -74,8 +80,9 @@ func NewEngine(cfg Config, meta dataset.Meta, db *events.Database) *Engine {
 			TotalEpochs: meta.Epochs(cfg.EpochDays),
 		},
 	}
-	e.fleet = core.NewFleet(0, db, cfg.EpsilonG, cfg.Policy)
-	e.run.Fleet = e.fleet
+	if db != nil {
+		e.bind(db)
+	}
 	if cfg.System == IPALike {
 		e.gen.central = true
 		e.central = privacy.NewLedger(cfg.EpsilonG)
@@ -95,42 +102,106 @@ func NewEngine(cfg Config, meta dataset.Meta, db *events.Database) *Engine {
 // Run returns the run the engine has accumulated so far.
 func (e *Engine) Run() *Run { return e.run }
 
-// Replay plans and executes a materialized trace whose events are already in
-// the engine's store: the batch front end. Conversions reach the planner a
-// day at a time — days ascending, each day's in ID order, the (Day, ID)
-// order a source delivers — and each day's due list runs as one Flush, the
-// granularity of the service's day clock. Bucketing by day costs a sort of
-// each day's indices, never one of the whole trace.
-//
-// Replay is the batch front end's whole run: after the last flush it
-// releases the fleet's hold on the store (core.Fleet.ReleaseStore), so the
-// finished Run keeps budget state and results, not the trace's arena.
+// bind makes db the store the engine's devices read, over a new fleet.
+func (e *Engine) bind(db *events.Database) {
+	e.db = db
+	e.fleet = core.NewFleet(0, db, e.cfg.EpsilonG, e.cfg.Policy)
+	e.run.Fleet = e.fleet
+}
+
+// Replay bulk-loads a materialized trace into a store of its own
+// (events.NewFrozen) and plans and executes it: the batch front end. Each
+// fire day runs Flush's three stages, overlapped as a pipeline whose results
+// are bit-identical to one Flush per fire day. A planner goroutine, started
+// before the bulk load since it reads only the trace, feeds the planner a
+// day at a time in (Day, ID) order and sorts and prepares each fire day's
+// due list, at most one day ahead. Day d+1 generates on a goroutine of its
+// own, into the buffer day d is not folding from, while the coordinator
+// folds day d: the fold reads nothing the generate stage writes, and d+1
+// generates only after d has, so its nonces lie above d's Compact
+// watermark. A stage's panic reaches the caller, and no goroutine outlives
+// Replay. It ends by releasing the fleet's hold on the store
+// (core.Fleet.ReleaseStore), so the finished Run keeps budget state and
+// results, not the trace's arena.
 func (e *Engine) Replay(evs []events.Event) error {
-	byDay := make(map[int][]int32)
-	for i := range evs {
-		if evs[i].IsConversion() {
-			byDay[evs[i].Day] = append(byDay[evs[i].Day], int32(i))
-		}
-	}
-	for _, day := range slices.Sorted(maps.Keys(byDay)) {
-		idx := byDay[day]
-		slices.SortFunc(idx, func(a, b int32) int {
-			return cmp.Or(cmp.Compare(evs[a].ID, evs[b].ID), cmp.Compare(a, b))
-		})
-		for _, i := range idx {
-			e.admit(evs[i])
-		}
-		if err := e.flushDue(nil); err != nil {
+	days := make(chan []*Query, 1) // the planner's look-ahead: one fire day
+	stop := make(chan struct{})
+	joinPlan := spawn(func() { e.planDays(evs, days, stop) })
+	defer joinPlan()
+	defer close(stop)
+	e.bind(events.NewFrozen(e.cfg.EpochDays, evs))
+
+	var bufs [2]dayBuf // fire day k generates into bufs[k%2]
+	var prev []*Query
+	var prevOut []convOutput
+	k := 0
+	for due := range days {
+		out, err := e.generateWhileFolding(due, &bufs[k%2], prev, prevOut)
+		if err != nil {
 			return err
 		}
+		prev, prevOut, k = due, out, k+1
+	}
+	if err := e.fold(prev, prevOut, nil); err != nil {
+		return err
 	}
 	e.run.EventsIngested += len(evs)
 	e.fleet.ReleaseStore()
 	return nil
 }
 
+// planDays is Replay's planner stage: it buckets evs' conversions by day,
+// sorting a day by ID only if it is not in ID order, and sends each fire
+// day's due list, prepared, on days until the trace ends or stop closes.
+func (e *Engine) planDays(evs []events.Event, days chan<- []*Query, stop <-chan struct{}) {
+	defer close(days)
+	byDay := make(map[int][]int32)
+	for i := range evs {
+		if evs[i].IsConversion() {
+			byDay[evs[i].Day] = append(byDay[evs[i].Day], int32(i))
+		}
+	}
+	byID := func(a, b int32) int {
+		return cmp.Or(cmp.Compare(evs[a].ID, evs[b].ID), cmp.Compare(a, b))
+	}
+	for _, day := range slices.Sorted(maps.Keys(byDay)) {
+		idx := byDay[day]
+		if !slices.IsSortedFunc(idx, byID) {
+			slices.SortFunc(idx, byID)
+		}
+		var due []*Query
+		for _, i := range idx {
+			if q := e.plan.add(evs[i]); q != nil {
+				due = append(due, q)
+			}
+		}
+		if len(due) == 0 {
+			continue
+		}
+		e.prepareDay(due)
+		select {
+		case days <- due:
+		case <-stop:
+			return
+		}
+	}
+}
+
+// generateWhileFolding generates due into buf on a goroutine of its own
+// while it folds the previous fire day, and returns due's outputs once both
+// are done; a fold error wins, as in a sequential run.
+func (e *Engine) generateWhileFolding(due []*Query, buf *dayBuf, prev []*Query, prevOut []convOutput) ([]convOutput, error) {
+	var out []convOutput
+	var genErr error
+	join := spawn(func() { out, genErr = e.generateDay(due, buf) })
+	if err := func() error { defer join(); return e.fold(prev, prevOut, nil) }(); err != nil {
+		return nil, err
+	}
+	return out, genErr
+}
+
 // admit routes one conversion to the planner and queues the query it
-// completed, if any, on the due list.
+// completed, if any, on the due list: the service's path to the planner.
 func (e *Engine) admit(conv events.Event) {
 	if q := e.plan.add(conv); q != nil {
 		e.due = append(e.due, q)
@@ -153,7 +224,7 @@ type Query struct {
 	seq     int            // batch index within the stream (sort tie-break)
 	epsilon float64
 
-	// Execution scratch, populated by Flush: each conversion's request, in
+	// Execution scratch, populated by prepare: each conversion's request, in
 	// one block per query.
 	reqs        []core.Request
 	first, last events.Epoch
@@ -170,34 +241,37 @@ type convOutput struct {
 
 // Flush executes queries that filled on the same day, in the canonical
 // (site, product, seq) order — so across days, the schedule's (fireDay,
-// site, product, seq) total order. Each result joins Run.Results and is then
-// handed to released (when non-nil), whose error aborts the flush.
+// site, product, seq) total order — as three stages: sort and prepare, then
+// generate, then fold. Each result joins Run.Results and is then handed to
+// released (when non-nil), whose error aborts the flush.
 func (e *Engine) Flush(due []*Query, released func(Result) error) error {
 	if len(due) == 0 {
 		return nil
 	}
-	slices.SortFunc(due, func(a, b *Query) int {
-		return cmp.Or(a.adv.Site.Compare(b.adv.Site), a.product.Compare(b.product), cmp.Compare(a.seq, b.seq))
-	})
-
-	// Stage 1: prepare. Requests are pure values, built on the coordinator
-	// in canonical order; no device is touched until the generate stage,
-	// whose worker owning a device marks its windows requested before it
-	// visits.
-	for _, q := range due {
-		e.prepare(q)
-	}
-
-	// Stage 2: generate — the queries multiplexed as one device-partitioned
-	// super-batch (see generateDay).
-	outputs, err := e.generateDay(due)
+	e.prepareDay(due)
+	outputs, err := e.generateDay(due, &e.buf)
 	if err != nil {
 		return err
 	}
+	return e.fold(due, outputs, released)
+}
 
-	// Stage 3: aggregate sequentially in canonical order, folding each
-	// query's per-conversion outputs in conversion order so sums and
-	// noise draws are schedule-independent.
+// prepareDay is Flush's first stage: it sorts a day's due list into
+// canonical order and prepares each query, touching no device.
+func (e *Engine) prepareDay(due []*Query) {
+	slices.SortFunc(due, func(a, b *Query) int {
+		return cmp.Or(a.adv.Site.Compare(b.adv.Site), a.product.Compare(b.product), cmp.Compare(a.seq, b.seq))
+	})
+	for _, q := range due {
+		e.prepare(q)
+	}
+}
+
+// fold is Flush's last stage: it aggregates sequentially in canonical
+// order, folding each query's per-conversion outputs in conversion order so
+// sums and noise draws are schedule-independent, and then retires the
+// day's nonces.
+func (e *Engine) fold(due []*Query, outputs []convOutput, released func(Result) error) error {
 	off := 0
 	var maxNonce core.Nonce
 	for _, q := range due {
@@ -224,10 +298,10 @@ func (e *Engine) Flush(due []*Query, released func(Result) error) error {
 	}
 
 	// Batch completion: every nonce minted for these queries has been
-	// consumed and — nonces being minted monotonically, with the next
-	// flush's reports not yet generated — nothing at or below the high-water
-	// mark can legitimately arrive again, so the replay-protection entries
-	// retire instead of accumulating across the run.
+	// consumed and — nonces being minted monotonically, and no later day
+	// generating before this one finished — nothing at or below the
+	// high-water mark can legitimately arrive again, so the replay-protection
+	// entries retire instead of accumulating across the run.
 	if maxNonce > 0 {
 		e.run.RetiredNonces += e.agg.Compact(maxNonce)
 	}
@@ -251,26 +325,26 @@ func (e *Engine) prepare(q *Query) {
 }
 
 // generateDay runs the generate stage for every due query at once. The
-// queries' conversions and requests concatenate in canonical order, and the
-// Generator partitions the concatenation by device, so a device shared
-// across queries (or across conversions of one query) is marked and then
-// visited sequentially in exactly the order one query per flush would use,
-// while distinct devices from any number of queriers run concurrently. The
-// concatenation buffers are reused across flushes (consumed synchronously
-// by Flush's aggregation loop, so reuse is safe); together with the
-// Generator's own reuse, a steady-state flush allocates only the reports it
-// returns.
-func (e *Engine) generateDay(due []*Query) ([]convOutput, error) {
-	convs := e.dayConvs[:0]
-	reqs := e.dayReqs[:0]
+// queries' conversions and requests concatenate in canonical order into
+// buf, and the Generator partitions the concatenation by device, so a
+// device shared across queries (or across conversions of one query) is
+// marked and then visited sequentially in exactly the order one query per
+// flush would use, while distinct devices from any number of queriers run
+// concurrently. buf is reused across flushes: the outputs it returns are
+// valid until its next generateDay, so Flush folds them first and Replay
+// alternates two buffers. Together with the Generator's own reuse, a
+// steady-state flush allocates only the reports it returns.
+func (e *Engine) generateDay(due []*Query, buf *dayBuf) ([]convOutput, error) {
+	buf.convs, buf.reqs = buf.convs[:0], buf.reqs[:0]
 	for _, q := range due {
-		convs = append(convs, q.batch...)
+		buf.convs = append(buf.convs, q.batch...)
 		for i := range q.reqs {
-			reqs = append(reqs, &q.reqs[i])
+			buf.reqs = append(buf.reqs, &q.reqs[i])
 		}
 	}
-	e.dayConvs, e.dayReqs = convs, reqs
-	return e.gen.Generate(e.fleet, reqs, convs, e.cfg.Parallelism)
+	var err error
+	buf.out, err = e.gen.Generate(e.fleet, buf.reqs, buf.convs, buf.out, e.cfg.Parallelism)
+	return buf.out, err
 }
 
 // aggregate folds one query's per-conversion outputs in conversion order and

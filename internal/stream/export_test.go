@@ -16,6 +16,10 @@ func (s *Service) FullSnapshot() (gen uint64, payload []byte, err error) {
 	return s.nextGen - 1, payload, err
 }
 
+// LedgerState hands the external test package ledgerState: one device's
+// ledger rows and requested marks.
+var LedgerState = ledgerState
+
 // PlanDays runs the incremental planner over src and returns each fire
 // day's filled batches, days ascending, each day in the order its batches
 // filled — the due lists the day clock would hand Flush.

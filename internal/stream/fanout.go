@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/events"
@@ -10,7 +11,8 @@ import (
 
 // This file holds the generate stage's deterministic fan-out: per-device
 // marks and report generation across a bounded worker pool (fanout.Run) for
-// a whole day's due list per call, whichever front end flushes it.
+// a whole day's due list per call, whichever front end flushes it — and
+// spawn, which starts the stage goroutines of Replay's pipeline.
 //
 // Determinism contract: results are bit-identical for every Parallelism
 // value. Two properties make that hold. First, work is partitioned by
@@ -70,16 +72,14 @@ func (g *Grouper) Group(batch []events.Event) [][]int {
 }
 
 // Generator runs the generate stage with state that persists across
-// batches: the grouping scratch, per-worker workspaces, and the output
-// slice. The Engine holds one per run. A Generator serves one batch at a
-// time; the zero value is ready and visits devices, and central makes it
-// compute true report values instead (the IPA-like baseline, whose budget is
-// central).
+// batches: the grouping scratch and per-worker workspaces. The Engine holds
+// one per run. A Generator serves one batch at a time; the zero value is
+// ready and visits devices, and central makes it compute true report values
+// instead (the IPA-like baseline, whose budget is central).
 type Generator struct {
 	central bool
 	grouper Grouper
 	workers []genWorker
-	out     []convOutput
 }
 
 // genWorker is one worker's private state: the batched-generation and truth
@@ -112,9 +112,10 @@ func (ws *genWorker) fail(conv int, err error) {
 // (core.Device.GenerateReportBatch — a window selection per request, one
 // ledger lock for every querier's charge, one nonce draw per device) or, for
 // a central Generator, computes each request's true report value. Outputs
-// land slotted by conversion index; the returned slice is reused by the
-// next Generate call, so callers must copy out (the *Report pointers
-// themselves are the caller's to retain).
+// land slotted by conversion index in out's storage, grown to len(batch)
+// when short; the returned slice aliases it, so the caller decides how long
+// outputs live and may alternate buffers across calls (the *Report
+// pointers themselves are the caller's to retain).
 //
 // A malformed request surfaces as an error after the fan-out barrier — the
 // offending device group is not created, marked or charged, and every other
@@ -123,16 +124,12 @@ func (ws *genWorker) fail(conv int, err error) {
 // of worker schedule. A request list that does not line up with the batch is
 // refused before any device is touched.
 func (g *Generator) Generate(fleet *core.Fleet, reqs []*core.Request, batch []events.Event,
-	workers int) ([]convOutput, error) {
+	out []convOutput, workers int) ([]convOutput, error) {
 	n := len(batch)
 	if len(reqs) != n {
 		return nil, fmt.Errorf("stream: generate got %d requests for %d conversions", len(reqs), n)
 	}
-	if cap(g.out) < n {
-		g.out = make([]convOutput, n)
-	} else {
-		g.out = g.out[:n]
-	}
+	out = slices.Grow(out[:0], n)[:n]
 	groups := g.grouper.Group(batch)
 	nw := min(workers, len(groups))
 	if nw < 1 {
@@ -166,7 +163,7 @@ func (g *Generator) Generate(fleet *core.Fleet, reqs []*core.Request, batch []ev
 		}
 		if g.central {
 			for j, i := range group {
-				g.out[i] = convOutput{truth: dev.TrueReportValue(ws.reqs[j], &ws.s)}
+				out[i] = convOutput{truth: dev.TrueReportValue(ws.reqs[j], &ws.s)}
 			}
 			return
 		}
@@ -182,7 +179,7 @@ func (g *Generator) Generate(fleet *core.Fleet, reqs []*core.Request, batch []ev
 			return
 		}
 		for j, i := range group {
-			g.out[i] = convOutput{report: ws.reps[j], stats: ws.stats[j]}
+			out[i] = convOutput{report: ws.reps[j], stats: ws.stats[j]}
 		}
 	})
 	firstConv, firstErr := -1, error(nil)
@@ -194,5 +191,24 @@ func (g *Generator) Generate(fleet *core.Fleet, reqs []*core.Request, batch []ev
 	if firstErr != nil {
 		return nil, fmt.Errorf("stream: request for conversion %d invalid: %w", firstConv, firstErr)
 	}
-	return g.out, nil
+	return out, nil
+}
+
+// spawn runs fn on a goroutine of its own and returns join, which waits for
+// fn to return and re-raises on its caller any panic fn raised, as
+// fanout.Run does for its workers. Call join exactly once.
+func spawn(fn func()) (join func()) {
+	done := make(chan struct{})
+	var panicked any
+	go func() {
+		defer close(done)
+		defer func() { panicked = recover() }()
+		fn()
+	}()
+	return func() {
+		<-done
+		if panicked != nil {
+			panic(panicked)
+		}
+	}
 }

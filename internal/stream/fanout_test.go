@@ -102,7 +102,7 @@ func TestGeneratorMatchesSequential(t *testing.T) {
 						reqs[i] = fanoutRequest(rng)
 					}
 
-					out, err := gen.Generate(fleetPar, reqs, convs, workers)
+					out, err := gen.Generate(fleetPar, reqs, convs, nil, workers)
 					if err != nil {
 						t.Fatalf("%s: %v", where(batch), err)
 					}
@@ -173,7 +173,7 @@ func TestGeneratorErrorDeterministic(t *testing.T) {
 	for _, central := range []bool{false, true} {
 		for _, workers := range []int{1, 2, 8} {
 			fleet := fanoutFleet(db, 1)
-			_, err := (&Generator{central: central}).Generate(fleet, reqs, convs, workers)
+			_, err := (&Generator{central: central}).Generate(fleet, reqs, convs, nil, workers)
 			if err == nil {
 				t.Fatalf("central=%v workers=%d: expected error", central, workers)
 			}
@@ -225,7 +225,7 @@ func TestGeneratorLengthMismatch(t *testing.T) {
 		for _, central := range []bool{false, true} {
 			for _, workers := range []int{1, 4} {
 				fleet := fanoutFleet(db, 1)
-				_, err := (&Generator{central: central}).Generate(fleet, tc.reqs, convs, workers)
+				_, err := (&Generator{central: central}).Generate(fleet, tc.reqs, convs, nil, workers)
 				if err == nil || !strings.Contains(err.Error(), "for 6 conversions") {
 					t.Fatalf("%s, central=%v workers=%d: err = %v, want a length mismatch error",
 						tc.name, central, workers, err)

@@ -74,18 +74,17 @@ func TestFinishedRunReleasesStore(t *testing.T) {
 		{"replay", func(t *testing.T) (*Run, weak.Pointer[events.Database], []string) {
 			// Replay releases inside, so the reference is a twin engine fed
 			// the same fire days through Flush, which never releases.
-			twin := NewEngine(scfg, ds.Meta(), ds.Build(7))
+			twin := NewEngine(scfg, ds.Meta(), events.NewFrozen(7, ds.Events))
 			for _, day := range PlanDays(scfg, ds.Stream()) {
 				if err := twin.Flush(day, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
-			db := ds.Build(7)
-			eng := NewEngine(scfg, ds.Meta(), db)
+			eng := NewEngine(scfg, ds.Meta(), nil)
 			if err := eng.Replay(ds.Events); err != nil {
 				t.Fatal(err)
 			}
-			return eng.Run(), weak.Make(db), runReads(twin.Run())
+			return eng.Run(), weak.Make(eng.db), runReads(twin.Run())
 		}},
 		{"serve", func(t *testing.T) (*Run, weak.Pointer[events.Database], []string) {
 			var svc *Service

@@ -28,10 +28,10 @@ type Run struct {
 }
 
 // Execute runs the full workload under cfg and returns the collected run:
-// the batch front end. It bulk-loads the trace into an event store and
-// replays it through the engine it shares with the streaming service
-// (stream.Engine.Replay): the same planner, one super-batch per fire day.
-// Results are bit-identical for any worker count.
+// the batch front end. It replays the trace through the engine it shares
+// with the streaming service (stream.Engine.Replay), which bulk-loads it
+// into an event store of its own while it plans: the same planner, one
+// super-batch per fire day. Results are bit-identical for any worker count.
 func Execute(cfg Config) (*Run, error) {
 	if cfg.Dataset == nil {
 		return nil, fmt.Errorf("workload: nil dataset")
@@ -41,7 +41,7 @@ func Execute(cfg Config) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := stream.NewEngine(cfg, meta, cfg.Dataset.Build(cfg.EpochDays))
+	eng := stream.NewEngine(cfg, meta, nil)
 	if err := eng.Replay(cfg.Dataset.Events); err != nil {
 		return nil, err
 	}
