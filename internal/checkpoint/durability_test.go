@@ -15,9 +15,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/events"
@@ -341,11 +344,13 @@ func TestRecoveryFallbackReported(t *testing.T) {
 // TestDurabilityStatsSurviveCrash pins that the durability telemetry is
 // state of the run, not of the incarnation: it rides in every generation's
 // head, so a crash→resume reports the same capture, compaction and
-// group-commit counts as the run that never crashed. The crash lands on the
-// first event after the fourth cadence tick — a generation whose own commit
-// is not a compaction, so nothing the dead process knew is missing from the
-// head it resumes from — and the resumed writer continues the compaction
-// cadence from the chain length on disk.
+// group-commit counts as the run that never crashed. Each crash lands on the
+// first event after a cadence tick: the fourth, whose delta is not
+// compacted, and the third, whose delta is — its compaction is still in
+// flight at the crash and lands while Serve winds down, but the day clock
+// counted it when it decided it, so the head the resumed run starts from
+// already carries it. The resumed run continues the compaction cadence from
+// the chain length on disk.
 func TestDurabilityStatsSurviveCrash(t *testing.T) {
 	cfg, spec, ref := durabilityCfg(t)
 	h, err := scenario.DefaultHarness()
@@ -369,33 +374,167 @@ func TestDurabilityStatsSurviveCrash(t *testing.T) {
 		t.Fatalf("uncrashed run exercises too little: %+v", want)
 	}
 
-	dir := t.TempDir()
-	crash := durable(dir)
-	ticks := 0
-	crash.FaultHook = func(p stream.FaultPoint) error {
-		switch {
-		case p == stream.PointDeltaCaptured:
-			ticks++
-		case p == stream.PointEventIngested && ticks == 4:
-			return errInjected
+	for _, tick := range []int{4, 3} {
+		dir := t.TempDir()
+		crash := durable(dir)
+		ticks := 0
+		crash.FaultHook = func(p stream.FaultPoint) error {
+			switch {
+			case p == stream.PointDeltaCaptured:
+				ticks++
+			case p == stream.PointEventIngested && ticks == tick:
+				return errInjected
+			}
+			return nil
 		}
-		return nil
+		if _, err := workload.ExecuteSource(crash, spec.Source(h.Dataset)); !errors.Is(err, errInjected) {
+			t.Fatalf("crash after tick %d: %v", tick, err)
+		}
+		resume := durable(dir)
+		resume.Resume = true
+		run, err := workload.ExecuteSource(resume, spec.Source(h.Dataset))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRun(t, fmt.Sprintf("stats resume after tick %d", tick), ref, run)
+		got := run.Durability
+		if got.SnapshotCaptures != want.SnapshotCaptures || got.BaseCompactions != want.BaseCompactions ||
+			got.GroupCommits != want.GroupCommits {
+			t.Fatalf("resumed after tick %d, the run reports captures/compactions/group commits %d/%d/%d, uncrashed %d/%d/%d",
+				tick, got.SnapshotCaptures, got.BaseCompactions, got.GroupCommits,
+				want.SnapshotCaptures, want.BaseCompactions, want.GroupCommits)
+		}
 	}
-	if _, err := workload.ExecuteSource(crash, spec.Source(h.Dataset)); !errors.Is(err, errInjected) {
-		t.Fatalf("crash run: %v", err)
+}
+
+// failCompactionFS stages every base after the run's first through a
+// FaultFS whose whole budget is one short write: the run's first base
+// compaction fails its write, and every write after it lands.
+type failCompactionFS struct {
+	checkpoint.FS
+	faults *checkpoint.FaultFS
+	bases  atomic.Int32
+}
+
+func (f *failCompactionFS) OpenFile(name string, flag int, perm os.FileMode) (checkpoint.File, error) {
+	base := filepath.Base(name)
+	if strings.HasPrefix(base, "base-") && strings.HasSuffix(base, ".tmp") && f.bases.Add(1) > 1 {
+		return f.faults.OpenFile(name, flag, perm)
 	}
-	resume := durable(dir)
-	resume.Resume = true
-	run, err := workload.ExecuteSource(resume, spec.Source(h.Dataset))
+	return f.FS.OpenFile(name, flag, perm)
+}
+
+// TestServeLeavesNoGoroutines pins that Serve returns only once the
+// snapshot writer, the compactor and the WAL syncer are gone, on every
+// path: completion, an injected crash at a delta capture, at a compaction
+// decision and while a compaction is in flight — which lands before Serve
+// returns — and a compaction whose base write fails. That failure surfaces
+// as Serve's error, and a resume converges to the reference run.
+func TestServeLeavesNoGoroutines(t *testing.T) {
+	cfg, spec, ref := durabilityCfg(t)
+	h, err := scenario.DefaultHarness()
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkRun(t, "stats resume", ref, run)
-	got := run.Durability
-	if got.SnapshotCaptures != want.SnapshotCaptures || got.BaseCompactions != want.BaseCompactions ||
-		got.GroupCommits != want.GroupCommits {
-		t.Fatalf("resumed run reports captures/compactions/group commits %d/%d/%d, uncrashed %d/%d/%d",
-			got.SnapshotCaptures, got.BaseCompactions, got.GroupCommits,
-			want.SnapshotCaptures, want.BaseCompactions, want.GroupCommits)
+	durable := func(dir string) workload.Config {
+		run := cfg
+		run.CheckpointDir = dir
+		run.SnapshotEveryDays = 7
+		run.BaseEveryDeltas = 3
+		run.GroupCommitEvents = 64
+		return run
 	}
+	// serve runs one Serve and then checks that every goroutine it started
+	// is gone. landed, when set, runs first, before a goroutine left behind
+	// could finish its work.
+	serve := func(label string, run workload.Config, landed func()) (*workload.Run, error) {
+		t.Helper()
+		before := runtime.NumGoroutine()
+		got, err := workload.ExecuteSource(run, spec.Source(h.Dataset))
+		if landed != nil {
+			landed()
+		}
+		// A goroutine that has signalled its WaitGroup may still be on its
+		// way out.
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			buf := make([]byte, 1<<16)
+			t.Errorf("%s: %d goroutines after Serve returned, %d before:\n%s",
+				label, n, before, buf[:runtime.Stack(buf, true)])
+		}
+		return got, err
+	}
+	// nth crashes at the n-th firing of point; after crashes at the first
+	// event after the n-th cadence tick.
+	nth := func(point stream.FaultPoint, n int) stream.FaultHook {
+		return func(p stream.FaultPoint) error {
+			if p == point {
+				if n--; n == 0 {
+					return errInjected
+				}
+			}
+			return nil
+		}
+	}
+	after := func(n int) stream.FaultHook {
+		return func(p stream.FaultPoint) error {
+			switch {
+			case p == stream.PointDeltaCaptured:
+				n--
+			case p == stream.PointEventIngested && n == 0:
+				return errInjected
+			}
+			return nil
+		}
+	}
+
+	if _, err := serve("completion", durable(t.TempDir()), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		label string
+		hook  stream.FaultHook
+		// inFlight: a compaction was in flight at the crash, so once Serve
+		// returned the chain on disk must be the base it wrote.
+		inFlight bool
+	}{
+		{"crash at a delta capture", nth(stream.PointDeltaCaptured, 2), false},
+		{"crash at a compaction decision", nth(stream.PointBaseCompacted, 2), false},
+		{"crash after a compacted tick", after(3), true},
+	} {
+		dir := t.TempDir()
+		crash := durable(dir)
+		crash.FaultHook = c.hook
+		var landed func()
+		if c.inFlight {
+			landed = func() {
+				chain, _, err := checkpoint.NewStore(dir, nil).LoadChain(0)
+				if err != nil || chain == nil || chain.Deltas != 0 {
+					t.Errorf("%s: the chain on disk is not a compacted base alone (%v)", c.label, err)
+				}
+			}
+		}
+		if _, err := serve(c.label, crash, landed); !errors.Is(err, errInjected) {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+	}
+
+	dir := t.TempDir()
+	failing := durable(dir)
+	failing.DurableFS = &failCompactionFS{
+		FS:     checkpoint.OsFS{},
+		faults: checkpoint.NewFaultFS(nil, checkpoint.FaultSpec{Seed: 1, MaxFaults: 1, ShortWrite: 1}),
+	}
+	if _, err := serve("failed compaction", failing, nil); err == nil || !strings.Contains(err.Error(), "injected short write") {
+		t.Fatalf("failed compaction surfaced as %v, want the short write", err)
+	}
+	resume := durable(dir)
+	resume.Resume = true
+	run, err := serve("resume after the failed compaction", resume, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRun(t, "resume after the failed compaction", ref, run)
 }

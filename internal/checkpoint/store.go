@@ -312,11 +312,14 @@ type Chain struct {
 }
 
 // LoadChain picks the newest intact base and follows delta fingerprints
-// upward. A nil chain (with nil error) means no usable generation exists —
-// either a fresh directory or every generation corrupt; the fallback count
-// distinguishes the two. Corruption is never fatal here: recovery degrades
-// to WAL replay plus source re-read.
-func (st *Store) LoadChain() (*Chain, int, error) {
+// upward, over the generations at or below maxGen (0 means every
+// generation): a compaction folds the chain up to the delta it was decided
+// at, and generations written meanwhile are neither read nor joined. A nil
+// chain (with nil error) means no usable generation exists — either a fresh
+// directory or every generation corrupt; the fallback count distinguishes
+// the two. Corruption is never fatal here: recovery degrades to WAL replay
+// plus source re-read.
+func (st *Store) LoadChain(maxGen uint64) (*Chain, int, error) {
 	entries, err := st.fs.ReadDir(st.dir)
 	if os.IsNotExist(err) {
 		return nil, 0, nil
@@ -328,7 +331,7 @@ func (st *Store) LoadChain() (*Chain, int, error) {
 	var bases, deltas []GenFrame
 	for _, e := range entries {
 		kind, gen, ok := parseGenName(e.Name())
-		if !ok || kind == 'w' {
+		if !ok || kind == 'w' || maxGen != 0 && gen > maxGen {
 			continue
 		}
 		raw, err := st.fs.ReadFile(filepath.Join(st.dir, e.Name()))

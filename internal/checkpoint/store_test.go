@@ -118,7 +118,7 @@ func TestShortPayloadWriteCommitsNothing(t *testing.T) {
 	if len(entries) != 1 || entries[0].Name() != "base-00000001.ckpt" {
 		t.Fatalf("directory after the failed write: %v", entries)
 	}
-	chain, fallbacks, err := NewStore(dir, nil).LoadChain()
+	chain, fallbacks, err := NewStore(dir, nil).LoadChain(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestLoadChainFollowsFingerprints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	chain, fallbacks, err := st.LoadChain()
+	chain, fallbacks, err := st.LoadChain(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,6 +194,12 @@ func TestLoadChainFollowsFingerprints(t *testing.T) {
 	if got := chainPayloads(chain); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("payload order %v, want %v", got, want)
 	}
+	// A bound stops the chain at it, as a compaction folding up to
+	// generation 2 while generation 3 is written sees it.
+	chain, _, err = st.LoadChain(2)
+	if err != nil || chain == nil || chain.Gen != 2 || chain.FP != fp2 || chain.Deltas != 1 {
+		t.Fatalf("chain bounded at 2: %+v (%v)", chain, err)
+	}
 
 	// A compacted base keeps the head's identity: replacing gens 1–3 with a
 	// base at (3, fp3) must leave later deltas chaining on unchanged.
@@ -203,7 +209,7 @@ func TestLoadChainFollowsFingerprints(t *testing.T) {
 	if _, err := st.WriteDelta(5, fp3, []byte("delta5")); err != nil {
 		t.Fatal(err)
 	}
-	chain, _, err = st.LoadChain()
+	chain, _, err = st.LoadChain(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,6 +219,10 @@ func TestLoadChainFollowsFingerprints(t *testing.T) {
 	want = []string{"compacted3", "delta5"}
 	if got := chainPayloads(chain); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("post-compaction payloads %v, want %v", got, want)
+	}
+	chain, _, err = st.LoadChain(4)
+	if err != nil || chain == nil || chain.BaseGen != 3 || chain.Gen != 3 || chain.Deltas != 0 {
+		t.Fatalf("post-compaction chain bounded at 4: %+v (%v)", chain, err)
 	}
 }
 
@@ -242,7 +252,7 @@ func TestLoadChainFallsBackPastCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	chain, fallbacks, err := st.LoadChain()
+	chain, fallbacks, err := st.LoadChain(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +270,7 @@ func TestLoadChainFallsBackPastCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	chain, fallbacks, err = st.LoadChain()
+	chain, fallbacks, err = st.LoadChain(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +324,7 @@ func TestGCKeepsNewestGenerations(t *testing.T) {
 		t.Fatalf("after GC: %v, want %v", names, want)
 	}
 
-	chain, _, err := st.LoadChain()
+	chain, _, err := st.LoadChain(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +361,7 @@ func TestGCSkipsCorruptBases(t *testing.T) {
 	if err := st.GC(1); err != nil {
 		t.Fatal(err)
 	}
-	chain, _, err := st.LoadChain()
+	chain, _, err := st.LoadChain(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +382,7 @@ func TestFaultFSTornRenameDetected(t *testing.T) {
 	if ffs.Injected() != 1 {
 		t.Fatalf("injected %d faults, want 1", ffs.Injected())
 	}
-	chain, fallbacks, err := st.LoadChain()
+	chain, fallbacks, err := st.LoadChain(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +411,7 @@ func TestFaultFSBitFlipDetected(t *testing.T) {
 	// committed. A flip in the payload or a checked header field is refused
 	// (fallback); a flip confined to a base's unverifiable chain-fingerprint
 	// field merely detaches later deltas — the payload served is intact.
-	chain, fallbacks, err := st.LoadChain()
+	chain, fallbacks, err := st.LoadChain(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +426,7 @@ func TestFaultFSBitFlipDetected(t *testing.T) {
 	if _, err := st.WriteBase(2, []byte("clean base")); err != nil {
 		t.Fatal(err)
 	}
-	chain, _, err = st.LoadChain()
+	chain, _, err = st.LoadChain(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,6 +37,8 @@ type DeviceEpoch struct {
 // none may overlap Record or EvictBefore — the streaming service relies on
 // exactly this, alternating a single-writer ingest phase with a fan-out read
 // phase on its day clock, and the batch engine loads once and then only reads.
+// The one exception is a lent view (Lend), which one reader may go on
+// reading while Record runs.
 type Database struct {
 	segs []*epochSegment // ascending by epoch
 	// advs and camps are the advertiser and campaign symbols the store
@@ -47,7 +49,18 @@ type Database struct {
 	// checkpointer's record-level dirty set. Off by default, so the
 	// streaming ingest path pays nothing unless a delta can be captured.
 	trackDirty bool
+	// lent, until closed, says a reader may still be reading record views
+	// (Lend); nil once Record has seen it closed.
+	lent <-chan struct{}
 }
+
+// Lend declares the record views read so far lent to another goroutine
+// until encoded is closed, and Record keeps them intact meanwhile. Only an
+// out-of-order insert's in-place shift writes into a record's events, so
+// that shift waits for encoded first. Every other write leaves a view alone:
+// an append writes past its end, a full record moves to a fresh region, and
+// EvictBefore drops whole segments, whose memory the views keep alive.
+func (db *Database) Lend(encoded <-chan struct{}) { db.lent = encoded }
 
 // DeviceEpochKey identifies one device-epoch record in the dirty set.
 type DeviceEpochKey struct {
@@ -340,8 +353,9 @@ func sortByDeviceDayID(evs []Event) (idx []int32, devs []DeviceID) {
 // Events within an epoch are kept in (Day, ID) order; the append-at-end case
 // (datasets are generated in time order) is O(1), and an out-of-order event
 // finds its slot by binary search and shifts the record's tail within its
-// region — O(log n) compares plus one memmove. Equal keys keep arrival
-// order. A full region first moves to one of twice the capacity.
+// region — O(log n) compares plus one memmove, after waiting for any lent
+// views (Lend). Equal keys keep arrival order. A full region first moves to
+// one of twice the capacity.
 func (db *Database) Record(epoch Epoch, ev Event) {
 	seg := db.segment(epoch)
 	slot := seg.byDevice.claim(ev.Device)
@@ -353,6 +367,10 @@ func (db *Database) Record(epoch Epoch, ev Event) {
 	keys := seg.keys[r.chunk][r.off : r.off+r.n+1]
 	i := int(r.n)
 	if i > 0 && ev.Before(evs[i-1]) {
+		if db.lent != nil {
+			<-db.lent // the shift may rewrite a lent view
+			db.lent = nil
+		}
 		i = sort.Search(i, func(j int) bool { return ev.Before(evs[j]) })
 		copy(evs[i+1:], evs[i:r.n])
 		copy(keys[i+1:], keys[i:r.n])

@@ -64,7 +64,7 @@ func TestResumesIPALikeDirectoryFrom2222b11(t *testing.T) {
 	if err := os.CopyFS(dir, os.DirFS("testdata/ckpt-2222b11-ipa")); err != nil {
 		t.Fatal(err)
 	}
-	chain, fallbacks, err := checkpoint.NewStore(dir, nil).LoadChain()
+	chain, fallbacks, err := checkpoint.NewStore(dir, nil).LoadChain(0)
 	if err != nil || chain == nil || fallbacks != 0 {
 		t.Fatalf("fixture does not load as an intact chain: %v (%d fallbacks)", err, fallbacks)
 	}

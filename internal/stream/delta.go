@@ -116,16 +116,26 @@ func (s *Service) rangeTouched(fn func(*core.Device) bool) {
 	s.touched = s.touched[:0]
 }
 
-// capture encodes one snapshot payload. A full capture (delta false) holds
-// the complete service state; a delta holds what changed since the previous
-// capture and advances the dirty baselines. Scalars, the central ledger,
-// and the replay-protection set are captured whole either way — they are
-// small and change every day. Every producer (Fleet.Range or rangeTouched,
-// Keys or DrainDirty) yields keys in order, so entries are encoded straight
-// into the one buffer the caller hands to the store or the background
-// writer, and a delta costs what changed, not the population. The service
-// keeps no reference to the buffer. Caller guarantees quiescence.
-func (s *Service) capture(delta bool) ([]byte, error) {
+// recordView is one event-store record a capture lends to its encoder: the
+// key and the store's own slice of the record's events.
+type recordView struct {
+	key DevEpoch
+	evs []events.Event
+}
+
+// capture encodes one snapshot payload up to its records section and
+// resolves the records that section holds to their views; appendRecords
+// finishes the payload. A full capture (delta false) holds the complete
+// service state; a delta holds what changed since the previous capture and
+// advances the dirty baselines. Scalars, the central ledger, and the
+// replay-protection set are captured whole either way — they are small and
+// change every day. Every producer (Fleet.Range or rangeTouched, Keys or
+// DrainDirty) yields keys in order, so entries are encoded straight into the
+// one buffer the caller hands to the store or the background writer, and a
+// delta costs what changed, not the population. The service keeps no
+// reference to the buffer. Caller guarantees quiescence, and that the views
+// are encoded before Record next runs or lent to the encoder (Database.Lend).
+func (s *Service) capture(delta bool) ([]byte, []recordView, error) {
 	head := s.scalarSnap()
 
 	// Planner cursor, in (site, product) order.
@@ -152,7 +162,7 @@ func (s *Service) capture(delta bool) ([]byte, error) {
 
 	buf, err := appendHead(make([]byte, 0, s.captureHint), head)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Fleet: every created device (even ones with no initialized slots —
@@ -173,20 +183,43 @@ func (s *Service) capture(delta bool) ([]byte, error) {
 	})
 	closeLen(buf, sec)
 
-	// Event store: live device-epoch records.
+	// Event store: live device-epoch records. The keys and their views are
+	// taken now, since the next Record may move a record or grow the index.
 	records := s.db.Keys
 	if delta {
 		records = s.db.DrainDirty
 	}
-	buf, sec = openLen(buf)
-	for _, key := range records() {
+	keys := records()
+	recs := make([]recordView, len(keys))
+	for i, key := range keys {
+		recs[i] = recordView{key, s.db.EpochEvents(key.Device, key.Epoch)}
+	}
+	return buf, recs, nil
+}
+
+// appendRecords appends the records section of a payload capture began.
+// It reads only the views, so the background writer runs it for deltas
+// while ingest goes on.
+func appendRecords(buf []byte, recs []recordView) []byte {
+	buf, sec := openLen(buf)
+	for _, r := range recs {
 		var mark int
-		buf, mark = openEntry(buf, key)
-		buf = events.AppendEvents(buf, s.db.EpochEvents(key.Device, key.Epoch))
+		buf, mark = openEntry(buf, r.key)
+		buf = events.AppendEvents(buf, r.evs)
 		closeLen(buf, mark)
 	}
 	closeLen(buf, sec)
+	return buf
+}
 
+// fullSnapshot encodes the service's complete state as one payload, on the
+// calling goroutine. Caller guarantees quiescence.
+func (s *Service) fullSnapshot() ([]byte, error) {
+	buf, recs, err := s.capture(false)
+	if err != nil {
+		return nil, err
+	}
+	buf = appendRecords(buf, recs)
 	s.captureHint = len(buf) + len(buf)/8
 	return buf, nil
 }

@@ -12,7 +12,7 @@ import (
 // PointDeltaCaptured, what a tick that wrote bases instead of deltas put on
 // disk.
 func (s *Service) FullSnapshot() (gen uint64, payload []byte, err error) {
-	payload, err = s.capture(false)
+	payload, err = s.fullSnapshot()
 	return s.nextGen - 1, payload, err
 }
 

@@ -42,9 +42,13 @@ const (
 	// background writer has durably committed it — crashing here must
 	// recover from the previous generation plus the rotated log.
 	PointDeltaCaptured FaultPoint = "delta-captured"
-	// PointBaseCompacted fires when a base compaction's durable commit is
-	// observed: the delta chain was folded into a fresh base and
-	// superseded generations collected.
+	// PointBaseCompacted fires when a cadence tick decides that its delta
+	// is folded into a fresh base, after the previous compaction's durable
+	// commit was observed (its linked base written and superseded
+	// generations collected) and before the delta is captured — once per
+	// compaction counted in DurabilityStats.BaseCompactions. Crashing here
+	// must recover from the previous compaction's base and the deltas
+	// above it.
 	PointBaseCompacted FaultPoint = "base-compacted"
 	// PointGroupCommit fires after a WAL group commit was requested: the
 	// buffered records reached the file and the background syncer was

@@ -180,12 +180,13 @@ type DurabilityStats struct {
 	// SnapshotCaptures counts cadence snapshot captures.
 	SnapshotCaptures int
 	// MaxSnapshotStall is the longest the ingest thread was paused by one
-	// cadence tick: harvesting the previous generation's commit, capturing
-	// state, and rotating the WAL. The write of the generation happens off
-	// the ingest thread and does not stall it.
+	// cadence tick: harvesting the previous generation's commit (and, at a
+	// compaction decision, the previous compaction), capturing state, and
+	// rotating the WAL. The records' encoding, the write of the generation
+	// and the compaction happen off the ingest thread and do not stall it.
 	MaxSnapshotStall time.Duration
 	// MaxCaptureStall is the capture-and-rotate portion of the worst tick,
-	// excluding the wait for the background writer's previous commit. The
+	// excluding the waits for the background writer and the compactor. The
 	// difference between the two maxima is writer backpressure (commits or
 	// compactions outrunning the cadence), not capture cost.
 	MaxCaptureStall time.Duration
@@ -193,7 +194,9 @@ type DurabilityStats struct {
 	// committed by kind (bases include initial, compacted, and final).
 	DeltaBytes int64
 	BaseBytes  int64
-	// BaseCompactions counts delta chains folded into fresh bases.
+	// BaseCompactions counts delta chains folded into fresh bases, when
+	// the cadence tick decides the fold: the delta it captures then carries
+	// the count.
 	BaseCompactions int
 	// GroupCommits counts asynchronous WAL group commits; GroupCommitBytes
 	// and MaxGroupCommitBytes total and bound the bytes per batch.
@@ -233,18 +236,22 @@ type Service struct {
 	walBuf      []byte // reused WAL record encoding buffer
 	lastSnapDay int
 	// store is the generation store; headGen/headFP identify the chain
-	// head new deltas link onto (headDeltas deltas above its base when
-	// recovery loaded it), and nextGen numbers the next generation or WAL
-	// segment (monotonic across kinds, never reused).
+	// head new deltas link onto, headDeltas counts the deltas captured since
+	// the last base was written or decided (the compaction cadence, which
+	// recovery resumes from the chain it loaded), and nextGen numbers the
+	// next generation or WAL segment (monotonic across kinds, never reused).
 	store      *checkpoint.Store
 	headGen    uint64
 	headFP     uint32
 	headDeltas int
 	nextGen    uint64
-	// writer commits captured snapshots off the ingest thread; snapPending
-	// marks an enqueued capture whose result has not been harvested yet.
-	writer      *snapWriter
-	snapPending bool
+	// writer commits captured snapshots and compacts the chain off the
+	// ingest thread; snapPending marks an enqueued capture, and
+	// compactPending a decided compaction, whose result has not been
+	// harvested yet.
+	writer         *snapWriter
+	snapPending    bool
+	compactPending bool
 	// gcEvents/gcBytes accumulate WAL appends toward the next group
 	// commit.
 	gcEvents int
@@ -256,7 +263,8 @@ type Service struct {
 	ledgerVers  map[events.DeviceID]uint64
 	touched     []events.DeviceID
 	resultsMark int
-	// captureHint pre-sizes the next capture's buffer from the last one's.
+	// captureHint pre-sizes the next capture's buffer from the last
+	// payload's size.
 	captureHint int
 	// skip counts source events already covered by the restored durable
 	// state; Serve discards that prefix before going live (the source
@@ -309,16 +317,13 @@ func (s *Service) Serve() (run *Run, err error) {
 		}
 		defer func() {
 			if s.writer != nil {
-				// The writer goroutine must not outlive the service. On
-				// error paths an in-flight commit is simply allowed to
-				// land — one of the legal outcomes of the crash being
-				// simulated — and its result discarded.
-				if s.snapPending {
-					<-s.writer.results
-					s.snapPending = false
-				}
+				// The writer and the compactor must not outlive the
+				// service. On error paths an in-flight commit or
+				// compaction is simply allowed to land — one of the legal
+				// outcomes of the crash being simulated — and its result
+				// discarded.
 				s.writer.close()
-				s.writer = nil
+				s.writer, s.snapPending, s.compactPending = nil, false, false
 			}
 			if s.wal == nil {
 				return
@@ -365,15 +370,19 @@ func (s *Service) Serve() (run *Run, err error) {
 		}
 	}
 	if s.wal != nil {
-		// Final commit: harvest any in-flight generation, sync the log (so
-		// a crash during the final base write still recovers everything),
-		// then write the run's full state as a fresh base and collect the
-		// generations it supersedes. A suspended run takes the same path —
-		// drained queue, synced log, final generation — unless a filled
-		// batch is awaiting its day flush: that state is WAL-derived only
-		// (snapshots are day-boundary states), so the suspend keeps the
-		// synced log and recovery rebuilds the batch by replay.
+		// Final commit: harvest any in-flight generation and compaction,
+		// sync the log (so a crash during the final base write still
+		// recovers everything), then write the run's full state as a fresh
+		// base and collect the generations it supersedes. A suspended run
+		// takes the same path — drained queue, synced log, final
+		// generation — unless a filled batch is awaiting its day flush:
+		// that state is WAL-derived only (snapshots are day-boundary
+		// states), so the suspend keeps the synced log and recovery
+		// rebuilds the batch by replay.
 		if err := s.harvestSnap(); err != nil {
+			return nil, err
+		}
+		if err := s.harvestCompaction(); err != nil {
 			return nil, err
 		}
 		if err := s.wal.Sync(); err != nil {
@@ -441,14 +450,14 @@ func (s *Service) openDurability() error {
 	if s.cfg.GroupCommitEvents > 0 {
 		s.wal.StartGroupCommit()
 	}
-	s.writer = newSnapWriter(s.store, s.cfg.BaseEveryDeltas, s.headDeltas)
+	s.writer = newSnapWriter(s.store)
 	return nil
 }
 
 // writeBase commits the service's complete state as base generation gen and
 // makes it the chain head. Caller guarantees quiescence.
 func (s *Service) writeBase(gen uint64) error {
-	payload, err := s.capture(false)
+	payload, err := s.fullSnapshot()
 	if err != nil {
 		return err
 	}
@@ -456,15 +465,15 @@ func (s *Service) writeBase(gen uint64) error {
 	if err != nil {
 		return err
 	}
-	s.headGen, s.headFP = gen, fp
+	s.headGen, s.headFP, s.headDeltas = gen, fp, 0
 	s.run.Durability.BaseBytes += int64(len(payload))
 	return nil
 }
 
 // harvestSnap waits for the background writer's in-flight commit, if any,
-// folds its telemetry into the run, and fires the commit fault points.
+// folds its telemetry into the run, and fires the commit fault point.
 func (s *Service) harvestSnap() error {
-	if s.writer == nil || !s.snapPending {
+	if !s.snapPending {
 		return nil
 	}
 	res := <-s.writer.results
@@ -474,18 +483,24 @@ func (s *Service) harvestSnap() error {
 	}
 	s.headGen, s.headFP = res.gen, res.fp
 	s.run.Durability.DeltaBytes += int64(res.bytes)
-	if res.compacted {
-		s.run.Durability.BaseCompactions++
-		s.run.Durability.BaseBytes += int64(res.compactBytes)
+	s.captureHint = res.bytes + res.bytes/8
+	return s.fault(PointSnapshotCommitted)
+}
+
+// harvestCompaction waits for the compactor's in-flight compaction, if any,
+// and folds its base's bytes into the run. A compaction is handed off only
+// once its delta is written, so the caller must have harvested that delta
+// without error.
+func (s *Service) harvestCompaction() error {
+	if !s.compactPending {
+		return nil
 	}
-	if err := s.fault(PointSnapshotCommitted); err != nil {
-		return err
+	res := <-s.writer.compacted
+	s.compactPending = false
+	if res.err != nil {
+		return res.err
 	}
-	if res.compacted {
-		if err := s.fault(PointBaseCompacted); err != nil {
-			return err
-		}
-	}
+	s.run.Durability.BaseBytes += int64(res.bytes)
 	return nil
 }
 
@@ -665,10 +680,12 @@ func (s *Service) endOfDay(nextDay int) error {
 }
 
 // rotateCheckpoint is the cadence tick: harvest the previous generation's
-// commit, capture the state dirtied since, rotate the WAL to the capture's
-// numbered segment, and hand the delta to the background writer. Only the
-// capture and rotation pause ingest — the write, the fsync and any
-// compaction happen off the ingest thread.
+// commit, decide whether this delta is compacted (harvesting the previous
+// compaction first), capture the state dirtied since, rotate the WAL to the
+// capture's numbered segment, and hand the delta to the background writer,
+// lending it the dirty records' views. Only the capture and rotation pause
+// ingest — the records' encoding, the write, the fsync and any compaction
+// happen off the ingest thread.
 //
 // Order matters for crash safety: the old segment syncs before the capture
 // is enqueued, so by the time the new generation can exist on disk, every
@@ -681,15 +698,30 @@ func (s *Service) rotateCheckpoint() error {
 	if err := s.harvestSnap(); err != nil {
 		return err
 	}
+	// The day clock keeps the compaction cadence, so the decision — and
+	// the count, which the generation's own head carries — does not depend
+	// on when a compaction lands.
+	s.headDeltas++
+	compact := s.cfg.BaseEveryDeltas > 0 && s.headDeltas >= s.cfg.BaseEveryDeltas
+	if compact {
+		if err := s.harvestCompaction(); err != nil {
+			return err
+		}
+		s.headDeltas = 0
+		s.run.Durability.BaseCompactions++
+		if err := s.fault(PointBaseCompacted); err != nil {
+			return err
+		}
+	}
 	capStart := time.Now()
 	gen := s.nextGen
 	s.nextGen++
 	// Counted before the capture, so the generation's own head includes it
 	// and a run resumed from it reports the capture that produced it.
 	s.run.Durability.SnapshotCaptures++
-	job := snapJob{gen: gen, parentFP: s.headFP}
+	job := snapJob{gen: gen, parentFP: s.headFP, compact: compact, encoded: make(chan struct{})}
 	var err error
-	if job.payload, err = s.capture(true); err != nil {
+	if job.prefix, job.recs, err = s.capture(true); err != nil {
 		return err
 	}
 	if err := s.wal.Sync(); err != nil {
@@ -718,8 +750,10 @@ func (s *Service) rotateCheckpoint() error {
 	if err := s.fault(PointDeltaCaptured); err != nil {
 		return err
 	}
+	s.db.Lend(job.encoded)
 	s.writer.enqueue(job)
 	s.snapPending = true
+	s.compactPending = s.compactPending || compact
 	return nil
 }
 

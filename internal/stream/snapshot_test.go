@@ -207,7 +207,7 @@ func TestFoldMatchesSnapshotAtEveryTick(t *testing.T) {
 			// The previous tick's generation has been harvested, so the
 			// chain on disk ends at it (or at the base it compacted into).
 			if want != nil {
-				chain, _, err := svc.store.LoadChain()
+				chain, _, err := svc.store.LoadChain(0)
 				if err != nil || chain == nil {
 					return fmt.Errorf("loading chain: %v", err)
 				}
@@ -219,7 +219,7 @@ func TestFoldMatchesSnapshotAtEveryTick(t *testing.T) {
 				compared++
 			}
 			var err error
-			want, err = svc.capture(false)
+			want, err = svc.fullSnapshot()
 			return err
 		},
 	}
@@ -626,7 +626,7 @@ func TestResumeRefusesSchema3(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "unsupported snapshot "+name) {
 				t.Fatalf("resume over a %s directory: err = %v", name, err)
 			}
-			chain, _, err := checkpoint.NewStore(dir, nil).LoadChain()
+			chain, _, err := checkpoint.NewStore(dir, nil).LoadChain(0)
 			if err != nil || chain == nil {
 				t.Fatalf("%s directory does not load as an intact chain: %v", name, err)
 			}

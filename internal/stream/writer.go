@@ -7,33 +7,43 @@ import (
 	"repro/internal/checkpoint"
 )
 
-// The background snapshot writer takes the disk off the ingest thread. The
-// day clock captures state synchronously (cheap — a delta touches only what
-// changed) and hands the encoded payload here; the staged write, the fsync,
-// chain compaction, and generation GC all happen on this goroutine while
-// ingest continues. At most one job is ever in flight: the day clock
-// harvests the previous result before enqueueing the next capture, so
-// commits overlap ingest, never each other, and the chain's parent
-// fingerprints stay sequential.
+// The background snapshot writer takes the encoding and the disk off the
+// ingest thread. The day clock captures what must be read on its own clock
+// — the head, the devices section, and the dirty records' views — and hands
+// them here; this goroutine encodes the records section, signals the views
+// free, and makes the staged write and the fsync while ingest continues. A
+// delta the day clock marked for compaction is then handed on to a second
+// goroutine, the compactor, which folds the chain up to that delta into a
+// fresh base and collects the generations it supersedes while later deltas
+// are written.
+//
+// At most one delta job and at most one compaction are ever in flight. The
+// day clock harvests the previous delta before it enqueues the next, so
+// deltas commit one after another and the chain's parent fingerprints stay
+// sequential. It harvests the previous compaction before it marks the next
+// delta for one — or at the final commit — so the compactor is always idle
+// when a marked delta reaches it.
 
-// snapJob is one captured delta handed to the background writer.
+// snapJob is one captured delta handed to the background writer: the
+// payload up to its records section, the records' lent views, and the
+// channel to close once they are encoded.
 type snapJob struct {
 	gen      uint64
 	parentFP uint32
-	payload  []byte
+	prefix   []byte
+	recs     []recordView
+	encoded  chan struct{}
+	// compact hands the delta's generation to the compactor once written.
+	compact bool
 }
 
-// snapResult reports one job's durable commit.
+// snapResult reports one delta's durable commit — its generation, chain
+// fingerprint and payload bytes — or one compaction's base payload bytes.
 type snapResult struct {
 	gen   uint64
 	fp    uint32
 	bytes int
-	// compacted marks that the delta tripped a base compaction: the chain
-	// was folded into a fresh base of compactBytes and superseded
-	// generations collected.
-	compacted    bool
-	compactBytes int
-	err          error
+	err   error
 }
 
 // keepGenerations is how many of the newest intact base generations (with
@@ -41,34 +51,40 @@ type snapResult struct {
 // one to fall back to when the head turns out unreadable.
 const keepGenerations = 2
 
-// snapWriter owns the writer goroutine and its single-slot channels.
+// snapWriter owns the writer and compactor goroutines and their
+// single-slot channels.
 type snapWriter struct {
-	store     *checkpoint.Store
-	baseEvery int
+	store *checkpoint.Store
 
-	jobs    chan snapJob
-	results chan snapResult
-	wg      sync.WaitGroup
-
-	deltasSince int // deltas committed since the last base, writer-owned
+	jobs      chan snapJob
+	results   chan snapResult
+	compacts  chan uint64 // generations to compact, writer to compactor
+	compacted chan snapResult
+	wg        sync.WaitGroup
 }
 
-// newSnapWriter starts the writer. deltasSince is the length of the delta
-// chain already on disk (a resumed run's), so the compaction cadence — and
-// the chain's length — does not restart with every incarnation.
-func newSnapWriter(store *checkpoint.Store, baseEvery, deltasSince int) *snapWriter {
+// newSnapWriter starts the writer and the compactor.
+func newSnapWriter(store *checkpoint.Store) *snapWriter {
 	w := &snapWriter{
-		store:       store,
-		baseEvery:   baseEvery,
-		jobs:        make(chan snapJob, 1),
-		results:     make(chan snapResult, 1),
-		deltasSince: deltasSince,
+		store:     store,
+		jobs:      make(chan snapJob, 1),
+		results:   make(chan snapResult, 1),
+		compacts:  make(chan uint64, 1),
+		compacted: make(chan snapResult, 1),
 	}
-	w.wg.Add(1)
+	w.wg.Add(2)
 	go func() {
 		defer w.wg.Done()
+		defer close(w.compacts)
 		for job := range w.jobs {
 			w.results <- w.commit(job)
+		}
+	}()
+	go func() {
+		defer w.wg.Done()
+		for gen := range w.compacts {
+			n, err := w.compact(gen)
+			w.compacted <- snapResult{bytes: n, err: err}
 		}
 	}()
 	return w
@@ -79,52 +95,48 @@ func newSnapWriter(store *checkpoint.Store, baseEvery, deltasSince int) *snapWri
 // blocks under that protocol.
 func (w *snapWriter) enqueue(job snapJob) { w.jobs <- job }
 
-// close stops the writer goroutine. The caller must have harvested or
-// drained any in-flight result first.
+// close stops both goroutines once the jobs they hold have landed. Every
+// result channel has a free slot under the harvest protocol, so neither
+// goroutine blocks on an unharvested result.
 func (w *snapWriter) close() {
 	close(w.jobs)
 	w.wg.Wait()
 }
 
-// commit durably writes one delta, compacting the chain into a fresh base
-// every baseEvery deltas.
+// commit encodes one delta's records section, frees the lent views, and
+// durably writes the delta, handing it to the compactor when marked.
 func (w *snapWriter) commit(job snapJob) snapResult {
-	res := snapResult{gen: job.gen, bytes: len(job.payload)}
-	fp, err := w.store.WriteDelta(job.gen, job.parentFP, job.payload)
-	if err != nil {
-		res.err = err
-		return res
-	}
-	res.fp = fp
-	w.deltasSince++
-	if w.baseEvery > 0 && w.deltasSince >= w.baseEvery {
-		res.err = w.compact(&res)
+	payload := appendRecords(job.prefix, job.recs)
+	close(job.encoded)
+	res := snapResult{gen: job.gen, bytes: len(payload)}
+	res.fp, res.err = w.store.WriteDelta(job.gen, job.parentFP, payload)
+	if res.err == nil && job.compact {
+		w.compacts <- job.gen
 	}
 	return res
 }
 
-// compact folds the newest intact chain (which includes the delta just
-// written) into a base carrying the head's generation and fingerprint, so
-// later deltas chain onto either representation, then collects superseded
-// generations. Failure is reported as a crash, never as corrupt state: the
-// chain the fold read stays intact on disk.
-func (w *snapWriter) compact(res *snapResult) error {
-	chain, _, err := w.store.LoadChain()
+// compact folds the intact chain up to generation gen — a delta written
+// since never joins it — into a base carrying the head's generation and
+// fingerprint, so later deltas chain onto either representation, then
+// collects superseded generations; every generation written meanwhile lies
+// above any GC cutoff. It returns the base's payload bytes. Failure is
+// reported as a crash, never as corrupt state: the chain the fold read stays
+// intact on disk.
+func (w *snapWriter) compact(gen uint64) (int, error) {
+	chain, _, err := w.store.LoadChain(gen)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if chain == nil {
-		return fmt.Errorf("stream: base compaction found no intact chain")
+		return 0, fmt.Errorf("stream: base compaction found no intact chain")
 	}
 	payload, err := foldChain(chain.Payloads)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if err := w.store.WriteBaseLinked(chain.Gen, chain.FP, payload); err != nil {
-		return err
+		return 0, err
 	}
-	w.deltasSince = 0
-	res.compacted = true
-	res.compactBytes = len(payload)
-	return w.store.GC(keepGenerations)
+	return len(payload), w.store.GC(keepGenerations)
 }
