@@ -42,7 +42,7 @@ func main() {
 
 	// Ann's device comes out of the same fleet registry the workload
 	// engine uses. The store is read single-threaded, after the last Record.
-	fleet := core.NewFleet(1, db, *epsG, core.CookieMonsterPolicy{})
+	fleet := core.NewFleet(db, *epsG, core.CookieMonsterPolicy{})
 	dev := fleet.GetOrCreate(1)
 
 	// Conversions trigger attribution reports, consuming budget.

@@ -19,18 +19,20 @@ import (
 // use; a report's whole budget check-and-consume sequence runs under a
 // single ledger lock acquisition.
 //
-// A fleet's device is two heap objects: the Device, which holds its ledger
-// by value, and the ledger's one pointer-free block.
+// A device holds nothing its fleet shares with the rest: ε^G, the loss
+// policy and the store sit in the fleet's one environment, which the device
+// points at. A fleet's device lives by value in one of the fleet's chunks,
+// so its one heap object of its own is its table's pointer-free block.
 type Device struct {
 	id     events.DeviceID
 	env    *deviceEnv
-	ledger privacy.Ledger
+	ledger privacy.Table
 }
 
 // deviceEnv is what a device reads besides its ledger: the event store it
-// is bound to (nil once released) and its loss policy, with the capacity
-// its ledger was created with. Every device of a fleet shares the fleet's,
-// so releasing the store is one write.
+// is bound to (nil once released), its loss policy and the capacity ε^G of
+// every ledger slot. Every device of a fleet shares the fleet's, so
+// releasing the store is one write.
 type deviceEnv struct {
 	db     *events.Database
 	policy LossPolicy
@@ -42,7 +44,7 @@ type deviceEnv struct {
 // (CookieMonsterPolicy for the real system, ARALikePolicy for the baseline).
 // The device reads db for every report it generates.
 func NewDevice(id events.DeviceID, db *events.Database, epsG float64, policy LossPolicy) *Device {
-	return newEnv(db, epsG, policy).device(id)
+	return &Device{id: id, env: newEnv(db, epsG, policy)}
 }
 
 // newEnv checks a device configuration and returns its environment.
@@ -59,18 +61,11 @@ func newEnv(db *events.Database, epsG float64, policy LossPolicy) *deviceEnv {
 	return &deviceEnv{db: db, policy: policy, epsG: epsG}
 }
 
-// device returns a new device in env.
-func (env *deviceEnv) device(id events.DeviceID) *Device {
-	d := &Device{id: id, env: env}
-	d.ledger.Init(env.epsG)
-	return d
-}
-
 // ID returns the device identifier.
 func (d *Device) ID() events.DeviceID { return d.id }
 
 // Capacity returns the per-epoch budget capacity ε^G_d.
-func (d *Device) Capacity() float64 { return d.ledger.Capacity() }
+func (d *Device) Capacity() float64 { return d.env.epsG }
 
 // Policy returns the loss policy in effect.
 func (d *Device) Policy() LossPolicy { return d.env.policy }
@@ -95,7 +90,7 @@ func (d *Device) ConsumedByQuerier() map[events.Site]float64 {
 
 // MarkRequested records that a report window of querier q covers epochs
 // first through last on this device, whatever the window goes on to charge
-// (see privacy.Ledger.MarkRequested). The engines call it once per request,
+// (see privacy.Table.MarkRequested). The engines call it once per request,
 // from the coordinator, before the generate stage.
 func (d *Device) MarkRequested(q events.Site, first, last events.Epoch) {
 	d.ledger.MarkRequested(q, int64(first), int64(last))
@@ -130,9 +125,9 @@ func (d *Device) LedgerVersion() uint64 { return d.ledger.Version() }
 // RestoreBudgetRow sets one (querier, epoch) budget slot from persisted
 // state — the checkpoint/restore path into the device's flat ledger. It
 // refuses refunds and a consumed budget beyond the device's ε^G (see
-// privacy.Ledger.Restore).
+// privacy.Table.Restore).
 func (d *Device) RestoreBudgetRow(q events.Site, e events.Epoch, consumed float64) error {
-	return d.ledger.Restore(q, int64(e), consumed)
+	return d.ledger.Restore(d.env.epsG, q, int64(e), consumed)
 }
 
 // GenerateReport runs Listing 1's compute_attribution_report for one

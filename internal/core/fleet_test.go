@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,25 +15,12 @@ import (
 	"repro/internal/events"
 )
 
-func testFleet(shards int) *Fleet {
-	db := events.NewFrozen(7, nil)
-	return NewFleet(shards, db, 1, CookieMonsterPolicy{})
-}
-
-func TestFleetShardCountRoundsToPowerOfTwo(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{{1, 1}, {2, 2}, {3, 4}, {5, 8}, {64, 64}, {100, 128}} {
-		f := testFleet(tc.in)
-		if len(f.shards) != tc.want {
-			t.Fatalf("shards(%d) = %d, want %d", tc.in, len(f.shards), tc.want)
-		}
-	}
-	if f := testFleet(0); len(f.shards) == 0 || len(f.shards)&(len(f.shards)-1) != 0 {
-		t.Fatalf("default shard count %d not a power of two", len(f.shards))
-	}
+func testFleet() *Fleet {
+	return NewFleet(events.NewFrozen(7, nil), 1, CookieMonsterPolicy{})
 }
 
 func TestFleetGetOrCreateIsStable(t *testing.T) {
-	f := testFleet(8)
+	f := testFleet()
 	if f.Get(7) != nil {
 		t.Fatal("Get invented a device")
 	}
@@ -47,7 +37,7 @@ func TestFleetGetOrCreateIsStable(t *testing.T) {
 }
 
 func TestFleetDevicesSortedAndRangeOrder(t *testing.T) {
-	f := testFleet(4)
+	f := testFleet()
 	for _, id := range []events.DeviceID{42, 3, 17, 99, 1} {
 		f.GetOrCreate(id)
 	}
@@ -72,10 +62,10 @@ func TestFleetDevicesSortedAndRangeOrder(t *testing.T) {
 }
 
 // TestFleetConcurrentGetOrCreate hammers one fleet from many goroutines;
-// under -race this covers the sharded registry's locking, and the identity
+// under -race this covers the lock-free index's publication, and the identity
 // checks prove no ID was ever created twice.
 func TestFleetConcurrentGetOrCreate(t *testing.T) {
-	f := testFleet(0)
+	f := testFleet()
 	const workers = 16
 	const devices = 200
 	first := make([][]*Device, workers)
@@ -118,7 +108,7 @@ func TestFleetConcurrentReportsAndReads(t *testing.T) {
 		}
 	}
 	db := events.NewFrozen(7, evs)
-	f := NewFleet(4, db, 100, CookieMonsterPolicy{})
+	f := NewFleet(db, 100, CookieMonsterPolicy{})
 	req := &Request{
 		Querier:    site.String(),
 		FirstEpoch: 0, LastEpoch: 3,
@@ -225,7 +215,7 @@ func TestReleasedFleet(t *testing.T) {
 	}
 	db := events.NewFrozen(7, evs)
 	// A capacity small enough that repeated reports on a device run into it.
-	f := NewFleet(4, db, 0.025, CookieMonsterPolicy{})
+	f := NewFleet(db, 0.025, CookieMonsterPolicy{})
 	req := func(first, last events.Epoch) *Request {
 		return &Request{
 			Querier:    site.String(),
@@ -286,5 +276,62 @@ func TestReleasedFleet(t *testing.T) {
 	})
 	if got := fleetReads(t, f); !reflect.DeepEqual(got, before) {
 		t.Fatal("a refused generate call changed the ledger")
+	}
+}
+
+// TestFleetCreationOrderDoesNotMatter builds two fleets over one store,
+// creating the same devices in ascending ID order in one and in descending
+// order in the other — enough of them to grow the index several times and
+// fill many chunks — and applies the same marks and charges to both: every
+// read a finished run makes must come out the same.
+func TestFleetCreationOrderDoesNotMatter(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	seen := make(map[events.DeviceID]bool)
+	for len(seen) < 3000 {
+		seen[events.DeviceID(rng.Uint64()>>rng.Intn(64))] = true
+	}
+	ids := slices.Sorted(maps.Keys(seen))
+	db := events.NewFrozen(7, nil)
+	up, down := NewFleet(db, 1, CookieMonsterPolicy{}), NewFleet(db, 1, CookieMonsterPolicy{})
+	for i := range ids {
+		up.GetOrCreate(ids[i])
+		down.GetOrCreate(ids[len(ids)-1-i])
+	}
+	sites := []events.Site{events.Intern("b.order.example"), events.Intern("a.order.example")}
+	for _, f := range []*Fleet{up, down} {
+		for i, id := range ids {
+			d := f.Get(id)
+			for k := range 1 + i%3 {
+				q, e := sites[(i+k)%2], events.Epoch(i%5+k)
+				d.MarkRequested(q, e, e+2)
+				d.testCharge(q, e+1, 0.3*float64(k+i%4)) // some run into the capacity
+			}
+		}
+	}
+
+	if up.Len() != len(ids) || down.Len() != len(ids) {
+		t.Fatalf("Len = %d and %d, want %d", up.Len(), down.Len(), len(ids))
+	}
+	if !slices.Equal(up.Devices(), ids) || !slices.Equal(down.Devices(), ids) {
+		t.Fatal("Devices() is not the IDs in ascending order")
+	}
+	rangeOrder := func(f *Fleet) (order []events.DeviceID, rows [][]LedgerRow) {
+		f.Range(func(d *Device) bool {
+			order = append(order, d.ID())
+			rows = append(rows, d.Ledger())
+			return true
+		})
+		return order, rows
+	}
+	upOrder, upRows := rangeOrder(up)
+	downOrder, downRows := rangeOrder(down)
+	if !slices.Equal(upOrder, ids) || !slices.Equal(downOrder, ids) {
+		t.Fatal("Range does not visit the IDs in ascending order")
+	}
+	if !reflect.DeepEqual(upRows, downRows) {
+		t.Fatal("Ledger rows differ between the creation orders")
+	}
+	if got, want := fleetReads(t, down), fleetReads(t, up); !reflect.DeepEqual(got, want) {
+		t.Fatal("requested walks, totals, denials or versions differ between the creation orders")
 	}
 }

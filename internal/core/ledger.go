@@ -40,7 +40,7 @@ func (r LedgerRow) Fraction() float64 {
 // device itself account every loss, which is the transparency benefit §2.3
 // argues for.
 func (d *Device) Ledger() []LedgerRow {
-	entries := d.ledger.Rows() // sorted by querier then epoch
+	entries := d.ledger.Rows(d.env.epsG) // sorted by querier then epoch
 	rows := make([]LedgerRow, len(entries))
 	for i, en := range entries {
 		rows[i] = LedgerRow{

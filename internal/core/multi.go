@@ -77,7 +77,7 @@ func (d *Device) GenerateReportBatch(reqs []*Request, ms *MultiScratch,
 	// Step 3: every querier's atomic check-and-consume under one ledger
 	// lock, in request order; on Halt an epoch's events are dropped
 	// (replaced by ∅) and nothing is charged.
-	d.ledger.ChargeWindowBatch(ms.charges)
+	d.ledger.ChargeWindowBatch(d.env.epsG, ms.charges)
 
 	// Step 4: attribution and report assembly per request, nonces drawn as
 	// one block.

@@ -130,7 +130,7 @@ func TestDeviceLedgerConcurrentRace(t *testing.T) {
 	for e := events.Epoch(0); e < 6; e++ {
 		record(e, 16)
 	}
-	fleet := NewFleet(4, db, 0.5, CookieMonsterPolicy{})
+	fleet := NewFleet(db, 0.5, CookieMonsterPolicy{})
 	req := func(first, last events.Epoch) *Request {
 		return &Request{
 			Querier:    site.String(),

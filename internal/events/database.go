@@ -322,7 +322,9 @@ func radixSortDevices[V any](keys []DeviceID, vals []V) ([]DeviceID, []V) {
 // keeping each device's events in arrival order; each device's run is then
 // sorted by (Day, ID, arrival). Runs are a few events long on the paper's
 // traces, so the comparison sorts cost little even though generators emit
-// events in ID order with random days.
+// events in ID order with random days. The runs are sorted by a fan-out
+// over ranges of whole runs: each run's order is fixed by its own events,
+// so the permutation does not depend on the schedule.
 func sortByDeviceDayID(evs []Event) (idx []int32, devs []DeviceID) {
 	n := len(evs)
 	idx = make([]int32, n)
@@ -336,16 +338,28 @@ func sortByDeviceDayID(evs []Event) (idx []int32, devs []DeviceID) {
 		ea, eb := &evs[a], &evs[b]
 		return cmp.Or(cmp.Compare(ea.Day, eb.Day), cmp.Compare(ea.ID, eb.ID), cmp.Compare(a, b))
 	}
-	for i := 0; i < n; {
-		j := i + 1
-		for j < n && devs[j] == devs[i] {
-			j++
+	workers := runtime.GOMAXPROCS(0)
+	ranges := min(4*workers, n/4096+1) // a range of a few thousand events at least
+	fanout.Run(ranges, workers, func(_, r int) {
+		// Range r covers the runs that start in [r·n/ranges, (r+1)·n/ranges).
+		start := func(r int) int {
+			i := r * n / ranges
+			for i > 0 && i < n && devs[i] == devs[i-1] {
+				i++
+			}
+			return i
 		}
-		if j-i > 1 {
-			slices.SortFunc(idx[i:j], byDayID)
+		for i, end := start(r), start(r+1); i < end; {
+			j := i + 1
+			for j < n && devs[j] == devs[i] {
+				j++
+			}
+			if j-i > 1 {
+				slices.SortFunc(idx[i:j], byDayID)
+			}
+			i = j
 		}
-		i = j
-	}
+	})
 	return idx, devs
 }
 
@@ -424,19 +438,6 @@ func (db *Database) EvictBefore(first Epoch) int {
 func (db *Database) EpochEvents(d DeviceID, e Epoch) []Event {
 	var buf [1]EventView
 	return db.WindowViewsInto(buf[:0], d, e, e)[0].evs
-}
-
-// Devices returns all device IDs present in the database, in ascending
-// order (deterministic iteration for experiments).
-func (db *Database) Devices() []DeviceID {
-	var out []DeviceID
-	for _, seg := range db.segs {
-		for d := range seg.byDevice.all {
-			out = append(out, d)
-		}
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
 }
 
 // Keys returns every live device-epoch record's key in (device, epoch)

@@ -1,6 +1,9 @@
 package events
 
-import "sync/atomic"
+import (
+	"slices"
+	"sync/atomic"
+)
 
 // SymCount returns the number of names in the process's symbol table, the
 // empty name included.
@@ -21,6 +24,19 @@ func (db *Database) DeviceEpochs(d DeviceID) []Epoch {
 		}
 	}
 	return out
+}
+
+// Devices returns all device IDs present in the database, in ascending
+// order.
+func (db *Database) Devices() []DeviceID {
+	var out []DeviceID
+	for _, seg := range db.segs {
+		for d := range seg.byDevice.all {
+			out = append(out, d)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // NumDevices returns the number of devices with at least one event.

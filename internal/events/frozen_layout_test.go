@@ -164,6 +164,35 @@ func TestFrozenLayoutMatchesReference(t *testing.T) {
 	}
 }
 
+// TestDeviceDaySortMatchesReference holds sortByDeviceDayID, whose
+// per-device sorts run as a fan-out over ranges of runs, to the stable
+// (Day, ID) reference permutation at one worker and at eight, on
+// frozenLayoutCases and on shuffled copies of each: the hot device's run
+// spans several ranges, and the larger traces split into several.
+func TestDeviceDaySortMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range frozenLayoutCases() {
+		shuffled := slices.Clone(tc.evs)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		for _, evs := range [][]Event{tc.evs, shuffled} {
+			want := refSortByDeviceDayID(evs)
+			for _, procs := range []int{1, 8} {
+				runtime.GOMAXPROCS(procs)
+				idx, devs := sortByDeviceDayID(evs)
+				if !slices.Equal(idx, want) {
+					t.Fatalf("%s (%d events), GOMAXPROCS %d: permutation differs from the reference", tc.name, len(evs), procs)
+				}
+				for i, x := range idx {
+					if devs[i] != evs[x].Device {
+						t.Fatalf("%s, GOMAXPROCS %d: devs[%d] = %d, want %d", tc.name, procs, i, devs[i], evs[x].Device)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFrozenParallelFillMatchesSerial: NewFrozen's per-epoch fill lays out
 // the same store on one worker as on eight — every segment with its chunks,
 // scan keys and region index, in the same order, and the same seen-sets —

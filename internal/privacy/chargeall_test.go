@@ -126,7 +126,7 @@ func TestChargeAllNegativeEpsilonPanics(t *testing.T) {
 
 func TestChargeAllCapacityAccessor(t *testing.T) {
 	l := NewLedger(2.5)
-	if l.Capacity() != 2.5 {
+	if l.capacity != 2.5 {
 		t.Fatal("capacity accessor wrong")
 	}
 	// Every slot a window charge initializes carries the ledger's capacity.
@@ -134,8 +134,8 @@ func TestChargeAllCapacityAccessor(t *testing.T) {
 		t.Fatal("window refused")
 	}
 	want := []LedgerEntry{{nike, 0, 1, 2.5}, {nike, 1, 1, 2.5}}
-	if got := l.Rows(); !slices.Equal(got, want) || l.Capacity() != 2.5 {
-		t.Fatalf("rows %v, capacity %v after a window charge", got, l.Capacity())
+	if got := l.Rows(); !slices.Equal(got, want) || l.capacity != 2.5 {
+		t.Fatalf("rows %v, capacity %v after a window charge", got, l.capacity)
 	}
 }
 

@@ -91,7 +91,7 @@ func TestFilterNegativeCapacityPanics(t *testing.T) {
 
 func TestFilterAccessors(t *testing.T) {
 	l := NewLedger(2)
-	if l.Capacity() != 2 || l.Consumed(qq, 0) != 0 || len(l.Rows()) != 0 {
+	if l.capacity != 2 || l.Consumed(qq, 0) != 0 || len(l.Rows()) != 0 {
 		t.Fatal("fresh ledger accessors wrong")
 	}
 	l.Charge(qq, 0, 0.5)

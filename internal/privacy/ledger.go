@@ -9,7 +9,8 @@ package privacy
 import (
 	"fmt"
 	"math"
-	"sync"
+	"runtime"
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/events"
@@ -31,53 +32,85 @@ const (
 	ChargeDenied
 )
 
-// Ledger is a flat budget table: for each querier, in name order, a dense
-// run of consumed-ε cells, one per epoch, all sharing one capacity ε^G and
-// one mutex. Each cell is the paper's per-epoch privacy filter: it admits
-// losses while their running sum stays within ε^G (a relative 1e-9
-// overshoot counts as exact), a denied charge deducts nothing and leaves the
-// cell usable for a smaller loss, and the first charge to reach a cell
-// initializes it, denied or not.
+// Table is a flat budget table: for each querier, in name order, a dense
+// run of consumed-ε cells, one per epoch. Each cell is the paper's
+// per-epoch privacy filter: it admits losses while their running sum stays
+// within a capacity ε^G (a relative 1e-9 overshoot counts as exact), a
+// denied charge deducts nothing and leaves the cell usable for a smaller
+// loss, and the first charge to reach a cell initializes it, denied or not.
 //
-// One table serves both budgeting systems. A device's ledger charges each
-// epoch of a report's window on its own (ChargeWindow, ChargeWindowBatch):
-// Listing 1. The IPA-like baseline keeps one ledger for the whole population
-// and admits a query only if every epoch of its window has budget
-// (ChargeAll).
+// A table holds no capacity: every cell of a device's table has the same
+// ε^G, which the device's fleet keeps once for all of them, so the methods
+// that charge, restore or list cells take it from the caller. A device's
+// table charges each epoch of a report's window on its own
+// (ChargeWindowBatch): Listing 1. Ledger binds a table to its capacity for
+// the IPA-like baseline, which keeps one for the whole population and admits
+// a query only if every epoch of its window has budget (ChargeAll).
 //
-// Listing 1 never retires a filter, and neither does the ledger. Lanes grow
+// Listing 1 never retires a filter, and neither does the table. Lanes grow
 // lazily to span the epochs a querier's windows touched, so memory stays
 // proportional to the epochs a device was queried over.
 //
-// The zero Ledger has capacity 0; Init sets another before first use, which
-// is how core.Device holds its ledger by value. All methods are safe for
-// concurrent use; ChargeWindowBatch performs several reports'
-// check-and-consume sequences under a single lock acquisition.
-type Ledger struct {
-	mu       sync.Mutex
-	capacity float64
-	// block is the whole table in one pointer-free array, so a ledger is a
-	// single object the collector never scans: the lane headers in name
-	// order, then every lane's cells, lane after lane in header order,
-	// then one requested mark byte per cell, in the cells' order (see
-	// carve). It grows with headroom (open), so an extension within its
-	// capacity allocates nothing.
-	block []uint64
-	// denials counts ChargeDenied outcomes over the ledger's lifetime —
+// The zero Table is empty and ready for use, which is how core.Device holds
+// its table by value. All methods are safe for concurrent use: each takes
+// the table's own lock once, so ChargeWindowBatch performs several reports'
+// check-and-consume sequences under a single acquisition.
+type Table struct {
+	// block is the first word of the whole table, one pointer-free array
+	// of room words, so a table's storage is a single object the collector
+	// never scans: the lane headers in name order, then every lane's
+	// cells, lane after lane in header order, then one requested mark byte
+	// per cell, in the cells' order (see carve). It grows with headroom
+	// (open), so an extension within its room allocates nothing, and Trim
+	// gives the headroom back. Held as a pointer and a 32-bit room rather
+	// than a slice, the block costs a device 12 bytes, not 24: its length
+	// follows from the headers.
+	block *uint64
+	// vlock is the table's lock in bit 0 and its version in the bits
+	// above. The version counts observable mutations — slot
+	// initializations, charges, denials, new requested marks, restores.
+	// The incremental checkpointer compares it against the version it last
+	// captured to decide whether a device's table is dirty, so every path
+	// that can change Rows(), Denials() or RangeRequested() output must
+	// bump it. A lock bit where a sync.Mutex would take another 8 bytes:
+	// the engines visit a device from one goroutine at a time, so a table
+	// is seldom waited for, and a waiter yields instead of parking.
+	vlock atomic.Uint64
+	// denials counts ChargeDenied outcomes over the table's lifetime —
 	// the budget-drain telemetry behind the hostile-traffic scenarios.
 	// It never influences charge outcomes, but it is persisted in
 	// snapshots (and restored via RestoreDenials) so the drain telemetry
 	// survives crash recovery.
 	denials uint64
-	// version counts observable mutations — slot initializations, charges,
-	// denials, new requested marks, restores. The
-	// incremental checkpointer compares it against the version it last
-	// captured to decide whether a device's ledger is dirty, so every path
-	// that can change Rows(), Denials() or RangeRequested() output must bump
-	// it.
-	version uint64
+	// room is the block's capacity in words.
+	room uint32
 	// lanes is the number of lane headers at the front of block.
 	lanes uint32
+}
+
+// lock takes the table's lock bit, yielding while another goroutine holds
+// it.
+func (t *Table) lock() {
+	for {
+		if v := t.vlock.Load(); v&1 == 0 && t.vlock.CompareAndSwap(v, v|1) {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// unlock clears the lock bit, which the caller holds.
+func (t *Table) unlock() { t.vlock.Add(^uint64(0)) }
+
+// bump counts one observable mutation. Caller holds the lock.
+func (t *Table) bump() { t.vlock.Add(2) }
+
+// Ledger is a Table bound to one capacity ε^G for every cell: the IPA-like
+// baseline's central budget, one ledger for the whole population. All
+// methods are safe for concurrent use.
+type Ledger struct {
+	Table
+	capacity float64
 }
 
 // laneHeader is querier q's lane: its cells are cells[off : off+len()], and
@@ -137,44 +170,48 @@ func wordsAs[T any](w []uint64, n int) []T {
 	return unsafe.Slice((*T)(unsafe.Pointer(&w[0])), n)
 }
 
+// words views the block's whole room.
+func (t *Table) words() []uint64 { return unsafe.Slice(t.block, t.room) }
+
+// setBlock makes w, which holds the table, its block.
+func (t *Table) setBlock(w []uint64) { t.block, t.room = &w[0], uint32(len(w)) }
+
 // headers views the lane headers at the block's front.
-func (l *Ledger) headers() []laneHeader { return wordsAs[laneHeader](l.block, int(l.lanes)) }
+func (t *Table) headers() []laneHeader { return wordsAs[laneHeader](t.words(), int(t.lanes)) }
 
 // cells returns the number of cells in the block: the last lane's end.
-func (l *Ledger) cells() int {
-	hs := l.headers()
+func (t *Table) cells() int {
+	hs := t.headers()
 	if len(hs) == 0 {
 		return 0
 	}
 	return int(hs[len(hs)-1].off) + hs[len(hs)-1].len()
 }
 
-// table views the ledger's block (see carve).
-func (l *Ledger) table() ([]laneHeader, []float64, []byte) {
-	return carve(l.block, int(l.lanes), l.cells())
+// table views the table's block (see carve).
+func (t *Table) table() ([]laneHeader, []float64, []byte) {
+	return carve(t.words(), int(t.lanes), t.cells())
 }
 
 // open makes room for k untouched, unmarked cells at cell index at, and,
 // when insert is set, for a zero lane header at index i; lanes after i move
-// their offsets by k. The caller fills in lane i. A ledger's first block is
+// their offsets by k. The caller fills in lane i. A table's first block is
 // allocated to fit (most devices never grow theirs); a block too small for
-// the result is replaced by one with a quarter of its capacity more room
-// than the result needs, so a lane growing an epoch at a time reallocates
-// O(log) times.
-func (l *Ledger) open(i int, insert bool, at, k int) {
-	lanes, cells := int(l.lanes), l.cells()
+// the result is replaced by one with a quarter of its room more than the
+// result needs, so a lane growing an epoch at a time reallocates O(log)
+// times.
+func (t *Table) open(i int, insert bool, at, k int) {
+	lanes, cells := int(t.lanes), t.cells()
 	lanes2, cells2 := lanes, cells+k
 	if insert {
 		lanes2++
 	}
-	need := blockWords(lanes2, cells2)
-	dst := l.block
-	if need > cap(dst) {
-		// Whole 16-byte units: the room a small allocation takes anyway.
-		dst = make([]uint64, 0, (need+cap(dst)/4+1)&^1)
+	src := t.words()
+	dst := src
+	if need := blockWords(lanes2, cells2); need > len(dst) {
+		dst = make([]uint64, evenWords(need+len(dst)/4))
 	}
-	dst = dst[:need]
-	sh, sc, sm := carve(l.block, lanes, cells)
+	sh, sc, sm := carve(src, lanes, cells)
 	dh, dc, dm := carve(dst, lanes2, cells2)
 	// Every region moves toward the block's end or stays put, so moving
 	// the marks, then the cells, then the headers — each one's tail before
@@ -198,13 +235,34 @@ func (l *Ledger) open(i int, insert bool, at, k int) {
 	for j := i + 1; j < lanes2; j++ {
 		dh[j].off += uint32(k)
 	}
-	l.block, l.lanes = dst, uint32(lanes2)
+	t.setBlock(dst)
+	t.lanes = uint32(lanes2)
+}
+
+// evenWords rounds n words up to whole 16-byte units: the room a small
+// allocation takes anyway.
+func evenWords(n int) int { return (n + 1) &^ 1 }
+
+// Trim moves the block to one without headroom, when that frees at least
+// one 16-byte unit: the fleet trims every device once report generation is
+// over and its tables stop growing. Nothing observable changes, the version
+// included.
+func (t *Table) Trim() {
+	t.lock()
+	defer t.unlock()
+	need := evenWords(blockWords(int(t.lanes), t.cells()))
+	if need == 0 || need >= int(t.room) {
+		return
+	}
+	w := make([]uint64, need)
+	copy(w, t.words())
+	t.setBlock(w)
 }
 
 // find returns the index of querier q's lane and true, or false. It never
 // creates a lane.
-func (l *Ledger) find(q events.Sym) (int, bool) {
-	hs := l.headers()
+func (t *Table) find(q events.Sym) (int, bool) {
+	hs := t.headers()
 	for i := range hs {
 		if hs[i].q == q {
 			return i, true
@@ -216,41 +274,41 @@ func (l *Ledger) find(q events.Sym) (int, bool) {
 // lane returns the index of querier q's lane, grown to cover epochs first
 // through last, creating it at its place in name order if q has none. A
 // lane index stays valid until the next lane is created.
-func (l *Ledger) lane(q events.Sym, first, last int64) int {
-	if i, ok := l.find(q); ok {
-		l.cover(i, first, last)
+func (t *Table) lane(q events.Sym, first, last int64) int {
+	if i, ok := t.find(q); ok {
+		t.cover(i, first, last)
 		return i
 	}
-	hs := l.headers()
+	hs := t.headers()
 	i := 0
 	for i < len(hs) && hs[i].q.Compare(q) < 0 {
 		i++
 	}
-	at := l.cells()
+	at := t.cells()
 	if i < len(hs) {
 		at = int(hs[i].off)
 	}
 	h := laneHeader{q: q, base: epoch32(first), off: uint32(at), n: uint32(last + 1 - first)}
-	l.open(i, true, at, h.len())
-	l.headers()[i] = h
+	t.open(i, true, at, h.len())
+	t.headers()[i] = h
 	return i
 }
 
 // cover grows lane i, toward older epochs, newer ones or both, until it
 // spans first through last.
-func (l *Ledger) cover(i int, first, last int64) {
-	h := &l.headers()[i]
+func (t *Table) cover(i int, first, last int64) {
+	h := &t.headers()[i]
 	base, end := int64(h.base), h.end()
 	if first < base {
 		first32, k := epoch32(first), int(base-first)
-		l.open(i, false, int(h.off), k)
-		h = &l.headers()[i]
+		t.open(i, false, int(h.off), k)
+		h = &t.headers()[i]
 		h.base, h.n = first32, h.n+uint32(k)
 	}
 	if last >= end {
 		k := int(last + 1 - end)
-		l.open(i, false, int(h.off)+h.len(), k)
-		h = &l.headers()[i]
+		t.open(i, false, int(h.off)+h.len(), k)
+		h = &t.headers()[i]
 		h.n += uint32(k)
 	}
 }
@@ -276,28 +334,18 @@ type LedgerEntry struct {
 // NewLedger returns a ledger whose slots all have budget capacity ε^G.
 // It panics if capacity is negative.
 func NewLedger(capacity float64) *Ledger {
-	l := new(Ledger)
-	l.Init(capacity)
-	return l
-}
-
-// Init sets a zero ledger's slot capacity ε^G, for a ledger held by value.
-// It panics if capacity is negative.
-func (l *Ledger) Init(capacity float64) {
 	if capacity < 0 {
 		panic("privacy: negative ledger capacity")
 	}
-	l.capacity = capacity
+	return &Ledger{capacity: capacity}
 }
 
-// Capacity returns the uniform per-slot budget capacity ε^G.
-func (l *Ledger) Capacity() float64 { return l.capacity }
-
-// chargeWindowLocked is one window's charge sequence. The lane resolves
-// once, covering the epochs from the first that charges (eps > 0) to the
-// last, so a window of zero losses creates no lane and a zero-loss epoch
-// between two charged ones gets an untouched cell. Caller holds l.mu.
-func (l *Ledger) chargeWindowLocked(q events.Sym, first int64, losses []float64, outcomes []ChargeOutcome) {
+// chargeWindowLocked is one window's charge sequence against cells of
+// capacity limit. The lane resolves once, covering the epochs from the first
+// that charges (eps > 0) to the last, so a window of zero losses creates no
+// lane and a zero-loss epoch between two charged ones gets an untouched
+// cell. Caller holds the lock.
+func (t *Table) chargeWindowLocked(limit float64, q events.Sym, first int64, losses []float64, outcomes []ChargeOutcome) {
 	lo, hi := -1, -1
 	for x, eps := range losses {
 		switch {
@@ -314,10 +362,9 @@ func (l *Ledger) chargeWindowLocked(q events.Sym, first int64, losses []float64,
 	if lo < 0 {
 		return
 	}
-	i := l.lane(q, first+int64(lo), first+int64(hi))
-	hs, cells, _ := l.table()
+	i := t.lane(q, first+int64(lo), first+int64(hi))
+	hs, cells, _ := t.table()
 	hs[i].n |= laneCharged
-	limit := l.capacity
 	for x, c := lo, cells[hs[i].cell(first+int64(lo)):]; x <= hi; x, c = x+1, c[1:] {
 		eps := losses[x]
 		if eps == 0 {
@@ -325,14 +372,14 @@ func (l *Ledger) chargeWindowLocked(q events.Sym, first int64, losses []float64,
 		}
 		// Every path below mutates persisted state: a denial initializes
 		// the cell and counts, a success deducts.
-		l.version++
+		t.bump()
 		if c[0] == untouchedSlot {
 			c[0] = 0
 		}
 		// Tolerate float rounding at the boundary: a loss that overshoots
 		// the capacity by a relative 1e-9 is treated as exact.
 		if c[0]+eps > limit*(1+1e-9) {
-			l.denials++
+			t.denials++
 			outcomes[x] = ChargeDenied
 			continue
 		}
@@ -349,11 +396,8 @@ func (l *Ledger) chargeWindowLocked(q events.Sym, first int64, losses []float64,
 // the name is known).
 // It panics if outcomes is shorter than losses.
 func (l *Ledger) ChargeWindow(q string, first int64, losses []float64, outcomes []ChargeOutcome) {
-	_ = outcomes[:len(losses)]
-	s := events.Intern(q)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.chargeWindowLocked(s, first, losses, outcomes)
+	ch := [1]WindowCharge{{Querier: events.Intern(q), First: first, Losses: losses, Outcomes: outcomes}}
+	l.ChargeWindowBatch(ch[:])
 }
 
 // WindowCharge is one report's whole-window check-and-consume in a batched
@@ -368,22 +412,27 @@ type WindowCharge struct {
 }
 
 // ChargeWindowBatch runs several reports' check-and-consume sequences under
-// a single lock acquisition: charges execute in slice order, each window's
-// epochs in ascending order — the exact sequence len(charges) individual
-// ChargeWindow calls would produce, so outcomes are bit-identical to the
-// one-at-a-time path by construction. This is the generate stage's
-// per-device vectorized charge: a device visited by Q same-day queriers
-// takes one ledger lock instead of Q.
+// a single lock acquisition, against cells of the given capacity: charges
+// execute in slice order, each window's epochs in ascending order — the
+// exact sequence len(charges) one-window batches would produce, so outcomes
+// are bit-identical to the one-at-a-time path by construction. This is the
+// generate stage's per-device vectorized charge: a device visited by Q
+// same-day queriers takes one lock instead of Q.
 // It panics if any charge's Outcomes is shorter than its Losses.
-func (l *Ledger) ChargeWindowBatch(charges []WindowCharge) {
+func (t *Table) ChargeWindowBatch(capacity float64, charges []WindowCharge) {
 	for i := range charges {
 		_ = charges[i].Outcomes[:len(charges[i].Losses)]
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	t.lock()
+	defer t.unlock()
 	for _, ch := range charges {
-		l.chargeWindowLocked(ch.Querier, ch.First, ch.Losses, ch.Outcomes)
+		t.chargeWindowLocked(capacity, ch.Querier, ch.First, ch.Losses, ch.Outcomes)
 	}
+}
+
+// ChargeWindowBatch is Table.ChargeWindowBatch at the ledger's capacity.
+func (l *Ledger) ChargeWindowBatch(charges []WindowCharge) {
+	l.Table.ChargeWindowBatch(l.capacity, charges)
 }
 
 // ChargeAll is the IPA-like baseline's all-or-nothing admission (§6.1,
@@ -401,9 +450,9 @@ func (l *Ledger) ChargeAll(q events.Sym, first, last int64, eps float64) bool {
 	if last < first {
 		return true
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.version++
+	l.lock()
+	defer l.unlock()
+	l.bump()
 	i := l.lane(q, first, last)
 	hs, cells, _ := l.table()
 	hs[i].n |= laneCharged
@@ -426,19 +475,19 @@ func (l *Ledger) ChargeAll(q events.Sym, first, last int64, eps float64) bool {
 // first through last — the Fig. 4 denominator — whether or not the window
 // goes on to charge them (see untouchedSlot). No consumed value changes; the
 // version moves once per epoch newly marked.
-func (l *Ledger) MarkRequested(q events.Sym, first, last int64) {
+func (t *Table) MarkRequested(q events.Sym, first, last int64) {
 	if first > last {
 		return
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	i := l.lane(q, first, last)
-	hs, _, marks := l.table()
+	t.lock()
+	defer t.unlock()
+	i := t.lane(q, first, last)
+	hs, _, marks := t.table()
 	window := marks[hs[i].cell(first) : hs[i].cell(last)+1]
 	for x := range window {
 		if window[x] == 0 {
 			window[x] = 1
-			l.version++
+			t.bump()
 		}
 	}
 }
@@ -446,12 +495,12 @@ func (l *Ledger) MarkRequested(q events.Sym, first, last int64) {
 // RangeRequested calls fn once per epoch some window was marked over, in
 // ascending epoch order, with the queriers that requested it sorted by name
 // and, beside each, what that querier has consumed from the epoch (0 for an
-// untouched slot). fn runs under the ledger's lock: it must not call back
-// into the ledger, and the slices are reused between calls.
-func (l *Ledger) RangeRequested(fn func(e int64, queriers []events.Sym, consumed []float64)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	hs, cells, marks := l.table()
+// untouched slot). fn runs under the table's lock: it must not call back
+// into the table, and the slices are reused between calls.
+func (t *Table) RangeRequested(fn func(e int64, queriers []events.Sym, consumed []float64)) {
+	t.lock()
+	defer t.unlock()
+	hs, cells, marks := t.table()
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for j := range hs {
 		lo, hi = min(lo, int64(hs[j].base)), max(hi, hs[j].end())
@@ -476,50 +525,50 @@ func (l *Ledger) RangeRequested(fn func(e int64, queriers []events.Sym, consumed
 	}
 }
 
-// Denials returns the number of charges this ledger has denied for lack of
+// Denials returns the number of charges this table has denied for lack of
 // budget, across all queriers and epochs. Every denial path (ChargeWindow,
 // ChargeWindowBatch) counts here; zero-loss outcomes and ChargeAll refusals
 // do not.
-func (l *Ledger) Denials() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.denials
+func (t *Table) Denials() uint64 {
+	t.lock()
+	defer t.unlock()
+	return t.denials
 }
 
 // RestoreDenials reinstates a persisted denial count. The counter only ever
-// grows, so restore keeps the larger of the two — a fresh ledger takes the
+// grows, so restore keeps the larger of the two — a fresh table takes the
 // snapshot's count, and replaying an old snapshot over live state never
 // loses denials.
-func (l *Ledger) RestoreDenials(n uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n > l.denials {
-		l.denials = n
-		l.version++
+func (t *Table) RestoreDenials(n uint64) {
+	t.lock()
+	defer t.unlock()
+	if n > t.denials {
+		t.denials = n
+		t.bump()
 	}
 }
 
 // Version returns the mutation counter: it advances on every observable
-// change to the ledger's persisted state (slot initializations, charges,
+// change to the table's persisted state (slot initializations, charges,
 // denials, new requested marks, restores). The incremental
 // checkpointer uses it as the dirty bit — equal versions guarantee identical
 // Rows(), Denials() and RangeRequested() output.
-func (l *Ledger) Version() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.version
+func (t *Table) Version() uint64 {
+	t.lock()
+	defer t.unlock()
+	return t.vlock.Load() >> 1
 }
 
 // Consumed returns the privacy loss consumed so far by querier q from epoch
 // e (0 if the slot was never touched).
-func (l *Ledger) Consumed(q events.Sym, e int64) float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	i, ok := l.find(q)
+func (t *Table) Consumed(q events.Sym, e int64) float64 {
+	t.lock()
+	defer t.unlock()
+	i, ok := t.find(q)
 	if !ok {
 		return 0
 	}
-	hs, cells, _ := l.table()
+	hs, cells, _ := t.table()
 	if h := &hs[i]; e >= int64(h.base) && e < h.end() {
 		return max(cells[h.cell(e)], 0) // untouchedSlot reads as 0
 	}
@@ -529,11 +578,11 @@ func (l *Ledger) Consumed(q events.Sym, e int64) float64 {
 // NumQueriers returns the number of queriers with a charged lane (charged or
 // restored at least once) — the
 // pre-sizing hint for per-querier aggregation maps.
-func (l *Ledger) NumQueriers() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+func (t *Table) NumQueriers() int {
+	t.lock()
+	defer t.unlock()
 	n := 0
-	for _, h := range l.headers() {
+	for _, h := range t.headers() {
 		if h.charged() {
 			n++
 		}
@@ -545,10 +594,10 @@ func (l *Ledger) NumQueriers() int {
 // consumed budget across all epochs. Each total accumulates in ascending
 // epoch order — the lane's natural order — so the float sums are
 // deterministic run-to-run; queriers are visited in name order.
-func (l *Ledger) RangeTotals(fn func(q events.Sym, total float64)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	hs, cells, _ := l.table()
+func (t *Table) RangeTotals(fn func(q events.Sym, total float64)) {
+	t.lock()
+	defer t.unlock()
+	hs, cells, _ := t.table()
 	for j := range hs {
 		h := &hs[j]
 		if !h.charged() {
@@ -564,13 +613,14 @@ func (l *Ledger) RangeTotals(fn func(q events.Sym, total float64)) {
 	}
 }
 
-// Rows returns a snapshot of every initialized slot, sorted by querier then
-// epoch — the Fig. 1 dashboard view and the persistence snapshot source. The
-// order is the layout's: lanes are in name order, cells in epoch order.
-func (l *Ledger) Rows() []LedgerEntry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	hs, cells, _ := l.table()
+// Rows returns a snapshot of every initialized slot, each with the given
+// capacity, sorted by querier then epoch — the Fig. 1 dashboard view and the
+// persistence snapshot source. The order is the layout's: lanes are in name
+// order, cells in epoch order.
+func (t *Table) Rows(capacity float64) []LedgerEntry {
+	t.lock()
+	defer t.unlock()
+	hs, cells, _ := t.table()
 	var rows []LedgerEntry
 	for j := range hs {
 		h := &hs[j]
@@ -582,7 +632,7 @@ func (l *Ledger) Rows() []LedgerEntry {
 				Querier:  h.q,
 				Epoch:    int64(h.base) + int64(x),
 				Consumed: c,
-				Capacity: l.capacity,
+				Capacity: capacity,
 			})
 		}
 	}
@@ -590,24 +640,32 @@ func (l *Ledger) Rows() []LedgerEntry {
 }
 
 // Restore sets one slot's state from a persisted snapshot row. consumed is
-// checked against the ledger's own ε^G — a snapshot carries no capacity, as
-// a run under another ε^G is refused by its scenario fingerprint before any
-// row is read — and a restore never lowers a slot's consumed budget
+// checked against the cells' capacity ε^G — a snapshot carries no capacity,
+// as a run under another ε^G is refused by its scenario fingerprint before
+// any row is read — and a restore never lowers a slot's consumed budget
 // (replaying an old snapshot must never refund privacy loss).
-func (l *Ledger) Restore(q events.Sym, e int64, consumed float64) error {
-	if consumed < 0 || consumed > l.capacity*(1+1e-9) {
-		return fmt.Errorf("privacy: corrupt ledger slot %s/%d: %v of %v", q, e, consumed, l.capacity)
+func (t *Table) Restore(capacity float64, q events.Sym, e int64, consumed float64) error {
+	if consumed < 0 || consumed > capacity*(1+1e-9) {
+		return fmt.Errorf("privacy: corrupt ledger slot %s/%d: %v of %v", q, e, consumed, capacity)
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.version++
-	i := l.lane(q, e, e)
-	hs, cells, _ := l.table()
+	t.lock()
+	defer t.unlock()
+	t.bump()
+	i := t.lane(q, e, e)
+	hs, cells, _ := t.table()
 	hs[i].n |= laneCharged
 	c := &cells[hs[i].cell(e)]
 	if *c != untouchedSlot && *c > consumed {
 		return fmt.Errorf("privacy: restore would refund budget for %s epoch %d", q, e)
 	}
-	*c = min(consumed, l.capacity)
+	*c = min(consumed, capacity)
 	return nil
+}
+
+// Rows is Table.Rows at the ledger's capacity.
+func (l *Ledger) Rows() []LedgerEntry { return l.Table.Rows(l.capacity) }
+
+// Restore is Table.Restore at the ledger's capacity.
+func (l *Ledger) Restore(q events.Sym, e int64, consumed float64) error {
+	return l.Table.Restore(l.capacity, q, e, consumed)
 }

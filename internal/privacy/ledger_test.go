@@ -366,7 +366,7 @@ func TestLedgerWalksAllocate(t *testing.T) {
 	g := NewLedger(10)
 	g.MarkRequested(a, 0, 1)
 	g.MarkRequested(c, 0, 1)
-	g.block = slices.Grow(g.block, 256)
+	g.setBlock(append(g.words(), make([]uint64, 256)...))
 	older, newer := int64(0), int64(1)
 	for _, tc := range []struct {
 		name string

@@ -215,7 +215,7 @@ func TestLedgerMarksExhaustive(t *testing.T) {
 // they test, and it sees them through the same interface.
 
 // cell returns querier q's cell for epoch e, which its lane must cover.
-// Caller holds l.mu.
+// Caller holds the lock.
 func (l *Ledger) cell(q events.Sym, e int64) *float64 {
 	i, _ := l.find(q)
 	hs, cells, _ := l.table()
@@ -228,8 +228,8 @@ type markInitialisesSlot struct{ *Ledger }
 
 func (m markInitialisesSlot) MarkRequested(q events.Sym, first, last int64) {
 	m.Ledger.MarkRequested(q, first, last)
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.lock()
+	defer m.unlock()
 	for e := first; e <= last; e++ {
 		if c := m.cell(q, e); *c == untouchedSlot {
 			*c = 0
@@ -245,8 +245,8 @@ func (d denyChargesPrefix) ChargeAll(q events.Sym, first, last int64, eps float6
 	if d.Ledger.ChargeAll(q, first, last, eps) {
 		return true
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	for e := first; e <= last; e++ {
 		c := d.cell(q, e)
 		if *c+eps > d.capacity*(1+1e-9) {
@@ -266,8 +266,8 @@ func (r rejectLeavesUntouched) ChargeAll(q events.Sym, first, last int64, eps fl
 	if r.Ledger.ChargeAll(q, first, last, eps) {
 		return true
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lock()
+	defer r.unlock()
 	for e := first; e <= last; e++ {
 		if !slices.ContainsFunc(before, func(row LedgerEntry) bool { return row.Querier == q && row.Epoch == e }) {
 			*r.cell(q, e) = untouchedSlot
@@ -283,14 +283,14 @@ func (r rejectLeavesUntouched) ChargeAll(q events.Sym, first, last int64, eps fl
 type shiftMarksOnly struct{ *Ledger }
 
 func (s shiftMarksOnly) around(op func()) {
-	s.mu.Lock()
+	s.lock()
 	before := slices.Clone(s.headers())
 	_, cells, _ := s.table()
 	old := slices.Clone(cells)
-	s.mu.Unlock()
+	s.unlock()
 	op()
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	hs, cells, _ := s.table()
 	at := len(old)
 	for _, h := range before {

@@ -105,7 +105,7 @@ func (e *Engine) Run() *Run { return e.run }
 // bind makes db the store the engine's devices read, over a new fleet.
 func (e *Engine) bind(db *events.Database) {
 	e.db = db
-	e.fleet = core.NewFleet(0, db, e.cfg.EpsilonG, e.cfg.Policy)
+	e.fleet = core.NewFleet(db, e.cfg.EpsilonG, e.cfg.Policy)
 	e.run.Fleet = e.fleet
 }
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/dataset"
+	"repro/internal/events"
 )
 
 // FullSnapshot hands the external test package the service's complete state
@@ -14,6 +15,14 @@ import (
 func (s *Service) FullSnapshot() (gen uint64, payload []byte, err error) {
 	payload, err = s.fullSnapshot()
 	return s.nextGen - 1, payload, err
+}
+
+// CreateDevices creates ids' devices on the service's fleet, in the order
+// given — before Serve, the devices the run would create on its own.
+func (s *Service) CreateDevices(ids []events.DeviceID) {
+	for _, id := range ids {
+		s.fleet.GetOrCreate(id)
+	}
 }
 
 // LedgerState hands the external test package ledgerState: one device's

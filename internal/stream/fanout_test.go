@@ -47,7 +47,7 @@ func fanoutRequest(rng *rand.Rand) *core.Request {
 }
 
 func fanoutFleet(db *events.Database, epsG float64) *core.Fleet {
-	return core.NewFleet(0, db, epsG, core.CookieMonsterPolicy{})
+	return core.NewFleet(db, epsG, core.CookieMonsterPolicy{})
 }
 
 // ledgerState is everything a device's ledger holds: its slots (Ledger)

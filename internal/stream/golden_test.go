@@ -24,8 +24,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/figures"
+	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
@@ -69,8 +71,8 @@ func TestGolden(t *testing.T) {
 	checkGolden(t, digests)
 }
 
-// checkGolden holds digests, one per figure workload, to the committed file.
-func checkGolden(t *testing.T, digests map[string]string) {
+// committedDigests reads testdata/golden's digests, one per figure workload.
+func committedDigests(t *testing.T) map[string]string {
 	t.Helper()
 	goldenPath, err := figures.GoldenDigestsPath()
 	if err != nil {
@@ -84,6 +86,13 @@ func checkGolden(t *testing.T, digests map[string]string) {
 	if err := json.Unmarshal(raw, &committed); err != nil {
 		t.Fatalf("decoding golden digests: %v", err)
 	}
+	return committed
+}
+
+// checkGolden holds digests, one per figure workload, to the committed file.
+func checkGolden(t *testing.T, digests map[string]string) {
+	t.Helper()
+	committed := committedDigests(t)
 	for name, digest := range digests {
 		want, ok := committed[name]
 		if !ok {
@@ -172,5 +181,34 @@ func TestDigestIndependentOfSymbolOrder(t *testing.T) {
 	cmd.Env = append(os.Environ(), symbolOrderEnv+"="+path)
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("child interning %d workload names in reverse order: %v\n%s", len(names), err, out)
+	}
+}
+
+// TestDigestIndependentOfDeviceOrder holds criteo-cm's golden digest to not
+// depending on the order in which the fleet creates devices: a streamed run
+// whose fleet first creates every device the run will use, in descending ID
+// order, must still reproduce testdata/golden.
+func TestDigestIndependentOfDeviceOrder(t *testing.T) {
+	const name = "criteo-cm"
+	var ids []events.DeviceID
+	batchRef(t, name).Fleet.Range(func(d *core.Device) bool {
+		ids = append(ids, d.ID())
+		return true
+	})
+	slices.Reverse(ids)
+	cfg := figureConfig(t, name)
+	cfg.Source = cfg.Dataset.Stream()
+	svc, err := stream.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.CreateDevices(ids)
+	srun, err := svc.Serve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := (&workload.Run{Config: cfg, Run: srun}).CanonicalDigest()
+	if want := committedDigests(t)[name]; got != want {
+		t.Fatalf("%s with its %d devices created in descending ID order: digest %s, committed %s", name, len(ids), got, want)
 	}
 }
