@@ -166,7 +166,7 @@ func loadMeta(tracePath, workloadName, name string, population, duration int) (d
 	case tracePath != "" && workloadName != "":
 		return dataset.Meta{}, nil, fmt.Errorf("-trace and -workload are mutually exclusive")
 	case tracePath != "":
-		ds, err := dataset.OpenTrace(tracePath)
+		ds, err := serve.OpenTrace(tracePath)
 		if err != nil {
 			return dataset.Meta{}, nil, err
 		}
@@ -521,7 +521,7 @@ func cmdExport(args []string) error {
 	if path == "" {
 		path = *workloadName + ".trace"
 	}
-	if err := dataset.WriteTraceFile(path, cfg.Dataset.Stream()); err != nil {
+	if err := serve.WriteTraceFile(path, cfg.Dataset.Stream()); err != nil {
 		return err
 	}
 	fmt.Printf("measured export: wrote %s (%d events, %d devices, %d days, %d queriers)\n",

@@ -18,8 +18,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dataset"
 	"repro/internal/loadgen"
+	"repro/internal/serve"
 	"repro/internal/workload"
 )
 
@@ -204,7 +204,7 @@ func TestMeasuredProcessSmoke(t *testing.T) {
 	if out, err := measuredCmd(ctx, t, "export", "-workload", "cookie-monster", "-out", trace).CombinedOutput(); err != nil {
 		t.Fatalf("export: %v\n%s", err, out)
 	}
-	ds, err := dataset.OpenTrace(trace)
+	ds, err := serve.OpenTrace(trace)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,6 +86,19 @@ func (ev Event) Before(other Event) bool {
 	return ev.ID < other.ID
 }
 
+// Stamp is an event's place in (Day, ID) admission order: what a device's
+// dedupe cursor and a late-drop mark remember of its newest admission.
+type Stamp struct {
+	Day int
+	ID  EventID
+}
+
+// Before reports whether s precedes ev in (Day, ID) order: whether a device
+// whose newest admission is at s may still admit ev.
+func (s Stamp) Before(ev Event) bool {
+	return s.Day < ev.Day || (s.Day == ev.Day && s.ID < ev.ID)
+}
+
 // EpochOfDay maps an absolute day index to its epoch, for a given epoch
 // length in days. It panics if epochDays is not positive.
 func EpochOfDay(day, epochDays int) Epoch {

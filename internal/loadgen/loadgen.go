@@ -41,6 +41,10 @@ import (
 	"repro/internal/stats"
 )
 
+// maxRetryAfter caps how long a server Retry-After hint is honored: a
+// confused server must not park the client forever.
+const maxRetryAfter = 30 * time.Second
+
 // Config parameterizes one load run.
 type Config struct {
 	// Target is the server's base URL, e.g. http://127.0.0.1:8080.
@@ -78,9 +82,6 @@ type Config struct {
 	// between attempts (0 = 2ms and 250ms).
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// MaxRetryAfter caps how long a server Retry-After hint is honored
-	// (0 = 30s) — a confused server must not park the client forever.
-	MaxRetryAfter time.Duration
 	// Seed drives the backoff jitter streams (per sender), so a load run
 	// is reproducible end to end.
 	Seed uint64
@@ -113,9 +114,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBackoff == 0 {
 		c.MaxBackoff = 250 * time.Millisecond
-	}
-	if c.MaxRetryAfter == 0 {
-		c.MaxRetryAfter = 30 * time.Second
 	}
 	return c
 }
@@ -155,7 +153,7 @@ type Report struct {
 	// distinct from queue-full backpressure.
 	ShedObserved int `json:"shedObserved"`
 	// RetryAfterWaits counts retry waits where the server supplied a
-	// Retry-After hint (honored up to MaxRetryAfter); RetryAfterMissing
+	// Retry-After hint (honored up to maxRetryAfter); RetryAfterMissing
 	// counts pushback responses lacking the header entirely — a server-
 	// side contract violation the bench surfaces.
 	RetryAfterWaits   int `json:"retryAfterWaits"`
@@ -362,7 +360,7 @@ func (g *generator) register(ctx context.Context) error {
 				return fmt.Errorf("loadgen: registering %s: still refused (status %d) after %d retries",
 					a.Site, status, attempt)
 			}
-			if werr := backoff.sleep(ctx, retryHint(status, respBody, hdr, g.cfg.MaxRetryAfter)); werr != nil {
+			if werr := backoff.sleep(ctx, retryHint(status, respBody, hdr)); werr != nil {
 				return werr
 			}
 		}
@@ -419,9 +417,9 @@ func (b *backoff) sleep(ctx context.Context, hint time.Duration) error {
 
 // retryHint extracts the server's retry guidance from a pushback
 // response: the precise retryAfterMs body field when present, else the
-// integer-seconds Retry-After header, capped at maxWait. Zero means the
-// server offered none.
-func retryHint(status int, body []byte, hdr http.Header, maxWait time.Duration) time.Duration {
+// integer-seconds Retry-After header, capped at maxRetryAfter. Zero means
+// the server offered none.
+func retryHint(status int, body []byte, hdr http.Header) time.Duration {
 	if status != http.StatusTooManyRequests && status != http.StatusServiceUnavailable {
 		return 0
 	}
@@ -434,10 +432,7 @@ func retryHint(status int, body []byte, hdr http.Header, maxWait time.Duration) 
 			hint = time.Duration(secs) * time.Second
 		}
 	}
-	if hint > maxWait {
-		hint = maxWait
-	}
-	return hint
+	return min(hint, maxRetryAfter)
 }
 
 // sendBatch posts one batch, retrying verbatim on pushback (429/503) and
@@ -504,7 +499,7 @@ func (g *generator) sendBatch(ctx context.Context, sender int, evs []events.Even
 		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 			var er serve.ErrorResponse
 			shed := json.Unmarshal(respBody, &er) == nil && er.Code == serve.CodeOverload
-			hint := retryHint(status, respBody, hdr, g.cfg.MaxRetryAfter)
+			hint := retryHint(status, respBody, hdr)
 			g.mu.Lock()
 			if status == http.StatusTooManyRequests {
 				g.retries429++

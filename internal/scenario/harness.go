@@ -33,10 +33,11 @@ type Harness struct {
 	// FaultPoints is the crash matrix. Nil selects every stream.Point;
 	// tests under -short sample a subset.
 	FaultPoints []stream.FaultPoint
-	// SnapshotEveryDays is the checkpoint cadence for the crash runs
-	// (0 selects 14, the crash-recovery suite's cadence).
-	SnapshotEveryDays int
 }
+
+// snapshotEveryDays is the checkpoint cadence of the crash runs: the
+// crash-recovery suite's.
+const snapshotEveryDays = 14
 
 // DefaultHarness returns the harness the catalog tests, the CLI and the CI
 // smoke job share: the figures catalog's "cookie-monster" microbenchmark
@@ -133,13 +134,6 @@ func (h Harness) faultPoints() []stream.FaultPoint {
 		return h.FaultPoints
 	}
 	return stream.Points
-}
-
-func (h Harness) snapshotCadence() int {
-	if h.SnapshotEveryDays > 0 {
-		return h.SnapshotEveryDays
-	}
-	return 14
 }
 
 // Run drives one scenario through every property and returns its report. A
@@ -275,7 +269,7 @@ func (h Harness) countFaultPoints(spec Spec, want string) (map[stream.FaultPoint
 	counts := make(map[stream.FaultPoint]int)
 	cfg := h.streamCfg(4)
 	cfg.CheckpointDir = dir
-	cfg.SnapshotEveryDays = h.snapshotCadence()
+	cfg.SnapshotEveryDays = snapshotEveryDays
 	cfg.GroupCommitEvents = durableGroupCommitEvents
 	cfg.BaseEveryDeltas = durableBaseEveryDeltas
 	cfg.FaultHook = func(p stream.FaultPoint) error {
@@ -305,7 +299,7 @@ func (h Harness) crashAndResume(spec Spec, point stream.FaultPoint, at int, want
 	seen := 0
 	cfg := h.streamCfg(4)
 	cfg.CheckpointDir = dir
-	cfg.SnapshotEveryDays = h.snapshotCadence()
+	cfg.SnapshotEveryDays = snapshotEveryDays
 	cfg.GroupCommitEvents = durableGroupCommitEvents
 	cfg.BaseEveryDeltas = durableBaseEveryDeltas
 	cfg.FaultHook = func(p stream.FaultPoint) error {
@@ -327,7 +321,7 @@ func (h Harness) crashAndResume(spec Spec, point stream.FaultPoint, at int, want
 
 	rcfg := h.streamCfg(4)
 	rcfg.CheckpointDir = dir
-	rcfg.SnapshotEveryDays = h.snapshotCadence()
+	rcfg.SnapshotEveryDays = snapshotEveryDays
 	rcfg.GroupCommitEvents = durableGroupCommitEvents
 	rcfg.BaseEveryDeltas = durableBaseEveryDeltas
 	rcfg.Resume = true

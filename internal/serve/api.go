@@ -117,6 +117,21 @@ func WireFromEvent(ev events.Event) EventWire {
 	}
 }
 
+// event returns the wire event's fields as an events.Event, and apart from
+// it the names it carries: what validateEvent checks before any name is
+// interned. An unknown kind is kindUnset, which validateEvent refuses.
+func (w EventWire) event() (events.Event, [4]string) {
+	ev := events.Event{ID: events.EventID(w.ID), Kind: kindUnset, Device: events.DeviceID(w.Device),
+		Day: w.Day, Value: w.Value}
+	switch w.Kind {
+	case "impression":
+		ev.Kind = events.KindImpression
+	case "conversion":
+		ev.Kind = events.KindConversion
+	}
+	return ev, [4]string{w.Publisher, w.Advertiser, w.Campaign, w.Product}
+}
+
 // QueryRegistration is one querier's registration: the advertiser site,
 // its product query streams, and the calibration inputs (Δ, c̃, B) its
 // summation queries will use.
@@ -171,6 +186,23 @@ func (q QueryRegistration) validate() *RequestError {
 	}
 	if q.MaxValue > maxEventValue || q.AvgReportValue > maxEventValue {
 		return reqErr(CodeBadRegistration, "maxValue and avgReportValue must be at most %g", maxEventValue)
+	}
+	return nil
+}
+
+// checkQueriers is the rule for a preset querier set, a server's or a trace
+// header's: every registration valid and no site twice. It interns nothing.
+func checkQueriers(regs []QueryRegistration) *RequestError {
+	sites := make(map[string]bool, len(regs))
+	for i, q := range regs {
+		if rerr := q.validate(); rerr != nil {
+			rerr.Msg = fmt.Sprintf("querier %d: %s", i, rerr.Msg)
+			return rerr
+		}
+		if sites[q.Site] {
+			return reqErr(CodeConflict, "querier %s registered twice", q.Site)
+		}
+		sites[q.Site] = true
 	}
 	return nil
 }

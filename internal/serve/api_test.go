@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -37,11 +38,77 @@ func validEvent(id uint64) string {
 		`"advertiser":"shop.example","product":"p0","value":5}`, id, id%64)
 }
 
+// ingestRows are the refusals TestIngestValidation drives through the API
+// and through ReadTrace, each with the status and code the API answers. A
+// row with an event is a one-event POST /v1/events body and, under
+// tinyTraceHeader, a trace line; a row with a registration is a POST
+// /v1/queries body and, after tinyAdvertiser's, a trace header querier; a
+// row with a body is a POST /v1/events body alone. FuzzTraceLine starts
+// from the events.
+var ingestRows = []struct {
+	name                      string
+	event, registration, body string
+	status                    int
+	code                      string
+}{
+	{name: "malformed-json", body: `{"events": [`, status: http.StatusBadRequest, code: serve.CodeMalformedJSON},
+	{name: "not-an-object", body: `[]`, status: http.StatusBadRequest, code: serve.CodeMalformedJSON},
+	{name: "zero-id", event: `{"id":0,"kind":"conversion","device":1,"day":0,"advertiser":"shop.example","product":"p0","value":1}`,
+		status: http.StatusBadRequest, code: serve.CodeBadID},
+	{name: "unknown-kind", event: `{"id":1,"kind":"click","device":1,"day":0,"advertiser":"shop.example"}`,
+		status: http.StatusBadRequest, code: serve.CodeBadKind},
+	{name: "negative-day", event: `{"id":1,"kind":"conversion","device":1,"day":-1,"advertiser":"shop.example","product":"p0","value":1}`,
+		status: http.StatusBadRequest, code: serve.CodeBadDay},
+	{name: "day-past-duration", event: `{"id":1,"kind":"conversion","device":1,"day":4,"advertiser":"shop.example","product":"p0","value":1}`,
+		status: http.StatusBadRequest, code: serve.CodeBadDay},
+	{name: "negative-value", event: `{"id":1,"kind":"conversion","device":1,"day":0,"advertiser":"shop.example","product":"p0","value":-3}`,
+		status: http.StatusBadRequest, code: serve.CodeBadValue},
+	{name: "huge-value", event: `{"id":1,"kind":"conversion","device":1,"day":0,"advertiser":"shop.example","product":"p0","value":1e13}`,
+		status: http.StatusBadRequest, code: serve.CodeBadValue},
+	{name: "conversion-without-product", event: `{"id":1,"kind":"conversion","device":1,"day":0,"advertiser":"shop.example","value":1}`,
+		status: http.StatusBadRequest, code: serve.CodeBadProduct},
+	{name: "impression-with-value", event: `{"id":1,"kind":"impression","device":1,"day":0,"advertiser":"shop.example","publisher":"news.example","value":2}`,
+		status: http.StatusBadRequest, code: serve.CodeBadValue},
+	{name: "empty-advertiser", event: `{"id":1,"kind":"conversion","device":1,"day":0,"advertiser":"","product":"p0","value":1}`,
+		status: http.StatusBadRequest, code: serve.CodeBadSite},
+	{name: "oversized-site", event: `{"id":1,"kind":"conversion","device":1,"day":0,"advertiser":"` +
+		strings.Repeat("a", 300) + `","product":"p0","value":1}`,
+		status: http.StatusBadRequest, code: serve.CodeBadSite},
+	{name: "oversized-registration-site", registration: `{"site":"` + strings.Repeat("b", 300) +
+		`","products":["p"],"maxValue":1,"avgReportValue":1,"batchSize":5}`,
+		status: http.StatusBadRequest, code: serve.CodeBadRegistration},
+	{name: "no-products", registration: `{"site":"b.example","maxValue":1,"avgReportValue":1,"batchSize":5}`,
+		status: http.StatusBadRequest, code: serve.CodeBadRegistration},
+	{name: "too-many-products", registration: `{"site":"b.example","products":["p"` + strings.Repeat(`,"p"`, 1024) +
+		`],"maxValue":1,"avgReportValue":1,"batchSize":5}`,
+		status: http.StatusBadRequest, code: serve.CodeBadRegistration},
+	{name: "huge-batch", registration: `{"site":"b.example","products":["p"],"maxValue":1,"avgReportValue":1,"batchSize":1048577}`,
+		status: http.StatusBadRequest, code: serve.CodeBadRegistration},
+	{name: "huge-max-value", registration: `{"site":"b.example","products":["p"],"maxValue":2e12,"avgReportValue":1,"batchSize":5}`,
+		status: http.StatusBadRequest, code: serve.CodeBadRegistration},
+	{name: "duplicate-site", registration: `{"site":"shop.example","products":["p0"],"maxValue":100,"avgReportValue":20,"batchSize":99}`,
+		status: http.StatusConflict, code: serve.CodeConflict},
+}
+
+// tinyTraceHeader is the header line of a trace with tinyMeta's identity,
+// whose queriers are tinyAdvertiser and then regs, as registration JSON.
+func tinyTraceHeader(regs ...string) string {
+	tiny, err := json.Marshal(serve.RegistrationFromAdvertiser(tinyAdvertiser()))
+	if err != nil {
+		panic(err)
+	}
+	m := tinyMeta()
+	return fmt.Sprintf(`{"name":%q,"populationDevices":%d,"durationDays":%d,"advertisers":[%s]}`+"\n",
+		m.Name, m.PopulationDevices, m.DurationDays, strings.Join(append([]string{string(tiny)}, regs...), ","))
+}
+
 // TestIngestValidation drives every malformed-input class the network
-// audit identified through POST /v1/events and asserts each is refused
-// with the right status and typed error code — never a panic, never a
-// silent admission. The server here has a live service behind it, so an
-// admission slipping through would corrupt real state.
+// audit identified through POST /v1/events and /v1/queries and asserts each
+// is refused with the right status and typed error code — never a panic,
+// never a silent admission — and that a trace carrying the same event or
+// querier is refused with the same code, naming its line. The server here
+// has a live service behind it, so an admission slipping through would
+// corrupt real state.
 func TestIngestValidation(t *testing.T) {
 	meta := tinyMeta()
 	meta.Advertisers = []dataset.Advertiser{tinyAdvertiser()}
@@ -51,42 +118,20 @@ func TestIngestValidation(t *testing.T) {
 	})
 	c := newClient(t, ts)
 
-	// index is the offending event's position; -1 means the error is not
-	// about one event and the envelope must carry no "index" at all.
-	cases := []struct {
-		name   string
-		body   string
-		status int
-		code   string
-		index  int
-	}{
-		{"malformed-json", `{"events": [`, http.StatusBadRequest, serve.CodeMalformedJSON, -1},
-		{"not-an-object", `[]`, http.StatusBadRequest, serve.CodeMalformedJSON, -1},
-		{"zero-id", `{"events":[{"id":0,"kind":"conversion","device":1,"day":0,"advertiser":"shop.example","product":"p0","value":1}]}`,
-			http.StatusBadRequest, serve.CodeBadID, 0},
-		{"unknown-kind", `{"events":[{"id":1,"kind":"click","device":1,"day":0,"advertiser":"shop.example"}]}`,
-			http.StatusBadRequest, serve.CodeBadKind, 0},
-		{"negative-day", `{"events":[{"id":1,"kind":"conversion","device":1,"day":-1,"advertiser":"shop.example","product":"p0","value":1}]}`,
-			http.StatusBadRequest, serve.CodeBadDay, 0},
-		{"day-past-duration", `{"events":[{"id":1,"kind":"conversion","device":1,"day":4,"advertiser":"shop.example","product":"p0","value":1}]}`,
-			http.StatusBadRequest, serve.CodeBadDay, 0},
-		{"negative-value", `{"events":[{"id":1,"kind":"conversion","device":1,"day":0,"advertiser":"shop.example","product":"p0","value":-3}]}`,
-			http.StatusBadRequest, serve.CodeBadValue, 0},
-		{"huge-value", `{"events":[{"id":1,"kind":"conversion","device":1,"day":0,"advertiser":"shop.example","product":"p0","value":1e13}]}`,
-			http.StatusBadRequest, serve.CodeBadValue, 0},
-		{"conversion-without-product", `{"events":[{"id":1,"kind":"conversion","device":1,"day":0,"advertiser":"shop.example","value":1}]}`,
-			http.StatusBadRequest, serve.CodeBadProduct, 0},
-		{"impression-with-value", `{"events":[{"id":1,"kind":"impression","device":1,"day":0,"advertiser":"shop.example","publisher":"news.example","value":2}]}`,
-			http.StatusBadRequest, serve.CodeBadValue, 0},
-		{"empty-advertiser", `{"events":[{"id":1,"kind":"conversion","device":1,"day":0,"advertiser":"","product":"p0","value":1}]}`,
-			http.StatusBadRequest, serve.CodeBadSite, 0},
-		{"oversized-site", `{"events":[{"id":1,"kind":"conversion","device":1,"day":0,"advertiser":"` +
-			strings.Repeat("a", 300) + `","product":"p0","value":1}]}`,
-			http.StatusBadRequest, serve.CodeBadSite, 0},
-	}
-	for _, tc := range cases {
+	for _, tc := range ingestRows {
 		t.Run(tc.name, func(t *testing.T) {
-			status, resp := c.do(http.MethodPost, "/v1/events", []byte(tc.body))
+			// index is the offending event's position; -1 means the error is
+			// not about one event and the envelope must carry no "index".
+			path, body, index, trace, line := "/v1/events", tc.body, -1, "", 0
+			switch {
+			case tc.event != "":
+				body, index = `{"events":[`+tc.event+`]}`, 0
+				trace, line = tinyTraceHeader()+tc.event+"\n", 2
+			case tc.registration != "":
+				path, body = "/v1/queries", tc.registration
+				trace, line = tinyTraceHeader(tc.registration), 1
+			}
+			status, resp := c.do(http.MethodPost, path, []byte(body))
 			if status != tc.status {
 				t.Fatalf("status %d, want %d (%s)", status, tc.status, resp)
 			}
@@ -97,8 +142,19 @@ func TestIngestValidation(t *testing.T) {
 			if er.Code != tc.code {
 				t.Fatalf("code %q, want %q (%s)", er.Code, tc.code, er.Error)
 			}
-			if got := errorIndex(t, resp); got != tc.index {
-				t.Fatalf("index %d, want %d (%s)", got, tc.index, resp)
+			if got := errorIndex(t, resp); got != index {
+				t.Fatalf("index %d, want %d (%s)", got, index, resp)
+			}
+			if trace == "" {
+				return
+			}
+			_, err := serve.ReadTrace(strings.NewReader(trace))
+			var rerr *serve.RequestError
+			if !errors.As(err, &rerr) || rerr.Code != tc.code {
+				t.Fatalf("ReadTrace: %v, want a %q refusal", err, tc.code)
+			}
+			if want := fmt.Sprintf("trace line %d", line); !strings.Contains(err.Error(), want) {
+				t.Fatalf("ReadTrace: %q does not name %s", err, want)
 			}
 		})
 	}

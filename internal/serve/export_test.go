@@ -28,6 +28,22 @@ func (s *Server) AdmitLive(ev events.Event, n int) <-chan struct{} {
 	return done
 }
 
+// ScanBody decodes a POST /v1/events body as the handler does, for a trace
+// of durationDays days, and returns every event with its names, as if each
+// were admitted: FuzzTraceLine holds ReadTrace to it.
+func ScanBody(body []byte, durationDays int) ([]events.Event, error) {
+	sc := newScanner()
+	decoded, rerr := sc.scan(body, durationDays)
+	if rerr != nil {
+		return nil, rerr
+	}
+	evs := make([]events.Event, len(decoded))
+	for i := range decoded {
+		evs[i] = sc.withNames(i)
+	}
+	return evs, nil
+}
+
 // EventsSeeds are the POST /v1/events bodies both fuzz targets start
 // from: FuzzIngestHTTP in the external test package and FuzzIngestDecode
 // here.

@@ -87,21 +87,6 @@ func stateString(st int32) string {
 	}
 }
 
-// cursor is one device's dedupe cursor: the (day, id) of its newest
-// admitted event. Admission requires strict (day, id) progress per device,
-// so the event ID doubles as the retry-dedupe sequence number. A live
-// admission advances it at enqueue; onAdmit advances it only for restored
-// and replayed admissions, which is how recovery rebuilds it.
-type cursor struct {
-	day int
-	id  events.EventID
-}
-
-// before reports whether the cursor admits an event at (day, id).
-func (c cursor) before(ev events.Event) bool {
-	return c.day < ev.Day || (c.day == ev.Day && c.id < ev.ID)
-}
-
 // netSource adapts the admission queue to dataset.Source: the service's
 // day clock pulls from it like from any trace. Closing ch ends the run;
 // suspended distinguishes a graceful suspend (drain and keep resumable
@@ -258,9 +243,14 @@ type Server struct {
 	advertisers []dataset.Advertiser
 	advIndex    map[string]int // site name → index in advertisers
 	src         *netSource
-	// cursors are the per-device dedupe cursors (see type cursor); clock
-	// orders and times the live admissions (see type queueClock).
-	cursors map[events.DeviceID]cursor
+	// cursors are the per-device dedupe cursors: the stamp of each
+	// device's newest admitted event. Admission requires strict (day, id)
+	// progress per device, so the event ID doubles as the retry-dedupe
+	// sequence number. A live admission advances a cursor at enqueue;
+	// onAdmit advances it only for restored and replayed admissions, which
+	// is how recovery rebuilds it. clock orders and times the live
+	// admissions (see type queueClock).
+	cursors map[events.DeviceID]events.Stamp
 	clock   queueClock
 	results []stream.Result
 	stats   Stats
@@ -296,21 +286,20 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		advIndex: make(map[string]int),
-		cursors:  make(map[events.DeviceID]cursor),
+		cursors:  make(map[events.DeviceID]events.Stamp),
 		done:     make(chan struct{}),
 		ready:    make(chan struct{}),
 	}
 	s.stats.QueueCapacity = cfg.IngestBuffer
+	presets := make([]QueryRegistration, len(cfg.Meta.Advertisers))
 	for i, a := range cfg.Meta.Advertisers {
-		if rerr := RegistrationFromAdvertiser(a).validate(); rerr != nil {
-			return nil, fmt.Errorf("serve: preset querier %d: %w", i, rerr)
-		}
-		if _, dup := s.advIndex[a.Site.String()]; dup {
-			return nil, fmt.Errorf("serve: duplicate preset querier %s", a.Site)
-		}
-		s.advIndex[a.Site.String()] = len(s.advertisers)
-		s.advertisers = append(s.advertisers, a)
+		presets[i] = RegistrationFromAdvertiser(a)
+		s.advIndex[presets[i].Site] = i
 	}
+	if rerr := checkQueriers(presets); rerr != nil {
+		return nil, fmt.Errorf("serve: preset queriers: %w", rerr)
+	}
+	s.advertisers = slices.Clone(cfg.Meta.Advertisers)
 	s.buildMux()
 	if cfg.Scenario.Resume {
 		if len(s.advertisers) == 0 {
@@ -384,8 +373,8 @@ func (s *Server) onAdmit(ev events.Event, dropped bool) {
 	case <-s.ready:
 		s.clock.pop()
 	default:
-		if c, ok := s.cursors[ev.Device]; !ok || c.before(ev) {
-			s.cursors[ev.Device] = cursor{ev.Day, ev.ID}
+		if c, ok := s.cursors[ev.Device]; !ok || c.Before(ev) {
+			s.cursors[ev.Device] = events.Stamp{Day: ev.Day, ID: ev.ID}
 		}
 	}
 	s.mu.Unlock()
@@ -636,7 +625,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	accepted, duplicates := 0, 0
 	backpressured := false
 	for i, ev := range decoded {
-		if c, ok := s.cursors[ev.Device]; ok && !c.before(ev) {
+		if c, ok := s.cursors[ev.Device]; ok && !c.Before(ev) {
 			duplicates++
 			continue
 		}
@@ -645,7 +634,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		// was (the event that finds the queue full aside).
 		select {
 		case src.ch <- sc.withNames(i):
-			s.cursors[ev.Device] = cursor{ev.Day, ev.ID}
+			s.cursors[ev.Device] = events.Stamp{Day: ev.Day, ID: ev.ID}
 			accepted++
 		default:
 			backpressured = true

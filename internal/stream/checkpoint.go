@@ -597,7 +597,7 @@ func (s *Service) restore(c *snapChain) error {
 	// subsumed the WAL records of those drops.
 	for _, dm := range snap.DropMarks {
 		dev := events.DeviceID(dm.Device)
-		mark := dropMark{Day: dm.Day, ID: events.EventID(dm.ID)}
+		mark := events.Stamp{Day: dm.Day, ID: events.EventID(dm.ID)}
 		s.dropMarks[dev] = mark
 		s.observeAdmit(events.Event{ID: mark.ID, Device: dev, Day: mark.Day}, true)
 	}

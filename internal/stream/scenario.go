@@ -49,24 +49,26 @@ func fillRequest(req *core.Request, adv dataset.Advertiser, product events.Sym, 
 	}
 	if biasSpec != nil {
 		spec := *biasSpec
-		if spec.Kappa <= 0 {
-			spec.Kappa = 0.1 * adv.MaxValue // the paper's 10% scaling
-		}
+		spec.Kappa = kappa(spec.Kappa, adv.MaxValue)
 		req.Bias = &spec
 	}
 }
 
+// kappa is the side query's κ: the spec's, or for one ≤ 0 the paper's
+// default of 10% of the query sensitivity Δ.
+func kappa(specKappa, maxValue float64) float64 {
+	if specKappa <= 0 {
+		return 0.1 * maxValue
+	}
+	return specKappa
+}
+
 // biasBound computes the querier-side RMSRE upper bound from one query's
-// noisy side-query count (Appendix F), with the same Kappa defaulting as
-// BuildRequest.
+// noisy side-query count (Appendix F), with the request's κ.
 func biasBound(biasCount, estimate float64, adv dataset.Advertiser,
 	eps float64, batch int, spec *core.BiasSpec, beta float64) float64 {
-	kappa := spec.Kappa
-	if kappa <= 0 {
-		kappa = 0.1 * adv.MaxValue
-	}
 	bound := bias.Compute(biasCount, estimate, bias.Params{
-		Kappa:       kappa,
+		Kappa:       kappa(spec.Kappa, adv.MaxValue),
 		NoiseStdDev: privacy.NoiseStdDev(adv.MaxValue, eps),
 		Beta:        beta,
 		DeltaMax:    adv.MaxValue,

@@ -229,7 +229,7 @@ type Service struct {
 	// so without these marks a snapshot that subsumes the WAL would lose
 	// the decision and an external admission layer (internal/serve) would
 	// regress its dedupe cursor across suspend/resume. Snapshot state.
-	dropMarks map[events.DeviceID]dropMark
+	dropMarks map[events.DeviceID]events.Stamp
 
 	// Durability state (nil/zero without Config.CheckpointDir).
 	wal         *checkpoint.WAL
@@ -291,7 +291,7 @@ func New(cfg Config) (*Service, error) {
 	return &Service{
 		Engine:     NewEngine(cfg, meta, events.NewDatabase()),
 		evictFloor: events.Epoch(-1 << 31),
-		dropMarks:  make(map[events.DeviceID]dropMark),
+		dropMarks:  make(map[events.DeviceID]events.Stamp),
 	}, nil
 }
 
@@ -528,8 +528,8 @@ func (s *Service) step(ev events.Event) error {
 		}
 		s.run.EventsIngested++
 		s.run.EventsDropped++
-		if m, ok := s.dropMarks[ev.Device]; !ok || m.beforeEvent(ev) {
-			s.dropMarks[ev.Device] = dropMark{Day: ev.Day, ID: ev.ID}
+		if m, ok := s.dropMarks[ev.Device]; !ok || m.Before(ev) {
+			s.dropMarks[ev.Device] = events.Stamp{Day: ev.Day, ID: ev.ID}
 		}
 		if err := s.fault(PointEventIngested); err != nil {
 			return err
@@ -549,7 +549,7 @@ func (s *Service) step(ev events.Event) error {
 	if len(s.dropMarks) != 0 {
 		// A newer event reached the store, so the store itself now carries
 		// this device's admission high-water mark; the drop mark is spent.
-		if m, ok := s.dropMarks[ev.Device]; ok && m.beforeEvent(ev) {
+		if m, ok := s.dropMarks[ev.Device]; ok && m.Before(ev) {
 			delete(s.dropMarks, ev.Device)
 		}
 	}
@@ -559,19 +559,6 @@ func (s *Service) step(ev events.Event) error {
 	}
 	s.observeAdmit(ev, false)
 	return nil
-}
-
-// dropMark is one device's newest late-drop admission: the durable
-// (day, id) high-water mark of a decision the event store cannot carry.
-type dropMark struct {
-	Day int
-	ID  events.EventID
-}
-
-// beforeEvent reports whether the mark precedes ev in (Day, ID) admission
-// order.
-func (m dropMark) beforeEvent(ev events.Event) bool {
-	return m.Day < ev.Day || (m.Day == ev.Day && m.ID < ev.ID)
 }
 
 // observeAdmit notifies the configured admission observer. It fires after
