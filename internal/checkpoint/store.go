@@ -60,24 +60,37 @@ type GenFrame struct {
 
 // ChainFP derives a delta's chain fingerprint from its parent's and its own
 // payload CRC, committing the head fingerprint to the whole chain below it.
-func ChainFP(parentFP uint32, payload []byte) uint32 {
+// The payload may come in parts, which it concatenates.
+func ChainFP(parentFP uint32, payload ...[]byte) uint32 {
 	var link [8]byte
 	binary.LittleEndian.PutUint32(link[:4], parentFP)
-	binary.LittleEndian.PutUint32(link[4:], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(link[4:], payloadCRC(payload))
 	return crc32.Checksum(link[:], castagnoli)
 }
 
+// payloadCRC is the CRC-32C of the concatenated payload parts.
+func payloadCRC(payload [][]byte) (crc uint32) {
+	for _, p := range payload {
+		crc = crc32.Update(crc, castagnoli, p)
+	}
+	return crc
+}
+
 // appendGenHeader appends the genHeaderLen-byte frame header of one
-// snapshot generation; the payload follows it unchanged.
-func appendGenHeader(buf []byte, kind byte, gen uint64, parentFP, chainFP uint32, payload []byte) []byte {
+// snapshot generation; the payload parts follow it unchanged.
+func appendGenHeader(buf []byte, kind byte, gen uint64, parentFP, chainFP uint32, payload ...[]byte) []byte {
+	n := 0
+	for _, p := range payload {
+		n += len(p)
+	}
 	buf = append(buf, genMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, FormatVersion)
 	buf = append(buf, kind)
 	buf = binary.LittleEndian.AppendUint64(buf, gen)
 	buf = binary.LittleEndian.AppendUint32(buf, parentFP)
 	buf = binary.LittleEndian.AppendUint32(buf, chainFP)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+	return binary.LittleEndian.AppendUint32(buf, payloadCRC(payload))
 }
 
 // DecodeGenFrame validates and decodes one generation frame. Every failure
@@ -248,22 +261,24 @@ func (st *Store) WriteBaseLinked(gen uint64, chainFP uint32, payload []byte) err
 }
 
 // WriteDelta commits a delta generation chained to the parent fingerprint
-// and returns the delta's own chain fingerprint.
-func (st *Store) WriteDelta(gen uint64, parentFP uint32, payload []byte) (uint32, error) {
-	fp := ChainFP(parentFP, payload)
-	return fp, st.writeGen(GenKindDelta, deltaName(gen), gen, parentFP, fp, payload)
+// and returns the delta's own chain fingerprint. The payload is the
+// concatenation of its parts, which are written as they are.
+func (st *Store) WriteDelta(gen uint64, parentFP uint32, payload ...[]byte) (uint32, error) {
+	fp := ChainFP(parentFP, payload...)
+	return fp, st.writeGen(GenKindDelta, deltaName(gen), gen, parentFP, fp, payload...)
 }
 
 // writeGen stages, fsyncs, and rename-commits one generation frame through
 // the store's FS, so a crash at any instant leaves either no file under the
 // committed name or the whole frame — never a torn mix. The header and the
-// payload are written one after the other; the payload is never copied.
-func (st *Store) writeGen(kind byte, name string, gen uint64, parentFP, chainFP uint32, payload []byte) error {
+// payload parts are written one after the other; the payload is never
+// copied.
+func (st *Store) writeGen(kind byte, name string, gen uint64, parentFP, chainFP uint32, payload ...[]byte) error {
 	if err := st.fs.MkdirAll(st.dir, 0o755); err != nil {
 		return fmt.Errorf("checkpoint: creating %s: %w", st.dir, err)
 	}
 	var header [genHeaderLen]byte
-	appendGenHeader(header[:0], kind, gen, parentFP, chainFP, payload)
+	appendGenHeader(header[:0], kind, gen, parentFP, chainFP, payload...)
 	tmp := filepath.Join(st.dir, name+".tmp")
 	// O_RDWR, not O_WRONLY: the fault injector's bit-flip reads the byte it
 	// flips, and staged generations must be corruptible like any real file.
@@ -272,8 +287,10 @@ func (st *Store) writeGen(kind byte, name string, gen uint64, parentFP, chainFP 
 		return fmt.Errorf("checkpoint: staging generation: %w", err)
 	}
 	_, err = f.Write(header[:])
-	if err == nil {
-		_, err = f.Write(payload)
+	for _, p := range payload {
+		if err == nil {
+			_, err = f.Write(p)
+		}
 	}
 	if err == nil {
 		err = f.Sync()

@@ -10,14 +10,15 @@ import (
 // streaming service's durability path. Two codecs share this file:
 //
 //   - AppendBinary/DecodeBinary: one event, row layout — the WAL record
-//     codec, where events are logged one at a time as they are ingested.
+//     codec, where events are logged one at a time as they are ingested,
+//     and the snapshot event log's, which keeps those same bytes.
 //     Layout (little-endian): ID u64, Kind u8, Device u64, Day i64, four
 //     length-prefixed names (u32 + bytes): Publisher, Advertiser,
 //     Campaign, Product, then Value as IEEE-754 bits (u64) — bit-exact by
 //     construction.
 //   - MarshalEvents/UnmarshalEvents: an event list, columnar layout with a
-//     per-blob string table — the snapshot codec, where every live
-//     device-epoch record is serialized at each checkpoint.
+//     per-blob string table — the codec of a snapshot head's pending
+//     conversions, and of the records of schema-6 snapshots.
 //
 // Hand-rolled fixed layouts here are ~10× cheaper than reflective JSON and
 // keep checkpoint overhead from dominating ingest.
@@ -36,6 +37,16 @@ func AppendBinary(buf []byte, ev Event) []byte {
 		buf = append(buf, name...)
 	}
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(ev.Value))
+}
+
+// BinaryDay returns the day of the event AppendBinary encoded at the front
+// of buf, reading nothing else; ok is false when buf is shorter than the
+// encoding's fixed front (ID, Kind, Device, Day).
+func BinaryDay(buf []byte) (day int, ok bool) {
+	if len(buf) < 8+1+8+8 {
+		return 0, false
+	}
+	return int(int64(binary.LittleEndian.Uint64(buf[17:]))), true
 }
 
 // DecodeBinary decodes one event from the front of buf, returning the event
@@ -93,15 +104,7 @@ func DecodeBinary(buf []byte) (Event, []byte, error) {
 //	n × u64 value bits (IEEE-754 — bit-exact by construction)
 func MarshalEvents(evs []Event) []byte { return AppendEvents(nil, evs) }
 
-// internLinearMax is the string-table size up to which AppendEvents
-// deduplicates by linear scan; a larger table switches to a map.
-const internLinearMax = 16
-
-// AppendEvents appends the MarshalEvents encoding of evs to buf. The
-// snapshot path calls it once per device-epoch record — a record averages
-// barely more than one event — so the string table is deduplicated by
-// symbol with a linear scan over stack-resident scratch, and a small record
-// allocates nothing beyond buf's own growth.
+// AppendEvents appends the MarshalEvents encoding of evs to buf.
 func AppendEvents(buf []byte, evs []Event) []byte {
 	n := len(evs)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
@@ -122,36 +125,16 @@ func AppendEvents(buf []byte, evs []Event) []byte {
 	}
 	// String table in first-appearance order (column-major: publishers, then
 	// advertisers, campaigns, products), so equal inputs yield equal bytes.
-	var (
-		tableArr [internLinearMax]Sym
-		colsArr  [4 * 8]uint32
-		table    = tableArr[:0]
-		cols     = colsArr[:0]
-		index    map[Sym]uint32
-	)
+	var table []Sym
+	cols := make([]uint32, 0, 4*n)
+	index := make(map[Sym]uint32)
 	add := func(s Sym) {
-		if index == nil {
-			for id, t := range table {
-				if t == s {
-					cols = append(cols, uint32(id))
-					return
-				}
-			}
-			if len(table) == internLinearMax {
-				index = make(map[Sym]uint32, 2*internLinearMax)
-				for id, t := range table {
-					index[t] = uint32(id)
-				}
-			}
-		} else if id, ok := index[s]; ok {
-			cols = append(cols, id)
-			return
+		id, ok := index[s]
+		if !ok {
+			id, table = uint32(len(table)), append(table, s)
+			index[s] = id
 		}
-		if index != nil {
-			index[s] = uint32(len(table))
-		}
-		cols = append(cols, uint32(len(table)))
-		table = append(table, s)
+		cols = append(cols, id)
 	}
 	for i := range evs {
 		add(evs[i].Publisher)

@@ -125,10 +125,11 @@ func TestRowCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAppendEventsLargeTable crosses the string table's switch from linear
-// scan to map interning (more distinct strings than internLinearMax) and
-// checks the blob still round-trips, dedupes, and appends after a prefix.
+// TestAppendEventsLargeTable builds a string table of dozens of names, with
+// repeats, and checks the blob round-trips, dedupes, and appends after a
+// prefix.
 func TestAppendEventsLargeTable(t *testing.T) {
+	const internLinearMax = 16 // half the distinct campaigns
 	var evs []Event
 	for i := 0; i < 3*internLinearMax; i++ {
 		evs = append(evs, Event{ID: EventID(i + 1), Device: 9, Day: i,

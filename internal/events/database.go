@@ -12,15 +12,6 @@ import (
 	"repro/internal/fanout"
 )
 
-// DeviceEpoch is a device-epoch record x = (d, e, F): the events F logged on
-// device d during epoch e. Events are kept sorted by (Day, ID) so that
-// recency-based attribution logics are deterministic.
-type DeviceEpoch struct {
-	Device DeviceID
-	Epoch  Epoch
-	Events []Event
-}
-
 // Database is the paper's database D: a set of device-epoch records in
 // which each (device, epoch) pair appears at most once. It is the
 // simulator's stand-in for the union of all on-device event stores; the
@@ -37,88 +28,26 @@ type DeviceEpoch struct {
 // none may overlap Record or EvictBefore — the streaming service relies on
 // exactly this, alternating a single-writer ingest phase with a fan-out read
 // phase on its day clock, and the batch engine loads once and then only reads.
-// The one exception is a lent view (Lend), which one reader may go on
-// reading while Record runs.
 type Database struct {
 	segs []*epochSegment // ascending by epoch
 	// advs and camps are the advertiser and campaign symbols the store
 	// has held (see).
 	advs, camps symSet
-	// trackDirty makes Record list each touched record's device on its
-	// epoch segment until DrainDirty collects it — the incremental
-	// checkpointer's record-level dirty set. Off by default, so the
-	// streaming ingest path pays nothing unless a delta can be captured.
-	trackDirty bool
-	// lent, until closed, says a reader may still be reading record views
-	// (Lend); nil once Record has seen it closed.
-	lent <-chan struct{}
 }
 
-// Lend declares the record views read so far lent to another goroutine
-// until encoded is closed, and Record keeps them intact meanwhile. Only an
-// out-of-order insert's in-place shift writes into a record's events, so
-// that shift waits for encoded first. Every other write leaves a view alone:
-// an append writes past its end, a full record moves to a fresh region, and
-// EvictBefore drops whole segments, whose memory the views keep alive.
-func (db *Database) Lend(encoded <-chan struct{}) { db.lent = encoded }
-
-// DeviceEpochKey identifies one device-epoch record in the dirty set.
+// DeviceEpochKey identifies one device-epoch record.
 type DeviceEpochKey struct {
 	Device DeviceID
 	Epoch  Epoch
 }
 
-// Compare orders keys by (device, epoch) — the order every snapshot section
-// is written and merged in.
+// Compare orders keys by (device, epoch) — the order a snapshot's key-sorted
+// sections are written and merged in.
 func (k DeviceEpochKey) Compare(o DeviceEpochKey) int {
 	if c := cmp.Compare(k.Device, o.Device); c != 0 {
 		return c
 	}
 	return cmp.Compare(k.Epoch, o.Epoch)
-}
-
-// TrackDirty arms (on) or disarms record-level dirty tracking and empties
-// the set either way: while armed, every Record marks its (device, epoch)
-// key until DrainDirty collects it.
-func (db *Database) TrackDirty(on bool) {
-	db.trackDirty = on
-	for _, seg := range db.segs {
-		seg.dirty = nil
-	}
-}
-
-// DrainDirty returns the keys dirtied since the last drain, sorted by
-// (device, epoch) for deterministic serialization, and resets the set: each
-// dirty segment's devices are radix-sorted and deduplicated, then the
-// segments — in epoch order, rarely more than the two a snapshot cadence
-// spans — are merged by device. An evicted segment took its list with it, so every
-// returned key is live.
-func (db *Database) DrainDirty() []DeviceEpochKey {
-	var (
-		epochs []Epoch
-		lists  [][]DeviceID
-	)
-	for _, seg := range db.segs {
-		if dirty := seg.dirty; len(dirty) > 0 {
-			dirty, _ = radixSortDevices(dirty, make([]struct{}, len(dirty)))
-			epochs, lists = append(epochs, seg.epoch), append(lists, slices.Compact(dirty))
-			seg.dirty = nil
-		}
-	}
-	var keys []DeviceEpochKey
-	for {
-		win := -1
-		for i, l := range lists {
-			if len(l) > 0 && (win < 0 || l[0] < lists[win][0]) {
-				win = i // ties go to the earlier epoch
-			}
-		}
-		if win < 0 {
-			return keys
-		}
-		keys = append(keys, DeviceEpochKey{lists[win][0], epochs[win]})
-		lists[win] = lists[win][1:]
-	}
 }
 
 // Chunk sizes of an epoch segment's arena. A segment's chunks double from
@@ -144,9 +73,6 @@ type epochSegment struct {
 	evs      [][]Event // chunks, each fully sized
 	keys     [][]evKey // parallel to evs
 	tail     uint32    // slots carved from the last chunk
-	// dirty lists, while tracking is armed, the device of every Record into
-	// this segment since the last DrainDirty, repeats included.
-	dirty []DeviceID
 }
 
 // region is one device-epoch record in its segment's arena: n events in
@@ -208,7 +134,7 @@ func NewDatabase() *Database {
 // its record count, every record one exact region (cap == n), and writes
 // only that segment, into the slot of db.segs its epoch order fixes — so the
 // layout does not depend on the schedule. The result is an ordinary
-// Database — Record, EvictBefore and dirty tracking work on it — whose reads
+// Database — Record and EvictBefore work on it — whose reads
 // are indistinguishable from those of a store fed the same events by Record,
 // for events in any order.
 func NewFrozen(epochDays int, evs []Event) *Database {
@@ -367,9 +293,8 @@ func sortByDeviceDayID(evs []Event) (idx []int32, devs []DeviceID) {
 // Events within an epoch are kept in (Day, ID) order; the append-at-end case
 // (datasets are generated in time order) is O(1), and an out-of-order event
 // finds its slot by binary search and shifts the record's tail within its
-// region — O(log n) compares plus one memmove, after waiting for any lent
-// views (Lend). Equal keys keep arrival order. A full region first moves to
-// one of twice the capacity.
+// region — O(log n) compares plus one memmove. Equal keys keep arrival
+// order. A full region first moves to one of twice the capacity.
 func (db *Database) Record(epoch Epoch, ev Event) {
 	seg := db.segment(epoch)
 	slot := seg.byDevice.claim(ev.Device)
@@ -381,10 +306,6 @@ func (db *Database) Record(epoch Epoch, ev Event) {
 	keys := seg.keys[r.chunk][r.off : r.off+r.n+1]
 	i := int(r.n)
 	if i > 0 && ev.Before(evs[i-1]) {
-		if db.lent != nil {
-			<-db.lent // the shift may rewrite a lent view
-			db.lent = nil
-		}
 		i = sort.Search(i, func(j int) bool { return ev.Before(evs[j]) })
 		copy(evs[i+1:], evs[i:r.n])
 		copy(keys[i+1:], keys[i:r.n])
@@ -393,9 +314,6 @@ func (db *Database) Record(epoch Epoch, ev Event) {
 	evs[i], keys[i] = ev, scanKey(&ev)
 	r.n++
 	slot.r = r
-	if db.trackDirty {
-		seg.dirty = append(seg.dirty, ev.Device)
-	}
 }
 
 // find returns the position of epoch e's segment in db.segs, or where it
@@ -441,7 +359,7 @@ func (db *Database) EpochEvents(d DeviceID, e Epoch) []Event {
 }
 
 // Keys returns every live device-epoch record's key in (device, epoch)
-// order — the full-snapshot counterpart of DrainDirty.
+// order — the order a full snapshot logs the store in.
 func (db *Database) Keys() []DeviceEpochKey {
 	keys := make([]DeviceEpochKey, 0, db.NumRecords())
 	for _, seg := range db.segs {

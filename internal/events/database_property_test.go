@@ -358,11 +358,10 @@ func arenaEvent(seq int, d DeviceID, day int, id EventID) Event {
 // checkStoreVsRef holds a store — recorded, bulk-loaded, or bulk-loaded and
 // then recorded into — to the reference on every read: counts, device and
 // epoch lists, Keys, EpochEvents, WindowViewsInto (each view's scan keys
-// against its events), compiled scans, and DrainDirty against the map model
-// (which resets both). It checks that every live region lies inside its
+// against its events) and compiled scans. It checks that every live region lies inside its
 // chunk's carved slots and overlaps no other, then appends to every returned
 // slice and checks that no record's reads moved.
-func checkStoreVsRef(t *testing.T, db *Database, ref *refStore, model *dirtyModel, stage string) {
+func checkStoreVsRef(t *testing.T, db *Database, ref *refStore, stage string) {
 	t.Helper()
 	if db.NumRecords() != ref.numRecords() || db.NumEvents() != ref.numEvents() ||
 		db.NumDevices() != len(ref.devices) {
@@ -419,9 +418,6 @@ func checkStoreVsRef(t *testing.T, db *Database, ref *refStore, model *dirtyMode
 			}
 		}
 	}
-	if got, want := db.DrainDirty(), model.drain(); !slices.Equal(got, want) {
-		t.Fatalf("%s: DrainDirty = %v, model %v", stage, got, want)
-	}
 	type slot struct{ chunk, off uint32 }
 	for _, seg := range db.segs {
 		e := seg.epoch
@@ -467,9 +463,9 @@ type arenaOp struct {
 // cases the random property test is too small to reach — chunk boundaries,
 // a record larger than the chunk cap, out-of-order inserts at every
 // position of a region including the insert that moves it, duplicate
-// (Day, ID) keys, and eviction between them — and holds every read,
-// compiled scan and dirty drain to the reference after each eviction and at
-// the end of each row. The touched record is checked after every op.
+// (Day, ID) keys, and eviction between them — and holds every read and
+// compiled scan to the reference after each eviction and at the end of each
+// row. The touched record is checked after every op.
 func TestArenaVsReferenceAtVolume(t *testing.T) {
 	const epochDays = 7
 	rows := []struct {
@@ -576,23 +572,19 @@ func TestArenaVsReferenceAtVolume(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			db, ref, model := NewDatabase(), newRefStore(), &dirtyModel{}
-			db.TrackDirty(true)
-			model.track(true)
+			db, ref := NewDatabase(), newRefStore()
 			for i, op := range row.ops(rand.New(rand.NewSource(7))) {
 				stage := fmt.Sprintf("op %d", i)
 				if op.evict {
 					if got, want := db.EvictBefore(op.floor), ref.evictBefore(op.floor); got != want {
 						t.Fatalf("%s: EvictBefore(%d) removed %d, ref %d", stage, op.floor, got, want)
 					}
-					model.evictBefore(op.floor)
-					checkStoreVsRef(t, db, ref, model, stage)
+					checkStoreVsRef(t, db, ref, stage)
 					continue
 				}
 				e := EpochOfDay(op.ev.Day, epochDays)
 				db.Record(e, op.ev)
 				ref.record(e, op.ev)
-				model.record(op.ev.Device, e)
 				// Whole-record compares are quadratic in the hot row; past
 				// a few dozen events the row-end check covers the contents.
 				got, want := db.EpochEvents(op.ev.Device, e), ref.epochEvents(op.ev.Device, e)
@@ -600,7 +592,7 @@ func TestArenaVsReferenceAtVolume(t *testing.T) {
 					t.Fatalf("%s: EpochEvents(%d, %d) = %v, ref %v", stage, op.ev.Device, e, got, want)
 				}
 			}
-			checkStoreVsRef(t, db, ref, model, "end")
+			checkStoreVsRef(t, db, ref, "end")
 			var chunks [][]Event
 			if i, ok := db.find(0); ok {
 				chunks = db.segs[i].evs
@@ -612,119 +604,6 @@ func TestArenaVsReferenceAtVolume(t *testing.T) {
 				t.Fatal("no record outgrew the chunk cap")
 			}
 		})
-	}
-}
-
-// dirtyModel is the record-level dirty set as one map of keys — swept by
-// eviction and dumped through a comparator sort on drain — kept as the
-// executable specification of the per-epoch dirty lists.
-type dirtyModel struct {
-	on  bool
-	set map[DeviceEpochKey]struct{}
-}
-
-func (m *dirtyModel) track(on bool) { m.on, m.set = on, make(map[DeviceEpochKey]struct{}) }
-
-func (m *dirtyModel) record(d DeviceID, e Epoch) {
-	if m.on {
-		m.set[DeviceEpochKey{d, e}] = struct{}{}
-	}
-}
-
-func (m *dirtyModel) evictBefore(first Epoch) {
-	for k := range m.set {
-		if k.Epoch < first {
-			delete(m.set, k)
-		}
-	}
-}
-
-func (m *dirtyModel) drain() []DeviceEpochKey {
-	if len(m.set) == 0 {
-		return nil
-	}
-	keys := make([]DeviceEpochKey, 0, len(m.set))
-	for k := range m.set {
-		keys = append(keys, k)
-	}
-	clear(m.set)
-	slices.SortFunc(keys, DeviceEpochKey.Compare)
-	return keys
-}
-
-// TestDrainDirtyMatchesMapModel drives random interleavings of in-order and
-// out-of-order Records over five epochs, re-records of keys already written,
-// EvictBefore, arming and disarming, and DrainDirty against the map model.
-// Every drain must equal the model's exactly, strictly ascending by
-// (device, epoch) and naming only live records. The last seeds draw device
-// IDs over three radix digits and drain rarely, so segments collect
-// thousands of entries, as on the durable benchmark workloads.
-func TestDrainDirtyMatchesMapModel(t *testing.T) {
-	const epochDays, days = 7, 35
-	for seed := int64(1); seed <= 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		ops, devices, rareOdds := 600, 6, 1
-		if seed > 34 {
-			ops, devices, rareOdds = 8000, 1<<30, 100
-		}
-		db := NewDatabase()
-		model := &dirtyModel{}
-		db.TrackDirty(true)
-		model.track(true)
-		var written []Event
-		var nextID EventID
-		clock, drains := 0, 0
-		record := func(ev Event) {
-			nextID++
-			ev.ID = nextID
-			e := EpochOfDay(ev.Day, epochDays)
-			db.Record(e, ev)
-			model.record(ev.Device, e)
-			written = append(written, ev)
-		}
-		for op := 0; op < ops; op++ {
-			switch r := rng.Intn(100); {
-			case r < 45: // in order: today, or the clock moves on first
-				if rng.Intn(8) == 0 && clock < days-1 {
-					clock++
-				}
-				record(Event{Device: DeviceID(rng.Intn(devices)), Day: clock})
-			case r < 65: // out of order: an earlier day, any device
-				record(Event{Device: DeviceID(rng.Intn(devices)), Day: rng.Intn(clock + 1)})
-			case r < 80: // re-record a key already written
-				if len(written) > 0 {
-					record(written[rng.Intn(len(written))])
-				}
-			case rareOdds > 1 && rng.Intn(rareOdds) != 0: // evict, re-arm and drain rarely
-			case r < 85:
-				floor := Epoch(rng.Intn(days/epochDays + 1))
-				db.EvictBefore(floor)
-				model.evictBefore(floor)
-			case r < 87:
-				on := rng.Intn(3) != 0
-				db.TrackDirty(on)
-				model.track(on)
-			default:
-				got, want := db.DrainDirty(), model.drain()
-				if !slices.Equal(got, want) {
-					t.Fatalf("seed %d op %d: DrainDirty = %v, model %v", seed, op, got, want)
-				}
-				for i, k := range got {
-					if i > 0 && got[i-1].Compare(k) >= 0 {
-						t.Fatalf("seed %d op %d: keys not strictly ascending at %v", seed, op, k)
-					}
-					if db.EpochEvents(k.Device, k.Epoch) == nil {
-						t.Fatalf("seed %d op %d: drained key %v is not live", seed, op, k)
-					}
-				}
-				if len(got) > 0 {
-					drains++
-				}
-			}
-		}
-		if drains == 0 {
-			t.Fatalf("seed %d: no non-empty drain", seed)
-		}
 	}
 }
 
@@ -855,8 +734,7 @@ func TestFrozenConcurrentCompiledScans(t *testing.T) {
 // ops — Record of a fuzzed device, day and ID; EvictBefore; or a full
 // check. The first split ops are all read as events and bulk-loaded with
 // NewFrozen; the rest run against that store. After every check op and at
-// the end, the store is held to the reference (and its dirty set to the map
-// model, armed after the bulk load).
+// the end, the store is held to the reference.
 func FuzzStoreVsReference(f *testing.F) {
 	f.Add([]byte{})
 	var inOrder, shuffled []byte
@@ -871,7 +749,7 @@ func FuzzStoreVsReference(f *testing.F) {
 	f.Add(append(append([]byte{40}, inOrder...), shuffled...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const epochDays = 7
-		ref, model := newRefStore(), &dirtyModel{}
+		ref := newRefStore()
 		split := 0
 		if len(data) > 0 {
 			split, data = int(data[0]), data[1:]
@@ -884,8 +762,6 @@ func FuzzStoreVsReference(f *testing.F) {
 			ref.record(EpochOfDay(ev.Day, epochDays), ev)
 		}
 		db := NewFrozen(epochDays, prefix)
-		db.TrackDirty(true)
-		model.track(true)
 		for ; i+4 <= len(data); i += 4 {
 			op, dev, day, id := data[i], data[i+1], data[i+2], data[i+3]
 			stage := fmt.Sprintf("op %d", i/4)
@@ -895,17 +771,15 @@ func FuzzStoreVsReference(f *testing.F) {
 				if got, want := db.EvictBefore(floor), ref.evictBefore(floor); got != want {
 					t.Fatalf("%s: EvictBefore(%d) removed %d, ref %d", stage, floor, got, want)
 				}
-				model.evictBefore(floor)
 			case 7:
-				checkStoreVsRef(t, db, ref, model, stage)
+				checkStoreVsRef(t, db, ref, stage)
 			default:
 				ev := arenaEvent(i/4+int(op/8), DeviceID(dev%16), int(day)-32, EventID(id))
 				e := EpochOfDay(ev.Day, epochDays)
 				db.Record(e, ev)
 				ref.record(e, ev)
-				model.record(ev.Device, e)
 			}
 		}
-		checkStoreVsRef(t, db, ref, model, "end")
+		checkStoreVsRef(t, db, ref, "end")
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func imp(id EventID, d DeviceID, day int, adv string) Event {
@@ -57,47 +56,6 @@ func TestRecordKeepsOrder(t *testing.T) {
 	if len(evs) != 3 || evs[0].ID != 2 || evs[1].ID != 9 || evs[2].ID != 5 {
 		t.Fatalf("events not sorted: %v", evs)
 	}
-}
-
-// TestLentViewSurvivesLateInsert pins Lend's handshake: a late event whose
-// insert would shift a lent record in place waits until the reader is done
-// with its view, and the record then holds every event in (Day, ID) order.
-// Under -race a shift that did not wait also writes what the reader reads.
-func TestLentViewSurvivesLateInsert(t *testing.T) {
-	db := NewDatabase()
-	for day := 1; day <= 6; day++ {
-		db.Record(0, imp(EventID(2*day), 7, day, "a"))
-	}
-	view := db.EpochEvents(7, 0) // six events in a region of eight
-	want := slices.Clone(view)
-	encoded := make(chan struct{})
-	db.Lend(encoded)
-	inserted := make(chan struct{})
-	go func() {
-		defer close(inserted)
-		db.Record(0, imp(5, 7, 3, "a")) // lands before days 3..6
-	}()
-	select {
-	case <-inserted:
-		t.Fatal("a late insert shifted a lent record")
-	case <-time.After(50 * time.Millisecond):
-	}
-	if !slices.Equal(view, want) {
-		t.Fatalf("lent view changed under it: %v, want %v", view, want)
-	}
-	close(encoded)
-	<-inserted
-	got := db.EpochEvents(7, 0)
-	if len(got) != 7 || got[2].ID != 5 {
-		t.Fatalf("record after the late insert = %v", got)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Before(got[i-1]) {
-			t.Fatalf("record out of (Day, ID) order at %d: %v", i, got)
-		}
-	}
-	// The handshake is spent: the next late insert does not wait.
-	db.Record(0, imp(1, 7, 1, "a"))
 }
 
 func TestWindowEvents(t *testing.T) {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -9,9 +10,13 @@ import (
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/events"
+	"repro/internal/stream"
+	"repro/internal/workload"
 )
 
 // The decoder's fence. referenceDecode is the ingest path as it was before
@@ -557,4 +562,65 @@ func FuzzIngestDecode(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestBackpressuredEventInternsNothing is the backpressured row of
+// TestDecodeUnadmittedEventsInternNothing through the handler itself: a
+// body of events with a fresh publisher each overflows a wedged queue, as in
+// TestBackpressure, and the scanner the handler decoded it with then caches
+// the names of the admitted prefix and of no event behind it — not even the
+// one that found the queue full.
+func TestBackpressuredEventInternsNothing(t *testing.T) {
+	release := make(chan struct{})
+	var wedged sync.Once
+	meta := dataset.Meta{Name: "tiny", PopulationDevices: 64, DurationDays: 4}
+	adv := dataset.Advertiser{Site: events.Intern("shop.example"), Products: []events.Sym{events.Intern("p0")},
+		MaxValue: 100, AvgReportValue: 20, BatchSize: 10}
+	srv, err := NewServer(Config{Meta: meta, IngestBuffer: 8, Scenario: workload.Config{
+		EpsilonG: 1, Seed: 1, Parallelism: 1,
+		FaultHook: func(p stream.FaultPoint) error {
+			if p == stream.PointEventIngested {
+				wedged.Do(func() { <-release }) // wedge the consumer on the first ingested event
+			}
+			return nil
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, _ := json.Marshal(RegistrationFromAdvertiser(adv))
+	w := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/queries", bytes.NewReader(reg)))
+	if w.Code != http.StatusOK && w.Code != http.StatusCreated {
+		t.Fatalf("registering: %d %s", w.Code, w.Body)
+	}
+	defer func() {
+		close(release)
+		if _, err := srv.Shutdown(context.Background(), true); err != nil {
+			t.Error(err)
+		}
+	}()
+
+	const n = 64 // ≫ the queue's 8 slots and the one event the wedged service holds
+	publisher := func(i int) string { return fmt.Sprintf("backpressured-%d.example", i) }
+	evs := make([]string, n)
+	for i := range evs {
+		evs[i] = fmt.Sprintf(`{"id":%d,"kind":"conversion","device":%d,"day":0,"publisher":"%s","advertiser":"shop.example","product":"p0","value":5}`,
+			i+1, i, publisher(i))
+	}
+	sc := newScanner()
+	w = httptest.NewRecorder()
+	srv.admitEvents(w, httptest.NewRequest(http.MethodPost, "/v1/events", strings.NewReader(eventsBody(evs...))), sc)
+	var er ErrorResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || w.Code != http.StatusTooManyRequests || er.Code != CodeBackpressure {
+		t.Fatalf("overflowing body answered %d %s", w.Code, w.Body)
+	}
+	if er.Accepted <= 0 || er.Accepted >= n {
+		t.Fatalf("429 accepted %d, want a strict prefix of %d", er.Accepted, n)
+	}
+	for i := range n {
+		if _, cached := sc.cache[publisher(i)]; cached != (i < er.Accepted) {
+			t.Errorf("event %d (admitted: %v): its publisher cached = %v", i, i < er.Accepted, cached)
+		}
+	}
 }

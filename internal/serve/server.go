@@ -548,9 +548,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	// The scanner and the events it decoded go back to the pool once the
-	// batch is enqueued (or refused), before the handler parks for its ack.
-	sc := scannerPool.Get().(*eventScanner)
+	s.admitEvents(w, r, scannerPool.Get().(*eventScanner))
+}
+
+// admitEvents is handleEvents past the method check, decoding with sc. The
+// scanner and the events it decoded go back to the pool once the batch is
+// enqueued (or refused), before the handler parks for its ack.
+func (s *Server) admitEvents(w http.ResponseWriter, r *http.Request, sc *eventScanner) {
 	release := func() {
 		if sc != nil {
 			sc.release()
@@ -631,17 +635,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		// Only an event about to be queued interns its names: a duplicate
 		// or the suffix behind a full queue leaves the symbol table as it
-		// was (the event that finds the queue full aside).
-		select {
-		case src.ch <- sc.withNames(i):
-			s.cursors[ev.Device] = events.Stamp{Day: ev.Day, ID: ev.ID}
-			accepted++
-		default:
+		// was. Handlers send only under s.mu and the service only drains, so
+		// the room seen here is still there for the send.
+		if len(src.ch) == cap(src.ch) {
 			backpressured = true
-		}
-		if backpressured {
 			break
 		}
+		src.ch <- sc.withNames(i)
+		s.cursors[ev.Device] = events.Stamp{Day: ev.Day, ID: ev.ID}
+		accepted++
 	}
 	// The batch waits on its own entry: applied reaching its last ordinal
 	// implies every earlier admission applied too — including the original

@@ -21,8 +21,8 @@ import (
 //
 //   - A base captures the service's complete state at a day boundary:
 //     every device's budget-ledger lanes (slots and the requested marks
-//     beside them), the live device-epoch
-//     records of the event store, the incremental planner's cursor
+//     beside them), every live event of the event store, the incremental
+//     planner's cursor
 //     (per-stream pending conversions, sequence numbers, caps), the
 //     aggregation service's nonce watermark and consumed set,
 //     both noise-stream RNG states, the central ledger (IPA-like runs),
@@ -54,8 +54,10 @@ import (
 // each device's blob, beside the ledger slots they describe, and the third
 // section that held them is gone. v6: ledger slots no longer carry a
 // capacity (the fingerprint pins ε^G), and the head lost the keys only the
-// retired filter-release mode or the retired ingest queue wrote.
-const snapSchemaVersion = 6
+// retired filter-release mode or the retired ingest queue wrote. v7: the
+// second section is the event log, not key-sorted records; restore still
+// reads schema 6 (snapSchemaRecords), which compaction never sees.
+const snapSchemaVersion, snapSchemaRecords = 7, 6
 
 // snapConfig is the scenario fingerprint stored in every snapshot. Resuming
 // under a different scenario would silently diverge from the original run,
@@ -106,7 +108,7 @@ func (s *Service) snapConfig() snapConfig {
 	return sc
 }
 
-// The two bulk sections hold one self-contained blob per key (layout and
+// The devices section holds one self-contained blob per device (layout and
 // framing in delta.go). Hand-rolled fixed layouts here: the fleet's slot
 // table and the event store dominate a snapshot's bytes, and reflective
 // encoding there would dominate its cost.
@@ -457,7 +459,9 @@ func ResumeFrom(cfg Config, dir string) (*Service, error) {
 		if err := s.restore(opened); err != nil {
 			return nil, err
 		}
-		s.headGen, s.headFP, s.headDeltas = chain.Gen, chain.FP, chain.Deltas
+		if opened.schema == snapSchemaVersion { // a schema-6 chain gets no delta: Serve re-anchors
+			s.headGen, s.headFP, s.headDeltas = chain.Gen, chain.FP, chain.Deltas
+		}
 		restored = true
 	}
 	maxGen, err := st.MaxGen()
@@ -570,22 +574,7 @@ func (s *Service) restore(c *snapChain) error {
 		return err
 	}
 
-	// Event store: live records re-recorded in their stored (Day, ID)
-	// order. The admission observer sees every restored event, so an
-	// external admission layer rebuilds its dedupe cursors from the same
-	// durable state the service resumes from.
-	err := c.merge(secRecords, func(key DevEpoch, blob, _ []byte) error {
-		evs, err := events.UnmarshalEvents(blob)
-		if err != nil {
-			return fmt.Errorf("stream: record %d/%d: %w", key.Device, key.Epoch, err)
-		}
-		for _, ev := range evs {
-			s.db.Record(key.Epoch, ev)
-			s.observeAdmit(ev, false)
-		}
-		return nil
-	})
-	if err != nil {
+	if err := s.restoreEvents(c); err != nil {
 		return err
 	}
 
@@ -648,6 +637,40 @@ func (s *Service) restore(c *snapChain) error {
 		s.observeResult(s.run.Results[len(s.run.Results)-1])
 	}
 	return nil
+}
+
+// restoreEvents re-records the chain's live events — a schema-7 chain's logs
+// in order, a schema-6 chain's records merged by key — and shows each to the
+// admission observer, so an external admission layer rebuilds its dedupe
+// cursors from the durable state the service resumes from.
+func (s *Service) restoreEvents(c *snapChain) error {
+	record := func(e events.Epoch, ev events.Event) {
+		s.db.Record(e, ev)
+		s.observeAdmit(ev, false)
+	}
+	if c.schema == snapSchemaRecords {
+		return c.merge(secEvents, func(key DevEpoch, blob, _ []byte) error {
+			evs, err := events.UnmarshalEvents(blob)
+			if err != nil {
+				return fmt.Errorf("stream: record %d/%d: %w", key.Device, key.Epoch, err)
+			}
+			for _, ev := range evs {
+				record(key.Epoch, ev)
+			}
+			return nil
+		})
+	}
+	return c.log(func(e events.Epoch, enc, _ []byte) error {
+		ev, rest, err := events.DecodeBinary(enc)
+		if err == nil && len(rest) != 0 {
+			err = fmt.Errorf("%d trailing bytes", len(rest))
+		}
+		if err != nil {
+			return fmt.Errorf("stream: logged event: %w", err)
+		}
+		record(e, ev)
+		return nil
+	})
 }
 
 // inSpan refuses a restored epoch no query window of this scenario can

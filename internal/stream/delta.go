@@ -16,30 +16,34 @@ import (
 // Snapshot payloads and their fold (DESIGN.md §8). A cadence tick does not
 // serialize the whole service: the service tracks which state changed since
 // the previous capture — device ledgers by mutation version over the devices
-// flushed batches touched, event-store records by per-epoch dirty list,
-// planner streams by dirty set, results by high-water mark — and
+// flushed batches touched, the event store by the log of the events that
+// entered it, planner streams by dirty set, results by high-water mark — and
 // captures only that, chained to its parent generation by fingerprint. A
-// full snapshot is the same encoder with everything dirty.
+// full snapshot is the same encoder with everything dirty: every device,
+// and every live event logged in one walk of the store.
 //
-// Payload layout (schema 6, little-endian):
+// Payload layout (schema 7, little-endian):
 //
 //	u32 schema | u32 headLen | head (JSON snapHead)
-//	2 × section: u32 byteLen | entries          devices, records
-//	entry:       u64 device | u32 epoch (two's complement) | u32 blobLen | blob
+//	u32 byteLen | device entries
+//	u32 byteLen | event log
+//	device entry: u64 device | u32 0 | u32 blobLen | blob
+//	log entry:    u32 len | event (events.AppendBinary, the WAL's encoding)
 //
-// Entries are strictly ascending by (device, epoch) within a section
-// (devices entries carry epoch 0) and self-contained, so a chain folds by
-// one k-way merge per section that copies bytes and decodes nothing.
-// snapChain.merge is the single definition of what a delta means: per key
-// the newest generation's entry wins, and records below the newest head's
-// eviction floor are dropped. Base compaction writes that merge out;
-// recovery streams it into place; folding a chain reproduces, byte for byte,
-// the full snapshot the service would have written at the head capture.
+// Device entries are strictly ascending by device and self-contained, so
+// the chain's devices fold by one k-way merge that copies bytes: per device
+// the newest generation's entry wins. The event log is the store's history,
+// the delta's the bytes the WAL already encoded, so the chain's logs fold by
+// concatenation, dropping the events below the newest head's eviction
+// floor. snapChain is the single definition of what a delta means: base
+// compaction writes its fold out, recovery re-records it. Schema 6, whose
+// second section held key-sorted records, is still restored (by merge), and
+// a run resumed from it writes a schema-7 base before its first delta.
 
 // The two bulk sections, in payload order.
 const (
 	secDevices = iota
-	secRecords
+	secEvents  // the event log; schema 6's key-sorted records
 	numSections
 )
 
@@ -81,7 +85,7 @@ func (s *Service) resetDirtyTracking() {
 	if s.cfg.SnapshotEveryDays == 0 {
 		return
 	}
-	s.db.TrackDirty(true)
+	s.evlog = s.evlog[:0]
 	s.plan.trackDirty()
 	s.touched, s.ledgerVers = nil, make(map[events.DeviceID]uint64)
 	s.fleet.Range(func(d *core.Device) bool {
@@ -94,7 +98,7 @@ func (s *Service) resetDirtyTracking() {
 // dropDirtyTracking disarms the trackers once no delta can follow (after
 // the final base), so a finished service holds no dirty state.
 func (s *Service) dropDirtyTracking() {
-	s.db.TrackDirty(false)
+	s.evlog, s.spareLog = nil, nil
 	s.plan.dirty = nil
 	s.touched, s.ledgerVers = nil, nil
 }
@@ -116,26 +120,28 @@ func (s *Service) rangeTouched(fn func(*core.Device) bool) {
 	s.touched = s.touched[:0]
 }
 
-// recordView is one event-store record a capture lends to its encoder: the
-// key and the store's own slice of the record's events.
-type recordView struct {
-	key DevEpoch
-	evs []events.Event
+// logEvent appends an event that entered the store to the period's event
+// log while a delta can follow: the WAL record logWAL just encoded, past its
+// sequence number. WAL replay logs nothing, so it encodes the record here.
+func (s *Service) logEvent(ev events.Event) {
+	if s.ledgerVers != nil {
+		if s.replaying {
+			s.walBuf = encodeWALRecord(s.walBuf, 0, ev)
+		}
+		s.evlog = binary.LittleEndian.AppendUint32(s.evlog, uint32(len(s.walBuf)-8))
+		s.evlog = append(s.evlog, s.walBuf[8:]...)
+	}
 }
 
-// capture encodes one snapshot payload up to its records section and
-// resolves the records that section holds to their views; appendRecords
-// finishes the payload. A full capture (delta false) holds the complete
-// service state; a delta holds what changed since the previous capture and
-// advances the dirty baselines. Scalars, the central ledger, and the
-// replay-protection set are captured whole either way — they are small and
-// change every day. Every producer (Fleet.Range or rangeTouched, Keys or
-// DrainDirty) yields keys in order, so entries are encoded straight into the
-// one buffer the caller hands to the store or the background writer, and a
-// delta costs what changed, not the population. The service keeps no
-// reference to the buffer. Caller guarantees quiescence, and that the views
-// are encoded before Record next runs or lent to the encoder (Database.Lend).
-func (s *Service) capture(delta bool) ([]byte, []recordView, error) {
+// capture encodes one snapshot payload, which the service keeps no
+// reference to: a full capture (delta false) holds the complete service
+// state in one buffer; a delta holds what changed since the previous
+// capture — the touched devices, in ID order, then the period's event log,
+// handed over as the payload's second part, uncopied — and advances the
+// dirty baselines. Scalars, the central ledger, and the replay-protection
+// set are captured whole either way: they are small and change every day.
+// Caller guarantees quiescence.
+func (s *Service) capture(delta bool) (buf, log []byte, err error) {
 	head := s.scalarSnap()
 
 	// Planner cursor, in (site, product) order.
@@ -160,8 +166,7 @@ func (s *Service) capture(delta bool) ([]byte, []recordView, error) {
 	}
 	head.Results = appendResultStates(nil, s.run.Results[from:])
 
-	buf, err := appendHead(make([]byte, 0, s.captureHint), head)
-	if err != nil {
+	if buf, err = appendHead(make([]byte, 0, s.captureHint), head); err != nil {
 		return nil, nil, err
 	}
 
@@ -183,55 +188,46 @@ func (s *Service) capture(delta bool) ([]byte, []recordView, error) {
 	})
 	closeLen(buf, sec)
 
-	// Event store: live device-epoch records. The keys and their views are
-	// taken now, since the next Record may move a record or grow the index.
-	records := s.db.Keys
+	// Event store: a delta's log is the events that entered it since the
+	// last capture, in arrival order, and the next period logs into the
+	// buffer the writer handed back; a full capture logs every live event,
+	// record by record in (device, epoch) order.
+	buf, sec = openLen(buf)
 	if delta {
-		records = s.db.DrainDirty
+		binary.LittleEndian.PutUint32(buf[sec:], uint32(len(s.evlog)))
+		s.captureHint = len(buf) + len(buf)/8
+		log, s.evlog, s.spareLog = s.evlog, s.spareLog[:0], nil
+		return buf, log, nil
 	}
-	keys := records()
-	recs := make([]recordView, len(keys))
-	for i, key := range keys {
-		recs[i] = recordView{key, s.db.EpochEvents(key.Device, key.Epoch)}
-	}
-	return buf, recs, nil
-}
-
-// appendRecords appends the records section of a payload capture began.
-// It reads only the views, so the background writer runs it for deltas
-// while ingest goes on.
-func appendRecords(buf []byte, recs []recordView) []byte {
-	buf, sec := openLen(buf)
-	for _, r := range recs {
-		var mark int
-		buf, mark = openEntry(buf, r.key)
-		buf = events.AppendEvents(buf, r.evs)
-		closeLen(buf, mark)
+	for _, key := range s.db.Keys() {
+		for _, ev := range s.db.EpochEvents(key.Device, key.Epoch) {
+			var mark int
+			buf, mark = openLen(buf)
+			buf = events.AppendBinary(buf, ev)
+			closeLen(buf, mark)
+		}
 	}
 	closeLen(buf, sec)
-	return buf
+	return buf, nil, nil
 }
 
 // fullSnapshot encodes the service's complete state as one payload, on the
 // calling goroutine. Caller guarantees quiescence.
 func (s *Service) fullSnapshot() ([]byte, error) {
-	buf, recs, err := s.capture(false)
-	if err != nil {
-		return nil, err
-	}
-	buf = appendRecords(buf, recs)
-	s.captureHint = len(buf) + len(buf)/8
-	return buf, nil
+	buf, _, err := s.capture(false)
+	return buf, err
 }
 
-// snapParts is one parsed payload: its decoded head and raw sections.
+// snapParts is one parsed payload: its schema, decoded head and raw
+// sections.
 type snapParts struct {
-	head *snapHead
-	sec  [numSections][]byte
+	schema uint32
+	head   *snapHead
+	sec    [numSections][]byte
 }
 
 // parsePayload splits and bounds-checks one payload. Section contents are
-// validated by the merge that walks them.
+// validated by the walks over them.
 func parsePayload(p []byte) (*snapParts, error) {
 	if len(p) > 0 && p[0] == '{' {
 		// Schemas 1–3 were one JSON document.
@@ -244,14 +240,14 @@ func parsePayload(p []byte) (*snapParts, error) {
 	if len(p) < 4 {
 		return nil, fmt.Errorf("stream: truncated snapshot payload (%d bytes)", len(p))
 	}
-	if v := binary.LittleEndian.Uint32(p); v != snapSchemaVersion {
+	parts := &snapParts{schema: binary.LittleEndian.Uint32(p), head: new(snapHead)}
+	if v := parts.schema; v != snapSchemaVersion && v != snapSchemaRecords {
 		return nil, fmt.Errorf("stream: unsupported snapshot schema %d", v)
 	}
 	raw, rest, err := cutString(p[4:])
 	if err != nil {
 		return nil, fmt.Errorf("stream: snapshot head: %w", err)
 	}
-	parts := &snapParts{head: new(snapHead)}
 	if err := json.Unmarshal(raw, parts.head); err != nil {
 		return nil, fmt.Errorf("stream: decoding snapshot head: %w", err)
 	}
@@ -273,10 +269,12 @@ func parsePayload(p []byte) (*snapParts, error) {
 }
 
 // snapChain is a generation chain opened for folding: every payload parsed
-// (base first, then each delta in chain order) and the heads folded.
+// (base first, then each delta in chain order, all of one schema) and the
+// heads folded.
 type snapChain struct {
-	parts []*snapParts
-	head  *snapHead
+	parts  []*snapParts
+	schema uint32
+	head   *snapHead
 }
 
 // openChain parses a chain's payloads and folds their heads: scalars and the
@@ -291,7 +289,10 @@ func openChain(payloads [][]byte) (*snapChain, error) {
 		if err != nil {
 			return nil, fmt.Errorf("stream: decoding chain generation %d: %w", i, err)
 		}
-		c.parts = append(c.parts, parts)
+		if i > 0 && parts.schema != c.schema {
+			return nil, fmt.Errorf("stream: chain generation %d has schema %d, its base %d", i, parts.schema, c.schema)
+		}
+		c.parts, c.schema = append(c.parts, parts), parts.schema
 		for _, ss := range parts.head.Streams {
 			streams[[2]string{ss.Site, ss.Product}] = ss
 		}
@@ -306,24 +307,60 @@ func openChain(payloads [][]byte) (*snapChain, error) {
 	return c, nil
 }
 
-// merge folds one section across the chain, handing emit each surviving
-// entry in key order: its key, its blob, and its raw bytes (header
-// included) for verbatim copy.
+// merge folds one key-sorted section across the chain — the devices, or a
+// schema-6 chain's records — handing emit each surviving entry in key
+// order: its key, its blob, and its raw bytes (header included) for
+// verbatim copy.
 func (c *snapChain) merge(sec int, emit func(key DevEpoch, blob, raw []byte) error) error {
 	secs := make([][]byte, len(c.parts))
 	for i, p := range c.parts {
 		secs[i] = p.sec[sec]
 	}
 	floor := events.Epoch(math.MinInt32)
-	if sec == secRecords {
+	if sec == secEvents {
 		floor = events.Epoch(c.head.EvictFloor)
 	}
 	return mergeSections(secs, floor, emit)
 }
 
+// log walks the chain's event logs, oldest generation first and each in
+// its own order, handing emit every event at an epoch at or above the
+// newest head's eviction floor: its epoch, its encoding, and its raw entry
+// (length prefix included) for verbatim copy. Every length is bounds-checked
+// against its section; an event's bytes are decoded only as far as its day.
+func (c *snapChain) log(emit func(e events.Epoch, ev, raw []byte) error) error {
+	days := c.head.Config.EpochDays
+	if days <= 0 {
+		return fmt.Errorf("stream: snapshot head has epoch length %d", days)
+	}
+	floor := events.Epoch(c.head.EvictFloor)
+	for _, p := range c.parts {
+		for rest := p.sec[secEvents]; len(rest) > 0; {
+			ev, next, err := cutString(rest)
+			if err != nil {
+				return fmt.Errorf("stream: event log: %w", err)
+			}
+			day, ok := events.BinaryDay(ev)
+			if !ok {
+				return fmt.Errorf("stream: logged event of %d bytes", len(ev))
+			}
+			if e := events.EpochOfDay(day, days); e >= floor {
+				if err := emit(e, ev, rest[:len(rest)-len(next)]); err != nil {
+					return err
+				}
+			}
+			rest = next
+		}
+	}
+	return nil
+}
+
 // encode writes the folded chain out as one full payload — the compacted
-// base.
+// base: the devices merged, the logs concatenated above the floor.
 func (c *snapChain) encode() ([]byte, error) {
+	if c.schema != snapSchemaVersion {
+		return nil, fmt.Errorf("stream: compaction folds schema %d chains, not %d", snapSchemaVersion, c.schema)
+	}
 	size := 0
 	for _, p := range c.parts {
 		for _, sec := range p.sec {
@@ -334,19 +371,27 @@ func (c *snapChain) encode() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	for sec := 0; sec < numSections; sec++ {
-		var mark int
-		buf, mark = openLen(buf)
-		err := c.merge(sec, func(_ DevEpoch, _, raw []byte) error {
-			buf = append(buf, raw...)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		closeLen(buf, mark)
+	buf, mark := openLen(buf)
+	err = c.merge(secDevices, func(_ DevEpoch, _, raw []byte) error {
+		buf = append(buf, raw...)
+		return nil
+	})
+	closeLen(buf, mark)
+	if buf, mark = openLen(buf); err == nil {
+		buf, err = c.appendLog(buf)
 	}
-	return buf, nil
+	closeLen(buf, mark)
+	return buf, err
+}
+
+// appendLog appends the chain's folded event log: the logs concatenated,
+// oldest first, without the events below the floor.
+func (c *snapChain) appendLog(buf []byte) ([]byte, error) {
+	err := c.log(func(_ events.Epoch, _, raw []byte) error {
+		buf = append(buf, raw...)
+		return nil
+	})
+	return buf, err
 }
 
 // foldChain folds a generation chain's payloads into one full payload.

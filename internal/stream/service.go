@@ -258,13 +258,17 @@ type Service struct {
 	gcBytes  int
 	// Dirty-state baselines for delta capture (delta.go): per-device
 	// ledger versions (requested marks move them too), the devices of every
-	// batch flushed since the previous capture (repeats included), and the
-	// results high-water mark. nil ledgerVers means tracking is disarmed.
+	// batch flushed since the previous capture (repeats included), the event
+	// log since then, and the results high-water mark. nil ledgerVers means
+	// tracking is disarmed. spareLog is the log buffer the writer handed
+	// back, which the next period logs into.
 	ledgerVers  map[events.DeviceID]uint64
 	touched     []events.DeviceID
+	evlog       []byte
+	spareLog    []byte
 	resultsMark int
-	// captureHint pre-sizes the next capture's buffer from the last
-	// payload's size.
+	// captureHint pre-sizes the next capture's buffer from the last delta's
+	// head and devices.
 	captureHint int
 	// skip counts source events already covered by the restored durable
 	// state; Serve discards that prefix before going live (the source
@@ -432,7 +436,9 @@ func (s *Service) openDurability() error {
 		// first cadence snapshot; a resumed run whose recovery refused every
 		// generation on disk (state rebuilt from WAL replay and the source
 		// alone) re-anchors the chain, because deltas need an intact parent
-		// and the next recovery must not depend on a second full replay.
+		// and the next recovery must not depend on a second full replay; so
+		// does a run resumed from a schema-6 chain, which no delta of this
+		// schema may extend.
 		if err := s.writeBase(walGen); err != nil {
 			return err
 		}
@@ -481,9 +487,8 @@ func (s *Service) harvestSnap() error {
 	if res.err != nil {
 		return res.err
 	}
-	s.headGen, s.headFP = res.gen, res.fp
+	s.headGen, s.headFP, s.spareLog = res.gen, res.fp, res.log
 	s.run.Durability.DeltaBytes += int64(res.bytes)
-	s.captureHint = res.bytes + res.bytes/8
 	return s.fault(PointSnapshotCommitted)
 }
 
@@ -622,9 +627,11 @@ func (s *Service) logWAL(ev events.Event) error {
 	return nil
 }
 
-// ingest records one event and routes conversions to the planner.
+// ingest records one event, logs it for the next delta, and routes
+// conversions to the planner.
 func (s *Service) ingest(ev events.Event) {
 	s.db.Record(events.EpochOfDay(ev.Day, s.cfg.EpochDays), ev)
+	s.logEvent(ev)
 	s.run.EventsIngested++
 	if ev.IsConversion() {
 		s.admit(ev)
@@ -669,10 +676,9 @@ func (s *Service) endOfDay(nextDay int) error {
 // rotateCheckpoint is the cadence tick: harvest the previous generation's
 // commit, decide whether this delta is compacted (harvesting the previous
 // compaction first), capture the state dirtied since, rotate the WAL to the
-// capture's numbered segment, and hand the delta to the background writer,
-// lending it the dirty records' views. Only the capture and rotation pause
-// ingest — the records' encoding, the write, the fsync and any compaction
-// happen off the ingest thread.
+// capture's numbered segment, and hand the delta to the background writer.
+// Only the capture and rotation pause ingest — the write, the fsync and any
+// compaction happen off the ingest thread.
 //
 // Order matters for crash safety: the old segment syncs before the capture
 // is enqueued, so by the time the new generation can exist on disk, every
@@ -706,9 +712,9 @@ func (s *Service) rotateCheckpoint() error {
 	// Counted before the capture, so the generation's own head includes it
 	// and a run resumed from it reports the capture that produced it.
 	s.run.Durability.SnapshotCaptures++
-	job := snapJob{gen: gen, parentFP: s.headFP, compact: compact, encoded: make(chan struct{})}
+	job := snapJob{gen: gen, parentFP: s.headFP, compact: compact}
 	var err error
-	if job.prefix, job.recs, err = s.capture(true); err != nil {
+	if job.prefix, job.log, err = s.capture(true); err != nil {
 		return err
 	}
 	if err := s.wal.Sync(); err != nil {
@@ -737,7 +743,6 @@ func (s *Service) rotateCheckpoint() error {
 	if err := s.fault(PointDeltaCaptured); err != nil {
 		return err
 	}
-	s.db.Lend(job.encoded)
 	s.writer.enqueue(job)
 	s.snapPending = true
 	s.compactPending = s.compactPending || compact

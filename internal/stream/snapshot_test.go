@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -129,6 +130,136 @@ func TestFoldExhaustive(t *testing.T) {
 	t.Logf("%d folds", folds)
 }
 
+// TestEventLogFoldExhaustive enumerates every chain of up to three payloads
+// — a base, then deltas — whose event logs hold up to two events each over
+// 2 devices × 3 epochs, under every eviction floor. Each chain, restored into
+// a fresh store, must match a map model: per record, the events at or above
+// the floor in (Day, ID) order, ties in arrival order. Compaction's fold of
+// the chain, restored, must give the same store. Generation g's events carry
+// ID 9-g, so a later generation's event sorts before an earlier one's in its
+// record and restore inserts in place; a log's two events tie on (Day, ID),
+// and their values tell arrival order apart. The fold is the log section
+// compaction writes (snapChain.appendLog); TestFoldMatchesSnapshotAtEveryTick
+// restores whole compacted payloads.
+func TestEventLogFoldExhaustive(t *testing.T) {
+	const epochDays, maxEvents = 7, 2
+	type slot struct {
+		dev   events.DeviceID
+		epoch events.Epoch
+	}
+	var slots []slot
+	for dev := events.DeviceID(1); dev <= 2; dev++ {
+		for e := events.Epoch(0); e < 3; e++ {
+			slots = append(slots, slot{dev, e})
+		}
+	}
+	event := func(g, i int, s slot) events.Event {
+		return events.Event{ID: events.EventID(9 - g), Kind: events.KindImpression, Device: s.dev,
+			Day: int(s.epoch) * epochDays, Value: float64(10*g + i)}
+	}
+	// logs lists every log a generation can carry, as slot indices.
+	logs := [][]int{nil}
+	for n := 1; n <= maxEvents; n++ {
+		for _, l := range logs {
+			if len(l) == n-1 {
+				for k := range slots {
+					logs = append(logs, append(slices.Clone(l), k))
+				}
+			}
+		}
+	}
+	maxLen := 3
+	if testing.Short() {
+		maxLen = 2
+	}
+	// encoded[g][l] is log l as generation g writes it.
+	encoded := make([][][]byte, maxLen)
+	for g := range encoded {
+		for _, l := range logs {
+			var buf []byte
+			for i, k := range l {
+				ev := events.AppendBinary(nil, event(g, i, slots[k]))
+				buf = append(binary.LittleEndian.AppendUint32(buf, uint32(len(ev))), ev...)
+			}
+			encoded[g] = append(encoded[g], buf)
+		}
+	}
+	restored := func(c *snapChain) (*events.Database, error) {
+		svc := &Service{Engine: &Engine{db: events.NewDatabase()}}
+		return svc.db, svc.restoreEvents(c)
+	}
+	var model [6][]events.Event // by slot index
+	var chain []int
+	var floor events.Epoch
+	label := func(what string) string { return fmt.Sprintf("chain %v floor %d: %s", chain, floor, what) }
+	check := func(what string, db *events.Database) {
+		t.Helper()
+		records := 0
+		for k, s := range slots {
+			if len(model[k]) > 0 {
+				records++
+			}
+			if got := db.EpochEvents(s.dev, s.epoch); !slices.Equal(got, model[k]) {
+				t.Fatalf("%s record %v = %v, model %v", label(what), s, got, model[k])
+			}
+		}
+		if db.NumRecords() != records {
+			t.Fatalf("%s %d records, model %d", label(what), db.NumRecords(), records)
+		}
+	}
+	byDayID := func(a, b events.Event) int { return cmp.Or(cmp.Compare(a.Day, b.Day), cmp.Compare(a.ID, b.ID)) }
+	folds := 0
+	var walk func()
+	walk = func() {
+		if len(chain) > 0 {
+			for floor = 0; floor <= 3; floor++ {
+				c := &snapChain{schema: snapSchemaVersion, head: &snapHead{
+					Config: snapConfig{EpochDays: epochDays}, EvictFloor: int32(floor)}}
+				for k := range model {
+					model[k] = model[k][:0]
+				}
+				for g, l := range chain {
+					c.parts = append(c.parts, &snapParts{schema: snapSchemaVersion, sec: [numSections][]byte{secEvents: encoded[g][l]}})
+					for i, k := range logs[l] {
+						if s := slots[k]; s.epoch >= floor {
+							model[k] = append(model[k], event(g, i, s))
+						}
+					}
+				}
+				for k := range model {
+					slices.SortStableFunc(model[k], byDayID)
+				}
+				db, err := restored(c)
+				if err != nil {
+					t.Fatalf("%s %v", label("restore"), err)
+				}
+				check("restored", db)
+				log, err := c.appendLog(nil)
+				if err != nil {
+					t.Fatalf("%s %v", label("fold"), err)
+				}
+				folded := &snapChain{schema: snapSchemaVersion, head: c.head,
+					parts: []*snapParts{{schema: snapSchemaVersion, sec: [numSections][]byte{secEvents: log}}}}
+				if db, err = restored(folded); err != nil {
+					t.Fatalf("%s %v", label("restoring the fold"), err)
+				}
+				check("fold restored", db)
+				folds++
+			}
+		}
+		if len(chain) == maxLen {
+			return
+		}
+		for l := range logs {
+			chain = append(chain, l)
+			walk()
+			chain = chain[:len(chain)-1]
+		}
+	}
+	walk()
+	t.Logf("%d folds", folds)
+}
+
 // hostileTrace is a seeded synthetic trace with late re-deliveries mixed in:
 // long enough for retention to evict epochs, messy enough for LateDrop to
 // leave drop marks.
@@ -160,9 +291,11 @@ func hostileTrace(t *testing.T, seed int64) (dataset.Meta, []events.Event) {
 	return src.Meta(), evs
 }
 
-// sameButClocks compares two payloads byte for byte, except that the stall
+// sameButClocks compares two payloads byte for byte, except for two
+// readings no restore can reproduce, zeroed on both sides first: the stall
 // maxima — wall-clock readings the cadence tick updates between its capture
-// and the fault point a test can observe — are zeroed on both sides first.
+// and the fault point a test can observe — and the nonce floor, the
+// process-wide counter that a live run in the same process goes on raising.
 func sameButClocks(t *testing.T, label string, got, want []byte) {
 	t.Helper()
 	a, err := parsePayload(got)
@@ -175,6 +308,7 @@ func sameButClocks(t *testing.T, label string, got, want []byte) {
 	}
 	for _, h := range []*snapHead{a.head, b.head} {
 		h.Durability.MaxSnapshotStall, h.Durability.MaxCaptureStall = 0, 0
+		h.NonceFloor = 0
 	}
 	ha, _ := json.Marshal(a.head)
 	hb, _ := json.Marshal(b.head)
@@ -188,40 +322,73 @@ func sameButClocks(t *testing.T, label string, got, want []byte) {
 	}
 }
 
+// restoredSnapshot restores a chain into a fresh service for cfg's scenario
+// and returns that service's full snapshot and the chain's folded head.
+func restoredSnapshot(cfg Config, payloads [][]byte) ([]byte, *snapHead, error) {
+	c, err := openChain(payloads)
+	if err != nil {
+		return nil, nil, err
+	}
+	fresh, err := New(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := fresh.restore(c); err != nil {
+		return nil, nil, err
+	}
+	p, err := fresh.fullSnapshot()
+	return p, c.head, err
+}
+
 // TestFoldMatchesSnapshotAtEveryTick is the service-level property: at every
 // cadence tick of a run with eviction, late drops and base compactions, the
-// fold of the chain on disk is the encoding of the full snapshot taken at
-// that tick's capture.
+// chain on disk — and compaction's fold of it — restored into a fresh
+// service gives the full snapshot the live service took at the previous
+// tick's capture.
 func TestFoldMatchesSnapshotAtEveryTick(t *testing.T) {
 	meta, evs := hostileTrace(t, 11)
+	scenario := Config{Source: &fakeSource{meta: meta}, EpsilonG: 2, Seed: 5, LatePolicy: LateDrop}
 	var svc *Service
 	var want []byte // full snapshot at the previous tick's capture
 	compared := 0
-	cfg := Config{
-		Source: &fakeSource{meta: meta, evs: evs}, EpsilonG: 2, Seed: 5, LatePolicy: LateDrop,
-		CheckpointDir: t.TempDir(), SnapshotEveryDays: 5, BaseEveryDeltas: 3,
-		FaultHook: func(p FaultPoint) error {
-			if p != PointDeltaCaptured {
-				return nil
+	cfg := scenario
+	cfg.Source = &fakeSource{meta: meta, evs: evs}
+	cfg.CheckpointDir, cfg.SnapshotEveryDays, cfg.BaseEveryDeltas = t.TempDir(), 5, 3
+	cfg.FaultHook = func(p FaultPoint) error {
+		if p != PointDeltaCaptured {
+			return nil
+		}
+		// The previous tick's generation has been harvested, so the
+		// chain on disk ends at it (or at the base it compacted into).
+		if want != nil {
+			chain, _, err := svc.store.LoadChain(0)
+			if err != nil || chain == nil {
+				return fmt.Errorf("loading chain: %v", err)
 			}
-			// The previous tick's generation has been harvested, so the
-			// chain on disk ends at it (or at the base it compacted into).
-			if want != nil {
-				chain, _, err := svc.store.LoadChain(0)
-				if err != nil || chain == nil {
-					return fmt.Errorf("loading chain: %v", err)
-				}
-				folded, err := foldChain(chain.Payloads)
+			folded, err := foldChain(chain.Payloads)
+			if err != nil {
+				return err
+			}
+			wantHead, err := parsePayload(want)
+			if err != nil {
+				return err
+			}
+			for name, payloads := range map[string][][]byte{"chain": chain.Payloads, "fold": {folded}} {
+				got, head, err := restoredSnapshot(scenario, payloads)
 				if err != nil {
-					return err
+					return fmt.Errorf("restoring the %s: %w", name, err)
 				}
-				sameButClocks(t, fmt.Sprintf("tick %d (%d deltas)", compared, chain.Deltas), folded, want)
-				compared++
+				label := fmt.Sprintf("tick %d (%s of %d deltas)", compared, name, chain.Deltas)
+				if head.NonceFloor != wantHead.head.NonceFloor {
+					t.Fatalf("%s: nonce floor %d, live %d", label, head.NonceFloor, wantHead.head.NonceFloor)
+				}
+				sameButClocks(t, label, got, want)
 			}
-			var err error
-			want, err = svc.fullSnapshot()
-			return err
-		},
+			compared++
+		}
+		var err error
+		want, err = svc.fullSnapshot()
+		return err
 	}
 	var err error
 	if svc, err = New(cfg); err != nil {
@@ -261,7 +428,7 @@ func TestDirtyTrackingArmedOnlyForDeltas(t *testing.T) {
 		}
 	}
 	tracking := func(s *Service) bool {
-		return s.ledgerVers != nil || s.touched != nil || s.plan.dirty != nil || s.db.DrainDirty() != nil
+		return s.ledgerVers != nil || s.touched != nil || s.plan.dirty != nil || s.evlog != nil || s.spareLog != nil
 	}
 	for _, every := range []int{0, 5} {
 		dir := t.TempDir()
@@ -367,18 +534,25 @@ func samplePayloads(t testing.TB, central bool) (base, delta []byte) {
 	return base, delta
 }
 
-// corruptions derives the named rejected seeds from a valid base payload.
+// corruptions derives the named rejected seeds from a valid base payload:
+// the devices section's framing, keys and epochs, then the event log's
+// framing and contents.
 func corruptions(t testing.TB, base []byte) map[string][]byte {
 	t.Helper()
 	parts, err := parsePayload(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Offsets of the devices section's length prefix and first two entries.
-	off := len(base) - len(parts.sec[secRecords]) - 4 - len(parts.sec[secDevices]) - 4
+	// Offsets of the devices section's length prefix and first two entries,
+	// and of the event log's first entry.
+	off := len(base) - len(parts.sec[secEvents]) - 4 - len(parts.sec[secDevices]) - 4
 	first := off + 4
 	n := int(binary.LittleEndian.Uint32(base[first+12:]))
 	second := first + entryHeaderLen + n
+	logged := first + len(parts.sec[secDevices]) + 4
+	if len(parts.sec[secEvents]) == 0 {
+		t.Fatal("base payload logs no event")
+	}
 	mutate := func(fn func(p []byte)) []byte {
 		p := bytes.Clone(base)
 		fn(p)
@@ -417,15 +591,17 @@ func corruptions(t testing.TB, base []byte) map[string][]byte {
 		}),
 		"duplicate-key":   mutate(func(p []byte) { copy(p[second:second+8], p[first:first+8]) }),
 		"oversized-count": mutate(func(p []byte) { binary.LittleEndian.PutUint32(p[first+12:], 1<<31) }),
-		// The first record's epoch pushed below the head's eviction floor.
-		"record-below-floor": mutate(func(p []byte) {
-			binary.LittleEndian.PutUint32(p[off+4+len(parts.sec[secDevices])+4+8:], 1<<31)
-		}),
 		// Well-formed throughout: only restore, which knows the scenario's
 		// epoch span, can refuse it.
 		"wild-slot-epoch":      mutate(func(p []byte) { binary.LittleEndian.PutUint32(p[slotEpoch:], 1<<30) }),
 		"wild-requested-epoch": mutate(func(p []byte) { binary.LittleEndian.PutUint32(p[markEpoch:], 1<<30) }),
 		"schema-3-json":        []byte(`{"schema":3,"config":{"epochDays":7},"devices":[],"records":[],"results":[]}`),
+		// The first logged event's length reaches past the log.
+		"log-overrun": mutate(func(p []byte) { binary.LittleEndian.PutUint32(p[logged:], 1<<31) }),
+		// The first logged event's publisher claims more bytes than the
+		// event holds: the day still reads, so only restore can refuse it.
+		"log-undecodable": mutate(func(p []byte) { binary.LittleEndian.PutUint32(p[logged+4+25:], 1<<20) }),
+		"log-trailing":    append(bytes.Clone(base), 0, 0, 0),
 	}
 }
 
@@ -454,43 +630,54 @@ var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz/Fuzz
 const snapCorpusDir = "testdata/fuzz/FuzzSnapPayload"
 
 // TestSnapCorpus keeps the checked-in fuzz seeds honest: the valid ones must
-// still be accepted by this decoder and restore into a fresh fleet, and an
-// IPA-like one's central rows into a fresh central ledger (a head field added
-// without regenerating them would quietly turn them into rejects), the broken
-// ones still refused for the reason their name gives — and a refusal at
-// restore comes before any ledger lane, requested mark or central row exists.
+// still be accepted by this decoder and restore into a fresh service — a
+// schema-7 one also folding to itself — and an IPA-like one's central rows
+// into a fresh central ledger (a head field added without regenerating them
+// would quietly turn them into rejects), the broken ones still refused for
+// the reason their name gives — and a refusal of the devices section or the
+// central rows comes before any ledger lane, requested mark or central row
+// exists. The unprefixed seeds are schema 6, written before the event log
+// replaced the records section; the v7- ones are schema 7.
 func TestSnapCorpus(t *testing.T) {
 	if *updateCorpus {
 		base, delta := samplePayloads(t, false)
-		seeds := corruptions(t, base)
-		seeds["valid-base"], seeds["valid-delta"] = base, delta
-		centralBase, _ := samplePayloads(t, true)
-		seeds["valid-central-base"], seeds["wild-central-epoch"] = centralBase, wildCentralEpoch(t, centralBase)
+		all := corruptions(t, base)
+		seeds := map[string][]byte{"valid-base": base, "valid-delta": delta}
+		for _, name := range []string{"log-overrun", "log-undecodable", "log-trailing"} {
+			seeds[name] = all[name]
+		}
+		seeds["valid-central-base"], _ = samplePayloads(t, true)
 		for name, p := range seeds {
 			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", p)
-			if err := os.WriteFile(filepath.Join(snapCorpusDir, name), []byte(body), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(snapCorpusDir, "v7-"+name), []byte(body), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	for name, wantErr := range map[string]string{
-		"valid-base":           "",
-		"valid-delta":          "",
-		"valid-central-base":   "",
-		"truncated-section":    "exceeds its",
-		"swapped-keys":         "not strictly ascending",
-		"duplicate-key":        "not strictly ascending",
-		"oversized-count":      "claims 2147483648 bytes",
-		"record-below-floor":   "below its own generation's floor",
-		"wild-slot-epoch":      "slot epoch 1073741824 outside [-5, 4]",
-		"wild-requested-epoch": "requested epoch 1073741824 outside [-5, 4]",
-		"wild-central-epoch":   "central epoch 1073741824 outside [-5, 4]",
-		"schema-3-json":        "unsupported snapshot schema 3",
+		"valid-base":            "",
+		"valid-delta":           "",
+		"valid-central-base":    "",
+		"truncated-section":     "exceeds its",
+		"swapped-keys":          "not strictly ascending",
+		"duplicate-key":         "not strictly ascending",
+		"oversized-count":       "claims 2147483648 bytes",
+		"record-below-floor":    "below its own generation's floor",
+		"wild-slot-epoch":       "slot epoch 1073741824 outside [-5, 4]",
+		"wild-requested-epoch":  "requested epoch 1073741824 outside [-5, 4]",
+		"wild-central-epoch":    "central epoch 1073741824 outside [-5, 4]",
+		"schema-3-json":         "unsupported snapshot schema 3",
+		"v7-valid-base":         "",
+		"v7-valid-delta":        "",
+		"v7-valid-central-base": "",
+		"v7-log-overrun":        "event log: stream: 2147483648-byte field exceeds its",
+		"v7-log-undecodable":    "logged event: events: string of 1048576 bytes exceeds buffer",
+		"v7-log-trailing":       "3 trailing bytes after snapshot sections",
 	} {
 		p := readSeed(t, name)
 		var out []byte
 		c, err := openChain([][]byte{p})
-		if err == nil {
+		if err == nil && c.schema == snapSchemaVersion {
 			out, err = c.encode()
 		}
 		if err == nil {
@@ -505,13 +692,17 @@ func TestSnapCorpus(t *testing.T) {
 					}
 					return true
 				})
-			} else if err = svc.restoreCentral(c.head.Central); err != nil && svc.central != nil && len(svc.central.Rows()) != 0 {
-				t.Errorf("%s: %d central rows restored before the refusal", name, len(svc.central.Rows()))
+			} else if err = svc.restoreCentral(c.head.Central); err != nil {
+				if svc.central != nil && len(svc.central.Rows()) != 0 {
+					t.Errorf("%s: %d central rows restored before the refusal", name, len(svc.central.Rows()))
+				}
+			} else {
+				err = svc.restoreEvents(c)
 			}
 		}
 		switch {
-		case wantErr == "" && (err != nil || !bytes.Equal(out, p)):
-			t.Errorf("%s: valid seed no longer folds to itself and restores: %v", name, err)
+		case wantErr == "" && (err != nil || c.schema == snapSchemaVersion && !bytes.Equal(out, p)):
+			t.Errorf("%s: valid seed no longer restores (or folds to itself): %v", name, err)
 		case wantErr != "" && (err == nil || !strings.Contains(err.Error(), wantErr)):
 			t.Errorf("%s: err = %v, want %q", name, err, wantErr)
 		}
@@ -533,12 +724,13 @@ func readSeed(t *testing.T, name string) []byte {
 }
 
 // FuzzSnapPayload holds the payload decoder to its contract: arbitrary bytes
-// never panic — alone, folded over a valid base, or handed entry by entry to
-// the blob decoders restore uses, device rows and requested marks through
+// never panic — alone, folded over a valid base, or handed section by
+// section to restore's walks, device rows and requested marks through
 // restore's epoch bound into a real ledger, central rows through it into an
-// IPA-like service's — and whatever the fold accepts it re-encodes byte for
-// byte, so the decoder cannot quietly normalize a payload this code did not
-// write.
+// IPA-like service's, logged events into a real store — and whatever the
+// fold accepts it re-encodes byte for byte, but for the logged events below
+// the head's eviction floor, which it drops, so the decoder cannot quietly
+// normalize a payload this code did not write.
 func FuzzSnapPayload(f *testing.F) {
 	base, delta := samplePayloads(f, false)
 	centralBase, _ := samplePayloads(f, true)
@@ -555,22 +747,28 @@ func FuzzSnapPayload(f *testing.F) {
 		if err != nil {
 			return
 		}
-		out, err := c.encode()
-		if err != nil {
-			return // a section failed its walk
-		}
-		if !bytes.Equal(out, p) {
-			t.Fatalf("accepted payload re-encodes to %d different bytes (from %d)", len(out), len(p))
-		}
 		// Ledger lanes are dense in the epoch: a fuzzed slot, mark or central
 		// epoch that got past restore's bound would size an array and stall the
 		// fuzzer.
 		_ = sampleService(t, nil, "", false).restoreDevices(c, make(siteIntern))
 		_ = sampleService(t, nil, "", true).restoreCentral(c.head.Central)
-		_ = c.merge(secRecords, func(_ DevEpoch, blob, _ []byte) error {
-			_, _ = events.UnmarshalEvents(blob)
-			return nil
-		})
+		_ = sampleService(t, nil, "", false).restoreEvents(c)
+		out, err := c.encode()
+		if err != nil {
+			return // a section failed its walk, or a schema-6 payload
+		}
+		if bytes.Equal(out, p) {
+			return
+		}
+		in, _ := parsePayload(p)
+		folded, err := parsePayload(out)
+		if err != nil || !bytes.Equal(folded.sec[secDevices], in.sec[secDevices]) ||
+			len(folded.sec[secEvents]) >= len(in.sec[secEvents]) {
+			t.Fatalf("accepted payload re-encodes to %d different bytes (from %d) beyond dropping logged events", len(out), len(p))
+		}
+		if again, err := foldChain([][]byte{out}); err != nil || !bytes.Equal(again, out) {
+			t.Fatalf("a fold's output does not fold to itself: %v", err)
+		}
 	})
 }
 

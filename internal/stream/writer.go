@@ -7,15 +7,17 @@ import (
 	"repro/internal/checkpoint"
 )
 
-// The background snapshot writer takes the encoding and the disk off the
-// ingest thread. The day clock captures what must be read on its own clock
-// — the head, the devices section, and the dirty records' views — and hands
-// them here; this goroutine encodes the records section, signals the views
-// free, and makes the staged write and the fsync while ingest continues. A
+// The background snapshot writer takes the disk off the ingest thread. The
+// day clock captures a delta whole — the head and the touched devices, then
+// the period's event log, which holds the bytes the WAL already encoded, so
+// nothing is gathered, encoded or copied twice — and hands both parts here;
+// this goroutine makes the staged write and the fsync while ingest
+// continues, and hands the log's buffer back with its result. A
 // delta the day clock marked for compaction is then handed on to a second
 // goroutine, the compactor, which folds the chain up to that delta into a
-// fresh base and collects the generations it supersedes while later deltas
-// are written.
+// fresh base — the devices merged, the logs concatenated above the floor —
+// and collects the generations it supersedes while later deltas are
+// written.
 //
 // At most one delta job and at most one compaction are ever in flight. The
 // day clock harvests the previous delta before it enqueues the next, so
@@ -24,25 +26,24 @@ import (
 // delta for one — or at the final commit — so the compactor is always idle
 // when a marked delta reaches it.
 
-// snapJob is one captured delta handed to the background writer: the
-// payload up to its records section, the records' lent views, and the
-// channel to close once they are encoded.
+// snapJob is one captured delta handed to the background writer: its
+// payload is prefix, then log.
 type snapJob struct {
-	gen      uint64
-	parentFP uint32
-	prefix   []byte
-	recs     []recordView
-	encoded  chan struct{}
+	gen         uint64
+	parentFP    uint32
+	prefix, log []byte
 	// compact hands the delta's generation to the compactor once written.
 	compact bool
 }
 
 // snapResult reports one delta's durable commit — its generation, chain
-// fingerprint and payload bytes — or one compaction's base payload bytes.
+// fingerprint, payload bytes and log buffer, free again — or one
+// compaction's base payload bytes.
 type snapResult struct {
 	gen   uint64
 	fp    uint32
 	bytes int
+	log   []byte
 	err   error
 }
 
@@ -103,13 +104,10 @@ func (w *snapWriter) close() {
 	w.wg.Wait()
 }
 
-// commit encodes one delta's records section, frees the lent views, and
-// durably writes the delta, handing it to the compactor when marked.
+// commit durably writes one delta, handing it to the compactor when marked.
 func (w *snapWriter) commit(job snapJob) snapResult {
-	payload := appendRecords(job.prefix, job.recs)
-	close(job.encoded)
-	res := snapResult{gen: job.gen, bytes: len(payload)}
-	res.fp, res.err = w.store.WriteDelta(job.gen, job.parentFP, payload)
+	res := snapResult{gen: job.gen, bytes: len(job.prefix) + len(job.log), log: job.log}
+	res.fp, res.err = w.store.WriteDelta(job.gen, job.parentFP, job.prefix, job.log)
 	if res.err == nil && job.compact {
 		w.compacts <- job.gen
 	}
