@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/dataset"
 	"repro/internal/events"
 	"repro/internal/scenario"
 	"repro/internal/stream"
@@ -266,6 +267,153 @@ func TestCorruptWALSegmentRecovered(t *testing.T) {
 	checkRun(t, "corrupt wal resume", ref, run)
 	if run.Durability.RecoveryFallbacks == 0 {
 		t.Fatal("recovery skipped a corrupt WAL segment but reported no fallbacks")
+	}
+}
+
+// countingSource counts the admissions a resume fires before it asks its
+// source for the first event: what recovery restored from the directory.
+type countingSource struct {
+	dataset.Source
+	admitted, beforeNext int
+	asked                bool
+}
+
+func (c *countingSource) Next() (events.Event, bool) {
+	if !c.asked {
+		c.asked, c.beforeNext = true, c.admitted
+	}
+	return c.Source.Next()
+}
+
+// TestCorruptCoveredWALSegmentCostsNothing fences a fault in a WAL segment
+// that the chain already covers: recovery never opens it. The crash leaves
+// base 1, deltas 2–5 and WAL segments 1–5; segment 1 gets a flipped
+// preamble byte. Resumed, the corrupted directory restores exactly what an
+// untouched copy restores — the same admissions before the source's first
+// event, with no fallback — and both reach the reference run.
+func TestCorruptCoveredWALSegmentCostsNothing(t *testing.T) {
+	cfg, spec, ref := durabilityCfg(t)
+	h, err := scenario.DefaultHarness()
+	if err != nil {
+		t.Fatal(err)
+	}
+	durable := func(dir string) workload.Config {
+		run := cfg
+		run.CheckpointDir = dir
+		run.SnapshotEveryDays = 7
+		run.BaseEveryDeltas = 8
+		run.GroupCommitEvents = 16
+		return run
+	}
+	dir, clean := t.TempDir(), t.TempDir()
+	crash := durable(dir)
+	commits := 0
+	crash.FaultHook = func(p stream.FaultPoint) error {
+		if p == stream.PointSnapshotCommitted {
+			if commits++; commits == 4 {
+				return errInjected
+			}
+		}
+		return nil
+	}
+	if _, err := workload.ExecuteSource(crash, spec.Source(h.Dataset)); !errors.Is(err, errInjected) {
+		t.Fatalf("crash run: %v", err)
+	}
+	var names []string
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	want := []string{"base-00000001.ckpt", "delta-00000002.ckpt", "delta-00000003.ckpt",
+		"delta-00000004.ckpt", "delta-00000005.ckpt", "wal-00000001.log", "wal-00000002.log",
+		"wal-00000003.log", "wal-00000004.log", "wal-00000005.log"}
+	if fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Fatalf("crash left %v, want %v", names, want)
+	}
+	if err := os.CopyFS(clean, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "wal-00000001.log")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[0] ^= 1
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	resume := func(dir string) (*workload.Run, int) {
+		t.Helper()
+		src := &countingSource{Source: spec.Source(h.Dataset)}
+		run := durable(dir)
+		run.Resume = true
+		run.AdmitObserver = func(events.Event, bool) { src.admitted++ }
+		got, err := workload.ExecuteSource(run, src)
+		if err != nil {
+			t.Fatalf("resume of %s: %v", dir, err)
+		}
+		checkRun(t, "resume of "+dir, ref, got)
+		if got.Durability.RecoveryFallbacks != 0 {
+			t.Errorf("resume of %s took %d fallbacks", dir, got.Durability.RecoveryFallbacks)
+		}
+		return got, src.beforeNext
+	}
+	_, untouched := resume(clean)
+	_, corrupted := resume(dir)
+	if untouched == 0 || corrupted != untouched {
+		t.Fatalf("resume restored %d admissions from the corrupted directory, %d from the untouched copy",
+			corrupted, untouched)
+	}
+}
+
+// TestResumeRemovesStagingFiles plants the staging files a process killed
+// mid-write leaves behind in a crashed directory: the resumed run removes
+// them before it writes, and still reaches the reference run.
+func TestResumeRemovesStagingFiles(t *testing.T) {
+	cfg, spec, ref := durabilityCfg(t)
+	h, err := scenario.DefaultHarness()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	crash := cfg
+	crash.CheckpointDir = dir
+	crash.SnapshotEveryDays = 7
+	commits := 0
+	crash.FaultHook = func(p stream.FaultPoint) error {
+		if p == stream.PointSnapshotCommitted {
+			if commits++; commits == 2 {
+				return errInjected
+			}
+		}
+		return nil
+	}
+	if _, err := workload.ExecuteSource(crash, spec.Source(h.Dataset)); !errors.Is(err, errInjected) {
+		t.Fatalf("crash run: %v", err)
+	}
+	staged := []string{"base-00000099.ckpt.tmp", "delta-00000098.ckpt.tmp"}
+	for _, name := range staged {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("half a generation"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resume := cfg
+	resume.CheckpointDir = dir
+	resume.SnapshotEveryDays = 7
+	resume.Resume = true
+	run, err := workload.ExecuteSource(resume, spec.Source(h.Dataset))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRun(t, "resume over staging files", ref, run)
+	for _, name := range staged {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s survived the resumed run (%v)", name, err)
+		}
 	}
 }
 

@@ -32,12 +32,13 @@ import (
 // compaction copies the head generation's number and chainFP, so deltas
 // captured later chain onto either representation interchangeably.
 //
-// Recovery (LoadChain) trusts nothing: files that fail their frame checks
-// are skipped and counted as fallbacks, the newest intact base wins, and
-// the chain is followed strictly by fingerprint. The worst case — every
-// generation corrupt — degrades to an empty chain, which the streaming
-// recovery protocol handles by replaying the WAL segments from scratch and
-// re-reading anything missing from the source. Corrupt state is never
+// Every reader lists the directory once and opens only what it needs.
+// Recovery (LoadChain) trusts nothing: it tries bases newest-first, counting
+// those that fail their frame checks as fallbacks, and follows the deltas
+// above the first intact one strictly by fingerprint. Replay starts at the
+// chain head's WAL segment. The worst case — every base corrupt — degrades
+// to an empty chain: the streaming recovery protocol replays every segment
+// and re-reads anything missing from the source. Corrupt state is never
 // served.
 const (
 	genMagic = "CMGEN001"
@@ -60,11 +61,10 @@ type GenFrame struct {
 
 // ChainFP derives a delta's chain fingerprint from its parent's and its own
 // payload CRC, committing the head fingerprint to the whole chain below it.
-// The payload may come in parts, which it concatenates.
-func ChainFP(parentFP uint32, payload ...[]byte) uint32 {
+func ChainFP(parentFP, payloadCRC uint32) uint32 {
 	var link [8]byte
 	binary.LittleEndian.PutUint32(link[:4], parentFP)
-	binary.LittleEndian.PutUint32(link[4:], payloadCRC(payload))
+	binary.LittleEndian.PutUint32(link[4:], payloadCRC)
 	return crc32.Checksum(link[:], castagnoli)
 }
 
@@ -77,12 +77,9 @@ func payloadCRC(payload [][]byte) (crc uint32) {
 }
 
 // appendGenHeader appends the genHeaderLen-byte frame header of one
-// snapshot generation; the payload parts follow it unchanged.
-func appendGenHeader(buf []byte, kind byte, gen uint64, parentFP, chainFP uint32, payload ...[]byte) []byte {
-	n := 0
-	for _, p := range payload {
-		n += len(p)
-	}
+// snapshot generation whose n payload bytes have CRC crc; the payload
+// follows it unchanged.
+func appendGenHeader(buf []byte, kind byte, gen uint64, parentFP, chainFP, crc uint32, n int) []byte {
 	buf = append(buf, genMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, FormatVersion)
 	buf = append(buf, kind)
@@ -90,7 +87,7 @@ func appendGenHeader(buf []byte, kind byte, gen uint64, parentFP, chainFP uint32
 	buf = binary.LittleEndian.AppendUint32(buf, parentFP)
 	buf = binary.LittleEndian.AppendUint32(buf, chainFP)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
-	return binary.LittleEndian.AppendUint32(buf, payloadCRC(payload))
+	return binary.LittleEndian.AppendUint32(buf, crc)
 }
 
 // DecodeGenFrame validates and decodes one generation frame. Every failure
@@ -123,11 +120,12 @@ func DecodeGenFrame(raw []byte) (GenFrame, error) {
 	}
 	want := binary.LittleEndian.Uint32(raw[37:41])
 	g.Payload = raw[genHeaderLen:]
-	if got := crc32.Checksum(g.Payload, castagnoli); got != want {
-		return g, fmt.Errorf("%w: generation crc %08x, want %08x", ErrCorrupt, got, want)
+	crc := crc32.Checksum(g.Payload, castagnoli)
+	if crc != want {
+		return g, fmt.Errorf("%w: generation crc %08x, want %08x", ErrCorrupt, crc, want)
 	}
 	if g.Kind == GenKindDelta {
-		if want := ChainFP(g.ParentFP, g.Payload); g.ChainFP != want {
+		if want := ChainFP(g.ParentFP, crc); g.ChainFP != want {
 			return g, fmt.Errorf("%w: delta chain fingerprint %08x, want %08x",
 				ErrCorrupt, g.ChainFP, want)
 		}
@@ -165,30 +163,77 @@ func baseName(gen uint64) string   { return fmt.Sprintf("base-%08d.ckpt", gen) }
 func deltaName(gen uint64) string  { return fmt.Sprintf("delta-%08d.ckpt", gen) }
 func walSegName(gen uint64) string { return fmt.Sprintf("wal-%08d.log", gen) }
 
-// parseGenName classifies a directory entry: kind is 'b' (base), 'd'
-// (delta), or 'w' (WAL segment).
+// genKinds maps a file name's prefix and suffix to its kind: 'b' (base),
+// 'd' (delta) or 'w' (WAL segment).
+var genKinds = map[string]byte{"base.ckpt": 'b', "delta.ckpt": 'd', "wal.log": 'w'}
+
+// parseGenName classifies a directory entry named <prefix>-<gen>.<suffix>.
 func parseGenName(name string) (kind byte, gen uint64, ok bool) {
-	var rest string
-	var suffix string
-	switch {
-	case strings.HasPrefix(name, "base-"):
-		kind, rest, suffix = 'b', name[len("base-"):], ".ckpt"
-	case strings.HasPrefix(name, "delta-"):
-		kind, rest, suffix = 'd', name[len("delta-"):], ".ckpt"
-	case strings.HasPrefix(name, "wal-"):
-		kind, rest, suffix = 'w', name[len("wal-"):], ".log"
-	default:
-		return 0, 0, false
+	prefix, rest, _ := strings.Cut(name, "-")
+	num, suffix, _ := strings.Cut(rest, ".")
+	kind = genKinds[prefix+"."+suffix]
+	gen, err := strconv.ParseUint(num, 10, 64)
+	return kind, gen, kind != 0 && err == nil
+}
+
+// storeFile is one file of the store: a base ('b'), delta ('d') or WAL
+// segment ('w') numbered gen, or a staging file ('t') that a write of
+// generation gen left behind.
+type storeFile struct {
+	name string
+	kind byte
+	gen  uint64
+}
+
+// list returns the store's files in generation order; a missing directory
+// holds none. It is the one place the directory is read: each caller then
+// opens only the files it needs.
+func (st *Store) list() ([]storeFile, error) {
+	entries, err := st.fs.ReadDir(st.dir)
+	if os.IsNotExist(err) {
+		return nil, nil
 	}
-	num, found := strings.CutSuffix(rest, suffix)
-	if !found || num == "" {
-		return 0, 0, false
-	}
-	n, err := strconv.ParseUint(num, 10, 64)
 	if err != nil {
-		return 0, 0, false
+		return nil, fmt.Errorf("checkpoint: scanning store: %w", err)
 	}
-	return kind, n, true
+	var files []storeFile
+	for _, e := range entries {
+		committed, staged := strings.CutSuffix(e.Name(), ".tmp")
+		kind, gen, ok := parseGenName(committed)
+		if !ok {
+			continue
+		}
+		if staged {
+			kind = 't'
+		}
+		files = append(files, storeFile{name: e.Name(), kind: kind, gen: gen})
+	}
+	sort.SliceStable(files, func(i, j int) bool { return files[i].gen < files[j].gen })
+	return files, nil
+}
+
+// remove deletes the listed files that dead selects.
+func (st *Store) remove(files []storeFile, dead func(storeFile) bool) error {
+	for _, f := range files {
+		if dead(f) {
+			if err := st.fs.Remove(filepath.Join(st.dir, f.name)); err != nil {
+				return fmt.Errorf("checkpoint: removing %s: %w", f.name, err)
+			}
+		}
+	}
+	return nil
+}
+
+// readGen reads one generation file and decodes its frame. It refuses a
+// file that cannot be read, fails its frame checks, or holds a frame whose
+// number or kind disagrees with its name.
+func (st *Store) readGen(f storeFile) (GenFrame, bool) {
+	raw, err := st.fs.ReadFile(filepath.Join(st.dir, f.name))
+	if err != nil {
+		return GenFrame{}, false
+	}
+	g, err := DecodeGenFrame(raw)
+	return g, err == nil && g.Gen == f.gen && (f.kind == 'b') == (g.Kind == GenKindBase)
 }
 
 // WALSegmentPath returns the path of the numbered WAL segment.
@@ -210,75 +255,76 @@ func (st *Store) Reset() error {
 	if err := st.fs.MkdirAll(st.dir, 0o755); err != nil {
 		return fmt.Errorf("checkpoint: creating %s: %w", st.dir, err)
 	}
-	entries, err := st.fs.ReadDir(st.dir)
+	files, err := st.list()
 	if err != nil {
-		return fmt.Errorf("checkpoint: resetting store: %w", err)
+		return err
 	}
-	for _, e := range entries {
-		name := e.Name()
-		_, _, isGen := parseGenName(name)
-		if isGen || strings.HasSuffix(name, ".tmp") {
-			if err := st.fs.Remove(filepath.Join(st.dir, name)); err != nil {
-				return fmt.Errorf("checkpoint: resetting store: %w", err)
-			}
-		}
-	}
-	return nil
+	return st.remove(files, func(storeFile) bool { return true })
 }
 
-// MaxGen scans the directory for the highest generation number in use by
-// any file — intact or not, since even a corrupt file's number must never
-// be reused. Zero means a fresh directory.
-func (st *Store) MaxGen() (uint64, error) {
-	entries, err := st.fs.ReadDir(st.dir)
-	if os.IsNotExist(err) {
-		return 0, nil
-	}
+// RemoveStaging removes the staging files that writes killed mid-way left
+// behind. Only the directory's writer may call it, before it writes: a
+// staging file that a live write is filling looks the same.
+func (st *Store) RemoveStaging() error {
+	files, err := st.list()
 	if err != nil {
-		return 0, fmt.Errorf("checkpoint: scanning store: %w", err)
+		return err
 	}
+	return st.remove(files, func(f storeFile) bool { return f.kind == 't' })
+}
+
+// MaxGen returns the highest generation number in use by any committed
+// file — intact or not, since even a corrupt file's number must never be
+// reused. Zero means a fresh directory.
+func (st *Store) MaxGen() (uint64, error) {
+	files, err := st.list()
 	var max uint64
-	for _, e := range entries {
-		if _, gen, ok := parseGenName(e.Name()); ok && gen > max {
-			max = gen
+	for _, f := range files {
+		if f.kind != 't' {
+			max = f.gen
 		}
 	}
-	return max, nil
+	return max, err
 }
 
 // WriteBase commits a fresh full snapshot as generation gen and returns its
 // chain fingerprint (the payload CRC).
 func (st *Store) WriteBase(gen uint64, payload []byte) (uint32, error) {
-	fp := crc32.Checksum(payload, castagnoli)
-	return fp, st.writeGen(GenKindBase, baseName(gen), gen, 0, fp, payload)
+	crc := crc32.Checksum(payload, castagnoli)
+	return crc, st.writeGen(GenKindBase, baseName(gen), gen, 0, crc, crc, payload)
 }
 
 // WriteBaseLinked commits a compacted base: full state equal to folding the
 // chain whose head is (gen, chainFP), keeping that head's identity so
 // deltas captured after the compaction chain onto either representation.
 func (st *Store) WriteBaseLinked(gen uint64, chainFP uint32, payload []byte) error {
-	return st.writeGen(GenKindBase, baseName(gen), gen, 0, chainFP, payload)
+	return st.writeGen(GenKindBase, baseName(gen), gen, 0, chainFP, crc32.Checksum(payload, castagnoli), payload)
 }
 
 // WriteDelta commits a delta generation chained to the parent fingerprint
 // and returns the delta's own chain fingerprint. The payload is the
 // concatenation of its parts, which are written as they are.
 func (st *Store) WriteDelta(gen uint64, parentFP uint32, payload ...[]byte) (uint32, error) {
-	fp := ChainFP(parentFP, payload...)
-	return fp, st.writeGen(GenKindDelta, deltaName(gen), gen, parentFP, fp, payload...)
+	crc := payloadCRC(payload)
+	fp := ChainFP(parentFP, crc)
+	return fp, st.writeGen(GenKindDelta, deltaName(gen), gen, parentFP, fp, crc, payload...)
 }
 
-// writeGen stages, fsyncs, and rename-commits one generation frame through
-// the store's FS, so a crash at any instant leaves either no file under the
-// committed name or the whole frame — never a torn mix. The header and the
-// payload parts are written one after the other; the payload is never
-// copied.
-func (st *Store) writeGen(kind byte, name string, gen uint64, parentFP, chainFP uint32, payload ...[]byte) error {
+// writeGen stages, fsyncs, and rename-commits one generation frame, whose
+// payload parts have CRC crc, through the store's FS, so a crash at any
+// instant leaves either no file under the committed name or the whole frame
+// — never a torn mix. The header and the payload parts are written one
+// after the other; the payload is never copied.
+func (st *Store) writeGen(kind byte, name string, gen uint64, parentFP, chainFP, crc uint32, payload ...[]byte) error {
 	if err := st.fs.MkdirAll(st.dir, 0o755); err != nil {
 		return fmt.Errorf("checkpoint: creating %s: %w", st.dir, err)
 	}
+	n := 0
+	for _, p := range payload {
+		n += len(p)
+	}
 	var header [genHeaderLen]byte
-	appendGenHeader(header[:0], kind, gen, parentFP, chainFP, payload...)
+	appendGenHeader(header[:0], kind, gen, parentFP, chainFP, crc, n)
 	tmp := filepath.Join(st.dir, name+".tmp")
 	// O_RDWR, not O_WRONLY: the fault injector's bit-flip reads the byte it
 	// flips, and staged generations must be corruptible like any real file.
@@ -322,109 +368,72 @@ type Chain struct {
 	Payloads [][]byte
 	// Deltas is len(Payloads)-1, for telemetry.
 	Deltas int
-	// Fallbacks counts generation files that existed but were unusable —
-	// unreadable, truncated, mislabeled, or CRC-failing — and were skipped
-	// on the way to an intact chain.
-	Fallbacks int
 }
 
-// LoadChain picks the newest intact base and follows delta fingerprints
-// upward, over the generations at or below maxGen (0 means every
-// generation): a compaction folds the chain up to the delta it was decided
-// at, and generations written meanwhile are neither read nor joined. A nil
-// chain (with nil error) means no usable generation exists — either a fresh
-// directory or every generation corrupt; the fallback count distinguishes
-// the two. Corruption is never fatal here: recovery degrades to WAL replay
+// LoadChain loads the chain recovery restores from the generations at or
+// below maxGen (0 means every generation): a compaction folds the chain up
+// to the delta it was decided at, and generations written meanwhile are
+// neither read nor joined. It tries bases newest-first and roots the chain
+// at the first intact one, then reads the deltas above it in generation
+// order, extending the chain by each that names the head's fingerprint as
+// its parent. It opens no file below that base. The second result counts
+// the files it opened and refused — unreadable, truncated, mislabeled or
+// CRC-failing. A nil chain (with nil error) means no intact base exists:
+// either a fresh directory or every base corrupt, which that count tells
+// apart. Corruption is never fatal here: recovery degrades to WAL replay
 // plus source re-read.
 func (st *Store) LoadChain(maxGen uint64) (*Chain, int, error) {
-	entries, err := st.fs.ReadDir(st.dir)
-	if os.IsNotExist(err) {
-		return nil, 0, nil
-	}
+	files, err := st.list()
 	if err != nil {
-		return nil, 0, fmt.Errorf("checkpoint: scanning store: %w", err)
+		return nil, 0, err
+	}
+	if maxGen != 0 {
+		files = files[:sort.Search(len(files), func(i int) bool { return files[i].gen > maxGen })]
 	}
 	fallbacks := 0
-	var bases, deltas []GenFrame
-	for _, e := range entries {
-		kind, gen, ok := parseGenName(e.Name())
-		if !ok || kind == 'w' || maxGen != 0 && gen > maxGen {
+	for i := len(files) - 1; i >= 0; i-- {
+		if files[i].kind != 'b' {
 			continue
 		}
-		raw, err := st.fs.ReadFile(filepath.Join(st.dir, e.Name()))
-		if err != nil {
+		base, ok := st.readGen(files[i])
+		if !ok {
 			fallbacks++
 			continue
 		}
-		frame, err := DecodeGenFrame(raw)
-		if err != nil || frame.Gen != gen ||
-			(kind == 'b') != (frame.Kind == GenKindBase) {
-			fallbacks++
-			continue
-		}
-		if frame.Kind == GenKindBase {
-			bases = append(bases, frame)
-		} else {
-			deltas = append(deltas, frame)
-		}
-	}
-	if len(bases) == 0 {
-		return nil, fallbacks, nil
-	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i].Gen > bases[j].Gen })
-	sort.Slice(deltas, func(i, j int) bool { return deltas[i].Gen < deltas[j].Gen })
-	base := bases[0]
-	chain := &Chain{
-		BaseGen:   base.Gen,
-		Gen:       base.Gen,
-		FP:        base.ChainFP,
-		Payloads:  [][]byte{base.Payload},
-		Fallbacks: fallbacks,
-	}
-	// Follow the fingerprint chain: each step takes the lowest-gen delta
-	// above the head that names the head's fingerprint as its parent. The
-	// iteration bound makes a (2^-32) fingerprint cycle terminate.
-	for steps := 0; steps <= len(deltas); steps++ {
-		var next *GenFrame
-		for i := range deltas {
-			d := &deltas[i]
-			if d.Gen > chain.Gen && d.ParentFP == chain.FP {
-				next = d
-				break
+		chain := &Chain{BaseGen: base.Gen, Gen: base.Gen, FP: base.ChainFP, Payloads: [][]byte{base.Payload}}
+		for _, f := range files[i+1:] {
+			if f.kind != 'd' || f.gen == base.Gen {
+				continue
+			}
+			d, ok := st.readGen(f)
+			if !ok {
+				fallbacks++
+			} else if d.ParentFP == chain.FP { // else a stale parent: passed over
+				chain.Gen, chain.FP = d.Gen, d.ChainFP
+				chain.Payloads = append(chain.Payloads, d.Payload)
 			}
 		}
-		if next == nil {
-			break
-		}
-		chain.Gen, chain.FP = next.Gen, next.ChainFP
-		chain.Payloads = append(chain.Payloads, next.Payload)
-		chain.Deltas++
+		chain.Deltas = len(chain.Payloads) - 1
+		return chain, fallbacks, nil
 	}
-	return chain, fallbacks, nil
+	return nil, fallbacks, nil
 }
 
-// ReplayWALSegments replays every retained WAL segment in generation order.
-// fn sees records across segment boundaries as one logical log; an error
-// from fn aborts the replay (the streaming recovery protocol uses a
-// sentinel error to stop cleanly at a sequence gap).
-func (st *Store) ReplayWALSegments(fn func(payload []byte) error) (int, error) {
-	entries, err := st.fs.ReadDir(st.dir)
-	if os.IsNotExist(err) {
-		return 0, nil
-	}
+// ReplayWALSegments replays the WAL segments numbered from or higher in
+// generation order, and opens none below. fn sees their records as one
+// logical log; an error from fn aborts the replay (the streaming recovery
+// protocol uses a sentinel error to stop cleanly at a sequence gap).
+func (st *Store) ReplayWALSegments(from uint64, fn func(payload []byte) error) (int, error) {
+	files, err := st.list()
 	if err != nil {
-		return 0, fmt.Errorf("checkpoint: scanning store: %w", err)
+		return 0, err
 	}
-	var gens []uint64
-	for _, e := range entries {
-		if kind, gen, ok := parseGenName(e.Name()); ok && kind == 'w' {
-			gens = append(gens, gen)
-		}
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
 	total := 0
-	for _, gen := range gens {
-		n, err := ReplayWALFile(st.fs, st.WALSegmentPath(gen), fn)
+	for _, f := range files {
+		if f.kind != 'w' || f.gen < from {
+			continue
+		}
+		n, err := ReplayWALFile(st.fs, filepath.Join(st.dir, f.name), fn)
 		total += n
 		if err != nil {
 			return total, err
@@ -433,57 +442,33 @@ func (st *Store) ReplayWALSegments(fn func(payload []byte) error) (int, error) {
 	return total, nil
 }
 
-// GC keeps the newest keep bases and removes everything they supersede:
-// older bases, deltas at or below the oldest kept base's generation, and
-// WAL segments below it (a segment numbered g holds only records appended
-// after generation g was captured, which that base's state subsumes).
-// Corrupt bases don't count toward keep — they are not recovery points.
+// GC keeps the newest keep intact bases and removes everything they
+// supersede: older bases, deltas at or below the oldest kept base's
+// generation, and WAL segments below it (a segment numbered g holds only
+// records appended after generation g was captured, which that base's state
+// subsumes). It reads bases newest-first until it has found keep intact
+// ones — a corrupt base is no recovery point and does not count — and
+// removes what they supersede without reading it. With fewer than keep
+// intact bases it removes nothing.
 func (st *Store) GC(keep int) error {
-	if keep < 1 {
-		keep = 1
-	}
-	entries, err := st.fs.ReadDir(st.dir)
+	files, err := st.list()
 	if err != nil {
-		return fmt.Errorf("checkpoint: scanning store: %w", err)
+		return err
 	}
-	var baseGens []uint64
-	for _, e := range entries {
-		kind, gen, ok := parseGenName(e.Name())
-		if !ok || kind != 'b' {
+	for i := len(files) - 1; i >= 0; i-- {
+		if files[i].kind != 'b' {
 			continue
 		}
-		raw, err := st.fs.ReadFile(filepath.Join(st.dir, e.Name()))
-		if err != nil {
+		if _, ok := st.readGen(files[i]); !ok {
 			continue
 		}
-		if _, err := DecodeGenFrame(raw); err == nil {
-			baseGens = append(baseGens, gen)
-		}
-	}
-	if len(baseGens) <= keep {
-		return nil
-	}
-	sort.Slice(baseGens, func(i, j int) bool { return baseGens[i] > baseGens[j] })
-	cutoff := baseGens[keep-1]
-	for _, e := range entries {
-		kind, gen, ok := parseGenName(e.Name())
-		if !ok {
+		if keep--; keep > 0 {
 			continue
 		}
-		var dead bool
-		switch kind {
-		case 'b':
-			dead = gen < cutoff
-		case 'd':
-			dead = gen <= cutoff
-		case 'w':
-			dead = gen < cutoff
-		}
-		if dead {
-			if err := st.fs.Remove(filepath.Join(st.dir, e.Name())); err != nil {
-				return fmt.Errorf("checkpoint: gc: %w", err)
-			}
-		}
+		cutoff := files[i].gen
+		return st.remove(files, func(f storeFile) bool {
+			return f.kind != 't' && f.gen < cutoff || f.kind == 'd' && f.gen == cutoff
+		})
 	}
 	return nil
 }

@@ -2,10 +2,18 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	iofs "io/fs"
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -14,8 +22,11 @@ import (
 // writeGen writes, then the payload. The store never builds this buffer; it
 // is the reference its files are held to.
 func EncodeGenFrame(kind byte, gen uint64, parentFP, chainFP uint32, payload []byte) []byte {
-	return append(appendGenHeader(nil, kind, gen, parentFP, chainFP, payload), payload...)
+	return append(appendGenHeader(nil, kind, gen, parentFP, chainFP, crcOf(payload), len(payload)), payload...)
 }
+
+// crcOf is a payload's CRC-32C, the second argument of ChainFP.
+func crcOf(payload []byte) uint32 { return crc32.Checksum(payload, castagnoli) }
 
 // chainPayloads extracts the payloads of a loaded chain as strings.
 func chainPayloads(c *Chain) []string {
@@ -28,7 +39,7 @@ func chainPayloads(c *Chain) []string {
 
 func TestGenFrameRoundtrip(t *testing.T) {
 	payload := []byte(`{"day": 42}`)
-	baseFP := ChainFP(0, payload)
+	baseFP := ChainFP(0, crcOf(payload))
 
 	raw := EncodeGenFrame(GenKindBase, 7, 0, baseFP, payload)
 	g, err := DecodeGenFrame(raw)
@@ -39,7 +50,7 @@ func TestGenFrameRoundtrip(t *testing.T) {
 		t.Fatalf("base frame roundtrip: %+v", g)
 	}
 
-	deltaFP := ChainFP(baseFP, payload)
+	deltaFP := ChainFP(baseFP, crcOf(payload))
 	raw = EncodeGenFrame(GenKindDelta, 8, baseFP, deltaFP, payload)
 	g, err = DecodeGenFrame(raw)
 	if err != nil {
@@ -130,7 +141,7 @@ func TestShortPayloadWriteCommitsNothing(t *testing.T) {
 
 func TestDecodeGenFrameRefusesCorruption(t *testing.T) {
 	payload := []byte("state")
-	fp := ChainFP(0, payload)
+	fp := ChainFP(0, crcOf(payload))
 	valid := EncodeGenFrame(GenKindBase, 3, 0, fp, payload)
 
 	corrupt := func(name string, mutate func([]byte) []byte) {
@@ -152,7 +163,7 @@ func TestDecodeGenFrameRefusesCorruption(t *testing.T) {
 
 	// A delta whose linkage was tampered with must be refused even though
 	// its payload CRC still holds.
-	deltaFP := ChainFP(fp, payload)
+	deltaFP := ChainFP(fp, crcOf(payload))
 	tampered := EncodeGenFrame(GenKindDelta, 4, fp, deltaFP, payload)
 	tampered[21] ^= 1 // parentFP byte
 	if _, err := DecodeGenFrame(tampered); !errors.Is(err, ErrCorrupt) {
@@ -264,7 +275,8 @@ func TestLoadChainFallsBackPastCorruption(t *testing.T) {
 	}
 
 	// With every generation corrupt, LoadChain reports nothing intact —
-	// never an error, never corrupt payloads.
+	// never an error, never corrupt payloads. It refuses both bases; the
+	// delta sits above no intact base, so it is never read.
 	for _, name := range []string{"base-00000001.ckpt", "delta-00000002.ckpt"} {
 		if err := os.Truncate(filepath.Join(dir, name), 5); err != nil {
 			t.Fatal(err)
@@ -274,7 +286,7 @@ func TestLoadChainFallsBackPastCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if chain != nil || fallbacks != 3 {
+	if chain != nil || fallbacks != 2 {
 		t.Fatalf("all-corrupt store: chain %v, fallbacks %d", chain, fallbacks)
 	}
 }
@@ -478,10 +490,10 @@ func TestFaultFSDeterministic(t *testing.T) {
 // silently normalize (and thus mask) malformed frames.
 func FuzzDeltaFrame(f *testing.F) {
 	payload := []byte(`{"devices":[{"id":1}]}`)
-	baseFP := ChainFP(0, payload)
+	baseFP := ChainFP(0, crcOf(payload))
 	f.Add(EncodeGenFrame(GenKindBase, 1, 0, baseFP, payload))
-	f.Add(EncodeGenFrame(GenKindDelta, 2, baseFP, ChainFP(baseFP, payload), payload))
-	f.Add(EncodeGenFrame(GenKindDelta, 2, baseFP, ChainFP(baseFP, payload), payload)[:20])
+	f.Add(EncodeGenFrame(GenKindDelta, 2, baseFP, ChainFP(baseFP, crcOf(payload)), payload))
+	f.Add(EncodeGenFrame(GenKindDelta, 2, baseFP, ChainFP(baseFP, crcOf(payload)), payload)[:20])
 	f.Add([]byte("CMGEN001 not a frame at all"))
 	f.Add([]byte{})
 
@@ -497,4 +509,450 @@ func FuzzDeltaFrame(f *testing.F) {
 			t.Fatalf("accepted frame does not re-encode to itself: %+v", g)
 		}
 	})
+}
+
+// TestGenFramesPinned pins the bytes of one base frame and one delta frame,
+// as the store wrote them before ChainFP took the payload CRC instead of
+// the payload: the fingerprints and the frame layout must not move.
+func TestGenFramesPinned(t *testing.T) {
+	dir := t.TempDir()
+	st := NewStore(dir, nil)
+	fp, err := st.WriteBase(1, []byte("base payload"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.WriteDelta(2, fp, []byte("delta "), []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{
+		"base-00000001.ckpt":  "434d47454e303031010000000101000000000000000000000084ec5be50c0000000000000084ec5be562617365207061796c6f6164",
+		"delta-00000002.ckpt": "434d47454e3030310100000002020000000000000084ec5be516a520ad0d00000000000000f293ebe564656c7461207061796c6f6164",
+	} {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(raw); got != want {
+			t.Errorf("%s:\n got %s\nwant %s", name, got, want)
+		}
+	}
+}
+
+// refLoadChain is the read-everything LoadChain the store had before it
+// read newest-first: it decodes every generation file at or below maxGen,
+// counts each refused one as a fallback, and then picks the newest intact
+// base and follows fingerprints upward. LoadChain is held to its chain.
+func refLoadChain(st *Store, maxGen uint64) (*Chain, int, error) {
+	entries, err := st.fs.ReadDir(st.dir)
+	if os.IsNotExist(err) {
+		return nil, 0, nil
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("checkpoint: scanning store: %w", err)
+	}
+	fallbacks := 0
+	var bases, deltas []GenFrame
+	for _, e := range entries {
+		kind, gen, ok := parseGenName(e.Name())
+		if !ok || kind == 'w' || maxGen != 0 && gen > maxGen {
+			continue
+		}
+		raw, err := st.fs.ReadFile(filepath.Join(st.dir, e.Name()))
+		if err != nil {
+			fallbacks++
+			continue
+		}
+		frame, err := DecodeGenFrame(raw)
+		if err != nil || frame.Gen != gen ||
+			(kind == 'b') != (frame.Kind == GenKindBase) {
+			fallbacks++
+			continue
+		}
+		if frame.Kind == GenKindBase {
+			bases = append(bases, frame)
+		} else {
+			deltas = append(deltas, frame)
+		}
+	}
+	if len(bases) == 0 {
+		return nil, fallbacks, nil
+	}
+	sort.Slice(bases, func(i, j int) bool { return bases[i].Gen > bases[j].Gen })
+	sort.Slice(deltas, func(i, j int) bool { return deltas[i].Gen < deltas[j].Gen })
+	base := bases[0]
+	chain := &Chain{
+		BaseGen:  base.Gen,
+		Gen:      base.Gen,
+		FP:       base.ChainFP,
+		Payloads: [][]byte{base.Payload},
+	}
+	// Follow the fingerprint chain: each step takes the lowest-gen delta
+	// above the head that names the head's fingerprint as its parent. The
+	// iteration bound makes a (2^-32) fingerprint cycle terminate.
+	for steps := 0; steps <= len(deltas); steps++ {
+		var next *GenFrame
+		for i := range deltas {
+			d := &deltas[i]
+			if d.Gen > chain.Gen && d.ParentFP == chain.FP {
+				next = d
+				break
+			}
+		}
+		if next == nil {
+			break
+		}
+		chain.Gen, chain.FP = next.Gen, next.ChainFP
+		chain.Payloads = append(chain.Payloads, next.Payload)
+		chain.Deltas++
+	}
+	return chain, fallbacks, nil
+}
+
+// refGC is the read-everything GC the store had before it read
+// newest-first, with two rules brought in line with LoadChain: a base
+// counts as intact only if LoadChain would accept it (its frame's number
+// and kind agree with its name), and exactly keep intact bases suffice to
+// collect what lies below the oldest of them — corrupt bases, deltas no
+// kept base roots and WAL segments a kept base covers — where it used to
+// wait for one more intact base. GC is held to the files it leaves.
+func refGC(st *Store, keep int) error {
+	if keep < 1 {
+		keep = 1
+	}
+	entries, err := st.fs.ReadDir(st.dir)
+	if err != nil {
+		return fmt.Errorf("checkpoint: scanning store: %w", err)
+	}
+	var baseGens []uint64
+	for _, e := range entries {
+		kind, gen, ok := parseGenName(e.Name())
+		if !ok || kind != 'b' {
+			continue
+		}
+		raw, err := st.fs.ReadFile(filepath.Join(st.dir, e.Name()))
+		if err != nil {
+			continue
+		}
+		if g, err := DecodeGenFrame(raw); err == nil && g.Gen == gen && g.Kind == GenKindBase {
+			baseGens = append(baseGens, gen)
+		}
+	}
+	if len(baseGens) < keep {
+		return nil
+	}
+	sort.Slice(baseGens, func(i, j int) bool { return baseGens[i] > baseGens[j] })
+	cutoff := baseGens[keep-1]
+	for _, e := range entries {
+		kind, gen, ok := parseGenName(e.Name())
+		if !ok {
+			continue
+		}
+		var dead bool
+		switch kind {
+		case 'b':
+			dead = gen < cutoff
+		case 'd':
+			dead = gen <= cutoff
+		case 'w':
+			dead = gen < cutoff
+		}
+		if dead {
+			if err := st.fs.Remove(filepath.Join(st.dir, e.Name())); err != nil {
+				return fmt.Errorf("checkpoint: gc: %w", err)
+			}
+		}
+	}
+	return nil
+}
+
+// memFS is an in-memory directory that counts the files read from it.
+type memFS struct {
+	files   map[string][]byte
+	reads   map[string]int
+	entries []os.DirEntry // ReadDir's answer, until the files change
+}
+
+type memEntry string
+
+func (e memEntry) Name() string               { return string(e) }
+func (memEntry) IsDir() bool                  { return false }
+func (memEntry) Type() iofs.FileMode          { return 0 }
+func (memEntry) Info() (iofs.FileInfo, error) { return nil, errors.ErrUnsupported }
+
+func newMemFS() *memFS {
+	return &memFS{files: map[string][]byte{}, reads: map[string]int{}}
+}
+
+func (m *memFS) clone() *memFS {
+	return &memFS{files: maps.Clone(m.files), reads: map[string]int{}, entries: m.entries}
+}
+
+// put stores a file, or removes it when raw is nil.
+func (m *memFS) put(name string, raw []byte) {
+	if raw == nil {
+		delete(m.files, name)
+	} else {
+		m.files[name] = raw
+	}
+	m.entries = nil
+}
+
+func (m *memFS) OpenFile(string, int, os.FileMode) (File, error) { return nil, errors.ErrUnsupported }
+func (m *memFS) Rename(string, string) error                     { return errors.ErrUnsupported }
+func (m *memFS) MkdirAll(string, os.FileMode) error              { return nil }
+func (m *memFS) SyncDir(string) error                            { return nil }
+
+func (m *memFS) Remove(name string) error {
+	if _, ok := m.files[name]; !ok {
+		return os.ErrNotExist
+	}
+	m.put(name, nil)
+	return nil
+}
+
+func (m *memFS) ReadFile(name string) ([]byte, error) {
+	raw, ok := m.files[name]
+	if !ok {
+		return nil, os.ErrNotExist
+	}
+	m.reads[name]++
+	return raw, nil
+}
+
+func (m *memFS) ReadDir(string) ([]os.DirEntry, error) {
+	if m.entries == nil {
+		for _, name := range slices.Sorted(maps.Keys(m.files)) {
+			m.entries = append(m.entries, memEntry(filepath.Base(name)))
+		}
+	}
+	return m.entries, nil
+}
+
+// damage is what happened to one generation file.
+type damage int
+
+const (
+	intact damage = iota
+	flipped
+	truncated
+	absent
+	numDamages
+)
+
+// nextDamage advances a damage assignment as a base-4 counter over the
+// files, and reports false once it wraps around.
+func nextDamage(dmg []damage) bool {
+	for i := range dmg {
+		if dmg[i]++; dmg[i] < numDamages {
+			return true
+		}
+		dmg[i] = intact
+	}
+	return false
+}
+
+// dirFile is one generation file of an enumerated directory.
+type dirFile struct {
+	path string
+	kind byte
+	gen  uint64
+	raw  []byte
+}
+
+// damaged returns a file's bytes after d: nil when it is absent.
+func (f dirFile) damaged(d damage) []byte {
+	switch d {
+	case flipped:
+		raw := bytes.Clone(f.raw)
+		raw[len(raw)-1] ^= 1
+		return raw
+	case truncated:
+		return f.raw[:len(f.raw)-1]
+	case absent:
+		return nil
+	}
+	return f.raw
+}
+
+// shapeFiles builds the files a store in dir holds for a history given as
+// one token per file in generation order: "b1" a fresh base, "c3" a base
+// compacted at generation 3 (it carries delta 3's chain fingerprint) and
+// "d2" a delta. The delta numbered stale names a parent no generation has;
+// the deltas after it chain onto the true head, as a process does whose
+// write of that delta's parent was lost.
+func shapeFiles(dir string, history []string, stale uint64) []dirFile {
+	var files []dirFile
+	var head uint32
+	for _, tok := range history {
+		gen, _ := strconv.ParseUint(tok[1:], 10, 64)
+		payload := []byte(tok)
+		crc := crcOf(payload)
+		switch tok[0] {
+		case 'b', 'c':
+			if tok[0] == 'b' {
+				head = crc
+			}
+			files = append(files, dirFile{filepath.Join(dir, baseName(gen)), 'b', gen,
+				EncodeGenFrame(GenKindBase, gen, 0, head, payload)})
+		case 'd':
+			parent := head
+			if gen == stale {
+				parent ^= 0xdeadbeef
+			}
+			fp := ChainFP(parent, crc)
+			if gen != stale {
+				head = fp
+			}
+			files = append(files, dirFile{filepath.Join(dir, deltaName(gen)), 'd', gen,
+				EncodeGenFrame(GenKindDelta, gen, parent, fp, payload)})
+		}
+	}
+	return files
+}
+
+// TestNewestFirstReadersMatchReferences holds LoadChain and GC to the
+// read-everything references over every directory of up to 3 bases and 4
+// deltas in three histories — fresh, compacted and re-anchored bases, with
+// and without a delta naming a stale parent, every file intact, bit-flipped,
+// truncated or absent — at every maxGen bound and for keep 1 and 2.
+// LoadChain must return the reference's chain, open no file below its base
+// and none above the bound, and count as fallbacks exactly the files it
+// opened and refused; GC must leave the reference's files and read only the
+// bases it keeps.
+func TestNewestFirstReadersMatchReferences(t *testing.T) {
+	const dir = "store"
+	for _, h := range []struct {
+		history []string
+		stale   uint64 // the delta that names a stale parent, in one pass
+	}{
+		{[]string{"b1", "d2", "d3", "c3", "d4", "d5", "c5"}, 4},
+		{[]string{"b1", "d2", "b3", "d4", "d5", "c5", "d6"}, 5},
+		{[]string{"b1", "d2", "c2", "d3", "d4", "c4", "d5"}, 2},
+	} {
+		checkHistory(t, dir, h.history, 0)
+		checkHistory(t, dir, h.history, h.stale)
+	}
+}
+
+// checkHistory runs checkLoadChain and checkGC over every damage of one
+// history's files.
+func checkHistory(t *testing.T, dir string, history []string, stale uint64) {
+	t.Helper()
+	files := shapeFiles(dir, history, stale)
+	top := files[len(files)-1].gen
+	fsys := newMemFS()
+	for gen := uint64(1); gen <= top; gen++ {
+		fsys.put(filepath.Join(dir, walSegName(gen)), []byte("wal"))
+	}
+	damageOf := map[string]damage{}
+	dmg := make([]damage, len(files))
+	cases, chains := 0, 0
+	for more := true; more; more = nextDamage(dmg) {
+		// Under a bound, only the damages that leave every file above it
+		// intact and the stale delta below it: LoadChain must not open
+		// those files, whatever they hold.
+		var highest uint64
+		for i, f := range files {
+			damageOf[f.path] = dmg[i]
+			fsys.put(f.path, f.damaged(dmg[i]))
+			if dmg[i] != intact || f.kind == 'd' && f.gen == stale {
+				highest = f.gen
+			}
+			if f.kind == 'd' && f.gen == stale && dmg[i] == absent {
+				highest = math.MaxUint64 // the directory without a stale delta
+			}
+		}
+		if highest == math.MaxUint64 {
+			continue
+		}
+		label := func() string {
+			return fmt.Sprintf("history %v stale %d damage %v", history, stale, dmg)
+		}
+		for maxGen := uint64(0); maxGen <= top; maxGen++ {
+			if maxGen != 0 && maxGen < highest {
+				continue
+			}
+			cases++
+			if checkLoadChain(t, fsys, dir, maxGen, damageOf, label) {
+				chains++
+			}
+		}
+		if stale == 0 {
+			for keep := 1; keep <= 2; keep++ {
+				checkGC(t, fsys, dir, keep, label)
+			}
+		}
+	}
+	t.Logf("history %v stale %d: %d LoadChain cases, %d of them found a chain", history, stale, cases, chains)
+}
+
+// checkLoadChain runs LoadChain and its reference over one directory and
+// reports whether they found a chain.
+func checkLoadChain(t *testing.T, fsys *memFS, dir string, maxGen uint64, damageOf map[string]damage, label func() string) bool {
+	t.Helper()
+	want, _, err := refLoadChain(NewStore(dir, fsys), maxGen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(fsys.reads)
+	got, fallbacks, err := NewStore(dir, fsys).LoadChain(maxGen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch {
+	case (got == nil) != (want == nil):
+		t.Fatalf("%s maxGen %d: chain %+v, reference %+v", label(), maxGen, got, want)
+	case got != nil && (got.BaseGen != want.BaseGen || got.Gen != want.Gen || got.FP != want.FP ||
+		got.Deltas != want.Deltas || !slices.Equal(chainPayloads(got), chainPayloads(want))):
+		t.Fatalf("%s maxGen %d: chain %+v %q, reference %+v %q", label(), maxGen,
+			got, chainPayloads(got), want, chainPayloads(want))
+	}
+	refused := 0
+	for path, n := range fsys.reads {
+		name := filepath.Base(path)
+		kind, gen, _ := parseGenName(name)
+		switch {
+		case n > 1:
+			t.Fatalf("%s maxGen %d: read %s %d times", label(), maxGen, name, n)
+		case kind == 'w', maxGen != 0 && gen > maxGen:
+			t.Fatalf("%s maxGen %d: read %s", label(), maxGen, name)
+		case got != nil && (gen < got.BaseGen || kind == 'd' && gen == got.BaseGen):
+			t.Fatalf("%s maxGen %d: read %s, not above the chain's base %d", label(), maxGen, name, got.BaseGen)
+		case got == nil && kind != 'b':
+			t.Fatalf("%s maxGen %d: read %s with no intact base", label(), maxGen, name)
+		}
+		if damageOf[path] != intact {
+			refused++
+		}
+	}
+	if fallbacks != refused {
+		t.Fatalf("%s maxGen %d: %d fallbacks, %d files opened and refused", label(), maxGen, fallbacks, refused)
+	}
+	return got != nil
+}
+
+// checkGC runs GC and its reference on copies of one directory.
+func checkGC(t *testing.T, fsys *memFS, dir string, keep int, label func() string) {
+	t.Helper()
+	want, got := fsys.clone(), fsys.clone()
+	if err := refGC(NewStore(dir, want), keep); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewStore(dir, got).GC(keep); err != nil {
+		t.Fatal(err)
+	}
+	if !maps.EqualFunc(got.files, want.files, bytes.Equal) {
+		t.Fatalf("%s keep %d: GC left %v, reference %v", label(), keep,
+			slices.Sorted(maps.Keys(got.files)), slices.Sorted(maps.Keys(want.files)))
+	}
+	// GC reads bases only, newest first, and stops at the oldest it keeps:
+	// it reads none that it removes.
+	for path := range got.reads {
+		if kind, _, _ := parseGenName(filepath.Base(path)); kind != 'b' {
+			t.Fatalf("%s keep %d: GC read %s", label(), keep, path)
+		}
+		if _, kept := got.files[path]; !kept {
+			t.Fatalf("%s keep %d: GC read %s and removed it", label(), keep, path)
+		}
+	}
 }

@@ -3,6 +3,9 @@ package serve_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -207,5 +210,107 @@ func TestCrashBetweenWALAppendAndResponse(t *testing.T) {
 					st.DuplicatesRejected, duplicates)
 			}
 		})
+	}
+}
+
+// TestCorruptCoveredSegmentKeepsAckedEvents fences a fault in a WAL segment
+// the chain already covers, on the served path, where the WAL holds acked
+// events no source can re-deliver. With a group commit per event, every ack
+// follows its record's fsync. The crash leaves base 1, deltas 2–5 and WAL
+// segments 1–5, and segment 1 gets a flipped preamble byte. Recovery never
+// opens that segment: the resumed server answers every event acked before
+// the crash as a duplicate, and the finished run matches the reference.
+func TestCorruptCoveredSegmentKeepsAckedEvents(t *testing.T) {
+	ref, err := figures.BatchRef("cookie-monster")
+	if err != nil {
+		t.Fatalf("batch reference: %v", err)
+	}
+	w, err := figures.ByName("cookie-monster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := w.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := cfg.Dataset
+	dir := t.TempDir()
+	evs := orderedEvents(ds)
+
+	boom := errors.New("injected crash")
+	var commits atomic.Int64
+	scenario := scenarioForServing(cfg)
+	scenario.CheckpointDir = dir
+	scenario.SnapshotEveryDays = 7
+	scenario.BaseEveryDeltas = 8
+	scenario.GroupCommitEvents = 1
+	scenario.FaultHook = func(p stream.FaultPoint) error {
+		if p == stream.PointSnapshotCommitted && commits.Add(1) == 4 {
+			return boom
+		}
+		return nil
+	}
+	metaA := ds.Meta()
+	metaA.Advertisers = nil
+	tsA := newTestServer(t, serve.Config{Scenario: scenario, Meta: metaA})
+	cA := newClient(t, tsA)
+	cA.register(ds.Advertisers)
+	acked := cA.sendOrderedAllowStop(evs, 64)
+	if acked >= len(evs) {
+		t.Fatalf("server survived the whole trace; crash never fired")
+	}
+	if _, errA := waitDone(t, tsA.srv); !errors.Is(errA, boom) {
+		t.Fatalf("crashed run reported %v, want the injected crash", errA)
+	}
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	want := []string{"base-00000001.ckpt", "delta-00000002.ckpt", "delta-00000003.ckpt",
+		"delta-00000004.ckpt", "delta-00000005.ckpt", "wal-00000001.log", "wal-00000002.log",
+		"wal-00000003.log", "wal-00000004.log", "wal-00000005.log"}
+	if fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Fatalf("crash left %v, want %v", names, want)
+	}
+	path := filepath.Join(dir, "wal-00000001.log")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[0] ^= 1
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed := scenario
+	resumed.Resume = true
+	resumed.FaultHook = nil
+	tsB := newTestServer(t, serve.Config{Scenario: resumed, Meta: ds.Meta()})
+	cB := newClient(t, tsB)
+	accepted, duplicates, failedAt := cB.sendOrdered(evs[:acked], 64)
+	if failedAt >= 0 || accepted != 0 || duplicates != acked {
+		t.Fatalf("re-sending the %d acked events: accepted %d dup %d failedAt %d, want 0/%d/-1",
+			acked, accepted, duplicates, failedAt, acked)
+	}
+	accepted, duplicates, failedAt = cB.sendOrdered(evs[acked:], 64)
+	if failedAt >= 0 || accepted+duplicates != len(evs)-acked {
+		t.Fatalf("sending the rest: accepted %d dup %d failedAt %d, want %d in all",
+			accepted, duplicates, failedAt, len(evs)-acked)
+	}
+	if sr := cB.shutdown(true); sr.State != "done" {
+		t.Fatalf("final shutdown state %q: %s", sr.State, sr.Error)
+	}
+	runB, runErr := waitDone(t, tsB.srv)
+	got := mustDigest(t, runB, runErr, "resumed run")
+	if want := ref.CanonicalDigest(); got != want {
+		t.Fatalf("resumed digest %s != batch reference %s", got, want)
+	}
+	if n := runB.Durability.RecoveryFallbacks; n != 0 {
+		t.Fatalf("resume took %d fallbacks", n)
 	}
 }

@@ -413,28 +413,30 @@ func appendResultStates(dst []resultState, results []Result) []resultState {
 	return dst
 }
 
-// errReplayGap stops WAL replay cleanly when a record's sequence number
-// jumps past the ingest cursor — a mid-chain segment lost records to
-// corruption (bit-flip, lost tail). Everything from the cursor on is
-// re-read from the deterministic source instead.
+// errReplayGap stops WAL replay cleanly at a record whose sequence number
+// is not the ingest cursor — a segment lost records to corruption
+// (bit-flip, lost tail). Everything from the cursor on is re-read from the
+// deterministic source instead.
 var errReplayGap = errors.New("stream: wal sequence gap")
 
 // ResumeFrom rebuilds a service from dir's durable state: it loads the
-// newest intact base generation, streams the fold of its delta chain into
-// place, and replays the retained WAL segments through the
-// ordinary ingest path — re-executing any day flush the log crosses, with
-// the restored ledger and noise-stream state, so the re-execution is
-// bit-identical to what the crashed process computed. The returned
+// newest intact chain, streams its fold into place, and replays the WAL
+// segments from the chain head's generation on through the ordinary ingest
+// path — re-executing any day flush the log crosses, with the restored
+// ledger and noise-stream state, so the re-execution is bit-identical to
+// what the crashed process computed. Segment g is opened only after capture
+// g, so the segments below the head hold only records the chain covers:
+// replay never opens them, and a fault in one costs nothing. The returned
 // service's Serve skips the source prefix the durable state already covers
 // and continues live from there.
 //
-// Recovery never serves corrupt state and never fails on it either:
-// generations that fail their frame or chain checks are skipped (falling
-// back to the newest intact base below them), a WAL sequence gap stops
-// replay cleanly, and in the worst case — nothing intact at all — the run
-// restarts from the source. Every such downgrade is counted in
-// Run.Durability.RecoveryFallbacks. Only a genuine mismatch (a snapshot
-// from a different scenario) is an error.
+// Recovery never serves corrupt state and never fails on it either: a
+// generation that fails its frame or chain checks is skipped (falling back
+// to the newest intact base below it), a record that is not the next in
+// sequence or a corrupt segment stops replay cleanly, and in the worst case
+// — nothing intact at all — the run restarts from the source. Every such
+// downgrade is counted in Run.Durability.RecoveryFallbacks. Only a genuine
+// mismatch (a snapshot from a different scenario) is an error.
 //
 // cfg must describe the same scenario as the original run (ResumeFrom
 // verifies the snapshot's config fingerprint) with the source positioned at
@@ -450,7 +452,7 @@ func ResumeFrom(cfg Config, dir string) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	restored := false
+	var replayFrom uint64
 	if chain != nil {
 		opened, err := openChain(chain.Payloads)
 		if err != nil {
@@ -462,7 +464,7 @@ func ResumeFrom(cfg Config, dir string) (*Service, error) {
 		if opened.schema == snapSchemaVersion { // a schema-6 chain gets no delta: Serve re-anchors
 			s.headGen, s.headFP, s.headDeltas = chain.Gen, chain.FP, chain.Deltas
 		}
-		restored = true
+		replayFrom = chain.Gen
 	}
 	maxGen, err := st.MaxGen()
 	if err != nil {
@@ -474,21 +476,14 @@ func ResumeFrom(cfg Config, dir string) (*Service, error) {
 	// are exactly what the first post-recovery delta must capture.
 	s.resetDirtyTracking()
 
-	// Replay the retained WAL segments through the normal ingest path.
-	// Records at sequence numbers the snapshot already covers (segments
-	// rotated before the chain head was captured, or a crash between
-	// commit and rotation) are skipped by the cursor.
 	s.replaying = true
 	var replayed int
-	replayed, err = st.ReplayWALSegments(func(rec []byte) error {
+	replayed, err = st.ReplayWALSegments(replayFrom, func(rec []byte) error {
 		seq, ev, err := decodeWALRecord(rec)
 		if err != nil {
 			return err
 		}
-		switch {
-		case seq < s.run.EventsIngested:
-			return nil // already in the snapshot
-		case seq > s.run.EventsIngested:
+		if seq != s.run.EventsIngested {
 			return errReplayGap
 		}
 		return s.step(ev)
@@ -520,7 +515,7 @@ func ResumeFrom(cfg Config, dir string) (*Service, error) {
 	// Serve initializes it as a fresh run (a Serve-owned directory always
 	// carries a fingerprinted base from the very start, so a later
 	// ResumeFrom can check the scenario even before any cadence snapshot).
-	s.resumed = restored || replayed > 0
+	s.resumed = chain != nil || replayed > 0
 	return s, nil
 }
 

@@ -204,8 +204,8 @@ type DurabilityStats struct {
 	GroupCommitBytes    int64
 	MaxGroupCommitBytes int
 	// RecoveryFallbacks counts the downgrades recovery took on the way to
-	// intact state: generation files skipped as unusable plus WAL replays
-	// stopped at a sequence gap. 0 when every resume was clean.
+	// intact state: generation files it read and refused, plus WAL replays
+	// stopped early. 0 when every resume was clean.
 	RecoveryFallbacks int
 }
 
@@ -418,9 +418,14 @@ func (s *Service) openDurability() error {
 	}
 	// A resumed run appends to a segment number no crashed process ever
 	// wrote — an old segment's tail may be torn, and recovery already
-	// accounted for exactly what is durable in it.
+	// accounted for exactly what is durable in it — and removes what a
+	// crashed process was staging, before its own writer starts.
 	walGen := s.nextGen
-	if !s.resumed {
+	if s.resumed {
+		if err := s.store.RemoveStaging(); err != nil {
+			return err
+		}
+	} else {
 		// A fresh run owns the directory: clear leftovers from any previous
 		// run. Its initial base and first WAL segment share generation 1:
 		// the segment holds exactly the events ingested after that capture.
@@ -682,10 +687,11 @@ func (s *Service) endOfDay(nextDay int) error {
 //
 // Order matters for crash safety: the old segment syncs before the capture
 // is enqueued, so by the time the new generation can exist on disk, every
-// event below its cursor is durable. A crash leaves either the old state
-// (recover from the previous generation, replaying the synced segment) or
-// both the generation and the stale records (the replay cursor skips the
-// overlap) — never a generation whose history is missing.
+// event below its cursor is durable, and the new segment opens after the
+// capture, so it holds only events from that cursor on. A crash leaves
+// either the old state (recover from the previous generation, replaying
+// the synced segment) or the new generation, whose replay starts at its own
+// segment — never a generation whose history is missing.
 func (s *Service) rotateCheckpoint() error {
 	start := time.Now()
 	if err := s.harvestSnap(); err != nil {
