@@ -420,10 +420,11 @@ func (st *Store) LoadChain(maxGen uint64) (*Chain, int, error) {
 }
 
 // ReplayWALSegments replays the WAL segments numbered from or higher in
-// generation order, and opens none below. fn sees their records as one
-// logical log; an error from fn aborts the replay (the streaming recovery
-// protocol uses a sentinel error to stop cleanly at a sequence gap).
-func (st *Store) ReplayWALSegments(from uint64, fn func(payload []byte) error) (int, error) {
+// generation order, and opens none below. fn sees each segment's frames,
+// with the segment's generation, as one logical log; an error from fn
+// aborts the replay (the streaming recovery protocol uses a sentinel error
+// to stop cleanly at a sequence gap).
+func (st *Store) ReplayWALSegments(from uint64, fn func(gen uint64, fr WALFrame) error) (int, error) {
 	files, err := st.list()
 	if err != nil {
 		return 0, err
@@ -433,7 +434,7 @@ func (st *Store) ReplayWALSegments(from uint64, fn func(payload []byte) error) (
 		if f.kind != 'w' || f.gen < from {
 			continue
 		}
-		n, err := ReplayWALFile(st.fs, filepath.Join(st.dir, f.name), fn)
+		n, err := ReplayWALFile(st.fs, filepath.Join(st.dir, f.name), func(fr WALFrame) error { return fn(f.gen, fr) })
 		total += n
 		if err != nil {
 			return total, err

@@ -6,15 +6,15 @@ import (
 	"math"
 )
 
-// Compact binary encodings for events — the hot serialization on the
-// streaming service's durability path. Two codecs share this file:
+// Binary encodings for events. The streaming service's durability path
+// writes every event in the run format (run.go); this file holds the rest:
 //
-//   - AppendBinary/DecodeBinary: one event, row layout — the WAL record
-//     codec, where events are logged one at a time as they are ingested,
-//     and the snapshot event log's, which keeps those same bytes.
-//     Layout (little-endian): ID u64, Kind u8, Device u64, Day i64, four
-//     length-prefixed names (u32 + bytes): Publisher, Advertiser,
-//     Campaign, Product, then Value as IEEE-754 bits (u64) — bit-exact by
+//   - DecodeBinary: one event, row layout — the reader of the formats the
+//     run replaced, the records of version-1 WAL segments and the event log
+//     of schema-7 snapshots, which both still restore. Layout
+//     (little-endian): ID u64, Kind u8, Device u64, Day i64, four
+//     length-prefixed names (u32 + bytes): Publisher, Advertiser, Campaign,
+//     Product, then Value as IEEE-754 bits (u64) — bit-exact by
 //     construction.
 //   - MarshalEvents/UnmarshalEvents: an event list, columnar layout with a
 //     per-blob string table — the codec of a snapshot head's pending
@@ -23,25 +23,9 @@ import (
 // Hand-rolled fixed layouts here are ~10× cheaper than reflective JSON and
 // keep checkpoint overhead from dominating ingest.
 
-// AppendBinary appends ev's binary encoding to buf and returns the
-// extended slice. Names are written, never symbol numbers, so the bytes do
-// not depend on the process that wrote them.
-func AppendBinary(buf []byte, ev Event) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(ev.ID))
-	buf = append(buf, byte(ev.Kind))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(ev.Device))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(ev.Day)))
-	for _, s := range [...]Sym{ev.Publisher, ev.Advertiser, ev.Campaign, ev.Product} {
-		name := s.String()
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(name)))
-		buf = append(buf, name...)
-	}
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(ev.Value))
-}
-
-// BinaryDay returns the day of the event AppendBinary encoded at the front
-// of buf, reading nothing else; ok is false when buf is shorter than the
-// encoding's fixed front (ID, Kind, Device, Day).
+// BinaryDay returns the day of the row-layout event at the front of buf,
+// reading nothing else; ok is false when buf is shorter than the encoding's
+// fixed front (ID, Kind, Device, Day).
 func BinaryDay(buf []byte) (day int, ok bool) {
 	if len(buf) < 8+1+8+8 {
 		return 0, false

@@ -358,16 +358,18 @@ func (db *Database) EpochEvents(d DeviceID, e Epoch) []Event {
 	return db.WindowViewsInto(buf[:0], d, e, e)[0].evs
 }
 
-// Keys returns every live device-epoch record's key in (device, epoch)
-// order — the order a full snapshot logs the store in.
+// Keys returns every live device-epoch record's key in (epoch, device)
+// order — the order a full snapshot logs the store in, so its log's days
+// never decrease from one record to the next.
 func (db *Database) Keys() []DeviceEpochKey {
 	keys := make([]DeviceEpochKey, 0, db.NumRecords())
 	for _, seg := range db.segs {
+		from := len(keys)
 		for d := range seg.byDevice.all {
 			keys = append(keys, DeviceEpochKey{d, seg.epoch})
 		}
+		slices.SortFunc(keys[from:], DeviceEpochKey.Compare)
 	}
-	slices.SortFunc(keys, DeviceEpochKey.Compare)
 	return keys
 }
 

@@ -1,6 +1,7 @@
 package events
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -312,7 +313,7 @@ func (db *refStore) sortedEpochs(d DeviceID) []Epoch {
 	return out
 }
 
-// keys lists every reference record's key in (device, epoch) order.
+// keys lists every reference record's key in (epoch, device) order.
 func (db *refStore) keys() []DeviceEpochKey {
 	keys := []DeviceEpochKey{}
 	for _, d := range db.sortedDevices() {
@@ -320,6 +321,7 @@ func (db *refStore) keys() []DeviceEpochKey {
 			keys = append(keys, DeviceEpochKey{d, e})
 		}
 	}
+	slices.SortStableFunc(keys, func(a, b DeviceEpochKey) int { return cmp.Compare(a.Epoch, b.Epoch) })
 	return keys
 }
 

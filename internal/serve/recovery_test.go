@@ -2,17 +2,22 @@ package serve_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/dataset"
+	"repro/internal/events"
 	"repro/internal/figures"
 	"repro/internal/serve"
 	"repro/internal/stream"
+	"repro/internal/workload"
 )
 
 // TestGracefulShutdownResume is the drain contract: suspending a server
@@ -213,14 +218,14 @@ func TestCrashBetweenWALAppendAndResponse(t *testing.T) {
 	}
 }
 
-// TestCorruptCoveredSegmentKeepsAckedEvents fences a fault in a WAL segment
-// the chain already covers, on the served path, where the WAL holds acked
-// events no source can re-deliver. With a group commit per event, every ack
-// follows its record's fsync. The crash leaves base 1, deltas 2–5 and WAL
-// segments 1–5, and segment 1 gets a flipped preamble byte. Recovery never
-// opens that segment: the resumed server answers every event acked before
-// the crash as a duplicate, and the finished run matches the reference.
-func TestCorruptCoveredSegmentKeepsAckedEvents(t *testing.T) {
+// coveredSegmentCrash is the served setup of the covered-segment tests: a
+// Cookie Monster server with a snapshot every 7 days, a base every 8 deltas
+// and a group commit per event — so every ack follows its entry's fsync —
+// crashed at its fourth snapshot commit. The crash leaves base 1, deltas
+// 2–5 and WAL segments 1–5; the second result counts the events acked
+// before it.
+func coveredSegmentCrash(t *testing.T) (evs []events.Event, acked int, scenario workload.Config, meta dataset.Meta, digest string) {
+	t.Helper()
 	ref, err := figures.BatchRef("cookie-monster")
 	if err != nil {
 		t.Fatalf("batch reference: %v", err)
@@ -235,16 +240,17 @@ func TestCorruptCoveredSegmentKeepsAckedEvents(t *testing.T) {
 	}
 	ds := cfg.Dataset
 	dir := t.TempDir()
-	evs := orderedEvents(ds)
+	evs = orderedEvents(ds)
 
 	boom := errors.New("injected crash")
 	var commits atomic.Int64
-	scenario := scenarioForServing(cfg)
+	scenario = scenarioForServing(cfg)
 	scenario.CheckpointDir = dir
 	scenario.SnapshotEveryDays = 7
 	scenario.BaseEveryDeltas = 8
 	scenario.GroupCommitEvents = 1
-	scenario.FaultHook = func(p stream.FaultPoint) error {
+	crash := scenario
+	crash.FaultHook = func(p stream.FaultPoint) error {
 		if p == stream.PointSnapshotCommitted && commits.Add(1) == 4 {
 			return boom
 		}
@@ -252,10 +258,10 @@ func TestCorruptCoveredSegmentKeepsAckedEvents(t *testing.T) {
 	}
 	metaA := ds.Meta()
 	metaA.Advertisers = nil
-	tsA := newTestServer(t, serve.Config{Scenario: scenario, Meta: metaA})
+	tsA := newTestServer(t, serve.Config{Scenario: crash, Meta: metaA})
 	cA := newClient(t, tsA)
 	cA.register(ds.Advertisers)
-	acked := cA.sendOrderedAllowStop(evs, 64)
+	acked = cA.sendOrderedAllowStop(evs, 64)
 	if acked >= len(evs) {
 		t.Fatalf("server survived the whole trace; crash never fired")
 	}
@@ -277,7 +283,40 @@ func TestCorruptCoveredSegmentKeepsAckedEvents(t *testing.T) {
 	if fmt.Sprint(names) != fmt.Sprint(want) {
 		t.Fatalf("crash left %v, want %v", names, want)
 	}
-	path := filepath.Join(dir, "wal-00000001.log")
+	return evs, acked, scenario, ds.Meta(), ref.CanonicalDigest()
+}
+
+// sendUntilStopped sends evs in batches of 64, re-sending a refused batch
+// while the server runs, and returns how many events were acked before it
+// stopped.
+func sendUntilStopped(c *client, srv *serve.Server, evs []events.Event) (acked int) {
+	c.t.Helper()
+	for acked < len(evs) {
+		end := min(acked+64, len(evs))
+		req := serve.IngestRequest{Events: make([]serve.EventWire, end-acked)}
+		for i, ev := range evs[acked:end] {
+			req.Events[i] = serve.WireFromEvent(ev)
+		}
+		body, _ := json.Marshal(req)
+		for {
+			st, _ := c.do(http.MethodPost, "/v1/events", body)
+			if st == http.StatusOK {
+				break
+			}
+			select {
+			case <-srv.Done():
+				return acked
+			case <-time.After(2 * time.Millisecond):
+			}
+		}
+		acked = end
+	}
+	return acked
+}
+
+// flipPreamble flips a bit of a WAL segment's preamble.
+func flipPreamble(t *testing.T, path string) {
+	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -286,11 +325,21 @@ func TestCorruptCoveredSegmentKeepsAckedEvents(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestCorruptCoveredSegmentKeepsAckedEvents fences a fault in a WAL segment
+// the chain already covers, on the served path, where the WAL holds acked
+// events no source can re-deliver. Segment 1 of coveredSegmentCrash's
+// directory gets a flipped preamble byte. Recovery never opens that
+// segment: the resumed server answers every event acked before the crash as
+// a duplicate, and the finished run matches the reference.
+func TestCorruptCoveredSegmentKeepsAckedEvents(t *testing.T) {
+	evs, acked, scenario, meta, digest := coveredSegmentCrash(t)
+	flipPreamble(t, filepath.Join(scenario.CheckpointDir, "wal-00000001.log"))
 
 	resumed := scenario
 	resumed.Resume = true
-	resumed.FaultHook = nil
-	tsB := newTestServer(t, serve.Config{Scenario: resumed, Meta: ds.Meta()})
+	tsB := newTestServer(t, serve.Config{Scenario: resumed, Meta: meta})
 	cB := newClient(t, tsB)
 	accepted, duplicates, failedAt := cB.sendOrdered(evs[:acked], 64)
 	if failedAt >= 0 || accepted != 0 || duplicates != acked {
@@ -307,10 +356,75 @@ func TestCorruptCoveredSegmentKeepsAckedEvents(t *testing.T) {
 	}
 	runB, runErr := waitDone(t, tsB.srv)
 	got := mustDigest(t, runB, runErr, "resumed run")
-	if want := ref.CanonicalDigest(); got != want {
-		t.Fatalf("resumed digest %s != batch reference %s", got, want)
+	if got != digest {
+		t.Fatalf("resumed digest %s != batch reference %s", got, digest)
 	}
 	if n := runB.Durability.RecoveryFallbacks; n != 0 {
 		t.Fatalf("resume took %d fallbacks", n)
+	}
+}
+
+// TestReplayStoppedEarlyReanchors fences a fault in the chain head's own
+// WAL segment: segment 5 of coveredSegmentCrash's directory gets a flipped
+// preamble byte, so replay stops before it and the resumed server takes
+// the events it held again from its client. A replay that stopped early
+// stops at the same place next time, so the resumed server must re-anchor
+// the chain with a fresh base before it logs anything. Crashed again at
+// its 450th ingested event, before any capture, the server it leaves
+// behind must answer every event the second one acked as a duplicate, and
+// the finished run must match the reference.
+func TestReplayStoppedEarlyReanchors(t *testing.T) {
+	evs, _, scenario, meta, digest := coveredSegmentCrash(t)
+	flipPreamble(t, filepath.Join(scenario.CheckpointDir, "wal-00000005.log"))
+
+	boom := errors.New("second crash")
+	var ingested, captures atomic.Int64
+	second := scenario
+	second.Resume = true
+	second.FaultHook = func(p stream.FaultPoint) error {
+		switch p {
+		case stream.PointDeltaCaptured:
+			captures.Add(1)
+		case stream.PointEventIngested:
+			if ingested.Add(1) == 450 {
+				return boom
+			}
+		}
+		return nil
+	}
+	tsB := newTestServer(t, serve.Config{Scenario: second, Meta: meta})
+	cB := newClient(t, tsB)
+	acked := sendUntilStopped(cB, tsB.srv, evs)
+	if acked >= len(evs) {
+		t.Fatalf("second server survived the whole trace; crash never fired")
+	}
+	if _, errB := waitDone(t, tsB.srv); !errors.Is(errB, boom) {
+		t.Fatalf("second run reported %v, want the second crash", errB)
+	}
+	if captures.Load() != 0 {
+		t.Fatalf("second server captured %d deltas before its crash, want none", captures.Load())
+	}
+	t.Logf("the second server acked %d events before its crash", acked)
+
+	third := scenario
+	third.Resume = true
+	tsC := newTestServer(t, serve.Config{Scenario: third, Meta: meta})
+	cC := newClient(t, tsC)
+	accepted, duplicates, failedAt := cC.sendOrdered(evs[:acked], 64)
+	if failedAt >= 0 || accepted != 0 || duplicates != acked {
+		t.Fatalf("re-sending the %d events the second server acked: accepted %d dup %d failedAt %d, want 0/%d/-1",
+			acked, accepted, duplicates, failedAt, acked)
+	}
+	accepted, duplicates, failedAt = cC.sendOrdered(evs[acked:], 64)
+	if failedAt >= 0 || accepted+duplicates != len(evs)-acked {
+		t.Fatalf("sending the rest: accepted %d dup %d failedAt %d, want %d in all",
+			accepted, duplicates, failedAt, len(evs)-acked)
+	}
+	if sr := cC.shutdown(true); sr.State != "done" {
+		t.Fatalf("final shutdown state %q: %s", sr.State, sr.Error)
+	}
+	runC, runErr := waitDone(t, tsC.srv)
+	if got := mustDigest(t, runC, runErr, "third run"); got != digest {
+		t.Fatalf("third run's digest %s != batch reference %s", got, digest)
 	}
 }

@@ -30,8 +30,9 @@ import (
 //     as IEEE-754 bit patterns, so restore is bit-exact by construction
 //     (including the NaN RMSRE of rejected queries).
 //
-//   - The WAL records every ingested event ahead of applying it, tagged
-//     with its global ingest sequence number.
+//   - The WAL logs every drained event ahead of applying it, one run per
+//     segment (events/run.go) cut into frames at group commits; an entry's
+//     global ingest sequence number is its frame's first plus its place.
 //
 // Recovery = truncate + deterministic replay: ResumeFrom restores the
 // snapshot, replays the WAL's events through the ordinary ingest path
@@ -55,9 +56,11 @@ import (
 // section that held them is gone. v6: ledger slots no longer carry a
 // capacity (the fingerprint pins ε^G), and the head lost the keys only the
 // retired filter-release mode or the retired ingest queue wrote. v7: the
-// second section is the event log, not key-sorted records; restore still
-// reads schema 6 (snapSchemaRecords), which compaction never sees.
-const snapSchemaVersion, snapSchemaRecords = 7, 6
+// second section is the event log, not key-sorted records. v8: the event log
+// is a sequence of runs (events/run.go), a delta's the bytes its WAL segment
+// holds. Restore still reads schemas 6 (snapSchemaRecords) and 7
+// (snapSchemaEvents), which compaction never sees.
+const snapSchemaVersion, snapSchemaEvents, snapSchemaRecords = 8, 7, 6
 
 // snapConfig is the scenario fingerprint stored in every snapshot. Resuming
 // under a different scenario would silently diverge from the original run,
@@ -308,19 +311,9 @@ type snapHead struct {
 	Durability          DurabilityStats `json:"durability"`
 }
 
-// WAL record layout: the event's global ingest sequence number (u64,
-// little-endian) followed by the event's binary encoding. The sequence
-// number is the cursor that makes replay after a crash between snapshot
-// commit and WAL rotation skip already-snapshotted records instead of
-// double-applying them.
-
-// encodeWALRecord frames one ingested event for the WAL.
-func encodeWALRecord(buf []byte, seq int, ev events.Event) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(seq))
-	return events.AppendBinary(buf, ev)
-}
-
-// decodeWALRecord parses one WAL record.
+// decodeWALRecord parses one record of a version-1 WAL segment, one per
+// event: its global ingest sequence number (u64, little-endian), then the
+// event in the row layout events.DecodeBinary reads.
 func decodeWALRecord(rec []byte) (seq int, ev events.Event, err error) {
 	if len(rec) < 8 {
 		return 0, ev, fmt.Errorf("stream: truncated wal record (%d bytes)", len(rec))
@@ -476,29 +469,58 @@ func ResumeFrom(cfg Config, dir string) (*Service, error) {
 	// are exactly what the first post-recovery delta must capture.
 	s.resetDirtyTracking()
 
+	// With a cadence, the replayed entries form a run of their own in the
+	// event log, which the first delta carries.
+	if s.cfg.SnapshotEveryDays > 0 {
+		s.openRun()
+	}
 	s.replaying = true
 	var replayed int
-	replayed, err = st.ReplayWALSegments(replayFrom, func(rec []byte) error {
-		seq, ev, err := decodeWALRecord(rec)
-		if err != nil {
-			return err
+	var dec events.RunDecoder
+	segment := uint64(0)
+	replayed, err = st.ReplayWALSegments(replayFrom, func(gen uint64, fr checkpoint.WALFrame) error {
+		if fr.Version == 1 {
+			seq, ev, err := decodeWALRecord(fr.Body)
+			if err != nil {
+				return fmt.Errorf("%w: %v", checkpoint.ErrCorrupt, err)
+			}
+			if seq != s.run.EventsIngested {
+				return errReplayGap
+			}
+			return s.step(ev)
 		}
-		if seq != s.run.EventsIngested {
-			return errReplayGap
+		if gen != segment {
+			segment = gen
+			dec.Reset()
 		}
-		return s.step(ev)
+		seq := fr.FirstSeq
+		_, err := dec.Decode(fr.Body, func(ev events.Event, _ bool) error {
+			if seq != uint64(s.run.EventsIngested) {
+				return errReplayGap
+			}
+			seq++
+			return s.step(ev)
+		})
+		if errors.Is(err, events.ErrRun) {
+			err = fmt.Errorf("%w: %v", checkpoint.ErrCorrupt, err)
+		}
+		return err
 	})
 	s.replaying = false
 	if errors.Is(err, errReplayGap) || errors.Is(err, checkpoint.ErrCorrupt) {
 		// Clean stop: the durable state ends at the cursor; Serve re-reads
 		// the rest from the source. A corrupt segment (a flipped preamble
-		// bit, a record that fails to decode) ends the durable log exactly
-		// like a torn tail — everything past it is re-delivered by the
-		// source and re-applied deterministically, so refusing to start
+		// bit, a frame whose entries fail to decode) ends the durable log
+		// exactly like a torn tail — everything past it is re-delivered by
+		// the source and re-applied deterministically, so refusing to start
 		// would turn one lost tail into a permanently unrecoverable
-		// directory. The skipped tail is reported as a fallback.
+		// directory. The skipped tail is reported as a fallback. Serve
+		// re-anchors the chain with a fresh base before it logs again: a
+		// later replay stops at the same place, so the segment it opens
+		// next would otherwise never be replayed.
 		fallbacks++
 		err = nil
+		s.headGen, s.headFP, s.headDeltas = 0, 0, 0
 	}
 	if err != nil {
 		return nil, err
@@ -634,16 +656,19 @@ func (s *Service) restore(c *snapChain) error {
 	return nil
 }
 
-// restoreEvents re-records the chain's live events — a schema-7 chain's logs
-// in order, a schema-6 chain's records merged by key — and shows each to the
-// admission observer, so an external admission layer rebuilds its dedupe
-// cursors from the durable state the service resumes from.
+// restoreEvents re-records the chain's live events — a schema-8 chain's
+// runs in order, a schema-7 chain's logged events in order, a schema-6
+// chain's records merged by key — and shows each to the admission observer,
+// so an external admission layer rebuilds its dedupe cursors from the
+// durable state the service resumes from. Late drops in a run are skipped:
+// the head's drop marks carry what they decided.
 func (s *Service) restoreEvents(c *snapChain) error {
 	record := func(e events.Epoch, ev events.Event) {
 		s.db.Record(e, ev)
 		s.observeAdmit(ev, false)
 	}
-	if c.schema == snapSchemaRecords {
+	switch c.schema {
+	case snapSchemaRecords:
 		return c.merge(secEvents, func(key DevEpoch, blob, _ []byte) error {
 			evs, err := events.UnmarshalEvents(blob)
 			if err != nil {
@@ -654,17 +679,30 @@ func (s *Service) restoreEvents(c *snapChain) error {
 			}
 			return nil
 		})
+	case snapSchemaEvents:
+		return c.log(func(e events.Epoch, enc []byte) error {
+			ev, rest, err := events.DecodeBinary(enc)
+			if err == nil && len(rest) != 0 {
+				err = fmt.Errorf("%d trailing bytes", len(rest))
+			}
+			if err != nil {
+				return fmt.Errorf("stream: logged event: %w", err)
+			}
+			record(e, ev)
+			return nil
+		})
 	}
-	return c.log(func(e events.Epoch, enc, _ []byte) error {
-		ev, rest, err := events.DecodeBinary(enc)
-		if err == nil && len(rest) != 0 {
-			err = fmt.Errorf("%d trailing bytes", len(rest))
+	days := c.head.Config.EpochDays
+	if days <= 0 {
+		return fmt.Errorf("stream: snapshot head has epoch length %d", days)
+	}
+	floor := events.Epoch(c.head.EvictFloor)
+	var dec events.RunDecoder
+	return c.runs(func(lo, hi int, entries, _ []byte) error {
+		if below, _ := floorEpochs(lo, hi, days, floor); below {
+			return nil
 		}
-		if err != nil {
-			return fmt.Errorf("stream: logged event: %w", err)
-		}
-		record(e, ev)
-		return nil
+		return decodeRun(&dec, lo, hi, days, floor, entries, record)
 	})
 }
 

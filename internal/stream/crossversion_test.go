@@ -153,9 +153,54 @@ func cmFixtureConfig(dir string) Config {
 // head chain a compacted base and one delta whose eviction floor lies above
 // records the base holds, with both late drops behind it. This code resumes
 // it to the uninterrupted run's results and budgets with no recovery
-// fallback, and the first generation the resumed run writes is a schema-7
+// fallback, and the first generation the resumed run writes is a schema-8
 // base, so no chain mixes schemas.
 func TestResumesCookieMonsterDirectoryFrom62d74db(t *testing.T) {
+	resumeCookieMonsterFixture(t, "testdata/ckpt-62d74db", snapSchemaRecords, nil)
+}
+
+// TestResumesCookieMonsterDirectoryFromf2a8120 pins schema 7's and the
+// version-1 WAL's read paths: testdata/ckpt-f2a8120 was written by commit
+// f2a8120, the last whose snapshot logs held one row-layout encoding per
+// event and whose WAL held one record per event, with cmFixtureConfig's run
+// crashed at its 43rd ingested event — its head chain a compacted base and
+// one delta whose eviction floor lies above events the base logs, both late
+// drops behind it, and two records in the version-1 segment above the head
+// that no generation covers. This code replays them, resumes the run to the
+// uninterrupted run's results and budgets with no recovery fallback, and
+// the resumed run writes a schema-8 base first and logs into a version-2
+// segment.
+func TestResumesCookieMonsterDirectoryFromf2a8120(t *testing.T) {
+	walVersion := func(store *checkpoint.Store, gen uint64) (uint32, int, error) {
+		raw, err := os.ReadFile(store.WALSegmentPath(gen))
+		if err != nil || len(raw) < 12 {
+			return 0, len(raw), fmt.Errorf("WAL segment %d: %d bytes, %v", gen, len(raw), err)
+		}
+		return binary.LittleEndian.Uint32(raw[8:]), len(raw), nil
+	}
+	resumeCookieMonsterFixture(t, "testdata/ckpt-f2a8120", snapSchemaEvents, func(store *checkpoint.Store, maxGen uint64) error {
+		if v, n, err := walVersion(checkpoint.NewStore("testdata/ckpt-f2a8120", nil), maxGen); err != nil || v != 1 || n <= 12 {
+			return fmt.Errorf("fixture's newest WAL segment: version %d, %d bytes (%v); want version 1 with records", v, n, err)
+		}
+		if v, _, err := walVersion(store, maxGen+1); err != nil || v != 2 {
+			return fmt.Errorf("resumed run's first WAL segment: version %d (%v), want 2", v, err)
+		}
+		return nil
+	})
+}
+
+// resumeCookieMonsterFixture resumes a copy of the committed directory
+// fixture, written by an older commit with cmFixtureConfig's run, whose
+// head chain has the given schema, a compacted base and a delta whose floor
+// lies above the base's, and late drops and evictions behind it. The
+// resumed run must reach the uninterrupted run's results, drops, evictions
+// and consumed budget with no recovery fallback, and the first generation
+// it writes must be a schema-8 base; at its first live event, atFirstEvent,
+// if set, checks the copy's store, given the newest generation the fixture
+// held, too.
+func resumeCookieMonsterFixture(t *testing.T, fixture string, schema uint32,
+	atFirstEvent func(store *checkpoint.Store, maxGen uint64) error) {
+	t.Helper()
 	svc, err := New(cmFixtureConfig(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +211,7 @@ func TestResumesCookieMonsterDirectoryFrom62d74db(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	if err := os.CopyFS(dir, os.DirFS("testdata/ckpt-62d74db")); err != nil {
+	if err := os.CopyFS(dir, os.DirFS(fixture)); err != nil {
 		t.Fatal(err)
 	}
 	store := checkpoint.NewStore(dir, nil)
@@ -182,7 +227,7 @@ func TestResumesCookieMonsterDirectoryFrom62d74db(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.schema != snapSchemaRecords || chain.Deltas == 0 || c.head.EventsDropped == 0 ||
+	if c.schema != schema || chain.Deltas == 0 || c.head.EventsDropped == 0 ||
 		c.head.EvictedRecords == 0 || c.head.EvictFloor <= base.head.EvictFloor {
 		t.Fatalf("fixture chain: schema %d, %d deltas, %d dropped, %d evicted, floor %d over the base's %d",
 			c.schema, chain.Deltas, c.head.EventsDropped, c.head.EvictedRecords, c.head.EvictFloor, base.head.EvictFloor)
@@ -206,6 +251,9 @@ func TestResumesCookieMonsterDirectoryFrom62d74db(t *testing.T) {
 		if next.Gen != maxGen+1 || next.Deltas != 0 || binary.LittleEndian.Uint32(next.Payloads[0]) != snapSchemaVersion {
 			return fmt.Errorf("resumed run's first generation: %d with %d deltas, schema %d; want base %d, schema %d",
 				next.Gen, next.Deltas, binary.LittleEndian.Uint32(next.Payloads[0]), maxGen+1, snapSchemaVersion)
+		}
+		if atFirstEvent != nil {
+			return atFirstEvent(store, maxGen)
 		}
 		return nil
 	}

@@ -16,29 +16,37 @@ import (
 // Snapshot payloads and their fold (DESIGN.md §8). A cadence tick does not
 // serialize the whole service: the service tracks which state changed since
 // the previous capture — device ledgers by mutation version over the devices
-// flushed batches touched, the event store by the log of the events that
-// entered it, planner streams by dirty set, results by high-water mark — and
+// flushed batches touched, the event store by the log of the events drained
+// since, planner streams by dirty set, results by high-water mark — and
 // captures only that, chained to its parent generation by fingerprint. A
 // full snapshot is the same encoder with everything dirty: every device,
 // and every live event logged in one walk of the store.
 //
-// Payload layout (schema 7, little-endian):
+// Payload layout (schema 8, little-endian):
 //
 //	u32 schema | u32 headLen | head (JSON snapHead)
 //	u32 byteLen | device entries
-//	u32 byteLen | event log
+//	u32 byteLen | event log: runs
 //	device entry: u64 device | u32 0 | u32 blobLen | blob
-//	log entry:    u32 len | event (events.AppendBinary, the WAL's encoding)
+//	run:          u32 len | i64 lo | i64 hi | entries (events/run.go)
 //
-// Device entries are strictly ascending by device and self-contained, so
-// the chain's devices fold by one k-way merge that copies bytes: per device
-// the newest generation's entry wins. The event log is the store's history,
-// the delta's the bytes the WAL already encoded, so the chain's logs fold by
-// concatenation, dropping the events below the newest head's eviction
-// floor. snapChain is the single definition of what a delta means: base
-// compaction writes its fold out, recovery re-records it. Schema 6, whose
-// second section held key-sorted records, is still restored (by merge), and
-// a run resumed from it writes a schema-7 base before its first delta.
+// A run's lo and hi bound the days of its store entries (lo > hi, as
+// math.MaxInt64 and math.MinInt64, when it holds only late drops). Device
+// entries are strictly ascending by device and self-contained, so the
+// chain's devices fold by one k-way merge that copies bytes: per device the
+// newest generation's entry wins. The event log is the store's history: a
+// delta's runs are the bytes its WAL segment holds — the run logWAL encoded
+// each drained event into, late drops included — and a base's one run
+// holds every live event, epochs ascending and each epoch's devices in ID
+// order. So the chain's logs fold by concatenating whole runs: a run wholly
+// below the newest head's eviction floor is dropped, a run wholly at or
+// above it is copied, and the one run that straddles it is re-encoded from
+// its store entries at or above it. snapChain is the single definition of
+// what a delta means: base compaction writes its fold out, recovery
+// re-records it. Schemas 6 (key-sorted records, restored by merge) and 7
+// (a log of row-layout encodings, events.DecodeBinary's) are still
+// restored, and a run resumed from either writes a schema-8 base before its
+// first delta.
 
 // The two bulk sections, in payload order.
 const (
@@ -48,6 +56,52 @@ const (
 )
 
 const entryHeaderLen = 8 + 4 + 4
+
+// runHeaderLen is a run's header in the event log: its length, then the
+// bounds of its store entries' days.
+const runHeaderLen = 4 + 8 + 8
+
+// noDaysLo and noDaysHi are the bounds of a run without store entries.
+const noDaysLo, noDaysHi = math.MaxInt64, math.MinInt64
+
+// runWriter appends one run at a time to an event log buffer: open
+// reserves the run's header, add encodes an entry, and close fills the
+// header in, or takes an empty run back out.
+type runWriter struct {
+	enc    events.RunEncoder
+	start  int // the open run's header offset; -1 when none is open
+	lo, hi int // the days of its store entries
+}
+
+func (w *runWriter) open(buf []byte) []byte {
+	w.enc.Reset()
+	w.start, w.lo, w.hi = len(buf), noDaysLo, noDaysHi
+	return append(buf, make([]byte, runHeaderLen)...)
+}
+
+func (w *runWriter) add(buf []byte, ev events.Event, dropped bool) []byte {
+	if !dropped {
+		w.lo, w.hi = min(w.lo, ev.Day), max(w.hi, ev.Day)
+	}
+	return w.enc.Append(buf, ev, dropped)
+}
+
+func (w *runWriter) close(buf []byte) []byte {
+	if w.start < 0 {
+		return buf
+	}
+	n := len(buf) - w.start - runHeaderLen
+	if n == 0 {
+		buf = buf[:w.start]
+	} else {
+		hdr := buf[w.start:]
+		binary.LittleEndian.PutUint32(hdr, uint32(n))
+		binary.LittleEndian.PutUint64(hdr[4:], uint64(int64(w.lo)))
+		binary.LittleEndian.PutUint64(hdr[12:], uint64(int64(w.hi)))
+	}
+	w.start = -1
+	return buf
+}
 
 // openLen reserves a u32 length prefix at the end of buf; closeLen patches
 // it with the number of bytes appended since.
@@ -85,7 +139,7 @@ func (s *Service) resetDirtyTracking() {
 	if s.cfg.SnapshotEveryDays == 0 {
 		return
 	}
-	s.evlog = s.evlog[:0]
+	s.log, s.logRun.start = s.log[:0], -1
 	s.plan.trackDirty()
 	s.touched, s.ledgerVers = nil, make(map[events.DeviceID]uint64)
 	s.fleet.Range(func(d *core.Device) bool {
@@ -98,7 +152,6 @@ func (s *Service) resetDirtyTracking() {
 // dropDirtyTracking disarms the trackers once no delta can follow (after
 // the final base), so a finished service holds no dirty state.
 func (s *Service) dropDirtyTracking() {
-	s.evlog, s.spareLog = nil, nil
 	s.plan.dirty = nil
 	s.touched, s.ledgerVers = nil, nil
 }
@@ -120,27 +173,21 @@ func (s *Service) rangeTouched(fn func(*core.Device) bool) {
 	s.touched = s.touched[:0]
 }
 
-// logEvent appends an event that entered the store to the period's event
-// log while a delta can follow: the WAL record logWAL just encoded, past its
-// sequence number. WAL replay logs nothing, so it encodes the record here.
-func (s *Service) logEvent(ev events.Event) {
-	if s.ledgerVers != nil {
-		if s.replaying {
-			s.walBuf = encodeWALRecord(s.walBuf, 0, ev)
-		}
-		s.evlog = binary.LittleEndian.AppendUint32(s.evlog, uint32(len(s.walBuf)-8))
-		s.evlog = append(s.evlog, s.walBuf[8:]...)
-	}
+// openRun starts a run at the end of the event log, its first entry the
+// next WAL frame's first.
+func (s *Service) openRun() {
+	s.log = s.logRun.open(s.log)
+	s.frameStart, s.frameSeq, s.frameEntries = len(s.log), s.run.EventsIngested, 0
 }
 
 // capture encodes one snapshot payload, which the service keeps no
 // reference to: a full capture (delta false) holds the complete service
 // state in one buffer; a delta holds what changed since the previous
 // capture — the touched devices, in ID order, then the period's event log,
-// handed over as the payload's second part, uncopied — and advances the
-// dirty baselines. Scalars, the central ledger, and the replay-protection
-// set are captured whole either way: they are small and change every day.
-// Caller guarantees quiescence.
+// its open run closed and handed over as the payload's second part,
+// uncopied — and advances the dirty baselines. Scalars, the central
+// ledger, and the replay-protection set are captured whole either way:
+// they are small and change every day. Caller guarantees quiescence.
 func (s *Service) capture(delta bool) (buf, log []byte, err error) {
 	head := s.scalarSnap()
 
@@ -188,25 +235,26 @@ func (s *Service) capture(delta bool) (buf, log []byte, err error) {
 	})
 	closeLen(buf, sec)
 
-	// Event store: a delta's log is the events that entered it since the
-	// last capture, in arrival order, and the next period logs into the
-	// buffer the writer handed back; a full capture logs every live event,
-	// record by record in (device, epoch) order.
+	// Event store: a delta's log is the runs of the events drained since
+	// the last capture, in drain order, and the next period logs into the
+	// buffer the writer handed back; a full capture logs every live event
+	// as one run, record by record in (epoch, device) order.
 	buf, sec = openLen(buf)
 	if delta {
-		binary.LittleEndian.PutUint32(buf[sec:], uint32(len(s.evlog)))
+		s.log = s.logRun.close(s.log)
+		binary.LittleEndian.PutUint32(buf[sec:], uint32(len(s.log)))
 		s.captureHint = len(buf) + len(buf)/8
-		log, s.evlog, s.spareLog = s.evlog, s.spareLog[:0], nil
+		log, s.log, s.spareLog = s.log, s.spareLog, nil
 		return buf, log, nil
 	}
+	var w runWriter
+	buf = w.open(buf)
 	for _, key := range s.db.Keys() {
 		for _, ev := range s.db.EpochEvents(key.Device, key.Epoch) {
-			var mark int
-			buf, mark = openLen(buf)
-			buf = events.AppendBinary(buf, ev)
-			closeLen(buf, mark)
+			buf = w.add(buf, ev, false)
 		}
 	}
+	buf = w.close(buf)
 	closeLen(buf, sec)
 	return buf, nil, nil
 }
@@ -241,7 +289,7 @@ func parsePayload(p []byte) (*snapParts, error) {
 		return nil, fmt.Errorf("stream: truncated snapshot payload (%d bytes)", len(p))
 	}
 	parts := &snapParts{schema: binary.LittleEndian.Uint32(p), head: new(snapHead)}
-	if v := parts.schema; v != snapSchemaVersion && v != snapSchemaRecords {
+	if v := parts.schema; v != snapSchemaVersion && v != snapSchemaEvents && v != snapSchemaRecords {
 		return nil, fmt.Errorf("stream: unsupported snapshot schema %d", v)
 	}
 	raw, rest, err := cutString(p[4:])
@@ -323,12 +371,12 @@ func (c *snapChain) merge(sec int, emit func(key DevEpoch, blob, raw []byte) err
 	return mergeSections(secs, floor, emit)
 }
 
-// log walks the chain's event logs, oldest generation first and each in
-// its own order, handing emit every event at an epoch at or above the
-// newest head's eviction floor: its epoch, its encoding, and its raw entry
-// (length prefix included) for verbatim copy. Every length is bounds-checked
-// against its section; an event's bytes are decoded only as far as its day.
-func (c *snapChain) log(emit func(e events.Epoch, ev, raw []byte) error) error {
+// log walks a schema-7 chain's event logs, oldest generation first and
+// each in its own order, handing emit every event at an epoch at or above
+// the newest head's eviction floor: its epoch and its encoding. Every
+// length is bounds-checked against its section; an event's bytes are
+// decoded only as far as its day.
+func (c *snapChain) log(emit func(e events.Epoch, ev []byte) error) error {
 	days := c.head.Config.EpochDays
 	if days <= 0 {
 		return fmt.Errorf("stream: snapshot head has epoch length %d", days)
@@ -345,7 +393,7 @@ func (c *snapChain) log(emit func(e events.Epoch, ev, raw []byte) error) error {
 				return fmt.Errorf("stream: logged event of %d bytes", len(ev))
 			}
 			if e := events.EpochOfDay(day, days); e >= floor {
-				if err := emit(e, ev, rest[:len(rest)-len(next)]); err != nil {
+				if err := emit(e, ev); err != nil {
 					return err
 				}
 			}
@@ -355,8 +403,69 @@ func (c *snapChain) log(emit func(e events.Epoch, ev, raw []byte) error) error {
 	return nil
 }
 
+// runs walks the chain's event logs, oldest generation first and each run
+// in order, handing emit each run's header fields, entries and raw bytes
+// (header included) for verbatim copy. Every length is bounds-checked
+// against its section.
+func (c *snapChain) runs(emit func(lo, hi int, entries, raw []byte) error) error {
+	for _, p := range c.parts {
+		for rest := p.sec[secEvents]; len(rest) > 0; {
+			if len(rest) < runHeaderLen {
+				return fmt.Errorf("stream: event log: %d bytes after the last run", len(rest))
+			}
+			n := binary.LittleEndian.Uint32(rest)
+			if uint64(n) > uint64(len(rest)-runHeaderLen) {
+				return fmt.Errorf("stream: event log: run of %d bytes exceeds its %d-byte section", n, len(rest)-runHeaderLen)
+			}
+			lo := int(int64(binary.LittleEndian.Uint64(rest[4:])))
+			hi := int(int64(binary.LittleEndian.Uint64(rest[12:])))
+			end := runHeaderLen + int(n)
+			if err := emit(lo, hi, rest[runHeaderLen:end], rest[:end]); err != nil {
+				return err
+			}
+			rest = rest[end:]
+		}
+	}
+	return nil
+}
+
+// floorEpochs reports, for a run whose store entries' days lie in
+// [lo, hi], whether every one of them is below the floor and whether every
+// one is at or above it.
+func floorEpochs(lo, hi, days int, floor events.Epoch) (below, above bool) {
+	if lo > hi {
+		return true, false
+	}
+	return events.EpochOfDay(hi, days) < floor, events.EpochOfDay(lo, days) >= floor
+}
+
+// decodeRun decodes one run of the event log, handing emit each store entry
+// at an epoch at or above floor, and checks its header's day bounds against
+// its entries.
+func decodeRun(dec *events.RunDecoder, lo, hi, days int, floor events.Epoch, entries []byte,
+	emit func(e events.Epoch, ev events.Event)) error {
+	dec.Reset()
+	gotLo, gotHi := noDaysLo, noDaysHi
+	_, err := dec.Decode(entries, func(ev events.Event, dropped bool) error {
+		if !dropped {
+			gotLo, gotHi = min(gotLo, ev.Day), max(gotHi, ev.Day)
+			if e := events.EpochOfDay(ev.Day, days); e >= floor {
+				emit(e, ev)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("stream: event log: %w", err)
+	}
+	if gotLo != lo || gotHi != hi {
+		return fmt.Errorf("stream: run header bounds days [%d, %d], its entries [%d, %d]", lo, hi, gotLo, gotHi)
+	}
+	return nil
+}
+
 // encode writes the folded chain out as one full payload — the compacted
-// base: the devices merged, the logs concatenated above the floor.
+// base: the devices merged, the logs' runs concatenated above the floor.
 func (c *snapChain) encode() ([]byte, error) {
 	if c.schema != snapSchemaVersion {
 		return nil, fmt.Errorf("stream: compaction folds schema %d chains, not %d", snapSchemaVersion, c.schema)
@@ -384,12 +493,32 @@ func (c *snapChain) encode() ([]byte, error) {
 	return buf, err
 }
 
-// appendLog appends the chain's folded event log: the logs concatenated,
-// oldest first, without the events below the floor.
+// appendLog appends the chain's folded event log: the runs concatenated,
+// oldest first, without those wholly below the newest head's eviction
+// floor, and the run that straddles it re-encoded from its store entries at
+// or above it.
 func (c *snapChain) appendLog(buf []byte) ([]byte, error) {
-	err := c.log(func(_ events.Epoch, _, raw []byte) error {
-		buf = append(buf, raw...)
-		return nil
+	days := c.head.Config.EpochDays
+	if days <= 0 {
+		return nil, fmt.Errorf("stream: snapshot head has epoch length %d", days)
+	}
+	floor := events.Epoch(c.head.EvictFloor)
+	var dec events.RunDecoder
+	var w runWriter
+	err := c.runs(func(lo, hi int, entries, raw []byte) error {
+		switch below, above := floorEpochs(lo, hi, days, floor); {
+		case below:
+			return nil
+		case above:
+			buf = append(buf, raw...)
+			return nil
+		}
+		buf = w.open(buf)
+		err := decodeRun(&dec, lo, hi, days, floor, entries, func(_ events.Epoch, ev events.Event) {
+			buf = w.add(buf, ev, false)
+		})
+		buf = w.close(buf)
+		return err
 	})
 	return buf, err
 }

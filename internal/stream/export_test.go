@@ -62,3 +62,11 @@ func PlanOrder(day []*Query) {
 			cmp.Compare(a.seq, b.seq))
 	})
 }
+
+// Ingested returns the service's ingest cursor: after ResumeFrom, the
+// events the chain and the WAL replay restored.
+func (s *Service) Ingested() int { return s.run.EventsIngested }
+
+// CMFixtureConfig is the scenario of testdata/ckpt-62d74db over a fresh
+// source, durable in dir.
+var CMFixtureConfig = cmFixtureConfig

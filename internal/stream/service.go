@@ -233,7 +233,6 @@ type Service struct {
 
 	// Durability state (nil/zero without Config.CheckpointDir).
 	wal         *checkpoint.WAL
-	walBuf      []byte // reused WAL record encoding buffer
 	lastSnapDay int
 	// store is the generation store; headGen/headFP identify the chain
 	// head new deltas link onto, headDeltas counts the deltas captured since
@@ -252,20 +251,28 @@ type Service struct {
 	writer         *snapWriter
 	snapPending    bool
 	compactPending bool
-	// gcEvents/gcBytes accumulate WAL appends toward the next group
-	// commit.
+	// gcEvents/gcBytes accumulate WAL entries and frame bytes toward the
+	// next group commit.
 	gcEvents int
 	gcBytes  int
+	// The event log (delta.go): the runs of the events drained since the
+	// last capture, each behind its header. The open run, logRun's, is the
+	// open WAL segment's: logWAL encodes each drained event into it exactly
+	// once, and a WAL frame is the slice of it from frameStart on,
+	// frameEntries entries numbered from frameSeq. spareLog is the log
+	// buffer the writer handed back, which the next period logs into.
+	log          []byte
+	spareLog     []byte
+	logRun       runWriter
+	frameStart   int
+	frameEntries int
+	frameSeq     int
 	// Dirty-state baselines for delta capture (delta.go): per-device
 	// ledger versions (requested marks move them too), the devices of every
-	// batch flushed since the previous capture (repeats included), the event
-	// log since then, and the results high-water mark. nil ledgerVers means
-	// tracking is disarmed. spareLog is the log buffer the writer handed
-	// back, which the next period logs into.
+	// batch flushed since the previous capture (repeats included), and the
+	// results high-water mark. nil ledgerVers means tracking is disarmed.
 	ledgerVers  map[events.DeviceID]uint64
 	touched     []events.DeviceID
-	evlog       []byte
-	spareLog    []byte
 	resultsMark int
 	// captureHint pre-sizes the next capture's buffer from the last delta's
 	// head and devices.
@@ -296,6 +303,7 @@ func New(cfg Config) (*Service, error) {
 		Engine:     NewEngine(cfg, meta, events.NewDatabase()),
 		evictFloor: events.Epoch(-1 << 31),
 		dropMarks:  make(map[events.DeviceID]events.Stamp),
+		logRun:     runWriter{start: -1},
 	}, nil
 }
 
@@ -332,17 +340,24 @@ func (s *Service) Serve() (run *Run, err error) {
 			if s.wal == nil {
 				return
 			}
-			// An injected fault is a simulated kill: drop the buffered WAL
-			// tail rather than flushing it, so the directory is left no
-			// more durable than a real crash would leave it (and the
-			// recovery harness genuinely exercises lost-tail recovery).
+			// An injected fault is a simulated kill: drop the entries not
+			// yet in a frame rather than writing them, so the directory is
+			// left no more durable than a real crash would leave it (and
+			// the recovery harness genuinely exercises lost-tail recovery).
 			var fe *FaultError
 			if errors.As(err, &fe) {
 				s.wal.Abandon()
-			} else if cerr := s.wal.Close(); cerr != nil && err == nil {
-				run, err = nil, cerr
+			} else {
+				cerr := s.cutFrame()
+				if werr := s.wal.Close(); cerr == nil {
+					cerr = werr
+				}
+				if cerr != nil && err == nil {
+					run, err = nil, cerr
+				}
 			}
 			s.wal = nil
+			s.log, s.spareLog, s.logRun.start = nil, nil, -1
 		}()
 	}
 
@@ -389,7 +404,7 @@ func (s *Service) Serve() (run *Run, err error) {
 		if err := s.harvestCompaction(); err != nil {
 			return nil, err
 		}
-		if err := s.wal.Sync(); err != nil {
+		if err := s.syncWAL(); err != nil {
 			return nil, err
 		}
 		if !suspended || len(s.due) == 0 {
@@ -442,8 +457,10 @@ func (s *Service) openDurability() error {
 		// generation on disk (state rebuilt from WAL replay and the source
 		// alone) re-anchors the chain, because deltas need an intact parent
 		// and the next recovery must not depend on a second full replay; so
-		// does a run resumed from a schema-6 chain, which no delta of this
-		// schema may extend.
+		// does a run whose replay stopped early, whose new segment a later
+		// replay would never reach past the gap, and a run resumed from a
+		// schema-6 or schema-7 chain, which no delta of this schema may
+		// extend.
 		if err := s.writeBase(walGen); err != nil {
 			return err
 		}
@@ -453,7 +470,17 @@ func (s *Service) openDurability() error {
 		// sections (Results) would duplicate on fold.
 		s.resetDirtyTracking()
 	}
-	wal, err := s.store.OpenWALSegment(walGen)
+	if err := s.openWALSegment(walGen); err != nil {
+		return err
+	}
+	s.writer = newSnapWriter(s.store)
+	return nil
+}
+
+// openWALSegment opens WAL segment gen and starts its run in the event log,
+// closing the run replay logged, if any, first.
+func (s *Service) openWALSegment(gen uint64) error {
+	wal, err := s.store.OpenWALSegment(gen)
 	if err != nil {
 		return err
 	}
@@ -461,7 +488,9 @@ func (s *Service) openDurability() error {
 	if s.cfg.GroupCommitEvents > 0 {
 		s.wal.StartGroupCommit()
 	}
-	s.writer = newSnapWriter(s.store)
+	s.gcEvents, s.gcBytes = 0, 0
+	s.log = s.logRun.close(s.log)
+	s.openRun()
 	return nil
 }
 
@@ -492,7 +521,7 @@ func (s *Service) harvestSnap() error {
 	if res.err != nil {
 		return res.err
 	}
-	s.headGen, s.headFP, s.spareLog = res.gen, res.fp, res.log
+	s.headGen, s.headFP, s.spareLog = res.gen, res.fp, res.log[:0]
 	s.run.Durability.DeltaBytes += int64(res.bytes)
 	return s.fault(PointSnapshotCommitted)
 }
@@ -533,7 +562,7 @@ func (s *Service) step(ev events.Event) error {
 		// replay re-drops it at the same sequence number — but the event
 		// itself never touches the event store, the planner, or (for an
 		// evicted epoch) any state retention already reclaimed.
-		if err := s.logWAL(ev); err != nil {
+		if err := s.logWAL(ev, true); err != nil {
 			return err
 		}
 		s.run.EventsIngested++
@@ -553,7 +582,7 @@ func (s *Service) step(ev events.Event) error {
 		}
 		s.curDay = ev.Day
 	}
-	if err := s.logWAL(ev); err != nil {
+	if err := s.logWAL(ev, false); err != nil {
 		return err
 	}
 	if len(s.dropMarks) != 0 {
@@ -598,45 +627,81 @@ func (s *Service) observeResult(res Result) {
 	}
 }
 
-// logWAL appends one drained event to the write-ahead log on the live path
-// (no-op without durability or during replay), tagged with its drain
-// sequence number. With group commit configured, crossing the threshold
-// flushes the batch and signals the background syncer instead of fsyncing
-// inline.
-func (s *Service) logWAL(ev events.Event) error {
-	if s.wal == nil || s.replaying {
+// walFrameBytes is how many bytes of entries may be pending before a WAL
+// frame is cut between group commits — or, without group commit, between
+// syncs.
+const walFrameBytes = 64 << 10
+
+// logWAL encodes one drained event into the open run of the event log —
+// the write-ahead log's next entry, tagged by its position with its drain
+// sequence number — ahead of applying it; dropped flags a late drop. Replay
+// logs into a run of its own and writes no frame. On the live path a frame
+// is cut every GroupCommitEvents events, with a request to the background
+// syncer, and whenever walFrameBytes of entries are pending.
+func (s *Service) logWAL(ev events.Event, dropped bool) error {
+	if s.logRun.start < 0 {
 		return nil
 	}
-	s.walBuf = encodeWALRecord(s.walBuf, s.run.EventsIngested, ev)
-	if err := s.wal.Append(s.walBuf); err != nil {
-		return err
-	}
-	if s.cfg.GroupCommitEvents <= 0 {
+	s.log = s.logRun.add(s.log, ev, dropped)
+	s.frameEntries++
+	if s.wal == nil {
 		return nil
 	}
-	s.gcEvents++
-	s.gcBytes += len(s.walBuf) + 8
-	if s.gcEvents >= s.cfg.GroupCommitEvents {
-		if err := s.wal.RequestSync(); err != nil {
-			return err
+	if s.cfg.GroupCommitEvents > 0 {
+		if s.gcEvents++; s.gcEvents >= s.cfg.GroupCommitEvents {
+			if err := s.cutFrame(); err != nil {
+				return err
+			}
+			if err := s.wal.RequestSync(); err != nil {
+				return err
+			}
+			d := &s.run.Durability
+			d.GroupCommits++
+			d.GroupCommitBytes += int64(s.gcBytes)
+			if s.gcBytes > d.MaxGroupCommitBytes {
+				d.MaxGroupCommitBytes = s.gcBytes
+			}
+			s.gcEvents, s.gcBytes = 0, 0
+			return s.fault(PointGroupCommit)
 		}
-		d := &s.run.Durability
-		d.GroupCommits++
-		d.GroupCommitBytes += int64(s.gcBytes)
-		if s.gcBytes > d.MaxGroupCommitBytes {
-			d.MaxGroupCommitBytes = s.gcBytes
-		}
-		s.gcEvents, s.gcBytes = 0, 0
-		return s.fault(PointGroupCommit)
+	}
+	if len(s.log)-s.frameStart >= walFrameBytes {
+		return s.cutFrame()
 	}
 	return nil
 }
 
-// ingest records one event, logs it for the next delta, and routes
-// conversions to the planner.
+// cutFrame writes the open run's entries not yet in a frame to the WAL as
+// one frame. Without a snapshot cadence no delta carries the run, so the
+// written entries leave the buffer; the encoder's run goes on.
+func (s *Service) cutFrame() error {
+	if s.frameEntries == 0 {
+		return nil
+	}
+	entries := s.log[s.frameStart:]
+	if err := s.wal.Append(uint64(s.frameSeq), entries); err != nil {
+		return err
+	}
+	s.gcBytes += checkpoint.WALFrameHeader + len(entries)
+	if s.cfg.SnapshotEveryDays == 0 {
+		s.log = s.log[:s.frameStart]
+	}
+	s.frameStart, s.frameSeq, s.frameEntries = len(s.log), s.frameSeq+s.frameEntries, 0
+	return nil
+}
+
+// syncWAL cuts the pending frame and makes the segment durable.
+func (s *Service) syncWAL() error {
+	if err := s.cutFrame(); err != nil {
+		return err
+	}
+	return s.wal.Sync()
+}
+
+// ingest records one event and routes conversions to the planner; logWAL
+// has already logged it.
 func (s *Service) ingest(ev events.Event) {
 	s.db.Record(events.EpochOfDay(ev.Day, s.cfg.EpochDays), ev)
-	s.logEvent(ev)
 	s.run.EventsIngested++
 	if ev.IsConversion() {
 		s.admit(ev)
@@ -719,6 +784,9 @@ func (s *Service) rotateCheckpoint() error {
 	// and a run resumed from it reports the capture that produced it.
 	s.run.Durability.SnapshotCaptures++
 	job := snapJob{gen: gen, parentFP: s.headFP, compact: compact}
+	if err := s.cutFrame(); err != nil {
+		return err
+	}
 	var err error
 	if job.prefix, job.log, err = s.capture(true); err != nil {
 		return err
@@ -730,15 +798,9 @@ func (s *Service) rotateCheckpoint() error {
 		return err
 	}
 	s.wal = nil
-	wal, err := s.store.OpenWALSegment(gen)
-	if err != nil {
+	if err := s.openWALSegment(gen); err != nil {
 		return err
 	}
-	s.wal = wal
-	if s.cfg.GroupCommitEvents > 0 {
-		s.wal.StartGroupCommit()
-	}
-	s.gcEvents, s.gcBytes = 0, 0
 	now := time.Now()
 	if stall := now.Sub(start); stall > s.run.Durability.MaxSnapshotStall {
 		s.run.Durability.MaxSnapshotStall = stall

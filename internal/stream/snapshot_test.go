@@ -130,17 +130,33 @@ func TestFoldExhaustive(t *testing.T) {
 	t.Logf("%d folds", folds)
 }
 
+// logRun encodes evs as one run of an event log, header included, the
+// entries flagged in dropped as late drops; no events, no run.
+func logRun(evs []events.Event, dropped []bool) []byte {
+	if len(evs) == 0 {
+		return nil
+	}
+	var w runWriter
+	buf := w.open(nil)
+	for i, ev := range evs {
+		buf = w.add(buf, ev, dropped != nil && dropped[i])
+	}
+	return w.close(buf)
+}
+
 // TestEventLogFoldExhaustive enumerates every chain of up to three payloads
-// — a base, then deltas — whose event logs hold up to two events each over
-// 2 devices × 3 epochs, under every eviction floor. Each chain, restored into
-// a fresh store, must match a map model: per record, the events at or above
-// the floor in (Day, ID) order, ties in arrival order. Compaction's fold of
-// the chain, restored, must give the same store. Generation g's events carry
-// ID 9-g, so a later generation's event sorts before an earlier one's in its
-// record and restore inserts in place; a log's two events tie on (Day, ID),
-// and their values tell arrival order apart. The fold is the log section
-// compaction writes (snapChain.appendLog); TestFoldMatchesSnapshotAtEveryTick
-// restores whole compacted payloads.
+// — a base, then deltas — whose event logs hold one run of up to two events
+// each over 2 devices × 3 epochs, under every eviction floor. Each chain,
+// restored into a fresh store, must match a map model: per record, the
+// events at or above the floor in (Day, ID) order, ties in arrival order.
+// Compaction's fold of the chain, restored, must give the same store.
+// Generation g's events carry ID 9-g, so a later generation's event sorts
+// before an earlier one's in its record and restore inserts in place; a
+// log's two events tie on (Day, ID), and their values tell arrival order
+// apart. The fold is the log section compaction writes
+// (snapChain.appendLog: whole runs dropped or copied, the straddling one
+// re-encoded); TestFoldMatchesSnapshotAtEveryTick restores whole compacted
+// payloads.
 func TestEventLogFoldExhaustive(t *testing.T) {
 	const epochDays, maxEvents = 7, 2
 	type slot struct {
@@ -176,12 +192,11 @@ func TestEventLogFoldExhaustive(t *testing.T) {
 	encoded := make([][][]byte, maxLen)
 	for g := range encoded {
 		for _, l := range logs {
-			var buf []byte
+			var evs []events.Event
 			for i, k := range l {
-				ev := events.AppendBinary(nil, event(g, i, slots[k]))
-				buf = append(binary.LittleEndian.AppendUint32(buf, uint32(len(ev))), ev...)
+				evs = append(evs, event(g, i, slots[k]))
 			}
-			encoded[g] = append(encoded[g], buf)
+			encoded[g] = append(encoded[g], logRun(evs, nil))
 		}
 	}
 	restored := func(c *snapChain) (*events.Database, error) {
@@ -258,6 +273,109 @@ func TestEventLogFoldExhaustive(t *testing.T) {
 	}
 	walk()
 	t.Logf("%d folds", folds)
+}
+
+// TestRunFloorCutExhaustive holds compaction's cut of the event log to its
+// definition: for every run of up to four entries over 2 devices × 3
+// epochs, each entry a store entry or a late drop, at every floor, the cut
+// (snapChain.appendLog over the run alone: dropped whole, copied whole, or
+// re-encoded from its store entries at or above the floor) restored into a
+// fresh store equals the run decoded with its late drops and its entries
+// below the floor filtered out; the cut keeps no store entry below the
+// floor; and the cut of a cut is itself. Entry i is
+// stamped with day epoch·7 + i and ID 9 - i, so entries arrive out of
+// (Day, ID) order within a record and restore must insert in place.
+func TestRunFloorCutExhaustive(t *testing.T) {
+	const epochDays, maxEntries = 7, 4
+	type slot struct {
+		dev   events.DeviceID
+		epoch events.Epoch
+	}
+	var slots []slot
+	for dev := events.DeviceID(1); dev <= 2; dev++ {
+		for e := events.Epoch(0); e < 3; e++ {
+			slots = append(slots, slot{dev, e})
+		}
+	}
+	event := func(i int, s slot) events.Event {
+		return events.Event{ID: events.EventID(9 - i), Kind: events.KindConversion, Device: s.dev,
+			Day: int(s.epoch)*epochDays + i, Advertiser: events.Intern("nike.example"), Value: float64(i)}
+	}
+	restore := func(c *snapChain) (*events.Database, error) {
+		svc := &Service{Engine: &Engine{db: events.NewDatabase()}}
+		return svc.db, svc.restoreEvents(c)
+	}
+	chainOf := func(log []byte, floor events.Epoch) *snapChain {
+		return &snapChain{schema: snapSchemaVersion,
+			head:  &snapHead{Config: snapConfig{EpochDays: epochDays}, EvictFloor: int32(floor)},
+			parts: []*snapParts{{schema: snapSchemaVersion, sec: [numSections][]byte{secEvents: log}}}}
+	}
+	var picks []int // slot index·2 + dropped
+	cuts := 0
+	var walk func()
+	walk = func() {
+		var evs []events.Event
+		var dropped []bool
+		for i, p := range picks {
+			evs, dropped = append(evs, event(i, slots[p/2])), append(dropped, p%2 == 1)
+		}
+		run := logRun(evs, dropped)
+		for floor := events.Epoch(0); floor <= 3; floor++ {
+			label := fmt.Sprintf("picks %v floor %d", picks, floor)
+			cut, err := chainOf(run, floor).appendLog(nil)
+			if err != nil {
+				t.Fatalf("%s: cut: %v", label, err)
+			}
+			got, err := restore(chainOf(cut, floor))
+			if err != nil {
+				t.Fatalf("%s: restoring the cut: %v", label, err)
+			}
+			want := events.NewDatabase()
+			for i, ev := range evs {
+				if e := events.EpochOfDay(ev.Day, epochDays); !dropped[i] && e >= floor {
+					want.Record(e, ev)
+				}
+			}
+			for _, s := range slots {
+				if g, w := got.EpochEvents(s.dev, s.epoch), want.EpochEvents(s.dev, s.epoch); !slices.Equal(g, w) {
+					t.Fatalf("%s: record %v restored from the cut %v, filtered %v", label, s, g, w)
+				}
+			}
+			if got.NumRecords() != want.NumRecords() {
+				t.Fatalf("%s: %d records restored from the cut, %d filtered", label, got.NumRecords(), want.NumRecords())
+			}
+			// The cut keeps no store entry below the floor: runs wholly
+			// below it are gone, and the straddling one lost its entries
+			// below it.
+			err = chainOf(cut, floor).runs(func(_, _ int, entries, _ []byte) error {
+				var dec events.RunDecoder
+				_, err := dec.Decode(entries, func(ev events.Event, dropped bool) error {
+					if e := events.EpochOfDay(ev.Day, epochDays); !dropped && e < floor {
+						return fmt.Errorf("entry %+v at epoch %d", ev, e)
+					}
+					return nil
+				})
+				return err
+			})
+			if err != nil {
+				t.Fatalf("%s: the cut keeps a store entry below the floor: %v", label, err)
+			}
+			if again, err := chainOf(cut, floor).appendLog(nil); err != nil || !bytes.Equal(again, cut) {
+				t.Fatalf("%s: the cut's cut differs (%v)", label, err)
+			}
+			cuts++
+		}
+		if len(picks) == maxEntries {
+			return
+		}
+		for p := 0; p < 2*len(slots); p++ {
+			picks = append(picks, p)
+			walk()
+			picks = picks[:len(picks)-1]
+		}
+	}
+	walk()
+	t.Logf("%d cuts", cuts)
 }
 
 // hostileTrace is a seeded synthetic trace with late re-deliveries mixed in:
@@ -428,7 +546,7 @@ func TestDirtyTrackingArmedOnlyForDeltas(t *testing.T) {
 		}
 	}
 	tracking := func(s *Service) bool {
-		return s.ledgerVers != nil || s.touched != nil || s.plan.dirty != nil || s.evlog != nil || s.spareLog != nil
+		return s.ledgerVers != nil || s.touched != nil || s.plan.dirty != nil || s.log != nil || s.spareLog != nil
 	}
 	for _, every := range []int{0, 5} {
 		dir := t.TempDir()
@@ -581,6 +699,16 @@ func corruptions(t testing.TB, base []byte) map[string][]byte {
 	if slotEpoch < 0 || markEpoch < 0 {
 		t.Fatal("base payload carries no ledger slot or no requested mark")
 	}
+	// The first logged entry's first name: past the run header, the tag and
+	// the ID, device and day varints.
+	name := logged + runHeaderLen + 1
+	for i := 0; i < 3; i++ {
+		_, n := binary.Uvarint(base[name:])
+		name += n
+	}
+	if base[name] != 0 {
+		t.Fatal("base payload's first logged entry does not define its first name")
+	}
 	return map[string][]byte{
 		"truncated-section": base[:len(base)-5],
 		"swapped-keys": mutate(func(p []byte) {
@@ -596,12 +724,16 @@ func corruptions(t testing.TB, base []byte) map[string][]byte {
 		"wild-slot-epoch":      mutate(func(p []byte) { binary.LittleEndian.PutUint32(p[slotEpoch:], 1<<30) }),
 		"wild-requested-epoch": mutate(func(p []byte) { binary.LittleEndian.PutUint32(p[markEpoch:], 1<<30) }),
 		"schema-3-json":        []byte(`{"schema":3,"config":{"epochDays":7},"devices":[],"records":[],"results":[]}`),
-		// The first logged event's length reaches past the log.
+		// The first run's length reaches past the log.
 		"log-overrun": mutate(func(p []byte) { binary.LittleEndian.PutUint32(p[logged:], 1<<31) }),
-		// The first logged event's publisher claims more bytes than the
-		// event holds: the day still reads, so only restore can refuse it.
-		"log-undecodable": mutate(func(p []byte) { binary.LittleEndian.PutUint32(p[logged+4+25:], 1<<20) }),
-		"log-trailing":    append(bytes.Clone(base), 0, 0, 0),
+		// The first entry refers to a name no entry defined: the run's
+		// framing holds, so only its decode can refuse it.
+		"log-undefined-name": mutate(func(p []byte) { p[name] = 0x7f }),
+		// Three bytes follow the last run inside the log section, the
+		// payload's last.
+		"log-trailing": append(mutate(func(p []byte) {
+			binary.LittleEndian.PutUint32(p[logged-4:], uint32(len(parts.sec[secEvents])+3))
+		}), 0, 0, 0),
 	}
 }
 
@@ -631,25 +763,27 @@ const snapCorpusDir = "testdata/fuzz/FuzzSnapPayload"
 
 // TestSnapCorpus keeps the checked-in fuzz seeds honest: the valid ones must
 // still be accepted by this decoder and restore into a fresh service — a
-// schema-7 one also folding to itself — and an IPA-like one's central rows
+// schema-8 one also folding to itself — and an IPA-like one's central rows
 // into a fresh central ledger (a head field added without regenerating them
 // would quietly turn them into rejects), the broken ones still refused for
 // the reason their name gives — and a refusal of the devices section or the
 // central rows comes before any ledger lane, requested mark or central row
 // exists. The unprefixed seeds are schema 6, written before the event log
-// replaced the records section; the v7- ones are schema 7.
+// replaced the records section; the v7- ones are schema 7, whose log held
+// one row-layout encoding per event; the v8- ones are schema 8, whose log
+// is runs.
 func TestSnapCorpus(t *testing.T) {
 	if *updateCorpus {
 		base, delta := samplePayloads(t, false)
 		all := corruptions(t, base)
 		seeds := map[string][]byte{"valid-base": base, "valid-delta": delta}
-		for _, name := range []string{"log-overrun", "log-undecodable", "log-trailing"} {
+		for _, name := range []string{"log-overrun", "log-undefined-name", "log-trailing"} {
 			seeds[name] = all[name]
 		}
 		seeds["valid-central-base"], _ = samplePayloads(t, true)
 		for name, p := range seeds {
 			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", p)
-			if err := os.WriteFile(filepath.Join(snapCorpusDir, "v7-"+name), []byte(body), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(snapCorpusDir, "v8-"+name), []byte(body), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -673,6 +807,12 @@ func TestSnapCorpus(t *testing.T) {
 		"v7-log-overrun":        "event log: stream: 2147483648-byte field exceeds its",
 		"v7-log-undecodable":    "logged event: events: string of 1048576 bytes exceeds buffer",
 		"v7-log-trailing":       "3 trailing bytes after snapshot sections",
+		"v8-valid-base":         "",
+		"v8-valid-delta":        "",
+		"v8-valid-central-base": "",
+		"v8-log-overrun":        "event log: run of 2147483648 bytes exceeds its",
+		"v8-log-undefined-name": "event log: events: malformed run: name index 126 of 0 defined",
+		"v8-log-trailing":       "event log: 3 bytes after the last run",
 	} {
 		p := readSeed(t, name)
 		var out []byte

@@ -9,15 +9,15 @@ import (
 
 // The background snapshot writer takes the disk off the ingest thread. The
 // day clock captures a delta whole — the head and the touched devices, then
-// the period's event log, which holds the bytes the WAL already encoded, so
-// nothing is gathered, encoded or copied twice — and hands both parts here;
-// this goroutine makes the staged write and the fsync while ingest
-// continues, and hands the log's buffer back with its result. A
-// delta the day clock marked for compaction is then handed on to a second
-// goroutine, the compactor, which folds the chain up to that delta into a
-// fresh base — the devices merged, the logs concatenated above the floor —
-// and collects the generations it supersedes while later deltas are
-// written.
+// the period's event log, the run its WAL segment holds, so no event is
+// gathered, encoded or copied twice — and hands both parts here; this
+// goroutine makes the staged write and the fsync while ingest continues,
+// and hands the log's buffer back with its result. A delta the day clock
+// marked for compaction is then handed on to a second goroutine, the
+// compactor, which folds the chain up to that delta into a fresh base — the
+// devices merged, the logs' runs concatenated, those wholly below the
+// eviction floor dropped and the one straddling it re-encoded — and
+// collects the generations it supersedes while later deltas are written.
 //
 // At most one delta job and at most one compaction are ever in flight. The
 // day clock harvests the previous delta before it enqueues the next, so
