@@ -106,6 +106,18 @@ func (d *Device) RangeRequested(fn func(e events.Epoch, queriers []events.Site, 
 	})
 }
 
+// RangeLanes visits the device's ledger lane by lane, queriers in name
+// order, each with its first epoch, its slots' consumed budgets (negative
+// for a slot never initialized) and its requested marks (non-zero where
+// marked), slot i at epoch base+i — the walk behind the snapshot's device
+// blob (see privacy.Table.RangeLanes). fn runs under the ledger's lock and
+// must not call back into the device or keep the slices.
+func (d *Device) RangeLanes(fn func(q events.Site, base events.Epoch, consumed []float64, marks []byte)) {
+	d.ledger.RangeLanes(func(q events.Sym, base int64, consumed []float64, marks []byte) {
+		fn(q, events.Epoch(base), consumed, marks)
+	})
+}
+
 // BudgetDenials returns the number of budget charges this device's ledger
 // has denied — how often queriers ran into the device's filter capacity.
 // The count never influences charge outcomes, but it is checkpointed (and

@@ -242,8 +242,8 @@ func TestBuildPartitionsByEpoch(t *testing.T) {
 	db := events.NewFrozen(7, ds.Events)
 	// Every event must land in the epoch matching its day.
 	n := 0
-	for _, k := range db.Keys() {
-		for _, ev := range db.EpochEvents(k.Device, k.Epoch) {
+	for k, evs := range db.Records() {
+		for _, ev := range evs {
 			if events.EpochOfDay(ev.Day, 7) != k.Epoch {
 				t.Fatalf("event day %d in epoch %d", ev.Day, k.Epoch)
 			}

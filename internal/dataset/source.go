@@ -129,17 +129,32 @@ func Materialize(s Source) *Dataset {
 		DurationDays:      m.DurationDays,
 		Advertisers:       m.Advertisers,
 	}
-	for {
-		ev, ok := s.Next()
-		if !ok {
-			ds.Events = slices.Clone(ds.Events)
-			return ds
-		}
-		if n := len(ds.Events); n > 0 && ev.Before(ds.Events[n-1]) {
+	// The events collect in fixed-size chunks, so nothing is copied while
+	// the source drains, and then move once into a slice of their exact
+	// length.
+	var chunks [][]events.Event
+	var prev events.Event
+	n := 0
+	for ev, ok := s.Next(); ok; ev, ok = s.Next() {
+		if n > 0 && ev.Before(prev) {
 			panic(fmt.Sprintf(
 				"dataset: source %q out of order: event %d (day %d) after event %d (day %d)",
-				m.Name, ev.ID, ev.Day, ds.Events[n-1].ID, ds.Events[n-1].Day))
+				m.Name, ev.ID, ev.Day, prev.ID, prev.Day))
 		}
-		ds.Events = append(ds.Events, ev)
+		if n%materializeChunk == 0 {
+			chunks = append(chunks, make([]events.Event, 0, materializeChunk))
+		}
+		chunks[len(chunks)-1] = append(chunks[len(chunks)-1], ev)
+		prev, n = ev, n+1
 	}
+	if n > 0 {
+		ds.Events = make([]events.Event, 0, n)
+		for _, c := range chunks {
+			ds.Events = append(ds.Events, c...)
+		}
+	}
+	return ds
 }
+
+// materializeChunk is the number of events in each of Materialize's chunks.
+const materializeChunk = 1 << 13

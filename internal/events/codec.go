@@ -6,22 +6,25 @@ import (
 	"math"
 )
 
-// Binary encodings for events. The streaming service's durability path
-// writes every event in the run format (run.go); this file holds the rest:
+// Binary encodings for events the durability path no longer writes. The
+// streaming service writes every event in the run format (run.go) — WAL
+// frames, event logs and, from snapshot schema 9 on, the planner's pending
+// conversions; this file holds the readers of the formats the run replaced,
+// which older checkpoint directories still restore through:
 //
-//   - DecodeBinary: one event, row layout — the reader of the formats the
-//     run replaced, the records of version-1 WAL segments and the event log
-//     of schema-7 snapshots, which both still restore. Layout
+//   - DecodeBinary: one event, row layout — the records of version-1 WAL
+//     segments and the event log of schema-7 snapshots. Layout
 //     (little-endian): ID u64, Kind u8, Device u64, Day i64, four
 //     length-prefixed names (u32 + bytes): Publisher, Advertiser, Campaign,
 //     Product, then Value as IEEE-754 bits (u64) — bit-exact by
 //     construction.
-//   - MarshalEvents/UnmarshalEvents: an event list, columnar layout with a
-//     per-blob string table — the codec of a snapshot head's pending
-//     conversions, and of the records of schema-6 snapshots.
+//   - UnmarshalEvents: an event list, columnar layout with a per-blob
+//     string table — the pending conversions of schema-6 to schema-8
+//     snapshot heads, and the records of schema-6 snapshots.
 //
-// Hand-rolled fixed layouts here are ~10× cheaper than reflective JSON and
-// keep checkpoint overhead from dominating ingest.
+// The columnar writer, MarshalEvents, has no caller in the program: the
+// benchmark measures write amplification against the columnar size of the
+// trace it ingests.
 
 // BinaryDay returns the day of the row-layout event at the front of buf,
 // reading nothing else; ok is false when buf is shorter than the encoding's
@@ -71,14 +74,11 @@ func DecodeBinary(buf []byte) (Event, []byte, error) {
 }
 
 // MarshalEvents encodes a slice of events with a count prefix. The layout is
-// columnar: each field serialized as one
-// contiguous column (IDs, kinds, devices, days, string indices, value bits),
-// with the four name fields deduplicated through a per-blob string table of
-// names (never symbol numbers).
-// Snapshot blobs hold one device-epoch record whose publishers, advertisers,
-// and campaigns repeat heavily, so the table both shrinks the snapshot and
-// replaces the per-event field interleaving with straight bulk column
-// writes. Layout (little-endian):
+// columnar: each field serialized as one contiguous column (IDs, kinds,
+// devices, days, string indices, value bits), with the four name fields
+// deduplicated through a per-blob string table of names (never symbol
+// numbers), in first-appearance order, so equal inputs yield equal bytes.
+// Layout (little-endian):
 //
 //	u32 n
 //	n × u64 IDs, n × u8 kinds, n × u64 devices, n × u64 days (two's compl.)
@@ -86,12 +86,9 @@ func DecodeBinary(buf []byte) (Event, []byte, error) {
 //	4 columns of n × u32 table indices: publisher, advertiser, campaign,
 //	product
 //	n × u64 value bits (IEEE-754 — bit-exact by construction)
-func MarshalEvents(evs []Event) []byte { return AppendEvents(nil, evs) }
-
-// AppendEvents appends the MarshalEvents encoding of evs to buf.
-func AppendEvents(buf []byte, evs []Event) []byte {
+func MarshalEvents(evs []Event) []byte {
 	n := len(evs)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(n))
 	if n == 0 {
 		return buf
 	}
@@ -107,8 +104,8 @@ func AppendEvents(buf []byte, evs []Event) []byte {
 	for i := range evs {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(evs[i].Day)))
 	}
-	// String table in first-appearance order (column-major: publishers, then
-	// advertisers, campaigns, products), so equal inputs yield equal bytes.
+	// String table in first-appearance order, column-major: publishers,
+	// then advertisers, campaigns, products.
 	var table []Sym
 	cols := make([]uint32, 0, 4*n)
 	index := make(map[Sym]uint32)

@@ -3,6 +3,7 @@ package events
 import (
 	"cmp"
 	"hash/maphash"
+	"iter"
 	"maps"
 	"math/bits"
 	"runtime"
@@ -350,27 +351,30 @@ func (db *Database) EvictBefore(first Epoch) int {
 	return removed
 }
 
-// EpochEvents returns the events of device d at epoch e (the paper's D^e_d),
-// or nil when the device-epoch is empty. The returned slice is shared;
-// callers must not modify it.
-func (db *Database) EpochEvents(d DeviceID, e Epoch) []Event {
-	var buf [1]EventView
-	return db.WindowViewsInto(buf[:0], d, e, e)[0].evs
-}
-
-// Keys returns every live device-epoch record's key in (epoch, device)
-// order — the order a full snapshot logs the store in, so its log's days
-// never decrease from one record to the next.
-func (db *Database) Keys() []DeviceEpochKey {
-	keys := make([]DeviceEpochKey, 0, db.NumRecords())
-	for _, seg := range db.segs {
-		from := len(keys)
-		for d := range seg.byDevice.all {
-			keys = append(keys, DeviceEpochKey{d, seg.epoch})
+// Records yields every live device-epoch record, its key and its events,
+// in (epoch, device) order — the order a full snapshot logs the store in, so
+// its epochs never decrease from one record to the next. Each segment's
+// records come straight from its region index, radix-sorted by device; the
+// events are the store's, capped at their length, and must not be modified.
+// Like every read, it must not overlap Record or EvictBefore.
+func (db *Database) Records() iter.Seq2[DeviceEpochKey, []Event] {
+	return func(yield func(DeviceEpochKey, []Event) bool) {
+		var devs []DeviceID
+		var regs []region
+		for _, seg := range db.segs {
+			devs, regs = devs[:0], regs[:0]
+			for d, r := range seg.byDevice.all {
+				devs, regs = append(devs, d), append(regs, r)
+			}
+			byDev, byDevRegs := radixSortDevices(devs, regs)
+			for i, d := range byDev {
+				evs, _ := seg.view(byDevRegs[i])
+				if !yield(DeviceEpochKey{d, seg.epoch}, evs) {
+					return
+				}
+			}
 		}
-		slices.SortFunc(keys[from:], DeviceEpochKey.Compare)
 	}
-	return keys
 }
 
 // NumRecords returns the number of non-empty device-epoch records |D|.

@@ -359,7 +359,7 @@ func arenaEvent(seq int, d DeviceID, day int, id EventID) Event {
 
 // checkStoreVsRef holds a store — recorded, bulk-loaded, or bulk-loaded and
 // then recorded into — to the reference on every read: counts, device and
-// epoch lists, Keys, EpochEvents, WindowViewsInto (each view's scan keys
+// epoch lists, Keys and Records, EpochEvents, WindowViewsInto (each view's scan keys
 // against its events) and compiled scans. It checks that every live region lies inside its
 // chunk's carved slots and overlaps no other, then appends to every returned
 // slice and checks that no record's reads moved.
@@ -376,6 +376,11 @@ func checkStoreVsRef(t *testing.T, db *Database, ref *refStore, stage string) {
 	}
 	if got, want := db.Keys(), ref.keys(); !slices.Equal(got, want) {
 		t.Fatalf("%s: Keys = %v, ref %v", stage, got, want)
+	}
+	for k, evs := range db.Records() {
+		if want := ref.epochEvents(k.Device, k.Epoch); !reflect.DeepEqual(evs, want) || cap(evs) != len(evs) {
+			t.Fatalf("%s: Records at %v = %v (cap %d), ref %v", stage, k, evs, cap(evs), want)
+		}
 	}
 	lo, hi := Epoch(0), Epoch(-1)
 	for i, k := range ref.keys() {

@@ -23,6 +23,27 @@ func AppendBinary(buf []byte, ev Event) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(ev.Value))
 }
 
+// EpochEvents returns the events of device d at epoch e (the paper's D^e_d),
+// or nil when the device-epoch is empty. The returned slice is shared;
+// callers must not modify it.
+func (db *Database) EpochEvents(d DeviceID, e Epoch) []Event {
+	var buf [1]EventView
+	return db.WindowViewsInto(buf[:0], d, e, e)[0].evs
+}
+
+// Keys returns every live device-epoch record's key in (epoch, device)
+// order, Records' order.
+func (db *Database) Keys() []DeviceEpochKey {
+	var keys []DeviceEpochKey
+	for k := range db.Records() {
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+// AppendEvents appends the MarshalEvents encoding of evs to buf.
+func AppendEvents(buf []byte, evs []Event) []byte { return append(buf, MarshalEvents(evs)...) }
+
 // SymCount returns the number of names in the process's symbol table, the
 // empty name included.
 func SymCount() int { return len(*symtab.names.Load()) }

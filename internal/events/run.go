@@ -267,6 +267,11 @@ func zigzag(x int64) uint64 { return uint64(x<<1) ^ uint64(x>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
+// Uvarint decodes a minimally encoded uvarint from the front of b, as the
+// run codec reads its varints: it returns the value and its length, or a
+// length ≤ 0 for truncated, overlong or overflowing input.
+func Uvarint(b []byte) (uint64, int) { return uvarint(b) }
+
 // uvarint decodes a minimally encoded uvarint from the front of b, returning
 // the value and its length, or a length ≤ 0 for truncated, overlong or
 // overflowing input.

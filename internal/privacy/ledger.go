@@ -525,6 +525,24 @@ func (t *Table) RangeRequested(fn func(e int64, queriers []events.Sym, consumed 
 	}
 }
 
+// RangeLanes calls fn once per querier lane, in name order, with the lane's
+// first epoch, its cells' consumed budgets — negative for a slot never
+// initialized — and its requested marks, non-zero where some window was
+// marked over the cell's epoch; cell i belongs to epoch base+i. It is the
+// whole persisted state of the table but the denial counter, in its layout's
+// order. fn runs under the table's lock: it must not call back into the
+// table, and the slices alias the table and are valid only during the call.
+func (t *Table) RangeLanes(fn func(q events.Sym, base int64, consumed []float64, marks []byte)) {
+	t.lock()
+	defer t.unlock()
+	hs, cells, marks := t.table()
+	for j := range hs {
+		h := &hs[j]
+		lo, hi := int(h.off), int(h.off)+h.len()
+		fn(h.q, int64(h.base), cells[lo:hi:hi], marks[lo:hi:hi])
+	}
+}
+
 // Denials returns the number of charges this table has denied for lack of
 // budget, across all queriers and epochs. Every denial path (ChargeWindow,
 // ChargeWindowBatch) counts here; zero-loss outcomes and ChargeAll refusals
@@ -645,7 +663,7 @@ func (t *Table) Rows(capacity float64) []LedgerEntry {
 // any row is read — and a restore never lowers a slot's consumed budget
 // (replaying an old snapshot must never refund privacy loss).
 func (t *Table) Restore(capacity float64, q events.Sym, e int64, consumed float64) error {
-	if consumed < 0 || consumed > capacity*(1+1e-9) {
+	if !(consumed >= 0) || consumed > capacity*(1+1e-9) { // NaN included: it would never deny
 		return fmt.Errorf("privacy: corrupt ledger slot %s/%d: %v of %v", q, e, consumed, capacity)
 	}
 	t.lock()

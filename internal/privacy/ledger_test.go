@@ -426,7 +426,7 @@ func TestLedgerTotalsMatchRowSums(t *testing.T) {
 }
 
 // TestLedgerRestore covers the persistence path: refund refusal, and refusal
-// of a consumed budget outside [0, ε^G].
+// of a consumed budget outside [0, ε^G] or not a number.
 func TestLedgerRestore(t *testing.T) {
 	l := NewLedger(1)
 	if err := l.Restore(events.Intern("q"), 2, 0.4); err != nil {
@@ -448,6 +448,11 @@ func TestLedgerRestore(t *testing.T) {
 	}
 	if err := l.Restore(events.Intern("q"), 4, 1.5); err == nil {
 		t.Fatal("over-capacity accepted")
+	}
+	// A NaN slot compares false against every capacity, so it would admit
+	// every later charge.
+	if err := l.Restore(events.Intern("q"), 4, math.NaN()); err == nil {
+		t.Fatal("NaN consumed accepted")
 	}
 	for _, row := range l.Rows() {
 		if row.Epoch != 2 {

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
@@ -20,15 +21,16 @@ import (
 // all owned by internal/checkpoint's CRC-guarded formats:
 //
 //   - A base captures the service's complete state at a day boundary:
-//     every device's budget-ledger lanes (slots and the requested marks
-//     beside them), every live event of the event store, the incremental
-//     planner's cursor
-//     (per-stream pending conversions, sequence numbers, caps), the
-//     aggregation service's nonce watermark and consumed set,
-//     both noise-stream RNG states, the central ledger (IPA-like runs),
-//     and the run's results and accumulators. Scalar floats are serialized
-//     as IEEE-754 bit patterns, so restore is bit-exact by construction
-//     (including the NaN RMSRE of rejected queries).
+//     every device's budget-ledger lanes (each querier's initialized slots
+//     and requested epochs, its name written once per device), every live
+//     event of the event store, the incremental planner's cursor
+//     (per-stream sequence numbers and caps, and the pending conversions
+//     as runs of the run codec), the aggregation service's nonce watermark
+//     and consumed set, both noise-stream RNG states, the central ledger
+//     (IPA-like runs), and the run's results and accumulators. Scalar
+//     floats are serialized as IEEE-754 bit patterns, so restore is
+//     bit-exact by construction (including the NaN RMSRE of rejected
+//     queries).
 //
 //   - The WAL logs every drained event ahead of applying it, one run per
 //     segment (events/run.go) cut into frames at group commits; an entry's
@@ -58,9 +60,13 @@ import (
 // retired filter-release mode or the retired ingest queue wrote. v7: the
 // second section is the event log, not key-sorted records. v8: the event log
 // is a sequence of runs (events/run.go), a delta's the bytes its WAL segment
-// holds. Restore still reads schemas 6 (snapSchemaRecords) and 7
-// (snapSchemaEvents), which compaction never sees.
-const snapSchemaVersion, snapSchemaEvents, snapSchemaRecords = 8, 7, 6
+// holds. v9: the planner's pending conversions leave the head for a
+// section of runs — a delta's only the conversions each dirty stream gained
+// since the last capture — and a device blob is its ledger lane by lane,
+// each querier's name written once. Restore still reads schemas 6
+// (snapSchemaRecords), 7 (snapSchemaEvents) and 8 (snapSchemaRuns), which
+// compaction never sees.
+const snapSchemaVersion, snapSchemaRuns, snapSchemaEvents, snapSchemaRecords = 9, 8, 7, 6
 
 // snapConfig is the scenario fingerprint stored in every snapshot. Resuming
 // under a different scenario would silently diverge from the original run,
@@ -111,50 +117,211 @@ func (s *Service) snapConfig() snapConfig {
 	return sc
 }
 
-// The devices section holds one self-contained blob per device (layout and
-// framing in delta.go). Hand-rolled fixed layouts here: the fleet's slot
-// table and the event store dominate a snapshot's bytes, and reflective
-// encoding there would dominate its cost.
+// The devices section holds one self-contained blob per device (framing in
+// delta.go). Hand-rolled layouts here: the fleet's ledgers and the event
+// store dominate a snapshot's bytes, and reflective encoding there would
+// dominate its cost.
 
-// appendDevice packs one device's budget state: the ledger's lifetime denial
-// counter (u64 — pure telemetry, but telemetry the hostile-traffic scenarios
-// assert on, so it must survive recovery like any other state), then a u32
-// slot count and per slot a length-prefixed querier string, the epoch (u32,
-// two's complement), and the consumed budget as IEEE-754 bits. The rest of the
-// blob is the requested marks, exactly as RangeRequested yields them: per
-// marked epoch the epoch (u32), a u32 querier count and the length-prefixed
-// queriers in name order.
+// appendDevice packs one device's budget state, the schema-9 device blob:
+// the ledger's lifetime denial counter (pure telemetry, but telemetry the
+// hostile-traffic scenarios assert on, so it must survive recovery like any
+// other state), then each querier lane, names ascending, until the blob
+// ends:
+//
+//	denials uvarint
+//	lane:   uvarint name length | name
+//	        uvarint slot count | per initialized slot its epoch, then its
+//	        consumed budget as u64 IEEE-754 bits
+//	        uvarint range count | per maximal run of requested epochs its
+//	        first epoch, then uvarint last − first
+//
+// The lane's first slot epoch and first range start are zigzag varints;
+// every later one is a uvarint of its distance past the one before, less
+// one for a slot and less two for a range start (ranges are maximal, so
+// they never touch). A lane holds at least one slot or one range.
 func appendDevice(buf []byte, d *core.Device) []byte {
-	rows := d.Ledger()
-	buf = binary.LittleEndian.AppendUint64(buf, d.BudgetDenials())
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rows)))
-	var q string
-	for i, r := range rows {
-		if i == 0 || r.Querier != rows[i-1].Querier {
-			q = r.Querier.String() // rows come grouped by querier
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(q)))
-		buf = append(buf, q...)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(r.Epoch)))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Consumed))
-	}
-	d.RangeRequested(func(e events.Epoch, queriers []events.Site, _ []float64) {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(e)))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(queriers)))
-		for _, s := range queriers {
-			q := s.String()
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(q)))
-			buf = append(buf, q...)
-		}
+	buf = binary.AppendUvarint(buf, d.BudgetDenials())
+	d.RangeLanes(func(q events.Site, base events.Epoch, consumed []float64, marks []byte) {
+		buf = appendLane(buf, q.String(), base, consumed, marks)
 	})
 	return buf
 }
 
-// decodeDevice walks an appendDevice blob: it returns the denial counter,
-// streams the ledger slots into row and then the requested marks into mark.
+// appendLane appends querier q's lane of a device blob, from the ledger
+// lane whose slot i, at epoch base+i, has consumed[i] (negative when never
+// initialized) and is requested where marks[i] is non-zero. A lane with
+// neither appends nothing.
+func appendLane(buf []byte, q string, base events.Epoch, consumed []float64, marks []byte) []byte {
+	slots, ranges := 0, 0
+	for i := range consumed {
+		if consumed[i] >= 0 {
+			slots++
+		}
+		if marks[i] != 0 && (i == 0 || marks[i-1] == 0) {
+			ranges++
+		}
+	}
+	if slots+ranges == 0 {
+		return buf
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(q)))
+	buf = append(buf, q...)
+	buf = binary.AppendUvarint(buf, uint64(slots))
+	prev := -1
+	for i, c := range consumed {
+		if c < 0 {
+			continue
+		}
+		buf = appendEpochStep(buf, int64(base)+int64(i), prev < 0, int64(base)+int64(prev)+1)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c))
+		prev = i
+	}
+	buf = binary.AppendUvarint(buf, uint64(ranges))
+	end := -1
+	for i := 0; i < len(marks); i++ {
+		if marks[i] == 0 {
+			continue
+		}
+		j := i
+		for j+1 < len(marks) && marks[j+1] != 0 {
+			j++
+		}
+		buf = appendEpochStep(buf, int64(base)+int64(i), end < 0, int64(base)+int64(end)+2)
+		buf = appendEpochStep(buf, int64(base)+int64(j), false, int64(base)+int64(i))
+		end, i = j, j
+	}
+	return buf
+}
+
+// appendEpochStep appends epoch e: as a zigzag varint when it is a lane's
+// first, else as a uvarint of its distance past next, the smallest epoch
+// it may take.
+func appendEpochStep(buf []byte, e int64, first bool, next int64) []byte {
+	if first {
+		return binary.AppendVarint(buf, e)
+	}
+	return binary.AppendUvarint(buf, uint64(e-next))
+}
+
+// blobReader walks a schema-9 device blob; the first malformed field sets
+// err, after which every read returns zero.
+type blobReader struct {
+	buf []byte
+	err error
+}
+
+func (r *blobReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("stream: device blob: "+format, args...)
+	}
+}
+
+func (r *blobReader) uvarint(what string) uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := events.Uvarint(r.buf)
+	if n <= 0 {
+		r.fail("bad %s varint", what)
+		return 0
+	}
+	r.buf = r.buf[n:]
+	return v
+}
+
+// count reads a count of items of at least min bytes each, refusing one
+// the rest of the blob cannot hold.
+func (r *blobReader) count(what string, min int) int {
+	n := r.uvarint(what)
+	if n > uint64(len(r.buf)/min) {
+		r.fail("%d %s in %d bytes", n, what, len(r.buf))
+		return 0
+	}
+	return int(n)
+}
+
+// epoch reads an epoch written by appendEpochStep.
+func (r *blobReader) epoch(first bool, next int64) events.Epoch {
+	var e int64
+	if first {
+		v := r.uvarint("epoch")
+		e = int64(v>>1) ^ -int64(v&1)
+	} else if step := r.uvarint("epoch"); step <= math.MaxUint32 {
+		e = next + int64(step)
+	} else {
+		e = math.MaxInt64
+	}
+	if e != int64(int32(e)) {
+		r.fail("epoch %d outside the ledger's range", e)
+		return 0
+	}
+	return events.Epoch(e)
+}
+
+// decodeDevice walks a schema-9 device blob (appendDevice): it returns the
+// denial counter, streams each lane's initialized slots into row and its
+// requested ranges into mark.
 func decodeDevice(buf []byte, sites siteIntern,
 	row func(q events.Site, e events.Epoch, consumed float64) error,
-	mark func(q events.Site, e events.Epoch) error) (denials uint64, err error) {
+	mark func(q events.Site, first, last events.Epoch) error) (denials uint64, err error) {
+	r := blobReader{buf: buf}
+	denials = r.uvarint("denials")
+	var prev []byte
+	for r.err == nil && len(r.buf) > 0 {
+		size := r.count("name bytes", 1)
+		name := r.buf[:size]
+		r.buf = r.buf[size:]
+		if prev != nil && bytes.Compare(name, prev) <= 0 {
+			r.fail("lane %q after %q", name, prev)
+		}
+		prev = name
+		q := sites.site(name)
+		slots := r.count("slots", 1+8)
+		next := int64(0)
+		for i := 0; i < slots && r.err == nil; i++ {
+			e := r.epoch(i == 0, next)
+			if len(r.buf) < 8 {
+				r.fail("truncated slot")
+			}
+			if r.err != nil {
+				break
+			}
+			consumed := math.Float64frombits(binary.LittleEndian.Uint64(r.buf))
+			r.buf = r.buf[8:]
+			if err := row(q, e, consumed); err != nil {
+				return 0, err
+			}
+			next = int64(e) + 1
+		}
+		ranges := r.count("ranges", 2)
+		for i := 0; i < ranges && r.err == nil; i++ {
+			first := r.epoch(i == 0, next)
+			last := r.epoch(false, int64(first))
+			if r.err != nil {
+				break
+			}
+			if err := mark(q, first, last); err != nil {
+				return 0, err
+			}
+			next = int64(last) + 2
+		}
+		if slots+ranges == 0 {
+			r.fail("empty lane %q", name)
+		}
+	}
+	return denials, r.err
+}
+
+// decodeDeviceV8 walks a device blob of schemas 6 to 8: a u64 denial
+// counter, a u32 slot count and per slot a length-prefixed querier string,
+// the epoch (u32, two's complement) and the consumed budget as IEEE-754
+// bits; the rest of the blob is the requested marks, per marked epoch the
+// epoch (u32), a u32 querier count and the length-prefixed queriers in name
+// order. It returns the denial counter and streams the ledger slots into
+// row and then each requested epoch, as a range of one, into mark.
+func decodeDeviceV8(buf []byte, sites siteIntern,
+	row func(q events.Site, e events.Epoch, consumed float64) error,
+	mark func(q events.Site, first, last events.Epoch) error) (denials uint64, err error) {
 	if len(buf) < 12 {
 		return 0, fmt.Errorf("stream: truncated device state")
 	}
@@ -185,7 +352,7 @@ func decodeDevice(buf []byte, sites siteIntern,
 				return 0, fmt.Errorf("stream: truncated requested querier")
 			}
 			buf = rest
-			if err := mark(sites.site(q), e); err != nil {
+			if err := mark(sites.site(q), e, e); err != nil {
 				return 0, err
 			}
 		}
@@ -219,13 +386,16 @@ func (m siteIntern) site(b []byte) events.Site {
 	return s
 }
 
-// streamSnap is one query stream's planner cursor.
+// streamSnap is one query stream's planner cursor. Its pending conversions
+// are Runs runs of the payload's pending section (schema 9; see delta.go),
+// or, in schemas 6 to 8, one events.MarshalEvents blob in Pending.
 type streamSnap struct {
 	Site    string `json:"site"`
 	Product string `json:"product"`
 	Epsilon uint64 `json:"epsilonBits"`
 	Seq     int    `json:"seq"`
 	Capped  bool   `json:"capped"`
+	Runs    int    `json:"runs,omitempty"`
 	Pending []byte `json:"pending,omitempty"`
 }
 
@@ -609,25 +779,8 @@ func (s *Service) restore(c *snapChain) error {
 	}
 
 	// Planner cursor.
-	for _, ss := range snap.Streams {
-		site, product := events.Intern(ss.Site), events.Intern(ss.Product)
-		adv, ok := s.plan.advBySite[site]
-		if !ok {
-			return fmt.Errorf("stream: snapshot stream for unknown advertiser %s", ss.Site)
-		}
-		pending, err := events.UnmarshalEvents(ss.Pending)
-		if err != nil {
-			return fmt.Errorf("stream: stream %s/%s: %w", ss.Site, ss.Product, err)
-		}
-		key := streamKey{site, product}
-		s.plan.streams[key] = &streamState{
-			adv:     adv,
-			product: product,
-			epsilon: math.Float64frombits(ss.Epsilon),
-			pending: pending,
-			seq:     ss.Seq,
-			capped:  ss.Capped,
-		}
+	if err := s.plan.restore(c); err != nil {
+		return err
 	}
 
 	// Released results. Restored results replay through the result
@@ -656,8 +809,8 @@ func (s *Service) restore(c *snapChain) error {
 	return nil
 }
 
-// restoreEvents re-records the chain's live events — a schema-8 chain's
-// runs in order, a schema-7 chain's logged events in order, a schema-6
+// restoreEvents re-records the chain's live events — a schema-8 or
+// schema-9 chain's runs in order, a schema-7 chain's logged events in order, a schema-6
 // chain's records merged by key — and shows each to the admission observer,
 // so an external admission layer rebuilds its dedupe cursors from the
 // durable state the service resumes from. Late drops in a run are skipped:
@@ -737,19 +890,28 @@ func (s *Service) restoreCentral(rows []centralState) error {
 }
 
 // restoreDevices streams the folded devices section into the fleet. A slot
-// or a requested mark outside the span is refused before it can size a lane:
-// each blob is walked twice, and the first walk only checks.
+// or a requested range outside the span is refused before it can size a
+// lane: each blob is walked twice, and the first walk only checks.
 func (s *Service) restoreDevices(c *snapChain, sites siteIntern) error {
+	decode := decodeDevice
+	if c.schema != snapSchemaVersion {
+		decode = decodeDeviceV8
+	}
 	return c.merge(secDevices, func(key DevEpoch, blob, _ []byte) error {
-		_, err := decodeDevice(blob, sites,
+		_, err := decode(blob, sites,
 			func(_ events.Site, e events.Epoch, _ float64) error { return s.inSpan("slot", e) },
-			func(_ events.Site, e events.Epoch) error { return s.inSpan("requested", e) })
+			func(_ events.Site, first, last events.Epoch) error {
+				if err := s.inSpan("requested", first); err != nil {
+					return err
+				}
+				return s.inSpan("requested", last)
+			})
 		if err != nil {
 			return fmt.Errorf("stream: device %d: %w", key.Device, err)
 		}
 		d := s.fleet.GetOrCreate(key.Device)
-		denials, err := decodeDevice(blob, sites, d.RestoreBudgetRow,
-			func(q events.Site, e events.Epoch) error { d.MarkRequested(q, e, e); return nil })
+		denials, err := decode(blob, sites, d.RestoreBudgetRow,
+			func(q events.Site, first, last events.Epoch) error { d.MarkRequested(q, first, last); return nil })
 		if err != nil {
 			return fmt.Errorf("stream: device %d: %w", key.Device, err)
 		}

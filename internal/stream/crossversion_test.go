@@ -153,8 +153,8 @@ func cmFixtureConfig(dir string) Config {
 // head chain a compacted base and one delta whose eviction floor lies above
 // records the base holds, with both late drops behind it. This code resumes
 // it to the uninterrupted run's results and budgets with no recovery
-// fallback, and the first generation the resumed run writes is a schema-8
-// base, so no chain mixes schemas.
+// fallback, and the first generation the resumed run writes is a base of
+// the current schema, so no chain mixes schemas.
 func TestResumesCookieMonsterDirectoryFrom62d74db(t *testing.T) {
 	resumeCookieMonsterFixture(t, "testdata/ckpt-62d74db", snapSchemaRecords, nil)
 }
@@ -168,8 +168,8 @@ func TestResumesCookieMonsterDirectoryFrom62d74db(t *testing.T) {
 // drops behind it, and two records in the version-1 segment above the head
 // that no generation covers. This code replays them, resumes the run to the
 // uninterrupted run's results and budgets with no recovery fallback, and
-// the resumed run writes a schema-8 base first and logs into a version-2
-// segment.
+// the resumed run writes a base of the current schema first and logs into
+// a version-2 segment.
 func TestResumesCookieMonsterDirectoryFromf2a8120(t *testing.T) {
 	walVersion := func(store *checkpoint.Store, gen uint64) (uint32, int, error) {
 		raw, err := os.ReadFile(store.WALSegmentPath(gen))
@@ -189,15 +189,67 @@ func TestResumesCookieMonsterDirectoryFromf2a8120(t *testing.T) {
 	})
 }
 
+// TestResumesCookieMonsterDirectoryFrom7fcfa9d pins schema 8's read path:
+// testdata/ckpt-7fcfa9d was written by commit 7fcfa9d, the last whose
+// snapshot heads held each stream's pending conversions as a columnar blob
+// and whose device blobs held fixed-width slots and per-epoch requested
+// marks, with cmFixtureConfig's run crashed at its 43rd ingested event — its
+// head chain a compacted base and one delta whose eviction floor lies above
+// events the base logs, a stream with a pending conversion, devices with
+// requested marks, both late drops behind it, and a version-2 WAL segment
+// above the head holding records no generation covers. This code replays
+// them, resumes the run to the uninterrupted run's results and budgets with
+// no recovery fallback, and the resumed run writes a schema-9 base first.
+func TestResumesCookieMonsterDirectoryFrom7fcfa9d(t *testing.T) {
+	const fixture = "testdata/ckpt-7fcfa9d"
+	store := checkpoint.NewStore(fixture, nil)
+	chain, _, err := store.LoadChain(0)
+	if err != nil || chain == nil {
+		t.Fatalf("fixture does not load: %v", err)
+	}
+	c, err := openChain(chain.Payloads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending, marks := 0, 0
+	for _, p := range c.parts {
+		for _, ss := range p.head.Streams {
+			evs, err := events.UnmarshalEvents(ss.Pending)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pending += len(evs)
+		}
+	}
+	err = c.merge(secDevices, func(_ DevEpoch, blob, _ []byte) error {
+		_, err := decodeDeviceV8(blob, make(siteIntern),
+			func(events.Site, events.Epoch, float64) error { return nil },
+			func(events.Site, events.Epoch, events.Epoch) error { marks++; return nil })
+		return err
+	})
+	if err != nil || pending == 0 || marks == 0 {
+		t.Fatalf("fixture chain: %d pending conversions, %d requested marks (%v)", pending, marks, err)
+	}
+	maxGen, err := store.MaxGen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(store.WALSegmentPath(maxGen))
+	if err != nil || maxGen < chain.Gen || len(raw) <= 12 || binary.LittleEndian.Uint32(raw[8:]) != 2 {
+		t.Fatalf("fixture's newest WAL segment %d: %d bytes (%v); want version 2 with records", maxGen, len(raw), err)
+	}
+	resumeCookieMonsterFixture(t, fixture, snapSchemaRuns, nil)
+}
+
 // resumeCookieMonsterFixture resumes a copy of the committed directory
 // fixture, written by an older commit with cmFixtureConfig's run, whose
 // head chain has the given schema, a compacted base and a delta whose floor
 // lies above the base's, and late drops and evictions behind it. The
 // resumed run must reach the uninterrupted run's results, drops, evictions
 // and consumed budget with no recovery fallback, and the first generation
-// it writes must be a schema-8 base; at its first live event, atFirstEvent,
-// if set, checks the copy's store, given the newest generation the fixture
-// held, too.
+// it writes must be a base of the current schema; at its first live event,
+// atFirstEvent, if set, checks the copy's store, given the newest generation
+// the fixture held, too.
 func resumeCookieMonsterFixture(t *testing.T, fixture string, schema uint32,
 	atFirstEvent func(store *checkpoint.Store, maxGen uint64) error) {
 	t.Helper()

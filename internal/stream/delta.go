@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -17,41 +18,60 @@ import (
 // serialize the whole service: the service tracks which state changed since
 // the previous capture — device ledgers by mutation version over the devices
 // flushed batches touched, the event store by the log of the events drained
-// since, planner streams by dirty set, results by high-water mark — and
-// captures only that, chained to its parent generation by fingerprint. A
-// full snapshot is the same encoder with everything dirty: every device,
-// and every live event logged in one walk of the store.
+// since, planner streams by dirty set and by the seq and pending count each
+// had at the last capture, results by high-water mark — and captures only
+// that, chained to its parent generation by fingerprint. A full snapshot is
+// the same encoder with everything dirty: every device, every stream's
+// pending conversions, and every live event logged in one walk of the store.
 //
-// Payload layout (schema 8, little-endian):
+// Payload layout (schema 9, little-endian):
 //
 //	u32 schema | u32 headLen | head (JSON snapHead)
 //	u32 byteLen | device entries
+//	u32 byteLen | pending: runs
 //	u32 byteLen | event log: runs
-//	device entry: u64 device | u32 0 | u32 blobLen | blob
-//	run:          u32 len | i64 lo | i64 hi | entries (events/run.go)
+//	device entry: u64 device | u32 0 | u32 blobLen | blob (checkpoint.go)
+//	pending run:  u32 len | entries (events/run.go)
+//	log run:      u32 len | i64 lo | i64 hi | entries (events/run.go)
+//
+// Device entries are strictly ascending by device and self-contained, so the
+// chain's devices fold by one k-way merge that copies bytes: per device the
+// newest generation's entry wins.
+//
+// The pending section holds the planner's buffered conversions as runs, in
+// the order of the head's streams, each stream owning the next Runs of them.
+// A base writes one run per stream with pending conversions, all of them. A
+// delta writes, for each stream dirtied since the last capture, one run: the
+// conversions it gained since — it appends — or, when the stream fired since
+// (its seq moved), all its pending conversions, every one of which arrived
+// since — it restarts. So the chain's pending folds per stream by seq: a
+// generation whose stream has the seq the fold holds appends its runs, one
+// whose seq moved replaces them; compaction copies the surviving runs as
+// bytes, so a compacted base may hold several runs for one stream.
 //
 // A run's lo and hi bound the days of its store entries (lo > hi, as
-// math.MaxInt64 and math.MinInt64, when it holds only late drops). Device
-// entries are strictly ascending by device and self-contained, so the
-// chain's devices fold by one k-way merge that copies bytes: per device the
-// newest generation's entry wins. The event log is the store's history: a
-// delta's runs are the bytes its WAL segment holds — the run logWAL encoded
-// each drained event into, late drops included — and a base's one run
-// holds every live event, epochs ascending and each epoch's devices in ID
-// order. So the chain's logs fold by concatenating whole runs: a run wholly
-// below the newest head's eviction floor is dropped, a run wholly at or
-// above it is copied, and the one run that straddles it is re-encoded from
-// its store entries at or above it. snapChain is the single definition of
-// what a delta means: base compaction writes its fold out, recovery
-// re-records it. Schemas 6 (key-sorted records, restored by merge) and 7
-// (a log of row-layout encodings, events.DecodeBinary's) are still
-// restored, and a run resumed from either writes a schema-8 base before its
-// first delta.
+// math.MaxInt64 and math.MinInt64, when it holds only late drops). The event
+// log is the store's history: a delta's runs are the bytes its WAL segment
+// holds — the run logWAL encoded each drained event into, late drops
+// included — and a base's one run holds every live event, epochs ascending
+// and each epoch's devices in ID order. So the chain's logs fold by
+// concatenating whole runs: a run wholly below the newest head's eviction
+// floor is dropped, a run wholly at or above it is copied, and the one run
+// that straddles it is re-encoded from its store entries at or above it.
+// snapChain is the single definition of what a delta means: base
+// compaction writes its fold out, recovery re-records it. Schemas 6
+// (key-sorted records, restored by merge), 7 (a log of row-layout
+// encodings, events.DecodeBinary's) and 8 (devices as fixed-width rows and
+// requested epochs, each pending batch a columnar blob in the head, folded
+// newest-wins) are still restored, and a run resumed from any of them
+// writes a schema-9 base before its first delta.
 
-// The two bulk sections, in payload order.
+// The bulk sections. A schema-9 payload holds them in the order devices,
+// pending, events; older ones have no pending section.
 const (
 	secDevices = iota
 	secEvents  // the event log; schema 6's key-sorted records
+	secPending // the planner's pending runs
 	numSections
 )
 
@@ -183,11 +203,12 @@ func (s *Service) openRun() {
 // capture encodes one snapshot payload, which the service keeps no
 // reference to: a full capture (delta false) holds the complete service
 // state in one buffer; a delta holds what changed since the previous
-// capture — the touched devices, in ID order, then the period's event log,
-// its open run closed and handed over as the payload's second part,
-// uncopied — and advances the dirty baselines. Scalars, the central
-// ledger, and the replay-protection set are captured whole either way:
-// they are small and change every day. Caller guarantees quiescence.
+// capture — the touched devices, in ID order, the dirty streams' pending
+// runs, then the period's event log, its open run closed and handed over as
+// the payload's last part, uncopied — and advances the dirty baselines.
+// Scalars, the central ledger, and the replay-protection set are captured
+// whole either way: they are small and change every day. Caller guarantees
+// quiescence.
 func (s *Service) capture(delta bool) (buf, log []byte, err error) {
 	head := s.scalarSnap()
 
@@ -196,17 +217,8 @@ func (s *Service) capture(delta bool) (buf, log []byte, err error) {
 	if delta {
 		streams = s.plan.drainDirty
 	}
-	for _, key := range streams() {
-		st := s.plan.streams[key]
-		head.Streams = append(head.Streams, streamSnap{
-			Site:    key.site.String(),
-			Product: key.product.String(),
-			Epsilon: math.Float64bits(st.epsilon),
-			Seq:     st.seq,
-			Capped:  st.capped,
-			Pending: events.MarshalEvents(st.pending),
-		})
-	}
+	var pending [][]events.Event
+	head.Streams, pending = s.plan.capture(streams(), delta)
 	from := 0
 	if delta {
 		from, s.resultsMark = s.resultsMark, len(s.run.Results)
@@ -218,9 +230,9 @@ func (s *Service) capture(delta bool) (buf, log []byte, err error) {
 	}
 
 	// Fleet: every created device (even ones with no initialized slots —
-	// device existence is itself state) with its ledger rows and requested
-	// marks; a delta keeps the touched devices whose ledger mutated since the
-	// last capture, or are new.
+	// device existence is itself state) with its ledger lanes; a delta
+	// keeps the touched devices whose ledger mutated since the last
+	// capture, or are new.
 	devices := s.fleet.Range
 	if delta {
 		devices = s.rangeTouched
@@ -233,6 +245,10 @@ func (s *Service) capture(delta bool) (buf, log []byte, err error) {
 		closeLen(buf, mark)
 		return true
 	})
+	closeLen(buf, sec)
+
+	buf, sec = openLen(buf)
+	buf = s.plan.appendRuns(buf, pending)
 	closeLen(buf, sec)
 
 	// Event store: a delta's log is the runs of the events drained since
@@ -249,14 +265,110 @@ func (s *Service) capture(delta bool) (buf, log []byte, err error) {
 	}
 	var w runWriter
 	buf = w.open(buf)
-	for _, key := range s.db.Keys() {
-		for _, ev := range s.db.EpochEvents(key.Device, key.Epoch) {
+	for _, evs := range s.db.Records() {
+		for _, ev := range evs {
 			buf = w.add(buf, ev, false)
 		}
 	}
 	buf = w.close(buf)
 	closeLen(buf, sec)
 	return buf, nil, nil
+}
+
+// capture lists keys' streams as a capture writes them, beside the pending
+// conversions each one's run holds (a stream without any writes no run): a
+// base's all of them; a delta's those the stream gained since the last
+// capture, or all of them when it fired since. A delta moves the streams'
+// capture marks on.
+func (p *planner) capture(keys []streamKey, delta bool) ([]streamSnap, [][]events.Event) {
+	snaps := make([]streamSnap, 0, len(keys))
+	var runs [][]events.Event
+	for _, key := range keys {
+		st := p.streams[key]
+		evs := st.pending
+		if delta {
+			if st.seq == st.capSeq {
+				evs = evs[st.capLen:]
+			}
+			st.capSeq, st.capLen = st.seq, len(st.pending)
+		}
+		ss := streamSnap{
+			Site:    key.site.String(),
+			Product: key.product.String(),
+			Epsilon: math.Float64bits(st.epsilon),
+			Seq:     st.seq,
+			Capped:  st.capped,
+		}
+		if len(evs) > 0 {
+			ss.Runs = 1
+			runs = append(runs, evs)
+		}
+		snaps = append(snaps, ss)
+	}
+	return snaps, runs
+}
+
+// appendRuns appends the pending section's runs, one per list of
+// conversions.
+func (p *planner) appendRuns(buf []byte, runs [][]events.Event) []byte {
+	for _, evs := range runs {
+		var mark int
+		buf, mark = openLen(buf)
+		p.runEnc.Reset()
+		for _, ev := range evs {
+			buf = p.runEnc.Append(buf, ev, false)
+		}
+		closeLen(buf, mark)
+	}
+	return buf
+}
+
+// restore rebuilds the planner's streams from a chain's folded head: a
+// schema-9 chain's pending conversions from its folded runs, an older one's
+// from each stream's columnar blob.
+func (p *planner) restore(c *snapChain) error {
+	var dec events.RunDecoder
+	runs := c.pending
+	for _, ss := range c.head.Streams {
+		site, product := events.Intern(ss.Site), events.Intern(ss.Product)
+		adv, ok := p.advBySite[site]
+		if !ok {
+			return fmt.Errorf("stream: snapshot stream for unknown advertiser %s", ss.Site)
+		}
+		st := &streamState{
+			adv:     adv,
+			product: product,
+			epsilon: math.Float64frombits(ss.Epsilon),
+			seq:     ss.Seq,
+			capped:  ss.Capped,
+		}
+		var err error
+		if c.schema != snapSchemaVersion {
+			st.pending, err = events.UnmarshalEvents(ss.Pending)
+		}
+		for _, run := range runs[:ss.Runs] {
+			dec.Reset()
+			_, err = dec.Decode(run, func(ev events.Event, dropped bool) error {
+				if dropped {
+					return fmt.Errorf("late drop %d among pending conversions", ev.ID)
+				}
+				if st.pending == nil {
+					st.pending = make([]events.Event, 0, adv.BatchSize)
+				}
+				st.pending = append(st.pending, ev)
+				return nil
+			})
+			if err != nil {
+				break
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("stream: stream %s/%s: %w", ss.Site, ss.Product, err)
+		}
+		runs = runs[ss.Runs:]
+		p.streams[streamKey{site, product}] = st
+	}
+	return nil
 }
 
 // fullSnapshot encodes the service's complete state as one payload, on the
@@ -289,8 +401,13 @@ func parsePayload(p []byte) (*snapParts, error) {
 		return nil, fmt.Errorf("stream: truncated snapshot payload (%d bytes)", len(p))
 	}
 	parts := &snapParts{schema: binary.LittleEndian.Uint32(p), head: new(snapHead)}
-	if v := parts.schema; v != snapSchemaVersion && v != snapSchemaEvents && v != snapSchemaRecords {
-		return nil, fmt.Errorf("stream: unsupported snapshot schema %d", v)
+	order := []int{secDevices, secEvents}
+	switch parts.schema {
+	case snapSchemaVersion:
+		order = []int{secDevices, secPending, secEvents}
+	case snapSchemaRuns, snapSchemaEvents, snapSchemaRecords:
+	default:
+		return nil, fmt.Errorf("stream: unsupported snapshot schema %d", parts.schema)
 	}
 	raw, rest, err := cutString(p[4:])
 	if err != nil {
@@ -305,7 +422,7 @@ func parsePayload(p []byte) (*snapParts, error) {
 	if again, err := json.Marshal(parts.head); err != nil || !bytes.Equal(again, raw) {
 		return nil, fmt.Errorf("stream: snapshot head is not in canonical form")
 	}
-	for i := range parts.sec {
+	for _, i := range order {
 		if parts.sec[i], rest, err = cutString(rest); err != nil {
 			return nil, fmt.Errorf("stream: snapshot section %d: %w", i, err)
 		}
@@ -317,42 +434,121 @@ func parsePayload(p []byte) (*snapParts, error) {
 }
 
 // snapChain is a generation chain opened for folding: every payload parsed
-// (base first, then each delta in chain order, all of one schema) and the
-// heads folded.
+// (base first, then each delta in chain order, all of one schema), the
+// heads folded, and, for schema 9, the pending runs folded — pending lists
+// each folded stream's runs' entries in the head's stream order, the
+// stream owning the next Runs of them.
 type snapChain struct {
-	parts  []*snapParts
-	schema uint32
-	head   *snapHead
+	parts   []*snapParts
+	schema  uint32
+	head    *snapHead
+	pending [][]byte
 }
 
-// openChain parses a chain's payloads and folds their heads: scalars and the
-// whole-captured lists come from the newest head, planner streams overlay by
-// (site, product) with the newest winning, and results append.
+// openChain parses a chain's payloads and folds them (foldParts).
 func openChain(payloads [][]byte) (*snapChain, error) {
-	c := &snapChain{head: new(snapHead)}
-	streams := make(map[[2]string]streamSnap) // by (site, product) name
-	var results []resultState
+	parts := make([]*snapParts, len(payloads))
 	for i, payload := range payloads {
-		parts, err := parsePayload(payload)
-		if err != nil {
+		var err error
+		if parts[i], err = parsePayload(payload); err != nil {
 			return nil, fmt.Errorf("stream: decoding chain generation %d: %w", i, err)
 		}
-		if i > 0 && parts.schema != c.schema {
-			return nil, fmt.Errorf("stream: chain generation %d has schema %d, its base %d", i, parts.schema, c.schema)
+	}
+	return foldParts(parts)
+}
+
+// foldedStream is one planner stream as a chain's fold holds it: its newest
+// cursor and its pending runs' entries.
+type foldedStream struct {
+	snap streamSnap
+	runs [][]byte
+}
+
+// foldParts folds a chain's parsed payloads: scalars and the
+// whole-captured lists come from the newest head, results append, and
+// planner streams fold by (site, product) — in schemas 6 to 8 the newest
+// cursor wins, pending blob and all; in schema 9 the newest cursor wins and
+// its runs append to the stream's when its seq is the one the fold holds,
+// and replace them when the seq moved.
+func foldParts(parts []*snapParts) (*snapChain, error) {
+	c := &snapChain{parts: parts, head: new(snapHead)}
+	streams := make(map[[2]string]*foldedStream) // by (site, product) name
+	var results []resultState
+	for i, p := range parts {
+		if i > 0 && p.schema != c.schema {
+			return nil, fmt.Errorf("stream: chain generation %d has schema %d, its base %d", i, p.schema, c.schema)
 		}
-		c.parts, c.schema = append(c.parts, parts), parts.schema
-		for _, ss := range parts.head.Streams {
-			streams[[2]string{ss.Site, ss.Product}] = ss
+		c.schema = p.schema
+		runs, err := cutRuns(p)
+		if err != nil {
+			return nil, fmt.Errorf("stream: chain generation %d: %w", i, err)
 		}
-		results = append(results, parts.head.Results...)
-		*c.head = *parts.head
+		for j, ss := range p.head.Streams {
+			key := [2]string{ss.Site, ss.Product}
+			if j > 0 && compareStreams(p.head.Streams[j-1], ss) >= 0 {
+				return nil, fmt.Errorf("stream: chain generation %d: streams not strictly ascending at %s/%s", i, ss.Site, ss.Product)
+			}
+			f := streams[key]
+			if f == nil {
+				f = new(foldedStream)
+				streams[key] = f
+			} else if f.snap.Seq != ss.Seq {
+				f.runs = nil // the stream fired since: its runs restart
+			}
+			f.runs = append(f.runs, runs[:ss.Runs]...)
+			runs = runs[ss.Runs:]
+			f.snap = ss
+			f.snap.Runs = len(f.runs)
+		}
+		results = append(results, p.head.Results...)
+		*c.head = *p.head
 	}
 	c.head.Streams = nil
-	for _, key := range slices.SortedFunc(maps.Keys(streams), func(a, b [2]string) int { return slices.Compare(a[:], b[:]) }) {
-		c.head.Streams = append(c.head.Streams, streams[key])
+	for _, f := range slices.SortedFunc(maps.Values(streams), func(a, b *foldedStream) int { return compareStreams(a.snap, b.snap) }) {
+		c.head.Streams = append(c.head.Streams, f.snap)
+		c.pending = append(c.pending, f.runs...)
 	}
 	c.head.Results = results
 	return c, nil
+}
+
+// compareStreams orders stream cursors by (site, product) names, the order
+// a capture writes them in.
+func compareStreams(a, b streamSnap) int {
+	return cmp.Or(cmp.Compare(a.Site, b.Site), cmp.Compare(a.Product, b.Product))
+}
+
+// cutRuns splits a payload's pending section into its runs' entries,
+// checking that its head's streams own every run and that the head's
+// fields are the ones its schema writes.
+func cutRuns(p *snapParts) ([][]byte, error) {
+	owned := 0
+	for _, ss := range p.head.Streams {
+		switch {
+		case ss.Runs < 0 || ss.Runs > len(p.sec[secPending]):
+			return nil, fmt.Errorf("stream %s/%s claims %d pending runs", ss.Site, ss.Product, ss.Runs)
+		case p.schema == snapSchemaVersion && ss.Pending != nil:
+			return nil, fmt.Errorf("stream %s/%s carries a pending blob", ss.Site, ss.Product)
+		case p.schema != snapSchemaVersion && ss.Runs != 0:
+			return nil, fmt.Errorf("schema-%d stream %s/%s claims pending runs", p.schema, ss.Site, ss.Product)
+		}
+		owned += ss.Runs
+	}
+	var runs [][]byte
+	for rest := p.sec[secPending]; len(rest) > 0; {
+		run, next, err := cutString(rest)
+		if err == nil && len(run) == 0 {
+			err = fmt.Errorf("empty run")
+		}
+		if err != nil {
+			return nil, fmt.Errorf("pending section: %w", err)
+		}
+		runs, rest = append(runs, run), next
+	}
+	if len(runs) != owned {
+		return nil, fmt.Errorf("pending section holds %d runs, its streams %d", len(runs), owned)
+	}
+	return runs, nil
 }
 
 // merge folds one key-sorted section across the chain — the devices, or a
@@ -465,7 +661,8 @@ func decodeRun(dec *events.RunDecoder, lo, hi, days int, floor events.Epoch, ent
 }
 
 // encode writes the folded chain out as one full payload — the compacted
-// base: the devices merged, the logs' runs concatenated above the floor.
+// base: the devices merged, the streams' folded pending runs, the logs'
+// runs concatenated above the floor.
 func (c *snapChain) encode() ([]byte, error) {
 	if c.schema != snapSchemaVersion {
 		return nil, fmt.Errorf("stream: compaction folds schema %d chains, not %d", snapSchemaVersion, c.schema)
@@ -486,11 +683,24 @@ func (c *snapChain) encode() ([]byte, error) {
 		return nil
 	})
 	closeLen(buf, mark)
+	buf, mark = openLen(buf)
+	buf = c.appendPending(buf)
+	closeLen(buf, mark)
 	if buf, mark = openLen(buf); err == nil {
 		buf, err = c.appendLog(buf)
 	}
 	closeLen(buf, mark)
 	return buf, err
+}
+
+// appendPending appends the chain's folded pending section: every stream's
+// runs, copied as bytes, in stream order.
+func (c *snapChain) appendPending(buf []byte) []byte {
+	for _, run := range c.pending {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(run)))
+		buf = append(buf, run...)
+	}
+	return buf
 }
 
 // appendLog appends the chain's folded event log: the runs concatenated,

@@ -35,6 +35,9 @@ type streamState struct {
 	pending []events.Event
 	seq     int
 	capped  bool
+	// capSeq and capLen are seq and len(pending) at the last capture, the
+	// baseline a delta's pending run is cut from (delta.go).
+	capSeq, capLen int
 }
 
 // planner tracks every open query stream. Memory is bounded by one open
@@ -49,6 +52,8 @@ type planner struct {
 	// incremental checkpoint drained it (nil when the service is not
 	// delta-checkpointing, so the hot path pays nothing).
 	dirty map[streamKey]struct{}
+	// runEnc encodes the pending runs of a capture.
+	runEnc events.RunEncoder
 }
 
 func newPlanner(meta dataset.Meta, cal privacy.Calibration, fixedEps float64, maxQueries int) *planner {
@@ -107,9 +112,13 @@ func (p *planner) add(conv events.Event) *Query {
 }
 
 // trackDirty enables (and clears) dirty-stream tracking: every stream
-// mutated after this call is reported by the next drainDirty.
+// mutated after this call is reported by the next drainDirty, and the next
+// delta's pending runs are cut from every stream's state as it is now.
 func (p *planner) trackDirty() {
 	p.dirty = make(map[streamKey]struct{})
+	for _, st := range p.streams {
+		st.capSeq, st.capLen = st.seq, len(st.pending)
+	}
 }
 
 // drainDirty returns the streams mutated since tracking was last enabled or

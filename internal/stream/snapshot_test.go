@@ -130,6 +130,11 @@ func TestFoldExhaustive(t *testing.T) {
 	t.Logf("%d folds", folds)
 }
 
+// recordEvents returns device d's events at epoch e in db.
+func recordEvents(db *events.Database, d events.DeviceID, e events.Epoch) []events.Event {
+	return db.WindowViewsInto(nil, d, e, e)[0].Events()
+}
+
 // logRun encodes evs as one run of an event log, header included, the
 // entries flagged in dropped as late drops; no events, no run.
 func logRun(evs []events.Event, dropped []bool) []byte {
@@ -214,7 +219,7 @@ func TestEventLogFoldExhaustive(t *testing.T) {
 			if len(model[k]) > 0 {
 				records++
 			}
-			if got := db.EpochEvents(s.dev, s.epoch); !slices.Equal(got, model[k]) {
+			if got := recordEvents(db, s.dev, s.epoch); !slices.Equal(got, model[k]) {
 				t.Fatalf("%s record %v = %v, model %v", label(what), s, got, model[k])
 			}
 		}
@@ -337,7 +342,7 @@ func TestRunFloorCutExhaustive(t *testing.T) {
 				}
 			}
 			for _, s := range slots {
-				if g, w := got.EpochEvents(s.dev, s.epoch), want.EpochEvents(s.dev, s.epoch); !slices.Equal(g, w) {
+				if g, w := recordEvents(got, s.dev, s.epoch), recordEvents(want, s.dev, s.epoch); !slices.Equal(g, w) {
 					t.Fatalf("%s: record %v restored from the cut %v, filtered %v", label, s, g, w)
 				}
 			}
@@ -617,7 +622,8 @@ func samplePayloads(t testing.TB, central bool) (base, delta []byte) {
 		evs = append(evs, events.Event{ID: events.EventID(100 + dev), Kind: events.KindImpression,
 			Device: events.DeviceID(dev), Advertiser: events.Intern("nike.example"), Campaign: events.Intern("product-0")})
 	}
-	for i := 1; i <= 8; i++ {
+	// The ninth conversion stays pending: the final base carries a run.
+	for i := 1; i <= 9; i++ {
 		evs = append(evs, conv(events.EventID(i), events.DeviceID(1+i%3), i/2))
 	}
 	run, err := sampleService(t, evs, dir, central).Serve()
@@ -652,52 +658,46 @@ func samplePayloads(t testing.TB, central bool) (base, delta []byte) {
 	return base, delta
 }
 
-// corruptions derives the named rejected seeds from a valid base payload:
-// the devices section's framing, keys and epochs, then the event log's
-// framing and contents.
+// withFirstBlob returns payload p, a schema-9 one, with its first device's
+// blob replaced by blob, the entry and section lengths framed anew.
+func withFirstBlob(t testing.TB, p, blob []byte) []byte {
+	t.Helper()
+	head := 8 + int(binary.LittleEndian.Uint32(p[4:]))
+	first := head + 4
+	n := int(binary.LittleEndian.Uint32(p[first+12:]))
+	secLen := int(binary.LittleEndian.Uint32(p[head:]))
+	if secLen < entryHeaderLen+n {
+		t.Fatal("payload has no device entry")
+	}
+	out := append([]byte(nil), p[:first+entryHeaderLen]...)
+	binary.LittleEndian.PutUint32(out[head:], uint32(secLen-n+len(blob)))
+	binary.LittleEndian.PutUint32(out[first+12:], uint32(len(blob)))
+	out = append(out, blob...)
+	return append(out, p[first+entryHeaderLen+n:]...)
+}
+
+// corruptions derives the named rejected seeds from a valid schema-9 base
+// payload: the devices section's framing, keys, blobs and epochs, then the
+// event log's framing and contents.
 func corruptions(t testing.TB, base []byte) map[string][]byte {
 	t.Helper()
 	parts, err := parsePayload(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Offsets of the devices section's length prefix and first two entries,
-	// and of the event log's first entry.
-	off := len(base) - len(parts.sec[secEvents]) - 4 - len(parts.sec[secDevices]) - 4
-	first := off + 4
+	// Offsets of the devices section's first two entries, and of the event
+	// log's first run.
+	first := 8 + int(binary.LittleEndian.Uint32(base[4:])) + 4
 	n := int(binary.LittleEndian.Uint32(base[first+12:]))
 	second := first + entryHeaderLen + n
-	logged := first + len(parts.sec[secDevices]) + 4
-	if len(parts.sec[secEvents]) == 0 {
-		t.Fatal("base payload logs no event")
+	logged := first + len(parts.sec[secDevices]) + 4 + len(parts.sec[secPending]) + 4
+	if len(parts.sec[secEvents]) == 0 || n == 0 || base[first+entryHeaderLen] != 0 {
+		t.Fatal("base payload logs no event, or its first device has denials")
 	}
 	mutate := func(fn func(p []byte)) []byte {
 		p := bytes.Clone(base)
 		fn(p)
 		return p
-	}
-	// Offsets of the epoch of the first ledger slot any device carries (past
-	// the entry header, the denial counter, the slot count and the querier)
-	// and of the first requested mark's epoch (past the device's last slot).
-	slotEpoch, markEpoch := -1, -1
-	for at := first; at < first+len(parts.sec[secDevices]); {
-		blob := at + entryHeaderLen
-		end := blob + int(binary.LittleEndian.Uint32(base[at+12:]))
-		slots := int(binary.LittleEndian.Uint32(base[blob+8:]))
-		if slots > 0 && slotEpoch < 0 {
-			slotEpoch = blob + 16 + int(binary.LittleEndian.Uint32(base[blob+12:]))
-		}
-		tail := blob + 12
-		for ; slots > 0; slots-- {
-			tail += 4 + int(binary.LittleEndian.Uint32(base[tail:])) + 12
-		}
-		if tail < end && markEpoch < 0 {
-			markEpoch = tail
-		}
-		at = end
-	}
-	if slotEpoch < 0 || markEpoch < 0 {
-		t.Fatal("base payload carries no ledger slot or no requested mark")
 	}
 	// The first logged entry's first name: past the run header, the tag and
 	// the ID, device and day varints.
@@ -709,6 +709,17 @@ func corruptions(t testing.TB, base []byte) map[string][]byte {
 	if base[name] != 0 {
 		t.Fatal("base payload's first logged entry does not define its first name")
 	}
+	blob := base[first+entryHeaderLen : first+entryHeaderLen+n]
+	// A lane of one requested range, epochs 0 to 2^30: its every field in
+	// range, so only restore, which knows the scenario's span, can refuse it
+	// before the range sizes a lane.
+	wideRange := binary.AppendUvarint(nil, 0) // denials
+	wideRange = binary.AppendUvarint(wideRange, uint64(len("nike.example")))
+	wideRange = append(wideRange, "nike.example"...)
+	wideRange = binary.AppendUvarint(wideRange, 0)     // slots
+	wideRange = binary.AppendUvarint(wideRange, 1)     // ranges
+	wideRange = binary.AppendVarint(wideRange, 0)      // first epoch
+	wideRange = binary.AppendUvarint(wideRange, 1<<30) // last − first
 	return map[string][]byte{
 		"truncated-section": base[:len(base)-5],
 		"swapped-keys": mutate(func(p []byte) {
@@ -720,10 +731,15 @@ func corruptions(t testing.TB, base []byte) map[string][]byte {
 		"duplicate-key":   mutate(func(p []byte) { copy(p[second:second+8], p[first:first+8]) }),
 		"oversized-count": mutate(func(p []byte) { binary.LittleEndian.PutUint32(p[first+12:], 1<<31) }),
 		// Well-formed throughout: only restore, which knows the scenario's
-		// epoch span, can refuse it.
-		"wild-slot-epoch":      mutate(func(p []byte) { binary.LittleEndian.PutUint32(p[slotEpoch:], 1<<30) }),
-		"wild-requested-epoch": mutate(func(p []byte) { binary.LittleEndian.PutUint32(p[markEpoch:], 1<<30) }),
-		"schema-3-json":        []byte(`{"schema":3,"config":{"epochDays":7},"devices":[],"records":[],"results":[]}`),
+		// epoch span, can refuse them.
+		"wild-slot-epoch": withFirstBlob(t, base, appendLane(binary.AppendUvarint(nil, 0), "nike.example",
+			1<<30, []float64{1}, []byte{0})),
+		"wild-requested-epoch": withFirstBlob(t, base, appendLane(binary.AppendUvarint(nil, 0), "nike.example",
+			1<<30, []float64{-1}, []byte{1})),
+		"mark-range-past-lane": withFirstBlob(t, base, wideRange),
+		// The denial counter, 0, written in two bytes.
+		"overlong-varint": withFirstBlob(t, base, append([]byte{0x80, 0x00}, blob[1:]...)),
+		"schema-3-json":   []byte(`{"schema":3,"config":{"epochDays":7},"devices":[],"records":[],"results":[]}`),
 		// The first run's length reaches past the log.
 		"log-overrun": mutate(func(p []byte) { binary.LittleEndian.PutUint32(p[logged:], 1<<31) }),
 		// The first entry refers to a name no entry defined: the run's
@@ -763,7 +779,7 @@ const snapCorpusDir = "testdata/fuzz/FuzzSnapPayload"
 
 // TestSnapCorpus keeps the checked-in fuzz seeds honest: the valid ones must
 // still be accepted by this decoder and restore into a fresh service — a
-// schema-8 one also folding to itself — and an IPA-like one's central rows
+// schema-9 one also folding to itself — and an IPA-like one's central rows
 // into a fresh central ledger (a head field added without regenerating them
 // would quietly turn them into rejects), the broken ones still refused for
 // the reason their name gives — and a refusal of the devices section or the
@@ -771,48 +787,57 @@ const snapCorpusDir = "testdata/fuzz/FuzzSnapPayload"
 // exists. The unprefixed seeds are schema 6, written before the event log
 // replaced the records section; the v7- ones are schema 7, whose log held
 // one row-layout encoding per event; the v8- ones are schema 8, whose log
-// is runs.
+// is runs; the v9- ones are schema 9, whose pending conversions are runs
+// and whose device blobs are lanes.
 func TestSnapCorpus(t *testing.T) {
 	if *updateCorpus {
 		base, delta := samplePayloads(t, false)
 		all := corruptions(t, base)
 		seeds := map[string][]byte{"valid-base": base, "valid-delta": delta}
-		for _, name := range []string{"log-overrun", "log-undefined-name", "log-trailing"} {
+		for _, name := range []string{"log-overrun", "log-undefined-name", "log-trailing", "overlong-varint", "mark-range-past-lane"} {
 			seeds[name] = all[name]
 		}
 		seeds["valid-central-base"], _ = samplePayloads(t, true)
 		for name, p := range seeds {
 			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", p)
-			if err := os.WriteFile(filepath.Join(snapCorpusDir, "v8-"+name), []byte(body), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(snapCorpusDir, "v9-"+name), []byte(body), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	for name, wantErr := range map[string]string{
-		"valid-base":            "",
-		"valid-delta":           "",
-		"valid-central-base":    "",
-		"truncated-section":     "exceeds its",
-		"swapped-keys":          "not strictly ascending",
-		"duplicate-key":         "not strictly ascending",
-		"oversized-count":       "claims 2147483648 bytes",
-		"record-below-floor":    "below its own generation's floor",
-		"wild-slot-epoch":       "slot epoch 1073741824 outside [-5, 4]",
-		"wild-requested-epoch":  "requested epoch 1073741824 outside [-5, 4]",
-		"wild-central-epoch":    "central epoch 1073741824 outside [-5, 4]",
-		"schema-3-json":         "unsupported snapshot schema 3",
-		"v7-valid-base":         "",
-		"v7-valid-delta":        "",
-		"v7-valid-central-base": "",
-		"v7-log-overrun":        "event log: stream: 2147483648-byte field exceeds its",
-		"v7-log-undecodable":    "logged event: events: string of 1048576 bytes exceeds buffer",
-		"v7-log-trailing":       "3 trailing bytes after snapshot sections",
-		"v8-valid-base":         "",
-		"v8-valid-delta":        "",
-		"v8-valid-central-base": "",
-		"v8-log-overrun":        "event log: run of 2147483648 bytes exceeds its",
-		"v8-log-undefined-name": "event log: events: malformed run: name index 126 of 0 defined",
-		"v8-log-trailing":       "event log: 3 bytes after the last run",
+		"valid-base":              "",
+		"valid-delta":             "",
+		"valid-central-base":      "",
+		"truncated-section":       "exceeds its",
+		"swapped-keys":            "not strictly ascending",
+		"duplicate-key":           "not strictly ascending",
+		"oversized-count":         "claims 2147483648 bytes",
+		"record-below-floor":      "below its own generation's floor",
+		"wild-slot-epoch":         "slot epoch 1073741824 outside [-5, 4]",
+		"wild-requested-epoch":    "requested epoch 1073741824 outside [-5, 4]",
+		"wild-central-epoch":      "central epoch 1073741824 outside [-5, 4]",
+		"schema-3-json":           "unsupported snapshot schema 3",
+		"v7-valid-base":           "",
+		"v7-valid-delta":          "",
+		"v7-valid-central-base":   "",
+		"v7-log-overrun":          "event log: stream: 2147483648-byte field exceeds its",
+		"v7-log-undecodable":      "logged event: events: string of 1048576 bytes exceeds buffer",
+		"v7-log-trailing":         "3 trailing bytes after snapshot sections",
+		"v8-valid-base":           "",
+		"v8-valid-delta":          "",
+		"v8-valid-central-base":   "",
+		"v8-log-overrun":          "event log: run of 2147483648 bytes exceeds its",
+		"v8-log-undefined-name":   "event log: events: malformed run: name index 126 of 0 defined",
+		"v8-log-trailing":         "event log: 3 bytes after the last run",
+		"v9-valid-base":           "",
+		"v9-valid-delta":          "",
+		"v9-valid-central-base":   "",
+		"v9-log-overrun":          "event log: run of 2147483648 bytes exceeds its",
+		"v9-log-undefined-name":   "event log: events: malformed run: name index 126 of 0 defined",
+		"v9-log-trailing":         "event log: 3 bytes after the last run",
+		"v9-overlong-varint":      "device blob: bad denials varint",
+		"v9-mark-range-past-lane": "requested epoch 1073741824 outside [-5, 4]",
 	} {
 		p := readSeed(t, name)
 		var out []byte
@@ -836,8 +861,8 @@ func TestSnapCorpus(t *testing.T) {
 				if svc.central != nil && len(svc.central.Rows()) != 0 {
 					t.Errorf("%s: %d central rows restored before the refusal", name, len(svc.central.Rows()))
 				}
-			} else {
-				err = svc.restoreEvents(c)
+			} else if err = svc.restoreEvents(c); err == nil {
+				err = svc.plan.restore(c)
 			}
 		}
 		switch {
@@ -865,9 +890,10 @@ func readSeed(t *testing.T, name string) []byte {
 
 // FuzzSnapPayload holds the payload decoder to its contract: arbitrary bytes
 // never panic — alone, folded over a valid base, or handed section by
-// section to restore's walks, device rows and requested marks through
+// section to restore's walks, device rows and requested ranges through
 // restore's epoch bound into a real ledger, central rows through it into an
-// IPA-like service's, logged events into a real store — and whatever the
+// IPA-like service's, logged events into a real store, pending runs into a
+// real planner — and whatever the
 // fold accepts it re-encodes byte for byte, but for the logged events below
 // the head's eviction floor, which it drops, so the decoder cannot quietly
 // normalize a payload this code did not write.
@@ -893,6 +919,7 @@ func FuzzSnapPayload(f *testing.F) {
 		_ = sampleService(t, nil, "", false).restoreDevices(c, make(siteIntern))
 		_ = sampleService(t, nil, "", true).restoreCentral(c.head.Central)
 		_ = sampleService(t, nil, "", false).restoreEvents(c)
+		_ = sampleService(t, nil, "", false).plan.restore(c)
 		out, err := c.encode()
 		if err != nil {
 			return // a section failed its walk, or a schema-6 payload
@@ -903,6 +930,7 @@ func FuzzSnapPayload(f *testing.F) {
 		in, _ := parsePayload(p)
 		folded, err := parsePayload(out)
 		if err != nil || !bytes.Equal(folded.sec[secDevices], in.sec[secDevices]) ||
+			!bytes.Equal(folded.sec[secPending], in.sec[secPending]) ||
 			len(folded.sec[secEvents]) >= len(in.sec[secEvents]) {
 			t.Fatalf("accepted payload re-encodes to %d different bytes (from %d) beyond dropping logged events", len(out), len(p))
 		}
