@@ -72,17 +72,17 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // re-reads exactly the events the log is missing from the source, because
 // the resume cursor counts only replayed entries.
 //
-// The day clock is the only appender. With StartGroupCommit a background
-// syncer turns RequestSync into a batched, asynchronous fsync — group
-// commit — so the ingest thread never waits on the disk; its Sync errors
-// surface at the next RequestSync/Sync/Close.
+// The day clock is the only appender. RequestSync hands the fsync to a
+// background syncer, started by the first request, so the ingest thread
+// never waits on the disk at a group commit; the syncer's errors surface at
+// the next RequestSync/Sync/Close.
 type WAL struct {
 	f File
 	// frame is Append's buffer: the header, then a copy of the entries, so
 	// the frame is one write.
 	frame []byte
 
-	// Group-commit syncer state: nil syncReq means synchronous mode.
+	// Group-commit syncer state: nil syncReq until the first RequestSync.
 	syncReq chan struct{}
 	syncWG  sync.WaitGroup
 	errMu   sync.Mutex
@@ -170,36 +170,27 @@ func (w *WAL) Sync() error {
 	return w.takeSyncErr()
 }
 
-// StartGroupCommit launches the background syncer so RequestSync batches
-// fsyncs off the appending thread. Idempotent.
-func (w *WAL) StartGroupCommit() {
-	if w.syncReq != nil {
-		return
-	}
-	w.syncReq = make(chan struct{}, 1)
-	w.syncWG.Add(1)
-	go func() {
-		defer w.syncWG.Done()
-		for range w.syncReq {
-			if err := w.f.Sync(); err != nil {
-				w.errMu.Lock()
-				if w.syncErr == nil {
-					w.syncErr = err
-				}
-				w.errMu.Unlock()
-			}
-		}
-	}()
-}
-
-// RequestSync asks the background syncer for an fsync of the frames
-// appended so far without waiting for it — one group commit. Several
-// requests arriving while a sync is in flight coalesce into the next one.
-// Without StartGroupCommit it degrades to a synchronous Sync. The returned
-// error includes any failure from earlier asynchronous syncs.
+// RequestSync asks the background syncer, starting it on the first call,
+// for an fsync of the frames appended so far without waiting for it — one
+// group commit. Several requests arriving while a sync is in flight
+// coalesce into the next one. The returned error includes any failure from
+// earlier asynchronous syncs.
 func (w *WAL) RequestSync() error {
 	if w.syncReq == nil {
-		return w.f.Sync()
+		w.syncReq = make(chan struct{}, 1)
+		w.syncWG.Add(1)
+		go func() {
+			defer w.syncWG.Done()
+			for range w.syncReq {
+				if err := w.f.Sync(); err != nil {
+					w.errMu.Lock()
+					if w.syncErr == nil {
+						w.syncErr = err
+					}
+					w.errMu.Unlock()
+				}
+			}
+		}()
 	}
 	select {
 	case w.syncReq <- struct{}{}:

@@ -573,10 +573,10 @@ func (f *failCompactionFS) OpenFile(name string, flag int, perm os.FileMode) (ch
 }
 
 // TestServeLeavesNoGoroutines pins that Serve returns only once the
-// snapshot writer, the compactor and the WAL syncer are gone, on every
-// path: completion, an injected crash at a delta capture, at a compaction
-// decision and while a compaction is in flight — which lands before Serve
-// returns — and a compaction whose base write fails. That failure surfaces
+// snapshot writer and the WAL syncer are gone, on every path: completion,
+// an injected crash at a delta capture, at a compaction decision and while
+// a compaction is in flight — which lands before Serve returns — and a
+// compaction whose base write fails. That failure surfaces
 // as Serve's error, and a resume converges to the reference run.
 func TestServeLeavesNoGoroutines(t *testing.T) {
 	cfg, spec, ref := durabilityCfg(t)
@@ -658,7 +658,7 @@ func TestServeLeavesNoGoroutines(t *testing.T) {
 		var landed func()
 		if c.inFlight {
 			landed = func() {
-				chain, _, err := checkpoint.NewStore(dir, nil).LoadChain(0)
+				chain, _, err := checkpoint.NewStore(dir, nil).LoadChain()
 				if err != nil || chain == nil || chain.Deltas != 0 {
 					t.Errorf("%s: the chain on disk is not a compacted base alone (%v)", c.label, err)
 				}

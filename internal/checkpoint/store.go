@@ -370,25 +370,21 @@ type Chain struct {
 	Deltas int
 }
 
-// LoadChain loads the chain recovery restores from the generations at or
-// below maxGen (0 means every generation): a compaction folds the chain up
-// to the delta it was decided at, and generations written meanwhile are
-// neither read nor joined. It tries bases newest-first and roots the chain
-// at the first intact one, then reads the deltas above it in generation
-// order, extending the chain by each that names the head's fingerprint as
-// its parent. It opens no file below that base. The second result counts
-// the files it opened and refused — unreadable, truncated, mislabeled or
-// CRC-failing. A nil chain (with nil error) means no intact base exists:
-// either a fresh directory or every base corrupt, which that count tells
-// apart. Corruption is never fatal here: recovery degrades to WAL replay
-// plus source re-read.
-func (st *Store) LoadChain(maxGen uint64) (*Chain, int, error) {
+// LoadChain loads the chain recovery restores, and the one a compaction
+// folds: the store's writes are one sequence, so when a compaction reads it
+// the newest generation is the delta that compaction was decided at. It
+// tries bases newest-first and roots the chain at the first intact one,
+// then reads the deltas above it in generation order, extending the chain by
+// each that names the head's fingerprint as its parent. It opens no file
+// below that base. The second result counts the files it opened and refused
+// — unreadable, truncated, mislabeled or CRC-failing. A nil chain (with nil
+// error) means no intact base exists: either a fresh directory or every base
+// corrupt, which that count tells apart. Corruption is never fatal here:
+// recovery degrades to WAL replay plus source re-read.
+func (st *Store) LoadChain() (*Chain, int, error) {
 	files, err := st.list()
 	if err != nil {
 		return nil, 0, err
-	}
-	if maxGen != 0 {
-		files = files[:sort.Search(len(files), func(i int) bool { return files[i].gen > maxGen })]
 	}
 	fallbacks := 0
 	for i := len(files) - 1; i >= 0; i-- {

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	iofs "io/fs"
 	"maps"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -129,7 +128,7 @@ func TestShortPayloadWriteCommitsNothing(t *testing.T) {
 	if len(entries) != 1 || entries[0].Name() != "base-00000001.ckpt" {
 		t.Fatalf("directory after the failed write: %v", entries)
 	}
-	chain, fallbacks, err := NewStore(dir, nil).LoadChain(0)
+	chain, fallbacks, err := NewStore(dir, nil).LoadChain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +190,7 @@ func TestLoadChainFollowsFingerprints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	chain, fallbacks, err := st.LoadChain(0)
+	chain, fallbacks, err := st.LoadChain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,12 +204,6 @@ func TestLoadChainFollowsFingerprints(t *testing.T) {
 	if got := chainPayloads(chain); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("payload order %v, want %v", got, want)
 	}
-	// A bound stops the chain at it, as a compaction folding up to
-	// generation 2 while generation 3 is written sees it.
-	chain, _, err = st.LoadChain(2)
-	if err != nil || chain == nil || chain.Gen != 2 || chain.FP != fp2 || chain.Deltas != 1 {
-		t.Fatalf("chain bounded at 2: %+v (%v)", chain, err)
-	}
 
 	// A compacted base keeps the head's identity: replacing gens 1–3 with a
 	// base at (3, fp3) must leave later deltas chaining on unchanged.
@@ -220,7 +213,7 @@ func TestLoadChainFollowsFingerprints(t *testing.T) {
 	if _, err := st.WriteDelta(5, fp3, []byte("delta5")); err != nil {
 		t.Fatal(err)
 	}
-	chain, _, err = st.LoadChain(0)
+	chain, _, err = st.LoadChain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,10 +223,6 @@ func TestLoadChainFollowsFingerprints(t *testing.T) {
 	want = []string{"compacted3", "delta5"}
 	if got := chainPayloads(chain); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("post-compaction payloads %v, want %v", got, want)
-	}
-	chain, _, err = st.LoadChain(4)
-	if err != nil || chain == nil || chain.BaseGen != 3 || chain.Gen != 3 || chain.Deltas != 0 {
-		t.Fatalf("post-compaction chain bounded at 4: %+v (%v)", chain, err)
 	}
 }
 
@@ -263,7 +252,7 @@ func TestLoadChainFallsBackPastCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	chain, fallbacks, err := st.LoadChain(0)
+	chain, fallbacks, err := st.LoadChain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +271,7 @@ func TestLoadChainFallsBackPastCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	chain, fallbacks, err = st.LoadChain(0)
+	chain, fallbacks, err = st.LoadChain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +325,7 @@ func TestGCKeepsNewestGenerations(t *testing.T) {
 		t.Fatalf("after GC: %v, want %v", names, want)
 	}
 
-	chain, _, err := st.LoadChain(0)
+	chain, _, err := st.LoadChain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +362,7 @@ func TestGCSkipsCorruptBases(t *testing.T) {
 	if err := st.GC(1); err != nil {
 		t.Fatal(err)
 	}
-	chain, _, err := st.LoadChain(0)
+	chain, _, err := st.LoadChain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +383,7 @@ func TestFaultFSTornRenameDetected(t *testing.T) {
 	if ffs.Injected() != 1 {
 		t.Fatalf("injected %d faults, want 1", ffs.Injected())
 	}
-	chain, fallbacks, err := st.LoadChain(0)
+	chain, fallbacks, err := st.LoadChain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +412,7 @@ func TestFaultFSBitFlipDetected(t *testing.T) {
 	// committed. A flip in the payload or a checked header field is refused
 	// (fallback); a flip confined to a base's unverifiable chain-fingerprint
 	// field merely detaches later deltas — the payload served is intact.
-	chain, fallbacks, err := st.LoadChain(0)
+	chain, fallbacks, err := st.LoadChain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +427,7 @@ func TestFaultFSBitFlipDetected(t *testing.T) {
 	if _, err := st.WriteBase(2, []byte("clean base")); err != nil {
 		t.Fatal(err)
 	}
-	chain, _, err = st.LoadChain(0)
+	chain, _, err = st.LoadChain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,10 +528,10 @@ func TestGenFramesPinned(t *testing.T) {
 }
 
 // refLoadChain is the read-everything LoadChain the store had before it
-// read newest-first: it decodes every generation file at or below maxGen,
-// counts each refused one as a fallback, and then picks the newest intact
-// base and follows fingerprints upward. LoadChain is held to its chain.
-func refLoadChain(st *Store, maxGen uint64) (*Chain, int, error) {
+// read newest-first: it decodes every generation file, counts each refused
+// one as a fallback, and then picks the newest intact base and follows
+// fingerprints upward. LoadChain is held to its chain.
+func refLoadChain(st *Store) (*Chain, int, error) {
 	entries, err := st.fs.ReadDir(st.dir)
 	if os.IsNotExist(err) {
 		return nil, 0, nil
@@ -554,7 +543,7 @@ func refLoadChain(st *Store, maxGen uint64) (*Chain, int, error) {
 	var bases, deltas []GenFrame
 	for _, e := range entries {
 		kind, gen, ok := parseGenName(e.Name())
-		if !ok || kind == 'w' || maxGen != 0 && gen > maxGen {
+		if !ok || kind == 'w' {
 			continue
 		}
 		raw, err := st.fs.ReadFile(filepath.Join(st.dir, e.Name()))
@@ -814,11 +803,10 @@ func shapeFiles(dir string, history []string, stale uint64) []dirFile {
 // read-everything references over every directory of up to 3 bases and 4
 // deltas in three histories — fresh, compacted and re-anchored bases, with
 // and without a delta naming a stale parent, every file intact, bit-flipped,
-// truncated or absent — at every maxGen bound and for keep 1 and 2.
-// LoadChain must return the reference's chain, open no file below its base
-// and none above the bound, and count as fallbacks exactly the files it
-// opened and refused; GC must leave the reference's files and read only the
-// bases it keeps.
+// truncated or absent — and for keep 1 and 2. LoadChain must return the
+// reference's chain, open no file below its base, and count as fallbacks
+// exactly the files it opened and refused; GC must leave the reference's
+// files and read only the bases it keeps.
 func TestNewestFirstReadersMatchReferences(t *testing.T) {
 	const dir = "store"
 	for _, h := range []struct {
@@ -848,34 +836,21 @@ func checkHistory(t *testing.T, dir string, history []string, stale uint64) {
 	dmg := make([]damage, len(files))
 	cases, chains := 0, 0
 	for more := true; more; more = nextDamage(dmg) {
-		// Under a bound, only the damages that leave every file above it
-		// intact and the stale delta below it: LoadChain must not open
-		// those files, whatever they hold.
-		var highest uint64
+		noStale := false // the directory without a stale delta is skipped
 		for i, f := range files {
 			damageOf[f.path] = dmg[i]
 			fsys.put(f.path, f.damaged(dmg[i]))
-			if dmg[i] != intact || f.kind == 'd' && f.gen == stale {
-				highest = f.gen
-			}
-			if f.kind == 'd' && f.gen == stale && dmg[i] == absent {
-				highest = math.MaxUint64 // the directory without a stale delta
-			}
+			noStale = noStale || f.kind == 'd' && f.gen == stale && dmg[i] == absent
 		}
-		if highest == math.MaxUint64 {
+		if noStale {
 			continue
 		}
 		label := func() string {
 			return fmt.Sprintf("history %v stale %d damage %v", history, stale, dmg)
 		}
-		for maxGen := uint64(0); maxGen <= top; maxGen++ {
-			if maxGen != 0 && maxGen < highest {
-				continue
-			}
-			cases++
-			if checkLoadChain(t, fsys, dir, maxGen, damageOf, label) {
-				chains++
-			}
+		cases++
+		if checkLoadChain(t, fsys, dir, damageOf, label) {
+			chains++
 		}
 		if stale == 0 {
 			for keep := 1; keep <= 2; keep++ {
@@ -888,23 +863,23 @@ func checkHistory(t *testing.T, dir string, history []string, stale uint64) {
 
 // checkLoadChain runs LoadChain and its reference over one directory and
 // reports whether they found a chain.
-func checkLoadChain(t *testing.T, fsys *memFS, dir string, maxGen uint64, damageOf map[string]damage, label func() string) bool {
+func checkLoadChain(t *testing.T, fsys *memFS, dir string, damageOf map[string]damage, label func() string) bool {
 	t.Helper()
-	want, _, err := refLoadChain(NewStore(dir, fsys), maxGen)
+	want, _, err := refLoadChain(NewStore(dir, fsys))
 	if err != nil {
 		t.Fatal(err)
 	}
 	clear(fsys.reads)
-	got, fallbacks, err := NewStore(dir, fsys).LoadChain(maxGen)
+	got, fallbacks, err := NewStore(dir, fsys).LoadChain()
 	if err != nil {
 		t.Fatal(err)
 	}
 	switch {
 	case (got == nil) != (want == nil):
-		t.Fatalf("%s maxGen %d: chain %+v, reference %+v", label(), maxGen, got, want)
+		t.Fatalf("%s: chain %+v, reference %+v", label(), got, want)
 	case got != nil && (got.BaseGen != want.BaseGen || got.Gen != want.Gen || got.FP != want.FP ||
 		got.Deltas != want.Deltas || !slices.Equal(chainPayloads(got), chainPayloads(want))):
-		t.Fatalf("%s maxGen %d: chain %+v %q, reference %+v %q", label(), maxGen,
+		t.Fatalf("%s: chain %+v %q, reference %+v %q", label(),
 			got, chainPayloads(got), want, chainPayloads(want))
 	}
 	refused := 0
@@ -913,20 +888,20 @@ func checkLoadChain(t *testing.T, fsys *memFS, dir string, maxGen uint64, damage
 		kind, gen, _ := parseGenName(name)
 		switch {
 		case n > 1:
-			t.Fatalf("%s maxGen %d: read %s %d times", label(), maxGen, name, n)
-		case kind == 'w', maxGen != 0 && gen > maxGen:
-			t.Fatalf("%s maxGen %d: read %s", label(), maxGen, name)
+			t.Fatalf("%s: read %s %d times", label(), name, n)
+		case kind == 'w':
+			t.Fatalf("%s: read %s", label(), name)
 		case got != nil && (gen < got.BaseGen || kind == 'd' && gen == got.BaseGen):
-			t.Fatalf("%s maxGen %d: read %s, not above the chain's base %d", label(), maxGen, name, got.BaseGen)
+			t.Fatalf("%s: read %s, not above the chain's base %d", label(), name, got.BaseGen)
 		case got == nil && kind != 'b':
-			t.Fatalf("%s maxGen %d: read %s with no intact base", label(), maxGen, name)
+			t.Fatalf("%s: read %s with no intact base", label(), name)
 		}
 		if damageOf[path] != intact {
 			refused++
 		}
 	}
 	if fallbacks != refused {
-		t.Fatalf("%s maxGen %d: %d fallbacks, %d files opened and refused", label(), maxGen, fallbacks, refused)
+		t.Fatalf("%s: %d fallbacks, %d files opened and refused", label(), fallbacks, refused)
 	}
 	return got != nil
 }

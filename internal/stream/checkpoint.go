@@ -611,7 +611,7 @@ func ResumeFrom(cfg Config, dir string) (*Service, error) {
 	}
 	st := checkpoint.NewStore(dir, s.cfg.DurableFS)
 	s.store = st
-	chain, fallbacks, err := st.LoadChain(0)
+	chain, fallbacks, err := st.LoadChain()
 	if err != nil {
 		return nil, err
 	}

@@ -66,7 +66,7 @@ func TestResumesIPALikeDirectoryFrom2222b11(t *testing.T) {
 	if err := os.CopyFS(dir, os.DirFS("testdata/ckpt-2222b11-ipa")); err != nil {
 		t.Fatal(err)
 	}
-	chain, fallbacks, err := checkpoint.NewStore(dir, nil).LoadChain(0)
+	chain, fallbacks, err := checkpoint.NewStore(dir, nil).LoadChain()
 	if err != nil || chain == nil || fallbacks != 0 {
 		t.Fatalf("fixture does not load as an intact chain: %v (%d fallbacks)", err, fallbacks)
 	}
@@ -203,7 +203,7 @@ func TestResumesCookieMonsterDirectoryFromf2a8120(t *testing.T) {
 func TestResumesCookieMonsterDirectoryFrom7fcfa9d(t *testing.T) {
 	const fixture = "testdata/ckpt-7fcfa9d"
 	store := checkpoint.NewStore(fixture, nil)
-	chain, _, err := store.LoadChain(0)
+	chain, _, err := store.LoadChain()
 	if err != nil || chain == nil {
 		t.Fatalf("fixture does not load: %v", err)
 	}
@@ -267,7 +267,7 @@ func resumeCookieMonsterFixture(t *testing.T, fixture string, schema uint32,
 		t.Fatal(err)
 	}
 	store := checkpoint.NewStore(dir, nil)
-	chain, fallbacks, err := store.LoadChain(0)
+	chain, fallbacks, err := store.LoadChain()
 	if err != nil || chain == nil || fallbacks != 0 {
 		t.Fatalf("fixture does not load as an intact chain: %v (%d fallbacks)", err, fallbacks)
 	}
@@ -296,7 +296,7 @@ func resumeCookieMonsterFixture(t *testing.T, fixture string, schema uint32,
 			return nil
 		}
 		checked = true
-		next, _, err := store.LoadChain(0)
+		next, _, err := store.LoadChain()
 		if err != nil || next == nil {
 			return fmt.Errorf("loading the resumed chain: %v", err)
 		}

@@ -70,3 +70,15 @@ func (s *Service) Ingested() int { return s.run.EventsIngested }
 // CMFixtureConfig is the scenario of testdata/ckpt-62d74db over a fresh
 // source, durable in dir.
 var CMFixtureConfig = cmFixtureConfig
+
+// HostileTrace hands the external test package hostileTrace.
+var HostileTrace = hostileTrace
+
+// SliceSource is a source yielding evs with meta.
+func SliceSource(meta dataset.Meta, evs []events.Event) dataset.Source {
+	return &fakeSource{meta: meta, evs: evs}
+}
+
+// ChainHead returns the generation the service's next delta links onto: the
+// live chain head, 0 while none is intact on disk.
+func (s *Service) ChainHead() uint64 { return s.headGen }

@@ -43,12 +43,12 @@ const (
 	// recover from the previous generation plus the rotated log.
 	PointDeltaCaptured FaultPoint = "delta-captured"
 	// PointBaseCompacted fires when a cadence tick decides that its delta
-	// is folded into a fresh base, after the previous compaction's durable
-	// commit was observed (its linked base written and superseded
-	// generations collected) and before the delta is captured — once per
-	// compaction counted in DurabilityStats.BaseCompactions. Crashing here
-	// must recover from the previous compaction's base and the deltas
-	// above it.
+	// is folded into a fresh base, after the previous delta's durable
+	// commit, and any compaction it carried (its linked base written and
+	// superseded generations collected), was observed, and before the
+	// delta is captured — once per compaction counted in
+	// DurabilityStats.BaseCompactions. Crashing here must recover from the
+	// previous compaction's base and the deltas above it.
 	PointBaseCompacted FaultPoint = "base-compacted"
 	// PointGroupCommit fires after a WAL group commit was requested: the
 	// buffered records reached the file and the background syncer was

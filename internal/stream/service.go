@@ -180,18 +180,19 @@ type DurabilityStats struct {
 	// SnapshotCaptures counts cadence snapshot captures.
 	SnapshotCaptures int
 	// MaxSnapshotStall is the longest the ingest thread was paused by one
-	// cadence tick: harvesting the previous generation's commit (and, at a
-	// compaction decision, the previous compaction), capturing state, and
-	// rotating the WAL. The records' encoding, the write of the generation
-	// and the compaction happen off the ingest thread and do not stall it.
+	// cadence tick: harvesting the previous generation's commit and any
+	// compaction it carried, capturing state, and rotating the WAL. The
+	// write of the generation and the compaction happen off the ingest
+	// thread and do not stall it.
 	MaxSnapshotStall time.Duration
 	// MaxCaptureStall is the capture-and-rotate portion of the worst tick,
-	// excluding the waits for the background writer and the compactor. The
-	// difference between the two maxima is writer backpressure (commits or
-	// compactions outrunning the cadence), not capture cost.
+	// excluding the wait for the background writer. The difference between
+	// the two maxima is writer backpressure (commits or compactions
+	// outrunning the cadence), not capture cost.
 	MaxCaptureStall time.Duration
 	// DeltaBytes and BaseBytes total the serialized snapshot payload bytes
-	// committed by kind (bases include initial, compacted, and final).
+	// committed by kind (bases include initial, compacted, re-anchoring and
+	// final).
 	DeltaBytes int64
 	BaseBytes  int64
 	// BaseCompactions counts delta chains folded into fresh bases, when
@@ -235,22 +236,22 @@ type Service struct {
 	wal         *checkpoint.WAL
 	lastSnapDay int
 	// store is the generation store; headGen/headFP identify the chain
-	// head new deltas link onto, headDeltas counts the deltas captured since
-	// the last base was written or decided (the compaction cadence, which
-	// recovery resumes from the chain it loaded), and nextGen numbers the
-	// next generation or WAL segment (monotonic across kinds, never reused).
+	// head new deltas link onto (headGen 0: the chain on disk does not
+	// reach the live state, and the next capture is a base that re-anchors
+	// it), headDeltas counts the deltas captured since the last base was
+	// written or decided (the compaction cadence, which recovery resumes
+	// from the chain it loaded), and nextGen numbers the next generation or
+	// WAL segment (monotonic across kinds, never reused).
 	store      *checkpoint.Store
 	headGen    uint64
 	headFP     uint32
 	headDeltas int
 	nextGen    uint64
 	// writer commits captured snapshots and compacts the chain off the
-	// ingest thread; snapPending marks an enqueued capture, and
-	// compactPending a decided compaction, whose result has not been
-	// harvested yet.
-	writer         *snapWriter
-	snapPending    bool
-	compactPending bool
+	// ingest thread; snapPending marks an enqueued capture whose result has
+	// not been harvested yet.
+	writer      *snapWriter
+	snapPending bool
 	// gcEvents/gcBytes accumulate WAL entries and frame bytes toward the
 	// next group commit.
 	gcEvents int
@@ -329,13 +330,12 @@ func (s *Service) Serve() (run *Run, err error) {
 		}
 		defer func() {
 			if s.writer != nil {
-				// The writer and the compactor must not outlive the
-				// service. On error paths an in-flight commit or
-				// compaction is simply allowed to land — one of the legal
-				// outcomes of the crash being simulated — and its result
-				// discarded.
+				// The writer must not outlive the service. On error paths
+				// an in-flight commit and any compaction it carries are
+				// simply allowed to land — one of the legal outcomes of
+				// the crash being simulated — and the result discarded.
 				s.writer.close()
-				s.writer, s.snapPending, s.compactPending = nil, false, false
+				s.writer, s.snapPending = nil, false
 			}
 			if s.wal == nil {
 				return
@@ -389,19 +389,15 @@ func (s *Service) Serve() (run *Run, err error) {
 		}
 	}
 	if s.wal != nil {
-		// Final commit: harvest any in-flight generation and compaction,
-		// sync the log (so a crash during the final base write still
-		// recovers everything), then write the run's full state as a fresh
-		// base and collect the generations it supersedes. A suspended run
-		// takes the same path — drained queue, synced log, final
-		// generation — unless a filled batch is awaiting its day flush:
-		// that state is WAL-derived only (snapshots are day-boundary
-		// states), so the suspend keeps the synced log and recovery
-		// rebuilds the batch by replay.
+		// Final commit: harvest any in-flight generation (and the compaction it
+		// carried), sync the log (so a crash during the final base write still
+		// recovers everything), then write the run's full state as a fresh base
+		// and collect the generations it supersedes. A suspended run takes the
+		// same path — drained queue, synced log, final generation — unless a
+		// filled batch is awaiting its day flush: that state is WAL-derived only
+		// (snapshots are day-boundary states), so the suspend keeps the synced
+		// log and recovery rebuilds the batch by replay.
 		if err := s.harvestSnap(); err != nil {
-			return nil, err
-		}
-		if err := s.harvestCompaction(); err != nil {
 			return nil, err
 		}
 		if err := s.syncWAL(); err != nil {
@@ -461,14 +457,9 @@ func (s *Service) openDurability() error {
 		// replay would never reach past the gap, and a run resumed from a
 		// schema-6 or schema-7 chain, which no delta of this schema may
 		// extend.
-		if err := s.writeBase(walGen); err != nil {
+		if err := s.reanchor(walGen); err != nil {
 			return err
 		}
-		// The base subsumes everything recovery replayed, so dirty marks
-		// taken before replay are stale: without a reset the first delta
-		// would re-carry state the base already holds, and append-only
-		// sections (Results) would duplicate on fold.
-		s.resetDirtyTracking()
 	}
 	if err := s.openWALSegment(walGen); err != nil {
 		return err
@@ -485,9 +476,6 @@ func (s *Service) openWALSegment(gen uint64) error {
 		return err
 	}
 	s.wal = wal
-	if s.cfg.GroupCommitEvents > 0 {
-		s.wal.StartGroupCommit()
-	}
 	s.gcEvents, s.gcBytes = 0, 0
 	s.log = s.logRun.close(s.log)
 	s.openRun()
@@ -510,8 +498,24 @@ func (s *Service) writeBase(gen uint64) error {
 	return nil
 }
 
-// harvestSnap waits for the background writer's in-flight commit, if any,
-// folds its telemetry into the run, and fires the commit fault point.
+// reanchor commits the service's complete state as base generation gen,
+// the chain head from then on. The base subsumes everything before it, so
+// dirty marks taken before are stale: without a reset the next delta would
+// re-carry state the base already holds, and append-only sections (Results)
+// would duplicate on fold. Caller guarantees quiescence.
+func (s *Service) reanchor(gen uint64) error {
+	if err := s.writeBase(gen); err != nil {
+		return err
+	}
+	s.resetDirtyTracking()
+	return nil
+}
+
+// harvestSnap waits for the background writer's in-flight job, if any,
+// folds its telemetry into the run, and fires the commit fault point. A
+// compaction whose fold ended below the job's delta found the chain on disk
+// broken under it: no later delta could join that chain, so the head is
+// dropped and the next capture re-anchors it.
 func (s *Service) harvestSnap() error {
 	if !s.snapPending {
 		return nil
@@ -522,25 +526,12 @@ func (s *Service) harvestSnap() error {
 		return res.err
 	}
 	s.headGen, s.headFP, s.spareLog = res.gen, res.fp, res.log[:0]
+	if res.head != res.gen {
+		s.headGen, s.headFP = 0, 0
+	}
 	s.run.Durability.DeltaBytes += int64(res.bytes)
+	s.run.Durability.BaseBytes += int64(res.baseBytes)
 	return s.fault(PointSnapshotCommitted)
-}
-
-// harvestCompaction waits for the compactor's in-flight compaction, if any,
-// and folds its base's bytes into the run. A compaction is handed off only
-// once its delta is written, so the caller must have harvested that delta
-// without error.
-func (s *Service) harvestCompaction() error {
-	if !s.compactPending {
-		return nil
-	}
-	res := <-s.writer.compacted
-	s.compactPending = false
-	if res.err != nil {
-		return res.err
-	}
-	s.run.Durability.BaseBytes += int64(res.bytes)
-	return nil
 }
 
 // step advances the day clock for one event and applies it — the single
@@ -744,11 +735,13 @@ func (s *Service) endOfDay(nextDay int) error {
 }
 
 // rotateCheckpoint is the cadence tick: harvest the previous generation's
-// commit, decide whether this delta is compacted (harvesting the previous
-// compaction first), capture the state dirtied since, rotate the WAL to the
+// commit (and the compaction it carried), decide whether this delta is
+// compacted, capture the state dirtied since, rotate the WAL to the
 // capture's numbered segment, and hand the delta to the background writer.
 // Only the capture and rotation pause ingest — the write, the fsync and any
-// compaction happen off the ingest thread.
+// compaction happen off the ingest thread. A tick with no chain head to
+// link onto — the last compaction found a delta under its own unreadable —
+// writes a base instead, on the ingest thread, and no compaction is decided.
 //
 // Order matters for crash safety: the old segment syncs before the capture
 // is enqueued, so by the time the new generation can exist on disk, every
@@ -765,12 +758,13 @@ func (s *Service) rotateCheckpoint() error {
 	// The day clock keeps the compaction cadence, so the decision — and
 	// the count, which the generation's own head carries — does not depend
 	// on when a compaction lands.
-	s.headDeltas++
-	compact := s.cfg.BaseEveryDeltas > 0 && s.headDeltas >= s.cfg.BaseEveryDeltas
+	delta := s.headGen != 0
+	compact := false
+	if delta {
+		s.headDeltas++
+		compact = s.cfg.BaseEveryDeltas > 0 && s.headDeltas >= s.cfg.BaseEveryDeltas
+	}
 	if compact {
-		if err := s.harvestCompaction(); err != nil {
-			return err
-		}
 		s.headDeltas = 0
 		s.run.Durability.BaseCompactions++
 		if err := s.fault(PointBaseCompacted); err != nil {
@@ -788,7 +782,12 @@ func (s *Service) rotateCheckpoint() error {
 		return err
 	}
 	var err error
-	if job.prefix, job.log, err = s.capture(true); err != nil {
+	if delta {
+		job.prefix, job.log, err = s.capture(true)
+	} else if err = s.reanchor(gen); err == nil {
+		err = s.store.GC(keepGenerations)
+	}
+	if err != nil {
 		return err
 	}
 	if err := s.wal.Sync(); err != nil {
@@ -811,9 +810,10 @@ func (s *Service) rotateCheckpoint() error {
 	if err := s.fault(PointDeltaCaptured); err != nil {
 		return err
 	}
-	s.writer.enqueue(job)
-	s.snapPending = true
-	s.compactPending = s.compactPending || compact
+	if delta {
+		s.writer.enqueue(job)
+		s.snapPending = true
+	}
 	return nil
 }
 

@@ -467,26 +467,43 @@ func restoredSnapshot(cfg Config, payloads [][]byte) ([]byte, *snapHead, error) 
 // cadence tick of a run with eviction, late drops and base compactions, the
 // chain on disk — and compaction's fold of it — restored into a fresh
 // service gives the full snapshot the live service took at the previous
-// tick's capture.
+// tick's capture. Compaction lands in order: at the tick after each
+// compaction decision, the chain on disk is the base compacted at the
+// previous tick's delta, alone.
 func TestFoldMatchesSnapshotAtEveryTick(t *testing.T) {
 	meta, evs := hostileTrace(t, 11)
 	scenario := Config{Source: &fakeSource{meta: meta}, EpsilonG: 2, Seed: 5, LatePolicy: LateDrop}
 	var svc *Service
 	var want []byte // full snapshot at the previous tick's capture
-	compared := 0
+	compared, inOrder := 0, 0
+	// decided marks a tick that decided a compaction, whose delta carries
+	// it; harvested marks the tick after, which harvested that compaction.
+	decided, harvested := false, false
 	cfg := scenario
 	cfg.Source = &fakeSource{meta: meta, evs: evs}
 	cfg.CheckpointDir, cfg.SnapshotEveryDays, cfg.BaseEveryDeltas = t.TempDir(), 5, 3
 	cfg.FaultHook = func(p FaultPoint) error {
+		if p == PointBaseCompacted {
+			decided = true
+		}
 		if p != PointDeltaCaptured {
 			return nil
 		}
+		check := harvested
+		harvested, decided = decided, false
 		// The previous tick's generation has been harvested, so the
 		// chain on disk ends at it (or at the base it compacted into).
 		if want != nil {
-			chain, _, err := svc.store.LoadChain(0)
+			chain, _, err := svc.store.LoadChain()
 			if err != nil || chain == nil {
 				return fmt.Errorf("loading chain: %v", err)
+			}
+			if check {
+				if chain.Deltas != 0 || chain.BaseGen != svc.headGen {
+					t.Fatalf("tick %d: the chain on disk is base %d and %d deltas, want the base compacted at %d alone",
+						compared, chain.BaseGen, chain.Deltas, svc.headGen)
+				}
+				inOrder++
 			}
 			folded, err := foldChain(chain.Payloads)
 			if err != nil {
@@ -521,9 +538,9 @@ func TestFoldMatchesSnapshotAtEveryTick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if compared < 10 || run.EvictedRecords == 0 || run.EventsDropped == 0 || run.Durability.BaseCompactions < 3 {
-		t.Fatalf("run exercises too little: %d ticks compared, %d evicted, %d dropped, %d compactions",
-			compared, run.EvictedRecords, run.EventsDropped, run.Durability.BaseCompactions)
+	if compared < 10 || run.EvictedRecords == 0 || run.EventsDropped == 0 || inOrder < 3 {
+		t.Fatalf("run exercises too little: %d ticks compared, %d evicted, %d dropped, %d compactions checked",
+			compared, run.EvictedRecords, run.EventsDropped, inOrder)
 	}
 }
 
@@ -992,7 +1009,7 @@ func TestResumeRefusesSchema3(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "unsupported snapshot "+name) {
 				t.Fatalf("resume over a %s directory: err = %v", name, err)
 			}
-			chain, _, err := checkpoint.NewStore(dir, nil).LoadChain(0)
+			chain, _, err := checkpoint.NewStore(dir, nil).LoadChain()
 			if err != nil || chain == nil {
 				t.Fatalf("%s directory does not load as an intact chain: %v", name, err)
 			}
