@@ -475,14 +475,13 @@ func runChaosProfile(ds *dataset.Dataset, scenario workload.Config, p chaosProfi
 		rps = p.overload * float64(time.Second) / float64(p.apply) / float64(batch)
 	}
 	rep, err := loadgen.Run(context.Background(), loadgen.Config{
-		Target:         "http://" + ln.Addr().String(),
-		Dataset:        ds,
-		Senders:        senders,
-		RPS:            rps,
-		BatchSize:      batch,
-		WarmupFraction: 0.1,
-		Seed:           seed,
-		Client:         client,
+		Target:    "http://" + ln.Addr().String(),
+		Dataset:   ds,
+		Senders:   senders,
+		RPS:       rps,
+		BatchSize: batch,
+		Seed:      seed,
+		Client:    client,
 	})
 	if err != nil {
 		return nil, err

@@ -68,14 +68,6 @@ func ChainFP(parentFP, payloadCRC uint32) uint32 {
 	return crc32.Checksum(link[:], castagnoli)
 }
 
-// payloadCRC is the CRC-32C of the concatenated payload parts.
-func payloadCRC(payload [][]byte) (crc uint32) {
-	for _, p := range payload {
-		crc = crc32.Update(crc, castagnoli, p)
-	}
-	return crc
-}
-
 // appendGenHeader appends the genHeaderLen-byte frame header of one
 // snapshot generation whose n payload bytes have CRC crc; the payload
 // follows it unchanged.
@@ -302,29 +294,24 @@ func (st *Store) WriteBaseLinked(gen uint64, chainFP uint32, payload []byte) err
 }
 
 // WriteDelta commits a delta generation chained to the parent fingerprint
-// and returns the delta's own chain fingerprint. The payload is the
-// concatenation of its parts, which are written as they are.
-func (st *Store) WriteDelta(gen uint64, parentFP uint32, payload ...[]byte) (uint32, error) {
-	crc := payloadCRC(payload)
+// and returns the delta's own chain fingerprint.
+func (st *Store) WriteDelta(gen uint64, parentFP uint32, payload []byte) (uint32, error) {
+	crc := crc32.Checksum(payload, castagnoli)
 	fp := ChainFP(parentFP, crc)
-	return fp, st.writeGen(GenKindDelta, deltaName(gen), gen, parentFP, fp, crc, payload...)
+	return fp, st.writeGen(GenKindDelta, deltaName(gen), gen, parentFP, fp, crc, payload)
 }
 
 // writeGen stages, fsyncs, and rename-commits one generation frame, whose
-// payload parts have CRC crc, through the store's FS, so a crash at any
-// instant leaves either no file under the committed name or the whole frame
-// — never a torn mix. The header and the payload parts are written one
-// after the other; the payload is never copied.
-func (st *Store) writeGen(kind byte, name string, gen uint64, parentFP, chainFP, crc uint32, payload ...[]byte) error {
+// payload has CRC crc, through the store's FS, so a crash at any instant
+// leaves either no file under the committed name or the whole frame —
+// never a torn mix. The header and the payload are written one after the
+// other; the payload is never copied.
+func (st *Store) writeGen(kind byte, name string, gen uint64, parentFP, chainFP, crc uint32, payload []byte) error {
 	if err := st.fs.MkdirAll(st.dir, 0o755); err != nil {
 		return fmt.Errorf("checkpoint: creating %s: %w", st.dir, err)
 	}
-	n := 0
-	for _, p := range payload {
-		n += len(p)
-	}
 	var header [genHeaderLen]byte
-	appendGenHeader(header[:0], kind, gen, parentFP, chainFP, crc, n)
+	appendGenHeader(header[:0], kind, gen, parentFP, chainFP, crc, len(payload))
 	tmp := filepath.Join(st.dir, name+".tmp")
 	// O_RDWR, not O_WRONLY: the fault injector's bit-flip reads the byte it
 	// flips, and staged generations must be corruptible like any real file.
@@ -332,11 +319,8 @@ func (st *Store) writeGen(kind byte, name string, gen uint64, parentFP, chainFP,
 	if err != nil {
 		return fmt.Errorf("checkpoint: staging generation: %w", err)
 	}
-	_, err = f.Write(header[:])
-	for _, p := range payload {
-		if err == nil {
-			_, err = f.Write(p)
-		}
+	if _, err = f.Write(header[:]); err == nil {
+		_, err = f.Write(payload)
 	}
 	if err == nil {
 		err = f.Sync()

@@ -510,7 +510,7 @@ func TestGenFramesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.WriteDelta(2, fp, []byte("delta "), []byte("payload")); err != nil {
+	if _, err := st.WriteDelta(2, fp, []byte("delta payload")); err != nil {
 		t.Fatal(err)
 	}
 	for name, want := range map[string]string{

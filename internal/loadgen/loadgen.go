@@ -45,6 +45,12 @@ import (
 // confused server must not park the client forever.
 const maxRetryAfter = 30 * time.Second
 
+// warmupFraction is the share of the earliest ingest-latency samples the
+// report's ingest quantiles discard, so connection setup and day-0 ramp-up
+// don't pollute steady-state numbers. Only those samples are trimmed: the
+// wall time, and so SustainedRPS, covers the whole run.
+const warmupFraction = 0.1
+
 // Config parameterizes one load run.
 type Config struct {
 	// Target is the server's base URL, e.g. http://127.0.0.1:8080.
@@ -62,10 +68,6 @@ type Config struct {
 	// BatchSize is the number of events per POST /v1/events (capped at
 	// the server's per-request limit). 0 selects 256.
 	BatchSize int
-	// WarmupFraction discards the first fraction of latency samples (and
-	// the corresponding wall time) from the quantiles, so connection and
-	// day-0 ramp-up don't pollute steady-state numbers. 0 keeps all.
-	WarmupFraction float64
 	// PollInterval is the result poller's cadence (0 = 50ms).
 	PollInterval time.Duration
 	// Client overrides the HTTP client (nil = 30s-timeout default). Chaos
@@ -126,8 +128,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("loadgen: nil dataset")
 	case c.Senders < 0 || c.BatchSize < 0 || c.RPS < 0:
 		return fmt.Errorf("loadgen: negative senders, batch size or rps")
-	case c.WarmupFraction < 0 || c.WarmupFraction >= 1:
-		return fmt.Errorf("loadgen: warmup fraction outside [0,1)")
 	}
 	return nil
 }
@@ -643,7 +643,7 @@ func (g *generator) report(sent int, elapsed time.Duration) *Report {
 		r.SustainedEventsPerSec = float64(g.accepted) / elapsed.Seconds()
 	}
 	ingest := g.ingestMs
-	if cut := int(float64(len(ingest)) * g.cfg.WarmupFraction); cut > 0 && cut < len(ingest) {
+	if cut := int(float64(len(ingest)) * warmupFraction); cut > 0 && cut < len(ingest) {
 		r.WarmupDiscarded = cut
 		ingest = ingest[cut:]
 	}

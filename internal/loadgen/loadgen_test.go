@@ -39,13 +39,12 @@ func TestLoadgenAgainstServer(t *testing.T) {
 	defer hs.Close()
 
 	report, err := loadgen.Run(context.Background(), loadgen.Config{
-		Target:         hs.URL,
-		Dataset:        ds,
-		Senders:        3,
-		BatchSize:      64,
-		WarmupFraction: 0.1,
-		PollInterval:   5 * time.Millisecond,
-		Client:         hs.Client(),
+		Target:       hs.URL,
+		Dataset:      ds,
+		Senders:      3,
+		BatchSize:    64,
+		PollInterval: 5 * time.Millisecond,
+		Client:       hs.Client(),
 	})
 	if err != nil {
 		t.Fatalf("loadgen.Run: %v", err)

@@ -202,14 +202,14 @@ func (s *Service) openRun() {
 
 // capture encodes one snapshot payload, which the service keeps no
 // reference to: a full capture (delta false) holds the complete service
-// state in one buffer; a delta holds what changed since the previous
-// capture — the touched devices, in ID order, the dirty streams' pending
-// runs, then the period's event log, its open run closed and handed over as
-// the payload's last part, uncopied — and advances the dirty baselines.
-// Scalars, the central ledger, and the replay-protection set are captured
-// whole either way: they are small and change every day. Caller guarantees
-// quiescence.
-func (s *Service) capture(delta bool) (buf, log []byte, err error) {
+// state; a delta holds what changed since the previous capture — the
+// touched devices, in ID order, the dirty streams' pending runs, then the
+// period's event log, its open run closed and copied in, the log itself
+// truncated in place for the next period — and advances the dirty
+// baselines. Scalars, the central ledger, and the replay-protection set are
+// captured whole either way: they are small and change every day. Caller
+// guarantees quiescence.
+func (s *Service) capture(delta bool) (buf []byte, err error) {
 	head := s.scalarSnap()
 
 	// Planner cursor, in (site, product) order.
@@ -226,7 +226,7 @@ func (s *Service) capture(delta bool) (buf, log []byte, err error) {
 	head.Results = appendResultStates(nil, s.run.Results[from:])
 
 	if buf, err = appendHead(make([]byte, 0, s.captureHint), head); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Fleet: every created device (even ones with no initialized slots —
@@ -252,27 +252,26 @@ func (s *Service) capture(delta bool) (buf, log []byte, err error) {
 	closeLen(buf, sec)
 
 	// Event store: a delta's log is the runs of the events drained since
-	// the last capture, in drain order, and the next period logs into the
-	// buffer the writer handed back; a full capture logs every live event
+	// the last capture, in drain order; a full capture logs every live event
 	// as one run, record by record in (epoch, device) order.
 	buf, sec = openLen(buf)
 	if delta {
 		s.log = s.logRun.close(s.log)
-		binary.LittleEndian.PutUint32(buf[sec:], uint32(len(s.log)))
+		buf = append(buf, s.log...)
+		s.log = s.log[:0]
 		s.captureHint = len(buf) + len(buf)/8
-		log, s.log, s.spareLog = s.log, s.spareLog, nil
-		return buf, log, nil
-	}
-	var w runWriter
-	buf = w.open(buf)
-	for _, evs := range s.db.Records() {
-		for _, ev := range evs {
-			buf = w.add(buf, ev, false)
+	} else {
+		var w runWriter
+		buf = w.open(buf)
+		for _, evs := range s.db.Records() {
+			for _, ev := range evs {
+				buf = w.add(buf, ev, false)
+			}
 		}
+		buf = w.close(buf)
 	}
-	buf = w.close(buf)
 	closeLen(buf, sec)
-	return buf, nil, nil
+	return buf, nil
 }
 
 // capture lists keys' streams as a capture writes them, beside the pending
@@ -369,13 +368,6 @@ func (p *planner) restore(c *snapChain) error {
 		p.streams[streamKey{site, product}] = st
 	}
 	return nil
-}
-
-// fullSnapshot encodes the service's complete state as one payload, on the
-// calling goroutine. Caller guarantees quiescence.
-func (s *Service) fullSnapshot() ([]byte, error) {
-	buf, _, err := s.capture(false)
-	return buf, err
 }
 
 // snapParts is one parsed payload: its schema, decoded head and raw

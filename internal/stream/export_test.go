@@ -13,7 +13,7 @@ import (
 // PointDeltaCaptured, what a tick that wrote bases instead of deltas put on
 // disk.
 func (s *Service) FullSnapshot() (gen uint64, payload []byte, err error) {
-	payload, err = s.fullSnapshot()
+	payload, err = s.capture(false)
 	return s.nextGen - 1, payload, err
 }
 

@@ -33,14 +33,14 @@ const (
 	// the event records below it were evicted.
 	PointRetentionAdvanced FaultPoint = "retention-advanced"
 	// PointSnapshotCommitted fires when a snapshot generation's durable
-	// commit is observed by the day clock (the background writer's result
-	// is harvested) — crashing here must resume from the generation just
-	// written.
+	// commit is observed by the day clock (its write is joined and the
+	// result harvested) — crashing here must resume from the generation
+	// just written.
 	PointSnapshotCommitted FaultPoint = "snapshot-committed"
 	// PointDeltaCaptured fires after the day clock captured the dirty
-	// state for a snapshot generation and rotated the WAL, before the
-	// background writer has durably committed it — crashing here must
-	// recover from the previous generation plus the rotated log.
+	// state for a snapshot generation and rotated the WAL, before its write
+	// has started — crashing here must recover from the previous generation
+	// plus the rotated log.
 	PointDeltaCaptured FaultPoint = "delta-captured"
 	// PointBaseCompacted fires when a cadence tick decides that its delta
 	// is folded into a fresh base, after the previous delta's durable

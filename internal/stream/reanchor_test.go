@@ -51,8 +51,8 @@ func TestCompactionReanchorsPastCorruptDelta(t *testing.T) {
 					}
 				}
 			case stream.PointDeltaCaptured:
-				// The writer is idle here: the previous job is harvested and
-				// this tick's is not yet enqueued.
+				// No write is in flight here: the previous one is joined and
+				// this tick's is not yet started.
 				o.ticks++
 				chain, _, err := checkpoint.NewStore(dir, nil).LoadChain()
 				if err != nil {

@@ -186,9 +186,9 @@ type DurabilityStats struct {
 	// thread and do not stall it.
 	MaxSnapshotStall time.Duration
 	// MaxCaptureStall is the capture-and-rotate portion of the worst tick,
-	// excluding the wait for the background writer. The difference between
-	// the two maxima is writer backpressure (commits or compactions
-	// outrunning the cadence), not capture cost.
+	// excluding the join of the previous write. The difference between the
+	// two maxima is write backpressure (commits or compactions outrunning
+	// the cadence), not capture cost.
 	MaxCaptureStall time.Duration
 	// DeltaBytes and BaseBytes total the serialized snapshot payload bytes
 	// committed by kind (bases include initial, compacted, re-anchoring and
@@ -247,11 +247,10 @@ type Service struct {
 	headFP     uint32
 	headDeltas int
 	nextGen    uint64
-	// writer commits captured snapshots and compacts the chain off the
-	// ingest thread; snapPending marks an enqueued capture whose result has
-	// not been harvested yet.
-	writer      *snapWriter
-	snapPending bool
+	// pending joins the write of the last captured delta (and the
+	// compaction it carries), which runs off the ingest thread; nil when no
+	// write is in flight.
+	pending func() snapResult
 	// gcEvents/gcBytes accumulate WAL entries and frame bytes toward the
 	// next group commit.
 	gcEvents int
@@ -260,10 +259,8 @@ type Service struct {
 	// last capture, each behind its header. The open run, logRun's, is the
 	// open WAL segment's: logWAL encodes each drained event into it exactly
 	// once, and a WAL frame is the slice of it from frameStart on,
-	// frameEntries entries numbered from frameSeq. spareLog is the log
-	// buffer the writer handed back, which the next period logs into.
+	// frameEntries entries numbered from frameSeq.
 	log          []byte
-	spareLog     []byte
 	logRun       runWriter
 	frameStart   int
 	frameEntries int
@@ -276,7 +273,7 @@ type Service struct {
 	touched     []events.DeviceID
 	resultsMark int
 	// captureHint pre-sizes the next capture's buffer from the last delta's
-	// head and devices.
+	// whole payload, its event log included.
 	captureHint int
 	// skip counts source events already covered by the restored durable
 	// state; Serve discards that prefix before going live (the source
@@ -329,13 +326,15 @@ func (s *Service) Serve() (run *Run, err error) {
 			return nil, err
 		}
 		defer func() {
-			if s.writer != nil {
-				// The writer must not outlive the service. On error paths
+			if join := s.pending; join != nil {
+				// The write must not outlive the service. On error paths
 				// an in-flight commit and any compaction it carries are
 				// simply allowed to land — one of the legal outcomes of
 				// the crash being simulated — and the result discarded.
-				s.writer.close()
-				s.writer, s.snapPending = nil, false
+				// The field is cleared first, so a panic the join re-raises
+				// leaves nothing to join again.
+				s.pending = nil
+				join()
 			}
 			if s.wal == nil {
 				return
@@ -357,7 +356,7 @@ func (s *Service) Serve() (run *Run, err error) {
 				}
 			}
 			s.wal = nil
-			s.log, s.spareLog, s.logRun.start = nil, nil, -1
+			s.log, s.logRun.start = nil, -1
 		}()
 	}
 
@@ -422,7 +421,7 @@ func (s *Service) Serve() (run *Run, err error) {
 }
 
 // openDurability prepares the generation store, the initial base (fresh
-// runs), the WAL segment, and the background writer for one Serve.
+// runs) and the WAL segment for one Serve.
 func (s *Service) openDurability() error {
 	if s.store == nil {
 		s.store = checkpoint.NewStore(s.cfg.CheckpointDir, s.cfg.DurableFS)
@@ -430,7 +429,7 @@ func (s *Service) openDurability() error {
 	// A resumed run appends to a segment number no crashed process ever
 	// wrote — an old segment's tail may be torn, and recovery already
 	// accounted for exactly what is durable in it — and removes what a
-	// crashed process was staging, before its own writer starts.
+	// crashed process was staging, before it writes anything.
 	walGen := s.nextGen
 	if s.resumed {
 		if err := s.store.RemoveStaging(); err != nil {
@@ -461,11 +460,7 @@ func (s *Service) openDurability() error {
 			return err
 		}
 	}
-	if err := s.openWALSegment(walGen); err != nil {
-		return err
-	}
-	s.writer = newSnapWriter(s.store)
-	return nil
+	return s.openWALSegment(walGen)
 }
 
 // openWALSegment opens WAL segment gen and starts its run in the event log,
@@ -485,7 +480,7 @@ func (s *Service) openWALSegment(gen uint64) error {
 // writeBase commits the service's complete state as base generation gen and
 // makes it the chain head. Caller guarantees quiescence.
 func (s *Service) writeBase(gen uint64) error {
-	payload, err := s.fullSnapshot()
+	payload, err := s.capture(false)
 	if err != nil {
 		return err
 	}
@@ -511,21 +506,22 @@ func (s *Service) reanchor(gen uint64) error {
 	return nil
 }
 
-// harvestSnap waits for the background writer's in-flight job, if any,
-// folds its telemetry into the run, and fires the commit fault point. A
-// compaction whose fold ended below the job's delta found the chain on disk
-// broken under it: no later delta could join that chain, so the head is
-// dropped and the next capture re-anchors it.
+// harvestSnap joins the in-flight delta write, if any, folds its telemetry
+// into the run, and fires the commit fault point. A compaction whose fold
+// ended below the write's delta found the chain on disk broken under it: no
+// later delta could join that chain, so the head is dropped and the next
+// capture re-anchors it.
 func (s *Service) harvestSnap() error {
-	if !s.snapPending {
+	join := s.pending
+	if join == nil {
 		return nil
 	}
-	res := <-s.writer.results
-	s.snapPending = false
+	s.pending = nil
+	res := join()
 	if res.err != nil {
 		return res.err
 	}
-	s.headGen, s.headFP, s.spareLog = res.gen, res.fp, res.log[:0]
+	s.headGen, s.headFP = res.gen, res.fp
 	if res.head != res.gen {
 		s.headGen, s.headFP = 0, 0
 	}
@@ -737,14 +733,14 @@ func (s *Service) endOfDay(nextDay int) error {
 // rotateCheckpoint is the cadence tick: harvest the previous generation's
 // commit (and the compaction it carried), decide whether this delta is
 // compacted, capture the state dirtied since, rotate the WAL to the
-// capture's numbered segment, and hand the delta to the background writer.
-// Only the capture and rotation pause ingest — the write, the fsync and any
-// compaction happen off the ingest thread. A tick with no chain head to
-// link onto — the last compaction found a delta under its own unreadable —
-// writes a base instead, on the ingest thread, and no compaction is decided.
+// capture's numbered segment, and start the delta's write. Only the capture
+// and rotation pause ingest — the write, the fsync and any compaction
+// happen off the ingest thread. A tick with no chain head to link onto —
+// the last compaction found a delta under its own unreadable — writes a
+// base instead, on the ingest thread, and no compaction is decided.
 //
-// Order matters for crash safety: the old segment syncs before the capture
-// is enqueued, so by the time the new generation can exist on disk, every
+// Order matters for crash safety: the old segment syncs before the delta's
+// write starts, so by the time the new generation can exist on disk, every
 // event below its cursor is durable, and the new segment opens after the
 // capture, so it holds only events from that cursor on. A crash leaves
 // either the old state (recover from the previous generation, replaying
@@ -777,13 +773,13 @@ func (s *Service) rotateCheckpoint() error {
 	// Counted before the capture, so the generation's own head includes it
 	// and a run resumed from it reports the capture that produced it.
 	s.run.Durability.SnapshotCaptures++
-	job := snapJob{gen: gen, parentFP: s.headFP, compact: compact}
 	if err := s.cutFrame(); err != nil {
 		return err
 	}
+	var payload []byte
 	var err error
 	if delta {
-		job.prefix, job.log, err = s.capture(true)
+		payload, err = s.capture(true)
 	} else if err = s.reanchor(gen); err == nil {
 		err = s.store.GC(keepGenerations)
 	}
@@ -811,8 +807,7 @@ func (s *Service) rotateCheckpoint() error {
 		return err
 	}
 	if delta {
-		s.writer.enqueue(job)
-		s.snapPending = true
+		s.pending = commitSnap(s.store, gen, s.headFP, payload, compact)
 	}
 	return nil
 }

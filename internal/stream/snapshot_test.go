@@ -459,7 +459,7 @@ func restoredSnapshot(cfg Config, payloads [][]byte) ([]byte, *snapHead, error) 
 	if err := fresh.restore(c); err != nil {
 		return nil, nil, err
 	}
-	p, err := fresh.fullSnapshot()
+	p, err := fresh.capture(false)
 	return p, c.head, err
 }
 
@@ -527,7 +527,7 @@ func TestFoldMatchesSnapshotAtEveryTick(t *testing.T) {
 			compared++
 		}
 		var err error
-		want, err = svc.fullSnapshot()
+		want, err = svc.capture(false)
 		return err
 	}
 	var err error
@@ -568,7 +568,7 @@ func TestDirtyTrackingArmedOnlyForDeltas(t *testing.T) {
 		}
 	}
 	tracking := func(s *Service) bool {
-		return s.ledgerVers != nil || s.touched != nil || s.plan.dirty != nil || s.log != nil || s.spareLog != nil
+		return s.ledgerVers != nil || s.touched != nil || s.plan.dirty != nil || s.log != nil
 	}
 	for _, every := range []int{0, 5} {
 		dir := t.TempDir()
