@@ -29,6 +29,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -41,17 +42,16 @@ const (
 	// Readers reject other versions rather than guessing.
 	FormatVersion = 1
 
-	// walVersion is the format a new WAL segment is written in: one frame
-	// per group commit. walVersionRecords, one framed record per event, is
-	// still replayed.
-	walVersion, walVersionRecords = 2, 1
+	// walVersion is the format of a WAL segment: one frame per group
+	// commit. Version 1, one framed record per event, is refused.
+	walVersion = 2
 
 	// WALFrameHeader is a version-2 frame's header: length u32, CRC-32C
 	// u32, first sequence number u64.
 	WALFrameHeader = 4 + 4 + 8
 
-	// maxRecordLen bounds a single WAL frame or record, so a corrupt length
-	// field cannot drive a multi-gigabyte allocation before the CRC check.
+	// maxRecordLen bounds a single WAL frame, so a corrupt length field
+	// cannot drive a multi-gigabyte allocation before the CRC check.
 	maxRecordLen = 1 << 30
 )
 
@@ -96,8 +96,9 @@ func walPreamble(version uint32) []byte {
 
 // OpenWALFile opens (creating if needed) a write-ahead log at path through
 // fsys for appending — the generation store's numbered WAL segments. A new
-// log starts with the magic+version preamble; an existing log is validated
-// against it.
+// log starts with the magic+version preamble, synced, and then its
+// directory is synced, so the segment's name survives a machine crash as
+// its first synced frame does; an existing log is validated against it.
 func OpenWALFile(fsys FS, path string) (*WAL, error) {
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -122,7 +123,13 @@ func OpenWALFile(fsys FS, path string) (*WAL, error) {
 		}
 		// Harden the preamble before any frame can follow it: the bytes
 		// that make the file parseable must not themselves be torn state.
-		if err := f.Sync(); err != nil {
+		// Without the directory sync, a frame's fsync would complete while
+		// the file it is in could still vanish.
+		err := f.Sync()
+		if err == nil {
+			err = fsys.SyncDir(filepath.Dir(path))
+		}
+		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("checkpoint: initializing wal: %w", err)
 		}
@@ -237,22 +244,19 @@ func (w *WAL) Abandon() error {
 	return w.f.Close()
 }
 
-// WALFrame is one intact unit of a replayed WAL segment.
+// WALFrame is one intact frame of a replayed WAL segment: one group
+// commit's entries, and the sequence number of the first of them.
 type WALFrame struct {
-	// Version is the segment's format: 2, where Body is one group commit's
-	// entries and FirstSeq the sequence number of the first of them, or 1,
-	// where Body is one record and FirstSeq is 0.
-	Version  uint32
 	FirstSeq uint64
 	Body     []byte
 }
 
-// ReplayWALFile invokes fn on every intact frame (or, in a version-1
-// segment, record) of the write-ahead log at path in append order and
-// returns how many it delivered. A missing log replays nothing. A truncated
-// or CRC-failing frame ends the replay cleanly — that is what a crash
-// mid-append looks like — but a corrupt preamble is an ErrCorrupt error,
-// and an error from fn aborts the replay.
+// ReplayWALFile invokes fn on every intact frame of the write-ahead log at
+// path in append order and returns how many it delivered. A missing log
+// replays nothing. A truncated or CRC-failing frame ends the replay cleanly
+// — that is what a crash mid-append looks like — but a corrupt preamble,
+// which includes a segment of another version, is an ErrCorrupt error, and
+// an error from fn aborts the replay.
 func ReplayWALFile(fsys FS, path string, fn func(WALFrame) error) (int, error) {
 	raw, err := fsys.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -267,14 +271,10 @@ func ReplayWALFile(fsys FS, path string, fn func(WALFrame) error) (int, error) {
 		// holds nothing to replay.
 		return 0, nil
 	}
-	fr := WALFrame{Version: binary.LittleEndian.Uint32(raw[8:12])}
-	header := WALFrameHeader
-	if fr.Version == walVersionRecords {
-		header = 8
-	}
-	if string(raw[:8]) != walMagic || fr.Version != walVersion && fr.Version != walVersionRecords {
+	if string(raw[:12]) != string(walPreamble(walVersion)) {
 		return 0, fmt.Errorf("%w: bad wal preamble", ErrCorrupt)
 	}
+	const header = WALFrameHeader
 	off, n := 12, 0
 	for {
 		if len(raw)-off < header {
@@ -285,15 +285,11 @@ func ReplayWALFile(fsys FS, path string, fn func(WALFrame) error) (int, error) {
 		if length > maxRecordLen || len(raw)-off-header < length {
 			return n, nil // torn body: clean end of log
 		}
-		// A record's CRC covers its payload; a frame's, its sequence
-		// number and entries.
+		// The CRC covers the frame's sequence number and entries.
 		if crc32.Checksum(raw[off+8:off+header+length], castagnoli) != want {
 			return n, nil // bit-flipped tail: stop before it
 		}
-		if fr.Version == walVersion {
-			fr.FirstSeq = binary.LittleEndian.Uint64(raw[off+8:])
-		}
-		fr.Body = raw[off+header : off+header+length]
+		fr := WALFrame{FirstSeq: binary.LittleEndian.Uint64(raw[off+8:]), Body: raw[off+header : off+header+length]}
 		if err := fn(fr); err != nil {
 			return n, err
 		}

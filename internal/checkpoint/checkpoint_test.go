@@ -41,7 +41,7 @@ func TestWALAppendReplay(t *testing.T) {
 	}
 	var want []WALFrame
 	for i := 0; i < 10; i++ {
-		fr := WALFrame{Version: walVersion, FirstSeq: uint64(3 * i), Body: []byte(fmt.Sprintf("entries-%d", i))}
+		fr := WALFrame{FirstSeq: uint64(3 * i), Body: []byte(fmt.Sprintf("entries-%d", i))}
 		want = append(want, fr)
 		if err := w.Append(fr.FirstSeq, fr.Body); err != nil {
 			t.Fatal(err)
@@ -56,7 +56,7 @@ func TestWALAppendReplay(t *testing.T) {
 		t.Fatalf("replay: n=%d err=%v", len(got), err)
 	}
 	for i := range want {
-		if got[i].Version != want[i].Version || got[i].FirstSeq != want[i].FirstSeq || !bytes.Equal(got[i].Body, want[i].Body) {
+		if got[i].FirstSeq != want[i].FirstSeq || !bytes.Equal(got[i].Body, want[i].Body) {
 			t.Fatalf("frame %d: %+v != %+v", i, got[i], want[i])
 		}
 	}
@@ -76,13 +76,13 @@ func TestWALAppendReplay(t *testing.T) {
 	}
 }
 
-// TestWALReplaysVersion1Records pins the read path of the segments written
-// before group-commit frames: one length- and CRC-framed record per event,
-// delivered as version-1 frames, torn tail dropped. Such a segment is never
-// appended to.
-func TestWALReplaysVersion1Records(t *testing.T) {
+// TestWALRefusesVersion1Segments pins that a segment written before
+// group-commit frames — one length- and CRC-framed record per event, each
+// intact — delivers nothing: replay reports it as corrupt, and it is never
+// appended to either.
+func TestWALRefusesVersion1Segments(t *testing.T) {
 	path := walPath(t)
-	raw := walPreamble(walVersionRecords)
+	raw := walPreamble(1)
 	recs := [][]byte{[]byte("first"), []byte("second"), {}}
 	for _, rec := range recs {
 		raw = binary.LittleEndian.AppendUint32(raw, uint32(len(rec)))
@@ -93,14 +93,12 @@ func TestWALReplaysVersion1Records(t *testing.T) {
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := replayAll(t, path)
-	if err != nil || len(got) != len(recs) {
-		t.Fatalf("replay: n=%d err=%v", len(got), err)
-	}
-	for i, rec := range recs {
-		if got[i].Version != walVersionRecords || got[i].FirstSeq != 0 || !bytes.Equal(got[i].Body, rec) {
-			t.Fatalf("record %d: %+v, want body %q", i, got[i], rec)
-		}
+	n, err := ReplayWALFile(OsFS{}, path, func(fr WALFrame) error {
+		t.Errorf("version-1 segment delivered %+v", fr)
+		return nil
+	})
+	if n != 0 || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("replaying a version-1 segment: %d delivered, err %v", n, err)
 	}
 	if _, err := OpenWALFile(OsFS{}, path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("opening a version-1 segment for append: %v", err)

@@ -6,72 +6,16 @@ import (
 	"math"
 )
 
-// Binary encodings for events the durability path no longer writes. The
-// streaming service writes every event in the run format (run.go) — WAL
-// frames, event logs and, from snapshot schema 9 on, the planner's pending
-// conversions; this file holds the readers of the formats the run replaced,
-// which older checkpoint directories still restore through:
-//
-//   - DecodeBinary: one event, row layout — the records of version-1 WAL
-//     segments and the event log of schema-7 snapshots. Layout
-//     (little-endian): ID u64, Kind u8, Device u64, Day i64, four
-//     length-prefixed names (u32 + bytes): Publisher, Advertiser, Campaign,
-//     Product, then Value as IEEE-754 bits (u64) — bit-exact by
-//     construction.
-//   - UnmarshalEvents: an event list, columnar layout with a per-blob
-//     string table — the pending conversions of schema-6 to schema-8
-//     snapshot heads, and the records of schema-6 snapshots.
+// The columnar event-list codec: the encoding the durability path wrote
+// before the run format (run.go) replaced it. The streaming service writes
+// every event in the run format — WAL frames, event logs and, from snapshot
+// schema 9 on, the planner's pending conversions. UnmarshalEvents still
+// reads the pending conversions of schema-8 snapshot heads, the one older
+// schema restore accepts; it goes when schema 8 retires.
 //
 // The columnar writer, MarshalEvents, has no caller in the program: the
 // benchmark measures write amplification against the columnar size of the
 // trace it ingests.
-
-// BinaryDay returns the day of the row-layout event at the front of buf,
-// reading nothing else; ok is false when buf is shorter than the encoding's
-// fixed front (ID, Kind, Device, Day).
-func BinaryDay(buf []byte) (day int, ok bool) {
-	if len(buf) < 8+1+8+8 {
-		return 0, false
-	}
-	return int(int64(binary.LittleEndian.Uint64(buf[17:]))), true
-}
-
-// DecodeBinary decodes one event from the front of buf, returning the event
-// and the remaining bytes. It never panics on truncated or oversized input,
-// and interns the event's names only once the whole record has decoded.
-func DecodeBinary(buf []byte) (Event, []byte, error) {
-	var ev Event
-	if len(buf) < 8+1+8+8 {
-		return ev, nil, fmt.Errorf("events: truncated event header (%d bytes)", len(buf))
-	}
-	ev.ID = EventID(binary.LittleEndian.Uint64(buf))
-	ev.Kind = Kind(buf[8])
-	ev.Device = DeviceID(binary.LittleEndian.Uint64(buf[9:]))
-	ev.Day = int(int64(binary.LittleEndian.Uint64(buf[17:])))
-	buf = buf[25:]
-	var fields [4][]byte
-	for i := range fields {
-		if len(buf) < 4 {
-			return Event{}, nil, fmt.Errorf("events: truncated string length")
-		}
-		n := int(binary.LittleEndian.Uint32(buf))
-		buf = buf[4:]
-		if n < 0 || n > len(buf) {
-			return Event{}, nil, fmt.Errorf("events: string of %d bytes exceeds buffer", n)
-		}
-		fields[i] = buf[:n]
-		buf = buf[n:]
-	}
-	if len(buf) < 8 {
-		return Event{}, nil, fmt.Errorf("events: truncated value")
-	}
-	ev.Value = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-	ev.Publisher = internBytes(fields[0])
-	ev.Advertiser = internBytes(fields[1])
-	ev.Campaign = internBytes(fields[2])
-	ev.Product = internBytes(fields[3])
-	return ev, buf[8:], nil
-}
 
 // MarshalEvents encodes a slice of events with a count prefix. The layout is
 // columnar: each field serialized as one contiguous column (IDs, kinds,

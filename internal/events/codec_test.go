@@ -111,20 +111,6 @@ func TestUnmarshalEventsRobustToTruncation(t *testing.T) {
 	}
 }
 
-func TestRowCodecRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 50; trial++ {
-		ev := codecEvent(rng, EventID(trial+1))
-		got, rest, err := DecodeBinary(AppendBinary(nil, ev))
-		if err != nil || len(rest) != 0 {
-			t.Fatalf("trial %d: err=%v rest=%d", trial, err, len(rest))
-		}
-		if !eventsEqual([]Event{ev}, []Event{got}) {
-			t.Fatalf("trial %d: row round trip diverged: %v vs %v", trial, ev, got)
-		}
-	}
-}
-
 // TestAppendEventsLargeTable builds a string table of dozens of names, with
 // repeats, and checks the blob round-trips, dedupes, and appends after a
 // prefix.
@@ -153,11 +139,10 @@ func TestAppendEventsLargeTable(t *testing.T) {
 	}
 }
 
-// FuzzEventCodec feeds arbitrary bytes to both decoders. Neither may panic.
-// A record DecodeBinary accepts re-encodes to exactly the bytes it consumed;
-// a blob UnmarshalEvents accepts re-encodes to the canonical blob of the
-// same events, which round-trips byte for byte. And since the symbol table
-// is never freed, an input either decoder refuses must intern nothing.
+// FuzzEventCodec feeds arbitrary bytes to the columnar decoder, which may
+// not panic. A blob UnmarshalEvents accepts re-encodes to the canonical blob
+// of the same events, which round-trips byte for byte. And since the symbol
+// table is never freed, an input it refuses must intern nothing.
 func FuzzEventCodec(f *testing.F) {
 	rng := rand.New(rand.NewSource(13))
 	evs := make([]Event, 6)
@@ -168,25 +153,14 @@ func FuzzEventCodec(f *testing.F) {
 	evs[0].Publisher, evs[0].Advertiser = Intern("fuzz-pub.example"), Intern("fuzz-adv.example")
 	evs[0].Campaign, evs[0].Product = Intern("fuzz-campaign"), Intern("fuzz-product")
 	blob := MarshalEvents(evs)
-	row := AppendBinary(nil, evs[0])
+	one := MarshalEvents(evs[:1])
 	f.Add(blob)
-	f.Add(row)
+	f.Add(one)
 	f.Add(blob[:len(blob)-3])
-	f.Add(row[:len(row)-1])
+	f.Add(one[:len(one)-1])
 	f.Add(MarshalEvents(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		before := SymCount()
-		ev, rest, err := DecodeBinary(data)
-		switch {
-		case err != nil && SymCount() != before:
-			t.Fatalf("refused record interned %d names: %v", SymCount()-before, err)
-		case err == nil:
-			if enc := AppendBinary(nil, ev); !bytes.Equal(enc, data[:len(data)-len(rest)]) {
-				t.Fatalf("record re-encodes to %x, decoded from %x", enc, data[:len(data)-len(rest)])
-			}
-		}
-
-		before = SymCount()
 		got, err := UnmarshalEvents(data)
 		if err != nil {
 			if SymCount() != before {

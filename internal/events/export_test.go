@@ -1,27 +1,9 @@
 package events
 
 import (
-	"encoding/binary"
-	"math"
 	"slices"
 	"sync/atomic"
 )
-
-// AppendBinary appends ev's row-layout encoding, the one DecodeBinary
-// reads, to buf and returns the extended slice. Names are written, never
-// symbol numbers, so the bytes do not depend on the process that wrote them.
-func AppendBinary(buf []byte, ev Event) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(ev.ID))
-	buf = append(buf, byte(ev.Kind))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(ev.Device))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(ev.Day)))
-	for _, s := range [...]Sym{ev.Publisher, ev.Advertiser, ev.Campaign, ev.Product} {
-		name := s.String()
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(name)))
-		buf = append(buf, name...)
-	}
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(ev.Value))
-}
 
 // EpochEvents returns the events of device d at epoch e (the paper's D^e_d),
 // or nil when the device-epoch is empty. The returned slice is shared;

@@ -66,8 +66,8 @@ func TestRunBytesPinned(t *testing.T) {
 	var dec events.RunDecoder
 	_, err = checkpoint.ReplayWALFile(checkpoint.OsFS{}, path, func(fr checkpoint.WALFrame) error {
 		frames++
-		if fr.Version != 2 || fr.FirstSeq != 41 {
-			t.Errorf("frame version %d, first sequence number %d", fr.Version, fr.FirstSeq)
+		if fr.FirstSeq != 41 {
+			t.Errorf("frame's first sequence number %d", fr.FirstSeq)
 		}
 		i := 0
 		_, err := dec.Decode(fr.Body, func(ev events.Event, drop bool) error {

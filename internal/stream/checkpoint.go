@@ -63,10 +63,11 @@ import (
 // holds. v9: the planner's pending conversions leave the head for a
 // section of runs — a delta's only the conversions each dirty stream gained
 // since the last capture — and a device blob is its ledger lane by lane,
-// each querier's name written once. Restore still reads schemas 6
-// (snapSchemaRecords), 7 (snapSchemaEvents) and 8 (snapSchemaRuns), which
-// compaction never sees.
-const snapSchemaVersion, snapSchemaRuns, snapSchemaEvents, snapSchemaRecords = 9, 8, 7, 6
+// each querier's name written once. Restore reads the schema it writes and
+// the one before it, 8 (snapSchemaRuns), which compaction never sees; an
+// older directory is refused, and resumes once under a build that reads it
+// (DESIGN.md §8 names one per schema).
+const snapSchemaVersion, snapSchemaRuns = 9, 8
 
 // snapConfig is the scenario fingerprint stored in every snapshot. Resuming
 // under a different scenario would silently diverge from the original run,
@@ -312,7 +313,7 @@ func decodeDevice(buf []byte, sites siteIntern,
 	return denials, r.err
 }
 
-// decodeDeviceV8 walks a device blob of schemas 6 to 8: a u64 denial
+// decodeDeviceV8 walks a device blob of schema 8: a u64 denial
 // counter, a u32 slot count and per slot a length-prefixed querier string,
 // the epoch (u32, two's complement) and the consumed budget as IEEE-754
 // bits; the rest of the blob is the requested marks, per marked epoch the
@@ -388,7 +389,7 @@ func (m siteIntern) site(b []byte) events.Site {
 
 // streamSnap is one query stream's planner cursor. Its pending conversions
 // are Runs runs of the payload's pending section (schema 9; see delta.go),
-// or, in schemas 6 to 8, one events.MarshalEvents blob in Pending.
+// or, in schema 8, one events.MarshalEvents blob in Pending.
 type streamSnap struct {
 	Site    string `json:"site"`
 	Product string `json:"product"`
@@ -479,21 +480,6 @@ type snapHead struct {
 	EvictedRecords      int             `json:"evictedRecords"`
 	RetiredNonces       int             `json:"retiredNonces"`
 	Durability          DurabilityStats `json:"durability"`
-}
-
-// decodeWALRecord parses one record of a version-1 WAL segment, one per
-// event: its global ingest sequence number (u64, little-endian), then the
-// event in the row layout events.DecodeBinary reads.
-func decodeWALRecord(rec []byte) (seq int, ev events.Event, err error) {
-	if len(rec) < 8 {
-		return 0, ev, fmt.Errorf("stream: truncated wal record (%d bytes)", len(rec))
-	}
-	seq = int(int64(binary.LittleEndian.Uint64(rec)))
-	ev, rest, err := events.DecodeBinary(rec[8:])
-	if err == nil && len(rest) != 0 {
-		err = fmt.Errorf("stream: %d trailing bytes in wal record", len(rest))
-	}
-	return seq, ev, err
 }
 
 // scalarSnap captures everything a snapshot carries whole regardless of
@@ -624,7 +610,7 @@ func ResumeFrom(cfg Config, dir string) (*Service, error) {
 		if err := s.restore(opened); err != nil {
 			return nil, err
 		}
-		if opened.schema == snapSchemaVersion { // a schema-6 chain gets no delta: Serve re-anchors
+		if opened.schema == snapSchemaVersion { // a schema-8 chain gets no delta: Serve re-anchors
 			s.headGen, s.headFP, s.headDeltas = chain.Gen, chain.FP, chain.Deltas
 		}
 		replayFrom = chain.Gen
@@ -649,16 +635,6 @@ func ResumeFrom(cfg Config, dir string) (*Service, error) {
 	var dec events.RunDecoder
 	segment := uint64(0)
 	replayed, err = st.ReplayWALSegments(replayFrom, func(gen uint64, fr checkpoint.WALFrame) error {
-		if fr.Version == 1 {
-			seq, ev, err := decodeWALRecord(fr.Body)
-			if err != nil {
-				return fmt.Errorf("%w: %v", checkpoint.ErrCorrupt, err)
-			}
-			if seq != s.run.EventsIngested {
-				return errReplayGap
-			}
-			return s.step(ev)
-		}
 		if gen != segment {
 			segment = gen
 			dec.Reset()
@@ -809,41 +785,15 @@ func (s *Service) restore(c *snapChain) error {
 	return nil
 }
 
-// restoreEvents re-records the chain's live events — a schema-8 or
-// schema-9 chain's runs in order, a schema-7 chain's logged events in order, a schema-6
-// chain's records merged by key — and shows each to the admission observer,
-// so an external admission layer rebuilds its dedupe cursors from the
-// durable state the service resumes from. Late drops in a run are skipped:
-// the head's drop marks carry what they decided.
+// restoreEvents re-records the chain's live events, its logs' runs in
+// order, and shows each to the admission observer, so an external admission
+// layer rebuilds its dedupe cursors from the durable state the service
+// resumes from. Late drops in a run are skipped: the head's drop marks
+// carry what they decided.
 func (s *Service) restoreEvents(c *snapChain) error {
 	record := func(e events.Epoch, ev events.Event) {
 		s.db.Record(e, ev)
 		s.observeAdmit(ev, false)
-	}
-	switch c.schema {
-	case snapSchemaRecords:
-		return c.merge(secEvents, func(key DevEpoch, blob, _ []byte) error {
-			evs, err := events.UnmarshalEvents(blob)
-			if err != nil {
-				return fmt.Errorf("stream: record %d/%d: %w", key.Device, key.Epoch, err)
-			}
-			for _, ev := range evs {
-				record(key.Epoch, ev)
-			}
-			return nil
-		})
-	case snapSchemaEvents:
-		return c.log(func(e events.Epoch, enc []byte) error {
-			ev, rest, err := events.DecodeBinary(enc)
-			if err == nil && len(rest) != 0 {
-				err = fmt.Errorf("%d trailing bytes", len(rest))
-			}
-			if err != nil {
-				return fmt.Errorf("stream: logged event: %w", err)
-			}
-			record(e, ev)
-			return nil
-		})
 	}
 	days := c.head.Config.EpochDays
 	if days <= 0 {
@@ -897,7 +847,7 @@ func (s *Service) restoreDevices(c *snapChain, sites siteIntern) error {
 	if c.schema != snapSchemaVersion {
 		decode = decodeDeviceV8
 	}
-	return c.merge(secDevices, func(key DevEpoch, blob, _ []byte) error {
+	return c.merge(func(key DevEpoch, blob, _ []byte) error {
 		_, err := decode(blob, sites,
 			func(_ events.Site, e events.Epoch, _ float64) error { return s.inSpan("slot", e) },
 			func(_ events.Site, first, last events.Epoch) error {

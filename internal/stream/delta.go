@@ -59,18 +59,16 @@ import (
 // floor is dropped, a run wholly at or above it is copied, and the one run
 // that straddles it is re-encoded from its store entries at or above it.
 // snapChain is the single definition of what a delta means: base
-// compaction writes its fold out, recovery re-records it. Schemas 6
-// (key-sorted records, restored by merge), 7 (a log of row-layout
-// encodings, events.DecodeBinary's) and 8 (devices as fixed-width rows and
-// requested epochs, each pending batch a columnar blob in the head, folded
-// newest-wins) are still restored, and a run resumed from any of them
-// writes a schema-9 base before its first delta.
+// compaction writes its fold out, recovery re-records it. Schema 8 (devices
+// as fixed-width rows and requested epochs, each pending batch a columnar
+// blob in the head, folded newest-wins) is still restored, and a run resumed
+// from it writes a schema-9 base before its first delta.
 
 // The bulk sections. A schema-9 payload holds them in the order devices,
-// pending, events; older ones have no pending section.
+// pending, events; a schema-8 one has no pending section.
 const (
 	secDevices = iota
-	secEvents  // the event log; schema 6's key-sorted records
+	secEvents  // the event log
 	secPending // the planner's pending runs
 	numSections
 )
@@ -397,7 +395,7 @@ func parsePayload(p []byte) (*snapParts, error) {
 	switch parts.schema {
 	case snapSchemaVersion:
 		order = []int{secDevices, secPending, secEvents}
-	case snapSchemaRuns, snapSchemaEvents, snapSchemaRecords:
+	case snapSchemaRuns:
 	default:
 		return nil, fmt.Errorf("stream: unsupported snapshot schema %d", parts.schema)
 	}
@@ -458,7 +456,7 @@ type foldedStream struct {
 
 // foldParts folds a chain's parsed payloads: scalars and the
 // whole-captured lists come from the newest head, results append, and
-// planner streams fold by (site, product) — in schemas 6 to 8 the newest
+// planner streams fold by (site, product) — in schema 8 the newest
 // cursor wins, pending blob and all; in schema 9 the newest cursor wins and
 // its runs append to the stream's when its seq is the one the fold holds,
 // and replace them when the seq moved.
@@ -543,52 +541,15 @@ func cutRuns(p *snapParts) ([][]byte, error) {
 	return runs, nil
 }
 
-// merge folds one key-sorted section across the chain — the devices, or a
-// schema-6 chain's records — handing emit each surviving entry in key
-// order: its key, its blob, and its raw bytes (header included) for
-// verbatim copy.
-func (c *snapChain) merge(sec int, emit func(key DevEpoch, blob, raw []byte) error) error {
+// merge folds the devices section across the chain, handing emit each
+// surviving entry in key order: its key, its blob, and its raw bytes
+// (header included) for verbatim copy.
+func (c *snapChain) merge(emit func(key DevEpoch, blob, raw []byte) error) error {
 	secs := make([][]byte, len(c.parts))
 	for i, p := range c.parts {
-		secs[i] = p.sec[sec]
+		secs[i] = p.sec[secDevices]
 	}
-	floor := events.Epoch(math.MinInt32)
-	if sec == secEvents {
-		floor = events.Epoch(c.head.EvictFloor)
-	}
-	return mergeSections(secs, floor, emit)
-}
-
-// log walks a schema-7 chain's event logs, oldest generation first and
-// each in its own order, handing emit every event at an epoch at or above
-// the newest head's eviction floor: its epoch and its encoding. Every
-// length is bounds-checked against its section; an event's bytes are
-// decoded only as far as its day.
-func (c *snapChain) log(emit func(e events.Epoch, ev []byte) error) error {
-	days := c.head.Config.EpochDays
-	if days <= 0 {
-		return fmt.Errorf("stream: snapshot head has epoch length %d", days)
-	}
-	floor := events.Epoch(c.head.EvictFloor)
-	for _, p := range c.parts {
-		for rest := p.sec[secEvents]; len(rest) > 0; {
-			ev, next, err := cutString(rest)
-			if err != nil {
-				return fmt.Errorf("stream: event log: %w", err)
-			}
-			day, ok := events.BinaryDay(ev)
-			if !ok {
-				return fmt.Errorf("stream: logged event of %d bytes", len(ev))
-			}
-			if e := events.EpochOfDay(day, days); e >= floor {
-				if err := emit(e, ev); err != nil {
-					return err
-				}
-			}
-			rest = next
-		}
-	}
-	return nil
+	return mergeSections(secs, emit)
 }
 
 // runs walks the chain's event logs, oldest generation first and each run
@@ -670,7 +631,7 @@ func (c *snapChain) encode() ([]byte, error) {
 		return nil, err
 	}
 	buf, mark := openLen(buf)
-	err = c.merge(secDevices, func(_ DevEpoch, _, raw []byte) error {
+	err = c.merge(func(_ DevEpoch, _, raw []byte) error {
 		buf = append(buf, raw...)
 		return nil
 	})
@@ -770,13 +731,11 @@ func (c *secCursor) next() error {
 }
 
 // mergeSections k-way merges key-sorted sections given oldest first: per
-// key the newest section's entry wins, entries at epochs below floor are
-// dropped, and emit sees the survivors in key order. The floor is the newest
-// generation's, so an entry of that generation below it is not something a
-// capture writes and is refused — which also makes folding a single payload
-// the identity. No map, no sort, no per-entry decode; a chain is a handful
-// of generations, so the minimum is found by scanning the cursors.
-func mergeSections(secs [][]byte, floor events.Epoch, emit func(key DevEpoch, blob, raw []byte) error) error {
+// key the newest section's entry wins, and emit sees the survivors in key
+// order, so folding a single payload is the identity. No map, no sort, no
+// per-entry decode; a chain is a handful of generations, so the minimum is
+// found by scanning the cursors.
+func mergeSections(secs [][]byte, emit func(key DevEpoch, blob, raw []byte) error) error {
 	cur := make([]secCursor, len(secs))
 	for i := range cur {
 		cur[i].rest = secs[i]
@@ -801,13 +760,6 @@ func mergeSections(secs [][]byte, floor events.Epoch, emit func(key DevEpoch, bl
 					return err
 				}
 			}
-		}
-		if w.key.Epoch < floor {
-			if win == len(cur)-1 {
-				return fmt.Errorf("stream: entry %d/%d lies below its own generation's floor %d",
-					w.key.Device, w.key.Epoch, floor)
-			}
-			continue
 		}
 		if err := emit(w.key, w.blob, w.raw); err != nil {
 			return err

@@ -67,7 +67,7 @@ func PlanOrder(day []*Query) {
 // events the chain and the WAL replay restored.
 func (s *Service) Ingested() int { return s.run.EventsIngested }
 
-// CMFixtureConfig is the scenario of testdata/ckpt-62d74db over a fresh
+// CMFixtureConfig is the scenario of testdata/ckpt-7fcfa9d over a fresh
 // source, durable in dir.
 var CMFixtureConfig = cmFixtureConfig
 

@@ -454,8 +454,7 @@ func (s *Service) openDurability() error {
 		// and the next recovery must not depend on a second full replay; so
 		// does a run whose replay stopped early, whose new segment a later
 		// replay would never reach past the gap, and a run resumed from a
-		// schema-6 or schema-7 chain, which no delta of this schema may
-		// extend.
+		// schema-8 chain, which no delta of this schema may extend.
 		if err := s.reanchor(walGen); err != nil {
 			return err
 		}

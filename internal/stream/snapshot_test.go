@@ -40,8 +40,8 @@ func section(keys []DevEpoch, blobs [][]byte) []byte {
 }
 
 // TestFoldExhaustive folds every chain of up to three generations over
-// 2 devices × 2 epochs, each entry absent or one of two values, at every
-// eviction-floor position, and holds the k-way merge to the map overlay.
+// 2 devices × 2 epochs, each entry absent or one of two values, and holds
+// the k-way merge to the map overlay.
 func TestFoldExhaustive(t *testing.T) {
 	keys := []DevEpoch{{Device: 1, Epoch: 0}, {Device: 1, Epoch: 1}, {Device: 2, Epoch: 0}, {Device: 2, Epoch: 1}}
 	values := [][]byte{nil, {0xa1}, {0xb2, 0xb2}} // index 0 = absent
@@ -58,9 +58,8 @@ func TestFoldExhaustive(t *testing.T) {
 		}
 		secs[g] = section(ks, bs)
 	}
-	// The reference: overlay the generations into a map, newest last, then
-	// drop what the floor has passed.
-	reference := func(out []byte, chain []int, floor events.Epoch) []byte {
+	// The reference: overlay the generations into a map, newest last.
+	reference := func(out []byte, chain []int) []byte {
 		m := map[int]int{}
 		for _, g := range chain {
 			for k, v := range gens[g] {
@@ -70,7 +69,7 @@ func TestFoldExhaustive(t *testing.T) {
 			}
 		}
 		for k, key := range keys {
-			if v := m[k]; v != 0 && key.Epoch >= floor {
+			if v := m[k]; v != 0 {
 				out = append(append(out, byte(key.Device), byte(key.Epoch)), values[v]...)
 			}
 		}
@@ -90,32 +89,18 @@ func TestFoldExhaustive(t *testing.T) {
 			for i, g := range chain {
 				in[i] = secs[g]
 			}
-			for floor := events.Epoch(0); floor <= 2; floor++ {
-				got = got[:0]
-				err := mergeSections(in, floor, func(key DevEpoch, blob, raw []byte) error {
-					if len(raw) != entryHeaderLen+len(blob) || &raw[len(raw)-1] != &blob[len(blob)-1] {
-						return fmt.Errorf("raw bytes of %v do not end in its blob", key)
-					}
-					got = append(append(got, byte(key.Device), byte(key.Epoch)), blob...)
-					return nil
-				})
-				// A generation never carries an entry below its own floor;
-				// the merge refuses the chains whose newest one does.
-				refused := false
-				for k, v := range gens[chain[len(chain)-1]] {
-					refused = refused || (v != 0 && keys[k].Epoch < floor)
+			got = got[:0]
+			err := mergeSections(in, func(key DevEpoch, blob, raw []byte) error {
+				if len(raw) != entryHeaderLen+len(blob) || &raw[len(raw)-1] != &blob[len(blob)-1] {
+					return fmt.Errorf("raw bytes of %v do not end in its blob", key)
 				}
-				if refused {
-					if err == nil {
-						t.Fatalf("chain %v floor %d: newest generation below its floor was accepted", chain, floor)
-					}
-					continue
-				}
-				if want = reference(want[:0], chain, floor); err != nil || !bytes.Equal(got, want) {
-					t.Fatalf("chain %v floor %d: merge gave %x (%v), overlay %x", chain, floor, got, err, want)
-				}
-				folds++
+				got = append(append(got, byte(key.Device), byte(key.Epoch)), blob...)
+				return nil
+			})
+			if want = reference(want[:0], chain); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("chain %v: merge gave %x (%v), overlay %x", chain, got, err, want)
 			}
+			folds++
 		}
 		if len(chain) == maxLen {
 			return
@@ -801,20 +786,21 @@ const snapCorpusDir = "testdata/fuzz/FuzzSnapPayload"
 // would quietly turn them into rejects), the broken ones still refused for
 // the reason their name gives — and a refusal of the devices section or the
 // central rows comes before any ledger lane, requested mark or central row
-// exists. The unprefixed seeds are schema 6, written before the event log
-// replaced the records section; the v7- ones are schema 7, whose log held
-// one row-layout encoding per event; the v8- ones are schema 8, whose log
-// is runs; the v9- ones are schema 9, whose pending conversions are runs
-// and whose device blobs are lanes.
+// exists. The v8- seeds are schema 8, whose log is runs; the v9- ones are
+// schema 9, whose pending conversions are runs and whose device blobs are
+// lanes; every other seed is a retired schema's, and refused as one.
 func TestSnapCorpus(t *testing.T) {
 	if *updateCorpus {
 		base, delta := samplePayloads(t, false)
 		all := corruptions(t, base)
 		seeds := map[string][]byte{"valid-base": base, "valid-delta": delta}
-		for _, name := range []string{"log-overrun", "log-undefined-name", "log-trailing", "overlong-varint", "mark-range-past-lane"} {
+		for _, name := range []string{"truncated-section", "swapped-keys", "duplicate-key", "oversized-count",
+			"wild-slot-epoch", "wild-requested-epoch", "log-overrun", "log-undefined-name", "log-trailing",
+			"overlong-varint", "mark-range-past-lane"} {
 			seeds[name] = all[name]
 		}
 		seeds["valid-central-base"], _ = samplePayloads(t, true)
+		seeds["wild-central-epoch"] = wildCentralEpoch(t, seeds["valid-central-base"])
 		for name, p := range seeds {
 			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", p)
 			if err := os.WriteFile(filepath.Join(snapCorpusDir, "v9-"+name), []byte(body), 0o644); err != nil {
@@ -822,25 +808,8 @@ func TestSnapCorpus(t *testing.T) {
 			}
 		}
 	}
-	for name, wantErr := range map[string]string{
-		"valid-base":              "",
-		"valid-delta":             "",
-		"valid-central-base":      "",
-		"truncated-section":       "exceeds its",
-		"swapped-keys":            "not strictly ascending",
-		"duplicate-key":           "not strictly ascending",
-		"oversized-count":         "claims 2147483648 bytes",
-		"record-below-floor":      "below its own generation's floor",
-		"wild-slot-epoch":         "slot epoch 1073741824 outside [-5, 4]",
-		"wild-requested-epoch":    "requested epoch 1073741824 outside [-5, 4]",
-		"wild-central-epoch":      "central epoch 1073741824 outside [-5, 4]",
+	rows := map[string]string{
 		"schema-3-json":           "unsupported snapshot schema 3",
-		"v7-valid-base":           "",
-		"v7-valid-delta":          "",
-		"v7-valid-central-base":   "",
-		"v7-log-overrun":          "event log: stream: 2147483648-byte field exceeds its",
-		"v7-log-undecodable":      "logged event: events: string of 1048576 bytes exceeds buffer",
-		"v7-log-trailing":         "3 trailing bytes after snapshot sections",
 		"v8-valid-base":           "",
 		"v8-valid-delta":          "",
 		"v8-valid-central-base":   "",
@@ -855,7 +824,15 @@ func TestSnapCorpus(t *testing.T) {
 		"v9-log-trailing":         "event log: 3 bytes after the last run",
 		"v9-overlong-varint":      "device blob: bad denials varint",
 		"v9-mark-range-past-lane": "requested epoch 1073741824 outside [-5, 4]",
-	} {
+		"v9-truncated-section":    "exceeds its",
+		"v9-swapped-keys":         "not strictly ascending",
+		"v9-duplicate-key":        "not strictly ascending",
+		"v9-oversized-count":      "claims 2147483648 bytes",
+		"v9-wild-slot-epoch":      "slot epoch 1073741824 outside [-5, 4]",
+		"v9-wild-requested-epoch": "requested epoch 1073741824 outside [-5, 4]",
+		"v9-wild-central-epoch":   "central epoch 1073741824 outside [-5, 4]",
+	}
+	for name, wantErr := range rows {
 		p := readSeed(t, name)
 		var out []byte
 		c, err := openChain([][]byte{p})
@@ -887,6 +864,26 @@ func TestSnapCorpus(t *testing.T) {
 			t.Errorf("%s: valid seed no longer restores (or folds to itself): %v", name, err)
 		case wantErr != "" && (err == nil || !strings.Contains(err.Error(), wantErr)):
 			t.Errorf("%s: err = %v, want %q", name, err, wantErr)
+		}
+	}
+	// The seeds without a row are payloads of the retired schemas 6 and 7
+	// (the v7- ones), kept as fuzz inputs: the parse refuses each by its
+	// schema.
+	seeds, err := os.ReadDir(snapCorpusDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range seeds {
+		name := seed.Name()
+		if _, ok := rows[name]; ok {
+			continue
+		}
+		want := "unsupported snapshot schema 6"
+		if strings.HasPrefix(name, "v7-") {
+			want = "unsupported snapshot schema 7"
+		}
+		if _, err := parsePayload(readSeed(t, name)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want %q", name, err, want)
 		}
 	}
 }
@@ -939,7 +936,7 @@ func FuzzSnapPayload(f *testing.F) {
 		_ = sampleService(t, nil, "", false).plan.restore(c)
 		out, err := c.encode()
 		if err != nil {
-			return // a section failed its walk, or a schema-6 payload
+			return // a section failed its walk, or a schema-8 payload
 		}
 		if bytes.Equal(out, p) {
 			return
@@ -963,7 +960,7 @@ func FuzzSnapPayload(f *testing.F) {
 // dense lane out to it.
 func TestResumeRefusesWildCentralEpoch(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := checkpoint.NewStore(dir, nil).WriteBase(1, readSeed(t, "wild-central-epoch")); err != nil {
+	if _, err := checkpoint.NewStore(dir, nil).WriteBase(1, readSeed(t, "v9-wild-central-epoch")); err != nil {
 		t.Fatal(err)
 	}
 	_, err := ResumeFrom(sampleConfig(nil, dir, true), dir)
@@ -972,19 +969,23 @@ func TestResumeRefusesWildCentralEpoch(t *testing.T) {
 	}
 }
 
-// TestResumeRefusesSchema3 pins that a payload of a retired schema — the
-// pre-binary JSON document, the binary layout with a requested section, or
-// the layout with per-slot capacities — in an otherwise intact directory
-// (frame, CRC and name all valid) fails the resume with the schema error
-// instead of being skipped like corruption, which would silently restart the
-// run from its source. The refusal comes from the chain's parse, before
-// restore could create a device row or a requested mark.
+// TestResumeRefusesRetiredSchemas pins that a payload of a retired schema
+// in an otherwise intact directory (frame, CRC and name all valid) fails the
+// resume with the schema error instead of being skipped like corruption,
+// which would silently restart the run from its source. The refusal comes
+// from the chain's parse, before restore could create a device row or a
+// requested mark. A retired directory resumes once under the last commit
+// that reads its schema (DESIGN.md §8), whose re-anchor rewrites it.
 //
-// The schema-5 directory, testdata/ckpt-53ceb69, is a real one: written by
-// commit 53ceb69 with a run (fixed ε 1, ε^G 100, a snapshot every 2 days,
-// group commits of 2) crashed at its 20th ingested event, one base and
-// three deltas.
-func TestResumeRefusesSchema3(t *testing.T) {
+// Schemas 3 and 4 are written here: the pre-binary JSON document and the
+// binary layout with a requested section. The others are real directories,
+// each written by the commit in its name: schema 5 (per-slot capacities) by
+// a run (fixed ε 1, ε^G 100, a snapshot every 2 days, group commits of 2)
+// crashed at its 20th ingested event, one base and three deltas; schema 6
+// (key-sorted records) by an IPA-like run and by cmFixtureConfig's, crashed
+// after compactions; schema 7 (a log of row-layout events, above it a
+// version-1 WAL segment) by cmFixtureConfig's.
+func TestResumeRefusesRetiredSchemas(t *testing.T) {
 	writeBase := func(payload []byte) func(t *testing.T, dir string) {
 		return func(t *testing.T, dir string) {
 			if _, err := checkpoint.NewStore(dir, nil).WriteBase(1, payload); err != nil {
@@ -992,30 +993,54 @@ func TestResumeRefusesSchema3(t *testing.T) {
 			}
 		}
 	}
-	for name, fill := range map[string]func(t *testing.T, dir string){
-		"schema 3": writeBase([]byte(`{"schema":3,"config":{"epochDays":7},"devices":[],"records":[],"results":[]}`)),
-		"schema 4": writeBase(binary.LittleEndian.AppendUint32(nil, 4)),
-		"schema 5": func(t *testing.T, dir string) {
-			if err := os.CopyFS(dir, os.DirFS("testdata/ckpt-53ceb69")); err != nil {
+	copyDir := func(fixture string) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
+			if err := os.CopyFS(dir, os.DirFS(fixture)); err != nil {
 				t.Fatal(err)
 			}
-		},
+		}
+	}
+	for _, tc := range []struct {
+		name, schema string
+		fill         func(t *testing.T, dir string)
+	}{
+		{"schema 3", "schema 3", writeBase([]byte(`{"schema":3,"config":{"epochDays":7},"devices":[],"records":[],"results":[]}`))},
+		{"schema 4", "schema 4", writeBase(binary.LittleEndian.AppendUint32(nil, 4))},
+		{"schema 5", "schema 5", copyDir("testdata/ckpt-53ceb69")},
+		{"ckpt-2222b11-ipa", "schema 6", copyDir("testdata/ckpt-2222b11-ipa")},
+		{"ckpt-62d74db", "schema 6", copyDir("testdata/ckpt-62d74db")},
+		{"ckpt-f2a8120", "schema 7", copyDir("testdata/ckpt-f2a8120")},
 	} {
-		t.Run(name, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			fill(t, dir)
+			tc.fill(t, dir)
 			_, err := ResumeFrom(Config{Source: &fakeSource{meta: testMeta()}, FixedEpsilon: 1, EpsilonG: 100,
 				CheckpointDir: dir}, dir)
-			if err == nil || !strings.Contains(err.Error(), "unsupported snapshot "+name) {
-				t.Fatalf("resume over a %s directory: err = %v", name, err)
+			if err == nil || !strings.Contains(err.Error(), "unsupported snapshot "+tc.schema) {
+				t.Fatalf("resume over a %s directory: err = %v", tc.schema, err)
 			}
 			chain, _, err := checkpoint.NewStore(dir, nil).LoadChain()
 			if err != nil || chain == nil {
-				t.Fatalf("%s directory does not load as an intact chain: %v", name, err)
+				t.Fatalf("%s directory does not load as an intact chain: %v", tc.schema, err)
 			}
 			if _, err := openChain(chain.Payloads); err == nil {
-				t.Fatalf("%s chain parses: its refusal came after restore began", name)
+				t.Fatalf("%s chain parses: its refusal came after restore began", tc.schema)
 			}
 		})
+	}
+}
+
+// TestParseReadsTwoSchemas fences the rule that a build restores the schema
+// it writes and the one before it: every other schema number, from 0 to one
+// past the current, is refused by the parse. A schema bump fails it until
+// the reader of the schema two back is retired.
+func TestParseReadsTwoSchemas(t *testing.T) {
+	for schema := uint32(0); schema <= snapSchemaVersion+1; schema++ {
+		_, err := parsePayload(binary.LittleEndian.AppendUint32(nil, schema))
+		want := fmt.Sprintf("unsupported snapshot schema %d", schema)
+		refused := err != nil && strings.Contains(err.Error(), want)
+		if read := schema == snapSchemaVersion-1 || schema == snapSchemaVersion; read == refused {
+			t.Errorf("schema %d: err = %v; read %t", schema, err, read)
+		}
 	}
 }

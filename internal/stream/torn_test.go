@@ -16,7 +16,7 @@ import (
 )
 
 // TestTornFrameEnumeration crashes a small Cookie Monster run (the shape of
-// testdata/ckpt-62d74db: two-day epochs, LateDrop, a snapshot every two
+// testdata/ckpt-7fcfa9d: two-day epochs, LateDrop, a snapshot every two
 // days compacted every two deltas, group commits of 2) in the middle of a
 // snapshot period, then tears its newest WAL segment at every byte length
 // and, separately, flips every byte of the segment's last frame. Each torn
