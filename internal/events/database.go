@@ -31,6 +31,9 @@ import (
 // phase on its day clock, and the batch engine loads once and then only reads.
 type Database struct {
 	segs []*epochSegment // ascending by epoch
+	// spare holds maxChunk-sized chunks of evicted segments, which carve
+	// hands out again before it allocates.
+	spare chunks
 	// advs and camps are the advertiser and campaign symbols the store
 	// has held (see).
 	advs, camps symSet
@@ -58,6 +61,12 @@ const (
 	firstChunk = 16
 	maxChunk   = 2048
 )
+
+// chunks are parallel chunks of events and scan keys.
+type chunks struct {
+	evs  [][]Event
+	keys [][]evKey
+}
 
 // epochSegment holds one epoch's device records — the retention unit: the
 // streaming service's horizon advance drops segments whole. The segment is
@@ -91,8 +100,11 @@ func (s *epochSegment) view(r region) ([]Event, []evKey) {
 }
 
 // carve takes c free slots from the arena, starting a new chunk when the
-// last one has too little room left.
-func (s *epochSegment) carve(c uint32) region {
+// last one has too little room left: a spare one when the new chunk is
+// maxChunk slots and spare has one. A spare chunk still holds an evicted
+// segment's events, which no read reaches: a region's slots are written
+// before its n counts them.
+func (s *epochSegment) carve(c uint32, spare *chunks) region {
 	last := len(s.evs) - 1
 	if last < 0 || uint32(len(s.evs[last]))-s.tail < c {
 		size := uint32(firstChunk)
@@ -100,8 +112,13 @@ func (s *epochSegment) carve(c uint32) region {
 			size = min(2*uint32(len(s.evs[last])), maxChunk)
 		}
 		size = max(size, c)
-		s.evs = append(s.evs, make([]Event, size))
-		s.keys = append(s.keys, make([]evKey, size))
+		if k := len(spare.evs) - 1; size == maxChunk && k >= 0 {
+			s.evs, s.keys = append(s.evs, spare.evs[k]), append(s.keys, spare.keys[k])
+			spare.evs, spare.keys = spare.evs[:k], spare.keys[:k]
+		} else {
+			s.evs = append(s.evs, make([]Event, size))
+			s.keys = append(s.keys, make([]evKey, size))
+		}
 		s.tail = 0
 		last++
 	}
@@ -111,8 +128,8 @@ func (s *epochSegment) carve(c uint32) region {
 }
 
 // grow moves r's events and keys into a fresh region of twice its capacity.
-func (s *epochSegment) grow(r region) region {
-	nr := s.carve(max(2*r.cap, 1))
+func (s *epochSegment) grow(r region, spare *chunks) region {
+	nr := s.carve(max(2*r.cap, 1), spare)
 	nr.n = r.n
 	copy(s.evs[nr.chunk][nr.off:nr.off+r.n], s.evs[r.chunk][r.off:r.off+r.n])
 	copy(s.keys[nr.chunk][nr.off:nr.off+r.n], s.keys[r.chunk][r.off:r.off+r.n])
@@ -301,7 +318,7 @@ func (db *Database) Record(epoch Epoch, ev Event) {
 	slot := seg.byDevice.claim(ev.Device)
 	r := slot.r
 	if r.n == r.cap {
-		r = seg.grow(r)
+		r = seg.grow(r, &db.spare)
 	}
 	evs := seg.evs[r.chunk][r.off : r.off+r.n+1]
 	keys := seg.keys[r.chunk][r.off : r.off+r.n+1]
@@ -324,11 +341,23 @@ func (db *Database) find(e Epoch) (int, bool) {
 	return slices.BinarySearchFunc(db.segs, e, func(s *epochSegment, e Epoch) int { return cmp.Compare(s.epoch, e) })
 }
 
-// segment returns (creating if needed) the epoch's segment.
+// segment returns (creating if needed) the epoch's segment. A day-ordered
+// stream records into the newest resident segment, so that is checked before
+// the search. A segment past the newest is the next epoch of such a stream:
+// its index starts with room for as many records as the newest holds, so
+// that it does not rehash as it fills.
 func (db *Database) segment(epoch Epoch) *epochSegment {
+	n := len(db.segs)
+	if n > 0 && db.segs[n-1].epoch == epoch {
+		return db.segs[n-1]
+	}
 	i, ok := db.find(epoch)
 	if !ok {
-		db.segs = slices.Insert(db.segs, i, &epochSegment{epoch: epoch, byDevice: newRegionIndex(0)})
+		records := 0
+		if i == n && n > 0 {
+			records = db.segs[n-1].byDevice.n
+		}
+		db.segs = slices.Insert(db.segs, i, &epochSegment{epoch: epoch, byDevice: newRegionIndex(records)})
 	}
 	return db.segs[i]
 }
@@ -339,16 +368,37 @@ func (db *Database) segment(epoch Epoch) *epochSegment {
 // no in-flight query window can reach below first, those records are dead
 // weight. The epoch-segmented layout makes this drop each evicted epoch's
 // whole segment at once — O(resident epochs) per call, not O(devices ×
-// epochs). Like Record, it is not safe for concurrent use. It returns the
-// number of device-epoch records removed.
+// epochs). The evicted segments' maxChunk-sized chunks go to db.spare for
+// the epochs that follow to fill, up to as many as the largest of them held;
+// the rest are left to the collector. Like Record, it is not safe for
+// concurrent use. It returns the number of device-epoch records removed.
 func (db *Database) EvictBefore(first Epoch) int {
 	i, _ := db.find(first)
-	removed := 0
+	removed, keep := 0, 0
 	for _, seg := range db.segs[:i] {
 		removed += seg.byDevice.n
+		keep = max(keep, seg.fullChunks())
+	}
+	for _, seg := range db.segs[:i] {
+		for k, c := range seg.evs {
+			if len(c) == maxChunk && len(db.spare.evs) < keep {
+				db.spare.evs, db.spare.keys = append(db.spare.evs, c), append(db.spare.keys, seg.keys[k])
+			}
+		}
 	}
 	db.segs = slices.Delete(db.segs, 0, i)
 	return removed
+}
+
+// fullChunks returns the number of the segment's chunks of maxChunk slots.
+func (s *epochSegment) fullChunks() int {
+	n := 0
+	for _, c := range s.evs {
+		if len(c) == maxChunk {
+			n++
+		}
+	}
+	return n
 }
 
 // Records yields every live device-epoch record, its key and its events,

@@ -614,6 +614,73 @@ func TestArenaVsReferenceAtVolume(t *testing.T) {
 	}
 }
 
+// TestEvictedChunksVsReference fills epoch 0 past maxChunk-sized chunks,
+// evicts it, and records into epoch 1, which takes the evicted chunks up
+// again — beside a hot device whose region outgrows maxChunk, which no spare
+// chunk can hold — then into epoch 2, then into epochs 1 and 0 once epoch 2
+// is the newest, so the newest-segment check must fall through to the
+// search. Every read is held to the reference after each phase: the evicted
+// events the reused chunks still hold must surface nowhere.
+func TestEvictedChunksVsReference(t *testing.T) {
+	const epochDays = 7
+	db, ref := NewDatabase(), newRefStore()
+	rng := rand.New(rand.NewSource(3))
+	seq := 0
+	record := func(d DeviceID, epoch Epoch) {
+		seq++
+		ev := arenaEvent(seq, d, int(epoch)*epochDays+rng.Intn(epochDays), EventID(rng.Intn(1<<20)))
+		db.Record(epoch, ev)
+		ref.record(epoch, ev)
+	}
+	for range 3 * maxChunk {
+		record(DeviceID(rng.Intn(500)), 0)
+	}
+	evicted := make(map[*Event]bool)
+	for _, c := range db.segs[0].evs {
+		if len(c) == maxChunk {
+			evicted[&c[0]] = true
+		}
+	}
+	if len(evicted) < 2 {
+		t.Fatalf("epoch 0 holds %d chunks of maxChunk slots, want ≥ 2", len(evicted))
+	}
+	checkStoreVsRef(t, db, ref, "epoch 0 filled")
+	if got, want := db.EvictBefore(1), ref.evictBefore(1); got != want {
+		t.Fatalf("EvictBefore(1) removed %d, ref %d", got, want)
+	}
+	if n := len(db.spare.evs); n == 0 || n > len(evicted) || len(db.spare.keys) != n {
+		t.Fatalf("%d spare chunks (%d key chunks) after evicting %d", n, len(db.spare.keys), len(evicted))
+	}
+	checkStoreVsRef(t, db, ref, "epoch 0 evicted")
+	for i := range 3 * maxChunk {
+		d := DeviceID(7) // hot: its region outgrows maxChunk
+		if i%4 == 0 {
+			d = DeviceID(rng.Intn(500))
+		}
+		record(d, 1)
+	}
+	checkStoreVsRef(t, db, ref, "epoch 1 filled")
+	for range maxChunk {
+		record(DeviceID(rng.Intn(500)), 2)
+	}
+	for range maxChunk {
+		record(DeviceID(rng.Intn(500)), Epoch(rng.Intn(2)))
+	}
+	checkStoreVsRef(t, db, ref, "epochs 0 and 1 after epoch 2")
+	reused, oversize := 0, false
+	for _, seg := range db.segs {
+		for _, c := range seg.evs {
+			if len(c) == maxChunk && evicted[&c[0]] {
+				reused++
+			}
+			oversize = oversize || len(c) > maxChunk
+		}
+	}
+	if reused == 0 || !oversize {
+		t.Fatalf("%d evicted chunks reused, a chunk past maxChunk: %v; want both", reused, oversize)
+	}
+}
+
 // conversionsOf lists db's conversions by device, then epoch, then event
 // order, read through the store's public per-device surfaces.
 func conversionsOf(db *Database) []Event {

@@ -1,6 +1,7 @@
 package events
 
 import (
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -290,4 +291,37 @@ func TestRecordAllocatesPerChunk(t *testing.T) {
 	if allocs > n/16 {
 		t.Fatalf("recording %d single-event devices allocated %.0f times, want ≤ %d", n, allocs, n/16)
 	}
+}
+
+// BenchmarkRecordStream times Record over a day-ordered synthetic stream with
+// retention, the streaming service's store path: 100 000 devices, 60 days of
+// 7-day epochs at 0.1 events per device per day (records of one or two
+// events, as on the synthetic trace), and before each new day an
+// EvictBefore that keeps a 30-day window. It reports ns/event.
+func BenchmarkRecordStream(b *testing.B) {
+	const epochDays, windowDays, days, devices, perDay = 7, 30, 60, 100000, 10000
+	rng := rand.New(rand.NewSource(1))
+	proto := imp(0, 0, 0, "nike.com")
+	evs := make([]Event, 0, days*perDay)
+	for day := range days {
+		for range perDay {
+			ev := proto
+			ev.ID, ev.Device, ev.Day = EventID(len(evs)+1), DeviceID(rng.Intn(devices)), day
+			evs = append(evs, ev)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		db := NewDatabase()
+		day := 0
+		for _, ev := range evs {
+			if ev.Day != day {
+				day = ev.Day
+				db.EvictBefore(EpochOfDay(day-windowDays+1, epochDays))
+			}
+			db.Record(EpochOfDay(ev.Day, epochDays), ev)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
 }

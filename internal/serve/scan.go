@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
+	"math/bits"
 	"net/http"
 	"strconv"
 	"sync"
@@ -58,6 +60,7 @@ type eventScanner struct {
 	cache  map[string]int32        // name → index in names
 	names  []scanName              // the empty name, the cached names, this body's new ones
 	fresh  int                     // names[:fresh] are interned
+	memo   [4][memoSlots]int32     // per name field, the last name of each memo slot in this body, as an index into names
 	unq    []byte                  // the last string that needed unquoting
 	fold   [len("advertiser")]byte // the last key that needed folding
 	stack  []byte                  // open containers of the unknown value being skipped
@@ -152,6 +155,7 @@ func (sc *eventScanner) readEvents(w http.ResponseWriter, r *http.Request, durat
 func (sc *eventScanner) scan(data []byte, durationDays int) ([]events.Event, *RequestError) {
 	sc.data, sc.pos, sc.durationDays = data, 0, durationDays
 	sc.events, sc.refs = sc.events[:0], sc.refs[:0]
+	clear(sc.memo[:]) // settle renumbered the names the last body's memo held
 	sc.count, sc.invalid, sc.malformed = 0, nil, nil
 	if rerr := sc.scanBody(); rerr != nil {
 		sc.settle()
@@ -226,6 +230,29 @@ func (sc *eventScanner) truncateNames(n int) {
 	sc.names, sc.fresh = sc.names[:n], n
 }
 
+// memoSlots is the number of names a name field's memo holds: a body's
+// campaigns and products are a handful of names, which mostly differ in
+// their length or last byte.
+const memoSlots = 16
+
+// fieldName returns the index in names of s, the value of name field j
+// (publisher, advertiser, campaign or product). The field's memo slot for
+// s's length and last byte holds the last name this body gave the field
+// there; when s is that name again, as it mostly is, the name cache is not
+// consulted.
+func (sc *eventScanner) fieldName(j int, s []byte) int32 {
+	if len(s) == 0 {
+		return 0
+	}
+	slot := &sc.memo[j][(len(s)+int(s[len(s)-1]))%memoSlots]
+	if i := *slot; string(s) == sc.names[i].name {
+		return i
+	}
+	i := sc.name(s)
+	*slot = i
+	return i
+}
+
 // name returns s's index in names, adding s (and, below the bound, caching
 // it) when the scanner has not seen it.
 func (sc *eventScanner) name(s []byte) int32 {
@@ -255,8 +282,8 @@ func (sc *eventScanner) fail(what string) bool {
 // callers need no separate end check.
 func (sc *eventScanner) peek() byte {
 	for sc.pos < len(sc.data) {
-		c := sc.data[sc.pos]
-		if c != ' ' && c != '\n' && c != '\t' && c != '\r' {
+		// Every byte above the space is not whitespace.
+		if c := sc.data[sc.pos]; c > ' ' || c != ' ' && c != '\n' && c != '\t' && c != '\r' {
 			return c
 		}
 		sc.pos++
@@ -391,29 +418,82 @@ const (
 	fieldValue
 )
 
+// fieldNames are the wire names, by field.
+var fieldNames = [...]string{fieldID: "id", fieldKind: "kind", fieldDevice: "device", fieldDay: "day",
+	fieldPublisher: "publisher", fieldAdvertiser: "advertiser", fieldCampaign: "campaign",
+	fieldProduct: "product", fieldValue: "value"}
+
+// exactKey is a wire name as an encoder writes it as a key, from after the
+// opening quote to the colon: its bytes as two little-endian words, with a
+// mask of the bytes each word holds, and its length.
+type exactKey struct {
+	lo, hi, loMask, hiMask uint64
+	n                      int
+}
+
+// exactKeys are the fields' exact keys, by field.
+var exactKeys = func() (keys [len(fieldNames)]exactKey) {
+	for f, name := range fieldNames[1:] {
+		var b, mask [16]byte
+		n := copy(b[:], name+`":`)
+		copy(mask[:n], bytes.Repeat([]byte{0xff}, n))
+		keys[f+1] = exactKey{
+			lo: binary.LittleEndian.Uint64(b[:]), hi: binary.LittleEndian.Uint64(b[8:]),
+			loMask: binary.LittleEndian.Uint64(mask[:]), hiMask: binary.LittleEndian.Uint64(mask[8:]),
+			n: n,
+		}
+	}
+	return keys
+}()
+
+// keyField is the field an exact key starting with each byte can be; a key
+// starting with "d" or "p" can be one of two, told apart by its second byte.
+var keyField = [256]eventField{'i': fieldID, 'k': fieldKind, 'd': fieldDevice, 'p': fieldPublisher,
+	'a': fieldAdvertiser, 'c': fieldCampaign, 'v': fieldValue}
+
 // eventFieldNamed maps an exact wire name to its field.
 func eventFieldNamed(name []byte) eventField {
-	switch string(name) {
-	case "id":
-		return fieldID
-	case "kind":
-		return fieldKind
-	case "device":
-		return fieldDevice
-	case "day":
-		return fieldDay
-	case "publisher":
-		return fieldPublisher
-	case "advertiser":
-		return fieldAdvertiser
-	case "campaign":
-		return fieldCampaign
-	case "product":
-		return fieldProduct
-	case "value":
-		return fieldValue
+	for f, n := range fieldNames[1:] {
+		if string(name) == n {
+			return eventField(f + 1)
+		}
 	}
 	return fieldUnknown
+}
+
+// eventKey parses an event object's key up to the colon and returns the
+// field it selects. A key written exactly as its wire name with the colon
+// right after it, as encoders write keys, is matched in place: its first
+// byte (and, for "d" and "p", its second) names the one field it can be,
+// and one compare of the next sixteen bytes against that field's exact key
+// settles it. Every other key — spaced from its colon, escaped, in another
+// case, unknown, or within sixteen bytes of the end of the body — is parsed
+// by key and matched exactly or folded.
+func (sc *eventScanner) eventKey() (eventField, bool) {
+	if sc.peek() == '"' && sc.pos+17 <= len(sc.data) {
+		lo := binary.LittleEndian.Uint64(sc.data[sc.pos+1:])
+		hi := binary.LittleEndian.Uint64(sc.data[sc.pos+9:])
+		f := keyField[byte(lo)]
+		switch second := byte(lo >> 8); {
+		case f == fieldDevice && second == 'a':
+			f = fieldDay
+		case f == fieldPublisher && second == 'r':
+			f = fieldProduct
+		}
+		if k := &exactKeys[f]; f != fieldUnknown && lo&k.loMask == k.lo && hi&k.hiMask == k.hi {
+			sc.pos += 1 + k.n
+			return f, true
+		}
+	}
+	key, ok := sc.key()
+	if !ok {
+		return fieldUnknown, false
+	}
+	f := eventFieldNamed(key)
+	if f == fieldUnknown {
+		f = eventFieldNamed(sc.folded(key))
+	}
+	return f, true
 }
 
 // event decodes the element at pos into *ev and *refs, which are zero: an
@@ -435,13 +515,9 @@ func (sc *eventScanner) event(ev *events.Event, refs *eventNames) bool {
 		return true
 	}
 	for more := true; more; {
-		key, ok := sc.key()
+		f, ok := sc.eventKey()
 		if !ok {
 			return false
-		}
-		f := eventFieldNamed(key)
-		if f == fieldUnknown {
-			f = eventFieldNamed(sc.folded(key))
 		}
 		switch c := sc.peek(); {
 		case f == fieldUnknown:
@@ -494,7 +570,7 @@ func (sc *eventScanner) event(ev *events.Event, refs *eventNames) bool {
 					ev.Kind = kindUnset
 				}
 			case fieldPublisher, fieldAdvertiser, fieldCampaign, fieldProduct:
-				refs[f-fieldPublisher] = sc.name(s)
+				refs[f-fieldPublisher] = sc.fieldName(int(f-fieldPublisher), s)
 			}
 		}
 		if !ok {
@@ -610,10 +686,46 @@ func (sc *eventScanner) number() (integer, ok bool) {
 	return integer, true
 }
 
+// plainInteger parses, in one pass, an integer literal at pos of at most 19
+// digits — which cannot overflow — with no leading zero and no fraction or
+// exponent after it, and consumes it. It consumes nothing and returns false
+// on anything else, which integer parses with number.
+func (sc *eventScanner) plainInteger() (magnitude uint64, negative, ok bool) {
+	p := sc.pos
+	if p < len(sc.data) && sc.data[p] == '-' {
+		negative = true
+		p++
+	}
+	start := p
+	for ; p < len(sc.data) && p-start < 19; p++ {
+		d := sc.data[p] - '0'
+		if d > 9 {
+			break
+		}
+		magnitude = magnitude*10 + uint64(d)
+	}
+	switch n := p - start; {
+	case n == 0, n > 1 && sc.data[start] == '0':
+		return 0, false, false
+	case p < len(sc.data) && numberContinues[sc.data[p]]:
+		return 0, false, false
+	}
+	sc.pos = p
+	return magnitude, negative, true
+}
+
+// numberContinues marks the bytes that continue a JSON number after a run
+// of digits.
+var numberContinues = [256]bool{'0': true, '1': true, '2': true, '3': true, '4': true,
+	'5': true, '6': true, '7': true, '8': true, '9': true, '.': true, 'e': true, 'E': true}
+
 // integer parses the number at pos for an integer field and returns its
 // magnitude and sign. As with encoding/json, anything but an integer
 // literal is malformed: 1.0, 1e2 and "7" all are.
 func (sc *eventScanner) integer() (magnitude uint64, negative, ok bool) {
+	if magnitude, negative, ok = sc.plainInteger(); ok {
+		return magnitude, negative, true
+	}
 	start := sc.pos
 	integer, ok := sc.number()
 	if !ok {
@@ -659,13 +771,41 @@ var plainStringByte = func() (t [256]bool) {
 	return t
 }()
 
+// Eight-byte words for plainPrefix: a byte of ones in every lane, and the top
+// bit of every lane.
+const (
+	laneOnes = 0x0101010101010101
+	laneTops = 0x8080808080808080
+)
+
+// plainPrefix returns the number of plain bytes (plainStringByte) that the
+// eight bytes of w, read little-endian, start with. Each byte's lane gets its
+// top bit set when the byte is below 0x20 — x-0x20 borrows into the top
+// bit, which x itself does not have — when it is '"' or '\' — x XOR the
+// byte is zero, and zero minus one borrows likewise — or when its own top
+// bit is set. A borrow starts only at a byte that is not plain and carries
+// only into the lanes above it, so the lowest lane flagged is the first byte
+// that is not plain.
+func plainPrefix(w uint64) int {
+	quote, backslash := w^(laneOnes*'"'), w^(laneOnes*'\\')
+	special := (w-laneOnes*0x20)&^w | (quote-laneOnes)&^quote | (backslash-laneOnes)&^backslash
+	return bits.TrailingZeros64((special|w)&laneTops) / 8
+}
+
 // str parses the string whose opening quote is at pos and returns its
 // value: a view of the body when the string holds only plain bytes,
 // otherwise sc.unq with escapes decoded and invalid UTF-8 replaced by
-// U+FFFD. Either is valid until the next call.
+// U+FFFD. Either is valid until the next call. Plain bytes are passed over
+// eight at a time while eight remain, then one at a time.
 func (sc *eventScanner) str() ([]byte, bool) {
 	sc.pos++ // "
 	start := sc.pos
+	for sc.pos+8 <= len(sc.data) {
+		n := plainPrefix(binary.LittleEndian.Uint64(sc.data[sc.pos:]))
+		if sc.pos += n; n < 8 {
+			break
+		}
+	}
 	for sc.pos < len(sc.data) && plainStringByte[sc.data[sc.pos]] {
 		sc.pos++
 	}

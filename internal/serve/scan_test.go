@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -549,10 +550,34 @@ type readerBody struct{ *bytes.Reader }
 
 func (readerBody) Close() error { return nil }
 
+// nearMissSeeds are bodies whose keys come close to the exact wire keys
+// eventKey matches in place — a longer or shorter name, a space before the
+// colon, another case, an escape — or repeat one, and bodies whose names
+// change from event to event, as the per-field name memo must follow.
+var nearMissSeeds = []string{
+	eventsBody(strings.Replace(goodEvent, `"id":`, `"ids":`, 1)),
+	eventsBody(strings.Replace(goodEvent, `"id":`, `"id" :`, 1)),
+	eventsBody(strings.Replace(goodEvent, `"id":`, `"Id":`, 1)),
+	eventsBody(strings.Replace(goodEvent, `"id":`, `"\u0069d":`, 1)),
+	eventsBody(strings.Replace(goodEvent, `"device":3`, `"de":3,"device":3`, 1)),
+	eventsBody(strings.Replace(goodEvent, `"day":1`, `"dayx":1,"day":1`, 1)),
+	eventsBody(strings.Replace(goodEvent, `"day":1`, `"day":9,"day":1`, 1)),
+	eventsBody(strings.Replace(goodEvent, `"product":"p0"`, `"product":"p0","product":"p1"`, 1)),
+	eventsBody(goodEvent,
+		strings.Replace(goodEvent, "shop.example", "other.example", 1),
+		goodEvent,
+		strings.Replace(goodEvent, `"product":"p0"`, `"product":"p9"`, 1),
+		strings.Replace(goodEvent, `"product":"p0"`, `"product":"p\u0030"`, 1)),
+	`{"events":[{"d`,
+}
+
 // FuzzIngestDecode is the differential fuzz target: any body, scanner
 // against reference.
 func FuzzIngestDecode(f *testing.F) {
 	for _, seed := range EventsSeeds {
+		f.Add([]byte(seed))
+	}
+	for _, seed := range nearMissSeeds {
 		f.Add([]byte(seed))
 	}
 	f.Add(canonicalBody())
@@ -562,6 +587,116 @@ func FuzzIngestDecode(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestPlainWordExhaustive holds the eight-byte scan to the byte table. Every
+// byte value at each position of a word otherwise made of one plain byte —
+// the smallest and largest plain bytes and the neighbours of the quote and
+// the backslash among them — ends the word's plain prefix there exactly when
+// it is not plain alone; and behind a byte that is not plain, no byte value
+// at any later position moves the end.
+func TestPlainWordExhaustive(t *testing.T) {
+	for _, fill := range []byte{' ', '!', '#', '[', ']', 'a', '~', 0x7f} {
+		word := binary.LittleEndian.Uint64(bytes.Repeat([]byte{fill}, 8))
+		set := func(w uint64, pos, c int) uint64 { return w&^(0xff<<(8*pos)) | uint64(c)<<(8*pos) }
+		for pos := range 8 {
+			for c := range 256 {
+				w := set(word, pos, c)
+				want := 8
+				if !plainStringByte[c] {
+					want = pos
+				}
+				if got := plainPrefix(w); got != want {
+					t.Fatalf("word %#016x: plain prefix %d, want %d", w, got, want)
+				}
+				if plainStringByte[c] {
+					continue
+				}
+				for later := pos + 1; later < 8; later++ {
+					for c2 := range 256 {
+						if w2 := set(w, later, c2); plainPrefix(w2) != pos {
+							t.Fatalf("word %#016x: plain prefix %d, want %d", w2, plainPrefix(w2), pos)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStrMatchesByteLoop puts one special byte (or sequence) at every offset
+// 0–17 of an otherwise plain string, so that it falls in the first, second
+// or third word or in the byte-at-a-time tail, with the string ending at
+// the end of the data or before more bytes, and holds str to encoding/json,
+// which reads strings a byte at a time: the same value, the same refusal,
+// and the string ending at the same offset.
+func TestStrMatchesByteLoop(t *testing.T) {
+	specials := []string{`"`, `\`, `\n`, `\u00e9`, `\ud83d\ude00`, `\x`, "\x00", "\x1f", " ", "~", "\x7f",
+		"\x80", "\xbf", "\xc3", "\xff", "é", "😀"}
+	plain := "abcdefghijklmnopqrstuvwxyz"
+	sc := newScanner()
+	for _, special := range specials {
+		for k := 0; k <= 17; k++ {
+			for _, tail := range []int{0, 1, 9} {
+				for _, after := range []string{"", `,"x":1}`} {
+					data := []byte(`"` + plain[:k] + special + plain[:tail] + `"` + after)
+					dec := json.NewDecoder(bytes.NewReader(data))
+					var want string
+					err := dec.Decode(&want)
+					sc.data, sc.pos = data, 0
+					got, ok := sc.str()
+					switch {
+					case ok != (err == nil):
+						t.Fatalf("%q: str ok = %v, encoding/json: %v", data, ok, err)
+					case ok && (string(got) != want || int64(sc.pos) != dec.InputOffset()):
+						t.Fatalf("%q: str = %q ending at %d, encoding/json %q ending at %d",
+							data, got, sc.pos, want, dec.InputOffset())
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkScanBodies times the decoder alone — scan, withNames for every
+// event, settle — over the synthetic trace cut into 512-event bodies as a
+// client encodes them: serve-bulk's request shape. It reports ns/event.
+func BenchmarkScanBodies(b *testing.B) {
+	src, err := dataset.NewSynthetic(dataset.DefaultSyntheticConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds := dataset.Materialize(src)
+	var bodies [][]byte
+	for evs := ds.Events; len(evs) > 0; {
+		chunk := evs[:min(512, len(evs))]
+		evs = evs[len(chunk):]
+		req := IngestRequest{Events: make([]EventWire, len(chunk))}
+		for i, ev := range chunk {
+			req.Events[i] = WireFromEvent(ev)
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	sc := newScanner()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for _, body := range bodies {
+			evs, rerr := sc.scan(body, ds.DurationDays)
+			if rerr != nil {
+				b.Fatal(rerr)
+			}
+			for i := range evs {
+				sc.withNames(i)
+			}
+			sc.settle()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ds.Events)), "ns/event")
 }
 
 // TestBackpressuredEventInternsNothing is the backpressured row of

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -613,7 +614,9 @@ func sampleService(t testing.TB, evs []events.Event, dir string, central bool) *
 }
 
 // samplePayloads runs a small durable service, on-device or IPA-like, and
-// returns one full base payload and one delta payload it committed.
+// returns one full base payload and one delta payload it committed, each with
+// its head's wall-clock readings zeroed (withoutStalls), so that a fresh
+// process builds the same bytes.
 func samplePayloads(t testing.TB, central bool) (base, delta []byte) {
 	t.Helper()
 	dir := t.TempDir()
@@ -657,7 +660,87 @@ func samplePayloads(t testing.TB, central bool) (base, delta []byte) {
 	if base == nil || delta == nil {
 		t.Fatal("run left no base or no delta")
 	}
-	return base, delta
+	return withoutStalls(t, base), withoutStalls(t, delta)
+}
+
+// withoutStalls returns payload p with its head's MaxSnapshotStall and
+// MaxCaptureStall — wall-clock readings, which no two runs repeat — zeroed,
+// and with them DeltaBytes and BaseBytes, which total the earlier payloads'
+// lengths and so the digits of their stalls; its sections are as they were.
+// The service keeps measuring all four; only the test payloads leave them
+// out.
+func withoutStalls(t testing.TB, p []byte) []byte {
+	t.Helper()
+	parts, err := parsePayload(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &parts.head.Durability
+	d.MaxSnapshotStall, d.MaxCaptureStall, d.DeltaBytes, d.BaseBytes = 0, 0, 0, 0
+	head, err := json.Marshal(parts.head)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sections, err := cutString(p[4:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := binary.LittleEndian.AppendUint32(slices.Clone(p[:4]), uint32(len(head)))
+	return append(append(out, head...), sections...)
+}
+
+// samplePayloadsEnv names the file a child run of
+// TestSamplePayloadsReproducible writes its sample payloads to.
+const samplePayloadsEnv = "STREAM_TEST_SAMPLE_PAYLOADS"
+
+// TestSamplePayloadsReproducible builds the sample payloads — the bytes
+// -update-corpus cuts every v9- seed from — in two fresh processes, as
+// -update-corpus does, and requires the same bytes of both, so that a
+// regenerated corpus differs from the checked-in one only where the format
+// did. The builds run in child processes because nonces come from a
+// process-wide counter, which a second build in one process would find
+// raised.
+func TestSamplePayloadsReproducible(t *testing.T) {
+	names := []string{"valid-base", "valid-delta", "valid-central-base"}
+	if path := os.Getenv(samplePayloadsEnv); path != "" {
+		base, delta := samplePayloads(t, false)
+		centralBase, _ := samplePayloads(t, true)
+		var out []byte
+		for i, p := range [][]byte{base, delta, centralBase} {
+			out = fmt.Appendf(out, "%s %q\n", names[i], p)
+		}
+		if err := os.WriteFile(path, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	var builds [2][]string
+	for i := range builds {
+		path := filepath.Join(t.TempDir(), "payloads")
+		cmd := exec.Command(os.Args[0], "-test.run=^TestSamplePayloadsReproducible$", "-test.count=1")
+		cmd.Env = append(os.Environ(), samplePayloadsEnv+"="+path)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("child building the sample payloads: %v\n%s", err, out)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		builds[i] = strings.Split(string(raw), "\n")
+	}
+	if len(builds[0]) != len(builds[1]) {
+		t.Fatalf("the builds hold %d and %d payloads", len(builds[0]), len(builds[1]))
+	}
+	for i, a := range builds[0] {
+		b := builds[1][i]
+		at := 0
+		for at < min(len(a), len(b)) && a[at] == b[at] {
+			at++
+		}
+		if a != b {
+			t.Errorf("two fresh builds differ from byte %d of their line:\n%.200s\n%.200s", at, a[at:], b[at:])
+		}
+	}
 }
 
 // withFirstBlob returns payload p, a schema-9 one, with its first device's
